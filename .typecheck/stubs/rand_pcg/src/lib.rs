@@ -25,6 +25,24 @@ impl Pcg64 {
         pcg
     }
 
+    /// Jump `delta` steps ahead in `O(log delta)` (the LCG's affine map
+    /// composed by repeated squaring), as upstream's `advance` does.
+    pub fn advance(&mut self, delta: u128) {
+        let (mut acc_mult, mut acc_plus) = (1u128, 0u128);
+        let (mut cur_mult, mut cur_plus) = (MULTIPLIER, self.increment);
+        let mut left = delta;
+        while left > 0 {
+            if left & 1 != 0 {
+                acc_mult = acc_mult.wrapping_mul(cur_mult);
+                acc_plus = acc_plus.wrapping_mul(cur_mult).wrapping_add(cur_plus);
+            }
+            cur_plus = cur_mult.wrapping_add(1).wrapping_mul(cur_plus);
+            cur_mult = cur_mult.wrapping_mul(cur_mult);
+            left >>= 1;
+        }
+        self.state = acc_mult.wrapping_mul(self.state).wrapping_add(acc_plus);
+    }
+
     #[inline]
     fn step(&mut self) -> u128 {
         let old = self.state;

@@ -2,8 +2,8 @@
 //! cost, no thread scheduling noise) across world sizes and schemes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use edgeswitch_core::config::{ParallelConfig, StepSize};
-use edgeswitch_core::parallel::simulate_parallel;
+use edgeswitch_core::config::StepSize;
+use edgeswitch_core::Run;
 use edgeswitch_dist::root_rng;
 use edgeswitch_graph::generators::erdos_renyi_gnm;
 use edgeswitch_graph::SchemeKind;
@@ -16,11 +16,12 @@ fn bench_world_size(c: &mut Criterion) {
     group.throughput(Throughput::Elements(t));
     for p in [1usize, 4, 16, 64] {
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, &p| {
-            let cfg = ParallelConfig::new(p)
-                .with_scheme(SchemeKind::HashUniversal)
-                .with_step_size(StepSize::FractionOfT(10))
-                .with_seed(5);
-            b.iter(|| simulate_parallel(&g, t, &cfg))
+            let run = Run::simulated(p)
+                .switches(t)
+                .scheme(SchemeKind::HashUniversal)
+                .step_size(StepSize::FractionOfT(10))
+                .seed(5);
+            b.iter(|| run.execute(&g))
         });
     }
     group.finish();
@@ -37,11 +38,12 @@ fn bench_schemes(c: &mut Criterion) {
             BenchmarkId::from_parameter(scheme.label()),
             &scheme,
             |b, &scheme| {
-                let cfg = ParallelConfig::new(16)
-                    .with_scheme(scheme)
-                    .with_step_size(StepSize::FractionOfT(10))
-                    .with_seed(5);
-                b.iter(|| simulate_parallel(&g, t, &cfg))
+                let run = Run::simulated(16)
+                    .switches(t)
+                    .scheme(scheme)
+                    .step_size(StepSize::FractionOfT(10))
+                    .seed(5);
+                b.iter(|| run.execute(&g))
             },
         );
     }

@@ -2,7 +2,7 @@
 //! baseline every speedup in the paper is measured against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use edgeswitch_core::sequential::sequential_edge_switch;
+use edgeswitch_core::Run;
 use edgeswitch_dist::root_rng;
 use edgeswitch_graph::generators::{
     contact_network, erdos_renyi_gnm, preferential_attachment, ContactParams,
@@ -24,9 +24,12 @@ fn bench_sequential(c: &mut Criterion) {
     ];
     for (name, graph) in cases {
         group.bench_with_input(BenchmarkId::from_parameter(name), &graph, |b, g| {
+            // `start` sets the engine up (the graph clone) outside the
+            // timed routine.
+            let run = Run::sequential().switches(t).seed(2);
             b.iter_batched(
-                || (g.clone(), root_rng(2)),
-                |(mut g, mut rng)| sequential_edge_switch(&mut g, t, &mut rng),
+                || run.start(g).expect("a sequential switch run always starts"),
+                |engine| engine.run_to_end(),
                 criterion::BatchSize::LargeInput,
             )
         });

@@ -13,12 +13,12 @@
 use super::ExpConfig;
 use crate::report::{f, table, Report};
 use crate::{dataset_graph, full_visit_ops};
-use edgeswitch_core::config::{ParallelConfig, QuotaPolicy, StepSize};
+use edgeswitch_core::config::{QuotaPolicy, StepSize};
 use edgeswitch_core::error_rate::error_rate;
 use edgeswitch_core::run::Run;
 use edgeswitch_graph::generators::Dataset;
 use edgeswitch_graph::SchemeKind;
-use edgeswitch_scalesim::{des_parallel, CostModel};
+use edgeswitch_scalesim::{des_run, CostModel};
 use serde_json::json;
 
 /// Quota-policy ablation: error rate and workload skew, edge-proportional
@@ -95,11 +95,12 @@ pub fn ablation_latency(cfg: &ExpConfig) -> Report {
     for mult in [0.5f64, 1.0, 2.0, 4.0] {
         let mut cost = CostModel::default();
         cost.latency_ns *= mult;
-        let pcfg = ParallelConfig::new(1024)
-            .with_scheme(SchemeKind::Consecutive)
-            .with_step_size(StepSize::FractionOfT(100))
-            .with_seed(cfg.seed);
-        let (_, report) = des_parallel(&g, t, &pcfg, &cost);
+        let run = Run::simulated(1024)
+            .switches(t)
+            .scheme(SchemeKind::Consecutive)
+            .step_size(StepSize::FractionOfT(100))
+            .seed(cfg.seed);
+        let (_, report) = des_run(&run, &g, &cost);
         rows.push(vec![
             format!("{:.0}", cost.latency_ns),
             f(report.speedup, 1),

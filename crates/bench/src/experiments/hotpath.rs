@@ -17,7 +17,6 @@ use super::ExpConfig;
 use crate::report::{f, peak_rss_kb, provenance, table, Report};
 use edgeswitch_core::parallel::process_backend_supported;
 use edgeswitch_core::run::Run;
-use edgeswitch_core::sequential::sequential_edge_switch;
 use edgeswitch_core::switch::{flip_kind, recombine, Recombination};
 use edgeswitch_core::visit::VisitTracker;
 use edgeswitch_dist::root_rng;
@@ -100,7 +99,7 @@ const PROBE_GATE_OPS: u64 = 200_000;
 /// The *uninstrumented* Algorithm-1 inner loop, frozen as the reference
 /// the probe-overhead gate compares against: identical sampling,
 /// legality checking, mutation and visit tracking as
-/// [`sequential_edge_switch`], with no observation points at all. If the
+/// the engine behind `Run::sequential`, with no observation points at all. If the
 /// no-op probe in the real path ever grows measurable cost, the ratio of
 /// the two exposes it.
 fn frozen_sequential<R: Rng>(graph: &mut Graph, t: u64, rng: &mut R) -> u64 {
@@ -154,15 +153,17 @@ fn bench_probe_overhead(graph: &Graph, reps: u32, seed: u64) -> (f64, f64) {
         let performed = frozen_sequential(&mut g, PROBE_GATE_OPS, &mut rng);
         base_best = base_best.max(performed as f64 / start.elapsed().as_secs_f64());
 
-        // Deliberately the bare engine function rather than the `Run`
-        // facade: the gate divides this timing by the frozen loop's, so
-        // both sides must run on a pre-cloned graph with the clone
-        // outside the timed region.
-        let mut g = graph.clone();
-        let mut rng = root_rng(seed ^ salt);
+        // `start` sets the engine up (it clones the graph) outside the
+        // timed region: the gate divides this timing by the frozen
+        // loop's, so both sides must time the switch loop alone.
+        let mut engine = Run::sequential()
+            .switches(PROBE_GATE_OPS)
+            .seed(seed ^ salt)
+            .start(graph)
+            .expect("a sequential switch run always starts");
         let start = Instant::now();
-        let out = sequential_edge_switch(&mut g, PROBE_GATE_OPS, &mut rng);
-        noop_best = noop_best.max(out.performed as f64 / start.elapsed().as_secs_f64());
+        engine.advance(u64::MAX);
+        noop_best = noop_best.max(engine.performed() as f64 / start.elapsed().as_secs_f64());
     }
     (base_best, noop_best)
 }
@@ -628,6 +629,22 @@ mod tests {
         assert!(r.data["probe"]["noop_per_sec"].as_f64().unwrap() > 0.0);
         assert!(r.data["probe"]["noop_vs_baseline"].as_f64().unwrap() > 0.0);
         assert!(r.rendered.contains("probe overhead"));
+    }
+
+    #[test]
+    fn frozen_reference_and_the_engine_make_the_same_switches() {
+        // The frozen loop predates the stepped engine and shares none of
+        // its driver code, so on any RNG stream — the published crates'
+        // included, where no digests are pinned — it checks that
+        // `Run::sequential` still draws and applies exactly Algorithm 1.
+        let g = erdos_renyi_gnm(400, 2000, &mut root_rng(7));
+        for (t, seed) in [(1u64, 3u64), (3000, 11), (5000, 12)] {
+            let mut frozen = g.clone();
+            let performed = frozen_sequential(&mut frozen, t, &mut root_rng(seed));
+            let out = Run::sequential().switches(t).seed(seed).execute(&g);
+            assert_eq!(out.performed(), performed);
+            assert_eq!(out.graph().edge_digest(), frozen.edge_digest(), "t={t}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use super::ExpConfig;
 use crate::report::{f, table, Report};
 use crate::{dataset_graph, full_visit_ops};
 use edgeswitch_core::config::{ParallelConfig, StepSize};
-use edgeswitch_core::parallel::simulate_parallel_with;
+use edgeswitch_core::Run;
 use edgeswitch_dist::rng::root_rng;
 use edgeswitch_graph::generators::Dataset;
 use edgeswitch_graph::partition::adversary::division_worst_case;
@@ -139,7 +139,12 @@ fn full_run(g: &Graph, scheme: SchemeKind, part: &Partitioner, seed: u64) -> (Ve
         .with_scheme(scheme)
         .with_step_size(StepSize::FractionOfT(100))
         .with_seed(seed);
-    let out = simulate_parallel_with(g, t, &pcfg, part);
+    let out = Run::simulated(P)
+        .switches(t)
+        .prepared(pcfg, Some(part.clone()))
+        .execute(g)
+        .into_parallel()
+        .expect("simulated run");
     (out.final_edges.clone(), out.workload())
 }
 

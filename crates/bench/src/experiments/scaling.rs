@@ -5,22 +5,23 @@
 use super::ExpConfig;
 use crate::report::{f, table, Report};
 use crate::{dataset_graph, full_visit_ops, scaling_processor_grid};
-use edgeswitch_core::config::{ParallelConfig, StepSize};
+use edgeswitch_core::config::StepSize;
+use edgeswitch_core::Run;
 use edgeswitch_dist::rng::root_rng;
 use edgeswitch_graph::generators::{preferential_attachment, Dataset};
 use edgeswitch_graph::partition::adversary::division_worst_case;
 use edgeswitch_graph::{Partitioner, SchemeKind};
-use edgeswitch_scalesim::{
-    strong_scaling, strong_scaling_with, weak_scaling, CostModel, ScalePoint,
-};
+use edgeswitch_scalesim::{strong_scaling, weak_scaling, CostModel, ScalePoint};
 use serde_json::json;
 
-fn cfg_for(scheme: SchemeKind, seed: u64) -> impl Fn(usize) -> ParallelConfig {
+/// The figures' run per `p`: `t` operations, step size `t/100`.
+fn run_for(scheme: SchemeKind, t: u64, seed: u64) -> impl Fn(usize) -> Run {
     move |p| {
-        ParallelConfig::new(p)
-            .with_scheme(scheme)
-            .with_step_size(StepSize::FractionOfT(100))
-            .with_seed(seed)
+        Run::simulated(p)
+            .switches(t)
+            .scheme(scheme)
+            .step_size(StepSize::FractionOfT(100))
+            .seed(seed)
     }
 }
 
@@ -75,7 +76,7 @@ fn strong_scaling_figure(cfg: &ExpConfig, scheme: SchemeKind, id: &str, title: &
     for ds in Dataset::scaling_set() {
         let g = dataset_graph(ds, cfg.scale, cfg.seed);
         let t = full_visit_ops(g.num_edges());
-        let pts = strong_scaling(&g, t, &ps, &cost, cfg_for(scheme, cfg.seed));
+        let pts = strong_scaling(&g, &ps, &cost, run_for(scheme, t, cfg.seed));
         curves.push((ds.name().to_string(), pts));
     }
     Report {
@@ -96,7 +97,7 @@ pub fn fig15(cfg: &ExpConfig) -> Report {
         let g = dataset_graph(ds, cfg.scale, cfg.seed);
         let t = full_visit_ops(g.num_edges());
         for scheme in SchemeKind::all() {
-            let pts = strong_scaling(&g, t, &ps, &cost, cfg_for(scheme, cfg.seed));
+            let pts = strong_scaling(&g, &ps, &cost, run_for(scheme, t, cfg.seed));
             curves.push((format!("{}/{}", ds.name(), scheme.label()), pts));
         }
     }
@@ -140,36 +141,24 @@ fn weak_scaling_figure(cfg: &ExpConfig, schemes: &[SchemeKind], id: &str, title:
     let seed = cfg.seed;
     let mut curves = Vec::new();
     for &scheme in schemes {
-        let make_config = move |p: usize| {
-            ParallelConfig::new(p)
-                .with_scheme(scheme)
-                .with_step_size(StepSize::FractionOfT(1000))
-                .with_seed(seed)
+        let make_run = move |p: usize| {
+            Run::simulated(p)
+                .switches(ops_per_p * p as u64)
+                .scheme(scheme)
+                .step_size(StepSize::FractionOfT(1000))
+                .seed(seed)
         };
-        let growing = weak_scaling(
-            &ps,
-            &cost,
-            |p| {
-                let mut rng = root_rng(seed ^ p as u64);
-                let n = (per_p_vertices * p).max(64);
-                (
-                    preferential_attachment(n, 10, &mut rng),
-                    ops_per_p * p as u64,
-                )
-            },
-            make_config,
-        );
+        let growing = weak_scaling(&ps, &cost, |p| {
+            let mut rng = root_rng(seed ^ p as u64);
+            let n = (per_p_vertices * p).max(64);
+            (preferential_attachment(n, 10, &mut rng), make_run(p))
+        });
         curves.push((format!("{}/growing", scheme.label()), growing));
         let fixed_graph = {
             let mut rng = root_rng(seed ^ 0xF1BED);
             preferential_attachment(fixed_n, 10, &mut rng)
         };
-        let fixed = weak_scaling(
-            &ps,
-            &cost,
-            |p| (fixed_graph.clone(), ops_per_p * p as u64),
-            make_config,
-        );
+        let fixed = weak_scaling(&ps, &cost, |p| (fixed_graph.clone(), make_run(p)));
         curves.push((format!("{}/fixed", scheme.label()), fixed));
     }
     Report {
@@ -192,8 +181,10 @@ pub fn fig22(cfg: &ExpConfig) -> Report {
     let mut rows = Vec::new();
     let mut data = Vec::new();
     let mut run = |label: &str, graph: &edgeswitch_graph::Graph, part: Partitioner, scheme| {
-        let pts = strong_scaling_with(graph, t, &[p], &cost, cfg_for(scheme, cfg.seed), |_| {
-            part.clone()
+        let pts = strong_scaling(graph, &[p], &cost, |p| {
+            let run = run_for(scheme, t, cfg.seed)(p);
+            let config = run.config().clone();
+            run.prepared(config, Some(part.clone()))
         });
         let pt = &pts[0];
         rows.push(vec![

@@ -5,12 +5,12 @@
 use super::ExpConfig;
 use crate::report::{f, table, Report};
 use crate::{dataset_graph, full_visit_ops};
-use edgeswitch_core::config::{ParallelConfig, StepSize};
+use edgeswitch_core::config::StepSize;
 use edgeswitch_core::error_rate::error_rate;
 use edgeswitch_core::run::Run;
 use edgeswitch_graph::generators::Dataset;
 use edgeswitch_graph::{Graph, SchemeKind};
-use edgeswitch_scalesim::{des_parallel, CostModel};
+use edgeswitch_scalesim::{des_run, CostModel};
 use serde_json::json;
 
 /// Block count of the error-rate metric (the paper uses `r = 20`).
@@ -31,12 +31,12 @@ fn speedup_at(
     seed: u64,
     cost: &CostModel,
 ) -> f64 {
-    let cfg = ParallelConfig::new(p)
-        .with_scheme(scheme)
-        .with_step_size(StepSize::FractionOfT(div))
-        .with_seed(seed);
-    let (_, report) = des_parallel(g, t, &cfg, cost);
-    report.speedup
+    let run = Run::simulated(p)
+        .switches(t)
+        .scheme(scheme)
+        .step_size(StepSize::FractionOfT(div))
+        .seed(seed);
+    des_run(&run, g, cost).1.speedup
 }
 
 /// Mean error rate between `reps` parallel runs and matched sequential

@@ -20,7 +20,7 @@ use edgeswitch_core::parallel::{MsgCounts, MsgKind, ParallelOutcome, StepTelemet
 use edgeswitch_core::Run;
 use edgeswitch_graph::generators::Dataset;
 use edgeswitch_graph::SchemeKind;
-use edgeswitch_scalesim::{des_parallel, CostModel};
+use edgeswitch_scalesim::{des_run, CostModel};
 use serde_json::{json, Value};
 
 /// Header of the driver-independent per-step telemetry columns, in the
@@ -184,7 +184,7 @@ pub fn telemetry_steps(cfg: &ExpConfig) -> Report {
         .seed(cfg.seed);
 
     let fifo = run.execute(&g).into_parallel().expect("simulated mode");
-    let (des, des_report) = des_parallel(&g, t, run.config(), &CostModel::default());
+    let (des, des_report) = des_run(&run, &g, &CostModel::default());
 
     let mut rendered = String::from("FIFO driver, per step:\n");
     rendered.push_str(&table(

@@ -15,7 +15,7 @@ use edgeswitch_core::parallel::StepTelemetry;
 use edgeswitch_core::Run;
 use edgeswitch_dist::root_rng;
 use edgeswitch_graph::generators::erdos_renyi_gnm;
-use edgeswitch_scalesim::{des_parallel, CostModel};
+use edgeswitch_scalesim::{des_run, CostModel};
 use serde_json::{json, Value};
 
 fn scaled(base: usize, scale: f64, floor: usize) -> usize {
@@ -125,7 +125,7 @@ pub fn trace(cfg: &ExpConfig) -> Report {
         .expect("parallel run");
     let thr_report = threaded.report.clone().expect("observed threaded run");
 
-    let (des, _) = des_parallel(&g, t, threaded_run.config(), &CostModel::default());
+    let (des, _) = des_run(&threaded_run, &g, &CostModel::default());
     let des_report = des.report.clone().expect("observed DES run");
 
     let mut rendered = format!(

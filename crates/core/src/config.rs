@@ -27,22 +27,6 @@ fn default_spec_batch() -> usize {
     1
 }
 
-/// Default busy-spin iterations with CPU relax hints before a blocked
-/// receive starts yielding the scheduler slice.
-pub const DEFAULT_SPIN_RELAX: u32 = 64;
-
-/// Default total spin iterations (relax + yield) before a blocked receive
-/// parks on its transport's wakeup primitive.
-pub const DEFAULT_SPIN_TOTAL: u32 = 256;
-
-fn default_spin_relax() -> u32 {
-    DEFAULT_SPIN_RELAX
-}
-
-fn default_spin_total() -> u32 {
-    DEFAULT_SPIN_TOTAL
-}
-
 /// Which substrate the parallel driver runs its ranks on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Backend {
@@ -200,14 +184,6 @@ pub struct ParallelConfig {
     /// `tests/driver_conformance.rs`).
     #[serde(default)]
     pub backend: Backend,
-    /// Busy-spin iterations with CPU relax hints before a blocked receive
-    /// starts yielding (both backends honor this).
-    #[serde(default = "default_spin_relax")]
-    pub spin_relax: u32,
-    /// Total spin iterations (relax + yield) before a blocked receive
-    /// parks (threaded: channel timeout-park; process: futex doorbell).
-    #[serde(default = "default_spin_total")]
-    pub spin_total: u32,
     /// Per-invocation process-backend knobs (child argv, pid announcing,
     /// ring sizing). Skipped by serde: a deserialized config gets the
     /// defaults.
@@ -236,8 +212,6 @@ impl ParallelConfig {
             local_fastpath: default_local_fastpath(),
             spec_batch: default_spec_batch(),
             backend: Backend::default(),
-            spin_relax: default_spin_relax(),
-            spin_total: default_spin_total(),
             proc_opts: ProcOpts::default(),
             randomizer: Randomizer::default(),
         }
@@ -297,15 +271,6 @@ impl ParallelConfig {
     /// Builder-style backend override.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Builder-style spin tuning: `relax` iterations of CPU relax hints,
-    /// then yields up to `total` iterations, before a blocked receive
-    /// parks. `total` is clamped to ≥ `relax`.
-    pub fn with_spin(mut self, relax: u32, total: u32) -> Self {
-        self.spin_relax = relax;
-        self.spin_total = total.max(relax);
         self
     }
 
@@ -393,19 +358,10 @@ mod tests {
                 .randomizer,
             Randomizer::Curveball
         );
-        // Backend defaults to threads; spins default to the tuned consts.
+        // Backend defaults to threads.
         assert_eq!(ParallelConfig::new(2).backend, Backend::Threaded);
-        assert_eq!(ParallelConfig::new(2).spin_relax, DEFAULT_SPIN_RELAX);
-        assert_eq!(ParallelConfig::new(2).spin_total, DEFAULT_SPIN_TOTAL);
-        let cfg = ParallelConfig::new(2)
-            .with_backend(Backend::Process)
-            .with_spin(8, 4);
+        let cfg = ParallelConfig::new(2).with_backend(Backend::Process);
         assert_eq!(cfg.backend, Backend::Process);
-        assert_eq!(
-            (cfg.spin_relax, cfg.spin_total),
-            (8, 8),
-            "total clamps to relax"
-        );
     }
 
     #[test]

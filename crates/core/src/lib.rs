@@ -5,17 +5,20 @@
 //! for Edge-Switching to Achieve a Target Visit Rate in Heterogeneous
 //! Graphs"* (ICPP 2014; extended JPDC version).
 //!
+//! - [`run`]: the [`Run`] builder and the stepped [`Engine`] — the one
+//!   way to run a job,
 //! - [`switch`]: straight/cross recombination and legality,
-//! - [`sequential`]: Algorithm 1,
-//! - [`parallel`]: the distributed protocol (Sections 4–5) with threaded
-//!   and deterministic drivers,
+//! - [`sequential`]: Algorithm 1 as a pausable engine,
+//! - [`parallel`]: the distributed protocol (Sections 4–5) and the
+//!   simulated, threaded and process worlds it runs on,
+//! - [`trade`]: the Curveball randomizer (global trades),
 //! - [`visit`]: visit-rate tracking (Section 3.1),
 //! - [`error_rate`]: the sequential-vs-parallel similarity metric
 //!   (Section 4.6),
+//! - [`obs`]: probes, clocks and the [`RunReport`],
 //! - [`config`]: run configuration (scheme, step size, seed).
 //!
-//! The front door is the [`Run`] builder; the per-driver free functions
-//! it superseded remain as `#[doc(hidden)]` shims for old call sites:
+//! The front door is the [`Run`] builder:
 //!
 //! ```
 //! use edgeswitch_core::Run;
@@ -46,22 +49,9 @@ pub use config::{Backend, ParallelConfig, ProcOpts, Randomizer, StepSize};
 pub use error_rate::{error_rate, BlockMatrix};
 pub use obs::{Obs, ObsSpec, Probe, RunReport};
 pub use parallel::{child_entry_from_env, MsgCounts, ParallelOutcome, StepTelemetry};
-pub use run::{Run, RunError, RunOutcome, SequentialRun};
+pub use run::{Engine, Run, RunError, RunOutcome, SequentialRun};
 pub use sequential::{SeqCheckpoint, SequentialOutcome, SequentialResumable};
 pub use switch::{RejectReason, SwitchKind};
 pub use trade::{CurveballOutcome, TradeBudget};
-
-// Legacy per-driver entry points, superseded by [`Run`]. Kept callable so
-// old call sites keep compiling, but dropped from the documented facade.
-#[doc(hidden)]
-pub use parallel::{
-    parallel_curveball, parallel_edge_switch, simulate_curveball, simulate_parallel,
-};
-#[doc(hidden)]
-pub use sequential::{
-    sequential_edge_switch, sequential_edge_switch_observed, sequential_for_visit_rate,
-};
-#[doc(hidden)]
-pub use trade::{sequential_curveball, sequential_curveball_observed};
 pub use variants::{sequential_edge_switch_connected, sequential_exact_visit, ConstrainedOutcome};
 pub use visit::VisitTracker;

@@ -4,21 +4,20 @@
 //! run; a job server needs to narrate *during* it. Two bridges feed that
 //! narration:
 //!
+//! - [`StepProgress`] is where a stepped run stands, in
+//!   driver-independent units — what
+//!   [`Engine::advance`](crate::Engine::advance) returns after each
+//!   piece of work.
 //! - [`StreamingProbe`] is a [`Probe`] that forwards cumulative span
 //!   totals over an [`mpsc`](std::sync::mpsc) channel every `every`
-//!   spans. Like every probe it only reads — no RNG draws, no message
+//!   spans ([`Engine::attach_probe`](crate::Engine::attach_probe)).
+//!   Like every probe it only reads — no RNG draws, no message
 //!   reordering — so a streamed run stays bit-identical to a silent one.
-//! - [`StepProgress::from_telemetry`] folds one step's merged
-//!   [`StepTelemetry`] into a compact progress record, for drivers that
-//!   step a world ([`SimWorld`](crate::parallel::SimWorld)) or chunk a
-//!   sequential run
-//!   ([`SequentialResumable`](crate::sequential::SequentialResumable)).
 //!
 //! Both arrive as [`ProgressEvent`]s; `crates/svc` serializes them onto
 //! job event streams.
 
 use super::{Phase, Probe, RankObs};
-use crate::parallel::StepTelemetry;
 use std::sync::mpsc::Sender;
 
 /// One progress event streamed out of a running job.
@@ -41,13 +40,14 @@ pub struct SpanTotals {
     pub ns: [u64; Phase::COUNT],
 }
 
-/// One step's worth of forward progress, in driver-independent units.
+/// Where a stepped run stands after one [`Engine::advance`](crate::Engine::advance).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StepProgress {
-    /// Steps completed so far (1-based: the step this event closes).
+    /// Steps completed so far (1-based: the step this record closes);
+    /// 0 for an engine without a step structure (sequential chunks).
     pub step: u64,
-    /// Total steps the run will take (0 when unknown, e.g. sequential
-    /// chunking).
+    /// Total steps the run will take (0 when the engine has no step
+    /// structure).
     pub steps: u64,
     /// Switch operations performed so far, run-wide.
     pub performed: u64,
@@ -60,27 +60,6 @@ pub struct StepProgress {
 }
 
 impl StepProgress {
-    /// Fold one step's merged telemetry into a progress record.
-    /// `performed`, `budget` and `visit_rate` are run-cumulative and come
-    /// from the driver; the telemetry contributes this step's messaging.
-    pub fn from_telemetry(
-        step: u64,
-        steps: u64,
-        performed: u64,
-        budget: u64,
-        visit_rate: f64,
-        telemetry: &StepTelemetry,
-    ) -> Self {
-        StepProgress {
-            step,
-            steps,
-            performed,
-            budget,
-            visit_rate,
-            logical_msgs: telemetry.logical_msgs.total(),
-        }
-    }
-
     /// Fraction of the budget consumed, in `[0, 1]`.
     pub fn fraction(&self) -> f64 {
         if self.budget == 0 {
@@ -141,9 +120,6 @@ impl Probe for StreamingProbe {
 mod tests {
     use super::*;
     use crate::obs::Obs;
-    use crate::sequential::SequentialResumable;
-    use edgeswitch_dist::root_rng;
-    use edgeswitch_graph::generators::erdos_renyi_gnm;
     use std::sync::mpsc::channel;
     use std::sync::Arc;
 
@@ -152,11 +128,10 @@ mod tests {
         let (tx, rx) = channel();
         let clock = Arc::new(crate::obs::ManualClock::new());
         let mut obs = Obs::with_probe(Box::new(StreamingProbe::new(tx, 3)), clock.clone());
-        for i in 0..10 {
+        for _ in 0..10 {
             let t0 = obs.now();
             clock.advance(7);
             obs.span_since(Phase::Sample, t0);
-            let _ = i;
         }
         obs.finish();
         let events: Vec<ProgressEvent> = rx.iter().collect();
@@ -179,43 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_sequential_run_is_bit_identical_to_silent() {
-        let g = erdos_renyi_gnm(120, 500, &mut root_rng(8));
-        let mut silent = SequentialResumable::new(g.clone(), 600, 21);
-        while !silent.is_done() {
-            silent.step(97);
-        }
-        let (silent_graph, silent_out) = silent.finish();
-
-        let (tx, rx) = channel();
-        let mut streamed = SequentialResumable::new(g, 600, 21);
-        streamed.attach_probe(tx, 16);
-        while !streamed.is_done() {
-            streamed.step(97);
-        }
-        let (streamed_graph, streamed_out) = streamed.finish();
-
-        assert!(streamed_graph.same_edge_set(&silent_graph));
-        assert_eq!(streamed_out.performed, silent_out.performed);
-        assert_eq!(streamed_out.rejects, silent_out.rejects);
-        let events: Vec<ProgressEvent> = rx.iter().collect();
-        assert!(!events.is_empty(), "probe must stream");
-    }
-
-    #[test]
-    fn step_progress_tracks_fraction() {
-        let telemetry = StepTelemetry::default();
-        let p = StepProgress::from_telemetry(2, 8, 250, 1000, 0.2, &telemetry);
-        assert_eq!(p.logical_msgs, 0);
-        assert!((p.fraction() - 0.25).abs() < 1e-12);
-        let done = StepProgress {
-            budget: 0,
-            ..Default::default()
-        };
-        assert_eq!(done.fraction(), 1.0);
-    }
-
-    #[test]
     fn dropped_receiver_never_fails_the_run() {
         let (tx, rx) = channel();
         drop(rx);
@@ -224,5 +162,16 @@ mod tests {
         obs.span(Phase::Legality, 1);
         obs.span(Phase::Legality, 2);
         assert!(obs.finish().is_none());
+    }
+
+    #[test]
+    fn step_progress_tracks_fraction() {
+        let p = StepProgress {
+            performed: 250,
+            budget: 1000,
+            ..Default::default()
+        };
+        assert!((p.fraction() - 0.25).abs() < 1e-12);
+        assert_eq!(StepProgress::default().fraction(), 1.0);
     }
 }

@@ -1,123 +1,68 @@
-//! The threaded driver: runs the distributed protocol over real
+//! The threaded world: the distributed protocol over real
 //! message-passing ranks (`mpilite`), one thread per processor.
 //!
-//! All step machinery lives in [`super::harness`]; this driver only
-//! binds it to real threads: each rank wraps its [`Comm`] endpoint in a
-//! [`MpiliteTransport`] and runs [`run_rank_step`] for every step of the
-//! [`StepHarness`], then the per-rank results and telemetry are merged
-//! into one [`ParallelOutcome`].
+//! [`run_threaded_world`] is the scaffold both randomizers run on: it
+//! splits the graph into stores, hands one to each rank thread, gives
+//! every rank a probe on one shared clock, runs the caller's rank body
+//! over a [`MpiliteTransport`], and merges the per-rank outputs and
+//! telemetry into one [`ParallelOutcome`]. The switch body
+//! ([`threaded_switch`]) is [`run_rank_step`] for every step of the
+//! [`StepHarness`]; the Curveball body lives in [`super::trade`].
 
 use super::harness::{
-    assemble_outcome, run_rank_step, MpiliteTransport, RankOutput, RunMeta, StepHarness,
-    StepScratch, StepTelemetry,
+    assemble_outcome, run_rank_step, MpiliteTransport, ParallelOutcome, RankOutput, RankTransport,
+    RunMeta, StepHarness, StepScratch, StepTelemetry,
 };
 use super::msg::Msg;
 use super::rank::RankState;
-use crate::obs::{Clock, MonoClock};
+use crate::config::ParallelConfig;
+use crate::obs::{Clock, MonoClock, Obs};
 use edgeswitch_graph::store::build_stores;
 use edgeswitch_graph::{Graph, PartitionStore, Partitioner};
 use mpilite::{run_world, Comm, WorldConfig};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-pub use super::harness::ParallelOutcome;
-
-use crate::config::{Backend, ParallelConfig};
-
-/// Run `t` switch operations on `graph` under `config`, using the
-/// partitioner built for the configured scheme.
-pub fn parallel_edge_switch(graph: &Graph, t: u64, config: &ParallelConfig) -> ParallelOutcome {
-    let mut rng = config.root_rng();
-    let part = Partitioner::build(config.scheme, graph, config.processors, &mut rng);
-    parallel_edge_switch_with(graph, t, config, &part)
-}
-
-/// [`parallel_edge_switch`] with an explicit partitioner (for adversarial
-/// or custom partitioning experiments).
-pub fn parallel_edge_switch_with(
+/// Run one world of `config.processors` rank threads over `graph` split
+/// by `part`. `body` is one rank's whole run: it receives the rank's
+/// transport, its partition store and its observation context (a no-op
+/// unless `config.obs` is on) and returns the rank's [`RankOutput`] next
+/// to its per-step telemetry.
+pub(crate) fn run_threaded_world<F>(
     graph: &Graph,
-    t: u64,
     config: &ParallelConfig,
     part: &Partitioner,
-) -> ParallelOutcome {
-    if config.backend == Backend::Process {
-        return super::proc::parallel_edge_switch_proc(graph, t, config, part);
-    }
+    body: F,
+) -> ParallelOutcome
+where
+    F: Fn(&mut MpiliteTransport<'_>, PartitionStore, Obs) -> (RankOutput, Vec<StepTelemetry>)
+        + Sync,
+{
     let p = config.processors;
     assert_eq!(part.num_parts(), p, "partitioner size must match config");
     let stores = build_stores(graph, part);
     let initial_edges: Vec<u64> = stores.iter().map(|s| s.num_edges() as u64).collect();
-    let n = graph.num_vertices();
-
-    let harness = StepHarness::new(t, config);
-    let steps = harness.steps();
-
-    // Hand one store to each rank thread.
-    let slots: Vec<Mutex<Option<PartitionStore>>> =
-        stores.into_iter().map(|st| Mutex::new(Some(st))).collect();
-
-    let seed = config.seed;
-    let window = config.window;
-    let local_fastpath = config.local_fastpath;
-    let spec_batch = config.spec_batch;
-    let part_ref = &part;
-    let slots_ref = &slots;
+    // Each rank thread takes its own store out of the shared list.
+    let stores: Mutex<Vec<Option<PartitionStore>>> =
+        Mutex::new(stores.into_iter().map(Some).collect());
 
     // One shared monotonic clock so every rank's spans live on the same
     // timeline. `None` when unobserved: probes stay no-ops.
-    let clock: Option<Arc<dyn Clock>> = if config.obs.enabled() {
-        Some(Arc::new(MonoClock::new()))
-    } else {
-        None
-    };
-    let obs_spec = config.obs;
-    let clock_ref = &clock;
+    let clock: Option<Arc<dyn Clock>> = config
+        .obs
+        .enabled()
+        .then(|| Arc::new(MonoClock::new()) as Arc<dyn Clock>);
     let run_start = clock.as_ref().map_or(0, |c| c.now_ns());
 
-    let world_config = WorldConfig {
-        spin_relax: config.spin_relax,
-        spin_total: config.spin_total,
-        ..WorldConfig::default()
-    };
     let results: Vec<(RankOutput, Vec<StepTelemetry>)> =
-        run_world(p, world_config, move |comm: &mut Comm<Msg>| {
-            let store = slots_ref[comm.rank()]
-                .lock()
+        run_world(p, WorldConfig::default(), |comm: &mut Comm<Msg>| {
+            let store = stores.lock().expect("no rank panics holding the stores")[comm.rank()]
                 .take()
                 .expect("store taken once per rank");
-            let mut state = RankState::new(comm.rank(), (*part_ref).clone(), store, seed, window)
-                .with_fastpath(local_fastpath)
-                .with_spec_batch(spec_batch);
-            if let Some(clock) = clock_ref {
-                state = state.with_obs(obs_spec.build(clock.clone()));
-            }
-            let telemetry: Vec<StepTelemetry> = {
-                let mut transport = MpiliteTransport::new(comm);
-                let mut scratch = StepScratch::new(p);
-                (0..steps)
-                    .map(|step| {
-                        run_rank_step(
-                            &mut transport,
-                            &mut state,
-                            &mut scratch,
-                            harness.step_ops(step),
-                            harness.uniform_q(),
-                        )
-                    })
-                    .collect()
+            let obs = match &clock {
+                Some(clock) => config.obs.build(clock.clone()),
+                None => Obs::noop(),
             };
-            let comm_stats = comm.stats();
-            let (store, tracker, stats, obs) = state.into_parts();
-            (
-                RankOutput {
-                    store,
-                    tracker,
-                    stats,
-                    comm: comm_stats,
-                    obs,
-                },
-                telemetry,
-            )
+            body(&mut MpiliteTransport::new(comm), store, obs)
         });
 
     let meta = clock.as_ref().map(|c| RunMeta {
@@ -125,14 +70,51 @@ pub fn parallel_edge_switch_with(
         wall_ns: c.now_ns().saturating_sub(run_start),
     });
 
-    // Merge each rank's per-step telemetry into whole-world records.
-    let mut telemetry = vec![StepTelemetry::default(); steps as usize];
+    // Merge each rank's per-step telemetry into whole-world records
+    // (every rank runs the same number of steps).
+    let steps = results.first().map_or(0, |(_, t)| t.len());
+    let mut telemetry = vec![StepTelemetry::default(); steps];
     let mut outputs = Vec::with_capacity(p);
     for (output, rank_telemetry) in results {
+        debug_assert_eq!(rank_telemetry.len(), steps, "ranks agree on step count");
         for (acc, step) in telemetry.iter_mut().zip(&rank_telemetry) {
             acc.merge(step);
         }
         outputs.push(output);
     }
-    assemble_outcome(n, steps, initial_edges, outputs, telemetry, meta)
+    assemble_outcome(
+        graph.num_vertices(),
+        steps as u64,
+        initial_edges,
+        outputs,
+        telemetry,
+        meta,
+    )
+}
+
+/// Run `t` switch operations on `graph` over threaded ranks split by
+/// `part` (Sections 4–5).
+pub(crate) fn threaded_switch(
+    graph: &Graph,
+    t: u64,
+    config: &ParallelConfig,
+    part: &Partitioner,
+) -> ParallelOutcome {
+    let harness = StepHarness::new(t, config);
+    run_threaded_world(graph, config, part, |transport, store, obs| {
+        let mut state = RankState::new(transport.rank(), part.clone(), store, config).with_obs(obs);
+        let mut scratch = StepScratch::new(config.processors);
+        let telemetry = (0..harness.steps())
+            .map(|step| {
+                run_rank_step(
+                    transport,
+                    &mut state,
+                    &mut scratch,
+                    harness.step_ops(step),
+                    harness.uniform_q(),
+                )
+            })
+            .collect();
+        (state.into_output(transport.stats()), telemetry)
+    })
 }

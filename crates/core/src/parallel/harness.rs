@@ -1,8 +1,9 @@
-//! Shared step machinery of the three protocol drivers.
+//! Shared step machinery of the protocol drivers.
 //!
-//! Every driver — the threaded engine over `mpilite`, the deterministic
-//! FIFO simulator, and the virtual-time DES in `edgeswitch-scalesim` —
-//! executes the same per-step protocol of Section 4.5: exchange the
+//! Every driver — the threaded and process worlds
+//! ([`run_rank_step`], one call per rank per step) and the simulated
+//! world ([`run_world_step`], FIFO or the virtual-time DES of
+//! `edgeswitch-scalesim`) — executes the same per-step protocol of Section 4.5: exchange the
 //! live edge counts `|E_i|`, refresh the probability vector `q`, draw
 //! per-rank operation quotas with the parallel multinomial algorithm
 //! (Algorithm 5), then run conversations until the step quiesces. This
@@ -22,11 +23,11 @@
 use super::msg::{Msg, MsgKind, Outbox};
 use super::rank::{RankState, RankStats, StartResult};
 use crate::config::{ParallelConfig, QuotaPolicy};
-use crate::obs::{Clock, CommGauges, MonoClock, Obs, Phase, RankObs, RunReport};
+use crate::obs::{Clock, CommGauges, Obs, Phase, RankObs, RunReport};
 use crate::visit::VisitTracker;
 use edgeswitch_dist::BlockRng64;
-use edgeswitch_graph::store::{assemble_graph, build_stores};
-use edgeswitch_graph::{Graph, PartitionStore, Partitioner};
+use edgeswitch_graph::store::assemble_graph;
+use edgeswitch_graph::{Graph, PartitionStore};
 use mpilite::{CollCarrier, Comm, CommStats};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -483,6 +484,11 @@ impl<'a> MpiliteTransport<'a> {
             comm,
             inbox: VecDeque::new(),
         }
+    }
+
+    /// The endpoint's traffic counters so far.
+    pub fn stats(&self) -> CommStats {
+        self.comm.stats()
     }
 
     /// Unpack one received packet: batches queue their tail behind the
@@ -990,83 +996,6 @@ fn route_world<T: WorldTransport>(
             transport.deliver(src, dst, msg);
         }
     }
-}
-
-/// Run a whole `t`-operation simulated world over `transport`: the
-/// driver body shared by the FIFO simulator and the DES.
-pub fn run_simulated_world<T: WorldTransport>(
-    graph: &Graph,
-    t: u64,
-    config: &ParallelConfig,
-    part: &Partitioner,
-    transport: &mut T,
-) -> ParallelOutcome {
-    let p = config.processors;
-    assert_eq!(part.num_parts(), p, "partitioner size must match config");
-    let stores = build_stores(graph, part);
-    let initial_edges: Vec<u64> = stores.iter().map(|s| s.num_edges() as u64).collect();
-    let n = graph.num_vertices();
-
-    // Observed runs read the transport's clock if it owns the timeline
-    // (the DES records in virtual time); otherwise the monotonic clock.
-    let clock: Option<Arc<dyn Clock>> = if config.obs.enabled() {
-        Some(
-            transport
-                .obs_clock()
-                .unwrap_or_else(|| Arc::new(MonoClock::new())),
-        )
-    } else {
-        None
-    };
-    let mut states: Vec<RankState> = stores
-        .into_iter()
-        .enumerate()
-        .map(|(rank, store)| {
-            let state = RankState::new(rank, part.clone(), store, config.seed, config.window)
-                .with_fastpath(config.local_fastpath)
-                .with_spec_batch(config.spec_batch);
-            match &clock {
-                Some(clock) => state.with_obs(config.obs.build(clock.clone())),
-                None => state,
-            }
-        })
-        .collect();
-    let mut comm_stats = vec![CommStats::default(); p];
-    let run_start = clock.as_ref().map_or(0, |c| c.now_ns());
-
-    let harness = StepHarness::new(t, config);
-    let mut telemetry = Vec::with_capacity(harness.steps() as usize);
-    let mut out = Outbox::new();
-    for step in 0..harness.steps() {
-        telemetry.push(run_world_step(
-            transport,
-            &mut states,
-            &mut out,
-            harness.step_ops(step),
-            harness.uniform_q(),
-            &mut comm_stats,
-        ));
-    }
-
-    let meta = clock.as_ref().map(|c| RunMeta {
-        clock: c.label(),
-        wall_ns: c.now_ns().saturating_sub(run_start),
-    });
-    let outputs: Vec<RankOutput> = states
-        .into_iter()
-        .zip(comm_stats)
-        .map(|(state, comm)| {
-            let (store, tracker, stats, obs) = state.into_parts();
-            RankOutput {
-                store,
-                tracker,
-                stats,
-                comm,
-                obs,
-            }
-        })
-        .collect();
-    assemble_outcome(n, harness.steps(), initial_edges, outputs, telemetry, meta)
 }
 
 #[cfg(test)]

@@ -3,16 +3,19 @@
 //! - [`rank`]: the pure per-processor protocol state machine,
 //! - [`msg`]: the wire protocol,
 //! - [`harness`]: the shared step machinery — [`Transport`] /
-//!   [`StepHarness`] / per-step [`StepTelemetry`] — every driver runs on,
-//! - [`engine`]: the threaded driver over `mpilite` ranks,
-//! - [`proc`]: the process-backed driver over shared-memory rings
-//!   ([`wire`] is its byte codec for [`Msg`]),
-//! - [`sim`]: a deterministic single-threaded driver for large virtual
-//!   worlds and similarity experiments,
-//! - [`resume`]: the pausable form of the simulated driver, with
-//!   step-boundary snapshots for checkpoint/resume,
-//! - [`trade`]: the Curveball randomizer's drivers (global trades over
-//!   the same transports; see [`crate::trade`]).
+//!   [`StepHarness`] / per-step [`StepTelemetry`] — every world runs on,
+//! - [`resume`]: the simulated world ([`SimWorld`]): all ranks in one
+//!   loop, stepped, with step-boundary snapshots for checkpoint/resume;
+//!   deterministic over the FIFO transport, virtual-time under the DES
+//!   of `edgeswitch-scalesim`,
+//! - [`engine`]: the threaded world over `mpilite` ranks,
+//! - [`proc`]: the process world over shared-memory rings ([`wire`] is
+//!   its byte codec for [`Msg`], and the snapshot codec),
+//! - [`trade`]: the Curveball randomizer's rank body and drivers (global
+//!   trades over the same transports; see [`crate::trade`]).
+//!
+//! Nothing here is an entry point: [`Run`](crate::Run) sets each world
+//! up, runs it and tears it down.
 
 pub mod engine;
 pub mod harness;
@@ -20,7 +23,6 @@ pub mod msg;
 pub mod proc;
 pub mod rank;
 pub mod resume;
-pub mod sim;
 pub mod trade;
 pub mod wire;
 
@@ -29,22 +31,15 @@ mod rank_tests;
 #[cfg(test)]
 mod tests;
 
-pub use engine::{parallel_edge_switch, parallel_edge_switch_with};
 pub use harness::{
-    assemble_outcome, probability_vector, run_rank_step, run_simulated_world, run_world_step,
-    FifoTransport, MpiliteTransport, MsgCounts, ParallelOutcome, RankOutput, RankTransport,
-    RunMeta, StepHarness, StepScratch, StepTelemetry, Transport, WorldTransport,
+    assemble_outcome, probability_vector, run_rank_step, run_world_step, FifoTransport,
+    MpiliteTransport, MsgCounts, ParallelOutcome, RankOutput, RankTransport, RunMeta, StepHarness,
+    StepScratch, StepTelemetry, Transport, WorldTransport,
 };
 pub use msg::{ConvId, Msg, MsgKind, Outbox};
 pub use proc::{
-    child_entry_from_env, parallel_edge_switch_proc, parallel_edge_switch_proc_gen,
-    process_backend_supported, try_parallel_edge_switch_proc, try_parallel_edge_switch_proc_gen,
-    ProcError, ProcTransport,
+    child_entry_from_env, process_backend_supported, try_parallel_edge_switch_proc_gen, ProcError,
+    ProcTransport,
 };
 pub use rank::{RankCheckpoint, RankState, RankStats, StartResult};
 pub use resume::{SimWorld, WorldSnapshot};
-pub use sim::{simulate_parallel, simulate_parallel_with};
-pub use trade::{
-    parallel_curveball, parallel_curveball_with, run_simulated_trades, simulate_curveball,
-    simulate_curveball_with,
-};

@@ -1,7 +1,7 @@
 //! The process-backed driver: ranks as OS child processes over
 //! shared-memory rings, so `p` ranks genuinely occupy `p` cores.
 //!
-//! Structure mirrors the threaded driver (`super::engine`) exactly — the
+//! Structure mirrors the threaded world (`super::engine`) exactly — the
 //! same [`StepHarness`], the same [`run_rank_step`] event loop, the same
 //! [`assemble_outcome`] merge — only the substrate differs:
 //!
@@ -18,9 +18,9 @@
 //!   engine and the simulators), and runs the step loop over a
 //!   [`ProcTransport`] — point-to-point `Msg` frames and the step-boundary
 //!   collectives all travel the world's SPSC rings;
-//! * at teardown each child streams a **result blob** (final store,
-//!   tracker, [`RankStats`], comm stats, per-step telemetry) back to the
-//!   launcher over its ring, and exits.
+//! * at teardown each child streams a **result blob** (its `RankOutput`
+//!   and per-step telemetry, encoded straight from the live store by the
+//!   [`wire`] field codecs) back to the launcher over its ring, and exits.
 //!
 //! Orphan safety is layered: children arm `PR_SET_PDEATHSIG(SIGKILL)`
 //! before exec (re-checking `getppid` to close the pre-arm race), and the
@@ -39,18 +39,19 @@ use edgeswitch_graph::generators::StreamSpec;
 use edgeswitch_graph::store::{build_rank_store_streamed, build_stores, PartitionStore};
 use edgeswitch_graph::{Edge, Graph, Partitioner};
 use edgeswitch_shm::{Endpoint, ShmWorld, WaitOutcome};
-use mpilite::{CollCarrier, CommStats, COLLECTIVE_TAG_BASE, KIND_SLOTS};
+use mpilite::{
+    CollCarrier, CommStats, COLLECTIVE_TAG_BASE, DEFAULT_SPIN_RELAX, DEFAULT_SPIN_TOTAL,
+};
 
 use crate::config::ParallelConfig;
-use crate::visit::VisitTracker;
 
 use super::harness::{
-    assemble_outcome, run_rank_step, MsgCounts, ParallelOutcome, RankOutput, RankTransport,
-    StepHarness, StepScratch, StepTelemetry, Transport, TAG_PROTO,
+    assemble_outcome, run_rank_step, ParallelOutcome, RankOutput, RankTransport, StepHarness,
+    StepScratch, StepTelemetry, Transport, TAG_PROTO,
 };
-use super::msg::{Msg, MsgKind};
-use super::rank::{RankState, RankStats};
-use super::wire;
+use super::msg::Msg;
+use super::rank::RankState;
+use super::wire::{self, put_u32, put_u64, Reader};
 
 const ENV_RANK: &str = "EDGESWITCH_SHM_RANK";
 const ENV_FD: &str = "EDGESWITCH_SHM_FD";
@@ -70,55 +71,6 @@ const RECV_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Backpressure timeout for a full ring (peer presumed dead after this).
 const SEND_TIMEOUT: Duration = Duration::from_secs(120);
-
-// ---------------------------------------------------------------------
-// Little-endian blob helpers
-// ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, at: 0 }
-    }
-
-    fn u8(&mut self) -> u8 {
-        let v = self.bytes[self.at];
-        self.at += 1;
-        v
-    }
-
-    fn u32(&mut self) -> u32 {
-        let v = u32::from_le_bytes(self.bytes[self.at..self.at + 4].try_into().unwrap());
-        self.at += 4;
-        v
-    }
-
-    fn u64(&mut self) -> u64 {
-        let v = u64::from_le_bytes(self.bytes[self.at..self.at + 8].try_into().unwrap());
-        self.at += 8;
-        v
-    }
-
-    fn f64(&mut self) -> f64 {
-        f64::from_bits(self.u64())
-    }
-
-    fn done(&self) {
-        assert_eq!(self.at, self.bytes.len(), "trailing bytes in blob");
-    }
-}
 
 // ---------------------------------------------------------------------
 // Transport
@@ -144,14 +96,12 @@ pub struct ProcTransport<'w> {
     pending: VecDeque<(usize, u32, Vec<u8>)>,
     /// Logical messages unpacked from a `Msg::Batch` frame.
     inbox: VecDeque<(usize, Msg)>,
-    spin_relax: u32,
-    spin_total: u32,
     ebuf: Vec<u8>,
 }
 
 impl<'w> ProcTransport<'w> {
     /// Wrap a rank's endpoint (`ep.me()` must be the rank id, `< p`).
-    pub fn new(ep: Endpoint<'w>, p: usize, spin_relax: u32, spin_total: u32) -> Self {
+    pub fn new(ep: Endpoint<'w>, p: usize) -> Self {
         assert!(ep.me() < p, "launcher endpoint is not a rank");
         ProcTransport {
             ep,
@@ -160,8 +110,6 @@ impl<'w> ProcTransport<'w> {
             coll_seq: 0,
             pending: VecDeque::new(),
             inbox: VecDeque::new(),
-            spin_relax,
-            spin_total,
             ebuf: Vec::new(),
         }
     }
@@ -207,10 +155,14 @@ impl<'w> ProcTransport<'w> {
         }
     }
 
-    /// Park until a frame arrives, metering park time; panics on world
-    /// death or deadlock timeout.
+    /// Park until a frame arrives (after the same spin budget as a
+    /// threaded rank), metering park time; panics on world death or
+    /// deadlock timeout.
     fn wait_for_traffic(&mut self) {
-        match self.ep.wait(self.spin_relax, self.spin_total, RECV_TIMEOUT) {
+        match self
+            .ep
+            .wait(DEFAULT_SPIN_RELAX, DEFAULT_SPIN_TOTAL, RECV_TIMEOUT)
+        {
             WaitOutcome::Ready => {}
             WaitOutcome::ParkedReady(ns) => {
                 self.stats.parks += 1;
@@ -424,8 +376,6 @@ fn encode_config(out: &mut Vec<u8>, config: &ParallelConfig) {
     put_u64(out, config.window as u64);
     out.push(config.local_fastpath as u8);
     put_u64(out, config.spec_batch as u64);
-    put_u32(out, config.spin_relax);
-    put_u32(out, config.spin_total);
 }
 
 fn decode_config(r: &mut Reader<'_>) -> ParallelConfig {
@@ -455,9 +405,7 @@ fn decode_config(r: &mut Reader<'_>) -> ParallelConfig {
         .with_seed(r.u64());
     config = config.with_window(r.u64() as usize);
     config = config.with_local_fastpath(r.u8() != 0);
-    config = config.with_spec_batch(r.u64() as usize);
-    let (relax, total) = (r.u32(), r.u32());
-    config.with_spin(relax, total)
+    config.with_spec_batch(r.u64() as usize)
 }
 
 fn encode_partitioner(out: &mut Vec<u8>, part: &Partitioner) {
@@ -491,7 +439,7 @@ fn encode_partitioner(out: &mut Vec<u8>, part: &Partitioner) {
 fn decode_partitioner(r: &mut Reader<'_>) -> Partitioner {
     match r.u8() {
         0 => {
-            let len = r.u64() as usize;
+            let len = r.len(8);
             Partitioner::Consecutive {
                 starts: (0..len).map(|_| r.u64()).collect(),
             }
@@ -610,7 +558,7 @@ fn decode_boot(bytes: &[u8]) -> BootBlob {
     let t = r.u64();
     let payload = match r.u8() {
         BOOT_KEYS => {
-            let p = r.u64() as usize;
+            let p = r.len(8);
             let counts: Vec<u64> = (0..p).map(|_| r.u64()).collect();
             let total: u64 = counts.iter().sum();
             let keys: Vec<u64> = (0..total).map(|_| r.u64()).collect();
@@ -621,207 +569,13 @@ fn decode_boot(bytes: &[u8]) -> BootBlob {
         },
         tag => panic!("unknown boot-payload tag {tag}"),
     };
-    r.done();
+    r.expect_end("boot blob");
     BootBlob {
         config,
         part,
         t,
         payload,
     }
-}
-
-// ---------------------------------------------------------------------
-// Result blob
-// ---------------------------------------------------------------------
-
-fn encode_result(
-    rank: usize,
-    initial_edges: u64,
-    store: &PartitionStore,
-    tracker: &VisitTracker,
-    stats: &RankStats,
-    comm: &CommStats,
-    telemetry: &[StepTelemetry],
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, rank as u64);
-    // Pre-switch pool size: under seed boot the launcher never sees the
-    // initial stores, so ranks report their own share for
-    // `assemble_outcome`'s load-balance accounting.
-    put_u64(&mut out, initial_edges);
-
-    put_u64(&mut out, store.num_edges() as u64);
-    for e in store.edges() {
-        put_u64(&mut out, e.key());
-    }
-
-    put_u64(&mut out, tracker.initial_count() as u64);
-    let remaining: Vec<u64> = tracker.remaining_keys().collect();
-    put_u64(&mut out, remaining.len() as u64);
-    for key in remaining {
-        put_u64(&mut out, key);
-    }
-
-    for v in [
-        stats.performed,
-        stats.performed_local,
-        stats.performed_global,
-        stats.performed_fastpath,
-        stats.aborts_loop,
-        stats.aborts_useless,
-        stats.aborts_parallel,
-        stats.aborts_contended,
-        stats.forfeited,
-        stats.proposals_served,
-        stats.validations_served,
-        stats.spec_committed,
-        stats.spec_rolled_back,
-    ] {
-        put_u64(&mut out, v);
-    }
-
-    for v in [
-        comm.packets_sent,
-        comm.bytes_sent,
-        comm.packets_received,
-        comm.collectives,
-        comm.parks,
-        comm.park_ns,
-        comm.recv_queue_peak,
-        comm.recv_buf_reuses,
-    ] {
-        put_u64(&mut out, v);
-    }
-    for v in comm.logical_by_kind {
-        put_u64(&mut out, v);
-    }
-
-    put_u64(&mut out, telemetry.len() as u64);
-    for tel in telemetry {
-        for v in [
-            tel.ops,
-            tel.started,
-            tel.performed,
-            tel.local_fastpath,
-            tel.forfeited,
-            tel.served,
-            tel.blocked,
-            tel.parked,
-            tel.window_peak,
-            tel.spec_committed,
-            tel.spec_rolled_back,
-            tel.packets,
-            tel.trades,
-            tel.neighbors_moved,
-        ] {
-            put_u64(&mut out, v);
-        }
-        for v in tel.logical_msgs.slots() {
-            put_u64(&mut out, *v);
-        }
-        for v in [
-            tel.boundary_ns,
-            tel.drain_ns,
-            tel.barrier_ns,
-            tel.qrefresh_ns,
-            tel.wait_ns,
-        ] {
-            put_u64(&mut out, v.to_bits());
-        }
-    }
-    out
-}
-
-fn decode_result(bytes: &[u8]) -> (usize, u64, RankOutput, Vec<StepTelemetry>) {
-    let mut r = Reader::new(bytes);
-    let rank = r.u64() as usize;
-    let initial_edges = r.u64();
-
-    let edge_count = r.u64() as usize;
-    let mut store = PartitionStore::new(rank);
-    for _ in 0..edge_count {
-        let inserted = store.insert(Edge::from_key(r.u64()));
-        debug_assert!(inserted, "result store has duplicate edges");
-    }
-
-    let initial_count = r.u64() as usize;
-    let remaining_len = r.u64() as usize;
-    let tracker = VisitTracker::from_parts(initial_count, (0..remaining_len).map(|_| r.u64()));
-
-    let stats = RankStats {
-        performed: r.u64(),
-        performed_local: r.u64(),
-        performed_global: r.u64(),
-        performed_fastpath: r.u64(),
-        aborts_loop: r.u64(),
-        aborts_useless: r.u64(),
-        aborts_parallel: r.u64(),
-        aborts_contended: r.u64(),
-        forfeited: r.u64(),
-        proposals_served: r.u64(),
-        validations_served: r.u64(),
-        spec_committed: r.u64(),
-        spec_rolled_back: r.u64(),
-    };
-
-    let mut comm = CommStats {
-        packets_sent: r.u64(),
-        bytes_sent: r.u64(),
-        packets_received: r.u64(),
-        collectives: r.u64(),
-        parks: r.u64(),
-        park_ns: r.u64(),
-        recv_queue_peak: r.u64(),
-        recv_buf_reuses: r.u64(),
-        ..CommStats::default()
-    };
-    for slot in 0..KIND_SLOTS {
-        comm.logical_by_kind[slot] = r.u64();
-    }
-
-    let steps = r.u64() as usize;
-    let telemetry: Vec<StepTelemetry> = (0..steps)
-        .map(|_| {
-            let mut tel = StepTelemetry {
-                ops: r.u64(),
-                started: r.u64(),
-                performed: r.u64(),
-                local_fastpath: r.u64(),
-                forfeited: r.u64(),
-                served: r.u64(),
-                blocked: r.u64(),
-                parked: r.u64(),
-                window_peak: r.u64(),
-                spec_committed: r.u64(),
-                spec_rolled_back: r.u64(),
-                packets: r.u64(),
-                trades: r.u64(),
-                neighbors_moved: r.u64(),
-                ..StepTelemetry::default()
-            };
-            let mut slots = [0u64; MsgKind::COUNT];
-            for slot in &mut slots {
-                *slot = r.u64();
-            }
-            tel.logical_msgs = MsgCounts::from_slots(slots);
-            tel.boundary_ns = r.f64();
-            tel.drain_ns = r.f64();
-            tel.barrier_ns = r.f64();
-            tel.qrefresh_ns = r.f64();
-            tel.wait_ns = r.f64();
-            tel
-        })
-        .collect();
-    r.done();
-
-    let output = RankOutput {
-        store,
-        tracker,
-        stats,
-        comm,
-        obs: None,
-    };
-    (rank, initial_edges, output, telemetry)
 }
 
 // ---------------------------------------------------------------------
@@ -926,8 +680,7 @@ fn kill_children(children: &mut [Child]) {
 
 /// Why a process-backed launch failed. Each variant maps onto the
 /// corresponding [`RunError`](crate::run::RunError) variant at the `Run`
-/// API boundary; the free functions keep their panicking contract by
-/// unwrapping these with the same messages as before.
+/// API boundary.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProcError {
     /// Shared-memory worlds are unavailable on this platform (the
@@ -967,28 +720,12 @@ impl std::fmt::Display for ProcError {
 impl std::error::Error for ProcError {}
 
 /// Run `t` switch operations on `graph` under `config` with rank
-/// processes over shared memory. Mirrors
-/// [`super::engine::parallel_edge_switch_with`]; bit-identical outcomes
-/// at `p = 1` and schedule-equivalent outcomes at `p > 1`.
-///
-/// # Panics
-/// Panics when shared-memory worlds are unsupported on this platform
-/// (non-Linux), when a rank child cannot be spawned, or when a child
-/// dies mid-run. [`try_parallel_edge_switch_proc`] is the fallible form
-/// behind [`Run::try_execute`](crate::run::Run::try_execute).
-pub fn parallel_edge_switch_proc(
-    graph: &Graph,
-    t: u64,
-    config: &ParallelConfig,
-    part: &Partitioner,
-) -> ParallelOutcome {
-    try_parallel_edge_switch_proc(graph, t, config, part).unwrap_or_else(|err| panic!("{err}"))
-}
-
-/// Fallible form of [`parallel_edge_switch_proc`]: launch failures come
-/// back as [`ProcError`] instead of panicking, with every already-spawned
-/// child killed and reaped on the error path.
-pub fn try_parallel_edge_switch_proc(
+/// processes over shared memory — the process-backend body of
+/// [`Run::try_execute`](crate::run::Run::try_execute). Bit-identical to
+/// the threaded world at `p = 1`, schedule-equivalent at `p > 1`. Launch
+/// failures come back as [`ProcError`], with every already-spawned child
+/// killed and reaped on the error path.
+pub(crate) fn process_switch(
     graph: &Graph,
     t: u64,
     config: &ParallelConfig,
@@ -1010,8 +747,8 @@ pub fn try_parallel_edge_switch_proc(
 /// ([`build_rank_store_streamed`]), so peak residency per participant is
 /// O(m/p) and boot-channel traffic is constant in `m`.
 ///
-/// Semantically identical to materializing `spec.build()` and calling
-/// [`parallel_edge_switch_proc`] — the per-rank pool order is the same
+/// Semantically identical to materializing `spec.build()` and running
+/// [`Run::process`](crate::run::Run::process) on it — the per-rank pool order is the same
 /// (streamed split ≡ `build_stores`; see `edgeswitch_graph::store`) — so
 /// outcomes match the materialized launch bit for bit.
 ///
@@ -1034,17 +771,6 @@ pub fn try_parallel_edge_switch_proc_gen(
     }
     let boot = encode_boot_gen(config, part, t, spec);
     launch_world(boot, spec.num_vertices(), t, config)
-}
-
-/// Panicking form of [`try_parallel_edge_switch_proc_gen`], for parity
-/// with [`parallel_edge_switch_proc`].
-pub fn parallel_edge_switch_proc_gen(
-    spec: &StreamSpec,
-    t: u64,
-    config: &ParallelConfig,
-    part: &Partitioner,
-) -> ParallelOutcome {
-    try_parallel_edge_switch_proc_gen(spec, t, config, part).unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// Shared launch machinery: write `boot` into a fresh shm world, respawn
@@ -1133,11 +859,15 @@ fn launch_world(
     let mut outputs: Vec<Option<RankOutput>> = (0..p).map(|_| None).collect();
     let mut initial_edges = vec![0u64; p];
     let mut telemetry = vec![StepTelemetry::default(); steps as usize];
-    for blob in &blobs {
-        let (rank, initial, output, rank_telemetry) = decode_result(blob);
+    // Each blob is freed once decoded: the launcher never holds a rank's
+    // result both as bytes and as a store for longer than one rank.
+    for blob in blobs {
+        let (initial, output, rank_telemetry) = wire::decode_rank_result(&blob);
+        drop(blob);
         for (acc, step) in telemetry.iter_mut().zip(&rank_telemetry) {
             acc.merge(step);
         }
+        let rank = output.store.rank();
         initial_edges[rank] = initial;
         assert!(
             outputs[rank].replace(output).is_none(),
@@ -1173,8 +903,9 @@ fn launch_world(
 // ---------------------------------------------------------------------
 
 /// Whether this platform can run the process backend (Linux with
-/// shared-memory worlds). [`parallel_edge_switch_proc`] panics where this
-/// returns `false`; benches and tests use it to skip process cases.
+/// shared-memory worlds). [`Run::process`](crate::run::Run::process) is
+/// `BackendUnsupported` where this returns `false`; benches and tests use
+/// it to skip process cases.
 pub fn process_backend_supported() -> bool {
     edgeswitch_shm::SUPPORTED
 }
@@ -1257,19 +988,10 @@ fn run_rank_child(world: &ShmWorld, rank: usize) {
     let initial_edges = store.num_edges() as u64;
 
     let harness = StepHarness::new(t, &config);
-    let steps = harness.steps();
-    let mut state = RankState::new(rank, part, store, config.seed, config.window)
-        .with_fastpath(config.local_fastpath)
-        .with_spec_batch(config.spec_batch);
-
-    let mut transport = ProcTransport::new(
-        world.endpoint(rank),
-        p,
-        config.spin_relax,
-        config.spin_total,
-    );
+    let mut state = RankState::new(rank, part, store, &config);
+    let mut transport = ProcTransport::new(world.endpoint(rank), p);
     let mut scratch = StepScratch::new(p);
-    let telemetry: Vec<StepTelemetry> = (0..steps)
+    let telemetry: Vec<StepTelemetry> = (0..harness.steps())
         .map(|step| {
             run_rank_step(
                 &mut transport,
@@ -1281,17 +1003,7 @@ fn run_rank_child(world: &ShmWorld, rank: usize) {
         })
         .collect();
 
-    let comm_stats = transport.stats();
-    let ProcTransport { ep, .. } = transport;
-    let (store, tracker, stats, _obs) = state.into_parts();
-    let blob = encode_result(
-        rank,
-        initial_edges,
-        &store,
-        &tracker,
-        &stats,
-        &comm_stats,
-        &telemetry,
-    );
-    send_result(&ep, p, &blob, result_chunk_len(world));
+    let output = state.into_output(transport.stats());
+    let blob = wire::encode_rank_result(initial_edges, &output, &telemetry);
+    send_result(&transport.ep, p, &blob, result_chunk_len(world));
 }

@@ -67,13 +67,16 @@
 //! of the protocol path, so seeded runs are bit-identical with the fast
 //! path on or off (enforced by the conformance suite).
 
+use super::harness::RankOutput;
 use super::msg::{BatchReq, ConvId, Msg, MsgKind, Outbox};
+use crate::config::ParallelConfig;
 use crate::obs::{GaugeKind, Obs, Phase};
 use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
 use crate::visit::VisitTracker;
 use edgeswitch_dist::{rank_block_rng, BlockRng64};
 use edgeswitch_graph::hashing::{FxHashMap, FxHashSet};
 use edgeswitch_graph::{Edge, OrientedEdge, PartitionStore, Partitioner};
+use mpilite::CommStats;
 use rand::Rng;
 
 /// Attempts to sample an unreserved edge before declaring contention.
@@ -166,6 +169,22 @@ pub struct RankCheckpoint {
     /// Words served from this rank's PRNG stream (see
     /// [`BlockRng64::words_served`]).
     pub rng_words: u64,
+}
+
+impl RankCheckpoint {
+    /// The captured partition store, rebuilt in pool order.
+    pub fn store(&self) -> PartitionStore {
+        let mut store = PartitionStore::new(self.rank);
+        for &e in &self.store_edges {
+            store.insert(e);
+        }
+        store
+    }
+
+    /// The captured visit tracker.
+    pub fn tracker(&self) -> VisitTracker {
+        VisitTracker::from_parts(self.tracker_initial, self.tracker_remaining.iter().copied())
+    }
 }
 
 /// One of the initiator's in-flight operations (keyed by [`ConvId`]).
@@ -295,14 +314,16 @@ pub struct RankState {
 }
 
 impl RankState {
-    /// Build the state for `rank` from its partition store, allowing up
-    /// to `window` concurrently in-flight own conversations.
+    /// Build the state for `rank` from its partition store under
+    /// `config`: its seed, conversation window, whether rank-local
+    /// switches commit inline (`local_fastpath`; outcomes are
+    /// bit-identical either way) and the speculative batch size. The one
+    /// place a driver turns a config into a rank.
     pub fn new(
         rank: usize,
         part: Partitioner,
         store: PartitionStore,
-        seed: u64,
-        window: usize,
+        config: &ParallelConfig,
     ) -> Self {
         let tracker = VisitTracker::new(store.edges());
         let p = part.num_parts();
@@ -314,10 +335,10 @@ impl RankState {
             potential: FxHashSet::default(),
             cumq: vec![0.0; p],
             remaining: 0,
-            window: window.max(1),
-            fastpath: true,
+            window: config.window.max(1),
+            fastpath: config.local_fastpath,
             inflight: FxHashMap::default(),
-            spec_batch: 1,
+            spec_batch: config.spec_batch.max(1),
             spec_ops: FxHashMap::default(),
             spec_round: Vec::new(),
             spec_retry: 0,
@@ -325,7 +346,7 @@ impl RankState {
             conv_seq: 0,
             serving: FxHashMap::default(),
             pending_done: FxHashSet::default(),
-            rng: rank_block_rng(seed, rank as u64),
+            rng: rank_block_rng(config.seed, rank as u64),
             tracker,
             stats: RankStats::default(),
             obs: Obs::noop(),
@@ -335,23 +356,6 @@ impl RankState {
     /// Attach an observation context (builder-style).
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Disable or re-enable the rank-local fast path (builder-style).
-    /// Off forces every switch through the conversation protocol; the
-    /// conformance suite uses this to prove both paths bit-identical.
-    pub fn with_fastpath(mut self, fastpath: bool) -> Self {
-        self.fastpath = fastpath;
-        self
-    }
-
-    /// Set the speculative batch size (builder-style, clamped to ≥ 1).
-    /// `1` keeps every switch on the per-switch conversation path;
-    /// larger values let [`RankState::try_start`] run whole speculative
-    /// rounds per call.
-    pub fn with_spec_batch(mut self, spec_batch: usize) -> Self {
-        self.spec_batch = spec_batch.max(1);
         self
     }
 
@@ -418,16 +422,10 @@ impl RankState {
         !self.serving.is_empty()
     }
 
-    /// Tear down into the final store, tracker, stats and whatever the
-    /// probe recorded (`None` when unobserved).
-    pub fn into_parts(
-        self,
-    ) -> (
-        PartitionStore,
-        VisitTracker,
-        RankStats,
-        Option<crate::obs::RankObs>,
-    ) {
+    /// Tear down into this rank's contribution to the outcome: the final
+    /// store, tracker, stats and whatever the probe recorded, next to the
+    /// transport's `comm` counters. The one teardown every driver uses.
+    pub fn into_output(self, comm: CommStats) -> RankOutput {
         debug_assert!(self.serving.is_empty(), "conversations left open");
         debug_assert!(
             self.pending_done.is_empty(),
@@ -437,7 +435,13 @@ impl RankState {
         debug_assert!(self.potential.is_empty(), "potential edges leaked");
         debug_assert!(self.spec_ops.is_empty(), "speculative switches leaked");
         debug_assert!(self.spec_round.is_empty(), "unflushed batch requests");
-        (self.store, self.tracker, self.stats, self.obs.finish())
+        RankOutput {
+            store: self.store,
+            tracker: self.tracker,
+            stats: self.stats,
+            comm,
+            obs: self.obs.finish(),
+        }
     }
 
     /// Immutable view of the partition store.
@@ -449,13 +453,13 @@ impl RankState {
     ///
     /// At step boundaries every transient collection (reserved edges,
     /// potential edges, in-flight and server-side conversations,
-    /// speculative ops) is empty — [`RankState::into_parts`] asserts the
+    /// speculative ops) is empty — [`RankState::into_output`] asserts the
     /// same invariant — so the whole protocol state reduces to the store
     /// contents, the visit tracker, the statistics, the conversation-id
     /// counter and the RNG stream position. `remaining`/`cumq` are step
     /// inputs re-established by [`RankState::begin_step`] and need no
-    /// capture. Restoring via [`RankState::restore`] with the same
-    /// `(seed, window)` yields a rank whose subsequent steps are
+    /// capture. Restoring via [`RankState::restore`] under the same
+    /// config yields a rank whose subsequent steps are
     /// bit-identical to the uninterrupted run.
     pub fn checkpoint(&self) -> RankCheckpoint {
         debug_assert!(
@@ -491,17 +495,12 @@ impl RankState {
     /// not part of the checkpoint: it is deterministic from the job's
     /// graph and config, so callers rebuild it the same way the original
     /// driver did.
-    pub fn restore(part: Partitioner, seed: u64, window: usize, ckpt: &RankCheckpoint) -> Self {
-        let mut store = PartitionStore::new(ckpt.rank);
-        for &e in &ckpt.store_edges {
-            store.insert(e);
-        }
-        let mut state = RankState::new(ckpt.rank, part, store, seed, window);
-        state.tracker =
-            VisitTracker::from_parts(ckpt.tracker_initial, ckpt.tracker_remaining.iter().copied());
+    pub fn restore(part: Partitioner, config: &ParallelConfig, ckpt: &RankCheckpoint) -> Self {
+        let mut state = RankState::new(ckpt.rank, part, ckpt.store(), config);
+        state.tracker = ckpt.tracker();
         state.stats = ckpt.stats;
         state.conv_seq = ckpt.conv_seq;
-        state.rng.skip_words(ckpt.rng_words);
+        state.rng.jump_words(ckpt.rng_words);
         state
     }
 

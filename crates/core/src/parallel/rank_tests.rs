@@ -4,7 +4,7 @@
 use super::harness::{probability_vector, StepHarness};
 use super::msg::{ConvId, Msg, Outbox};
 use super::rank::{RankState, StartResult};
-use super::sim::simulate_parallel;
+use super::tests::simulated;
 use crate::config::{ParallelConfig, StepSize};
 use crate::switch::RejectReason;
 use edgeswitch_graph::generators::erdos_renyi_gnm;
@@ -19,14 +19,16 @@ fn conv(initiator: u32, seq: u64) -> ConvId {
 /// Two ranks under HP-D(2): even labels on rank 0, odd labels on rank 1,
 /// stop-and-wait window (the classic protocol).
 fn two_rank_world(edges0: &[(u64, u64)], edges1: &[(u64, u64)]) -> (RankState, RankState) {
-    two_rank_world_windowed(edges0, edges1, 1)
+    two_rank_world_windowed(edges0, edges1, 1, 1)
 }
 
-/// [`two_rank_world`] with an explicit pipelining window.
+/// [`two_rank_world`] with an explicit pipelining window and speculative
+/// batch size.
 fn two_rank_world_windowed(
     edges0: &[(u64, u64)],
     edges1: &[(u64, u64)],
     window: usize,
+    spec_batch: usize,
 ) -> (RankState, RankState) {
     let part = Partitioner::hash_division(2);
     let mk = |rank: usize, edges: &[(u64, u64)]| {
@@ -36,7 +38,11 @@ fn two_rank_world_windowed(
             assert_eq!(part.owner(e.src()), rank, "edge {e} misassigned in test");
             store.insert(e);
         }
-        RankState::new(rank, part.clone(), store, 99, window)
+        let config = ParallelConfig::new(2)
+            .with_seed(99)
+            .with_window(window)
+            .with_spec_batch(spec_batch);
+        RankState::new(rank, part.clone(), store, &config)
     };
     (mk(0, edges0), mk(1, edges1))
 }
@@ -184,13 +190,16 @@ fn full_global_switch_between_two_ranks() {
     assert!(r0.step_done(), "rank 0 must finish its single operation");
     // Books balance: 2 edges total, degree multiset preserved.
     assert_eq!(r0.edge_count() + r1.edge_count(), 2);
-    let (s0, _t0, st0, _) = r0.into_parts();
-    let (s1, _t1, st1, _) = r1.into_parts();
-    assert_eq!(st0.performed, 1);
-    assert_eq!(st1.performed, 0);
-    let mut endpoints: Vec<u64> = s0
+    let (out0, out1) = (
+        r0.into_output(Default::default()),
+        r1.into_output(Default::default()),
+    );
+    assert_eq!(out0.stats.performed, 1);
+    assert_eq!(out1.stats.performed, 0);
+    let mut endpoints: Vec<u64> = out0
+        .store
         .edges()
-        .chain(s1.edges())
+        .chain(out1.store.edges())
         .flat_map(|e| [e.src(), e.dst()])
         .collect();
     endpoints.sort_unstable();
@@ -239,7 +248,7 @@ fn concurrent_conversations_hold_disjoint_reservations() {
     const WINDOW: usize = 4;
     let edges0: Vec<(u64, u64)> = (0..60).map(|i| (2 * i, 2 * i + 6)).collect();
     let edges1: Vec<(u64, u64)> = (0..60).map(|i| (2 * i + 1, 2 * i + 7)).collect();
-    let (r0, r1) = two_rank_world_windowed(&edges0, &edges1, WINDOW);
+    let (r0, r1) = two_rank_world_windowed(&edges0, &edges1, WINDOW, 1);
     let mut states = [r0, r1];
     for st in &mut states {
         st.begin_step(25, &[0.5, 0.5]);
@@ -318,7 +327,7 @@ fn fastpath_applies_respect_reservation_disjointness() {
     const WINDOW: usize = 4;
     let edges0: Vec<(u64, u64)> = (0..60).map(|i| (2 * i, 2 * i + 3)).collect();
     let edges1: Vec<(u64, u64)> = (0..60).map(|i| (2 * i + 1, 2 * i + 4)).collect();
-    let (r0, r1) = two_rank_world_windowed(&edges0, &edges1, WINDOW);
+    let (r0, r1) = two_rank_world_windowed(&edges0, &edges1, WINDOW, 1);
     let mut states = [r0, r1];
     for st in &mut states {
         st.begin_step(40, &[0.5, 0.5]);
@@ -398,7 +407,7 @@ fn stop_and_wait_reference(
     let mut states: Vec<RankState> = stores
         .into_iter()
         .enumerate()
-        .map(|(rank, store)| RankState::new(rank, part.clone(), store, cfg.seed, 1))
+        .map(|(rank, store)| RankState::new(rank, part.clone(), store, &cfg.clone().with_window(1)))
         .collect();
     let harness = StepHarness::new(t, cfg);
     let mut queue: VecDeque<(usize, usize, Msg)> = VecDeque::new();
@@ -434,9 +443,9 @@ fn stop_and_wait_reference(
     let mut stats = Vec::new();
     let mut edges: Vec<(u64, u64)> = Vec::new();
     for st in states {
-        let (store, _tracker, s, _) = st.into_parts();
-        stats.push(s);
-        edges.extend(store.edges().map(|e| (e.src(), e.dst())));
+        let out = st.into_output(Default::default());
+        stats.push(out.stats);
+        edges.extend(out.store.edges().map(|e| (e.src(), e.dst())));
     }
     edges.sort_unstable();
     (stats, edges)
@@ -459,7 +468,7 @@ fn window_one_is_bit_identical_to_stop_and_wait() {
             .with_seed(seed ^ 0x55)
             .with_window(1);
         let (ref_stats, ref_edges) = stop_and_wait_reference(&g, t, &cfg);
-        let out = simulate_parallel(&g, t, &cfg);
+        let out = simulated(&g, t, &cfg);
         assert_eq!(
             out.per_rank, ref_stats,
             "per-rank stream diverged (seed {seed})"
@@ -486,8 +495,7 @@ fn window_one_is_bit_identical_to_stop_and_wait() {
 #[test]
 fn all_reject_batch_verdict_restores_store_exactly() {
     let edges0: Vec<(u64, u64)> = (0..12).map(|i| (4 * i, 4 * i + 1)).collect();
-    let (r0, _r1) = two_rank_world_windowed(&edges0, &[], 16);
-    let mut r0 = r0.with_spec_batch(8);
+    let (mut r0, _r1) = two_rank_world_windowed(&edges0, &[], 16, 8);
     r0.begin_step(8, &[1.0, 0.0]); // partner draw is always self
 
     let pre_edges: Vec<Edge> = r0.store().edges().collect();
@@ -553,14 +561,14 @@ fn speculation_survives_adversarial_partitions() {
         .with_step_size(StepSize::FractionOfT(8))
         .with_seed(909)
         .with_spec_batch(8);
-    let on = simulate_parallel(&h, t, &cfg);
+    let on = simulated(&h, t, &cfg);
     on.graph.check_invariants().unwrap();
     assert_eq!(on.graph.degree_sequence(), h.degree_sequence());
     assert_eq!(on.performed() + on.forfeited(), t);
     let committed: u64 = on.per_rank.iter().map(|s| s.spec_committed).sum();
     assert!(committed > 0, "speculation never engaged on the hot graph");
     // The per-switch path on the same adversarial layout stays intact.
-    let off = simulate_parallel(&h, t, &cfg.clone().with_spec_batch(1));
+    let off = simulated(&h, t, &cfg.clone().with_spec_batch(1));
     off.graph.check_invariants().unwrap();
     assert_eq!(off.graph.degree_sequence(), h.degree_sequence());
     assert_eq!(off.performed() + off.forfeited(), t);

@@ -1,45 +1,53 @@
-//! Pausable, checkpointable form of the FIFO-simulated world.
+//! The simulated world: all `p` rank machines driven from one loop, one
+//! Section-4.5 step at a time.
 //!
-//! [`SimWorld`] runs exactly the step loop of
-//! [`run_simulated_world`](super::harness::run_simulated_world) over a
-//! [`FifoTransport`](super::harness::FifoTransport), but hands control
-//! back to the caller between steps. At every step boundary the
-//! protocol's transient state is empty (the completion-ack discipline of
-//! [`RankState`] guarantees it), so the whole world reduces to its
-//! per-rank checkpoints plus run-level accumulators — a
-//! [`WorldSnapshot`] — and a killed process can rebuild the world and
-//! continue to a bit-identical result. This is the engine behind the job
-//! service's checkpoint/resume guarantee; the conformance tests compare
-//! resumed runs against uninterrupted ones per seed and rank count.
+//! [`SimWorld`] owns the whole life of a simulated run — set-up (store
+//! split, rank construction, observation clock), stepping
+//! ([`run_world_step`] over its [`WorldTransport`]) and teardown
+//! ([`assemble_outcome`]) — and hands control back to the caller between
+//! steps. Over the default [`FifoTransport`] it is the deterministic
+//! simulator behind [`Run::simulated`](crate::Run::simulated),
+//! bit-reproducible for a given seed at any `p`; the virtual-time DES in
+//! `edgeswitch-scalesim` drives the same type over a cost-charging
+//! transport, so the two produce identical logical results.
 //!
-//! Two deliberate restrictions keep the snapshot closed:
+//! At every step boundary the protocol's transient state is empty (the
+//! completion-ack discipline of [`RankState`] guarantees it), so the
+//! whole FIFO world reduces to its per-rank checkpoints plus run-level
+//! accumulators — a [`WorldSnapshot`] — and a killed process can rebuild
+//! the world and continue to a bit-identical result: the job service's
+//! checkpoint/resume guarantee. Two deliberate restrictions keep the
+//! snapshot closed:
 //!
-//! - **Unobserved.** Probes hold run-length host state (clocks, open
-//!   spans) that cannot be serialized, so `SimWorld` forces
-//!   [`ObsSpec::Off`](crate::obs::ObsSpec) regardless of the config.
-//!   Progress reporting comes from the per-step [`StepTelemetry`]
-//!   returned by [`SimWorld::step`] instead.
+//! - **A resumed world is unobserved.** Probes hold run-length host
+//!   state (clocks, open spans) that cannot be serialized, so a snapshot
+//!   never carries them; only a freshly started world honours
+//!   [`ParallelConfig::obs`].
 //! - **Partitioner by reconstruction.** The partitioner is a pure
 //!   function of `(graph, config)` — both resume inputs — so snapshots
 //!   record neither it nor the graph's initial form.
 
 use super::harness::{
-    assemble_outcome, run_world_step, FifoTransport, ParallelOutcome, RankOutput, StepHarness,
-    StepTelemetry,
+    assemble_outcome, run_world_step, FifoTransport, ParallelOutcome, RankOutput, RunMeta,
+    StepHarness, StepTelemetry, WorldTransport,
 };
 use super::msg::Outbox;
 use super::rank::{RankCheckpoint, RankState};
 use crate::config::ParallelConfig;
+use crate::obs::{Clock, MonoClock};
+use crate::sequential::check_degrees;
 use edgeswitch_graph::store::build_stores;
 use edgeswitch_graph::{Graph, Partitioner};
 use mpilite::CommStats;
+use std::sync::Arc;
 
-/// The complete persistent state of a [`SimWorld`] at a step boundary.
+/// The complete persistent state of a FIFO [`SimWorld`] at a step
+/// boundary.
 ///
 /// Serialized by the snapshot codec in [`super::wire`]. Resuming needs
 /// the original graph and config alongside it (the job service persists
-/// the job spec separately); the identity fields (`seed`, `p`, `t`)
-/// exist so a resume against the wrong spec fails loudly instead of
+/// the job spec separately); the identity fields (`seed`, `p`, `n`, `t`)
+/// exist so a resume against the wrong spec is refused instead of
 /// silently diverging.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorldSnapshot {
@@ -64,61 +72,83 @@ pub struct WorldSnapshot {
     pub initial_edges: Vec<u64>,
 }
 
-/// The FIFO-simulated world as a pausable engine: construct, call
+/// The simulated world as a pausable engine: construct, call
 /// [`SimWorld::step`] until [`SimWorld::is_done`], then
-/// [`SimWorld::finish`]. [`SimWorld::snapshot`] between any two steps
-/// captures everything needed by [`SimWorld::resume`] to continue the
-/// run bit-identically in a fresh process.
-pub struct SimWorld {
+/// [`SimWorld::finish`]. On the FIFO instance, [`SimWorld::snapshot`]
+/// between any two steps captures everything [`SimWorld::resume`] needs
+/// to continue the run bit-identically in a fresh process.
+pub struct SimWorld<T: WorldTransport = FifoTransport> {
     states: Vec<RankState>,
     comm_stats: Vec<CommStats>,
-    transport: FifoTransport,
+    transport: T,
     harness: StepHarness,
     telemetry: Vec<StepTelemetry>,
     initial_edges: Vec<u64>,
     n: usize,
     t: u64,
     seed: u64,
-    p: usize,
     next_step: u64,
     out: Outbox,
+    /// The observation clock and its reading at set-up (`None` when
+    /// unobserved).
+    clock: Option<(Arc<dyn Clock>, u64)>,
 }
 
-impl SimWorld {
-    /// Set up a `t`-operation run of the parallel algorithm on a world
-    /// of `config.processors` virtual ranks. Mirrors
-    /// [`simulate_parallel`](super::sim::simulate_parallel) exactly —
-    /// same partitioner draw, same store construction, same per-rank
-    /// streams — except that observation is forced off (see the module
-    /// docs).
-    pub fn new(graph: &Graph, t: u64, config: &ParallelConfig) -> Self {
-        let mut rng = config.root_rng();
-        let part = Partitioner::build(config.scheme, graph, config.processors, &mut rng);
+impl<T: WorldTransport> SimWorld<T> {
+    /// Set up a `t`-operation run of the parallel algorithm on
+    /// `config.processors` virtual ranks split by `part`, delivering
+    /// messages through `transport`. An observed run
+    /// ([`ParallelConfig::obs`]) reads the transport's clock if it owns
+    /// the timeline (the DES records in virtual time), otherwise the
+    /// monotonic clock.
+    ///
+    /// # Panics
+    /// If `part` does not split into `config.processors` parts
+    /// ([`Run`](crate::Run) rejects that as a typed error first).
+    pub fn over(
+        graph: &Graph,
+        t: u64,
+        config: &ParallelConfig,
+        part: &Partitioner,
+        mut transport: T,
+    ) -> Self {
         let p = config.processors;
-        let stores = build_stores(graph, &part);
+        assert_eq!(part.num_parts(), p, "partitioner size must match config");
+        let stores = build_stores(graph, part);
         let initial_edges: Vec<u64> = stores.iter().map(|s| s.num_edges() as u64).collect();
+        let clock: Option<Arc<dyn Clock>> = config.obs.enabled().then(|| {
+            transport
+                .obs_clock()
+                .unwrap_or_else(|| Arc::new(MonoClock::new()))
+        });
         let states: Vec<RankState> = stores
             .into_iter()
             .enumerate()
             .map(|(rank, store)| {
-                RankState::new(rank, part.clone(), store, config.seed, config.window)
-                    .with_fastpath(config.local_fastpath)
-                    .with_spec_batch(config.spec_batch)
+                let state = RankState::new(rank, part.clone(), store, config);
+                match &clock {
+                    Some(clock) => state.with_obs(config.obs.build(clock.clone())),
+                    None => state,
+                }
             })
             .collect();
+        let harness = StepHarness::new(t, config);
         SimWorld {
             states,
             comm_stats: vec![CommStats::default(); p],
-            transport: FifoTransport::new(),
-            harness: StepHarness::new(t, config),
+            transport,
+            harness,
             telemetry: Vec::new(),
             initial_edges,
             n: graph.num_vertices(),
             t,
             seed: config.seed,
-            p,
             next_step: 0,
             out: Outbox::new(),
+            clock: clock.map(|c| {
+                let start = c.now_ns();
+                (c, start)
+            }),
         }
     }
 
@@ -135,6 +165,11 @@ impl SimWorld {
     /// Whether every step has run.
     pub fn is_done(&self) -> bool {
         self.next_step >= self.harness.steps()
+    }
+
+    /// Total operation budget `t`.
+    pub fn budget(&self) -> u64 {
+        self.t
     }
 
     /// Operations performed so far across ranks.
@@ -179,11 +214,43 @@ impl SimWorld {
         self.telemetry.last()
     }
 
+    /// Execute every remaining step.
+    pub fn run_to_end(&mut self) {
+        while self.step().is_some() {}
+    }
+
+    /// Tear down into the [`ParallelOutcome`] of the steps executed so
+    /// far (`report` is `Some` iff the world was observed), handing the
+    /// transport back (the DES reads its clocks off it).
+    pub fn finish(self) -> (ParallelOutcome, T) {
+        let meta = self.clock.map(|(clock, start)| RunMeta {
+            clock: clock.label(),
+            wall_ns: clock.now_ns().saturating_sub(start),
+        });
+        let outputs: Vec<RankOutput> = self
+            .states
+            .into_iter()
+            .zip(self.comm_stats)
+            .map(|(state, comm)| state.into_output(comm))
+            .collect();
+        let outcome = assemble_outcome(
+            self.n,
+            self.next_step,
+            self.initial_edges,
+            outputs,
+            self.telemetry,
+            meta,
+        );
+        (outcome, self.transport)
+    }
+}
+
+impl SimWorld<FifoTransport> {
     /// Capture the complete world state at the current step boundary.
     pub fn snapshot(&self) -> WorldSnapshot {
         WorldSnapshot {
             seed: self.seed,
-            p: self.p,
+            p: self.states.len(),
             n: self.n,
             t: self.t,
             next_step: self.next_step,
@@ -194,171 +261,139 @@ impl SimWorld {
         }
     }
 
-    /// Rebuild a world from a snapshot plus the run's original graph and
-    /// config, positioned to continue at `snapshot.next_step`.
+    /// Rebuild the world of the `t`-operation run on `graph` under
+    /// `(config, part)` from a snapshot, positioned to continue at
+    /// `snap.next_step`: each rank is restored from its checkpoint
+    /// (store in pool order, tracker from parts, RNG fast-forwarded to
+    /// the recorded stream position).
     ///
-    /// The partitioner is re-derived from `(graph, config)` the same way
-    /// [`SimWorld::new`] derives it; each rank is restored from its
-    /// checkpoint (store in pool order, tracker from parts, RNG
-    /// fast-forwarded to the recorded stream position).
-    ///
-    /// # Panics
-    ///
-    /// If `snap`'s identity fields contradict `config` — resuming a
-    /// snapshot against the wrong job would silently diverge otherwise.
-    pub fn resume(graph: &Graph, config: &ParallelConfig, snap: &WorldSnapshot) -> Self {
-        assert_eq!(snap.seed, config.seed, "snapshot/config seed mismatch");
-        assert_eq!(
-            snap.p, config.processors,
-            "snapshot/config world-size mismatch"
-        );
-        assert_eq!(
-            snap.n,
-            graph.num_vertices(),
-            "snapshot/graph vertex mismatch"
-        );
-        assert_eq!(snap.ranks.len(), snap.p, "snapshot rank count mismatch");
-        let mut rng = config.root_rng();
-        let part = Partitioner::build(config.scheme, graph, config.processors, &mut rng);
+    /// The snapshot is untrusted (it comes from a file): its identity
+    /// fields must match the run, every stored edge must sit on the rank
+    /// that owns it, and together the stores must realize `graph`'s
+    /// degree sequence; otherwise the reason comes back as `Err` — a
+    /// resume against the wrong job, or from damaged bytes, never panics
+    /// and never silently diverges.
+    pub fn resume(
+        graph: &Graph,
+        t: u64,
+        config: &ParallelConfig,
+        part: &Partitioner,
+        snap: &WorldSnapshot,
+    ) -> Result<Self, String> {
+        let p = config.processors;
+        assert_eq!(part.num_parts(), p, "partitioner size must match config");
+        if (snap.seed, snap.p, snap.t) != (config.seed, p, t) {
+            return Err(format!(
+                "snapshot is of seed {} p {} budget {}, the run is seed {} p {p} budget {t}",
+                snap.seed, snap.p, snap.t, config.seed
+            ));
+        }
+        let harness = StepHarness::new(t, config);
+        if snap.ranks.len() != p || snap.comm.len() != p || snap.initial_edges.len() != p {
+            return Err("snapshot does not carry one entry per rank".to_string());
+        }
+        if snap.next_step > harness.steps() || snap.telemetry.len() as u64 != snap.next_step {
+            return Err("snapshot step position does not fit the run".to_string());
+        }
+        let mut tracked = 0usize;
+        for (rank, ckpt) in snap.ranks.iter().enumerate() {
+            let owned =
+                ckpt.rank == rank && ckpt.store_edges.iter().all(|e| part.owner(e.src()) == rank);
+            if !owned || ckpt.tracker_remaining.len() > ckpt.tracker_initial {
+                return Err(format!("snapshot of rank {rank} is not that rank's state"));
+            }
+            tracked = tracked.saturating_add(ckpt.tracker_initial);
+        }
+        if tracked != graph.num_edges() {
+            return Err("snapshot visit trackers do not fit the graph".to_string());
+        }
+        let mut all_edges = snap
+            .ranks
+            .iter()
+            .flat_map(|c| c.store_edges.iter().copied());
+        check_degrees(graph, snap.n, &mut all_edges)?;
         let states: Vec<RankState> = snap
             .ranks
             .iter()
-            .map(|ckpt| {
-                RankState::restore(part.clone(), config.seed, config.window, ckpt)
-                    .with_fastpath(config.local_fastpath)
-                    .with_spec_batch(config.spec_batch)
-            })
+            .map(|ckpt| RankState::restore(part.clone(), config, ckpt))
             .collect();
-        SimWorld {
+        if states
+            .iter()
+            .zip(&snap.ranks)
+            .any(|(st, ckpt)| st.edge_count() as usize != ckpt.store_edges.len())
+        {
+            return Err("snapshot stores hold duplicate edges".to_string());
+        }
+        Ok(SimWorld {
             states,
             comm_stats: snap.comm.clone(),
             transport: FifoTransport::new(),
-            harness: StepHarness::new(snap.t, config),
+            harness,
             telemetry: snap.telemetry.clone(),
             initial_edges: snap.initial_edges.clone(),
             n: snap.n,
-            t: snap.t,
+            t,
             seed: snap.seed,
-            p: snap.p,
             next_step: snap.next_step,
             out: Outbox::new(),
-        }
-    }
-
-    /// Tear down into the final [`ParallelOutcome`] (unobserved:
-    /// `report` is `None`, like the process backend).
-    pub fn finish(self) -> ParallelOutcome {
-        assert!(self.is_done(), "finish called before the run completed");
-        let outputs: Vec<RankOutput> = self
-            .states
-            .into_iter()
-            .zip(self.comm_stats)
-            .map(|(state, comm)| {
-                let (store, tracker, stats, obs) = state.into_parts();
-                RankOutput {
-                    store,
-                    tracker,
-                    stats,
-                    comm,
-                    obs,
-                }
-            })
-            .collect();
-        assemble_outcome(
-            self.n,
-            self.harness.steps(),
-            self.initial_edges,
-            outputs,
-            self.telemetry,
-            None,
-        )
+            clock: None,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::sim::simulate_parallel;
     use edgeswitch_dist::root_rng;
     use edgeswitch_graph::generators::erdos_renyi_gnm;
 
-    fn outcomes_logically_equal(a: &ParallelOutcome, b: &ParallelOutcome) {
-        assert!(a.graph.same_edge_set(&b.graph), "final graphs differ");
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(a.per_rank, b.per_rank);
-        assert_eq!(a.final_edges, b.final_edges);
-        assert_eq!(a.initial_edges, b.initial_edges);
-        assert_eq!(a.tracker.visited_count(), b.tracker.visited_count());
-        assert_eq!(a.telemetry.len(), b.telemetry.len());
-        for (x, y) in a.telemetry.iter().zip(&b.telemetry) {
-            assert_eq!(x.performed, y.performed);
-            assert_eq!(x.started, y.started);
-            assert_eq!(x.logical_msgs, y.logical_msgs);
-        }
+    fn world(g: &Graph, t: u64, config: &ParallelConfig) -> (SimWorld, Partitioner) {
+        let part = Partitioner::build(config.scheme, g, config.processors, &mut config.root_rng());
+        let world = SimWorld::over(g, t, config, &part, FifoTransport::new());
+        (world, part)
     }
 
     #[test]
-    fn stepped_world_matches_one_shot_simulation() {
-        for &p in &[1usize, 2, 4] {
-            let mut rng = root_rng(101);
-            let g = erdos_renyi_gnm(150, 600, &mut rng);
-            let config = ParallelConfig::new(p).with_seed(33);
-            let reference = simulate_parallel(&g, 500, &config);
-
-            let mut world = SimWorld::new(&g, 500, &config);
-            while world.step().is_some() {}
-            let resumed = world.finish();
-            outcomes_logically_equal(&reference, &resumed);
-        }
-    }
-
-    #[test]
-    fn snapshot_resume_is_bit_identical() {
-        for &p in &[1usize, 2, 4] {
-            for &seed in &[7u64, 19] {
-                let mut rng = root_rng(202);
-                let g = erdos_renyi_gnm(120, 500, &mut rng);
-                let config = ParallelConfig::new(p).with_seed(seed);
-                let reference = simulate_parallel(&g, 400, &config);
-
-                let mut first = SimWorld::new(&g, 400, &config);
-                // Run roughly half the steps, then snapshot and "die".
-                let half = (first.steps() / 2).max(1);
-                for _ in 0..half {
-                    first.step();
-                }
-                let snap = first.snapshot();
-                drop(first);
-
-                let mut second = SimWorld::resume(&g, &config, &snap);
-                while second.step().is_some() {}
-                let resumed = second.finish();
-                outcomes_logically_equal(&reference, &resumed);
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_roundtrips_through_equality() {
-        let mut rng = root_rng(303);
-        let g = erdos_renyi_gnm(80, 300, &mut rng);
-        let config = ParallelConfig::new(2).with_seed(5);
-        let mut world = SimWorld::new(&g, 200, &config);
+    fn snapshotting_is_read_only_and_deterministic() {
+        let g = erdos_renyi_gnm(80, 300, &mut root_rng(303));
+        let (mut world, _) = world(&g, 200, &ParallelConfig::new(2).with_seed(5));
         world.step();
-        let a = world.snapshot();
-        let b = world.snapshot();
-        assert_eq!(a, b, "snapshotting is read-only and deterministic");
+        assert_eq!(world.snapshot(), world.snapshot());
     }
 
     #[test]
-    #[should_panic(expected = "seed mismatch")]
-    fn resume_rejects_wrong_seed() {
-        let mut rng = root_rng(404);
-        let g = erdos_renyi_gnm(60, 200, &mut rng);
+    fn finish_between_steps_reports_the_steps_run() {
+        let g = erdos_renyi_gnm(80, 300, &mut root_rng(304));
+        let (mut world, _) = world(&g, 200, &ParallelConfig::new(2).with_seed(5));
+        world.step();
+        world.step();
+        let performed = world.performed();
+        let (out, _) = world.finish();
+        assert_eq!(out.steps, 2);
+        assert_eq!(out.telemetry.len(), 2);
+        assert_eq!(out.performed(), performed);
+        assert_eq!(out.graph.degree_sequence(), g.degree_sequence());
+    }
+
+    #[test]
+    fn resume_rejects_a_snapshot_of_another_run() {
+        let g = erdos_renyi_gnm(60, 200, &mut root_rng(404));
         let config = ParallelConfig::new(2).with_seed(1);
-        let world = SimWorld::new(&g, 100, &config);
-        let snap = world.snapshot();
-        let wrong = ParallelConfig::new(2).with_seed(2);
-        let _ = SimWorld::resume(&g, &wrong, &snap);
+        let (mut first, part) = world(&g, 100, &config);
+        first.step();
+        let snap = first.snapshot();
+        assert!(SimWorld::resume(&g, 100, &config, &part, &snap).is_ok());
+        let wrong_seed = config.clone().with_seed(2);
+        assert!(SimWorld::resume(&g, 100, &wrong_seed, &part, &snap).is_err());
+        assert!(SimWorld::resume(&g, 101, &config, &part, &snap).is_err());
+        let other = erdos_renyi_gnm(60, 200, &mut root_rng(405));
+        assert!(SimWorld::resume(&other, 100, &config, &part, &snap).is_err());
+        // A rank's edges swapped onto the other rank.
+        let mut swapped = snap.clone();
+        swapped.ranks.swap(0, 1);
+        assert!(SimWorld::resume(&g, 100, &config, &part, &swapped).is_err());
+        let mut short = snap;
+        short.telemetry.clear();
+        assert!(SimWorld::resume(&g, 100, &config, &part, &short).is_err());
     }
 }

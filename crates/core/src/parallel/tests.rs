@@ -1,9 +1,9 @@
 //! Correctness tests for the distributed protocol, run through both the
-//! threaded driver (real message passing) and the deterministic driver.
+//! threaded world (real message passing) and the simulated one.
 
-use super::engine::{parallel_edge_switch, parallel_edge_switch_with, ParallelOutcome};
-use super::sim::{simulate_parallel, simulate_parallel_with};
+use super::ParallelOutcome;
 use crate::config::{ParallelConfig, StepSize};
+use crate::Run;
 use edgeswitch_dist::root_rng;
 use edgeswitch_graph::generators::{contact_network, erdos_renyi_gnm, ContactParams};
 use edgeswitch_graph::{Graph, Partitioner, SchemeKind};
@@ -11,6 +11,23 @@ use edgeswitch_graph::{Graph, Partitioner, SchemeKind};
 fn test_graph(seed: u64) -> Graph {
     let mut rng = root_rng(seed);
     erdos_renyi_gnm(300, 1500, &mut rng)
+}
+
+/// `t` operations under `cfg` on the world `run` names.
+fn execute(run: Run, g: &Graph, t: u64, cfg: &ParallelConfig) -> ParallelOutcome {
+    run.switches(t)
+        .prepared(cfg.clone(), None)
+        .execute(g)
+        .into_parallel()
+        .expect("parallel outcome")
+}
+
+fn threaded(g: &Graph, t: u64, cfg: &ParallelConfig) -> ParallelOutcome {
+    execute(Run::parallel(cfg.processors), g, t, cfg)
+}
+
+pub(super) fn simulated(g: &Graph, t: u64, cfg: &ParallelConfig) -> ParallelOutcome {
+    execute(Run::simulated(cfg.processors), g, t, cfg)
 }
 
 fn check_outcome(g0: &Graph, out: &ParallelOutcome, t: u64) {
@@ -37,7 +54,7 @@ fn threaded_engine_four_ranks_cp() {
     let cfg = ParallelConfig::new(4)
         .with_step_size(StepSize::FractionOfT(10))
         .with_seed(11);
-    let out = parallel_edge_switch(&g, t, &cfg);
+    let out = threaded(&g, t, &cfg);
     check_outcome(&g, &out, t);
     assert_eq!(out.steps, 10);
     // All ranks participated.
@@ -55,7 +72,7 @@ fn threaded_engine_all_schemes() {
             .with_scheme(scheme)
             .with_step_size(StepSize::FractionOfT(4))
             .with_seed(7);
-        let out = parallel_edge_switch(&g, t, &cfg);
+        let out = threaded(&g, t, &cfg);
         check_outcome(&g, &out, t);
     }
 }
@@ -65,7 +82,7 @@ fn threaded_engine_single_rank() {
     let g = test_graph(3);
     let t = 500;
     let cfg = ParallelConfig::new(1).with_seed(5);
-    let out = parallel_edge_switch(&g, t, &cfg);
+    let out = threaded(&g, t, &cfg);
     check_outcome(&g, &out, t);
     // p = 1: everything is a local switch.
     assert_eq!(out.per_rank[0].performed_local, t);
@@ -80,7 +97,7 @@ fn threaded_engine_single_step() {
         .with_scheme(SchemeKind::HashUniversal)
         .with_step_size(StepSize::SingleStep)
         .with_seed(9);
-    let out = parallel_edge_switch(&g, t, &cfg);
+    let out = threaded(&g, t, &cfg);
     check_outcome(&g, &out, t);
     assert_eq!(out.steps, 1);
 }
@@ -94,7 +111,7 @@ fn sim_driver_matches_invariants_various_p() {
             .with_scheme(SchemeKind::HashDivision)
             .with_step_size(StepSize::FractionOfT(5))
             .with_seed(13);
-        let out = simulate_parallel(&g, t, &cfg);
+        let out = simulated(&g, t, &cfg);
         check_outcome(&g, &out, t);
     }
 }
@@ -103,8 +120,8 @@ fn sim_driver_matches_invariants_various_p() {
 fn sim_driver_is_deterministic() {
     let g = test_graph(6);
     let cfg = ParallelConfig::new(8).with_seed(21);
-    let a = simulate_parallel(&g, 1000, &cfg);
-    let b = simulate_parallel(&g, 1000, &cfg);
+    let a = simulated(&g, 1000, &cfg);
+    let b = simulated(&g, 1000, &cfg);
     assert!(a.graph.same_edge_set(&b.graph), "same seed, same result");
     assert_eq!(a.per_rank, b.per_rank);
 }
@@ -112,8 +129,8 @@ fn sim_driver_is_deterministic() {
 #[test]
 fn sim_driver_seeds_differ() {
     let g = test_graph(7);
-    let a = simulate_parallel(&g, 1000, &ParallelConfig::new(4).with_seed(1));
-    let b = simulate_parallel(&g, 1000, &ParallelConfig::new(4).with_seed(2));
+    let a = simulated(&g, 1000, &ParallelConfig::new(4).with_seed(1));
+    let b = simulated(&g, 1000, &ParallelConfig::new(4).with_seed(2));
     assert!(!a.graph.same_edge_set(&b.graph));
 }
 
@@ -129,7 +146,7 @@ fn visit_rate_tracks_target_in_parallel() {
             .with_scheme(SchemeKind::HashUniversal)
             .with_step_size(StepSize::FractionOfT(10))
             .with_seed(3);
-        let out = simulate_parallel(&g, t, &cfg);
+        let out = simulated(&g, t, &cfg);
         let observed = out.visit_rate();
         assert!((observed - x).abs() < 0.05, "x = {x}: observed {observed}");
     }
@@ -145,7 +162,7 @@ fn workload_follows_multinomial_quotas() {
     let cfg = ParallelConfig::new(p)
         .with_step_size(StepSize::FractionOfT(8))
         .with_seed(17);
-    let out = simulate_parallel(&g, t, &cfg);
+    let out = simulated(&g, t, &cfg);
     let expect = t as f64 / p as f64;
     for s in &out.per_rank {
         assert!(
@@ -176,17 +193,22 @@ fn contact_graph_with_adversarial_partitioner() {
         .with_scheme(SchemeKind::HashMultiplication)
         .with_step_size(StepSize::FractionOfT(6))
         .with_seed(23);
-    let threaded = parallel_edge_switch_with(&g, t, &cfg, &part);
-    check_outcome(&g, &threaded, t);
-    let simulated = simulate_parallel_with(&g, t, &cfg, &part);
-    check_outcome(&g, &simulated, t);
+    for run in [Run::parallel(5), Run::simulated(5)] {
+        let out = run
+            .switches(t)
+            .prepared(cfg.clone(), Some(part.clone()))
+            .execute(&g)
+            .into_parallel()
+            .expect("parallel outcome");
+        check_outcome(&g, &out, t);
+    }
 }
 
 #[test]
 fn zero_ops_is_identity() {
     let g = test_graph(11);
     let cfg = ParallelConfig::new(4).with_seed(2);
-    let out = simulate_parallel(&g, 0, &cfg);
+    let out = simulated(&g, 0, &cfg);
     assert!(out.graph.same_edge_set(&g));
     assert_eq!(out.performed(), 0);
     assert_eq!(out.steps, 0);
@@ -195,7 +217,7 @@ fn zero_ops_is_identity() {
 #[test]
 fn aborts_happen_but_do_not_leak() {
     // A dense-ish graph provokes parallel-edge aborts; the run must
-    // still balance its books (checked inside into_parts debug asserts
+    // still balance its books (checked inside into_output debug asserts
     // and by op accounting).
     let mut rng = root_rng(12);
     let g = erdos_renyi_gnm(40, 300, &mut rng); // ~38% density
@@ -203,7 +225,7 @@ fn aborts_happen_but_do_not_leak() {
     let cfg = ParallelConfig::new(4)
         .with_step_size(StepSize::FractionOfT(4))
         .with_seed(31);
-    let out = simulate_parallel(&g, t, &cfg);
+    let out = simulated(&g, t, &cfg);
     check_outcome(&g, &out, t);
     let aborts: u64 = out.per_rank.iter().map(|s| s.aborts()).sum();
     assert!(aborts > 0, "density should provoke rejections");
@@ -219,7 +241,7 @@ fn more_ranks_than_meaningful_partitions() {
         .with_scheme(SchemeKind::HashDivision)
         .with_step_size(StepSize::FractionOfT(3))
         .with_seed(37);
-    let out = simulate_parallel(&g, t, &cfg);
+    let out = simulated(&g, t, &cfg);
     out.graph.check_invariants().unwrap();
     assert_eq!(out.graph.degree_sequence(), g.degree_sequence());
     assert_eq!(out.performed() + out.forfeited(), t);

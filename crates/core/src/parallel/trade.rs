@@ -30,19 +30,20 @@
 //! lower-indexed trade first and the higher-indexed one second — the
 //! arrival *set* at trade `k` is exactly the sequential engine's
 //! neighborhood state after trades `0..k`, so the parallel run is
-//! **bit-identical** to [`crate::sequential_curveball`] under the same
+//! **bit-identical** to [`crate::trade::sequential_curveball`] under the same
 //! seed at any `p`. Dependencies point strictly from lower to higher
 //! trade indices, so the pass is deadlock-free by induction: trade `0`'s
 //! loads all arrive at pass start, and trade `k` waits only on trades
 //! that fire before it.
 
+use super::engine::run_threaded_world;
 use super::harness::{
     assemble_outcome, ParallelOutcome, RankOutput, RankTransport, RunMeta, StepTelemetry,
     WorldTransport,
 };
 use super::msg::{Msg, Outbox};
 use super::rank::RankStats;
-use crate::config::{Backend, ParallelConfig};
+use crate::config::ParallelConfig;
 use crate::obs::{Clock, MonoClock, Obs, Phase};
 use crate::trade::{
     redeal, split_sorted, trade_rng, PassController, PassPlan, TradeBudget, NO_TRADE,
@@ -51,8 +52,7 @@ use crate::visit::VisitTracker;
 use edgeswitch_graph::hashing::FxHashMap;
 use edgeswitch_graph::store::build_stores;
 use edgeswitch_graph::{Edge, Graph, PartitionStore, Partitioner, VertexId};
-use mpilite::{run_world, CollCarrier, Comm, CommStats, WorldConfig};
-use parking_lot::Mutex;
+use mpilite::{CollCarrier, CommStats};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -116,15 +116,14 @@ impl TradeRankState {
         self
     }
 
-    fn into_parts(
-        self,
-    ) -> (
-        PartitionStore,
-        VisitTracker,
-        RankStats,
-        Option<crate::obs::RankObs>,
-    ) {
-        (self.store, self.tracker, self.stats, self.obs.finish())
+    fn into_output(self, comm: CommStats) -> RankOutput {
+        RankOutput {
+            store: self.store,
+            tracker: self.tracker,
+            stats: self.stats,
+            comm,
+            obs: self.obs.finish(),
+        }
     }
 
     /// The rank executing trade `k` of `plan`.
@@ -334,10 +333,10 @@ impl TradeRankState {
 // World driver (FIFO simulator, DES)
 // ---------------------------------------------------------------------
 
-/// Run Curveball passes over a single-process world transport — the
-/// driver body shared by the FIFO simulator and the DES (mirror of
-/// [`super::harness::run_simulated_world`]).
-pub fn run_simulated_trades<T: WorldTransport>(
+/// Run Curveball passes over a single-process world transport (FIFO
+/// simulator, DES) — the trade counterpart of
+/// [`SimWorld`](super::resume::SimWorld), not yet steppable.
+pub(crate) fn simulated_trades<T: WorldTransport>(
     graph: &Graph,
     budget: TradeBudget,
     config: &ParallelConfig,
@@ -452,16 +451,7 @@ pub fn run_simulated_trades<T: WorldTransport>(
     let outputs: Vec<RankOutput> = states
         .into_iter()
         .zip(comm_stats)
-        .map(|(state, comm)| {
-            let (store, tracker, stats, obs) = state.into_parts();
-            RankOutput {
-                store,
-                tracker,
-                stats,
-                comm,
-                obs,
-            }
-        })
+        .map(|(state, comm)| state.into_output(comm))
         .collect();
     assemble_outcome(n, ctl.pass, initial_edges, outputs, telemetry, meta)
 }
@@ -502,133 +492,27 @@ fn degree_table(graph: &Graph) -> Vec<u32> {
 }
 
 // ---------------------------------------------------------------------
-// Entry points
+// Threaded driver
 // ---------------------------------------------------------------------
 
-/// Curveball trades on `p` deterministically simulated FIFO ranks —
-/// bit-identical to [`crate::sequential_curveball`] at any `p`.
-pub fn simulate_curveball(
-    graph: &Graph,
-    budget: TradeBudget,
-    config: &ParallelConfig,
-) -> ParallelOutcome {
-    let mut rng = config.root_rng();
-    let part = Partitioner::build(config.scheme, graph, config.processors, &mut rng);
-    simulate_curveball_with(graph, budget, config, &part)
-}
-
-/// [`simulate_curveball`] with an explicit partitioner.
-pub fn simulate_curveball_with(
+/// Curveball trades on `p` threaded ranks split by `part`: the trade
+/// rank body on the scaffold [`threaded_switch`](super::engine) runs on.
+pub(crate) fn threaded_trades(
     graph: &Graph,
     budget: TradeBudget,
     config: &ParallelConfig,
     part: &Partitioner,
 ) -> ParallelOutcome {
-    let mut transport = super::harness::FifoTransport::new();
-    run_simulated_trades(graph, budget, config, part, &mut transport)
-}
-
-/// Curveball trades on `p` threaded ranks (mirror of
-/// [`super::engine::parallel_edge_switch`]).
-pub fn parallel_curveball(
-    graph: &Graph,
-    budget: TradeBudget,
-    config: &ParallelConfig,
-) -> ParallelOutcome {
-    let mut rng = config.root_rng();
-    let part = Partitioner::build(config.scheme, graph, config.processors, &mut rng);
-    parallel_curveball_with(graph, budget, config, &part)
-}
-
-/// [`parallel_curveball`] with an explicit partitioner.
-pub fn parallel_curveball_with(
-    graph: &Graph,
-    budget: TradeBudget,
-    config: &ParallelConfig,
-    part: &Partitioner,
-) -> ParallelOutcome {
-    assert!(
-        config.backend != Backend::Process,
-        "the process backend supports the switch randomizer only; \
-         run Curveball on Backend::Threaded or the simulators"
-    );
-    let p = config.processors;
-    assert_eq!(part.num_parts(), p, "partitioner size must match config");
-    let stores = build_stores(graph, part);
-    let initial_edges: Vec<u64> = stores.iter().map(|s| s.num_edges() as u64).collect();
     let n = graph.num_vertices();
     let degrees = Arc::new(degree_table(graph));
-
-    let slots: Vec<Mutex<Option<PartitionStore>>> =
-        stores.into_iter().map(|st| Mutex::new(Some(st))).collect();
-    let seed = config.seed;
-    let part_ref = &part;
-    let slots_ref = &slots;
-    let degrees_ref = &degrees;
-
-    let clock: Option<Arc<dyn Clock>> = if config.obs.enabled() {
-        Some(Arc::new(MonoClock::new()))
-    } else {
-        None
-    };
-    let obs_spec = config.obs;
-    let clock_ref = &clock;
-    let run_start = clock.as_ref().map_or(0, |c| c.now_ns());
-
-    let world_config = WorldConfig {
-        spin_relax: config.spin_relax,
-        spin_total: config.spin_total,
-        ..WorldConfig::default()
-    };
-    let results: Vec<(RankOutput, Vec<StepTelemetry>)> =
-        run_world(p, world_config, move |comm: &mut Comm<Msg>| {
-            let store = slots_ref[comm.rank()]
-                .lock()
-                .take()
-                .expect("store taken once per rank");
-            let mut state = TradeRankState::new(
-                comm.rank(),
-                (*part_ref).clone(),
-                degrees_ref.clone(),
-                store,
-                seed,
-            );
-            if let Some(clock) = clock_ref {
-                state = state.with_obs(obs_spec.build(clock.clone()));
-            }
-            let telemetry = {
-                let mut transport = super::harness::MpiliteTransport::new(comm);
-                run_trade_rank(&mut transport, &mut state, budget, n)
-            };
-            let comm_stats = comm.stats();
-            let (store, tracker, stats, obs) = state.into_parts();
-            (
-                RankOutput {
-                    store,
-                    tracker,
-                    stats,
-                    comm: comm_stats,
-                    obs,
-                },
-                telemetry,
-            )
-        });
-
-    let meta = clock.as_ref().map(|c| RunMeta {
-        clock: c.label(),
-        wall_ns: c.now_ns().saturating_sub(run_start),
-    });
-    let steps = results.first().map_or(0, |(_, t)| t.len());
-    let mut telemetry = vec![StepTelemetry::default(); steps];
-    let mut outputs = Vec::with_capacity(p);
-    for (output, rank_telemetry) in results {
-        debug_assert_eq!(rank_telemetry.len(), steps, "ranks agree on pass count");
-        for (acc, step) in telemetry.iter_mut().zip(&rank_telemetry) {
-            acc.merge(step);
-        }
-        outputs.push(output);
-    }
-    assemble_outcome(n, steps as u64, initial_edges, outputs, telemetry, meta)
+    run_threaded_world(graph, config, part, |transport, store, obs| {
+        let rank = transport.rank();
+        let mut state =
+            TradeRankState::new(rank, part.clone(), degrees.clone(), store, config.seed)
+                .with_obs(obs);
+        let telemetry = run_trade_rank(transport, &mut state, budget, n);
+        (state.into_output(transport.stats()), telemetry)
+    })
 }
 
 /// One rank's whole Curveball run: allgather the visited counts at each

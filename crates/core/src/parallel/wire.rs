@@ -4,17 +4,21 @@
 //! never needs a serialized form; the shared-memory rings move raw bytes, so
 //! this module defines one. The format is deliberately dumb: a one-byte
 //! discriminant followed by little-endian fields, edges as their canonical
-//! `u64` keys, floats via `to_bits`. Frames are trusted (both ends are the
-//! same binary), so malformed input panics — a torn or corrupt frame is a
-//! transport bug, not an input error.
+//! `u64` keys, floats via `to_bits`. Message frames are trusted (both ends
+//! are the same binary), so a malformed one panics — a torn or corrupt
+//! frame is a transport bug, not an input error. Engine snapshots come
+//! from files and are not: their decoders return `Result`. Both run on one
+//! bounds-checked [`Reader`] that latches the first bad read.
 
+use edgeswitch_graph::store::PartitionStore;
 use edgeswitch_graph::Edge;
 use mpilite::{CollPayload, CommStats, KIND_SLOTS};
 
 use crate::sequential::{RejectCounts, SeqCheckpoint};
 use crate::switch::RejectReason;
+use crate::visit::VisitTracker;
 
-use super::harness::{MsgCounts, StepTelemetry};
+use super::harness::{MsgCounts, RankOutput, StepTelemetry};
 use super::msg::{BatchReq, ConvId, Msg, MsgKind};
 use super::rank::{RankCheckpoint, RankStats};
 use super::resume::WorldSnapshot;
@@ -38,11 +42,11 @@ const T_TRADE_LOAD: u8 = 15;
 const T_TRADE_HOME: u8 = 16;
 const T_TRADE_VISIT: u8 = 17;
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -220,32 +224,96 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
     }
 }
 
-struct Reader<'a> {
+/// Bounds-checked little-endian cursor. A read past the end yields zeros
+/// and latches [`Reader::bad`] (as does a malformed value), so decoders
+/// read straight through and check once at the end ([`Reader::finish`]);
+/// a length prefix is capped by the bytes that remain ([`Reader::len`]),
+/// so a corrupt one can neither allocate nor loop beyond the input.
+pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     at: usize,
+    bad: bool,
 }
 
 impl<'a> Reader<'a> {
-    fn u8(&mut self) -> u8 {
-        let v = self.bytes[self.at];
-        self.at += 1;
-        v
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        Reader {
+            bytes,
+            at: 0,
+            bad: false,
+        }
+    }
+
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        match self.bytes.get(self.at..self.at + N) {
+            Some(chunk) => {
+                self.at += N;
+                chunk.try_into().expect("slice of length N")
+            }
+            None => {
+                self.at = self.bytes.len();
+                self.bad = true;
+                [0; N]
+            }
+        }
+    }
+
+    pub(crate) fn u8(&mut self) -> u8 {
+        self.take::<1>()[0]
+    }
+
+    pub(crate) fn u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.take())
+    }
+
+    pub(crate) fn u64(&mut self) -> u64 {
+        u64::from_le_bytes(self.take())
     }
 
     fn f64(&mut self) -> f64 {
         f64::from_bits(self.u64())
     }
 
-    fn u32(&mut self) -> u32 {
-        let v = u32::from_le_bytes(self.bytes[self.at..self.at + 4].try_into().unwrap());
-        self.at += 4;
-        v
+    /// A `u64` count of items of at least `item_bytes` encoded bytes
+    /// each: zero (and bad) when the input cannot hold that many.
+    pub(crate) fn len(&mut self, item_bytes: usize) -> usize {
+        let n = self.u64();
+        self.capped(n, item_bytes)
     }
 
-    fn u64(&mut self) -> u64 {
-        let v = u64::from_le_bytes(self.bytes[self.at..self.at + 8].try_into().unwrap());
-        self.at += 8;
-        v
+    /// [`Reader::len`] for the message codec's `u32` counts.
+    fn len32(&mut self, item_bytes: usize) -> usize {
+        let n = self.u32();
+        self.capped(n as u64, item_bytes)
+    }
+
+    fn capped(&mut self, n: u64, item_bytes: usize) -> usize {
+        let fits = (self.bytes.len() - self.at) / item_bytes;
+        if n > fits as u64 {
+            self.bad = true;
+            return 0;
+        }
+        n as usize
+    }
+
+    /// `Ok` iff every read was in bounds and well-formed and no byte is
+    /// left over.
+    pub(crate) fn finish(self) -> Result<(), String> {
+        if self.bad {
+            Err("truncated or malformed".to_string())
+        } else if self.at != self.bytes.len() {
+            Err(format!("{} trailing bytes", self.bytes.len() - self.at))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// [`Reader::finish`] for trusted input (`what` both ends of which
+    /// are this binary): anything but a clean end is a bug, so panic.
+    pub(crate) fn expect_end(self, what: &str) {
+        if let Err(err) = self.finish() {
+            panic!("wire: {what}: {err}");
+        }
     }
 
     fn conv(&mut self) -> ConvId {
@@ -255,7 +323,13 @@ impl<'a> Reader<'a> {
     }
 
     fn edge(&mut self) -> Edge {
-        Edge::from_key(self.u64())
+        let key = self.u64();
+        if key >> 32 >= key & 0xFFFF_FFFF {
+            // Not a canonical `src < dst` key (or a bad read's zero).
+            self.bad = true;
+            return Edge::new(0, 1);
+        }
+        Edge::from_key(key)
     }
 
     fn coll(&mut self) -> CollPayload {
@@ -264,11 +338,11 @@ impl<'a> Reader<'a> {
             C_U64 => CollPayload::U64(self.u64()),
             C_F64 => CollPayload::F64(f64::from_bits(self.u64())),
             C_VEC_U64 => {
-                let n = self.u32() as usize;
+                let n = self.len32(8);
                 CollPayload::VecU64((0..n).map(|_| self.u64()).collect())
             }
             C_VEC_F64 => {
-                let n = self.u32() as usize;
+                let n = self.len32(8);
                 CollPayload::VecF64((0..n).map(|_| f64::from_bits(self.u64())).collect())
             }
             other => panic!("wire: bad collective subtag {other}"),
@@ -314,11 +388,11 @@ impl<'a> Reader<'a> {
             T_END_OF_STEP => Msg::EndOfStep,
             T_COLL => Msg::Coll(self.coll()),
             T_BATCH => {
-                let n = self.u32() as usize;
+                let n = self.len32(1);
                 Msg::Batch((0..n).map(|_| self.msg()).collect())
             }
             T_BATCH_PROPOSE => {
-                let n = self.u32() as usize;
+                let n = self.len32(21);
                 let reqs = (0..n)
                     .map(|_| {
                         let conv = self.conv();
@@ -337,26 +411,26 @@ impl<'a> Reader<'a> {
                 Msg::BatchPropose { reqs }
             }
             T_BATCH_VERDICT => {
-                let n = self.u32() as usize;
+                let n = self.len32(13);
                 let verdicts = (0..n).map(|_| (self.conv(), self.u8() != 0)).collect();
                 Msg::BatchVerdict { verdicts }
             }
             T_TRADE_LOAD => {
                 let trade = self.u32();
-                let n = self.u32() as usize;
+                let n = self.len32(8);
                 Msg::TradeLoad {
                     trade,
                     edges: (0..n).map(|_| self.u64()).collect(),
                 }
             }
             T_TRADE_HOME => {
-                let n = self.u32() as usize;
+                let n = self.len32(8);
                 Msg::TradeHome {
                     edges: (0..n).map(|_| self.u64()).collect(),
                 }
             }
             T_TRADE_VISIT => {
-                let n = self.u32() as usize;
+                let n = self.len32(8);
                 Msg::TradeVisit {
                     edges: (0..n).map(|_| self.u64()).collect(),
                 }
@@ -368,26 +442,17 @@ impl<'a> Reader<'a> {
 
 /// Decode one message; panics on malformed or trailing bytes.
 pub fn decode_msg(bytes: &[u8]) -> Msg {
-    let mut r = Reader { bytes, at: 0 };
+    let mut r = Reader::new(bytes);
     let msg = r.msg();
-    assert_eq!(
-        r.at,
-        bytes.len(),
-        "wire: {} trailing bytes after message",
-        bytes.len() - r.at
-    );
+    r.expect_end("message frame");
     msg
 }
 
 /// Decode one collective payload; panics on malformed or trailing bytes.
 pub fn decode_coll(bytes: &[u8]) -> CollPayload {
-    let mut r = Reader { bytes, at: 0 };
+    let mut r = Reader::new(bytes);
     let payload = r.coll();
-    assert_eq!(
-        r.at,
-        bytes.len(),
-        "wire: trailing bytes after collective payload"
-    );
+    r.expect_end("collective payload");
     payload
 }
 
@@ -398,9 +463,12 @@ pub fn decode_coll(bytes: &[u8]) -> CollPayload {
 // The same dumb little-endian style as the message codec, reused for the
 // job service's on-disk checkpoints: a magic/version header, a kind
 // byte, then the snapshot fields in declaration order. Floats go through
-// `to_bits`, edges as canonical keys. Decoding a snapshot written by a
-// different format version panics on the header check instead of
-// misreading state — a stale checkpoint must never silently resume.
+// `to_bits`, edges as canonical keys. A snapshot written by a different
+// format version fails the header check instead of misreading state — a
+// stale checkpoint must never silently resume. The decoders only vouch
+// for the *encoding*; whether the decoded state belongs to the run being
+// resumed is checked where it is restored (`SequentialResumable::restore`,
+// `SimWorld::resume`).
 
 /// Snapshot header: `b"ESNP"` followed by the format version.
 const SNAP_MAGIC: u32 = u32::from_le_bytes(*b"ESNP");
@@ -505,16 +573,17 @@ fn put_rank_checkpoint(out: &mut Vec<u8>, ckpt: &RankCheckpoint) {
 }
 
 impl<'a> Reader<'a> {
-    fn header(&mut self, kind: u8) {
-        let magic = self.u32();
-        assert_eq!(magic, SNAP_MAGIC, "snapshot: bad magic {magic:#x}");
-        let version = self.u32();
-        assert_eq!(
-            version, SNAP_VERSION,
-            "snapshot: unsupported version {version}"
-        );
-        let k = self.u8();
-        assert_eq!(k, kind, "snapshot: wrong kind byte {k}");
+    fn header(&mut self, kind: u8) -> Result<(), String> {
+        let (magic, version, k) = (self.u32(), self.u32(), self.u8());
+        if magic != SNAP_MAGIC {
+            Err(format!("bad magic {magic:#x}"))
+        } else if version != SNAP_VERSION {
+            Err(format!("unsupported version {version}"))
+        } else if k != kind {
+            Err(format!("wrong kind byte {k}"))
+        } else {
+            Ok(())
+        }
     }
 
     fn stats(&mut self) -> RankStats {
@@ -586,10 +655,10 @@ impl<'a> Reader<'a> {
 
     fn rank_checkpoint(&mut self) -> RankCheckpoint {
         let rank = self.u64() as usize;
-        let edges = self.u64() as usize;
+        let edges = self.len(8);
         let store_edges = (0..edges).map(|_| self.edge()).collect();
         let tracker_initial = self.u64() as usize;
-        let remaining = self.u64() as usize;
+        let remaining = self.len(8);
         let tracker_remaining = (0..remaining).map(|_| self.u64()).collect();
         RankCheckpoint {
             rank,
@@ -601,16 +670,14 @@ impl<'a> Reader<'a> {
             rng_words: self.u64(),
         }
     }
-
-    fn finish(self) {
-        assert_eq!(
-            self.at,
-            self.bytes.len(),
-            "snapshot: {} trailing bytes",
-            self.bytes.len() - self.at
-        );
-    }
 }
+
+/// Encoded size of one [`RankCheckpoint`] with empty lists, one
+/// [`CommStats`] and one [`StepTelemetry`] — the per-item floors that cap
+/// their length prefixes.
+const RANK_CHECKPOINT_MIN: usize = 8 * (4 + 13 + 2);
+const COMM_BYTES: usize = 8 * (8 + KIND_SLOTS);
+const TELEMETRY_BYTES: usize = 8 * (14 + MsgKind::COUNT + 5);
 
 /// Serialize a [`WorldSnapshot`] (deterministic bytes for a given
 /// snapshot — rank checkpoints carry their sets pre-sorted).
@@ -641,26 +708,27 @@ pub fn encode_world_snapshot(snap: &WorldSnapshot) -> Vec<u8> {
     out
 }
 
-/// Decode a [`WorldSnapshot`]; panics on malformed, truncated, trailing
-/// or wrong-version bytes (a checkpoint file is trusted once its header
-/// matches — corruption is an operator error worth failing loudly on).
-pub fn decode_world_snapshot(bytes: &[u8]) -> WorldSnapshot {
-    let mut r = Reader { bytes, at: 0 };
-    r.header(SNAP_WORLD);
+/// Decode a [`WorldSnapshot`] from untrusted bytes: a wrong header,
+/// truncation, a length that overruns the input, a non-canonical edge
+/// key or trailing bytes all come back as `Err` with the reason.
+pub fn decode_world_snapshot(bytes: &[u8]) -> Result<WorldSnapshot, String> {
+    let mut r = Reader::new(bytes);
+    r.header(SNAP_WORLD)?;
     let seed = r.u64();
     let p = r.u64() as usize;
     let n = r.u64() as usize;
     let t = r.u64();
     let next_step = r.u64();
-    let ranks_len = r.u64() as usize;
+    let ranks_len = r.len(RANK_CHECKPOINT_MIN);
     let ranks = (0..ranks_len).map(|_| r.rank_checkpoint()).collect();
-    let comm_len = r.u64() as usize;
+    let comm_len = r.len(COMM_BYTES);
     let comm = (0..comm_len).map(|_| r.comm()).collect();
-    let tel_len = r.u64() as usize;
+    let tel_len = r.len(TELEMETRY_BYTES);
     let telemetry = (0..tel_len).map(|_| r.telemetry()).collect();
-    let ie_len = r.u64() as usize;
+    let ie_len = r.len(8);
     let initial_edges = (0..ie_len).map(|_| r.u64()).collect();
-    let snap = WorldSnapshot {
+    r.finish()?;
+    Ok(WorldSnapshot {
         seed,
         p,
         n,
@@ -670,9 +738,7 @@ pub fn decode_world_snapshot(bytes: &[u8]) -> WorldSnapshot {
         comm,
         telemetry,
         initial_edges,
-    };
-    r.finish();
-    snap
+    })
 }
 
 /// Serialize a [`SeqCheckpoint`].
@@ -700,11 +766,11 @@ pub fn encode_seq_checkpoint(ckpt: &SeqCheckpoint) -> Vec<u8> {
     out
 }
 
-/// Decode a [`SeqCheckpoint`]; same trust model as
+/// Decode a [`SeqCheckpoint`] from untrusted bytes; fails like
 /// [`decode_world_snapshot`].
-pub fn decode_seq_checkpoint(bytes: &[u8]) -> SeqCheckpoint {
-    let mut r = Reader { bytes, at: 0 };
-    r.header(SNAP_SEQ);
+pub fn decode_seq_checkpoint(bytes: &[u8]) -> Result<SeqCheckpoint, String> {
+    let mut r = Reader::new(bytes);
+    r.header(SNAP_SEQ)?;
     let seed = r.u64();
     let n = r.u64() as usize;
     let t = r.u64();
@@ -716,11 +782,13 @@ pub fn decode_seq_checkpoint(bytes: &[u8]) -> SeqCheckpoint {
         parallel: r.u64(),
     };
     let tracker_initial = r.u64() as usize;
-    let rem_len = r.u64() as usize;
+    let rem_len = r.len(8);
     let tracker_remaining = (0..rem_len).map(|_| r.u64()).collect();
-    let edge_len = r.u64() as usize;
+    let edge_len = r.len(8);
     let graph_edges = (0..edge_len).map(|_| r.edge()).collect();
-    let ckpt = SeqCheckpoint {
+    let rng_words = r.u64();
+    r.finish()?;
+    Ok(SeqCheckpoint {
         seed,
         n,
         t,
@@ -730,10 +798,75 @@ pub fn decode_seq_checkpoint(bytes: &[u8]) -> SeqCheckpoint {
         tracker_initial,
         tracker_remaining,
         graph_edges,
-        rng_words: r.u64(),
+        rng_words,
+    })
+}
+
+// ---------------------------------------------------------------------
+// Rank results (process backend teardown)
+// ---------------------------------------------------------------------
+
+/// Serialize what one rank process returns to its launcher: its share of
+/// the initial edges (under seed boot nobody else ever saw it), its
+/// [`RankOutput`] — store edges in pool order and the unvisited keys,
+/// streamed straight out of the live structures — and its per-step
+/// telemetry. Stats, comm counters and telemetry go through the same
+/// field codecs as the snapshots, so a new counter is added once.
+pub(crate) fn encode_rank_result(
+    initial_edges: u64,
+    output: &RankOutput,
+    telemetry: &[StepTelemetry],
+) -> Vec<u8> {
+    let (store, tracker) = (&output.store, &output.tracker);
+    let remaining = tracker.initial_count() - tracker.visited_count();
+    let mut out = Vec::with_capacity(8 * (store.num_edges() + remaining) + 512);
+    put_u64(&mut out, initial_edges);
+    put_u64(&mut out, store.rank() as u64);
+    put_u64(&mut out, store.num_edges() as u64);
+    for e in store.edges() {
+        put_edge(&mut out, e);
+    }
+    put_u64(&mut out, tracker.initial_count() as u64);
+    put_u64(&mut out, remaining as u64);
+    for key in tracker.remaining_keys() {
+        put_u64(&mut out, key);
+    }
+    put_stats(&mut out, &output.stats);
+    put_comm(&mut out, &output.comm);
+    put_u64(&mut out, telemetry.len() as u64);
+    for tel in telemetry {
+        put_telemetry(&mut out, tel);
+    }
+    out
+}
+
+/// Inverse of [`encode_rank_result`], rebuilding the store by in-order
+/// insertion (pool order is sampling order); like message frames the
+/// blob is trusted (the child is this binary), so a malformed one
+/// panics. Process ranks are unobserved: `obs` comes back `None`.
+pub(crate) fn decode_rank_result(bytes: &[u8]) -> (u64, RankOutput, Vec<StepTelemetry>) {
+    let mut r = Reader::new(bytes);
+    let initial_edges = r.u64();
+    let rank = r.u64() as usize;
+    let edges = r.len(8);
+    let mut store = PartitionStore::new(rank);
+    for _ in 0..edges {
+        store.insert(r.edge());
+    }
+    let tracker_initial = r.u64() as usize;
+    let remaining = r.len(8);
+    let tracker = VisitTracker::from_parts(tracker_initial, (0..remaining).map(|_| r.u64()));
+    let output = RankOutput {
+        store,
+        tracker,
+        stats: r.stats(),
+        comm: r.comm(),
+        obs: None,
     };
-    r.finish();
-    ckpt
+    let steps = r.len(TELEMETRY_BYTES);
+    let telemetry = (0..steps).map(|_| r.telemetry()).collect();
+    r.expect_end("rank result blob");
+    (initial_edges, output, telemetry)
 }
 
 #[cfg(test)]
@@ -927,14 +1060,23 @@ mod tests {
             initial_edges: vec![100, 101],
         };
         let bytes = encode_world_snapshot(&snap);
-        assert_eq!(decode_world_snapshot(&bytes), snap);
+        assert_eq!(decode_world_snapshot(&bytes).unwrap(), snap);
         // Deterministic bytes: re-encoding the decode is identical.
-        assert_eq!(encode_world_snapshot(&decode_world_snapshot(&bytes)), bytes);
+        assert_eq!(
+            encode_world_snapshot(&decode_world_snapshot(&bytes).unwrap()),
+            bytes
+        );
     }
 
     #[test]
     fn seq_checkpoint_roundtrips() {
-        let ckpt = SeqCheckpoint {
+        let ckpt = sample_seq_checkpoint();
+        let bytes = encode_seq_checkpoint(&ckpt);
+        assert_eq!(decode_seq_checkpoint(&bytes).unwrap(), ckpt);
+    }
+
+    fn sample_seq_checkpoint() -> SeqCheckpoint {
+        SeqCheckpoint {
             seed: 17,
             n: 30,
             t: 500,
@@ -949,32 +1091,92 @@ mod tests {
             tracker_remaining: vec![1, 5, 9],
             graph_edges: vec![Edge::new(0, 1), Edge::new(2, 3)],
             rng_words: 777,
-        };
-        let bytes = encode_seq_checkpoint(&ckpt);
-        assert_eq!(decode_seq_checkpoint(&bytes), ckpt);
+        }
     }
 
     #[test]
-    #[should_panic(expected = "bad magic")]
-    fn snapshot_decode_rejects_garbage() {
-        decode_world_snapshot(&[0u8; 32]);
+    fn snapshot_decode_rejects_garbage_and_kind_mismatch() {
+        let err = decode_world_snapshot(&[0u8; 32]).unwrap_err();
+        assert!(err.contains("bad magic"), "{err}");
+        let seq = encode_seq_checkpoint(&sample_seq_checkpoint());
+        let err = decode_world_snapshot(&seq).unwrap_err();
+        assert!(err.contains("wrong kind"), "{err}");
+        let mut stale = seq.clone();
+        stale[4] ^= 0xFF;
+        let err = decode_seq_checkpoint(&stale).unwrap_err();
+        assert!(err.contains("unsupported version"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "wrong kind")]
-    fn snapshot_decode_rejects_kind_mismatch() {
-        let ckpt = SeqCheckpoint {
-            seed: 1,
-            n: 2,
-            t: 3,
-            performed: 0,
-            abandoned: 0,
-            rejects: RejectCounts::default(),
-            tracker_initial: 0,
-            tracker_remaining: vec![],
-            graph_edges: vec![],
-            rng_words: 0,
+    fn damaged_snapshots_are_errors_never_panics() {
+        let world = encode_world_snapshot(&WorldSnapshot {
+            seed: 9,
+            p: 2,
+            n: 6,
+            t: 40,
+            next_step: 1,
+            ranks: vec![sample_rank_checkpoint(0), sample_rank_checkpoint(1)],
+            comm: vec![CommStats::default(); 2],
+            telemetry: vec![StepTelemetry::default()],
+            initial_edges: vec![3, 3],
+        });
+        let seq = encode_seq_checkpoint(&sample_seq_checkpoint());
+        // Every proper prefix is short, whichever field it cuts.
+        for cut in 0..world.len() {
+            assert!(decode_world_snapshot(&world[..cut]).is_err(), "cut {cut}");
+        }
+        for cut in 0..seq.len() {
+            assert!(decode_seq_checkpoint(&seq[..cut]).is_err(), "cut {cut}");
+        }
+        // Trailing bytes are refused too.
+        let mut long = seq.clone();
+        long.push(0);
+        assert!(decode_seq_checkpoint(&long).is_err());
+        // A flipped bit may still decode (it can land in a counter), but
+        // it must never panic, and a length blown up to 2^63 items must
+        // neither allocate nor loop.
+        for bytes in [&world, &seq] {
+            for at in 0..bytes.len() {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 0x80;
+                let _ = decode_world_snapshot(&flipped);
+                let _ = decode_seq_checkpoint(&flipped);
+            }
+        }
+    }
+
+    #[test]
+    fn rank_result_roundtrips() {
+        let ckpt = sample_rank_checkpoint(1);
+        let output = RankOutput {
+            store: ckpt.store(),
+            tracker: ckpt.tracker(),
+            stats: ckpt.stats,
+            comm: CommStats {
+                packets_sent: 4,
+                parks: 2,
+                ..CommStats::default()
+            },
+            obs: None,
         };
-        decode_world_snapshot(&encode_seq_checkpoint(&ckpt));
+        let telemetry = vec![
+            StepTelemetry {
+                ops: 5,
+                wait_ns: 1.5,
+                ..StepTelemetry::default()
+            };
+            3
+        ];
+        let bytes = encode_rank_result(77, &output, &telemetry);
+        let (initial, back, steps) = decode_rank_result(&bytes);
+        assert_eq!((initial, steps), (77, telemetry));
+        assert_eq!(back.store.rank(), 1);
+        // Pool order survives the trip: it is the rank's sampling order.
+        assert!(back.store.edges().eq(ckpt.store_edges.iter().copied()));
+        assert_eq!(back.tracker.initial_count(), ckpt.tracker_initial);
+        let remaining: Vec<u64> = back.tracker.remaining_keys().collect();
+        assert_eq!(remaining, ckpt.tracker_remaining);
+        assert_eq!((back.stats, back.comm), (output.stats, output.comm));
+        assert!(back.obs.is_none());
     }
 }

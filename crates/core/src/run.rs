@@ -1,12 +1,9 @@
-//! The [`Run`] builder: one front door to the switching algorithms.
+//! The [`Run`] builder and the stepped [`Engine`] behind it: the one way
+//! to run a switching job.
 //!
-//! Callers previously picked a free function per driver
-//! (`sequential_edge_switch`, `parallel_edge_switch`,
-//! `simulate_parallel`) and threaded an operation count, an RNG and a
-//! [`ParallelConfig`] by hand. `Run` folds those choices into a single
-//! builder: pick a driver, state the budget as either an operation count
-//! or a target visit rate (Section 3.1: `t = E[T]/2`), tune the knobs,
-//! and `execute`:
+//! Pick a driver, state the budget as either an operation count or a
+//! target visit rate (Section 3.1: `t = E[T]/2`), tune the knobs, and
+//! `execute`:
 //!
 //! ```
 //! use edgeswitch_core::Run;
@@ -22,22 +19,60 @@
 //! assert!((out.visit_rate() - 0.5).abs() < 0.1);
 //! ```
 //!
-//! The original free functions remain as thin layers over the same
-//! engines; `Run` is the recommended entry point.
+//! Both algorithms have a natural pause point — between two operations
+//! of Algorithm 1, and at the Section 4.5 step boundary, where `q` is
+//! refreshed and no conversation is in flight — so the sequential and
+//! simulated switch drivers run as a stepped [`Engine`]:
+//! [`Run::start`], [`Engine::advance`] until [`Engine::is_done`],
+//! [`Engine::finish`]. Pausing is free and bit-exact (a chunk boundary
+//! consumes no randomness), and [`Engine::snapshot`] between two calls
+//! captures everything [`Run::resume`] needs to continue in a fresh
+//! process. `execute` on those drivers *is* that loop:
+//!
+//! ```
+//! use edgeswitch_core::Run;
+//! use edgeswitch_dist::root_rng;
+//! use edgeswitch_graph::generators::erdos_renyi_gnm;
+//!
+//! let g = erdos_renyi_gnm(200, 800, &mut root_rng(1));
+//! let run = Run::simulated(4).switches(600).seed(3);
+//! let mut engine = run.start(&g).unwrap();
+//! engine.advance(100);
+//! let bytes = engine.snapshot();
+//! drop(engine); // the process dies here
+//! let mut engine = run.resume(&g, &bytes).unwrap();
+//! while !engine.is_done() {
+//!     engine.advance(100);
+//! }
+//! let resumed = engine.finish();
+//! let oneshot = run.execute(&g);
+//! assert_eq!(resumed.graph().edge_digest(), oneshot.graph().edge_digest());
+//! ```
+//!
+//! Who owns what: `Run` validates, resolves the budget and builds the
+//! partitioner; the engine's world ([`SequentialResumable`],
+//! [`SimWorld`]) owns set-up, stepping, snapshot and teardown; the
+//! threaded and process worlds and the Curveball drivers run one-shot
+//! inside [`Run::try_execute`].
 
 use crate::config::{Backend, ParallelConfig, QuotaPolicy, Randomizer, StepSize};
-use crate::obs::{ObsSpec, RunReport};
-use crate::parallel::proc::{process_backend_supported, try_parallel_edge_switch_proc, ProcError};
-use crate::parallel::{
-    parallel_curveball, parallel_edge_switch, simulate_curveball, simulate_parallel,
-    ParallelOutcome,
+use crate::obs::{ObsSpec, ProgressEvent, RunReport, StepProgress};
+use crate::parallel::engine::threaded_switch;
+use crate::parallel::proc::{process_backend_supported, process_switch, ProcError};
+use crate::parallel::trade::{simulated_trades, threaded_trades};
+use crate::parallel::wire::{
+    decode_seq_checkpoint, decode_world_snapshot, encode_seq_checkpoint, encode_world_snapshot,
 };
-use crate::sequential::{sequential_edge_switch_observed, SequentialOutcome};
+use crate::parallel::{FifoTransport, ParallelOutcome, SimWorld, WorldTransport};
+use crate::sequential::{SequentialOutcome, SequentialResumable};
 use crate::trade::{sequential_curveball_observed, TradeBudget};
 use edgeswitch_graph::{Graph, Partitioner, SchemeKind};
+use std::borrow::Cow;
+use std::sync::mpsc::Sender;
 
-/// Why a [`Run`] could not execute. Produced by [`Run::try_execute`];
-/// [`Run::execute`] panics with the same message.
+/// Why a [`Run`] could not execute. Produced by [`Run::try_execute`],
+/// [`Run::start`] and [`Run::resume`]; [`Run::execute`] panics with the
+/// same message.
 ///
 /// Validation errors ([`RunError::InvalidBudget`],
 /// [`RunError::InvalidConfig`]) are recorded at the builder call that
@@ -52,17 +87,22 @@ pub enum RunError {
     /// not a number.
     InvalidBudget(String),
     /// A configuration knob is out of its documented range (`p ≥ 1`,
-    /// `window ≥ 1`, `spec_batch ≥ 1`).
+    /// `window ≥ 1`, `spec_batch ≥ 1`, a partitioner of `p` parts).
     InvalidConfig(String),
     /// The selected backend cannot run this job on this platform or with
     /// this randomizer (the process backend needs Linux and supports
-    /// switches only).
+    /// switches only; only the sequential and simulated switch drivers
+    /// can be stepped).
     BackendUnsupported(String),
     /// A process-backend rank child could not be spawned.
     SpawnFailed(String),
     /// A process-backend rank child died, exited abnormally, or returned
     /// no result.
     RankDied(String),
+    /// The bytes handed to [`Run::resume`] are not a snapshot of this
+    /// run: truncated or damaged, written by the other engine or another
+    /// format version, or taken from a different graph, seed or budget.
+    BadSnapshot(String),
 }
 
 impl std::fmt::Display for RunError {
@@ -73,6 +113,7 @@ impl std::fmt::Display for RunError {
             RunError::BackendUnsupported(detail) => write!(f, "backend unsupported: {detail}"),
             RunError::SpawnFailed(detail) => write!(f, "spawn failed: {detail}"),
             RunError::RankDied(detail) => write!(f, "rank died: {detail}"),
+            RunError::BadSnapshot(detail) => write!(f, "bad snapshot: {detail}"),
         }
     }
 }
@@ -112,13 +153,16 @@ enum Budget {
 }
 
 /// Builder for one switching run. Start from [`Run::sequential`],
-/// [`Run::parallel`] or [`Run::simulated`], chain the knobs, then call
-/// [`Run::execute`].
+/// [`Run::parallel`], [`Run::process`] or [`Run::simulated`], chain the
+/// knobs, then call [`Run::execute`] (or [`Run::start`] to step it).
 #[derive(Clone, Debug)]
 pub struct Run {
     mode: Mode,
     budget: Budget,
     config: ParallelConfig,
+    /// An explicit partitioner ([`Run::prepared`]); `None` builds the
+    /// one `config.scheme` names.
+    part: Option<Partitioner>,
     /// First validation error recorded by a builder call, surfaced by
     /// [`Run::try_execute`]. Builders record it *before* the config's
     /// defensive clamps run, so the raw offending value is preserved.
@@ -139,6 +183,7 @@ impl Run {
             // The paper's headline experiments run to full visit rate.
             budget: Budget::VisitRate(1.0),
             config: ParallelConfig::new(processors.max(1)),
+            part: None,
             invalid,
         }
     }
@@ -277,19 +322,29 @@ impl Run {
         self
     }
 
-    /// Receive-side spin tuning for parallel runs (see
-    /// [`ParallelConfig::with_spin`]): `relax` busy iterations with CPU
-    /// relax hints, then yields up to `total`, then park.
-    pub fn spin(mut self, relax: u32, total: u32) -> Self {
-        self.config = self.config.with_spin(relax, total);
-        self
-    }
-
     /// Attach observation: with [`ObsSpec::Spans`] the outcome carries a
     /// [`RunReport`] of phase timings, latency histograms and gauges.
     /// Recording never perturbs the run (see [`crate::obs`]).
     pub fn probe(mut self, spec: ObsSpec) -> Self {
         self.config = self.config.with_obs(spec);
+        self
+    }
+
+    /// Run under a [`ParallelConfig`] the caller prepared, replacing
+    /// everything the knobs above set (`config.processors` included), and
+    /// — with `Some(part)` — over exactly that partitioner instead of the
+    /// one `config.scheme` would build (adversarial or custom
+    /// partitioning experiments). The budget stays the builder's. This is
+    /// the one door for values that have no knob of their own
+    /// (`local_fastpath`, `proc_opts`).
+    pub fn prepared(mut self, config: ParallelConfig, part: Option<Partitioner>) -> Self {
+        if config.processors == 0 {
+            self.record_invalid(RunError::InvalidConfig(
+                "processors must be >= 1 (got 0)".to_string(),
+            ));
+        }
+        self.config = config;
+        self.part = part;
         self
     }
 
@@ -305,6 +360,15 @@ impl Run {
     pub fn validate(&self) -> Result<(), RunError> {
         if let Some(err) = &self.invalid {
             return Err(err.clone());
+        }
+        if let Some(part) = &self.part {
+            if part.num_parts() != self.config.processors {
+                return Err(RunError::InvalidConfig(format!(
+                    "partitioner has {} parts for {} processors",
+                    part.num_parts(),
+                    self.config.processors
+                )));
+            }
         }
         if self.config.backend == Backend::Process {
             if self.config.randomizer == Randomizer::Curveball {
@@ -345,6 +409,34 @@ impl Run {
         }
     }
 
+    /// The partitioner of this run on `graph`: the explicit one, or the
+    /// one the configured scheme builds from the config's root stream —
+    /// every driver derives it the same way, so a given `(graph, config)`
+    /// pair partitions identically (and a resumed run re-derives it).
+    fn partitioner(&self, graph: &Graph) -> Partitioner {
+        self.part.clone().unwrap_or_else(|| {
+            Partitioner::build(
+                self.config.scheme,
+                graph,
+                self.config.processors,
+                &mut self.config.root_rng(),
+            )
+        })
+    }
+
+    /// Whether this run has a stepped engine: the sequential and
+    /// simulated switch drivers.
+    fn steppable(&self) -> Result<(), RunError> {
+        if self.mode == Mode::Parallel || self.config.randomizer == Randomizer::Curveball {
+            return Err(RunError::BackendUnsupported(
+                "only the sequential and simulated switch drivers can be stepped; \
+                 threaded, process and Curveball runs execute one-shot"
+                    .to_string(),
+            ));
+        }
+        Ok(())
+    }
+
     /// Execute the run, panicking with the [`RunError`]'s message on any
     /// failure. Thin wrapper over [`Run::try_execute`] for callers (the
     /// bench CLI, examples, tests) that treat failure as fatal. The input
@@ -364,67 +456,256 @@ impl Run {
     /// The input graph is not modified.
     pub fn try_execute(&self, graph: &Graph) -> Result<RunOutcome, RunError> {
         self.validate()?;
-        if self.config.randomizer == Randomizer::Curveball {
-            return Ok(self.execute_curveball(graph));
+        if self.steppable().is_ok() {
+            return Ok(self.start(graph)?.run_to_end());
         }
-        let t = self.resolve_ops(graph);
-        Ok(match self.mode {
-            Mode::Sequential => {
-                let mut g = graph.clone();
-                let mut rng = edgeswitch_dist::root_rng(self.config.seed);
-                let outcome = sequential_edge_switch_observed(&mut g, t, &mut rng, self.config.obs);
-                RunOutcome::Sequential(Box::new(SequentialRun { graph: g, outcome }))
+        if self.mode == Mode::Sequential {
+            return Ok(self.sequential_curveball(graph));
+        }
+        let part = self.partitioner(graph);
+        let config = &self.config;
+        let out = if config.randomizer == Randomizer::Curveball {
+            let budget = self.trade_budget();
+            match self.mode {
+                Mode::Parallel => threaded_trades(graph, budget, config, &part),
+                _ => simulated_trades(graph, budget, config, &part, &mut FifoTransport::new()),
             }
-            Mode::Parallel if self.config.backend == Backend::Process => {
-                // The same dispatch as `parallel_edge_switch`, but through
-                // the fallible launcher so spawn/rank failures surface as
-                // errors instead of panics.
-                let mut rng = self.config.root_rng();
-                let part =
-                    Partitioner::build(self.config.scheme, graph, self.config.processors, &mut rng);
-                let out = try_parallel_edge_switch_proc(graph, t, &self.config, &part)?;
-                RunOutcome::Parallel(Box::new(out))
+        } else {
+            let t = self.resolve_ops(graph);
+            match config.backend {
+                Backend::Process => process_switch(graph, t, config, &part)?,
+                Backend::Threaded => threaded_switch(graph, t, config, &part),
             }
-            Mode::Parallel => {
-                RunOutcome::Parallel(Box::new(parallel_edge_switch(graph, t, &self.config)))
-            }
-            Mode::Simulated => {
-                RunOutcome::Parallel(Box::new(simulate_parallel(graph, t, &self.config)))
-            }
-        })
+        };
+        Ok(RunOutcome::Parallel(Box::new(out)))
     }
 
-    /// The Curveball dispatch of [`Run::execute`]. A sequential trade
-    /// run is surfaced through [`SequentialOutcome`] with `performed`
-    /// counting trades, so [`RunOutcome`]'s accessors stay
-    /// driver-independent.
-    fn execute_curveball(&self, graph: &Graph) -> RunOutcome {
-        let budget = self.trade_budget();
-        match self.mode {
-            Mode::Sequential => {
-                let mut g = graph.clone();
-                let out = sequential_curveball_observed(
-                    &mut g,
-                    budget,
-                    self.config.seed,
-                    self.config.obs,
-                );
-                let outcome = SequentialOutcome {
-                    performed: out.trades,
-                    abandoned: 0,
-                    rejects: Default::default(),
-                    tracker: out.tracker,
-                    report: out.report,
-                };
-                RunOutcome::Sequential(Box::new(SequentialRun { graph: g, outcome }))
+    /// Start the run as a stepped [`Engine`] without executing anything
+    /// yet: validation and set-up happen here, the work in
+    /// [`Engine::advance`]. A started engine honours [`Run::probe`] —
+    /// [`Engine::finish`] then carries the [`RunReport`].
+    ///
+    /// `graph` is a `&Graph` (left unmodified: a sequential engine
+    /// switches a clone) or a `Graph` the caller is done with (the
+    /// sequential engine then switches it in place of a clone, so the two
+    /// never coexist — the job service's peak memory).
+    ///
+    /// Only the sequential and simulated switch drivers can be stepped;
+    /// anything else is [`RunError::BackendUnsupported`].
+    pub fn start<'g>(&self, graph: impl Into<Cow<'g, Graph>>) -> Result<Engine, RunError> {
+        let graph = graph.into();
+        self.validate()?;
+        self.steppable()?;
+        let t = self.resolve_ops(&graph);
+        let config = &self.config;
+        Ok(Engine(match self.mode {
+            Mode::Sequential => EngineKind::Sequential(Box::new(
+                SequentialResumable::new(graph.into_owned(), t, config.seed).with_obs(config.obs),
+            )),
+            _ => EngineKind::Simulated(Box::new(SimWorld::over(
+                &graph,
+                t,
+                config,
+                &self.partitioner(&graph),
+                FifoTransport::new(),
+            ))),
+        }))
+    }
+
+    /// Rebuild the engine of this run on `graph` from
+    /// [`Engine::snapshot`] bytes, positioned to continue bit-identically
+    /// to the uninterrupted run. The snapshot never carries a probe, so
+    /// a resumed engine is unobserved whatever [`Run::probe`] says.
+    ///
+    /// The bytes are untrusted: anything that is not a well-formed
+    /// snapshot of *this* run on *this* graph — truncated, damaged, the
+    /// other engine's format, another seed, budget or graph — is
+    /// [`RunError::BadSnapshot`], never a panic.
+    pub fn resume(&self, graph: &Graph, snapshot: &[u8]) -> Result<Engine, RunError> {
+        self.validate()?;
+        self.steppable()?;
+        let t = self.resolve_ops(graph);
+        let config = &self.config;
+        let engine = match self.mode {
+            Mode::Sequential => decode_seq_checkpoint(snapshot)
+                .and_then(|ckpt| SequentialResumable::restore(graph, t, config.seed, &ckpt))
+                .map(|eng| EngineKind::Sequential(Box::new(eng))),
+            _ => decode_world_snapshot(snapshot)
+                .and_then(|snap| {
+                    SimWorld::resume(graph, t, config, &self.partitioner(graph), &snap)
+                })
+                .map(|world| EngineKind::Simulated(Box::new(world))),
+        };
+        engine.map(Engine).map_err(RunError::BadSnapshot)
+    }
+
+    /// Execute this job on the simulated world over a caller-supplied
+    /// [`WorldTransport`], handing the transport back with the outcome —
+    /// how the virtual-time DES of `edgeswitch-scalesim` runs the same
+    /// world as [`Run::simulated`] with costs charged along the way.
+    /// Budget, config, randomizer and partitioner are the builder's;
+    /// which driver it named is immaterial.
+    pub fn try_execute_over<T: WorldTransport>(
+        &self,
+        graph: &Graph,
+        mut transport: T,
+    ) -> Result<(ParallelOutcome, T), RunError> {
+        self.validate()?;
+        let part = self.partitioner(graph);
+        if self.config.randomizer == Randomizer::Curveball {
+            let budget = self.trade_budget();
+            let out = simulated_trades(graph, budget, &self.config, &part, &mut transport);
+            return Ok((out, transport));
+        }
+        let t = self.resolve_ops(graph);
+        let mut world = SimWorld::over(graph, t, &self.config, &part, transport);
+        world.run_to_end();
+        Ok(world.finish())
+    }
+
+    /// The sequential Curveball run, surfaced through
+    /// [`SequentialOutcome`] with `performed` counting trades, so
+    /// [`RunOutcome`]'s accessors stay driver-independent.
+    fn sequential_curveball(&self, graph: &Graph) -> RunOutcome {
+        let mut g = graph.clone();
+        let out = sequential_curveball_observed(
+            &mut g,
+            self.trade_budget(),
+            self.config.seed,
+            self.config.obs,
+        );
+        let outcome = SequentialOutcome {
+            performed: out.trades,
+            abandoned: 0,
+            rejects: Default::default(),
+            tracker: out.tracker,
+            report: out.report,
+        };
+        RunOutcome::Sequential(Box::new(SequentialRun { graph: g, outcome }))
+    }
+}
+
+/// A started (or resumed) run that executes in caller-sized pieces:
+/// [`Engine::advance`] until [`Engine::is_done`], then
+/// [`Engine::finish`]. Which engine and which snapshot format is behind
+/// it — [`SequentialResumable`] for [`Run::sequential`], the FIFO
+/// [`SimWorld`] for [`Run::simulated`] — is hidden; however the budget
+/// is cut into `advance` calls, and across any
+/// [`Engine::snapshot`]/[`Run::resume`] boundary, `finish()` equals the
+/// one-shot [`Run::execute`] bit for bit.
+pub struct Engine(EngineKind);
+
+enum EngineKind {
+    Sequential(Box<SequentialResumable>),
+    Simulated(Box<SimWorld>),
+}
+
+impl Engine {
+    /// Do the next piece of work and report where the run stands: a
+    /// sequential engine performs up to `max_ops` further operations; a
+    /// simulated one executes its next Section-4.5 step — its
+    /// indivisible unit — whatever `max_ops > 0` says. `max_ops == 0`
+    /// and a finished engine do nothing.
+    pub fn advance(&mut self, max_ops: u64) -> StepProgress {
+        let mut progress = StepProgress::default();
+        match &mut self.0 {
+            EngineKind::Sequential(eng) => {
+                eng.step(max_ops);
             }
-            Mode::Parallel => {
-                RunOutcome::Parallel(Box::new(parallel_curveball(graph, budget, &self.config)))
-            }
-            Mode::Simulated => {
-                RunOutcome::Parallel(Box::new(simulate_curveball(graph, budget, &self.config)))
+            EngineKind::Simulated(world) => {
+                if max_ops > 0 {
+                    progress.logical_msgs = world.step().map_or(0, |tel| tel.logical_msgs.total());
+                }
+                progress.step = world.next_step();
+                progress.steps = world.steps();
             }
         }
+        progress.performed = self.performed();
+        progress.budget = self.budget();
+        progress.visit_rate = self.visit_rate();
+        progress
+    }
+
+    /// Stream live span totals out of the engine while it runs: a
+    /// [`StreamingProbe`](crate::obs::StreamingProbe) sends cumulative
+    /// totals through `tx` every `every` spans, in place of whatever
+    /// [`Run::probe`] attached ([`Engine::finish`] then carries no
+    /// report). Works on a resumed engine too. Only the sequential
+    /// engine has one span stream to forward; on a simulated engine
+    /// (one probe per rank) this does nothing and `tx` is dropped.
+    pub fn attach_probe(&mut self, tx: Sender<ProgressEvent>, every: u64) {
+        if let EngineKind::Sequential(eng) = &mut self.0 {
+            eng.attach_probe(tx, every);
+        }
+    }
+
+    /// Whether the budget is exhausted (performed, abandoned or
+    /// forfeited).
+    pub fn is_done(&self) -> bool {
+        match &self.0 {
+            EngineKind::Sequential(eng) => eng.is_done(),
+            EngineKind::Simulated(world) => world.is_done(),
+        }
+    }
+
+    /// Operations performed so far.
+    pub fn performed(&self) -> u64 {
+        match &self.0 {
+            EngineKind::Sequential(eng) => eng.performed(),
+            EngineKind::Simulated(world) => world.performed(),
+        }
+    }
+
+    /// The run's operation budget `t`.
+    pub fn budget(&self) -> u64 {
+        match &self.0 {
+            EngineKind::Sequential(eng) => eng.budget(),
+            EngineKind::Simulated(world) => world.budget(),
+        }
+    }
+
+    /// Observed visit rate so far.
+    pub fn visit_rate(&self) -> f64 {
+        match &self.0 {
+            EngineKind::Sequential(eng) => eng.visit_rate(),
+            EngineKind::Simulated(world) => world.visit_rate(),
+        }
+    }
+
+    /// The complete engine state at the current pause point, as bytes
+    /// for [`Run::resume`] (the `ESNP` snapshot codec of
+    /// [`crate::parallel::wire`]).
+    pub fn snapshot(&self) -> Vec<u8> {
+        match &self.0 {
+            EngineKind::Sequential(eng) => encode_seq_checkpoint(&eng.checkpoint()),
+            EngineKind::Simulated(world) => encode_world_snapshot(&world.snapshot()),
+        }
+    }
+
+    /// Tear down into the outcome of the work done so far (the whole
+    /// run's once [`Engine::is_done`]); carries the [`RunReport`] iff
+    /// the engine was started observed.
+    pub fn finish(self) -> RunOutcome {
+        match self.0 {
+            EngineKind::Sequential(eng) => {
+                let (graph, outcome) = eng.finish();
+                RunOutcome::Sequential(Box::new(SequentialRun { graph, outcome }))
+            }
+            EngineKind::Simulated(world) => RunOutcome::Parallel(Box::new(world.finish().0)),
+        }
+    }
+
+    /// Advance to the end of the budget and tear down — all of
+    /// [`Run::execute`] on a stepped driver: the sequential budget as
+    /// one chunk, the simulated world step by step.
+    pub fn run_to_end(mut self) -> RunOutcome {
+        match &mut self.0 {
+            EngineKind::Sequential(eng) => {
+                eng.step(u64::MAX);
+            }
+            EngineKind::Simulated(world) => world.run_to_end(),
+        }
+        self.finish()
     }
 }
 
@@ -437,7 +718,8 @@ pub struct SequentialRun {
     pub outcome: SequentialOutcome,
 }
 
-/// What [`Run::execute`] produced, with driver-independent accessors.
+/// What [`Run::execute`] (or [`Engine::finish`]) produced, with
+/// driver-independent accessors.
 #[derive(Debug)]
 pub enum RunOutcome {
     /// A sequential run.
@@ -500,7 +782,6 @@ impl RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential::sequential_edge_switch;
     use edgeswitch_dist::root_rng;
     use edgeswitch_graph::generators::erdos_renyi_gnm;
 
@@ -528,27 +809,166 @@ mod tests {
     }
 
     #[test]
-    fn sequential_run_matches_free_function() {
+    fn prepared_config_replaces_the_knobs_and_pins_the_partitioner() {
         let g = graph();
-        let out = Run::sequential().switches(400).seed(11).execute(&g);
-        let mut direct = g.clone();
-        let d = sequential_edge_switch(&mut direct, 400, &mut root_rng(11));
-        assert_eq!(out.performed(), d.performed);
-        assert!(out.graph().same_edge_set(&direct));
-        assert!(out.report().is_none());
-        let run = out.into_sequential().expect("sequential run");
-        assert_eq!(run.outcome.rejects, d.rejects);
+        let cfg = ParallelConfig::new(3)
+            .with_seed(5)
+            .with_local_fastpath(false);
+        let run = Run::simulated(8).switches(300).prepared(cfg, None);
+        assert_eq!(run.config().processors, 3);
+        assert!(!run.config().local_fastpath);
+        let built = run.execute(&g).into_parallel().expect("parallel outcome");
+        assert_eq!(built.per_rank.len(), 3);
+        // The same partitioner handed over explicitly changes nothing;
+        // a different one moves the initial split.
+        let cfg = run.config().clone();
+        let same = Partitioner::build(cfg.scheme, &g, 3, &mut cfg.root_rng());
+        let pinned = Run::simulated(3)
+            .switches(300)
+            .prepared(cfg.clone(), Some(same))
+            .execute(&g);
+        assert_eq!(pinned.graph().edge_digest(), built.graph.edge_digest());
+        let hashed = Run::simulated(3)
+            .switches(300)
+            .prepared(cfg.clone(), Some(Partitioner::hash_division(3)))
+            .execute(&g)
+            .into_parallel()
+            .expect("parallel outcome");
+        assert_ne!(hashed.initial_edges, built.initial_edges);
+        let wrong_size = Run::simulated(3)
+            .switches(300)
+            .prepared(cfg, Some(Partitioner::hash_division(4)))
+            .try_execute(&g);
+        assert!(matches!(wrong_size, Err(RunError::InvalidConfig(_))));
     }
 
     #[test]
-    fn simulated_run_matches_free_function() {
+    fn only_sequential_and_simulated_switch_runs_can_be_stepped() {
         let g = graph();
-        let out = Run::simulated(4).switches(300).seed(5).execute(&g);
-        let direct = simulate_parallel(&g, 300, &ParallelConfig::new(4).with_seed(5));
-        assert!(out.graph().same_edge_set(&direct.graph));
-        assert_eq!(out.performed(), direct.performed());
-        let par = out.into_parallel().expect("parallel outcome");
-        assert_eq!(par.steps, direct.steps);
+        assert!(Run::sequential().switches(10).start(&g).is_ok());
+        assert!(Run::simulated(2).switches(10).start(&g).is_ok());
+        for run in [
+            Run::parallel(2).switches(10),
+            Run::process(2).switches(10),
+            Run::sequential()
+                .switches(10)
+                .randomizer(Randomizer::Curveball),
+            Run::simulated(2)
+                .switches(10)
+                .randomizer(Randomizer::Curveball),
+        ] {
+            let err = run.start(&g).err().expect("not steppable");
+            assert!(matches!(err, RunError::BackendUnsupported(_)), "{err:?}");
+            let err = run.resume(&g, &[]).err().expect("not steppable");
+            assert!(matches!(err, RunError::BackendUnsupported(_)), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn a_started_engine_is_observed_and_a_resumed_one_is_not() {
+        let g = graph();
+        for run in [
+            Run::sequential()
+                .switches(400)
+                .seed(3)
+                .probe(ObsSpec::Spans),
+            Run::simulated(2)
+                .switches(400)
+                .seed(3)
+                .probe(ObsSpec::Spans),
+        ] {
+            let mut engine = run.start(&g).expect("steppable");
+            engine.advance(100);
+            let bytes = engine.snapshot();
+            let observed = engine.run_to_end();
+            assert!(observed.report().is_some());
+            let resumed = run.resume(&g, &bytes).expect("own snapshot").run_to_end();
+            assert!(resumed.report().is_none());
+            assert_eq!(
+                resumed.graph().edge_digest(),
+                observed.graph().edge_digest()
+            );
+        }
+    }
+
+    #[test]
+    fn a_streamed_engine_is_bit_identical_to_a_silent_one() {
+        let g = graph();
+        let run = Run::sequential().switches(600).seed(21);
+        let silent = run.execute(&g);
+        // Streaming attaches to a fresh engine and again after a resume.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut engine = run.start(&g).unwrap();
+        engine.attach_probe(tx.clone(), 16);
+        engine.advance(97);
+        let bytes = engine.snapshot();
+        drop(engine);
+        let mut engine = run.resume(&g, &bytes).unwrap();
+        engine.attach_probe(tx, 16);
+        let streamed = engine.run_to_end();
+        assert_eq!(streamed.graph().edge_digest(), silent.graph().edge_digest());
+        assert_eq!(streamed.performed(), silent.performed());
+        assert!(streamed.report().is_none());
+        let events: Vec<ProgressEvent> = rx.iter().collect();
+        assert!(events.len() > 2, "both probes must stream");
+        // A simulated engine has no single span stream: the sender is
+        // dropped unused and the run is untouched.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sim = Run::simulated(2).switches(100).seed(21);
+        let mut engine = sim.start(&g).unwrap();
+        engine.attach_probe(tx, 1);
+        let out = engine.run_to_end();
+        assert_eq!(
+            out.graph().edge_digest(),
+            sim.execute(&g).graph().edge_digest()
+        );
+        assert_eq!(rx.iter().count(), 0);
+    }
+
+    #[test]
+    fn advance_reports_progress_and_zero_does_nothing() {
+        let g = graph();
+        let mut seq = Run::sequential().switches(100).start(&g).unwrap();
+        assert_eq!(seq.advance(0).performed, 0);
+        let progress = seq.advance(30);
+        assert_eq!((progress.performed, progress.budget), (30, 100));
+        assert_eq!((progress.step, progress.steps), (0, 0));
+        assert!((progress.fraction() - 0.3).abs() < 1e-12);
+        let mut sim = Run::simulated(2)
+            .switches(100)
+            .step_size(StepSize::Ops(25))
+            .start(&g)
+            .unwrap();
+        assert_eq!(sim.advance(0).step, 0);
+        let progress = sim.advance(1);
+        assert_eq!((progress.step, progress.steps), (1, 4));
+        assert_eq!(progress.performed, sim.performed());
+        assert!(progress.logical_msgs > 0);
+        assert!(!sim.is_done());
+    }
+
+    #[test]
+    fn foreign_snapshots_are_bad_snapshots() {
+        let g = graph();
+        let seq = Run::sequential().switches(200).seed(1);
+        let sim = Run::simulated(2).switches(200).seed(1);
+        let seq_bytes = seq.start(&g).unwrap().snapshot();
+        let sim_bytes = sim.start(&g).unwrap().snapshot();
+        let bad = |res: Result<Engine, RunError>| {
+            matches!(res.err().expect("must fail"), RunError::BadSnapshot(_))
+        };
+        // The other engine's format, another seed, budget or graph.
+        assert!(bad(seq.resume(&g, &sim_bytes)));
+        assert!(bad(sim.resume(&g, &seq_bytes)));
+        assert!(bad(seq.clone().seed(2).resume(&g, &seq_bytes)));
+        assert!(bad(sim.clone().seed(2).resume(&g, &sim_bytes)));
+        assert!(bad(seq.clone().switches(201).resume(&g, &seq_bytes)));
+        let other = erdos_renyi_gnm(150, 600, &mut root_rng(4));
+        assert!(bad(seq.resume(&other, &seq_bytes)));
+        assert!(bad(sim.resume(&other, &sim_bytes)));
+        assert!(bad(seq.resume(&g, &seq_bytes[..seq_bytes.len() - 1])));
+        assert!(seq.resume(&g, &seq_bytes).is_ok());
+        assert!(sim.resume(&g, &sim_bytes).is_ok());
     }
 
     #[test]

@@ -54,8 +54,7 @@ pub struct SequentialOutcome {
     /// Visit tracking against the initial edge set.
     pub tracker: VisitTracker,
     /// Aggregated observability report (`Some` iff the run was
-    /// observed, i.e. run via [`sequential_edge_switch_observed`] with a
-    /// non-`Off` spec).
+    /// observed).
     pub report: Option<RunReport>,
 }
 
@@ -68,65 +67,6 @@ impl SequentialOutcome {
 
 /// Retry budget per operation before declaring the graph switch-starved.
 const MAX_RETRIES_PER_OP: u64 = 100_000;
-
-/// Perform `t` switch operations on `graph` in place (Algorithm 1).
-///
-/// Graphs with fewer than two edges, or degenerate graphs on which no
-/// legal switch exists (e.g. a star), end early with the shortfall
-/// reported in [`SequentialOutcome::abandoned`].
-pub fn sequential_edge_switch<R: Rng + ?Sized>(
-    graph: &mut Graph,
-    t: u64,
-    rng: &mut R,
-) -> SequentialOutcome {
-    sequential_edge_switch_observed(graph, t, rng, ObsSpec::Off)
-}
-
-/// [`sequential_edge_switch`] with observation attached: phase spans are
-/// recorded against the monotonic clock and aggregated into
-/// [`SequentialOutcome::report`]. Probes only read, so the switched graph
-/// is bit-identical to an unobserved run under the same seed.
-pub fn sequential_edge_switch_observed<R: Rng + ?Sized>(
-    graph: &mut Graph,
-    t: u64,
-    rng: &mut R,
-    spec: ObsSpec,
-) -> SequentialOutcome {
-    let mut obs = if spec.enabled() {
-        spec.build_mono()
-    } else {
-        Obs::noop()
-    };
-    let run_start = obs.now();
-    let mut outcome = SequentialOutcome {
-        performed: 0,
-        abandoned: 0,
-        rejects: RejectCounts::default(),
-        tracker: VisitTracker::new(graph.edges()),
-        report: None,
-    };
-    if graph.num_edges() < 2 {
-        outcome.abandoned = t;
-        finish_report(&mut outcome, obs, run_start);
-        return outcome;
-    }
-    let chunk = run_ops_chunk(
-        graph,
-        t,
-        rng,
-        &mut outcome.tracker,
-        &mut outcome.rejects,
-        &mut outcome.performed,
-        &mut obs,
-    );
-    if chunk == ChunkOutcome::Starved {
-        // No legal switch found; the remaining budget will fare no
-        // better on a graph this degenerate.
-        outcome.abandoned = t - outcome.performed;
-    }
-    finish_report(&mut outcome, obs, run_start);
-    outcome
-}
 
 /// How a chunk of operations ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -141,10 +81,9 @@ enum ChunkOutcome {
 /// Run up to `ops` switch operations — the body of Algorithm 1, with all
 /// accumulating state passed in by the caller.
 ///
-/// This is the single implementation shared by the one-shot entry points
-/// and [`SequentialResumable`]: chunk boundaries consume no randomness
-/// and touch no state beyond the arguments, so splitting a budget across
-/// calls is bit-identical to one uninterrupted call.
+/// Chunk boundaries consume no randomness and touch no state beyond the
+/// arguments, so splitting a budget across calls is bit-identical to one
+/// uninterrupted call.
 fn run_ops_chunk<R: Rng + ?Sized>(
     graph: &mut Graph,
     ops: u64,
@@ -199,30 +138,6 @@ fn run_ops_chunk<R: Rng + ?Sized>(
     ChunkOutcome::Ran
 }
 
-/// Fold an observation context into the outcome's [`RunReport`] (no-op
-/// for unobserved runs).
-fn finish_report(outcome: &mut SequentialOutcome, obs: Obs, run_start: u64) {
-    if !obs.enabled() {
-        return;
-    }
-    let wall_ns = obs.now().saturating_sub(run_start);
-    if let Some(rec) = obs.finish() {
-        outcome.report = Some(RunReport::from_obs("monotonic", 1, wall_ns, &rec, None));
-    }
-}
-
-/// Perform the number of operations required for an expected visit rate
-/// `x` (Section 3.1: `t = E[T]/2`), returning the outcome and the `t`
-/// used.
-pub fn sequential_for_visit_rate<R: Rng + ?Sized>(
-    graph: &mut Graph,
-    x: f64,
-    rng: &mut R,
-) -> (SequentialOutcome, u64) {
-    let t = edgeswitch_dist::switch_ops_for_visit_rate(graph.num_edges() as u64, x);
-    (sequential_edge_switch(graph, t, rng), t)
-}
-
 /// The persistent state of a [`SequentialResumable`] between chunks —
 /// everything a resumed run needs to continue bit-identically.
 ///
@@ -254,18 +169,19 @@ pub struct SeqCheckpoint {
     pub rng_words: u64,
 }
 
-/// Algorithm 1 as a pausable engine: the same switch loop as
-/// [`sequential_edge_switch`], split into caller-sized chunks with a
-/// checkpoint between any two of them.
+/// Algorithm 1 as a pausable engine: the switch loop of Section 3.3 in
+/// caller-sized chunks, with a checkpoint between any two of them. This
+/// is the one sequential driver — [`Run`](crate::Run) runs a whole
+/// budget as a single chunk.
 ///
 /// Chunk boundaries consume no randomness and the RNG is block-buffered
 /// with a word counter ([`BlockRng64`]), so for a given `(graph, t,
 /// seed)` the final graph and counters are bit-identical whether the
 /// budget runs in one call, many chunks, or across a
 /// checkpoint/restore — the property the job service's checkpointer
-/// relies on. Resumable runs are unobserved (probes cannot be
-/// snapshotted); progress is read from [`SequentialResumable::performed`]
-/// instead.
+/// relies on. A fresh engine can be observed
+/// ([`SequentialResumable::with_obs`]); the checkpoint never carries the
+/// probe, so a restored engine is unobserved.
 pub struct SequentialResumable {
     graph: Graph,
     seed: u64,
@@ -276,35 +192,49 @@ pub struct SequentialResumable {
     tracker: VisitTracker,
     rng: BlockRng64,
     obs: Obs,
+    /// [`Obs::now`] when observation was attached (0 when unobserved).
+    run_start: u64,
 }
 
 impl SequentialResumable {
-    /// Start a run of `t` operations on `graph` seeded with `seed`.
+    /// Start a run of `t` operations on `graph` seeded with `seed`; the
+    /// RNG stream is `root_rng(seed)` behind a block buffer.
     ///
-    /// The RNG stream is `root_rng(seed)` behind a block buffer —
-    /// bit-identical to the bare stream the one-shot entry points use.
+    /// Graphs with fewer than two edges, or degenerate graphs on which
+    /// no legal switch exists (e.g. a star), end early with the
+    /// shortfall reported in [`SequentialOutcome::abandoned`].
     pub fn new(graph: Graph, t: u64, seed: u64) -> Self {
         let tracker = VisitTracker::new(graph.edges());
-        let mut this = SequentialResumable {
+        let abandoned = if graph.num_edges() < 2 { t } else { 0 };
+        SequentialResumable {
             graph,
             seed,
             t,
             performed: 0,
-            abandoned: 0,
+            abandoned,
             rejects: RejectCounts::default(),
             tracker,
             rng: BlockRng64::new(root_rng(seed)),
             obs: Obs::noop(),
-        };
-        if this.graph.num_edges() < 2 {
-            this.abandoned = t;
+            run_start: 0,
         }
-        this
+    }
+
+    /// Attach observation (builder-style): phase spans are recorded
+    /// against the monotonic clock and [`SequentialResumable::finish`]
+    /// aggregates them into [`SequentialOutcome::report`]. Probes only
+    /// read, so the switched graph is bit-identical to an unobserved run
+    /// under the same seed.
+    pub fn with_obs(mut self, spec: ObsSpec) -> Self {
+        if spec.enabled() {
+            self.obs = spec.build_mono();
+            self.run_start = self.obs.now();
+        }
+        self
     }
 
     /// Run up to `max_ops` further operations; returns how many were
-    /// performed this chunk. Starvation abandons the rest of the budget,
-    /// exactly like the one-shot path.
+    /// performed this chunk. Starvation abandons the rest of the budget.
     pub fn step(&mut self, max_ops: u64) -> u64 {
         if self.is_done() {
             return 0;
@@ -321,6 +251,8 @@ impl SequentialResumable {
             &mut self.obs,
         );
         if chunk == ChunkOutcome::Starved {
+            // No legal switch found; the remaining budget will fare no
+            // better on a graph this degenerate.
             self.abandoned = self.t - self.performed;
         }
         self.performed - before
@@ -328,10 +260,11 @@ impl SequentialResumable {
 
     /// Stream live progress out of this run: cumulative span totals go
     /// through `tx` every `every` spans (see
-    /// [`StreamingProbe`](crate::obs::StreamingProbe)). Probes only read,
-    /// so a streamed run stays bit-identical to a silent one; snapshots
-    /// do not carry the probe — a restored run starts silent until a
-    /// probe is attached again.
+    /// [`StreamingProbe`](crate::obs::StreamingProbe)), replacing any
+    /// observation attached before. Probes only read, so a streamed run
+    /// stays bit-identical to a silent one; snapshots do not carry the
+    /// probe — a restored run starts silent until a probe is attached
+    /// again.
     pub fn attach_probe(
         &mut self,
         tx: std::sync::mpsc::Sender<crate::obs::ProgressEvent>,
@@ -381,18 +314,44 @@ impl SequentialResumable {
         }
     }
 
-    /// Rebuild an engine from a checkpoint: graph reinserted in captured
-    /// pool order, tracker from its parts, RNG re-derived from the seed
-    /// and fast-forwarded to the recorded stream position.
-    pub fn restore(ckpt: &SeqCheckpoint) -> Self {
-        let graph = Graph::from_edges(ckpt.n, ckpt.graph_edges.iter().copied())
-            .expect("checkpointed graph is well-formed");
-        let mut rng = BlockRng64::new(root_rng(ckpt.seed));
-        rng.skip_words(ckpt.rng_words);
-        SequentialResumable {
-            graph,
-            seed: ckpt.seed,
-            t: ckpt.t,
+    /// Rebuild the engine of the `t`-operation run on `graph` under
+    /// `seed` from a checkpoint: graph reinserted in captured pool
+    /// order, tracker from its parts, RNG re-derived from the seed and
+    /// fast-forwarded to the recorded stream position.
+    ///
+    /// The checkpoint is untrusted (it comes from a file): its identity
+    /// fields must match `(graph, t, seed)` and its edges must realize
+    /// `graph`'s degree sequence, otherwise the reason comes back as
+    /// `Err` — a resume against the wrong job, or from damaged bytes,
+    /// never panics and never silently diverges.
+    pub fn restore(graph: &Graph, t: u64, seed: u64, ckpt: &SeqCheckpoint) -> Result<Self, String> {
+        if (ckpt.seed, ckpt.t) != (seed, t) {
+            return Err(format!(
+                "checkpoint is of seed {} budget {}, the run is seed {seed} budget {t}",
+                ckpt.seed, ckpt.t
+            ));
+        }
+        if ckpt
+            .performed
+            .checked_add(ckpt.abandoned)
+            .is_none_or(|done| done > t)
+        {
+            return Err("checkpoint progress exceeds its budget".to_string());
+        }
+        if ckpt.tracker_initial != graph.num_edges()
+            || ckpt.tracker_remaining.len() > ckpt.tracker_initial
+        {
+            return Err("checkpoint visit tracker does not fit the graph".to_string());
+        }
+        check_degrees(graph, ckpt.n, &mut ckpt.graph_edges.iter().copied())?;
+        let switched = Graph::from_edges(ckpt.n, ckpt.graph_edges.iter().copied())
+            .map_err(|err| format!("checkpoint graph is not simple: {err:?}"))?;
+        let mut rng = BlockRng64::new(root_rng(seed));
+        rng.jump_words(ckpt.rng_words);
+        Ok(SequentialResumable {
+            graph: switched,
+            seed,
+            t,
             performed: ckpt.performed,
             abandoned: ckpt.abandoned,
             rejects: ckpt.rejects,
@@ -402,12 +361,21 @@ impl SequentialResumable {
             ),
             rng,
             obs: Obs::noop(),
-        }
+            run_start: 0,
+        })
     }
 
-    /// Tear down into the switched graph and the run outcome
-    /// (`report` is `None`: resumable runs are unobserved).
+    /// Tear down into the switched graph and the run outcome; `report`
+    /// is `Some` iff the engine was observed.
     pub fn finish(self) -> (Graph, SequentialOutcome) {
+        let report = if self.obs.enabled() {
+            let wall_ns = self.obs.now().saturating_sub(self.run_start);
+            self.obs
+                .finish()
+                .map(|rec| RunReport::from_obs("monotonic", 1, wall_ns, &rec, None))
+        } else {
+            None
+        };
         (
             self.graph,
             SequentialOutcome {
@@ -415,9 +383,40 @@ impl SequentialResumable {
                 abandoned: self.abandoned,
                 rejects: self.rejects,
                 tracker: self.tracker,
-                report: None,
+                report,
             },
         )
+    }
+}
+
+/// Check that `edges` — the edge list of an untrusted snapshot taken on
+/// `n` vertices — realizes exactly `graph`'s degree sequence. Switching
+/// preserves every degree, so this holds for any genuine snapshot of a
+/// run on `graph`, and a damaged edge list almost surely breaks it.
+pub(crate) fn check_degrees(
+    graph: &Graph,
+    n: usize,
+    edges: &mut dyn Iterator<Item = Edge>,
+) -> Result<(), String> {
+    if n != graph.num_vertices() {
+        return Err(format!(
+            "snapshot is of a {n}-vertex graph, the run's has {}",
+            graph.num_vertices()
+        ));
+    }
+    let mut degree = vec![0u32; n];
+    for e in edges {
+        if e.dst() >= n as u64 {
+            return Err(format!("snapshot edge {e} is out of range"));
+        }
+        degree[e.src() as usize] += 1;
+        degree[e.dst() as usize] += 1;
+    }
+    let same = (0..n).all(|v| degree[v] as usize == graph.degree(v as u64));
+    if same {
+        Ok(())
+    } else {
+        Err("snapshot edges do not realize the run's degree sequence".to_string())
     }
 }
 
@@ -428,43 +427,39 @@ mod tests {
     use edgeswitch_graph::generators::erdos_renyi_gnm;
     use edgeswitch_graph::Edge;
 
+    /// The whole budget as one chunk.
+    fn switch(graph: Graph, t: u64, seed: u64) -> (Graph, SequentialOutcome) {
+        let mut eng = SequentialResumable::new(graph, t, seed);
+        eng.step(u64::MAX);
+        assert!(eng.is_done());
+        eng.finish()
+    }
+
     #[test]
     fn preserves_degree_sequence_and_simplicity() {
-        let mut rng = root_rng(1);
-        let mut g = erdos_renyi_gnm(300, 1200, &mut rng);
+        let g = erdos_renyi_gnm(300, 1200, &mut root_rng(1));
         let before = g.degree_sequence();
-        let out = sequential_edge_switch(&mut g, 5000, &mut rng);
+        let (g, out) = switch(g, 5000, 1);
         assert_eq!(out.performed, 5000);
         assert_eq!(g.degree_sequence(), before);
+        assert_eq!(g.num_edges(), 1200);
         g.check_invariants().unwrap();
     }
 
     #[test]
-    fn preserves_edge_count() {
-        let mut rng = root_rng(2);
-        let mut g = erdos_renyi_gnm(100, 400, &mut rng);
-        sequential_edge_switch(&mut g, 1000, &mut rng);
-        assert_eq!(g.num_edges(), 400);
-    }
-
-    #[test]
     fn visit_rate_grows_with_t() {
-        let mut rng = root_rng(3);
-        let mut g = erdos_renyi_gnm(200, 800, &mut rng);
-        let out1 = sequential_edge_switch(&mut g, 100, &mut rng);
-        let r1 = out1.visit_rate();
-        let out2 = sequential_edge_switch(&mut g, 900, &mut rng);
-        // Fresh tracker per call; just check both are sane and the larger
-        // budget visits more.
-        assert!(out2.visit_rate() > r1);
+        let g = erdos_renyi_gnm(200, 800, &mut root_rng(3));
+        let (_, short) = switch(g.clone(), 100, 3);
+        let (_, long) = switch(g, 900, 3);
+        assert!(long.visit_rate() > short.visit_rate());
     }
 
     #[test]
     fn visit_rate_matches_target_on_medium_graph() {
         // Section 3.1's headline experiment at reduced scale: x = 0.5.
-        let mut rng = root_rng(4);
-        let mut g = erdos_renyi_gnm(2000, 20_000, &mut rng);
-        let (out, _t) = sequential_for_visit_rate(&mut g, 0.5, &mut rng);
+        let g = erdos_renyi_gnm(2000, 20_000, &mut root_rng(4));
+        let t = edgeswitch_dist::switch_ops_for_visit_rate(g.num_edges() as u64, 0.5);
+        let (_, out) = switch(g, t, 4);
         let observed = out.visit_rate();
         assert!(
             (observed - 0.5).abs() < 0.02,
@@ -474,9 +469,8 @@ mod tests {
 
     #[test]
     fn star_graph_abandons_gracefully() {
-        let mut rng = root_rng(5);
-        let mut g = Graph::from_edges(6, (1..6u64).map(|v| Edge::new(0, v))).unwrap();
-        let out = sequential_edge_switch(&mut g, 10, &mut rng);
+        let g = Graph::from_edges(6, (1..6u64).map(|v| Edge::new(0, v))).unwrap();
+        let (g, out) = switch(g, 10, 5);
         assert_eq!(out.performed, 0);
         assert_eq!(out.abandoned, 10);
         assert!(out.rejects.total() >= MAX_RETRIES_PER_OP);
@@ -486,100 +480,56 @@ mod tests {
 
     #[test]
     fn tiny_graphs_do_not_panic() {
-        let mut rng = root_rng(6);
-        let mut g0 = Graph::new(0);
-        assert_eq!(sequential_edge_switch(&mut g0, 5, &mut rng).abandoned, 5);
-        let mut g1 = Graph::from_edges(2, vec![Edge::new(0, 1)]).unwrap();
-        assert_eq!(sequential_edge_switch(&mut g1, 5, &mut rng).abandoned, 5);
+        assert_eq!(switch(Graph::new(0), 5, 6).1.abandoned, 5);
+        let g1 = Graph::from_edges(2, vec![Edge::new(0, 1)]).unwrap();
+        assert_eq!(switch(g1, 5, 6).1.abandoned, 5);
     }
 
     #[test]
     fn zero_ops_is_identity() {
-        let mut rng = root_rng(7);
-        let mut g = erdos_renyi_gnm(50, 100, &mut rng);
+        let g = erdos_renyi_gnm(50, 100, &mut root_rng(7));
         let before = g.sorted_edges();
-        let out = sequential_edge_switch(&mut g, 0, &mut rng);
+        let (g, out) = switch(g, 0, 7);
         assert_eq!(out.performed, 0);
         assert_eq!(g.sorted_edges(), before);
     }
 
     #[test]
     fn deterministic_under_seed() {
-        let mut r1 = root_rng(8);
-        let mut g1 = erdos_renyi_gnm(100, 300, &mut r1);
-        sequential_edge_switch(&mut g1, 500, &mut r1);
-
-        let mut r2 = root_rng(8);
-        let mut g2 = erdos_renyi_gnm(100, 300, &mut r2);
-        sequential_edge_switch(&mut g2, 500, &mut r2);
-
-        assert!(g1.same_edge_set(&g2));
-    }
-
-    #[test]
-    fn resumable_chunked_matches_one_shot() {
-        let mut rng = root_rng(11);
-        let g0 = erdos_renyi_gnm(120, 500, &mut rng);
-
-        let mut reference = g0.clone();
-        let ref_out = sequential_edge_switch(&mut reference, 800, &mut root_rng(42));
-
-        let mut eng = SequentialResumable::new(g0, 800, 42);
-        while !eng.is_done() {
-            eng.step(37); // deliberately awkward chunk size
-        }
-        let (g, out) = eng.finish();
-        assert_eq!(g.sorted_edges(), reference.sorted_edges());
-        assert_eq!(out.performed, ref_out.performed);
-        assert_eq!(out.rejects, ref_out.rejects);
-        assert_eq!(out.tracker.visited_count(), ref_out.tracker.visited_count());
-    }
-
-    #[test]
-    fn resumable_checkpoint_restore_is_bit_identical() {
-        let mut rng = root_rng(12);
-        let g0 = erdos_renyi_gnm(150, 600, &mut rng);
-
-        let mut full = SequentialResumable::new(g0.clone(), 1000, 7);
-        while !full.is_done() {
-            full.step(1000);
-        }
-        let (gf, of) = full.finish();
-
-        let mut first = SequentialResumable::new(g0, 1000, 7);
-        first.step(333);
-        let ckpt = first.checkpoint();
-        drop(first); // simulate the process dying
-        let mut second = SequentialResumable::restore(&ckpt);
-        while !second.is_done() {
-            second.step(250);
-        }
-        let (gr, or) = second.finish();
-        assert_eq!(gf.sorted_edges(), gr.sorted_edges());
-        assert_eq!(of.performed, or.performed);
-        assert_eq!(of.rejects, or.rejects);
-        assert_eq!(of.tracker.visited_count(), or.tracker.visited_count());
-    }
-
-    #[test]
-    fn resumable_starved_graph_abandons() {
-        let g = Graph::from_edges(6, (1..6u64).map(|v| Edge::new(0, v))).unwrap();
-        let mut eng = SequentialResumable::new(g, 10, 5);
-        eng.step(10);
-        assert!(eng.is_done());
-        let (_, out) = eng.finish();
-        assert_eq!(out.performed, 0);
-        assert_eq!(out.abandoned, 10);
+        let g = erdos_renyi_gnm(100, 300, &mut root_rng(8));
+        let (a, _) = switch(g.clone(), 500, 8);
+        let (b, _) = switch(g.clone(), 500, 8);
+        let (c, _) = switch(g, 500, 9);
+        assert!(a.same_edge_set(&b));
+        assert!(!a.same_edge_set(&c));
     }
 
     #[test]
     fn randomizes_structure() {
         // Switching must actually change the edge set at full visit rate.
-        let mut rng = root_rng(9);
-        let mut g = erdos_renyi_gnm(200, 1000, &mut rng);
-        let before = g.clone();
-        let (out, _) = sequential_for_visit_rate(&mut g, 1.0, &mut rng);
+        let before = erdos_renyi_gnm(200, 1000, &mut root_rng(9));
+        let t = edgeswitch_dist::switch_ops_for_visit_rate(1000, 1.0);
+        let (g, out) = switch(before.clone(), t, 9);
         assert!(out.visit_rate() > 0.99);
         assert!(!g.same_edge_set(&before));
+    }
+
+    #[test]
+    fn restore_rejects_a_checkpoint_of_another_run() {
+        let g = erdos_renyi_gnm(150, 600, &mut root_rng(12));
+        let mut eng = SequentialResumable::new(g.clone(), 1000, 7);
+        eng.step(333);
+        let ckpt = eng.checkpoint();
+        assert!(SequentialResumable::restore(&g, 1000, 7, &ckpt).is_ok());
+        assert!(SequentialResumable::restore(&g, 1000, 8, &ckpt).is_err());
+        assert!(SequentialResumable::restore(&g, 999, 7, &ckpt).is_err());
+        let other = erdos_renyi_gnm(150, 600, &mut root_rng(13));
+        assert!(SequentialResumable::restore(&other, 1000, 7, &ckpt).is_err());
+        let mut damaged = ckpt.clone();
+        damaged.graph_edges.swap_remove(0);
+        assert!(SequentialResumable::restore(&g, 1000, 7, &damaged).is_err());
+        let mut overrun = ckpt;
+        overrun.performed = u64::MAX;
+        assert!(SequentialResumable::restore(&g, 1000, 7, &overrun).is_err());
     }
 }

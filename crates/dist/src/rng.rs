@@ -31,10 +31,10 @@ pub const RNG_BLOCK_WORDS: usize = 32;
 /// Every draw routes through [`RngCore::next_u64`], so the generator
 /// also knows its exact *stream position*: [`BlockRng64::words_served`]
 /// counts the words handed out so far, and
-/// [`BlockRng64::skip_words`] fast-forwards a freshly derived stream to
+/// [`BlockRng64::jump_words`] fast-forwards a freshly derived stream to
 /// any recorded position. Together they make an engine checkpoint as
 /// small as one `u64` — re-derive the stream from `(seed, rank)` and
-/// skip — which is what the resumable drivers and the job service
+/// jump — which is what the resumable drivers and the job service
 /// serialize instead of generator internals.
 #[derive(Clone, Debug)]
 pub struct BlockRng64 {
@@ -75,14 +75,37 @@ impl BlockRng64 {
         self.served
     }
 
-    /// Fast-forward by drawing and discarding `n` words. Restoring a
-    /// checkpoint re-derives the stream from its seed and skips to the
-    /// recorded [`BlockRng64::words_served`]; every subsequent draw is
-    /// then bit-identical to the uninterrupted stream.
+    /// Fast-forward by drawing and discarding `n` words — `O(n)`, the
+    /// generator's plain serving rate. Benchmark-only: the program
+    /// restores with [`BlockRng64::jump_words`]; this stays because
+    /// `perfbench`'s `dist.rng.block_next_ns` kernel times the serving
+    /// rate through it (and the tests use it as the jump's oracle), and
+    /// goes when that kernel moves to `next_u64`.
     pub fn skip_words(&mut self, n: u64) {
         for _ in 0..n {
             self.next_u64();
         }
+    }
+
+    /// Fast-forward `n` words in `O(log n)`: the same stream position as
+    /// [`BlockRng64::skip_words`], reached by jumping the core LCG.
+    /// Restoring a checkpoint re-derives the stream from its seed and
+    /// jumps to the recorded [`BlockRng64::words_served`]; every
+    /// subsequent draw is then bit-identical to the uninterrupted
+    /// stream, and a position read from an untrusted checkpoint cannot
+    /// stall the restore however large it is.
+    pub fn jump_words(&mut self, n: u64) {
+        let pending = (self.len - self.pos) as u64;
+        if n <= pending {
+            self.pos += n as usize;
+        } else {
+            // The buffered words are already drawn from the core: jump
+            // it over the rest and restart from an empty buffer.
+            self.core.advance((n - pending) as u128);
+            self.pos = 0;
+            self.len = 0;
+        }
+        self.served = self.served.wrapping_add(n);
     }
 }
 
@@ -243,6 +266,26 @@ mod tests {
         for i in 0..100 {
             assert_eq!(full.next_u64(), resumed.next_u64(), "post-skip draw {i}");
         }
+    }
+
+    #[test]
+    fn jump_words_lands_where_skip_words_does() {
+        for n in [0u64, 5, RNG_BLOCK_WORDS as u64, 1000, 65_537] {
+            let mut skipped = rank_block_rng(31, 1);
+            let mut jumped = rank_block_rng(31, 1);
+            // Start both mid-buffer so the jump has pending words to eat.
+            for rng in [&mut skipped, &mut jumped] {
+                rng.next_u64();
+            }
+            skipped.skip_words(n);
+            jumped.jump_words(n);
+            assert_eq!(jumped.words_served(), skipped.words_served());
+            for i in 0..(2 * RNG_BLOCK_WORDS) {
+                assert_eq!(jumped.next_u64(), skipped.next_u64(), "n={n} draw {i}");
+            }
+        }
+        // An absurd position costs nothing.
+        rank_block_rng(31, 1).jump_words(u64::MAX);
     }
 
     #[test]

@@ -11,12 +11,27 @@ use crate::sampling::EdgePool;
 use crate::stream::{capacity_hint, EdgeStream};
 use crate::types::{Edge, GraphError, VertexId};
 use rand::Rng;
+use std::borrow::Cow;
 
 /// An undirected simple graph over vertices `0..n`.
 #[derive(Clone, Debug, Default)]
 pub struct Graph {
     adj: Vec<NeighborSet>,
     pool: EdgePool,
+}
+
+/// A consumer that mutates a copy takes `impl Into<Cow<Graph>>`: lend
+/// `&graph` to have it cloned, or give `graph` away to skip the clone.
+impl<'a> From<&'a Graph> for Cow<'a, Graph> {
+    fn from(graph: &'a Graph) -> Self {
+        Cow::Borrowed(graph)
+    }
+}
+
+impl From<Graph> for Cow<'_, Graph> {
+    fn from(graph: Graph) -> Self {
+        Cow::Owned(graph)
+    }
 }
 
 impl Graph {

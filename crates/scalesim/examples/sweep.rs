@@ -5,11 +5,12 @@
 //! cargo run --release -p edgeswitch-scalesim --example sweep
 //! ```
 
-use edgeswitch_core::config::*;
+use edgeswitch_core::config::StepSize;
+use edgeswitch_core::Run;
 use edgeswitch_dist::root_rng;
 use edgeswitch_graph::generators::erdos_renyi_gnm;
 use edgeswitch_graph::SchemeKind;
-use edgeswitch_scalesim::{des_parallel, CostModel};
+use edgeswitch_scalesim::{des_run, CostModel};
 
 fn main() {
     let mut rng = root_rng(42);
@@ -17,11 +18,12 @@ fn main() {
     let t = 1_200_000u64;
     let cost = CostModel::default();
     for p in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
-        let cfg = ParallelConfig::new(p)
-            .with_scheme(SchemeKind::HashUniversal)
-            .with_step_size(StepSize::FractionOfT(100))
-            .with_seed(7);
-        let (out, rep) = des_parallel(&g, t, &cfg, &cost);
+        let run = Run::simulated(p)
+            .switches(t)
+            .scheme(SchemeKind::HashUniversal)
+            .step_size(StepSize::FractionOfT(100))
+            .seed(7);
+        let (out, rep) = des_run(&run, &g, &cost);
         println!(
             "p={:4}  time={:9.3}ms  speedup={:7.2}  msgs/op={:.1}  local%={:.0}",
             p,

@@ -1,10 +1,12 @@
 //! Discrete-event execution of the parallel edge-switch protocol under
 //! the virtual-time cost model.
 //!
-//! This driver runs the *same* shared world loop as the deterministic
-//! FIFO simulator in `edgeswitch-core` — every message of Section 4.4 is
-//! logically exchanged in the same global causal order — but the
-//! transport charges virtual time as it goes (trace-driven simulation):
+//! [`des_run`] executes a [`Run`] on the *same* simulated world as the
+//! deterministic FIFO simulator in `edgeswitch-core`
+//! ([`Run::try_execute_over`]) — every message of Section 4.4 is
+//! logically exchanged in the same global causal order — but over
+//! [`DesTransport`], which charges virtual time as it goes (trace-driven
+//! simulation):
 //! handling charges CPU overhead to the receiving rank, remote delivery
 //! adds network latency, and step boundaries add the collective and
 //! multinomial costs of Section 4.5. Because the logical schedule is the
@@ -15,13 +17,11 @@
 //! for worlds far larger than the host machine.
 
 use crate::model::CostModel;
-use edgeswitch_core::config::ParallelConfig;
+use edgeswitch_core::config::Randomizer;
 use edgeswitch_core::obs::{Clock, Obs, Phase, VirtualClock};
-use edgeswitch_core::parallel::{
-    run_simulated_trades, run_simulated_world, Msg, StepTelemetry, Transport, WorldTransport,
-};
-use edgeswitch_core::{ParallelOutcome, TradeBudget};
-use edgeswitch_graph::{Graph, Partitioner};
+use edgeswitch_core::parallel::{Msg, StepTelemetry, Transport, WorldTransport};
+use edgeswitch_core::{ParallelOutcome, Run};
+use edgeswitch_graph::Graph;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -184,94 +184,41 @@ impl WorldTransport for DesTransport {
     }
 }
 
-/// Run the protocol on `p` virtual ranks under the cost model, returning
-/// the logical outcome and the timing report.
-pub fn des_parallel(
-    graph: &Graph,
-    t: u64,
-    config: &ParallelConfig,
-    cost: &CostModel,
-) -> (ParallelOutcome, DesReport) {
-    let mut rng = config.root_rng();
-    let part = Partitioner::build(config.scheme, graph, config.processors, &mut rng);
-    des_parallel_with(graph, t, config, &part, cost)
-}
-
-/// [`des_parallel`] with an explicit partitioner.
-pub fn des_parallel_with(
-    graph: &Graph,
-    t: u64,
-    config: &ParallelConfig,
-    part: &Partitioner,
-    cost: &CostModel,
-) -> (ParallelOutcome, DesReport) {
-    let p = config.processors;
-    let mut transport = DesTransport::new(p, *cost);
-    let outcome = run_simulated_world(graph, t, config, part, &mut transport);
+/// Execute `run` — its budget, config, randomizer and partitioner — on
+/// virtual ranks under the cost model, returning the logical outcome and
+/// the timing report. The logical schedule is the FIFO simulator's, so
+/// the outcome is bit-identical to `Run::simulated` under the same seed
+/// (for Curveball: to every driver, the sequential engine included); the
+/// DES adds the virtual-time axis.
+///
+/// # Panics
+/// With the [`RunError`](edgeswitch_core::RunError)'s message if `run`
+/// fails validation.
+pub fn des_run(run: &Run, graph: &Graph, cost: &CostModel) -> (ParallelOutcome, DesReport) {
+    let transport = DesTransport::new(run.config().processors, *cost);
+    let (outcome, transport) = run
+        .try_execute_over(graph, transport)
+        .unwrap_or_else(|err| panic!("{err}"));
 
     let runtime_ns = transport.runtime_ns();
-    let step_ns: Vec<f64> = outcome
-        .telemetry
-        .iter()
-        .map(|s| s.boundary_ns + s.drain_ns)
-        .collect();
-    let packets: u64 = outcome.comm.iter().map(|c| c.packets_sent).sum();
-    let seq_ns = cost.sequential_time_ns(t);
-    let report = DesReport {
-        runtime_ns,
-        packets,
-        step_ns,
-        speedup: if runtime_ns > 0.0 {
-            seq_ns / runtime_ns
-        } else {
-            1.0
-        },
-        busy_ns: transport.busy_ns(),
-    };
-    (outcome, report)
-}
-
-/// Curveball trades on `p` virtual ranks under the cost model — the
-/// trade analogue of [`des_parallel`]. The logical schedule is the core
-/// FIFO trade simulator's, so the outcome is bit-identical to
-/// `simulate_curveball` (and to the sequential engine) under the same
-/// seed; the DES adds the virtual-time axis.
-pub fn des_curveball(
-    graph: &Graph,
-    budget: TradeBudget,
-    config: &ParallelConfig,
-    cost: &CostModel,
-) -> (ParallelOutcome, DesReport) {
-    let mut rng = config.root_rng();
-    let part = Partitioner::build(config.scheme, graph, config.processors, &mut rng);
-    des_curveball_with(graph, budget, config, &part, cost)
-}
-
-/// [`des_curveball`] with an explicit partitioner.
-pub fn des_curveball_with(
-    graph: &Graph,
-    budget: TradeBudget,
-    config: &ParallelConfig,
-    part: &Partitioner,
-    cost: &CostModel,
-) -> (ParallelOutcome, DesReport) {
-    let p = config.processors;
-    let mut transport = DesTransport::new(p, *cost);
-    let outcome = run_simulated_trades(graph, budget, config, part, &mut transport);
-
-    let runtime_ns = transport.runtime_ns();
-    let step_ns: Vec<f64> = outcome
-        .telemetry
-        .iter()
-        .map(|s| s.boundary_ns + s.drain_ns)
-        .collect();
-    let packets: u64 = outcome.comm.iter().map(|c| c.packets_sent).sum();
-    let report = DesReport {
-        runtime_ns,
-        packets,
-        step_ns,
+    let speedup = match run.config().randomizer {
+        // Against the modeled sequential run of the same operation count.
+        Randomizer::Switch if runtime_ns > 0.0 => {
+            let t: u64 = outcome.telemetry.iter().map(|s| s.ops).sum();
+            cost.sequential_time_ns(t) / runtime_ns
+        }
         // No modeled sequential trade baseline: report parity.
-        speedup: 1.0,
+        _ => 1.0,
+    };
+    let report = DesReport {
+        runtime_ns,
+        packets: outcome.comm.iter().map(|c| c.packets_sent).sum(),
+        step_ns: outcome
+            .telemetry
+            .iter()
+            .map(|s| s.boundary_ns + s.drain_ns)
+            .collect(),
+        speedup,
         busy_ns: transport.busy_ns(),
     };
     (outcome, report)
@@ -280,10 +227,22 @@ pub fn des_curveball_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgeswitch_core::config::StepSize;
+    use edgeswitch_core::config::{ParallelConfig, StepSize};
     use edgeswitch_dist::root_rng;
     use edgeswitch_graph::generators::erdos_renyi_gnm;
     use edgeswitch_graph::SchemeKind;
+
+    fn des_parallel(
+        g: &Graph,
+        t: u64,
+        cfg: &ParallelConfig,
+        cost: &CostModel,
+    ) -> (ParallelOutcome, DesReport) {
+        let run = Run::simulated(cfg.processors)
+            .switches(t)
+            .prepared(cfg.clone(), None);
+        des_run(&run, g, cost)
+    }
 
     fn graph() -> Graph {
         let mut rng = root_rng(42);

@@ -8,8 +8,9 @@
 //!
 //! - [`model::CostModel`]: LogGP-style parameters (latency, per-message
 //!   overhead, per-switch compute, per-trial BINV cost),
-//! - [`des`]: a discrete-event driver that executes the *actual*
-//!   protocol state machines on virtual clocks,
+//! - [`des`]: a discrete-event transport under which
+//!   [`des_run`] executes a `Run` — the *actual* protocol state machines
+//!   — on virtual clocks,
 //! - [`predict`]: strong/weak scaling sweeps, the analytic multinomial
 //!   scaling series, and host calibration.
 //!
@@ -23,11 +24,9 @@ pub mod des;
 pub mod model;
 pub mod predict;
 
-pub use des::{
-    des_curveball, des_curveball_with, des_parallel, des_parallel_with, DesReport, DesTransport,
-};
+pub use des::{des_run, DesReport, DesTransport};
 pub use model::CostModel;
 pub use predict::{
-    calibrate, multinomial_strong_scaling, multinomial_weak_scaling, strong_scaling,
-    strong_scaling_with, weak_scaling, ScalePoint,
+    calibrate, multinomial_strong_scaling, multinomial_weak_scaling, strong_scaling, weak_scaling,
+    ScalePoint,
 };

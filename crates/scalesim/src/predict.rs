@@ -1,11 +1,10 @@
 //! Scaling-study runners: strong/weak scaling sweeps over virtual world
 //! sizes, and the analytic multinomial scaling series (Figures 24–25).
 
-use crate::des::{des_parallel_with, DesReport};
+use crate::des::{des_run, DesReport};
 use crate::model::CostModel;
-use edgeswitch_core::config::ParallelConfig;
-use edgeswitch_core::ParallelOutcome;
-use edgeswitch_graph::{Graph, Partitioner};
+use edgeswitch_core::{ParallelOutcome, Run};
+use edgeswitch_graph::Graph;
 use serde::{Deserialize, Serialize};
 
 /// One point of a scaling curve.
@@ -23,76 +22,42 @@ pub struct ScalePoint {
     pub workload_imbalance: f64,
 }
 
-/// Run a strong-scaling sweep: fixed graph and `t`, varying `p`.
+/// Run a strong-scaling sweep: fixed graph, varying `p`.
 ///
-/// `make_config` receives each `p` and returns the run configuration
-/// (scheme, step size, seed); the partitioner is rebuilt per `p`.
+/// `make_run` receives each `p` and returns the [`Run`] to execute under
+/// the DES — budget, scheme, step size, seed and, for adversarial
+/// relabeling experiments, an explicit partitioner
+/// ([`Run::prepared`]).
 pub fn strong_scaling<F>(
     graph: &Graph,
-    t: u64,
     ps: &[usize],
     cost: &CostModel,
-    make_config: F,
+    make_run: F,
 ) -> Vec<ScalePoint>
 where
-    F: Fn(usize) -> ParallelConfig,
+    F: Fn(usize) -> Run,
 {
     ps.iter()
         .map(|&p| {
-            let config = make_config(p);
-            assert_eq!(config.processors, p);
-            let mut rng = config.root_rng();
-            let part = Partitioner::build(config.scheme, graph, p, &mut rng);
-            let (outcome, report) = des_parallel_with(graph, t, &config, &part, cost);
+            let run = make_run(p);
+            assert_eq!(run.config().processors, p);
+            let (outcome, report) = des_run(&run, graph, cost);
             scale_point(p, &outcome, &report)
         })
         .collect()
 }
 
-/// Run a strong-scaling sweep with an explicit partitioner per `p`
-/// (adversarial relabeling experiments).
-pub fn strong_scaling_with<F, G>(
-    graph: &Graph,
-    t: u64,
-    ps: &[usize],
-    cost: &CostModel,
-    make_config: F,
-    make_part: G,
-) -> Vec<ScalePoint>
+/// Run a weak-scaling sweep: the per-`p` graph and run come from
+/// `make_instance` (the paper grows the graph with `p` in one variant
+/// and fixes it in the other, with `t = p · c` in both).
+pub fn weak_scaling<F>(ps: &[usize], cost: &CostModel, make_instance: F) -> Vec<ScalePoint>
 where
-    F: Fn(usize) -> ParallelConfig,
-    G: Fn(usize) -> Partitioner,
+    F: Fn(usize) -> (Graph, Run),
 {
     ps.iter()
         .map(|&p| {
-            let config = make_config(p);
-            let part = make_part(p);
-            let (outcome, report) = des_parallel_with(graph, t, &config, &part, cost);
-            scale_point(p, &outcome, &report)
-        })
-        .collect()
-}
-
-/// Run a weak-scaling sweep: per-`p` graph and `t` supplied by closures
-/// (the paper grows the graph with `p` in one variant and fixes it in
-/// the other, with `t = p · c` in both).
-pub fn weak_scaling<F, G>(
-    ps: &[usize],
-    cost: &CostModel,
-    make_instance: F,
-    make_config: G,
-) -> Vec<ScalePoint>
-where
-    F: Fn(usize) -> (Graph, u64),
-    G: Fn(usize) -> ParallelConfig,
-{
-    ps.iter()
-        .map(|&p| {
-            let (graph, t) = make_instance(p);
-            let config = make_config(p);
-            let mut rng = config.root_rng();
-            let part = Partitioner::build(config.scheme, &graph, p, &mut rng);
-            let (outcome, report) = des_parallel_with(&graph, t, &config, &part, cost);
+            let (graph, run) = make_instance(p);
+            let (outcome, report) = des_run(&run, &graph, cost);
             scale_point(p, &outcome, &report)
         })
         .collect()
@@ -145,21 +110,26 @@ pub fn calibrate(sample_graph: &Graph, seed: u64) -> CostModel {
     use std::time::Instant;
     let mut model = CostModel::default();
 
-    // Sequential switch cost.
-    let mut g = sample_graph.clone();
-    let mut rng = edgeswitch_dist::root_rng(seed);
-    let ops = 50_000u64.min(10 * g.num_edges() as u64);
+    // Sequential switch cost (set-up — the graph clone — stays outside
+    // the clock).
+    let ops = 50_000u64.min(10 * sample_graph.num_edges() as u64);
+    let mut engine = Run::sequential()
+        .switches(ops)
+        .seed(seed)
+        .start(sample_graph)
+        .expect("a sequential switch run always starts");
     let start = Instant::now();
-    let out = edgeswitch_core::sequential::sequential_edge_switch(&mut g, ops, &mut rng);
+    engine.advance(u64::MAX);
     let elapsed = start.elapsed().as_nanos() as f64;
-    if out.performed > 0 {
-        model.seq_switch_ns = elapsed / out.performed as f64;
+    if engine.performed() > 0 {
+        model.seq_switch_ns = elapsed / engine.performed() as f64;
         model.local_op_ns = model.seq_switch_ns * 0.8;
         model.msg_handle_ns = model.seq_switch_ns * 0.4;
         model.latency_ns = model.seq_switch_ns * 2.3;
     }
 
     // BINV trial cost.
+    let mut rng = edgeswitch_dist::root_rng(seed);
     let n = 20_000_000u64;
     let start = Instant::now();
     let x = edgeswitch_dist::binomial(n, 0.5, &mut rng);
@@ -182,11 +152,12 @@ mod tests {
     fn strong_scaling_produces_monotone_points() {
         let mut rng = root_rng(1);
         let g = erdos_renyi_gnm(300, 1800, &mut rng);
-        let pts = strong_scaling(&g, 6000, &[4, 16, 64], &CostModel::default(), |p| {
-            ParallelConfig::new(p)
-                .with_scheme(SchemeKind::HashUniversal)
-                .with_step_size(StepSize::FractionOfT(4))
-                .with_seed(5)
+        let pts = strong_scaling(&g, &[4, 16, 64], &CostModel::default(), |p| {
+            Run::simulated(p)
+                .switches(6000)
+                .scheme(SchemeKind::HashUniversal)
+                .step_size(StepSize::FractionOfT(4))
+                .seed(5)
         });
         assert_eq!(pts.len(), 3);
         assert!(pts[0].runtime_s > pts[2].runtime_s, "runtime must drop");
@@ -195,20 +166,15 @@ mod tests {
 
     #[test]
     fn weak_scaling_runtime_is_bounded() {
-        let pts = weak_scaling(
-            &[2, 4, 8],
-            &CostModel::default(),
-            |p| {
-                let mut rng = root_rng(p as u64);
-                let g = erdos_renyi_gnm(100 * p, 500 * p, &mut rng);
-                (g, 500 * p as u64)
-            },
-            |p| {
-                ParallelConfig::new(p)
-                    .with_step_size(StepSize::FractionOfT(2))
-                    .with_seed(6)
-            },
-        );
+        let pts = weak_scaling(&[2, 4, 8], &CostModel::default(), |p| {
+            let mut rng = root_rng(p as u64);
+            let g = erdos_renyi_gnm(100 * p, 500 * p, &mut rng);
+            let run = Run::simulated(p)
+                .switches(500 * p as u64)
+                .step_size(StepSize::FractionOfT(2))
+                .seed(6);
+            (g, run)
+        });
         // Runtime may grow (communication) but must stay within a small
         // factor — each rank's share of work is constant. (p = 1 is
         // excluded: it pays no network latency at all.)

@@ -1,29 +1,25 @@
 //! Job specs, per-job state, and the execution loop.
 //!
 //! A job is a graph (inline edges or a generator spec), a budget, a
-//! randomizer and driver knobs. Switch jobs run on the *resumable*
-//! engines — [`SequentialResumable`] chunk by chunk,
-//! [`SimWorld`] step by step — so the worker can emit a progress event
-//! and (periodically) an `ESNP` snapshot between units of work.
-//! Curveball jobs have no resumable engine yet; they run one-shot
-//! through [`Run::try_execute`] and a killed server restarts them from
-//! the spec (deterministic seeds make that bit-identical too, it just
-//! re-spends the work).
+//! randomizer and driver knobs. Switch jobs run on the stepped
+//! [`Engine`](edgeswitch_core::Engine) behind [`Run::start`] — a chunk
+//! of Algorithm 1 or one simulated step per
+//! [`advance`](edgeswitch_core::Engine::advance) — so the worker can
+//! emit a progress event and (periodically) an `ESNP` snapshot between
+//! units of work. Curveball jobs have no stepped engine yet; they run
+//! one-shot through [`Run::try_execute`] and a killed server restarts
+//! them from the spec (deterministic seeds make that bit-identical too,
+//! it just re-spends the work).
 
 use crate::json::Json;
 use edgeswitch_core::obs::ProgressEvent;
-use edgeswitch_core::parallel::wire::{
-    decode_seq_checkpoint, decode_world_snapshot, encode_seq_checkpoint, encode_world_snapshot,
-};
-use edgeswitch_core::parallel::SimWorld;
-use edgeswitch_core::sequential::SequentialResumable;
-use edgeswitch_core::{ParallelConfig, Randomizer, Run, RunError};
-use edgeswitch_dist::{root_rng, switch_ops_for_visit_rate};
+use edgeswitch_core::{Randomizer, Run, RunError, RunOutcome};
+use edgeswitch_dist::root_rng;
 use edgeswitch_graph::generators::{erdos_renyi_gnm, preferential_attachment, StreamSpec};
 use edgeswitch_graph::{Edge, Graph};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// The input graph: shipped inline or regenerated from a seeded spec.
@@ -95,9 +91,9 @@ pub enum BudgetSpec {
 /// Which driver executes the job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Driver {
-    /// Algorithm 1, chunked through [`SequentialResumable`].
+    /// Algorithm 1, in chunks of [`WorkerOpts::chunk`] operations.
     Sequential,
-    /// The parallel protocol on `p` simulated ranks ([`SimWorld`]).
+    /// The parallel protocol on `p` simulated ranks, step by step.
     Simulated,
 }
 
@@ -133,8 +129,8 @@ impl JobSpec {
         }
     }
 
-    /// The equivalent [`Run`] builder — used for validation and for
-    /// one-shot (Curveball) execution.
+    /// The equivalent [`Run`] builder — what validates, starts, resumes
+    /// and (for Curveball) executes the job.
     pub fn as_run(&self) -> Run {
         let run = match self.driver {
             Driver::Sequential => Run::sequential(),
@@ -153,19 +149,6 @@ impl JobSpec {
     /// Submit-time validation via [`Run::validate`].
     pub fn validate(&self) -> Result<(), RunError> {
         self.as_run().validate()
-    }
-
-    /// The config the simulated driver runs with.
-    pub fn config(&self) -> ParallelConfig {
-        self.as_run().config().clone()
-    }
-
-    /// Resolve the operation budget against `graph`.
-    pub fn ops(&self, graph: &Graph) -> u64 {
-        match self.budget {
-            BudgetSpec::Switches(t) => t,
-            BudgetSpec::VisitRate(x) => switch_ops_for_visit_rate(graph.num_edges() as u64, x),
-        }
     }
 
     /// Parse from the wire shape (see DESIGN.md §4i for the schema).
@@ -448,7 +431,7 @@ impl JobEntry {
     pub fn recovered_done(id: u64, spec: JobSpec, result: Json) -> JobEntry {
         let entry = JobEntry::new(id, spec);
         {
-            let mut st = entry.state.lock().unwrap();
+            let mut st = entry.locked();
             st.phase = JobPhase::Done;
             st.performed = result.get("performed").and_then(Json::as_u64).unwrap_or(0);
             st.result = Some(result);
@@ -456,15 +439,22 @@ impl JobEntry {
         entry
     }
 
+    /// The progress record. A poisoned lock is recovered: the record is
+    /// plain data that no panic can leave half-written, and the worker's
+    /// panic arm must still be able to mark the job failed.
+    fn locked(&self) -> MutexGuard<'_, JobState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Append one event and wake streamers.
     pub fn push_event(&self, event: Json) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.locked();
         st.events.push(event);
         self.wake.notify_all();
     }
 
     fn set_phase(&self, phase: JobPhase) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.locked();
         st.phase = phase;
         drop(st);
         self.push_event(Json::obj([("event", Json::str(phase.label()))]));
@@ -472,7 +462,7 @@ impl JobEntry {
 
     /// Record one unit of forward progress.
     pub fn progress(&self, performed: u64, budget: u64, visit_rate: f64) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.locked();
         st.performed = performed;
         st.budget = budget;
         st.visit_rate = visit_rate;
@@ -481,7 +471,7 @@ impl JobEntry {
     /// Mark done with `result`.
     pub fn set_done(&self, result: Json) {
         {
-            let mut st = self.state.lock().unwrap();
+            let mut st = self.locked();
             st.phase = JobPhase::Done;
             st.result = Some(result);
         }
@@ -491,7 +481,7 @@ impl JobEntry {
     /// Mark failed with `error` (a wire code plus detail).
     pub fn set_failed(&self, code: &str, detail: String) {
         {
-            let mut st = self.state.lock().unwrap();
+            let mut st = self.locked();
             st.phase = JobPhase::Failed;
             st.error = Some(format!("{code}: {detail}"));
         }
@@ -504,12 +494,12 @@ impl JobEntry {
 
     /// Current phase.
     pub fn phase(&self) -> JobPhase {
-        self.state.lock().unwrap().phase
+        self.locked().phase
     }
 
     /// The status object served for `{"op":"status"}`.
     pub fn status_json(&self) -> Json {
-        let st = self.state.lock().unwrap();
+        let st = self.locked();
         let mut fields = vec![
             ("id", Json::num(self.id)),
             ("state", Json::str(st.phase.label())),
@@ -526,7 +516,7 @@ impl JobEntry {
 
     /// Events from index `from` on, plus the next cursor.
     pub fn events_from(&self, from: usize) -> (Vec<Json>, usize) {
-        let st = self.state.lock().unwrap();
+        let st = self.locked();
         let from = from.min(st.events.len());
         (st.events[from..].to_vec(), st.events.len())
     }
@@ -534,9 +524,12 @@ impl JobEntry {
     /// Block until there are events past `from` or the job reaches a
     /// terminal phase; returns like [`JobEntry::events_from`].
     pub fn wait_events(&self, from: usize, timeout: Duration) -> (Vec<Json>, usize, JobPhase) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.locked();
         while st.events.len() <= from && !matches!(st.phase, JobPhase::Done | JobPhase::Failed) {
-            let (guard, wait) = self.wake.wait_timeout(st, timeout).unwrap();
+            let (guard, wait) = self
+                .wake
+                .wait_timeout(st, timeout)
+                .unwrap_or_else(PoisonError::into_inner);
             st = guard;
             if wait.timed_out() {
                 break;
@@ -548,7 +541,7 @@ impl JobEntry {
 
     /// The stored result (`None` until done).
     pub fn result_json(&self) -> Option<Json> {
-        self.state.lock().unwrap().result.clone()
+        self.locked().result.clone()
     }
 }
 
@@ -571,17 +564,16 @@ impl Default for WorkerOpts {
     }
 }
 
-fn result_json(
-    graph: &Graph,
-    performed: u64,
-    abandoned: u64,
-    visit_rate: f64,
-    spec: &JobSpec,
-) -> Json {
+fn result_json(out: &RunOutcome, spec: &JobSpec) -> Json {
+    let graph = out.graph();
+    let abandoned = match out {
+        RunOutcome::Sequential(run) => run.outcome.abandoned,
+        RunOutcome::Parallel(_) => 0,
+    };
     let mut fields = vec![
-        ("performed", Json::num(performed)),
+        ("performed", Json::num(out.performed())),
         ("abandoned", Json::num(abandoned)),
-        ("visit_rate", Json::Num(visit_rate)),
+        ("visit_rate", Json::Num(out.visit_rate())),
         (
             "digest",
             Json::str(format!("{:#018x}", graph.edge_digest())),
@@ -604,8 +596,18 @@ fn result_json(
     Json::obj(fields)
 }
 
+/// Record `out` as the job's result.
+fn complete(entry: &JobEntry, out: &RunOutcome, budget: u64) -> Json {
+    let result = result_json(out, &entry.spec);
+    entry.progress(out.performed(), budget, out.visit_rate());
+    entry.set_done(result.clone());
+    result
+}
+
 /// Execute `entry` to completion (or until `stop` is raised, leaving a
-/// snapshot behind). `save_snapshot` persists checkpoint bytes; errors
+/// snapshot behind). `snapshot` resumes from checkpoint bytes — anything
+/// that is not a snapshot of this job fails it with code
+/// `bad-checkpoint`. `save_snapshot` persists checkpoint bytes; errors
 /// from it are surfaced as job failures.
 pub fn run_job(
     entry: &JobEntry,
@@ -622,30 +624,19 @@ pub fn run_job(
             return None;
         }
     };
-    if entry.spec.randomizer == Randomizer::Curveball {
-        return run_oneshot(entry, &graph);
-    }
-    match entry.spec.driver {
-        Driver::Sequential => run_sequential(entry, graph, opts, snapshot, stop, save_snapshot),
-        Driver::Simulated => run_simulated(entry, graph, opts, snapshot, stop, save_snapshot),
-    }
-}
-
-/// One-shot path (Curveball): no chunking, no snapshots.
-fn run_oneshot(entry: &JobEntry, graph: &Graph) -> Option<Json> {
-    match entry.spec.as_run().try_execute(graph) {
-        Ok(out) => {
-            entry.progress(out.performed(), out.performed(), out.visit_rate());
-            let result = result_json(
-                out.graph(),
-                out.performed(),
-                0,
-                out.visit_rate(),
-                &entry.spec,
-            );
-            entry.set_done(result.clone());
-            Some(result)
-        }
+    let outcome = if entry.spec.randomizer == Randomizer::Curveball {
+        // One-shot path: no chunking, no snapshots.
+        entry
+            .spec
+            .as_run()
+            .try_execute(&graph)
+            .map(|out| Some((out.performed(), out)))
+    } else {
+        run_stepped(entry, graph, opts, snapshot, stop, save_snapshot)
+    };
+    match outcome {
+        Ok(Some((budget, out))) => Some(complete(entry, &out, budget)),
+        Ok(None) => None,
         Err(err) => {
             entry.set_failed(error_code(&err), err.to_string());
             None
@@ -653,127 +644,82 @@ fn run_oneshot(entry: &JobEntry, graph: &Graph) -> Option<Json> {
     }
 }
 
-fn run_sequential(
+/// The one worker loop: stop-check → `advance` → progress event →
+/// checkpoint cadence, then `finish` (returned with the budget).
+/// `Ok(None)` means the job parked (stopped behind a snapshot) or already
+/// failed on checkpoint I/O.
+fn run_stepped(
     entry: &JobEntry,
     graph: Graph,
     opts: WorkerOpts,
     snapshot: Option<Vec<u8>>,
     stop: &AtomicBool,
     save_snapshot: &dyn Fn(&[u8]) -> std::io::Result<()>,
-) -> Option<Json> {
-    let t = entry.spec.ops(&graph);
-    let mut eng = match snapshot {
-        Some(bytes) => SequentialResumable::restore(&decode_seq_checkpoint(&bytes)),
-        None => SequentialResumable::new(graph, t, entry.spec.seed),
+) -> Result<Option<(u64, RunOutcome)>, RunError> {
+    let run = entry.spec.as_run();
+    // Either way the engine owns the only graph from here on.
+    let mut engine = match snapshot {
+        Some(bytes) => {
+            let engine = run.resume(&graph, &bytes)?;
+            drop(graph);
+            engine
+        }
+        None => run.start(graph)?,
     };
+    // Live span totals ride on the step events (sequential jobs only:
+    // the simulated engine has no single span stream to forward).
     let (tx, rx) = channel::<ProgressEvent>();
-    eng.attach_probe(tx, 1024);
-    let mut chunks = 0u64;
-    while !eng.is_done() {
+    engine.attach_probe(tx, 1024);
+    let mut units = 0u64;
+    while !engine.is_done() {
         if stop.load(Ordering::Relaxed) {
-            if save_snapshot(&encode_seq_checkpoint(&eng.checkpoint())).is_err() {
+            if save_snapshot(&engine.snapshot()).is_err() {
                 entry.set_failed("io", "checkpoint write failed at shutdown".to_string());
             }
-            return None;
+            return Ok(None);
         }
-        eng.step(opts.chunk);
-        chunks += 1;
-        // Drain the probe's span totals into the event stream.
+        let progress = engine.advance(opts.chunk);
+        units += 1;
+        entry.progress(progress.performed, progress.budget, progress.visit_rate);
+        // Engines with a step structure (the simulated world) also say
+        // where in it they are and what the step cost in messages.
+        let in_steps = progress.steps > 0;
+        let mut step = vec![
+            ("event", Json::str("step")),
+            ("performed", Json::num(progress.performed)),
+            ("budget", Json::num(progress.budget)),
+            ("visit_rate", Json::Num(progress.visit_rate)),
+        ];
+        if in_steps {
+            step.push(("step", Json::num(progress.step)));
+            step.push(("steps", Json::num(progress.steps)));
+            step.push(("logical_msgs", Json::num(progress.logical_msgs)));
+        }
+        // Drain the probe: the latest cumulative total, if any arrived.
         let mut spans_total = None;
         while let Ok(ProgressEvent::Spans(totals)) = rx.try_recv() {
             spans_total = Some(totals.total);
         }
-        entry.progress(eng.performed(), eng.budget(), eng.visit_rate());
-        let mut fields = vec![
-            ("event", Json::str("step")),
-            ("performed", Json::num(eng.performed())),
-            ("budget", Json::num(eng.budget())),
-            ("visit_rate", Json::Num(eng.visit_rate())),
-        ];
         if let Some(total) = spans_total {
-            fields.push(("spans", Json::num(total)));
+            step.push(("spans", Json::num(total)));
         }
-        entry.push_event(Json::obj(fields));
-        if opts.ckpt_every > 0 && chunks.is_multiple_of(opts.ckpt_every) && !eng.is_done() {
-            if save_snapshot(&encode_seq_checkpoint(&eng.checkpoint())).is_err() {
+        entry.push_event(Json::obj(step));
+        if opts.ckpt_every > 0 && units.is_multiple_of(opts.ckpt_every) && !engine.is_done() {
+            if save_snapshot(&engine.snapshot()).is_err() {
                 entry.set_failed("io", "checkpoint write failed".to_string());
-                return None;
+                return Ok(None);
             }
-            entry.push_event(Json::obj([
+            let mut checkpoint = vec![
                 ("event", Json::str("checkpoint")),
-                ("performed", Json::num(eng.performed())),
-            ]));
+                ("performed", Json::num(progress.performed)),
+            ];
+            if in_steps {
+                checkpoint.push(("step", Json::num(progress.step)));
+            }
+            entry.push_event(Json::obj(checkpoint));
         }
     }
-    let (graph, outcome) = eng.finish();
-    let visit_rate = outcome.visit_rate();
-    let result = result_json(
-        &graph,
-        outcome.performed,
-        outcome.abandoned,
-        visit_rate,
-        &entry.spec,
-    );
-    entry.progress(outcome.performed, outcome.performed, visit_rate);
-    entry.set_done(result.clone());
-    Some(result)
-}
-
-fn run_simulated(
-    entry: &JobEntry,
-    graph: Graph,
-    opts: WorkerOpts,
-    snapshot: Option<Vec<u8>>,
-    stop: &AtomicBool,
-    save_snapshot: &dyn Fn(&[u8]) -> std::io::Result<()>,
-) -> Option<Json> {
-    let config = entry.spec.config();
-    let t = entry.spec.ops(&graph);
-    let mut world = match snapshot {
-        Some(bytes) => SimWorld::resume(&graph, &config, &decode_world_snapshot(&bytes)),
-        None => SimWorld::new(&graph, t, &config),
-    };
-    let steps = world.steps();
-    while !world.is_done() {
-        if stop.load(Ordering::Relaxed) {
-            if save_snapshot(&encode_world_snapshot(&world.snapshot())).is_err() {
-                entry.set_failed("io", "checkpoint write failed at shutdown".to_string());
-            }
-            return None;
-        }
-        let step = world.next_step();
-        let logical = world
-            .step()
-            .map(|tel| tel.logical_msgs.total())
-            .unwrap_or(0);
-        entry.progress(world.performed(), t, world.visit_rate());
-        entry.push_event(Json::obj([
-            ("event", Json::str("step")),
-            ("step", Json::num(step + 1)),
-            ("steps", Json::num(steps)),
-            ("performed", Json::num(world.performed())),
-            ("budget", Json::num(t)),
-            ("visit_rate", Json::Num(world.visit_rate())),
-            ("logical_msgs", Json::num(logical)),
-        ]));
-        if opts.ckpt_every > 0 && (step + 1) % opts.ckpt_every == 0 && !world.is_done() {
-            if save_snapshot(&encode_world_snapshot(&world.snapshot())).is_err() {
-                entry.set_failed("io", "checkpoint write failed".to_string());
-                return None;
-            }
-            entry.push_event(Json::obj([
-                ("event", Json::str("checkpoint")),
-                ("step", Json::num(step + 1)),
-            ]));
-        }
-    }
-    let outcome = world.finish();
-    let visit_rate = outcome.visit_rate();
-    let performed = outcome.performed();
-    let result = result_json(&outcome.graph, performed, 0, visit_rate, &entry.spec);
-    entry.progress(performed, t, visit_rate);
-    entry.set_done(result.clone());
-    Some(result)
+    Ok(Some((engine.budget(), engine.finish())))
 }
 
 /// The wire error code for a [`RunError`].
@@ -784,6 +730,7 @@ pub fn error_code(err: &RunError) -> &'static str {
         RunError::BackendUnsupported(_) => "backend-unsupported",
         RunError::SpawnFailed(_) => "spawn-failed",
         RunError::RankDied(_) => "rank-died",
+        RunError::BadSnapshot(_) => "bad-checkpoint",
     }
 }
 
@@ -940,6 +887,86 @@ mod tests {
         );
         let (events, _) = entry.events_from(0);
         assert!(events.len() >= 3, "queued + running + steps + done");
+    }
+
+    #[test]
+    fn sequential_step_events_carry_live_span_totals() {
+        let spans_of = |driver: Driver| -> Vec<u64> {
+            let spec = JobSpec {
+                driver,
+                budget: BudgetSpec::Switches(5000),
+                ..er_spec()
+            };
+            let entry = JobEntry::new(1, spec);
+            let opts = WorkerOpts {
+                chunk: 1024,
+                ckpt_every: 0,
+            };
+            run_job(&entry, opts, None, &AtomicBool::new(false), &|_| Ok(())).expect("completes");
+            let (events, _) = entry.events_from(0);
+            events
+                .iter()
+                .filter(|ev| ev.get("event").and_then(Json::as_str) == Some("step"))
+                .filter_map(|ev| ev.get("spans").and_then(Json::as_u64))
+                .collect()
+        };
+        // Several spans per operation at one probe event per 1024 spans:
+        // every 1024-op chunk sees a fresh cumulative total.
+        let spans = spans_of(Driver::Sequential);
+        assert!(spans.len() >= 4, "{spans:?}");
+        assert!(spans.windows(2).all(|w| w[0] < w[1]), "{spans:?}");
+        assert!(spans_of(Driver::Simulated).is_empty());
+    }
+
+    #[test]
+    fn a_checkpoint_of_another_job_fails_the_job_with_its_own_code() {
+        for driver in [Driver::Sequential, Driver::Simulated] {
+            let spec = JobSpec {
+                driver,
+                ..er_spec()
+            };
+            let entry = JobEntry::new(1, spec);
+            let out = run_job(
+                &entry,
+                WorkerOpts::default(),
+                Some(b"ESNP, but not really".to_vec()),
+                &AtomicBool::new(false),
+                &|_| Ok(()),
+            );
+            assert!(out.is_none());
+            assert_eq!(entry.phase(), JobPhase::Failed);
+            let (events, _) = entry.events_from(0);
+            let failed = events.last().expect("failed event");
+            assert_eq!(
+                failed.get("code").and_then(Json::as_str),
+                Some("bad-checkpoint"),
+                "{}",
+                failed.to_json()
+            );
+        }
+    }
+
+    #[test]
+    fn a_poisoned_entry_can_still_be_failed_and_read() {
+        let entry = std::sync::Arc::new(JobEntry::new(1, er_spec()));
+        let poisoner = entry.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.state.lock().unwrap();
+            panic!("worker dies holding the progress record");
+        })
+        .join();
+        assert!(entry.state.is_poisoned());
+        entry.set_failed("internal", "the job's worker panicked".to_string());
+        assert_eq!(entry.phase(), JobPhase::Failed);
+        let (events, _, phase) = entry.wait_events(0, Duration::from_millis(1));
+        assert_eq!(phase, JobPhase::Failed);
+        assert_eq!(
+            events
+                .last()
+                .and_then(|ev| ev.get("code"))
+                .and_then(Json::as_str),
+            Some("internal")
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! graph. See DESIGN.md §4i for the architecture.
 //!
 //! - [`json`]: hand-rolled JSON value, parser and writer (std only);
-//! - [`job`]: job specs, per-job state, and the execution loop over the
-//!   resumable engines;
+//! - [`job`]: job specs, per-job state, and the one worker loop over the
+//!   stepped `Engine`;
 //! - [`sched`]: FIFO admission over a bounded rank pool, with a queue
 //!   cap that turns overload into typed rejections;
 //! - [`ckpt`]: durable specs/snapshots/results with atomic writes, so a
@@ -64,6 +64,7 @@ impl Client {
     /// Connect to a running server at `addr` (e.g. `127.0.0.1:4517`).
     pub fn connect(addr: &str) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Client {
             reader: BufReader::new(stream),
         })
@@ -71,9 +72,10 @@ impl Client {
 
     /// Send one request object and read one response line.
     pub fn request(&mut self, request: &Json) -> io::Result<Json> {
-        let stream = self.reader.get_mut();
-        stream.write_all(request.to_json().as_bytes())?;
-        stream.write_all(b"\n")?;
+        // One line, one write (see `server::write_line`).
+        let mut line = request.to_json();
+        line.push('\n');
+        self.reader.get_mut().write_all(line.as_bytes())?;
         self.read_line()
     }
 

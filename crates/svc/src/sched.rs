@@ -193,6 +193,11 @@ impl Scheduler {
         self.shared.state.lock().unwrap().running.len()
     }
 
+    /// Rank slots not held by any job (`pool` when idle).
+    pub fn free_slots(&self) -> usize {
+        self.shared.state.lock().unwrap().free
+    }
+
     /// Graceful shutdown: running jobs snapshot and park; queued jobs
     /// stay queued on disk. Blocks until the dispatcher and every
     /// worker have returned, so the checkpoint directory is quiescent
@@ -257,13 +262,21 @@ fn dispatch_loop(shared: Arc<Shared>) {
                 let snapshot = worker_shared.ckpt.load_snapshot(id);
                 let ckpt = worker_shared.ckpt.clone();
                 let save = move |bytes: &[u8]| ckpt.save_snapshot(id, bytes);
-                let result = run_job(
-                    &entry,
-                    worker_shared.opts.worker,
-                    snapshot,
-                    &worker_shared.stop,
-                    &save,
-                );
+                // A panicking engine must fail its job, not strand it:
+                // the slots below are released whatever happened.
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_job(
+                        &entry,
+                        worker_shared.opts.worker,
+                        snapshot,
+                        &worker_shared.stop,
+                        &save,
+                    )
+                }))
+                .unwrap_or_else(|_| {
+                    entry.set_failed("internal", "the job's worker panicked".to_string());
+                    None
+                });
                 if let Some(result) = result {
                     if entry.phase() == JobPhase::Done {
                         let _ = worker_shared.ckpt.save_done(id, &result);

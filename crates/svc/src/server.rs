@@ -9,13 +9,19 @@
 //!
 //! | op         | fields            | reply                              |
 //! |------------|-------------------|------------------------------------|
-//! | `ping`     |                   | `{"ok":true,"pong":true}`          |
+//! | `ping`     |                   | `{"ok":true,"pong":true,"free_slots":N}` (rank slots no job holds) |
 //! | `submit`   | `job`             | `{"ok":true,"id":N}`               |
 //! | `status`   | `id`              | `{"ok":true,"state":...}`          |
 //! | `events`   | `id`, `from`      | `{"ok":true,"events":[...],"next":N}` |
 //! | `watch`    | `id`, `from`      | streams one event per line, then a final `{"ok":true,...}` |
 //! | `result`   | `id`              | `{"ok":true,"result":{...}}`       |
 //! | `shutdown` |                   | `{"ok":true}`, then the server checkpoints and exits |
+//!
+//! A job that fails says why in its `failed` event and `status` reply:
+//! the `RunError` codes of submit-time validation, `bad-graph`, `io`
+//! (a checkpoint write failed), `bad-checkpoint` (the job's `.ckpt` is
+//! not a snapshot of it — truncated, damaged or another job's) and
+//! `internal` (its worker panicked). A failed job frees its rank slots.
 //!
 //! `watch` is the streaming form of `events`: the connection stays open
 //! and each appended event is written as its own line until the job
@@ -113,9 +119,12 @@ fn reply_err(code: u64, error: &str, detail: &str) -> Json {
     ])
 }
 
+/// One line, one write: a reply split across two small segments waits
+/// out the peer's delayed ACK (Nagle) before the newline leaves.
 fn write_line(stream: &mut TcpStream, line: &Json) -> io::Result<()> {
-    stream.write_all(line.to_json().as_bytes())?;
-    stream.write_all(b"\n")
+    let mut text = line.to_json();
+    text.push('\n');
+    stream.write_all(text.as_bytes())
 }
 
 fn handle_connection(
@@ -124,6 +133,7 @@ fn handle_connection(
     shutdown: &AtomicBool,
     addr: SocketAddr,
 ) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let reader = BufReader::new(stream);
     for line in reader.lines() {
@@ -142,7 +152,11 @@ fn handle_connection(
         match op {
             "ping" => write_line(
                 &mut writer,
-                &Json::obj([("ok", Json::Bool(true)), ("pong", Json::Bool(true))]),
+                &Json::obj([
+                    ("ok", Json::Bool(true)),
+                    ("pong", Json::Bool(true)),
+                    ("free_slots", Json::num(scheduler.free_slots() as u64)),
+                ]),
             )?,
             "submit" => {
                 let reply = match request.get("job").map(JobSpec::from_json) {

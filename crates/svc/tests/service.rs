@@ -1,7 +1,8 @@
 //! End-to-end service tests over real TCP connections: submission and
 //! results, concurrent jobs on the bounded rank pool, queue-full
-//! rejection, wire-level validation errors, and checkpoint/resume
-//! bit-identity across a server restart.
+//! rejection, wire-level validation errors, checkpoint/resume
+//! bit-identity across a server restart, a damaged checkpoint, and
+//! request latency.
 
 use edgeswitch_svc::{json, Client, Json, SchedOpts, Server, ServerOpts, WorkerOpts};
 use std::path::{Path, PathBuf};
@@ -296,6 +297,103 @@ fn done_results_survive_restart() {
         again.get("digest").and_then(Json::as_str),
         first.get("digest").and_then(Json::as_str)
     );
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint that is not a snapshot of its job (here: truncated)
+/// fails that job with `bad-checkpoint` — promptly, and without holding
+/// on to its rank slots or wedging `watch`.
+#[test]
+fn truncated_checkpoint_fails_its_job_and_frees_the_pool() {
+    let dir = temp_dir("badckpt");
+    let store = edgeswitch_svc::CkptStore::open(&dir).unwrap();
+    for (id, driver, p) in [(1u64, "sequential", 1u64), (2, "simulated", 2)] {
+        let spec =
+            edgeswitch_svc::JobSpec::from_json(&er_job(r#"{"switches":4000}"#, driver, p)).unwrap();
+        store.save_job(id, &spec).unwrap();
+        // A real snapshot of this very job, cut short.
+        let graph = spec.graph.build().unwrap();
+        let mut engine = spec.as_run().start(&graph).unwrap();
+        engine.advance(500);
+        let bytes = engine.snapshot();
+        store.save_snapshot(id, &bytes[..bytes.len() / 2]).unwrap();
+    }
+
+    let (addr, handle) = start_server(&dir, SchedOpts::default());
+    let mut client = Client::connect(&addr).unwrap();
+    let started = std::time::Instant::now();
+    for id in [1u64, 2] {
+        // `watch` streams every event, then the closing status line.
+        let mut cursor = client
+            .request(&Json::obj([
+                ("op", Json::str("watch")),
+                ("id", Json::num(id)),
+            ]))
+            .unwrap();
+        let mut failure = None;
+        while cursor.get("ok").is_none() {
+            if cursor.get("event").and_then(Json::as_str) == Some("failed") {
+                failure = Some(cursor.clone());
+            }
+            cursor = client.read_line().unwrap();
+        }
+        assert_eq!(cursor.get("state").and_then(Json::as_str), Some("failed"));
+        let failure = failure.expect("a failed event");
+        assert_eq!(
+            failure.get("code").and_then(Json::as_str),
+            Some("bad-checkpoint"),
+            "{}",
+            failure.to_json()
+        );
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "bad checkpoints took {:?} to fail",
+        started.elapsed()
+    );
+    // Neither failed job kept its rank slots. A worker publishes the
+    // terminal event first and hands its slots back right after, so
+    // give the second one a moment to get there.
+    let pool = SchedOpts::default().pool as u64;
+    let deadline = started + Duration::from_secs(1);
+    loop {
+        let pong = client
+            .request(&Json::obj([("op", Json::str("ping"))]))
+            .unwrap();
+        let free = pong.get("free_slots").and_then(Json::as_u64);
+        if free == Some(pool) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "slots still held: free_slots = {free:?} of {pool}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every request and reply leaves as one segment on a `TCP_NODELAY`
+/// socket. Split in two (body, then newline) each round trip waited out
+/// a delayed ACK: ~88 ms a ping, 1.6 s and more for these twenty.
+#[test]
+fn twenty_pings_take_well_under_half_a_second() {
+    let dir = temp_dir("ping");
+    let (addr, handle) = start_server(&dir, SchedOpts::default());
+    let mut client = Client::connect(&addr).unwrap();
+    let ping = Json::obj([("op", Json::str("ping"))]);
+    client.request(&ping).unwrap(); // connection warm-up
+    let started = std::time::Instant::now();
+    for _ in 0..20 {
+        let pong = client.request(&ping).unwrap();
+        assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(400), "20 pings took {took:?}");
     client.shutdown().unwrap();
     handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);

@@ -26,11 +26,12 @@ fn main() {
     println!("\nscheme   p      time(s)   speedup   imbalance");
 
     for scheme in [SchemeKind::Consecutive, SchemeKind::HashUniversal] {
-        let points = strong_scaling(&g, t, &[16, 64, 256, 1024], &cost, |p| {
-            ParallelConfig::new(p)
-                .with_scheme(scheme)
-                .with_step_size(StepSize::FractionOfT(100))
-                .with_seed(17)
+        let points = strong_scaling(&g, &[16, 64, 256, 1024], &cost, |p| {
+            Run::simulated(p)
+                .switches(t)
+                .scheme(scheme)
+                .step_size(StepSize::FractionOfT(100))
+                .seed(17)
         });
         for pt in points {
             println!(

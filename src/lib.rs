@@ -19,8 +19,10 @@
 //!
 //! # Quickstart
 //!
-//! [`Run`](prelude::Run) is the front door: pick a driver, state the
-//! budget (operation count or target visit rate), execute.
+//! [`Run`](prelude::Run) is the one way to run a job: pick a driver,
+//! state the budget (operation count or target visit rate), execute —
+//! or [`start`](prelude::Run::start) it as a stepped
+//! [`Engine`](prelude::Engine) to pause, snapshot and resume it.
 //!
 //! ```
 //! use edge_switching::prelude::*;
@@ -60,14 +62,10 @@ pub mod prelude {
     };
     pub use edgeswitch_core::error_rate::error_rate;
     pub use edgeswitch_core::obs::{ObsSpec, Phase, RunReport};
-    // The per-driver free functions (`sequential_edge_switch`,
-    // `parallel_edge_switch`, `simulate_parallel` and the Curveball
-    // twins) are no longer part of the prelude: [`Run`] is the front
-    // door. They remain callable through their full module paths.
     pub use edgeswitch_core::parallel::{
         child_entry_from_env, MsgCounts, MsgKind, ParallelOutcome, RankStats, StepTelemetry,
     };
-    pub use edgeswitch_core::run::{Run, RunError, RunOutcome, SequentialRun};
+    pub use edgeswitch_core::run::{Engine, Run, RunError, RunOutcome, SequentialRun};
     pub use edgeswitch_core::trade::{CurveballOutcome, TradeBudget};
     pub use edgeswitch_core::variants::{sequential_edge_switch_connected, sequential_exact_visit};
     pub use edgeswitch_core::visit::VisitTracker;
@@ -84,5 +82,5 @@ pub mod prelude {
         degree_assortativity, is_connected, transitivity, triangle_count,
     };
     pub use edgeswitch_graph::{Edge, Graph, Partitioner, SchemeKind, VertexId};
-    pub use edgeswitch_scalesim::{des_curveball, des_parallel, strong_scaling, CostModel};
+    pub use edgeswitch_scalesim::{des_run, strong_scaling, CostModel};
 }

@@ -1,7 +1,12 @@
-//! Driver conformance: all three protocol drivers run the shared
-//! `Transport`/`StepHarness` machinery, so their logical results must
-//! line up.
+//! Driver conformance: every driver sits behind [`Run`] and runs the
+//! shared `Transport`/`StepHarness` machinery, so their logical results
+//! must line up.
 //!
+//! - However a stepped [`Engine`] is driven — any `advance` size,
+//!   with or without a snapshot/resume in the middle, observed or not —
+//!   `finish()` equals the one-shot `execute()` (the table in
+//!   [`stepped_engine_conformance_table`]), and the digests the parent
+//!   commit computed are pinned ([`golden_digests_are_pinned`]).
 //! - The FIFO simulator and the DES execute the *same* global causal
 //!   schedule (the DES only annotates it with virtual time), so for a
 //!   fixed `(graph, t, config)` their [`ParallelOutcome`]s must be
@@ -10,13 +15,13 @@
 //!   held to the seed-independent invariants instead: degree sequence,
 //!   simplicity, and total performed + forfeited operations.
 
-use edge_switching::core::parallel::{
-    parallel_curveball, parallel_edge_switch, process_backend_supported, simulate_curveball,
-    simulate_parallel,
-};
+mod common;
+
+use common::{des, simulated, threaded, under};
+use edge_switching::core::parallel::process_backend_supported;
 use edge_switching::core::trade::sequential_curveball;
 use edge_switching::prelude::*;
-use edge_switching::scalesim::{des_curveball, des_parallel};
+use edge_switching::scalesim::DesReport;
 use std::io::{BufRead, BufReader};
 use std::process::Stdio;
 use std::time::{Duration, Instant};
@@ -41,14 +46,218 @@ fn config(p: usize) -> ParallelConfig {
         .with_seed(4242)
 }
 
+/// A builder carrying `budget` the way the Curveball engines read it.
+fn trades(run: Run, budget: TradeBudget) -> Run {
+    let run = run.randomizer(Randomizer::Curveball);
+    match budget {
+        TradeBudget::Trades(t) => run.switches(t),
+        TradeBudget::VisitRate(x) => run.visit_rate(x),
+    }
+}
+
+/// Curveball on the FIFO-simulated world.
+fn simulated_trades(g: &Graph, budget: TradeBudget, cfg: &ParallelConfig) -> ParallelOutcome {
+    let cfg = cfg.clone().with_randomizer(Randomizer::Curveball);
+    under(trades(Run::simulated(cfg.processors), budget), g, &cfg)
+}
+
+/// Curveball on the threaded world.
+fn threaded_trades(g: &Graph, budget: TradeBudget, cfg: &ParallelConfig) -> ParallelOutcome {
+    let cfg = cfg.clone().with_randomizer(Randomizer::Curveball);
+    under(trades(Run::parallel(cfg.processors), budget), g, &cfg)
+}
+
+/// Curveball on the simulated world under the DES.
+fn des_trades(
+    g: &Graph,
+    budget: TradeBudget,
+    cfg: &ParallelConfig,
+) -> (ParallelOutcome, DesReport) {
+    let cfg = cfg.clone().with_randomizer(Randomizer::Curveball);
+    let run = trades(Run::simulated(cfg.processors), budget).prepared(cfg, None);
+    des_run(&run, g, &CostModel::default())
+}
+
+// ---------------------------------------------------------------------
+// The stepped engine: one conformance table
+// ---------------------------------------------------------------------
+
+/// Everything logical about an outcome: the switched graph's digest, the
+/// operation count, every reject/abort/forfeit counter and the visit
+/// count (plus, for a simulated world, its step and message ledger).
+#[derive(Debug, PartialEq)]
+struct Logical {
+    digest: u64,
+    performed: u64,
+    visited: usize,
+    counters: Vec<u64>,
+    per_rank: Vec<RankStats>,
+}
+
+fn logical(out: &RunOutcome) -> Logical {
+    let digest = out.graph().edge_digest();
+    let performed = out.performed();
+    match out {
+        RunOutcome::Sequential(run) => {
+            let o = &run.outcome;
+            Logical {
+                digest,
+                performed,
+                visited: o.tracker.visited_count(),
+                counters: vec![
+                    o.abandoned,
+                    o.rejects.self_loop,
+                    o.rejects.useless,
+                    o.rejects.parallel,
+                ],
+                per_rank: Vec::new(),
+            }
+        }
+        RunOutcome::Parallel(o) => Logical {
+            digest,
+            performed,
+            visited: o.tracker.visited_count(),
+            counters: vec![
+                o.forfeited(),
+                o.steps,
+                o.packet_total(),
+                o.logical_msg_totals().total(),
+                o.blocked_events(),
+            ],
+            per_rank: o.per_rank.clone(),
+        },
+    }
+}
+
+/// Drive `run` to the end in `advance(size)` calls; with `cut`, snapshot
+/// once a third of the budget is performed, drop the engine — the
+/// process dying — and continue from `Run::resume`.
+fn drive(run: &Run, g: &Graph, size: u64, cut: bool) -> RunOutcome {
+    let mut engine = run.start(g).expect("steppable run");
+    if cut {
+        let third = engine.budget() / 3;
+        while engine.performed() < third {
+            engine.advance(size.min(third));
+        }
+        assert!(!engine.is_done(), "the run ended before the cut point");
+        let bytes = engine.snapshot();
+        drop(engine);
+        engine = run.resume(g, &bytes).expect("own snapshot resumes");
+    }
+    while !engine.is_done() {
+        engine.advance(size);
+    }
+    engine.finish()
+}
+
+/// (mode ∈ {sequential, simulated p ∈ {1, 2, 4}}) × (advance size ∈
+/// {1, 37, 4096, all}) × (uninterrupted | snapshot → drop → resume) ×
+/// (unobserved | observed): `finish()` equals `execute()` in every
+/// logical field. Chunk boundaries consume no randomness, a snapshot
+/// carries the complete state, and probes only read.
+#[test]
+fn stepped_engine_conformance_table() {
+    let g = clustered_graph(61);
+    let t = 2_500;
+    let modes = [
+        ("sequential", Run::sequential()),
+        ("simulated p=1", Run::simulated(1)),
+        ("simulated p=2", Run::simulated(2)),
+        ("simulated p=4", Run::simulated(4)),
+    ];
+    for (mode, run) in modes {
+        let run = run
+            .switches(t)
+            .seed(4242)
+            .scheme(SchemeKind::HashUniversal)
+            .step_size(StepSize::FractionOfT(10));
+        let oneshot = run.execute(&g);
+        assert!(oneshot.report().is_none());
+        let expect = logical(&oneshot);
+        assert_eq!(expect.performed, t, "{mode}");
+        for size in [1u64, 37, 4096, u64::MAX] {
+            for cut in [false, true] {
+                for probe in [ObsSpec::Off, ObsSpec::Spans] {
+                    let row = format!("{mode} advance={size} cut={cut} probe={probe:?}");
+                    let out = drive(&run.clone().probe(probe), &g, size, cut);
+                    assert_eq!(logical(&out), expect, "{row}");
+                    // A started engine reports iff probed; the snapshot
+                    // never carries the probe.
+                    assert_eq!(
+                        out.report().is_some(),
+                        probe == ObsSpec::Spans && !cut,
+                        "{row}"
+                    );
+                }
+            }
+        }
+        // `execute` observed is the same run too.
+        let observed = run.clone().probe(ObsSpec::Spans).execute(&g);
+        assert_eq!(logical(&observed), expect, "{mode} execute observed");
+        assert!(observed.report().is_some());
+    }
+}
+
+/// The digests of `Run::sequential`, `Run::simulated(4)` and sequential
+/// Curveball as the parent commit of the stepped-engine refactor
+/// (36c62d0) computed them: replacing the one-shot drivers by `start →
+/// advance → finish` moved no bit.
+///
+/// The pins are keyed by a one-draw fingerprint of the seeded stream:
+/// the offline stand-in `rand`/`rand_pcg` and the published crates serve
+/// different streams, and only the former could be run where the pins
+/// were taken. On a stream without pins the test fails under `CI` —
+/// there the check must not pass vacuously — and skips, loudly,
+/// elsewhere. To add a stream's arm, evaluate the three `runs` below
+/// with `.execute(&g)` at 36c62d0 (the builder calls are the same
+/// there) under that stream and pin what they return.
+#[test]
+fn golden_digests_are_pinned() {
+    use rand::RngCore;
+    let g = erdos_renyi_gnm(400, 2000, &mut root_rng(7));
+    let runs = [
+        Run::sequential().switches(3000).seed(11),
+        Run::simulated(4).switches(3000).seed(11),
+        Run::sequential()
+            .randomizer(Randomizer::Curveball)
+            .switches(1000)
+            .seed(11),
+    ];
+    let got: Vec<(u64, u64)> = runs
+        .iter()
+        .map(|run| {
+            let out = run.execute(&g);
+            (out.graph().edge_digest(), out.performed())
+        })
+        .collect();
+    let pinned: &[(u64, u64)] = match root_rng(0).next_u64() {
+        // .typecheck/stubs (the offline stand-ins).
+        0xe436_39a0_83e4_23c2 => &[
+            (0x76dc_0aa6_6e5f_520e, 3000),
+            (0x0eb1_c98e_df99_5404, 3000),
+            (0x2773_2574_6a94_5fc2, 1000),
+        ],
+        other => {
+            let msg = format!(
+                "no pins for the RNG stream with fingerprint {other:#018x}; \
+                 this commit computes {got:#x?}"
+            );
+            assert!(std::env::var_os("CI").is_none(), "{msg}");
+            eprintln!("skipped: {msg}");
+            return;
+        }
+    };
+    assert_eq!(got, pinned);
+}
+
 #[test]
 fn fifo_and_des_produce_identical_logical_outcomes() {
     let g = clustered_graph(31);
     let t = 4_000;
     let cfg = config(12);
 
-    let fifo = simulate_parallel(&g, t, &cfg);
-    let (des, report) = des_parallel(&g, t, &cfg, &CostModel::default());
+    let fifo = simulated(&g, t, &cfg);
+    let (des, report) = des(&g, t, &cfg);
 
     // Same schedule → same graph, same counters, same telemetry.
     assert!(fifo.graph.same_edge_set(&des.graph));
@@ -87,8 +296,8 @@ fn fifo_des_conformance_holds_across_windows() {
     let mut peaks = Vec::new();
     for window in [1usize, 4, 16] {
         let cfg = config(8).with_window(window);
-        let fifo = simulate_parallel(&g, t, &cfg);
-        let (des, _) = des_parallel(&g, t, &cfg, &CostModel::default());
+        let fifo = simulated(&g, t, &cfg);
+        let (des, _) = des(&g, t, &cfg);
         assert!(
             fifo.graph.same_edge_set(&des.graph),
             "FIFO and DES diverged at window {window}"
@@ -125,8 +334,8 @@ fn threaded_engine_matches_schedule_independent_invariants() {
 }
 
 fn run_threaded_invariants(g: &Graph, t: u64, cfg: &ParallelConfig) {
-    let sim = simulate_parallel(g, t, cfg);
-    let eng = parallel_edge_switch(g, t, cfg);
+    let sim = simulated(g, t, cfg);
+    let eng = threaded(g, t, cfg);
 
     for out in [&sim, &eng] {
         out.graph.check_invariants().unwrap();
@@ -224,11 +433,11 @@ fn local_fastpath_toggle_is_bit_identical_across_simulators() {
         for window in [1usize, 16] {
             let on = config(p).with_window(window);
             let off = on.clone().with_local_fastpath(false);
-            let fifo_on = simulate_parallel(&g, t, &on);
-            let fifo_off = simulate_parallel(&g, t, &off);
+            let fifo_on = simulated(&g, t, &on);
+            let fifo_off = simulated(&g, t, &off);
             assert_fastpath_identical(&fifo_on, &fifo_off, &format!("FIFO p={p} window={window}"));
-            let (des_on, _) = des_parallel(&g, t, &on, &CostModel::default());
-            let (des_off, _) = des_parallel(&g, t, &off, &CostModel::default());
+            let (des_on, _) = des(&g, t, &on);
+            let (des_off, _) = des(&g, t, &off);
             assert_fastpath_identical(&des_on, &des_off, &format!("DES p={p} window={window}"));
             // Disabled runs attribute nothing to the fast path.
             for off in [&fifo_off, &des_off] {
@@ -276,11 +485,11 @@ fn local_fastpath_toggle_on_the_threaded_engine() {
     for window in [1usize, 16] {
         let on = config(1).with_window(window);
         let off = on.clone().with_local_fastpath(false);
-        let eng_on = parallel_edge_switch(&g, t, &on);
-        let eng_off = parallel_edge_switch(&g, t, &off);
+        let eng_on = threaded(&g, t, &on);
+        let eng_off = threaded(&g, t, &off);
         assert_fastpath_identical(&eng_on, &eng_off, &format!("threaded p=1 window={window}"));
         assert!(eng_off.per_rank.iter().all(|s| s.performed_fastpath == 0));
-        let fifo = simulate_parallel(&g, t, &on);
+        let fifo = simulated(&g, t, &on);
         assert!(
             eng_on.graph.same_edge_set(&fifo.graph),
             "threaded p=1 diverged from the simulator at window {window}"
@@ -288,7 +497,7 @@ fn local_fastpath_toggle_on_the_threaded_engine() {
         assert_eq!(eng_on.per_rank, fifo.per_rank);
     }
     for p in [2usize, 4] {
-        let out = parallel_edge_switch(&g, t, &config(p));
+        let out = threaded(&g, t, &config(p));
         out.graph.check_invariants().unwrap();
         assert_eq!(out.graph.degree_sequence(), g.degree_sequence());
         assert_eq!(out.performed() + out.forfeited(), t);
@@ -322,8 +531,8 @@ fn fifo_des_conformance_holds_across_spec_batches() {
     for batch in [1usize, 4, 16] {
         for window in [1usize, 16] {
             let cfg = config(8).with_window(window).with_spec_batch(batch);
-            let fifo = simulate_parallel(&g, t, &cfg);
-            let (des, _) = des_parallel(&g, t, &cfg, &CostModel::default());
+            let fifo = simulated(&g, t, &cfg);
+            let (des, _) = des(&g, t, &cfg);
             assert!(
                 fifo.graph.same_edge_set(&des.graph),
                 "FIFO and DES diverged at batch={batch} window={window}"
@@ -370,8 +579,8 @@ fn spec_batch_off_is_bit_identical_to_golden_path() {
         for window in [1usize, 16] {
             let golden_cfg = config(p).with_window(window);
             let off_cfg = golden_cfg.clone().with_spec_batch(1);
-            let golden = simulate_parallel(&g, t, &golden_cfg);
-            let off = simulate_parallel(&g, t, &off_cfg);
+            let golden = simulated(&g, t, &golden_cfg);
+            let off = simulated(&g, t, &off_cfg);
             assert!(
                 golden.graph.same_edge_set(&off.graph),
                 "spec_batch=1 changed the graph at p={p} window={window}"
@@ -409,8 +618,8 @@ fn threaded_engine_invariants_hold_under_speculation() {
     let t = 2_000;
     // p=1: fully deterministic — engine ≡ simulator, bit for bit.
     let cfg1 = config(1).with_spec_batch(8);
-    let eng = parallel_edge_switch(&g, t, &cfg1);
-    let fifo = simulate_parallel(&g, t, &cfg1);
+    let eng = threaded(&g, t, &cfg1);
+    let fifo = simulated(&g, t, &cfg1);
     assert!(
         eng.graph.same_edge_set(&fifo.graph),
         "threaded p=1 diverged from the simulator under speculation"
@@ -421,7 +630,7 @@ fn threaded_engine_invariants_hold_under_speculation() {
     assert!(eng.per_rank.iter().all(|s| s.spec_rolled_back == 0));
 
     for p in [2usize, 4] {
-        let out = parallel_edge_switch(&g, t, &config(p).with_spec_batch(8));
+        let out = threaded(&g, t, &config(p).with_spec_batch(8));
         out.graph.check_invariants().unwrap();
         assert_eq!(out.graph.degree_sequence(), g.degree_sequence());
         assert_eq!(out.performed() + out.forfeited(), t);
@@ -466,8 +675,8 @@ fn process_engine_p1_is_bit_identical_to_simulator() {
     let t = 2_000;
     for (window, batch) in [(1usize, 1usize), (16, 1), (16, 8)] {
         let cfg = config(1).with_window(window).with_spec_batch(batch);
-        let fifo = simulate_parallel(&g, t, &cfg);
-        let proc = parallel_edge_switch(&g, t, &cfg.clone().with_backend(Backend::Process));
+        let fifo = simulated(&g, t, &cfg);
+        let proc = threaded(&g, t, &cfg.clone().with_backend(Backend::Process));
         let ctx = format!("process p=1 window={window} batch={batch}");
         assert!(
             proc.graph.same_edge_set(&fifo.graph),
@@ -518,8 +727,8 @@ fn process_engine_matches_threaded_logical_outcomes() {
         for window in [1usize, 16] {
             for batch in [1usize, 8] {
                 let cfg = config(p).with_window(window).with_spec_batch(batch);
-                let thr = parallel_edge_switch(&g, t, &cfg);
-                let proc = parallel_edge_switch(&g, t, &cfg.clone().with_backend(Backend::Process));
+                let thr = threaded(&g, t, &cfg);
+                let proc = threaded(&g, t, &cfg.clone().with_backend(Backend::Process));
                 let ctx = format!("p={p} window={window} batch={batch}");
                 for out in [&thr, &proc] {
                     out.graph.check_invariants().unwrap();
@@ -583,7 +792,7 @@ fn shm_orphan_driver() {
             ..ProcOpts::default()
         });
     // ~10^9 switches: minutes of work — the parent kills us long before.
-    parallel_edge_switch(&g, 1_000_000_000, &cfg);
+    threaded(&g, 1_000_000_000, &cfg);
 }
 
 /// Read the state letter from `/proc/<pid>/stat` — `None` once the pid is
@@ -679,7 +888,7 @@ fn curveball_sequential_and_simulator_are_bit_identical() {
     assert!(seq.trades >= 1_000, "budget not met sequentially");
 
     for p in [1usize, 2, 4] {
-        let sim = simulate_curveball(&g, budget, &config(p));
+        let sim = simulated_trades(&g, budget, &config(p));
         let ctx = format!("curveball p={p}");
         assert!(
             sim.graph.same_edge_set(&seq_graph),
@@ -720,8 +929,8 @@ fn curveball_fifo_and_des_produce_identical_outcomes() {
     let budget = TradeBudget::Trades(1_200);
     for p in [1usize, 2, 4] {
         let cfg = config(p);
-        let fifo = simulate_curveball(&g, budget, &cfg);
-        let (des, report) = des_curveball(&g, budget, &cfg, &CostModel::default());
+        let fifo = simulated_trades(&g, budget, &cfg);
+        let (des, report) = des_trades(&g, budget, &cfg);
         let ctx = format!("curveball FIFO vs DES p={p}");
         assert!(fifo.graph.same_edge_set(&des.graph), "graph: {ctx}");
         assert_eq!(fifo.steps, des.steps, "steps: {ctx}");
@@ -760,8 +969,8 @@ fn curveball_threaded_engine_is_bit_identical_to_simulator() {
     let budget = TradeBudget::Trades(1_000);
     for p in [1usize, 2, 4] {
         let cfg = config(p);
-        let fifo = simulate_curveball(&g, budget, &cfg);
-        let eng = parallel_curveball(&g, budget, &cfg);
+        let fifo = simulated_trades(&g, budget, &cfg);
+        let eng = threaded_trades(&g, budget, &cfg);
         let ctx = format!("curveball threaded p={p}");
         assert!(eng.graph.same_edge_set(&fifo.graph), "graph: {ctx}");
         assert_eq!(eng.steps, fifo.steps, "steps: {ctx}");
@@ -804,7 +1013,7 @@ fn curveball_threaded_engine_is_bit_identical_to_simulator() {
 fn curveball_preserves_degrees_and_is_seed_deterministic() {
     let g = clustered_graph(54);
     let budget = TradeBudget::Trades(2_000);
-    let out = simulate_curveball(&g, budget, &config(4));
+    let out = simulated_trades(&g, budget, &config(4));
     out.graph.check_invariants().unwrap();
     assert_eq!(out.graph.degree_sequence(), g.degree_sequence());
     assert!(
@@ -812,11 +1021,11 @@ fn curveball_preserves_degrees_and_is_seed_deterministic() {
         "four passes left the graph untouched"
     );
 
-    let again = simulate_curveball(&g, budget, &config(4));
+    let again = simulated_trades(&g, budget, &config(4));
     assert!(again.graph.same_edge_set(&out.graph), "same seed diverged");
     assert_eq!(again.per_rank, out.per_rank);
 
-    let other = simulate_curveball(&g, budget, &config(4).with_seed(777));
+    let other = simulated_trades(&g, budget, &config(4).with_seed(777));
     other.graph.check_invariants().unwrap();
     assert_eq!(other.graph.degree_sequence(), g.degree_sequence());
     assert!(
@@ -835,7 +1044,7 @@ fn curveball_visit_rate_budget_agrees_across_drivers() {
     let seq = sequential_curveball(&mut seq_graph, budget, 4242);
     assert!(seq.visit_rate() >= 0.6, "sequential missed the target");
     for p in [1usize, 4] {
-        let sim = simulate_curveball(&g, budget, &config(p));
+        let sim = simulated_trades(&g, budget, &config(p));
         assert!(sim.visit_rate() >= 0.6, "p={p} missed the target");
         assert!(sim.graph.same_edge_set(&seq_graph), "p={p} graph diverged");
         assert_eq!(sim.steps, seq.passes, "p={p} pass count diverged");
@@ -847,8 +1056,8 @@ fn curveball_visit_rate_budget_agrees_across_drivers() {
     }
 }
 
-/// The `Run` builder dispatches `Randomizer::Curveball` to the trade
-/// engines with the same budget mapping as the free functions.
+/// The builder's knobs and a prepared config name the same Curveball
+/// run, on the threaded world as on the simulated one.
 #[test]
 fn run_builder_dispatches_curveball() {
     let g = clustered_graph(56);
@@ -858,15 +1067,15 @@ fn run_builder_dispatches_curveball() {
         .seed(4242)
         .scheme(SchemeKind::HashUniversal)
         .execute(&g);
-    let free = simulate_curveball(
+    let sim = simulated_trades(
         &g,
         TradeBudget::Trades(1_000),
         &ParallelConfig::new(4)
             .with_scheme(SchemeKind::HashUniversal)
             .with_seed(4242),
     );
-    assert!(out.graph().same_edge_set(&free.graph));
-    assert_eq!(out.performed(), free.performed());
+    assert!(out.graph().same_edge_set(&sim.graph));
+    assert_eq!(out.performed(), sim.performed());
     assert_eq!(out.graph().degree_sequence(), g.degree_sequence());
 
     let seq = Run::sequential()
@@ -887,8 +1096,8 @@ fn fifo_des_conformance_holds_across_schemes_and_policies() {
             .with_scheme(scheme)
             .with_step_size(StepSize::FractionOfT(5))
             .with_seed(77);
-        let fifo = simulate_parallel(&g, t, &cfg);
-        let (des, _) = des_parallel(&g, t, &cfg, &CostModel::default());
+        let fifo = simulated(&g, t, &cfg);
+        let (des, _) = des(&g, t, &cfg);
         assert!(
             fifo.graph.same_edge_set(&des.graph),
             "FIFO and DES diverged under {scheme:?}"

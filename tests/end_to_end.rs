@@ -1,8 +1,9 @@
 //! Cross-crate integration: the full pipeline from generation through
 //! sequential and distributed switching to similarity measurement.
 
-use edge_switching::core::parallel::{parallel_edge_switch, simulate_parallel};
-use edge_switching::core::sequential::sequential_edge_switch;
+mod common;
+
+use common::{des, simulated, threaded};
 use edge_switching::prelude::*;
 
 fn clustered_graph(seed: u64) -> Graph {
@@ -25,20 +26,17 @@ fn sequential_and_parallel_agree_statistically() {
     let g = clustered_graph(1);
     let t = switch_ops_for_visit_rate(g.num_edges() as u64, 1.0);
 
-    let mut gs1 = g.clone();
-    let mut rng1 = root_rng(100);
-    sequential_edge_switch(&mut gs1, t, &mut rng1);
-    let mut gs2 = g.clone();
-    let mut rng2 = root_rng(200);
-    sequential_edge_switch(&mut gs2, t, &mut rng2);
-    let baseline = error_rate(&gs1, &gs2, 20);
+    let seq1 = Run::sequential().switches(t).seed(100).execute(&g);
+    let seq2 = Run::sequential().switches(t).seed(200).execute(&g);
+    let (gs1, gs2) = (seq1.graph(), seq2.graph());
+    let baseline = error_rate(gs1, gs2, 20);
 
     let cfg = ParallelConfig::new(16)
         .with_scheme(SchemeKind::HashUniversal)
         .with_step_size(StepSize::FractionOfT(100))
         .with_seed(300);
-    let out = simulate_parallel(&g, t, &cfg);
-    let par = error_rate(&gs1, &out.graph, 20);
+    let out = simulated(&g, t, &cfg);
+    let par = error_rate(gs1, &out.graph, 20);
 
     assert!(
         par < 2.0 * baseline + 1.0,
@@ -58,7 +56,7 @@ fn threaded_engine_full_pipeline() {
         .with_scheme(SchemeKind::Consecutive)
         .with_step_size(StepSize::FractionOfT(50))
         .with_seed(7);
-    let out = parallel_edge_switch(&g, t, &cfg);
+    let out = threaded(&g, t, &cfg);
 
     out.graph.check_invariants().unwrap();
     assert_eq!(out.graph.degree_sequence(), g.degree_sequence());
@@ -82,7 +80,7 @@ fn all_schemes_produce_valid_switched_graphs() {
             .with_scheme(scheme)
             .with_step_size(StepSize::FractionOfT(10))
             .with_seed(11);
-        let out = simulate_parallel(&g, t, &cfg);
+        let out = simulated(&g, t, &cfg);
         out.graph.check_invariants().unwrap();
         assert_eq!(out.graph.degree_sequence(), g.degree_sequence(), "{scheme}");
         assert_eq!(out.performed() + out.forfeited(), t, "{scheme}");
@@ -97,7 +95,7 @@ fn havel_hakimi_plus_switching_generates_random_graph() {
     let t = switch_ops_for_visit_rate(g0.num_edges() as u64, 1.0);
 
     let cfg = ParallelConfig::new(4).with_seed(21);
-    let out = parallel_edge_switch(&g0, t, &cfg);
+    let out = threaded(&g0, t, &cfg);
     assert_eq!(out.graph.degree_sequence(), seq);
     // Nearly every edge replaced.
     let shared = out.graph.edges().filter(|&e| g0.has_edge(e)).count();
@@ -114,8 +112,7 @@ fn visit_rate_conversion_round_trips_through_both_algorithms() {
     let g = erdos_renyi_gnm(1500, 9000, &mut rng);
     for &x in &[0.25, 0.6, 0.95] {
         let t = switch_ops_for_visit_rate(g.num_edges() as u64, x);
-        let mut gs = g.clone();
-        let seq = sequential_edge_switch(&mut gs, t, &mut rng);
+        let seq = Run::sequential().switches(t).seed(x.to_bits()).execute(&g);
         assert!(
             (seq.visit_rate() - x).abs() < 0.04,
             "seq x={x}: {}",
@@ -126,7 +123,7 @@ fn visit_rate_conversion_round_trips_through_both_algorithms() {
             .with_scheme(SchemeKind::HashDivision)
             .with_step_size(StepSize::FractionOfT(20))
             .with_seed(x.to_bits());
-        let out = simulate_parallel(&g, t, &cfg);
+        let out = simulated(&g, t, &cfg);
         assert!(
             (out.visit_rate() - x).abs() < 0.04,
             "par x={x}: {}",
@@ -143,8 +140,8 @@ fn des_and_logical_sim_agree_on_invariants() {
         .with_scheme(SchemeKind::HashMultiplication)
         .with_step_size(StepSize::FractionOfT(6))
         .with_seed(31);
-    let sim = simulate_parallel(&g, t, &cfg);
-    let (des_out, report) = des_parallel(&g, t, &cfg, &CostModel::default());
+    let sim = simulated(&g, t, &cfg);
+    let (des_out, report) = des(&g, t, &cfg);
     for out in [&sim, &des_out] {
         out.graph.check_invariants().unwrap();
         assert_eq!(out.graph.degree_sequence(), g.degree_sequence());

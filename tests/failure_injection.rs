@@ -2,8 +2,10 @@
 //! starved partitions, dense graphs with heavy abort traffic, and the
 //! quota-policy ablation.
 
+mod common;
+
+use common::{simulated, threaded};
 use edge_switching::core::config::QuotaPolicy;
-use edge_switching::core::parallel::{parallel_edge_switch, simulate_parallel};
 use edge_switching::core::variants::{sequential_edge_switch_connected, sequential_exact_visit};
 use edge_switching::prelude::*;
 
@@ -22,7 +24,7 @@ fn star_graph_forfeits_in_parallel_without_wedging() {
         .with_scheme(SchemeKind::HashDivision)
         .with_step_size(StepSize::SingleStep)
         .with_seed(1);
-    let out = simulate_parallel(&g, 6, &cfg);
+    let out = simulated(&g, 6, &cfg);
     assert_eq!(out.performed(), 0);
     assert_eq!(out.forfeited(), 6);
     assert!(
@@ -39,7 +41,7 @@ fn empty_and_single_edge_graphs() {
             g.add_edge(Edge::new(0, 1)).unwrap();
         }
         let cfg = ParallelConfig::new(2).with_seed(2);
-        let out = simulate_parallel(&g, 10, &cfg);
+        let out = simulated(&g, 10, &cfg);
         assert_eq!(out.performed(), 0);
         assert_eq!(out.graph.num_edges(), m);
     }
@@ -60,7 +62,7 @@ fn near_complete_graph_mostly_aborts_but_terminates() {
     let cfg = ParallelConfig::new(3)
         .with_step_size(StepSize::FractionOfT(2))
         .with_seed(3);
-    let out = simulate_parallel(&g, 30, &cfg);
+    let out = simulated(&g, 30, &cfg);
     out.graph.check_invariants().unwrap();
     assert_eq!(out.performed() + out.forfeited(), 30);
     let aborts: u64 = out.per_rank.iter().map(|s| s.aborts()).sum();
@@ -89,7 +91,7 @@ fn uniform_quota_ablation_still_correct_but_less_similar() {
         .with_quota_policy(QuotaPolicy::Uniform)
         .with_step_size(StepSize::FractionOfT(10))
         .with_seed(5);
-    let out = simulate_parallel(&g, t, &cfg);
+    let out = simulated(&g, t, &cfg);
     out.graph.check_invariants().unwrap();
     assert_eq!(out.graph.degree_sequence(), g.degree_sequence());
     assert_eq!(out.performed() + out.forfeited(), t);
@@ -130,7 +132,7 @@ fn threaded_engine_survives_many_tiny_steps() {
     let cfg = ParallelConfig::new(4)
         .with_step_size(StepSize::Ops(3))
         .with_seed(9);
-    let out = parallel_edge_switch(&g, 300, &cfg);
+    let out = threaded(&g, 300, &cfg);
     assert_eq!(out.steps, 100);
     assert_eq!(out.performed() + out.forfeited(), 300);
     out.graph.check_invariants().unwrap();
@@ -154,7 +156,7 @@ fn partition_starvation_recovers_across_steps() {
         .with_step_size(StepSize::FractionOfT(10))
         .with_seed(11);
     let t = 1_000u64;
-    let out = simulate_parallel(&g, t, &cfg);
+    let out = simulated(&g, t, &cfg);
     assert_eq!(out.performed() + out.forfeited(), t);
     assert_eq!(out.graph.degree_sequence(), g.degree_sequence());
 }

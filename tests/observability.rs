@@ -7,10 +7,16 @@
 //! The second half pins the [`RunReport`] JSON schema that `repro
 //! trace` exports.
 
-use edge_switching::core::parallel::{
-    parallel_curveball, parallel_edge_switch, simulate_curveball, simulate_parallel,
-};
+mod common;
+
+use common::{des, simulated, threaded, under};
 use edge_switching::prelude::*;
+
+/// `trades` Curveball trades under `cfg` on the world `run` names.
+fn trade_run(run: Run, g: &Graph, trades: u64, cfg: &ParallelConfig) -> ParallelOutcome {
+    let cfg = cfg.clone().with_randomizer(Randomizer::Curveball);
+    under(run.switches(trades), g, &cfg)
+}
 
 fn graph(seed: u64) -> Graph {
     let mut rng = root_rng(seed);
@@ -99,8 +105,8 @@ fn fifo_probe_identity_across_windows() {
     let t = 2_000;
     for window in [1usize, 16] {
         let cfg = config(8, window);
-        let plain = simulate_parallel(&g, t, &cfg);
-        let observed = simulate_parallel(&g, t, &cfg.clone().with_obs(ObsSpec::Spans));
+        let plain = simulated(&g, t, &cfg);
+        let observed = simulated(&g, t, &cfg.clone().with_obs(ObsSpec::Spans));
         assert_logically_identical(&plain, &observed, &format!("FIFO window {window}"));
         assert!(plain.report.is_none());
         let report = observed.report.as_ref().expect("observed run");
@@ -117,16 +123,11 @@ fn des_probe_identity_and_virtual_time() {
     let t = 2_000;
     for window in [1usize, 16] {
         let cfg = config(8, window);
-        let (plain, _) = des_parallel(&g, t, &cfg, &CostModel::default());
-        let (observed, des_report) = des_parallel(
-            &g,
-            t,
-            &cfg.clone().with_obs(ObsSpec::Spans),
-            &CostModel::default(),
-        );
+        let (plain, _) = des(&g, t, &cfg);
+        let (observed, des_report) = des(&g, t, &cfg.clone().with_obs(ObsSpec::Spans));
         assert_logically_identical(&plain, &observed, &format!("DES window {window}"));
         // The observed DES must also still agree with the FIFO oracle.
-        let fifo = simulate_parallel(&g, t, &cfg);
+        let fifo = simulated(&g, t, &cfg);
         assert!(fifo.graph.same_edge_set(&observed.graph));
 
         // DES spans are recorded on the simulated clock: the report says
@@ -151,8 +152,8 @@ fn threaded_probe_identity_at_one_rank() {
     let t = 1_500;
     for window in [1usize, 16] {
         let cfg = config(1, window);
-        let plain = parallel_edge_switch(&g, t, &cfg);
-        let observed = parallel_edge_switch(&g, t, &cfg.clone().with_obs(ObsSpec::Spans));
+        let plain = threaded(&g, t, &cfg);
+        let observed = threaded(&g, t, &cfg.clone().with_obs(ObsSpec::Spans));
         assert_logically_identical(&plain, &observed, &format!("threaded p=1 window {window}"));
     }
 }
@@ -165,7 +166,7 @@ fn threaded_observed_run_reports_all_phases_and_round_trips() {
     let g = graph(25);
     let t = 2_000;
     let cfg = config(4, DEFAULT_WINDOW).with_obs(ObsSpec::Spans);
-    let out = parallel_edge_switch(&g, t, &cfg);
+    let out = threaded(&g, t, &cfg);
     out.graph.check_invariants().unwrap();
     assert_eq!(out.graph.degree_sequence(), g.degree_sequence());
     assert_eq!(out.performed() + out.forfeited(), t);
@@ -211,8 +212,8 @@ fn speculative_batch_observed_run_covers_batch_phase() {
     let g = graph(27);
     let t = 2_000;
     let cfg = config(4, DEFAULT_WINDOW).with_spec_batch(8);
-    let plain = simulate_parallel(&g, t, &cfg);
-    let observed = simulate_parallel(&g, t, &cfg.clone().with_obs(ObsSpec::Spans));
+    let plain = simulated(&g, t, &cfg);
+    let observed = simulated(&g, t, &cfg.clone().with_obs(ObsSpec::Spans));
     assert_logically_identical(&plain, &observed, "FIFO spec batch");
     let report = observed.report.as_ref().expect("observed run");
     assert!(
@@ -235,11 +236,12 @@ fn curveball_observed_run_is_probe_identical_and_covers_trade_phase() {
     // trade schedule — and the report covers the trade-shuffle phase
     // that the switch protocol never records.
     let g = graph(28);
-    let budget = TradeBudget::Trades(1_200);
+    let trades = 1_200;
     let cfg = config(4, DEFAULT_WINDOW);
+    let observed_cfg = cfg.clone().with_obs(ObsSpec::Spans);
 
-    let plain = simulate_curveball(&g, budget, &cfg);
-    let observed = simulate_curveball(&g, budget, &cfg.clone().with_obs(ObsSpec::Spans));
+    let plain = trade_run(Run::simulated(4), &g, trades, &cfg);
+    let observed = trade_run(Run::simulated(4), &g, trades, &observed_cfg);
     assert_logically_identical(&plain, &observed, "FIFO curveball");
     let report = observed.report.as_ref().expect("observed run");
     assert!(report.ranks == 4 && report.wall_ns > 0);
@@ -250,8 +252,8 @@ fn curveball_observed_run_is_probe_identical_and_covers_trade_phase() {
         "no trade shuffle was ever recorded"
     );
 
-    let eng_plain = parallel_curveball(&g, budget, &cfg);
-    let eng_obs = parallel_curveball(&g, budget, &cfg.clone().with_obs(ObsSpec::Spans));
+    let eng_plain = trade_run(Run::parallel(4), &g, trades, &cfg);
+    let eng_obs = trade_run(Run::parallel(4), &g, trades, &observed_cfg);
     assert_logically_identical(&eng_plain, &eng_obs, "threaded curveball");
     let report = eng_obs.report.as_ref().expect("observed run");
     assert_eq!(report.clock, "monotonic");
@@ -269,7 +271,7 @@ fn run_report_json_schema_is_stable() {
     // here; widening the schema is fine, renames are a breaking change.
     let g = graph(26);
     let cfg = config(4, DEFAULT_WINDOW).with_obs(ObsSpec::Spans);
-    let out = simulate_parallel(&g, 1_000, &cfg);
+    let out = simulated(&g, 1_000, &cfg);
     let v = out.report.as_ref().expect("observed run").to_json();
 
     // Key *sets* are compared sorted: the real serde_json orders object

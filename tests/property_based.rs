@@ -1,7 +1,6 @@
 //! Property-based tests (proptest) over the core invariants:
 //! simplicity, degree preservation, partition coverage, sampler laws.
 
-use edge_switching::core::sequential::sequential_edge_switch;
 use edge_switching::core::switch::{recombine, Recombination, SwitchKind};
 use edge_switching::graph::store::{assemble_graph, build_stores};
 use edge_switching::graph::OrientedEdge;
@@ -23,13 +22,16 @@ proptest! {
 
     #[test]
     fn switching_preserves_simplicity_and_degrees(g in arb_graph(), t in 0u64..500, seed: u64) {
-        let mut graph = g.clone();
-        let mut rng = root_rng(seed);
-        let out = sequential_edge_switch(&mut graph, t, &mut rng);
-        prop_assert!(graph.check_invariants().is_ok());
-        prop_assert_eq!(graph.degree_sequence(), g.degree_sequence());
-        prop_assert_eq!(graph.num_edges(), g.num_edges());
-        prop_assert!(out.performed + out.abandoned == t);
+        let run = Run::sequential()
+            .switches(t)
+            .seed(seed)
+            .execute(&g)
+            .into_sequential()
+            .expect("sequential run");
+        prop_assert!(run.graph.check_invariants().is_ok());
+        prop_assert_eq!(run.graph.degree_sequence(), g.degree_sequence());
+        prop_assert_eq!(run.graph.num_edges(), g.num_edges());
+        prop_assert!(run.outcome.performed + run.outcome.abandoned == t);
     }
 
     #[test]
@@ -41,11 +43,14 @@ proptest! {
         seed: u64,
     ) {
         let scheme = SchemeKind::all()[scheme_idx];
-        let cfg = ParallelConfig::new(p)
-            .with_scheme(scheme)
-            .with_step_size(StepSize::FractionOfT(5))
-            .with_seed(seed);
-        let out = simulate_parallel(&g, t, &cfg);
+        let out = Run::simulated(p)
+            .switches(t)
+            .scheme(scheme)
+            .step_size(StepSize::FractionOfT(5))
+            .seed(seed)
+            .execute(&g)
+            .into_parallel()
+            .expect("parallel outcome");
         prop_assert!(out.graph.check_invariants().is_ok());
         prop_assert_eq!(out.graph.degree_sequence(), g.degree_sequence());
         prop_assert_eq!(out.performed() + out.forfeited(), t);
@@ -141,10 +146,8 @@ proptest! {
     fn error_rate_bounded_and_reflexive(g in arb_graph(), seed: u64, r in 1usize..8) {
         prop_assume!(r <= g.num_vertices());
         prop_assert_eq!(error_rate(&g, &g, r), 0.0);
-        let mut h = g.clone();
-        let mut rng = root_rng(seed);
-        sequential_edge_switch(&mut h, 50, &mut rng);
-        let er = error_rate(&g, &h, r);
+        let switched = Run::sequential().switches(50).seed(seed).execute(&g);
+        let er = error_rate(&g, switched.graph(), r);
         prop_assert!((0.0..=100.0).contains(&er), "ER = {er}");
     }
 }
