@@ -11,7 +11,7 @@
 use edgeswitch_bench::experiments::{
     ablation_ids, all_ids, diagnostic_ids,
     genscale::{genscale_child_from_env, mem_gate},
-    hotpath::{batch_gate, local_gate, probe_gate, proc_gate, scaling_gate},
+    hotpath::{batch_gate, local_gate, probe_gate, proc_gate, scaling_gate, THREADED_P1_FLOOR},
     mixing::mixing_gate,
     perf_ids, run, ExpConfig,
 };
@@ -139,15 +139,17 @@ fn main() {
             }
             "--gate-local" => {
                 // CI fast-path guard (hotpath only): exit non-zero if
-                // threaded p=1 at the default window falls below 75% of
-                // sequential throughput on the quick ER case.
+                // threaded p=1 at the default window falls below
+                // THREADED_P1_FLOOR of sequential throughput on the quick ER
+                // case.
                 gate_local = true;
                 i += 1;
             }
             "--gate-batch" => {
                 // CI speculative-batch guard (hotpath only): exit
                 // non-zero if threaded p=1 with batching on falls below
-                // 90% of sequential throughput on the quick ER case.
+                // THREADED_P1_FLOOR of sequential throughput on the quick ER
+                // case.
                 gate_batch = true;
                 i += 1;
             }
@@ -258,9 +260,9 @@ fn main() {
                 }
                 if gate_local && report.id == "hotpath" {
                     match local_gate(&report.data) {
-                        Ok(()) => {
-                            println!("# local gate: ok (threaded p=1 >= 0.75x sequential on ER)")
-                        }
+                        Ok(()) => println!(
+                            "# local gate: ok (threaded p=1 >= {THREADED_P1_FLOOR:.2}x sequential on ER)"
+                        ),
                         Err(why) => {
                             eprintln!("# local gate FAILED: {why}");
                             std::process::exit(1);
@@ -270,7 +272,7 @@ fn main() {
                 if gate_batch && report.id == "hotpath" {
                     match batch_gate(&report.data) {
                         Ok(()) => println!(
-                            "# batch gate: ok (threaded p=1 with batching >= 0.90x sequential on ER)"
+                            "# batch gate: ok (threaded p=1 with batching >= {THREADED_P1_FLOOR:.2}x sequential on ER)"
                         ),
                         Err(why) => {
                             eprintln!("# batch gate FAILED: {why}");

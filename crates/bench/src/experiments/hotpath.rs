@@ -19,8 +19,9 @@ use edgeswitch_core::parallel::process_backend_supported;
 use edgeswitch_core::run::Run;
 use edgeswitch_core::switch::{flip_kind, recombine, Recombination};
 use edgeswitch_core::visit::VisitTracker;
-use edgeswitch_dist::root_rng;
+use edgeswitch_dist::{root_rng, BlockRng64};
 use edgeswitch_graph::generators::{erdos_renyi_gnm, preferential_attachment, small_world};
+use edgeswitch_graph::sampling::EdgePool;
 use edgeswitch_graph::{Graph, OrientedEdge};
 use rand::Rng;
 use serde_json::json;
@@ -36,6 +37,22 @@ const WINDOWS: [usize; 3] = [1, 4, 16];
 /// Speculative batch depth for the batching-on cases (the per-switch
 /// path itself is `spec_batch = 1`, measured by the window sweep).
 const SPEC_BATCH: usize = 8;
+
+/// Floor of the two gates that divide a threaded p = 1 rate by the
+/// sequential rate ([`local_gate`], [`batch_gate`]). The threaded case
+/// times a whole `Run::execute` — rank start, `build_stores`, the step
+/// barriers, `assemble_graph` — and the rank loop's bookkeeping on top
+/// of the same pool calls, so when the sequential loop stopped
+/// maintaining adjacency (2.9 → 6.9 M switches/s on this gate's case)
+/// both threaded rates rose nearly as much in absolute terms (2.5 → 4.3
+/// and 2.6 → 4.8 M/s) and fell as a ratio. Restated from 0.75 and 0.90
+/// on that commit: six same-session `--quick` repetitions read 0.62–0.84
+/// (median 0.70) and, batching on, 0.63–0.95 (median 0.74), and five
+/// runs of the gates themselves dipped to 0.52 — a `--quick` case is a
+/// few milliseconds, one repetition. The states the gates guard against
+/// (the fast path falling back into the conversation protocol, the batch
+/// loop's bookkeeping doubling) read under 0.25.
+pub const THREADED_P1_FLOOR: f64 = 0.45;
 
 /// Switch operations per measurement, as a multiple of `m` (long enough
 /// to amortize timer noise at full scale). Shared by the sequential and
@@ -97,30 +114,34 @@ fn bench_sequential(graph: &Graph, reps: u32, seed: u64) -> (u64, f64) {
 const PROBE_GATE_OPS: u64 = 200_000;
 
 /// The *uninstrumented* Algorithm-1 inner loop, frozen as the reference
-/// the probe-overhead gate compares against: identical sampling,
-/// legality checking, mutation and visit tracking as
-/// the engine behind `Run::sequential`, with no observation points at all. If the
-/// no-op probe in the real path ever grows measurable cost, the ratio of
-/// the two exposes it.
-fn frozen_sequential<R: Rng>(graph: &mut Graph, t: u64, rng: &mut R) -> u64 {
-    let mut tracker = VisitTracker::new(graph.edges());
+/// the probe-overhead gate compares against: the same storage calls in
+/// the same order as the engine behind `Run::sequential` — sampling,
+/// the existence test, removal and insertion on the [`EdgePool`] alone,
+/// visit tracking, the draws served through the same [`BlockRng64`] —
+/// with no observation points at all. If the no-op probe in the real
+/// path ever grows measurable cost, the ratio of the two exposes it.
+/// (The loop that also maintains adjacency, which the
+/// engine is tested against for equal results, is
+/// `tests/common::frozen_sequential`; as a timing baseline it would do
+/// eight sorted-array updates a switch the engine no longer does, and
+/// the ratio would measure those instead of the probe.)
+fn frozen_sequential<R: Rng>(pool: &mut EdgePool, t: u64, rng: &mut R) -> u64 {
+    let mut tracker = VisitTracker::new(pool.iter());
     let mut performed = 0u64;
-    if graph.num_edges() < 2 {
+    if pool.len() < 2 {
         return 0;
     }
     'ops: for _ in 0..t {
         let mut retries = 0u64;
         loop {
-            let e1 = OrientedEdge::from_edge(graph.sample_edge(rng).expect("m >= 2"));
-            let e2 = OrientedEdge::from_edge(graph.sample_edge(rng).expect("m >= 2"));
+            let e1 = OrientedEdge::from_edge(pool.sample(rng).expect("m >= 2"));
+            let e2 = OrientedEdge::from_edge(pool.sample(rng).expect("m >= 2"));
             let kind = flip_kind(rng);
             if let Recombination::Candidate { f1, f2 } = recombine(e1, e2, kind) {
-                if !graph.has_edge(f1) && !graph.has_edge(f2) {
+                if !pool.contains(f1) && !pool.contains(f2) {
                     let (o1, o2) = (e1.edge(), e2.edge());
-                    graph.remove_edge(o1).expect("sampled edge exists");
-                    graph.remove_edge(o2).expect("sampled edge exists");
-                    graph.add_edge(f1).expect("checked absent");
-                    graph.add_edge(f2).expect("checked absent");
+                    assert!(pool.remove(o1) && pool.remove(o2), "sampled edges exist");
+                    assert!(pool.insert(f1) && pool.insert(f2), "checked absent");
                     tracker.record_removal(o1);
                     tracker.record_removal(o2);
                     performed += 1;
@@ -147,13 +168,13 @@ fn bench_probe_overhead(graph: &Graph, reps: u32, seed: u64) -> (f64, f64) {
     // noisy sample on either side would dominate the ratio.
     for rep in 0..reps.max(3) {
         let salt = 0x9e0 + rep as u64;
-        let mut g = graph.clone();
-        let mut rng = root_rng(seed ^ salt);
+        let mut pool = graph.pool().clone();
+        let mut rng = BlockRng64::new(root_rng(seed ^ salt));
         let start = Instant::now();
-        let performed = frozen_sequential(&mut g, PROBE_GATE_OPS, &mut rng);
+        let performed = frozen_sequential(&mut pool, PROBE_GATE_OPS, &mut rng);
         base_best = base_best.max(performed as f64 / start.elapsed().as_secs_f64());
 
-        // `start` sets the engine up (it clones the graph) outside the
+        // `start` sets the engine up (it clones the pool) outside the
         // timed region: the gate divides this timing by the frozen
         // loop's, so both sides must time the switch loop alone.
         let mut engine = Run::sequential()
@@ -446,11 +467,12 @@ pub fn scaling_gate(data: &serde_json::Value) -> Result<(), String> {
 /// Local-fast-path gate over an already-computed hotpath report: on the
 /// ER family at the default window, threaded p=1 — where every switch
 /// is rank-local and takes the zero-message fast path — must hold at
-/// least 75% of sequential Algorithm 1's throughput on identical work
-/// (both modes run `OPS_PER_EDGE * m` operations). Guards against the
-/// fast path silently regressing back into the conversation protocol,
-/// which held p=1 near 40% of sequential. Returns a human-readable
-/// error when the gate trips.
+/// least [`THREADED_P1_FLOOR`] of sequential Algorithm 1's throughput on
+/// identical work (both modes run `OPS_PER_EDGE * m` operations). Guards
+/// against the fast path silently regressing back into the conversation
+/// protocol, which held p=1 near 40% of a sequential loop less than half
+/// as fast as today's. Returns a human-readable error when the gate
+/// trips.
 pub fn local_gate(data: &serde_json::Value) -> Result<(), String> {
     let window = *WINDOWS.last().unwrap() as u64;
     let cases = || data["cases"].as_array().into_iter().flatten();
@@ -472,11 +494,12 @@ pub fn local_gate(data: &serde_json::Value) -> Result<(), String> {
         .and_then(|c| c["switches_per_sec"].as_f64())
         .ok_or_else(|| format!("gate: no ER threaded p=1 window={window} case"))?;
     let ratio = if seq > 0.0 { p1 / seq } else { 1.0 };
-    if ratio < 0.75 {
+    if ratio < THREADED_P1_FLOOR {
         return Err(format!(
             "local fast-path regression: ER threaded p=1 at {:.1}% of \
-             sequential (floor 75%) at window {window}",
-            100.0 * ratio
+             sequential (floor {:.0}%) at window {window}",
+            100.0 * ratio,
+            100.0 * THREADED_P1_FLOOR
         ));
     }
     Ok(())
@@ -484,9 +507,10 @@ pub fn local_gate(data: &serde_json::Value) -> Result<(), String> {
 
 /// Speculative-batch gate over an already-computed hotpath report: on
 /// the ER family at the default window, threaded p=1 with batching on
-/// (`spec_batch` = [`SPEC_BATCH`]) must hold at least 90% of sequential
-/// Algorithm 1's throughput on identical work. At p=1 every switch is
-/// rank-local, so speculation never pays a verdict round trip — the
+/// (`spec_batch` = [`SPEC_BATCH`]) must hold at least
+/// [`THREADED_P1_FLOOR`] of sequential Algorithm 1's throughput on
+/// identical work. At p=1 every switch is rank-local, so speculation
+/// never pays a verdict round trip — the
 /// gate guards the batch loop's bookkeeping overhead (sampling gate,
 /// undo-log plumbing, retry routing) against regressing the hot path.
 /// Returns a human-readable error when the gate trips.
@@ -513,11 +537,12 @@ pub fn batch_gate(data: &serde_json::Value) -> Result<(), String> {
             format!("gate: no ER threaded p=1 window={window} spec_batch={SPEC_BATCH} case")
         })?;
     let ratio = if seq > 0.0 { p1 / seq } else { 1.0 };
-    if ratio < 0.90 {
+    if ratio < THREADED_P1_FLOOR {
         return Err(format!(
             "speculative-batch regression: ER threaded p=1 with batching on at \
-             {:.1}% of sequential (floor 90%) at window {window}",
-            100.0 * ratio
+             {:.1}% of sequential (floor {:.0}%) at window {window}",
+            100.0 * ratio,
+            100.0 * THREADED_P1_FLOOR
         ));
     }
     Ok(())
@@ -632,18 +657,16 @@ mod tests {
     }
 
     #[test]
-    fn frozen_reference_and_the_engine_make_the_same_switches() {
-        // The frozen loop predates the stepped engine and shares none of
-        // its driver code, so on any RNG stream — the published crates'
-        // included, where no digests are pinned — it checks that
-        // `Run::sequential` still draws and applies exactly Algorithm 1.
+    fn frozen_baseline_and_the_engine_make_the_same_switches() {
+        // The gate's ratio means something only while both sides do the
+        // same work: same draws, same switches, same final pool order.
         let g = erdos_renyi_gnm(400, 2000, &mut root_rng(7));
         for (t, seed) in [(1u64, 3u64), (3000, 11), (5000, 12)] {
-            let mut frozen = g.clone();
+            let mut frozen = g.pool().clone();
             let performed = frozen_sequential(&mut frozen, t, &mut root_rng(seed));
             let out = Run::sequential().switches(t).seed(seed).execute(&g);
             assert_eq!(out.performed(), performed);
-            assert_eq!(out.graph().edge_digest(), frozen.edge_digest(), "t={t}");
+            assert!(out.graph().edges().eq(frozen.iter()), "t={t}");
         }
     }
 
@@ -688,7 +711,7 @@ mod tests {
         assert!(local_gate(&ok).is_ok());
         let bad = json!({"cases": [
             {"family": "erdos_renyi_100k", "mode": "sequential", "p": 1, "switches_per_sec": 100.0},
-            {"family": "erdos_renyi_100k", "mode": "threaded", "p": 1, "window": 16, "switches_per_sec": 60.0},
+            {"family": "erdos_renyi_100k", "mode": "threaded", "p": 1, "window": 16, "switches_per_sec": 40.0},
         ]});
         assert!(local_gate(&bad).unwrap_err().contains("local fast-path"));
         assert!(local_gate(&json!({"cases": []})).is_err());
@@ -733,7 +756,7 @@ mod tests {
         let bad = json!({"cases": [
             {"family": "erdos_renyi_100k", "mode": "sequential", "p": 1, "switches_per_sec": 100.0},
             {"family": "erdos_renyi_100k", "mode": "threaded", "p": 1, "window": 16,
-             "spec_batch": 8, "switches_per_sec": 60.0},
+             "spec_batch": 8, "switches_per_sec": 40.0},
         ]});
         assert!(batch_gate(&bad).unwrap_err().contains("speculative-batch"));
         assert!(batch_gate(&json!({"cases": []})).is_err());

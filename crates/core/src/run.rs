@@ -486,9 +486,11 @@ impl Run {
     /// [`Engine::finish`] then carries the [`RunReport`].
     ///
     /// `graph` is a `&Graph` (left unmodified: a sequential engine
-    /// switches a clone) or a `Graph` the caller is done with (the
-    /// sequential engine then switches it in place of a clone, so the two
-    /// never coexist — the job service's peak memory).
+    /// switches a clone of its edge pool — the adjacency is never
+    /// copied, the engine does not use it) or a `Graph` the caller is
+    /// done with (the sequential engine then switches its pool in place
+    /// of a clone, so the two never coexist — the job service's peak
+    /// memory).
     ///
     /// Only the sequential and simulated switch drivers can be stepped;
     /// anything else is [`RunError::BackendUnsupported`].
@@ -500,7 +502,7 @@ impl Run {
         let config = &self.config;
         Ok(Engine(match self.mode {
             Mode::Sequential => EngineKind::Sequential(Box::new(
-                SequentialResumable::new(graph.into_owned(), t, config.seed).with_obs(config.obs),
+                SequentialResumable::new(graph, t, config.seed).with_obs(config.obs),
             )),
             _ => EngineKind::Simulated(Box::new(SimWorld::over(
                 &graph,

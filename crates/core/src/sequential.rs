@@ -3,14 +3,23 @@
 //! Repeatedly draw two uniform random edges, flip the straight/cross
 //! coin, and apply the switch unless it would create a self-loop or
 //! parallel edge or is useless — in which case the operation restarts
-//! with a fresh draw. `O(t log d_max)` expected for sparse graphs.
+//! with a fresh draw. `O(t log d_max)` expected for sparse graphs in the
+//! paper, whose parallel-edge test searches an adjacency tree; here the
+//! loop reads and writes one structure, the [`EdgePool`] (sampling and
+//! the existence test are both its packed-key index), so an operation is
+//! expected `O(1)`. Adjacency is not maintained while switching: the
+//! engine takes the pool of the graph it is given and
+//! [`SequentialResumable::finish`] builds the switched graph's adjacency
+//! once, in bulk ([`Graph::from_pool`]).
 
 use crate::obs::{Obs, ObsSpec, Phase, RunReport};
 use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
 use crate::visit::VisitTracker;
 use edgeswitch_dist::{root_rng, BlockRng64};
-use edgeswitch_graph::{Edge, Graph, OrientedEdge};
+use edgeswitch_graph::sampling::EdgePool;
+use edgeswitch_graph::{Edge, Graph, GraphError, OrientedEdge};
 use rand::Rng;
+use std::borrow::Cow;
 
 /// Per-reason rejection counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -85,7 +94,7 @@ enum ChunkOutcome {
 /// arguments, so splitting a budget across calls is bit-identical to one
 /// uninterrupted call.
 fn run_ops_chunk<R: Rng + ?Sized>(
-    graph: &mut Graph,
+    pool: &mut EdgePool,
     ops: u64,
     rng: &mut R,
     tracker: &mut VisitTracker,
@@ -97,25 +106,23 @@ fn run_ops_chunk<R: Rng + ?Sized>(
         let mut retries = 0u64;
         loop {
             let sample_start = obs.now();
-            let e1 = OrientedEdge::from_edge(graph.sample_edge(rng).expect("m >= 2"));
-            let e2 = OrientedEdge::from_edge(graph.sample_edge(rng).expect("m >= 2"));
+            let e1 = OrientedEdge::from_edge(pool.sample(rng).expect("m >= 2"));
+            let e2 = OrientedEdge::from_edge(pool.sample(rng).expect("m >= 2"));
             let kind = flip_kind(rng);
             obs.span_since(Phase::Sample, sample_start);
             let legality_start = obs.now();
             let recombined = recombine(e1, e2, kind);
             let reason = match recombined {
                 Recombination::Candidate { f1, f2 } => {
-                    if graph.has_edge(f1) || graph.has_edge(f2) {
+                    if pool.contains(f1) || pool.contains(f2) {
                         obs.span_since(Phase::Legality, legality_start);
                         RejectReason::ParallelEdge
                     } else {
                         obs.span_since(Phase::Legality, legality_start);
                         let apply_start = obs.now();
                         let (o1, o2) = (e1.edge(), e2.edge());
-                        graph.remove_edge(o1).expect("sampled edge exists");
-                        graph.remove_edge(o2).expect("sampled edge exists");
-                        graph.add_edge(f1).expect("checked absent");
-                        graph.add_edge(f2).expect("checked absent");
+                        assert!(pool.remove(o1) && pool.remove(o2), "sampled edges exist");
+                        assert!(pool.insert(f1) && pool.insert(f2), "checked absent");
                         tracker.record_removal(o1);
                         tracker.record_removal(o2);
                         *performed += 1;
@@ -183,7 +190,10 @@ pub struct SeqCheckpoint {
 /// ([`SequentialResumable::with_obs`]); the checkpoint never carries the
 /// probe, so a restored engine is unobserved.
 pub struct SequentialResumable {
-    graph: Graph,
+    /// Vertex count of the graph under randomization.
+    n: usize,
+    /// Its edges — all of the graph the switch loop reads or writes.
+    pool: EdgePool,
     seed: u64,
     t: u64,
     performed: u64,
@@ -203,11 +213,23 @@ impl SequentialResumable {
     /// Graphs with fewer than two edges, or degenerate graphs on which
     /// no legal switch exists (e.g. a star), end early with the
     /// shortfall reported in [`SequentialOutcome::abandoned`].
-    pub fn new(graph: Graph, t: u64, seed: u64) -> Self {
-        let tracker = VisitTracker::new(graph.edges());
-        let abandoned = if graph.num_edges() < 2 { t } else { 0 };
+    ///
+    /// Only the graph's pool is switched: a `Graph` given away sheds its
+    /// adjacency here, a `&Graph` lent has its pool cloned and its
+    /// adjacency never copied; [`SequentialResumable::finish`] builds
+    /// the switched graph's.
+    pub fn new<'g>(graph: impl Into<Cow<'g, Graph>>, t: u64, seed: u64) -> Self {
+        let graph = graph.into();
+        let n = graph.num_vertices();
+        let pool = match graph {
+            Cow::Borrowed(lent) => lent.pool().clone(),
+            Cow::Owned(given) => given.into_pool(),
+        };
+        let tracker = VisitTracker::new(pool.iter());
+        let abandoned = if pool.len() < 2 { t } else { 0 };
         SequentialResumable {
-            graph,
+            n,
+            pool,
             seed,
             t,
             performed: 0,
@@ -242,7 +264,7 @@ impl SequentialResumable {
         let before = self.performed;
         let ops = max_ops.min(self.t - self.performed);
         let chunk = run_ops_chunk(
-            &mut self.graph,
+            &mut self.pool,
             ops,
             &mut self.rng,
             &mut self.tracker,
@@ -302,20 +324,20 @@ impl SequentialResumable {
         tracker_remaining.sort_unstable();
         SeqCheckpoint {
             seed: self.seed,
-            n: self.graph.num_vertices(),
+            n: self.n,
             t: self.t,
             performed: self.performed,
             abandoned: self.abandoned,
             rejects: self.rejects,
             tracker_initial: self.tracker.initial_count(),
             tracker_remaining,
-            graph_edges: self.graph.edges().collect(),
+            graph_edges: self.pool.iter().collect(),
             rng_words: self.rng.words_served(),
         }
     }
 
     /// Rebuild the engine of the `t`-operation run on `graph` under
-    /// `seed` from a checkpoint: graph reinserted in captured pool
+    /// `seed` from a checkpoint: edges reinserted in captured pool
     /// order, tracker from its parts, RNG re-derived from the seed and
     /// fast-forwarded to the recorded stream position.
     ///
@@ -344,12 +366,16 @@ impl SequentialResumable {
             return Err("checkpoint visit tracker does not fit the graph".to_string());
         }
         check_degrees(graph, ckpt.n, &mut ckpt.graph_edges.iter().copied())?;
-        let switched = Graph::from_edges(ckpt.n, ckpt.graph_edges.iter().copied())
-            .map_err(|err| format!("checkpoint graph is not simple: {err:?}"))?;
+        let mut pool = EdgePool::with_capacity(ckpt.graph_edges.len());
+        if let Some(&twice) = ckpt.graph_edges.iter().find(|&&e| !pool.insert(e)) {
+            let err = GraphError::ParallelEdge(twice);
+            return Err(format!("checkpoint graph is not simple: {err:?}"));
+        }
         let mut rng = BlockRng64::new(root_rng(seed));
         rng.jump_words(ckpt.rng_words);
         Ok(SequentialResumable {
-            graph: switched,
+            n: ckpt.n,
+            pool,
             seed,
             t,
             performed: ckpt.performed,
@@ -365,8 +391,9 @@ impl SequentialResumable {
         })
     }
 
-    /// Tear down into the switched graph and the run outcome; `report`
-    /// is `Some` iff the engine was observed.
+    /// Tear down into the switched graph — its adjacency built here, in
+    /// bulk, from the switched pool — and the run outcome; `report` is
+    /// `Some` iff the engine was observed.
     pub fn finish(self) -> (Graph, SequentialOutcome) {
         let report = if self.obs.enabled() {
             let wall_ns = self.obs.now().saturating_sub(self.run_start);
@@ -376,8 +403,10 @@ impl SequentialResumable {
         } else {
             None
         };
+        let graph = Graph::from_pool(self.n, self.pool)
+            .expect("a switch recombines endpoints of the graph's own edges");
         (
-            self.graph,
+            graph,
             SequentialOutcome {
                 performed: self.performed,
                 abandoned: self.abandoned,

@@ -291,7 +291,15 @@ pub fn sequential_curveball_observed(
 }
 
 /// Execute one trade `(u, v)` on the full graph; returns the number of
-/// neighbors moved (`|D|`).
+/// neighbors moved (`|D|`, the size of the re-dealt disjoint union).
+///
+/// All of `D` is re-dealt and all of it is recorded as visited, but only
+/// the neighbors whose endpoint *changes* are written: a neighbor dealt
+/// back to the endpoint it came from keeps its edge, exactly as a common
+/// neighbor does. The deal shuffles the positions of `only_a ++ only_b`
+/// with the draws [`redeal`] spends on the values, so position `i` of
+/// the shuffled union holds entry `deal[i]` of the unshuffled one and
+/// the resulting edge set is [`redeal`]'s.
 fn run_trade(
     graph: &mut Graph,
     tracker: &mut VisitTracker,
@@ -303,29 +311,39 @@ fn run_trade(
     let shuffle_start = obs.now();
     let a: Vec<VertexId> = graph.neighbors(u).iter().filter(|&x| x != v).collect();
     let b: Vec<VertexId> = graph.neighbors(v).iter().filter(|&x| x != u).collect();
-    let split = split_sorted(&a, &b);
-    let (new_a, new_b) = redeal(&split.only_a, &split.only_b, rng);
+    let TradeSplit { only_a, only_b, .. } = split_sorted(&a, &b);
+    let moved = only_a.len() + only_b.len();
+    // D holds distinct vertices, of which there are at most 2^32.
+    let mut deal: Vec<u32> = (0..moved as u32).collect();
+    fisher_yates_shuffle(&mut deal, rng);
     obs.span_since(Phase::TradeShuffle, shuffle_start);
-    let moved = split.only_a.len() + split.only_b.len();
     if moved == 0 {
         return 0;
     }
     let apply_start = obs.now();
-    for &x in &split.only_a {
-        let e = Edge::new(u, x);
-        graph.remove_edge(e).expect("disjoint neighbor edge exists");
-        tracker.record_removal(e);
+    for &x in &only_a {
+        tracker.record_removal(Edge::new(u, x));
     }
-    for &y in &split.only_b {
-        let e = Edge::new(v, y);
-        graph.remove_edge(e).expect("disjoint neighbor edge exists");
-        tracker.record_removal(e);
+    for &y in &only_b {
+        tracker.record_removal(Edge::new(v, y));
     }
-    for &z in &new_a {
-        graph.add_edge(Edge::new(u, z)).expect("re-deal is simple");
-    }
-    for &z in &new_b {
-        graph.add_edge(Edge::new(v, z)).expect("re-deal is simple");
+    for (i, &from) in deal.iter().enumerate() {
+        let from = from as usize;
+        let (to_u, from_u) = (i < only_a.len(), from < only_a.len());
+        if to_u == from_u {
+            continue;
+        }
+        let (x, old, new) = if from_u {
+            (only_a[from], u, v)
+        } else {
+            (only_b[from - only_a.len()], v, u)
+        };
+        graph
+            .remove_edge(Edge::new(old, x))
+            .expect("disjoint neighbor edge exists");
+        graph
+            .add_edge(Edge::new(new, x))
+            .expect("a disjoint neighbor is new to the other endpoint");
     }
     obs.span_since(Phase::SwitchApply, apply_start);
     moved
@@ -357,6 +375,148 @@ mod tests {
         let mut all: Vec<VertexId> = na.iter().chain(nb.iter()).copied().collect();
         all.sort_unstable();
         assert_eq!(all, vec![1, 2, 4, 5, 9]);
+    }
+
+    /// The trade as it was first written, kept as the reference the
+    /// moved-only [`run_trade`] is held to: withdraw every edge of the
+    /// disjoint union, [`redeal`] the values, re-insert all of them.
+    fn reference_trade(
+        graph: &mut Graph,
+        tracker: &mut VisitTracker,
+        u: VertexId,
+        v: VertexId,
+        rng: &mut Rng64,
+    ) -> usize {
+        let a: Vec<VertexId> = graph.neighbors(u).iter().filter(|&x| x != v).collect();
+        let b: Vec<VertexId> = graph.neighbors(v).iter().filter(|&x| x != u).collect();
+        let split = split_sorted(&a, &b);
+        let (new_a, new_b) = redeal(&split.only_a, &split.only_b, rng);
+        for &x in &split.only_a {
+            graph.remove_edge(Edge::new(u, x)).unwrap();
+            tracker.record_removal(Edge::new(u, x));
+        }
+        for &y in &split.only_b {
+            graph.remove_edge(Edge::new(v, y)).unwrap();
+            tracker.record_removal(Edge::new(v, y));
+        }
+        for &z in &new_a {
+            graph.add_edge(Edge::new(u, z)).unwrap();
+        }
+        for &z in &new_b {
+            graph.add_edge(Edge::new(v, z)).unwrap();
+        }
+        split.only_a.len() + split.only_b.len()
+    }
+
+    /// One trade on both implementations from the same state and RNG
+    /// stream; returns `(neighbors moved, neighbors that changed
+    /// endpoint)`.
+    fn trade_both_ways(
+        graph: &mut Graph,
+        tracker: &mut VisitTracker,
+        u: VertexId,
+        v: VertexId,
+        stream: (u64, u64, u32),
+    ) -> (usize, usize) {
+        let (seed, pass, k) = stream;
+        let mut ref_graph = graph.clone();
+        let mut ref_tracker = tracker.clone();
+        let before: Vec<Edge> = graph.edges().collect();
+        let want = reference_trade(
+            &mut ref_graph,
+            &mut ref_tracker,
+            u,
+            v,
+            &mut trade_rng(seed, pass, k),
+        );
+        let mut rng = trade_rng(seed, pass, k);
+        let got = run_trade(graph, tracker, u, v, &mut rng, &mut Obs::noop());
+        // Both spent the same draws.
+        let mut ref_rng = trade_rng(seed, pass, k);
+        fisher_yates_shuffle(&mut vec![0u8; want], &mut ref_rng);
+        assert_eq!(
+            rand::RngCore::next_u64(&mut rng),
+            rand::RngCore::next_u64(&mut ref_rng)
+        );
+        let ctx = format!("trade ({u},{v}) on stream {stream:?}");
+        assert_eq!(got, want, "{ctx}: neighbors moved");
+        assert_eq!(graph.sorted_edges(), ref_graph.sorted_edges(), "{ctx}");
+        assert_eq!(
+            tracker.visited_count(),
+            ref_tracker.visited_count(),
+            "{ctx}"
+        );
+        graph.check_invariants().expect(&ctx);
+        let changed = before.iter().filter(|&&e| !graph.has_edge(e)).count();
+        if changed == 0 {
+            // Every neighbor dealt back: not one graph write, so even
+            // the pool order stands.
+            assert!(graph.edges().eq(before.iter().copied()), "{ctx}");
+        }
+        (got, changed)
+    }
+
+    #[test]
+    fn moved_only_trade_equals_the_remove_all_reference() {
+        let mut rng = root_rng(21);
+        for (name, mut g) in [
+            ("er", erdos_renyi_gnm(120, 900, &mut rng)),
+            ("pa", preferential_attachment(150, 6, &mut rng)),
+        ] {
+            let mut tracker = VisitTracker::new(g.edges());
+            let (mut adjacent, mut kept) = (0, 0);
+            for k in 0..500u32 {
+                let u = rand::Rng::gen_range(&mut rng, 0..g.num_vertices() as u64);
+                let v = rand::Rng::gen_range(&mut rng, 0..g.num_vertices() as u64);
+                if u == v {
+                    continue;
+                }
+                adjacent += g.has_edge(Edge::new(u, v)) as u32;
+                let (moved, changed) = trade_both_ways(&mut g, &mut tracker, u, v, (5, 0, k));
+                assert!(changed <= moved);
+                kept += moved - changed;
+            }
+            // The sweep met the cases it is there for.
+            assert!(adjacent > 0, "{name}: no adjacent pair traded");
+            assert!(kept > 0, "{name}: every neighbor changed endpoint");
+        }
+    }
+
+    #[test]
+    fn moved_only_trade_on_the_edge_cases() {
+        let e = Edge::new;
+        // D = ∅: two leaves of one hub share their only neighbor.
+        let mut g = Graph::from_edges(4, [e(0, 1), e(0, 2), e(0, 3)]).unwrap();
+        let mut tracker = VisitTracker::new(g.edges());
+        assert_eq!(
+            trade_both_ways(&mut g, &mut tracker, 1, 2, (1, 0, 0)),
+            (0, 0)
+        );
+        assert_eq!(tracker.visited_count(), 0);
+        // Hub × leaf, adjacent: the leaf's only neighbor is the hub
+        // itself, so D is the hub's other neighbors and all return.
+        assert_eq!(
+            trade_both_ways(&mut g, &mut tracker, 0, 1, (1, 0, 1)),
+            (2, 0)
+        );
+        assert_eq!(
+            tracker.visited_count(),
+            2,
+            "re-dealt edges count as visited"
+        );
+        // Hub × leaf, not adjacent: one of the hub's neighbors goes to
+        // the leaf and the leaf's goes to the hub — or everything stays.
+        let mut g = Graph::from_edges(7, [e(0, 1), e(0, 2), e(0, 3), e(0, 4), e(5, 6)]).unwrap();
+        let mut tracker = VisitTracker::new(g.edges());
+        let mut seen = [false; 2];
+        for k in 0..40 {
+            let (moved, changed) = trade_both_ways(&mut g, &mut tracker, 0, 5, (2, 0, k));
+            assert_eq!(moved, 5);
+            assert!(changed == 0 || changed == 2, "{changed}");
+            seen[changed / 2] = true;
+            assert_eq!(tracker.visited_count(), 5);
+        }
+        assert_eq!(seen, [true, true], "both the dealt-back and the moved case");
     }
 
     #[test]

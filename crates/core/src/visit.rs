@@ -134,6 +134,21 @@ mod tests {
     }
 
     #[test]
+    fn a_tracker_over_a_pool_is_sized_once() {
+        // The pool's iterator reports its exact length, so the set is
+        // allocated for all of it up front and filling it never rehashes.
+        let m = 40_000usize;
+        let pool: edgeswitch_graph::sampling::EdgePool =
+            (0..m as u64).map(|i| e(i, i + m as u64)).collect();
+        let t = VisitTracker::new(pool.iter());
+        assert_eq!(t.initial_count(), m);
+        assert_eq!(
+            t.remaining.capacity(),
+            set_with_capacity::<u64>(m).capacity()
+        );
+    }
+
+    #[test]
     fn merge_disjoint_combines_progress() {
         let mut a = VisitTracker::new(vec![e(0, 1), e(1, 2)]);
         let mut b = VisitTracker::new(vec![e(5, 6), e(6, 7)]);

@@ -37,8 +37,23 @@ impl NeighborSet {
         Self::default()
     }
 
-    /// Number of neighbors (the vertex degree for full adjacency, the
-    /// *reduced degree* for reduced adjacency).
+    /// The set of `labels` in any order, taking the vector as storage
+    /// (sorted in place, no copy). The bulk constructor behind
+    /// [`crate::graph::Graph::from_pool`].
+    ///
+    /// # Panics
+    /// Panics if a label repeats: a duplicate would break the
+    /// strictly-increasing invariant every probe relies on.
+    pub(crate) fn from_distinct(mut labels: Vec<u32>) -> Self {
+        labels.sort_unstable();
+        assert!(
+            labels.windows(2).all(|w| w[0] < w[1]),
+            "neighbor labels must be distinct"
+        );
+        NeighborSet { inner: labels }
+    }
+
+    /// Number of neighbors (the vertex degree).
     #[inline]
     pub fn len(&self) -> usize {
         self.inner.len()

@@ -5,6 +5,15 @@
 //! - no self-loops (unrepresentable via [`Edge`]),
 //! - no parallel edges ([`Graph::add_edge`] rejects duplicates),
 //! - full adjacency and the edge pool agree exactly.
+//!
+//! The pool is the primary structure: it alone answers `has_edge` and
+//! `sample_edge`, and it fixes the edge order everything deterministic
+//! depends on. Adjacency is derived from it — one edge at a time by
+//! [`Graph::add_edge`] / [`Graph::remove_edge`] (generators, Curveball,
+//! the constrained variants), or all at once by [`Graph::from_pool`],
+//! which is how a graph is built from an edge list or a stream and how
+//! it comes back out of a switch engine ([`Graph::into_pool`] is the way
+//! in: the engines run on the pool alone).
 
 use crate::adjacency::NeighborSet;
 use crate::sampling::EdgePool;
@@ -50,17 +59,60 @@ impl Graph {
     /// pre-allocated in the sampling pool (see [`Graph::new`] for the
     /// vertex-count limit).
     pub fn with_edge_capacity(n: usize, m: usize) -> Self {
-        assert!(
-            n as u128 <= 1 << 32,
-            "graph with {n} vertices exceeds the 2^32 packed-storage limit"
-        );
+        check_vertex_count(n);
         Graph {
             adj: vec![NeighborSet::new(); n],
             pool: EdgePool::with_capacity(m),
         }
     }
 
-    /// Build a graph from an edge iterator, rejecting loops and duplicates.
+    /// The graph on `n` vertices whose edges, in this order, are
+    /// `pool`'s — the one bulk adjacency builder. Counts degrees,
+    /// allocates every neighbor set at its exact size, fills and sorts
+    /// each once: `O(n + m + Σ d log d)` with no per-edge search and no
+    /// growth reallocation, against two binary-search inserts with
+    /// doubling per edge on the [`Graph::add_edge`] route. The pool is
+    /// taken as is (it already holds no duplicate and no loop), so pool
+    /// order is exactly the caller's.
+    ///
+    /// Errors with [`GraphError::UnknownVertex`] if an edge has an
+    /// endpoint `>= n`; see [`Graph::new`] for the vertex-count limit.
+    pub fn from_pool(n: usize, pool: EdgePool) -> Result<Self, GraphError> {
+        check_vertex_count(n);
+        let mut degree = vec![0u32; n];
+        for e in pool.iter() {
+            check_in_range(n, e)?;
+            degree[e.src() as usize] += 1;
+            degree[e.dst() as usize] += 1;
+        }
+        let mut lists: Vec<Vec<u32>> = degree
+            .iter()
+            .map(|&d| Vec::with_capacity(d as usize))
+            .collect();
+        drop(degree);
+        for e in pool.iter() {
+            // Both labels are below n <= 2^32: the narrowing is exact.
+            lists[e.src() as usize].push(e.dst() as u32);
+            lists[e.dst() as usize].push(e.src() as u32);
+        }
+        let adj = lists.into_iter().map(NeighborSet::from_distinct).collect();
+        Ok(Graph { adj, pool })
+    }
+
+    /// Give up the adjacency and keep the edges: the pool, in its
+    /// current order. The inverse of [`Graph::from_pool`].
+    pub fn into_pool(self) -> EdgePool {
+        self.pool
+    }
+
+    /// The edge pool: the graph's edges in the order sampling sees them.
+    pub fn pool(&self) -> &EdgePool {
+        &self.pool
+    }
+
+    /// Build a graph from an edge iterator, rejecting duplicates and
+    /// out-of-range endpoints at the first offender (loops are
+    /// unrepresentable as [`Edge`]s).
     ///
     /// Pre-sizes from the checked `size_hint` upper bound when the
     /// iterator reports one (exact-size iterators behind adapters often
@@ -71,11 +123,14 @@ impl Graph {
         I: IntoIterator<Item = Edge>,
     {
         let edges = edges.into_iter();
-        let mut g = Graph::with_edge_capacity(n, capacity_hint(edges.size_hint()));
+        let mut pool = EdgePool::with_capacity(capacity_hint(edges.size_hint()));
         for e in edges {
-            g.add_edge(e)?;
+            check_in_range(n, e)?;
+            if !pool.insert(e) {
+                return Err(GraphError::ParallelEdge(e));
+            }
         }
-        Ok(g)
+        Graph::from_pool(n, pool)
     }
 
     /// Build a graph by draining an [`EdgeStream`] chunk by chunk, so no
@@ -91,17 +146,15 @@ impl Graph {
     where
         S: EdgeStream + ?Sized,
     {
-        let mut g = Graph::with_edge_capacity(n, capacity_hint(stream.size_hint()));
+        let mut pool = EdgePool::with_capacity(capacity_hint(stream.size_hint()));
         let mut chunk = Vec::new();
         while stream.next_chunk(&mut chunk) {
             for &e in &chunk {
-                match g.add_edge(e) {
-                    Ok(()) | Err(GraphError::ParallelEdge(_)) => {}
-                    Err(err) => return Err(err),
-                }
+                check_in_range(n, e)?;
+                pool.insert(e);
             }
         }
-        Ok(g)
+        Graph::from_pool(n, pool)
     }
 
     /// Number of vertices `n`.
@@ -159,10 +212,7 @@ impl Graph {
 
     /// Add an edge; errors on duplicates or out-of-range endpoints.
     pub fn add_edge(&mut self, e: Edge) -> Result<(), GraphError> {
-        let n = self.adj.len() as u64;
-        if e.dst() >= n {
-            return Err(GraphError::UnknownVertex(e.dst()));
-        }
+        check_in_range(self.adj.len(), e)?;
         if !self.pool.insert(e) {
             return Err(GraphError::ParallelEdge(e));
         }
@@ -187,8 +237,8 @@ impl Graph {
         self.pool.sample(rng)
     }
 
-    /// Iterate all edges in unspecified order.
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+    /// Iterate all edges in pool order, with an exact `size_hint`.
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = Edge> + '_ {
         self.pool.iter()
     }
 
@@ -261,6 +311,24 @@ impl Graph {
         }
         Ok(())
     }
+}
+
+/// Both endpoints of `e` are vertices of an `n`-vertex graph (`dst` is
+/// the larger label).
+#[inline]
+fn check_in_range(n: usize, e: Edge) -> Result<(), GraphError> {
+    if e.dst() >= n as u64 {
+        return Err(GraphError::UnknownVertex(e.dst()));
+    }
+    Ok(())
+}
+
+/// The packed-storage vertex limit of [`Graph::new`].
+fn check_vertex_count(n: usize) {
+    assert!(
+        n as u128 <= 1 << 32,
+        "graph with {n} vertices exceeds the 2^32 packed-storage limit"
+    );
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //! - simple undirected graphs with O(1) uniform edge sampling
 //!   ([`graph::Graph`], [`sampling::EdgePool`]) over cache-compact
 //!   packed-edge storage ([`hashing`], [`adjacency::NeighborSet`]),
-//! - per-processor *reduced adjacency* partitions ([`store::PartitionStore`]),
+//! - per-processor edge stores under the *reduced adjacency* ownership
+//!   rule ([`store::PartitionStore`]),
 //! - the paper's four partitioning schemes ([`partition::Partitioner`]),
 //! - generators for the Table 2 dataset inventory ([`generators`]),
 //!   including streaming prescribed-degree and preferential-attachment

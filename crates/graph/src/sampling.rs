@@ -7,12 +7,13 @@
 //! (swap-remove), which is what makes the `O(t log d_max)` bound of the
 //! paper achievable in practice.
 //!
-//! The dense array is *chunked*: fixed-size edge blocks of
-//! [`BLOCK_EDGES`] edges ([`EdgeBlocks`]) instead of one contiguous
-//! `Vec`. Dense index `i` lives at `blocks[i >> BLOCK_SHIFT][i &
-//! BLOCK_MASK]`, so indexing stays O(1) while memory grows and shrinks
-//! in 128 KiB steps — no doubling reallocation that momentarily holds
-//! 1.5× the edge set, and no up-front O(m) reservation. That bounds a
+//! The dense array is *chunked*: fixed-size blocks of [`BLOCK_EDGES`]
+//! packed edge keys ([`EdgeBlocks`], 8 bytes a slot — the same `u64`
+//! the position index is keyed on) instead of one contiguous `Vec`.
+//! Dense index `i` lives at `blocks[i >> BLOCK_SHIFT][i & BLOCK_MASK]`,
+//! so indexing stays O(1) while memory grows and shrinks in 128 KiB
+//! steps — no doubling reallocation that momentarily holds 1.5× the
+//! edge set, and no up-front O(m) reservation. That bounds a
 //! streamed build's peak RSS at O(edges stored + one block), which is
 //! what lets the generate→partition pipeline run at 10⁷–10⁸ edges
 //! without a global edge list (see `crate::stream`). A small free list
@@ -27,7 +28,7 @@
 //! index updates, so this map is the hottest structure in the system.
 
 use crate::hashing::{map_with_capacity, FxHashMap};
-use crate::types::{Edge, VertexId};
+use crate::types::{Edge, VertexId, MAX_POOL_EDGES};
 use rand::Rng;
 
 /// In-place Fisher–Yates shuffle.
@@ -80,17 +81,18 @@ const BLOCK_MASK: usize = BLOCK_EDGES - 1;
 const SPARE_BLOCKS: usize = 4;
 
 /// The chunked dense array behind [`EdgePool`]: a table of fixed-size
-/// edge blocks with exact `Vec`-of-`Edge` semantics (push, pop, swap,
-/// index) so pool order — and therefore sampling order and the
-/// bit-identity guarantees of the deterministic drivers — is unchanged
-/// from the contiguous representation it replaces.
+/// blocks of packed edge keys ([`Edge::key`]) with exact `Vec`
+/// semantics (push, pop, swap, index) so pool order — and therefore
+/// sampling order and the bit-identity guarantees of the deterministic
+/// drivers — is unchanged from the contiguous representation it
+/// replaces.
 #[derive(Clone, Debug, Default)]
 struct EdgeBlocks {
     /// `blocks.len() == len.div_ceil(BLOCK_EDGES)`; every block but the
-    /// last holds exactly [`BLOCK_EDGES`] edges.
-    blocks: Vec<Vec<Edge>>,
+    /// last holds exactly [`BLOCK_EDGES`] keys.
+    blocks: Vec<Vec<u64>>,
     /// Emptied blocks retained for reuse, each with full capacity.
-    spare: Vec<Vec<Edge>>,
+    spare: Vec<Vec<u64>>,
     len: usize,
 }
 
@@ -111,25 +113,16 @@ impl EdgeBlocks {
     }
 
     #[inline]
-    fn get(&self, i: usize) -> Edge {
+    fn get(&self, i: usize) -> u64 {
         self.blocks[i >> BLOCK_SHIFT][i & BLOCK_MASK]
     }
 
     #[inline]
-    fn set(&mut self, i: usize, e: Edge) {
-        self.blocks[i >> BLOCK_SHIFT][i & BLOCK_MASK] = e;
+    fn set(&mut self, i: usize, key: u64) {
+        self.blocks[i >> BLOCK_SHIFT][i & BLOCK_MASK] = key;
     }
 
-    #[inline]
-    fn try_get(&self, i: usize) -> Option<Edge> {
-        if i < self.len {
-            Some(self.get(i))
-        } else {
-            None
-        }
-    }
-
-    fn push(&mut self, e: Edge) {
+    fn push(&mut self, key: u64) {
         if self.len & BLOCK_MASK == 0 {
             debug_assert_eq!(self.blocks.len(), self.len >> BLOCK_SHIFT);
             let block = self
@@ -138,15 +131,18 @@ impl EdgeBlocks {
                 .unwrap_or_else(|| Vec::with_capacity(BLOCK_EDGES));
             self.blocks.push(block);
         }
-        self.blocks.last_mut().expect("block just ensured").push(e);
+        self.blocks
+            .last_mut()
+            .expect("block just ensured")
+            .push(key);
         self.len += 1;
     }
 
-    fn pop(&mut self) -> Option<Edge> {
+    fn pop(&mut self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
-        let e = self
+        let key = self
             .blocks
             .last_mut()
             .expect("non-empty")
@@ -160,21 +156,15 @@ impl EdgeBlocks {
                 self.spare.push(block);
             }
         }
-        Some(e)
+        Some(key)
     }
 
-    #[inline]
-    fn swap(&mut self, i: usize, j: usize) {
-        if i == j {
-            return;
-        }
-        let (a, b) = (self.get(i), self.get(j));
-        self.set(i, b);
-        self.set(j, a);
-    }
-
-    fn iter(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.blocks.iter().flat_map(|b| b.iter().copied())
+    /// Dense order, exact-size: a walk over the blocks themselves could
+    /// not bound its length, and every consumer that pre-sizes from
+    /// `size_hint` (visit trackers, `collect`, pool rebuilds) would
+    /// start from zero and grow by doubling.
+    fn iter(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        (0..self.len).map(|i| self.get(i))
     }
 
     /// Block-structure invariants (used by `check_consistent`).
@@ -195,6 +185,19 @@ impl PartialEq for EdgeBlocks {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.iter().eq(other.iter())
     }
+}
+
+/// The dense slot a pool of `len` edges appends into, as the `u32` the
+/// position index stores. A hard check in every build: past
+/// [`MAX_POOL_EDGES`] the narrowing would wrap, the index would point
+/// at the wrong slots and sampling would be silently corrupt.
+#[inline]
+fn next_slot(len: usize) -> u32 {
+    assert!(
+        len < MAX_POOL_EDGES,
+        "EdgePool holds {len} edges; positions are u32, so a pool stores at most 2^32-1"
+    );
+    len as u32
 }
 
 /// A dynamic multiset-free edge pool supporting uniform sampling.
@@ -240,14 +243,17 @@ impl EdgePool {
 
     /// Insert `e`; returns `false` (and leaves the pool unchanged) if the
     /// edge is already present.
+    ///
+    /// # Panics
+    /// Panics if the pool already holds [`MAX_POOL_EDGES`] edges.
     pub fn insert(&mut self, e: Edge) -> bool {
-        debug_assert!(self.edges.len() < u32::MAX as usize, "EdgePool overflow");
-        let idx = self.edges.len() as u32;
-        match self.pos.entry(e.key()) {
+        let idx = next_slot(self.edges.len());
+        let key = e.key();
+        match self.pos.entry(key) {
             std::collections::hash_map::Entry::Occupied(_) => false,
             std::collections::hash_map::Entry::Vacant(slot) => {
                 slot.insert(idx);
-                self.edges.push(e);
+                self.edges.push(key);
                 true
             }
         }
@@ -255,18 +261,7 @@ impl EdgePool {
 
     /// Remove `e`; returns `false` if it was not present.
     pub fn remove(&mut self, e: Edge) -> bool {
-        let Some(idx) = self.pos.remove(&e.key()) else {
-            return false;
-        };
-        let idx = idx as usize;
-        let last = self.edges.len() - 1;
-        self.edges.swap(idx, last);
-        self.edges.pop();
-        if idx < self.edges.len() {
-            // The formerly-last edge moved into `idx`.
-            self.pos.insert(self.edges.get(idx).key(), idx as u32);
-        }
-        true
+        self.remove_logged(e).is_some()
     }
 
     /// Remove `e`, reporting the dense index it occupied so the removal
@@ -279,12 +274,11 @@ impl EdgePool {
     pub fn remove_logged(&mut self, e: Edge) -> Option<u32> {
         let idx = self.pos.remove(&e.key())?;
         let i = idx as usize;
-        let last = self.edges.len() - 1;
-        self.edges.swap(i, last);
-        self.edges.pop();
+        let last = self.edges.pop().expect("an indexed edge is stored");
         if i < self.edges.len() {
-            // The formerly-last edge moved into `i`.
-            self.pos.insert(self.edges.get(i).key(), idx);
+            // Swap-remove: the formerly-last edge moves into `i`.
+            self.edges.set(i, last);
+            self.pos.insert(last, idx);
         }
         Some(idx)
     }
@@ -300,8 +294,12 @@ impl EdgePool {
     /// still deterministic, just not position-identical.
     ///
     /// Returns `false` (pool unchanged) if `e` is already present.
+    ///
+    /// # Panics
+    /// Panics if the pool already holds [`MAX_POOL_EDGES`] edges.
     pub fn unremove(&mut self, e: Edge, at: u32) -> bool {
-        if self.pos.contains_key(&e.key()) {
+        let key = e.key();
+        if self.pos.contains_key(&key) {
             return false;
         }
         let i = at as usize;
@@ -309,11 +307,11 @@ impl EdgePool {
             return self.insert(e);
         }
         let displaced = self.edges.get(i);
-        let end = self.edges.len() as u32;
+        let end = next_slot(self.edges.len());
         self.edges.push(displaced);
-        self.pos.insert(displaced.key(), end);
-        self.edges.set(i, e);
-        self.pos.insert(e.key(), at);
+        self.pos.insert(displaced, end);
+        self.edges.set(i, key);
+        self.pos.insert(key, at);
         true
     }
 
@@ -323,19 +321,21 @@ impl EdgePool {
         if self.edges.len() == 0 {
             None
         } else {
-            Some(self.edges.get(rng.gen_range(0..self.edges.len())))
+            let i = rng.gen_range(0..self.edges.len());
+            Some(Edge::from_key(self.edges.get(i)))
         }
     }
 
-    /// Iterate over all edges in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.edges.iter()
+    /// Iterate over all edges in dense (pool) order, with an exact
+    /// `size_hint`.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Edge> + '_ {
+        self.edges.iter().map(Edge::from_key)
     }
 
     /// The edge stored at dense index `i` (used by deterministic drivers).
     #[inline]
     pub fn get(&self, i: usize) -> Option<Edge> {
-        self.edges.try_get(i)
+        (i < self.edges.len()).then(|| Edge::from_key(self.edges.get(i)))
     }
 
     /// Internal consistency check: the position index matches the dense
@@ -348,7 +348,7 @@ impl EdgePool {
                 .edges
                 .iter()
                 .enumerate()
-                .all(|(i, e)| self.pos.get(&e.key()).map(|&p| p as usize) == Some(i))
+                .all(|(i, key)| self.pos.get(&key).map(|&p| p as usize) == Some(i))
     }
 }
 
@@ -439,6 +439,41 @@ mod tests {
             let s = p.sample(&mut rng).unwrap();
             assert!(p.contains(s));
         }
+    }
+
+    #[test]
+    fn iteration_reports_its_exact_length_across_blocks() {
+        let total = BLOCK_EDGES + 77;
+        let p: EdgePool = (0..total as u64).map(|i| e(i, i + total as u64)).collect();
+        let mut it = p.iter();
+        assert_eq!(it.size_hint(), (total, Some(total)));
+        assert_eq!(it.len(), total);
+        // The count stays exact while the walk crosses the boundary.
+        for left in (total - BLOCK_EDGES - 10..total).rev() {
+            assert!(it.next().is_some());
+            assert_eq!(it.size_hint(), (left, Some(left)));
+        }
+        assert_eq!(it.count(), total - BLOCK_EDGES - 10);
+        assert_eq!(EdgePool::new().iter().size_hint(), (0, Some(0)));
+        // Consumers that pre-size from the hint get the whole length up
+        // front: a pool rebuilt from the iterator never rehashes.
+        let rebuilt: EdgePool = p.iter().collect();
+        assert!(rebuilt.pos.capacity() >= total);
+        assert!(rebuilt.iter().eq(p.iter()));
+    }
+
+    #[test]
+    fn a_slot_is_eight_bytes() {
+        let mut blocks = EdgeBlocks::default();
+        blocks.push(e(1, 2).key());
+        assert_eq!(std::mem::size_of_val(&blocks.blocks[0][0]), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^32-1")]
+    fn the_slot_limit_is_a_hard_check() {
+        assert_eq!(next_slot(MAX_POOL_EDGES - 1), u32::MAX - 1);
+        next_slot(MAX_POOL_EDGES);
     }
 
     #[test]

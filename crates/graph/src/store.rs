@@ -1,32 +1,33 @@
-//! Per-partition storage: the *reduced adjacency list* (Section 4.2).
+//! Per-partition storage: the ownership rule of the *reduced adjacency
+//! list* (Section 4.2).
 //!
 //! An edge `(u, v)` with `u < v` is stored exactly once, in the partition
 //! that owns `u`. This guarantees an edge can be selected from only one
-//! partition, halves the memory footprint, and reduces the number of
-//! adjacency-list updates per switch from four to at most three.
+//! partition and halves the memory footprint against storing it at both
+//! endpoints.
 //!
-//! Reduced neighbor sets are flat sorted arrays ([`NeighborSet`]) and the
-//! vertex→set map uses the in-repo Fx hasher ([`crate::hashing`]) — the
-//! same cache-compact layout as the shared-memory [`Graph`], because the
-//! per-rank switch loop hits these structures on every operation.
+//! The paper keeps each rank's share as per-vertex reduced lists because
+//! its parallel-edge test searches them. Here that test — like the
+//! sequential one — is one probe of the pool's packed-key index
+//! ([`PartitionStore::contains`]), and nothing in the protocol reads a
+//! neighbor list, so a store is its [`EdgePool`] and nothing else: what
+//! Section 4.2 contributes is *where an edge lives*, not a second copy of
+//! it. Full adjacency exists only on the [`Graph`]s that go in
+//! ([`build_stores`]) and come out ([`assemble_graph`]).
 
-use crate::adjacency::NeighborSet;
 use crate::graph::Graph;
-use crate::hashing::{map_with_capacity, FxHashMap};
 use crate::partition::Partitioner;
 use crate::sampling::EdgePool;
 use crate::stream::{capacity_hint, EdgeStream};
-use crate::types::{Edge, VertexId};
+use crate::types::Edge;
 use rand::Rng;
 
 /// One processor's share of the distributed graph.
 #[derive(Clone, Debug)]
 pub struct PartitionStore {
     rank: usize,
-    /// Reduced adjacency: `adj[u]` holds `{v : (u,v) ∈ E, u < v}` for
-    /// every owned vertex `u` that currently has at least one such edge.
-    adj: FxHashMap<VertexId, NeighborSet>,
-    /// The same edges, in a uniformly sampleable pool.
+    /// The owned edges `{(u,v) ∈ E : u < v, owner(u) = rank}`: uniformly
+    /// sampleable, existence-testable, in a deterministic order.
     pool: EdgePool,
 }
 
@@ -37,13 +38,10 @@ impl PartitionStore {
     }
 
     /// Empty store for processor `rank`, pre-sized for about `edges`
-    /// owned edges (the adjacency map is sized at half that — reduced
-    /// lists average two edges per non-empty vertex on real graphs; both
-    /// structures still grow on demand if the estimate is low).
+    /// owned edges (it still grows on demand if the estimate is low).
     pub fn with_capacity(rank: usize, edges: usize) -> Self {
         PartitionStore {
             rank,
-            adj: map_with_capacity(edges / 2),
             pool: EdgePool::with_capacity(edges),
         }
     }
@@ -72,54 +70,34 @@ impl PartitionStore {
     }
 
     /// Insert an owned edge; `false` if already present (parallel edge).
+    #[inline]
     pub fn insert(&mut self, e: Edge) -> bool {
-        if !self.pool.insert(e) {
-            return false;
-        }
-        self.adj.entry(e.src()).or_default().insert(e.dst());
-        true
+        self.pool.insert(e)
     }
 
     /// Remove an owned edge; `false` if absent.
+    #[inline]
     pub fn remove(&mut self, e: Edge) -> bool {
-        if !self.pool.remove(e) {
-            return false;
-        }
-        if let Some(set) = self.adj.get_mut(&e.src()) {
-            set.remove(e.dst());
-            if set.is_empty() {
-                self.adj.remove(&e.src());
-            }
-        }
-        true
+        self.pool.remove(e)
     }
 
     /// Remove an owned edge, reporting the pool index it occupied so
     /// [`PartitionStore::unremove`] can restore it exactly; `None` if
     /// absent. The undo-log primitive of speculative batch rollback.
+    #[inline]
     pub fn remove_logged(&mut self, e: Edge) -> Option<u32> {
-        let at = self.pool.remove_logged(e)?;
-        if let Some(set) = self.adj.get_mut(&e.src()) {
-            set.remove(e.dst());
-            if set.is_empty() {
-                self.adj.remove(&e.src());
-            }
-        }
-        Some(at)
+        self.pool.remove_logged(e)
     }
 
     /// Undo a [`PartitionStore::remove_logged`] of `e` that reported
     /// `at`. Applied in exact reverse order of the logged operations,
     /// this restores the sampling pool's dense layout bit-for-bit (see
-    /// [`EdgePool::unremove`]); the adjacency sets are order-free.
+    /// [`EdgePool::unremove`]).
     ///
     /// Returns `false` (store unchanged) if `e` is already present.
+    #[inline]
     pub fn unremove(&mut self, e: Edge, at: u32) -> bool {
-        if !self.pool.unremove(e, at) {
-            return false;
-        }
-        self.adj.entry(e.src()).or_default().insert(e.dst());
-        true
+        self.pool.unremove(e, at)
     }
 
     /// Draw a uniformly random owned edge.
@@ -128,27 +106,14 @@ impl PartitionStore {
         self.pool.sample(rng)
     }
 
-    /// Iterate owned edges.
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+    /// Iterate owned edges in pool order, with an exact `size_hint`.
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = Edge> + '_ {
         self.pool.iter()
     }
 
-    /// Reduced neighbor set of an owned vertex (empty if none).
-    pub fn reduced_neighbors(&self, u: VertexId) -> Option<&NeighborSet> {
-        self.adj.get(&u)
-    }
-
-    /// Internal consistency between the pool and the adjacency map.
+    /// Internal consistency of the pool (index against dense array).
     pub fn check_consistent(&self) -> bool {
-        if !self.pool.check_consistent() {
-            return false;
-        }
-        let from_adj: usize = self.adj.values().map(NeighborSet::len).sum();
-        from_adj == self.pool.len()
-            && self
-                .pool
-                .iter()
-                .all(|e| self.adj.get(&e.src()).is_some_and(|s| s.contains(e.dst())))
+        self.pool.check_consistent()
     }
 }
 
@@ -228,17 +193,22 @@ where
 }
 
 /// Reassemble the full graph from partition stores (gather step, used for
-/// post-run validation and metric computation).
+/// post-run validation and metric computation): the stores' edges in
+/// rank order, each in its pool order, with adjacency built once in bulk
+/// ([`Graph::from_pool`]).
+///
+/// # Panics
+/// Panics if two stores hold the same edge or an edge has an endpoint
+/// `>= n` — the stores are not a partition of one `n`-vertex graph.
 pub fn assemble_graph(n: usize, stores: &[PartitionStore]) -> Graph {
     let m: usize = stores.iter().map(PartitionStore::num_edges).sum();
-    let mut g = Graph::with_edge_capacity(n, m);
+    let mut pool = EdgePool::with_capacity(m);
     for s in stores {
         for e in s.edges() {
-            g.add_edge(e)
-                .expect("partition stores must hold disjoint simple edges");
+            assert!(pool.insert(e), "partition stores must hold disjoint edges");
         }
     }
-    g
+    Graph::from_pool(n, pool).expect("partition stores must hold edges of an n-vertex graph")
 }
 
 #[cfg(test)]
@@ -291,17 +261,17 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_keeps_adjacency_in_sync() {
+    fn insert_remove_reject_duplicates_and_absentees() {
         let mut s = PartitionStore::new(0);
         assert!(s.insert(Edge::new(1, 5)));
         assert!(s.insert(Edge::new(1, 7)));
         assert!(!s.insert(Edge::new(1, 5)), "duplicate rejected");
-        assert_eq!(s.reduced_neighbors(1).unwrap().len(), 2);
+        assert_eq!(s.num_edges(), 2);
         assert!(s.remove(Edge::new(1, 5)));
-        assert_eq!(s.reduced_neighbors(1).unwrap().len(), 1);
+        assert!(!s.contains(Edge::new(1, 5)));
         assert!(s.remove(Edge::new(1, 7)));
-        assert!(s.reduced_neighbors(1).is_none(), "empty sets are pruned");
         assert!(!s.remove(Edge::new(1, 7)));
+        assert_eq!(s.num_edges(), 0);
         assert!(s.check_consistent());
     }
 

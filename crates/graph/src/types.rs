@@ -17,6 +17,14 @@ pub type VertexId = u64;
 /// ([`crate::graph::Graph::new`]) rather than silently corrupted.
 pub const MAX_PACKED_VERTEX: VertexId = u32::MAX as VertexId;
 
+/// Most edges one [`crate::sampling::EdgePool`] — hence one
+/// [`crate::graph::Graph`] or one rank's
+/// [`crate::store::PartitionStore`] — can hold (`2^32 - 1`): the
+/// pool's position index stores dense slots as `u32`, for the same
+/// cache-compactness reason endpoints are narrowed. Past it the pool
+/// panics on insert, in release builds too, rather than wrap a slot.
+pub const MAX_POOL_EDGES: usize = u32::MAX as usize;
+
 /// An undirected edge stored in canonical orientation: `src() < dst()`.
 ///
 /// Simple graphs have no self-loops, so construction of an edge with equal

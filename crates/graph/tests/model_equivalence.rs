@@ -5,10 +5,17 @@
 //! models (`BTreeSet`, `std` `HashSet`). Seeded exhaustive-ish random
 //! op sequences rather than proptest, so the suite runs in the offline
 //! shadow workspace where proptest is resolve-only.
+//!
+//! The same goes for the bulk adjacency builder: `Graph::from_pool`
+//! must produce, row for row and in the same pool order, the graph the
+//! one-edge-at-a-time `Graph::add_edge` route builds.
 
 use edgeswitch_graph::adjacency::NeighborSet;
+use edgeswitch_graph::generators::families::star;
+use edgeswitch_graph::generators::{erdos_renyi_gnm, preferential_attachment};
 use edgeswitch_graph::sampling::EdgePool;
-use edgeswitch_graph::{Edge, VertexId};
+use edgeswitch_graph::store::{assemble_graph, build_stores};
+use edgeswitch_graph::{Edge, Graph, GraphError, IterStream, Partitioner, VertexId};
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64;
 use std::collections::{BTreeSet, HashSet};
@@ -124,4 +131,166 @@ fn pool_order_is_a_pure_function_of_the_op_sequence() {
     for _ in 0..500 {
         assert_eq!(a.sample(&mut ra), b.sample(&mut rb));
     }
+}
+
+/// `edges` added one at a time — the reference [`Graph::from_pool`] is
+/// held to.
+fn incremental(n: usize, edges: impl IntoIterator<Item = Edge>) -> Graph {
+    let mut g = Graph::new(n);
+    for e in edges {
+        g.add_edge(e).unwrap();
+    }
+    g
+}
+
+fn assert_same_graph(bulk: &Graph, reference: &Graph, ctx: &str) {
+    bulk.check_invariants()
+        .unwrap_or_else(|why| panic!("{ctx}: {why}"));
+    assert_eq!(bulk.num_vertices(), reference.num_vertices(), "{ctx}");
+    assert!(bulk.edges().eq(reference.edges()), "{ctx}: pool order");
+    for v in 0..bulk.num_vertices() as VertexId {
+        assert_eq!(bulk.neighbors(v), reference.neighbors(v), "{ctx}: row {v}");
+    }
+}
+
+#[test]
+fn bulk_built_adjacency_equals_the_incremental_build() {
+    let mut rng = Pcg64::seed_from_u64(31);
+    let mut isolated = erdos_renyi_gnm(60, 90, &mut rng).sorted_edges();
+    isolated.retain(|e| e.dst() < 40); // vertices 40..60 keep no edge
+    let cases: Vec<(&str, usize, Vec<Edge>)> = vec![
+        (
+            "er",
+            300,
+            erdos_renyi_gnm(300, 1500, &mut rng).edges().collect(),
+        ),
+        (
+            "pa",
+            400,
+            preferential_attachment(400, 6, &mut rng).edges().collect(),
+        ),
+        ("star", 50, star(50).edges().collect()),
+        ("empty", 0, vec![]),
+        ("edgeless", 7, vec![]),
+        ("isolated", 60, isolated),
+    ];
+    for (name, n, edges) in cases {
+        let reference = incremental(n, edges.iter().copied());
+        let pool: EdgePool = edges.iter().copied().collect();
+        assert_same_graph(&Graph::from_pool(n, pool).unwrap(), &reference, name);
+        // The two public constructors are the same builder.
+        let listed = Graph::from_edges(n, edges.iter().copied()).unwrap();
+        assert_same_graph(&listed, &reference, name);
+        let mut stream = IterStream::with_chunk_edges(edges.iter().copied(), 17);
+        let streamed = Graph::from_stream(n, &mut stream).unwrap();
+        assert_same_graph(&streamed, &reference, name);
+        // And the way back out gives the pool it was built from.
+        assert!(
+            listed.into_pool().iter().eq(edges.iter().copied()),
+            "{name}"
+        );
+    }
+}
+
+#[test]
+fn bulk_build_follows_a_churned_pool() {
+    // After removes and inserts the pool is no longer in insertion
+    // order; the bulk builder must take it as it stands.
+    let n = 80;
+    let mut rng = Pcg64::seed_from_u64(32);
+    let mut reference = erdos_renyi_gnm(n, 400, &mut rng);
+    let mut pool = reference.pool().clone();
+    for _ in 0..10_000 {
+        let Some(e) = random_edge(&mut rng, n as u64) else {
+            continue;
+        };
+        if pool.remove(e) {
+            reference.remove_edge(e).unwrap();
+        } else {
+            assert!(pool.insert(e));
+            reference.add_edge(e).unwrap();
+        }
+    }
+    let bulk = Graph::from_pool(n, pool).unwrap();
+    assert_same_graph(&bulk, &reference, "churned");
+}
+
+#[test]
+fn constructors_still_reject_what_they_rejected() {
+    let e = Edge::new;
+    assert_eq!(
+        Graph::from_edges(4, [e(0, 1), e(2, 3), e(1, 0)]).unwrap_err(),
+        GraphError::ParallelEdge(e(0, 1))
+    );
+    assert_eq!(
+        Graph::from_edges(4, [e(0, 1), e(2, 4)]).unwrap_err(),
+        GraphError::UnknownVertex(4)
+    );
+    // The first offender wins, whichever kind it is.
+    assert_eq!(
+        Graph::from_edges(4, [e(0, 1), e(0, 9), e(0, 1)]).unwrap_err(),
+        GraphError::UnknownVertex(9)
+    );
+    // A loop never becomes an `Edge`, so it cannot reach a constructor.
+    assert_eq!(Edge::try_new(3, 3), None);
+    // Streams may re-emit an edge; an endpoint out of range still errors.
+    let dup = vec![e(0, 1), e(1, 2), e(0, 1), e(2, 3), e(1, 2)];
+    let g = Graph::from_stream(4, &mut IterStream::with_chunk_edges(dup, 2)).unwrap();
+    assert!(g.edges().eq([e(0, 1), e(1, 2), e(2, 3)]));
+    g.check_invariants().unwrap();
+    let bad = vec![e(0, 1), e(1, 7)];
+    assert_eq!(
+        Graph::from_stream(4, &mut IterStream::new(bad)).unwrap_err(),
+        GraphError::UnknownVertex(7)
+    );
+    let stray: EdgePool = [e(0, 1), e(1, 7)].into_iter().collect();
+    assert_eq!(
+        Graph::from_pool(4, stray).unwrap_err(),
+        GraphError::UnknownVertex(7)
+    );
+}
+
+#[test]
+fn split_and_assemble_round_trips_at_every_p() {
+    let g = preferential_attachment(500, 5, &mut Pcg64::seed_from_u64(33));
+    for p in [1usize, 2, 4] {
+        for part in [
+            Partitioner::hash_division(p),
+            Partitioner::consecutive(&g, p),
+        ] {
+            let stores = build_stores(&g, &part);
+            assert!(stores.iter().all(|s| s.check_consistent()));
+            let back = assemble_graph(g.num_vertices(), &stores);
+            back.check_invariants().unwrap();
+            assert!(back.same_edge_set(&g), "p={p}");
+            assert_eq!(back.degree_sequence(), g.degree_sequence(), "p={p}");
+            // Rank order, then each rank's pool order.
+            assert!(back.edges().eq(stores.iter().flat_map(|s| s.edges())));
+        }
+    }
+}
+
+#[test]
+fn logged_removals_undo_to_the_exact_pool_order() {
+    let g = erdos_renyi_gnm(120, 700, &mut Pcg64::seed_from_u64(34));
+    let mut store = build_stores(&g, &Partitioner::hash_division(2)).swap_remove(0);
+    let before: Vec<Edge> = store.edges().collect();
+    let mut rng = Pcg64::seed_from_u64(35);
+    // A speculative batch: removals interleaved with inserts, undone in
+    // exact reverse order.
+    let mut log = Vec::new();
+    for i in 0..40u64 {
+        let victim = store.sample(&mut rng).unwrap();
+        let at = store.remove_logged(victim).unwrap();
+        let fresh = Edge::new(1000 + i, 2000 + i);
+        assert!(store.insert(fresh));
+        log.push((victim, at, fresh));
+    }
+    assert_eq!(store.num_edges(), before.len());
+    for (victim, at, fresh) in log.into_iter().rev() {
+        assert!(store.remove(fresh));
+        assert!(store.unremove(victim, at));
+    }
+    assert!(store.check_consistent());
+    assert!(store.edges().eq(before.iter().copied()), "pool order");
 }

@@ -98,13 +98,28 @@ fn pool_runs_concurrent_jobs_and_queue_cap_rejects() {
         .submit(er_job(r#"{"switches":1500000}"#, "sequential", 1))
         .unwrap()
         .expect("job a admitted");
+    // With a queue of one, `b` is admitted only once a worker has taken
+    // `a` off it; the submission itself does not wait for that.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while client
+        .status(a)
+        .unwrap()
+        .get("state")
+        .and_then(Json::as_str)
+        == Some("queued")
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "job a never left the queue"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let b = client
         .submit(er_job(r#"{"switches":1500000}"#, "sequential", 1))
         .unwrap()
         .expect("job b admitted");
 
     // Both must be observed running at once (pool has 2 slots).
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
         let sa = client.status(a).unwrap();
         let sb = client.status(b).unwrap();

@@ -7,6 +7,10 @@
 //!   `finish()` equals the one-shot `execute()` (the table in
 //!   [`stepped_engine_conformance_table`]), and the digests the parent
 //!   commit computed are pinned ([`golden_digests_are_pinned`]).
+//! - The sequential engine runs on the edge pool alone; an independent
+//!   Algorithm 1 that maintains the whole `Graph` makes the same
+//!   switches and leaves the same pool order
+//!   ([`pool_only_engine_equals_the_graph_maintaining_reference`]).
 //! - The FIFO simulator and the DES execute the *same* global causal
 //!   schedule (the DES only annotates it with virtual time), so for a
 //!   fixed `(graph, t, config)` their [`ParallelOutcome`]s must be
@@ -17,9 +21,13 @@
 
 mod common;
 
-use common::{des, simulated, threaded, under};
+use common::{des, frozen_sequential, simulated, threaded, under};
 use edge_switching::core::parallel::process_backend_supported;
+use edge_switching::core::parallel::wire::encode_seq_checkpoint;
 use edge_switching::core::trade::sequential_curveball;
+use edge_switching::core::{SeqCheckpoint, SequentialResumable};
+use edge_switching::dist::BlockRng64;
+use edge_switching::graph::generators::families::star;
 use edge_switching::prelude::*;
 use edge_switching::scalesim::DesReport;
 use std::io::{BufRead, BufReader};
@@ -195,6 +203,93 @@ fn stepped_engine_conformance_table() {
         let observed = run.clone().probe(ObsSpec::Spans).execute(&g);
         assert_eq!(logical(&observed), expect, "{mode} execute observed");
         assert!(observed.report().is_some());
+    }
+}
+
+/// (graph ∈ {ER, PA, star}) × (seed) × (t ∈ {1, 37, 3000}) × (chunk
+/// size): the engine, which reads and writes only the `EdgePool`, against
+/// [`frozen_sequential`], which applies every switch to the whole
+/// `Graph`. Same draws from the same stream, so everything must agree —
+/// down to the order of the edges in the pool, compared as the bytes of
+/// the two states' checkpoints — and the graph `finish` builds in bulk
+/// must be the graph the reference kept current edge by edge.
+#[test]
+fn pool_only_engine_equals_the_graph_maintaining_reference() {
+    let graphs = [
+        ("er", erdos_renyi_gnm(400, 2000, &mut root_rng(7))),
+        ("pa", preferential_attachment(300, 5, &mut root_rng(8))),
+        // No legal switch exists: both sides must give up the same way.
+        ("star", star(9)),
+    ];
+    for (name, g) in &graphs {
+        for seed in [3u64, 11, 4242] {
+            for t in [1u64, 37, 3000] {
+                if *name == "star" && (t != 37 || seed != 3) {
+                    continue;
+                }
+                let mut reference = g.clone();
+                let mut rng = BlockRng64::new(root_rng(seed));
+                let frozen = frozen_sequential(&mut reference, t, &mut rng);
+                let mut remaining: Vec<u64> = frozen.tracker.remaining_keys().collect();
+                remaining.sort_unstable();
+                let frozen_state = encode_seq_checkpoint(&SeqCheckpoint {
+                    seed,
+                    n: reference.num_vertices(),
+                    t,
+                    performed: frozen.performed,
+                    abandoned: t - frozen.performed,
+                    rejects: frozen.rejects,
+                    tracker_initial: frozen.tracker.initial_count(),
+                    tracker_remaining: remaining,
+                    graph_edges: reference.edges().collect(),
+                    rng_words: rng.words_served(),
+                });
+                for chunk in [1u64, 37, 4096, u64::MAX] {
+                    let row = format!("{name} seed={seed} t={t} chunk={chunk}");
+                    let mut engine = SequentialResumable::new(g.clone(), t, seed);
+                    while !engine.is_done() {
+                        engine.step(chunk);
+                    }
+                    assert_eq!(
+                        encode_seq_checkpoint(&engine.checkpoint()),
+                        frozen_state,
+                        "{row}: engine state (counters, tracker, pool order, stream position)"
+                    );
+                    let (switched, out) = engine.finish();
+                    switched
+                        .check_invariants()
+                        .unwrap_or_else(|why| panic!("{row}: {why}"));
+                    assert_eq!(out.performed, frozen.performed, "{row}");
+                    assert_eq!(out.rejects, frozen.rejects, "{row}");
+                    assert_eq!(
+                        out.tracker.visited_count(),
+                        frozen.tracker.visited_count(),
+                        "{row}"
+                    );
+                    assert_eq!(switched.edge_digest(), reference.edge_digest(), "{row}");
+                    for v in 0..switched.num_vertices() as u64 {
+                        assert_eq!(switched.neighbors(v), reference.neighbors(v), "{row}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `build_stores` → the ranks switch → `assemble_graph`, at every world
+/// size the deterministic driver covers: the stores carry no adjacency,
+/// so the assembled graph's is built from nothing but their pools and
+/// has to come out whole.
+#[test]
+fn assembled_graphs_are_whole_at_every_world_size() {
+    let g = clustered_graph(62);
+    for p in [1usize, 2, 4] {
+        let out = simulated(&g, 2_000, &config(p));
+        out.graph
+            .check_invariants()
+            .unwrap_or_else(|why| panic!("p={p}: {why}"));
+        assert_eq!(out.graph.degree_sequence(), g.degree_sequence(), "p={p}");
+        assert_eq!(out.performed() + out.forfeited(), 2_000, "p={p}");
     }
 }
 
