@@ -33,16 +33,13 @@ fn usage() -> ! {
 /// newline-delimited JSON (`trace.jsonl` in the invocation directory),
 /// one row per `(driver, step)`, ready for `jq`/pandas.
 fn spill_timeline(report: &Report) {
-    let Some(rows) = report.data["timeline"].as_array() else {
+    let Some(rows) = report.data["timeline"].as_arr() else {
         return;
     };
     if rows.is_empty() {
         return;
     }
-    let body: String = rows
-        .iter()
-        .map(|row| serde_json::to_string(row).expect("serializable row") + "\n")
-        .collect();
+    let body: String = rows.iter().map(|row| row.to_json() + "\n").collect();
     std::fs::write("trace.jsonl", body).expect("write timeline");
     println!("# wrote trace.jsonl ({} rows)", rows.len());
 }
@@ -56,7 +53,7 @@ fn archive_perf(report: &Report) {
         return;
     }
     let path = format!("BENCH_{}.json", report.id);
-    let body = serde_json::to_string_pretty(&report.data).expect("serializable report");
+    let body = report.data.to_json_pretty();
     std::fs::write(&path, body + "\n").expect("write benchmark archive");
     println!("# archived {path}");
 }

@@ -18,8 +18,8 @@ use edgeswitch_core::error_rate::error_rate;
 use edgeswitch_core::run::Run;
 use edgeswitch_graph::generators::Dataset;
 use edgeswitch_graph::SchemeKind;
+use edgeswitch_json::json;
 use edgeswitch_scalesim::{des_run, CostModel};
-use serde_json::json;
 
 /// Quota-policy ablation: error rate and workload skew, edge-proportional
 /// vs uniform, CP on the Miami stand-in.
@@ -72,7 +72,7 @@ pub fn ablation_quota(cfg: &ExpConfig) -> Report {
     Report {
         id: "ablation-quota".into(),
         title: "ablation: edge-proportional vs uniform quota/partner weighting".into(),
-        data: serde_json::Value::Array(data),
+        data: edgeswitch_json::Json::Arr(data),
         rendered: table(
             &[
                 "quota policy",
@@ -114,7 +114,7 @@ pub fn ablation_latency(cfg: &ExpConfig) -> Report {
     Report {
         id: "ablation-latency".into(),
         title: "ablation: speedup at p = 1024 vs interconnect latency (PA graph)".into(),
-        data: serde_json::Value::Array(data),
+        data: edgeswitch_json::Json::Arr(data),
         rendered: table(&["latency (ns)", "speedup", "runtime (ms)"], &rows),
     }
 }

@@ -35,7 +35,7 @@ use edgeswitch_core::trade::{sequential_curveball, TradeBudget};
 use edgeswitch_graph::generators::{PaStream, StreamSpec};
 use edgeswitch_graph::store::{build_rank_store_streamed, build_stores};
 use edgeswitch_graph::{Graph, IterStream, Partitioner};
-use serde_json::{json, Value};
+use edgeswitch_json::{json, Json};
 use std::time::Instant;
 
 /// Ranks for the partition/boot cases: the smallest world where "one
@@ -107,7 +107,7 @@ fn mem_available_kb() -> Option<u64> {
 /// The experiment driver never calls this directly for measurement — it
 /// spawns a child per case so `VmHWM` is per-case — but the child lands
 /// here, and tests may call it for schema checks.
-pub fn run_case(case: &Value) -> Value {
+pub fn run_case(case: &Json) -> Json {
     let mode = case["mode"].as_str().expect("case has a mode");
     let m = case["m"].as_u64().expect("case has a target m");
     let seed = case["seed"].as_u64().unwrap_or(1);
@@ -130,7 +130,7 @@ pub fn run_case(case: &Value) -> Value {
 
 /// The pre-streaming pipeline: materialize the global raw edge list,
 /// build the full graph, split it into every rank's store at once.
-fn boot_materialized(m: u64, seed: u64) -> Value {
+fn boot_materialized(m: u64, seed: u64) -> Json {
     let spec = pa_spec(m, seed);
     let n = spec.num_vertices();
     let start = Instant::now();
@@ -165,7 +165,7 @@ fn boot_materialized(m: u64, seed: u64) -> Value {
 
 /// The streamed boot path, exactly as a seed-booted rank child runs it:
 /// replay the spec's stream, keep rank 0's share, never hold the rest.
-fn boot_streamed(spec: StreamSpec, mode: &str) -> Value {
+fn boot_streamed(spec: StreamSpec, mode: &str) -> Json {
     let n = spec.num_vertices();
     let start = Instant::now();
     let mut stream = spec.stream().expect("spec is realizable");
@@ -189,7 +189,7 @@ fn boot_streamed(spec: StreamSpec, mode: &str) -> Value {
 /// End-to-end seed boot: generate-partition-randomize over the process
 /// backend at p = 2, with the launcher (this process) never holding the
 /// graph — its VmHWM is the O(1)-boot claim in a number.
-fn proc_switch(m: u64, seed: u64, t: u64) -> Value {
+fn proc_switch(m: u64, seed: u64, t: u64) -> Json {
     if !process_backend_supported() {
         return json!({
             "mode": "proc-switch",
@@ -218,7 +218,7 @@ fn proc_switch(m: u64, seed: u64, t: u64) -> Value {
 
 /// One full Curveball pass over the streamed-built graph: trades/sec at
 /// scale for the alternative randomizer.
-fn curveball(m: u64, seed: u64) -> Value {
+fn curveball(m: u64, seed: u64) -> Json {
     let spec = pa_spec(m, seed);
     let mut graph = spec.build().expect("PA spec is always realizable");
     let n = graph.num_vertices();
@@ -249,9 +249,9 @@ pub fn genscale_child_from_env() {
         return;
     };
     let out_path = std::env::var(ENV_OUT).expect("genscale child needs an output path");
-    let case: Value = serde_json::from_str(&case).expect("genscale case JSON parses");
+    let case: Json = edgeswitch_json::parse(&case).expect("genscale case JSON parses");
     let result = run_case(&case);
-    let body = serde_json::to_string(&result).expect("result serializes");
+    let body = result.to_json();
     std::fs::write(&out_path, body).expect("write genscale case result");
     std::process::exit(0);
 }
@@ -260,7 +260,7 @@ pub fn genscale_child_from_env() {
 /// `VmHWM` is measured per case. The argv routes libtest binaries into
 /// the `genscale_child_entry` hook; binaries that call
 /// [`genscale_child_from_env`] at the top of `main` never parse argv.
-fn run_case_in_child(case: &Value) -> Value {
+fn run_case_in_child(case: &Json) -> Json {
     let exe = std::env::current_exe().expect("current_exe for genscale child");
     let out_path = std::env::temp_dir().join(format!(
         "genscale-{}-{}-{}.json",
@@ -271,18 +271,19 @@ fn run_case_in_child(case: &Value) -> Value {
     let _ = std::fs::remove_file(&out_path);
     let status = std::process::Command::new(&exe)
         .args(["genscale_child_entry", "--include-ignored", "--nocapture"])
-        .env(ENV_CASE, case.to_string())
+        .env(ENV_CASE, case.to_json())
         .env(ENV_OUT, &out_path)
         .stdout(std::process::Stdio::null())
         .status()
         .expect("spawn genscale case child");
     assert!(
         status.success(),
-        "genscale case child failed ({status}): {case}"
+        "genscale case child failed ({status}): {}",
+        case.to_json()
     );
     let body = std::fs::read_to_string(&out_path).expect("genscale case result exists");
     let _ = std::fs::remove_file(&out_path);
-    serde_json::from_str(&body).expect("genscale case result parses")
+    edgeswitch_json::parse(&body).expect("genscale case result parses")
 }
 
 /// The case modes per grid point, in run order.
@@ -379,9 +380,9 @@ pub fn genscale_with_grid(cfg: &ExpConfig, grid: &[u64], try_huge: bool) -> Repo
 /// below [`GATE_MEM_RATIO`] × the materialized path's. Skips (`Ok` with
 /// a notice) where `VmHWM` is unavailable (non-Linux). Returns the pass
 /// or skip summary in `Ok`, a human-readable error in `Err`.
-pub fn mem_gate(data: &Value) -> Result<String, String> {
+pub fn mem_gate(data: &Json) -> Result<String, String> {
     let cases = data["cases"]
-        .as_array()
+        .as_arr()
         .ok_or("gate: genscale report has no cases")?;
     let hwm = |mode: &str| -> Option<(u64, u64)> {
         cases
@@ -395,7 +396,7 @@ pub fn mem_gate(data: &Value) -> Result<String, String> {
     let (Some((m_mat, kb_mat)), Some((m_str, kb_str))) = (materialized, streamed) else {
         if cases
             .iter()
-            .all(|c| c["vm_hwm_kb"].as_u64().is_none() || c["skipped"].is_string())
+            .all(|c| c["vm_hwm_kb"].as_u64().is_none() || c["skipped"].as_str().is_some())
         {
             return Ok("skipped: no VmHWM measurements (non-Linux)".into());
         }
@@ -439,11 +440,11 @@ mod tests {
         let r = genscale_with_grid(&cfg, &[SMOKE_M], false);
         assert_eq!(r.id, "genscale");
         assert_eq!(r.data["bench"].as_str(), Some("genscale"));
-        let cases = r.data["cases"].as_array().unwrap();
+        let cases = r.data["cases"].as_arr().unwrap();
         assert_eq!(cases.len(), MODES.len());
         for c in cases {
             assert_eq!(c["m_target"].as_u64(), Some(SMOKE_M));
-            if c["skipped"].is_string() {
+            if c["skipped"].as_str().is_some() {
                 continue;
             }
             assert!(c["elapsed_sec"].as_f64().unwrap() > 0.0);
@@ -459,7 +460,7 @@ mod tests {
             _ => "gen_edges_per_sec",
         };
         for c in cases {
-            if c["skipped"].is_string() {
+            if c["skipped"].as_str().is_some() {
                 continue;
             }
             let mode = c["mode"].as_str().unwrap();

@@ -19,12 +19,12 @@ use edgeswitch_core::parallel::process_backend_supported;
 use edgeswitch_core::run::Run;
 use edgeswitch_core::switch::{flip_kind, recombine, Recombination};
 use edgeswitch_core::visit::VisitTracker;
+use edgeswitch_dist::Rng;
 use edgeswitch_dist::{root_rng, BlockRng64};
 use edgeswitch_graph::generators::{erdos_renyi_gnm, preferential_attachment, small_world};
 use edgeswitch_graph::sampling::EdgePool;
 use edgeswitch_graph::{Graph, OrientedEdge};
-use rand::Rng;
-use serde_json::json;
+use edgeswitch_json::json;
 use std::time::Instant;
 
 /// Processor counts for the threaded-engine cases.
@@ -418,7 +418,7 @@ pub fn hotpath(cfg: &ExpConfig) -> Report {
 /// sequential path with its (disabled) observation points compiled in
 /// must stay within 3% of the frozen uninstrumented baseline's
 /// throughput. Returns a human-readable error when the gate trips.
-pub fn probe_gate(data: &serde_json::Value) -> Result<(), String> {
+pub fn probe_gate(data: &edgeswitch_json::Json) -> Result<(), String> {
     let ratio = data["probe"]["noop_vs_baseline"]
         .as_f64()
         .ok_or("gate: hotpath report has no probe section")?;
@@ -438,11 +438,11 @@ pub fn probe_gate(data: &serde_json::Value) -> Result<(), String> {
 /// Returns a human-readable error when the gate trips. Meaningful only
 /// on a multi-core host — with a single hardware thread, p ranks time-
 /// share one core and p=2 ≥ p=1 is physically unreachable.
-pub fn scaling_gate(data: &serde_json::Value) -> Result<(), String> {
+pub fn scaling_gate(data: &edgeswitch_json::Json) -> Result<(), String> {
     let window = *WINDOWS.last().unwrap() as u64;
     let rate = |p: u64| -> Result<f64, String> {
         data["cases"]
-            .as_array()
+            .as_arr()
             .into_iter()
             .flatten()
             .find(|c| {
@@ -473,9 +473,9 @@ pub fn scaling_gate(data: &serde_json::Value) -> Result<(), String> {
 /// protocol, which held p=1 near 40% of a sequential loop less than half
 /// as fast as today's. Returns a human-readable error when the gate
 /// trips.
-pub fn local_gate(data: &serde_json::Value) -> Result<(), String> {
+pub fn local_gate(data: &edgeswitch_json::Json) -> Result<(), String> {
     let window = *WINDOWS.last().unwrap() as u64;
-    let cases = || data["cases"].as_array().into_iter().flatten();
+    let cases = || data["cases"].as_arr().into_iter().flatten();
     let seq = cases()
         .find(|c| {
             c["family"].as_str() == Some("erdos_renyi_100k")
@@ -514,9 +514,9 @@ pub fn local_gate(data: &serde_json::Value) -> Result<(), String> {
 /// gate guards the batch loop's bookkeeping overhead (sampling gate,
 /// undo-log plumbing, retry routing) against regressing the hot path.
 /// Returns a human-readable error when the gate trips.
-pub fn batch_gate(data: &serde_json::Value) -> Result<(), String> {
+pub fn batch_gate(data: &edgeswitch_json::Json) -> Result<(), String> {
     let window = *WINDOWS.last().unwrap() as u64;
-    let cases = || data["cases"].as_array().into_iter().flatten();
+    let cases = || data["cases"].as_arr().into_iter().flatten();
     let seq = cases()
         .find(|c| {
             c["family"].as_str() == Some("erdos_renyi_100k")
@@ -556,11 +556,11 @@ pub fn batch_gate(data: &serde_json::Value) -> Result<(), String> {
 /// *skips* (`Ok` with a notice, not a failure) on single-core runners
 /// and on reports without process cases (non-Linux). Returns the notice
 /// or pass summary in `Ok`, a human-readable error in `Err`.
-pub fn proc_gate(data: &serde_json::Value) -> Result<String, String> {
+pub fn proc_gate(data: &edgeswitch_json::Json) -> Result<String, String> {
     let window = *WINDOWS.last().unwrap() as u64;
     let case = |p: u64| {
         data["cases"]
-            .as_array()
+            .as_arr()
             .into_iter()
             .flatten()
             .find(|c| {
@@ -614,7 +614,7 @@ mod tests {
         assert_eq!(r.id, "hotpath");
         assert_eq!(r.data["bench"].as_str(), Some("hotpath"));
         assert_eq!(r.data["metric"].as_str(), Some("switches_per_sec"));
-        let cases = r.data["cases"].as_array().unwrap();
+        let cases = r.data["cases"].as_arr().unwrap();
         // 3 families × (1 sequential + (|WINDOWS| per-switch sweeps + 1
         // speculative sweep) × |PROCESSORS| threaded + |PROCESSORS|
         // process where the backend exists).
@@ -688,7 +688,7 @@ mod tests {
             timeline: false,
         };
         let r = hotpath(&cfg);
-        let cases = r.data["cases"].as_array().unwrap();
+        let cases = r.data["cases"].as_arr().unwrap();
         for family in ["erdos_renyi_100k", "preferential_100k", "small_world_100k"] {
             let ops: Vec<u64> = cases
                 .iter()
@@ -726,7 +726,7 @@ mod tests {
             timeline: false,
         };
         let r = hotpath(&cfg);
-        let cases = r.data["cases"].as_array().unwrap();
+        let cases = r.data["cases"].as_arr().unwrap();
         let spec: Vec<_> = cases
             .iter()
             .filter(|c| c["spec_batch"].as_u64() == Some(SPEC_BATCH as u64))

@@ -12,7 +12,7 @@ use edgeswitch_graph::generators::Dataset;
 use edgeswitch_graph::partition::adversary::division_worst_case;
 use edgeswitch_graph::partition::stats::{coefficient_of_variation, imbalance, PartitionStats};
 use edgeswitch_graph::{Graph, Partitioner, SchemeKind};
-use serde_json::json;
+use edgeswitch_json::json;
 
 /// World size for the distribution figures. The paper uses `p = 1024`
 /// on graphs 1000× larger; at this repository's dataset scale the same
@@ -58,7 +58,7 @@ fn summarize(counts: &[u64]) -> Vec<String> {
     ]
 }
 
-fn summary_json(counts: &[u64]) -> serde_json::Value {
+fn summary_json(counts: &[u64]) -> edgeswitch_json::Json {
     let (head, tail) = decile_means(counts);
     json!({
         "first_decile_mean": head,
@@ -127,7 +127,7 @@ fn initial_distribution(cfg: &ExpConfig, vertices: bool, id: &str, title: &str) 
     Report {
         id: id.into(),
         title: title.into(),
-        data: serde_json::Value::Array(data),
+        data: edgeswitch_json::Json::Arr(data),
         rendered: table(&SUMMARY_HEADER, &rows),
     }
 }
@@ -166,7 +166,7 @@ pub fn fig18(cfg: &ExpConfig) -> Report {
     Report {
         id: "fig18".into(),
         title: "edges per processor at completion by scheme, Miami, p = 64".into(),
-        data: serde_json::Value::Array(data),
+        data: edgeswitch_json::Json::Arr(data),
         rendered: table(&SUMMARY_HEADER, &rows),
     }
 }
@@ -206,7 +206,7 @@ fn workload_figure(cfg: &ExpConfig, ds: Dataset, id: &str, title: &str) -> Repor
     Report {
         id: id.into(),
         title: title.into(),
-        data: serde_json::Value::Array(data),
+        data: edgeswitch_json::Json::Arr(data),
         rendered: table(&SUMMARY_HEADER, &rows),
     }
 }

@@ -33,7 +33,7 @@ use edgeswitch_dist::harmonic::switch_ops_for_visit_rate;
 use edgeswitch_dist::root_rng;
 use edgeswitch_graph::generators::{erdos_renyi_gnm, preferential_attachment, small_world};
 use edgeswitch_graph::Graph;
-use serde_json::json;
+use edgeswitch_json::json;
 use std::time::Instant;
 
 /// Visit-rate target every scheme runs to.
@@ -269,10 +269,10 @@ pub fn mixing(cfg: &ExpConfig) -> Report {
 /// [`GATE_MIN_EDGES`] edges, or a Curveball run that stalled below the
 /// target. Returns the notice or pass summary in `Ok`, a human-readable
 /// error in `Err`.
-pub fn mixing_gate(data: &serde_json::Value) -> Result<String, String> {
+pub fn mixing_gate(data: &edgeswitch_json::Json) -> Result<String, String> {
     let case = |scheme: &str| {
         data["cases"]
-            .as_array()
+            .as_arr()
             .into_iter()
             .flatten()
             .find(|c| {
@@ -333,7 +333,7 @@ mod tests {
         assert_eq!(r.data["bench"].as_str(), Some("mixing"));
         assert_eq!(r.data["metric"].as_str(), Some("ops_to_target"));
         assert!(!r.data["provenance"]["rustc"].as_str().unwrap().is_empty());
-        let cases = r.data["cases"].as_array().unwrap();
+        let cases = r.data["cases"].as_arr().unwrap();
         // 3 families × 2 schemes × 2 modes.
         assert_eq!(cases.len(), 12);
         for c in cases {

@@ -7,8 +7,8 @@ use crate::report::{f, table, Report};
 use edgeswitch_dist::multinomial::multinomial;
 use edgeswitch_dist::parallel::{multinomial_partitioned, trial_share};
 use edgeswitch_dist::rng::root_rng;
+use edgeswitch_json::json;
 use edgeswitch_scalesim::{multinomial_strong_scaling, multinomial_weak_scaling, CostModel};
-use serde_json::json;
 use std::time::Instant;
 
 /// Calibrate the per-trial BINV cost on this host with a real

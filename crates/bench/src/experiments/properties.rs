@@ -12,7 +12,7 @@ use edgeswitch_dist::switch_ops_for_visit_rate;
 use edgeswitch_graph::generators::Dataset;
 use edgeswitch_graph::metrics::{average_clustering_sampled, average_shortest_path_sampled};
 use edgeswitch_graph::{Graph, SchemeKind};
-use serde_json::json;
+use edgeswitch_json::json;
 
 const GRAPHS: [Dataset; 3] = [Dataset::Miami, Dataset::LiveJournal, Dataset::Flickr];
 const P: usize = 256;
@@ -68,7 +68,7 @@ where
     Report {
         id: id.into(),
         title: title.into(),
-        data: serde_json::Value::Array(data),
+        data: edgeswitch_json::Json::Arr(data),
         rendered: table(&["graph", "visit rate", "sequential", "parallel"], &rows),
     }
 }

@@ -11,8 +11,8 @@ use edgeswitch_dist::rng::root_rng;
 use edgeswitch_graph::generators::{preferential_attachment, Dataset};
 use edgeswitch_graph::partition::adversary::division_worst_case;
 use edgeswitch_graph::{Partitioner, SchemeKind};
+use edgeswitch_json::json;
 use edgeswitch_scalesim::{strong_scaling, weak_scaling, CostModel, ScalePoint};
-use serde_json::json;
 
 /// The figures' run per `p`: `t` operations, step size `t/100`.
 fn run_for(scheme: SchemeKind, t: u64, seed: u64) -> impl Fn(usize) -> Run {
@@ -41,10 +41,22 @@ fn render_curves(curves: &[(String, Vec<ScalePoint>)]) -> String {
     table(&["series", "p", "time (s)", "speedup", "imbalance"], &rows)
 }
 
-fn curves_json(curves: &[(String, Vec<ScalePoint>)]) -> serde_json::Value {
+fn curves_json(curves: &[(String, Vec<ScalePoint>)]) -> edgeswitch_json::Json {
+    let point = |pt: &ScalePoint| {
+        json!({
+            "p": pt.p,
+            "runtime_s": pt.runtime_s,
+            "speedup": pt.speedup,
+            "packets": pt.packets,
+            "workload_imbalance": pt.workload_imbalance,
+        })
+    };
     json!(curves
         .iter()
-        .map(|(name, pts)| json!({"series": name, "points": pts}))
+        .map(|(name, pts)| json!({
+            "series": name,
+            "points": pts.iter().map(point).collect::<Vec<_>>(),
+        }))
         .collect::<Vec<_>>())
 }
 
@@ -223,7 +235,7 @@ pub fn fig22(cfg: &ExpConfig) -> Report {
     Report {
         id: "fig22".into(),
         title: "worst-case scenario speedups on PA, p = 1024".into(),
-        data: serde_json::Value::Array(data),
+        data: edgeswitch_json::Json::Arr(data),
         rendered: table(&["configuration", "speedup", "imbalance"], &rows),
     }
 }

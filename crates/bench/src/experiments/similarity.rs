@@ -10,7 +10,7 @@ use edgeswitch_core::error_rate::error_rate;
 use edgeswitch_core::run::Run;
 use edgeswitch_graph::generators::Dataset;
 use edgeswitch_graph::SchemeKind;
-use serde_json::json;
+use edgeswitch_json::json;
 
 const P: usize = 64;
 const R_BLOCKS: usize = 20;
@@ -92,7 +92,7 @@ pub fn table3(cfg: &ExpConfig) -> Report {
     Report {
         id: "table3".into(),
         title: format!("error-rate comparison of schemes vs sequential (x = 1, p = {P}, r = 20)"),
-        data: serde_json::Value::Array(data),
+        data: edgeswitch_json::Json::Arr(data),
         rendered: table(
             &[
                 "network",

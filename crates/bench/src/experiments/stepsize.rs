@@ -10,8 +10,8 @@ use edgeswitch_core::error_rate::error_rate;
 use edgeswitch_core::run::Run;
 use edgeswitch_graph::generators::Dataset;
 use edgeswitch_graph::{Graph, SchemeKind};
+use edgeswitch_json::json;
 use edgeswitch_scalesim::{des_run, CostModel};
-use serde_json::json;
 
 /// Block count of the error-rate metric (the paper uses `r = 20`).
 const R_BLOCKS: usize = 20;
@@ -96,7 +96,7 @@ pub fn fig6(cfg: &ExpConfig) -> Report {
     Report {
         id: "fig6".into(),
         title: "strong scaling vs step size, Miami, CP".into(),
-        data: serde_json::Value::Array(data),
+        data: edgeswitch_json::Json::Arr(data),
         rendered: table(&["step size", "p", "speedup"], &rows),
     }
 }
@@ -134,7 +134,7 @@ pub fn fig7(cfg: &ExpConfig) -> Report {
     Report {
         id: "fig7".into(),
         title: "error rate vs p per step size, Miami, CP (r = 20)".into(),
-        data: serde_json::Value::Array(data),
+        data: edgeswitch_json::Json::Arr(data),
         rendered: table(&["step size", "p", "ER(seq,par) %", "ER(seq,seq) %"], &rows),
     }
 }
@@ -207,7 +207,7 @@ fn step_sweep_speedup(cfg: &ExpConfig, sets: &[Dataset], id: &str, title: &str) 
     Report {
         id: id.into(),
         title: title.into(),
-        data: serde_json::Value::Array(data),
+        data: edgeswitch_json::Json::Arr(data),
         rendered: table(&["graph", "step size", "speedup"], &rows),
     }
 }
@@ -243,7 +243,7 @@ fn step_sweep_error(cfg: &ExpConfig, sets: &[Dataset], id: &str, title: &str) ->
     Report {
         id: id.into(),
         title: title.into(),
-        data: serde_json::Value::Array(data),
+        data: edgeswitch_json::Json::Arr(data),
         rendered: table(
             &["graph", "step size", "ER(seq,par) %", "ER(seq,seq) %"],
             &rows,

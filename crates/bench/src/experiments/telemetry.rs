@@ -20,8 +20,8 @@ use edgeswitch_core::parallel::{MsgCounts, MsgKind, ParallelOutcome, StepTelemet
 use edgeswitch_core::Run;
 use edgeswitch_graph::generators::Dataset;
 use edgeswitch_graph::SchemeKind;
+use edgeswitch_json::{json, Json};
 use edgeswitch_scalesim::{des_run, CostModel};
-use serde_json::{json, Value};
 
 /// Header of the driver-independent per-step telemetry columns, in the
 /// order [`step_cells`] renders them.
@@ -85,7 +85,7 @@ pub fn step_table_rows(
 /// One step as a JSON record carrying the full telemetry field set
 /// (logical columns plus the per-step timing split). `driver`, when
 /// given, tags the row for mixed-driver timelines.
-pub fn step_json_row(driver: Option<&str>, step: usize, s: &StepTelemetry) -> Value {
+pub fn step_json_row(driver: Option<&str>, step: usize, s: &StepTelemetry) -> Json {
     let mut row = json!({
         "step": step as u64,
         "ops": s.ops,
@@ -108,15 +108,13 @@ pub fn step_json_row(driver: Option<&str>, step: usize, s: &StepTelemetry) -> Va
         "drain_ns": s.drain_ns,
     });
     if let Some(driver) = driver {
-        row.as_object_mut()
-            .expect("row is an object")
-            .insert("driver".into(), json!(driver));
+        row["driver"] = json!(driver);
     }
     row
 }
 
 /// All steps as JSON rows (see [`step_json_row`]).
-pub fn step_json_rows(driver: Option<&str>, telemetry: &[StepTelemetry]) -> Vec<Value> {
+pub fn step_json_rows(driver: Option<&str>, telemetry: &[StepTelemetry]) -> Vec<Json> {
     telemetry
         .iter()
         .enumerate()
@@ -214,7 +212,7 @@ pub fn telemetry_steps(cfg: &ExpConfig) -> Report {
         f(100.0 * fast as f64 / performed.max(1) as f64, 1),
     ));
 
-    let kinds: Vec<Value> = totals
+    let kinds: Vec<Json> = totals
         .iter()
         .map(|(k, c)| json!({"variant": k.label(), "count": c}))
         .collect();
@@ -230,8 +228,8 @@ pub fn telemetry_steps(cfg: &ExpConfig) -> Report {
             "local_fastpath_total": fast,
             "local_fraction": fast as f64 / performed.max(1) as f64,
             "packet_total": fifo.packet_total(),
-            "fifo_steps": Value::Array(step_json_rows(None, &fifo.telemetry)),
-            "des_steps": Value::Array(step_json_rows(None, &des.telemetry)),
+            "fifo_steps": step_json_rows(None, &fifo.telemetry),
+            "des_steps": step_json_rows(None, &des.telemetry),
             "message_kinds": kinds,
             "blocked_events": fifo.blocked_events(),
             "des_runtime_ns": des_report.runtime_ns,

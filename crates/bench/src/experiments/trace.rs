@@ -15,8 +15,8 @@ use edgeswitch_core::parallel::StepTelemetry;
 use edgeswitch_core::Run;
 use edgeswitch_dist::root_rng;
 use edgeswitch_graph::generators::erdos_renyi_gnm;
+use edgeswitch_json::{json, Json};
 use edgeswitch_scalesim::{des_run, CostModel};
-use serde_json::{json, Value};
 
 fn scaled(base: usize, scale: f64, floor: usize) -> usize {
     ((base as f64 * scale) as usize).max(floor)
@@ -88,7 +88,7 @@ fn render_report(rendered: &mut String, name: &str, report: &RunReport) {
 
 /// One driver's per-step timeline rows (the `trace.jsonl` content):
 /// the shared telemetry row shape, tagged with the driver name.
-fn timeline_json(driver: &str, telemetry: &[StepTelemetry]) -> Vec<Value> {
+fn timeline_json(driver: &str, telemetry: &[StepTelemetry]) -> Vec<Json> {
     super::telemetry::step_json_rows(Some(driver), telemetry)
 }
 
@@ -157,7 +157,7 @@ pub fn trace(cfg: &ExpConfig) -> Report {
             "sequential": seq_report.to_json(),
             "threaded": thr_report.to_json(),
             "des": des_report.to_json(),
-            "timeline": Value::Array(timeline),
+            "timeline": timeline,
         }),
         rendered,
     }
@@ -185,7 +185,7 @@ mod tests {
             let report = &r.data[driver];
             assert!(report["wall_ns"].as_u64().unwrap() > 0, "{driver} wall");
             assert_eq!(
-                report["phases"].as_array().unwrap().len(),
+                report["phases"].as_arr().unwrap().len(),
                 Phase::COUNT,
                 "{driver} phases"
             );
@@ -194,11 +194,11 @@ mod tests {
         assert_eq!(r.data["threaded"]["clock"].as_str(), Some("monotonic"));
         assert_eq!(r.data["des"]["clock"].as_str(), Some("virtual"));
         // No timeline requested: the rows stay out of the archive.
-        assert!(r.data["timeline"].as_array().unwrap().is_empty());
+        assert!(r.data["timeline"].as_arr().unwrap().is_empty());
         // The threaded protocol exercises every instrumented phase
         // except the speculative batch serve, which only fires when
         // `spec_batch > 1` (off in this experiment).
-        for phase in r.data["threaded"]["phases"].as_array().unwrap() {
+        for phase in r.data["threaded"]["phases"].as_arr().unwrap() {
             if phase["phase"].as_str() == Some("batch-validate") {
                 continue;
             }
@@ -215,11 +215,11 @@ mod tests {
         }
         // Conversation lifetimes (propose) and commit round trips cross
         // ranks under hash partitioning.
-        let rtt = r.data["threaded"]["rtt"].as_array().unwrap();
+        let rtt = r.data["threaded"]["rtt"].as_arr().unwrap();
         assert_eq!(rtt[0]["kind"].as_str(), Some("propose"));
         assert!(rtt[0]["hist"]["count"].as_u64().unwrap() > 0);
         // The DES records its step boundary in virtual time.
-        let des_phases = r.data["des"]["phases"].as_array().unwrap();
+        let des_phases = r.data["des"]["phases"].as_arr().unwrap();
         let barrier = des_phases
             .iter()
             .find(|p| p["phase"].as_str() == Some("step-barrier"))
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn trace_timeline_rows_cover_both_parallel_drivers() {
         let r = trace(&tiny(true));
-        let rows = r.data["timeline"].as_array().unwrap();
+        let rows = r.data["timeline"].as_arr().unwrap();
         assert!(!rows.is_empty());
         assert!(rows
             .iter()

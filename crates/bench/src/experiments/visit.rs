@@ -7,7 +7,7 @@ use crate::{dataset_graph, full_visit_ops};
 use edgeswitch_core::run::Run;
 use edgeswitch_dist::switch_ops_for_visit_rate;
 use edgeswitch_graph::generators::Dataset;
-use serde_json::json;
+use edgeswitch_json::json;
 
 /// Desired visit-rate grid of Section 3.1: `x = 0.1, 0.2, …, 1.0`.
 fn visit_grid() -> Vec<f64> {
@@ -123,7 +123,7 @@ pub fn table2(cfg: &ExpConfig) -> Report {
             f(spec.avg_degree, 2),
             format!("{}", full_visit_ops(g.num_edges())),
         ]);
-        data.push(serde_json::json!({
+        data.push(edgeswitch_json::json!({
             "name": spec.name, "class": spec.class,
             "paper_vertices": spec.paper_vertices, "paper_edges": spec.paper_edges,
             "n": g.num_vertices(), "m": g.num_edges(),
@@ -133,7 +133,7 @@ pub fn table2(cfg: &ExpConfig) -> Report {
     Report {
         id: "table2".into(),
         title: "dataset inventory (scaled stand-ins for Table 2)".into(),
-        data: serde_json::Value::Array(data),
+        data: edgeswitch_json::Json::Arr(data),
         rendered: table(
             &[
                 "network",

@@ -2,7 +2,7 @@
 //!
 //! Reproduction harness: one experiment per table/figure of the paper
 //! (see DESIGN.md §4 for the index), shared by the `repro` binary and
-//! the integration tests. Criterion microbenchmarks live in `benches/`.
+//! the integration tests. The performance benchmark is `perfbench/`.
 
 #![warn(missing_docs)]
 

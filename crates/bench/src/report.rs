@@ -1,6 +1,6 @@
 //! Result reporting: aligned text tables for stdout plus JSON archival.
 
-use serde_json::{json, Value};
+use edgeswitch_json::{json, Json};
 use std::fs;
 use std::path::Path;
 
@@ -11,7 +11,7 @@ pub struct Report {
     /// Human title.
     pub title: String,
     /// Structured result series.
-    pub data: Value,
+    pub data: Json,
     /// Rendered text table(s).
     pub rendered: String,
 }
@@ -29,7 +29,7 @@ impl Report {
         fs::create_dir_all(out)?;
         fs::write(
             out.join(format!("{}.json", self.id)),
-            serde_json::to_string_pretty(&self.data)?,
+            self.data.to_json_pretty(),
         )?;
         fs::write(
             out.join(format!("{}.txt", self.id)),
@@ -105,7 +105,7 @@ pub fn peak_rss_kb() -> Option<u64> {
 /// compiler that produced the numbers and the `[profile.release]` flags
 /// it was built under, so archived trajectories stay interpretable
 /// across toolchain bumps and profile changes.
-pub fn provenance() -> Value {
+pub fn provenance() -> Json {
     let rustc = std::process::Command::new("rustc")
         .arg("-V")
         .output()
@@ -182,7 +182,7 @@ mod tests {
     fn provenance_reports_compiler_and_profile() {
         let p = provenance();
         assert!(!p["rustc"].as_str().unwrap().is_empty());
-        let flags = p["profile_release"].as_array().unwrap();
+        let flags = p["profile_release"].as_arr().unwrap();
         assert!(
             flags.iter().any(|l| l.as_str().unwrap().starts_with("lto")),
             "release profile flags not captured: {flags:?}"

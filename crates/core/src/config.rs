@@ -3,7 +3,6 @@
 use crate::obs::ObsSpec;
 use edgeswitch_dist::Rng64;
 use edgeswitch_graph::SchemeKind;
-use serde::{Deserialize, Serialize};
 
 /// Salt decorrelating the driver-level root stream (partitioning,
 /// world-building) from the per-rank protocol streams derived from the
@@ -15,20 +14,8 @@ const ROOT_STREAM_SALT: u64 = 0x9a17;
 /// overlapped without flooding partner ranks with proposals.
 pub const DEFAULT_WINDOW: usize = 16;
 
-fn default_window() -> usize {
-    DEFAULT_WINDOW
-}
-
-fn default_local_fastpath() -> bool {
-    true
-}
-
-fn default_spec_batch() -> usize {
-    1
-}
-
 /// Which substrate the parallel driver runs its ranks on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
     /// Ranks are scoped threads in this process exchanging `Msg` values
     /// through in-memory channels (`mpilite`). Deterministic-friendly and
@@ -87,7 +74,7 @@ impl Default for ProcOpts {
 /// progress through the same [`crate::VisitTracker`] semantics; they
 /// differ in how much graph they re-randomize per unit of work (see
 /// DESIGN.md §4h).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Randomizer {
     /// Single edge switches (the paper's protocol): each operation
     /// removes two sampled edges and inserts the crossed pair.
@@ -102,7 +89,7 @@ pub enum Randomizer {
 
 /// How the step size `s` is chosen (Section 4.5: the probability vector
 /// `q` is refreshed every `s` operations).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum StepSize {
     /// A fixed number of operations per step.
     Ops(u64),
@@ -130,7 +117,7 @@ impl StepSize {
 /// The paper weights both by the live edge counts `q_i = |E_i|/|E|`
 /// (Algorithm 2); the uniform policy exists as an ablation showing why
 /// that choice matters for similarity to the sequential process.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QuotaPolicy {
     /// `q_i = |E_i| / |E|` — the paper's design.
     EdgeProportional,
@@ -139,7 +126,7 @@ pub enum QuotaPolicy {
 }
 
 /// Full configuration of a parallel run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ParallelConfig {
     /// Number of processors (partitions) `p`.
     pub processors: usize,
@@ -154,11 +141,9 @@ pub struct ParallelConfig {
     /// Bound on concurrently in-flight own conversations per rank
     /// (clamped to ≥ 1). `1` reproduces the original stop-and-wait
     /// protocol exactly; larger values pipeline message round trips.
-    #[serde(default = "default_window")]
     pub window: usize,
     /// Observability attached to the run (off by default; recording
     /// never perturbs results — see [`crate::obs`]).
-    #[serde(default)]
     pub obs: ObsSpec,
     /// Commit rank-local switches inline, without allocating a
     /// conversation or routing self-addressed protocol messages (§4's
@@ -167,7 +152,6 @@ pub struct ParallelConfig {
     /// fast path is draw-order- and apply-order-preserving, so outcomes
     /// are bit-identical either way (enforced by
     /// `tests/driver_conformance.rs`).
-    #[serde(default = "default_local_fastpath")]
     pub local_fastpath: bool,
     /// Speculative batch size: how many switches a rank optimistically
     /// samples and applies per scheduling round before validating all
@@ -176,24 +160,19 @@ pub struct ParallelConfig {
     /// apply order and retry through the per-switch path). `1` disables
     /// speculation and reproduces the per-switch schedule bit-identically
     /// (enforced by `tests/driver_conformance.rs`).
-    #[serde(default = "default_spec_batch")]
     pub spec_batch: usize,
     /// Rank substrate: in-process threads (default) or OS processes over
     /// shared-memory rings. Identical logical protocol either way; at
     /// `p = 1` both are bit-identical to the simulators (enforced by
     /// `tests/driver_conformance.rs`).
-    #[serde(default)]
     pub backend: Backend,
     /// Per-invocation process-backend knobs (child argv, pid announcing,
-    /// ring sizing). Skipped by serde: a deserialized config gets the
-    /// defaults.
-    #[serde(skip)]
+    /// ring sizing).
     pub proc_opts: ProcOpts,
     /// Randomization engine: single edge switches (default) or global
     /// Curveball trades. The Curveball engine runs on the sequential,
     /// threaded, FIFO, and DES drivers; the process backend currently
     /// supports switches only.
-    #[serde(default)]
     pub randomizer: Randomizer,
 }
 
@@ -207,10 +186,10 @@ impl ParallelConfig {
             step_size: StepSize::FractionOfT(100),
             quota_policy: QuotaPolicy::EdgeProportional,
             seed: 0,
-            window: default_window(),
+            window: DEFAULT_WINDOW,
             obs: ObsSpec::default(),
-            local_fastpath: default_local_fastpath(),
-            spec_batch: default_spec_batch(),
+            local_fastpath: true,
+            spec_batch: 1,
             backend: Backend::default(),
             proc_opts: ProcOpts::default(),
             randomizer: Randomizer::default(),
@@ -312,10 +291,10 @@ mod tests {
 
     #[test]
     fn root_rng_depends_on_seed_only() {
-        use rand::Rng;
-        let a: u64 = ParallelConfig::new(4).with_seed(9).root_rng().gen();
-        let b: u64 = ParallelConfig::new(8).with_seed(9).root_rng().gen();
-        let c: u64 = ParallelConfig::new(4).with_seed(10).root_rng().gen();
+        use edgeswitch_dist::Rng;
+        let a = ParallelConfig::new(4).with_seed(9).root_rng().next_u64();
+        let b = ParallelConfig::new(8).with_seed(9).root_rng().next_u64();
+        let c = ParallelConfig::new(4).with_seed(10).root_rng().next_u64();
         assert_eq!(a, b);
         assert_ne!(a, c);
     }

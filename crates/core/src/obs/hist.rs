@@ -6,8 +6,6 @@
 //! Quantiles are reported as the bucket's inclusive upper bound, clamped
 //! to the observed maximum.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of buckets: one for zero plus one per bit of a `u64`.
 pub const BUCKETS: usize = 65;
 
@@ -120,7 +118,7 @@ impl LogHist {
 
 /// The report-facing summary of a [`LogHist`]: count, total and the
 /// p50/p90/p99/max quantiles in nanoseconds.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HistSummary {
     /// Number of samples.
     pub count: u64,

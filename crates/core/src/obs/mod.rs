@@ -38,7 +38,6 @@ pub use recorder::{GaugeAgg, RankObs, RecordingProbe};
 pub use report::{CommGauges, GaugeStat, PhaseStat, RttStat, RunReport, RTT_KINDS};
 
 use crate::parallel::msg::MsgKind;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The instrumented phases of a switch-protocol run.
@@ -165,7 +164,7 @@ impl Probe for NoopProbe {}
 
 /// Which observation to attach to a run. Serializable so it travels with
 /// [`ParallelConfig`](crate::config::ParallelConfig).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ObsSpec {
     /// No observation (zero overhead beyond one cold branch per probe
     /// point).

@@ -5,8 +5,7 @@ use super::hist::HistSummary;
 use super::recorder::RankObs;
 use super::{GaugeKind, Phase};
 use crate::parallel::msg::MsgKind;
-use serde::{Deserialize, Serialize};
-use serde_json::{json, Value};
+use edgeswitch_json::{json, Json};
 
 /// The request kinds whose round trips are reported, in report order.
 /// `Propose` carries whole-conversation lifetimes (propose → done),
@@ -21,7 +20,7 @@ pub const RTT_KINDS: [MsgKind; 5] = [
 ];
 
 /// One phase's span histogram summary.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PhaseStat {
     /// [`Phase::label`].
     pub phase: String,
@@ -30,7 +29,7 @@ pub struct PhaseStat {
 }
 
 /// One message kind's round-trip histogram summary.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RttStat {
     /// [`MsgKind::label`] of the *request*.
     pub kind: String,
@@ -39,7 +38,7 @@ pub struct RttStat {
 }
 
 /// One gauge's count/mean/peak aggregate.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GaugeStat {
     /// Gauge name (`window-occupancy`, `serving-depth`,
     /// `recv-queue-depth`, `park`).
@@ -75,7 +74,7 @@ pub struct CommGauges {
 /// Schema stability: `phases` always holds all [`Phase::ALL`] entries in
 /// order, `rtt` all [`RTT_KINDS`], and `gauges` the fixed four — empty
 /// histograms report zero summaries rather than vanishing.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
     /// Which timeline the nanoseconds live on: `"monotonic"` for real
     /// runs, `"virtual"` for the DES.
@@ -93,11 +92,9 @@ pub struct RunReport {
     pub gauges: Vec<GaugeStat>,
     /// Speculatively applied switches whose batch verdict confirmed them
     /// (zero unless the run had `spec_batch > 1`).
-    #[serde(default)]
     pub spec_committed: u64,
     /// Speculatively applied switches rolled back on a rejected verdict
     /// and retried through the per-switch path.
-    #[serde(default)]
     pub spec_rolled_back: u64,
 }
 
@@ -199,15 +196,10 @@ impl RunReport {
         self.gauges.iter().find(|g| g.gauge == name)
     }
 
-    /// Explicit JSON rendering.
-    ///
-    /// Built by hand with the `json!` macro rather than through
-    /// `serde_json::to_value` so it produces the identical document
-    /// under the real `serde_json` and the offline stub (whose derive
-    /// renders structs as `null`). This is the schema the golden test
-    /// pins and `repro trace` exports.
-    pub fn to_json(&self) -> Value {
-        fn hist(h: &HistSummary) -> Value {
+    /// The report as JSON: the schema the golden test pins and
+    /// `repro trace` exports.
+    pub fn to_json(&self) -> Json {
+        fn hist(h: &HistSummary) -> Json {
             json!({
                 "count": h.count,
                 "sum_ns": h.sum_ns,
@@ -217,7 +209,7 @@ impl RunReport {
                 "max_ns": h.max_ns,
             })
         }
-        let phases: Vec<Value> = self
+        let phases: Vec<Json> = self
             .phases
             .iter()
             .map(|p| {
@@ -227,7 +219,7 @@ impl RunReport {
                 })
             })
             .collect();
-        let rtt: Vec<Value> = self
+        let rtt: Vec<Json> = self
             .rtt
             .iter()
             .map(|r| {
@@ -237,7 +229,7 @@ impl RunReport {
                 })
             })
             .collect();
-        let gauges: Vec<Value> = self
+        let gauges: Vec<Json> = self
             .gauges
             .iter()
             .map(|g| {
@@ -253,9 +245,9 @@ impl RunReport {
             "clock": self.clock.clone(),
             "ranks": self.ranks,
             "wall_ns": self.wall_ns,
-            "phases": Value::Array(phases),
-            "rtt": Value::Array(rtt),
-            "gauges": Value::Array(gauges),
+            "phases": phases,
+            "rtt": rtt,
+            "gauges": gauges,
             "spec_committed": self.spec_committed,
             "spec_rolled_back": self.spec_rolled_back,
         })
@@ -310,14 +302,14 @@ mod tests {
         assert_eq!(v["clock"].as_str(), Some("monotonic"));
         assert_eq!(v["ranks"].as_u64(), Some(2));
         assert_eq!(v["wall_ns"].as_u64(), Some(123_456));
-        let phases = v["phases"].as_array().unwrap();
+        let phases = v["phases"].as_arr().unwrap();
         assert_eq!(phases.len(), Phase::COUNT);
         assert_eq!(phases[0]["phase"].as_str(), Some("sample"));
         assert_eq!(phases[0]["hist"]["count"].as_u64(), Some(1));
-        let rtt = v["rtt"].as_array().unwrap();
+        let rtt = v["rtt"].as_arr().unwrap();
         assert_eq!(rtt[0]["kind"].as_str(), Some("propose"));
         assert_eq!(rtt[0]["hist"]["max_ns"].as_u64(), Some(9_000));
-        let gauges = v["gauges"].as_array().unwrap();
+        let gauges = v["gauges"].as_arr().unwrap();
         assert_eq!(gauges.len(), 4);
         assert_eq!(gauges[3]["gauge"].as_str(), Some("park"));
         assert_eq!(v["spec_committed"].as_u64(), Some(0));

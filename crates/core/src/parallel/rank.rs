@@ -73,11 +73,11 @@ use crate::config::ParallelConfig;
 use crate::obs::{GaugeKind, Obs, Phase};
 use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
 use crate::visit::VisitTracker;
+use edgeswitch_dist::Rng;
 use edgeswitch_dist::{rank_block_rng, BlockRng64};
 use edgeswitch_graph::hashing::{FxHashMap, FxHashSet};
 use edgeswitch_graph::{Edge, OrientedEdge, PartitionStore, Partitioner};
 use mpilite::CommStats;
-use rand::Rng;
 
 /// Attempts to sample an unreserved edge before declaring contention.
 const SAMPLE_ATTEMPTS: usize = 64;

@@ -15,10 +15,10 @@
 use crate::obs::{Obs, ObsSpec, Phase, RunReport};
 use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
 use crate::visit::VisitTracker;
+use edgeswitch_dist::Rng;
 use edgeswitch_dist::{root_rng, BlockRng64};
 use edgeswitch_graph::sampling::EdgePool;
 use edgeswitch_graph::{Edge, Graph, GraphError, OrientedEdge};
-use rand::Rng;
 use std::borrow::Cow;
 
 /// Per-reason rejection counters.

@@ -11,10 +11,9 @@
 //! full (non-reduced) adjacency representation would produce.
 
 use edgeswitch_graph::{Edge, OrientedEdge};
-use serde::{Deserialize, Serialize};
 
 /// Which recombination the ½-coin selected.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SwitchKind {
     /// `(u1,u2)` and `(v1,v2)`.
     Straight,
@@ -23,7 +22,7 @@ pub enum SwitchKind {
 }
 
 /// Why a proposed switch was rejected before any state changed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RejectReason {
     /// A replacement edge would be a self-loop.
     SelfLoop,
@@ -86,7 +85,7 @@ pub fn recombine(e1: OrientedEdge, e2: OrientedEdge, kind: SwitchKind) -> Recomb
 }
 
 /// Draw the ½ straight/cross coin.
-pub fn flip_kind<R: rand::Rng + ?Sized>(rng: &mut R) -> SwitchKind {
+pub fn flip_kind<R: edgeswitch_dist::Rng + ?Sized>(rng: &mut R) -> SwitchKind {
     if rng.gen_bool(0.5) {
         SwitchKind::Straight
     } else {
@@ -193,8 +192,7 @@ mod tests {
 
     #[test]
     fn coin_is_roughly_fair() {
-        use rand::SeedableRng;
-        let mut rng = rand_pcg::Pcg64::seed_from_u64(1);
+        let mut rng = edgeswitch_dist::Pcg64::seed_from_u64(1);
         let straight = (0..10_000)
             .filter(|_| flip_kind(&mut rng) == SwitchKind::Straight)
             .count();

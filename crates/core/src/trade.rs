@@ -435,8 +435,8 @@ mod tests {
         let mut ref_rng = trade_rng(seed, pass, k);
         fisher_yates_shuffle(&mut vec![0u8; want], &mut ref_rng);
         assert_eq!(
-            rand::RngCore::next_u64(&mut rng),
-            rand::RngCore::next_u64(&mut ref_rng)
+            edgeswitch_dist::Rng::next_u64(&mut rng),
+            edgeswitch_dist::Rng::next_u64(&mut ref_rng)
         );
         let ctx = format!("trade ({u},{v}) on stream {stream:?}");
         assert_eq!(got, want, "{ctx}: neighbors moved");
@@ -466,8 +466,8 @@ mod tests {
             let mut tracker = VisitTracker::new(g.edges());
             let (mut adjacent, mut kept) = (0, 0);
             for k in 0..500u32 {
-                let u = rand::Rng::gen_range(&mut rng, 0..g.num_vertices() as u64);
-                let v = rand::Rng::gen_range(&mut rng, 0..g.num_vertices() as u64);
+                let u = edgeswitch_dist::Rng::gen_range(&mut rng, 0..g.num_vertices() as u64);
+                let v = edgeswitch_dist::Rng::gen_range(&mut rng, 0..g.num_vertices() as u64);
                 if u == v {
                     continue;
                 }

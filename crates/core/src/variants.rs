@@ -11,9 +11,9 @@
 
 use crate::switch::{flip_kind, recombine, Recombination};
 use crate::visit::VisitTracker;
+use edgeswitch_dist::Rng;
 use edgeswitch_graph::sampling::EdgePool;
 use edgeswitch_graph::{Graph, OrientedEdge, VertexId};
-use rand::Rng;
 use std::collections::VecDeque;
 
 /// Retry budget per operation, matching the unconstrained algorithm.

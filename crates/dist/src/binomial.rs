@@ -8,7 +8,7 @@
 //! the smallest representable positive value `z`, sample each chunk, and
 //! sum.
 
-use rand::Rng;
+use crate::rng::Rng;
 
 /// Smallest starting probability mass we allow before splitting. Chosen
 /// well above `f64::MIN_POSITIVE` so intermediate products stay normal.
@@ -18,7 +18,7 @@ const UNDERFLOW_FLOOR: f64 = 1e-280;
 /// `(1−q)^n` does not underflow.
 fn binv_raw<R: Rng + ?Sized>(n: u64, q: f64, rng: &mut R) -> u64 {
     debug_assert!(q > 0.0 && q < 1.0);
-    let u: f64 = rng.gen();
+    let u = rng.gen_f64();
     let ratio = q / (1.0 - q);
     let mut big_q = (1.0 - q).powf(n as f64);
     debug_assert!(big_q > 0.0, "binv_raw called in underflow regime");

@@ -10,7 +10,8 @@
 //!   (Algorithm 5) over the `mpilite` runtime,
 //! - [`harmonic`]: harmonic numbers and the visit-rate → switch-count
 //!   conversion (Equation 4),
-//! - [`rng`]: seeded, per-rank-decorrelated PCG-64 streams.
+//! - [`rng`]: the in-repo PCG-64 generator, the [`Rng`] sampling trait and
+//!   seeded, per-rank-decorrelated streams.
 
 #![warn(missing_docs)]
 
@@ -30,4 +31,4 @@ pub use parallel::{
     local_quota_row, multinomial_owned_world, multinomial_partitioned, parallel_multinomial,
     parallel_multinomial_owned, trial_share,
 };
-pub use rng::{rank_block_rng, rank_rng, root_rng, substream_rng, BlockRng64, Rng64};
+pub use rng::{rank_block_rng, rank_rng, root_rng, substream_rng, BlockRng64, Pcg64, Rng, Rng64};

@@ -5,7 +5,7 @@
 //! conditionals `X_i ~ B(N − ΣX_j, q_i / (1 − Σq_j))`, `O(N)` total work.
 
 use crate::binomial::binomial;
-use rand::Rng;
+use crate::rng::Rng;
 
 /// Validate a probability vector: finite, non-negative, sums to 1 within
 /// tolerance. Returns the (possibly not exactly 1.0) sum.

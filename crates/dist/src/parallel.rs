@@ -7,8 +7,8 @@
 //! per-outcome counts. Runs in `O(N/p + ℓ log p)`.
 
 use crate::multinomial::multinomial;
+use crate::rng::Rng;
 use mpilite::{CollCarrier, Comm};
-use rand::Rng;
 
 /// Rank `rank`'s share of `n` trials: `⌊n/p⌋ + 1` for the first `n mod p`
 /// ranks (Algorithm 5, lines 2–3).

@@ -1,15 +1,200 @@
-//! Seeded, per-rank-decorrelated PRNG streams.
+//! Seeded, per-rank-decorrelated PRNG streams, and the generator and
+//! sampling trait they are drawn from.
 //!
 //! Every experiment in the repository is reproducible from a single
 //! `u64` seed. Distributed components derive one independent stream per
 //! rank by mixing `(seed, rank)` through SplitMix64, the standard
 //! stream-splitting construction.
+//!
+//! The generator is an in-repo PCG XSL-RR 128/64 ([`Pcg64`]) and the
+//! typed draws are the provided methods of one trait ([`Rng`]); both are
+//! what every golden digest, archived `results/` file and `BENCH_*.json`
+//! row was drawn from, so their word stream and their word → value maps
+//! are part of the repository's contract (pinned by the tests below).
 
-use rand::RngCore;
-use rand_pcg::Pcg64;
+use std::ops::{Range, RangeInclusive};
 
-/// The PRNG used everywhere: PCG-64, seeded deterministically.
+/// The one sampling interface: a source of `u64` words plus the typed
+/// draws the repository makes from them. Every provided method consumes
+/// exactly one word per draw (`fill_bytes`: one per 8 bytes), so the
+/// stream position after a call never depends on the value drawn.
+pub trait Rng {
+    /// The next word of the stream.
+    fn next_u64(&mut self) -> u64;
+
+    /// A full word, low half.
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        self.next_u64() as u32
+    }
+
+    /// A uniform `f64` in `[0, 1)`: the top 53 bits of one word.
+    #[inline]
+    fn gen_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// `true` with probability `p`: [`Rng::gen_f64`]` < p`.
+    #[inline]
+    fn gen_bool(&mut self, p: f64) -> bool {
+        assert!((0.0..=1.0).contains(&p), "p={p} outside [0,1]");
+        self.gen_f64() < p
+    }
+
+    /// A draw from `range` (`a..b` or `a..=b`; panics when empty).
+    ///
+    /// Integers are `low + next_u64() % span` — modulo reduction, whose
+    /// bias towards the low residues is below `span / 2^64`: under
+    /// `2^-32` for every range the engines draw (spans are edge,
+    /// vertex and rank counts, all under `2^32`). Floats are
+    /// `low + gen_f64() * (high - low)`.
+    #[inline]
+    fn gen_range<T: SampleUniform>(&mut self, range: impl SampleRange<T>) -> T {
+        let (low, high, inclusive) = range.bounds();
+        assert!(
+            if inclusive { low <= high } else { low < high },
+            "cannot sample empty range"
+        );
+        T::sample_between(low, high, inclusive, self)
+    }
+
+    /// Fill `dest` from little-endian words, one word per 8 bytes (the
+    /// last word truncated).
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        for chunk in dest.chunks_mut(8) {
+            let bytes = self.next_u64().to_le_bytes();
+            chunk.copy_from_slice(&bytes[..chunk.len()]);
+        }
+    }
+}
+
+/// A type [`Rng::gen_range`] can draw.
+pub trait SampleUniform: PartialOrd + Sized {
+    /// One draw from the non-empty `[low, high)` (`[low, high]` when
+    /// `inclusive`).
+    fn sample_between<R: Rng + ?Sized>(low: Self, high: Self, inclusive: bool, rng: &mut R)
+        -> Self;
+}
+
+/// A range [`Rng::gen_range`] accepts.
+pub trait SampleRange<T> {
+    /// `(low, high, inclusive)`.
+    fn bounds(self) -> (T, T, bool);
+}
+
+impl<T> SampleRange<T> for Range<T> {
+    fn bounds(self) -> (T, T, bool) {
+        (self.start, self.end, false)
+    }
+}
+
+impl<T> SampleRange<T> for RangeInclusive<T> {
+    fn bounds(self) -> (T, T, bool) {
+        let (low, high) = self.into_inner();
+        (low, high, true)
+    }
+}
+
+macro_rules! impl_uniform_int {
+    ($($t:ty),*) => {$(
+        impl SampleUniform for $t {
+            #[inline]
+            fn sample_between<R: Rng + ?Sized>(
+                low: Self,
+                high: Self,
+                inclusive: bool,
+                rng: &mut R,
+            ) -> Self {
+                // Sign extension makes the wrapping difference the true
+                // span for signed types too; it is 0 only for the
+                // inclusive full 64-bit range, whose span is 2^64.
+                let span = (high as u64)
+                    .wrapping_sub(low as u64)
+                    .wrapping_add(inclusive as u64);
+                let word = rng.next_u64();
+                let offset = if span == 0 { word } else { word % span };
+                (low as u64).wrapping_add(offset) as $t
+            }
+        }
+    )*};
+}
+impl_uniform_int!(u32, u64, usize, i32, i64);
+
+impl SampleUniform for f64 {
+    #[inline]
+    fn sample_between<R: Rng + ?Sized>(low: f64, high: f64, _inclusive: bool, rng: &mut R) -> f64 {
+        low + rng.gen_f64() * (high - low)
+    }
+}
+
+const PCG_MULTIPLIER: u128 = 0x2360_ed05_1fc6_5da4_4385_df64_9fcc_f645;
+
+/// The PRNG used everywhere: PCG XSL-RR 128/64 — a 128-bit LCG whose
+/// output is the xor-folded state rotated by its top six bits.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Pcg64 {
+    state: u128,
+    increment: u128,
+}
+
+/// The repository's name for its generator.
 pub type Rng64 = Pcg64;
+
+impl Pcg64 {
+    /// The generator with initial `state` on sequence `stream`.
+    pub fn new(state: u128, stream: u128) -> Self {
+        let increment = (stream << 1) | 1;
+        Pcg64 {
+            state: state.wrapping_mul(PCG_MULTIPLIER).wrapping_add(increment),
+            increment,
+        }
+    }
+
+    /// Seed from one `u64`: four SplitMix64 outputs of the running
+    /// state `seed` give the 128-bit state (first two, little-endian)
+    /// and stream (last two).
+    pub fn seed_from_u64(seed: u64) -> Self {
+        let mut s = seed;
+        let mut next = || {
+            let word = splitmix64(s);
+            s = s.wrapping_add(SPLITMIX_GAMMA);
+            word as u128
+        };
+        let state = next() | next() << 64;
+        let stream = next() | next() << 64;
+        Pcg64::new(state, stream)
+    }
+
+    /// Jump `delta` steps ahead in `O(log delta)`: the LCG's affine map
+    /// composed with itself by repeated squaring.
+    pub fn advance(&mut self, delta: u128) {
+        let (mut acc_mult, mut acc_plus) = (1u128, 0u128);
+        let (mut cur_mult, mut cur_plus) = (PCG_MULTIPLIER, self.increment);
+        let mut left = delta;
+        while left > 0 {
+            if left & 1 != 0 {
+                acc_mult = acc_mult.wrapping_mul(cur_mult);
+                acc_plus = acc_plus.wrapping_mul(cur_mult).wrapping_add(cur_plus);
+            }
+            cur_plus = cur_mult.wrapping_add(1).wrapping_mul(cur_plus);
+            cur_mult = cur_mult.wrapping_mul(cur_mult);
+            left >>= 1;
+        }
+        self.state = acc_mult.wrapping_mul(self.state).wrapping_add(acc_plus);
+    }
+}
+
+impl Rng for Pcg64 {
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let state = self.state;
+        self.state = state
+            .wrapping_mul(PCG_MULTIPLIER)
+            .wrapping_add(self.increment);
+        let xored = ((state >> 64) as u64) ^ (state as u64);
+        xored.rotate_right((state >> 122) as u32)
+    }
+}
 
 /// Words drawn from the core generator per [`BlockRng64`] refill.
 pub const RNG_BLOCK_WORDS: usize = 32;
@@ -24,11 +209,11 @@ pub const RNG_BLOCK_WORDS: usize = 32;
 /// refill instead of re-touching it per draw. Crucially the buffering is
 /// *stream-transparent*: words are served strictly in generation order
 /// and leftovers are never discarded, so any consumer sees exactly the
-/// `u64` sequence the bare [`Rng64`] would have produced. `next_u32`
-/// truncates a full word just like `rand_pcg`'s `Pcg64` does, which is
-/// what keeps seeded runs bit-identical to the unbuffered stream.
+/// `u64` sequence the bare [`Rng64`] would have produced, and every
+/// typed draw — a provided method of [`Rng`] over `next_u64` — the same
+/// value.
 ///
-/// Every draw routes through [`RngCore::next_u64`], so the generator
+/// Every draw routes through [`Rng::next_u64`], so the generator
 /// also knows its exact *stream position*: [`BlockRng64::words_served`]
 /// counts the words handed out so far, and
 /// [`BlockRng64::jump_words`] fast-forwards a freshly derived stream to
@@ -109,13 +294,7 @@ impl BlockRng64 {
     }
 }
 
-impl RngCore for BlockRng64 {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        // Same truncation as rand_pcg's Pcg64: a full word, low half.
-        self.next_u64() as u32
-    }
-
+impl Rng for BlockRng64 {
     #[inline]
     fn next_u64(&mut self) -> u64 {
         if self.pos == self.len {
@@ -126,24 +305,14 @@ impl RngCore for BlockRng64 {
         self.served += 1;
         v
     }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
 }
+
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// SplitMix64 finalizer: a bijective avalanche mix.
 #[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = z.wrapping_add(SPLITMIX_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -151,13 +320,11 @@ pub fn splitmix64(mut z: u64) -> u64 {
 
 /// A root stream for single-process algorithms.
 pub fn root_rng(seed: u64) -> Rng64 {
-    use rand::SeedableRng;
     Pcg64::seed_from_u64(splitmix64(seed))
 }
 
 /// An independent stream for rank `rank` of a world seeded with `seed`.
 pub fn rank_rng(seed: u64, rank: u64) -> Rng64 {
-    use rand::SeedableRng;
     Pcg64::seed_from_u64(splitmix64(
         splitmix64(seed) ^ splitmix64(rank.wrapping_add(0xA5A5)),
     ))
@@ -171,7 +338,6 @@ pub fn rank_block_rng(seed: u64, rank: u64) -> BlockRng64 {
 
 /// A named substream (e.g. one per step, per purpose) of a rank stream.
 pub fn substream_rng(seed: u64, rank: u64, stream: u64) -> Rng64 {
-    use rand::SeedableRng;
     Pcg64::seed_from_u64(splitmix64(
         splitmix64(seed) ^ splitmix64(rank) ^ splitmix64(stream.wrapping_add(0x1234_5678)),
     ))
@@ -180,28 +346,149 @@ pub fn substream_rng(seed: u64, rank: u64, stream: u64) -> Rng64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+
+    /// The word streams every golden digest in the repository was drawn
+    /// from: a change here re-pins all of them.
+    #[test]
+    fn the_seeded_word_streams_are_pinned() {
+        let words = |mut rng: Rng64| [rng.next_u64(), rng.next_u64(), rng.next_u64()];
+        assert_eq!(
+            words(root_rng(0)),
+            [
+                0xe436_39a0_83e4_23c2,
+                0x81e5_d27d_ef22_699e,
+                0x2538_bf95_e604_11d4
+            ]
+        );
+        let rank_streams = [
+            [
+                0x85aa_20fb_45de_a436,
+                0x9742_e616_ed6a_f17b,
+                0x06a0_2d57_5585_7f6a,
+            ],
+            [
+                0xa164_fac1_5d92_7e6a,
+                0xd120_b3eb_d7e0_284d,
+                0x5720_412a_5141_5f7a,
+            ],
+            [
+                0xf060_0abe_1368_96dd,
+                0x5e73_6f4e_7299_1370,
+                0x8d36_3a36_ef7c_89e8,
+            ],
+        ];
+        for (rank, pinned) in rank_streams.iter().enumerate() {
+            assert_eq!(words(rank_rng(1, rank as u64)), *pinned, "rank {rank}");
+        }
+        // Typed draws, as the pre-promotion stream made them.
+        let mut rng = root_rng(5);
+        assert_eq!(rng.gen_range(7u32..1000), 910);
+        assert_eq!(rng.gen_range(0..=u64::MAX), 16_587_765_168_926_665_003);
+        assert_eq!(
+            rng.gen_range(i64::MIN..=i64::MAX),
+            3_620_567_181_799_549_785
+        );
+        assert_eq!(rng.gen_range(-5i64..5), 0);
+        assert_eq!(rng.gen_range(2.0..6.0), 2.095728382663559);
+        assert!(!rng.gen_bool(0.25));
+    }
+
+    #[test]
+    fn advance_equals_single_steps() {
+        for n in [0u64, 1, 31, 32, 33, 1_000_000] {
+            let mut stepped = root_rng(3);
+            for _ in 0..n {
+                stepped.next_u64();
+            }
+            let mut jumped = root_rng(3);
+            jumped.advance(n as u128);
+            assert_eq!(jumped, stepped, "n={n}");
+        }
+    }
+
+    /// `gen_range` is `low + next_u64() % span`, one word per draw, for
+    /// every integer type and both range shapes.
+    #[test]
+    fn gen_range_is_modulo_reduction_of_one_word() {
+        let mut rng = root_rng(5);
+        let mut bare = root_rng(5);
+        for _ in 0..200 {
+            let w = bare.next_u64();
+            assert_eq!(rng.gen_range(7u32..1000), 7 + (w % 993) as u32);
+            let w = bare.next_u64();
+            assert_eq!(rng.gen_range(7u32..=1000), 7 + (w % 994) as u32);
+            let w = bare.next_u64();
+            assert_eq!(rng.gen_range(0usize..3), (w % 3) as usize);
+            let w = bare.next_u64();
+            assert_eq!(rng.gen_range(10u64..=u64::MAX), 10 + w % (u64::MAX - 9));
+            let w = bare.next_u64();
+            assert_eq!(rng.gen_range(-5i64..5), -5 + (w % 10) as i64);
+            let w = bare.next_u64();
+            assert_eq!(
+                rng.gen_range(i64::MIN..=-1),
+                i64::MIN + (w % (1 << 63)) as i64
+            );
+            // Span 2^64 does not fit a u64: the word itself, not `% 0`.
+            assert_eq!(rng.gen_range(0..=u64::MAX), bare.next_u64());
+            assert_eq!(
+                rng.gen_range(i64::MIN..=i64::MAX),
+                i64::MIN.wrapping_add(bare.next_u64() as i64)
+            );
+            // A one-value range still consumes its word.
+            assert_eq!(rng.gen_range(4u64..5), 4);
+            bare.next_u64();
+        }
+    }
+
+    #[test]
+    fn float_draws_are_the_top_53_bits() {
+        let mut rng = root_rng(6);
+        let mut bare = root_rng(6);
+        for _ in 0..200 {
+            let unit = (bare.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            assert_eq!(rng.gen_f64(), unit);
+            let unit = (bare.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            assert_eq!(rng.gen_range(2.0..6.0), 2.0 + unit * 4.0);
+            let unit = (bare.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            assert_eq!(rng.gen_bool(0.25), unit < 0.25);
+        }
+        assert!(!rng.gen_bool(0.0));
+        assert!(rng.gen_bool(1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn empty_half_open_range_panics() {
+        root_rng(1).gen_range(3u64..3);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    #[allow(clippy::reversed_empty_ranges)]
+    fn empty_inclusive_range_panics() {
+        root_rng(1).gen_range(3usize..=2);
+    }
 
     #[test]
     fn deterministic_per_seed() {
-        let a: u64 = root_rng(7).gen();
-        let b: u64 = root_rng(7).gen();
-        let c: u64 = root_rng(8).gen();
+        let a = root_rng(7).next_u64();
+        let b = root_rng(7).next_u64();
+        let c = root_rng(8).next_u64();
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
 
     #[test]
     fn rank_streams_differ() {
-        let draws: Vec<u64> = (0..16).map(|r| rank_rng(1, r).gen()).collect();
+        let draws: Vec<u64> = (0..16).map(|r| rank_rng(1, r).next_u64()).collect();
         let unique: std::collections::HashSet<_> = draws.iter().collect();
         assert_eq!(unique.len(), draws.len(), "rank streams collided");
     }
 
     #[test]
     fn substreams_differ_from_rank_stream() {
-        let base: u64 = rank_rng(1, 3).gen();
-        let sub: u64 = substream_rng(1, 3, 0).gen();
+        let base = rank_rng(1, 3).next_u64();
+        let sub = substream_rng(1, 3, 0).next_u64();
         assert_ne!(base, sub);
     }
 
@@ -221,7 +508,7 @@ mod tests {
         let a: f64 = bare.gen_range(0.0..1.0);
         let b: f64 = block.gen_range(0.0..1.0);
         assert_eq!(a, b);
-        assert_eq!(bare.gen::<u64>(), block.gen::<u64>());
+        assert_eq!(bare.gen_f64().to_bits(), block.gen_f64().to_bits());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::graph::Graph;
 use crate::types::{Edge, GraphError, VertexId};
-use rand::Rng;
+use edgeswitch_dist::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -137,7 +137,7 @@ pub fn power_law_sequence<R: Rng + ?Sized>(
     }
     let mut seq: Vec<usize> = (0..n)
         .map(|_| {
-            let u: f64 = rng.gen();
+            let u = rng.gen_f64();
             let idx = cdf.partition_point(|&c| c < u).min(cdf.len() - 1);
             d_min + idx
         })
@@ -156,8 +156,7 @@ pub fn power_law_sequence<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
+    use edgeswitch_dist::Pcg64;
 
     #[test]
     fn erdos_gallai_accepts_valid() {

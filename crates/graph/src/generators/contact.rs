@@ -14,7 +14,7 @@
 
 use crate::graph::Graph;
 use crate::types::Edge;
-use rand::Rng;
+use edgeswitch_dist::Rng;
 
 /// Parameters of the community contact model.
 #[derive(Clone, Copy, Debug)]
@@ -137,8 +137,7 @@ fn add_gnp_block<R: Rng + ?Sized>(g: &mut Graph, s: u64, e: u64, p: f64, rng: &m
 mod tests {
     use super::*;
     use crate::metrics::average_clustering_exact;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
+    use edgeswitch_dist::Pcg64;
 
     #[test]
     fn degree_near_target() {

@@ -9,12 +9,11 @@ use super::{
     contact_network, erdos_renyi_gnm, preferential_attachment, small_world, ContactParams,
 };
 use crate::graph::Graph;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use edgeswitch_dist::Rng;
 
 /// The eight networks of Table 2 (PA-1B is generated on demand only; at
 /// 1/1000 scale it is the `Pa1B` entry with 1M vertices / 10M edges).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// New York contact network: 20.38M vertices, 587.3M edges, deg 57.6.
     NewYork,
@@ -37,7 +36,7 @@ pub enum Dataset {
 }
 
 /// Concrete scaled-down parameters for a dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DatasetSpec {
     /// Which dataset this is.
     pub dataset: Dataset,
@@ -192,8 +191,7 @@ impl DatasetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
+    use edgeswitch_dist::Pcg64;
 
     #[test]
     fn specs_scale_vertices() {

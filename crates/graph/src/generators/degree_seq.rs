@@ -39,8 +39,7 @@ use crate::hashing::mix64;
 use crate::sampling::random_permutation;
 use crate::stream::{EdgeStream, DEFAULT_CHUNK_EDGES};
 use crate::types::{Edge, GraphError};
-use rand::SeedableRng;
-use rand_pcg::Pcg64;
+use edgeswitch_dist::Pcg64;
 
 /// Salt separating the processing-order stream from other users of the
 /// same seed (e.g. the degree-sampling stream in [`DegreeSequence::power_law`]).

@@ -2,7 +2,7 @@
 
 use crate::graph::Graph;
 use crate::types::Edge;
-use rand::Rng;
+use edgeswitch_dist::Rng;
 
 /// `G(n, m)`: exactly `m` distinct edges drawn uniformly from all vertex
 /// pairs, by rejection sampling. Efficient while `m ≪ n(n−1)/2`.
@@ -67,8 +67,7 @@ pub fn erdos_renyi_gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
+    use edgeswitch_dist::Pcg64;
 
     #[test]
     fn gnm_has_exact_edge_count() {

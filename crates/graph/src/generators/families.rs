@@ -3,7 +3,7 @@
 
 use crate::graph::Graph;
 use crate::types::{Edge, GraphError, VertexId};
-use rand::Rng;
+use edgeswitch_dist::Rng;
 
 /// Complete graph `K_n`.
 pub fn complete(n: usize) -> Graph {
@@ -176,8 +176,7 @@ pub fn stochastic_block_model<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
+    use edgeswitch_dist::Pcg64;
 
     #[test]
     fn complete_graph_counts() {

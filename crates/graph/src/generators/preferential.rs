@@ -2,7 +2,7 @@
 
 use crate::graph::Graph;
 use crate::types::{Edge, VertexId};
-use rand::Rng;
+use edgeswitch_dist::Rng;
 
 /// Preferential-attachment graph: vertices arrive one at a time and attach
 /// `d` edges to existing vertices chosen with probability proportional to
@@ -50,8 +50,7 @@ pub fn preferential_attachment<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
+    use edgeswitch_dist::Pcg64;
 
     #[test]
     fn edge_count_matches_formula() {

@@ -2,7 +2,7 @@
 
 use crate::graph::Graph;
 use crate::types::Edge;
-use rand::Rng;
+use edgeswitch_dist::Rng;
 
 /// Watts–Strogatz model: a ring lattice where each vertex connects to its
 /// `k/2` nearest neighbors on each side, with every edge independently
@@ -63,8 +63,7 @@ pub fn small_world<R: Rng + ?Sized>(n: usize, k: usize, beta: f64, rng: &mut R) 
 mod tests {
     use super::*;
     use crate::metrics::average_clustering_exact;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
+    use edgeswitch_dist::Pcg64;
 
     #[test]
     fn lattice_without_rewiring() {

@@ -19,7 +19,7 @@ use crate::adjacency::NeighborSet;
 use crate::sampling::EdgePool;
 use crate::stream::{capacity_hint, EdgeStream};
 use crate::types::{Edge, GraphError, VertexId};
-use rand::Rng;
+use edgeswitch_dist::Rng;
 use std::borrow::Cow;
 
 /// An undirected simple graph over vertices `0..n`.
@@ -334,8 +334,7 @@ fn check_vertex_count(n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
+    use edgeswitch_dist::Pcg64;
 
     fn path_graph(n: usize) -> Graph {
         Graph::from_edges(n, (0..n as u64 - 1).map(|i| Edge::new(i, i + 1))).unwrap()

@@ -26,7 +26,6 @@ pub mod generators;
 pub mod graph;
 pub mod hashing;
 pub mod io;
-pub mod io_binary;
 pub mod metrics;
 pub mod partition;
 pub mod sampling;

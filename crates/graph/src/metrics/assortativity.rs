@@ -76,8 +76,7 @@ mod tests {
 
     #[test]
     fn switching_pushes_toward_zero() {
-        use rand::SeedableRng;
-        let mut rng = rand_pcg::Pcg64::seed_from_u64(1);
+        let mut rng = edgeswitch_dist::Pcg64::seed_from_u64(1);
         let g0 = crate::generators::preferential_attachment(800, 4, &mut rng);
         let r0 = degree_assortativity(&g0).unwrap();
         // PA graphs are disassortative; after heavy randomization within

@@ -3,8 +3,7 @@
 use super::sample_vertices;
 use crate::graph::Graph;
 use crate::types::VertexId;
-use rand::Rng;
-use rayon::prelude::*;
+use edgeswitch_dist::Rng;
 
 /// Local clustering coefficient of `v`: the fraction of neighbor pairs
 /// that are themselves adjacent; `0` for degree < 2.
@@ -24,16 +23,13 @@ pub fn local_clustering(graph: &Graph, v: VertexId) -> f64 {
 }
 
 /// Exact average clustering coefficient (mean of local coefficients over
-/// all vertices). Parallelized over vertices with rayon.
+/// all vertices).
 pub fn average_clustering_exact(graph: &Graph) -> f64 {
     let n = graph.num_vertices();
     if n == 0 {
         return 0.0;
     }
-    let total: f64 = (0..n as u64)
-        .into_par_iter()
-        .map(|v| local_clustering(graph, v))
-        .sum();
+    let total: f64 = (0..n as u64).map(|v| local_clustering(graph, v)).sum();
     total / n as f64
 }
 
@@ -58,8 +54,7 @@ pub fn average_clustering_sampled<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::types::Edge;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
+    use edgeswitch_dist::Pcg64;
 
     fn triangle_with_tail() -> Graph {
         Graph::from_edges(

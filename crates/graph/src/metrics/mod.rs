@@ -57,7 +57,7 @@ pub fn degree_histogram(graph: &Graph) -> Vec<usize> {
 
 /// Uniformly sample `k` distinct vertices (Floyd's algorithm when `k` is
 /// small relative to `n`).
-pub(crate) fn sample_vertices<R: rand::Rng + ?Sized>(
+pub(crate) fn sample_vertices<R: edgeswitch_dist::Rng + ?Sized>(
     n: usize,
     k: usize,
     rng: &mut R,
@@ -89,8 +89,7 @@ pub(crate) fn sample_vertices<R: rand::Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::types::Edge;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
+    use edgeswitch_dist::Pcg64;
 
     #[test]
     fn components_of_two_triangles() {

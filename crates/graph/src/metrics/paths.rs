@@ -8,8 +8,7 @@
 use super::sample_vertices;
 use crate::graph::Graph;
 use crate::types::VertexId;
-use rand::Rng;
-use rayon::prelude::*;
+use edgeswitch_dist::Rng;
 use std::collections::VecDeque;
 
 /// BFS distances from `source`; unreachable vertices get `u32::MAX`.
@@ -53,9 +52,8 @@ pub fn average_shortest_path_exact(graph: &Graph) -> f64 {
         return 0.0;
     }
     let (sum, cnt) = (0..n as u64)
-        .into_par_iter()
         .map(|v| reachable_sum(graph, v))
-        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
     if cnt == 0 {
         0.0
     } else {
@@ -77,9 +75,9 @@ pub fn average_shortest_path_sampled<R: Rng + ?Sized>(
     }
     let chosen = sample_vertices(n, sources, rng);
     let (sum, cnt) = chosen
-        .par_iter()
+        .iter()
         .map(|&v| reachable_sum(graph, v))
-        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
     if cnt == 0 {
         0.0
     } else {
@@ -91,8 +89,7 @@ pub fn average_shortest_path_sampled<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::types::Edge;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
+    use edgeswitch_dist::Pcg64;
 
     fn path(n: usize) -> Graph {
         Graph::from_edges(n, (0..n as u64 - 1).map(|i| Edge::new(i, i + 1))).unwrap()

@@ -1,16 +1,14 @@
 //! Triangle counting and global clustering (transitivity).
 
 use crate::graph::Graph;
-use rayon::prelude::*;
 
 /// Total number of triangles in the graph.
 ///
 /// Per-vertex neighbor-pair intersection with the canonical `u < v < w`
-/// ordering so each triangle is counted once; parallel over vertices.
+/// ordering so each triangle is counted once.
 pub fn triangle_count(graph: &Graph) -> u64 {
     let n = graph.num_vertices() as u64;
     (0..n)
-        .into_par_iter()
         .map(|u| {
             let nu = graph.neighbors(u);
             let mut tri = 0u64;

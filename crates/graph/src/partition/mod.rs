@@ -17,8 +17,7 @@ pub mod stats;
 
 use crate::graph::Graph;
 use crate::types::VertexId;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use edgeswitch_dist::Rng;
 
 /// `2^61 - 1`, a Mersenne prime comfortably above any vertex label this
 /// library produces; used as the universal-hash modulus `c`.
@@ -29,7 +28,7 @@ pub const UNIVERSAL_PRIME: u64 = (1u64 << 61) - 1;
 pub const KNUTH_A: f64 = 0.618_033_988_749_894_9;
 
 /// Names of the four schemes, for configuration and reporting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// Consecutive partitioning (CP).
     Consecutive,
@@ -70,7 +69,7 @@ impl std::fmt::Display for SchemeKind {
 }
 
 /// A concrete vertex→partition map.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum Partitioner {
     /// Consecutive ranges; `starts[i]` is the first label owned by
     /// partition `i` (`starts[0] == 0`, strictly increasing).
@@ -243,8 +242,7 @@ pub fn reduced_degrees(graph: &Graph) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::types::Edge;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
+    use edgeswitch_dist::Pcg64;
 
     fn star_plus_path(n: usize) -> Graph {
         // Vertex 0 connected to everyone, plus a path over 1..n.

@@ -2,11 +2,10 @@
 
 use super::{reduced_degrees, Partitioner};
 use crate::graph::Graph;
-use serde::{Deserialize, Serialize};
 
 /// Vertex/edge counts per partition for a given scheme, as plotted in the
 /// paper's load-balancing figures.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PartitionStats {
     /// Number of vertices assigned to each partition.
     pub vertices: Vec<u64>,

@@ -29,7 +29,7 @@
 
 use crate::hashing::{map_with_capacity, FxHashMap};
 use crate::types::{Edge, VertexId, MAX_POOL_EDGES};
-use rand::Rng;
+use edgeswitch_dist::Rng;
 
 /// In-place Fisher–Yates shuffle.
 ///
@@ -366,8 +366,7 @@ impl FromIterator<Edge> for EdgePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
+    use edgeswitch_dist::Pcg64;
 
     fn e(a: u64, b: u64) -> Edge {
         Edge::new(a, b)

@@ -20,7 +20,7 @@ use crate::partition::Partitioner;
 use crate::sampling::EdgePool;
 use crate::stream::{capacity_hint, EdgeStream};
 use crate::types::Edge;
-use rand::Rng;
+use edgeswitch_dist::Rng;
 
 /// One processor's share of the distributed graph.
 #[derive(Clone, Debug)]
@@ -215,8 +215,7 @@ pub fn assemble_graph(n: usize, stores: &[PartitionStore]) -> Graph {
 mod tests {
     use super::*;
     use crate::types::Edge;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
+    use edgeswitch_dist::Pcg64;
 
     fn grid_graph() -> Graph {
         // 5x5 grid.

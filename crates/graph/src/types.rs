@@ -1,6 +1,5 @@
 //! Fundamental identifier and edge types shared across the workspace.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A vertex label. The paper labels vertices `0, 1, ..., n-1`; we use `u64`
@@ -29,7 +28,7 @@ pub const MAX_POOL_EDGES: usize = u32::MAX as usize;
 ///
 /// Simple graphs have no self-loops, so construction of an edge with equal
 /// endpoints is rejected at the [`Edge::new`] boundary.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Edge {
     u: VertexId,
     v: VertexId,
@@ -162,7 +161,7 @@ impl From<(VertexId, VertexId)> for Edge {
 /// which always yields `tail < head`; the straight/cross coin then decides
 /// how the oriented endpoints recombine (Fig. 3). We keep the orientation
 /// explicit so the switch arithmetic mirrors the paper exactly.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct OrientedEdge {
     /// The lower-labelled endpoint (`u` in the paper).
     pub tail: VertexId,

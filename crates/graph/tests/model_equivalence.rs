@@ -2,22 +2,20 @@
 //! (`NeighborSet` over a sorted `Vec<u32>`, `EdgePool` keyed on packed
 //! `u64` edges with the in-repo Fx hasher) must be
 //! operation-for-operation indistinguishable from the obvious reference
-//! models (`BTreeSet`, `std` `HashSet`). Seeded exhaustive-ish random
-//! op sequences rather than proptest, so the suite runs in the offline
-//! shadow workspace where proptest is resolve-only.
+//! models (`BTreeSet`, `std` `HashSet`), over seeded random op
+//! sequences.
 //!
 //! The same goes for the bulk adjacency builder: `Graph::from_pool`
 //! must produce, row for row and in the same pool order, the graph the
 //! one-edge-at-a-time `Graph::add_edge` route builds.
 
+use edgeswitch_dist::{Pcg64, Rng};
 use edgeswitch_graph::adjacency::NeighborSet;
 use edgeswitch_graph::generators::families::star;
 use edgeswitch_graph::generators::{erdos_renyi_gnm, preferential_attachment};
 use edgeswitch_graph::sampling::EdgePool;
 use edgeswitch_graph::store::{assemble_graph, build_stores};
 use edgeswitch_graph::{Edge, Graph, GraphError, IterStream, Partitioner, VertexId};
-use rand::{Rng, SeedableRng};
-use rand_pcg::Pcg64;
 use std::collections::{BTreeSet, HashSet};
 
 #[test]

@@ -5,6 +5,7 @@
 //! across processor counts, and `Graph::from_stream` must agree with
 //! `Graph::from_edges`.
 
+use edgeswitch_dist::Pcg64;
 use edgeswitch_graph::generators::{
     contact_network, erdos_renyi_gnm, pa_stream_graph, preferential_attachment, random_regular,
     small_world, stochastic_block_model, ContactParams, DegreeSequence, PaStream, StreamSpec,
@@ -12,8 +13,6 @@ use edgeswitch_graph::generators::{
 use edgeswitch_graph::store::{build_rank_store_streamed, build_stores, build_stores_streamed};
 use edgeswitch_graph::stream::{EdgeStream, IterStream, OwnedOnly};
 use edgeswitch_graph::{Edge, Graph, Partitioner, SchemeKind};
-use rand::SeedableRng;
-use rand_pcg::Pcg64;
 
 fn families() -> Vec<(&'static str, Graph)> {
     let mut rng = Pcg64::seed_from_u64(20140901);

@@ -1,8 +1,8 @@
 //! Per-rank communicator: tagged point-to-point messaging.
 
+use crate::channel::{Receiver, Sender};
 use crate::packet::{CollPayload, Packet, COLLECTIVE_TAG_BASE};
 use crate::stats::CommStats;
-use crossbeam::channel::{Receiver, Sender};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -466,7 +466,7 @@ mod tests {
     /// A one-rank world talking to itself, for exercising the `Comm`
     /// surface without spinning up threads.
     fn loopback() -> Comm<CollPayload> {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = crate::channel::unbounded();
         Comm::new(
             0,
             vec![tx],

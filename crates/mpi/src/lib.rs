@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+mod channel;
 pub mod collectives;
 pub mod comm;
 pub mod packet;

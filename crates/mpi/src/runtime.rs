@@ -1,8 +1,8 @@
 //! Spawning a world of ranks as scoped threads.
 
+use crate::channel::unbounded;
 use crate::comm::{CollCarrier, Comm, DEFAULT_SPIN_RELAX, DEFAULT_SPIN_TOTAL};
 use crate::packet::Packet;
-use crossbeam::channel::unbounded;
 use std::time::Duration;
 
 /// Configuration for a threaded world.

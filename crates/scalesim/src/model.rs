@@ -9,10 +9,8 @@
 //! reports (speedup ≈ 110 at 640 ranks on the largest graph); see
 //! EXPERIMENTS.md for the calibration narrative.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost-model parameters. All times in nanoseconds of virtual time.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Sequential algorithm: cost of one switch operation
     /// (`O(log d_max)` adjacency probes + bookkeeping).

@@ -5,10 +5,9 @@ use crate::des::{des_run, DesReport};
 use crate::model::CostModel;
 use edgeswitch_core::{ParallelOutcome, Run};
 use edgeswitch_graph::Graph;
-use serde::{Deserialize, Serialize};
 
 /// One point of a scaling curve.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScalePoint {
     /// World size `p`.
     pub p: usize,

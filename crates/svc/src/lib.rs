@@ -6,7 +6,7 @@
 //! or stream progress events; fetch the final report and switched
 //! graph. See DESIGN.md §4i for the architecture.
 //!
-//! - [`json`]: hand-rolled JSON value, parser and writer (std only);
+//! - [`json`]: the repository's JSON (the `edgeswitch-json` crate), re-exported;
 //! - [`job`]: job specs, per-job state, and the one worker loop over the
 //!   stepped `Engine`;
 //! - [`sched`]: FIFO admission over a bounded rank pool, with a queue
@@ -40,9 +40,10 @@
 
 pub mod ckpt;
 pub mod job;
-pub mod json;
 pub mod sched;
 pub mod server;
+
+pub use edgeswitch_json as json;
 
 pub use ckpt::{CkptStore, RecoveredJob};
 pub use job::{BudgetSpec, Driver, GraphSpec, JobEntry, JobPhase, JobSpec, WorkerOpts};

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use edgeswitch_core::variants::{sequential_edge_switch_connected, sequential_exact_visit};
     pub use edgeswitch_core::visit::VisitTracker;
     pub use edgeswitch_dist::harmonic::{expected_touches, switch_ops_for_visit_rate};
-    pub use edgeswitch_dist::rng::{rank_rng, root_rng};
+    pub use edgeswitch_dist::rng::{rank_rng, root_rng, Rng};
     pub use edgeswitch_dist::{binomial, multinomial};
     pub use edgeswitch_graph::degree::{erdos_gallai, havel_hakimi, power_law_sequence};
     pub use edgeswitch_graph::generators::{

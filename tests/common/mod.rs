@@ -2,15 +2,16 @@
 //! prepared [`ParallelConfig`] (budget from the builder, everything else
 //! — world size, observation, randomizer — from the config), and
 //! [`frozen_sequential`], the independent Algorithm-1 implementation the
-//! sequential engine is tested against.
+//! sequential engine is tested against, and [`check_property`], the
+//! seeded-case loop the property suite runs on.
 #![allow(dead_code)] // each test crate uses its own subset
 
 use edge_switching::core::sequential::RejectCounts;
 use edge_switching::core::switch::{flip_kind, recombine, Recombination, RejectReason};
+use edge_switching::dist::Rng64;
 use edge_switching::graph::OrientedEdge;
 use edge_switching::prelude::*;
 use edge_switching::scalesim::DesReport;
-use rand::Rng;
 
 /// `run` under the prepared `cfg`, as a parallel outcome.
 pub fn under(run: Run, g: &Graph, cfg: &ParallelConfig) -> ParallelOutcome {
@@ -98,4 +99,37 @@ pub fn frozen_sequential<R: Rng>(graph: &mut Graph, t: u64, rng: &mut R) -> Froz
         }
     }
     run
+}
+
+/// Cases [`check_property`] draws per property.
+pub const PROPERTY_CASES: u64 = 64;
+
+/// Check `property` on [`PROPERTY_CASES`] generated cases, after the
+/// `regressions` — case seeds of earlier failures, kept so they are
+/// re-checked on every run.
+///
+/// A case is its seed: the property draws every input from the
+/// `root_rng(case_seed)` it is handed, and returns early (without
+/// failing) on a draw it has no claim about. Generated seeds count up
+/// from a hash of `name`, so properties do not share inputs. A failing
+/// case panics with its seed; to re-run just that case, pass the seed
+/// as a regression.
+pub fn check_property(name: &str, regressions: &[u64], property: impl Fn(&mut Rng64)) {
+    // FNV-1a.
+    let base = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    });
+    let generated = (0..PROPERTY_CASES).map(|i| base.wrapping_add(i));
+    for case_seed in regressions.iter().copied().chain(generated) {
+        let mut rng = root_rng(case_seed);
+        let case = std::panic::AssertUnwindSafe(|| property(&mut rng));
+        if let Err(cause) = std::panic::catch_unwind(case) {
+            let cause = cause
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| cause.downcast_ref::<&str>().copied())
+                .unwrap_or("(non-string panic)");
+            panic!("property `{name}` fails on case seed {case_seed:#x}: {cause}");
+        }
+    }
 }

@@ -298,17 +298,10 @@ fn assembled_graphs_are_whole_at_every_world_size() {
 /// (36c62d0) computed them: replacing the one-shot drivers by `start →
 /// advance → finish` moved no bit.
 ///
-/// The pins are keyed by a one-draw fingerprint of the seeded stream:
-/// the offline stand-in `rand`/`rand_pcg` and the published crates serve
-/// different streams, and only the former could be run where the pins
-/// were taken. On a stream without pins the test fails under `CI` —
-/// there the check must not pass vacuously — and skips, loudly,
-/// elsewhere. To add a stream's arm, evaluate the three `runs` below
-/// with `.execute(&g)` at 36c62d0 (the builder calls are the same
-/// there) under that stream and pin what they return.
+/// The generator is the repository's own (`edgeswitch_dist::rng`, whose
+/// tests pin its word stream), so the pins hold wherever this builds.
 #[test]
 fn golden_digests_are_pinned() {
-    use rand::RngCore;
     let g = erdos_renyi_gnm(400, 2000, &mut root_rng(7));
     let runs = [
         Run::sequential().switches(3000).seed(11),
@@ -325,23 +318,11 @@ fn golden_digests_are_pinned() {
             (out.graph().edge_digest(), out.performed())
         })
         .collect();
-    let pinned: &[(u64, u64)] = match root_rng(0).next_u64() {
-        // .typecheck/stubs (the offline stand-ins).
-        0xe436_39a0_83e4_23c2 => &[
-            (0x76dc_0aa6_6e5f_520e, 3000),
-            (0x0eb1_c98e_df99_5404, 3000),
-            (0x2773_2574_6a94_5fc2, 1000),
-        ],
-        other => {
-            let msg = format!(
-                "no pins for the RNG stream with fingerprint {other:#018x}; \
-                 this commit computes {got:#x?}"
-            );
-            assert!(std::env::var_os("CI").is_none(), "{msg}");
-            eprintln!("skipped: {msg}");
-            return;
-        }
-    };
+    let pinned = [
+        (0x76dc_0aa6_6e5f_520e, 3000),
+        (0x0eb1_c98e_df99_5404, 3000),
+        (0x2773_2574_6a94_5fc2, 1000),
+    ];
     assert_eq!(got, pinned);
 }
 

@@ -274,17 +274,9 @@ fn run_report_json_schema_is_stable() {
     let out = simulated(&g, 1_000, &cfg);
     let v = out.report.as_ref().expect("observed run").to_json();
 
-    // Key *sets* are compared sorted: the real serde_json orders object
-    // keys alphabetically, the offline stub preserves insertion order.
-    fn keys(v: &serde_json::Value) -> Vec<String> {
-        let mut out: Vec<String> = v
-            .as_object()
-            .expect("object")
-            .iter()
-            .map(|(k, _)| k.clone())
-            .collect();
-        out.sort();
-        out
+    fn keys(v: &edgeswitch_json::Json) -> Vec<&str> {
+        let fields = v.as_obj().expect("object");
+        fields.keys().map(String::as_str).collect()
     }
 
     assert_eq!(
@@ -304,7 +296,7 @@ fn run_report_json_schema_is_stable() {
     assert_eq!(v["clock"].as_str(), Some("monotonic"));
     assert_eq!(v["ranks"].as_u64(), Some(4));
 
-    let phases = v["phases"].as_array().unwrap();
+    let phases = v["phases"].as_arr().unwrap();
     let labels: Vec<&str> = phases
         .iter()
         .map(|p| p["phase"].as_str().unwrap())
@@ -332,7 +324,7 @@ fn run_report_json_schema_is_stable() {
         );
     }
 
-    let rtt = v["rtt"].as_array().unwrap();
+    let rtt = v["rtt"].as_arr().unwrap();
     let kinds: Vec<&str> = rtt.iter().map(|r| r["kind"].as_str().unwrap()).collect();
     assert_eq!(
         kinds,
@@ -346,7 +338,7 @@ fn run_report_json_schema_is_stable() {
         "round-trip kinds or order changed"
     );
 
-    let gauges = v["gauges"].as_array().unwrap();
+    let gauges = v["gauges"].as_arr().unwrap();
     let names: Vec<&str> = gauges
         .iter()
         .map(|g| g["gauge"].as_str().unwrap())

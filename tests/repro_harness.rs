@@ -27,7 +27,7 @@ fn table1_reports_small_error() {
 #[test]
 fn table2_lists_all_scaling_datasets() {
     let r = run("table2", &tiny()).unwrap();
-    let rows = r.data.as_array().unwrap();
+    let rows = r.data.as_arr().unwrap();
     assert_eq!(rows.len(), 8);
     for row in rows {
         assert!(row["m"].as_u64().unwrap() > 0);
@@ -37,13 +37,13 @@ fn table2_lists_all_scaling_datasets() {
 #[test]
 fn fig2_series_covers_grid() {
     let r = run("fig2", &tiny()).unwrap();
-    assert_eq!(r.data.as_array().unwrap().len(), 10);
+    assert_eq!(r.data.as_arr().unwrap().len(), 10);
 }
 
 #[test]
 fn fig24_matches_paper_band() {
     let r = run("fig24", &tiny()).unwrap();
-    let series = r.data["series"].as_array().unwrap();
+    let series = r.data["series"].as_arr().unwrap();
     let last = series.last().unwrap();
     assert_eq!(last["p"].as_u64().unwrap(), 1024);
     let speedup = last["speedup"].as_f64().unwrap();
@@ -56,7 +56,7 @@ fn fig24_matches_paper_band() {
 #[test]
 fn fig25_weak_scaling_flat() {
     let r = run("fig25", &tiny()).unwrap();
-    let series = r.data["series"].as_array().unwrap();
+    let series = r.data["series"].as_arr().unwrap();
     let first = series.first().unwrap()["time_s"].as_f64().unwrap();
     let last = series.last().unwrap()["time_s"].as_f64().unwrap();
     assert!(last / first < 1.5, "weak scaling ratio {}", last / first);
@@ -70,8 +70,8 @@ fn telemetry_steps_reports_consistent_drivers() {
         r.data["drivers_agree"].as_bool().unwrap(),
         "FIFO and DES diverged"
     );
-    let fifo = r.data["fifo_steps"].as_array().unwrap();
-    let des = r.data["des_steps"].as_array().unwrap();
+    let fifo = r.data["fifo_steps"].as_arr().unwrap();
+    let des = r.data["des_steps"].as_arr().unwrap();
     assert_eq!(fifo.len(), des.len());
     assert!(!fifo.is_empty());
     for (a, b) in fifo.iter().zip(des) {
@@ -82,7 +82,7 @@ fn telemetry_steps_reports_consistent_drivers() {
         assert_eq!(a["boundary_ns"].as_f64().unwrap(), 0.0);
         assert!(b["boundary_ns"].as_f64().unwrap() > 0.0);
     }
-    let kinds = r.data["message_kinds"].as_array().unwrap();
+    let kinds = r.data["message_kinds"].as_arr().unwrap();
     assert!(kinds
         .iter()
         .any(|k| k["variant"].as_str() == Some("propose") && k["count"].as_u64().unwrap() > 0));
