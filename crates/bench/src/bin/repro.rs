@@ -11,7 +11,7 @@
 use edgeswitch_bench::experiments::{
     ablation_ids, all_ids, diagnostic_ids,
     genscale::{genscale_child_from_env, mem_gate},
-    hotpath::{batch_gate, local_gate, probe_gate, proc_gate, scaling_gate, THREADED_P1_FLOOR},
+    hotpath::{local_gate, probe_gate, proc_gate, scaling_gate, THREADED_P1_FLOOR},
     mixing::mixing_gate,
     perf_ids, run, ExpConfig,
 };
@@ -21,7 +21,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <experiment|all|ablations|diagnostics|list> [--scale S] [--reps N] [--seed X] [--out DIR] [--quick] [--timeline] [--gate-scaling] [--gate-probe] [--gate-local] [--gate-batch] [--gate-proc] [--gate-mixing] [--gate-mem]\n\
+        "usage: repro <experiment|all|ablations|diagnostics|list> [--scale S] [--reps N] [--seed X] [--out DIR] [--quick] [--timeline] [--gate-scaling] [--gate-probe] [--gate-local] [--gate-proc] [--gate-mixing] [--gate-mem]\n\
          \x20      repro serve [--listen ADDR] [--ckpt DIR] [--pool N] [--queue N] [--chunk N] [--ckpt-every N] [--smoke]\n\
          experiments: {}",
         all_ids().join(", ")
@@ -81,7 +81,6 @@ fn main() {
     let mut gate_scaling = false;
     let mut gate_probe = false;
     let mut gate_local = false;
-    let mut gate_batch = false;
     let mut gate_proc = false;
     let mut gate_mixing = false;
     let mut gate_mem = false;
@@ -140,14 +139,6 @@ fn main() {
                 // THREADED_P1_FLOOR of sequential throughput on the quick ER
                 // case.
                 gate_local = true;
-                i += 1;
-            }
-            "--gate-batch" => {
-                // CI speculative-batch guard (hotpath only): exit
-                // non-zero if threaded p=1 with batching on falls below
-                // THREADED_P1_FLOOR of sequential throughput on the quick ER
-                // case.
-                gate_batch = true;
                 i += 1;
             }
             "--gate-proc" => {
@@ -262,17 +253,6 @@ fn main() {
                         ),
                         Err(why) => {
                             eprintln!("# local gate FAILED: {why}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-                if gate_batch && report.id == "hotpath" {
-                    match batch_gate(&report.data) {
-                        Ok(()) => println!(
-                            "# batch gate: ok (threaded p=1 with batching >= {THREADED_P1_FLOOR:.2}x sequential on ER)"
-                        ),
-                        Err(why) => {
-                            eprintln!("# batch gate FAILED: {why}");
                             std::process::exit(1);
                         }
                     }

@@ -34,24 +34,18 @@ const PROCESSORS: [usize; 4] = [1, 2, 4, 8];
 /// shallow, and the [`ParallelConfig`] default.
 const WINDOWS: [usize; 3] = [1, 4, 16];
 
-/// Speculative batch depth for the batching-on cases (the per-switch
-/// path itself is `spec_batch = 1`, measured by the window sweep).
-const SPEC_BATCH: usize = 8;
-
-/// Floor of the two gates that divide a threaded p = 1 rate by the
-/// sequential rate ([`local_gate`], [`batch_gate`]). The threaded case
-/// times a whole `Run::execute` — rank start, `build_stores`, the step
-/// barriers, `assemble_graph` — and the rank loop's bookkeeping on top
-/// of the same pool calls, so when the sequential loop stopped
-/// maintaining adjacency (2.9 → 6.9 M switches/s on this gate's case)
-/// both threaded rates rose nearly as much in absolute terms (2.5 → 4.3
-/// and 2.6 → 4.8 M/s) and fell as a ratio. Restated from 0.75 and 0.90
-/// on that commit: six same-session `--quick` repetitions read 0.62–0.84
-/// (median 0.70) and, batching on, 0.63–0.95 (median 0.74), and five
-/// runs of the gates themselves dipped to 0.52 — a `--quick` case is a
-/// few milliseconds, one repetition. The states the gates guard against
-/// (the fast path falling back into the conversation protocol, the batch
-/// loop's bookkeeping doubling) read under 0.25.
+/// Floor of [`local_gate`], which divides the threaded p = 1 rate by the
+/// sequential rate. The threaded case times a whole `Run::execute` —
+/// rank start, `build_stores`, the step barriers, `assemble_graph` — and
+/// the rank loop's bookkeeping on top of the same pool calls, so when
+/// the sequential loop stopped maintaining adjacency (2.9 → 6.9 M
+/// switches/s on this gate's case) the threaded rate rose nearly as much
+/// in absolute terms (2.5 → 4.3 M/s) and fell as a ratio. Restated from
+/// 0.75 on that commit: six same-session `--quick` repetitions read
+/// 0.62–0.84 (median 0.70), and five runs of the gate itself dipped to
+/// 0.52 — a `--quick` case is a few milliseconds, one repetition. The
+/// state the gate guards against (the fast path falling back into the
+/// conversation protocol) reads under 0.25.
 pub const THREADED_P1_FLOOR: f64 = 0.45;
 
 /// Switch operations per measurement, as a multiple of `m` (long enough
@@ -189,56 +183,18 @@ fn bench_probe_overhead(graph: &Graph, reps: u32, seed: u64) -> (f64, f64) {
     (base_best, noop_best)
 }
 
-/// Measure threaded-engine switches/sec at `p` ranks with a pipelining
-/// window of `window` conversations and a speculative batch depth of
-/// `spec_batch`: best of `reps` timed runs, the same best-of discipline
+/// Measure switches/sec of the rank world `ranks` (`Run::parallel(p)`
+/// or `Run::process(p)`) with a pipelining window of `window`
+/// conversations: best of `reps` timed runs, the same best-of discipline
 /// as [`bench_sequential`] — the gates compare the two as a ratio, so a
 /// best-of-N numerator over a single-shot denominator would measure
-/// scheduler noise, not regressions. Each rep still pays the engine's
-/// own thread startup, as it would in production.
-fn bench_threaded(
-    graph: &Graph,
-    p: usize,
-    window: usize,
-    spec_batch: usize,
-    reps: u32,
-    seed: u64,
-) -> (u64, f64) {
+/// scheduler noise, not regressions. Each rep still pays the world's own
+/// startup and teardown — thread start, or process spawn and the
+/// result blobs — as it would in production: that end-to-end cost is
+/// the number being tracked.
+fn bench_ranks(ranks: Run, graph: &Graph, window: usize, reps: u32, seed: u64) -> (u64, f64) {
     let t = OPS_PER_EDGE * graph.num_edges() as u64;
-    let run = Run::parallel(p)
-        .switches(t)
-        .seed(seed)
-        .window(window)
-        .spec_batch(spec_batch);
-    let mut best = 0.0f64;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let out = run.execute(graph);
-        let secs = start.elapsed().as_secs_f64();
-        best = best.max(out.performed() as f64 / secs);
-    }
-    (t, best)
-}
-
-/// Measure process-backend switches/sec: identical work and best-of
-/// discipline to [`bench_threaded`], but each rank is an OS child
-/// process over shared-memory rings, so every rep also pays process
-/// spawn and result-blob teardown — that end-to-end cost is the number
-/// being tracked.
-fn bench_process(
-    graph: &Graph,
-    p: usize,
-    window: usize,
-    spec_batch: usize,
-    reps: u32,
-    seed: u64,
-) -> (u64, f64) {
-    let t = OPS_PER_EDGE * graph.num_edges() as u64;
-    let run = Run::process(p)
-        .switches(t)
-        .seed(seed)
-        .window(window)
-        .spec_batch(spec_batch);
+    let run = ranks.switches(t).seed(seed).window(window);
     let mut best = 0.0f64;
     for _ in 0..reps.max(1) {
         let start = Instant::now();
@@ -273,22 +229,15 @@ pub fn hotpath(cfg: &ExpConfig) -> Report {
             "sequential".into(),
             "1".into(),
             "-".into(),
-            "-".into(),
             m.to_string(),
             ops.to_string(),
             f(rate, 0),
             "-".into(),
         ]);
-        // The window sweep measures the per-switch conversation path
-        // (`spec_batch = 1`); the speculative sweep then measures the
-        // batched path at the default window only.
-        let spec_window = *WINDOWS.last().unwrap();
-        let mut sweeps: Vec<(usize, usize)> = WINDOWS.iter().map(|&w| (w, 1)).collect();
-        sweeps.push((spec_window, SPEC_BATCH));
-        for (window, spec_batch) in sweeps {
+        for window in WINDOWS {
             let mut p1_rate = 0.0f64;
             for p in PROCESSORS {
-                let (ops, rate) = bench_threaded(&graph, p, window, spec_batch, cfg.reps, cfg.seed);
+                let (ops, rate) = bench_ranks(Run::parallel(p), &graph, window, cfg.reps, cfg.seed);
                 if p == 1 {
                     p1_rate = rate;
                 }
@@ -298,7 +247,6 @@ pub fn hotpath(cfg: &ExpConfig) -> Report {
                     "mode": "threaded",
                     "p": p,
                     "window": window,
-                    "spec_batch": spec_batch,
                     "n": graph.num_vertices(),
                     "m": m,
                     "ops": ops,
@@ -312,7 +260,6 @@ pub fn hotpath(cfg: &ExpConfig) -> Report {
                     "threaded".into(),
                     p.to_string(),
                     window.to_string(),
-                    spec_batch.to_string(),
                     m.to_string(),
                     ops.to_string(),
                     f(rate, 0),
@@ -329,17 +276,16 @@ pub fn hotpath(cfg: &ExpConfig) -> Report {
     let (family, er) = &fams[0];
     let (baseline, noop) = bench_probe_overhead(er, cfg.reps, cfg.seed);
     let noop_vs_baseline = if baseline > 0.0 { noop / baseline } else { 1.0 };
-    // The process backend, measured at the default window on the
-    // per-switch path only: the interesting axis is the substrate
-    // (threads timesharing the parent vs. one process per core), not
-    // another full window × batch sweep.
+    // The process backend, measured at the default window only: the
+    // interesting axis is the substrate (threads timesharing the parent
+    // vs. one process per core), not another window sweep.
     if process_backend_supported() {
         for (family, graph) in &fams {
             let m = graph.num_edges();
             let window = *WINDOWS.last().unwrap();
             let mut p1_rate = 0.0f64;
             for p in PROCESSORS {
-                let (ops, rate) = bench_process(graph, p, window, 1, cfg.reps, cfg.seed);
+                let (ops, rate) = bench_ranks(Run::process(p), graph, window, cfg.reps, cfg.seed);
                 if p == 1 {
                     p1_rate = rate;
                 }
@@ -349,7 +295,6 @@ pub fn hotpath(cfg: &ExpConfig) -> Report {
                     "mode": "process",
                     "p": p,
                     "window": window,
-                    "spec_batch": 1,
                     "n": graph.num_vertices(),
                     "m": m,
                     "ops": ops,
@@ -363,7 +308,6 @@ pub fn hotpath(cfg: &ExpConfig) -> Report {
                     "process".into(),
                     p.to_string(),
                     window.to_string(),
-                    "1".into(),
                     m.to_string(),
                     ops.to_string(),
                     f(rate, 0),
@@ -379,7 +323,6 @@ pub fn hotpath(cfg: &ExpConfig) -> Report {
             "mode",
             "p",
             "window",
-            "batch",
             "m",
             "ops",
             "switches/sec",
@@ -450,7 +393,6 @@ pub fn scaling_gate(data: &edgeswitch_json::Json) -> Result<(), String> {
                     && c["mode"].as_str() == Some("threaded")
                     && c["p"].as_u64() == Some(p)
                     && c["window"].as_u64() == Some(window)
-                    && c["spec_batch"].as_u64().unwrap_or(1) == 1
             })
             .and_then(|c| c["switches_per_sec"].as_f64())
             .ok_or_else(|| format!("gate: no ER threaded p={p} window={window} case"))
@@ -489,7 +431,6 @@ pub fn local_gate(data: &edgeswitch_json::Json) -> Result<(), String> {
                 && c["mode"].as_str() == Some("threaded")
                 && c["p"].as_u64() == Some(1)
                 && c["window"].as_u64() == Some(window)
-                && c["spec_batch"].as_u64().unwrap_or(1) == 1
         })
         .and_then(|c| c["switches_per_sec"].as_f64())
         .ok_or_else(|| format!("gate: no ER threaded p=1 window={window} case"))?;
@@ -498,49 +439,6 @@ pub fn local_gate(data: &edgeswitch_json::Json) -> Result<(), String> {
         return Err(format!(
             "local fast-path regression: ER threaded p=1 at {:.1}% of \
              sequential (floor {:.0}%) at window {window}",
-            100.0 * ratio,
-            100.0 * THREADED_P1_FLOOR
-        ));
-    }
-    Ok(())
-}
-
-/// Speculative-batch gate over an already-computed hotpath report: on
-/// the ER family at the default window, threaded p=1 with batching on
-/// (`spec_batch` = [`SPEC_BATCH`]) must hold at least
-/// [`THREADED_P1_FLOOR`] of sequential Algorithm 1's throughput on
-/// identical work. At p=1 every switch is rank-local, so speculation
-/// never pays a verdict round trip — the
-/// gate guards the batch loop's bookkeeping overhead (sampling gate,
-/// undo-log plumbing, retry routing) against regressing the hot path.
-/// Returns a human-readable error when the gate trips.
-pub fn batch_gate(data: &edgeswitch_json::Json) -> Result<(), String> {
-    let window = *WINDOWS.last().unwrap() as u64;
-    let cases = || data["cases"].as_arr().into_iter().flatten();
-    let seq = cases()
-        .find(|c| {
-            c["family"].as_str() == Some("erdos_renyi_100k")
-                && c["mode"].as_str() == Some("sequential")
-        })
-        .and_then(|c| c["switches_per_sec"].as_f64())
-        .ok_or("gate: no ER sequential case")?;
-    let p1 = cases()
-        .find(|c| {
-            c["family"].as_str() == Some("erdos_renyi_100k")
-                && c["mode"].as_str() == Some("threaded")
-                && c["p"].as_u64() == Some(1)
-                && c["window"].as_u64() == Some(window)
-                && c["spec_batch"].as_u64() == Some(SPEC_BATCH as u64)
-        })
-        .and_then(|c| c["switches_per_sec"].as_f64())
-        .ok_or_else(|| {
-            format!("gate: no ER threaded p=1 window={window} spec_batch={SPEC_BATCH} case")
-        })?;
-    let ratio = if seq > 0.0 { p1 / seq } else { 1.0 };
-    if ratio < THREADED_P1_FLOOR {
-        return Err(format!(
-            "speculative-batch regression: ER threaded p=1 with batching on at \
-             {:.1}% of sequential (floor {:.0}%) at window {window}",
             100.0 * ratio,
             100.0 * THREADED_P1_FLOOR
         ));
@@ -615,9 +513,8 @@ mod tests {
         assert_eq!(r.data["bench"].as_str(), Some("hotpath"));
         assert_eq!(r.data["metric"].as_str(), Some("switches_per_sec"));
         let cases = r.data["cases"].as_arr().unwrap();
-        // 3 families × (1 sequential + (|WINDOWS| per-switch sweeps + 1
-        // speculative sweep) × |PROCESSORS| threaded + |PROCESSORS|
-        // process where the backend exists).
+        // 3 families × (1 sequential + |WINDOWS| × |PROCESSORS| threaded
+        // + |PROCESSORS| process where the backend exists).
         let proc_cases = if process_backend_supported() {
             PROCESSORS.len()
         } else {
@@ -625,7 +522,7 @@ mod tests {
         };
         assert_eq!(
             cases.len(),
-            3 * (1 + (WINDOWS.len() + 1) * PROCESSORS.len() + proc_cases)
+            3 * (1 + WINDOWS.len() * PROCESSORS.len() + proc_cases)
         );
         for c in cases {
             assert!(c["switches_per_sec"].as_f64().unwrap() > 0.0);
@@ -715,51 +612,6 @@ mod tests {
         ]});
         assert!(local_gate(&bad).unwrap_err().contains("local fast-path"));
         assert!(local_gate(&json!({"cases": []})).is_err());
-    }
-
-    #[test]
-    fn hotpath_sweeps_the_speculative_batch_cases() {
-        let cfg = ExpConfig {
-            scale: 0.002,
-            reps: 1,
-            seed: 7,
-            timeline: false,
-        };
-        let r = hotpath(&cfg);
-        let cases = r.data["cases"].as_arr().unwrap();
-        let spec: Vec<_> = cases
-            .iter()
-            .filter(|c| c["spec_batch"].as_u64() == Some(SPEC_BATCH as u64))
-            .collect();
-        // One batching-on case per (family, p) at the default window.
-        assert_eq!(spec.len(), 3 * PROCESSORS.len());
-        for c in &spec {
-            assert_eq!(c["window"].as_u64(), Some(*WINDOWS.last().unwrap() as u64));
-            assert!(c["switches_per_sec"].as_f64().unwrap() > 0.0);
-        }
-        // Every other threaded case pins the per-switch path.
-        assert!(cases
-            .iter()
-            .filter(|c| c["mode"].as_str() == Some("threaded"))
-            .all(|c| matches!(c["spec_batch"].as_u64(), Some(1) | Some(8))));
-        assert!(r.rendered.contains("batch"));
-    }
-
-    #[test]
-    fn batch_gate_reads_the_report_schema() {
-        let ok = json!({"cases": [
-            {"family": "erdos_renyi_100k", "mode": "sequential", "p": 1, "switches_per_sec": 100.0},
-            {"family": "erdos_renyi_100k", "mode": "threaded", "p": 1, "window": 16,
-             "spec_batch": 8, "switches_per_sec": 95.0},
-        ]});
-        assert!(batch_gate(&ok).is_ok());
-        let bad = json!({"cases": [
-            {"family": "erdos_renyi_100k", "mode": "sequential", "p": 1, "switches_per_sec": 100.0},
-            {"family": "erdos_renyi_100k", "mode": "threaded", "p": 1, "window": 16,
-             "spec_batch": 8, "switches_per_sec": 40.0},
-        ]});
-        assert!(batch_gate(&bad).unwrap_err().contains("speculative-batch"));
-        assert!(batch_gate(&json!({"cases": []})).is_err());
     }
 
     #[test]

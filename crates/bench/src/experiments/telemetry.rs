@@ -25,14 +25,12 @@ use edgeswitch_scalesim::{des_run, CostModel};
 
 /// Header of the driver-independent per-step telemetry columns, in the
 /// order [`step_cells`] renders them.
-pub const STEP_HEADER: [&str; 15] = [
+pub const STEP_HEADER: [&str; 13] = [
     "step",
     "ops",
     "started",
     "performed",
     "local",
-    "spec ok",
-    "spec rb",
     "served",
     "blocked",
     "propose",
@@ -51,8 +49,6 @@ pub fn step_cells(step: usize, s: &StepTelemetry) -> Vec<String> {
         s.started.to_string(),
         s.performed.to_string(),
         s.local_fastpath.to_string(),
-        s.spec_committed.to_string(),
-        s.spec_rolled_back.to_string(),
         s.served.to_string(),
         s.blocked.to_string(),
         s.logical_msgs.get(MsgKind::Propose).to_string(),
@@ -92,8 +88,6 @@ pub fn step_json_row(driver: Option<&str>, step: usize, s: &StepTelemetry) -> Js
         "started": s.started,
         "performed": s.performed,
         "local_fastpath": s.local_fastpath,
-        "spec_committed": s.spec_committed,
-        "spec_rolled_back": s.spec_rolled_back,
         "forfeited": s.forfeited,
         "served": s.served,
         "blocked": s.blocked,
@@ -157,13 +151,6 @@ pub fn protocol_summary(out: &ParallelOutcome, window: usize) -> String {
         out.packet_total(),
         out.parked_events(),
     ));
-    let committed: u64 = out.per_rank.iter().map(|r| r.spec_committed).sum();
-    let rolled: u64 = out.per_rank.iter().map(|r| r.spec_rolled_back).sum();
-    if committed + rolled > 0 {
-        s.push_str(&format!(
-            "speculation: {committed} batched switches committed, {rolled} rolled back\n"
-        ));
-    }
     s
 }
 

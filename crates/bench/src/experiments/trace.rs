@@ -195,13 +195,8 @@ mod tests {
         assert_eq!(r.data["des"]["clock"].as_str(), Some("virtual"));
         // No timeline requested: the rows stay out of the archive.
         assert!(r.data["timeline"].as_arr().unwrap().is_empty());
-        // The threaded protocol exercises every instrumented phase
-        // except the speculative batch serve, which only fires when
-        // `spec_batch > 1` (off in this experiment).
+        // The threaded protocol exercises every instrumented phase.
         for phase in r.data["threaded"]["phases"].as_arr().unwrap() {
-            if phase["phase"].as_str() == Some("batch-validate") {
-                continue;
-            }
             if phase["phase"].as_str() == Some("trade-shuffle") {
                 // Curveball-only phase; this experiment traces the
                 // switch protocol.

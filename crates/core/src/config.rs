@@ -153,14 +153,6 @@ pub struct ParallelConfig {
     /// are bit-identical either way (enforced by
     /// `tests/driver_conformance.rs`).
     pub local_fastpath: bool,
-    /// Speculative batch size: how many switches a rank optimistically
-    /// samples and applies per scheduling round before validating all
-    /// reservations touching a given partner rank in one coalesced
-    /// `BatchPropose`/`BatchVerdict` pair (losers roll back in reverse
-    /// apply order and retry through the per-switch path). `1` disables
-    /// speculation and reproduces the per-switch schedule bit-identically
-    /// (enforced by `tests/driver_conformance.rs`).
-    pub spec_batch: usize,
     /// Rank substrate: in-process threads (default) or OS processes over
     /// shared-memory rings. Identical logical protocol either way; at
     /// `p = 1` both are bit-identical to the simulators (enforced by
@@ -189,7 +181,6 @@ impl ParallelConfig {
             window: DEFAULT_WINDOW,
             obs: ObsSpec::default(),
             local_fastpath: true,
-            spec_batch: 1,
             backend: Backend::default(),
             proc_opts: ProcOpts::default(),
             randomizer: Randomizer::default(),
@@ -237,13 +228,6 @@ impl ParallelConfig {
     /// only).
     pub fn with_local_fastpath(mut self, local_fastpath: bool) -> Self {
         self.local_fastpath = local_fastpath;
-        self
-    }
-
-    /// Builder-style speculative batch size override (`1` = per-switch
-    /// conversations only, clamped to ≥ 1).
-    pub fn with_spec_batch(mut self, spec_batch: usize) -> Self {
-        self.spec_batch = spec_batch.max(1);
         self
     }
 
@@ -324,11 +308,6 @@ mod tests {
                 .with_local_fastpath(false)
                 .local_fastpath
         );
-        // Speculative batching is off (batch = 1) unless requested, and
-        // the batch size is clamped to at least one switch per round.
-        assert_eq!(ParallelConfig::new(2).spec_batch, 1);
-        assert_eq!(ParallelConfig::new(2).with_spec_batch(16).spec_batch, 16);
-        assert_eq!(ParallelConfig::new(2).with_spec_batch(0).spec_batch, 1);
         // The switch protocol is the default engine.
         assert_eq!(ParallelConfig::new(2).randomizer, Randomizer::Switch);
         assert_eq!(

@@ -14,7 +14,7 @@
 //!   [`VirtualClock`] so its report is in virtual nanoseconds;
 //! - [`Phase`] names the protocol's instrumented phases: edge sampling,
 //!   legality check, message wait, switch apply, step barrier,
-//!   q-refresh, the local fast path and speculative batch validation;
+//!   q-refresh, the local fast path and the Curveball trade shuffle;
 //! - [`RunReport`] is the serializable aggregate attached to
 //!   [`SequentialOutcome`](crate::sequential::SequentialOutcome) /
 //!   [`ParallelOutcome`](crate::parallel::ParallelOutcome) and exported
@@ -63,19 +63,15 @@ pub enum Phase {
     /// fast path (sample → legality → apply inline, covering the other
     /// phase spans it records along the way).
     LocalFastpath = 6,
-    /// Serving one speculative `BatchPropose`: checking and creating all
-    /// requested replacement edges at their owner (the owner-side cost
-    /// of a speculative batch round).
-    BatchValidate = 7,
     /// Executing one Curveball trade: splitting the paired neighborhoods
     /// into common/disjoint parts, shuffling the disjoint union, and
     /// reassigning (Curveball runs only; see DESIGN.md §4h).
-    TradeShuffle = 8,
+    TradeShuffle = 7,
 }
 
 impl Phase {
     /// Number of phases (length of dense per-phase arrays).
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// All phases, in slot order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -86,7 +82,6 @@ impl Phase {
         Phase::StepBarrier,
         Phase::QRefresh,
         Phase::LocalFastpath,
-        Phase::BatchValidate,
         Phase::TradeShuffle,
     ];
 
@@ -100,7 +95,6 @@ impl Phase {
             Phase::StepBarrier => "step-barrier",
             Phase::QRefresh => "q-refresh",
             Phase::LocalFastpath => "local-fastpath",
-            Phase::BatchValidate => "batch-validate",
             Phase::TradeShuffle => "trade-shuffle",
         }
     }

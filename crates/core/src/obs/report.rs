@@ -8,15 +8,13 @@ use crate::parallel::msg::MsgKind;
 use edgeswitch_json::{json, Json};
 
 /// The request kinds whose round trips are reported, in report order.
-/// `Propose` carries whole-conversation lifetimes (propose → done),
-/// `BatchPropose` speculative-round lifetimes (apply → verdict); the
+/// `Propose` carries whole-conversation lifetimes (propose → done); the
 /// others measure request → reply latency.
-pub const RTT_KINDS: [MsgKind; 5] = [
+pub const RTT_KINDS: [MsgKind; 4] = [
     MsgKind::Propose,
     MsgKind::Validate,
     MsgKind::CommitAdd,
     MsgKind::CommitRemove,
-    MsgKind::BatchPropose,
 ];
 
 /// One phase's span histogram summary.
@@ -90,12 +88,6 @@ pub struct RunReport {
     /// Gauge aggregates: `window-occupancy`, `serving-depth`,
     /// `recv-queue-depth`, `park`.
     pub gauges: Vec<GaugeStat>,
-    /// Speculatively applied switches whose batch verdict confirmed them
-    /// (zero unless the run had `spec_batch > 1`).
-    pub spec_committed: u64,
-    /// Speculatively applied switches rolled back on a rejected verdict
-    /// and retried through the per-switch path.
-    pub spec_rolled_back: u64,
 }
 
 impl RunReport {
@@ -165,17 +157,7 @@ impl RunReport {
             phases,
             rtt,
             gauges,
-            spec_committed: 0,
-            spec_rolled_back: 0,
         }
-    }
-
-    /// Attach the speculative-batch outcome counters (summed over
-    /// ranks); a no-op shape-wise — the fields default to zero.
-    pub fn with_spec_counters(mut self, committed: u64, rolled_back: u64) -> Self {
-        self.spec_committed = committed;
-        self.spec_rolled_back = rolled_back;
-        self
     }
 
     /// The span summary for `phase` (reports always carry all phases).
@@ -248,8 +230,6 @@ impl RunReport {
             "phases": phases,
             "rtt": rtt,
             "gauges": gauges,
-            "spec_committed": self.spec_committed,
-            "spec_rolled_back": self.spec_rolled_back,
         })
     }
 }
@@ -282,11 +262,8 @@ mod tests {
         assert_eq!(r.phase(Phase::Sample).hist.count, 1);
         assert_eq!(r.phase(Phase::Legality).hist.count, 0);
         assert_eq!(r.rtt_of(MsgKind::Propose).unwrap().hist.max_ns, 9_000);
-        assert!(r.rtt_of(MsgKind::BatchPropose).is_some());
+        assert!(r.rtt_of(MsgKind::CommitRemove).is_some());
         assert!(r.rtt_of(MsgKind::Done).is_none());
-        assert_eq!((r.spec_committed, r.spec_rolled_back), (0, 0));
-        let r = r.with_spec_counters(12, 3);
-        assert_eq!((r.spec_committed, r.spec_rolled_back), (12, 3));
         let q = r.gauge("recv-queue-depth").unwrap();
         assert_eq!(q.peak, 7);
         assert_eq!(q.samples, 2);
@@ -312,8 +289,6 @@ mod tests {
         let gauges = v["gauges"].as_arr().unwrap();
         assert_eq!(gauges.len(), 4);
         assert_eq!(gauges[3]["gauge"].as_str(), Some("park"));
-        assert_eq!(v["spec_committed"].as_u64(), Some(0));
-        assert_eq!(v["spec_rolled_back"].as_u64(), Some(0));
     }
 
     #[test]

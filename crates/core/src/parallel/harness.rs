@@ -117,15 +117,8 @@ pub struct StepTelemetry {
     /// local reservation conflict while the pipeline kept moving.
     pub parked: u64,
     /// High-water mark of concurrently in-flight own conversations on
-    /// any single rank (bounded by `ParallelConfig::window`;
-    /// speculative switches awaiting verdicts count as in flight).
+    /// any single rank (bounded by `ParallelConfig::window`).
     pub window_peak: u64,
-    /// Speculatively applied switches confirmed by batch verdicts this
-    /// step (zero unless `ParallelConfig::spec_batch > 1`).
-    pub spec_committed: u64,
-    /// Speculatively applied switches rolled back on rejected verdicts
-    /// this step.
-    pub spec_rolled_back: u64,
     /// Network packets sent between distinct ranks. The threaded driver
     /// coalesces per-destination message runs into `Msg::Batch` frames,
     /// so this is ≤ `logical_msgs.total()`; the simulators deliver one
@@ -174,8 +167,6 @@ impl StepTelemetry {
         self.blocked += other.blocked;
         self.parked += other.parked;
         self.window_peak = self.window_peak.max(other.window_peak);
-        self.spec_committed += other.spec_committed;
-        self.spec_rolled_back += other.spec_rolled_back;
         self.packets += other.packets;
         self.logical_msgs.merge(&other.logical_msgs);
         self.boundary_ns = self.boundary_ns.max(other.boundary_ns);
@@ -195,8 +186,6 @@ impl StepTelemetry {
         self.forfeited += after.forfeited - before.forfeited;
         self.served += (after.proposals_served + after.validations_served)
             - (before.proposals_served + before.validations_served);
-        self.spec_committed += after.spec_committed - before.spec_committed;
-        self.spec_rolled_back += after.spec_rolled_back - before.spec_rolled_back;
     }
 }
 
@@ -353,10 +342,6 @@ pub fn assemble_outcome(
             park_ns_max: comm.iter().map(|c| c.park_ns).max().unwrap_or(0),
         };
         RunReport::from_obs(m.clock, p as u64, m.wall_ns, &merged_obs, Some(&gauges))
-            .with_spec_counters(
-                per_rank.iter().map(|s| s.spec_committed).sum(),
-                per_rank.iter().map(|s| s.spec_rolled_back).sum(),
-            )
     });
     ParallelOutcome {
         graph: assemble_graph(n, &final_stores),
@@ -739,12 +724,10 @@ pub fn run_rank_step<T: RankTransport>(
         let mut starts = 0;
         loop {
             match state.try_start(outbox) {
-                StartResult::Started(n) => {
-                    tel.started += n as u64;
-                    starts += n as usize;
-                    for _ in 0..n {
-                        transport.on_op_started(transport.rank());
-                    }
+                StartResult::Started => {
+                    tel.started += 1;
+                    starts += 1;
+                    transport.on_op_started(transport.rank());
                     drain_outbox(transport, state, outbox, coalescer, &mut tel);
                     if starts >= state.window() {
                         break;
@@ -910,13 +893,11 @@ pub fn run_world_step<T: WorldTransport>(
             let mut starts = 0;
             loop {
                 match states[i].try_start(out) {
-                    StartResult::Started(n) => {
+                    StartResult::Started => {
                         any_started = true;
-                        tel.started += n as u64;
-                        starts += n as usize;
-                        for _ in 0..n {
-                            transport.on_op_started(i);
-                        }
+                        tel.started += 1;
+                        starts += 1;
+                        transport.on_op_started(i);
                         route_world(transport, states, i, out, comm_stats, &mut tel);
                         if starts >= states[i].window() {
                             break;

@@ -20,25 +20,8 @@ impl std::fmt::Display for ConvId {
     }
 }
 
-/// One speculative reservation inside a [`Msg::BatchPropose`]: the
-/// initiator already applied the switch locally and asks this owner to
-/// check-and-create the listed replacement edges atomically.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BatchReq {
-    /// Conversation (identifies the speculative op in the undo log).
-    pub conv: ConvId,
-    /// First replacement edge owned by the receiver.
-    pub first: Edge,
-    /// Second replacement edge, when both replacements land on the same
-    /// owner (the single-foreign-owner requirement of the speculative
-    /// path; `None` when one replacement was rank-local).
-    pub second: Option<Edge>,
-}
-
 /// Protocol messages. One switch operation exchanges a bounded number of
-/// these (at most ~10 in the four-rank worst case). A speculative batch
-/// round condenses up to `spec_batch` operations touching one partner
-/// rank into a single [`Msg::BatchPropose`]/[`Msg::BatchVerdict`] pair.
+/// these (at most ~10 in the four-rank worst case).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
     /// Initiator → partner: "switch my edge `e1` with one of yours".
@@ -110,21 +93,6 @@ pub enum Msg {
         /// Why the switch was rejected.
         reason: RejectReason,
     },
-    /// Initiator → owner: validate-and-create every listed replacement
-    /// edge, one entry per speculatively applied switch. All edges of one
-    /// entry are checked before any is created, and each entry succeeds
-    /// or fails independently of its neighbors in the batch.
-    BatchPropose {
-        /// Reservations to validate, in apply order.
-        reqs: Vec<BatchReq>,
-    },
-    /// Owner → initiator: per-entry verdicts for one [`Msg::BatchPropose`],
-    /// in the same order (`true` = created, commit the speculation;
-    /// `false` = conflict, roll back and retry per-switch).
-    BatchVerdict {
-        /// `(conversation, accepted)` per request.
-        verdicts: Vec<(ConvId, bool)>,
-    },
     /// Curveball: edges bound for one trade's executor. At pass start
     /// every rank routes each stored edge with a traded endpoint to the
     /// lowest-indexed trade touching it; after a trade fires, its output
@@ -195,25 +163,20 @@ pub enum MsgKind {
     /// traffic accounting: the framed messages are counted by their own
     /// kinds, so this counter stays zero on every driver).
     Batch = 12,
-    /// [`Msg::BatchPropose`]. Unlike the coalescing frame, this is a
-    /// *logical* message: one speculative round trip per touched owner,
-    /// so it counts once under its own kind however many entries it
-    /// carries (it may still ride inside a [`Msg::Batch`] packet).
-    BatchPropose = 13,
-    /// [`Msg::BatchVerdict`].
-    BatchVerdict = 14,
-    /// [`Msg::TradeLoad`]. Like [`MsgKind::BatchPropose`], one logical
-    /// message per coalesced send however many edge keys it carries.
-    TradeLoad = 15,
+    /// [`Msg::TradeLoad`]. Unlike the coalescing frame, a *logical*
+    /// message: it counts once under its own kind per coalesced send,
+    /// however many edge keys it carries (it may still ride inside a
+    /// [`Msg::Batch`] packet).
+    TradeLoad = 13,
     /// [`Msg::TradeHome`].
-    TradeHome = 16,
+    TradeHome = 14,
     /// [`Msg::TradeVisit`].
-    TradeVisit = 17,
+    TradeVisit = 15,
 }
 
 impl MsgKind {
     /// Number of kinds (length of a dense per-kind counter array).
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 16;
 
     /// All kinds, in counter-slot order.
     pub const ALL: [MsgKind; MsgKind::COUNT] = [
@@ -230,8 +193,6 @@ impl MsgKind {
         MsgKind::EndOfStep,
         MsgKind::Coll,
         MsgKind::Batch,
-        MsgKind::BatchPropose,
-        MsgKind::BatchVerdict,
         MsgKind::TradeLoad,
         MsgKind::TradeHome,
         MsgKind::TradeVisit,
@@ -250,8 +211,6 @@ impl MsgKind {
             Msg::CommitAck { .. } => MsgKind::CommitAck,
             Msg::Done { .. } => MsgKind::Done,
             Msg::Abort { .. } => MsgKind::Abort,
-            Msg::BatchPropose { .. } => MsgKind::BatchPropose,
-            Msg::BatchVerdict { .. } => MsgKind::BatchVerdict,
             Msg::TradeLoad { .. } => MsgKind::TradeLoad,
             Msg::TradeHome { .. } => MsgKind::TradeHome,
             Msg::TradeVisit { .. } => MsgKind::TradeVisit,
@@ -277,8 +236,6 @@ impl MsgKind {
             MsgKind::EndOfStep => "end-of-step",
             MsgKind::Coll => "coll",
             MsgKind::Batch => "batch",
-            MsgKind::BatchPropose => "batch-propose",
-            MsgKind::BatchVerdict => "batch-verdict",
             MsgKind::TradeLoad => "trade-load",
             MsgKind::TradeHome => "trade-home",
             MsgKind::TradeVisit => "trade-visit",
@@ -308,16 +265,6 @@ impl CollCarrier for Msg {
             | Msg::CommitAdd { .. }
             | Msg::CommitRemove { .. } => 28,
             Msg::CommitAck { .. } | Msg::Done { .. } | Msg::Abort { .. } => 13,
-            // Length prefix plus per entry: conv (12) + first edge (16) +
-            // presence flag (1) + optional second edge (16).
-            Msg::BatchPropose { reqs } => {
-                4 + reqs
-                    .iter()
-                    .map(|r| 29 + if r.second.is_some() { 16 } else { 0 })
-                    .sum::<usize>()
-            }
-            // Length prefix plus conv (12) + verdict flag (1) per entry.
-            Msg::BatchVerdict { verdicts } => 4 + 13 * verdicts.len(),
             // Trade index (4) + length prefix (4) + packed key (8) each.
             Msg::TradeLoad { edges, .. } => 8 + 8 * edges.len(),
             // Length prefix (4) + packed key (8) each.
@@ -441,44 +388,6 @@ mod tests {
         assert_eq!(slots[MsgKind::CommitAck as usize], 2);
         assert_eq!(slots[MsgKind::Batch as usize], 0);
         assert_eq!(slots.iter().sum::<u64>(), 3);
-    }
-
-    #[test]
-    fn batch_propose_counts_once_per_round_trip() {
-        let conv = |seq| ConvId { initiator: 2, seq };
-        let propose = Msg::BatchPropose {
-            reqs: vec![
-                BatchReq {
-                    conv: conv(1),
-                    first: Edge::new(1, 2),
-                    second: Some(Edge::new(3, 4)),
-                },
-                BatchReq {
-                    conv: conv(2),
-                    first: Edge::new(5, 6),
-                    second: None,
-                },
-            ],
-        };
-        // One logical message per round trip, however many entries.
-        let mut slots = [0u64; MsgKind::COUNT];
-        propose.record_kinds(&mut slots);
-        assert_eq!(slots[MsgKind::BatchPropose as usize], 1);
-        assert_eq!(slots.iter().sum::<u64>(), 1);
-        // Wire size grows per entry: 29 with one edge, 45 with two.
-        assert_eq!(propose.wire_size(), 4 + 45 + 29);
-
-        let verdict = Msg::BatchVerdict {
-            verdicts: vec![(conv(1), true), (conv(2), false)],
-        };
-        assert_eq!(verdict.wire_size(), 4 + 26);
-        let mut slots = [0u64; MsgKind::COUNT];
-        // Riding inside a coalescing frame stays transparent: the frame
-        // contributes nothing, the batch messages their own kind once.
-        Msg::Batch(vec![propose, verdict]).record_kinds(&mut slots);
-        assert_eq!(slots[MsgKind::BatchPropose as usize], 1);
-        assert_eq!(slots[MsgKind::BatchVerdict as usize], 1);
-        assert_eq!(slots[MsgKind::Batch as usize], 0);
     }
 
     #[test]

@@ -375,7 +375,6 @@ fn encode_config(out: &mut Vec<u8>, config: &ParallelConfig) {
     put_u64(out, config.seed);
     put_u64(out, config.window as u64);
     out.push(config.local_fastpath as u8);
-    put_u64(out, config.spec_batch as u64);
 }
 
 fn decode_config(r: &mut Reader<'_>) -> ParallelConfig {
@@ -404,8 +403,7 @@ fn decode_config(r: &mut Reader<'_>) -> ParallelConfig {
         .with_quota_policy(quota_policy)
         .with_seed(r.u64());
     config = config.with_window(r.u64() as usize);
-    config = config.with_local_fastpath(r.u8() != 0);
-    config.with_spec_batch(r.u64() as usize)
+    config.with_local_fastpath(r.u8() != 0)
 }
 
 fn encode_partitioner(out: &mut Vec<u8>, part: &Partitioner) {

@@ -65,10 +65,13 @@
 //! [`InFlight`] or [`PartnerConv`] entry, no outbox traffic, no message
 //! dispatch. RNG draw order and store mutation order are exactly those
 //! of the protocol path, so seeded runs are bit-identical with the fast
-//! path on or off (enforced by the conformance suite).
+//! path on or off (enforced by the conformance suite). A self-partner
+//! draw with a foreign replacement leaves the fast path through
+//! `partner_validate`, the partner half `on_propose` itself runs: there
+//! is one start path and one partner path.
 
 use super::harness::RankOutput;
-use super::msg::{BatchReq, ConvId, Msg, MsgKind, Outbox};
+use super::msg::{ConvId, Msg, MsgKind, Outbox};
 use crate::config::ParallelConfig;
 use crate::obs::{GaugeKind, Obs, Phase};
 use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
@@ -85,13 +88,11 @@ const SAMPLE_ATTEMPTS: usize = 64;
 /// against degenerate graphs where no legal switch exists).
 const MAX_CONSECUTIVE_ABORTS: u64 = 100_000;
 
-/// Result of asking a rank to begin its next own operation(s).
+/// Result of asking a rank to begin its next own operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StartResult {
-    /// Operations were initiated (messages may be queued). Carries how
-    /// many attempts began: always `1` on the per-switch path, up to
-    /// `spec_batch` when a speculative round ran.
-    Started(u32),
+    /// One operation was initiated (messages may be queued).
+    Started,
     /// Nothing to start: quota exhausted or the conversation window is
     /// full.
     Idle,
@@ -127,12 +128,6 @@ pub struct RankStats {
     pub proposals_served: u64,
     /// Validation requests served as owner.
     pub validations_served: u64,
-    /// Speculatively applied switches confirmed by a batch verdict (a
-    /// subset of `performed_local`; zero unless `spec_batch > 1`).
-    pub spec_committed: u64,
-    /// Speculatively applied switches rolled back on a rejected verdict
-    /// (each also counts under `aborts_parallel`).
-    pub spec_rolled_back: u64,
 }
 
 impl RankStats {
@@ -198,30 +193,6 @@ struct InFlight {
     started_ns: u64,
 }
 
-/// One speculatively applied switch awaiting its batch verdict: the
-/// undo-log entry of the `SpecBatch` state machine. The switch is fully
-/// applied to the local store (old edges out, local replacement in);
-/// the logged swap-remove positions let a rejected verdict restore the
-/// sampling pool's dense layout exactly when entries are undone in
-/// reverse apply order.
-#[derive(Clone, Copy, Debug)]
-struct SpecOp {
-    /// The initiator's first edge (removed from the store, parked in
-    /// `potential` so no concurrent conversation recreates it).
-    e1: Edge,
-    /// Pool index `e1` occupied before its logged removal.
-    pos1: u32,
-    /// The second edge (same treatment as `e1`).
-    e2: Edge,
-    /// Pool index `e2` occupied before its logged removal.
-    pos2: u32,
-    /// The locally-owned replacement edge, if one of the two was local
-    /// (inserted into the store, locked in `reserved` until the verdict).
-    f_local: Option<Edge>,
-    /// Observation stamp of the speculative apply (0 when unobserved).
-    started_ns: u64,
-}
-
 /// A conversation this rank orchestrates as partner.
 #[derive(Clone, Copy, Debug)]
 struct PartnerConv {
@@ -278,19 +249,6 @@ pub struct RankState {
     fastpath: bool,
     /// Own conversations currently in flight, up to `window` of them.
     inflight: FxHashMap<ConvId, InFlight>,
-    /// Speculative batch size (≥ 1; `1` disables the `SpecBatch` machine
-    /// entirely — [`RankState::try_start`] then runs the per-switch path
-    /// verbatim).
-    spec_batch: usize,
-    /// Speculatively applied switches awaiting verdicts, keyed like
-    /// `inflight` (both count against the window).
-    spec_ops: FxHashMap<ConvId, SpecOp>,
-    /// Scratch: the current round's batch requests in apply order,
-    /// grouped into one `BatchPropose` per owner at end of round.
-    spec_round: Vec<(usize, BatchReq)>,
-    /// Rolled-back operations still owed a retry through the per-switch
-    /// path (a routing hint consumed by the next batch rounds).
-    spec_retry: u64,
     consecutive_aborts: u64,
     conv_seq: u64,
     serving: FxHashMap<ConvId, PartnerConv>,
@@ -317,8 +275,8 @@ impl RankState {
     /// Build the state for `rank` from its partition store under
     /// `config`: its seed, conversation window, whether rank-local
     /// switches commit inline (`local_fastpath`; outcomes are
-    /// bit-identical either way) and the speculative batch size. The one
-    /// place a driver turns a config into a rank.
+    /// bit-identical either way). The one place a driver turns a config
+    /// into a rank.
     pub fn new(
         rank: usize,
         part: Partitioner,
@@ -338,10 +296,6 @@ impl RankState {
             window: config.window.max(1),
             fastpath: config.local_fastpath,
             inflight: FxHashMap::default(),
-            spec_batch: config.spec_batch.max(1),
-            spec_ops: FxHashMap::default(),
-            spec_round: Vec::new(),
-            spec_retry: 0,
             consecutive_aborts: 0,
             conv_seq: 0,
             serving: FxHashMap::default(),
@@ -387,7 +341,6 @@ impl RankState {
         assert_eq!(q.len(), self.part.num_parts());
         self.remaining = quota;
         self.consecutive_aborts = 0;
-        self.spec_retry = 0;
         let mut acc = 0.0;
         self.cumq.clear();
         for &qi in q {
@@ -399,17 +352,12 @@ impl RankState {
     /// Whether this rank has completed its own quota (it may still be
     /// serving others).
     pub fn step_done(&self) -> bool {
-        self.remaining == 0
-            && self.inflight.is_empty()
-            && self.spec_ops.is_empty()
-            && self.pending_done.is_empty()
+        self.remaining == 0 && self.inflight.is_empty() && self.pending_done.is_empty()
     }
 
-    /// Number of own operations currently in flight — per-switch
-    /// conversations plus unsettled speculative switches (both count
-    /// against the window).
+    /// Number of own conversations currently in flight.
     pub fn inflight_len(&self) -> usize {
-        self.inflight.len() + self.spec_ops.len()
+        self.inflight.len()
     }
 
     /// The configured bound on concurrently in-flight own conversations.
@@ -433,8 +381,6 @@ impl RankState {
         );
         debug_assert!(self.reserved.is_empty(), "edges left reserved");
         debug_assert!(self.potential.is_empty(), "potential edges leaked");
-        debug_assert!(self.spec_ops.is_empty(), "speculative switches leaked");
-        debug_assert!(self.spec_round.is_empty(), "unflushed batch requests");
         RankOutput {
             store: self.store,
             tracker: self.tracker,
@@ -452,9 +398,9 @@ impl RankState {
     /// Capture this rank's persistent state at a step boundary.
     ///
     /// At step boundaries every transient collection (reserved edges,
-    /// potential edges, in-flight and server-side conversations,
-    /// speculative ops) is empty — [`RankState::into_output`] asserts the
-    /// same invariant — so the whole protocol state reduces to the store
+    /// potential edges, in-flight and server-side conversations) is
+    /// empty — [`RankState::into_output`] asserts the same
+    /// invariant — so the whole protocol state reduces to the store
     /// contents, the visit tracker, the statistics, the conversation-id
     /// counter and the RNG stream position. `remaining`/`cumq` are step
     /// inputs re-established by [`RankState::begin_step`] and need no
@@ -464,7 +410,6 @@ impl RankState {
     pub fn checkpoint(&self) -> RankCheckpoint {
         debug_assert!(
             self.inflight.is_empty()
-                && self.spec_ops.is_empty()
                 && self.serving.is_empty()
                 && self.pending_done.is_empty()
                 && self.reserved.is_empty()
@@ -529,27 +474,11 @@ impl RankState {
     // Initiator role
     // ------------------------------------------------------------------
 
-    /// Try to begin the next own operation(s). May be called repeatedly
-    /// to fill the conversation window; returns [`StartResult::Idle`]
-    /// once the window is full or no unstarted quota remains.
-    ///
-    /// With `spec_batch > 1` one call runs a whole speculative round
-    /// (up to `spec_batch` attempts); with the default `spec_batch == 1`
-    /// it is exactly the per-switch path, so the schedule — RNG draws,
-    /// message order, store layout — is bit-identical to the
-    /// pre-speculation protocol by construction.
+    /// Try to begin the next own operation. May be called repeatedly to
+    /// fill the conversation window; returns [`StartResult::Idle`] once
+    /// the window is full or no unstarted quota remains.
     pub fn try_start(&mut self, out: &mut Outbox) -> StartResult {
-        if self.spec_batch > 1 {
-            return self.try_start_batch(out);
-        }
-        self.try_start_single(out)
-    }
-
-    /// Begin at most one own operation through the per-switch
-    /// conversation path (including its local fast path). Also the retry
-    /// path for rolled-back speculative switches.
-    fn try_start_single(&mut self, out: &mut Outbox) -> StartResult {
-        let open = self.inflight.len() + self.spec_ops.len();
+        let open = self.inflight.len();
         if open >= self.window || self.remaining <= open as u64 {
             return StartResult::Idle;
         }
@@ -557,31 +486,16 @@ impl RankState {
             // An emptied partition cannot supply first edges; its quota is
             // unfulfillable (the next step's multinomial gets q_i = 0).
             // In-flight conversations hold reserved edges that are still
-            // in the store, so an empty store implies an empty window —
-            // unless speculative switches removed edges that a rollback
-            // verdict may yet return.
+            // in the store, so an empty store implies an empty window.
             debug_assert!(
                 self.inflight.is_empty(),
                 "in-flight conversations on empty store"
             );
-            if !self.spec_ops.is_empty() {
-                return StartResult::Idle;
-            }
             self.stats.forfeited += self.remaining;
             self.remaining = 0;
             return StartResult::Idle;
         }
-        let sample_start = self.obs.now();
-        let mut chosen = None;
-        for _ in 0..SAMPLE_ATTEMPTS {
-            let e = self.store.sample(&mut self.rng).expect("store nonempty");
-            if !self.reserved.contains(&e) {
-                chosen = Some(e);
-                break;
-            }
-        }
-        self.obs.span_since(Phase::Sample, sample_start);
-        let Some(e1) = chosen else {
+        let Some(e1) = self.sample_unreserved() else {
             return StartResult::Blocked;
         };
         self.reserved.insert(e1);
@@ -603,12 +517,22 @@ impl RankState {
                 started_ns,
             },
         );
-        self.obs.gauge(
-            GaugeKind::WindowOccupancy,
-            (self.inflight.len() + self.spec_ops.len()) as u64,
-        );
+        self.obs
+            .gauge(GaugeKind::WindowOccupancy, self.inflight.len() as u64);
         out.push(partner, Msg::Propose { conv, e1 });
-        StartResult::Started(1)
+        StartResult::Started
+    }
+
+    /// Draw store edges until one is not locked by an in-flight
+    /// conversation: `None` after [`SAMPLE_ATTEMPTS`] locked draws
+    /// (contention) or on an empty store. One `Sample` span per call.
+    fn sample_unreserved(&mut self) -> Option<Edge> {
+        let sample_start = self.obs.now();
+        let chosen = (0..SAMPLE_ATTEMPTS)
+            .map_while(|_| self.store.sample(&mut self.rng))
+            .find(|e| !self.reserved.contains(e));
+        self.obs.span_since(Phase::Sample, sample_start);
+        chosen
     }
 
     /// Run one rank-local operation on the zero-message fast path: the
@@ -638,22 +562,12 @@ impl RankState {
             .gauge(GaugeKind::WindowOccupancy, self.inflight.len() as u64 + 1);
         self.obs
             .gauge(GaugeKind::ServingDepth, self.serving.len() as u64 + 1);
-        // Second-edge sample, identical to the partner role's loop (`e1`
-        // sits in `reserved`, so `e2 != e1` without an extra check).
-        let sample_start = self.obs.now();
-        let mut chosen = None;
-        for _ in 0..SAMPLE_ATTEMPTS {
-            let e = self.store.sample(&mut self.rng).expect("store nonempty");
-            if !self.reserved.contains(&e) {
-                chosen = Some(e);
-                break;
-            }
-        }
-        self.obs.span_since(Phase::Sample, sample_start);
-        let Some(e2) = chosen else {
+        // Second-edge sample, the partner role's (`e1` sits in
+        // `reserved`, so `e2 != e1` without an extra check).
+        let Some(e2) = self.sample_unreserved() else {
             self.abort_own(e1, RejectReason::Contended);
             self.obs.span_since(Phase::LocalFastpath, started_ns);
-            return StartResult::Started(1);
+            return StartResult::Started;
         };
         debug_assert_ne!(e1, e2, "e1 is reserved and cannot be re-sampled");
         let legality_start = self.obs.now();
@@ -667,7 +581,7 @@ impl RankState {
                 self.obs.span_since(Phase::Legality, legality_start);
                 self.abort_own(e1, reason);
                 self.obs.span_since(Phase::LocalFastpath, started_ns);
-                return StartResult::Started(1);
+                return StartResult::Started;
             }
             Recombination::Candidate { f1, f2 } => (f1, f2),
         };
@@ -684,429 +598,32 @@ impl RankState {
             } else {
                 self.apply_local_inline(e1, e2, f1, f2, started_ns);
             }
-            self.obs.span_since(Phase::LocalFastpath, started_ns);
-            return StartResult::Started(1);
-        }
-        self.obs.span_since(Phase::Legality, legality_start);
-        self.fallback_to_protocol(conv, e1, e2, f1, f2, started_ns, out);
-        self.obs.span_since(Phase::LocalFastpath, started_ns);
-        StartResult::Started(1)
-    }
-
-    /// Run one speculative round: up to `spec_batch` start attempts in a
-    /// tight loop, with self-partner draws applied optimistically
-    /// against the local store and their foreign reservations validated
-    /// in one coalesced [`Msg::BatchPropose`] per touched owner at the
-    /// end of the round.
-    ///
-    /// Per-attempt gating (window occupancy, remaining quota, the
-    /// empty-store forfeit) is identical to the per-switch path, which
-    /// also serves as the retry path for rolled-back speculations (the
-    /// `spec_retry` hint): a speculative loser costs one extra
-    /// conversation, never livelock. Foreign-partner draws and
-    /// two-foreign-owner replacements take the ordinary conversation
-    /// protocol from inside the round — speculation only ever covers
-    /// attempts whose conflict window is a single owner's verdict.
-    fn try_start_batch(&mut self, out: &mut Outbox) -> StartResult {
-        debug_assert!(self.spec_round.is_empty(), "round flushed before return");
-        // A single-rank world cannot draw a foreign partner or produce a
-        // foreign-owned replacement, so the partner draw and the owner
-        // lookups are constants; the speculative round skips both. This
-        // perturbs the RNG stream relative to `spec_batch == 1` — which
-        // is fine: bit-identity is only pledged with speculation off,
-        // and all three drivers share this code so they stay conformant.
-        let solo = self.cumq.len() == 1;
-        let mut begun: u32 = 0;
-        let mut blocked = false;
-        while (begun as usize) < self.spec_batch {
-            let open = self.inflight.len() + self.spec_ops.len();
-            if open >= self.window || self.remaining <= open as u64 {
-                break;
-            }
-            if self.store.num_edges() == 0 || self.spec_retry > 0 {
-                // The per-switch path owns both the empty-store forfeit
-                // and the post-rollback retries.
-                match self.try_start_single(out) {
-                    StartResult::Started(n) => {
-                        self.spec_retry = self.spec_retry.saturating_sub(1);
-                        begun += n;
-                        continue;
-                    }
-                    StartResult::Blocked => {
-                        blocked = true;
-                        break;
-                    }
-                    StartResult::Idle => break,
-                }
-            }
-            let sample_start = self.obs.now();
-            // With no reservations outstanding (the steady state of a
-            // speculative round: fully-local attempts resolve in place)
-            // the first draw is always acceptable — same RNG stream,
-            // no per-candidate probe.
-            let mut chosen = None;
-            if self.reserved.is_empty() {
-                chosen = Some(self.store.sample(&mut self.rng).expect("store nonempty"));
-            } else {
-                for _ in 0..SAMPLE_ATTEMPTS {
-                    let e = self.store.sample(&mut self.rng).expect("store nonempty");
-                    if !self.reserved.contains(&e) {
-                        chosen = Some(e);
-                        break;
-                    }
-                }
-            }
-            self.obs.span_since(Phase::Sample, sample_start);
-            let Some(e1) = chosen else {
-                blocked = true;
-                break;
-            };
-            let partner = if solo {
-                self.rank
-            } else {
-                self.sample_partner()
-            };
-            let started_ns = self.obs.now();
-            begun += 1;
-            if partner == self.rank {
-                // `e1` is not reserved yet: the speculative routine
-                // completes synchronously (apply, park, or fall back) and
-                // reserves only on the paths that outlive this attempt.
-                self.start_local_spec(solo, e1, started_ns, out);
-            } else {
-                self.reserved.insert(e1);
-                self.conv_seq += 1;
-                let conv = ConvId {
-                    initiator: self.rank as u32,
-                    seq: self.conv_seq,
-                };
-                self.inflight.insert(
-                    conv,
-                    InFlight {
-                        e1,
-                        partner,
-                        started_ns,
-                    },
-                );
-                self.obs.gauge(
-                    GaugeKind::WindowOccupancy,
-                    (self.inflight.len() + self.spec_ops.len()) as u64,
-                );
-                out.push(partner, Msg::Propose { conv, e1 });
-            }
-        }
-        self.flush_spec_round(out);
-        if begun > 0 {
-            StartResult::Started(begun)
-        } else if blocked {
-            StartResult::Blocked
         } else {
-            StartResult::Idle
-        }
-    }
-
-    /// One self-partner attempt of a speculative round. Fully-local
-    /// switches run the fast-path routine verbatim; exactly one foreign
-    /// replacement owner makes the switch *speculable*: apply it locally
-    /// now, log the undo positions, and defer the owner's parallel-edge
-    /// check to the round's coalesced verdict. Two distinct foreign
-    /// owners fall back to the per-switch conversation protocol (their
-    /// validations cannot be settled by one verdict entry).
-    ///
-    /// Unlike the per-switch path, the caller has *not* reserved `e1`:
-    /// most attempts resolve synchronously right here (inline apply or
-    /// abort), so the reserve/release round trip through the hash set
-    /// would be pure overhead on the hot path. The e2 loop excludes `e1`
-    /// explicitly — the same candidate filter, the same RNG draws — and
-    /// only the arms that outlive this call (protocol fallback) reserve.
-    fn start_local_spec(&mut self, solo: bool, e1: Edge, started_ns: u64, out: &mut Outbox) {
-        self.stats.proposals_served += 1;
-        self.obs.gauge(
-            GaugeKind::WindowOccupancy,
-            (self.inflight.len() + self.spec_ops.len()) as u64 + 1,
-        );
-        self.obs
-            .gauge(GaugeKind::ServingDepth, self.serving.len() as u64 + 1);
-        // Second-edge sample, identical to the partner role's loop
-        // (with `e1` excluded explicitly instead of via `reserved`; an
-        // empty reservation set reduces the filter to that one compare).
-        let sample_start = self.obs.now();
-        let no_reservations = self.reserved.is_empty();
-        let mut chosen = None;
-        for _ in 0..SAMPLE_ATTEMPTS {
-            let e = self.store.sample(&mut self.rng).expect("store nonempty");
-            if e != e1 && (no_reservations || !self.reserved.contains(&e)) {
-                chosen = Some(e);
-                break;
-            }
-        }
-        self.obs.span_since(Phase::Sample, sample_start);
-        let Some(e2) = chosen else {
-            self.count_abort(RejectReason::Contended);
-            return;
-        };
-        let legality_start = self.obs.now();
-        let kind = flip_kind(&mut self.rng);
-        let (f1, f2) = match recombine(
-            OrientedEdge::from_edge(e1),
-            OrientedEdge::from_edge(e2),
-            kind,
-        ) {
-            Recombination::Rejected(reason) => {
-                self.obs.span_since(Phase::Legality, legality_start);
-                self.count_abort(reason);
-                return;
-            }
-            Recombination::Candidate { f1, f2 } => (f1, f2),
-        };
-        let (o1, o2) = if solo {
-            (self.rank, self.rank)
-        } else {
-            (self.part.owner(f1.src()), self.part.owner(f2.src()))
-        };
-        if o1 == self.rank && o2 == self.rank {
-            // Fully local: exactly the fast-path arm.
-            let blocked = self.occupied(f1) || self.occupied(f2);
-            self.obs.span_since(Phase::Legality, legality_start);
-            if blocked {
-                self.count_abort(RejectReason::ParallelEdge);
-            } else {
-                self.apply_local_core(e1, e2, f1, f2, started_ns);
-            }
-            return;
-        }
-        if o1 != self.rank && o2 != self.rank && o1 != o2 {
-            self.obs.span_since(Phase::Legality, legality_start);
-            self.reserved.insert(e1);
-            self.conv_seq += 1;
-            let conv = ConvId {
-                initiator: self.rank as u32,
-                seq: self.conv_seq,
-            };
-            self.fallback_to_protocol(conv, e1, e2, f1, f2, started_ns, out);
-            return;
-        }
-        // Exactly one foreign owner. A locally-owned replacement must
-        // pass its parallel-edge check before anything is applied.
-        let (owner, first, second, f_local) = if o1 == o2 {
-            (o1, f1, Some(f2), None)
-        } else if o1 != self.rank {
-            (o1, f1, None, Some(f2))
-        } else {
-            (o2, f2, None, Some(f1))
-        };
-        if let Some(f) = f_local {
-            if self.occupied(f) {
-                self.obs.span_since(Phase::Legality, legality_start);
-                self.count_abort(RejectReason::ParallelEdge);
-                return;
-            }
-        }
-        self.obs.span_since(Phase::Legality, legality_start);
-        // Optimistic apply, in the protocol's mutation order (remove
-        // `e2`, insert the local replacement, remove `e1`), logging pool
-        // positions for reverse-order rollback. The removed old edges
-        // park in `potential` so no concurrent conversation recreates
-        // them before the verdict; the local replacement sits in the
-        // store (blocking recreation) and in `reserved` (blocking
-        // re-sampling). Visit tracking is deferred to the commit — a
-        // rolled-back switch must not record visits.
-        let apply_start = self.obs.now();
-        let pos2 = self.store.remove_logged(e2).expect("sampled e2 present");
-        let fresh = self.potential.insert(e2);
-        debug_assert!(fresh, "store edge {e2} was already a potential edge");
-        if let Some(f) = f_local {
-            let inserted = self.store.insert(f);
-            debug_assert!(inserted, "replacement {f} collided after its check");
-            self.reserved.insert(f);
-        }
-        let pos1 = self.store.remove_logged(e1).expect("sampled e1 present");
-        let fresh = self.potential.insert(e1);
-        debug_assert!(fresh, "store edge {e1} was already a potential edge");
-        self.obs.span_since(Phase::SwitchApply, apply_start);
-        self.conv_seq += 1;
-        let conv = ConvId {
-            initiator: self.rank as u32,
-            seq: self.conv_seq,
-        };
-        self.spec_ops.insert(
-            conv,
-            SpecOp {
-                e1,
-                pos1,
-                e2,
-                pos2,
-                f_local,
-                started_ns,
-            },
-        );
-        self.spec_round.push((
-            owner,
-            BatchReq {
+            // A replacement is foreign: continue as an ordinary
+            // self-partner conversation from this exact point. It must
+            // exist in `inflight` before any message can complete or
+            // abort it.
+            self.inflight.insert(
                 conv,
-                first,
-                second,
-            },
-        ));
-    }
-
-    /// End of a speculative round: group the round's requests into one
-    /// [`Msg::BatchPropose`] per owner, owners in first-touch order and
-    /// requests in apply order within each (the verdict handler relies
-    /// on per-message apply order for exact reverse rollback).
-    fn flush_spec_round(&mut self, out: &mut Outbox) {
-        if self.spec_round.is_empty() {
-            return;
-        }
-        let mut round = std::mem::take(&mut self.spec_round);
-        while !round.is_empty() {
-            let owner = round[0].0;
-            let mut reqs = Vec::with_capacity(round.len());
-            round.retain(|&(o, req)| {
-                if o == owner {
-                    reqs.push(req);
-                    false
-                } else {
-                    true
-                }
-            });
-            out.push(owner, Msg::BatchPropose { reqs });
-        }
-        self.spec_round = round; // keep the allocation
-    }
-
-    /// Serve one [`Msg::BatchPropose`] as the owner of its replacement
-    /// edges: check-and-create each entry's edges directly (the owner is
-    /// authoritative, so an accepting verdict *is* the commit — no
-    /// reservation round, nothing for the owner to roll back). Entries
-    /// are independent: each is checked against the store as left by its
-    /// predecessors in the same batch.
-    fn on_batch_propose(&mut self, src: usize, reqs: Vec<BatchReq>, out: &mut Outbox) {
-        let serve_start = self.obs.now();
-        let mut verdicts = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            self.stats.validations_served += 1;
-            debug_assert_eq!(
-                self.part.owner(req.first.src()),
-                self.rank,
-                "misrouted BatchPropose"
+                InFlight {
+                    e1,
+                    partner: self.rank,
+                    started_ns,
+                },
             );
-            let ok = !self.occupied(req.first) && req.second.is_none_or(|s| !self.occupied(s));
-            if ok {
-                let inserted = self.store.insert(req.first);
-                debug_assert!(inserted, "checked replacement {} collided", req.first);
-                if let Some(s) = req.second {
-                    debug_assert_eq!(
-                        self.part.owner(s.src()),
-                        self.rank,
-                        "split-owner batch entry"
-                    );
-                    let inserted = self.store.insert(s);
-                    debug_assert!(inserted, "checked replacement {s} collided");
-                }
-            }
-            verdicts.push((req.conv, ok));
+            self.partner_validate(conv, e1, e2, [f1, f2], legality_start, out);
         }
-        self.obs.span_since(Phase::BatchValidate, serve_start);
-        out.push(src, Msg::BatchVerdict { verdicts });
-    }
-
-    /// Settle one [`Msg::BatchVerdict`]: commits first (forward order —
-    /// they never touch the sampling pool), then rollbacks in *reverse*
-    /// apply order, so an all-reject verdict restores the pool's dense
-    /// layout bit-exactly (mixed verdicts fall back to content-equivalent
-    /// append restores inside [`PartitionStore::unremove`]).
-    fn on_batch_verdict(&mut self, verdicts: Vec<(ConvId, bool)>) {
-        for &(conv, ok) in &verdicts {
-            if ok {
-                self.spec_commit(conv);
-            }
-        }
-        for &(conv, ok) in verdicts.iter().rev() {
-            if !ok {
-                self.spec_rollback(conv);
-            }
-        }
-    }
-
-    /// The owner accepted a speculative switch: the local apply stands;
-    /// release the guards and do the deferred accounting.
-    fn spec_commit(&mut self, conv: ConvId) {
-        let op = self
-            .spec_ops
-            .remove(&conv)
-            .expect("verdict for unknown speculation");
-        let had = self.potential.remove(&op.e1);
-        debug_assert!(had, "speculated e1 left the potential set");
-        let had = self.potential.remove(&op.e2);
-        debug_assert!(had, "speculated e2 left the potential set");
-        if let Some(f) = op.f_local {
-            let had = self.reserved.remove(&f);
-            debug_assert!(had, "speculative replacement left the reserved set");
-        }
-        self.tracker.record_removal(op.e1);
-        self.tracker.record_removal(op.e2);
-        self.obs.rtt_since(MsgKind::BatchPropose, op.started_ns);
-        self.remaining -= 1;
-        self.consecutive_aborts = 0;
-        self.stats.performed += 1;
-        self.stats.performed_local += 1;
-        self.stats.spec_committed += 1;
-    }
-
-    /// The owner rejected a speculative switch: undo the local apply in
-    /// exact reverse order of [`RankState::start_local_spec`] — `e1`
-    /// back to its logged slot, the local replacement out, `e2` back to
-    /// its logged slot — count it like a parallel-edge abort, and owe
-    /// the operation a retry through the per-switch path.
-    fn spec_rollback(&mut self, conv: ConvId) {
-        let op = self
-            .spec_ops
-            .remove(&conv)
-            .expect("verdict for unknown speculation");
-        let had = self.potential.remove(&op.e1);
-        debug_assert!(had, "speculated e1 left the potential set");
-        let restored = self.store.unremove(op.e1, op.pos1);
-        debug_assert!(restored, "rollback found e1 {} recreated", op.e1);
-        if let Some(f) = op.f_local {
-            let had = self.reserved.remove(&f);
-            debug_assert!(had, "speculative replacement left the reserved set");
-            let removed = self.store.remove(f);
-            debug_assert!(removed, "speculative replacement {f} vanished");
-        }
-        let had = self.potential.remove(&op.e2);
-        debug_assert!(had, "speculated e2 left the potential set");
-        let restored = self.store.unremove(op.e2, op.pos2);
-        debug_assert!(restored, "rollback found e2 {} recreated", op.e2);
-        self.obs.rtt_since(MsgKind::BatchPropose, op.started_ns);
-        self.stats.aborts_parallel += 1;
-        self.stats.spec_rolled_back += 1;
-        self.consecutive_aborts += 1;
-        if self.consecutive_aborts >= MAX_CONSECUTIVE_ABORTS {
-            self.stats.forfeited += 1;
-            self.remaining = self.remaining.saturating_sub(1);
-            self.consecutive_aborts = 0;
-        }
-        self.spec_retry += 1;
+        self.obs.span_since(Phase::LocalFastpath, started_ns);
+        StartResult::Started
     }
 
     /// Apply a fully rank-local switch inline, in the protocol's
     /// mutation order (remove `e2`, insert `f1`, insert `f2`, remove
     /// `e1`) so the store's internal layout — and with it every future
-    /// edge sample — stays identical to the protocol path's. Shared by
-    /// the local fast path and the speculative batch round, whose
-    /// fully-local attempts are exactly fast-path switches.
+    /// edge sample — stays identical to the protocol path's.
     fn apply_local_inline(&mut self, e1: Edge, e2: Edge, f1: Edge, f2: Edge, started_ns: u64) {
         let released = self.reserved.remove(&e1);
         debug_assert!(released, "own e1 {e1} was not reserved");
-        self.apply_local_core(e1, e2, f1, f2, started_ns);
-    }
-
-    /// [`apply_local_inline`] without the `e1` release, for the
-    /// speculative round's fully-local arm where `e1` was never reserved
-    /// (the attempt resolves synchronously). The store mutation order is
-    /// the fast path's, unchanged.
-    fn apply_local_core(&mut self, e1: Edge, e2: Edge, f1: Edge, f2: Edge, started_ns: u64) {
         let apply_start = self.obs.now();
         let removed = self.store.remove(e2);
         debug_assert!(removed, "sampled e2 {e2} missing at apply");
@@ -1127,79 +644,6 @@ impl RankState {
         self.stats.performed_fastpath += 1;
     }
 
-    /// A replacement edge is foreign (and not speculable): fall back to
-    /// the conversation protocol from this exact point, keeping the
-    /// draws already made. The conversation must exist in `inflight`
-    /// before any message can complete or abort it. The caller has
-    /// already closed its `Legality` span.
-    #[allow(clippy::too_many_arguments)]
-    fn fallback_to_protocol(
-        &mut self,
-        conv: ConvId,
-        e1: Edge,
-        e2: Edge,
-        f1: Edge,
-        f2: Edge,
-        started_ns: u64,
-        out: &mut Outbox,
-    ) {
-        self.inflight.insert(
-            conv,
-            InFlight {
-                e1,
-                partner: self.rank,
-                started_ns,
-            },
-        );
-        self.reserved.insert(e2);
-        let fs = [f1, f2];
-        let mut fstate = [FState::RemotePending; 2];
-        let mut failed = false;
-        for i in 0..2 {
-            if self.part.owner(fs[i].src()) == self.rank {
-                if self.occupied(fs[i]) {
-                    fstate[i] = FState::Failed;
-                    failed = true;
-                } else {
-                    self.potential.insert(fs[i]);
-                    fstate[i] = FState::LocalReserved;
-                }
-            }
-        }
-        let mut awaiting = 0usize;
-        if !failed {
-            for i in 0..2 {
-                if fstate[i] == FState::RemotePending {
-                    out.push(
-                        self.part.owner(fs[i].src()),
-                        Msg::Validate { conv, edge: fs[i] },
-                    );
-                    awaiting += 1;
-                }
-            }
-        }
-        let validate_sent_ns = if awaiting > 0 { self.obs.now() } else { 0 };
-        self.serving.insert(
-            conv,
-            PartnerConv {
-                initiator: self.rank,
-                e1,
-                e2,
-                fs,
-                fstate,
-                awaiting,
-                failed,
-                acks_needed: 0,
-                validate_sent_ns,
-                commit_sent_ns: 0,
-            },
-        );
-        if awaiting == 0 {
-            debug_assert!(failed, "a foreign replacement always awaits validation");
-            self.partner_abort(conv, RejectReason::ParallelEdge, out);
-        }
-    }
-
     /// Draw the partner rank with probability `q_j` (Algorithm 2 line 2).
     fn sample_partner(&mut self) -> usize {
         let total = *self.cumq.last().expect("nonempty q");
@@ -1216,12 +660,6 @@ impl RankState {
     fn abort_own(&mut self, e1: Edge, reason: RejectReason) {
         let released = self.reserved.remove(&e1);
         debug_assert!(released, "in-flight e1 was not reserved");
-        self.count_abort(reason);
-    }
-
-    /// [`abort_own`] without the `e1` release, for speculative-round
-    /// attempts that never reserved their first edge.
-    fn count_abort(&mut self, reason: RejectReason) {
         match reason {
             RejectReason::SelfLoop => self.stats.aborts_loop += 1,
             RejectReason::Useless => self.stats.aborts_useless += 1,
@@ -1292,23 +730,12 @@ impl RankState {
     // ------------------------------------------------------------------
 
     fn on_propose(&mut self, src: usize, conv: ConvId, e1: Edge, out: &mut Outbox) {
+        debug_assert_eq!(src, conv.initiator as usize, "misattributed Propose");
         self.stats.proposals_served += 1;
         self.obs
             .gauge(GaugeKind::ServingDepth, self.serving.len() as u64 + 1);
         // Sample the second edge, skipping locked edges.
-        let sample_start = self.obs.now();
-        let mut chosen = None;
-        if self.store.num_edges() > 0 {
-            for _ in 0..SAMPLE_ATTEMPTS {
-                let e = self.store.sample(&mut self.rng).expect("store nonempty");
-                if !self.reserved.contains(&e) {
-                    chosen = Some(e);
-                    break;
-                }
-            }
-        }
-        self.obs.span_since(Phase::Sample, sample_start);
-        let Some(e2) = chosen else {
+        let Some(e2) = self.sample_unreserved() else {
             out.push(
                 src,
                 Msg::Abort {
@@ -1331,60 +758,79 @@ impl RankState {
                 out.push(src, Msg::Abort { conv, reason });
             }
             Recombination::Candidate { f1, f2 } => {
-                self.reserved.insert(e2);
-                // Validate both replacements concurrently (the critical
-                // path is one round trip, not two): local checks first;
-                // remote requests only if the local ones passed.
-                let fs = [f1, f2];
-                let mut fstate = [FState::RemotePending; 2];
-                let mut failed = false;
-                for i in 0..2 {
-                    if self.part.owner(fs[i].src()) == self.rank {
-                        if self.occupied(fs[i]) {
-                            fstate[i] = FState::Failed;
-                            failed = true;
-                        } else {
-                            self.potential.insert(fs[i]);
-                            fstate[i] = FState::LocalReserved;
-                        }
-                    }
+                self.partner_validate(conv, e1, e2, [f1, f2], legality_start, out);
+            }
+        }
+    }
+
+    /// The partner's half of a conversation once `e2` and the candidate
+    /// replacements `fs` are drawn: lock `e2`, check-and-reserve the
+    /// locally owned replacements (closing the `Legality` span opened at
+    /// `legality_start`), ask the foreign owners, and settle at once when
+    /// nothing is awaited. Reached from [`RankState::on_propose`] and —
+    /// for a self-partner draw with a foreign replacement — straight
+    /// from the local fast path, which is what keeps the two
+    /// message-for-message identical.
+    fn partner_validate(
+        &mut self,
+        conv: ConvId,
+        e1: Edge,
+        e2: Edge,
+        fs: [Edge; 2],
+        legality_start: u64,
+        out: &mut Outbox,
+    ) {
+        self.reserved.insert(e2);
+        // Validate both replacements concurrently (the critical path is
+        // one round trip, not two): local checks first; remote requests
+        // only if the local ones passed.
+        let mut fstate = [FState::RemotePending; 2];
+        let mut failed = false;
+        for i in 0..2 {
+            if self.part.owner(fs[i].src()) == self.rank {
+                if self.occupied(fs[i]) {
+                    fstate[i] = FState::Failed;
+                    failed = true;
+                } else {
+                    self.potential.insert(fs[i]);
+                    fstate[i] = FState::LocalReserved;
                 }
-                self.obs.span_since(Phase::Legality, legality_start);
-                let mut awaiting = 0usize;
-                if !failed {
-                    for i in 0..2 {
-                        if fstate[i] == FState::RemotePending {
-                            out.push(
-                                self.part.owner(fs[i].src()),
-                                Msg::Validate { conv, edge: fs[i] },
-                            );
-                            awaiting += 1;
-                        }
-                    }
+            }
+        }
+        self.obs.span_since(Phase::Legality, legality_start);
+        let mut awaiting = 0usize;
+        if !failed {
+            for i in 0..2 {
+                if fstate[i] == FState::RemotePending {
+                    out.push(
+                        self.part.owner(fs[i].src()),
+                        Msg::Validate { conv, edge: fs[i] },
+                    );
+                    awaiting += 1;
                 }
-                let validate_sent_ns = if awaiting > 0 { self.obs.now() } else { 0 };
-                self.serving.insert(
-                    conv,
-                    PartnerConv {
-                        initiator: src,
-                        e1,
-                        e2,
-                        fs,
-                        fstate,
-                        awaiting,
-                        failed,
-                        acks_needed: 0,
-                        validate_sent_ns,
-                        commit_sent_ns: 0,
-                    },
-                );
-                if awaiting == 0 {
-                    if failed {
-                        self.partner_abort(conv, RejectReason::ParallelEdge, out);
-                    } else {
-                        self.partner_commit(conv, out);
-                    }
-                }
+            }
+        }
+        let validate_sent_ns = if awaiting > 0 { self.obs.now() } else { 0 };
+        self.serving.insert(
+            conv,
+            PartnerConv {
+                initiator: conv.initiator as usize,
+                e1,
+                e2,
+                fs,
+                fstate,
+                awaiting,
+                failed,
+                acks_needed: 0,
+                validate_sent_ns,
+                commit_sent_ns: 0,
+            },
+        );
+        if awaiting == 0 {
+            if failed {
+                self.partner_abort(conv, RejectReason::ParallelEdge, out);
+            } else {
+                self.partner_commit(conv, out);
             }
         }
     }
@@ -1595,8 +1041,6 @@ impl RankState {
                 }
             }
             Msg::Abort { conv, reason } => self.on_abort(conv, reason),
-            Msg::BatchPropose { reqs } => self.on_batch_propose(src, reqs, out),
-            Msg::BatchVerdict { verdicts } => self.on_batch_verdict(verdicts),
             Msg::EndOfStep | Msg::Coll(_) | Msg::Batch(_) => {
                 unreachable!("driver-level message leaked into RankState")
             }

@@ -3,7 +3,7 @@
 
 use super::harness::{probability_vector, StepHarness};
 use super::msg::{ConvId, Msg, Outbox};
-use super::rank::{RankState, StartResult};
+use super::rank::{RankState, RankStats, StartResult};
 use super::tests::simulated;
 use crate::config::{ParallelConfig, StepSize};
 use crate::switch::RejectReason;
@@ -19,16 +19,16 @@ fn conv(initiator: u32, seq: u64) -> ConvId {
 /// Two ranks under HP-D(2): even labels on rank 0, odd labels on rank 1,
 /// stop-and-wait window (the classic protocol).
 fn two_rank_world(edges0: &[(u64, u64)], edges1: &[(u64, u64)]) -> (RankState, RankState) {
-    two_rank_world_windowed(edges0, edges1, 1, 1)
+    two_rank_world_windowed(edges0, edges1, 1, true)
 }
 
-/// [`two_rank_world`] with an explicit pipelining window and speculative
-/// batch size.
+/// [`two_rank_world`] with an explicit pipelining window and local
+/// fast-path setting.
 fn two_rank_world_windowed(
     edges0: &[(u64, u64)],
     edges1: &[(u64, u64)],
     window: usize,
-    spec_batch: usize,
+    fastpath: bool,
 ) -> (RankState, RankState) {
     let part = Partitioner::hash_division(2);
     let mk = |rank: usize, edges: &[(u64, u64)]| {
@@ -41,7 +41,7 @@ fn two_rank_world_windowed(
         let config = ParallelConfig::new(2)
             .with_seed(99)
             .with_window(window)
-            .with_spec_batch(spec_batch);
+            .with_local_fastpath(fastpath);
         RankState::new(rank, part.clone(), store, &config)
     };
     (mk(0, edges0), mk(1, edges1))
@@ -174,7 +174,7 @@ fn full_global_switch_between_two_ranks() {
     let mut started = false;
     for _ in 0..64 {
         match r0.try_start(&mut out) {
-            StartResult::Started(_) => {
+            StartResult::Started => {
                 started = true;
                 let mut states = [&mut r0, &mut r1];
                 pump(&mut states, 0, &mut out);
@@ -212,14 +212,14 @@ fn abort_releases_first_edge_for_reuse() {
     r0.begin_step(1, &[0.0, 1.0]); // partner is always rank 1
     r1.begin_step(0, &[0.0, 1.0]);
     let mut out = Outbox::new();
-    assert_eq!(r0.try_start(&mut out), StartResult::Started(1));
+    assert_eq!(r0.try_start(&mut out), StartResult::Started);
     let mut states = [&mut r0, &mut r1];
     // Rank 1 has no edges: Contended abort flows back, releasing e1.
     pump(&mut states, 0, &mut out);
     assert!(!r0.step_done(), "operation must be retried, not completed");
     assert_eq!(r0.stats.aborts_contended, 1);
     // e1 must be free again: the next start succeeds.
-    assert_eq!(r0.try_start(&mut out), StartResult::Started(1));
+    assert_eq!(r0.try_start(&mut out), StartResult::Started);
 }
 
 /// Deliver one rank's outbox into a world FIFO queue (self-addressed
@@ -248,7 +248,7 @@ fn concurrent_conversations_hold_disjoint_reservations() {
     const WINDOW: usize = 4;
     let edges0: Vec<(u64, u64)> = (0..60).map(|i| (2 * i, 2 * i + 6)).collect();
     let edges1: Vec<(u64, u64)> = (0..60).map(|i| (2 * i + 1, 2 * i + 7)).collect();
-    let (r0, r1) = two_rank_world_windowed(&edges0, &edges1, WINDOW, 1);
+    let (r0, r1) = two_rank_world_windowed(&edges0, &edges1, WINDOW, true);
     let mut states = [r0, r1];
     for st in &mut states {
         st.begin_step(25, &[0.5, 0.5]);
@@ -283,7 +283,7 @@ fn concurrent_conversations_hold_disjoint_reservations() {
             let mut starts = 0;
             while starts < WINDOW {
                 match states[i].try_start(&mut out) {
-                    StartResult::Started(_) => {
+                    StartResult::Started => {
                         starts += 1;
                         any_started = true;
                         route(&mut states, i, &mut out, &mut queue);
@@ -327,7 +327,7 @@ fn fastpath_applies_respect_reservation_disjointness() {
     const WINDOW: usize = 4;
     let edges0: Vec<(u64, u64)> = (0..60).map(|i| (2 * i, 2 * i + 3)).collect();
     let edges1: Vec<(u64, u64)> = (0..60).map(|i| (2 * i + 1, 2 * i + 4)).collect();
-    let (r0, r1) = two_rank_world_windowed(&edges0, &edges1, WINDOW, 1);
+    let (r0, r1) = two_rank_world_windowed(&edges0, &edges1, WINDOW, true);
     let mut states = [r0, r1];
     for st in &mut states {
         st.begin_step(40, &[0.5, 0.5]);
@@ -361,7 +361,7 @@ fn fastpath_applies_respect_reservation_disjointness() {
             let mut starts = 0;
             while starts < WINDOW {
                 match states[i].try_start(&mut out) {
-                    StartResult::Started(_) => {
+                    StartResult::Started => {
                         starts += 1;
                         any_started = true;
                         route(&mut states, i, &mut out, &mut queue);
@@ -400,7 +400,7 @@ fn stop_and_wait_reference(
     graph: &Graph,
     t: u64,
     cfg: &ParallelConfig,
-) -> (Vec<super::rank::RankStats>, Vec<(u64, u64)>) {
+) -> (Vec<RankStats>, Vec<(u64, u64)>) {
     let mut rng = cfg.root_rng();
     let part = Partitioner::build(cfg.scheme, graph, cfg.processors, &mut rng);
     let stores = build_stores(graph, &part);
@@ -430,7 +430,7 @@ fn stop_and_wait_reference(
             }
             let mut any_started = false;
             for i in 0..states.len() {
-                if matches!(states[i].try_start(&mut out), StartResult::Started(_)) {
+                if matches!(states[i].try_start(&mut out), StartResult::Started) {
                     any_started = true;
                     route(&mut states, i, &mut out, &mut queue);
                 }
@@ -483,96 +483,71 @@ fn window_one_is_bit_identical_to_stop_and_wait() {
     }
 }
 
-/// Seeded rollback property: a speculative batch whose every entry is
-/// rejected must restore the initiator *exactly* — the edge pool in the
-/// same order (the undo log replays swap-remove positions LIFO), and
-/// empty reservation and potential sets. The world is built so every
-/// recombination yields exactly one foreign-owned replacement: edges
-/// `(4i, 4i+1)` pair an even `src` (rank 0 under HP-D(2)) with an odd
-/// endpoint, so crossing any two produces one even-src and one odd-src
-/// edge — always the speculative `f_local` shape, never a fully-local
-/// inline apply that would legitimately survive the rollback.
+/// The fold's regression test: a self-partner draw whose replacement is
+/// foreign leaves the fast path through the same partner function
+/// `on_propose` calls, so from the `Validate` fan-out on the conversation
+/// must be the `local_fastpath = false` run's message for message — the
+/// only difference is the self-addressed `Propose` the fast path skips.
+/// Edges `(4i, 4i+1)` pair an even `src` (rank 0 under HP-D(2)) with an
+/// odd endpoint, so recombining any two yields one even-src and one
+/// odd-src replacement: exactly one foreign owner on the first switch.
 #[test]
-fn all_reject_batch_verdict_restores_store_exactly() {
+fn fastpath_foreign_replacement_runs_the_partner_conversation() {
     let edges0: Vec<(u64, u64)> = (0..12).map(|i| (4 * i, 4 * i + 1)).collect();
-    let (mut r0, _r1) = two_rank_world_windowed(&edges0, &[], 16, 8);
-    r0.begin_step(8, &[1.0, 0.0]); // partner draw is always self
-
-    let pre_edges: Vec<Edge> = r0.store().edges().collect();
-    let pre_reserved = r0.reserved_edges();
-    assert!(pre_reserved.is_empty());
-    assert!(r0.potential_edges().is_empty());
-
-    let mut out = Outbox::new();
-    assert!(matches!(r0.try_start(&mut out), StartResult::Started(_)));
-
-    // Every outgoing message must be a coalesced BatchPropose to the
-    // foreign owner; collect its conversations and refuse them all.
-    let mut verdicts: Vec<(ConvId, bool)> = Vec::new();
-    while let Some((dst, msg)) = out.pop() {
-        assert_eq!(dst, 1, "speculation only talks to the foreign owner");
-        match msg {
-            Msg::BatchPropose { reqs } => {
-                verdicts.extend(reqs.iter().map(|r| (r.conv, false)));
+    let run = |fastpath: bool| {
+        let (r0, r1) = two_rank_world_windowed(&edges0, &[], 1, fastpath);
+        let mut states = [r0, r1];
+        states[0].begin_step(6, &[1.0, 0.0]); // partner draw is always self
+        states[1].begin_step(0, &[1.0, 0.0]);
+        let mut trace: Vec<(usize, usize, Msg)> = Vec::new();
+        let mut mid = None;
+        let mut out = Outbox::new();
+        while states[0].try_start(&mut out) == StartResult::Started {
+            let mut queue: VecDeque<(usize, usize, Msg)> = VecDeque::new();
+            route(&mut states, 0, &mut out, &mut queue);
+            // The partner conversation of the first switch, caught with
+            // its `Validate` in flight.
+            mid.get_or_insert_with(|| {
+                let mut reserved = states[0].reserved_edges();
+                reserved.sort_unstable();
+                (
+                    states[0].serving_pending(),
+                    states[0].inflight_e1s(),
+                    reserved,
+                    states[0].potential_edges(),
+                )
+            });
+            while let Some((dst, src, msg)) = queue.pop_front() {
+                trace.push((src, dst, msg.clone()));
+                states[dst].handle(src, msg, &mut out);
+                route(&mut states, dst, &mut out, &mut queue);
             }
-            other => panic!("unexpected message {other:?}"),
         }
-    }
-    assert!(!verdicts.is_empty(), "no speculation was ever attempted");
-    // The batch really is applied optimistically: the store has changed
-    // and the removed originals are parked as potential edges.
-    assert_ne!(r0.store().edges().collect::<Vec<_>>(), pre_edges);
-    assert!(!r0.potential_edges().is_empty());
-
-    r0.handle(
-        1,
-        Msg::BatchVerdict {
-            verdicts: verdicts.clone(),
-        },
-        &mut out,
+        assert!(states[0].step_done());
+        let ends = states.map(|st| {
+            let o = st.into_output(Default::default());
+            // The one counter that differs by design: inline applies.
+            let stats = RankStats {
+                performed_fastpath: 0,
+                ..o.stats
+            };
+            (stats, o.store.edges().collect::<Vec<Edge>>())
+        });
+        (trace, mid.expect("at least one switch started"), ends)
+    };
+    let (trace, mid, ends) = run(true);
+    assert!(
+        matches!(trace[0], (0, 1, Msg::Validate { .. })),
+        "the first switch must take the foreign-replacement arm: {:?}",
+        trace[0]
     );
-    assert!(out.pop().is_none(), "rollback sends nothing");
-
-    // Exact restoration: same edges in the same pool order, books clean.
-    assert_eq!(r0.store().edges().collect::<Vec<_>>(), pre_edges);
-    assert!(r0.reserved_edges().is_empty());
-    assert!(r0.potential_edges().is_empty());
-    assert_eq!(r0.inflight_len(), 0, "undo log must be drained");
-    assert_eq!(r0.stats.spec_rolled_back, verdicts.len() as u64);
-    assert_eq!(r0.stats.spec_committed, 0);
-    assert_eq!(r0.stats.performed, 0);
-    assert!(!r0.step_done(), "rejected ops must be retried, not lost");
-}
-
-/// Speculation under an adversarial partition (Section 5.2): relabel a
-/// graph so the highest-degree vertices pile onto one HP-D rank, then
-/// run with batching on. The hot rank forces heavy cross-rank
-/// replacement traffic — speculation must still keep the books exact.
-#[test]
-fn speculation_survives_adversarial_partitions() {
-    let mut rng = edgeswitch_dist::root_rng(17);
-    let g = erdos_renyi_gnm(300, 1500, &mut rng);
-    let p = 4;
-    let relab = edgeswitch_graph::partition::adversary::division_worst_case(&g, p, 1);
-    let h = relab.apply(&g);
-    let t = 2_000;
-    let cfg = ParallelConfig::new(p)
-        .with_scheme(SchemeKind::HashDivision)
-        .with_step_size(StepSize::FractionOfT(8))
-        .with_seed(909)
-        .with_spec_batch(8);
-    let on = simulated(&h, t, &cfg);
-    on.graph.check_invariants().unwrap();
-    assert_eq!(on.graph.degree_sequence(), h.degree_sequence());
-    assert_eq!(on.performed() + on.forfeited(), t);
-    let committed: u64 = on.per_rank.iter().map(|s| s.spec_committed).sum();
-    assert!(committed > 0, "speculation never engaged on the hot graph");
-    // The per-switch path on the same adversarial layout stays intact.
-    let off = simulated(&h, t, &cfg.clone().with_spec_batch(1));
-    off.graph.check_invariants().unwrap();
-    assert_eq!(off.graph.degree_sequence(), h.degree_sequence());
-    assert_eq!(off.performed() + off.forfeited(), t);
-    assert!(off.per_rank.iter().all(|s| s.spec_committed == 0));
+    let (serving, e1s, reserved, potential) = &mid;
+    assert!(serving, "a PartnerConv awaits the foreign verdict");
+    assert_eq!((e1s.len(), reserved.len(), potential.len()), (1, 2, 1));
+    let (ref_trace, ref_mid, ref_ends) = run(false);
+    assert_eq!(trace, ref_trace, "message sequence");
+    assert_eq!(mid, ref_mid, "partner conversation state");
+    assert_eq!(ends, ref_ends, "stats and pool order");
 }
 
 #[test]

@@ -19,7 +19,7 @@ use crate::switch::RejectReason;
 use crate::visit::VisitTracker;
 
 use super::harness::{MsgCounts, RankOutput, StepTelemetry};
-use super::msg::{BatchReq, ConvId, Msg, MsgKind};
+use super::msg::{ConvId, Msg, MsgKind};
 use super::rank::{RankCheckpoint, RankStats};
 use super::resume::WorldSnapshot;
 
@@ -36,8 +36,8 @@ const T_ABORT: u8 = 9;
 const T_END_OF_STEP: u8 = 10;
 const T_COLL: u8 = 11;
 const T_BATCH: u8 = 12;
-const T_BATCH_PROPOSE: u8 = 13;
-const T_BATCH_VERDICT: u8 = 14;
+// 13 and 14 are retired (the speculative-batch pair); they decode as
+// unknown discriminants.
 const T_TRADE_LOAD: u8 = 15;
 const T_TRADE_HOME: u8 = 16;
 const T_TRADE_VISIT: u8 = 17;
@@ -174,29 +174,6 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
             put_u32(out, msgs.len() as u32);
             for m in msgs {
                 encode_msg(m, out);
-            }
-        }
-        Msg::BatchPropose { reqs } => {
-            out.push(T_BATCH_PROPOSE);
-            put_u32(out, reqs.len() as u32);
-            for req in reqs {
-                put_conv(out, req.conv);
-                put_edge(out, req.first);
-                match req.second {
-                    Some(edge) => {
-                        out.push(1);
-                        put_edge(out, edge);
-                    }
-                    None => out.push(0),
-                }
-            }
-        }
-        Msg::BatchVerdict { verdicts } => {
-            out.push(T_BATCH_VERDICT);
-            put_u32(out, verdicts.len() as u32);
-            for (conv, accepted) in verdicts {
-                put_conv(out, *conv);
-                out.push(u8::from(*accepted));
             }
         }
         Msg::TradeLoad { trade, edges } => {
@@ -391,30 +368,6 @@ impl<'a> Reader<'a> {
                 let n = self.len32(1);
                 Msg::Batch((0..n).map(|_| self.msg()).collect())
             }
-            T_BATCH_PROPOSE => {
-                let n = self.len32(21);
-                let reqs = (0..n)
-                    .map(|_| {
-                        let conv = self.conv();
-                        let first = self.edge();
-                        let second = match self.u8() {
-                            0 => None,
-                            _ => Some(self.edge()),
-                        };
-                        BatchReq {
-                            conv,
-                            first,
-                            second,
-                        }
-                    })
-                    .collect();
-                Msg::BatchPropose { reqs }
-            }
-            T_BATCH_VERDICT => {
-                let n = self.len32(13);
-                let verdicts = (0..n).map(|_| (self.conv(), self.u8() != 0)).collect();
-                Msg::BatchVerdict { verdicts }
-            }
             T_TRADE_LOAD => {
                 let trade = self.u32();
                 let n = self.len32(8);
@@ -473,7 +426,7 @@ pub fn decode_coll(bytes: &[u8]) -> CollPayload {
 /// Snapshot header: `b"ESNP"` followed by the format version.
 const SNAP_MAGIC: u32 = u32::from_le_bytes(*b"ESNP");
 /// Current snapshot format version.
-const SNAP_VERSION: u32 = 1;
+const SNAP_VERSION: u32 = 2;
 /// Kind byte of a [`WorldSnapshot`].
 const SNAP_WORLD: u8 = 1;
 /// Kind byte of a [`SeqCheckpoint`].
@@ -498,8 +451,6 @@ fn put_stats(out: &mut Vec<u8>, stats: &RankStats) {
         stats.forfeited,
         stats.proposals_served,
         stats.validations_served,
-        stats.spec_committed,
-        stats.spec_rolled_back,
     ] {
         put_u64(out, v);
     }
@@ -534,8 +485,6 @@ fn put_telemetry(out: &mut Vec<u8>, tel: &StepTelemetry) {
         tel.blocked,
         tel.parked,
         tel.window_peak,
-        tel.spec_committed,
-        tel.spec_rolled_back,
         tel.packets,
         tel.trades,
         tel.neighbors_moved,
@@ -599,8 +548,6 @@ impl<'a> Reader<'a> {
             forfeited: self.u64(),
             proposals_served: self.u64(),
             validations_served: self.u64(),
-            spec_committed: self.u64(),
-            spec_rolled_back: self.u64(),
         }
     }
 
@@ -633,8 +580,6 @@ impl<'a> Reader<'a> {
             blocked: self.u64(),
             parked: self.u64(),
             window_peak: self.u64(),
-            spec_committed: self.u64(),
-            spec_rolled_back: self.u64(),
             packets: self.u64(),
             trades: self.u64(),
             neighbors_moved: self.u64(),
@@ -675,9 +620,9 @@ impl<'a> Reader<'a> {
 /// Encoded size of one [`RankCheckpoint`] with empty lists, one
 /// [`CommStats`] and one [`StepTelemetry`] — the per-item floors that cap
 /// their length prefixes.
-const RANK_CHECKPOINT_MIN: usize = 8 * (4 + 13 + 2);
+const RANK_CHECKPOINT_MIN: usize = 8 * (4 + 11 + 2);
 const COMM_BYTES: usize = 8 * (8 + KIND_SLOTS);
-const TELEMETRY_BYTES: usize = 8 * (14 + MsgKind::COUNT + 5);
+const TELEMETRY_BYTES: usize = 8 * (12 + MsgKind::COUNT + 5);
 
 /// Serialize a [`WorldSnapshot`] (deterministic bytes for a given
 /// snapshot — rank checkpoints carry their sets pre-sorted).
@@ -933,23 +878,6 @@ mod tests {
             });
         }
         roundtrip(Msg::EndOfStep);
-        roundtrip(Msg::BatchPropose {
-            reqs: vec![
-                BatchReq {
-                    conv: conv(1, 1),
-                    first: e(1, 2),
-                    second: Some(e(3, 4)),
-                },
-                BatchReq {
-                    conv: conv(1, 2),
-                    first: e(5, 6),
-                    second: None,
-                },
-            ],
-        });
-        roundtrip(Msg::BatchVerdict {
-            verdicts: vec![(conv(1, 1), true), (conv(1, 2), false)],
-        });
         roundtrip(Msg::TradeLoad {
             trade: u32::MAX,
             edges: vec![e(1, 2).key(), e(3, 4).key()],
@@ -1022,8 +950,6 @@ mod tests {
                 forfeited: 0,
                 proposals_served: 6,
                 validations_served: 9,
-                spec_committed: 1,
-                spec_rolled_back: 1,
             },
             conv_seq: 42,
             rng_words: 12345,

@@ -87,7 +87,7 @@ pub enum RunError {
     /// not a number.
     InvalidBudget(String),
     /// A configuration knob is out of its documented range (`p ≥ 1`,
-    /// `window ≥ 1`, `spec_batch ≥ 1`, a partitioner of `p` parts).
+    /// `window ≥ 1`, a partitioner of `p` parts).
     InvalidConfig(String),
     /// The selected backend cannot run this job on this platform or with
     /// this randomizer (the process backend needs Linux and supports
@@ -296,29 +296,6 @@ impl Run {
             ));
         }
         self.config = self.config.with_window(window);
-        self
-    }
-
-    /// Speculative batch size (parallel/simulated only; `1`, the
-    /// default, keeps every switch on the per-switch conversation path —
-    /// see [`ParallelConfig::with_spec_batch`]). Accepted range:
-    /// `spec_batch ≥ 1`; `0` is [`RunError::InvalidConfig`] at execute
-    /// time.
-    pub fn spec_batch(mut self, spec_batch: usize) -> Self {
-        if spec_batch == 0 {
-            self.record_invalid(RunError::InvalidConfig(
-                "spec_batch must be >= 1 (got 0)".to_string(),
-            ));
-        }
-        self.config = self.config.with_spec_batch(spec_batch);
-        self
-    }
-
-    /// Execution backend for parallel runs: [`Backend::Threaded`] (the
-    /// default) or [`Backend::Process`] (Linux only). Ignored by
-    /// sequential and simulated runs.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.config = self.config.with_backend(backend);
         self
     }
 
@@ -798,7 +775,6 @@ mod tests {
             .step_size(StepSize::SingleStep)
             .seed(42)
             .window(4)
-            .spec_batch(8)
             .probe(ObsSpec::Spans);
         let cfg = run.config();
         assert_eq!(cfg.processors, 8);
@@ -806,7 +782,6 @@ mod tests {
         assert_eq!(cfg.step_size, StepSize::SingleStep);
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.window, 4);
-        assert_eq!(cfg.spec_batch, 8);
         assert_eq!(cfg.obs, ObsSpec::Spans);
     }
 
@@ -969,6 +944,15 @@ mod tests {
         assert!(bad(seq.resume(&other, &seq_bytes)));
         assert!(bad(sim.resume(&other, &sim_bytes)));
         assert!(bad(seq.resume(&g, &seq_bytes[..seq_bytes.len() - 1])));
+        // A snapshot stamped with the retired format version 1 is
+        // refused by its header, not misread.
+        let mut v1 = sim_bytes.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let why = match sim.resume(&g, &v1).err().expect("must fail") {
+            RunError::BadSnapshot(why) => why,
+            other => panic!("{other:?}"),
+        };
+        assert!(why.contains("unsupported version 1"), "{why}");
         assert!(seq.resume(&g, &seq_bytes).is_ok());
         assert!(sim.resume(&g, &sim_bytes).is_ok());
     }
@@ -1005,8 +989,6 @@ mod tests {
         assert!(matches!(zero_p, Err(RunError::InvalidConfig(_))));
         let zero_window = Run::simulated(2).switches(10).window(0).try_execute(&g);
         assert!(matches!(zero_window, Err(RunError::InvalidConfig(_))));
-        let zero_batch = Run::simulated(2).switches(10).spec_batch(0).try_execute(&g);
-        assert!(matches!(zero_batch, Err(RunError::InvalidConfig(_))));
     }
 
     #[test]

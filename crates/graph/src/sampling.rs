@@ -259,20 +259,11 @@ impl EdgePool {
         }
     }
 
-    /// Remove `e`; returns `false` if it was not present.
+    /// Remove `e`; returns `false` (pool unchanged) if it was not present.
     pub fn remove(&mut self, e: Edge) -> bool {
-        self.remove_logged(e).is_some()
-    }
-
-    /// Remove `e`, reporting the dense index it occupied so the removal
-    /// can be undone exactly with [`EdgePool::unremove`]. Returns `None`
-    /// (pool unchanged) if the edge was not present.
-    ///
-    /// This is the undo-log primitive of the speculative batch path: a
-    /// rank applies switches optimistically, logs `(edge, index)` pairs,
-    /// and on a rejected verdict replays them in reverse.
-    pub fn remove_logged(&mut self, e: Edge) -> Option<u32> {
-        let idx = self.pos.remove(&e.key())?;
+        let Some(idx) = self.pos.remove(&e.key()) else {
+            return false;
+        };
         let i = idx as usize;
         let last = self.edges.pop().expect("an indexed edge is stored");
         if i < self.edges.len() {
@@ -280,38 +271,6 @@ impl EdgePool {
             self.edges.set(i, last);
             self.pos.insert(last, idx);
         }
-        Some(idx)
-    }
-
-    /// Undo a [`EdgePool::remove_logged`] of `e` that reported `at`:
-    /// the edge currently occupying `at` (the one swap-remove moved
-    /// there) returns to the end of the array, and `e` takes its old
-    /// slot back. When undone in exact reverse order of a remove/insert
-    /// sequence, this restores the dense array *and* the position index
-    /// bit-for-bit. If `at` is out of range (possible only when later
-    /// operations were committed rather than undone, shrinking the
-    /// pool), the edge is appended instead — content-equivalent and
-    /// still deterministic, just not position-identical.
-    ///
-    /// Returns `false` (pool unchanged) if `e` is already present.
-    ///
-    /// # Panics
-    /// Panics if the pool already holds [`MAX_POOL_EDGES`] edges.
-    pub fn unremove(&mut self, e: Edge, at: u32) -> bool {
-        let key = e.key();
-        if self.pos.contains_key(&key) {
-            return false;
-        }
-        let i = at as usize;
-        if i >= self.edges.len() {
-            return self.insert(e);
-        }
-        let displaced = self.edges.get(i);
-        let end = next_slot(self.edges.len());
-        self.edges.push(displaced);
-        self.pos.insert(displaced, end);
-        self.edges.set(i, key);
-        self.pos.insert(key, at);
         true
     }
 
@@ -501,47 +460,6 @@ mod tests {
             let dev = (c as f64 - expect).abs() / expect;
             assert!(dev < 0.05, "sampling deviates {dev:.3} from uniform");
         }
-    }
-
-    #[test]
-    fn remove_logged_round_trips_exactly() {
-        let mut p = EdgePool::new();
-        for i in 0..20u64 {
-            p.insert(e(i, i + 1));
-        }
-        let snapshot = p.clone();
-        // A LIFO remove/unremove sequence restores positions bit-exactly,
-        // including removals of the current last element.
-        let mut log = Vec::new();
-        for target in [e(3, 4), e(19, 20), e(0, 1), e(7, 8)] {
-            let at = p.remove_logged(target).expect("present");
-            log.push((target, at));
-        }
-        assert!(p.remove_logged(e(3, 4)).is_none(), "already gone");
-        for (edge, at) in log.into_iter().rev() {
-            assert!(p.unremove(edge, at));
-        }
-        assert!(p.check_consistent());
-        assert_eq!(p.edges, snapshot.edges, "dense array must match exactly");
-        // Undo of a still-present edge is rejected.
-        assert!(!p.unremove(e(0, 1), 0));
-    }
-
-    #[test]
-    fn unremove_falls_back_to_append_when_position_vanished() {
-        let mut p = EdgePool::new();
-        for i in 0..5u64 {
-            p.insert(e(i, i + 1));
-        }
-        let at = p.remove_logged(e(2, 3)).unwrap();
-        // A committed later operation shrank the pool past `at`.
-        while p.len() > at as usize {
-            let victim = p.get(p.len() - 1).unwrap();
-            p.remove(victim);
-        }
-        assert!(p.unremove(e(2, 3), at));
-        assert!(p.contains(e(2, 3)));
-        assert!(p.check_consistent());
     }
 
     #[test]

@@ -81,25 +81,6 @@ impl PartitionStore {
         self.pool.remove(e)
     }
 
-    /// Remove an owned edge, reporting the pool index it occupied so
-    /// [`PartitionStore::unremove`] can restore it exactly; `None` if
-    /// absent. The undo-log primitive of speculative batch rollback.
-    #[inline]
-    pub fn remove_logged(&mut self, e: Edge) -> Option<u32> {
-        self.pool.remove_logged(e)
-    }
-
-    /// Undo a [`PartitionStore::remove_logged`] of `e` that reported
-    /// `at`. Applied in exact reverse order of the logged operations,
-    /// this restores the sampling pool's dense layout bit-for-bit (see
-    /// [`EdgePool::unremove`]).
-    ///
-    /// Returns `false` (store unchanged) if `e` is already present.
-    #[inline]
-    pub fn unremove(&mut self, e: Edge, at: u32) -> bool {
-        self.pool.unremove(e, at)
-    }
-
     /// Draw a uniformly random owned edge.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Edge> {
@@ -272,30 +253,6 @@ mod tests {
         assert!(!s.remove(Edge::new(1, 7)));
         assert_eq!(s.num_edges(), 0);
         assert!(s.check_consistent());
-    }
-
-    #[test]
-    fn remove_logged_unremove_round_trips() {
-        let g = grid_graph();
-        let part = Partitioner::consecutive(&g, 2);
-        let mut stores = build_stores(&g, &part);
-        let s = &mut stores[0];
-        let before: Vec<Edge> = s.edges().collect();
-        let mut log = Vec::new();
-        let mut rng = Pcg64::seed_from_u64(3);
-        for _ in 0..6 {
-            let e = s.sample(&mut rng).unwrap();
-            let at = s.remove_logged(e).expect("sampled edge is present");
-            assert!(s.remove_logged(e).is_none(), "second removal rejected");
-            log.push((e, at));
-        }
-        for (e, at) in log.into_iter().rev() {
-            assert!(s.unremove(e, at));
-            assert!(!s.unremove(e, at), "double undo rejected");
-        }
-        assert!(s.check_consistent());
-        let after: Vec<Edge> = s.edges().collect();
-        assert_eq!(before, after, "pool order must be restored exactly");
     }
 
     #[test]

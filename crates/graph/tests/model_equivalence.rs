@@ -267,28 +267,3 @@ fn split_and_assemble_round_trips_at_every_p() {
         }
     }
 }
-
-#[test]
-fn logged_removals_undo_to_the_exact_pool_order() {
-    let g = erdos_renyi_gnm(120, 700, &mut Pcg64::seed_from_u64(34));
-    let mut store = build_stores(&g, &Partitioner::hash_division(2)).swap_remove(0);
-    let before: Vec<Edge> = store.edges().collect();
-    let mut rng = Pcg64::seed_from_u64(35);
-    // A speculative batch: removals interleaved with inserts, undone in
-    // exact reverse order.
-    let mut log = Vec::new();
-    for i in 0..40u64 {
-        let victim = store.sample(&mut rng).unwrap();
-        let at = store.remove_logged(victim).unwrap();
-        let fresh = Edge::new(1000 + i, 2000 + i);
-        assert!(store.insert(fresh));
-        log.push((victim, at, fresh));
-    }
-    assert_eq!(store.num_edges(), before.len());
-    for (victim, at, fresh) in log.into_iter().rev() {
-        assert!(store.remove(fresh));
-        assert!(store.unremove(victim, at));
-    }
-    assert!(store.check_consistent());
-    assert!(store.edges().eq(before.iter().copied()), "pool order");
-}

@@ -12,6 +12,7 @@
 //! it just re-spends the work).
 
 use crate::json::Json;
+use edgeswitch_core::config::DEFAULT_WINDOW;
 use edgeswitch_core::obs::ProgressEvent;
 use edgeswitch_core::{Randomizer, Run, RunError, RunOutcome};
 use edgeswitch_dist::root_rng;
@@ -112,8 +113,6 @@ pub struct JobSpec {
     pub seed: u64,
     /// Pipelining window (simulated driver).
     pub window: usize,
-    /// Speculative batch size (simulated driver).
-    pub spec_batch: usize,
     /// Randomization engine.
     pub randomizer: Randomizer,
     /// Whether the result should carry the switched edge list.
@@ -142,7 +141,6 @@ impl JobSpec {
         };
         run.seed(self.seed)
             .window(self.window)
-            .spec_batch(self.spec_batch)
             .randomizer(self.randomizer)
     }
 
@@ -264,10 +262,9 @@ impl JobSpec {
             graph,
             budget,
             driver,
-            p: v.get("p").and_then(Json::as_u64).unwrap_or(1) as usize,
-            seed: v.get("seed").and_then(Json::as_u64).unwrap_or(0),
-            window: v.get("window").and_then(Json::as_u64).unwrap_or(1) as usize,
-            spec_batch: v.get("spec_batch").and_then(Json::as_u64).unwrap_or(1) as usize,
+            p: knob(v, "p", 1)? as usize,
+            seed: knob(v, "seed", 0)?,
+            window: knob(v, "window", DEFAULT_WINDOW as u64)? as usize,
             randomizer,
             return_edges: v
                 .get("return_edges")
@@ -350,9 +347,23 @@ impl JobSpec {
             ("p", Json::num(self.p as u64)),
             ("seed", Json::num(self.seed)),
             ("window", Json::num(self.window as u64)),
-            ("spec_batch", Json::num(self.spec_batch as u64)),
             ("return_edges", Json::Bool(self.return_edges)),
         ])
+    }
+}
+
+/// An optional integer knob of a submission: `default` when absent; a
+/// value that is present but not an exact integer in `[0, 2^53)` is an
+/// error naming the field — never silently the default.
+fn knob(v: &Json, key: &str, default: u64) -> Result<u64, String> {
+    match v.get(key) {
+        None => Ok(default),
+        Some(x) => x.as_u64().ok_or_else(|| {
+            format!(
+                "'{key}' must be an integer in [0, 2^53), got {}",
+                x.to_json()
+            )
+        }),
     }
 }
 
@@ -751,7 +762,6 @@ mod tests {
             p: 2,
             seed: 9,
             window: 4,
-            spec_batch: 1,
             randomizer: Randomizer::Switch,
             return_edges: false,
         }
@@ -771,7 +781,6 @@ mod tests {
                 p: 1,
                 seed: 0,
                 window: 1,
-                spec_batch: 1,
                 randomizer: Randomizer::Curveball,
                 return_edges: true,
             },
@@ -818,6 +827,52 @@ mod tests {
                            "budget":{"switches":10}}"#;
         let err = JobSpec::from_json(&json::parse(no_gamma).unwrap()).unwrap_err();
         assert!(err.contains("gamma"), "{err}");
+    }
+
+    #[test]
+    fn unusable_knobs_are_errors_and_absent_ones_default() {
+        let job = |extra: &str| {
+            let text = format!(
+                r#"{{"graph":{{"type":"er","n":100,"m":400,"seed":3}},
+                    "budget":{{"switches":300}},"driver":"simulated"{extra}}}"#
+            );
+            JobSpec::from_json(&json::parse(&text).unwrap())
+        };
+        for field in ["p", "seed", "window"] {
+            for value in ["-3", "2.5", r#""7""#, "9007199254740992"] {
+                let err = job(&format!(r#","{field}":{value}"#)).unwrap_err();
+                assert!(
+                    err.contains(&format!("'{field}'")),
+                    "{field}={value}: {err}"
+                );
+            }
+        }
+        let spec = job("").unwrap();
+        assert_eq!((spec.p, spec.seed, spec.window), (1, 0, DEFAULT_WINDOW));
+        let spec = job(r#","p":2,"seed":9007199254740991,"window":1"#).unwrap();
+        assert_eq!((spec.p, spec.seed, spec.window), (2, (1 << 53) - 1, 1));
+    }
+
+    #[test]
+    fn a_windowless_job_runs_the_window_run_defaults_to() {
+        let text = r#"{"graph":{"type":"er","n":100,"m":400,"seed":3},
+                       "budget":{"switches":300},"driver":"simulated","p":2,"seed":9}"#;
+        let spec = JobSpec::from_json(&json::parse(text).unwrap()).unwrap();
+        let entry = JobEntry::new(1, spec.clone());
+        let result = run_job(
+            &entry,
+            WorkerOpts::default(),
+            None,
+            &AtomicBool::new(false),
+            &|_| Ok(()),
+        )
+        .expect("job completes");
+        let graph = spec.graph.build().unwrap();
+        let direct = Run::simulated(2).switches(300).seed(9).execute(&graph);
+        assert_eq!(
+            result.get("digest").and_then(Json::as_str),
+            Some(&format!("{:#018x}", direct.graph().edge_digest())[..])
+        );
     }
 
     #[test]

@@ -189,6 +189,25 @@ fn wire_validation_maps_run_errors() {
         Some("invalid-config")
     );
 
+    // A knob that is present but unusable is refused at parse time,
+    // naming the field — it never runs as the default.
+    let big_seed = client
+        .submit(
+            json::parse(
+                r#"{"graph":{"type":"er","n":50,"m":100,"seed":1},
+                    "budget":{"switches":10},"seed":9007199254740993}"#,
+            )
+            .unwrap(),
+        )
+        .unwrap()
+        .expect_err("seed beyond 2^53");
+    assert_eq!(
+        big_seed.get("error").and_then(Json::as_str),
+        Some("bad-job")
+    );
+    let detail = big_seed.get("detail").and_then(Json::as_str).unwrap();
+    assert!(detail.contains("'seed'"), "{detail}");
+
     let too_wide = client
         .submit(er_job(r#"{"switches":10}"#, "simulated", 64))
         .unwrap()
@@ -317,29 +336,40 @@ fn done_results_survive_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A checkpoint that is not a snapshot of its job (here: truncated)
-/// fails that job with `bad-checkpoint` — promptly, and without holding
+/// A checkpoint that is not a snapshot of its job (here: truncated, or
+/// written by snapshot format version 1) fails that job with
+/// `bad-checkpoint` — promptly, and without holding
 /// on to its rank slots or wedging `watch`.
 #[test]
 fn truncated_checkpoint_fails_its_job_and_frees_the_pool() {
     let dir = temp_dir("badckpt");
     let store = edgeswitch_svc::CkptStore::open(&dir).unwrap();
-    for (id, driver, p) in [(1u64, "sequential", 1u64), (2, "simulated", 2)] {
+    for (id, driver, p, stale) in [
+        (1u64, "sequential", 1u64, false),
+        (2, "simulated", 2, false),
+        (3, "simulated", 1, true),
+    ] {
         let spec =
             edgeswitch_svc::JobSpec::from_json(&er_job(r#"{"switches":4000}"#, driver, p)).unwrap();
         store.save_job(id, &spec).unwrap();
-        // A real snapshot of this very job, cut short.
+        // A real snapshot of this very job, cut short — or whole, but
+        // stamped with the retired format version.
         let graph = spec.graph.build().unwrap();
         let mut engine = spec.as_run().start(&graph).unwrap();
         engine.advance(500);
-        let bytes = engine.snapshot();
-        store.save_snapshot(id, &bytes[..bytes.len() / 2]).unwrap();
+        let mut bytes = engine.snapshot();
+        if stale {
+            bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        } else {
+            bytes.truncate(bytes.len() / 2);
+        }
+        store.save_snapshot(id, &bytes).unwrap();
     }
 
     let (addr, handle) = start_server(&dir, SchedOpts::default());
     let mut client = Client::connect(&addr).unwrap();
     let started = std::time::Instant::now();
-    for id in [1u64, 2] {
+    for id in [1u64, 2, 3] {
         // `watch` streams every event, then the closing status line.
         let mut cursor = client
             .request(&Json::obj([

@@ -596,135 +596,6 @@ fn local_fastpath_toggle_on_the_threaded_engine() {
     }
 }
 
-/// FIFO≡DES must hold on the *speculative* schedule too: batching
-/// changes which switches conflict (a whole window is applied before
-/// any verdict arrives), but both simulators must still walk the same
-/// causal schedule at every batch depth × window depth.
-#[test]
-fn fifo_des_conformance_holds_across_spec_batches() {
-    let g = clustered_graph(37);
-    let t = 2_000;
-    for batch in [1usize, 4, 16] {
-        for window in [1usize, 16] {
-            let cfg = config(8).with_window(window).with_spec_batch(batch);
-            let fifo = simulated(&g, t, &cfg);
-            let (des, _) = des(&g, t, &cfg);
-            assert!(
-                fifo.graph.same_edge_set(&des.graph),
-                "FIFO and DES diverged at batch={batch} window={window}"
-            );
-            assert_eq!(
-                fifo.per_rank, des.per_rank,
-                "stats diverged at batch={batch} window={window}"
-            );
-            assert_eq!(fifo.final_edges, des.final_edges);
-            assert_eq!(fifo.performed(), des.performed());
-            assert_eq!(fifo.window_peak(), des.window_peak());
-            assert_eq!(fifo.packet_total(), des.packet_total());
-            // The books balance on the speculative schedule too: every
-            // operation either performed or forfeited, degrees intact,
-            // and speculative occupancy stays inside the window bound.
-            assert_eq!(fifo.performed() + fifo.forfeited(), t);
-            assert_eq!(fifo.graph.degree_sequence(), g.degree_sequence());
-            assert!(fifo.window_peak() <= window as u64);
-            let committed: u64 = fifo.per_rank.iter().map(|s| s.spec_committed).sum();
-            if batch == 1 {
-                // Speculation off: the counters must stay silent.
-                assert_eq!(committed, 0, "spec committed with batching off");
-                assert!(fifo.per_rank.iter().all(|s| s.spec_rolled_back == 0));
-            } else if window >= batch {
-                // With room to breathe, speculation actually engages on
-                // this hash-partitioned workload.
-                assert!(
-                    committed > 0,
-                    "speculation never committed at batch={batch} window={window}"
-                );
-            }
-        }
-    }
-}
-
-/// `spec_batch = 1` (the default) must be *bit-identical* to the
-/// pre-batching protocol: same graph, same stats, same telemetry, same
-/// packets — the golden behaviour every prior test pinned.
-#[test]
-fn spec_batch_off_is_bit_identical_to_golden_path() {
-    let g = clustered_graph(38);
-    let t = 2_000;
-    for p in [1usize, 4, 8] {
-        for window in [1usize, 16] {
-            let golden_cfg = config(p).with_window(window);
-            let off_cfg = golden_cfg.clone().with_spec_batch(1);
-            let golden = simulated(&g, t, &golden_cfg);
-            let off = simulated(&g, t, &off_cfg);
-            assert!(
-                golden.graph.same_edge_set(&off.graph),
-                "spec_batch=1 changed the graph at p={p} window={window}"
-            );
-            assert_eq!(
-                golden.per_rank, off.per_rank,
-                "spec_batch=1 changed rank stats at p={p} window={window}"
-            );
-            assert_eq!(golden.final_edges, off.final_edges);
-            assert_eq!(golden.telemetry.len(), off.telemetry.len());
-            for (a, b) in golden.telemetry.iter().zip(off.telemetry.iter()) {
-                assert_eq!(a.ops, b.ops);
-                assert_eq!(a.started, b.started);
-                assert_eq!(a.performed, b.performed);
-                assert_eq!(a.forfeited, b.forfeited);
-                assert_eq!(a.served, b.served);
-                assert_eq!(a.blocked, b.blocked);
-                assert_eq!(a.parked, b.parked);
-                assert_eq!(a.window_peak, b.window_peak);
-                assert_eq!(a.packets, b.packets);
-                assert_eq!(a.logical_msgs, b.logical_msgs);
-                assert_eq!(a.spec_committed, b.spec_committed);
-                assert_eq!(a.spec_rolled_back, b.spec_rolled_back);
-            }
-        }
-    }
-}
-
-/// The threaded engine under speculation is held to the same
-/// schedule-independent invariants as the per-switch path, and at
-/// `p = 1` it must agree with the simulator exactly.
-#[test]
-fn threaded_engine_invariants_hold_under_speculation() {
-    let g = clustered_graph(39);
-    let t = 2_000;
-    // p=1: fully deterministic — engine ≡ simulator, bit for bit.
-    let cfg1 = config(1).with_spec_batch(8);
-    let eng = threaded(&g, t, &cfg1);
-    let fifo = simulated(&g, t, &cfg1);
-    assert!(
-        eng.graph.same_edge_set(&fifo.graph),
-        "threaded p=1 diverged from the simulator under speculation"
-    );
-    assert_eq!(eng.per_rank, fifo.per_rank);
-    // At p=1 everything is local, so speculation never needs a partner
-    // verdict: no rollbacks, no spec commits — just the tight loop.
-    assert!(eng.per_rank.iter().all(|s| s.spec_rolled_back == 0));
-
-    for p in [2usize, 4] {
-        let out = threaded(&g, t, &config(p).with_spec_batch(8));
-        out.graph.check_invariants().unwrap();
-        assert_eq!(out.graph.degree_sequence(), g.degree_sequence());
-        assert_eq!(out.performed() + out.forfeited(), t);
-        // Speculative accounting: commits count as performed local
-        // switches, and every started attempt still terminates exactly
-        // once (a rollback is an abort, a commit is a Done).
-        let aborts: u64 = out.per_rank.iter().map(|s| s.aborts()).sum();
-        assert_eq!(
-            out.telemetry.iter().map(|s| s.started).sum::<u64>(),
-            out.performed() + aborts
-        );
-        for s in &out.per_rank {
-            assert!(s.spec_committed <= s.performed_local);
-            assert!(s.spec_rolled_back <= s.aborts());
-        }
-    }
-}
-
 /// Process-backend re-entry hook, not a test: rank children spawned by
 /// the process-backend tests below are this same test binary re-executed
 /// with argv selecting exactly this `#[ignore]`d name. With the shm
@@ -738,9 +609,8 @@ fn shm_child_entry() {
 
 /// At `p = 1` the process engine, like the threaded engine, has no
 /// cross-rank interleaving: the child rank must replay exactly the FIFO
-/// simulator's schedule, bit for bit, across window depths and with
-/// speculation on — despite crossing a process boundary twice (boot blob
-/// out, result blob back).
+/// simulator's schedule, bit for bit, across window depths — despite
+/// crossing a process boundary twice (boot blob out, result blob back).
 #[test]
 fn process_engine_p1_is_bit_identical_to_simulator() {
     if !process_backend_supported() {
@@ -749,11 +619,11 @@ fn process_engine_p1_is_bit_identical_to_simulator() {
     }
     let g = clustered_graph(41);
     let t = 2_000;
-    for (window, batch) in [(1usize, 1usize), (16, 1), (16, 8)] {
-        let cfg = config(1).with_window(window).with_spec_batch(batch);
+    for window in [1usize, 16] {
+        let cfg = config(1).with_window(window);
         let fifo = simulated(&g, t, &cfg);
         let proc = threaded(&g, t, &cfg.clone().with_backend(Backend::Process));
-        let ctx = format!("process p=1 window={window} batch={batch}");
+        let ctx = format!("process p=1 window={window}");
         assert!(
             proc.graph.same_edge_set(&fifo.graph),
             "graph diverged: {ctx}"
@@ -777,8 +647,6 @@ fn process_engine_p1_is_bit_identical_to_simulator() {
             assert_eq!(a.blocked, b.blocked, "blocked diverged: {ctx}");
             assert_eq!(a.window_peak, b.window_peak, "peak diverged: {ctx}");
             assert_eq!(a.local_fastpath, b.local_fastpath);
-            assert_eq!(a.spec_committed, b.spec_committed);
-            assert_eq!(a.spec_rolled_back, b.spec_rolled_back);
             assert_eq!(a.packets, b.packets, "packets diverged: {ctx}");
             assert_eq!(a.logical_msgs, b.logical_msgs, "messages diverged: {ctx}");
         }
@@ -788,9 +656,9 @@ fn process_engine_p1_is_bit_identical_to_simulator() {
 /// At `p > 1` the process engine's schedule depends on OS interleaving
 /// (like the threaded engine's), so the two drivers are compared on
 /// schedule-independent logical outcomes across processor counts ×
-/// window depths × speculative batch depths: the permanent invariants
-/// hold for both, and everything determined by `(graph, t, config)`
-/// alone — step count, step sizes, initial edge count — agrees exactly.
+/// window depths: the permanent invariants hold for both, and
+/// everything determined by `(graph, t, config)` alone — step count,
+/// step sizes, initial edge count — agrees exactly.
 #[test]
 fn process_engine_matches_threaded_logical_outcomes() {
     if !process_backend_supported() {
@@ -801,50 +669,48 @@ fn process_engine_matches_threaded_logical_outcomes() {
     let t = 1_500;
     for p in [2usize, 4] {
         for window in [1usize, 16] {
-            for batch in [1usize, 8] {
-                let cfg = config(p).with_window(window).with_spec_batch(batch);
-                let thr = threaded(&g, t, &cfg);
-                let proc = threaded(&g, t, &cfg.clone().with_backend(Backend::Process));
-                let ctx = format!("p={p} window={window} batch={batch}");
-                for out in [&thr, &proc] {
-                    out.graph.check_invariants().unwrap();
-                    assert_eq!(out.graph.degree_sequence(), g.degree_sequence(), "{ctx}");
-                    assert_eq!(out.performed() + out.forfeited(), t, "{ctx}");
-                    assert_eq!(out.telemetry.len(), out.steps as usize, "{ctx}");
-                    assert_eq!(out.telemetry.iter().map(|s| s.ops).sum::<u64>(), t);
-                    assert_eq!(
-                        out.telemetry.iter().map(|s| s.performed).sum::<u64>(),
-                        out.performed()
-                    );
-                    let aborts: u64 = out.per_rank.iter().map(|s| s.aborts()).sum();
-                    assert_eq!(
-                        out.telemetry.iter().map(|s| s.started).sum::<u64>(),
-                        out.performed() + aborts,
-                        "{ctx}"
-                    );
-                    // Per-kind message counters agree between the
-                    // telemetry layer and the transport's own books.
-                    let msgs = out.logical_msg_totals();
-                    for kind in MsgKind::ALL {
-                        if kind == MsgKind::Coll {
-                            continue;
-                        }
-                        let from_comm: u64 = out
-                            .comm
-                            .iter()
-                            .map(|c| c.logical_by_kind[kind as usize])
-                            .sum();
-                        assert_eq!(msgs.get(kind), from_comm, "kind {kind:?}: {ctx}");
+            let cfg = config(p).with_window(window);
+            let thr = threaded(&g, t, &cfg);
+            let proc = threaded(&g, t, &cfg.clone().with_backend(Backend::Process));
+            let ctx = format!("p={p} window={window}");
+            for out in [&thr, &proc] {
+                out.graph.check_invariants().unwrap();
+                assert_eq!(out.graph.degree_sequence(), g.degree_sequence(), "{ctx}");
+                assert_eq!(out.performed() + out.forfeited(), t, "{ctx}");
+                assert_eq!(out.telemetry.len(), out.steps as usize, "{ctx}");
+                assert_eq!(out.telemetry.iter().map(|s| s.ops).sum::<u64>(), t);
+                assert_eq!(
+                    out.telemetry.iter().map(|s| s.performed).sum::<u64>(),
+                    out.performed()
+                );
+                let aborts: u64 = out.per_rank.iter().map(|s| s.aborts()).sum();
+                assert_eq!(
+                    out.telemetry.iter().map(|s| s.started).sum::<u64>(),
+                    out.performed() + aborts,
+                    "{ctx}"
+                );
+                // Per-kind message counters agree between the
+                // telemetry layer and the transport's own books.
+                let msgs = out.logical_msg_totals();
+                for kind in MsgKind::ALL {
+                    if kind == MsgKind::Coll {
+                        continue;
                     }
+                    let from_comm: u64 = out
+                        .comm
+                        .iter()
+                        .map(|c| c.logical_by_kind[kind as usize])
+                        .sum();
+                    assert_eq!(msgs.get(kind), from_comm, "kind {kind:?}: {ctx}");
                 }
-                // Everything fixed by `(graph, t, config)` alone is
-                // identical across the two transports.
-                assert_eq!(proc.steps, thr.steps, "steps diverged: {ctx}");
-                assert_eq!(proc.initial_edges, thr.initial_edges, "{ctx}");
-                assert_eq!(proc.per_rank.len(), thr.per_rank.len());
-                for (a, b) in proc.telemetry.iter().zip(thr.telemetry.iter()) {
-                    assert_eq!(a.ops, b.ops, "step sizes diverged: {ctx}");
-                }
+            }
+            // Everything fixed by `(graph, t, config)` alone is
+            // identical across the two transports.
+            assert_eq!(proc.steps, thr.steps, "steps diverged: {ctx}");
+            assert_eq!(proc.initial_edges, thr.initial_edges, "{ctx}");
+            assert_eq!(proc.per_rank.len(), thr.per_rank.len());
+            for (a, b) in proc.telemetry.iter().zip(thr.telemetry.iter()) {
+                assert_eq!(a.ops, b.ops, "step sizes diverged: {ctx}");
             }
         }
     }

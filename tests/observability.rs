@@ -176,11 +176,6 @@ fn threaded_observed_run_reports_all_phases_and_round_trips() {
     assert_eq!(report.ranks, 4);
     assert!(report.wall_ns > 0);
     for phase in Phase::ALL {
-        if phase == Phase::BatchValidate {
-            // Speculation is off here (`spec_batch = 1`); the batch
-            // phase has its own observed coverage test below.
-            continue;
-        }
         if phase == Phase::TradeShuffle {
             // Curveball-only phase; the switch protocol never records
             // it. Covered by the trade engine's observed-run test.
@@ -201,32 +196,6 @@ fn threaded_observed_run_reports_all_phases_and_round_trips() {
     // the receive queues were observed.
     assert!(report.gauge("window-occupancy").expect("gauge").samples > 0);
     assert!(report.gauge("recv-queue-depth").expect("gauge").samples > 0);
-}
-
-#[test]
-fn speculative_batch_observed_run_covers_batch_phase() {
-    // With speculation on, the owner-side `BatchPropose` serve phase and
-    // the speculative round-trip histogram populate, the report's spec
-    // counters equal the per-rank sums — and the probe-identity claim
-    // still holds on the speculative schedule.
-    let g = graph(27);
-    let t = 2_000;
-    let cfg = config(4, DEFAULT_WINDOW).with_spec_batch(8);
-    let plain = simulated(&g, t, &cfg);
-    let observed = simulated(&g, t, &cfg.clone().with_obs(ObsSpec::Spans));
-    assert_logically_identical(&plain, &observed, "FIFO spec batch");
-    let report = observed.report.as_ref().expect("observed run");
-    assert!(
-        report.phase(Phase::BatchValidate).hist.count > 0,
-        "no speculative batch was ever served"
-    );
-    let batch = report.rtt_of(MsgKind::BatchPropose).expect("reported kind");
-    assert!(batch.hist.count > 0);
-    let committed: u64 = observed.per_rank.iter().map(|s| s.spec_committed).sum();
-    let rolled: u64 = observed.per_rank.iter().map(|s| s.spec_rolled_back).sum();
-    assert!(committed > 0, "no speculation was ever confirmed");
-    assert_eq!(report.spec_committed, committed);
-    assert_eq!(report.spec_rolled_back, rolled);
 }
 
 #[test]
@@ -281,16 +250,7 @@ fn run_report_json_schema_is_stable() {
 
     assert_eq!(
         keys(&v),
-        vec![
-            "clock",
-            "gauges",
-            "phases",
-            "ranks",
-            "rtt",
-            "spec_committed",
-            "spec_rolled_back",
-            "wall_ns"
-        ],
+        vec!["clock", "gauges", "phases", "ranks", "rtt", "wall_ns"],
         "top-level keys changed"
     );
     assert_eq!(v["clock"].as_str(), Some("monotonic"));
@@ -311,7 +271,6 @@ fn run_report_json_schema_is_stable() {
             "step-barrier",
             "q-refresh",
             "local-fastpath",
-            "batch-validate",
             "trade-shuffle"
         ],
         "phase labels or order changed"
@@ -328,13 +287,7 @@ fn run_report_json_schema_is_stable() {
     let kinds: Vec<&str> = rtt.iter().map(|r| r["kind"].as_str().unwrap()).collect();
     assert_eq!(
         kinds,
-        vec![
-            "propose",
-            "validate",
-            "commit-add",
-            "commit-remove",
-            "batch-propose"
-        ],
+        vec!["propose", "validate", "commit-add", "commit-remove"],
         "round-trip kinds or order changed"
     );
 
