@@ -11,7 +11,6 @@
 use edgeswitch_bench::experiments::{
     ablation_ids, all_ids, diagnostic_ids,
     genscale::{genscale_child_from_env, mem_gate},
-    hotpath::{local_gate, probe_gate, proc_gate, scaling_gate, THREADED_P1_FLOOR},
     mixing::mixing_gate,
     perf_ids, run, ExpConfig,
 };
@@ -21,7 +20,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <experiment|all|ablations|diagnostics|list> [--scale S] [--reps N] [--seed X] [--out DIR] [--quick] [--timeline] [--gate-scaling] [--gate-probe] [--gate-local] [--gate-proc] [--gate-mixing] [--gate-mem]\n\
+        "usage: repro <experiment|all|ablations|diagnostics|list> [--scale S] [--reps N] [--seed X] [--out DIR] [--quick] [--timeline] [--gate-mixing] [--gate-mem]\n\
          \x20      repro serve [--listen ADDR] [--ckpt DIR] [--pool N] [--queue N] [--chunk N] [--ckpt-every N] [--smoke]\n\
          experiments: {}",
         all_ids().join(", ")
@@ -78,10 +77,6 @@ fn main() {
     }
     let mut cfg = ExpConfig::default();
     let mut out_dir = PathBuf::from("results");
-    let mut gate_scaling = false;
-    let mut gate_probe = false;
-    let mut gate_local = false;
-    let mut gate_proc = false;
     let mut gate_mixing = false;
     let mut gate_mem = false;
     let mut i = 1;
@@ -127,28 +122,6 @@ fn main() {
                 cfg.timeline = true;
                 i += 1;
             }
-            "--gate-scaling" => {
-                // CI anti-scaling guard (hotpath only): exit non-zero if
-                // threaded p=2 falls below p=1 on the quick ER case.
-                gate_scaling = true;
-                i += 1;
-            }
-            "--gate-local" => {
-                // CI fast-path guard (hotpath only): exit non-zero if
-                // threaded p=1 at the default window falls below
-                // THREADED_P1_FLOOR of sequential throughput on the quick ER
-                // case.
-                gate_local = true;
-                i += 1;
-            }
-            "--gate-proc" => {
-                // CI process-scaling guard (hotpath only): exit non-zero
-                // if process p=2 falls below 1.3x process p=1 on the
-                // quick ER case. Auto-skips (with a notice) on 1-core
-                // runners and platforms without the process backend.
-                gate_proc = true;
-                i += 1;
-            }
             "--gate-mixing" => {
                 // CI mixing-efficiency guard (mixing only): exit non-zero
                 // if sequential Curveball needs more than half the
@@ -165,13 +138,6 @@ fn main() {
                 // materialize-then-split path at the same m. Auto-skips
                 // (with a notice) where VmHWM is unavailable.
                 gate_mem = true;
-                i += 1;
-            }
-            "--gate-probe" => {
-                // CI probe-overhead guard (hotpath only): exit non-zero
-                // if the no-op probe costs more than 3% of the frozen
-                // uninstrumented baseline.
-                gate_probe = true;
                 i += 1;
             }
             _ => usage(),
@@ -236,44 +202,6 @@ fn main() {
                 archive_perf(&report);
                 if report.id == "trace" && cfg.timeline {
                     spill_timeline(&report);
-                }
-                if gate_scaling && report.id == "hotpath" {
-                    match scaling_gate(&report.data) {
-                        Ok(()) => println!("# scaling gate: ok (threaded p=2 >= p=1 on ER)"),
-                        Err(why) => {
-                            eprintln!("# scaling gate FAILED: {why}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-                if gate_local && report.id == "hotpath" {
-                    match local_gate(&report.data) {
-                        Ok(()) => println!(
-                            "# local gate: ok (threaded p=1 >= {THREADED_P1_FLOOR:.2}x sequential on ER)"
-                        ),
-                        Err(why) => {
-                            eprintln!("# local gate FAILED: {why}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-                if gate_probe && report.id == "hotpath" {
-                    match probe_gate(&report.data) {
-                        Ok(()) => println!("# probe gate: ok (no-op probe within 3% of baseline)"),
-                        Err(why) => {
-                            eprintln!("# probe gate FAILED: {why}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-                if gate_proc && report.id == "hotpath" {
-                    match proc_gate(&report.data) {
-                        Ok(note) => println!("# proc gate: {note}"),
-                        Err(why) => {
-                            eprintln!("# proc gate FAILED: {why}");
-                            std::process::exit(1);
-                        }
-                    }
                 }
                 if gate_mem && report.id == "genscale" {
                     match mem_gate(&report.data) {

@@ -9,9 +9,10 @@
 //! every re-dealt edge visited, so a single pass of `⌊n/2⌋` trades
 //! covers almost the whole edge set at once.
 //!
-//! This experiment measures both schemes to the same target on the
-//! three hotpath graph families, sequentially and on the threaded
-//! engine at p = 4. Two work ledgers are recorded per case:
+//! This experiment measures both schemes to the same target on three
+//! graph families (uniform, heavy-tailed, clustered), sequentially and
+//! on the threaded engine at p = 4. Two work ledgers are recorded per
+//! case:
 //!
 //! - `ops` — scheme-native operations (performed switches, or trades),
 //!   the number the schedulers and the protocol pay per operation;
@@ -50,7 +51,7 @@ fn scaled(base: usize, scale: f64, floor: usize) -> usize {
     ((base as f64 * scale) as usize).max(floor)
 }
 
-/// The same three families as `hotpath`, at `scale` of their 100k-edge
+/// The three graph families, at `scale` of their 100k-edge
 /// reference size: uniform (ER), heavy-tailed (PA), clustered (WS).
 fn families(cfg: &ExpConfig) -> Vec<(&'static str, Graph)> {
     let mut rng = root_rng(cfg.seed);

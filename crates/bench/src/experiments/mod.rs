@@ -4,7 +4,6 @@
 
 pub mod ablation;
 pub mod genscale;
-pub mod hotpath;
 pub mod loadbalance;
 pub mod mixing;
 pub mod multinomial;
@@ -68,7 +67,7 @@ pub fn diagnostic_ids() -> Vec<&'static str> {
 /// Performance-tracking experiment ids (not paper figures; the repro
 /// binary archives these as `BENCH_<id>.json` for regression tracking).
 pub fn perf_ids() -> Vec<&'static str> {
-    vec!["hotpath", "mixing", "genscale"]
+    vec!["mixing", "genscale"]
 }
 
 /// Run one experiment by id; `None` for an unknown id.
@@ -78,7 +77,6 @@ pub fn run(id: &str, cfg: &ExpConfig) -> Option<Report> {
         "ablation-latency" => ablation::ablation_latency(cfg),
         "telemetry-steps" => telemetry::telemetry_steps(cfg),
         "trace" => trace::trace(cfg),
-        "hotpath" => hotpath::hotpath(cfg),
         "mixing" => mixing::mixing(cfg),
         "genscale" => genscale::genscale(cfg),
         "table1" => visit::table1(cfg),
@@ -117,7 +115,9 @@ mod tests {
 
     #[test]
     fn unknown_id_is_none() {
-        assert!(run("fig99", &ExpConfig::default()).is_none());
+        for id in ["fig99", "hotpath"] {
+            assert!(run(id, &ExpConfig::default()).is_none(), "{id}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! - [`Probe`] receives spans/latencies/gauges; the default
 //!   [`NoopProbe`] compiles to a single branch on a cached `bool`
-//!   (proven overhead-free by the `repro hotpath` probe gate), while
+//!   (the path perfbench's `seq-switch-pa1m` workload times), while
 //!   [`RecordingProbe`] aggregates into log₂-bucketed histograms;
 //! - [`Clock`] abstracts *when*: the threaded engine and the sequential
 //!   algorithm use the monotonic [`MonoClock`], the DES injects a

@@ -8,18 +8,9 @@ use edgeswitch_dist::Rng;
 /// pairs, by rejection sampling. Efficient while `m ≪ n(n−1)/2`.
 ///
 /// # Panics
-/// Panics if `m` exceeds the number of possible simple edges.
+/// Panics unless [`check_gnm`] accepts `(n, m)`.
 pub fn erdos_renyi_gnm<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Graph {
-    let max_edges = n as u128 * (n as u128 - 1) / 2;
-    assert!(
-        (m as u128) <= max_edges,
-        "G(n={n}, m={m}) wants more edges than the {max_edges} possible"
-    );
-    assert!(
-        (m as u128) * 2 <= max_edges || n < 4000,
-        "rejection sampling would crawl at density m/max = {:.2}; use a denser generator",
-        m as f64 / max_edges as f64
-    );
+    check_gnm(n, m).unwrap_or_else(|why| panic!("{why}"));
     let mut g = Graph::with_edge_capacity(n, m);
     while g.num_edges() < m {
         let a = rng.gen_range(0..n as u64);
@@ -29,6 +20,29 @@ pub fn erdos_renyi_gnm<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Grap
         }
     }
     g
+}
+
+/// The preconditions of [`erdos_renyi_gnm`], checked without generating:
+/// `1 <= n <= 2^32` (the packed-edge vertex limit), `m` at most the
+/// `n(n−1)/2` possible edges, and from 4 000 vertices up at most half of
+/// them, past which rejection sampling would crawl.
+pub fn check_gnm(n: usize, m: usize) -> Result<(), String> {
+    if n == 0 || n as u128 > 1 << 32 {
+        return Err(format!("G(n, m) requires 1 <= n <= 2^32 (got n={n})"));
+    }
+    let max_edges = n as u128 * (n as u128 - 1) / 2;
+    if m as u128 > max_edges {
+        return Err(format!(
+            "G(n={n}, m={m}) wants more edges than the {max_edges} possible"
+        ));
+    }
+    if m as u128 * 2 > max_edges && n >= 4000 {
+        return Err(format!(
+            "rejection sampling would crawl at density m/max = {:.2}; use a denser generator",
+            m as f64 / max_edges as f64
+        ));
+    }
+    Ok(())
 }
 
 /// `G(n, p)`: every pair independently with probability `p`, using the

@@ -26,9 +26,9 @@ mod spec;
 pub use contact::{contact_network, ContactParams};
 pub use datasets::{Dataset, DatasetSpec};
 pub use degree_seq::{DegreeSeqStream, DegreeSequence};
-pub use erdos_renyi::{erdos_renyi_gnm, erdos_renyi_gnp};
+pub use erdos_renyi::{check_gnm, erdos_renyi_gnm, erdos_renyi_gnp};
 pub use families::{random_regular, stochastic_block_model};
 pub use pa_stream::{pa_stream_edge, pa_stream_graph, PaStream};
-pub use preferential::preferential_attachment;
+pub use preferential::{check_preferential_attachment, preferential_attachment};
 pub use small_world::small_world;
 pub use spec::StreamSpec;

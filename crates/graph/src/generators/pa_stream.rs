@@ -25,6 +25,7 @@
 //! duplicate edges are emitted and deduplicated by the consumer
 //! (`Graph::from_stream` / store insert), per the streaming contract.
 
+use super::check_preferential_attachment;
 use crate::graph::Graph;
 use crate::hashing::mix64;
 use crate::stream::{EdgeStream, DEFAULT_CHUNK_EDGES};
@@ -109,16 +110,9 @@ impl PaStream {
     /// Stream for an `n`-vertex, `d`-per-arrival process.
     ///
     /// # Panics
-    /// Panics unless `1 ≤ d < n` and `n ≤ 2^32`.
+    /// Panics unless [`check_preferential_attachment`] accepts `(n, d)`.
     pub fn new(n: usize, d: usize, seed: u64) -> Self {
-        assert!(
-            d >= 1 && d < n,
-            "preferential attachment requires 1 <= d < n (got d={d}, n={n})"
-        );
-        assert!(
-            n as u128 <= 1 << 32,
-            "preferential attachment over {n} vertices exceeds the 2^32 packed-storage limit"
-        );
+        check_preferential_attachment(n, d).unwrap_or_else(|why| panic!("{why}"));
         PaStream {
             seed,
             d: d as u64,

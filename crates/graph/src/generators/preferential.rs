@@ -11,9 +11,9 @@ use edgeswitch_dist::Rng;
 /// paper's PA-100M / PA-1B datasets; average degree approaches `2d`.
 ///
 /// # Panics
-/// Panics unless `1 ≤ d < n`.
+/// Panics unless [`check_preferential_attachment`] accepts `(n, d)`.
 pub fn preferential_attachment<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Graph {
-    assert!(d >= 1 && d < n, "need 1 <= d < n (d={d}, n={n})");
+    check_preferential_attachment(n, d).unwrap_or_else(|why| panic!("{why}"));
     // Exact final edge count: d seed edges + d per later arrival.
     let mut g = Graph::with_edge_capacity(n, d + n.saturating_sub(d + 1) * d);
     // Every edge endpoint is pushed here, so sampling an index uniformly
@@ -45,6 +45,23 @@ pub fn preferential_attachment<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R)
         }
     }
     g
+}
+
+/// The preconditions of [`preferential_attachment`] and of its streaming
+/// form [`PaStream`](super::PaStream), checked without generating:
+/// `1 <= d < n <= 2^32` (the packed-edge vertex limit).
+pub fn check_preferential_attachment(n: usize, d: usize) -> Result<(), String> {
+    if d < 1 || d >= n {
+        return Err(format!(
+            "preferential attachment requires 1 <= d < n (got d={d}, n={n})"
+        ));
+    }
+    if n as u128 > 1 << 32 {
+        return Err(format!(
+            "preferential attachment n={n} exceeds the 2^32 vertex limit"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

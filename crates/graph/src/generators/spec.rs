@@ -10,6 +10,7 @@
 //!
 //! [`PartitionStore`]: crate::store::PartitionStore
 
+use super::check_preferential_attachment;
 use super::degree_seq::DegreeSequence;
 use super::pa_stream::PaStream;
 use crate::graph::Graph;
@@ -64,15 +65,7 @@ impl StreamSpec {
     /// job submission endpoint runs before accepting the spec.
     pub fn validate(&self) -> Result<(), String> {
         match *self {
-            StreamSpec::Pa { n, d, .. } => {
-                if d < 1 || d >= n {
-                    return Err(format!("pa-stream requires 1 <= d < n (got d={d}, n={n})"));
-                }
-                if n as u128 > 1 << 32 {
-                    return Err(format!("pa-stream n={n} exceeds the 2^32 vertex limit"));
-                }
-                Ok(())
-            }
+            StreamSpec::Pa { n, d, .. } => check_preferential_attachment(n, d),
             StreamSpec::PowerLawSeq {
                 n,
                 gamma,

@@ -16,7 +16,9 @@ use edgeswitch_core::config::DEFAULT_WINDOW;
 use edgeswitch_core::obs::ProgressEvent;
 use edgeswitch_core::{Randomizer, Run, RunError, RunOutcome};
 use edgeswitch_dist::root_rng;
-use edgeswitch_graph::generators::{erdos_renyi_gnm, preferential_attachment, StreamSpec};
+use edgeswitch_graph::generators::{
+    check_gnm, check_preferential_attachment, erdos_renyi_gnm, preferential_attachment, StreamSpec,
+};
 use edgeswitch_graph::{Edge, Graph};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
@@ -176,28 +178,38 @@ impl JobSpec {
                     .collect::<Result<Vec<_>, String>>()?;
                 GraphSpec::Inline { n, edges }
             }
-            Some("er") => GraphSpec::ErdosRenyi {
-                n: graph_json
+            Some("er") => {
+                let n = graph_json
                     .get("n")
                     .and_then(Json::as_u64)
-                    .ok_or("er graph needs 'n'")? as usize,
-                m: graph_json
+                    .ok_or("er graph needs 'n'")? as usize;
+                let m = graph_json
                     .get("m")
                     .and_then(Json::as_u64)
-                    .ok_or("er graph needs 'm'")? as usize,
-                seed: graph_json.get("seed").and_then(Json::as_u64).unwrap_or(1),
-            },
-            Some("pa") => GraphSpec::PreferentialAttachment {
-                n: graph_json
+                    .ok_or("er graph needs 'm'")? as usize;
+                check_gnm(n, m)?;
+                GraphSpec::ErdosRenyi {
+                    n,
+                    m,
+                    seed: knob(graph_json, "seed", 1)?,
+                }
+            }
+            Some("pa") => {
+                let n = graph_json
                     .get("n")
                     .and_then(Json::as_u64)
-                    .ok_or("pa graph needs 'n'")? as usize,
-                d: graph_json
+                    .ok_or("pa graph needs 'n'")? as usize;
+                let d = graph_json
                     .get("d")
                     .and_then(Json::as_u64)
-                    .ok_or("pa graph needs 'd'")? as usize,
-                seed: graph_json.get("seed").and_then(Json::as_u64).unwrap_or(1),
-            },
+                    .ok_or("pa graph needs 'd'")? as usize;
+                check_preferential_attachment(n, d)?;
+                GraphSpec::PreferentialAttachment {
+                    n,
+                    d,
+                    seed: knob(graph_json, "seed", 1)?,
+                }
+            }
             Some("pa-stream") => {
                 let spec = StreamSpec::Pa {
                     n: graph_json
@@ -208,7 +220,7 @@ impl JobSpec {
                         .get("d")
                         .and_then(Json::as_u64)
                         .ok_or("pa-stream graph needs 'd'")? as usize,
-                    seed: graph_json.get("seed").and_then(Json::as_u64).unwrap_or(1),
+                    seed: knob(graph_json, "seed", 1)?,
                 };
                 spec.validate()?;
                 GraphSpec::Streamed(spec)
@@ -233,7 +245,7 @@ impl JobSpec {
                         .and_then(Json::as_u64)
                         .ok_or("degree-seq graph needs 'd_max'")?
                         as usize,
-                    seed: graph_json.get("seed").and_then(Json::as_u64).unwrap_or(1),
+                    seed: knob(graph_json, "seed", 1)?,
                 };
                 spec.validate()?;
                 GraphSpec::Streamed(spec)
@@ -352,7 +364,8 @@ impl JobSpec {
     }
 }
 
-/// An optional integer knob of a submission: `default` when absent; a
+/// An optional integer knob of a submission or of its graph spec:
+/// `default` when absent; a
 /// value that is present but not an exact integer in `[0, 2^53)` is an
 /// error naming the field — never silently the default.
 fn knob(v: &Json, key: &str, default: u64) -> Result<u64, String> {
@@ -827,6 +840,20 @@ mod tests {
                            "budget":{"switches":10}}"#;
         let err = JobSpec::from_json(&json::parse(no_gamma).unwrap()).unwrap_err();
         assert!(err.contains("gamma"), "{err}");
+        // The materialized generators' preconditions are checked the same
+        // way, by the rule each generator asserts.
+        for (graph, why) in [
+            (r#"{"type":"pa","n":4,"d":4}"#, "1 <= d < n"),
+            (r#"{"type":"pa","n":4294967297,"d":4}"#, "2^32"),
+            (r#"{"type":"er","n":10,"m":46}"#, "more edges"),
+            (r#"{"type":"er","n":0,"m":0}"#, "1 <= n"),
+            (r#"{"type":"er","n":4294967297,"m":10}"#, "1 <= n <= 2^32"),
+            (r#"{"type":"er","n":5000,"m":10000000}"#, "crawl"),
+        ] {
+            let text = format!(r#"{{"graph":{graph},"budget":{{"switches":10}}}}"#);
+            let err = JobSpec::from_json(&json::parse(&text).unwrap()).unwrap_err();
+            assert!(err.contains(why), "{graph}: {err}");
+        }
     }
 
     #[test]
@@ -851,6 +878,29 @@ mod tests {
         assert_eq!((spec.p, spec.seed, spec.window), (1, 0, DEFAULT_WINDOW));
         let spec = job(r#","p":2,"seed":9007199254740991,"window":1"#).unwrap();
         assert_eq!((spec.p, spec.seed, spec.window), (2, (1 << 53) - 1, 1));
+        // Every generator spec's own seed is read the same way.
+        let graph_seed = |graph: &str, seed: &str| {
+            let text = format!(r#"{{"graph":{{{graph}{seed}}},"budget":{{"switches":10}}}}"#);
+            JobSpec::from_json(&json::parse(&text).unwrap()).map(|spec| spec.graph)
+        };
+        let graphs = [
+            r#""type":"er","n":100,"m":400"#,
+            r#""type":"pa","n":100,"d":3"#,
+            r#""type":"pa-stream","n":100,"d":3"#,
+            r#""type":"degree-seq","n":100,"gamma":2.5,"d_min":2,"d_max":9"#,
+        ];
+        for graph in graphs {
+            for value in ["-5", r#""x""#, "1.5", "9007199254740993"] {
+                let err = graph_seed(graph, &format!(r#","seed":{value}"#)).unwrap_err();
+                assert!(err.contains("'seed'"), "{graph} seed={value}: {err}");
+            }
+            let absent = graph_seed(graph, "").unwrap();
+            assert_eq!(
+                absent,
+                graph_seed(graph, r#","seed":1"#).unwrap(),
+                "{graph}"
+            );
+        }
     }
 
     #[test]

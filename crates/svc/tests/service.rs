@@ -208,6 +208,23 @@ fn wire_validation_maps_run_errors() {
     let detail = big_seed.get("detail").and_then(Json::as_str).unwrap();
     assert!(detail.contains("'seed'"), "{detail}");
 
+    // A generator spec its generator would panic on is refused at
+    // submit; it never queues or takes a rank slot.
+    let bad_pa = client
+        .submit(
+            json::parse(r#"{"graph":{"type":"pa","n":4,"d":4},"budget":{"switches":10}}"#).unwrap(),
+        )
+        .unwrap()
+        .expect_err("pa with d = n");
+    assert_eq!(bad_pa.get("error").and_then(Json::as_str), Some("bad-job"));
+    let pong = client
+        .request(&Json::obj([("op", Json::str("ping"))]))
+        .unwrap();
+    assert_eq!(
+        pong.get("free_slots").and_then(Json::as_u64),
+        Some(SchedOpts::default().pool as u64)
+    );
+
     let too_wide = client
         .submit(er_job(r#"{"switches":10}"#, "simulated", 64))
         .unwrap()

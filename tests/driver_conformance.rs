@@ -6,7 +6,9 @@
 //!   with or without a snapshot/resume in the middle, observed or not —
 //!   `finish()` equals the one-shot `execute()` (the table in
 //!   [`stepped_engine_conformance_table`]), and the digests the parent
-//!   commit computed are pinned ([`golden_digests_are_pinned`]).
+//!   commit computed are pinned ([`golden_digests_are_pinned`]), and so
+//!   is the simulated protocol's message ledger
+//!   ([`protocol_ledger_is_pinned`]).
 //! - The sequential engine runs on the edge pool alone; an independent
 //!   Algorithm 1 that maintains the whole `Graph` makes the same
 //!   switches and leaves the same pool order
@@ -322,6 +324,64 @@ fn golden_digests_are_pinned() {
         (0x76dc_0aa6_6e5f_520e, 3000),
         (0x0eb1_c98e_df99_5404, 3000),
         (0x2773_2574_6a94_5fc2, 1000),
+    ];
+    assert_eq!(got, pinned);
+}
+
+/// The protocol's exact ledger on one fixed instance, pinned at p ∈ {1,
+/// 2, 4}: steps, performed switches, aborts, blocked events, switches
+/// taken by the local fast path, logical messages per kind and packets,
+/// as commit 1ead348 computed them. These seed-determined counters are
+/// what the §4–§6 scaling argument rests on, and unlike a wall-clock
+/// ratio they mean the same on any box: a protocol change that sends
+/// more messages per switch, or a fast path that stops firing (every
+/// counter but the fast-path column is identical with it off), fails
+/// here.
+#[test]
+fn protocol_ledger_is_pinned() {
+    let g = preferential_attachment(5_000, 5, &mut root_rng(3));
+    assert_eq!(g.num_edges(), 24_975);
+    let got: Vec<_> = [1usize, 2, 4]
+        .into_iter()
+        .map(|p| {
+            let out = Run::simulated(p)
+                .visit_rate(0.5)
+                .seed(9)
+                .execute(&g)
+                .into_parallel()
+                .expect("parallel outcome");
+            let msgs = out.logical_msg_totals();
+            let fastpath: u64 = out.telemetry.iter().map(|s| s.local_fastpath).sum();
+            // The simulators deliver one logical message per packet, and
+            // one partition owning everything sends nothing and commits
+            // every switch inline.
+            assert_eq!(out.packet_total(), msgs.total(), "p={p}");
+            if p == 1 {
+                assert_eq!(msgs.total(), 0);
+                assert_eq!(fastpath, out.performed());
+            }
+            (
+                p,
+                out.steps,
+                out.performed(),
+                out.per_rank.iter().map(RankStats::aborts).sum::<u64>(),
+                out.blocked_events(),
+                fastpath,
+                *msgs.slots(),
+                out.packet_total(),
+            )
+        })
+        .collect();
+    // (p, steps, performed, aborts, blocked, fast path, logical messages
+    // in `MsgKind` slot order, packets): 0, 4.43 and 6.73 messages per
+    // switch at p = 1, 2, 4.
+    #[rustfmt::skip]
+    let pinned = vec![
+        (1, 101, 8655, 211, 0, 8655, [0; MsgKind::COUNT], 0),
+        (2, 101, 8655, 199, 0, 3531,
+         [4447, 5188, 5150, 38, 17, 5133, 4375, 9508, 4375, 72, 0, 0, 0, 0, 0, 0], 38_303),
+        (4, 101, 8655, 223, 0, 1561,
+         [6580, 8091, 8025, 66, 29, 7996, 6457, 14453, 6457, 123, 0, 0, 0, 0, 0, 0], 58_277),
     ];
     assert_eq!(got, pinned);
 }
@@ -667,7 +727,7 @@ fn process_engine_matches_threaded_logical_outcomes() {
     }
     let g = clustered_graph(42);
     let t = 1_500;
-    for p in [2usize, 4] {
+    for p in [2usize, 4, 8] {
         for window in [1usize, 16] {
             let cfg = config(p).with_window(window);
             let thr = threaded(&g, t, &cfg);
