@@ -5,13 +5,15 @@
 //! splits the graph into stores, hands one to each rank thread, gives
 //! every rank a probe on one shared clock, runs the caller's rank body
 //! over a [`MpiliteTransport`], and merges the per-rank outputs and
-//! telemetry into one [`ParallelOutcome`]. The switch body
-//! ([`threaded_switch`]) is [`run_rank_step`] for every step of the
-//! [`StepHarness`]; the Curveball body lives in [`super::trade`].
+//! telemetry into one [`ParallelOutcome`]. Both rank bodies are the
+//! shared rank loop ([`super::harness::run_rank`]) under their own step
+//! boundary: [`run_switch_rank`] for switches (the process world's rank
+//! body too), the pass boundary of [`super::trade::threaded_trades`] for
+//! Curveball.
 
 use super::harness::{
-    assemble_outcome, run_rank_step, MpiliteTransport, ParallelOutcome, RankOutput, RankTransport,
-    RunMeta, StepHarness, StepScratch, StepTelemetry,
+    assemble_outcome, run_switch_rank, MpiliteTransport, ParallelOutcome, RankMachine, RankOutput,
+    RankTransport, RunMeta, StepHarness, StepTelemetry,
 };
 use super::msg::Msg;
 use super::rank::RankState;
@@ -103,18 +105,7 @@ pub(crate) fn threaded_switch(
     let harness = StepHarness::new(t, config);
     run_threaded_world(graph, config, part, |transport, store, obs| {
         let mut state = RankState::new(transport.rank(), part.clone(), store, config).with_obs(obs);
-        let mut scratch = StepScratch::new(config.processors);
-        let telemetry = (0..harness.steps())
-            .map(|step| {
-                run_rank_step(
-                    transport,
-                    &mut state,
-                    &mut scratch,
-                    harness.step_ops(step),
-                    harness.uniform_q(),
-                )
-            })
-            .collect();
+        let telemetry = run_switch_rank(transport, &mut state, harness);
         (state.into_output(transport.stats()), telemetry)
     })
 }

@@ -1,20 +1,25 @@
-//! Shared step machinery of the protocol drivers.
+//! Shared step machinery of the protocol drivers: one step loop per
+//! world shape, for both randomizers.
 //!
-//! Every driver — the threaded and process worlds
-//! ([`run_rank_step`], one call per rank per step) and the simulated
-//! world ([`run_world_step`], FIFO or the virtual-time DES of
-//! `edgeswitch-scalesim`) — executes the same per-step protocol of Section 4.5: exchange the
-//! live edge counts `|E_i|`, refresh the probability vector `q`, draw
-//! per-rank operation quotas with the parallel multinomial algorithm
-//! (Algorithm 5), then run conversations until the step quiesces. This
-//! module factors that machinery out of the drivers:
+//! [`run_rank_step`] is one rank's step in the threaded and process
+//! worlds (real collectives, `EndOfStep` signalling); [`run_world_step`]
+//! drives all `p` ranks of a simulated world from one loop (FIFO, or the
+//! virtual-time DES of `edgeswitch-scalesim`). Both are generic over
+//! [`RankMachine`] — the switch protocol's [`RankState`] and Curveball's
+//! trade machine (`super::trade`) — and take the step's *boundary* as a
+//! closure, the only protocol-specific code in a step. The switch
+//! boundary (Section 4.5) exchanges the live edge counts `|E_i|`,
+//! refreshes the probability vector `q` and draws per-rank quotas with
+//! the parallel multinomial algorithm (Algorithm 5); a Curveball boundary
+//! gathers the visited counts and opens the next pass. Either way the
+//! loop then runs conversations until the step quiesces. Also here:
 //!
 //! - [`Transport`] abstracts message delivery and exposes cost hooks
 //!   (no-ops everywhere except the DES, which charges virtual time);
-//! - [`WorldTransport`] is the single-process form driving all `p`
-//!   [`RankState`] machines from one loop (FIFO simulator, DES);
+//! - [`WorldTransport`] is the single-process form driving all `p` rank
+//!   machines from one loop (FIFO simulator, DES);
 //! - [`RankTransport`] is the per-rank form where each state machine
-//!   runs on its own thread with real collectives (threaded engine);
+//!   runs on its own thread or process with real collectives;
 //! - [`StepHarness`] owns step sizing, the `q` refresh and the quota
 //!   draw, so no driver carries its own copy;
 //! - [`StepTelemetry`] is recorded per step by every driver and
@@ -98,7 +103,8 @@ pub struct StepTelemetry {
     pub ops: u64,
     /// Switch operations initiated (`try_start` → `Started`).
     pub started: u64,
-    /// Operations completed as initiator this step.
+    /// Operations completed as initiator this step (under Curveball:
+    /// trades executed, equal to `trades`).
     pub performed: u64,
     /// Subset of `performed` applied inline by the rank-local fast path
     /// (no conversation entry, no protocol messages); the remaining
@@ -475,21 +481,21 @@ impl<'a> MpiliteTransport<'a> {
     pub fn stats(&self) -> CommStats {
         self.comm.stats()
     }
+}
 
-    /// Unpack one received packet: batches queue their tail behind the
-    /// first framed message; bare messages pass through.
-    fn unpack(&mut self, src: usize, payload: Msg) -> (usize, Msg) {
-        match payload {
-            Msg::Batch(msgs) => {
-                let mut it = msgs.into_iter();
-                let first = it.next().expect("batch frames are never empty");
-                for m in it {
-                    self.inbox.push_back((src, m));
-                }
-                (src, first)
-            }
-            m => (src, m),
+/// Unpack one packet received from `src` into `inbox`: a batch queues its
+/// tail behind its first message, which comes back; a bare message
+/// passes through. Shared by the rank transports, so the step loop only
+/// ever sees logical protocol messages.
+pub(crate) fn unpack(inbox: &mut VecDeque<(usize, Msg)>, src: usize, packet: Msg) -> (usize, Msg) {
+    match packet {
+        Msg::Batch(msgs) => {
+            let mut it = msgs.into_iter();
+            let first = it.next().expect("batch frames are never empty");
+            inbox.extend(it.map(|m| (src, m)));
+            (src, first)
         }
+        m => (src, m),
     }
 }
 
@@ -517,14 +523,14 @@ impl RankTransport for MpiliteTransport<'_> {
             return Some(x);
         }
         let p = self.comm.try_recv_tag(TAG_PROTO)?;
-        Some(self.unpack(p.src, p.payload))
+        Some(unpack(&mut self.inbox, p.src, p.payload))
     }
     fn recv_block(&mut self) -> (usize, Msg) {
         if let Some(x) = self.inbox.pop_front() {
             return x;
         }
         let p = self.comm.recv_tag(TAG_PROTO);
-        self.unpack(p.src, p.payload)
+        unpack(&mut self.inbox, p.src, p.payload)
     }
 }
 
@@ -570,25 +576,6 @@ impl Coalescer {
             }
         }
         packets
-    }
-}
-
-/// Reusable hot-loop buffers of one rank's step loop: the outbox and the
-/// send coalescer live for the whole run instead of being re-allocated
-/// every step. Create one per rank with [`StepScratch::new`] and pass it
-/// to every [`run_rank_step`] call of that rank.
-pub struct StepScratch {
-    outbox: Outbox,
-    coalescer: Coalescer,
-}
-
-impl StepScratch {
-    /// Scratch buffers for one rank of a `p`-rank world.
-    pub fn new(p: usize) -> Self {
-        StepScratch {
-            outbox: Outbox::new(),
-            coalescer: Coalescer::new(p),
-        }
     }
 }
 
@@ -638,16 +625,15 @@ impl StepHarness {
         self.uniform_q
     }
 
-    /// The probability vector `q_i = |E_i| / |E|` from live edge counts,
-    /// falling back to uniform when the graph is empty or the
-    /// [`QuotaPolicy::Uniform`] ablation is selected.
-    pub fn probability_vector(&self, counts: &[u64]) -> Vec<f64> {
-        probability_vector(counts, self.uniform_q)
+    /// Total operation budget `t`.
+    pub fn budget(&self) -> u64 {
+        self.t
     }
 }
 
-/// Driver-independent `q` refresh: proportional to `counts` unless they
-/// are all zero or `uniform` is forced.
+/// Driver-independent `q` refresh: `q_i = |E_i| / |E|` from live edge
+/// counts, falling back to uniform when they are all zero or `uniform`
+/// (the [`QuotaPolicy::Uniform`] ablation) is forced.
 pub fn probability_vector(counts: &[u64], uniform: bool) -> Vec<f64> {
     let p = counts.len();
     let total: u64 = counts.iter().sum();
@@ -659,56 +645,121 @@ pub fn probability_vector(counts: &[u64], uniform: bool) -> Vec<f64> {
 }
 
 // ---------------------------------------------------------------------
-// Per-rank step loop (threaded engine)
+// Rank machines
 // ---------------------------------------------------------------------
 
-/// One rank's step (Section 4.5): refresh `q`, draw the quota, then
-/// switch/serve until every rank has signalled `EndOfStep`. Returns this
+/// One rank's protocol state machine as the step loops drive it. The
+/// switch protocol's [`RankState`] and Curveball's trade machine
+/// (`super::trade`) implement it, so [`run_rank_step`] and
+/// [`run_world_step`] each run both randomizers, statically dispatched.
+pub(crate) trait RankMachine {
+    /// What a simulated world keeps between two step boundaries
+    /// ([`StepHarness`] for switches, the pass controller for trades).
+    type Schedule;
+    /// Whether the machine marks flush points in its outbox
+    /// ([`Outbox::seal`]). The switch protocol does not, and its drain
+    /// loop compiles without the check.
+    const SEALS: bool = false;
+    /// Feed one message from `src` in; sends go to `out`, counts to `tel`.
+    fn handle(&mut self, src: usize, msg: Msg, out: &mut Outbox, tel: &mut StepTelemetry);
+    /// Try to begin the next own operation.
+    fn try_start(&mut self, out: &mut Outbox) -> StartResult;
+    /// Whether the rank's own work of the step is finished (it may still
+    /// be serving others).
+    fn step_done(&self) -> bool;
+    /// Own conversations currently in flight.
+    fn inflight_len(&self) -> usize;
+    /// Bound on concurrently in-flight own conversations (≥ 1).
+    fn window(&self) -> usize;
+    /// The rank's probe, for the step-level spans the loops record.
+    fn obs_mut(&mut self) -> &mut Obs;
+    /// Statistics so far; the loops diff them into [`StepTelemetry`].
+    fn stats(&self) -> &RankStats;
+    /// Tear down into the rank's share of the outcome.
+    fn into_output(self, comm: CommStats) -> RankOutput;
+}
+
+// ---------------------------------------------------------------------
+// Per-rank step loop (threaded and process worlds)
+// ---------------------------------------------------------------------
+
+/// One rank's whole run: [`run_rank_step`] until the protocol's boundary
+/// `open` ends it. `open` runs the step boundary's collectives, opens the
+/// rank's step (queueing into the outbox whatever that sends) and
+/// returns the step's opening telemetry, or `None` when the run is over.
+/// The outbox and the send coalescer live for the whole run.
+pub(crate) fn run_rank<T: RankTransport, S: RankMachine>(
+    transport: &mut T,
+    state: &mut S,
+    mut open: impl FnMut(&mut T, &mut S, &mut Outbox) -> Option<StepTelemetry>,
+) -> Vec<StepTelemetry> {
+    let (mut outbox, mut coalescer) = (Outbox::new(), Coalescer::new(transport.size()));
+    std::iter::from_fn(|| run_rank_step(transport, state, &mut outbox, &mut coalescer, &mut open))
+        .collect()
+}
+
+/// One rank's switch run: every step of `harness` opens with the Section
+/// 4.5 boundary — allgather `|E_i|`, refresh `q`, draw this rank's quota
+/// (Algorithm 5). The rank body of the threaded and the process world.
+pub(crate) fn run_switch_rank<T: RankTransport>(
+    transport: &mut T,
+    state: &mut RankState,
+    harness: StepHarness,
+) -> Vec<StepTelemetry> {
+    let mut step = 0;
+    run_rank(transport, state, |transport, state, _| {
+        if step == harness.steps() {
+            return None;
+        }
+        let step_ops = harness.step_ops(step);
+        step += 1;
+        let barrier_start = state.obs_mut().now();
+        let counts = transport.exchange_edge_counts(state.edge_count());
+        let barrier_end = state.obs_mut().now();
+        let q = probability_vector(&counts, harness.uniform_q());
+        let quota = transport.draw_quota(step_ops, &q, state.rng_mut());
+        let qrefresh_end = state.obs_mut().now();
+        let barrier_ns = barrier_end.saturating_sub(barrier_start);
+        let qrefresh_ns = qrefresh_end.saturating_sub(barrier_end);
+        state.obs_mut().span(Phase::StepBarrier, barrier_ns);
+        state.obs_mut().span(Phase::QRefresh, qrefresh_ns);
+        state.begin_step(quota, &q);
+        Some(StepTelemetry {
+            ops: quota,
+            barrier_ns: barrier_ns as f64,
+            qrefresh_ns: qrefresh_ns as f64,
+            ..StepTelemetry::default()
+        })
+    })
+}
+
+/// One rank's step: `open` the step (or learn the run is over), then
+/// start/serve until every rank has signalled `EndOfStep`. Returns this
 /// rank's telemetry for the step.
 ///
 /// Each event-loop iteration drains every delivered message, fills the
-/// conversation window (up to `ParallelConfig::window` own conversations
-/// in flight), then flushes the send coalescer — one packet per touched
-/// destination — before parking on the next message. The coalescer is
-/// always flushed before a blocking receive, so no reply a peer is
-/// waiting on can be stranded in a batch.
-pub fn run_rank_step<T: RankTransport>(
+/// conversation window (up to `window` own conversations in flight),
+/// then flushes the send coalescer — one packet per touched destination
+/// — before parking on the next message. The coalescer is always flushed
+/// before a blocking receive, so no reply a peer is waiting on can be
+/// stranded in a batch.
+fn run_rank_step<T: RankTransport, S: RankMachine>(
     transport: &mut T,
-    state: &mut RankState,
-    scratch: &mut StepScratch,
-    step_ops: u64,
-    uniform_q: bool,
-) -> StepTelemetry {
+    state: &mut S,
+    outbox: &mut Outbox,
+    coalescer: &mut Coalescer,
+    open: impl FnOnce(&mut T, &mut S, &mut Outbox) -> Option<StepTelemetry>,
+) -> Option<StepTelemetry> {
     let p = transport.size();
     debug_assert!(
-        scratch.outbox.is_empty() && scratch.coalescer.dirty.is_empty(),
-        "scratch buffers must be drained between steps"
+        outbox.is_empty() && coalescer.dirty.is_empty(),
+        "buffers must be drained between steps"
     );
-    // (1) Probability vector from current edge counts.
-    let barrier_start = state.obs_mut().now();
-    let counts = transport.exchange_edge_counts(state.edge_count());
-    let barrier_end = state.obs_mut().now();
-    let q = probability_vector(&counts, uniform_q);
-    // (2) Multinomial distribution of the step's operations (Alg. 5).
-    let quota = transport.draw_quota(step_ops, &q, state.rng_mut());
-    let qrefresh_end = state.obs_mut().now();
-    let barrier_ns = barrier_end.saturating_sub(barrier_start);
-    let qrefresh_ns = qrefresh_end.saturating_sub(barrier_end);
-    state.obs_mut().span(Phase::StepBarrier, barrier_ns);
-    state.obs_mut().span(Phase::QRefresh, qrefresh_ns);
-    state.begin_step(quota, &q);
-
-    let mut tel = StepTelemetry {
-        ops: quota,
-        barrier_ns: barrier_ns as f64,
-        qrefresh_ns: qrefresh_ns as f64,
-        ..StepTelemetry::default()
-    };
-    let before = state.stats;
+    let before = *state.stats();
+    let mut tel = open(transport, state, outbox)?;
+    // What opening the step sent (a pass's loads) leaves like any reply.
+    drain_outbox(transport, state, outbox, coalescer, &mut tel);
     let mut wait_ns_acc = 0u64;
-
-    // (3) Event loop, on the run-lifetime scratch buffers.
-    let StepScratch { outbox, coalescer } = scratch;
     let mut eos = 0usize;
     let mut signaled = false;
     loop {
@@ -744,7 +795,7 @@ pub fn run_rank_step<T: RankTransport>(
             }
         }
         tel.window_peak = tel.window_peak.max(state.inflight_len() as u64);
-        // (c) Quota finished and every conversation settled: tell the
+        // (c) Own work finished and every conversation settled: tell the
         // other ranks (once), but keep serving until they all say so.
         if !signaled && state.step_done() {
             for dst in 0..p {
@@ -781,15 +832,15 @@ pub fn run_rank_step<T: RankTransport>(
     }
     debug_assert!(state.step_done());
     tel.wait_ns = wait_ns_acc as f64;
-    tel.absorb_stats_delta(&before, &state.stats);
-    tel
+    tel.absorb_stats_delta(&before, state.stats());
+    Some(tel)
 }
 
 /// Handle one incoming message; replies accumulate in the coalescer.
 #[allow(clippy::too_many_arguments)]
-fn dispatch<T: RankTransport>(
+fn dispatch<T: RankTransport, S: RankMachine>(
     transport: &mut T,
-    state: &mut RankState,
+    state: &mut S,
     src: usize,
     msg: Msg,
     outbox: &mut Outbox,
@@ -802,7 +853,7 @@ fn dispatch<T: RankTransport>(
         Msg::Coll(_) => unreachable!("tag-filtered receive cannot yield collective traffic"),
         Msg::Batch(_) => unreachable!("the transport unpacks batch frames"),
         m => {
-            state.handle(src, m, outbox);
+            state.handle(src, m, outbox, tel);
             drain_outbox(transport, state, outbox, coalescer, tel);
         }
     }
@@ -810,18 +861,21 @@ fn dispatch<T: RankTransport>(
 
 /// Move queued messages out of the outbox: self-addressed ones re-enter
 /// the state machine immediately; the rest accumulate per destination in
-/// the coalescer until the event loop flushes it.
-fn drain_outbox<T: RankTransport>(
+/// the coalescer until the event loop flushes it, or until the machine's
+/// next flush point ([`Outbox::seal`]) does.
+fn drain_outbox<T: RankTransport, S: RankMachine>(
     transport: &mut T,
-    state: &mut RankState,
+    state: &mut S,
     outbox: &mut Outbox,
     coalescer: &mut Coalescer,
     tel: &mut StepTelemetry,
 ) {
-    while let Some((dst, msg)) = outbox.pop() {
-        if dst == transport.rank() {
+    while let Some((dst, msg)) = outbox.pop_entry() {
+        if S::SEALS && dst == Outbox::FLUSH {
+            tel.packets += coalescer.flush(transport);
+        } else if dst == transport.rank() {
             transport.on_self_delivery(dst);
-            state.handle(dst, msg, outbox);
+            state.handle(dst, msg, outbox, tel);
         } else {
             tel.logical_msgs.record(&msg);
             coalescer.push(dst, msg);
@@ -833,30 +887,32 @@ fn drain_outbox<T: RankTransport>(
 // World step loop (FIFO simulator, DES)
 // ---------------------------------------------------------------------
 
-/// One step of a single-process world over all `p` rank machines:
-/// the same protocol as [`run_rank_step`], with the allgather and
-/// alltoall computed in place and quiescence detected structurally
-/// (no messages in flight, nothing startable) instead of via
-/// `EndOfStep` signalling. `out` is the run-lifetime routing scratch
-/// (drained within every call; hoisted so steps stop re-allocating it).
-pub fn run_world_step<T: WorldTransport>(
+/// A step a protocol's boundary opened in a simulated world: the step's
+/// telemetry so far, and the boundary phases it timed on the monotonic
+/// clock — recorded into rank 0's probe unless the transport owns the
+/// step's spans (the DES records them in virtual time).
+pub(crate) struct Opened {
+    pub tel: StepTelemetry,
+    pub spans: Vec<(Phase, u64)>,
+}
+
+/// The switch protocol's step boundary in a simulated world: the same
+/// Section 4.5 boundary as [`run_switch_rank`]'s, with the allgather and
+/// Algorithm 5 computed in place.
+pub(crate) fn open_switch_step<T: WorldTransport>(
     transport: &mut T,
     states: &mut [RankState],
-    out: &mut Outbox,
-    step_ops: u64,
-    uniform_q: bool,
-    comm_stats: &mut [CommStats],
-) -> StepTelemetry {
-    let p = states.len();
-    debug_assert!(out.is_empty(), "routing scratch must drain between steps");
-    transport.begin_step(step_ops, p);
-    // The allgather: probability vector from current edge counts.
-    // World-level spans are recorded once, into rank 0's probe, so a
-    // p-rank world does not count the shared boundary p times.
-    let barrier_start = states.first_mut().map_or(0, |st| st.obs_mut().now());
+    harness: &StepHarness,
+    step: u64,
+) -> Opened {
+    let step_ops = harness.step_ops(step);
+    transport.begin_step(step_ops, states.len());
+    // World-level spans are timed on rank 0's probe, so a p-rank world
+    // does not count one shared boundary p times.
+    let barrier_start = states[0].obs_mut().now();
     let counts: Vec<u64> = states.iter().map(|st| st.edge_count()).collect();
-    let barrier_end = states.first_mut().map_or(0, |st| st.obs_mut().now());
-    let q = probability_vector(&counts, uniform_q);
+    let barrier_end = states[0].obs_mut().now();
+    let q = probability_vector(&counts, harness.uniform_q());
     // Algorithm 5, faithfully: each rank draws a multinomial over its
     // trial share from its own stream; quotas are the column sums.
     let quotas = edgeswitch_dist::multinomial_owned_world(
@@ -864,21 +920,49 @@ pub fn run_world_step<T: WorldTransport>(
         &q,
         states.iter_mut().map(|st| st.rng_mut()),
     );
-    let qrefresh_end = states.first_mut().map_or(0, |st| st.obs_mut().now());
+    let qrefresh_end = states[0].obs_mut().now();
     for (st, &qi) in states.iter_mut().zip(&quotas) {
         st.begin_step(qi, &q);
     }
+    let barrier_ns = barrier_end.saturating_sub(barrier_start);
+    let qrefresh_ns = qrefresh_end.saturating_sub(barrier_end);
+    Opened {
+        tel: StepTelemetry {
+            ops: step_ops,
+            barrier_ns: barrier_ns as f64,
+            qrefresh_ns: qrefresh_ns as f64,
+            ..StepTelemetry::default()
+        },
+        spans: vec![
+            (Phase::StepBarrier, barrier_ns),
+            (Phase::QRefresh, qrefresh_ns),
+        ],
+    }
+}
 
-    let mut tel = StepTelemetry {
-        ops: step_ops,
-        ..StepTelemetry::default()
-    };
-    let before: Vec<RankStats> = states.iter().map(|st| st.stats).collect();
+/// One step of a single-process world over all `p` rank machines: the
+/// same protocol as [`run_rank_step`], quiescence detected structurally
+/// (no messages in flight, nothing startable) instead of via `EndOfStep`
+/// signalling. `open` is the protocol's boundary, computed in place: it
+/// opens every rank's step — routing through `route_world` whatever that
+/// sends — or returns `None` when the run is over. `out` is the
+/// run-lifetime routing scratch (drained within every call).
+pub(crate) fn run_world_step<T: WorldTransport, S: RankMachine>(
+    transport: &mut T,
+    states: &mut [S],
+    out: &mut Outbox,
+    comm_stats: &mut [CommStats],
+    open: impl FnOnce(&mut T, &mut [S], &mut Outbox, &mut [CommStats]) -> Option<Opened>,
+) -> Option<StepTelemetry> {
+    let p = states.len();
+    debug_assert!(out.is_empty(), "routing scratch must drain between steps");
+    let before: Vec<RankStats> = states.iter().map(|st| *st.stats()).collect();
+    let Opened { mut tel, spans } = open(transport, states, out, comm_stats)?;
 
     // Event loop: drain in-flight messages, round-robin window fills.
     loop {
         while let Some((dst, src, msg)) = transport.pop_any() {
-            states[dst].handle(src, msg, out);
+            states[dst].handle(src, msg, out, &mut tel);
             route_world(transport, states, dst, out, comm_stats, &mut tel);
         }
         let mut any_started = false;
@@ -918,44 +1002,35 @@ pub fn run_world_step<T: WorldTransport>(
         if !any_started && transport.is_empty() {
             assert!(
                 states.iter().all(|st| st.step_done()),
-                "simulated world wedged: quiescent but quotas unfinished"
+                "simulated world wedged: quiescent with own work unfinished"
             );
             break;
         }
     }
-    debug_assert!(states.iter().all(|st| !st.serving_pending()));
 
     for (b, st) in before.iter().zip(states.iter()) {
-        tel.absorb_stats_delta(b, &st.stats);
+        tel.absorb_stats_delta(b, st.stats());
     }
     let (boundary_ns, drain_ns) = transport.end_step();
     tel.boundary_ns = boundary_ns;
     tel.drain_ns = drain_ns;
-    // Step spans: the DES records them in virtual time; a clockless
-    // world records its own monotonic measurements.
-    let des_owned = match states.first_mut() {
-        Some(st) => transport.record_step_spans(st.obs_mut(), &mut tel),
-        None => true,
-    };
-    if !des_owned {
-        if let Some(st) = states.first_mut() {
-            let barrier_ns = barrier_end.saturating_sub(barrier_start);
-            let qrefresh_ns = qrefresh_end.saturating_sub(barrier_end);
-            st.obs_mut().span(Phase::StepBarrier, barrier_ns);
-            st.obs_mut().span(Phase::QRefresh, qrefresh_ns);
-            tel.barrier_ns = barrier_ns as f64;
-            tel.qrefresh_ns = qrefresh_ns as f64;
-        }
+    // Step spans: the DES records them in virtual time; any other world
+    // records the boundary's own monotonic measurements.
+    let obs = states[0].obs_mut();
+    if !transport.record_step_spans(obs, &mut tel) {
+        spans
+            .into_iter()
+            .for_each(|(phase, ns)| obs.span(phase, ns));
     }
-    tel
+    Some(tel)
 }
 
 /// Route one rank's outbox through a world transport: self-addressed
 /// messages re-enter the state machine in place; the rest are counted
 /// (traffic stats + per-variant telemetry) and delivered.
-fn route_world<T: WorldTransport>(
+pub(crate) fn route_world<T: WorldTransport, S: RankMachine>(
     transport: &mut T,
-    states: &mut [RankState],
+    states: &mut [S],
     src: usize,
     out: &mut Outbox,
     comm_stats: &mut [CommStats],
@@ -964,7 +1039,7 @@ fn route_world<T: WorldTransport>(
     while let Some((dst, msg)) = out.pop() {
         if dst == src {
             transport.on_self_delivery(src);
-            states[src].handle(src, msg, out);
+            states[src].handle(src, msg, out, tel);
         } else {
             comm_stats[src].packets_sent += 1;
             comm_stats[src].bytes_sent += msg.wire_size() as u64;

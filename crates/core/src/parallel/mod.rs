@@ -2,17 +2,19 @@
 //!
 //! - [`rank`]: the pure per-processor protocol state machine,
 //! - [`msg`]: the wire protocol,
-//! - [`harness`]: the shared step machinery — [`Transport`] /
-//!   [`StepHarness`] / per-step [`StepTelemetry`] — every world runs on,
-//! - [`resume`]: the simulated world ([`SimWorld`]): all ranks in one
+//! - [`harness`]: the shared step machinery every world runs on — one
+//!   step loop per world shape for both randomizers, [`Transport`] /
+//!   [`StepHarness`] / per-step [`StepTelemetry`],
+//! - [`resume`]: the simulated world (`SimWorld`): all ranks in one
 //!   loop, stepped, with step-boundary snapshots for checkpoint/resume;
 //!   deterministic over the FIFO transport, virtual-time under the DES
 //!   of `edgeswitch-scalesim`,
 //! - [`engine`]: the threaded world over `mpilite` ranks,
 //! - [`proc`]: the process world over shared-memory rings ([`wire`] is
 //!   its byte codec for [`Msg`], and the snapshot codec),
-//! - [`trade`]: the Curveball randomizer's rank body and drivers (global
-//!   trades over the same transports; see [`crate::trade`]).
+//! - [`trade`]: the Curveball randomizer's rank machine and pass
+//!   boundary (global trades on the same loops and transports; see
+//!   [`crate::trade`]).
 //!
 //! Nothing here is an entry point: [`Run`](crate::Run) sets each world
 //! up, runs it and tears it down.
@@ -32,9 +34,9 @@ mod rank_tests;
 mod tests;
 
 pub use harness::{
-    assemble_outcome, probability_vector, run_rank_step, run_world_step, FifoTransport,
-    MpiliteTransport, MsgCounts, ParallelOutcome, RankOutput, RankTransport, RunMeta, StepHarness,
-    StepScratch, StepTelemetry, Transport, WorldTransport,
+    assemble_outcome, probability_vector, FifoTransport, MpiliteTransport, MsgCounts,
+    ParallelOutcome, RankOutput, RankTransport, RunMeta, StepHarness, StepTelemetry, Transport,
+    WorldTransport,
 };
 pub use msg::{ConvId, Msg, MsgKind, Outbox};
 pub use proc::{
@@ -42,4 +44,4 @@ pub use proc::{
     ProcTransport,
 };
 pub use rank::{RankCheckpoint, RankState, RankStats, StartResult};
-pub use resume::{SimWorld, WorldSnapshot};
+pub use resume::WorldSnapshot;

@@ -293,13 +293,17 @@ impl CollCarrier for Msg {
 }
 
 /// Messages queued by the state machine for the driver to route
-/// (self-addressed messages are delivered in place by the driver).
+/// (self-addressed messages are delivered in place by the driver), with
+/// the flush points the machine marks between them.
 #[derive(Debug, Default)]
 pub struct Outbox {
     queue: std::collections::VecDeque<(usize, Msg)>,
 }
 
 impl Outbox {
+    /// Destination of a flush point's queue entry: no rank has it.
+    pub(crate) const FLUSH: usize = usize::MAX;
+
     /// Empty outbox.
     pub fn new() -> Self {
         Self::default()
@@ -310,19 +314,33 @@ impl Outbox {
         self.queue.push_back((dst, msg));
     }
 
-    /// Next message to route, FIFO.
+    /// Mark a flush point: a driver that coalesces sends lets everything
+    /// queued before it leave — one packet per destination — before it
+    /// routes anything queued after. Drivers that deliver message by
+    /// message skip it.
+    pub(crate) fn seal(&mut self) {
+        self.queue.push_back((Self::FLUSH, Msg::EndOfStep));
+    }
+
+    /// Next message to route, FIFO (flush points are skipped).
     pub fn pop(&mut self) -> Option<(usize, Msg)> {
+        loop {
+            let entry = self.pop_entry()?;
+            if entry.0 != Self::FLUSH {
+                return Some(entry);
+            }
+        }
+    }
+
+    /// Next entry, FIFO, flush points included (addressed to
+    /// [`Outbox::FLUSH`]).
+    pub(crate) fn pop_entry(&mut self) -> Option<(usize, Msg)> {
         self.queue.pop_front()
     }
 
     /// Whether anything is queued.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -348,11 +366,20 @@ mod tests {
     fn outbox_is_fifo() {
         let mut o = Outbox::new();
         o.push(1, Msg::EndOfStep);
+        o.seal();
         o.push(2, Msg::EndOfStep);
-        assert_eq!(o.len(), 2);
-        assert_eq!(o.pop().unwrap().0, 1);
+        assert_eq!(o.pop_entry().unwrap().0, 1);
+        assert_eq!(o.pop_entry().unwrap().0, Outbox::FLUSH);
         assert_eq!(o.pop().unwrap().0, 2);
         assert!(o.pop().is_none());
+        assert!(o.is_empty());
+        // A message-by-message driver never sees a flush point.
+        o.push(3, Msg::EndOfStep);
+        o.seal();
+        o.seal();
+        o.push(4, Msg::EndOfStep);
+        assert_eq!(o.pop().unwrap().0, 3);
+        assert_eq!(o.pop().unwrap().0, 4);
         assert!(o.is_empty());
     }
 

@@ -2,8 +2,9 @@
 //! shared-memory rings, so `p` ranks genuinely occupy `p` cores.
 //!
 //! Structure mirrors the threaded world (`super::engine`) exactly — the
-//! same [`StepHarness`], the same [`run_rank_step`] event loop, the same
-//! [`assemble_outcome`] merge — only the substrate differs:
+//! same rank body ([`run_switch_rank`]: the shared rank loop under the
+//! [`StepHarness`] boundary), the same [`assemble_outcome`] merge — only
+//! the substrate differs:
 //!
 //! * the launcher serializes a **boot blob** into an [`ShmWorld`] and
 //!   respawns the current binary once per rank with the mapping inherited
@@ -46,8 +47,8 @@ use mpilite::{
 use crate::config::ParallelConfig;
 
 use super::harness::{
-    assemble_outcome, run_rank_step, ParallelOutcome, RankOutput, RankTransport, StepHarness,
-    StepScratch, StepTelemetry, Transport, TAG_PROTO,
+    assemble_outcome, run_switch_rank, unpack, ParallelOutcome, RankMachine, RankOutput,
+    RankTransport, StepHarness, StepTelemetry, Transport, TAG_PROTO,
 };
 use super::msg::Msg;
 use super::rank::RankState;
@@ -139,22 +140,6 @@ impl<'w> ProcTransport<'w> {
         self.stats.recv_queue_peak = self.stats.recv_queue_peak.max(depth);
     }
 
-    /// Unpack one protocol frame: batches queue their tail behind the
-    /// first framed message; bare messages pass through.
-    fn unpack(&mut self, src: usize, payload: Msg) -> (usize, Msg) {
-        match payload {
-            Msg::Batch(msgs) => {
-                let mut it = msgs.into_iter();
-                let first = it.next().expect("batch frames are never empty");
-                for m in it {
-                    self.inbox.push_back((src, m));
-                }
-                (src, first)
-            }
-            m => (src, m),
-        }
-    }
-
     /// Park until a frame arrives (after the same spin budget as a
     /// threaded rank), metering park time; panics on world death or
     /// deadlock timeout.
@@ -192,14 +177,14 @@ impl<'w> ProcTransport<'w> {
             let (src, _, bytes) = self.pending.remove(at).expect("position is in range");
             self.stats.packets_received += 1;
             let msg = wire::decode_msg(&bytes);
-            return Some(self.unpack(src, msg));
+            return Some(unpack(&mut self.inbox, src, msg));
         }
         loop {
             let (src, tag, payload) = self.ep.try_recv()?;
             if tag == TAG_PROTO {
                 let msg = wire::decode_msg(payload);
                 self.stats.packets_received += 1;
-                return Some(self.unpack(src, msg));
+                return Some(unpack(&mut self.inbox, src, msg));
             }
             let owned = payload.to_vec();
             self.pending.push_back((src, tag, owned));
@@ -234,20 +219,21 @@ impl<'w> ProcTransport<'w> {
         }
     }
 
-    /// Direct-exchange allgather of one `u64`, mirroring
-    /// `mpilite::Comm::allgather_u64` (same send/recv order, same tag
-    /// draw, same stats accounting).
+    /// Direct exchange of one `u64` with every peer — `value(dst)` goes
+    /// to `dst`, `own` is this rank's slot — mirroring the allgather and
+    /// all-to-all of `mpilite::collectives` (same send/recv order, same
+    /// tag draw, same stats accounting).
     // Rank indices double as slot indices and message routes, as in
     // `mpilite::collectives`; iterator rewrites would hide that.
     #[allow(clippy::needless_range_loop)]
-    fn allgather_u64(&mut self, value: u64) -> Vec<u64> {
+    fn exchange_u64(&mut self, own: u64, value: impl Fn(usize) -> u64) -> Vec<u64> {
         let tag = self.next_coll_tag();
         let (rank, p) = (self.ep.me(), self.p);
         let mut out = vec![0u64; p];
-        out[rank] = value;
+        out[rank] = own;
         for dst in 0..p {
             if dst != rank {
-                self.send_msg(dst, tag, &Msg::Coll(mpilite::CollPayload::U64(value)));
+                self.send_msg(dst, tag, &Msg::Coll(mpilite::CollPayload::U64(value(dst))));
             }
         }
         for src in 0..p {
@@ -255,34 +241,7 @@ impl<'w> ProcTransport<'w> {
                 let bytes = self.recv_match(src, tag);
                 match wire::decode_msg(&bytes) {
                     Msg::Coll(mpilite::CollPayload::U64(v)) => out[src] = v,
-                    other => panic!("allgather_u64 got {other:?}"),
-                }
-            }
-        }
-        self.stats.collectives += 1;
-        out
-    }
-
-    /// Direct-exchange personalized all-to-all of one `u64` per peer,
-    /// mirroring `mpilite::Comm::alltoall_u64`.
-    #[allow(clippy::needless_range_loop)]
-    fn alltoall_u64(&mut self, row: &[u64]) -> Vec<u64> {
-        let (rank, p) = (self.ep.me(), self.p);
-        assert_eq!(row.len(), p, "alltoall row must have one entry per rank");
-        let tag = self.next_coll_tag();
-        let mut out = vec![0u64; p];
-        out[rank] = row[rank];
-        for dst in 0..p {
-            if dst != rank {
-                self.send_msg(dst, tag, &Msg::Coll(mpilite::CollPayload::U64(row[dst])));
-            }
-        }
-        for src in 0..p {
-            if src != rank {
-                let bytes = self.recv_match(src, tag);
-                match wire::decode_msg(&bytes) {
-                    Msg::Coll(mpilite::CollPayload::U64(v)) => out[src] = v,
-                    other => panic!("alltoall_u64 got {other:?}"),
+                    other => panic!("collective exchange got {other:?}"),
                 }
             }
         }
@@ -302,12 +261,12 @@ impl RankTransport for ProcTransport<'_> {
     }
     fn exchange_edge_counts(&mut self, count: u64) -> Vec<u64> {
         debug_assert!(self.inbox.is_empty(), "protocol traffic across step end");
-        self.allgather_u64(count)
+        self.exchange_u64(count, |_| count)
     }
     fn draw_quota(&mut self, step_ops: u64, q: &[f64], rng: &mut BlockRng64) -> u64 {
         // Identical RNG consumption to `parallel_multinomial_owned`.
-        let local = edgeswitch_dist::local_quota_row(step_ops, self.p, self.ep.me(), q, rng);
-        let mine = self.alltoall_u64(&local);
+        let row = edgeswitch_dist::local_quota_row(step_ops, self.p, self.ep.me(), q, rng);
+        let mine = self.exchange_u64(row[self.ep.me()], |dst| row[dst]);
         mine.into_iter().sum()
     }
     fn send(&mut self, dst: usize, msg: Msg) {
@@ -985,21 +944,10 @@ fn run_rank_child(world: &ShmWorld, rank: usize) {
     };
     let initial_edges = store.num_edges() as u64;
 
-    let harness = StepHarness::new(t, &config);
     let mut state = RankState::new(rank, part, store, &config);
     let mut transport = ProcTransport::new(world.endpoint(rank), p);
-    let mut scratch = StepScratch::new(p);
-    let telemetry: Vec<StepTelemetry> = (0..harness.steps())
-        .map(|step| {
-            run_rank_step(
-                &mut transport,
-                &mut state,
-                &mut scratch,
-                harness.step_ops(step),
-                harness.uniform_q(),
-            )
-        })
-        .collect();
+    let harness = StepHarness::new(t, &config);
+    let telemetry = run_switch_rank(&mut transport, &mut state, harness);
 
     let output = state.into_output(transport.stats());
     let blob = wire::encode_rank_result(initial_edges, &output, &telemetry);

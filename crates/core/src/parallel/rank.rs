@@ -70,7 +70,7 @@
 //! `partner_validate`, the partner half `on_propose` itself runs: there
 //! is one start path and one partner path.
 
-use super::harness::RankOutput;
+use super::harness::{RankMachine, RankOutput, StepHarness, StepTelemetry};
 use super::msg::{ConvId, Msg, MsgKind, Outbox};
 use crate::config::ParallelConfig;
 use crate::obs::{GaugeKind, Obs, Phase};
@@ -313,12 +313,6 @@ impl RankState {
         self
     }
 
-    /// The observation context, for drivers recording step-level spans
-    /// (message wait, barrier, q-refresh) into this rank's probe.
-    pub fn obs_mut(&mut self) -> &mut Obs {
-        &mut self.obs
-    }
-
     /// This rank's id.
     pub fn rank(&self) -> usize {
         self.rank
@@ -349,45 +343,9 @@ impl RankState {
         }
     }
 
-    /// Whether this rank has completed its own quota (it may still be
-    /// serving others).
-    pub fn step_done(&self) -> bool {
-        self.remaining == 0 && self.inflight.is_empty() && self.pending_done.is_empty()
-    }
-
-    /// Number of own conversations currently in flight.
-    pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
-    }
-
-    /// The configured bound on concurrently in-flight own conversations.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// Whether this rank holds any unfinished server-side conversations.
     pub fn serving_pending(&self) -> bool {
         !self.serving.is_empty()
-    }
-
-    /// Tear down into this rank's contribution to the outcome: the final
-    /// store, tracker, stats and whatever the probe recorded, next to the
-    /// transport's `comm` counters. The one teardown every driver uses.
-    pub fn into_output(self, comm: CommStats) -> RankOutput {
-        debug_assert!(self.serving.is_empty(), "conversations left open");
-        debug_assert!(
-            self.pending_done.is_empty(),
-            "unconfirmed operations leaked"
-        );
-        debug_assert!(self.reserved.is_empty(), "edges left reserved");
-        debug_assert!(self.potential.is_empty(), "potential edges leaked");
-        RankOutput {
-            store: self.store,
-            tracker: self.tracker,
-            stats: self.stats,
-            comm,
-            obs: self.obs.finish(),
-        }
     }
 
     /// Immutable view of the partition store.
@@ -399,7 +357,7 @@ impl RankState {
     ///
     /// At step boundaries every transient collection (reserved edges,
     /// potential edges, in-flight and server-side conversations) is
-    /// empty — [`RankState::into_output`] asserts the same
+    /// empty — the teardown (`into_output`) asserts the same
     /// invariant — so the whole protocol state reduces to the store
     /// contents, the visit tracker, the statistics, the conversation-id
     /// counter and the RNG stream position. `remaining`/`cumq` are step
@@ -1047,6 +1005,56 @@ impl RankState {
             Msg::TradeLoad { .. } | Msg::TradeHome { .. } | Msg::TradeVisit { .. } => {
                 unreachable!("Curveball traffic routed into the switch state machine")
             }
+        }
+    }
+}
+
+impl RankMachine for RankState {
+    type Schedule = StepHarness;
+
+    fn handle(&mut self, src: usize, msg: Msg, out: &mut Outbox, _: &mut StepTelemetry) {
+        RankState::handle(self, src, msg, out);
+    }
+
+    fn try_start(&mut self, out: &mut Outbox) -> StartResult {
+        RankState::try_start(self, out)
+    }
+
+    /// Own quota finished and every own conversation confirmed.
+    fn step_done(&self) -> bool {
+        self.remaining == 0 && self.inflight.is_empty() && self.pending_done.is_empty()
+    }
+
+    fn inflight_len(&self) -> usize {
+        self.inflight.len()
+    }
+
+    fn window(&self) -> usize {
+        self.window
+    }
+
+    fn obs_mut(&mut self) -> &mut Obs {
+        &mut self.obs
+    }
+
+    fn stats(&self) -> &RankStats {
+        &self.stats
+    }
+
+    fn into_output(self, comm: CommStats) -> RankOutput {
+        debug_assert!(self.serving.is_empty(), "conversations left open");
+        debug_assert!(
+            self.pending_done.is_empty(),
+            "unconfirmed operations leaked"
+        );
+        debug_assert!(self.reserved.is_empty(), "edges left reserved");
+        debug_assert!(self.potential.is_empty(), "potential edges leaked");
+        RankOutput {
+            store: self.store,
+            tracker: self.tracker,
+            stats: self.stats,
+            comm,
+            obs: self.obs.finish(),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! White-box tests of the protocol state machine: each message path is
 //! driven by hand against small hand-built partitions.
 
-use super::harness::{probability_vector, StepHarness};
+use super::harness::{probability_vector, RankMachine, StepHarness};
 use super::msg::{ConvId, Msg, Outbox};
 use super::rank::{RankState, RankStats, StartResult};
 use super::tests::simulated;

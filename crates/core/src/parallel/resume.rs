@@ -1,23 +1,27 @@
 //! The simulated world: all `p` rank machines driven from one loop, one
-//! Section-4.5 step at a time.
+//! step at a time — a Section-4.5 step of the switch protocol, or a pass
+//! of Curveball trades.
 //!
 //! [`SimWorld`] owns the whole life of a simulated run — set-up (store
 //! split, rank construction, observation clock), stepping
 //! ([`run_world_step`] over its [`WorldTransport`]) and teardown
 //! ([`assemble_outcome`]) — and hands control back to the caller between
-//! steps. Over the default [`FifoTransport`] it is the deterministic
-//! simulator behind [`Run::simulated`](crate::Run::simulated),
-//! bit-reproducible for a given seed at any `p`; the virtual-time DES in
-//! `edgeswitch-scalesim` drives the same type over a cost-charging
-//! transport, so the two produce identical logical results.
+//! steps. Only the step boundary differs between the randomizers: the
+//! switch one is here, the pass boundary in [`super::trade`]. Over the
+//! default [`FifoTransport`] it is the deterministic simulator behind
+//! [`Run::simulated`](crate::Run::simulated), bit-reproducible for a
+//! given seed at any `p`; the virtual-time DES in `edgeswitch-scalesim`
+//! drives the same type over a cost-charging transport, so the two
+//! produce identical logical results.
 //!
-//! At every step boundary the protocol's transient state is empty (the
-//! completion-ack discipline of [`RankState`] guarantees it), so the
-//! whole FIFO world reduces to its per-rank checkpoints plus run-level
-//! accumulators — a [`WorldSnapshot`] — and a killed process can rebuild
-//! the world and continue to a bit-identical result: the job service's
-//! checkpoint/resume guarantee. Two deliberate restrictions keep the
-//! snapshot closed:
+//! At every switch step boundary the protocol's transient state is empty
+//! (the completion-ack discipline of [`RankState`] guarantees it), so the
+//! whole FIFO switch world reduces to its per-rank checkpoints plus
+//! run-level accumulators — a [`WorldSnapshot`] — and a killed process
+//! can rebuild the world and continue to a bit-identical result: the job
+//! service's checkpoint/resume guarantee. (A Curveball world has no
+//! snapshot format yet, so it runs to the end in one call.) Two
+//! deliberate restrictions keep the snapshot closed:
 //!
 //! - **A resumed world is unobserved.** Probes hold run-length host
 //!   state (clocks, open spans) that cannot be serialized, so a snapshot
@@ -28,16 +32,16 @@
 //!   record neither it nor the graph's initial form.
 
 use super::harness::{
-    assemble_outcome, run_world_step, FifoTransport, ParallelOutcome, RankOutput, RunMeta,
-    StepHarness, StepTelemetry, WorldTransport,
+    assemble_outcome, open_switch_step, run_world_step, FifoTransport, Opened, ParallelOutcome,
+    RankMachine, RankOutput, RunMeta, StepHarness, StepTelemetry, WorldTransport,
 };
 use super::msg::Outbox;
 use super::rank::{RankCheckpoint, RankState};
 use crate::config::ParallelConfig;
-use crate::obs::{Clock, MonoClock};
+use crate::obs::{Clock, MonoClock, Obs};
 use crate::sequential::check_degrees;
 use edgeswitch_graph::store::build_stores;
-use edgeswitch_graph::{Graph, Partitioner};
+use edgeswitch_graph::{Graph, PartitionStore, Partitioner};
 use mpilite::CommStats;
 use std::sync::Arc;
 
@@ -72,20 +76,24 @@ pub struct WorldSnapshot {
     pub initial_edges: Vec<u64>,
 }
 
-/// The simulated world as a pausable engine: construct, call
-/// [`SimWorld::step`] until [`SimWorld::is_done`], then
-/// [`SimWorld::finish`]. On the FIFO instance, [`SimWorld::snapshot`]
-/// between any two steps captures everything [`SimWorld::resume`] needs
-/// to continue the run bit-identically in a fresh process.
-pub struct SimWorld<T: WorldTransport = FifoTransport> {
-    states: Vec<RankState>,
+/// The simulated world as a pausable engine over `T`, running the
+/// protocol of rank machine `S` (the switch protocol by default;
+/// `SimWorld::curveball` in [`super::trade`] sets up Curveball passes).
+/// For switches: construct, call [`SimWorld::step`] until
+/// [`SimWorld::is_done`], then [`SimWorld::finish`]; on the FIFO
+/// instance, [`SimWorld::snapshot`] between any two steps captures
+/// everything [`SimWorld::resume`] needs to continue the run
+/// bit-identically in a fresh process.
+pub(crate) struct SimWorld<T: WorldTransport = FifoTransport, S: RankMachine = RankState> {
+    states: Vec<S>,
     comm_stats: Vec<CommStats>,
     transport: T,
-    harness: StepHarness,
+    /// What the protocol's step boundaries carry from one step to the
+    /// next.
+    schedule: S::Schedule,
     telemetry: Vec<StepTelemetry>,
     initial_edges: Vec<u64>,
     n: usize,
-    t: u64,
     seed: u64,
     next_step: u64,
     out: Outbox,
@@ -94,23 +102,23 @@ pub struct SimWorld<T: WorldTransport = FifoTransport> {
     clock: Option<(Arc<dyn Clock>, u64)>,
 }
 
-impl<T: WorldTransport> SimWorld<T> {
-    /// Set up a `t`-operation run of the parallel algorithm on
-    /// `config.processors` virtual ranks split by `part`, delivering
-    /// messages through `transport`. An observed run
-    /// ([`ParallelConfig::obs`]) reads the transport's clock if it owns
-    /// the timeline (the DES records in virtual time), otherwise the
-    /// monotonic clock.
+impl<T: WorldTransport, S: RankMachine> SimWorld<T, S> {
+    /// Set up a world of `config.processors` ranks over `graph` split by
+    /// `part`, delivering through `transport`: `rank` builds rank `i`
+    /// from its store and probe. An observed run ([`ParallelConfig::obs`])
+    /// reads the transport's clock if it owns the timeline (the DES
+    /// records in virtual time), otherwise the monotonic clock.
     ///
     /// # Panics
     /// If `part` does not split into `config.processors` parts
     /// ([`Run`](crate::Run) rejects that as a typed error first).
-    pub fn over(
+    pub(crate) fn set_up(
         graph: &Graph,
-        t: u64,
         config: &ParallelConfig,
         part: &Partitioner,
         mut transport: T,
+        schedule: S::Schedule,
+        rank: impl Fn(usize, PartitionStore, Obs) -> S,
     ) -> Self {
         let p = config.processors;
         assert_eq!(part.num_parts(), p, "partitioner size must match config");
@@ -121,27 +129,25 @@ impl<T: WorldTransport> SimWorld<T> {
                 .obs_clock()
                 .unwrap_or_else(|| Arc::new(MonoClock::new()))
         });
-        let states: Vec<RankState> = stores
+        let states: Vec<S> = stores
             .into_iter()
             .enumerate()
-            .map(|(rank, store)| {
-                let state = RankState::new(rank, part.clone(), store, config);
-                match &clock {
-                    Some(clock) => state.with_obs(config.obs.build(clock.clone())),
-                    None => state,
-                }
+            .map(|(i, store)| {
+                let obs = match &clock {
+                    Some(clock) => config.obs.build(clock.clone()),
+                    None => Obs::noop(),
+                };
+                rank(i, store, obs)
             })
             .collect();
-        let harness = StepHarness::new(t, config);
         SimWorld {
             states,
             comm_stats: vec![CommStats::default(); p],
             transport,
-            harness,
+            schedule,
             telemetry: Vec::new(),
             initial_edges,
             n: graph.num_vertices(),
-            t,
             seed: config.seed,
             next_step: 0,
             out: Outbox::new(),
@@ -152,77 +158,36 @@ impl<T: WorldTransport> SimWorld<T> {
         }
     }
 
-    /// Total steps in the run.
-    pub fn steps(&self) -> u64 {
-        self.harness.steps()
-    }
-
-    /// Next step to execute (`steps()` once done).
-    pub fn next_step(&self) -> u64 {
-        self.next_step
-    }
-
-    /// Whether every step has run.
-    pub fn is_done(&self) -> bool {
-        self.next_step >= self.harness.steps()
-    }
-
-    /// Total operation budget `t`.
-    pub fn budget(&self) -> u64 {
-        self.t
-    }
-
-    /// Operations performed so far across ranks.
-    pub fn performed(&self) -> u64 {
-        self.states.iter().map(|st| st.stats.performed).sum()
-    }
-
-    /// Observed visit rate so far (over all partitions).
-    pub fn visit_rate(&self) -> f64 {
-        let initial: usize = self
-            .states
-            .iter()
-            .map(|st| st.tracker.initial_count())
-            .sum();
-        if initial == 0 {
-            return 0.0;
-        }
-        let visited: usize = self
-            .states
-            .iter()
-            .map(|st| st.tracker.visited_count())
-            .sum();
-        visited as f64 / initial as f64
-    }
-
-    /// Execute the next step; returns its telemetry (`None` when the run
-    /// is already complete).
-    pub fn step(&mut self) -> Option<&StepTelemetry> {
-        if self.is_done() {
-            return None;
-        }
+    /// Execute the next step, its boundary opened by `open` on the
+    /// schedule ([`run_world_step`]); returns its telemetry, or `None`
+    /// when the boundary ended the run.
+    pub(crate) fn step_with(
+        &mut self,
+        open: impl FnOnce(
+            &mut S::Schedule,
+            &mut T,
+            &mut [S],
+            &mut Outbox,
+            &mut [CommStats],
+        ) -> Option<Opened>,
+    ) -> Option<&StepTelemetry> {
+        let schedule = &mut self.schedule;
         let tel = run_world_step(
             &mut self.transport,
             &mut self.states,
             &mut self.out,
-            self.harness.step_ops(self.next_step),
-            self.harness.uniform_q(),
             &mut self.comm_stats,
-        );
+            |transport, states, out, comm_stats| open(schedule, transport, states, out, comm_stats),
+        )?;
         self.telemetry.push(tel);
         self.next_step += 1;
         self.telemetry.last()
     }
 
-    /// Execute every remaining step.
-    pub fn run_to_end(&mut self) {
-        while self.step().is_some() {}
-    }
-
     /// Tear down into the [`ParallelOutcome`] of the steps executed so
     /// far (`report` is `Some` iff the world was observed), handing the
     /// transport back (the DES reads its clocks off it).
-    pub fn finish(self) -> (ParallelOutcome, T) {
+    pub(crate) fn finish(self) -> (ParallelOutcome, T) {
         let meta = self.clock.map(|(clock, start)| RunMeta {
             clock: clock.label(),
             wall_ns: clock.now_ns().saturating_sub(start),
@@ -245,14 +210,93 @@ impl<T: WorldTransport> SimWorld<T> {
     }
 }
 
+impl<T: WorldTransport> SimWorld<T> {
+    /// Set up a `t`-operation run of the parallel switch algorithm on
+    /// `config.processors` virtual ranks split by `part`, delivering
+    /// messages through `transport`.
+    pub(crate) fn over(
+        graph: &Graph,
+        t: u64,
+        config: &ParallelConfig,
+        part: &Partitioner,
+        transport: T,
+    ) -> Self {
+        let harness = StepHarness::new(t, config);
+        let rank = |i, store, obs| RankState::new(i, part.clone(), store, config).with_obs(obs);
+        SimWorld::set_up(graph, config, part, transport, harness, rank)
+    }
+
+    /// Total steps in the run.
+    pub(crate) fn steps(&self) -> u64 {
+        self.schedule.steps()
+    }
+
+    /// Next step to execute (`steps()` once done).
+    pub(crate) fn next_step(&self) -> u64 {
+        self.next_step
+    }
+
+    /// Whether every step has run.
+    pub(crate) fn is_done(&self) -> bool {
+        self.next_step >= self.schedule.steps()
+    }
+
+    /// Total operation budget `t`.
+    pub(crate) fn budget(&self) -> u64 {
+        self.schedule.budget()
+    }
+
+    /// Operations performed so far across ranks.
+    pub(crate) fn performed(&self) -> u64 {
+        self.states.iter().map(|st| st.stats.performed).sum()
+    }
+
+    /// Observed visit rate so far (over all partitions).
+    pub(crate) fn visit_rate(&self) -> f64 {
+        let (initial, visited) = self.states.iter().fold((0, 0), |(i, v), st| {
+            (
+                i + st.tracker.initial_count(),
+                v + st.tracker.visited_count(),
+            )
+        });
+        if initial == 0 {
+            return 0.0;
+        }
+        visited as f64 / initial as f64
+    }
+
+    /// Execute the next step; returns its telemetry (`None` when the run
+    /// is already complete).
+    pub(crate) fn step(&mut self) -> Option<&StepTelemetry> {
+        if self.is_done() {
+            return None;
+        }
+        let step = self.next_step;
+        self.step_with(|harness, transport, states, _, _| {
+            Some(open_switch_step(transport, states, harness, step))
+        })
+    }
+
+    /// Execute every remaining step.
+    pub(crate) fn run_to_end(&mut self) {
+        while self.step().is_some() {}
+    }
+
+    /// Execute every remaining step and tear down.
+    pub(crate) fn run(mut self) -> (ParallelOutcome, T) {
+        self.run_to_end();
+        self.finish()
+    }
+}
+
 impl SimWorld<FifoTransport> {
     /// Capture the complete world state at the current step boundary.
-    pub fn snapshot(&self) -> WorldSnapshot {
+    pub(crate) fn snapshot(&self) -> WorldSnapshot {
         WorldSnapshot {
             seed: self.seed,
             p: self.states.len(),
             n: self.n,
-            t: self.t,
+            t: self.schedule.budget(),
             next_step: self.next_step,
             ranks: self.states.iter().map(|st| st.checkpoint()).collect(),
             comm: self.comm_stats.clone(),
@@ -273,7 +317,7 @@ impl SimWorld<FifoTransport> {
     /// degree sequence; otherwise the reason comes back as `Err` — a
     /// resume against the wrong job, or from damaged bytes, never panics
     /// and never silently diverges.
-    pub fn resume(
+    pub(crate) fn resume(
         graph: &Graph,
         t: u64,
         config: &ParallelConfig,
@@ -328,11 +372,10 @@ impl SimWorld<FifoTransport> {
             states,
             comm_stats: snap.comm.clone(),
             transport: FifoTransport::new(),
-            harness,
+            schedule: harness,
             telemetry: snap.telemetry.clone(),
             initial_edges: snap.initial_edges.clone(),
             n: snap.n,
-            t,
             seed: snap.seed,
             next_step: snap.next_step,
             out: Outbox::new(),

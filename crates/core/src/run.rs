@@ -50,20 +50,21 @@
 //! ```
 //!
 //! Who owns what: `Run` validates, resolves the budget and builds the
-//! partitioner; the engine's world ([`SequentialResumable`],
-//! [`SimWorld`]) owns set-up, stepping, snapshot and teardown; the
-//! threaded and process worlds and the Curveball drivers run one-shot
-//! inside [`Run::try_execute`].
+//! partitioner; the engine's world ([`SequentialResumable`], the
+//! simulated `SimWorld`) owns set-up, stepping, snapshot and teardown.
+//! Curveball (one pass per `SimWorld` step; no snapshot format yet) and
+//! the threaded and process worlds run one-shot in [`Run::try_execute`].
 
 use crate::config::{Backend, ParallelConfig, QuotaPolicy, Randomizer, StepSize};
 use crate::obs::{ObsSpec, ProgressEvent, RunReport, StepProgress};
 use crate::parallel::engine::threaded_switch;
 use crate::parallel::proc::{process_backend_supported, process_switch, ProcError};
-use crate::parallel::trade::{simulated_trades, threaded_trades};
+use crate::parallel::resume::SimWorld;
+use crate::parallel::trade::threaded_trades;
 use crate::parallel::wire::{
     decode_seq_checkpoint, decode_world_snapshot, encode_seq_checkpoint, encode_world_snapshot,
 };
-use crate::parallel::{FifoTransport, ParallelOutcome, SimWorld, WorldTransport};
+use crate::parallel::{FifoTransport, ParallelOutcome, WorldTransport};
 use crate::sequential::{SequentialOutcome, SequentialResumable};
 use crate::trade::{sequential_curveball_observed, TradeBudget};
 use edgeswitch_graph::{Graph, Partitioner, SchemeKind};
@@ -347,7 +348,9 @@ impl Run {
                 )));
             }
         }
-        if self.config.backend == Backend::Process {
+        // Only the parallel driver reads the backend; the sequential and
+        // simulated drivers run whatever it names.
+        if self.mode == Mode::Parallel && self.config.backend == Backend::Process {
             if self.config.randomizer == Randomizer::Curveball {
                 return Err(RunError::BackendUnsupported(
                     "the process backend runs the switch protocol only; \
@@ -355,7 +358,7 @@ impl Run {
                         .to_string(),
                 ));
             }
-            if self.mode == Mode::Parallel && !process_backend_supported() {
+            if !process_backend_supported() {
                 return Err(RunError::BackendUnsupported(
                     "the process backend needs shared-memory support (Linux)".to_string(),
                 ));
@@ -439,19 +442,15 @@ impl Run {
         if self.mode == Mode::Sequential {
             return Ok(self.sequential_curveball(graph));
         }
-        let part = self.partitioner(graph);
-        let config = &self.config;
-        let out = if config.randomizer == Randomizer::Curveball {
-            let budget = self.trade_budget();
-            match self.mode {
-                Mode::Parallel => threaded_trades(graph, budget, config, &part),
-                _ => simulated_trades(graph, budget, config, &part, &mut FifoTransport::new()),
-            }
+        let out = if self.mode == Mode::Simulated {
+            self.simulate(graph, FifoTransport::new()).0
         } else {
-            let t = self.resolve_ops(graph);
-            match config.backend {
-                Backend::Process => process_switch(graph, t, config, &part)?,
-                Backend::Threaded => threaded_switch(graph, t, config, &part),
+            let (part, config) = (self.partitioner(graph), &self.config);
+            let (t, budget) = (self.resolve_ops(graph), self.trade_budget());
+            match (config.randomizer, config.backend) {
+                (Randomizer::Curveball, _) => threaded_trades(graph, budget, config, &part),
+                (_, Backend::Process) => process_switch(graph, t, config, &part)?,
+                (_, Backend::Threaded) => threaded_switch(graph, t, config, &part),
             }
         };
         Ok(RunOutcome::Parallel(Box::new(out)))
@@ -527,19 +526,23 @@ impl Run {
     pub fn try_execute_over<T: WorldTransport>(
         &self,
         graph: &Graph,
-        mut transport: T,
+        transport: T,
     ) -> Result<(ParallelOutcome, T), RunError> {
         self.validate()?;
-        let part = self.partitioner(graph);
-        if self.config.randomizer == Randomizer::Curveball {
-            let budget = self.trade_budget();
-            let out = simulated_trades(graph, budget, &self.config, &part, &mut transport);
-            return Ok((out, transport));
+        Ok(self.simulate(graph, transport))
+    }
+
+    /// Run this job to the end on the simulated world over `transport`:
+    /// switch steps or Curveball passes, as the randomizer says.
+    fn simulate<T: WorldTransport>(&self, graph: &Graph, transport: T) -> (ParallelOutcome, T) {
+        let (part, config) = (self.partitioner(graph), &self.config);
+        let (t, budget) = (self.resolve_ops(graph), self.trade_budget());
+        match config.randomizer {
+            Randomizer::Switch => SimWorld::over(graph, t, config, &part, transport).run(),
+            Randomizer::Curveball => {
+                SimWorld::curveball(graph, budget, config, &part, transport).run()
+            }
         }
-        let t = self.resolve_ops(graph);
-        let mut world = SimWorld::over(graph, t, &self.config, &part, transport);
-        world.run_to_end();
-        Ok(world.finish())
     }
 
     /// The sequential Curveball run, surfaced through
@@ -568,7 +571,7 @@ impl Run {
 /// [`Engine::advance`] until [`Engine::is_done`], then
 /// [`Engine::finish`]. Which engine and which snapshot format is behind
 /// it — [`SequentialResumable`] for [`Run::sequential`], the FIFO
-/// [`SimWorld`] for [`Run::simulated`] — is hidden; however the budget
+/// `SimWorld` for [`Run::simulated`] — is hidden; however the budget
 /// is cut into `advance` calls, and across any
 /// [`Engine::snapshot`]/[`Run::resume`] boundary, `finish()` equals the
 /// one-shot [`Run::execute`] bit for bit.
@@ -1011,6 +1014,19 @@ mod tests {
             .try_execute(&g)
             .expect_err("curveball has no process driver");
         assert!(matches!(err, RunError::BackendUnsupported(_)), "{err:?}");
+        // The simulated and sequential drivers never read the backend, so
+        // a config naming the process backend runs there as it would with
+        // the switch protocol.
+        let config = ParallelConfig::new(2).with_backend(Backend::Process);
+        for run in [Run::simulated(2), Run::sequential()] {
+            let out = run
+                .prepared(config.clone(), None)
+                .randomizer(Randomizer::Curveball)
+                .switches(10)
+                .try_execute(&g)
+                .expect("the backend is not read here");
+            assert_eq!(out.graph().degree_sequence(), g.degree_sequence());
+        }
     }
 
     #[test]

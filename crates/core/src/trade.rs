@@ -61,6 +61,7 @@ pub enum TradeBudget {
 /// vertex → trade-index map. Every driver (and every rank of the
 /// parallel driver) rebuilds this identically from `(seed, pass)` with
 /// zero communication.
+#[derive(Default)]
 pub(crate) struct PassPlan {
     /// The pass index this plan was drawn for.
     pub pass: u64,
@@ -182,10 +183,31 @@ impl PassController {
         }
     }
 
-    /// Decide whether to run another pass. `initial_total` is the global
-    /// initial edge count (constant — trades preserve `m`),
+    /// The pass boundary of every driver: decide whether to run another
+    /// pass of an `n`-vertex graph and, if so, draw its matching and
+    /// account its trades (`None` ends the run). `initial_total` is the
+    /// global initial edge count (constant — trades preserve `m`),
     /// `visited_total` the global visited count so far.
-    pub fn should_continue(&mut self, n: usize, initial_total: u64, visited_total: u64) -> bool {
+    pub fn next_plan(
+        &mut self,
+        n: usize,
+        seed: u64,
+        initial_total: u64,
+        visited_total: u64,
+    ) -> Option<PassPlan> {
+        if !self.should_continue(n, initial_total, visited_total) {
+            return None;
+        }
+        let plan = PassPlan::build(n, seed, self.pass);
+        if plan.pairs.is_empty() {
+            return None;
+        }
+        self.trades += plan.pairs.len() as u64;
+        self.pass += 1;
+        Some(plan)
+    }
+
+    fn should_continue(&mut self, n: usize, initial_total: u64, visited_total: u64) -> bool {
         if n < 2 || initial_total == 0 {
             return false;
         }
@@ -205,12 +227,6 @@ impl PassController {
                 self.stall < STALL_PASS_LIMIT
             }
         }
-    }
-
-    /// Account one completed pass of `pairs` trades.
-    pub fn finish_pass(&mut self, pairs: u64) {
-        self.trades += pairs;
-        self.pass += 1;
     }
 }
 
@@ -267,18 +283,18 @@ pub fn sequential_curveball_observed(
     let n = graph.num_vertices();
     let initial_total = outcome.tracker.initial_count() as u64;
     let mut ctl = PassController::new(budget);
-    while ctl.should_continue(n, initial_total, outcome.tracker.visited_count() as u64) {
-        let plan = PassPlan::build(n, seed, ctl.pass);
-        if plan.pairs.is_empty() {
-            break;
-        }
+    while let Some(plan) = ctl.next_plan(
+        n,
+        seed,
+        initial_total,
+        outcome.tracker.visited_count() as u64,
+    ) {
         for (k, &(u, v)) in plan.pairs.iter().enumerate() {
-            let mut rng = trade_rng(seed, ctl.pass, k as u32);
+            let mut rng = trade_rng(seed, plan.pass, k as u32);
             outcome.neighbors_moved +=
                 run_trade(graph, &mut outcome.tracker, u, v, &mut rng, &mut obs) as u64;
         }
         outcome.trades += plan.pairs.len() as u64;
-        ctl.finish_pass(plan.pairs.len() as u64);
         outcome.passes = ctl.pass;
     }
     if obs.enabled() {

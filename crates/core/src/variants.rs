@@ -203,13 +203,6 @@ pub fn sequential_exact_visit<R: Rng + ?Sized>(
     out
 }
 
-/// Helper: find an edge whose removal disconnects nothing we care about
-/// — exposed for tests of the connectivity predicate.
-#[doc(hidden)]
-pub fn __endpoints_connected_for_tests(graph: &Graph, endpoints: [VertexId; 4]) -> bool {
-    endpoints_connected(graph, endpoints)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,8 +294,8 @@ mod tests {
     fn endpoints_connected_detects_separation() {
         // Path 0-1-2: removing nothing, endpoints 0 and 2 connected.
         let g = Graph::from_edges(4, vec![Edge::new(0, 1), Edge::new(1, 2)]).unwrap();
-        assert!(__endpoints_connected_for_tests(&g, [0, 1, 2, 1]));
+        assert!(endpoints_connected(&g, [0, 1, 2, 1]));
         // Vertex 3 is isolated.
-        assert!(!__endpoints_connected_for_tests(&g, [0, 1, 3, 1]));
+        assert!(!endpoints_connected(&g, [0, 1, 3, 1]));
     }
 }

@@ -7,8 +7,8 @@
 //!   `finish()` equals the one-shot `execute()` (the table in
 //!   [`stepped_engine_conformance_table`]), and the digests the parent
 //!   commit computed are pinned ([`golden_digests_are_pinned`]), and so
-//!   is the simulated protocol's message ledger
-//!   ([`protocol_ledger_is_pinned`]).
+//!   are the simulated protocols' message ledgers
+//!   ([`protocol_ledger_is_pinned`], [`curveball_ledger_is_pinned`]).
 //! - The sequential engine runs on the edge pool alone; an independent
 //!   Algorithm 1 that maintains the whole `Graph` makes the same
 //!   switches and leaves the same pool order
@@ -382,6 +382,63 @@ fn protocol_ledger_is_pinned() {
          [4447, 5188, 5150, 38, 17, 5133, 4375, 9508, 4375, 72, 0, 0, 0, 0, 0, 0], 38_303),
         (4, 101, 8655, 223, 0, 1561,
          [6580, 8091, 8025, 66, 29, 7996, 6457, 14453, 6457, 123, 0, 0, 0, 0, 0, 0], 58_277),
+    ];
+    assert_eq!(got, pinned);
+}
+
+/// The Curveball protocol's exact ledger on one fixed instance, pinned at
+/// p ∈ {1, 2, 4} as commit ff35cc4 computed them: passes, trades,
+/// neighbours moved, the edge digest, the three trade message kinds and
+/// packets — and, under the DES, the virtual time of every pass
+/// (boundary + drain) and its packet total. A change to how trade traffic
+/// is routed, counted or charged fails here.
+#[test]
+fn curveball_ledger_is_pinned() {
+    let g = preferential_attachment(2_000, 5, &mut root_rng(3));
+    let got: Vec<_> = [1usize, 2, 4]
+        .into_iter()
+        .map(|p| {
+            let run = Run::simulated(p)
+                .randomizer(Randomizer::Curveball)
+                .switches(4_500)
+                .seed(9);
+            let out = run.execute(&g).into_parallel().expect("parallel outcome");
+            let msgs = out.logical_msg_totals();
+            let (des, report) = des_run(&run, &g, &CostModel::default());
+            assert!(des.graph.same_edge_set(&out.graph), "p={p}");
+            (
+                p,
+                out.steps,
+                out.performed(),
+                out.telemetry.iter().map(|s| s.neighbors_moved).sum::<u64>(),
+                out.graph.edge_digest(),
+                [
+                    msgs.get(MsgKind::TradeLoad),
+                    msgs.get(MsgKind::TradeHome),
+                    msgs.get(MsgKind::TradeVisit),
+                ],
+                out.packet_total(),
+                report
+                    .step_ns
+                    .iter()
+                    .map(|&ns| ns as u64)
+                    .collect::<Vec<_>>(),
+                report.packets,
+            )
+        })
+        .collect();
+    // (p, passes, trades, neighbours moved, digest, [TradeLoad,
+    // TradeHome, TradeVisit], packets, DES ns per pass, DES packets):
+    // every driver at every p makes the sequential engine's trades, so
+    // only the traffic columns move with p.
+    #[rustfmt::skip]
+    let pinned = vec![
+        (1, 5, 5000, 98_656, 0x4780_10a9_1a04_5819, [0, 0, 0], 0,
+         vec![1_924_852, 1_928_152, 1_925_752, 1_922_752, 1_926_352], 0),
+        (2, 5, 5000, 98_656, 0x4780_10a9_1a04_5819, [26_689, 3_988, 4_920], 35_597,
+         vec![2_054_204, 2_051_204, 2_048_654, 2_048_254, 2_043_004], 35_597),
+        (4, 5, 5000, 98_656, 0x4780_10a9_1a04_5819, [44_777, 9_423, 13_426], 67_626,
+         vec![1_858_958, 1_861_658, 1_880_258, 1_843_258, 1_843_758], 67_626),
     ];
     assert_eq!(got, pinned);
 }
@@ -964,7 +1021,8 @@ fn curveball_fifo_and_des_produce_identical_outcomes() {
 /// The threaded trade engine is bit-identical to the simulator at every
 /// p (not just p = 1): counting-based firing makes trade outcomes
 /// independent of OS message interleaving. Logical message totals also
-/// agree up to the threaded driver's explicit EndOfStep drain markers.
+/// agree up to the threaded driver's explicit EndOfStep drain markers;
+/// packets are coalesced, and every world counts trades as performed.
 #[test]
 fn curveball_threaded_engine_is_bit_identical_to_simulator() {
     let g = clustered_graph(53);
@@ -1004,6 +1062,19 @@ fn curveball_threaded_engine_is_bit_identical_to_simulator() {
             assert_eq!(a.ops, b.ops, "ops: {ctx}");
             assert_eq!(a.trades, b.trades, "trades: {ctx}");
             assert_eq!(a.neighbors_moved, b.neighbors_moved, "moved: {ctx}");
+            // Trade traffic leaves through the send coalescer: a packet
+            // carries one message or a batch of them.
+            assert!(a.packets <= a.logical_msgs.total(), "packets: {ctx}");
+        }
+        if p > 1 {
+            assert!(eng.packet_total() < eng_msgs.total(), "no batch: {ctx}");
+        }
+        // The step loops count executed trades as performed operations,
+        // pass by pass, on every world.
+        let (des, _) = des_trades(&g, budget, &cfg);
+        for (world, out) in [("FIFO", &fifo), ("DES", &des), ("threaded", &eng)] {
+            let per_pass: u64 = out.telemetry.iter().map(|s| s.performed).sum();
+            assert_eq!(per_pass, out.performed(), "{world} performed: {ctx}");
         }
     }
 }
