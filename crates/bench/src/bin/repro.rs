@@ -60,7 +60,7 @@ fn archive_perf(report: &Report) {
 fn main() {
     // Process-backend rank children re-enter through here: with the shm
     // environment set this runs the rank loop and exits, so a `repro`
-    // invocation benching `Backend::Process` can re-spawn its own binary.
+    // invocation benching `Run::process` can re-spawn its own binary.
     edgeswitch_core::parallel::child_entry_from_env();
     // Likewise for per-case genscale children: with the genscale case
     // environment set this runs one measurement and exits, so each case
@@ -374,10 +374,12 @@ fn serve_smoke(dir: &std::path::Path) -> Result<(), String> {
     use edgeswitch_svc::{Client, Json};
     use std::time::Duration;
 
-    // Job 1: quick, streams to completion. Job 2: long enough that the
-    // SIGKILL below lands mid-run (checkpoints every 512 switches).
+    // Job 1: quick Curveball passes, stepped to completion. Job 2: long
+    // enough that the SIGKILL below lands mid-run (checkpoints every 512
+    // switches).
     let quick = r#"{"graph":{"type":"er","n":120,"m":480,"seed":5},
-                    "budget":{"switches":400},"driver":"simulated","p":2,"seed":11,"window":4}"#;
+                    "budget":{"switches":400},"driver":"simulated","p":2,"seed":11,"window":4,
+                    "randomizer":"curveball"}"#;
     let long = r#"{"graph":{"type":"er","n":120,"m":480,"seed":5},
                    "budget":{"switches":3000000},"driver":"sequential","seed":23}"#;
     let quick_ref = smoke_reference(quick)?;

@@ -29,9 +29,10 @@
 
 use super::ExpConfig;
 use crate::report::{f, peak_rss_kb, provenance, table, Report};
+use edgeswitch_core::config::Budget;
 use edgeswitch_core::config::ParallelConfig;
 use edgeswitch_core::parallel::{process_backend_supported, try_parallel_edge_switch_proc_gen};
-use edgeswitch_core::trade::{sequential_curveball, TradeBudget};
+use edgeswitch_core::trade::CurveballResumable;
 use edgeswitch_graph::generators::{PaStream, StreamSpec};
 use edgeswitch_graph::store::{build_rank_store_streamed, build_stores};
 use edgeswitch_graph::{Graph, IterStream, Partitioner};
@@ -220,20 +221,21 @@ fn proc_switch(m: u64, seed: u64, t: u64) -> Json {
 /// scale for the alternative randomizer.
 fn curveball(m: u64, seed: u64) -> Json {
     let spec = pa_spec(m, seed);
-    let mut graph = spec.build().expect("PA spec is always realizable");
-    let n = graph.num_vertices();
+    let graph = spec.build().expect("PA spec is always realizable");
+    let (n, m) = (graph.num_vertices(), graph.num_edges());
     let pass = (n / 2).max(1) as u64;
     let start = Instant::now();
-    let out = sequential_curveball(&mut graph, TradeBudget::Trades(pass), seed);
+    let mut eng = CurveballResumable::new(graph, Budget::Ops(pass), seed);
+    eng.step();
     let secs = start.elapsed().as_secs_f64();
     json!({
         "mode": "curveball",
         "n": n,
-        "m": graph.num_edges(),
-        "trades": out.trades,
-        "neighbors_moved": out.neighbors_moved,
+        "m": m,
+        "trades": eng.performed(),
+        "neighbors_moved": eng.neighbors_moved(),
         "elapsed_sec": secs,
-        "trades_per_sec": out.trades as f64 / secs,
+        "trades_per_sec": eng.performed() as f64 / secs,
     })
 }
 
@@ -540,10 +542,7 @@ mod tests {
                 try_parallel_edge_switch_proc_gen(&spec, t, &config, &part).expect("seed-boot run");
             let mat = edgeswitch_core::Run::process(p)
                 .switches(t)
-                .prepared(
-                    config.with_backend(edgeswitch_core::Backend::Process),
-                    Some(part),
-                )
+                .prepared(config, Some(part))
                 .execute(&graph)
                 .into_parallel()
                 .expect("materialized run");

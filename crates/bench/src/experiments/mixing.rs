@@ -27,9 +27,10 @@
 
 use super::ExpConfig;
 use crate::report::{f, provenance, table, Report};
+use edgeswitch_core::config::Budget;
 use edgeswitch_core::config::Randomizer;
 use edgeswitch_core::run::Run;
-use edgeswitch_core::trade::{sequential_curveball, TradeBudget};
+use edgeswitch_core::trade::CurveballResumable;
 use edgeswitch_dist::harmonic::switch_ops_for_visit_rate;
 use edgeswitch_dist::root_rng;
 use edgeswitch_graph::generators::{erdos_renyi_gnm, preferential_attachment, small_world};
@@ -117,21 +118,24 @@ fn switch_sequential(graph: &Graph, seed: u64, reps: u32) -> Case {
 }
 
 // Stays on the trade engine directly: the `edges_moved` ledger needs
-// `CurveballOutcome::neighbors_moved`, which the `Run` facade's
+// `CurveballResumable::neighbors_moved`, which the `Run` facade's
 // driver-independent outcome does not surface.
 fn curveball_sequential(graph: &Graph, seed: u64, reps: u32) -> Case {
     best_of(reps, || {
-        let mut g = graph.clone();
+        let given = graph.clone();
         let start = Instant::now();
-        let out = sequential_curveball(&mut g, TradeBudget::VisitRate(TARGET_RATE), seed);
+        let mut eng = CurveballResumable::new(given, Budget::VisitRate(TARGET_RATE), seed);
+        while !eng.is_done() {
+            eng.step();
+        }
         let secs = start.elapsed().as_secs_f64();
-        let achieved = out.visit_rate();
+        let achieved = eng.visit_rate();
         Case {
             scheme: "curveball",
             mode: "sequential",
             p: 1,
-            ops: out.trades,
-            edges_moved: out.neighbors_moved,
+            ops: eng.performed(),
+            edges_moved: eng.neighbors_moved(),
             achieved,
             reached: achieved >= TARGET_RATE,
             best_secs: secs,

@@ -41,7 +41,7 @@ mod tests {
     use super::*;
 
     /// Process-backend re-entry hook, not a test: when this crate's test
-    /// binary runs `Backend::Process` (genscale's seed-boot tests), each
+    /// binary runs `Run::process` (genscale's seed-boot tests), each
     /// rank child is this same binary re-spawned with argv selecting
     /// exactly this `#[ignore]`d name — `child_entry_from_env` then runs
     /// the rank loop and exits. Without the shm environment it is a

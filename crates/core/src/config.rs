@@ -1,4 +1,6 @@
-//! Configuration of a parallel edge-switch run.
+//! Configuration of a run: its budget, randomizer and per-rank knobs.
+//! Driver and randomizer are the [`crate::Run`]'s choice, not the
+//! [`ParallelConfig`]'s, so a prepared config can never change them.
 
 use crate::obs::ObsSpec;
 use edgeswitch_dist::Rng64;
@@ -13,23 +15,6 @@ const ROOT_STREAM_SALT: u64 = 0x9a17;
 /// (the pipelining window). 16 keeps several message round trips
 /// overlapped without flooding partner ranks with proposals.
 pub const DEFAULT_WINDOW: usize = 16;
-
-/// Which substrate the parallel driver runs its ranks on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// Ranks are scoped threads in this process exchanging `Msg` values
-    /// through in-memory channels (`mpilite`). Deterministic-friendly and
-    /// portable, but on one machine all ranks timeshare the parent's
-    /// scheduler context.
-    #[default]
-    Threaded,
-    /// Ranks are child processes of the current binary exchanging encoded
-    /// frames through shared-memory rings (`edgeswitch-shm`), so `p` ranks
-    /// genuinely occupy `p` cores. Requires Linux; the launching binary
-    /// must route rank children into
-    /// [`crate::parallel::child_entry_from_env`].
-    Process,
-}
 
 /// Tuning for the process backend that only makes sense per-invocation
 /// (never serialized with the rest of the configuration).
@@ -68,7 +53,8 @@ impl Default for ProcOpts {
     }
 }
 
-/// Which randomization engine a [`crate::Run`] drives.
+/// Which randomization engine a [`crate::Run`] drives — a choice of the
+/// run ([`crate::Run::randomizer`]), not of the per-rank configuration.
 ///
 /// Both engines preserve the degree sequence exactly and report
 /// progress through the same [`crate::VisitTracker`] semantics; they
@@ -85,6 +71,18 @@ pub enum Randomizer {
     /// matching and every pair re-deals the disjoint part of its two
     /// neighborhoods in one Fisher–Yates shuffle.
     Curveball,
+}
+
+/// How much randomization a run does.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Budget {
+    /// `t` switches, or — under Curveball — whole passes until at least
+    /// `t` trades have run (`⌊n/2⌋` a pass).
+    Ops(u64),
+    /// A target expected visit rate `x ∈ (0, 1]`: switching derives `t`
+    /// from the edge count (Section 3.1); Curveball runs whole passes
+    /// until the rate is reached or three passes make no progress.
+    VisitRate(f64),
 }
 
 /// How the step size `s` is chosen (Section 4.5: the probability vector
@@ -153,19 +151,9 @@ pub struct ParallelConfig {
     /// are bit-identical either way (enforced by
     /// `tests/driver_conformance.rs`).
     pub local_fastpath: bool,
-    /// Rank substrate: in-process threads (default) or OS processes over
-    /// shared-memory rings. Identical logical protocol either way; at
-    /// `p = 1` both are bit-identical to the simulators (enforced by
-    /// `tests/driver_conformance.rs`).
-    pub backend: Backend,
     /// Per-invocation process-backend knobs (child argv, pid announcing,
     /// ring sizing).
     pub proc_opts: ProcOpts,
-    /// Randomization engine: single edge switches (default) or global
-    /// Curveball trades. The Curveball engine runs on the sequential,
-    /// threaded, FIFO, and DES drivers; the process backend currently
-    /// supports switches only.
-    pub randomizer: Randomizer,
 }
 
 impl ParallelConfig {
@@ -181,9 +169,7 @@ impl ParallelConfig {
             window: DEFAULT_WINDOW,
             obs: ObsSpec::default(),
             local_fastpath: true,
-            backend: Backend::default(),
             proc_opts: ProcOpts::default(),
-            randomizer: Randomizer::default(),
         }
     }
 
@@ -231,21 +217,9 @@ impl ParallelConfig {
         self
     }
 
-    /// Builder-style backend override.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Builder-style process-backend options override.
     pub fn with_proc_opts(mut self, proc_opts: ProcOpts) -> Self {
         self.proc_opts = proc_opts;
-        self
-    }
-
-    /// Builder-style randomizer override (switches vs Curveball trades).
-    pub fn with_randomizer(mut self, randomizer: Randomizer) -> Self {
-        self.randomizer = randomizer;
         self
     }
 
@@ -309,17 +283,7 @@ mod tests {
                 .local_fastpath
         );
         // The switch protocol is the default engine.
-        assert_eq!(ParallelConfig::new(2).randomizer, Randomizer::Switch);
-        assert_eq!(
-            ParallelConfig::new(2)
-                .with_randomizer(Randomizer::Curveball)
-                .randomizer,
-            Randomizer::Curveball
-        );
-        // Backend defaults to threads.
-        assert_eq!(ParallelConfig::new(2).backend, Backend::Threaded);
-        let cfg = ParallelConfig::new(2).with_backend(Backend::Process);
-        assert_eq!(cfg.backend, Backend::Process);
+        assert_eq!(Randomizer::default(), Randomizer::Switch);
     }
 
     #[test]

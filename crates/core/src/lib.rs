@@ -11,12 +11,14 @@
 //! - [`sequential`]: Algorithm 1 as a pausable engine,
 //! - [`parallel`]: the distributed protocol (Sections 4–5) and the
 //!   simulated, threaded and process worlds it runs on,
-//! - [`trade`]: the Curveball randomizer (global trades),
+//! - [`trade`]: the Curveball randomizer (global trades) and its
+//!   pausable sequential engine,
 //! - [`visit`]: visit-rate tracking (Section 3.1),
 //! - [`error_rate`]: the sequential-vs-parallel similarity metric
 //!   (Section 4.6),
 //! - [`obs`]: probes, clocks and the [`RunReport`],
-//! - [`config`]: run configuration (scheme, step size, seed).
+//! - [`config`]: per-rank run configuration (scheme, step size, seed,
+//!   window, …) and the randomizer choice.
 //!
 //! The front door is the [`Run`] builder:
 //!
@@ -45,13 +47,13 @@ pub mod trade;
 pub mod variants;
 pub mod visit;
 
-pub use config::{Backend, ParallelConfig, ProcOpts, Randomizer, StepSize};
+pub use config::{Budget, ParallelConfig, ProcOpts, Randomizer, StepSize};
 pub use error_rate::{error_rate, BlockMatrix};
 pub use obs::{Obs, ObsSpec, Probe, RunReport};
 pub use parallel::{child_entry_from_env, MsgCounts, ParallelOutcome, StepTelemetry};
 pub use run::{Engine, Run, RunError, RunOutcome, SequentialRun};
 pub use sequential::{SeqCheckpoint, SequentialOutcome, SequentialResumable};
 pub use switch::{RejectReason, SwitchKind};
-pub use trade::{CurveballOutcome, TradeBudget};
+pub use trade::CurveballResumable;
 pub use variants::{sequential_edge_switch_connected, sequential_exact_visit, ConstrainedOutcome};
 pub use visit::VisitTracker;

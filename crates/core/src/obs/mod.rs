@@ -289,6 +289,36 @@ impl Obs {
     }
 }
 
+/// A one-thread run's [`Obs`] on the monotonic clock, and its start.
+pub(crate) struct SoloObs {
+    pub obs: Obs,
+    start: u64,
+}
+
+impl SoloObs {
+    /// What `spec` asks for (the no-op context when off).
+    pub fn new(spec: ObsSpec) -> Self {
+        let obs = spec.build_mono();
+        SoloObs {
+            start: obs.now(),
+            obs,
+        }
+    }
+
+    /// Stream span totals through `tx` instead ([`StreamingProbe`]).
+    pub fn stream(&mut self, tx: std::sync::mpsc::Sender<ProgressEvent>, every: u64) {
+        let probe = Box::new(StreamingProbe::new(tx, every));
+        self.obs = Obs::with_probe(probe, Arc::new(MonoClock::new()));
+    }
+
+    /// The run's report: `Some` iff it was recorded.
+    pub fn report(self) -> Option<RunReport> {
+        let wall_ns = self.obs.now().saturating_sub(self.start);
+        let rec = self.obs.finish()?;
+        Some(RunReport::from_obs("monotonic", 1, wall_ns, &rec, None))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

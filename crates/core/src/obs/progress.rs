@@ -45,18 +45,23 @@ pub struct SpanTotals {
 pub struct StepProgress {
     /// Steps completed so far (1-based: the step this record closes);
     /// 0 for an engine without a step structure (sequential chunks).
+    /// Under Curveball a step is a pass.
     pub step: u64,
     /// Total steps the run will take (0 when the engine has no step
-    /// structure).
+    /// structure). A Curveball run decides its pass count as it goes,
+    /// so there this is the passes run so far.
     pub steps: u64,
-    /// Switch operations performed so far, run-wide.
+    /// Operations performed so far, run-wide (trades under Curveball).
     pub performed: u64,
-    /// The run's operation budget `t`.
+    /// The run's operation budget `t` (see
+    /// [`Engine::budget`](crate::Engine::budget) for Curveball's).
     pub budget: u64,
     /// Observed visit rate so far.
     pub visit_rate: f64,
     /// Logical protocol messages this step (0 for sequential chunks).
     pub logical_msgs: u64,
+    /// Whether the run is over: [`Engine::is_done`](crate::Engine::is_done).
+    pub done: bool,
 }
 
 impl StepProgress {

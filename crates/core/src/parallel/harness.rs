@@ -6,8 +6,10 @@
 //! drives all `p` ranks of a simulated world from one loop (FIFO, or the
 //! virtual-time DES of `edgeswitch-scalesim`). Both are generic over
 //! [`RankMachine`] — the switch protocol's [`RankState`] and Curveball's
-//! trade machine (`super::trade`) — and take the step's *boundary* as a
-//! closure, the only protocol-specific code in a step. The switch
+//! trade machine (`super::trade`) — and take the step's *boundary* as
+//! the only protocol-specific code in a step: a closure per rank, a
+//! [`Schedule`] for a simulated world (which also says when the run is
+//! over and what a snapshot records of it). The switch
 //! boundary (Section 4.5) exchanges the live edge counts `|E_i|`,
 //! refreshes the probability vector `q` and draws per-rank quotas with
 //! the parallel multinomial algorithm (Algorithm 5); a Curveball boundary
@@ -26,7 +28,8 @@
 //!   surfaced on [`ParallelOutcome`].
 
 use super::msg::{Msg, MsgKind, Outbox};
-use super::rank::{RankState, RankStats, StartResult};
+use super::rank::{RankCheckpoint, RankState, RankStats, StartResult};
+use super::wire::SnapField;
 use crate::config::{ParallelConfig, QuotaPolicy};
 use crate::obs::{Clock, CommGauges, Obs, Phase, RankObs, RunReport};
 use crate::visit::VisitTracker;
@@ -624,11 +627,6 @@ impl StepHarness {
     pub fn uniform_q(&self) -> bool {
         self.uniform_q
     }
-
-    /// Total operation budget `t`.
-    pub fn budget(&self) -> u64 {
-        self.t
-    }
 }
 
 /// Driver-independent `q` refresh: `q_i = |E_i| / |E|` from live edge
@@ -651,11 +649,11 @@ pub fn probability_vector(counts: &[u64], uniform: bool) -> Vec<f64> {
 /// One rank's protocol state machine as the step loops drive it. The
 /// switch protocol's [`RankState`] and Curveball's trade machine
 /// (`super::trade`) implement it, so [`run_rank_step`] and
-/// [`run_world_step`] each run both randomizers, statically dispatched.
-pub(crate) trait RankMachine {
-    /// What a simulated world keeps between two step boundaries
-    /// ([`StepHarness`] for switches, the pass controller for trades).
-    type Schedule;
+/// [`run_world_step`] each run both randomizers, statically dispatched,
+/// and one simulated world steps, snapshots and resumes either.
+pub(crate) trait RankMachine: Sized {
+    /// A simulated world's step boundary and what crosses it.
+    type Schedule: Schedule<Self>;
     /// Whether the machine marks flush points in its outbox
     /// ([`Outbox::seal`]). The switch protocol does not, and its drain
     /// loop compiles without the check.
@@ -675,8 +673,43 @@ pub(crate) trait RankMachine {
     fn obs_mut(&mut self) -> &mut Obs;
     /// Statistics so far; the loops diff them into [`StepTelemetry`].
     fn stats(&self) -> &RankStats;
+    /// The rank's partition store.
+    fn store(&self) -> &PartitionStore;
+    /// Visit tracking over the rank's initial edges.
+    fn tracker(&self) -> &VisitTracker;
+    /// The rank's persistent state at a step boundary.
+    fn checkpoint(&self) -> RankCheckpoint;
     /// Tear down into the rank's share of the outcome.
     fn into_output(self, comm: CommStats) -> RankOutput;
+}
+
+/// A simulated world's step schedule — [`StepHarness`] for switches,
+/// the pass controller for Curveball (`super::trade`): the one
+/// protocol-specific part of stepping, snapshotting and resuming a world.
+pub(crate) trait Schedule<S>: Sized {
+    /// What a snapshot records: the budget (a resume under another is
+    /// refused) and whatever crosses a boundary besides the step index.
+    type Snap: SnapField;
+    /// Open step `step` on every rank in place, routing through
+    /// [`route_world`] what that sends; called only while not done.
+    fn open<T: WorldTransport>(
+        &mut self,
+        step: u64,
+        transport: &mut T,
+        states: &mut [S],
+        out: &mut Outbox,
+        comm_stats: &mut [CommStats],
+    ) -> Opened;
+    /// Whether the run is over before step `step` — a pure query.
+    fn is_done(&self, step: u64, states: &[S]) -> bool;
+    /// Steps of the run, as of step `step`.
+    fn steps(&self, step: u64) -> u64;
+    /// The run's operation budget.
+    fn budget(&self, states: &[S]) -> u64;
+    /// The snapshot record of this schedule.
+    fn snap(&self) -> Self::Snap;
+    /// This schedule at step `step` of a snapshot, or why it is not ours.
+    fn resume(self, step: u64, snap: &Self::Snap) -> Result<Self, String>;
 }
 
 // ---------------------------------------------------------------------
@@ -896,68 +929,99 @@ pub(crate) struct Opened {
     pub spans: Vec<(Phase, u64)>,
 }
 
-/// The switch protocol's step boundary in a simulated world: the same
-/// Section 4.5 boundary as [`run_switch_rank`]'s, with the allgather and
-/// Algorithm 5 computed in place.
-pub(crate) fn open_switch_step<T: WorldTransport>(
-    transport: &mut T,
-    states: &mut [RankState],
-    harness: &StepHarness,
-    step: u64,
-) -> Opened {
-    let step_ops = harness.step_ops(step);
-    transport.begin_step(step_ops, states.len());
-    // World-level spans are timed on rank 0's probe, so a p-rank world
-    // does not count one shared boundary p times.
-    let barrier_start = states[0].obs_mut().now();
-    let counts: Vec<u64> = states.iter().map(|st| st.edge_count()).collect();
-    let barrier_end = states[0].obs_mut().now();
-    let q = probability_vector(&counts, harness.uniform_q());
-    // Algorithm 5, faithfully: each rank draws a multinomial over its
-    // trial share from its own stream; quotas are the column sums.
-    let quotas = edgeswitch_dist::multinomial_owned_world(
-        step_ops,
-        &q,
-        states.iter_mut().map(|st| st.rng_mut()),
-    );
-    let qrefresh_end = states[0].obs_mut().now();
-    for (st, &qi) in states.iter_mut().zip(&quotas) {
-        st.begin_step(qi, &q);
+/// The switch protocol's schedule in a simulated world: `t` operations
+/// in `steps()` Section-4.5 steps, each opened by the boundary of
+/// [`run_switch_rank`] with the allgather and Algorithm 5 computed in
+/// place. A snapshot records `t`; the step index is all it carries.
+impl Schedule<RankState> for StepHarness {
+    type Snap = u64;
+
+    fn open<T: WorldTransport>(
+        &mut self,
+        step: u64,
+        transport: &mut T,
+        states: &mut [RankState],
+        _: &mut Outbox,
+        _: &mut [CommStats],
+    ) -> Opened {
+        let step_ops = self.step_ops(step);
+        transport.begin_step(step_ops, states.len());
+        // World-level spans are timed on rank 0's probe, so a p-rank world
+        // does not count one shared boundary p times.
+        let barrier_start = states[0].obs_mut().now();
+        let counts: Vec<u64> = states.iter().map(|st| st.edge_count()).collect();
+        let barrier_end = states[0].obs_mut().now();
+        let q = probability_vector(&counts, self.uniform_q());
+        // Algorithm 5, faithfully: each rank draws a multinomial over its
+        // trial share from its own stream; quotas are the column sums.
+        let quotas = edgeswitch_dist::multinomial_owned_world(
+            step_ops,
+            &q,
+            states.iter_mut().map(|st| st.rng_mut()),
+        );
+        let qrefresh_end = states[0].obs_mut().now();
+        for (st, &qi) in states.iter_mut().zip(&quotas) {
+            st.begin_step(qi, &q);
+        }
+        let barrier_ns = barrier_end.saturating_sub(barrier_start);
+        let qrefresh_ns = qrefresh_end.saturating_sub(barrier_end);
+        Opened {
+            tel: StepTelemetry {
+                ops: step_ops,
+                barrier_ns: barrier_ns as f64,
+                qrefresh_ns: qrefresh_ns as f64,
+                ..StepTelemetry::default()
+            },
+            spans: vec![
+                (Phase::StepBarrier, barrier_ns),
+                (Phase::QRefresh, qrefresh_ns),
+            ],
+        }
     }
-    let barrier_ns = barrier_end.saturating_sub(barrier_start);
-    let qrefresh_ns = qrefresh_end.saturating_sub(barrier_end);
-    Opened {
-        tel: StepTelemetry {
-            ops: step_ops,
-            barrier_ns: barrier_ns as f64,
-            qrefresh_ns: qrefresh_ns as f64,
-            ..StepTelemetry::default()
-        },
-        spans: vec![
-            (Phase::StepBarrier, barrier_ns),
-            (Phase::QRefresh, qrefresh_ns),
-        ],
+
+    fn is_done(&self, step: u64, _: &[RankState]) -> bool {
+        step >= self.steps
+    }
+
+    fn steps(&self, _: u64) -> u64 {
+        self.steps
+    }
+
+    fn budget(&self, _: &[RankState]) -> u64 {
+        self.t
+    }
+
+    fn snap(&self) -> u64 {
+        self.t
+    }
+
+    fn resume(self, step: u64, &t: &u64) -> Result<Self, String> {
+        if t != self.t || step > self.steps {
+            let (budget, steps) = (self.t, self.steps);
+            let run = format!("the run is of budget {budget} in {steps} steps");
+            return Err(format!("snapshot is of budget {t} at step {step}; {run}"));
+        }
+        Ok(self)
     }
 }
 
 /// One step of a single-process world over all `p` rank machines: the
 /// same protocol as [`run_rank_step`], quiescence detected structurally
 /// (no messages in flight, nothing startable) instead of via `EndOfStep`
-/// signalling. `open` is the protocol's boundary, computed in place: it
-/// opens every rank's step — routing through `route_world` whatever that
-/// sends — or returns `None` when the run is over. `out` is the
-/// run-lifetime routing scratch (drained within every call).
+/// signalling. `open` is the protocol's boundary ([`Schedule::open`]).
+/// `out` is the run-lifetime routing scratch (drained within every
+/// call).
 pub(crate) fn run_world_step<T: WorldTransport, S: RankMachine>(
     transport: &mut T,
     states: &mut [S],
     out: &mut Outbox,
     comm_stats: &mut [CommStats],
-    open: impl FnOnce(&mut T, &mut [S], &mut Outbox, &mut [CommStats]) -> Option<Opened>,
-) -> Option<StepTelemetry> {
+    open: impl FnOnce(&mut T, &mut [S], &mut Outbox, &mut [CommStats]) -> Opened,
+) -> StepTelemetry {
     let p = states.len();
     debug_assert!(out.is_empty(), "routing scratch must drain between steps");
     let before: Vec<RankStats> = states.iter().map(|st| *st.stats()).collect();
-    let Opened { mut tel, spans } = open(transport, states, out, comm_stats)?;
+    let Opened { mut tel, spans } = open(transport, states, out, comm_stats);
 
     // Event loop: drain in-flight messages, round-robin window fills.
     loop {
@@ -1022,7 +1086,7 @@ pub(crate) fn run_world_step<T: WorldTransport, S: RankMachine>(
             .into_iter()
             .for_each(|(phase, ns)| obs.span(phase, ns));
     }
-    Some(tel)
+    tel
 }
 
 /// Route one rank's outbox through a world transport: self-addressed

@@ -5,10 +5,10 @@
 //! - [`harness`]: the shared step machinery every world runs on — one
 //!   step loop per world shape for both randomizers, [`Transport`] /
 //!   [`StepHarness`] / per-step [`StepTelemetry`],
-//! - [`resume`]: the simulated world (`SimWorld`): all ranks in one
-//!   loop, stepped, with step-boundary snapshots for checkpoint/resume;
-//!   deterministic over the FIFO transport, virtual-time under the DES
-//!   of `edgeswitch-scalesim`,
+//! - [`resume`]: the simulated world (`SimWorld`) of either randomizer:
+//!   all ranks in one loop, stepped, with step-boundary snapshots for
+//!   checkpoint/resume; deterministic over the FIFO transport,
+//!   virtual-time under the DES of `edgeswitch-scalesim`,
 //! - [`engine`]: the threaded world over `mpilite` ranks,
 //! - [`proc`]: the process world over shared-memory rings ([`wire`] is
 //!   its byte codec for [`Msg`], and the snapshot codec),

@@ -140,7 +140,7 @@ impl RankStats {
 /// The persistent state of one rank at a step boundary — everything a
 /// resumed run needs to continue bit-identically.
 ///
-/// Captured by [`RankState::checkpoint`], rebuilt by
+/// Captured by the rank machine's `checkpoint`, rebuilt by
 /// [`RankState::restore`]. The protocol's transient collections are all
 /// empty between steps (the completion-ack discipline guarantees it), so
 /// this is the *complete* state: store edges in pool order (pool order is
@@ -167,6 +167,27 @@ pub struct RankCheckpoint {
 }
 
 impl RankCheckpoint {
+    /// A rank's store, tracker (keys sorted for deterministic bytes) and
+    /// statistics, with no conversation counter or stream position — all
+    /// a Curveball trade rank has.
+    pub(crate) fn capture(
+        store: &PartitionStore,
+        tracker: &VisitTracker,
+        stats: RankStats,
+    ) -> Self {
+        let mut tracker_remaining: Vec<u64> = tracker.remaining_keys().collect();
+        tracker_remaining.sort_unstable();
+        RankCheckpoint {
+            rank: store.rank(),
+            store_edges: store.edges().collect(),
+            tracker_initial: tracker.initial_count(),
+            tracker_remaining,
+            stats,
+            conv_seq: 0,
+            rng_words: 0,
+        }
+    }
+
     /// The captured partition store, rebuilt in pool order.
     pub fn store(&self) -> PartitionStore {
         let mut store = PartitionStore::new(self.rank);
@@ -346,47 +367,6 @@ impl RankState {
     /// Whether this rank holds any unfinished server-side conversations.
     pub fn serving_pending(&self) -> bool {
         !self.serving.is_empty()
-    }
-
-    /// Immutable view of the partition store.
-    pub fn store(&self) -> &PartitionStore {
-        &self.store
-    }
-
-    /// Capture this rank's persistent state at a step boundary.
-    ///
-    /// At step boundaries every transient collection (reserved edges,
-    /// potential edges, in-flight and server-side conversations) is
-    /// empty — the teardown (`into_output`) asserts the same
-    /// invariant — so the whole protocol state reduces to the store
-    /// contents, the visit tracker, the statistics, the conversation-id
-    /// counter and the RNG stream position. `remaining`/`cumq` are step
-    /// inputs re-established by [`RankState::begin_step`] and need no
-    /// capture. Restoring via [`RankState::restore`] under the same
-    /// config yields a rank whose subsequent steps are
-    /// bit-identical to the uninterrupted run.
-    pub fn checkpoint(&self) -> RankCheckpoint {
-        debug_assert!(
-            self.inflight.is_empty()
-                && self.serving.is_empty()
-                && self.pending_done.is_empty()
-                && self.reserved.is_empty()
-                && self.potential.is_empty(),
-            "checkpoint taken mid-step"
-        );
-        let mut tracker_remaining: Vec<u64> = self.tracker.remaining_keys().collect();
-        // Sort for deterministic snapshot bytes; `from_parts` rebuilds a
-        // set, so the order carries no semantics.
-        tracker_remaining.sort_unstable();
-        RankCheckpoint {
-            rank: self.rank,
-            store_edges: self.store.edges().collect(),
-            tracker_initial: self.tracker.initial_count(),
-            tracker_remaining,
-            stats: self.stats,
-            conv_seq: self.conv_seq,
-            rng_words: self.rng.words_served(),
-        }
     }
 
     /// Rebuild a rank from a [`RankCheckpoint`].
@@ -1039,6 +1019,40 @@ impl RankMachine for RankState {
 
     fn stats(&self) -> &RankStats {
         &self.stats
+    }
+
+    fn store(&self) -> &PartitionStore {
+        &self.store
+    }
+
+    fn tracker(&self) -> &VisitTracker {
+        &self.tracker
+    }
+
+    /// At step boundaries every transient collection (reserved edges,
+    /// potential edges, in-flight and server-side conversations) is
+    /// empty — the teardown (`into_output`) asserts the same
+    /// invariant — so the whole protocol state reduces to the store
+    /// contents, the visit tracker, the statistics, the conversation-id
+    /// counter and the RNG stream position. `remaining`/`cumq` are step
+    /// inputs re-established by [`RankState::begin_step`] and need no
+    /// capture. Restoring via [`RankState::restore`] under the same
+    /// config yields a rank whose subsequent steps are
+    /// bit-identical to the uninterrupted run.
+    fn checkpoint(&self) -> RankCheckpoint {
+        debug_assert!(
+            self.inflight.is_empty()
+                && self.serving.is_empty()
+                && self.pending_done.is_empty()
+                && self.reserved.is_empty()
+                && self.potential.is_empty(),
+            "checkpoint taken mid-step"
+        );
+        RankCheckpoint {
+            conv_seq: self.conv_seq,
+            rng_words: self.rng.words_served(),
+            ..RankCheckpoint::capture(&self.store, &self.tracker, self.stats)
+        }
     }
 
     fn into_output(self, comm: CommStats) -> RankOutput {

@@ -4,24 +4,21 @@
 //!
 //! [`SimWorld`] owns the whole life of a simulated run — set-up (store
 //! split, rank construction, observation clock), stepping
-//! ([`run_world_step`] over its [`WorldTransport`]) and teardown
-//! ([`assemble_outcome`]) — and hands control back to the caller between
-//! steps. Only the step boundary differs between the randomizers: the
-//! switch one is here, the pass boundary in [`super::trade`]. Over the
-//! default [`FifoTransport`] it is the deterministic simulator behind
-//! [`Run::simulated`](crate::Run::simulated), bit-reproducible for a
-//! given seed at any `p`; the virtual-time DES in `edgeswitch-scalesim`
-//! drives the same type over a cost-charging transport, so the two
-//! produce identical logical results.
+//! ([`run_world_step`] over its [`WorldTransport`]), snapshot, resume
+//! and teardown ([`assemble_outcome`]) — in one impl generic over
+//! [`RankMachine`]: only the step boundary differs between the
+//! randomizers, and that is the machine's [`Schedule`]. Over the default
+//! [`FifoTransport`] it is the deterministic simulator behind
+//! [`Run::simulated`](crate::Run::simulated); the virtual-time DES in
+//! `edgeswitch-scalesim` drives the same type over a cost-charging
+//! transport, so the two produce identical logical results.
 //!
-//! At every switch step boundary the protocol's transient state is empty
-//! (the completion-ack discipline of [`RankState`] guarantees it), so the
-//! whole FIFO switch world reduces to its per-rank checkpoints plus
-//! run-level accumulators — a [`WorldSnapshot`] — and a killed process
-//! can rebuild the world and continue to a bit-identical result: the job
-//! service's checkpoint/resume guarantee. (A Curveball world has no
-//! snapshot format yet, so it runs to the end in one call.) Two
-//! deliberate restrictions keep the snapshot closed:
+//! At every step boundary nothing is in flight (the switch protocol's
+//! completion-ack discipline; a pass ends with every trade fired and
+//! every edge home), so the FIFO world reduces to per-rank checkpoints,
+//! the schedule's record and run-level accumulators — a
+//! [`WorldSnapshot`] a killed process can resume from bit-identically.
+//! Two deliberate restrictions keep the snapshot closed:
 //!
 //! - **A resumed world is unobserved.** Probes hold run-length host
 //!   state (clocks, open spans) that cannot be serialized, so a snapshot
@@ -32,13 +29,15 @@
 //!   record neither it nor the graph's initial form.
 
 use super::harness::{
-    assemble_outcome, open_switch_step, run_world_step, FifoTransport, Opened, ParallelOutcome,
-    RankMachine, RankOutput, RunMeta, StepHarness, StepTelemetry, WorldTransport,
+    assemble_outcome, run_world_step, FifoTransport, ParallelOutcome, RankMachine, RankOutput,
+    RunMeta, Schedule, StepHarness, StepTelemetry, WorldTransport,
 };
 use super::msg::Outbox;
 use super::rank::{RankCheckpoint, RankState};
+use super::wire::encode_world_snapshot;
 use crate::config::ParallelConfig;
-use crate::obs::{Clock, MonoClock, Obs};
+use crate::obs::{Clock, MonoClock, Obs, StepProgress};
+use crate::run::{RunOutcome, Stepped};
 use crate::sequential::check_degrees;
 use edgeswitch_graph::store::build_stores;
 use edgeswitch_graph::{Graph, PartitionStore, Partitioner};
@@ -46,23 +45,23 @@ use mpilite::CommStats;
 use std::sync::Arc;
 
 /// The complete persistent state of a FIFO [`SimWorld`] at a step
-/// boundary.
+/// boundary; `C` is what its schedule records (the switch protocol's
+/// budget `t` by default, Curveball's pass controller).
 ///
 /// Serialized by the snapshot codec in [`super::wire`]. Resuming needs
-/// the original graph and config alongside it (the job service persists
-/// the job spec separately); the identity fields (`seed`, `p`, `n`, `t`)
-/// exist so a resume against the wrong spec is refused instead of
-/// silently diverging.
+/// the original graph and config alongside it; the identity fields
+/// (`seed`, `p`, `n`, the budget) make a resume against the wrong spec
+/// fail instead of silently diverging.
 #[derive(Clone, Debug, PartialEq)]
-pub struct WorldSnapshot {
+pub struct WorldSnapshot<C = u64> {
     /// Seed of the run (must match the config on resume).
     pub seed: u64,
     /// World size (must match the config on resume).
     pub p: usize,
     /// Vertex count of the graph under randomization.
     pub n: usize,
-    /// Total operation budget.
-    pub t: u64,
+    /// The schedule's record.
+    pub schedule: C,
     /// Next step to execute (steps `0..next_step` are complete).
     pub next_step: u64,
     /// Per-rank checkpoints, rank order.
@@ -76,14 +75,15 @@ pub struct WorldSnapshot {
     pub initial_edges: Vec<u64>,
 }
 
-/// The simulated world as a pausable engine over `T`, running the
-/// protocol of rank machine `S` (the switch protocol by default;
-/// `SimWorld::curveball` in [`super::trade`] sets up Curveball passes).
-/// For switches: construct, call [`SimWorld::step`] until
+/// What the schedule of rank machine `S` records in a snapshot.
+pub(crate) type SnapOf<S> = <<S as RankMachine>::Schedule as Schedule<S>>::Snap;
+
+/// The simulated world as a pausable engine over `T`, running rank
+/// machine `S` (the switch protocol by default; `SimWorld::curveball`
+/// sets up Curveball passes): [`SimWorld::step`] until
 /// [`SimWorld::is_done`], then [`SimWorld::finish`]; on the FIFO
-/// instance, [`SimWorld::snapshot`] between any two steps captures
-/// everything [`SimWorld::resume`] needs to continue the run
-/// bit-identically in a fresh process.
+/// instance, [`SimWorld::snapshot`] between two steps captures what
+/// [`SimWorld::resume`] needs to continue in a fresh process.
 pub(crate) struct SimWorld<T: WorldTransport = FifoTransport, S: RankMachine = RankState> {
     states: Vec<S>,
     comm_stats: Vec<CommStats>,
@@ -158,30 +158,36 @@ impl<T: WorldTransport, S: RankMachine> SimWorld<T, S> {
         }
     }
 
-    /// Execute the next step, its boundary opened by `open` on the
-    /// schedule ([`run_world_step`]); returns its telemetry, or `None`
-    /// when the boundary ended the run.
-    pub(crate) fn step_with(
-        &mut self,
-        open: impl FnOnce(
-            &mut S::Schedule,
-            &mut T,
-            &mut [S],
-            &mut Outbox,
-            &mut [CommStats],
-        ) -> Option<Opened>,
-    ) -> Option<&StepTelemetry> {
-        let schedule = &mut self.schedule;
+    /// Execute the next step; returns its telemetry (`None` when the run
+    /// is already complete).
+    pub(crate) fn step(&mut self) -> Option<&StepTelemetry> {
+        if self.is_done() {
+            return None;
+        }
+        let (step, schedule) = (self.next_step, &mut self.schedule);
         let tel = run_world_step(
             &mut self.transport,
             &mut self.states,
             &mut self.out,
             &mut self.comm_stats,
-            |transport, states, out, comm_stats| open(schedule, transport, states, out, comm_stats),
-        )?;
+            |transport, states, out, comm_stats| {
+                schedule.open(step, transport, states, out, comm_stats)
+            },
+        );
         self.telemetry.push(tel);
         self.next_step += 1;
         self.telemetry.last()
+    }
+
+    /// Whether the run is over (exact before every step).
+    pub(crate) fn is_done(&self) -> bool {
+        self.schedule.is_done(self.next_step, &self.states)
+    }
+
+    /// Execute every remaining step and tear down.
+    pub(crate) fn run(mut self) -> (ParallelOutcome, T) {
+        while self.step().is_some() {}
+        self.finish()
     }
 
     /// Tear down into the [`ParallelOutcome`] of the steps executed so
@@ -210,93 +216,14 @@ impl<T: WorldTransport, S: RankMachine> SimWorld<T, S> {
     }
 }
 
-impl<T: WorldTransport> SimWorld<T> {
-    /// Set up a `t`-operation run of the parallel switch algorithm on
-    /// `config.processors` virtual ranks split by `part`, delivering
-    /// messages through `transport`.
-    pub(crate) fn over(
-        graph: &Graph,
-        t: u64,
-        config: &ParallelConfig,
-        part: &Partitioner,
-        transport: T,
-    ) -> Self {
-        let harness = StepHarness::new(t, config);
-        let rank = |i, store, obs| RankState::new(i, part.clone(), store, config).with_obs(obs);
-        SimWorld::set_up(graph, config, part, transport, harness, rank)
-    }
-
-    /// Total steps in the run.
-    pub(crate) fn steps(&self) -> u64 {
-        self.schedule.steps()
-    }
-
-    /// Next step to execute (`steps()` once done).
-    pub(crate) fn next_step(&self) -> u64 {
-        self.next_step
-    }
-
-    /// Whether every step has run.
-    pub(crate) fn is_done(&self) -> bool {
-        self.next_step >= self.schedule.steps()
-    }
-
-    /// Total operation budget `t`.
-    pub(crate) fn budget(&self) -> u64 {
-        self.schedule.budget()
-    }
-
-    /// Operations performed so far across ranks.
-    pub(crate) fn performed(&self) -> u64 {
-        self.states.iter().map(|st| st.stats.performed).sum()
-    }
-
-    /// Observed visit rate so far (over all partitions).
-    pub(crate) fn visit_rate(&self) -> f64 {
-        let (initial, visited) = self.states.iter().fold((0, 0), |(i, v), st| {
-            (
-                i + st.tracker.initial_count(),
-                v + st.tracker.visited_count(),
-            )
-        });
-        if initial == 0 {
-            return 0.0;
-        }
-        visited as f64 / initial as f64
-    }
-
-    /// Execute the next step; returns its telemetry (`None` when the run
-    /// is already complete).
-    pub(crate) fn step(&mut self) -> Option<&StepTelemetry> {
-        if self.is_done() {
-            return None;
-        }
-        let step = self.next_step;
-        self.step_with(|harness, transport, states, _, _| {
-            Some(open_switch_step(transport, states, harness, step))
-        })
-    }
-
-    /// Execute every remaining step.
-    pub(crate) fn run_to_end(&mut self) {
-        while self.step().is_some() {}
-    }
-
-    /// Execute every remaining step and tear down.
-    pub(crate) fn run(mut self) -> (ParallelOutcome, T) {
-        self.run_to_end();
-        self.finish()
-    }
-}
-
-impl SimWorld<FifoTransport> {
+impl<S: RankMachine> SimWorld<FifoTransport, S> {
     /// Capture the complete world state at the current step boundary.
-    pub(crate) fn snapshot(&self) -> WorldSnapshot {
+    pub(crate) fn snapshot(&self) -> WorldSnapshot<SnapOf<S>> {
         WorldSnapshot {
             seed: self.seed,
             p: self.states.len(),
             n: self.n,
-            t: self.schedule.budget(),
+            schedule: self.schedule.snap(),
             next_step: self.next_step,
             ranks: self.states.iter().map(|st| st.checkpoint()).collect(),
             comm: self.comm_stats.clone(),
@@ -305,38 +232,33 @@ impl SimWorld<FifoTransport> {
         }
     }
 
-    /// Rebuild the world of the `t`-operation run on `graph` under
-    /// `(config, part)` from a snapshot, positioned to continue at
-    /// `snap.next_step`: each rank is restored from its checkpoint
-    /// (store in pool order, tracker from parts, RNG fast-forwarded to
-    /// the recorded stream position).
-    ///
-    /// The snapshot is untrusted (it comes from a file): its identity
-    /// fields must match the run, every stored edge must sit on the rank
-    /// that owns it, and together the stores must realize `graph`'s
-    /// degree sequence; otherwise the reason comes back as `Err` — a
-    /// resume against the wrong job, or from damaged bytes, never panics
-    /// and never silently diverges.
+    /// Rebuild the world of a run on `graph` under `(config, part)` and
+    /// `schedule` from a snapshot (`restore` rebuilds each rank). The
+    /// snapshot is untrusted: its identity fields must match the run,
+    /// every stored edge sit on its owner and the stores realize
+    /// `graph`'s degree sequence — otherwise the reason comes back as
+    /// `Err`, never a panic, never a silently divergent run.
     pub(crate) fn resume(
         graph: &Graph,
-        t: u64,
         config: &ParallelConfig,
         part: &Partitioner,
-        snap: &WorldSnapshot,
+        schedule: S::Schedule,
+        snap: &WorldSnapshot<SnapOf<S>>,
+        restore: impl Fn(&RankCheckpoint) -> S,
     ) -> Result<Self, String> {
         let p = config.processors;
         assert_eq!(part.num_parts(), p, "partitioner size must match config");
-        if (snap.seed, snap.p, snap.t) != (config.seed, p, t) {
+        if (snap.seed, snap.p) != (config.seed, p) {
             return Err(format!(
-                "snapshot is of seed {} p {} budget {}, the run is seed {} p {p} budget {t}",
-                snap.seed, snap.p, snap.t, config.seed
+                "snapshot is of seed {} p {}, the run is seed {} p {p}",
+                snap.seed, snap.p, config.seed
             ));
         }
-        let harness = StepHarness::new(t, config);
+        let schedule = schedule.resume(snap.next_step, &snap.schedule)?;
         if snap.ranks.len() != p || snap.comm.len() != p || snap.initial_edges.len() != p {
             return Err("snapshot does not carry one entry per rank".to_string());
         }
-        if snap.next_step > harness.steps() || snap.telemetry.len() as u64 != snap.next_step {
+        if snap.telemetry.len() as u64 != snap.next_step {
             return Err("snapshot step position does not fit the run".to_string());
         }
         let mut tracked = 0usize;
@@ -356,15 +278,11 @@ impl SimWorld<FifoTransport> {
             .iter()
             .flat_map(|c| c.store_edges.iter().copied());
         check_degrees(graph, snap.n, &mut all_edges)?;
-        let states: Vec<RankState> = snap
-            .ranks
-            .iter()
-            .map(|ckpt| RankState::restore(part.clone(), config, ckpt))
-            .collect();
+        let states: Vec<S> = snap.ranks.iter().map(restore).collect();
         if states
             .iter()
             .zip(&snap.ranks)
-            .any(|(st, ckpt)| st.edge_count() as usize != ckpt.store_edges.len())
+            .any(|(st, ckpt)| st.store().num_edges() != ckpt.store_edges.len())
         {
             return Err("snapshot stores hold duplicate edges".to_string());
         }
@@ -372,7 +290,7 @@ impl SimWorld<FifoTransport> {
             states,
             comm_stats: snap.comm.clone(),
             transport: FifoTransport::new(),
-            schedule: harness,
+            schedule,
             telemetry: snap.telemetry.clone(),
             initial_edges: snap.initial_edges.clone(),
             n: snap.n,
@@ -381,6 +299,76 @@ impl SimWorld<FifoTransport> {
             out: Outbox::new(),
             clock: None,
         })
+    }
+}
+
+/// A Section-4.5 step or a Curveball pass is the unit of `advance`.
+impl<S: RankMachine + 'static> Stepped for SimWorld<FifoTransport, S> {
+    fn advance(&mut self, max_ops: u64) -> u64 {
+        if max_ops == 0 {
+            return 0;
+        }
+        self.step().map_or(0, |tel| tel.logical_msgs.total())
+    }
+
+    fn progress(&self) -> StepProgress {
+        let (initial, visited) = self.states.iter().fold((0, 0), |(i, v), st| {
+            let t = st.tracker();
+            (i + t.initial_count(), v + t.visited_count())
+        });
+        StepProgress {
+            step: self.next_step,
+            steps: self.schedule.steps(self.next_step),
+            performed: self.states.iter().map(|st| st.stats().performed).sum(),
+            budget: self.schedule.budget(&self.states),
+            visit_rate: if initial == 0 {
+                0.0
+            } else {
+                visited as f64 / initial as f64
+            },
+            logical_msgs: 0,
+            done: self.is_done(),
+        }
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        encode_world_snapshot(&SimWorld::snapshot(self))
+    }
+
+    fn finish(self: Box<Self>) -> RunOutcome {
+        RunOutcome::Parallel(Box::new(SimWorld::finish(*self).0))
+    }
+}
+
+impl<T: WorldTransport> SimWorld<T> {
+    /// Set up a `t`-operation run of the parallel switch algorithm on
+    /// `config.processors` virtual ranks split by `part`, delivering
+    /// messages through `transport`.
+    pub(crate) fn over(
+        graph: &Graph,
+        t: u64,
+        config: &ParallelConfig,
+        part: &Partitioner,
+        transport: T,
+    ) -> Self {
+        let harness = StepHarness::new(t, config);
+        let rank = |i, store, obs| RankState::new(i, part.clone(), store, config).with_obs(obs);
+        SimWorld::set_up(graph, config, part, transport, harness, rank)
+    }
+}
+
+impl SimWorld {
+    /// [`SimWorld::resume`] for the `t`-operation switch run.
+    pub(crate) fn resume_over(
+        graph: &Graph,
+        t: u64,
+        config: &ParallelConfig,
+        part: &Partitioner,
+        snap: &WorldSnapshot,
+    ) -> Result<Self, String> {
+        let harness = StepHarness::new(t, config);
+        let restore = |ckpt: &RankCheckpoint| RankState::restore(part.clone(), config, ckpt);
+        SimWorld::resume(graph, config, part, harness, snap, restore)
     }
 }
 
@@ -410,7 +398,7 @@ mod tests {
         let (mut world, _) = world(&g, 200, &ParallelConfig::new(2).with_seed(5));
         world.step();
         world.step();
-        let performed = world.performed();
+        let performed = world.progress().performed;
         let (out, _) = world.finish();
         assert_eq!(out.steps, 2);
         assert_eq!(out.telemetry.len(), 2);
@@ -425,18 +413,18 @@ mod tests {
         let (mut first, part) = world(&g, 100, &config);
         first.step();
         let snap = first.snapshot();
-        assert!(SimWorld::resume(&g, 100, &config, &part, &snap).is_ok());
+        assert!(SimWorld::resume_over(&g, 100, &config, &part, &snap).is_ok());
         let wrong_seed = config.clone().with_seed(2);
-        assert!(SimWorld::resume(&g, 100, &wrong_seed, &part, &snap).is_err());
-        assert!(SimWorld::resume(&g, 101, &config, &part, &snap).is_err());
+        assert!(SimWorld::resume_over(&g, 100, &wrong_seed, &part, &snap).is_err());
+        assert!(SimWorld::resume_over(&g, 101, &config, &part, &snap).is_err());
         let other = erdos_renyi_gnm(60, 200, &mut root_rng(405));
-        assert!(SimWorld::resume(&other, 100, &config, &part, &snap).is_err());
+        assert!(SimWorld::resume_over(&other, 100, &config, &part, &snap).is_err());
         // A rank's edges swapped onto the other rank.
         let mut swapped = snap.clone();
         swapped.ranks.swap(0, 1);
-        assert!(SimWorld::resume(&g, 100, &config, &part, &swapped).is_err());
+        assert!(SimWorld::resume_over(&g, 100, &config, &part, &swapped).is_err());
         let mut short = snap;
         short.telemetry.clear();
-        assert!(SimWorld::resume(&g, 100, &config, &part, &short).is_err());
+        assert!(SimWorld::resume_over(&g, 100, &config, &part, &short).is_err());
     }
 }

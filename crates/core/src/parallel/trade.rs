@@ -30,7 +30,7 @@
 //! lower-indexed trade first and the higher-indexed one second — the
 //! arrival *set* at trade `k` is exactly the sequential engine's
 //! neighborhood state after trades `0..k`, so the parallel run is
-//! **bit-identical** to [`crate::trade::sequential_curveball`] under the same
+//! **bit-identical** to [`crate::trade::CurveballResumable`] under the same
 //! seed at any `p`. Dependencies point strictly from lower to higher
 //! trade indices, so the pass is deadlock-free by induction: trade `0`'s
 //! loads all arrive at pass start, and trade `k` waits only on trades
@@ -38,23 +38,22 @@
 //!
 //! [`TradeRankState`] is a [`RankMachine`] that never starts anything (a
 //! trade fires inside `handle`), so the shared step loops run a pass as
-//! they run a switch step. Only the pass boundary is Curveball's own:
-//! gather the visited counts, let the [`PassController`] decide, build the
-//! [`PassPlan`], open every rank's pass.
+//! they run a switch step, and the one simulated world steps, snapshots
+//! and resumes it. Only the pass boundary is Curveball's own: the pass
+//! controller's [`Schedule`] impl here. Between passes a rank's whole
+//! state is its store, tracker and trade count.
 
 use super::engine::run_threaded_world;
 use super::harness::{
-    route_world, run_rank, Opened, ParallelOutcome, RankMachine, RankOutput, RankTransport,
-    StepTelemetry, WorldTransport,
+    route_world, run_rank, FifoTransport, Opened, ParallelOutcome, RankMachine, RankOutput,
+    RankTransport, Schedule, StepTelemetry, WorldTransport,
 };
 use super::msg::{Msg, Outbox};
-use super::rank::{RankStats, StartResult};
-use super::resume::SimWorld;
-use crate::config::ParallelConfig;
+use super::rank::{RankCheckpoint, RankStats, StartResult};
+use super::resume::{SimWorld, WorldSnapshot};
+use crate::config::{Budget, ParallelConfig};
 use crate::obs::{Obs, Phase};
-use crate::trade::{
-    redeal, split_sorted, trade_rng, PassController, PassPlan, TradeBudget, NO_TRADE,
-};
+use crate::trade::{redeal, split_sorted, trade_rng, PassController, PassPlan, NO_TRADE};
 use crate::visit::VisitTracker;
 use edgeswitch_graph::hashing::FxHashMap;
 use edgeswitch_graph::{Edge, Graph, PartitionStore, Partitioner, VertexId};
@@ -332,6 +331,19 @@ impl RankMachine for TradeRankState {
         &self.stats
     }
 
+    fn store(&self) -> &PartitionStore {
+        &self.store
+    }
+
+    fn tracker(&self) -> &VisitTracker {
+        &self.tracker
+    }
+
+    fn checkpoint(&self) -> RankCheckpoint {
+        debug_assert!(self.slots.is_empty(), "checkpoint taken mid-pass");
+        RankCheckpoint::capture(&self.store, &self.tracker, self.stats)
+    }
+
     fn into_output(self, comm: CommStats) -> RankOutput {
         RankOutput {
             store: self.store,
@@ -357,7 +369,7 @@ impl<T: WorldTransport> SimWorld<T, TradeRankState> {
     /// virtual ranks split by `part`, delivering through `transport`.
     pub(crate) fn curveball(
         graph: &Graph,
-        budget: TradeBudget,
+        budget: Budget,
         config: &ParallelConfig,
         part: &Partitioner,
         transport: T,
@@ -368,46 +380,106 @@ impl<T: WorldTransport> SimWorld<T, TradeRankState> {
             TradeRankState::new(rank, part.clone(), degrees.clone(), store, config.seed, obs)
         })
     }
+}
 
-    /// Run passes until the pass controller ends the run, and tear down.
-    pub(crate) fn run(mut self) -> (ParallelOutcome, T) {
-        while self.step_with(open_pass).is_some() {}
-        self.finish()
+impl SimWorld<FifoTransport, TradeRankState> {
+    /// [`SimWorld::resume`] for Curveball passes under `budget`.
+    pub(crate) fn resume_curveball(
+        graph: &Graph,
+        budget: Budget,
+        config: &ParallelConfig,
+        part: &Partitioner,
+        snap: &WorldSnapshot<PassController>,
+    ) -> Result<Self, String> {
+        let degrees = degree_table(graph);
+        let ctl = PassController::new(budget);
+        SimWorld::resume(graph, config, part, ctl, snap, |ckpt| TradeRankState {
+            tracker: ckpt.tracker(),
+            stats: ckpt.stats,
+            ..TradeRankState::new(
+                ckpt.rank,
+                part.clone(),
+                degrees.clone(),
+                ckpt.store(),
+                config.seed,
+                Obs::noop(),
+            )
+        })
     }
 }
 
-/// The pass boundary of a simulated world: the visited-count allgather
-/// in place, the pass decision, then every rank opens its pass — rank
-/// `i`'s loads routed before rank `i + 1` opens.
-fn open_pass<T: WorldTransport>(
-    ctl: &mut PassController,
-    transport: &mut T,
-    states: &mut [TradeRankState],
-    out: &mut Outbox,
-    comm_stats: &mut [CommStats],
-) -> Option<Opened> {
-    let barrier_start = states[0].obs.now();
-    let (initial, visited) = states.iter().fold((0, 0), |(i, v), st| {
+/// `(initial, visited)` edge counts over every rank.
+fn visit_totals(states: &[TradeRankState]) -> (u64, u64) {
+    states.iter().fold((0, 0), |(i, v), st| {
         let t = &st.tracker;
         (i + t.initial_count() as u64, v + t.visited_count() as u64)
-    });
-    let barrier_ns = states[0].obs.now().saturating_sub(barrier_start);
-    let (n, seed) = (states[0].degrees.len(), states[0].seed);
-    let plan = Arc::new(ctl.next_plan(n, seed, initial, visited)?);
-    transport.begin_step(plan.pairs.len() as u64, states.len());
-    let mut tel = StepTelemetry {
-        ops: plan.pairs.len() as u64,
-        barrier_ns: barrier_ns as f64,
-        ..StepTelemetry::default()
-    };
-    for i in 0..states.len() {
-        states[i].begin_pass(&plan, out, &mut tel);
-        route_world(transport, states, i, out, comm_stats, &mut tel);
-    }
-    Some(Opened {
-        tel,
-        spans: vec![(Phase::StepBarrier, barrier_ns)],
     })
+}
+
+/// Curveball's schedule in a simulated world: one pass per step, opened
+/// by the visited-count gather, the pass decision and every rank
+/// opening its pass (rank `i`'s loads routed before rank `i + 1` opens).
+/// The pass count is decided as the run goes, so `steps` is the passes
+/// run so far. A snapshot records the controller.
+impl Schedule<TradeRankState> for PassController {
+    type Snap = PassController;
+
+    fn open<T: WorldTransport>(
+        &mut self,
+        _: u64,
+        transport: &mut T,
+        states: &mut [TradeRankState],
+        out: &mut Outbox,
+        comm_stats: &mut [CommStats],
+    ) -> Opened {
+        let barrier_start = states[0].obs.now();
+        let (initial, visited) = visit_totals(states);
+        let barrier_ns = states[0].obs.now().saturating_sub(barrier_start);
+        let (n, seed) = (states[0].degrees.len(), states[0].seed);
+        let plan = self.next_plan(n, seed, initial, visited);
+        let plan = Arc::new(plan.expect("a pass opens only while the run goes on"));
+        transport.begin_step(plan.pairs.len() as u64, states.len());
+        let mut tel = StepTelemetry {
+            ops: plan.pairs.len() as u64,
+            barrier_ns: barrier_ns as f64,
+            ..StepTelemetry::default()
+        };
+        for i in 0..states.len() {
+            states[i].begin_pass(&plan, out, &mut tel);
+            route_world(transport, states, i, out, comm_stats, &mut tel);
+        }
+        Opened {
+            tel,
+            spans: vec![(Phase::StepBarrier, barrier_ns)],
+        }
+    }
+
+    fn is_done(&self, _: u64, states: &[TradeRankState]) -> bool {
+        let (initial, visited) = visit_totals(states);
+        !self.continues(states[0].degrees.len(), initial, visited)
+    }
+
+    fn steps(&self, step: u64) -> u64 {
+        step
+    }
+
+    fn budget(&self, states: &[TradeRankState]) -> u64 {
+        self.budget_trades(states[0].degrees.len())
+    }
+
+    fn snap(&self) -> PassController {
+        *self
+    }
+
+    fn resume(self, step: u64, snap: &PassController) -> Result<Self, String> {
+        if (snap.budget, snap.pass) != (self.budget, step) {
+            let (budget, pass, run) = (snap.budget, snap.pass, self.budget);
+            return Err(format!(
+                "snapshot is of {budget:?} at pass {pass} of step {step}; the run is {run:?}"
+            ));
+        }
+        Ok(*snap)
+    }
 }
 
 /// Curveball trades on `p` threaded ranks split by `part`: each rank
@@ -415,7 +487,7 @@ fn open_pass<T: WorldTransport>(
 /// allgather and the pass decision.
 pub(crate) fn threaded_trades(
     graph: &Graph,
-    budget: TradeBudget,
+    budget: Budget,
     config: &ParallelConfig,
     part: &Partitioner,
 ) -> ParallelOutcome {

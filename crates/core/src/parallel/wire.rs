@@ -14,8 +14,10 @@ use edgeswitch_graph::store::PartitionStore;
 use edgeswitch_graph::Edge;
 use mpilite::{CollPayload, CommStats, KIND_SLOTS};
 
+use crate::config::Budget;
 use crate::sequential::{RejectCounts, SeqCheckpoint};
 use crate::switch::RejectReason;
+use crate::trade::{CurveballCheckpoint, PassController};
 use crate::visit::VisitTracker;
 
 use super::harness::{MsgCounts, RankOutput, StepTelemetry};
@@ -59,6 +61,18 @@ fn put_edge(out: &mut Vec<u8>, edge: Edge) {
     put_u64(out, edge.key());
 }
 
+/// A `u32`-counted list of keys (the message codec's lists).
+fn put_keys32(out: &mut Vec<u8>, keys: &[u64]) {
+    put_u32(out, keys.len() as u32);
+    keys.iter().for_each(|&key| put_u64(out, key));
+}
+
+/// A `u64`-counted list of keys (the snapshot codec's lists).
+fn put_keys(out: &mut Vec<u8>, keys: impl ExactSizeIterator<Item = u64>) {
+    put_u64(out, keys.len() as u64);
+    keys.for_each(|key| put_u64(out, key));
+}
+
 fn reason_code(reason: RejectReason) -> u8 {
     match reason {
         RejectReason::SelfLoop => 0,
@@ -78,37 +92,21 @@ fn reason_from(code: u8) -> RejectReason {
     }
 }
 
-const C_UNIT: u8 = 0;
+// 0, 2 and 4 are retired (the unit, float and float-vector payloads of
+// deleted collectives); they decode as unknown subtags.
 const C_U64: u8 = 1;
-const C_F64: u8 = 2;
 const C_VEC_U64: u8 = 3;
-const C_VEC_F64: u8 = 4;
 
 /// Append the encoding of `payload` to `out`.
 pub fn encode_coll(payload: &CollPayload, out: &mut Vec<u8>) {
     match payload {
-        CollPayload::Unit => out.push(C_UNIT),
         CollPayload::U64(v) => {
             out.push(C_U64);
             put_u64(out, *v);
         }
-        CollPayload::F64(v) => {
-            out.push(C_F64);
-            put_u64(out, v.to_bits());
-        }
         CollPayload::VecU64(vs) => {
             out.push(C_VEC_U64);
-            put_u32(out, vs.len() as u32);
-            for v in vs {
-                put_u64(out, *v);
-            }
-        }
-        CollPayload::VecF64(vs) => {
-            out.push(C_VEC_F64);
-            put_u32(out, vs.len() as u32);
-            for v in vs {
-                put_u64(out, v.to_bits());
-            }
+            put_keys32(out, vs);
         }
     }
 }
@@ -179,24 +177,15 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
         Msg::TradeLoad { trade, edges } => {
             out.push(T_TRADE_LOAD);
             put_u32(out, *trade);
-            put_u32(out, edges.len() as u32);
-            for key in edges {
-                put_u64(out, *key);
-            }
+            put_keys32(out, edges);
         }
         Msg::TradeHome { edges } => {
             out.push(T_TRADE_HOME);
-            put_u32(out, edges.len() as u32);
-            for key in edges {
-                put_u64(out, *key);
-            }
+            put_keys32(out, edges);
         }
         Msg::TradeVisit { edges } => {
             out.push(T_TRADE_VISIT);
-            put_u32(out, edges.len() as u32);
-            for key in edges {
-                put_u64(out, *key);
-            }
+            put_keys32(out, edges);
         }
     }
 }
@@ -264,6 +253,18 @@ impl<'a> Reader<'a> {
         self.capped(n as u64, item_bytes)
     }
 
+    /// A list written by [`put_keys32`].
+    fn keys32(&mut self) -> Vec<u64> {
+        let n = self.len32(8);
+        (0..n).map(|_| self.u64()).collect()
+    }
+
+    /// A `u64`-counted list of items at least `item_bytes` long.
+    fn list<T>(&mut self, item_bytes: usize, item: impl Fn(&mut Self) -> T) -> Vec<T> {
+        let n = self.len(item_bytes);
+        (0..n).map(|_| item(self)).collect()
+    }
+
     fn capped(&mut self, n: u64, item_bytes: usize) -> usize {
         let fits = (self.bytes.len() - self.at) / item_bytes;
         if n > fits as u64 {
@@ -311,17 +312,8 @@ impl<'a> Reader<'a> {
 
     fn coll(&mut self) -> CollPayload {
         match self.u8() {
-            C_UNIT => CollPayload::Unit,
             C_U64 => CollPayload::U64(self.u64()),
-            C_F64 => CollPayload::F64(f64::from_bits(self.u64())),
-            C_VEC_U64 => {
-                let n = self.len32(8);
-                CollPayload::VecU64((0..n).map(|_| self.u64()).collect())
-            }
-            C_VEC_F64 => {
-                let n = self.len32(8);
-                CollPayload::VecF64((0..n).map(|_| f64::from_bits(self.u64())).collect())
-            }
+            C_VEC_U64 => CollPayload::VecU64(self.keys32()),
             other => panic!("wire: bad collective subtag {other}"),
         }
     }
@@ -368,26 +360,16 @@ impl<'a> Reader<'a> {
                 let n = self.len32(1);
                 Msg::Batch((0..n).map(|_| self.msg()).collect())
             }
-            T_TRADE_LOAD => {
-                let trade = self.u32();
-                let n = self.len32(8);
-                Msg::TradeLoad {
-                    trade,
-                    edges: (0..n).map(|_| self.u64()).collect(),
-                }
-            }
-            T_TRADE_HOME => {
-                let n = self.len32(8);
-                Msg::TradeHome {
-                    edges: (0..n).map(|_| self.u64()).collect(),
-                }
-            }
-            T_TRADE_VISIT => {
-                let n = self.len32(8);
-                Msg::TradeVisit {
-                    edges: (0..n).map(|_| self.u64()).collect(),
-                }
-            }
+            T_TRADE_LOAD => Msg::TradeLoad {
+                trade: self.u32(),
+                edges: self.keys32(),
+            },
+            T_TRADE_HOME => Msg::TradeHome {
+                edges: self.keys32(),
+            },
+            T_TRADE_VISIT => Msg::TradeVisit {
+                edges: self.keys32(),
+            },
             other => panic!("wire: bad message discriminant {other}"),
         }
     }
@@ -421,16 +403,73 @@ pub fn decode_coll(bytes: &[u8]) -> CollPayload {
 // stale checkpoint must never silently resume. The decoders only vouch
 // for the *encoding*; whether the decoded state belongs to the run being
 // resumed is checked where it is restored (`SequentialResumable::restore`,
-// `SimWorld::resume`).
+// `CurveballResumable::restore`, `SimWorld::resume`). The kind byte names
+// the engine *and* the randomizer, so a switch snapshot handed to a
+// Curveball run (or the reverse) fails the header check.
 
 /// Snapshot header: `b"ESNP"` followed by the format version.
 const SNAP_MAGIC: u32 = u32::from_le_bytes(*b"ESNP");
 /// Current snapshot format version.
 const SNAP_VERSION: u32 = 2;
-/// Kind byte of a [`WorldSnapshot`].
+/// Kind byte of a switch-protocol [`WorldSnapshot`].
 const SNAP_WORLD: u8 = 1;
 /// Kind byte of a [`SeqCheckpoint`].
 const SNAP_SEQ: u8 = 2;
+/// Kind byte of a Curveball [`WorldSnapshot`].
+const SNAP_TRADE_WORLD: u8 = 3;
+/// Kind byte of a sequential Curveball checkpoint.
+const SNAP_TRADE_SEQ: u8 = 4;
+
+/// A [`WorldSnapshot`]'s schedule record: codec and snapshot kind byte.
+pub(crate) trait SnapField: Sized {
+    /// Kind byte of a world snapshot carrying this record.
+    const WORLD_KIND: u8;
+    fn put(&self, out: &mut Vec<u8>);
+    fn read(r: &mut Reader<'_>) -> Self;
+}
+
+/// The switch protocol's record: its operation budget `t`.
+impl SnapField for u64 {
+    const WORLD_KIND: u8 = SNAP_WORLD;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, *self);
+    }
+    fn read(r: &mut Reader<'_>) -> Self {
+        r.u64()
+    }
+}
+
+/// Curveball's record: the pass controller, budget first.
+impl SnapField for PassController {
+    const WORLD_KIND: u8 = SNAP_TRADE_WORLD;
+    fn put(&self, out: &mut Vec<u8>) {
+        let (tag, value) = match self.budget {
+            Budget::Ops(t) => (0, t),
+            Budget::VisitRate(x) => (1, x.to_bits()),
+        };
+        out.push(tag);
+        put_u64(out, value);
+        put_u64(out, self.pass);
+        put_u32(out, self.stall);
+        put_u64(out, self.last_visited);
+    }
+    fn read(r: &mut Reader<'_>) -> Self {
+        let budget = match (r.u8(), r.u64()) {
+            (0, t) => Budget::Ops(t),
+            (1, bits) => Budget::VisitRate(f64::from_bits(bits)),
+            _ => {
+                r.bad = true;
+                Budget::Ops(0)
+            }
+        };
+        PassController {
+            budget,
+            pass: r.u64(),
+            stall: r.u32(),
+            last_visited: r.u64(),
+        }
+    }
+}
 
 fn put_header(out: &mut Vec<u8>, kind: u8) {
     put_u32(out, SNAP_MAGIC);
@@ -507,15 +546,9 @@ fn put_telemetry(out: &mut Vec<u8>, tel: &StepTelemetry) {
 
 fn put_rank_checkpoint(out: &mut Vec<u8>, ckpt: &RankCheckpoint) {
     put_u64(out, ckpt.rank as u64);
-    put_u64(out, ckpt.store_edges.len() as u64);
-    for e in &ckpt.store_edges {
-        put_edge(out, *e);
-    }
+    put_keys(out, ckpt.store_edges.iter().map(|e| e.key()));
     put_u64(out, ckpt.tracker_initial as u64);
-    put_u64(out, ckpt.tracker_remaining.len() as u64);
-    for key in &ckpt.tracker_remaining {
-        put_u64(out, *key);
-    }
+    put_keys(out, ckpt.tracker_remaining.iter().copied());
     put_stats(out, &ckpt.stats);
     put_u64(out, ckpt.conv_seq);
     put_u64(out, ckpt.rng_words);
@@ -599,17 +632,11 @@ impl<'a> Reader<'a> {
     }
 
     fn rank_checkpoint(&mut self) -> RankCheckpoint {
-        let rank = self.u64() as usize;
-        let edges = self.len(8);
-        let store_edges = (0..edges).map(|_| self.edge()).collect();
-        let tracker_initial = self.u64() as usize;
-        let remaining = self.len(8);
-        let tracker_remaining = (0..remaining).map(|_| self.u64()).collect();
         RankCheckpoint {
-            rank,
-            store_edges,
-            tracker_initial,
-            tracker_remaining,
+            rank: self.u64() as usize,
+            store_edges: self.list(8, Reader::edge),
+            tracker_initial: self.u64() as usize,
+            tracker_remaining: self.list(8, Reader::u64),
             stats: self.stats(),
             conv_seq: self.u64(),
             rng_words: self.u64(),
@@ -626,13 +653,13 @@ const TELEMETRY_BYTES: usize = 8 * (12 + MsgKind::COUNT + 5);
 
 /// Serialize a [`WorldSnapshot`] (deterministic bytes for a given
 /// snapshot — rank checkpoints carry their sets pre-sorted).
-pub fn encode_world_snapshot(snap: &WorldSnapshot) -> Vec<u8> {
+pub(crate) fn encode_world_snapshot<C: SnapField>(snap: &WorldSnapshot<C>) -> Vec<u8> {
     let mut out = Vec::new();
-    put_header(&mut out, SNAP_WORLD);
+    put_header(&mut out, C::WORLD_KIND);
     put_u64(&mut out, snap.seed);
     put_u64(&mut out, snap.p as u64);
     put_u64(&mut out, snap.n as u64);
-    put_u64(&mut out, snap.t);
+    snap.schedule.put(&mut out);
     put_u64(&mut out, snap.next_step);
     put_u64(&mut out, snap.ranks.len() as u64);
     for ckpt in &snap.ranks {
@@ -646,44 +673,31 @@ pub fn encode_world_snapshot(snap: &WorldSnapshot) -> Vec<u8> {
     for tel in &snap.telemetry {
         put_telemetry(&mut out, tel);
     }
-    put_u64(&mut out, snap.initial_edges.len() as u64);
-    for v in &snap.initial_edges {
-        put_u64(&mut out, *v);
-    }
+    put_keys(&mut out, snap.initial_edges.iter().copied());
     out
 }
 
 /// Decode a [`WorldSnapshot`] from untrusted bytes: a wrong header,
 /// truncation, a length that overruns the input, a non-canonical edge
 /// key or trailing bytes all come back as `Err` with the reason.
-pub fn decode_world_snapshot(bytes: &[u8]) -> Result<WorldSnapshot, String> {
+pub(crate) fn decode_world_snapshot<C: SnapField>(
+    bytes: &[u8],
+) -> Result<WorldSnapshot<C>, String> {
     let mut r = Reader::new(bytes);
-    r.header(SNAP_WORLD)?;
-    let seed = r.u64();
-    let p = r.u64() as usize;
-    let n = r.u64() as usize;
-    let t = r.u64();
-    let next_step = r.u64();
-    let ranks_len = r.len(RANK_CHECKPOINT_MIN);
-    let ranks = (0..ranks_len).map(|_| r.rank_checkpoint()).collect();
-    let comm_len = r.len(COMM_BYTES);
-    let comm = (0..comm_len).map(|_| r.comm()).collect();
-    let tel_len = r.len(TELEMETRY_BYTES);
-    let telemetry = (0..tel_len).map(|_| r.telemetry()).collect();
-    let ie_len = r.len(8);
-    let initial_edges = (0..ie_len).map(|_| r.u64()).collect();
+    r.header(C::WORLD_KIND)?;
+    let snap = WorldSnapshot {
+        seed: r.u64(),
+        p: r.u64() as usize,
+        n: r.u64() as usize,
+        schedule: C::read(&mut r),
+        next_step: r.u64(),
+        ranks: r.list(RANK_CHECKPOINT_MIN, Reader::rank_checkpoint),
+        comm: r.list(COMM_BYTES, Reader::comm),
+        telemetry: r.list(TELEMETRY_BYTES, Reader::telemetry),
+        initial_edges: r.list(8, Reader::u64),
+    };
     r.finish()?;
-    Ok(WorldSnapshot {
-        seed,
-        p,
-        n,
-        t,
-        next_step,
-        ranks,
-        comm,
-        telemetry,
-        initial_edges,
-    })
+    Ok(snap)
 }
 
 /// Serialize a [`SeqCheckpoint`].
@@ -699,14 +713,8 @@ pub fn encode_seq_checkpoint(ckpt: &SeqCheckpoint) -> Vec<u8> {
     put_u64(&mut out, ckpt.rejects.useless);
     put_u64(&mut out, ckpt.rejects.parallel);
     put_u64(&mut out, ckpt.tracker_initial as u64);
-    put_u64(&mut out, ckpt.tracker_remaining.len() as u64);
-    for key in &ckpt.tracker_remaining {
-        put_u64(&mut out, *key);
-    }
-    put_u64(&mut out, ckpt.graph_edges.len() as u64);
-    for e in &ckpt.graph_edges {
-        put_edge(&mut out, *e);
-    }
+    put_keys(&mut out, ckpt.tracker_remaining.iter().copied());
+    put_keys(&mut out, ckpt.graph_edges.iter().map(|e| e.key()));
     put_u64(&mut out, ckpt.rng_words);
     out
 }
@@ -716,35 +724,56 @@ pub fn encode_seq_checkpoint(ckpt: &SeqCheckpoint) -> Vec<u8> {
 pub fn decode_seq_checkpoint(bytes: &[u8]) -> Result<SeqCheckpoint, String> {
     let mut r = Reader::new(bytes);
     r.header(SNAP_SEQ)?;
-    let seed = r.u64();
-    let n = r.u64() as usize;
-    let t = r.u64();
-    let performed = r.u64();
-    let abandoned = r.u64();
-    let rejects = RejectCounts {
-        self_loop: r.u64(),
-        useless: r.u64(),
-        parallel: r.u64(),
+    let ckpt = SeqCheckpoint {
+        seed: r.u64(),
+        n: r.u64() as usize,
+        t: r.u64(),
+        performed: r.u64(),
+        abandoned: r.u64(),
+        rejects: RejectCounts {
+            self_loop: r.u64(),
+            useless: r.u64(),
+            parallel: r.u64(),
+        },
+        tracker_initial: r.u64() as usize,
+        tracker_remaining: r.list(8, Reader::u64),
+        graph_edges: r.list(8, Reader::edge),
+        rng_words: r.u64(),
     };
-    let tracker_initial = r.u64() as usize;
-    let rem_len = r.len(8);
-    let tracker_remaining = (0..rem_len).map(|_| r.u64()).collect();
-    let edge_len = r.len(8);
-    let graph_edges = (0..edge_len).map(|_| r.edge()).collect();
-    let rng_words = r.u64();
     r.finish()?;
-    Ok(SeqCheckpoint {
-        seed,
-        n,
-        t,
-        performed,
-        abandoned,
-        rejects,
-        tracker_initial,
-        tracker_remaining,
-        graph_edges,
-        rng_words,
-    })
+    Ok(ckpt)
+}
+
+/// Serialize a sequential Curveball checkpoint.
+pub(crate) fn encode_curveball_checkpoint(ckpt: &CurveballCheckpoint) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_header(&mut out, SNAP_TRADE_SEQ);
+    put_u64(&mut out, ckpt.seed);
+    put_u64(&mut out, ckpt.n as u64);
+    ckpt.ctl.put(&mut out);
+    put_u64(&mut out, ckpt.neighbors_moved);
+    put_u64(&mut out, ckpt.tracker_initial as u64);
+    put_keys(&mut out, ckpt.tracker_remaining.iter().copied());
+    put_keys(&mut out, ckpt.graph_edges.iter().map(|e| e.key()));
+    out
+}
+
+/// Decode a sequential Curveball checkpoint from untrusted bytes; fails
+/// like [`decode_world_snapshot`].
+pub(crate) fn decode_curveball_checkpoint(bytes: &[u8]) -> Result<CurveballCheckpoint, String> {
+    let mut r = Reader::new(bytes);
+    r.header(SNAP_TRADE_SEQ)?;
+    let ckpt = CurveballCheckpoint {
+        seed: r.u64(),
+        n: r.u64() as usize,
+        ctl: PassController::read(&mut r),
+        neighbors_moved: r.u64(),
+        tracker_initial: r.u64() as usize,
+        tracker_remaining: r.list(8, Reader::u64),
+        graph_edges: r.list(8, Reader::edge),
+    };
+    r.finish()?;
+    Ok(ckpt)
 }
 
 // ---------------------------------------------------------------------
@@ -763,19 +792,13 @@ pub(crate) fn encode_rank_result(
     telemetry: &[StepTelemetry],
 ) -> Vec<u8> {
     let (store, tracker) = (&output.store, &output.tracker);
-    let remaining = tracker.initial_count() - tracker.visited_count();
-    let mut out = Vec::with_capacity(8 * (store.num_edges() + remaining) + 512);
+    let remaining = tracker.remaining_keys();
+    let mut out = Vec::with_capacity(8 * (store.num_edges() + remaining.len()) + 512);
     put_u64(&mut out, initial_edges);
     put_u64(&mut out, store.rank() as u64);
-    put_u64(&mut out, store.num_edges() as u64);
-    for e in store.edges() {
-        put_edge(&mut out, e);
-    }
+    put_keys(&mut out, store.edges().map(|e| e.key()));
     put_u64(&mut out, tracker.initial_count() as u64);
-    put_u64(&mut out, remaining as u64);
-    for key in tracker.remaining_keys() {
-        put_u64(&mut out, key);
-    }
+    put_keys(&mut out, remaining);
     put_stats(&mut out, &output.stats);
     put_comm(&mut out, &output.comm);
     put_u64(&mut out, telemetry.len() as u64);
@@ -897,26 +920,14 @@ mod tests {
     #[test]
     fn collective_payloads_roundtrip_bit_exactly() {
         for payload in [
-            CollPayload::Unit,
             CollPayload::U64(u64::MAX),
-            CollPayload::F64(-0.0),
-            CollPayload::F64(f64::NAN),
             CollPayload::VecU64(vec![]),
             CollPayload::VecU64(vec![1, 2, 3]),
-            CollPayload::VecF64(vec![1.5, f64::INFINITY]),
         ] {
-            let mut msg_bytes = Vec::new();
-            encode_msg(&Msg::Coll(payload.clone()), &mut msg_bytes);
-            let mut msg_again = Vec::new();
-            encode_msg(&decode_msg(&msg_bytes), &mut msg_again);
-            // Compare re-encodings bitwise so NaN payloads count as equal.
-            assert_eq!(msg_bytes, msg_again);
-
+            roundtrip(Msg::Coll(payload.clone()));
             let mut bytes = Vec::new();
             encode_coll(&payload, &mut bytes);
-            let mut again = Vec::new();
-            encode_coll(&decode_coll(&bytes), &mut again);
-            assert_eq!(bytes, again);
+            assert_eq!(decode_coll(&bytes), payload);
         }
     }
 
@@ -978,7 +989,7 @@ mod tests {
             seed: 99,
             p: 2,
             n: 50,
-            t: 1000,
+            schedule: 1000u64,
             next_step: 3,
             ranks: vec![sample_rank_checkpoint(0), sample_rank_checkpoint(1)],
             comm: vec![comm, comm],
@@ -989,9 +1000,58 @@ mod tests {
         assert_eq!(decode_world_snapshot(&bytes).unwrap(), snap);
         // Deterministic bytes: re-encoding the decode is identical.
         assert_eq!(
-            encode_world_snapshot(&decode_world_snapshot(&bytes).unwrap()),
+            encode_world_snapshot(&decode_world_snapshot::<u64>(&bytes).unwrap()),
             bytes
         );
+        // A Curveball world carries its pass controller instead of `t`.
+        for budget in [Budget::Ops(4500), Budget::VisitRate(0.9)] {
+            let trades = with_schedule(&snap, sample_pass_controller(budget));
+            let bytes = encode_world_snapshot(&trades);
+            assert_eq!(decode_world_snapshot(&bytes).unwrap(), trades);
+        }
+    }
+
+    /// `snap` with its schedule record replaced by `schedule`.
+    fn with_schedule<C, D>(snap: &WorldSnapshot<C>, schedule: D) -> WorldSnapshot<D> {
+        WorldSnapshot {
+            seed: snap.seed,
+            p: snap.p,
+            n: snap.n,
+            schedule,
+            next_step: snap.next_step,
+            ranks: snap.ranks.clone(),
+            comm: snap.comm.clone(),
+            telemetry: snap.telemetry.clone(),
+            initial_edges: snap.initial_edges.clone(),
+        }
+    }
+
+    fn sample_pass_controller(budget: Budget) -> PassController {
+        PassController {
+            budget,
+            pass: 3,
+            stall: 1,
+            last_visited: 321,
+        }
+    }
+
+    fn sample_curveball_checkpoint() -> CurveballCheckpoint {
+        CurveballCheckpoint {
+            seed: 17,
+            n: 30,
+            ctl: sample_pass_controller(Budget::VisitRate(0.75)),
+            neighbors_moved: 4321,
+            tracker_initial: 90,
+            tracker_remaining: vec![2, 6, 10],
+            graph_edges: vec![Edge::new(0, 1), Edge::new(2, 3)],
+        }
+    }
+
+    #[test]
+    fn curveball_checkpoint_roundtrips() {
+        let ckpt = sample_curveball_checkpoint();
+        let bytes = encode_curveball_checkpoint(&ckpt);
+        assert_eq!(decode_curveball_checkpoint(&bytes).unwrap(), ckpt);
     }
 
     #[test]
@@ -1022,11 +1082,19 @@ mod tests {
 
     #[test]
     fn snapshot_decode_rejects_garbage_and_kind_mismatch() {
-        let err = decode_world_snapshot(&[0u8; 32]).unwrap_err();
+        let err = decode_world_snapshot::<u64>(&[0u8; 32]).unwrap_err();
         assert!(err.contains("bad magic"), "{err}");
         let seq = encode_seq_checkpoint(&sample_seq_checkpoint());
-        let err = decode_world_snapshot(&seq).unwrap_err();
+        let err = decode_world_snapshot::<u64>(&seq).unwrap_err();
         assert!(err.contains("wrong kind"), "{err}");
+        // The kind byte tells the randomizers apart.
+        let trades = encode_curveball_checkpoint(&sample_curveball_checkpoint());
+        assert!(decode_seq_checkpoint(&trades)
+            .unwrap_err()
+            .contains("wrong kind"));
+        assert!(decode_curveball_checkpoint(&seq)
+            .unwrap_err()
+            .contains("wrong kind"));
         let mut stale = seq.clone();
         stale[4] ^= 0xFF;
         let err = decode_seq_checkpoint(&stale).unwrap_err();
@@ -1035,38 +1103,49 @@ mod tests {
 
     #[test]
     fn damaged_snapshots_are_errors_never_panics() {
-        let world = encode_world_snapshot(&WorldSnapshot {
+        let switches = WorldSnapshot {
             seed: 9,
             p: 2,
             n: 6,
-            t: 40,
+            schedule: 40u64,
             next_step: 1,
             ranks: vec![sample_rank_checkpoint(0), sample_rank_checkpoint(1)],
             comm: vec![CommStats::default(); 2],
             telemetry: vec![StepTelemetry::default()],
             initial_edges: vec![3, 3],
-        });
+        };
+        let trades = with_schedule(&switches, sample_pass_controller(Budget::Ops(40)));
+        let world = encode_world_snapshot(&switches);
+        let trade_world = encode_world_snapshot(&trades);
         let seq = encode_seq_checkpoint(&sample_seq_checkpoint());
-        // Every proper prefix is short, whichever field it cuts.
-        for cut in 0..world.len() {
-            assert!(decode_world_snapshot(&world[..cut]).is_err(), "cut {cut}");
-        }
-        for cut in 0..seq.len() {
-            assert!(decode_seq_checkpoint(&seq[..cut]).is_err(), "cut {cut}");
-        }
-        // Trailing bytes are refused too.
-        let mut long = seq.clone();
-        long.push(0);
-        assert!(decode_seq_checkpoint(&long).is_err());
-        // A flipped bit may still decode (it can land in a counter), but
-        // it must never panic, and a length blown up to 2^63 items must
-        // neither allocate nor loop.
-        for bytes in [&world, &seq] {
+        let trade_seq = encode_curveball_checkpoint(&sample_curveball_checkpoint());
+        type Fails = fn(&[u8]) -> bool;
+        let decoders: [(&[u8], Fails); 4] = [
+            (&world, |b| decode_world_snapshot::<u64>(b).is_err()),
+            (&trade_world, |b| {
+                decode_world_snapshot::<PassController>(b).is_err()
+            }),
+            (&seq, |b| decode_seq_checkpoint(b).is_err()),
+            (&trade_seq, |b| decode_curveball_checkpoint(b).is_err()),
+        ];
+        for (bytes, fails) in decoders {
+            // Every proper prefix is short, whichever field it cuts.
+            for cut in 0..bytes.len() {
+                assert!(fails(&bytes[..cut]), "cut {cut}");
+            }
+            // Trailing bytes are refused too.
+            let mut long = bytes.to_vec();
+            long.push(0);
+            assert!(fails(&long));
+            // A flipped bit may still decode (it can land in a counter),
+            // but it must never panic, and a length blown up to 2^63
+            // items must neither allocate nor loop.
             for at in 0..bytes.len() {
-                let mut flipped = bytes.clone();
+                let mut flipped = bytes.to_vec();
                 flipped[at] ^= 0x80;
-                let _ = decode_world_snapshot(&flipped);
-                let _ = decode_seq_checkpoint(&flipped);
+                for (_, decode) in decoders {
+                    let _ = decode(&flipped);
+                }
             }
         }
     }

@@ -1,9 +1,9 @@
 //! The [`Run`] builder and the stepped [`Engine`] behind it: the one way
 //! to run a switching job.
 //!
-//! Pick a driver, state the budget as either an operation count or a
-//! target visit rate (Section 3.1: `t = E[T]/2`), tune the knobs, and
-//! `execute`:
+//! Pick a driver and a randomizer, state the budget as either an
+//! operation count or a target visit rate (Section 3.1: `t = E[T]/2`),
+//! tune the knobs, and `execute`:
 //!
 //! ```
 //! use edgeswitch_core::Run;
@@ -19,54 +19,59 @@
 //! assert!((out.visit_rate() - 0.5).abs() < 0.1);
 //! ```
 //!
-//! Both algorithms have a natural pause point — between two operations
-//! of Algorithm 1, and at the Section 4.5 step boundary, where `q` is
-//! refreshed and no conversation is in flight — so the sequential and
-//! simulated switch drivers run as a stepped [`Engine`]:
-//! [`Run::start`], [`Engine::advance`] until [`Engine::is_done`],
-//! [`Engine::finish`]. Pausing is free and bit-exact (a chunk boundary
-//! consumes no randomness), and [`Engine::snapshot`] between two calls
-//! captures everything [`Run::resume`] needs to continue in a fresh
-//! process. `execute` on those drivers *is* that loop:
+//! Both randomizers have natural pause points — between two operations
+//! of Algorithm 1, at the Section 4.5 step boundary, between two
+//! Curveball passes — where no randomness is in flight, so every
+//! sequential and simulated run is a stepped [`Engine`]: [`Run::start`],
+//! [`Engine::advance`] until [`Engine::is_done`], [`Engine::finish`];
+//! [`Engine::snapshot`] between two calls captures everything
+//! [`Run::resume`] needs to continue bit-exactly in a fresh process.
+//! `execute` on those drivers *is* that loop:
 //!
 //! ```
-//! use edgeswitch_core::Run;
+//! use edgeswitch_core::{Randomizer, Run};
 //! use edgeswitch_dist::root_rng;
 //! use edgeswitch_graph::generators::erdos_renyi_gnm;
 //!
 //! let g = erdos_renyi_gnm(200, 800, &mut root_rng(1));
-//! let run = Run::simulated(4).switches(600).seed(3);
-//! let mut engine = run.start(&g).unwrap();
-//! engine.advance(100);
-//! let bytes = engine.snapshot();
-//! drop(engine); // the process dies here
-//! let mut engine = run.resume(&g, &bytes).unwrap();
-//! while !engine.is_done() {
+//! for run in [
+//!     Run::simulated(4).switches(600).seed(3),
+//!     Run::sequential().randomizer(Randomizer::Curveball).switches(600).seed(3),
+//! ] {
+//!     let mut engine = run.start(&g).unwrap();
 //!     engine.advance(100);
+//!     let bytes = engine.snapshot();
+//!     drop(engine); // the process dies here
+//!     let mut engine = run.resume(&g, &bytes).unwrap();
+//!     while !engine.is_done() {
+//!         engine.advance(100);
+//!     }
+//!     let resumed = engine.finish();
+//!     let oneshot = run.execute(&g);
+//!     assert_eq!(resumed.graph().edge_digest(), oneshot.graph().edge_digest());
 //! }
-//! let resumed = engine.finish();
-//! let oneshot = run.execute(&g);
-//! assert_eq!(resumed.graph().edge_digest(), oneshot.graph().edge_digest());
 //! ```
 //!
-//! Who owns what: `Run` validates, resolves the budget and builds the
-//! partitioner; the engine's world ([`SequentialResumable`], the
-//! simulated `SimWorld`) owns set-up, stepping, snapshot and teardown.
-//! Curveball (one pass per `SimWorld` step; no snapshot format yet) and
-//! the threaded and process worlds run one-shot in [`Run::try_execute`].
+//! Who owns what: `Run` validates, resolves the budget, builds the
+//! partitioner and picks the engine from its driver and randomizer — the
+//! per-rank [`ParallelConfig`] names neither, so a prepared config can
+//! never change them. The engine ([`SequentialResumable`],
+//! [`CurveballResumable`], the simulated `SimWorld` of either
+//! randomizer) owns set-up, stepping, snapshot and teardown. The
+//! threaded and process worlds run one-shot in [`Run::try_execute`].
 
-use crate::config::{Backend, ParallelConfig, QuotaPolicy, Randomizer, StepSize};
+use crate::config::{Budget, ParallelConfig, QuotaPolicy, Randomizer, StepSize};
 use crate::obs::{ObsSpec, ProgressEvent, RunReport, StepProgress};
 use crate::parallel::engine::threaded_switch;
 use crate::parallel::proc::{process_backend_supported, process_switch, ProcError};
 use crate::parallel::resume::SimWorld;
 use crate::parallel::trade::threaded_trades;
 use crate::parallel::wire::{
-    decode_seq_checkpoint, decode_world_snapshot, encode_seq_checkpoint, encode_world_snapshot,
+    decode_curveball_checkpoint, decode_seq_checkpoint, decode_world_snapshot,
 };
 use crate::parallel::{FifoTransport, ParallelOutcome, WorldTransport};
 use crate::sequential::{SequentialOutcome, SequentialResumable};
-use crate::trade::{sequential_curveball_observed, TradeBudget};
+use crate::trade::CurveballResumable;
 use edgeswitch_graph::{Graph, Partitioner, SchemeKind};
 use std::borrow::Cow;
 use std::sync::mpsc::Sender;
@@ -90,10 +95,9 @@ pub enum RunError {
     /// A configuration knob is out of its documented range (`p ≥ 1`,
     /// `window ≥ 1`, a partitioner of `p` parts).
     InvalidConfig(String),
-    /// The selected backend cannot run this job on this platform or with
+    /// The selected driver cannot run this job on this platform or with
     /// this randomizer (the process backend needs Linux and supports
-    /// switches only; only the sequential and simulated switch drivers
-    /// can be stepped).
+    /// switches only; threaded and process runs cannot be stepped).
     BackendUnsupported(String),
     /// A process-backend rank child could not be spawned.
     SpawnFailed(String),
@@ -101,8 +105,9 @@ pub enum RunError {
     /// no result.
     RankDied(String),
     /// The bytes handed to [`Run::resume`] are not a snapshot of this
-    /// run: truncated or damaged, written by the other engine or another
-    /// format version, or taken from a different graph, seed or budget.
+    /// run: truncated or damaged, written by another engine or
+    /// randomizer or format version, or taken from a different graph,
+    /// seed or budget.
     BadSnapshot(String),
 }
 
@@ -134,23 +139,16 @@ impl From<ProcError> for RunError {
 /// Which engine executes the run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
-    /// Algorithm 1 on one thread.
+    /// One thread: Algorithm 1, or sequential Curveball passes.
     Sequential,
     /// The distributed protocol on `p` real (threaded) ranks.
-    Parallel,
+    Threaded,
+    /// The distributed protocol on `p` rank processes over
+    /// shared-memory rings.
+    Process,
     /// The distributed protocol on `p` simulated ranks (deterministic
     /// FIFO world — bit-reproducible at any `p`).
     Simulated,
-}
-
-/// How much switching to do.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Budget {
-    /// An explicit operation count `t`.
-    Switches(u64),
-    /// A target expected visit rate `x`; `t` is derived from the graph's
-    /// edge count at execute time (Section 3.1).
-    VisitRate(f64),
 }
 
 /// Builder for one switching run. Start from [`Run::sequential`],
@@ -159,6 +157,7 @@ enum Budget {
 #[derive(Clone, Debug)]
 pub struct Run {
     mode: Mode,
+    randomizer: Randomizer,
     budget: Budget,
     config: ParallelConfig,
     /// An explicit partitioner ([`Run::prepared`]); `None` builds the
@@ -181,6 +180,7 @@ impl Run {
         };
         Run {
             mode,
+            randomizer: Randomizer::default(),
             // The paper's headline experiments run to full visit rate.
             budget: Budget::VisitRate(1.0),
             config: ParallelConfig::new(processors.max(1)),
@@ -206,7 +206,7 @@ impl Run {
 
     /// A parallel run on `p` threaded ranks (Sections 4–5).
     pub fn parallel(p: usize) -> Self {
-        Run::new(Mode::Parallel, p)
+        Run::new(Mode::Threaded, p)
     }
 
     /// A parallel run on `p` rank *processes* over shared-memory rings
@@ -215,9 +215,7 @@ impl Run {
     /// thread. Logically equivalent to [`Run::parallel`] at every `p`,
     /// bit-identical to the simulators at `p = 1`.
     pub fn process(p: usize) -> Self {
-        let mut run = Run::new(Mode::Parallel, p);
-        run.config = run.config.with_backend(Backend::Process);
-        run
+        Run::new(Mode::Process, p)
     }
 
     /// A parallel run on `p` deterministically simulated ranks: the same
@@ -231,22 +229,28 @@ impl Run {
     /// `x = 1.0`): `t` is derived from the graph's edge count at
     /// execute time. Accepted range: `x ∈ (0, 1]`; anything else
     /// (including NaN) is [`RunError::InvalidBudget`] at execute time.
-    pub fn visit_rate(mut self, x: f64) -> Self {
-        if !(x > 0.0 && x <= 1.0) {
-            self.record_invalid(RunError::InvalidBudget(format!(
-                "visit_rate must lie in (0, 1] (got {x})"
-            )));
-        }
-        self.budget = Budget::VisitRate(x);
-        self
+    pub fn visit_rate(self, x: f64) -> Self {
+        self.budget(Budget::VisitRate(x))
     }
 
     /// Budget by explicit switch-operation count `t`. Under
     /// [`Randomizer::Curveball`] the count budgets whole passes of
     /// trades instead (a pass of an `n`-vertex graph runs `⌊n/2⌋`
     /// trades; the run stops at the first pass boundary at or past `t`).
-    pub fn switches(mut self, t: u64) -> Self {
-        self.budget = Budget::Switches(t);
+    pub fn switches(self, t: u64) -> Self {
+        self.budget(Budget::Ops(t))
+    }
+
+    /// Either budget: [`Run::switches`] or [`Run::visit_rate`].
+    pub fn budget(mut self, budget: Budget) -> Self {
+        if let Budget::VisitRate(x) = budget {
+            if !(x > 0.0 && x <= 1.0) {
+                self.record_invalid(RunError::InvalidBudget(format!(
+                    "visit_rate must lie in (0, 1] (got {x})"
+                )));
+            }
+        }
+        self.budget = budget;
         self
     }
 
@@ -257,8 +261,13 @@ impl Run {
     /// `crate::trade`). Curveball supports the sequential, threaded and
     /// simulated drivers, but not the process backend.
     pub fn randomizer(mut self, randomizer: Randomizer) -> Self {
-        self.config = self.config.with_randomizer(randomizer);
+        self.randomizer = randomizer;
         self
+    }
+
+    /// The randomizer this builder runs.
+    pub fn get_randomizer(&self) -> Randomizer {
+        self.randomizer
     }
 
     /// Master seed (drives the sequential RNG or every rank stream).
@@ -309,12 +318,12 @@ impl Run {
     }
 
     /// Run under a [`ParallelConfig`] the caller prepared, replacing
-    /// everything the knobs above set (`config.processors` included), and
-    /// — with `Some(part)` — over exactly that partitioner instead of the
-    /// one `config.scheme` would build (adversarial or custom
-    /// partitioning experiments). The budget stays the builder's. This is
-    /// the one door for values that have no knob of their own
-    /// (`local_fastpath`, `proc_opts`).
+    /// every knob above (`config.processors` included), and — with
+    /// `Some(part)` — over exactly that partitioner instead of the one
+    /// `config.scheme` would build (adversarial or custom partitioning
+    /// experiments). The driver, the randomizer and the budget stay the
+    /// builder's. This is the one door for values that have no knob of
+    /// their own (`local_fastpath`, `proc_opts`).
     pub fn prepared(mut self, config: ParallelConfig, part: Option<Partitioner>) -> Self {
         if config.processors == 0 {
             self.record_invalid(RunError::InvalidConfig(
@@ -332,7 +341,7 @@ impl Run {
     }
 
     /// Check the builder without executing anything: surfaces the first
-    /// recorded builder error and backend combinations this platform
+    /// recorded builder error and driver combinations this platform
     /// cannot run. A job server calls this at submit time so bad jobs
     /// are rejected before they queue.
     pub fn validate(&self) -> Result<(), RunError> {
@@ -348,10 +357,8 @@ impl Run {
                 )));
             }
         }
-        // Only the parallel driver reads the backend; the sequential and
-        // simulated drivers run whatever it names.
-        if self.mode == Mode::Parallel && self.config.backend == Backend::Process {
-            if self.config.randomizer == Randomizer::Curveball {
+        if self.mode == Mode::Process {
+            if self.randomizer == Randomizer::Curveball {
                 return Err(RunError::BackendUnsupported(
                     "the process backend runs the switch protocol only; \
                      Curveball needs the threaded or simulated driver"
@@ -367,25 +374,16 @@ impl Run {
         Ok(())
     }
 
-    /// Resolve the budget against `graph`.
+    /// The switch protocol's operation count on `graph`. (Curveball
+    /// reads the budget as it is: its pass controller handles a
+    /// visit-rate target natively — reaching the rate in fewer
+    /// operations is precisely the point.)
     fn resolve_ops(&self, graph: &Graph) -> u64 {
         match self.budget {
-            Budget::Switches(t) => t,
+            Budget::Ops(t) => t,
             Budget::VisitRate(x) => {
                 edgeswitch_dist::switch_ops_for_visit_rate(graph.num_edges() as u64, x)
             }
-        }
-    }
-
-    /// The budget as Curveball sees it: an explicit count budgets
-    /// trades; a visit-rate target is handled natively by the trade
-    /// engine's pass controller (no operation-count derivation — that
-    /// conversion is the switch protocol's, and Curveball needing fewer
-    /// operations to the same rate is precisely the point).
-    fn trade_budget(&self) -> TradeBudget {
-        match self.budget {
-            Budget::Switches(t) => TradeBudget::Trades(t),
-            Budget::VisitRate(x) => TradeBudget::VisitRate(x),
         }
     }
 
@@ -404,19 +402,6 @@ impl Run {
         })
     }
 
-    /// Whether this run has a stepped engine: the sequential and
-    /// simulated switch drivers.
-    fn steppable(&self) -> Result<(), RunError> {
-        if self.mode == Mode::Parallel || self.config.randomizer == Randomizer::Curveball {
-            return Err(RunError::BackendUnsupported(
-                "only the sequential and simulated switch drivers can be stepped; \
-                 threaded, process and Curveball runs execute one-shot"
-                    .to_string(),
-            ));
-        }
-        Ok(())
-    }
-
     /// Execute the run, panicking with the [`RunError`]'s message on any
     /// failure. Thin wrapper over [`Run::try_execute`] for callers (the
     /// bench CLI, examples, tests) that treat failure as fatal. The input
@@ -430,30 +415,34 @@ impl Run {
     /// Execute the run, surfacing failures as typed [`RunError`]s: bad
     /// builder inputs recorded at the call that supplied them
     /// ([`RunError::InvalidBudget`], [`RunError::InvalidConfig`]),
-    /// backend/randomizer combinations this platform cannot run
+    /// driver/randomizer combinations this platform cannot run
     /// ([`RunError::BackendUnsupported`]), and process-backend launch or
     /// rank failures ([`RunError::SpawnFailed`], [`RunError::RankDied`]).
-    /// The input graph is not modified.
+    /// A sequential or simulated run is [`Run::start`] →
+    /// [`Engine::run_to_end`]. The input graph is not modified.
     pub fn try_execute(&self, graph: &Graph) -> Result<RunOutcome, RunError> {
-        self.validate()?;
-        if self.steppable().is_ok() {
+        if matches!(self.mode, Mode::Sequential | Mode::Simulated) {
             return Ok(self.start(graph)?.run_to_end());
         }
-        if self.mode == Mode::Sequential {
-            return Ok(self.sequential_curveball(graph));
-        }
-        let out = if self.mode == Mode::Simulated {
-            self.simulate(graph, FifoTransport::new()).0
-        } else {
-            let (part, config) = (self.partitioner(graph), &self.config);
-            let (t, budget) = (self.resolve_ops(graph), self.trade_budget());
-            match (config.randomizer, config.backend) {
-                (Randomizer::Curveball, _) => threaded_trades(graph, budget, config, &part),
-                (_, Backend::Process) => process_switch(graph, t, config, &part)?,
-                (_, Backend::Threaded) => threaded_switch(graph, t, config, &part),
+        self.validate()?;
+        let (part, config) = (self.partitioner(graph), &self.config);
+        let out = match (self.mode, self.randomizer) {
+            (Mode::Process, _) => process_switch(graph, self.resolve_ops(graph), config, &part)?,
+            (_, Randomizer::Switch) => {
+                threaded_switch(graph, self.resolve_ops(graph), config, &part)
             }
+            (_, Randomizer::Curveball) => threaded_trades(graph, self.budget, config, &part),
         };
         Ok(RunOutcome::Parallel(Box::new(out)))
+    }
+
+    /// Why a threaded or process run has no stepped engine.
+    fn not_steppable() -> RunError {
+        RunError::BackendUnsupported(
+            "only sequential and simulated runs can be stepped; \
+             threaded and process runs execute one-shot"
+                .to_string(),
+        )
     }
 
     /// Start the run as a stepped [`Engine`] without executing anything
@@ -462,32 +451,39 @@ impl Run {
     /// [`Engine::finish`] then carries the [`RunReport`].
     ///
     /// `graph` is a `&Graph` (left unmodified: a sequential engine
-    /// switches a clone of its edge pool — the adjacency is never
-    /// copied, the engine does not use it) or a `Graph` the caller is
-    /// done with (the sequential engine then switches its pool in place
-    /// of a clone, so the two never coexist — the job service's peak
-    /// memory).
-    ///
-    /// Only the sequential and simulated switch drivers can be stepped;
-    /// anything else is [`RunError::BackendUnsupported`].
+    /// randomizes a clone — the switch engine of its edge pool alone) or
+    /// a `Graph` the caller is done with (randomized in place of a
+    /// clone — the job service's peak memory). Threaded and process runs
+    /// are [`RunError::BackendUnsupported`].
     pub fn start<'g>(&self, graph: impl Into<Cow<'g, Graph>>) -> Result<Engine, RunError> {
         let graph = graph.into();
         self.validate()?;
-        self.steppable()?;
-        let t = self.resolve_ops(&graph);
         let config = &self.config;
-        Ok(Engine(match self.mode {
-            Mode::Sequential => EngineKind::Sequential(Box::new(
-                SequentialResumable::new(graph, t, config.seed).with_obs(config.obs),
-            )),
-            _ => EngineKind::Simulated(Box::new(SimWorld::over(
+        let engine: Box<dyn Stepped> = match (self.mode, self.randomizer) {
+            (Mode::Sequential, Randomizer::Switch) => {
+                let t = self.resolve_ops(&graph);
+                Box::new(SequentialResumable::new(graph, t, config.seed).with_obs(config.obs))
+            }
+            (Mode::Sequential, Randomizer::Curveball) => Box::new(
+                CurveballResumable::new(graph, self.budget, config.seed).with_obs(config.obs),
+            ),
+            (Mode::Simulated, Randomizer::Switch) => Box::new(SimWorld::over(
                 &graph,
-                t,
+                self.resolve_ops(&graph),
                 config,
                 &self.partitioner(&graph),
                 FifoTransport::new(),
-            ))),
-        }))
+            )),
+            (Mode::Simulated, Randomizer::Curveball) => Box::new(SimWorld::curveball(
+                &graph,
+                self.budget,
+                config,
+                &self.partitioner(&graph),
+                FifoTransport::new(),
+            )),
+            (Mode::Threaded | Mode::Process, _) => return Err(Run::not_steppable()),
+        };
+        Ok(Engine(engine))
     }
 
     /// Rebuild the engine of this run on `graph` from
@@ -496,23 +492,36 @@ impl Run {
     /// a resumed engine is unobserved whatever [`Run::probe`] says.
     ///
     /// The bytes are untrusted: anything that is not a well-formed
-    /// snapshot of *this* run on *this* graph — truncated, damaged, the
-    /// other engine's format, another seed, budget or graph — is
-    /// [`RunError::BadSnapshot`], never a panic.
+    /// snapshot of *this* run on *this* graph — truncated, damaged,
+    /// another engine's or randomizer's, another seed, budget or graph —
+    /// is [`RunError::BadSnapshot`], never a panic.
     pub fn resume(&self, graph: &Graph, snapshot: &[u8]) -> Result<Engine, RunError> {
         self.validate()?;
-        self.steppable()?;
-        let t = self.resolve_ops(graph);
         let config = &self.config;
-        let engine = match self.mode {
-            Mode::Sequential => decode_seq_checkpoint(snapshot)
-                .and_then(|ckpt| SequentialResumable::restore(graph, t, config.seed, &ckpt))
-                .map(|eng| EngineKind::Sequential(Box::new(eng))),
-            _ => decode_world_snapshot(snapshot)
-                .and_then(|snap| {
-                    SimWorld::resume(graph, t, config, &self.partitioner(graph), &snap)
+        let engine: Result<Box<dyn Stepped>, String> = match (self.mode, self.randomizer) {
+            (Mode::Sequential, Randomizer::Switch) => decode_seq_checkpoint(snapshot)
+                .and_then(|ckpt| {
+                    SequentialResumable::restore(graph, self.resolve_ops(graph), config.seed, &ckpt)
                 })
-                .map(|world| EngineKind::Simulated(Box::new(world))),
+                .map(|eng| Box::new(eng) as Box<dyn Stepped>),
+            (Mode::Sequential, Randomizer::Curveball) => decode_curveball_checkpoint(snapshot)
+                .and_then(|ckpt| {
+                    CurveballResumable::restore(graph, self.budget, config.seed, &ckpt)
+                })
+                .map(|eng| Box::new(eng) as Box<dyn Stepped>),
+            (Mode::Simulated, Randomizer::Switch) => decode_world_snapshot(snapshot)
+                .and_then(|snap| {
+                    let (t, part) = (self.resolve_ops(graph), self.partitioner(graph));
+                    SimWorld::resume_over(graph, t, config, &part, &snap)
+                })
+                .map(|world| Box::new(world) as Box<dyn Stepped>),
+            (Mode::Simulated, Randomizer::Curveball) => decode_world_snapshot(snapshot)
+                .and_then(|snap| {
+                    let (budget, part) = (self.budget, self.partitioner(graph));
+                    SimWorld::resume_curveball(graph, budget, config, &part, &snap)
+                })
+                .map(|world| Box::new(world) as Box<dyn Stepped>),
+            (Mode::Threaded | Mode::Process, _) => return Err(Run::not_steppable()),
         };
         engine.map(Engine).map_err(RunError::BadSnapshot)
     }
@@ -529,83 +538,55 @@ impl Run {
         transport: T,
     ) -> Result<(ParallelOutcome, T), RunError> {
         self.validate()?;
-        Ok(self.simulate(graph, transport))
-    }
-
-    /// Run this job to the end on the simulated world over `transport`:
-    /// switch steps or Curveball passes, as the randomizer says.
-    fn simulate<T: WorldTransport>(&self, graph: &Graph, transport: T) -> (ParallelOutcome, T) {
         let (part, config) = (self.partitioner(graph), &self.config);
-        let (t, budget) = (self.resolve_ops(graph), self.trade_budget());
-        match config.randomizer {
-            Randomizer::Switch => SimWorld::over(graph, t, config, &part, transport).run(),
-            Randomizer::Curveball => {
-                SimWorld::curveball(graph, budget, config, &part, transport).run()
+        Ok(match self.randomizer {
+            Randomizer::Switch => {
+                SimWorld::over(graph, self.resolve_ops(graph), config, &part, transport).run()
             }
-        }
+            Randomizer::Curveball => {
+                SimWorld::curveball(graph, self.budget, config, &part, transport).run()
+            }
+        })
     }
+}
 
-    /// The sequential Curveball run, surfaced through
-    /// [`SequentialOutcome`] with `performed` counting trades, so
-    /// [`RunOutcome`]'s accessors stay driver-independent.
-    fn sequential_curveball(&self, graph: &Graph) -> RunOutcome {
-        let mut g = graph.clone();
-        let out = sequential_curveball_observed(
-            &mut g,
-            self.trade_budget(),
-            self.config.seed,
-            self.config.obs,
-        );
-        let outcome = SequentialOutcome {
-            performed: out.trades,
-            abandoned: 0,
-            rejects: Default::default(),
-            tracker: out.tracker,
-            report: out.report,
-        };
-        RunOutcome::Sequential(Box::new(SequentialRun { graph: g, outcome }))
-    }
+/// One stepped engine as [`Engine`] drives it (each implements it
+/// beside its own code).
+pub(crate) trait Stepped {
+    /// Do the next piece of work; returns the logical messages it sent.
+    fn advance(&mut self, max_ops: u64) -> u64;
+    /// Where the run stands (`logical_msgs` left zero).
+    fn progress(&self) -> StepProgress;
+    fn snapshot(&self) -> Vec<u8>;
+    /// Stream span totals through `tx` (if the engine has one stream).
+    fn attach_probe(&mut self, _tx: Sender<ProgressEvent>, _every: u64) {}
+    fn finish(self: Box<Self>) -> RunOutcome;
 }
 
 /// A started (or resumed) run that executes in caller-sized pieces:
 /// [`Engine::advance`] until [`Engine::is_done`], then
 /// [`Engine::finish`]. Which engine and which snapshot format is behind
-/// it — [`SequentialResumable`] for [`Run::sequential`], the FIFO
-/// `SimWorld` for [`Run::simulated`] — is hidden; however the budget
-/// is cut into `advance` calls, and across any
-/// [`Engine::snapshot`]/[`Run::resume`] boundary, `finish()` equals the
-/// one-shot [`Run::execute`] bit for bit.
-pub struct Engine(EngineKind);
-
-enum EngineKind {
-    Sequential(Box<SequentialResumable>),
-    Simulated(Box<SimWorld>),
-}
+/// it — [`SequentialResumable`] or [`CurveballResumable`] for
+/// [`Run::sequential`], the FIFO `SimWorld` for [`Run::simulated`] — is
+/// hidden; however the budget is cut into `advance` calls, and across
+/// any [`Engine::snapshot`]/[`Run::resume`] boundary, `finish()` equals
+/// the one-shot [`Run::execute`] bit for bit. Under
+/// [`Randomizer::Curveball`] the operations are trades.
+pub struct Engine(Box<dyn Stepped>);
 
 impl Engine {
     /// Do the next piece of work and report where the run stands: a
-    /// sequential engine performs up to `max_ops` further operations; a
-    /// simulated one executes its next Section-4.5 step — its
-    /// indivisible unit — whatever `max_ops > 0` says. `max_ops == 0`
-    /// and a finished engine do nothing.
+    /// sequential switch engine performs up to `max_ops` further
+    /// operations; a Curveball engine runs its next pass and a simulated
+    /// one its next Section-4.5 step — their indivisible units —
+    /// whatever `max_ops > 0` says. `max_ops == 0` and a finished engine
+    /// do nothing.
     pub fn advance(&mut self, max_ops: u64) -> StepProgress {
-        let mut progress = StepProgress::default();
-        match &mut self.0 {
-            EngineKind::Sequential(eng) => {
-                eng.step(max_ops);
-            }
-            EngineKind::Simulated(world) => {
-                if max_ops > 0 {
-                    progress.logical_msgs = world.step().map_or(0, |tel| tel.logical_msgs.total());
-                }
-                progress.step = world.next_step();
-                progress.steps = world.steps();
-            }
+        let logical_msgs = self.0.advance(max_ops);
+        StepProgress {
+            logical_msgs,
+            ..self.0.progress()
         }
-        progress.performed = self.performed();
-        progress.budget = self.budget();
-        progress.visit_rate = self.visit_rate();
-        progress
     }
 
     /// Stream live span totals out of the engine while it runs: a
@@ -613,88 +594,65 @@ impl Engine {
     /// totals through `tx` every `every` spans, in place of whatever
     /// [`Run::probe`] attached ([`Engine::finish`] then carries no
     /// report). Works on a resumed engine too. Only the sequential
-    /// engine has one span stream to forward; on a simulated engine
+    /// engines have one span stream to forward; on a simulated engine
     /// (one probe per rank) this does nothing and `tx` is dropped.
     pub fn attach_probe(&mut self, tx: Sender<ProgressEvent>, every: u64) {
-        if let EngineKind::Sequential(eng) = &mut self.0 {
-            eng.attach_probe(tx, every);
-        }
+        self.0.attach_probe(tx, every);
     }
 
-    /// Whether the budget is exhausted (performed, abandoned or
-    /// forfeited).
+    /// Whether the budget is exhausted (performed, abandoned, forfeited,
+    /// or — under Curveball — the graph unable to mix further).
     pub fn is_done(&self) -> bool {
-        match &self.0 {
-            EngineKind::Sequential(eng) => eng.is_done(),
-            EngineKind::Simulated(world) => world.is_done(),
-        }
+        self.0.progress().done
     }
 
-    /// Operations performed so far.
+    /// Operations performed so far (trades under Curveball).
     pub fn performed(&self) -> u64 {
-        match &self.0 {
-            EngineKind::Sequential(eng) => eng.performed(),
-            EngineKind::Simulated(world) => world.performed(),
-        }
+        self.0.progress().performed
     }
 
-    /// The run's operation budget `t`.
+    /// The run's operation budget `t`. Under Curveball: the
+    /// [`Run::switches`] count, or — a visit-rate target fixing no trade
+    /// count — the trades run so far, [`Engine::performed`] at every
+    /// pause point.
     pub fn budget(&self) -> u64 {
-        match &self.0 {
-            EngineKind::Sequential(eng) => eng.budget(),
-            EngineKind::Simulated(world) => world.budget(),
-        }
+        self.0.progress().budget
     }
 
     /// Observed visit rate so far.
     pub fn visit_rate(&self) -> f64 {
-        match &self.0 {
-            EngineKind::Sequential(eng) => eng.visit_rate(),
-            EngineKind::Simulated(world) => world.visit_rate(),
-        }
+        self.0.progress().visit_rate
     }
 
     /// The complete engine state at the current pause point, as bytes
     /// for [`Run::resume`] (the `ESNP` snapshot codec of
     /// [`crate::parallel::wire`]).
     pub fn snapshot(&self) -> Vec<u8> {
-        match &self.0 {
-            EngineKind::Sequential(eng) => encode_seq_checkpoint(&eng.checkpoint()),
-            EngineKind::Simulated(world) => encode_world_snapshot(&world.snapshot()),
-        }
+        self.0.snapshot()
     }
 
     /// Tear down into the outcome of the work done so far (the whole
     /// run's once [`Engine::is_done`]); carries the [`RunReport`] iff
     /// the engine was started observed.
     pub fn finish(self) -> RunOutcome {
-        match self.0 {
-            EngineKind::Sequential(eng) => {
-                let (graph, outcome) = eng.finish();
-                RunOutcome::Sequential(Box::new(SequentialRun { graph, outcome }))
-            }
-            EngineKind::Simulated(world) => RunOutcome::Parallel(Box::new(world.finish().0)),
-        }
+        self.0.finish()
     }
 
     /// Advance to the end of the budget and tear down — all of
-    /// [`Run::execute`] on a stepped driver: the sequential budget as
-    /// one chunk, the simulated world step by step.
+    /// [`Run::execute`] on a stepped driver: the sequential switch
+    /// budget as one chunk, everything else unit by unit.
     pub fn run_to_end(mut self) -> RunOutcome {
-        match &mut self.0 {
-            EngineKind::Sequential(eng) => {
-                eng.step(u64::MAX);
-            }
-            EngineKind::Simulated(world) => world.run_to_end(),
+        while !self.is_done() {
+            self.0.advance(u64::MAX);
         }
         self.finish()
     }
 }
 
-/// A sequential run's switched graph together with its outcome.
+/// A sequential run's randomized graph together with its outcome.
 #[derive(Clone, Debug)]
 pub struct SequentialRun {
-    /// The switched graph.
+    /// The randomized graph.
     pub graph: Graph,
     /// The run's counters, tracker and (if observed) report.
     pub outcome: SequentialOutcome,
@@ -706,7 +664,7 @@ pub struct SequentialRun {
 pub enum RunOutcome {
     /// A sequential run.
     Sequential(Box<SequentialRun>),
-    /// A parallel run (threaded or simulated).
+    /// A parallel run (threaded, process or simulated).
     Parallel(Box<ParallelOutcome>),
 }
 
@@ -823,17 +781,24 @@ mod tests {
     }
 
     #[test]
-    fn only_sequential_and_simulated_switch_runs_can_be_stepped() {
+    fn threaded_and_process_runs_refuse_start_and_resume() {
         let g = graph();
-        assert!(Run::sequential().switches(10).start(&g).is_ok());
-        assert!(Run::simulated(2).switches(10).start(&g).is_ok());
+        for randomizer in [Randomizer::Switch, Randomizer::Curveball] {
+            assert!(Run::sequential()
+                .randomizer(randomizer)
+                .switches(10)
+                .start(&g)
+                .is_ok());
+            assert!(Run::simulated(2)
+                .randomizer(randomizer)
+                .switches(10)
+                .start(&g)
+                .is_ok());
+        }
         for run in [
             Run::parallel(2).switches(10),
             Run::process(2).switches(10),
-            Run::sequential()
-                .switches(10)
-                .randomizer(Randomizer::Curveball),
-            Run::simulated(2)
+            Run::parallel(2)
                 .switches(10)
                 .randomizer(Randomizer::Curveball),
         ] {
@@ -847,16 +812,14 @@ mod tests {
     #[test]
     fn a_started_engine_is_observed_and_a_resumed_one_is_not() {
         let g = graph();
+        let curveball = |run: Run| run.randomizer(Randomizer::Curveball);
         for run in [
-            Run::sequential()
-                .switches(400)
-                .seed(3)
-                .probe(ObsSpec::Spans),
-            Run::simulated(2)
-                .switches(400)
-                .seed(3)
-                .probe(ObsSpec::Spans),
+            Run::sequential(),
+            Run::simulated(2),
+            curveball(Run::sequential()),
+            curveball(Run::simulated(2)),
         ] {
+            let run = run.switches(400).seed(3).probe(ObsSpec::Spans);
             let mut engine = run.start(&g).expect("steppable");
             engine.advance(100);
             let bytes = engine.snapshot();
@@ -958,6 +921,84 @@ mod tests {
         assert!(why.contains("unsupported version 1"), "{why}");
         assert!(seq.resume(&g, &seq_bytes).is_ok());
         assert!(sim.resume(&g, &sim_bytes).is_ok());
+
+        // Curveball, mid-run on both engines: the switch snapshot of the
+        // same driver and the reverse, another trade budget, another
+        // seed, and every truncation.
+        for (switches, run) in [(&seq, Run::sequential()), (&sim, Run::simulated(2))] {
+            let trades = run.randomizer(Randomizer::Curveball).switches(300).seed(1);
+            let mut engine = trades.start(&g).unwrap();
+            engine.advance(1);
+            let bytes = engine.snapshot();
+            let switch_bytes = switches.start(&g).unwrap().snapshot();
+            assert!(bad(trades.resume(&g, &switch_bytes)));
+            assert!(bad(switches.resume(&g, &bytes)));
+            assert!(bad(trades.clone().switches(301).resume(&g, &bytes)));
+            assert!(bad(trades.clone().visit_rate(0.5).resume(&g, &bytes)));
+            assert!(bad(trades.clone().seed(2).resume(&g, &bytes)));
+            assert!(bad(trades.resume(&other, &bytes)));
+            for cut in 0..bytes.len() {
+                assert!(bad(trades.resume(&g, &bytes[..cut])), "cut {cut}");
+            }
+            assert!(trades.resume(&g, &bytes).is_ok());
+        }
+    }
+
+    /// Under Curveball an engine counts trades: a `switches(t)` budget
+    /// reports `t` throughout (the last pass may overshoot it), and a
+    /// visit-rate target — which fixes no trade count in advance —
+    /// reports the trades run so far, so `budget == performed` at every
+    /// pause point and a progress fraction reads 1.
+    #[test]
+    fn a_curveball_budget_counts_trades() {
+        let g = graph();
+        for run in [Run::sequential(), Run::simulated(2)] {
+            let run = run.randomizer(Randomizer::Curveball).seed(8);
+            let mut engine = run.clone().switches(200).start(&g).unwrap();
+            while !engine.is_done() {
+                assert_eq!(engine.advance(1).budget, 200);
+            }
+            assert!(engine.performed() >= 200);
+            let mut engine = run.visit_rate(0.9).start(&g).unwrap();
+            assert_eq!((engine.budget(), engine.performed()), (0, 0));
+            while !engine.is_done() {
+                let progress = engine.advance(1);
+                assert_eq!(progress.budget, progress.performed);
+                assert!(progress.performed > 0);
+                assert_eq!(progress.fraction(), 1.0);
+            }
+            assert!(engine.visit_rate() >= 0.9);
+        }
+    }
+
+    /// A prepared config replaces the knobs, never the driver or the
+    /// randomizer: a process run stays a process run (here one whose
+    /// rank binary cannot spawn), and a Curveball run stays Curveball.
+    #[test]
+    fn prepared_never_changes_the_driver() {
+        let g = graph();
+        if crate::parallel::process_backend_supported() {
+            let mut cfg = ParallelConfig::new(2).with_seed(4);
+            cfg.proc_opts.exe_override =
+                Some(std::path::PathBuf::from("/nonexistent/edgeswitch-rank-exe"));
+            let err = Run::process(2)
+                .switches(50)
+                .prepared(cfg, None)
+                .try_execute(&g)
+                .expect_err("the process driver must try to spawn");
+            assert!(matches!(err, RunError::SpawnFailed(_)), "{err:?}");
+        }
+        let run = Run::sequential()
+            .randomizer(Randomizer::Curveball)
+            .switches(300)
+            .seed(5);
+        let plain = run.execute(&g);
+        let prepared = run
+            .clone()
+            .prepared(ParallelConfig::new(1).with_seed(5), None)
+            .execute(&g);
+        assert_eq!(prepared.graph().edge_digest(), plain.graph().edge_digest());
+        assert_eq!(prepared.performed(), plain.performed());
     }
 
     #[test]
@@ -1014,19 +1055,13 @@ mod tests {
             .try_execute(&g)
             .expect_err("curveball has no process driver");
         assert!(matches!(err, RunError::BackendUnsupported(_)), "{err:?}");
-        // The simulated and sequential drivers never read the backend, so
-        // a config naming the process backend runs there as it would with
-        // the switch protocol.
-        let config = ParallelConfig::new(2).with_backend(Backend::Process);
-        for run in [Run::simulated(2), Run::sequential()] {
-            let out = run
-                .prepared(config.clone(), None)
-                .randomizer(Randomizer::Curveball)
-                .switches(10)
-                .try_execute(&g)
-                .expect("the backend is not read here");
-            assert_eq!(out.graph().degree_sequence(), g.degree_sequence());
-        }
+        // The threaded driver runs it.
+        let out = Run::parallel(2)
+            .randomizer(Randomizer::Curveball)
+            .switches(10)
+            .try_execute(&g)
+            .expect("threaded Curveball");
+        assert_eq!(out.graph().degree_sequence(), g.degree_sequence());
     }
 
     #[test]

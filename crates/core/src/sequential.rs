@@ -12,7 +12,9 @@
 //! [`SequentialResumable::finish`] builds the switched graph's adjacency
 //! once, in bulk ([`Graph::from_pool`]).
 
-use crate::obs::{Obs, ObsSpec, Phase, RunReport};
+use crate::obs::{Obs, ObsSpec, Phase, ProgressEvent, RunReport, SoloObs, StepProgress};
+use crate::parallel::wire::encode_seq_checkpoint;
+use crate::run::{RunOutcome, SequentialRun, Stepped};
 use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
 use crate::visit::VisitTracker;
 use edgeswitch_dist::Rng;
@@ -201,9 +203,7 @@ pub struct SequentialResumable {
     rejects: RejectCounts,
     tracker: VisitTracker,
     rng: BlockRng64,
-    obs: Obs,
-    /// [`Obs::now`] when observation was attached (0 when unobserved).
-    run_start: u64,
+    solo: SoloObs,
 }
 
 impl SequentialResumable {
@@ -237,8 +237,7 @@ impl SequentialResumable {
             rejects: RejectCounts::default(),
             tracker,
             rng: BlockRng64::new(root_rng(seed)),
-            obs: Obs::noop(),
-            run_start: 0,
+            solo: SoloObs::new(ObsSpec::Off),
         }
     }
 
@@ -248,10 +247,7 @@ impl SequentialResumable {
     /// read, so the switched graph is bit-identical to an unobserved run
     /// under the same seed.
     pub fn with_obs(mut self, spec: ObsSpec) -> Self {
-        if spec.enabled() {
-            self.obs = spec.build_mono();
-            self.run_start = self.obs.now();
-        }
+        self.solo = SoloObs::new(spec);
         self
     }
 
@@ -270,7 +266,7 @@ impl SequentialResumable {
             &mut self.tracker,
             &mut self.rejects,
             &mut self.performed,
-            &mut self.obs,
+            &mut self.solo.obs,
         );
         if chunk == ChunkOutcome::Starved {
             // No legal switch found; the remaining budget will fare no
@@ -280,42 +276,9 @@ impl SequentialResumable {
         self.performed - before
     }
 
-    /// Stream live progress out of this run: cumulative span totals go
-    /// through `tx` every `every` spans (see
-    /// [`StreamingProbe`](crate::obs::StreamingProbe)), replacing any
-    /// observation attached before. Probes only read, so a streamed run
-    /// stays bit-identical to a silent one; snapshots do not carry the
-    /// probe — a restored run starts silent until a probe is attached
-    /// again.
-    pub fn attach_probe(
-        &mut self,
-        tx: std::sync::mpsc::Sender<crate::obs::ProgressEvent>,
-        every: u64,
-    ) {
-        self.obs = Obs::with_probe(
-            Box::new(crate::obs::StreamingProbe::new(tx, every)),
-            std::sync::Arc::new(crate::obs::MonoClock::new()),
-        );
-    }
-
     /// Whether the budget is exhausted (performed or abandoned).
     pub fn is_done(&self) -> bool {
         self.performed + self.abandoned >= self.t
-    }
-
-    /// Operations performed so far.
-    pub fn performed(&self) -> u64 {
-        self.performed
-    }
-
-    /// Total operation budget.
-    pub fn budget(&self) -> u64 {
-        self.t
-    }
-
-    /// Observed visit rate so far.
-    pub fn visit_rate(&self) -> f64 {
-        self.tracker.visit_rate()
     }
 
     /// Capture the complete engine state at a chunk boundary.
@@ -360,17 +323,13 @@ impl SequentialResumable {
         {
             return Err("checkpoint progress exceeds its budget".to_string());
         }
-        if ckpt.tracker_initial != graph.num_edges()
-            || ckpt.tracker_remaining.len() > ckpt.tracker_initial
-        {
-            return Err("checkpoint visit tracker does not fit the graph".to_string());
-        }
-        check_degrees(graph, ckpt.n, &mut ckpt.graph_edges.iter().copied())?;
-        let mut pool = EdgePool::with_capacity(ckpt.graph_edges.len());
-        if let Some(&twice) = ckpt.graph_edges.iter().find(|&&e| !pool.insert(e)) {
-            let err = GraphError::ParallelEdge(twice);
-            return Err(format!("checkpoint graph is not simple: {err:?}"));
-        }
+        let (pool, tracker) = restore_pool(
+            graph,
+            ckpt.n,
+            &ckpt.graph_edges,
+            ckpt.tracker_initial,
+            &ckpt.tracker_remaining,
+        )?;
         let mut rng = BlockRng64::new(root_rng(seed));
         rng.jump_words(ckpt.rng_words);
         Ok(SequentialResumable {
@@ -381,13 +340,9 @@ impl SequentialResumable {
             performed: ckpt.performed,
             abandoned: ckpt.abandoned,
             rejects: ckpt.rejects,
-            tracker: VisitTracker::from_parts(
-                ckpt.tracker_initial,
-                ckpt.tracker_remaining.iter().copied(),
-            ),
+            tracker,
             rng,
-            obs: Obs::noop(),
-            run_start: 0,
+            solo: SoloObs::new(ObsSpec::Off),
         })
     }
 
@@ -395,14 +350,7 @@ impl SequentialResumable {
     /// bulk, from the switched pool — and the run outcome; `report` is
     /// `Some` iff the engine was observed.
     pub fn finish(self) -> (Graph, SequentialOutcome) {
-        let report = if self.obs.enabled() {
-            let wall_ns = self.obs.now().saturating_sub(self.run_start);
-            self.obs
-                .finish()
-                .map(|rec| RunReport::from_obs("monotonic", 1, wall_ns, &rec, None))
-        } else {
-            None
-        };
+        let report = self.solo.report();
         let graph = Graph::from_pool(self.n, self.pool)
             .expect("a switch recombines endpoints of the graph's own edges");
         (
@@ -416,6 +364,60 @@ impl SequentialResumable {
             },
         )
     }
+}
+
+impl Stepped for SequentialResumable {
+    fn advance(&mut self, max_ops: u64) -> u64 {
+        self.step(max_ops);
+        0
+    }
+
+    fn progress(&self) -> StepProgress {
+        StepProgress {
+            performed: self.performed,
+            budget: self.t,
+            visit_rate: self.tracker.visit_rate(),
+            done: self.is_done(),
+            ..StepProgress::default()
+        }
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        encode_seq_checkpoint(&self.checkpoint())
+    }
+
+    fn attach_probe(&mut self, tx: std::sync::mpsc::Sender<ProgressEvent>, every: u64) {
+        self.solo.stream(tx, every);
+    }
+
+    fn finish(self: Box<Self>) -> RunOutcome {
+        let (graph, outcome) = SequentialResumable::finish(*self);
+        RunOutcome::Sequential(Box::new(SequentialRun { graph, outcome }))
+    }
+}
+
+/// The edge pool and visit tracker of an untrusted sequential snapshot
+/// of a run on `graph`, taken on `n` vertices: the tracker must fit the
+/// graph and the edges, in pool order, form a simple graph with its
+/// degree sequence — otherwise the reason comes back as `Err`.
+pub(crate) fn restore_pool(
+    graph: &Graph,
+    n: usize,
+    edges: &[Edge],
+    tracker_initial: usize,
+    tracker_remaining: &[u64],
+) -> Result<(EdgePool, VisitTracker), String> {
+    if tracker_initial != graph.num_edges() || tracker_remaining.len() > tracker_initial {
+        return Err("checkpoint visit tracker does not fit the graph".to_string());
+    }
+    check_degrees(graph, n, &mut edges.iter().copied())?;
+    let mut pool = EdgePool::with_capacity(edges.len());
+    if let Some(&twice) = edges.iter().find(|&&e| !pool.insert(e)) {
+        let err = GraphError::ParallelEdge(twice);
+        return Err(format!("checkpoint graph is not simple: {err:?}"));
+    }
+    let tracker = VisitTracker::from_parts(tracker_initial, tracker_remaining.iter().copied());
+    Ok((pool, tracker))
 }
 
 /// Check that `edges` — the edge list of an untrusted snapshot taken on

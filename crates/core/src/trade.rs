@@ -16,7 +16,8 @@
 //! trades — in any order — produces bit-identical graphs. The parallel
 //! driver ([`crate::parallel::trade`]) exploits this: it replays the
 //! same per-trade streams out of order and still matches this
-//! sequential engine edge-for-edge.
+//! sequential engine ([`CurveballResumable`]) edge-for-edge. It also
+//! makes a pass boundary a free pause point for snapshot and resume.
 //!
 //! **Visit-rate mapping.** A trade *re-deals* exactly the edges whose
 //! far endpoint lies in the disjoint union; those initial edges are
@@ -27,11 +28,16 @@
 //! spirit as for switching: stop once the target fraction of initial
 //! edges has been re-randomized.
 
-use crate::obs::{Obs, ObsSpec, Phase, RunReport};
+use crate::config::Budget;
+use crate::obs::{Obs, ObsSpec, Phase, ProgressEvent, SoloObs, StepProgress};
+use crate::parallel::wire::encode_curveball_checkpoint;
+use crate::run::{RunOutcome, SequentialRun, Stepped};
+use crate::sequential::{restore_pool, SequentialOutcome};
 use crate::visit::VisitTracker;
 use edgeswitch_dist::{substream_rng, Rng64};
 use edgeswitch_graph::sampling::{fisher_yates_shuffle, random_matching};
 use edgeswitch_graph::{Edge, Graph, VertexId};
+use std::borrow::Cow;
 
 /// Salt decorrelating every Curveball stream (matchings and per-trade
 /// shuffles) from the switch protocol's root/rank/substreams derived
@@ -44,18 +50,6 @@ pub(crate) const NO_TRADE: u32 = u32::MAX;
 /// Consecutive zero-progress passes before a visit-rate run concludes
 /// the graph cannot mix further (stars, empty graphs).
 const STALL_PASS_LIMIT: u32 = 3;
-
-/// Work budget of a Curveball run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TradeBudget {
-    /// Run whole passes until at least this many trades have executed
-    /// (a pass of an `n`-vertex graph executes `⌊n/2⌋` trades).
-    Trades(u64),
-    /// Run whole passes until the global visit rate reaches the target
-    /// (clamped to `≤ 1`), giving up after [`STALL_PASS_LIMIT`]
-    /// consecutive passes without progress.
-    VisitRate(f64),
-}
 
 /// The deterministic shape of one pass: the trade pairs and the inverse
 /// vertex → trade-index map. Every driver (and every rank of the
@@ -159,35 +153,72 @@ pub(crate) fn redeal(
     (d, new_b)
 }
 
-/// Whole-pass continuation policy shared by every Curveball driver.
-/// Each driver feeds it the *global* visited count before each pass
-/// (the parallel driver allgathers it), so all ranks and all drivers
-/// stop after exactly the same pass.
+/// Whole-pass continuation policy shared by every Curveball driver; fed
+/// the *global* visited count at each boundary (the parallel driver
+/// allgathers it), so all ranks and drivers stop after the same pass.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct PassController {
-    budget: TradeBudget,
+    pub budget: Budget,
     /// Next pass index (also: passes completed).
     pub pass: u64,
-    trades: u64,
-    stall: u32,
-    last_visited: u64,
+    /// Consecutive boundaries at which the visited count had not moved.
+    pub stall: u32,
+    /// The visited count at the last boundary that opened a pass.
+    pub last_visited: u64,
 }
 
 impl PassController {
-    pub fn new(budget: TradeBudget) -> Self {
+    pub fn new(budget: Budget) -> Self {
         PassController {
             budget,
             pass: 0,
-            trades: 0,
             stall: 0,
             last_visited: 0,
         }
     }
 
-    /// The pass boundary of every driver: decide whether to run another
-    /// pass of an `n`-vertex graph and, if so, draw its matching and
-    /// account its trades (`None` ends the run). `initial_total` is the
-    /// global initial edge count (constant — trades preserve `m`),
-    /// `visited_total` the global visited count so far.
+    /// Trades executed so far on an `n`-vertex graph: `⌊n/2⌋` a pass.
+    pub fn trades(&self, n: usize) -> u64 {
+        self.pass.saturating_mul(n as u64 / 2)
+    }
+
+    /// The budget as a trade count: `t` under [`Budget::Ops`]; the trades
+    /// run so far under a visit-rate target, which fixes no count.
+    pub fn budget_trades(&self, n: usize) -> u64 {
+        match self.budget {
+            Budget::Ops(t) => t,
+            Budget::VisitRate(_) => self.trades(n),
+        }
+    }
+
+    /// The stall count a boundary at `visited_total` records.
+    fn stall_at(&self, visited_total: u64) -> u32 {
+        if self.pass > 0 && visited_total == self.last_visited {
+            self.stall.saturating_add(1)
+        } else {
+            0
+        }
+    }
+
+    /// Whether the boundary at `visited_total` (of `initial_total`
+    /// initial edges) opens another pass of an `n`-vertex graph — a pure
+    /// query, so `is_done` is exact before every pass.
+    pub fn continues(&self, n: usize, initial_total: u64, visited_total: u64) -> bool {
+        if n < 2 || initial_total == 0 {
+            return false;
+        }
+        match self.budget {
+            Budget::Ops(t) => self.trades(n) < t,
+            Budget::VisitRate(x) => {
+                let rate = visited_total as f64 / initial_total as f64;
+                rate < x.min(1.0) && self.stall_at(visited_total) < STALL_PASS_LIMIT
+            }
+        }
+    }
+
+    /// The pass boundary of every driver: if it
+    /// [`continues`](PassController::continues), record it and draw the
+    /// next pass's matching.
     pub fn next_plan(
         &mut self,
         n: usize,
@@ -195,115 +226,221 @@ impl PassController {
         initial_total: u64,
         visited_total: u64,
     ) -> Option<PassPlan> {
-        if !self.should_continue(n, initial_total, visited_total) {
+        if !self.continues(n, initial_total, visited_total) {
             return None;
         }
+        self.stall = self.stall_at(visited_total);
+        self.last_visited = visited_total;
         let plan = PassPlan::build(n, seed, self.pass);
-        if plan.pairs.is_empty() {
-            return None;
-        }
-        self.trades += plan.pairs.len() as u64;
-        self.pass += 1;
+        self.pass = self.pass.saturating_add(1);
         Some(plan)
     }
+}
 
-    fn should_continue(&mut self, n: usize, initial_total: u64, visited_total: u64) -> bool {
-        if n < 2 || initial_total == 0 {
-            return false;
-        }
-        match self.budget {
-            TradeBudget::Trades(t) => self.trades < t,
-            TradeBudget::VisitRate(x) => {
-                let rate = visited_total as f64 / initial_total as f64;
-                if rate >= x.min(1.0) {
-                    return false;
-                }
-                if self.pass > 0 && visited_total == self.last_visited {
-                    self.stall += 1;
-                } else {
-                    self.stall = 0;
-                }
-                self.last_visited = visited_total;
-                self.stall < STALL_PASS_LIMIT
-            }
+/// A [`CurveballResumable`] at a pass boundary (serialized in
+/// [`crate::parallel::wire`]): as [`crate::SeqCheckpoint`], with the pass
+/// controller for the budget and stream position — every draw is keyed
+/// on `(seed, pass[, k])`.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct CurveballCheckpoint {
+    pub seed: u64,
+    pub n: usize,
+    pub ctl: PassController,
+    pub neighbors_moved: u64,
+    pub tracker_initial: usize,
+    pub tracker_remaining: Vec<u64>,
+    pub graph_edges: Vec<Edge>,
+}
+
+/// Sequential Curveball as a pausable engine, one pass per
+/// [`CurveballResumable::step`]. Like
+/// [`SequentialResumable`](crate::SequentialResumable): bit-identical
+/// across any split and any checkpoint/restore, and a restored engine is
+/// unobserved.
+pub struct CurveballResumable {
+    /// A trade reads and rewrites whole neighbourhoods, so the engine
+    /// keeps the adjacency current.
+    graph: Graph,
+    seed: u64,
+    ctl: PassController,
+    neighbors_moved: u64,
+    tracker: VisitTracker,
+    solo: SoloObs,
+}
+
+impl CurveballResumable {
+    /// Start a run on `graph` under `budget` seeded with `seed`. A
+    /// `Graph` given away is traded in place; a `&Graph` lent is cloned.
+    pub fn new<'g>(graph: impl Into<Cow<'g, Graph>>, budget: Budget, seed: u64) -> Self {
+        let graph = graph.into().into_owned();
+        let tracker = VisitTracker::new(graph.edges());
+        CurveballResumable {
+            graph,
+            seed,
+            ctl: PassController::new(budget),
+            neighbors_moved: 0,
+            tracker,
+            solo: SoloObs::new(ObsSpec::Off),
         }
     }
-}
 
-/// Result of a sequential Curveball run.
-#[derive(Clone, Debug)]
-pub struct CurveballOutcome {
-    /// Whole passes executed.
-    pub passes: u64,
-    /// Trades executed (matched pairs processed; `⌊n/2⌋` per pass).
-    pub trades: u64,
-    /// Neighbors reassigned — summed sizes of the shuffled disjoint
-    /// unions, the scheme's unit of work.
-    pub neighbors_moved: u64,
-    /// Visit tracking against the initial edge set.
-    pub tracker: VisitTracker,
-    /// Aggregated observability report (`Some` iff the run was observed).
-    pub report: Option<RunReport>,
-}
+    /// Attach observation (builder-style): [`Phase`] spans, aggregated by
+    /// [`CurveballResumable::finish`]; probes only read.
+    pub fn with_obs(mut self, spec: ObsSpec) -> Self {
+        self.solo = SoloObs::new(spec);
+        self
+    }
 
-impl CurveballOutcome {
-    /// Observed visit rate after the run.
+    /// `(initial, visited)` edge counts, as the pass controller reads them.
+    fn visit_totals(&self) -> (u64, u64) {
+        let t = &self.tracker;
+        (t.initial_count() as u64, t.visited_count() as u64)
+    }
+
+    /// Run the next pass, unless the budget is met; returns the trades
+    /// it executed.
+    pub fn step(&mut self) -> u64 {
+        let (initial, visited) = self.visit_totals();
+        let n = self.graph.num_vertices();
+        let Some(plan) = self.ctl.next_plan(n, self.seed, initial, visited) else {
+            return 0;
+        };
+        for (k, &(u, v)) in plan.pairs.iter().enumerate() {
+            let mut rng = trade_rng(self.seed, plan.pass, k as u32);
+            self.neighbors_moved += run_trade(
+                &mut self.graph,
+                &mut self.tracker,
+                u,
+                v,
+                &mut rng,
+                &mut self.solo.obs,
+            ) as u64;
+        }
+        plan.pairs.len() as u64
+    }
+
+    /// Whether the budget is met (or the graph cannot mix further).
+    pub fn is_done(&self) -> bool {
+        let (initial, visited) = self.visit_totals();
+        !self
+            .ctl
+            .continues(self.graph.num_vertices(), initial, visited)
+    }
+
+    /// Trades executed so far.
+    pub fn performed(&self) -> u64 {
+        self.ctl.trades(self.graph.num_vertices())
+    }
+
+    /// Whole passes executed so far.
+    pub fn passes(&self) -> u64 {
+        self.ctl.pass
+    }
+
+    /// Neighbours re-dealt so far (summed `|D|`, the scheme's work).
+    pub fn neighbors_moved(&self) -> u64 {
+        self.neighbors_moved
+    }
+
+    /// Observed visit rate so far.
     pub fn visit_rate(&self) -> f64 {
         self.tracker.visit_rate()
     }
-}
 
-/// Run Curveball passes on `graph` in place until `budget` is met.
-pub fn sequential_curveball(graph: &mut Graph, budget: TradeBudget, seed: u64) -> CurveballOutcome {
-    sequential_curveball_observed(graph, budget, seed, ObsSpec::Off)
-}
-
-/// [`sequential_curveball`] with observation attached ([`Phase`] spans
-/// on the monotonic clock). Probes only read, so the traded graph is
-/// bit-identical to an unobserved run under the same seed.
-pub fn sequential_curveball_observed(
-    graph: &mut Graph,
-    budget: TradeBudget,
-    seed: u64,
-    spec: ObsSpec,
-) -> CurveballOutcome {
-    let mut obs = if spec.enabled() {
-        spec.build_mono()
-    } else {
-        Obs::noop()
-    };
-    let run_start = obs.now();
-    let mut outcome = CurveballOutcome {
-        passes: 0,
-        trades: 0,
-        neighbors_moved: 0,
-        tracker: VisitTracker::new(graph.edges()),
-        report: None,
-    };
-    let n = graph.num_vertices();
-    let initial_total = outcome.tracker.initial_count() as u64;
-    let mut ctl = PassController::new(budget);
-    while let Some(plan) = ctl.next_plan(
-        n,
-        seed,
-        initial_total,
-        outcome.tracker.visited_count() as u64,
-    ) {
-        for (k, &(u, v)) in plan.pairs.iter().enumerate() {
-            let mut rng = trade_rng(seed, plan.pass, k as u32);
-            outcome.neighbors_moved +=
-                run_trade(graph, &mut outcome.tracker, u, v, &mut rng, &mut obs) as u64;
-        }
-        outcome.trades += plan.pairs.len() as u64;
-        outcome.passes = ctl.pass;
-    }
-    if obs.enabled() {
-        let wall_ns = obs.now().saturating_sub(run_start);
-        if let Some(rec) = obs.finish() {
-            outcome.report = Some(RunReport::from_obs("monotonic", 1, wall_ns, &rec, None));
+    /// Capture the complete engine state at a pass boundary.
+    pub(crate) fn checkpoint(&self) -> CurveballCheckpoint {
+        let mut tracker_remaining: Vec<u64> = self.tracker.remaining_keys().collect();
+        tracker_remaining.sort_unstable();
+        CurveballCheckpoint {
+            seed: self.seed,
+            n: self.graph.num_vertices(),
+            ctl: self.ctl,
+            neighbors_moved: self.neighbors_moved,
+            tracker_initial: self.tracker.initial_count(),
+            tracker_remaining,
+            graph_edges: self.graph.edges().collect(),
         }
     }
-    outcome
+
+    /// Rebuild the engine of the run on `graph` under `(budget, seed)`
+    /// from an untrusted checkpoint, or say why it is not one of this
+    /// run (as [`SequentialResumable::restore`](crate::SequentialResumable::restore)).
+    pub(crate) fn restore(
+        graph: &Graph,
+        budget: Budget,
+        seed: u64,
+        ckpt: &CurveballCheckpoint,
+    ) -> Result<Self, String> {
+        if (ckpt.seed, ckpt.ctl.budget) != (seed, budget) {
+            return Err(format!(
+                "checkpoint is of seed {} budget {:?}, the run is seed {seed} budget {budget:?}",
+                ckpt.seed, ckpt.ctl.budget
+            ));
+        }
+        let (pool, tracker) = restore_pool(
+            graph,
+            ckpt.n,
+            &ckpt.graph_edges,
+            ckpt.tracker_initial,
+            &ckpt.tracker_remaining,
+        )?;
+        Ok(CurveballResumable {
+            graph: Graph::from_pool(ckpt.n, pool).expect("restore_pool checked the endpoints"),
+            seed,
+            ctl: ckpt.ctl,
+            neighbors_moved: ckpt.neighbors_moved,
+            tracker,
+            solo: SoloObs::new(ObsSpec::Off),
+        })
+    }
+
+    /// Tear down into the traded graph and the outcome (`performed`
+    /// counts trades; `report` iff observed).
+    pub fn finish(self) -> (Graph, SequentialOutcome) {
+        let outcome = SequentialOutcome {
+            performed: self.performed(),
+            abandoned: 0,
+            rejects: Default::default(),
+            tracker: self.tracker,
+            report: self.solo.report(),
+        };
+        (self.graph, outcome)
+    }
+}
+
+/// A pass is the unit of `advance`.
+impl Stepped for CurveballResumable {
+    fn advance(&mut self, max_ops: u64) -> u64 {
+        if max_ops > 0 {
+            self.step();
+        }
+        0
+    }
+
+    fn progress(&self) -> StepProgress {
+        StepProgress {
+            step: self.passes(),
+            steps: self.passes(),
+            performed: self.performed(),
+            budget: self.ctl.budget_trades(self.graph.num_vertices()),
+            visit_rate: self.visit_rate(),
+            done: self.is_done(),
+            ..StepProgress::default()
+        }
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        encode_curveball_checkpoint(&self.checkpoint())
+    }
+
+    fn attach_probe(&mut self, tx: std::sync::mpsc::Sender<ProgressEvent>, every: u64) {
+        self.solo.stream(tx, every);
+    }
+
+    fn finish(self: Box<Self>) -> RunOutcome {
+        let (graph, outcome) = CurveballResumable::finish(*self);
+        RunOutcome::Sequential(Box::new(SequentialRun { graph, outcome }))
+    }
 }
 
 /// Execute one trade `(u, v)` on the full graph; returns the number of
@@ -550,14 +687,40 @@ mod tests {
         assert_ne!(a.pairs, c.pairs, "passes draw distinct matchings");
     }
 
+    /// What a whole Curveball run did, beside the graph it traded.
+    struct Ran {
+        passes: u64,
+        moved: u64,
+        out: SequentialOutcome,
+    }
+
+    /// Run `budget` on `g` pass by pass, under `spec`; `g` becomes the
+    /// traded graph.
+    fn curveball_observed(g: &mut Graph, budget: Budget, seed: u64, spec: ObsSpec) -> Ran {
+        let given = std::mem::replace(g, Graph::new(0));
+        let mut eng = CurveballResumable::new(given, budget, seed).with_obs(spec);
+        while !eng.is_done() {
+            assert!(eng.step() > 0, "a pass the controller opened runs trades");
+        }
+        assert_eq!(eng.step(), 0, "a finished engine opens no pass");
+        let (passes, moved) = (eng.passes(), eng.neighbors_moved());
+        let (traded, out) = eng.finish();
+        *g = traded;
+        Ran { passes, moved, out }
+    }
+
+    fn curveball(g: &mut Graph, budget: Budget, seed: u64) -> Ran {
+        curveball_observed(g, budget, seed, ObsSpec::Off)
+    }
+
     #[test]
     fn preserves_degree_sequence_and_simplicity() {
         let mut rng = root_rng(11);
         let mut g = erdos_renyi_gnm(300, 1200, &mut rng);
         let before = g.degree_sequence();
-        let out = sequential_curveball(&mut g, TradeBudget::Trades(1000), 5);
-        assert!(out.trades >= 1000);
-        assert!(out.neighbors_moved > 0);
+        let ran = curveball(&mut g, Budget::Ops(1000), 5);
+        assert!(ran.out.performed >= 1000);
+        assert!(ran.moved > 0);
         assert_eq!(g.degree_sequence(), before);
         g.check_invariants().unwrap();
     }
@@ -567,13 +730,13 @@ mod tests {
         let mut r = root_rng(12);
         let base = erdos_renyi_gnm(200, 800, &mut r);
         let mut g1 = base.clone();
-        let o1 = sequential_curveball(&mut g1, TradeBudget::Trades(500), 9);
+        let o1 = curveball(&mut g1, Budget::Ops(500), 9);
         let mut g2 = base.clone();
-        let o2 = sequential_curveball(&mut g2, TradeBudget::Trades(500), 9);
+        let o2 = curveball(&mut g2, Budget::Ops(500), 9);
         assert_eq!(g1.sorted_edges(), g2.sorted_edges());
-        assert_eq!(o1.neighbors_moved, o2.neighbors_moved);
+        assert_eq!(o1.moved, o2.moved);
         let mut g3 = base.clone();
-        sequential_curveball(&mut g3, TradeBudget::Trades(500), 10);
+        curveball(&mut g3, Budget::Ops(500), 10);
         assert!(!g1.same_edge_set(&g3), "different seeds should diverge");
     }
 
@@ -581,9 +744,10 @@ mod tests {
     fn visit_rate_budget_terminates_at_target() {
         let mut rng = root_rng(13);
         let mut g = preferential_attachment(500, 5, &mut rng);
-        let out = sequential_curveball(&mut g, TradeBudget::VisitRate(0.6), 3);
-        assert!(out.visit_rate() >= 0.6, "rate {}", out.visit_rate());
-        assert!(out.passes > 0);
+        let ran = curveball(&mut g, Budget::VisitRate(0.6), 3);
+        let rate = ran.out.visit_rate();
+        assert!(rate >= 0.6, "rate {rate}");
+        assert!(ran.passes > 0);
     }
 
     #[test]
@@ -593,9 +757,9 @@ mod tests {
         // subset: a few passes may move nothing and the run must stop.
         let mut g = Graph::from_edges(8, (1..8u64).map(|v| Edge::new(0, v))).unwrap();
         let before = g.degree_sequence();
-        let out = sequential_curveball(&mut g, TradeBudget::VisitRate(0.9), 1);
+        let ran = curveball(&mut g, Budget::VisitRate(0.9), 1);
         assert_eq!(g.degree_sequence(), before);
-        assert!(out.passes < 100, "stall guard must bound the run");
+        assert!(ran.passes < 100, "stall guard must bound the run");
     }
 
     #[test]
@@ -603,15 +767,15 @@ mod tests {
         let mut rng = root_rng(14);
         let mut g = erdos_renyi_gnm(50, 100, &mut rng);
         let before = g.sorted_edges();
-        let out = sequential_curveball(&mut g, TradeBudget::Trades(0), 1);
-        assert_eq!(out.passes, 0);
+        let ran = curveball(&mut g, Budget::Ops(0), 1);
+        assert_eq!(ran.passes, 0);
         assert_eq!(g.sorted_edges(), before);
         let mut g1 = Graph::new(1);
-        let out = sequential_curveball(&mut g1, TradeBudget::Trades(10), 1);
-        assert_eq!(out.trades, 0);
+        let ran = curveball(&mut g1, Budget::Ops(10), 1);
+        assert_eq!(ran.out.performed, 0);
         let mut g0 = Graph::new(0);
-        let out = sequential_curveball(&mut g0, TradeBudget::VisitRate(0.5), 1);
-        assert_eq!(out.passes, 0);
+        let ran = curveball(&mut g0, Budget::VisitRate(0.5), 1);
+        assert_eq!(ran.passes, 0);
     }
 
     #[test]
@@ -619,8 +783,8 @@ mod tests {
         let mut rng = root_rng(15);
         let mut g = erdos_renyi_gnm(200, 1000, &mut rng);
         let before = g.clone();
-        let out = sequential_curveball(&mut g, TradeBudget::VisitRate(0.95), 2);
-        assert!(out.visit_rate() >= 0.95);
+        let ran = curveball(&mut g, Budget::VisitRate(0.95), 2);
+        assert!(ran.out.visit_rate() >= 0.95);
         assert!(!g.same_edge_set(&before));
     }
 
@@ -629,18 +793,66 @@ mod tests {
         let mut rng = root_rng(16);
         let base = erdos_renyi_gnm(100, 400, &mut rng);
         let mut plain = base.clone();
-        sequential_curveball(&mut plain, TradeBudget::Trades(200), 4);
+        curveball(&mut plain, Budget::Ops(200), 4);
         let mut observed = base.clone();
-        let out = sequential_curveball_observed(
-            &mut observed,
-            TradeBudget::Trades(200),
-            4,
-            ObsSpec::Spans,
-        );
+        let ran = curveball_observed(&mut observed, Budget::Ops(200), 4, ObsSpec::Spans);
         assert_eq!(plain.sorted_edges(), observed.sorted_edges());
-        let report = out.report.expect("observed run must report");
+        let report = ran.out.report.expect("observed run must report");
         let shuffle = report.phase(Phase::TradeShuffle);
         assert_eq!(shuffle.phase, "trade-shuffle");
         assert!(shuffle.hist.count > 0);
+    }
+
+    /// A checkpoint at every pass boundary, each restored into a fresh
+    /// engine, ends where the uninterrupted run ends: same graph, same
+    /// pool order, same counters — for both budget forms.
+    #[test]
+    fn a_restored_engine_continues_bit_identically() {
+        let g = preferential_attachment(300, 4, &mut root_rng(17));
+        for budget in [Budget::Ops(700), Budget::VisitRate(0.8)] {
+            let mut straight = CurveballResumable::new(&g, budget, 6);
+            while !straight.is_done() {
+                straight.step();
+            }
+            let mut hopping = CurveballResumable::new(&g, budget, 6);
+            while !hopping.is_done() {
+                let ckpt = hopping.checkpoint();
+                hopping =
+                    CurveballResumable::restore(&g, budget, 6, &ckpt).expect("own checkpoint");
+                hopping.step();
+            }
+            assert_eq!(hopping.checkpoint(), straight.checkpoint(), "{budget:?}");
+            let (a, _) = hopping.finish();
+            let (b, _) = straight.finish();
+            assert!(a.edges().eq(b.edges()), "{budget:?}: pool order");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_checkpoint_of_another_run() {
+        let g = erdos_renyi_gnm(120, 500, &mut root_rng(18));
+        let budget = Budget::Ops(200);
+        let mut eng = CurveballResumable::new(&g, budget, 3);
+        eng.step();
+        let ckpt = eng.checkpoint();
+        assert!(CurveballResumable::restore(&g, budget, 3, &ckpt).is_ok());
+        assert!(CurveballResumable::restore(&g, budget, 4, &ckpt).is_err());
+        let other_budget = Budget::VisitRate(0.5);
+        assert!(CurveballResumable::restore(&g, other_budget, 3, &ckpt).is_err());
+        let other = erdos_renyi_gnm(120, 500, &mut root_rng(19));
+        assert!(CurveballResumable::restore(&other, budget, 3, &ckpt).is_err());
+        let mut damaged = ckpt.clone();
+        damaged.graph_edges.swap_remove(0);
+        assert!(CurveballResumable::restore(&g, budget, 3, &damaged).is_err());
+        // A stall counter at its ceiling ends the run; it never overflows.
+        let full = Budget::VisitRate(1.0);
+        let mut stalled = ckpt;
+        stalled.ctl.budget = full;
+        stalled.ctl.stall = u32::MAX;
+        stalled.ctl.last_visited =
+            (stalled.tracker_initial - stalled.tracker_remaining.len()) as u64;
+        let mut eng = CurveballResumable::restore(&g, full, 3, &stalled).unwrap();
+        assert!(eng.is_done());
+        assert_eq!(eng.step(), 0);
     }
 }

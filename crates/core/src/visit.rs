@@ -67,7 +67,7 @@ impl VisitTracker {
 
     /// Keys of initial edges not yet visited, in arbitrary order (for
     /// serializing a tracker across the process transport).
-    pub fn remaining_keys(&self) -> impl Iterator<Item = u64> + '_ {
+    pub fn remaining_keys(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
         self.remaining.iter().copied()
     }
 

@@ -31,30 +31,6 @@ impl<M: CollCarrier> Comm<M> {
             .expect("user message arrived with a collective tag")
     }
 
-    /// Dissemination barrier: all ranks must call; returns when every rank
-    /// has entered.
-    ///
-    /// All `⌈log₂ p⌉` rounds share one tag: round messages from the same
-    /// peer are totally ordered by channel FIFO, so `recv_match` always
-    /// consumes the earliest (i.e. correct) round.
-    pub fn barrier(&mut self) {
-        let tag = self.next_coll_tag();
-        let (rank, p) = (self.rank(), self.size());
-        if p == 1 {
-            self.stats.collectives += 1;
-            return;
-        }
-        let mut k = 1usize;
-        while k < p {
-            let dst = (rank + k) % p;
-            let src = (rank + p - k % p) % p;
-            self.send_raw(dst, tag, M::from_coll(CollPayload::Unit));
-            let _ = self.expect_coll(src, tag);
-            k <<= 1;
-        }
-        self.stats.collectives += 1;
-    }
-
     /// Gather one `u64` from every rank; every rank receives the full
     /// vector indexed by rank.
     pub fn allgather_u64(&mut self, value: u64) -> Vec<u64> {
@@ -127,115 +103,5 @@ impl<M: CollCarrier> Comm<M> {
         }
         self.stats.collectives += 1;
         out
-    }
-
-    /// Sum-allreduce of a single `u64`.
-    pub fn allreduce_sum_u64(&mut self, value: u64) -> u64 {
-        self.allgather_u64(value).into_iter().sum()
-    }
-
-    /// Max-allreduce of a single `u64`.
-    pub fn allreduce_max_u64(&mut self, value: u64) -> u64 {
-        self.allgather_u64(value).into_iter().max().unwrap_or(0)
-    }
-
-    /// Gather one `u64` from every rank at `root`; `root` returns the
-    /// rank-indexed vector, everyone else `None`.
-    pub fn gather_u64(&mut self, root: usize, value: u64) -> Option<Vec<u64>> {
-        let tag = self.next_coll_tag();
-        let (rank, p) = (self.rank(), self.size());
-        self.stats.collectives += 1;
-        if rank == root {
-            let mut out = vec![0u64; p];
-            out[rank] = value;
-            for src in 0..p {
-                if src != root {
-                    match self.expect_coll(src, tag) {
-                        CollPayload::U64(v) => out[src] = v,
-                        other => panic!("gather_u64 got {other:?}"),
-                    }
-                }
-            }
-            Some(out)
-        } else {
-            self.send_raw(root, tag, M::from_coll(CollPayload::U64(value)));
-            None
-        }
-    }
-
-    /// Scatter one `u64` per rank from `root`; every rank returns its
-    /// element. Only `root` supplies `values` (length `p`).
-    pub fn scatter_u64(&mut self, root: usize, values: Option<&[u64]>) -> u64 {
-        let tag = self.next_coll_tag();
-        let (rank, p) = (self.rank(), self.size());
-        self.stats.collectives += 1;
-        if rank == root {
-            let values = values.expect("root must supply scatter values");
-            assert_eq!(values.len(), p, "scatter needs one value per rank");
-            for dst in 0..p {
-                if dst != root {
-                    self.send_raw(dst, tag, M::from_coll(CollPayload::U64(values[dst])));
-                }
-            }
-            values[rank]
-        } else {
-            match self.expect_coll(root, tag) {
-                CollPayload::U64(v) => v,
-                other => panic!("scatter_u64 got {other:?}"),
-            }
-        }
-    }
-
-    /// Sum-allreduce of an `f64`.
-    pub fn allreduce_sum_f64(&mut self, value: f64) -> f64 {
-        let tag = self.next_coll_tag();
-        let (rank, p) = (self.rank(), self.size());
-        for dst in 0..p {
-            if dst != rank {
-                self.send_raw(dst, tag, M::from_coll(CollPayload::F64(value)));
-            }
-        }
-        let mut sum = value;
-        for src in 0..p {
-            if src != rank {
-                match self.expect_coll(src, tag) {
-                    CollPayload::F64(v) => sum += v,
-                    other => panic!("allreduce_sum_f64 got {other:?}"),
-                }
-            }
-        }
-        self.stats.collectives += 1;
-        sum
-    }
-
-    /// Inclusive prefix-sum scan of a `u64`: rank `i` returns
-    /// `Σ_{j ≤ i} value_j`.
-    pub fn scan_sum_u64(&mut self, value: u64) -> u64 {
-        // Direct implementation over allgather (p is small in this
-        // substrate; the DES charges the log-p tree cost).
-        let all = self.allgather_u64(value);
-        all[..=self.rank()].iter().sum()
-    }
-
-    /// Broadcast a `Vec<f64>` from `root` to everyone; each rank returns
-    /// its copy.
-    pub fn broadcast_vec_f64(&mut self, root: usize, data: Option<Vec<f64>>) -> Vec<f64> {
-        let tag = self.next_coll_tag();
-        let (rank, p) = (self.rank(), self.size());
-        self.stats.collectives += 1;
-        if rank == root {
-            let data = data.expect("root must supply broadcast data");
-            for dst in 0..p {
-                if dst != root {
-                    self.send_raw(dst, tag, M::from_coll(CollPayload::VecF64(data.clone())));
-                }
-            }
-            data
-        } else {
-            match self.expect_coll(root, tag) {
-                CollPayload::VecF64(v) => v,
-                other => panic!("broadcast_vec_f64 got {other:?}"),
-            }
-        }
     }
 }

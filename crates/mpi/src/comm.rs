@@ -99,11 +99,6 @@ impl<M> PendingBuf<M> {
         }
     }
 
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
     fn push(&mut self, p: Packet<M>) {
         let seq = self.seq;
         self.seq += 1;
@@ -232,17 +227,6 @@ impl<M: CollCarrier> Comm<M> {
         stats
     }
 
-    /// Zero every traffic counter, so a subsequent [`Comm::stats`] reads
-    /// only the traffic since this call (e.g. to exclude a warm-up phase
-    /// from a measurement). The buffer-reuse counter lives in the pending
-    /// buffer rather than in [`CommStats`] — `stats()` copies it in at
-    /// read time — so it must be cleared here too, or the next snapshot
-    /// would resurrect the pre-reset count.
-    pub fn reset_stats(&mut self) {
-        self.stats = CommStats::default();
-        self.pending.reuses = 0;
-    }
-
     /// Send `payload` to `dst` with a user tag.
     ///
     /// # Panics
@@ -303,23 +287,6 @@ impl<M: CollCarrier> Comm<M> {
         }
     }
 
-    /// Non-blocking receive of the next available message (any source,
-    /// any tag); earlier-buffered messages are drained first.
-    pub fn try_recv(&mut self) -> Option<Packet<M>> {
-        self.note_queue_depth();
-        if let Some(p) = self.pending.pop_any() {
-            self.stats.packets_received += 1;
-            return Some(p);
-        }
-        match self.receiver.try_recv() {
-            Ok(p) => {
-                self.stats.packets_received += 1;
-                Some(p)
-            }
-            Err(_) => None,
-        }
-    }
-
     /// Blocking receive of the next message (any source, any tag).
     ///
     /// # Panics
@@ -343,7 +310,7 @@ impl<M: CollCarrier> Comm<M> {
 
     /// Blocking receive of a message matching `(src, tag)`; anything else
     /// arriving in the meantime is buffered for later `try_recv`/`recv`.
-    pub fn recv_match(&mut self, src: usize, tag: u32) -> Packet<M> {
+    pub(crate) fn recv_match(&mut self, src: usize, tag: u32) -> Packet<M> {
         self.note_queue_depth();
         if let Some(p) = self.pending.pop_match(src, tag) {
             self.stats.packets_received += 1;
@@ -436,7 +403,7 @@ mod tests {
         buf.push(pkt(2, 7, 3));
         let order: Vec<u64> = std::iter::from_fn(|| buf.pop_any().as_ref().map(val)).collect();
         assert_eq!(order, vec![1, 2, 3]);
-        assert!(buf.is_empty());
+        assert!(buf.buckets.is_empty());
     }
 
     #[test]
@@ -447,7 +414,7 @@ mod tests {
             buf.push(pkt(0, tag, tag as u64));
             assert_eq!(buf.pop_tag(tag).as_ref().map(val), Some(tag as u64));
         }
-        assert!(buf.is_empty());
+        assert!(buf.buckets.is_empty());
         assert!(buf.buckets.capacity() <= 8, "buckets list stays small");
         assert_eq!(
             buf.reuses, 99,
@@ -463,60 +430,6 @@ mod tests {
         assert_eq!(buf.pop_tag(6).as_ref().map(val), Some(12));
     }
 
-    /// A one-rank world talking to itself, for exercising the `Comm`
-    /// surface without spinning up threads.
-    fn loopback() -> Comm<CollPayload> {
-        let (tx, rx) = crate::channel::unbounded();
-        Comm::new(
-            0,
-            vec![tx],
-            rx,
-            Duration::from_secs(5),
-            DEFAULT_SPIN_RELAX,
-            DEFAULT_SPIN_TOTAL,
-        )
-    }
-
-    #[test]
-    fn reset_stats_clears_buffer_reuse_counter_too() {
-        let mut comm = loopback();
-        // Drive traffic that exercises the pending buffer's queue
-        // recycling: rotate tags so each retired queue is reused, which
-        // bumps the reuse counter that lives *outside* `CommStats`.
-        for tag in 0..10u32 {
-            comm.send(0, tag, CollPayload::U64(tag as u64));
-            // Buffer it under the wrong tag first, forcing a push.
-            assert!(comm.try_recv_tag(tag + 1).is_none());
-            assert!(comm.try_recv_tag(tag).is_some());
-        }
-        let before = comm.stats();
-        assert_eq!(before.packets_sent, 10);
-        assert_eq!(before.packets_received, 10);
-        assert!(
-            before.recv_buf_reuses > 0,
-            "rotating tags must recycle retired queues"
-        );
-
-        comm.reset_stats();
-        let zeroed = comm.stats();
-        assert_eq!(zeroed.packets_sent, 0);
-        assert_eq!(zeroed.packets_received, 0);
-        assert_eq!(zeroed.bytes_sent, 0);
-        assert_eq!(zeroed.parks, 0);
-        assert_eq!(
-            zeroed.recv_buf_reuses, 0,
-            "reset must reach the reuse counter in the pending buffer"
-        );
-        assert!(zeroed.logical_by_kind.iter().all(|&c| c == 0));
-
-        // Counters start fresh afterwards — no resurrected totals.
-        comm.send(0, 3, CollPayload::U64(7));
-        assert!(comm.try_recv().is_some());
-        let after = comm.stats();
-        assert_eq!(after.packets_sent, 1);
-        assert_eq!(after.packets_received, 1);
-    }
-
     #[test]
     fn pending_pop_match_selects_by_source() {
         let mut buf = PendingBuf::new();
@@ -527,6 +440,6 @@ mod tests {
         assert!(buf.pop_match(1, 9).is_none());
         assert_eq!(buf.pop_match(3, 9).as_ref().map(val), Some(1));
         assert_eq!(buf.pop_match(1, 4).as_ref().map(val), Some(3));
-        assert!(buf.is_empty());
+        assert!(buf.buckets.is_empty());
     }
 }

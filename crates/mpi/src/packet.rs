@@ -20,26 +20,18 @@ pub const COLLECTIVE_TAG_BASE: u32 = 0xF000_0000;
 /// the [`crate::comm::CollCarrier`] trait.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CollPayload {
-    /// Pure synchronization (barrier rounds).
-    Unit,
-    /// A single counter (reductions).
+    /// A single counter (allgather / alltoall cells).
     U64(u64),
-    /// A single float (reductions).
-    F64(f64),
-    /// A vector of counters (allgather / alltoall rows).
+    /// A vector of counters (allgather rows).
     VecU64(Vec<u64>),
-    /// A vector of floats (probability vectors).
-    VecF64(Vec<f64>),
 }
 
 impl CollPayload {
     /// Approximate wire size in bytes, for traffic accounting.
     pub fn wire_size(&self) -> usize {
         match self {
-            CollPayload::Unit => 1,
-            CollPayload::U64(_) | CollPayload::F64(_) => 8,
+            CollPayload::U64(_) => 8,
             CollPayload::VecU64(v) => 8 * v.len(),
-            CollPayload::VecF64(v) => 8 * v.len(),
         }
     }
 }
@@ -50,9 +42,7 @@ mod tests {
 
     #[test]
     fn wire_sizes() {
-        assert_eq!(CollPayload::Unit.wire_size(), 1);
         assert_eq!(CollPayload::U64(9).wire_size(), 8);
         assert_eq!(CollPayload::VecU64(vec![1, 2, 3]).wire_size(), 24);
-        assert_eq!(CollPayload::VecF64(vec![0.5; 4]).wire_size(), 32);
     }
 }

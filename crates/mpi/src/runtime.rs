@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn single_rank_world() {
         let out = run_world_default::<CollPayload, _, _>(1, |comm| {
-            comm.barrier();
+            comm.allgather_u64(0);
             comm.allgather_u64(42)
         });
         assert_eq!(out, vec![vec![42]]);

@@ -11,7 +11,9 @@ fn try_recv_tag_buffers_other_tags() {
         // Send two messages with different tags.
         comm.send(peer, 8, CollPayload::U64(80 + comm.rank() as u64));
         comm.send(peer, 9, CollPayload::U64(90 + comm.rank() as u64));
-        comm.barrier();
+        // Both sends precede the peer's allgather contribution, and
+        // per-pair order is FIFO: once it returns, both have arrived.
+        comm.allgather_u64(0);
         // Ask for tag 9 first: tag 8 must be buffered, not lost.
         let nine = loop {
             if let Some(p) = comm.try_recv_tag(9) {
@@ -32,7 +34,7 @@ fn try_recv_tag_buffers_other_tags() {
 #[test]
 fn try_recv_tag_returns_none_when_empty() {
     let out = run_world_default::<CollPayload, bool, _>(2, |comm| {
-        comm.barrier();
+        comm.allgather_u64(0);
         comm.try_recv_tag(5).is_none()
     });
     assert_eq!(out, vec![true, true]);

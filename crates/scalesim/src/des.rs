@@ -201,7 +201,7 @@ pub fn des_run(run: &Run, graph: &Graph, cost: &CostModel) -> (ParallelOutcome, 
         .unwrap_or_else(|err| panic!("{err}"));
 
     let runtime_ns = transport.runtime_ns();
-    let speedup = match run.config().randomizer {
+    let speedup = match run.get_randomizer() {
         // Against the modeled sequential run of the same operation count.
         Randomizer::Switch if runtime_ns > 0.0 => {
             let t: u64 = outcome.telemetry.iter().map(|s| s.ops).sum();

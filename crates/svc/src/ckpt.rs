@@ -120,12 +120,4 @@ impl CkptStore {
         jobs.sort_by_key(|j| j.id);
         Ok(jobs)
     }
-
-    /// Highest job id on disk (0 when empty) — the restart id counter
-    /// continues above it.
-    pub fn max_id(&self) -> u64 {
-        self.scan()
-            .map(|jobs| jobs.iter().map(|j| j.id).max().unwrap_or(0))
-            .unwrap_or(0)
-    }
 }

@@ -1,20 +1,18 @@
 //! Job specs, per-job state, and the execution loop.
 //!
 //! A job is a graph (inline edges or a generator spec), a budget, a
-//! randomizer and driver knobs. Switch jobs run on the stepped
+//! randomizer and driver knobs. Every job runs on the stepped
 //! [`Engine`](edgeswitch_core::Engine) behind [`Run::start`] — a chunk
-//! of Algorithm 1 or one simulated step per
+//! of Algorithm 1, one Curveball pass or one simulated step per
 //! [`advance`](edgeswitch_core::Engine::advance) — so the worker can
 //! emit a progress event and (periodically) an `ESNP` snapshot between
-//! units of work. Curveball jobs have no stepped engine yet; they run
-//! one-shot through [`Run::try_execute`] and a killed server restarts
-//! them from the spec (deterministic seeds make that bit-identical too,
-//! it just re-spends the work).
+//! units of work, and a killed server resumes every job from its last
+//! snapshot.
 
 use crate::json::Json;
 use edgeswitch_core::config::DEFAULT_WINDOW;
 use edgeswitch_core::obs::ProgressEvent;
-use edgeswitch_core::{Randomizer, Run, RunError, RunOutcome};
+use edgeswitch_core::{Budget, Randomizer, Run, RunError, RunOutcome};
 use edgeswitch_dist::root_rng;
 use edgeswitch_graph::generators::{
     check_gnm, check_preferential_attachment, erdos_renyi_gnm, preferential_attachment, StreamSpec,
@@ -82,15 +80,6 @@ impl GraphSpec {
     }
 }
 
-/// How much randomization to do.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum BudgetSpec {
-    /// Explicit operation count.
-    Switches(u64),
-    /// Target expected visit rate in `(0, 1]`.
-    VisitRate(f64),
-}
-
 /// Which driver executes the job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Driver {
@@ -106,7 +95,7 @@ pub struct JobSpec {
     /// The input graph.
     pub graph: GraphSpec,
     /// The budget.
-    pub budget: BudgetSpec,
+    pub budget: Budget,
     /// The driver.
     pub driver: Driver,
     /// Simulated world size (rank-pool cost; 1 for sequential).
@@ -130,18 +119,15 @@ impl JobSpec {
         }
     }
 
-    /// The equivalent [`Run`] builder — what validates, starts, resumes
-    /// and (for Curveball) executes the job.
+    /// The equivalent [`Run`] builder — what validates, starts and
+    /// resumes the job.
     pub fn as_run(&self) -> Run {
         let run = match self.driver {
             Driver::Sequential => Run::sequential(),
             Driver::Simulated => Run::simulated(self.p),
         };
-        let run = match self.budget {
-            BudgetSpec::Switches(t) => run.switches(t),
-            BudgetSpec::VisitRate(x) => run.visit_rate(x),
-        };
-        run.seed(self.seed)
+        run.budget(self.budget)
+            .seed(self.seed)
             .window(self.window)
             .randomizer(self.randomizer)
     }
@@ -154,16 +140,20 @@ impl JobSpec {
     /// Parse from the wire shape (see DESIGN.md §4i for the schema).
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
         let graph_json = v.get("graph").ok_or("missing 'graph'")?;
-        let graph = match graph_json.get("type").and_then(Json::as_str) {
+        let kind = graph_json.get("type").and_then(Json::as_str);
+        // Required fields of the graph spec, named in the error.
+        let missing = |key: &str| format!("{} graph needs '{key}'", kind.unwrap_or_default());
+        let need = |key: &str| graph_json.get(key).ok_or_else(|| missing(key));
+        let size = |key: &str| {
+            let value = need(key)?.as_u64().map(|x| x as usize);
+            value.ok_or_else(|| missing(key))
+        };
+        let graph = match kind {
             Some("inline") => {
-                let n = graph_json
-                    .get("n")
-                    .and_then(Json::as_u64)
-                    .ok_or("inline graph needs 'n'")? as usize;
-                let edges = graph_json
-                    .get("edges")
-                    .and_then(Json::as_arr)
-                    .ok_or("inline graph needs 'edges'")?
+                let n = size("n")?;
+                let edges = need("edges")?
+                    .as_arr()
+                    .ok_or_else(|| missing("edges"))?
                     .iter()
                     .map(|pair| {
                         let pair = pair.as_arr().ok_or("edge must be [src, dst]")?;
@@ -179,14 +169,7 @@ impl JobSpec {
                 GraphSpec::Inline { n, edges }
             }
             Some("er") => {
-                let n = graph_json
-                    .get("n")
-                    .and_then(Json::as_u64)
-                    .ok_or("er graph needs 'n'")? as usize;
-                let m = graph_json
-                    .get("m")
-                    .and_then(Json::as_u64)
-                    .ok_or("er graph needs 'm'")? as usize;
+                let (n, m) = (size("n")?, size("m")?);
                 check_gnm(n, m)?;
                 GraphSpec::ErdosRenyi {
                     n,
@@ -195,14 +178,7 @@ impl JobSpec {
                 }
             }
             Some("pa") => {
-                let n = graph_json
-                    .get("n")
-                    .and_then(Json::as_u64)
-                    .ok_or("pa graph needs 'n'")? as usize;
-                let d = graph_json
-                    .get("d")
-                    .and_then(Json::as_u64)
-                    .ok_or("pa graph needs 'd'")? as usize;
+                let (n, d) = (size("n")?, size("d")?);
                 check_preferential_attachment(n, d)?;
                 GraphSpec::PreferentialAttachment {
                     n,
@@ -212,14 +188,8 @@ impl JobSpec {
             }
             Some("pa-stream") => {
                 let spec = StreamSpec::Pa {
-                    n: graph_json
-                        .get("n")
-                        .and_then(Json::as_u64)
-                        .ok_or("pa-stream graph needs 'n'")? as usize,
-                    d: graph_json
-                        .get("d")
-                        .and_then(Json::as_u64)
-                        .ok_or("pa-stream graph needs 'd'")? as usize,
+                    n: size("n")?,
+                    d: size("d")?,
                     seed: knob(graph_json, "seed", 1)?,
                 };
                 spec.validate()?;
@@ -227,24 +197,10 @@ impl JobSpec {
             }
             Some("degree-seq") => {
                 let spec = StreamSpec::PowerLawSeq {
-                    n: graph_json
-                        .get("n")
-                        .and_then(Json::as_u64)
-                        .ok_or("degree-seq graph needs 'n'")? as usize,
-                    gamma: graph_json
-                        .get("gamma")
-                        .and_then(Json::as_f64)
-                        .ok_or("degree-seq graph needs 'gamma'")?,
-                    d_min: graph_json
-                        .get("d_min")
-                        .and_then(Json::as_u64)
-                        .ok_or("degree-seq graph needs 'd_min'")?
-                        as usize,
-                    d_max: graph_json
-                        .get("d_max")
-                        .and_then(Json::as_u64)
-                        .ok_or("degree-seq graph needs 'd_max'")?
-                        as usize,
+                    n: size("n")?,
+                    gamma: need("gamma")?.as_f64().ok_or_else(|| missing("gamma"))?,
+                    d_min: size("d_min")?,
+                    d_max: size("d_max")?,
                     seed: knob(graph_json, "seed", 1)?,
                 };
                 spec.validate()?;
@@ -254,9 +210,9 @@ impl JobSpec {
         };
         let budget_json = v.get("budget").ok_or("missing 'budget'")?;
         let budget = if let Some(t) = budget_json.get("switches").and_then(Json::as_u64) {
-            BudgetSpec::Switches(t)
+            Budget::Ops(t)
         } else if let Some(x) = budget_json.get("visit_rate").and_then(Json::as_f64) {
-            BudgetSpec::VisitRate(x)
+            Budget::VisitRate(x)
         } else {
             return Err("budget needs 'switches' or 'visit_rate'".to_string());
         };
@@ -336,8 +292,8 @@ impl JobSpec {
             ]),
         };
         let budget = match self.budget {
-            BudgetSpec::Switches(t) => Json::obj([("switches", Json::num(t))]),
-            BudgetSpec::VisitRate(x) => Json::obj([("visit_rate", Json::Num(x))]),
+            Budget::Ops(t) => Json::obj([("switches", Json::num(t))]),
+            Budget::VisitRate(x) => Json::obj([("visit_rate", Json::Num(x))]),
         };
         Json::obj([
             ("graph", graph),
@@ -648,17 +604,7 @@ pub fn run_job(
             return None;
         }
     };
-    let outcome = if entry.spec.randomizer == Randomizer::Curveball {
-        // One-shot path: no chunking, no snapshots.
-        entry
-            .spec
-            .as_run()
-            .try_execute(&graph)
-            .map(|out| Some((out.performed(), out)))
-    } else {
-        run_stepped(entry, graph, opts, snapshot, stop, save_snapshot)
-    };
-    match outcome {
+    match run_stepped(entry, graph, opts, snapshot, stop, save_snapshot) {
         Ok(Some((budget, out))) => Some(complete(entry, &out, budget)),
         Ok(None) => None,
         Err(err) => {
@@ -691,7 +637,7 @@ fn run_stepped(
         None => run.start(graph)?,
     };
     // Live span totals ride on the step events (sequential jobs only:
-    // the simulated engine has no single span stream to forward).
+    // a simulated engine has no single span stream to forward).
     let (tx, rx) = channel::<ProgressEvent>();
     engine.attach_probe(tx, 1024);
     let mut units = 0u64;
@@ -705,8 +651,9 @@ fn run_stepped(
         let progress = engine.advance(opts.chunk);
         units += 1;
         entry.progress(progress.performed, progress.budget, progress.visit_rate);
-        // Engines with a step structure (the simulated world) also say
-        // where in it they are and what the step cost in messages.
+        // Engines with a step structure (the simulated world, Curveball
+        // passes) also say where in it they are and what the step cost
+        // in messages.
         let in_steps = progress.steps > 0;
         let mut step = vec![
             ("event", Json::str("step")),
@@ -770,7 +717,7 @@ mod tests {
                 m: 400,
                 seed: 3,
             },
-            budget: BudgetSpec::Switches(300),
+            budget: Budget::Ops(300),
             driver: Driver::Simulated,
             p: 2,
             seed: 9,
@@ -789,7 +736,7 @@ mod tests {
                     n: 4,
                     edges: vec![(0, 1), (1, 2), (2, 3), (3, 0)],
                 },
-                budget: BudgetSpec::VisitRate(0.5),
+                budget: Budget::VisitRate(0.5),
                 driver: Driver::Sequential,
                 p: 1,
                 seed: 0,
@@ -933,7 +880,7 @@ mod tests {
                 d: 3,
                 seed: 4,
             }),
-            budget: BudgetSpec::Switches(200),
+            budget: Budget::Ops(200),
             driver: Driver::Sequential,
             p: 1,
             ..er_spec()
@@ -964,7 +911,7 @@ mod tests {
         spec.window = 0;
         assert!(matches!(spec.validate(), Err(RunError::InvalidConfig(_))));
         let mut spec = er_spec();
-        spec.budget = BudgetSpec::VisitRate(1.5);
+        spec.budget = Budget::VisitRate(1.5);
         assert!(matches!(spec.validate(), Err(RunError::InvalidBudget(_))));
         assert!(er_spec().validate().is_ok());
     }
@@ -999,7 +946,7 @@ mod tests {
         let spans_of = |driver: Driver| -> Vec<u64> {
             let spec = JobSpec {
                 driver,
-                budget: BudgetSpec::Switches(5000),
+                budget: Budget::Ops(5000),
                 ..er_spec()
             };
             let entry = JobEntry::new(1, spec);
@@ -1076,12 +1023,18 @@ mod tests {
 
     #[test]
     fn stopped_job_leaves_a_resumable_snapshot() {
-        let spec = JobSpec {
-            driver: Driver::Sequential,
-            p: 1,
-            budget: BudgetSpec::Switches(5000),
-            ..er_spec()
-        };
+        for randomizer in [Randomizer::Switch, Randomizer::Curveball] {
+            stopped_job_resumes(JobSpec {
+                driver: Driver::Sequential,
+                p: 1,
+                budget: Budget::Ops(5000),
+                randomizer,
+                ..er_spec()
+            });
+        }
+    }
+
+    fn stopped_job_resumes(spec: JobSpec) {
         // Run uninterrupted for the reference digest.
         let reference = {
             let entry = JobEntry::new(1, spec.clone());

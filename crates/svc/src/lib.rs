@@ -46,7 +46,7 @@ pub mod server;
 pub use edgeswitch_json as json;
 
 pub use ckpt::{CkptStore, RecoveredJob};
-pub use job::{BudgetSpec, Driver, GraphSpec, JobEntry, JobPhase, JobSpec, WorkerOpts};
+pub use job::{Driver, GraphSpec, JobEntry, JobPhase, JobSpec, WorkerOpts};
 pub use json::Json;
 pub use sched::{SchedOpts, Scheduler, SubmitError};
 pub use server::{Server, ServerOpts};

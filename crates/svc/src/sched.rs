@@ -183,16 +183,6 @@ impl Scheduler {
         self.shared.jobs.lock().unwrap().get(&id).cloned()
     }
 
-    /// Ids of all known jobs (admission order).
-    pub fn job_ids(&self) -> Vec<u64> {
-        self.shared.jobs.lock().unwrap().keys().copied().collect()
-    }
-
-    /// Jobs currently holding rank slots (for tests and introspection).
-    pub fn running_count(&self) -> usize {
-        self.shared.state.lock().unwrap().running.len()
-    }
-
     /// Rank slots not held by any job (`pool` when idle).
     pub fn free_slots(&self) -> usize {
         self.shared.state.lock().unwrap().free

@@ -36,9 +36,14 @@ fn start_server(dir: &Path, sched: SchedOpts) -> (String, std::thread::JoinHandl
 }
 
 fn er_job(budget: &str, driver: &str, p: u64) -> Json {
+    er_job_with(budget, driver, p, "switch")
+}
+
+fn er_job_with(budget: &str, driver: &str, p: u64, randomizer: &str) -> Json {
     json::parse(&format!(
         r#"{{"graph":{{"type":"er","n":120,"m":480,"seed":5}},
-            "budget":{budget},"driver":"{driver}","p":{p},"seed":11,"window":4}}"#
+            "budget":{budget},"driver":"{driver}","p":{p},"seed":11,"window":4,
+            "randomizer":"{randomizer}"}}"#
     ))
     .unwrap()
 }
@@ -247,13 +252,27 @@ fn wire_validation_maps_run_errors() {
 }
 
 /// The headline guarantee: a server stopped mid-run resumes every
-/// in-flight job from its snapshot to a bit-identical result.
+/// in-flight job from its snapshot to a bit-identical result — for
+/// Curveball jobs (one pass per unit of work) as for switch jobs. The
+/// Curveball budgets are long enough that the stop lands mid-run, and
+/// those rows check that the stopped job left its snapshot on disk.
 #[test]
 fn restart_resumes_jobs_bit_identically() {
-    for (driver, p, budget) in [
-        ("sequential", 1u64, r#"{"switches":40000}"#),
-        ("simulated", 4u64, r#"{"switches":4000}"#),
+    for (randomizer, driver, p, budget) in [
+        ("switch", "sequential", 1u64, r#"{"switches":40000}"#),
+        ("switch", "simulated", 4u64, r#"{"switches":4000}"#),
+        ("curveball", "sequential", 1u64, r#"{"switches":60000}"#),
+        ("curveball", "simulated", 4u64, r#"{"switches":12000}"#),
     ] {
+        let job = || er_job_with(budget, driver, p, randomizer);
+        // Reference: the same spec executed uninterrupted in-process —
+        // before the server starts, so it does not run alongside the job
+        // and let the job finish before the stop below.
+        let spec = edgeswitch_svc::JobSpec::from_json(&job()).unwrap();
+        let graph = spec.graph.build().unwrap();
+        let reference = spec.as_run().execute(&graph);
+        let expect_digest = format!("{:#018x}", reference.graph().edge_digest());
+
         let dir = temp_dir("resume");
         let sched = SchedOpts {
             pool: 4,
@@ -265,20 +284,11 @@ fn restart_resumes_jobs_bit_identically() {
         };
         let (addr, handle) = start_server(&dir, sched);
         let mut client = Client::connect(&addr).unwrap();
-        let id = client
-            .submit(er_job(budget, driver, p))
-            .unwrap()
-            .expect("admitted");
+        let id = client.submit(job()).unwrap().expect("admitted");
 
-        // Reference: the same spec executed uninterrupted in-process.
-        let spec = edgeswitch_svc::JobSpec::from_json(&er_job(budget, driver, p)).unwrap();
-        let graph = spec.graph.build().unwrap();
-        let reference = spec.as_run().execute(&graph);
-        let expect_digest = format!("{:#018x}", reference.graph().edge_digest());
-
-        // Let it make some progress, then stop the server mid-run. (If
-        // the machine is fast enough that the job finishes first, the
-        // restart still has to serve the stored result identically.)
+        // Let it make some progress, then stop the server mid-run. (If a
+        // short switch job finishes first, the restart still has to
+        // serve the stored result identically.)
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         loop {
             let status = client.status(id).unwrap();
@@ -296,6 +306,13 @@ fn restart_resumes_jobs_bit_identically() {
         }
         client.shutdown().unwrap();
         handle.join().unwrap();
+        let ctx = format!("{randomizer} {driver} p={p}");
+        if randomizer == "curveball" {
+            assert!(
+                dir.join(format!("{id}.ckpt")).exists(),
+                "{ctx}: the stopped job left no snapshot"
+            );
+        }
 
         // Second server over the same checkpoint dir picks the job up.
         let (addr, handle) = start_server(
@@ -314,12 +331,12 @@ fn restart_resumes_jobs_bit_identically() {
         assert_eq!(
             result.get("digest").and_then(Json::as_str),
             Some(&expect_digest[..]),
-            "{driver} p={p}: resumed digest must match the uninterrupted run"
+            "{ctx}: resumed digest must match the uninterrupted run"
         );
         assert_eq!(
             result.get("performed").and_then(Json::as_u64),
             Some(reference.performed()),
-            "{driver} p={p}: performed must match"
+            "{ctx}: performed must match"
         );
         client.shutdown().unwrap();
         handle.join().unwrap();

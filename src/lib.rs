@@ -58,7 +58,7 @@ pub use mpilite as mpi;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use edgeswitch_core::config::{
-        Backend, ParallelConfig, ProcOpts, Randomizer, StepSize, DEFAULT_WINDOW,
+        Budget, ParallelConfig, ProcOpts, Randomizer, StepSize, DEFAULT_WINDOW,
     };
     pub use edgeswitch_core::error_rate::error_rate;
     pub use edgeswitch_core::obs::{ObsSpec, Phase, RunReport};
@@ -66,7 +66,7 @@ pub mod prelude {
         child_entry_from_env, MsgCounts, MsgKind, ParallelOutcome, RankStats, StepTelemetry,
     };
     pub use edgeswitch_core::run::{Engine, Run, RunError, RunOutcome, SequentialRun};
-    pub use edgeswitch_core::trade::{CurveballOutcome, TradeBudget};
+    pub use edgeswitch_core::trade::CurveballResumable;
     pub use edgeswitch_core::variants::{sequential_edge_switch_connected, sequential_exact_visit};
     pub use edgeswitch_core::visit::VisitTracker;
     pub use edgeswitch_dist::harmonic::{expected_touches, switch_ops_for_visit_rate};

@@ -1,6 +1,7 @@
 //! Helpers shared by the integration tests: the worlds of `Run` under a
-//! prepared [`ParallelConfig`] (budget from the builder, everything else
-//! — world size, observation, randomizer — from the config), and
+//! prepared [`ParallelConfig`] (driver, randomizer and budget from the
+//! builder, everything else — world size, observation — from the
+//! config), and
 //! [`frozen_sequential`], the independent Algorithm-1 implementation the
 //! sequential engine is tested against, and [`check_property`], the
 //! seeded-case loop the property suite runs on.
@@ -26,10 +27,14 @@ pub fn simulated(g: &Graph, t: u64, cfg: &ParallelConfig) -> ParallelOutcome {
     under(Run::simulated(cfg.processors).switches(t), g, cfg)
 }
 
-/// `t` switches on the threaded world — or the process world, if `cfg`
-/// names that backend.
+/// `t` switches on the threaded world.
 pub fn threaded(g: &Graph, t: u64, cfg: &ParallelConfig) -> ParallelOutcome {
     under(Run::parallel(cfg.processors).switches(t), g, cfg)
+}
+
+/// `t` switches on the process world.
+pub fn process(g: &Graph, t: u64, cfg: &ParallelConfig) -> ParallelOutcome {
+    under(Run::process(cfg.processors).switches(t), g, cfg)
 }
 
 /// `t` switches on the simulated world under the DES.

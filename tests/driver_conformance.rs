@@ -23,11 +23,10 @@
 
 mod common;
 
-use common::{des, frozen_sequential, simulated, threaded, under};
+use common::{des, frozen_sequential, process, simulated, threaded, under};
 use edge_switching::core::parallel::process_backend_supported;
 use edge_switching::core::parallel::wire::encode_seq_checkpoint;
-use edge_switching::core::trade::sequential_curveball;
-use edge_switching::core::{SeqCheckpoint, SequentialResumable};
+use edge_switching::core::{SeqCheckpoint, SequentialOutcome, SequentialResumable};
 use edge_switching::dist::BlockRng64;
 use edge_switching::graph::generators::families::star;
 use edge_switching::prelude::*;
@@ -56,36 +55,50 @@ fn config(p: usize) -> ParallelConfig {
         .with_seed(4242)
 }
 
-/// A builder carrying `budget` the way the Curveball engines read it.
-fn trades(run: Run, budget: TradeBudget) -> Run {
-    let run = run.randomizer(Randomizer::Curveball);
-    match budget {
-        TradeBudget::Trades(t) => run.switches(t),
-        TradeBudget::VisitRate(x) => run.visit_rate(x),
-    }
+/// A Curveball builder carrying `budget`.
+fn trades(run: Run, budget: Budget) -> Run {
+    run.randomizer(Randomizer::Curveball).budget(budget)
 }
 
 /// Curveball on the FIFO-simulated world.
-fn simulated_trades(g: &Graph, budget: TradeBudget, cfg: &ParallelConfig) -> ParallelOutcome {
-    let cfg = cfg.clone().with_randomizer(Randomizer::Curveball);
-    under(trades(Run::simulated(cfg.processors), budget), g, &cfg)
+fn simulated_trades(g: &Graph, budget: Budget, cfg: &ParallelConfig) -> ParallelOutcome {
+    under(trades(Run::simulated(cfg.processors), budget), g, cfg)
 }
 
 /// Curveball on the threaded world.
-fn threaded_trades(g: &Graph, budget: TradeBudget, cfg: &ParallelConfig) -> ParallelOutcome {
-    let cfg = cfg.clone().with_randomizer(Randomizer::Curveball);
-    under(trades(Run::parallel(cfg.processors), budget), g, &cfg)
+fn threaded_trades(g: &Graph, budget: Budget, cfg: &ParallelConfig) -> ParallelOutcome {
+    under(trades(Run::parallel(cfg.processors), budget), g, cfg)
 }
 
 /// Curveball on the simulated world under the DES.
-fn des_trades(
-    g: &Graph,
-    budget: TradeBudget,
-    cfg: &ParallelConfig,
-) -> (ParallelOutcome, DesReport) {
-    let cfg = cfg.clone().with_randomizer(Randomizer::Curveball);
-    let run = trades(Run::simulated(cfg.processors), budget).prepared(cfg, None);
+fn des_trades(g: &Graph, budget: Budget, cfg: &ParallelConfig) -> (ParallelOutcome, DesReport) {
+    let run = trades(Run::simulated(cfg.processors), budget).prepared(cfg.clone(), None);
     des_run(&run, g, &CostModel::default())
+}
+
+/// What the sequential Curveball engine did to a graph: its counters,
+/// and the outcome `finish` tore down into.
+struct SequentialTrades {
+    graph: Graph,
+    passes: u64,
+    neighbors_moved: u64,
+    out: SequentialOutcome,
+}
+
+/// `budget` on the sequential Curveball engine, pass by pass.
+fn sequential_trades(g: &Graph, budget: Budget, seed: u64) -> SequentialTrades {
+    let mut engine = CurveballResumable::new(g, budget, seed);
+    while !engine.is_done() {
+        engine.step();
+    }
+    let (passes, neighbors_moved) = (engine.passes(), engine.neighbors_moved());
+    let (graph, out) = engine.finish();
+    SequentialTrades {
+        graph,
+        passes,
+        neighbors_moved,
+        out,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -160,11 +173,13 @@ fn drive(run: &Run, g: &Graph, size: u64, cut: bool) -> RunOutcome {
     engine.finish()
 }
 
-/// (mode ∈ {sequential, simulated p ∈ {1, 2, 4}}) × (advance size ∈
-/// {1, 37, 4096, all}) × (uninterrupted | snapshot → drop → resume) ×
-/// (unobserved | observed): `finish()` equals `execute()` in every
-/// logical field. Chunk boundaries consume no randomness, a snapshot
-/// carries the complete state, and probes only read.
+/// (randomizer ∈ {switch, Curveball}) × (mode ∈ {sequential, simulated
+/// p ∈ {1, 2, 4}}) × (advance size ∈ {1, 37, 4096, all}) ×
+/// (uninterrupted | snapshot → drop → resume) × (unobserved |
+/// observed): `finish()` equals `execute()` in every logical field.
+/// Pause points consume no randomness, a snapshot carries the complete
+/// state, and probes only read. (A Curveball engine advances a whole
+/// pass per call, whatever the size.)
 #[test]
 fn stepped_engine_conformance_table() {
     let g = clustered_graph(61);
@@ -175,8 +190,13 @@ fn stepped_engine_conformance_table() {
         ("simulated p=2", Run::simulated(2)),
         ("simulated p=4", Run::simulated(4)),
     ];
-    for (mode, run) in modes {
+    let rows = [Randomizer::Switch, Randomizer::Curveball]
+        .into_iter()
+        .flat_map(|randomizer| modes.clone().map(|(mode, run)| (randomizer, mode, run)));
+    for (randomizer, mode, run) in rows {
+        let mode = format!("{randomizer:?} {mode}");
         let run = run
+            .randomizer(randomizer)
             .switches(t)
             .seed(4242)
             .scheme(SchemeKind::HashUniversal)
@@ -184,7 +204,11 @@ fn stepped_engine_conformance_table() {
         let oneshot = run.execute(&g);
         assert!(oneshot.report().is_none());
         let expect = logical(&oneshot);
-        assert_eq!(expect.performed, t, "{mode}");
+        // Curveball stops at the first pass boundary at or past `t`.
+        match randomizer {
+            Randomizer::Switch => assert_eq!(expect.performed, t, "{mode}"),
+            Randomizer::Curveball => assert!(expect.performed >= t, "{mode}"),
+        }
         for size in [1u64, 37, 4096, u64::MAX] {
             for cut in [false, true] {
                 for probe in [ObsSpec::Off, ObsSpec::Spans] {
@@ -739,7 +763,7 @@ fn process_engine_p1_is_bit_identical_to_simulator() {
     for window in [1usize, 16] {
         let cfg = config(1).with_window(window);
         let fifo = simulated(&g, t, &cfg);
-        let proc = threaded(&g, t, &cfg.clone().with_backend(Backend::Process));
+        let proc = process(&g, t, &cfg);
         let ctx = format!("process p=1 window={window}");
         assert!(
             proc.graph.same_edge_set(&fifo.graph),
@@ -788,7 +812,7 @@ fn process_engine_matches_threaded_logical_outcomes() {
         for window in [1usize, 16] {
             let cfg = config(p).with_window(window);
             let thr = threaded(&g, t, &cfg);
-            let proc = threaded(&g, t, &cfg.clone().with_backend(Backend::Process));
+            let proc = process(&g, t, &cfg);
             let ctx = format!("p={p} window={window}");
             for out in [&thr, &proc] {
                 out.graph.check_invariants().unwrap();
@@ -844,14 +868,12 @@ fn shm_orphan_driver() {
         return;
     }
     let g = clustered_graph(43);
-    let cfg = config(2)
-        .with_backend(Backend::Process)
-        .with_proc_opts(ProcOpts {
-            announce_children: true,
-            ..ProcOpts::default()
-        });
+    let cfg = config(2).with_proc_opts(ProcOpts {
+        announce_children: true,
+        ..ProcOpts::default()
+    });
     // ~10^9 switches: minutes of work — the parent kills us long before.
-    threaded(&g, 1_000_000_000, &cfg);
+    process(&g, 1_000_000_000, &cfg);
 }
 
 /// Read the state letter from `/proc/<pid>/stat` — `None` once the pid is
@@ -941,33 +963,33 @@ fn remaining_sorted(t: &VisitTracker) -> Vec<u64> {
 #[test]
 fn curveball_sequential_and_simulator_are_bit_identical() {
     let g = clustered_graph(51);
-    let budget = TradeBudget::Trades(1_000);
-    let mut seq_graph = g.clone();
-    let seq = sequential_curveball(&mut seq_graph, budget, 4242);
-    assert!(seq.trades >= 1_000, "budget not met sequentially");
+    let budget = Budget::Ops(1_000);
+    let seq = sequential_trades(&g, budget, 4242);
+    let trades = seq.out.performed;
+    assert!(trades >= 1_000, "budget not met sequentially");
 
     for p in [1usize, 2, 4] {
         let sim = simulated_trades(&g, budget, &config(p));
         let ctx = format!("curveball p={p}");
         assert!(
-            sim.graph.same_edge_set(&seq_graph),
+            sim.graph.same_edge_set(&seq.graph),
             "graph diverged from sequential: {ctx}"
         );
         assert_eq!(
             sim.tracker.visited_count(),
-            seq.tracker.visited_count(),
+            seq.out.tracker.visited_count(),
             "visit counts diverged: {ctx}"
         );
         assert_eq!(
             remaining_sorted(&sim.tracker),
-            remaining_sorted(&seq.tracker),
+            remaining_sorted(&seq.out.tracker),
             "visit sets diverged: {ctx}"
         );
-        assert_eq!(sim.performed(), seq.trades, "trade counts diverged: {ctx}");
+        assert_eq!(sim.performed(), trades, "trade counts diverged: {ctx}");
         assert_eq!(sim.steps, seq.passes, "pass counts diverged: {ctx}");
         assert_eq!(
             sim.telemetry.iter().map(|s| s.trades).sum::<u64>(),
-            seq.trades,
+            trades,
             "telemetry trades diverged: {ctx}"
         );
         assert_eq!(
@@ -985,7 +1007,7 @@ fn curveball_sequential_and_simulator_are_bit_identical() {
 #[test]
 fn curveball_fifo_and_des_produce_identical_outcomes() {
     let g = clustered_graph(52);
-    let budget = TradeBudget::Trades(1_200);
+    let budget = Budget::Ops(1_200);
     for p in [1usize, 2, 4] {
         let cfg = config(p);
         let fifo = simulated_trades(&g, budget, &cfg);
@@ -1026,7 +1048,7 @@ fn curveball_fifo_and_des_produce_identical_outcomes() {
 #[test]
 fn curveball_threaded_engine_is_bit_identical_to_simulator() {
     let g = clustered_graph(53);
-    let budget = TradeBudget::Trades(1_000);
+    let budget = Budget::Ops(1_000);
     for p in [1usize, 2, 4] {
         let cfg = config(p);
         let fifo = simulated_trades(&g, budget, &cfg);
@@ -1085,7 +1107,7 @@ fn curveball_threaded_engine_is_bit_identical_to_simulator() {
 #[test]
 fn curveball_preserves_degrees_and_is_seed_deterministic() {
     let g = clustered_graph(54);
-    let budget = TradeBudget::Trades(2_000);
+    let budget = Budget::Ops(2_000);
     let out = simulated_trades(&g, budget, &config(4));
     out.graph.check_invariants().unwrap();
     assert_eq!(out.graph.degree_sequence(), g.degree_sequence());
@@ -1112,18 +1134,17 @@ fn curveball_preserves_degrees_and_is_seed_deterministic() {
 #[test]
 fn curveball_visit_rate_budget_agrees_across_drivers() {
     let g = clustered_graph(55);
-    let budget = TradeBudget::VisitRate(0.6);
-    let mut seq_graph = g.clone();
-    let seq = sequential_curveball(&mut seq_graph, budget, 4242);
-    assert!(seq.visit_rate() >= 0.6, "sequential missed the target");
+    let budget = Budget::VisitRate(0.6);
+    let seq = sequential_trades(&g, budget, 4242);
+    assert!(seq.out.visit_rate() >= 0.6, "sequential missed the target");
     for p in [1usize, 4] {
         let sim = simulated_trades(&g, budget, &config(p));
         assert!(sim.visit_rate() >= 0.6, "p={p} missed the target");
-        assert!(sim.graph.same_edge_set(&seq_graph), "p={p} graph diverged");
+        assert!(sim.graph.same_edge_set(&seq.graph), "p={p} graph diverged");
         assert_eq!(sim.steps, seq.passes, "p={p} pass count diverged");
         assert_eq!(
             sim.tracker.visited_count(),
-            seq.tracker.visited_count(),
+            seq.out.tracker.visited_count(),
             "p={p} visit counts diverged"
         );
     }
@@ -1142,7 +1163,7 @@ fn run_builder_dispatches_curveball() {
         .execute(&g);
     let sim = simulated_trades(
         &g,
-        TradeBudget::Trades(1_000),
+        Budget::Ops(1_000),
         &ParallelConfig::new(4)
             .with_scheme(SchemeKind::HashUniversal)
             .with_seed(4242),

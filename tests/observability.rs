@@ -14,8 +14,8 @@ use edge_switching::prelude::*;
 
 /// `trades` Curveball trades under `cfg` on the world `run` names.
 fn trade_run(run: Run, g: &Graph, trades: u64, cfg: &ParallelConfig) -> ParallelOutcome {
-    let cfg = cfg.clone().with_randomizer(Randomizer::Curveball);
-    under(run.switches(trades), g, &cfg)
+    let run = run.randomizer(Randomizer::Curveball).switches(trades);
+    under(run, g, cfg)
 }
 
 fn graph(seed: u64) -> Graph {
