@@ -29,7 +29,7 @@ fn phase_rows(report: &RunReport) -> Vec<Vec<String>> {
         .map(|p| {
             vec![
                 p.phase.clone(),
-                p.hist.count.to_string(),
+                format!("{}/{}", p.hist.timed, p.hist.count),
                 f(p.hist.p50_ns as f64 / 1e3, 1),
                 f(p.hist.p99_ns as f64 / 1e3, 1),
                 f(p.hist.max_ns as f64 / 1e3, 1),
@@ -64,7 +64,12 @@ fn render_report(rendered: &mut String, name: &str, report: &RunReport) {
     ));
     rendered.push_str(&table(
         &[
-            "phase", "count", "p50 (us)", "p99 (us)", "max (us)", "sum (ms)",
+            "phase",
+            "timed/count",
+            "p50 (us)",
+            "p99 (us)",
+            "max (us)",
+            "sum (ms)",
         ],
         &phase_rows(report),
     ));
@@ -195,16 +200,19 @@ mod tests {
         assert_eq!(r.data["des"]["clock"].as_str(), Some("virtual"));
         // No timeline requested: the rows stay out of the archive.
         assert!(r.data["timeline"].as_arr().unwrap().is_empty());
-        // The threaded protocol exercises every instrumented phase.
+        // The threaded protocol exercises every instrumented phase, and
+        // the first span of a phase is always timed.
         for phase in r.data["threaded"]["phases"].as_arr().unwrap() {
             if phase["phase"].as_str() == Some("trade-shuffle") {
                 // Curveball-only phase; this experiment traces the
                 // switch protocol.
                 continue;
             }
+            let count = phase["hist"]["count"].as_u64().unwrap();
+            let timed = phase["hist"]["timed"].as_u64().unwrap();
             assert!(
-                phase["hist"]["count"].as_u64().unwrap() > 0,
-                "threaded phase {:?} never recorded",
+                1 <= timed && timed <= count,
+                "threaded phase {:?}: {timed} of {count} spans timed",
                 phase["phase"]
             );
         }
@@ -220,6 +228,8 @@ mod tests {
             .find(|p| p["phase"].as_str() == Some("step-barrier"))
             .unwrap();
         assert!(barrier["hist"]["sum_ns"].as_u64().unwrap() > 0);
+        let timed = barrier["hist"]["timed"].as_u64().unwrap();
+        assert!(1 <= timed && timed <= barrier["hist"]["count"].as_u64().unwrap());
     }
 
     #[test]

@@ -111,6 +111,35 @@ impl Clock for ManualClock {
     }
 }
 
+/// Monotonic time that counts how often it is read: the cost of an
+/// observed run in clock reads, which no timing noise can blur.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct CountingClock {
+    inner: MonoClock,
+    reads: AtomicU64,
+}
+
+#[cfg(test)]
+impl CountingClock {
+    /// Calls to [`Clock::now_ns`] so far.
+    pub fn reads(&self) -> u64 {
+        self.reads.load(Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+impl Clock for CountingClock {
+    fn now_ns(&self) -> u64 {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.now_ns()
+    }
+
+    fn label(&self) -> &'static str {
+        "counting"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,12 +11,15 @@
 //! - [`StreamingProbe`] is a [`Probe`] that forwards cumulative span
 //!   totals over an [`mpsc`](std::sync::mpsc) channel every `every`
 //!   spans ([`Engine::attach_probe`](crate::Engine::attach_probe)).
-//!   Like every probe it only reads — no RNG draws, no message
-//!   reordering — so a streamed run stays bit-identical to a silent one.
+//!   It counts every span exactly; its nanosecond totals are estimated
+//!   from the sampled, timed spans as a report's `sum_ns` is. Like every
+//!   probe it only reads — no RNG draws, no message reordering — so a
+//!   streamed run stays bit-identical to a silent one.
 //!
 //! Both arrive as [`ProgressEvent`]s; `crates/svc` serializes them onto
 //! job event streams.
 
+use super::hist::scaled_sum;
 use super::{Phase, Probe, RankObs};
 use std::sync::mpsc::Sender;
 
@@ -36,7 +39,8 @@ pub struct SpanTotals {
     pub total: u64,
     /// Spans observed per [`Phase`] (indexed by `Phase as usize`).
     pub counts: [u64; Phase::COUNT],
-    /// Nanoseconds accumulated per [`Phase`].
+    /// Estimated nanoseconds per [`Phase`]: the timed spans' sum scaled
+    /// by `counts / timed`, as [`HistSummary::sum_ns`](super::HistSummary::sum_ns).
     pub ns: [u64; Phase::COUNT],
 }
 
@@ -84,6 +88,8 @@ pub struct StreamingProbe {
     every: u64,
     unsent: u64,
     totals: SpanTotals,
+    /// Timed spans and their summed nanoseconds, per phase.
+    timed: [(u64, u64); Phase::COUNT],
 }
 
 impl StreamingProbe {
@@ -95,7 +101,16 @@ impl StreamingProbe {
             every: every.max(1),
             unsent: 0,
             totals: SpanTotals::default(),
+            timed: [(0, 0); Phase::COUNT],
         }
+    }
+
+    /// Send the totals so far, with their nanosecond estimates.
+    fn send(&mut self) {
+        for (i, &(timed, sum)) in self.timed.iter().enumerate() {
+            self.totals.ns[i] = scaled_sum(sum, self.totals.counts[i], timed);
+        }
+        let _ = self.tx.send(ProgressEvent::Spans(self.totals));
     }
 }
 
@@ -104,19 +119,23 @@ impl Probe for StreamingProbe {
         true
     }
 
-    fn span(&mut self, phase: Phase, dur_ns: u64) {
+    fn span(&mut self, phase: Phase, dur_ns: Option<u64>) {
         self.totals.total += 1;
         self.totals.counts[phase as usize] += 1;
-        self.totals.ns[phase as usize] += dur_ns;
+        if let Some(ns) = dur_ns {
+            let (timed, sum) = &mut self.timed[phase as usize];
+            *timed += 1;
+            *sum += ns;
+        }
         self.unsent += 1;
         if self.unsent >= self.every {
             self.unsent = 0;
-            let _ = self.tx.send(ProgressEvent::Spans(self.totals));
+            self.send();
         }
     }
 
-    fn finish(self: Box<Self>) -> Option<RankObs> {
-        let _ = self.tx.send(ProgressEvent::Spans(self.totals));
+    fn finish(mut self: Box<Self>) -> Option<RankObs> {
+        self.send();
         None
     }
 }
@@ -134,7 +153,7 @@ mod tests {
         let clock = Arc::new(crate::obs::ManualClock::new());
         let mut obs = Obs::with_probe(Box::new(StreamingProbe::new(tx, 3)), clock.clone());
         for _ in 0..10 {
-            let t0 = obs.now();
+            let t0 = obs.stamp(Phase::Sample);
             clock.advance(7);
             obs.span_since(Phase::Sample, t0);
         }
@@ -153,9 +172,29 @@ mod tests {
         let ProgressEvent::Spans(end) = events[events.len() - 1] else {
             unreachable!()
         };
+        // One of the ten spans was timed; constant spans estimate exactly.
         assert_eq!(end.total, 10);
         assert_eq!(end.counts[Phase::Sample as usize], 10);
         assert_eq!(end.ns[Phase::Sample as usize], 70);
+    }
+
+    #[test]
+    fn streamed_ns_is_the_report_estimate() {
+        let (tx, rx) = channel();
+        let mut stream = StreamingProbe::new(tx, 1_000);
+        let mut hist = crate::obs::LogHist::new();
+        for i in 0..300u64 {
+            let dur = (i % 64 == 0).then_some(100 + i);
+            stream.span(Phase::SwitchApply, dur);
+            hist.add(dur);
+        }
+        Box::new(stream).finish();
+        let Ok(ProgressEvent::Spans(end)) = rx.recv() else {
+            panic!("no final totals");
+        };
+        let i = Phase::SwitchApply as usize;
+        assert_eq!(end.counts[i], hist.summary().count);
+        assert_eq!(end.ns[i], hist.summary().sum_ns);
     }
 
     #[test]

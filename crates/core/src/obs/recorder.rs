@@ -105,12 +105,12 @@ impl Probe for RecordingProbe {
         true
     }
 
-    fn span(&mut self, phase: Phase, dur_ns: u64) {
-        self.obs.phases[phase as usize].record(dur_ns);
+    fn span(&mut self, phase: Phase, dur_ns: Option<u64>) {
+        self.obs.phases[phase as usize].add(dur_ns);
     }
 
-    fn rtt(&mut self, kind: MsgKind, dur_ns: u64) {
-        self.obs.rtt[kind as usize].record(dur_ns);
+    fn rtt(&mut self, kind: MsgKind, dur_ns: Option<u64>) {
+        self.obs.rtt[kind as usize].add(dur_ns);
     }
 
     fn gauge(&mut self, gauge: GaugeKind, value: u64) {
@@ -145,13 +145,15 @@ mod tests {
     fn recording_probe_round_trips_into_rank_obs() {
         let mut p = RecordingProbe::new();
         assert!(p.enabled());
-        p.span(Phase::MsgWait, 40);
-        p.span(Phase::MsgWait, 80);
-        p.rtt(MsgKind::Validate, 15);
+        p.span(Phase::MsgWait, Some(40));
+        p.span(Phase::MsgWait, Some(80));
+        p.span(Phase::MsgWait, None);
+        p.rtt(MsgKind::Validate, Some(15));
         p.gauge(GaugeKind::WindowOccupancy, 16);
         let obs = Box::new(p).finish().unwrap();
         assert!(!obs.is_empty());
-        assert_eq!(obs.phases[Phase::MsgWait as usize].count(), 2);
+        assert_eq!(obs.phases[Phase::MsgWait as usize].count(), 3);
+        assert_eq!(obs.phases[Phase::MsgWait as usize].timed(), 2);
         assert_eq!(obs.phases[Phase::MsgWait as usize].sum(), 120);
         assert_eq!(obs.rtt[MsgKind::Validate as usize].max(), 15);
         assert_eq!(obs.gauges[GaugeKind::WindowOccupancy as usize].peak, 16);

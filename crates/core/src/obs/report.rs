@@ -71,7 +71,8 @@ pub struct CommGauges {
 ///
 /// Schema stability: `phases` always holds all [`Phase::ALL`] entries in
 /// order, `rtt` all [`RTT_KINDS`], and `gauges` the fixed four — empty
-/// histograms report zero summaries rather than vanishing.
+/// histograms report zero summaries rather than vanishing. The JSON
+/// carries [`RunReport::SCHEMA_VERSION`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
     /// Which timeline the nanoseconds live on: `"monotonic"` for real
@@ -91,6 +92,11 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Version of [`RunReport::to_json`]'s schema. 2: every histogram
+    /// says how many of its spans were `timed`, and `sum_ns` is the
+    /// sampled estimate.
+    pub const SCHEMA_VERSION: u64 = 2;
+
     /// Build a report from the merged per-rank observations plus
     /// optional comm-layer gauges.
     pub fn from_obs(
@@ -184,6 +190,7 @@ impl RunReport {
         fn hist(h: &HistSummary) -> Json {
             json!({
                 "count": h.count,
+                "timed": h.timed,
                 "sum_ns": h.sum_ns,
                 "p50_ns": h.p50_ns,
                 "p90_ns": h.p90_ns,
@@ -224,6 +231,7 @@ impl RunReport {
             })
             .collect();
         json!({
+            "schema_version": RunReport::SCHEMA_VERSION,
             "clock": self.clock.clone(),
             "ranks": self.ranks,
             "wall_ns": self.wall_ns,
@@ -276,6 +284,7 @@ mod tests {
     fn to_json_mirrors_the_struct() {
         let r = sample_report();
         let v = r.to_json();
+        assert_eq!(v["schema_version"].as_u64(), Some(2));
         assert_eq!(v["clock"].as_str(), Some("monotonic"));
         assert_eq!(v["ranks"].as_u64(), Some(2));
         assert_eq!(v["wall_ns"].as_u64(), Some(123_456));
@@ -283,6 +292,7 @@ mod tests {
         assert_eq!(phases.len(), Phase::COUNT);
         assert_eq!(phases[0]["phase"].as_str(), Some("sample"));
         assert_eq!(phases[0]["hist"]["count"].as_u64(), Some(1));
+        assert_eq!(phases[0]["hist"]["timed"].as_u64(), Some(1));
         let rtt = v["rtt"].as_arr().unwrap();
         assert_eq!(rtt[0]["kind"].as_str(), Some("propose"));
         assert_eq!(rtt[0]["hist"]["max_ns"].as_u64(), Some(9_000));

@@ -73,7 +73,7 @@
 use super::harness::{RankMachine, RankOutput, StepHarness, StepTelemetry};
 use super::msg::{ConvId, Msg, MsgKind, Outbox};
 use crate::config::ParallelConfig;
-use crate::obs::{GaugeKind, Obs, Phase};
+use crate::obs::{GaugeKind, Obs, Phase, Stamp};
 use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
 use crate::visit::VisitTracker;
 use edgeswitch_dist::Rng;
@@ -208,10 +208,9 @@ impl RankCheckpoint {
 struct InFlight {
     e1: Edge,
     partner: usize,
-    /// Observation stamp of the proposal (0 when unobserved); the
-    /// `Propose` round-trip histogram records whole-conversation
-    /// lifetimes from it.
-    started_ns: u64,
+    /// Observation stamp of the proposal; the `Propose` round-trip
+    /// histogram records whole-conversation lifetimes from it.
+    started: Stamp,
 }
 
 /// A conversation this rank orchestrates as partner.
@@ -231,10 +230,11 @@ struct PartnerConv {
     failed: bool,
     /// Outstanding remote commit acknowledgements.
     acks_needed: usize,
-    /// Observation stamp of the `Validate` fan-out (0 = none sent).
-    validate_sent_ns: u64,
-    /// Observation stamp of the commit fan-out (0 = all local).
-    commit_sent_ns: u64,
+    /// Observation stamp of the `Validate` fan-out (untimed when none
+    /// was sent).
+    validate_sent: Stamp,
+    /// Observation stamp of the commit fan-out (untimed when all local).
+    commit_sent: Stamp,
 }
 
 /// Validation state of one replacement edge.
@@ -443,16 +443,17 @@ impl RankState {
             initiator: self.rank as u32,
             seq: self.conv_seq,
         };
-        let started_ns = self.obs.now();
         if self.fastpath && partner == self.rank {
-            return self.start_local_fast(conv, e1, started_ns, out);
+            let started = self.obs.stamp(Phase::LocalFastpath);
+            return self.start_local_fast(conv, e1, started, out);
         }
+        let started = self.obs.stamp_rtt(MsgKind::Propose);
         self.inflight.insert(
             conv,
             InFlight {
                 e1,
                 partner,
-                started_ns,
+                started,
             },
         );
         self.obs
@@ -465,7 +466,7 @@ impl RankState {
     /// conversation: `None` after [`SAMPLE_ATTEMPTS`] locked draws
     /// (contention) or on an empty store. One `Sample` span per call.
     fn sample_unreserved(&mut self) -> Option<Edge> {
-        let sample_start = self.obs.now();
+        let sample_start = self.obs.stamp(Phase::Sample);
         let chosen = (0..SAMPLE_ATTEMPTS)
             .map_while(|_| self.store.sample(&mut self.rng))
             .find(|e| !self.reserved.contains(e));
@@ -488,11 +489,13 @@ impl RankState {
     /// the message hops is unobservable. When a replacement edge hashes
     /// to a foreign owner the attempt falls back to the conversation
     /// protocol *from this exact point*, keeping the draws already made.
+    /// `started` opens the `LocalFastpath` span and, should the switch
+    /// complete, its `Propose` round trip.
     fn start_local_fast(
         &mut self,
         conv: ConvId,
         e1: Edge,
-        started_ns: u64,
+        started: Stamp,
         out: &mut Outbox,
     ) -> StartResult {
         self.stats.proposals_served += 1;
@@ -504,11 +507,11 @@ impl RankState {
         // `reserved`, so `e2 != e1` without an extra check).
         let Some(e2) = self.sample_unreserved() else {
             self.abort_own(e1, RejectReason::Contended);
-            self.obs.span_since(Phase::LocalFastpath, started_ns);
+            self.obs.span_since(Phase::LocalFastpath, started);
             return StartResult::Started;
         };
         debug_assert_ne!(e1, e2, "e1 is reserved and cannot be re-sampled");
-        let legality_start = self.obs.now();
+        let legality_start = self.obs.stamp(Phase::Legality);
         let kind = flip_kind(&mut self.rng);
         let (f1, f2) = match recombine(
             OrientedEdge::from_edge(e1),
@@ -518,7 +521,7 @@ impl RankState {
             Recombination::Rejected(reason) => {
                 self.obs.span_since(Phase::Legality, legality_start);
                 self.abort_own(e1, reason);
-                self.obs.span_since(Phase::LocalFastpath, started_ns);
+                self.obs.span_since(Phase::LocalFastpath, started);
                 return StartResult::Started;
             }
             Recombination::Candidate { f1, f2 } => (f1, f2),
@@ -534,7 +537,7 @@ impl RankState {
             if blocked {
                 self.abort_own(e1, RejectReason::ParallelEdge);
             } else {
-                self.apply_local_inline(e1, e2, f1, f2, started_ns);
+                self.apply_local_inline(e1, e2, f1, f2, started);
             }
         } else {
             // A replacement is foreign: continue as an ordinary
@@ -546,12 +549,12 @@ impl RankState {
                 InFlight {
                     e1,
                     partner: self.rank,
-                    started_ns,
+                    started,
                 },
             );
             self.partner_validate(conv, e1, e2, [f1, f2], legality_start, out);
         }
-        self.obs.span_since(Phase::LocalFastpath, started_ns);
+        self.obs.span_since(Phase::LocalFastpath, started);
         StartResult::Started
     }
 
@@ -559,10 +562,10 @@ impl RankState {
     /// mutation order (remove `e2`, insert `f1`, insert `f2`, remove
     /// `e1`) so the store's internal layout — and with it every future
     /// edge sample — stays identical to the protocol path's.
-    fn apply_local_inline(&mut self, e1: Edge, e2: Edge, f1: Edge, f2: Edge, started_ns: u64) {
+    fn apply_local_inline(&mut self, e1: Edge, e2: Edge, f1: Edge, f2: Edge, started: Stamp) {
         let released = self.reserved.remove(&e1);
         debug_assert!(released, "own e1 {e1} was not reserved");
-        let apply_start = self.obs.now();
+        let apply_start = self.obs.stamp(Phase::SwitchApply);
         let removed = self.store.remove(e2);
         debug_assert!(removed, "sampled e2 {e2} missing at apply");
         self.tracker.record_removal(e2);
@@ -574,7 +577,7 @@ impl RankState {
         debug_assert!(removed, "sampled e1 {e1} missing at apply");
         self.tracker.record_removal(e1);
         self.obs.span_since(Phase::SwitchApply, apply_start);
-        self.obs.rtt_since(MsgKind::Propose, started_ns);
+        self.obs.rtt_since(MsgKind::Propose, started);
         self.remaining -= 1;
         self.consecutive_aborts = 0;
         self.stats.performed += 1;
@@ -630,7 +633,7 @@ impl RankState {
         // edge value can be re-created as another conversation's
         // replacement and sampled by a later operation before this Done
         // bookkeeping runs, so its absence cannot be asserted here.
-        self.obs.rtt_since(MsgKind::Propose, op.started_ns);
+        self.obs.rtt_since(MsgKind::Propose, op.started);
         self.remaining -= 1;
         self.consecutive_aborts = 0;
         self.stats.performed += 1;
@@ -654,7 +657,7 @@ impl RankState {
             op.partner, self.rank,
             "local switches never commit remotely"
         );
-        self.obs.rtt_since(MsgKind::Propose, op.started_ns);
+        self.obs.rtt_since(MsgKind::Propose, op.started);
         self.remaining -= 1;
         self.consecutive_aborts = 0;
         self.stats.performed += 1;
@@ -684,7 +687,7 @@ impl RankState {
             return;
         };
         debug_assert_ne!(e1, e2, "e1 is foreign or locally reserved");
-        let legality_start = self.obs.now();
+        let legality_start = self.obs.stamp(Phase::Legality);
         let kind = flip_kind(&mut self.rng);
         match recombine(
             OrientedEdge::from_edge(e1),
@@ -715,7 +718,7 @@ impl RankState {
         e1: Edge,
         e2: Edge,
         fs: [Edge; 2],
-        legality_start: u64,
+        legality_start: Stamp,
         out: &mut Outbox,
     ) {
         self.reserved.insert(e2);
@@ -748,7 +751,11 @@ impl RankState {
                 }
             }
         }
-        let validate_sent_ns = if awaiting > 0 { self.obs.now() } else { 0 };
+        let validate_sent = if awaiting > 0 {
+            self.obs.stamp_rtt(MsgKind::Validate)
+        } else {
+            Stamp::UNTIMED
+        };
         self.serving.insert(
             conv,
             PartnerConv {
@@ -760,8 +767,8 @@ impl RankState {
                 awaiting,
                 failed,
                 acks_needed: 0,
-                validate_sent_ns,
-                commit_sent_ns: 0,
+                validate_sent,
+                commit_sent: Stamp::UNTIMED,
             },
         );
         if awaiting == 0 {
@@ -774,7 +781,7 @@ impl RankState {
     }
 
     fn on_validate_reply(&mut self, conv: ConvId, edge: Edge, ok: bool, out: &mut Outbox) {
-        let (awaiting, failed, sent_ns) = {
+        let (awaiting, failed, sent) = {
             let c = self.serving.get_mut(&conv).expect("conversation exists");
             let i = if c.fs[0] == edge { 0 } else { 1 };
             debug_assert_eq!(c.fs[i], edge, "reply for unknown replacement");
@@ -786,10 +793,10 @@ impl RankState {
             };
             c.failed |= !ok;
             c.awaiting -= 1;
-            (c.awaiting, c.failed, c.validate_sent_ns)
+            (c.awaiting, c.failed, c.validate_sent)
         };
         if awaiting == 0 {
-            self.obs.rtt_since(MsgKind::Validate, sent_ns);
+            self.obs.rtt_since(MsgKind::Validate, sent);
             if failed {
                 self.partner_abort(conv, RejectReason::ParallelEdge, out);
             } else {
@@ -851,28 +858,30 @@ impl RankState {
         if acks == 0 {
             self.partner_finish(conv, out);
         } else {
-            let commit_sent_ns = self.obs.now();
+            // One stamp, sampled on the `CommitAdd` stride, times both
+            // commit round trips.
+            let commit_sent = self.obs.stamp_rtt(MsgKind::CommitAdd);
             let c = self.serving.get_mut(&conv).unwrap();
             c.acks_needed = acks;
-            c.commit_sent_ns = commit_sent_ns;
+            c.commit_sent = commit_sent;
         }
     }
 
     fn on_commit_ack(&mut self, conv: ConvId, out: &mut Outbox) {
-        let (remaining, sent_ns, remote_add, remote_remove) = {
+        let (remaining, sent, remote_add, remote_remove) = {
             let c = self.serving.get_mut(&conv).expect("conversation exists");
             debug_assert!(c.acks_needed > 0);
             c.acks_needed -= 1;
             let remote_add = c.fs.iter().any(|f| self.part.owner(f.src()) != self.rank);
             let remote_remove = c.initiator != self.rank;
-            (c.acks_needed, c.commit_sent_ns, remote_add, remote_remove)
+            (c.acks_needed, c.commit_sent, remote_add, remote_remove)
         };
         if remaining == 0 {
             if remote_add {
-                self.obs.rtt_since(MsgKind::CommitAdd, sent_ns);
+                self.obs.rtt_since(MsgKind::CommitAdd, sent);
             }
             if remote_remove {
-                self.obs.rtt_since(MsgKind::CommitRemove, sent_ns);
+                self.obs.rtt_since(MsgKind::CommitRemove, sent);
             }
             self.partner_finish(conv, out);
         }
@@ -889,7 +898,7 @@ impl RankState {
 
     /// Remove a locally-owned, reserved old edge and record the visit.
     fn apply_remove(&mut self, e: Edge) {
-        let apply_start = self.obs.now();
+        let apply_start = self.obs.stamp(Phase::SwitchApply);
         let was_reserved = self.reserved.remove(&e);
         debug_assert!(was_reserved, "commit removal of unreserved edge {e}");
         let removed = self.store.remove(e);
@@ -900,7 +909,7 @@ impl RankState {
 
     /// Materialize a locally-owned, reserved replacement edge.
     fn apply_insert(&mut self, f: Edge) {
-        let apply_start = self.obs.now();
+        let apply_start = self.obs.stamp(Phase::SwitchApply);
         let was_potential = self.potential.remove(&f);
         debug_assert!(was_potential, "commit insertion of unreserved edge {f}");
         let inserted = self.store.insert(f);
@@ -924,7 +933,7 @@ impl RankState {
     fn on_validate(&mut self, src: usize, conv: ConvId, edge: Edge, out: &mut Outbox) {
         debug_assert_eq!(self.part.owner(edge.src()), self.rank, "misrouted Validate");
         self.stats.validations_served += 1;
-        let legality_start = self.obs.now();
+        let legality_start = self.obs.stamp(Phase::Legality);
         let occupied = self.occupied(edge);
         self.obs.span_since(Phase::Legality, legality_start);
         if occupied {

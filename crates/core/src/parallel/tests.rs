@@ -1,12 +1,16 @@
 //! Correctness tests for the distributed protocol, run through both the
 //! threaded world (real message passing) and the simulated one.
 
+use super::harness::{FifoTransport, Transport, WorldTransport};
+use super::msg::{Msg, MsgKind};
 use super::ParallelOutcome;
 use crate::config::{ParallelConfig, StepSize};
+use crate::obs::{Clock, CountingClock, ObsSpec, Phase, CALIBRATION_READS, RTT_KINDS};
 use crate::Run;
 use edgeswitch_dist::root_rng;
 use edgeswitch_graph::generators::{contact_network, erdos_renyi_gnm, ContactParams};
 use edgeswitch_graph::{Graph, Partitioner, SchemeKind};
+use std::sync::Arc;
 
 fn test_graph(seed: u64) -> Graph {
     let mut rng = root_rng(seed);
@@ -245,4 +249,62 @@ fn more_ranks_than_meaningful_partitions() {
     out.graph.check_invariants().unwrap();
     assert_eq!(out.graph.degree_sequence(), g.degree_sequence());
     assert_eq!(out.performed() + out.forfeited(), t);
+}
+
+/// The FIFO simulator's transport, handing probes a clock that counts
+/// its reads.
+struct CountingFifo(FifoTransport, Arc<CountingClock>);
+
+impl Transport for CountingFifo {}
+
+impl WorldTransport for CountingFifo {
+    fn deliver(&mut self, src: usize, dst: usize, msg: Msg) {
+        self.0.deliver(src, dst, msg);
+    }
+    fn pop_any(&mut self) -> Option<(usize, usize, Msg)> {
+        self.0.pop_any()
+    }
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+    fn obs_clock(&mut self) -> Option<Arc<dyn Clock>> {
+        Some(self.1.clone())
+    }
+}
+
+#[test]
+fn observed_simulated_run_reads_the_clock_for_one_span_in_64() {
+    // Per-operation spans and round trips time one stamp in 64 per rank
+    // and kind; the step boundary reads the clock three times a step.
+    let g = test_graph(21);
+    let clock = Arc::new(CountingClock::default());
+    let run = Run::simulated(2)
+        .switches(20_000)
+        .seed(21)
+        .probe(ObsSpec::Spans);
+    let transport = CountingFifo(FifoTransport::new(), clock.clone());
+    let (out, _) = run.try_execute_over(&g, transport).unwrap();
+    let report = out.report.as_ref().expect("observed run");
+    let hists = report.phases.iter().map(|p| p.hist);
+    let spans: u64 = hists
+        .chain(report.rtt.iter().map(|r| r.hist))
+        .map(|h| h.count)
+        .sum();
+    let started: u64 = out.telemetry.iter().map(|s| s.started).sum();
+    assert!(report.phase(Phase::LocalFastpath).hist.count > 0);
+    let commits = report.rtt_of(MsgKind::CommitRemove).unwrap().hist.count;
+    assert!(commits > 0, "global conversations ran");
+    // Per-rank, per-slot rounding, each rank's calibration reads, and
+    // the reads at set-up and teardown.
+    let slots = (Phase::COUNT + RTT_KINDS.len()) as u64;
+    let slack = 2 * (2 * slots + CALIBRATION_READS as u64 + 1) + 2;
+    let bound = 2 * spans.div_ceil(64) + 3 * out.steps + slack;
+    assert!(
+        clock.reads() <= bound,
+        "{} clock reads for {spans} spans in {} steps (bound {bound})",
+        clock.reads(),
+        out.steps
+    );
+    // Timing every span reads the clock at least four times a start.
+    assert!(bound < 4 * started);
 }

@@ -195,7 +195,7 @@ impl TradeRankState {
         let slot = self.slots.remove(&k).expect("firing an open slot");
         let (u, v) = (slot.u, slot.v);
         let partner_key = Edge::new(u, v).key();
-        let shuffle_start = self.obs.now();
+        let shuffle_start = self.obs.stamp(Phase::TradeShuffle);
         let (mut a, mut b) = (Vec::new(), Vec::new());
         for &key in &slot.arrived {
             if slot.partner && key == partner_key {
@@ -510,7 +510,8 @@ pub(crate) fn threaded_trades(
                 .exchange_edge_counts(state.tracker.visited_count() as u64)
                 .iter()
                 .sum();
-            state.obs.span_since(Phase::StepBarrier, barrier_start);
+            let barrier_ns = state.obs.now().saturating_sub(barrier_start);
+            state.obs.span(Phase::StepBarrier, barrier_ns);
             let plan = Arc::new(ctl.next_plan(n, config.seed, initial_total, visited)?);
             let mut tel = StepTelemetry::default();
             state.begin_pass(&plan, out, &mut tel);

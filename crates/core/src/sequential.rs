@@ -107,12 +107,12 @@ fn run_ops_chunk<R: Rng + ?Sized>(
     'ops: for _ in 0..ops {
         let mut retries = 0u64;
         loop {
-            let sample_start = obs.now();
+            let sample_start = obs.stamp(Phase::Sample);
             let e1 = OrientedEdge::from_edge(pool.sample(rng).expect("m >= 2"));
             let e2 = OrientedEdge::from_edge(pool.sample(rng).expect("m >= 2"));
             let kind = flip_kind(rng);
             obs.span_since(Phase::Sample, sample_start);
-            let legality_start = obs.now();
+            let legality_start = obs.stamp(Phase::Legality);
             let recombined = recombine(e1, e2, kind);
             let reason = match recombined {
                 Recombination::Candidate { f1, f2 } => {
@@ -121,7 +121,7 @@ fn run_ops_chunk<R: Rng + ?Sized>(
                         RejectReason::ParallelEdge
                     } else {
                         obs.span_since(Phase::Legality, legality_start);
-                        let apply_start = obs.now();
+                        let apply_start = obs.stamp(Phase::SwitchApply);
                         let (o1, o2) = (e1.edge(), e2.edge());
                         assert!(pool.remove(o1) && pool.remove(o2), "sampled edges exist");
                         assert!(pool.insert(f1) && pool.insert(f2), "checked absent");
@@ -454,9 +454,11 @@ pub(crate) fn check_degrees(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::{CountingClock, CALIBRATION_READS};
     use edgeswitch_dist::root_rng;
     use edgeswitch_graph::generators::erdos_renyi_gnm;
     use edgeswitch_graph::Edge;
+    use std::sync::Arc;
 
     /// The whole budget as one chunk.
     fn switch(graph: Graph, t: u64, seed: u64) -> (Graph, SequentialOutcome) {
@@ -543,6 +545,34 @@ mod tests {
         let (g, out) = switch(before.clone(), t, 9);
         assert!(out.visit_rate() > 0.99);
         assert!(!g.same_edge_set(&before));
+    }
+
+    #[test]
+    fn observed_run_reads_the_clock_for_one_span_in_64() {
+        // The cost of observing, counted rather than timed: a timed span
+        // reads the clock twice, an untimed one never, and each phase
+        // times one stamp in 64, starting with its first.
+        let clock = Arc::new(CountingClock::default());
+        let g = erdos_renyi_gnm(2_000, 10_000, &mut root_rng(14));
+        let mut eng = SequentialResumable::new(g, 20_000, 14);
+        eng.solo.obs = ObsSpec::Spans.build(clock.clone());
+        eng.step(u64::MAX);
+        let (_, out) = eng.finish();
+        let report = out.report.expect("observed run");
+        let spans: u64 = report.phases.iter().map(|p| p.hist.count).sum();
+        let attempts = out.performed + out.rejects.total();
+        assert_eq!(spans, 2 * attempts + out.performed);
+        // Per-phase rounding, the reads that calibrate the clock's own
+        // cost, and the one that closes the wall time.
+        let slack = 2 * Phase::COUNT as u64 + CALIBRATION_READS as u64 + 2;
+        let bound = 2 * spans.div_ceil(64) + slack;
+        assert!(
+            clock.reads() <= bound,
+            "{} clock reads for {spans} spans (bound {bound})",
+            clock.reads()
+        );
+        // Timing every span reads the clock at least four times an attempt.
+        assert!(bound < 4 * attempts);
     }
 
     #[test]

@@ -461,7 +461,7 @@ fn run_trade(
     rng: &mut Rng64,
     obs: &mut Obs,
 ) -> usize {
-    let shuffle_start = obs.now();
+    let shuffle_start = obs.stamp(Phase::TradeShuffle);
     let a: Vec<VertexId> = graph.neighbors(u).iter().filter(|&x| x != v).collect();
     let b: Vec<VertexId> = graph.neighbors(v).iter().filter(|&x| x != u).collect();
     let TradeSplit { only_a, only_b, .. } = split_sorted(&a, &b);
@@ -473,7 +473,7 @@ fn run_trade(
     if moved == 0 {
         return 0;
     }
-    let apply_start = obs.now();
+    let apply_start = obs.stamp(Phase::SwitchApply);
     for &x in &only_a {
         tracker.record_removal(Edge::new(u, x));
     }

@@ -367,7 +367,10 @@ struct JobState {
     performed: u64,
     budget: u64,
     visit_rate: f64,
-    events: Vec<Json>,
+    /// The event log, one encoded JSON line per event: a finished job's
+    /// log stays for replay as long as the server runs, and as text it
+    /// takes a tenth of the memory of the parsed tree.
+    events: Vec<String>,
     result: Option<Json>,
     error: Option<String>,
 }
@@ -428,8 +431,9 @@ impl JobEntry {
 
     /// Append one event and wake streamers.
     pub fn push_event(&self, event: Json) {
+        let line = event.to_json();
         let mut st = self.locked();
-        st.events.push(event);
+        st.events.push(line);
         self.wake.notify_all();
     }
 
@@ -497,8 +501,7 @@ impl JobEntry {
     /// Events from index `from` on, plus the next cursor.
     pub fn events_from(&self, from: usize) -> (Vec<Json>, usize) {
         let st = self.locked();
-        let from = from.min(st.events.len());
-        (st.events[from..].to_vec(), st.events.len())
+        (decoded(&st.events, from), st.events.len())
     }
 
     /// Block until there are events past `from` or the job reaches a
@@ -515,14 +518,20 @@ impl JobEntry {
                 break;
             }
         }
-        let from = from.min(st.events.len());
-        (st.events[from..].to_vec(), st.events.len(), st.phase)
+        (decoded(&st.events, from), st.events.len(), st.phase)
     }
 
     /// The stored result (`None` until done).
     pub fn result_json(&self) -> Option<Json> {
         self.locked().result.clone()
     }
+}
+
+/// The events of `log` from index `from` on, parsed back.
+fn decoded(log: &[String], from: usize) -> Vec<Json> {
+    let lines = &log[from.min(log.len())..];
+    let parse = |line: &String| crate::json::parse(line).expect("the log holds encoded events");
+    lines.iter().map(parse).collect()
 }
 
 /// Worker-side knobs: sequential chunk size and the checkpoint cadence

@@ -280,6 +280,14 @@ fn dispatch_loop(shared: Arc<Shared>) {
                 worker_shared.wake.notify_all();
             })
             .expect("spawn worker");
-        shared.workers.lock().unwrap().push(handle);
+        // Join the workers that have finished: an exited thread keeps
+        // its stack until it is joined.
+        let mut workers = shared.workers.lock().unwrap();
+        let (done, running) = std::mem::take(&mut *workers)
+            .into_iter()
+            .partition::<Vec<_>, _>(JoinHandle::is_finished);
+        done.into_iter().for_each(|worker| drop(worker.join()));
+        *workers = running;
+        workers.push(handle);
     }
 }

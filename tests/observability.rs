@@ -10,7 +10,9 @@
 mod common;
 
 use common::{des, simulated, threaded, under};
+use edge_switching::core::obs::{ProgressEvent, SpanTotals};
 use edge_switching::prelude::*;
+use std::sync::mpsc::channel;
 
 /// `trades` Curveball trades under `cfg` on the world `run` names.
 fn trade_run(run: Run, g: &Graph, trades: u64, cfg: &ParallelConfig) -> ParallelOutcome {
@@ -250,9 +252,18 @@ fn run_report_json_schema_is_stable() {
 
     assert_eq!(
         keys(&v),
-        vec!["clock", "gauges", "phases", "ranks", "rtt", "wall_ns"],
+        vec![
+            "clock",
+            "gauges",
+            "phases",
+            "ranks",
+            "rtt",
+            "schema_version",
+            "wall_ns"
+        ],
         "top-level keys changed"
     );
+    assert_eq!(v["schema_version"].as_u64(), Some(2));
     assert_eq!(v["clock"].as_str(), Some("monotonic"));
     assert_eq!(v["ranks"].as_u64(), Some(4));
 
@@ -278,9 +289,11 @@ fn run_report_json_schema_is_stable() {
     for p in phases {
         assert_eq!(
             keys(&p["hist"]),
-            vec!["count", "max_ns", "p50_ns", "p90_ns", "p99_ns", "sum_ns"],
+            vec!["count", "max_ns", "p50_ns", "p90_ns", "p99_ns", "sum_ns", "timed"],
             "histogram summary keys changed"
         );
+        let (count, timed) = (p["hist"]["count"].as_u64(), p["hist"]["timed"].as_u64());
+        assert!(timed <= count && (count == Some(0)) == (timed == Some(0)));
     }
 
     let rtt = v["rtt"].as_arr().unwrap();
@@ -309,4 +322,88 @@ fn run_report_json_schema_is_stable() {
     for g in gauges {
         assert_eq!(keys(g), vec!["gauge", "mean", "peak", "samples"]);
     }
+}
+
+/// Per-phase span counts of a report.
+fn phase_counts(report: &RunReport) -> [u64; Phase::COUNT] {
+    Phase::ALL.map(|phase| report.phase(phase).hist.count)
+}
+
+/// `run` on `g` started as an engine with a streaming probe attached and
+/// advanced in 4096-operation pieces — the job service's loop — with the
+/// last span totals it streamed.
+fn streamed(run: Run, g: &Graph) -> (RunOutcome, SpanTotals) {
+    let mut engine = run.start(g).expect("sequential runs step");
+    let (tx, rx) = channel();
+    engine.attach_probe(tx, 1024);
+    while !engine.is_done() {
+        engine.advance(4096);
+    }
+    let out = engine.finish();
+    let last = rx
+        .try_iter()
+        .filter_map(|ev| match ev {
+            ProgressEvent::Spans(totals) => Some(totals),
+            ProgressEvent::Step(_) => None,
+        })
+        .last()
+        .expect("the probe streams its final totals");
+    (out, last)
+}
+
+/// Same edges in the same pool order — the order later draws read.
+fn assert_same_pool(a: &Graph, b: &Graph, label: &str) {
+    assert_eq!(a.edge_digest(), b.edge_digest(), "{label}: digest");
+    assert!(a.pool().iter().eq(b.pool().iter()), "{label}: pool order");
+}
+
+#[test]
+fn sequential_switch_spans_are_counted_exactly() {
+    // Timing is sampled, counting is not: every attempt is one sample
+    // and one legality span, every performed switch one apply span —
+    // whether the spans land in a report or stream out of a stepped
+    // engine, which still ends bit-identical to an unobserved run.
+    let g = graph(29);
+    let run = || Run::sequential().switches(20_000).seed(29);
+    let plain = run().execute(&g);
+    let observed = run().probe(ObsSpec::Spans).execute(&g);
+    let seq = observed.into_sequential().expect("sequential run");
+    let (out, report) = (&seq.outcome, seq.outcome.report.as_ref().unwrap());
+    let attempts = out.performed + out.rejects.total();
+    assert!(out.rejects.total() > 0, "the run must exercise rejections");
+    assert_eq!(report.phase(Phase::Sample).hist.count, attempts);
+    assert_eq!(report.phase(Phase::Legality).hist.count, attempts);
+    assert_eq!(report.phase(Phase::SwitchApply).hist.count, out.performed);
+    for stat in &report.phases {
+        let h = stat.hist;
+        assert!(h.timed <= h.count && (h.count == 0) == (h.timed == 0));
+    }
+    assert_same_pool(plain.graph(), &seq.graph, "observed");
+
+    let (stepped, totals) = streamed(run(), &g);
+    assert_eq!(totals.counts, phase_counts(report));
+    assert_eq!(totals.total, phase_counts(report).iter().sum::<u64>());
+    assert_same_pool(plain.graph(), stepped.graph(), "streamed");
+}
+
+#[test]
+fn sequential_curveball_spans_are_counted_exactly() {
+    let g = graph(30);
+    let run = || {
+        Run::sequential()
+            .randomizer(Randomizer::Curveball)
+            .switches(6_000)
+            .seed(30)
+    };
+    let plain = run().execute(&g);
+    let observed = run().probe(ObsSpec::Spans).execute(&g);
+    let report = observed.report().expect("observed run").clone();
+    let trades = observed.performed();
+    assert_eq!(report.phase(Phase::TradeShuffle).hist.count, trades);
+    assert!(report.phase(Phase::TradeShuffle).hist.timed >= 1);
+    assert_same_pool(plain.graph(), observed.graph(), "observed");
+
+    let (stepped, totals) = streamed(run(), &g);
+    assert_eq!(totals.counts, phase_counts(&report));
+    assert_same_pool(plain.graph(), stepped.graph(), "streamed");
 }
