@@ -38,7 +38,7 @@ use super::wire::encode_world_snapshot;
 use crate::config::ParallelConfig;
 use crate::obs::{Clock, MonoClock, Obs, StepProgress};
 use crate::run::{RunOutcome, Stepped};
-use crate::sequential::check_degrees;
+use crate::sequential::{check_degrees, check_remaining};
 use edgeswitch_graph::store::build_stores;
 use edgeswitch_graph::{Graph, PartitionStore, Partitioner};
 use mpilite::CommStats;
@@ -235,9 +235,10 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
     /// Rebuild the world of a run on `graph` under `(config, part)` and
     /// `schedule` from a snapshot (`restore` rebuilds each rank). The
     /// snapshot is untrusted: its identity fields must match the run,
-    /// every stored edge sit on its owner and the stores realize
-    /// `graph`'s degree sequence — otherwise the reason comes back as
-    /// `Err`, never a panic, never a silently divergent run.
+    /// every stored edge and every unvisited tracker key sit on its
+    /// owner and the stores realize `graph`'s degree sequence —
+    /// otherwise the reason comes back as `Err`, never a panic, never a
+    /// silently divergent run.
     pub(crate) fn resume(
         graph: &Graph,
         config: &ParallelConfig,
@@ -268,6 +269,10 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
             if !owned || ckpt.tracker_remaining.len() > ckpt.tracker_initial {
                 return Err(format!("snapshot of rank {rank} is not that rank's state"));
             }
+            check_remaining(graph, &ckpt.tracker_remaining, |e| {
+                part.owner(e.src()) == rank
+            })
+            .map_err(|why| format!("rank {rank}: {why}"))?;
             tracked = tracked.saturating_add(ckpt.tracker_initial);
         }
         if tracked != graph.num_edges() {
@@ -375,6 +380,7 @@ impl SimWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequential::damaged_remaining;
     use edgeswitch_dist::root_rng;
     use edgeswitch_graph::generators::erdos_renyi_gnm;
 
@@ -423,8 +429,21 @@ mod tests {
         let mut swapped = snap.clone();
         swapped.ranks.swap(0, 1);
         assert!(SimWorld::resume_over(&g, 100, &config, &part, &swapped).is_err());
-        let mut short = snap;
+        let mut short = snap.clone();
         short.telemetry.clear();
         assert!(SimWorld::resume_over(&g, 100, &config, &part, &short).is_err());
+        // A rank's tracker with a flipped bit, a repeated key, or a key
+        // another rank owns.
+        let mut trackers: Vec<Vec<u64>> =
+            damaged_remaining(&g, &snap.ranks[0].tracker_remaining).into();
+        let mut foreign = snap.ranks[0].tracker_remaining.clone();
+        foreign.extend(snap.ranks[1].tracker_remaining.first());
+        foreign.sort_unstable();
+        trackers.push(foreign);
+        for remaining in trackers {
+            let mut damaged = snap.clone();
+            damaged.ranks[0].tracker_remaining = remaining;
+            assert!(SimWorld::resume_over(&g, 100, &config, &part, &damaged).is_err());
+        }
     }
 }

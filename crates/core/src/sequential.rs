@@ -398,8 +398,9 @@ impl Stepped for SequentialResumable {
 
 /// The edge pool and visit tracker of an untrusted sequential snapshot
 /// of a run on `graph`, taken on `n` vertices: the tracker must fit the
-/// graph and the edges, in pool order, form a simple graph with its
-/// degree sequence — otherwise the reason comes back as `Err`.
+/// graph ([`check_remaining`]) and the edges, in pool order, form a
+/// simple graph with its degree sequence — otherwise the reason comes
+/// back as `Err`.
 pub(crate) fn restore_pool(
     graph: &Graph,
     n: usize,
@@ -410,6 +411,7 @@ pub(crate) fn restore_pool(
     if tracker_initial != graph.num_edges() || tracker_remaining.len() > tracker_initial {
         return Err("checkpoint visit tracker does not fit the graph".to_string());
     }
+    check_remaining(graph, tracker_remaining, |_| true)?;
     check_degrees(graph, n, &mut edges.iter().copied())?;
     let mut pool = EdgePool::with_capacity(edges.len());
     if let Some(&twice) = edges.iter().find(|&&e| !pool.insert(e)) {
@@ -418,6 +420,51 @@ pub(crate) fn restore_pool(
     }
     let tracker = VisitTracker::from_parts(tracker_initial, tracker_remaining.iter().copied());
     Ok((pool, tracker))
+}
+
+/// Check the unvisited keys of an untrusted snapshot's visit tracker:
+/// strictly ascending (every writer sorts them), and each the key of an
+/// edge of the run's input `graph` that `owns` — the tracker's share of
+/// the initial edges. Anything else — a flipped bit, a repeated key —
+/// would silently change the visited count and, under a visit-rate
+/// budget, the run.
+pub(crate) fn check_remaining(
+    graph: &Graph,
+    keys: &[u64],
+    owns: impl Fn(Edge) -> bool,
+) -> Result<(), String> {
+    if !keys.windows(2).all(|w| w[0] < w[1]) {
+        return Err("snapshot visit tracker keys are not strictly ascending".to_string());
+    }
+    let tracked = |key: u64| {
+        let (src, dst) = (key >> 32, key & u64::from(u32::MAX));
+        src < dst && graph.has_edge(Edge::new(src, dst)) && owns(Edge::new(src, dst))
+    };
+    match keys.iter().find(|&&key| !tracked(key)) {
+        Some(key) => Err(format!(
+            "snapshot visit tracker holds {key:#x}, not a tracked edge of the run's graph"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// `keys` — a snapshot's unvisited tracker keys of a run on `graph` —
+/// damaged the two ways [`check_remaining`] guards against: the low bit
+/// of one key flipped onto a pair that is no edge of `graph` (the list
+/// kept ascending), and one key repeated over its successor.
+#[cfg(test)]
+pub(crate) fn damaged_remaining(graph: &Graph, keys: &[u64]) -> [Vec<u64>; 2] {
+    let flips_off = |&key: &u64| {
+        let (src, dst) = ((key ^ 1) >> 32, (key ^ 1) & u64::from(u32::MAX));
+        src < dst && !graph.has_edge(Edge::new(src, dst))
+    };
+    let at = keys.iter().position(flips_off).expect("a key to flip");
+    let mut flipped = keys.to_vec();
+    flipped[at] ^= 1;
+    flipped.sort_unstable();
+    let mut repeated = keys.to_vec();
+    repeated[1] = repeated[0];
+    [flipped, repeated]
 }
 
 /// Check that `edges` — the edge list of an untrusted snapshot taken on
@@ -589,6 +636,15 @@ mod tests {
         let mut damaged = ckpt.clone();
         damaged.graph_edges.swap_remove(0);
         assert!(SequentialResumable::restore(&g, 1000, 7, &damaged).is_err());
+        // A flipped bit or a repeated key in the tracker changes the
+        // visited count; neither restores.
+        for remaining in damaged_remaining(&g, &ckpt.tracker_remaining) {
+            let damaged = SeqCheckpoint {
+                tracker_remaining: remaining,
+                ..ckpt.clone()
+            };
+            assert!(SequentialResumable::restore(&g, 1000, 7, &damaged).is_err());
+        }
         let mut overrun = ckpt;
         overrun.performed = u64::MAX;
         assert!(SequentialResumable::restore(&g, 1000, 7, &overrun).is_err());

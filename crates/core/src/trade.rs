@@ -19,6 +19,13 @@
 //! sequential engine ([`CurveballResumable`]) edge-for-edge. It also
 //! makes a pass boundary a free pause point for snapshot and resume.
 //!
+//! **Storage.** A trade reads two sorted neighbourhoods and nothing else,
+//! so the sequential engine runs on the neighbour sets alone — no edge
+//! pool, whose hash index no trade would read — and builds the pool
+//! once, in ascending key order, where a graph leaves it
+//! ([`Graph::from_adjacency`]). The switch engines are the mirror image:
+//! they run on the pool alone.
+//!
 //! **Visit-rate mapping.** A trade *re-deals* exactly the edges whose
 //! far endpoint lies in the disjoint union; those initial edges are
 //! recorded as visited in the [`VisitTracker`] (whether or not the
@@ -35,6 +42,7 @@ use crate::run::{RunOutcome, SequentialRun, Stepped};
 use crate::sequential::{restore_pool, SequentialOutcome};
 use crate::visit::VisitTracker;
 use edgeswitch_dist::{substream_rng, Rng64};
+use edgeswitch_graph::adjacency::NeighborSet;
 use edgeswitch_graph::sampling::{fisher_yates_shuffle, random_matching};
 use edgeswitch_graph::{Edge, Graph, VertexId};
 use std::borrow::Cow;
@@ -94,6 +102,7 @@ pub(crate) fn trade_rng(seed: u64, pass: u64, trade: u32) -> Rng64 {
 /// A trade's neighborhood decomposition: `a`/`b` are the sorted
 /// disjoint-neighbor lists of the two endpoints (each excluding the
 /// other endpoint).
+#[derive(Default)]
 pub(crate) struct TradeSplit {
     /// Neighbors of both endpoints (edges stay put).
     pub common: Vec<VertexId>,
@@ -107,32 +116,41 @@ pub(crate) struct TradeSplit {
 pub(crate) fn split_sorted(a: &[VertexId], b: &[VertexId]) -> TradeSplit {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "a must be sorted");
     debug_assert!(b.windows(2).all(|w| w[0] < w[1]), "b must be sorted");
-    let mut split = TradeSplit {
-        common: Vec::new(),
-        only_a: Vec::new(),
-        only_b: Vec::new(),
-    };
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
+    let mut split = TradeSplit::default();
+    split_into(a.iter().copied(), b.iter().copied(), &mut split);
+    split
+}
+
+/// [`split_sorted`] of two ascending sequences into `split`'s buffers,
+/// which it clears first.
+fn split_into(
+    a: impl IntoIterator<Item = VertexId>,
+    b: impl IntoIterator<Item = VertexId>,
+    split: &mut TradeSplit,
+) {
+    split.common.clear();
+    split.only_a.clear();
+    split.only_b.clear();
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
+        match x.cmp(&y) {
             std::cmp::Ordering::Equal => {
-                split.common.push(a[i]);
-                i += 1;
-                j += 1;
+                split.common.push(x);
+                a.next();
+                b.next();
             }
             std::cmp::Ordering::Less => {
-                split.only_a.push(a[i]);
-                i += 1;
+                split.only_a.push(x);
+                a.next();
             }
             std::cmp::Ordering::Greater => {
-                split.only_b.push(b[j]);
-                j += 1;
+                split.only_b.push(y);
+                b.next();
             }
         }
     }
-    split.only_a.extend_from_slice(&a[i..]);
-    split.only_b.extend_from_slice(&b[j..]);
-    split
+    split.only_a.extend(a);
+    split.only_b.extend(b);
 }
 
 /// Shuffle the disjoint union `only_a ++ only_b` with the per-trade RNG
@@ -257,29 +275,43 @@ pub(crate) struct CurveballCheckpoint {
 /// [`SequentialResumable`](crate::SequentialResumable): bit-identical
 /// across any split and any checkpoint/restore, and a restored engine is
 /// unobserved.
+///
+/// A trade reads the two traders' sorted neighbourhoods and nothing
+/// else, so the engine holds the neighbour sets and no edge pool: the
+/// pool comes back only where a graph leaves the engine
+/// ([`CurveballResumable::finish`], [`CurveballResumable::checkpoint`]),
+/// in ascending key order.
 pub struct CurveballResumable {
-    /// A trade reads and rewrites whole neighbourhoods, so the engine
-    /// keeps the adjacency current.
-    graph: Graph,
+    /// `adj[v]` is `N(v)`.
+    adj: Vec<NeighborSet>,
     seed: u64,
     ctl: PassController,
     neighbors_moved: u64,
     tracker: VisitTracker,
+    scratch: TradeScratch,
     solo: SoloObs,
 }
 
 impl CurveballResumable {
     /// Start a run on `graph` under `budget` seeded with `seed`. A
-    /// `Graph` given away is traded in place; a `&Graph` lent is cloned.
+    /// `Graph` given away sheds its pool here; a `&Graph` lent has its
+    /// neighbour sets cloned and its pool never copied.
     pub fn new<'g>(graph: impl Into<Cow<'g, Graph>>, budget: Budget, seed: u64) -> Self {
-        let graph = graph.into().into_owned();
+        let graph = graph.into();
         let tracker = VisitTracker::new(graph.edges());
+        let adj = match graph {
+            Cow::Borrowed(lent) => (0..lent.num_vertices() as VertexId)
+                .map(|v| lent.neighbors(v).clone())
+                .collect(),
+            Cow::Owned(given) => given.into_adjacency(),
+        };
         CurveballResumable {
-            graph,
+            adj,
             seed,
             ctl: PassController::new(budget),
             neighbors_moved: 0,
             tracker,
+            scratch: TradeScratch::default(),
             solo: SoloObs::new(ObsSpec::Off),
         }
     }
@@ -301,18 +333,18 @@ impl CurveballResumable {
     /// it executed.
     pub fn step(&mut self) -> u64 {
         let (initial, visited) = self.visit_totals();
-        let n = self.graph.num_vertices();
+        let n = self.adj.len();
         let Some(plan) = self.ctl.next_plan(n, self.seed, initial, visited) else {
             return 0;
         };
         for (k, &(u, v)) in plan.pairs.iter().enumerate() {
             let mut rng = trade_rng(self.seed, plan.pass, k as u32);
             self.neighbors_moved += run_trade(
-                &mut self.graph,
+                &mut self.adj,
                 &mut self.tracker,
-                u,
-                v,
+                (u, v),
                 &mut rng,
+                &mut self.scratch,
                 &mut self.solo.obs,
             ) as u64;
         }
@@ -322,14 +354,12 @@ impl CurveballResumable {
     /// Whether the budget is met (or the graph cannot mix further).
     pub fn is_done(&self) -> bool {
         let (initial, visited) = self.visit_totals();
-        !self
-            .ctl
-            .continues(self.graph.num_vertices(), initial, visited)
+        !self.ctl.continues(self.adj.len(), initial, visited)
     }
 
     /// Trades executed so far.
     pub fn performed(&self) -> u64 {
-        self.ctl.trades(self.graph.num_vertices())
+        self.ctl.trades(self.adj.len())
     }
 
     /// Whole passes executed so far.
@@ -347,24 +377,33 @@ impl CurveballResumable {
         self.tracker.visit_rate()
     }
 
-    /// Capture the complete engine state at a pass boundary.
+    /// Capture the complete engine state at a pass boundary, its edges
+    /// in ascending key order.
     pub(crate) fn checkpoint(&self) -> CurveballCheckpoint {
         let mut tracker_remaining: Vec<u64> = self.tracker.remaining_keys().collect();
         tracker_remaining.sort_unstable();
+        // A trade preserves every degree, so the edge count is the initial one.
+        let mut graph_edges = Vec::with_capacity(self.tracker.initial_count());
+        for (u, nbrs) in self.adj.iter().enumerate() {
+            let u = u as VertexId;
+            graph_edges.extend(nbrs.iter().filter(|&x| x > u).map(|x| Edge::new(u, x)));
+        }
         CurveballCheckpoint {
             seed: self.seed,
-            n: self.graph.num_vertices(),
+            n: self.adj.len(),
             ctl: self.ctl,
             neighbors_moved: self.neighbors_moved,
             tracker_initial: self.tracker.initial_count(),
             tracker_remaining,
-            graph_edges: self.graph.edges().collect(),
+            graph_edges,
         }
     }
 
     /// Rebuild the engine of the run on `graph` under `(budget, seed)`
     /// from an untrusted checkpoint, or say why it is not one of this
     /// run (as [`SequentialResumable::restore`](crate::SequentialResumable::restore)).
+    /// The edges may come in any order: the neighbour sets they build
+    /// are the same.
     pub(crate) fn restore(
         graph: &Graph,
         budget: Budget,
@@ -384,18 +423,21 @@ impl CurveballResumable {
             ckpt.tracker_initial,
             &ckpt.tracker_remaining,
         )?;
+        let graph = Graph::from_pool(ckpt.n, pool).expect("restore_pool checked the endpoints");
         Ok(CurveballResumable {
-            graph: Graph::from_pool(ckpt.n, pool).expect("restore_pool checked the endpoints"),
+            adj: graph.into_adjacency(),
             seed,
             ctl: ckpt.ctl,
             neighbors_moved: ckpt.neighbors_moved,
             tracker,
+            scratch: TradeScratch::default(),
             solo: SoloObs::new(ObsSpec::Off),
         })
     }
 
-    /// Tear down into the traded graph and the outcome (`performed`
-    /// counts trades; `report` iff observed).
+    /// Tear down into the traded graph — its pool built here, in
+    /// ascending key order — and the outcome (`performed` counts trades;
+    /// `report` iff observed).
     pub fn finish(self) -> (Graph, SequentialOutcome) {
         let outcome = SequentialOutcome {
             performed: self.performed(),
@@ -404,7 +446,8 @@ impl CurveballResumable {
             tracker: self.tracker,
             report: self.solo.report(),
         };
-        (self.graph, outcome)
+        let graph = Graph::from_adjacency(self.adj).expect("a trade keeps the lists symmetric");
+        (graph, outcome)
     }
 }
 
@@ -422,7 +465,7 @@ impl Stepped for CurveballResumable {
             step: self.passes(),
             steps: self.passes(),
             performed: self.performed(),
-            budget: self.ctl.budget_trades(self.graph.num_vertices()),
+            budget: self.ctl.budget_trades(self.adj.len()),
             visit_rate: self.visit_rate(),
             done: self.is_done(),
             ..StepProgress::default()
@@ -443,8 +486,23 @@ impl Stepped for CurveballResumable {
     }
 }
 
-/// Execute one trade `(u, v)` on the full graph; returns the number of
-/// neighbors moved (`|D|`, the size of the re-dealt disjoint union).
+/// The buffers a trade reuses: a pass allocates only while they grow to
+/// its largest neighbourhoods.
+#[derive(Default)]
+struct TradeScratch {
+    split: TradeSplit,
+    /// Position `i` of the shuffled `only_a ++ only_b` holds its entry
+    /// `deal[i]`.
+    deal: Vec<u32>,
+    /// Per entry of `only_a ++ only_b`: whether the deal gives it to `u`.
+    dealt_to_u: Vec<bool>,
+    /// [`NeighborSet::exchange`]'s merge buffer.
+    merged: Vec<u32>,
+}
+
+/// Execute trade `(u, v)` on the neighbour sets `adj`; returns the
+/// number of neighbors moved (`|D|`, the size of the re-dealt disjoint
+/// union).
 ///
 /// All of `D` is re-dealt and all of it is recorded as visited, but only
 /// the neighbors whose endpoint *changes* are written: a neighbor dealt
@@ -452,51 +510,79 @@ impl Stepped for CurveballResumable {
 /// neighbor does. The deal shuffles the positions of `only_a ++ only_b`
 /// with the draws [`redeal`] spends on the values, so position `i` of
 /// the shuffled union holds entry `deal[i]` of the unshuffled one and
-/// the resulting edge set is [`redeal`]'s.
+/// the resulting edge set is [`redeal`]'s. A neighbor `x` that changes
+/// endpoint has its own list rewritten by one shift
+/// ([`NeighborSet::replace`]); `N(u)` and `N(v)` are each rebuilt once,
+/// by a linear merge of what they keep and receive
+/// ([`NeighborSet::exchange`]).
 fn run_trade(
-    graph: &mut Graph,
+    adj: &mut [NeighborSet],
     tracker: &mut VisitTracker,
-    u: VertexId,
-    v: VertexId,
+    (u, v): (VertexId, VertexId),
     rng: &mut Rng64,
+    scratch: &mut TradeScratch,
     obs: &mut Obs,
 ) -> usize {
+    let TradeScratch {
+        split,
+        deal,
+        dealt_to_u,
+        merged,
+    } = scratch;
     let shuffle_start = obs.stamp(Phase::TradeShuffle);
-    let a: Vec<VertexId> = graph.neighbors(u).iter().filter(|&x| x != v).collect();
-    let b: Vec<VertexId> = graph.neighbors(v).iter().filter(|&x| x != u).collect();
-    let TradeSplit { only_a, only_b, .. } = split_sorted(&a, &b);
+    let (nu, nv) = (&adj[u as usize], &adj[v as usize]);
+    split_into(
+        nu.iter().filter(|&x| x != v),
+        nv.iter().filter(|&x| x != u),
+        split,
+    );
+    let (only_a, only_b) = (&split.only_a, &split.only_b);
     let moved = only_a.len() + only_b.len();
     // D holds distinct vertices, of which there are at most 2^32.
-    let mut deal: Vec<u32> = (0..moved as u32).collect();
-    fisher_yates_shuffle(&mut deal, rng);
+    deal.clear();
+    deal.extend(0..moved as u32);
+    fisher_yates_shuffle(deal, rng);
     obs.span_since(Phase::TradeShuffle, shuffle_start);
     if moved == 0 {
         return 0;
     }
     let apply_start = obs.stamp(Phase::SwitchApply);
-    for &x in &only_a {
+    for &x in only_a {
         tracker.record_removal(Edge::new(u, x));
     }
-    for &y in &only_b {
+    for &y in only_b {
         tracker.record_removal(Edge::new(v, y));
     }
+    dealt_to_u.clear();
+    dealt_to_u.resize(moved, false);
     for (i, &from) in deal.iter().enumerate() {
-        let from = from as usize;
-        let (to_u, from_u) = (i < only_a.len(), from < only_a.len());
-        if to_u == from_u {
-            continue;
+        dealt_to_u[from as usize] = i < only_a.len();
+    }
+    let (a_dealt_u, b_dealt_u) = dealt_to_u.split_at(only_a.len());
+    // As many of `only_b` go to `u` as of `only_a` go to `v`.
+    let a_to_v = || {
+        let dealt = only_a.iter().zip(a_dealt_u);
+        dealt.filter(|(_, &to_u)| !to_u).map(|(&x, _)| x)
+    };
+    let b_to_u = || {
+        let dealt = only_b.iter().zip(b_dealt_u);
+        dealt.filter(|(_, &to_u)| to_u).map(|(&y, _)| y)
+    };
+    if a_to_v().next().is_some() {
+        for x in a_to_v() {
+            assert!(
+                adj[x as usize].replace(u, v),
+                "{x} is a neighbor of {u} only"
+            );
         }
-        let (x, old, new) = if from_u {
-            (only_a[from], u, v)
-        } else {
-            (only_b[from - only_a.len()], v, u)
-        };
-        graph
-            .remove_edge(Edge::new(old, x))
-            .expect("disjoint neighbor edge exists");
-        graph
-            .add_edge(Edge::new(new, x))
-            .expect("a disjoint neighbor is new to the other endpoint");
+        for y in b_to_u() {
+            assert!(
+                adj[y as usize].replace(v, u),
+                "{y} is a neighbor of {v} only"
+            );
+        }
+        assert!(adj[u as usize].exchange(a_to_v(), b_to_u(), merged));
+        assert!(adj[v as usize].exchange(b_to_u(), a_to_v(), merged));
     }
     obs.span_since(Phase::SwitchApply, apply_start);
     moved
@@ -505,6 +591,7 @@ fn run_trade(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequential::damaged_remaining;
     use edgeswitch_dist::root_rng;
     use edgeswitch_graph::generators::{erdos_renyi_gnm, preferential_attachment};
 
@@ -561,20 +648,21 @@ mod tests {
         split.only_a.len() + split.only_b.len()
     }
 
-    /// One trade on both implementations from the same state and RNG
-    /// stream; returns `(neighbors moved, neighbors that changed
-    /// endpoint)`.
+    /// One trade from the same state and RNG stream on both
+    /// implementations: the engine's, on `graph`'s neighbour sets and
+    /// `scratch`, and the reference, on the whole `Graph`; `graph`
+    /// becomes the traded graph. Returns `(neighbors moved, neighbors
+    /// that changed endpoint)`.
     fn trade_both_ways(
         graph: &mut Graph,
         tracker: &mut VisitTracker,
-        u: VertexId,
-        v: VertexId,
+        (u, v): (VertexId, VertexId),
         stream: (u64, u64, u32),
+        scratch: &mut TradeScratch,
     ) -> (usize, usize) {
         let (seed, pass, k) = stream;
         let mut ref_graph = graph.clone();
         let mut ref_tracker = tracker.clone();
-        let before: Vec<Edge> = graph.edges().collect();
         let want = reference_trade(
             &mut ref_graph,
             &mut ref_tracker,
@@ -582,8 +670,17 @@ mod tests {
             v,
             &mut trade_rng(seed, pass, k),
         );
+        let before = std::mem::take(graph);
+        let mut adj = before.clone().into_adjacency();
         let mut rng = trade_rng(seed, pass, k);
-        let got = run_trade(graph, tracker, u, v, &mut rng, &mut Obs::noop());
+        let got = run_trade(
+            &mut adj,
+            tracker,
+            (u, v),
+            &mut rng,
+            scratch,
+            &mut Obs::noop(),
+        );
         // Both spent the same draws.
         let mut ref_rng = trade_rng(seed, pass, k);
         fisher_yates_shuffle(&mut vec![0u8; want], &mut ref_rng);
@@ -593,19 +690,17 @@ mod tests {
         );
         let ctx = format!("trade ({u},{v}) on stream {stream:?}");
         assert_eq!(got, want, "{ctx}: neighbors moved");
-        assert_eq!(graph.sorted_edges(), ref_graph.sorted_edges(), "{ctx}");
+        for (w, nbrs) in adj.iter().enumerate() {
+            assert_eq!(nbrs, ref_graph.neighbors(w as VertexId), "{ctx}: N({w})");
+        }
         assert_eq!(
             tracker.visited_count(),
             ref_tracker.visited_count(),
             "{ctx}"
         );
+        *graph = Graph::from_adjacency(adj).expect(&ctx);
         graph.check_invariants().expect(&ctx);
-        let changed = before.iter().filter(|&&e| !graph.has_edge(e)).count();
-        if changed == 0 {
-            // Every neighbor dealt back: not one graph write, so even
-            // the pool order stands.
-            assert!(graph.edges().eq(before.iter().copied()), "{ctx}");
-        }
+        let changed = before.edges().filter(|&e| !graph.has_edge(e)).count();
         (got, changed)
     }
 
@@ -617,6 +712,7 @@ mod tests {
             ("pa", preferential_attachment(150, 6, &mut rng)),
         ] {
             let mut tracker = VisitTracker::new(g.edges());
+            let mut scratch = TradeScratch::default();
             let (mut adjacent, mut kept) = (0, 0);
             for k in 0..500u32 {
                 let u = edgeswitch_dist::Rng::gen_range(&mut rng, 0..g.num_vertices() as u64);
@@ -625,7 +721,8 @@ mod tests {
                     continue;
                 }
                 adjacent += g.has_edge(Edge::new(u, v)) as u32;
-                let (moved, changed) = trade_both_ways(&mut g, &mut tracker, u, v, (5, 0, k));
+                let (moved, changed) =
+                    trade_both_ways(&mut g, &mut tracker, (u, v), (5, 0, k), &mut scratch);
                 assert!(changed <= moved);
                 kept += moved - changed;
             }
@@ -638,18 +735,19 @@ mod tests {
     #[test]
     fn moved_only_trade_on_the_edge_cases() {
         let e = Edge::new;
+        let mut scratch = TradeScratch::default();
         // D = ∅: two leaves of one hub share their only neighbor.
         let mut g = Graph::from_edges(4, [e(0, 1), e(0, 2), e(0, 3)]).unwrap();
         let mut tracker = VisitTracker::new(g.edges());
         assert_eq!(
-            trade_both_ways(&mut g, &mut tracker, 1, 2, (1, 0, 0)),
+            trade_both_ways(&mut g, &mut tracker, (1, 2), (1, 0, 0), &mut scratch),
             (0, 0)
         );
         assert_eq!(tracker.visited_count(), 0);
         // Hub × leaf, adjacent: the leaf's only neighbor is the hub
         // itself, so D is the hub's other neighbors and all return.
         assert_eq!(
-            trade_both_ways(&mut g, &mut tracker, 0, 1, (1, 0, 1)),
+            trade_both_ways(&mut g, &mut tracker, (0, 1), (1, 0, 1), &mut scratch),
             (2, 0)
         );
         assert_eq!(
@@ -663,13 +761,84 @@ mod tests {
         let mut tracker = VisitTracker::new(g.edges());
         let mut seen = [false; 2];
         for k in 0..40 {
-            let (moved, changed) = trade_both_ways(&mut g, &mut tracker, 0, 5, (2, 0, k));
+            let (moved, changed) =
+                trade_both_ways(&mut g, &mut tracker, (0, 5), (2, 0, k), &mut scratch);
             assert_eq!(moved, 5);
             assert!(changed == 0 || changed == 2, "{changed}");
             seen[changed / 2] = true;
             assert_eq!(tracker.visited_count(), 5);
         }
         assert_eq!(seen, [true, true], "both the dealt-back and the moved case");
+    }
+
+    /// (graph ∈ {ER, PA, star, two hubs sharing leaves}) × (seed) ×
+    /// (budget ∈ {trades, visit rate}): the engine, which holds only
+    /// neighbour sets, against the same passes of [`reference_trade`] on
+    /// a whole `Graph`. After every pass every neighbourhood, the visited
+    /// count and the neighbours moved agree, and the graph `finish`
+    /// builds is whole with its pool in ascending key order.
+    #[test]
+    fn adjacency_only_engine_equals_the_graph_maintaining_reference() {
+        let e = Edge::new;
+        let star = Graph::from_edges(9, (1..9u64).map(|v| e(0, v))).unwrap();
+        // Hubs 0 and 1 share leaves 4..10, own 2..4 and 10..12, and are
+        // adjacent.
+        let shared = (2..10u64).map(|x| e(0, x)).chain((4..12).map(|x| e(1, x)));
+        let two_hubs = Graph::from_edges(12, shared.chain([e(0, 1), e(2, 3)])).unwrap();
+        let graphs = [
+            ("er", erdos_renyi_gnm(150, 700, &mut root_rng(41))),
+            ("pa", preferential_attachment(200, 4, &mut root_rng(42))),
+            ("star", star),
+            ("two hubs", two_hubs),
+        ];
+        for (name, g) in &graphs {
+            let n = g.num_vertices();
+            for seed in [1u64, 9, 4242] {
+                for budget in [Budget::Ops(3 * n as u64), Budget::VisitRate(0.95)] {
+                    let row = format!("{name} seed={seed} {budget:?}");
+                    let mut eng = CurveballResumable::new(g, budget, seed);
+                    let mut reference = g.clone();
+                    let mut tracker = VisitTracker::new(g.edges());
+                    let mut ctl = PassController::new(budget);
+                    let mut moved = 0u64;
+                    loop {
+                        let (initial, visited) = eng.visit_totals();
+                        let plan = ctl.next_plan(n, seed, initial, visited);
+                        let trades = eng.step();
+                        let Some(plan) = plan else {
+                            assert_eq!(trades, 0, "{row}");
+                            break;
+                        };
+                        assert_eq!(trades, plan.pairs.len() as u64, "{row}");
+                        for (k, &(u, v)) in plan.pairs.iter().enumerate() {
+                            let mut rng = trade_rng(seed, plan.pass, k as u32);
+                            moved += reference_trade(&mut reference, &mut tracker, u, v, &mut rng)
+                                as u64;
+                        }
+                        let at = format!("{row} pass {}", plan.pass);
+                        for (w, nbrs) in eng.adj.iter().enumerate() {
+                            assert_eq!(nbrs, reference.neighbors(w as VertexId), "{at}: N({w})");
+                        }
+                        assert_eq!(eng.tracker.visited_count(), tracker.visited_count(), "{at}");
+                        assert_eq!(eng.neighbors_moved(), moved, "{at}");
+                    }
+                    assert!(eng.is_done(), "{row}");
+                    let (traded, out) = eng.finish();
+                    traded
+                        .check_invariants()
+                        .unwrap_or_else(|why| panic!("{row}: {why}"));
+                    assert!(
+                        traded.edges().eq(reference.sorted_edges()),
+                        "{row}: ascending pool"
+                    );
+                    assert_eq!(
+                        out.tracker.visited_count(),
+                        tracker.visited_count(),
+                        "{row}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -805,7 +974,10 @@ mod tests {
 
     /// A checkpoint at every pass boundary, each restored into a fresh
     /// engine, ends where the uninterrupted run ends: same graph, same
-    /// pool order, same counters — for both budget forms.
+    /// pool order, same counters — for both budget forms, and whether
+    /// the checkpoint lists its edges in ascending key order, as this
+    /// engine writes them, or in any other (a switch engine's history
+    /// order, as earlier versions of this one wrote them).
     #[test]
     fn a_restored_engine_continues_bit_identically() {
         let g = preferential_attachment(300, 4, &mut root_rng(17));
@@ -814,17 +986,25 @@ mod tests {
             while !straight.is_done() {
                 straight.step();
             }
-            let mut hopping = CurveballResumable::new(&g, budget, 6);
-            while !hopping.is_done() {
-                let ckpt = hopping.checkpoint();
-                hopping =
-                    CurveballResumable::restore(&g, budget, 6, &ckpt).expect("own checkpoint");
-                hopping.step();
-            }
-            assert_eq!(hopping.checkpoint(), straight.checkpoint(), "{budget:?}");
-            let (a, _) = hopping.finish();
+            let want = straight.checkpoint();
             let (b, _) = straight.finish();
-            assert!(a.edges().eq(b.edges()), "{budget:?}: pool order");
+            for shuffled in [false, true] {
+                let mut hopping = CurveballResumable::new(&g, budget, 6);
+                while !hopping.is_done() {
+                    let mut ckpt = hopping.checkpoint();
+                    if shuffled {
+                        let mut rng = root_rng(ckpt.ctl.pass);
+                        fisher_yates_shuffle(&mut ckpt.graph_edges, &mut rng);
+                    }
+                    hopping =
+                        CurveballResumable::restore(&g, budget, 6, &ckpt).expect("own checkpoint");
+                    hopping.step();
+                }
+                let ctx = format!("{budget:?} shuffled={shuffled}");
+                assert_eq!(hopping.checkpoint(), want, "{ctx}");
+                let (a, _) = hopping.finish();
+                assert!(a.edges().eq(b.edges()), "{ctx}: pool order");
+            }
         }
     }
 
@@ -844,6 +1024,17 @@ mod tests {
         let mut damaged = ckpt.clone();
         damaged.graph_edges.swap_remove(0);
         assert!(CurveballResumable::restore(&g, budget, 3, &damaged).is_err());
+        // A flipped bit or a repeated key in the tracker changes the
+        // visited count, hence when a visit-rate run stops; neither
+        // restores.
+        let fresh = CurveballResumable::new(&g, budget, 3).checkpoint();
+        for remaining in damaged_remaining(&g, &fresh.tracker_remaining) {
+            let damaged = CurveballCheckpoint {
+                tracker_remaining: remaining,
+                ..fresh.clone()
+            };
+            assert!(CurveballResumable::restore(&g, budget, 3, &damaged).is_err());
+        }
         // A stall counter at its ceiling ends the run; it never overflows.
         let full = Budget::VisitRate(1.0);
         let mut stalled = ckpt;

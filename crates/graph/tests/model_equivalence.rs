@@ -5,9 +5,11 @@
 //! models (`BTreeSet`, `std` `HashSet`), over seeded random op
 //! sequences.
 //!
-//! The same goes for the bulk adjacency builder: `Graph::from_pool`
-//! must produce, row for row and in the same pool order, the graph the
-//! one-edge-at-a-time `Graph::add_edge` route builds.
+//! The same goes for the bulk builders: `Graph::from_pool` must
+//! produce, row for row and in the same pool order, the graph the
+//! one-edge-at-a-time `Graph::add_edge` route builds, and
+//! `Graph::from_adjacency` that graph's rows with its pool in ascending
+//! key order.
 
 use edgeswitch_dist::{Pcg64, Rng};
 use edgeswitch_graph::adjacency::NeighborSet;
@@ -26,9 +28,47 @@ fn neighbor_set_matches_btreeset_model() {
         let mut model: BTreeSet<VertexId> = BTreeSet::new();
         for step in 0..4000 {
             let v: VertexId = rng.gen_range(0..120);
-            match rng.gen_range(0..3) {
+            match rng.gen_range(0..5) {
                 0 => assert_eq!(sut.insert(v), model.insert(v), "insert {v} @ {step}"),
                 1 => assert_eq!(sut.remove(v), model.remove(&v), "remove {v} @ {step}"),
+                2 => {
+                    // `replace` is `remove` + `insert` when `old` is in
+                    // and `new` out, else nothing; `old` is mostly in.
+                    let old = match rng.gen_range(0..4) {
+                        0 => rng.gen_range(0..120),
+                        _ => model
+                            .iter()
+                            .nth(rng.gen_range(0..model.len().max(1)))
+                            .copied()
+                            .unwrap_or(v),
+                    };
+                    let expect = old != v && model.contains(&old) && !model.contains(&v);
+                    if expect {
+                        model.remove(&old);
+                        model.insert(v);
+                    }
+                    assert_eq!(sut.replace(old, v), expect, "replace {old} {v} @ {step}");
+                }
+                3 => {
+                    // `exchange` of some members for some non-members.
+                    let lost: Vec<VertexId> = model
+                        .iter()
+                        .copied()
+                        .filter(|_| rng.gen_range(0..4) == 0)
+                        .collect();
+                    let gained: Vec<VertexId> = (0..120)
+                        .filter(|x| !model.contains(x) && rng.gen_range(0..16) == 0)
+                        .collect();
+                    for x in &lost {
+                        model.remove(x);
+                    }
+                    model.extend(gained.iter().copied());
+                    let mut scratch = Vec::new();
+                    assert!(
+                        sut.exchange(lost, gained, &mut scratch),
+                        "exchange @ {step}"
+                    );
+                }
                 _ => assert_eq!(sut.contains(v), model.contains(&v), "contains {v} @ {step}"),
             }
             assert_eq!(sut.len(), model.len());
@@ -182,6 +222,24 @@ fn bulk_built_adjacency_equals_the_incremental_build() {
         let mut stream = IterStream::with_chunk_edges(edges.iter().copied(), 17);
         let streamed = Graph::from_stream(n, &mut stream).unwrap();
         assert_same_graph(&streamed, &reference, name);
+        // The adjacency builder keeps the lists and fills the pool in
+        // ascending key order.
+        let lists = (0..n as VertexId).map(|v| reference.neighbors(v).clone());
+        let adjacent = Graph::from_adjacency(lists.collect()).unwrap();
+        adjacent
+            .check_invariants()
+            .unwrap_or_else(|why| panic!("{name}: {why}"));
+        for v in 0..n as VertexId {
+            assert_eq!(
+                adjacent.neighbors(v),
+                reference.neighbors(v),
+                "{name}: row {v}"
+            );
+        }
+        assert!(
+            adjacent.edges().eq(reference.sorted_edges()),
+            "{name}: ascending pool"
+        );
         // And the way back out gives the pool it was built from.
         assert!(
             listed.into_pool().iter().eq(edges.iter().copied()),
