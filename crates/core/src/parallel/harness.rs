@@ -675,8 +675,8 @@ pub(crate) trait RankMachine: Sized {
     fn stats(&self) -> &RankStats;
     /// The rank's partition store.
     fn store(&self) -> &PartitionStore;
-    /// Visit tracking over the rank's initial edges.
-    fn tracker(&self) -> &VisitTracker;
+    /// `(initial, visited)` counts of the rank's initial edges.
+    fn visits(&self) -> (usize, usize);
     /// The rank's persistent state at a step boundary.
     fn checkpoint(&self) -> RankCheckpoint;
     /// Tear down into the rank's share of the outcome.

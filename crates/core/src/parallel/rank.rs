@@ -74,6 +74,7 @@ use super::harness::{RankMachine, RankOutput, StepHarness, StepTelemetry};
 use super::msg::{ConvId, Msg, MsgKind, Outbox};
 use crate::config::ParallelConfig;
 use crate::obs::{GaugeKind, Obs, Phase, Stamp};
+use crate::sequential::mark_remaining;
 use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
 use crate::visit::VisitTracker;
 use edgeswitch_dist::Rng;
@@ -167,20 +168,22 @@ pub struct RankCheckpoint {
 }
 
 impl RankCheckpoint {
-    /// A rank's store, tracker (keys sorted for deterministic bytes) and
-    /// statistics, with no conversation counter or stream position — all
-    /// a Curveball trade rank has.
+    /// A rank's store, visit tracking (`initial` edges, the `unvisited`
+    /// keys sorted for deterministic bytes) and statistics, with no
+    /// conversation counter or stream position — all a Curveball trade
+    /// rank has.
     pub(crate) fn capture(
         store: &PartitionStore,
-        tracker: &VisitTracker,
+        initial: usize,
+        unvisited: impl Iterator<Item = u64>,
         stats: RankStats,
     ) -> Self {
-        let mut tracker_remaining: Vec<u64> = tracker.remaining_keys().collect();
+        let mut tracker_remaining: Vec<u64> = unvisited.collect();
         tracker_remaining.sort_unstable();
         RankCheckpoint {
             rank: store.rank(),
             store_edges: store.edges().collect(),
-            tracker_initial: tracker.initial_count(),
+            tracker_initial: initial,
             tracker_remaining,
             stats,
             conv_seq: 0,
@@ -282,8 +285,10 @@ pub struct RankState {
     /// order exactly, so outcomes stay bit-identical to the unbuffered
     /// stream.
     rng: BlockRng64,
-    /// Visit tracking over this partition's initial edges.
-    pub tracker: VisitTracker,
+    /// This partition's initial edge count. Which of them are still
+    /// unvisited the store's pool marks, and its `remove` counts the
+    /// visits ([`PartitionStore::track_visits`]).
+    tracked: usize,
     /// Run statistics.
     pub stats: RankStats,
     /// Observation context (no-op unless a driver attaches a probe via
@@ -301,13 +306,14 @@ impl RankState {
     pub fn new(
         rank: usize,
         part: Partitioner,
-        store: PartitionStore,
+        mut store: PartitionStore,
         config: &ParallelConfig,
     ) -> Self {
-        let tracker = VisitTracker::new(store.edges());
+        store.track_visits();
         let p = part.num_parts();
         RankState {
             rank,
+            tracked: store.num_edges(),
             part,
             store,
             reserved: FxHashSet::default(),
@@ -322,7 +328,6 @@ impl RankState {
             serving: FxHashMap::default(),
             pending_done: FxHashSet::default(),
             rng: rank_block_rng(config.seed, rank as u64),
-            tracker,
             stats: RankStats::default(),
             obs: Obs::noop(),
         }
@@ -372,19 +377,28 @@ impl RankState {
     /// Rebuild a rank from a [`RankCheckpoint`].
     ///
     /// The store is reinserted in captured pool order (sampling order is
-    /// pool order, so this is load-bearing), the tracker is rebuilt from
-    /// its parts, and the RNG stream is re-derived from `(seed, rank)`
-    /// and fast-forwarded to the recorded position. The partitioner is
-    /// not part of the checkpoint: it is deterministic from the job's
-    /// graph and config, so callers rebuild it the same way the original
-    /// driver did.
-    pub fn restore(part: Partitioner, config: &ParallelConfig, ckpt: &RankCheckpoint) -> Self {
-        let mut state = RankState::new(ckpt.rank, part, ckpt.store(), config);
-        state.tracker = ckpt.tracker();
+    /// pool order, so this is load-bearing), its unvisited edges are
+    /// marked, and the RNG stream is re-derived from `(seed, rank)` and
+    /// fast-forwarded to the recorded position. The partitioner is not
+    /// part of the checkpoint: it is deterministic from the job's graph
+    /// and config, so callers rebuild it the same way the original
+    /// driver did. An unvisited key whose edge the store lacks comes
+    /// back as `Err`: such an edge was never removed, so the checkpoint
+    /// is damaged.
+    pub fn restore(
+        part: Partitioner,
+        config: &ParallelConfig,
+        ckpt: &RankCheckpoint,
+    ) -> Result<Self, String> {
+        let mut store = ckpt.store();
+        mark_remaining(&ckpt.tracker_remaining, |key| store.mark_unvisited(key))?;
+        let mut state = RankState::new(ckpt.rank, part, PartitionStore::new(ckpt.rank), config);
+        state.store = store;
+        state.tracked = ckpt.tracker_initial;
         state.stats = ckpt.stats;
         state.conv_seq = ckpt.conv_seq;
         state.rng.jump_words(ckpt.rng_words);
-        state
+        Ok(state)
     }
 
     /// The first edges of all in-flight own conversations (test
@@ -568,14 +582,12 @@ impl RankState {
         let apply_start = self.obs.stamp(Phase::SwitchApply);
         let removed = self.store.remove(e2);
         debug_assert!(removed, "sampled e2 {e2} missing at apply");
-        self.tracker.record_removal(e2);
         let inserted = self.store.insert(f1);
         debug_assert!(inserted, "replacement {f1} collided at apply");
         let inserted = self.store.insert(f2);
         debug_assert!(inserted, "replacement {f2} collided at apply");
         let removed = self.store.remove(e1);
         debug_assert!(removed, "sampled e1 {e1} missing at apply");
-        self.tracker.record_removal(e1);
         self.obs.span_since(Phase::SwitchApply, apply_start);
         self.obs.rtt_since(MsgKind::Propose, started);
         self.remaining -= 1;
@@ -896,14 +908,14 @@ impl RankState {
         }
     }
 
-    /// Remove a locally-owned, reserved old edge and record the visit.
+    /// Remove a locally-owned, reserved old edge (the store counts the
+    /// visit).
     fn apply_remove(&mut self, e: Edge) {
         let apply_start = self.obs.stamp(Phase::SwitchApply);
         let was_reserved = self.reserved.remove(&e);
         debug_assert!(was_reserved, "commit removal of unreserved edge {e}");
         let removed = self.store.remove(e);
         debug_assert!(removed, "commit removal of missing edge {e}");
-        self.tracker.record_removal(e);
         self.obs.span_since(Phase::SwitchApply, apply_start);
     }
 
@@ -1034,8 +1046,8 @@ impl RankMachine for RankState {
         &self.store
     }
 
-    fn tracker(&self) -> &VisitTracker {
-        &self.tracker
+    fn visits(&self) -> (usize, usize) {
+        (self.tracked, self.tracked - self.store.unvisited())
     }
 
     /// At step boundaries every transient collection (reserved edges,
@@ -1060,7 +1072,12 @@ impl RankMachine for RankState {
         RankCheckpoint {
             conv_seq: self.conv_seq,
             rng_words: self.rng.words_served(),
-            ..RankCheckpoint::capture(&self.store, &self.tracker, self.stats)
+            ..RankCheckpoint::capture(
+                &self.store,
+                self.tracked,
+                self.store.unvisited_keys(),
+                self.stats,
+            )
         }
     }
 
@@ -1073,8 +1090,8 @@ impl RankMachine for RankState {
         debug_assert!(self.reserved.is_empty(), "edges left reserved");
         debug_assert!(self.potential.is_empty(), "potential edges leaked");
         RankOutput {
+            tracker: VisitTracker::from_parts(self.tracked, self.store.unvisited_keys()),
             store: self.store,
-            tracker: self.tracker,
             stats: self.stats,
             comm,
             obs: self.obs.finish(),

@@ -39,6 +39,7 @@ use crate::config::ParallelConfig;
 use crate::obs::{Clock, MonoClock, Obs, StepProgress};
 use crate::run::{RunOutcome, Stepped};
 use crate::sequential::{check_degrees, check_remaining};
+use crate::visit::visit_rate;
 use edgeswitch_graph::store::build_stores;
 use edgeswitch_graph::{Graph, PartitionStore, Partitioner};
 use mpilite::CommStats;
@@ -233,19 +234,20 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
     }
 
     /// Rebuild the world of a run on `graph` under `(config, part)` and
-    /// `schedule` from a snapshot (`restore` rebuilds each rank). The
-    /// snapshot is untrusted: its identity fields must match the run,
-    /// every stored edge and every unvisited tracker key sit on its
-    /// owner and the stores realize `graph`'s degree sequence —
-    /// otherwise the reason comes back as `Err`, never a panic, never a
-    /// silently divergent run.
+    /// `schedule` from a snapshot (`restore` rebuilds each rank, and
+    /// refuses one whose unvisited keys its store lacks). The snapshot
+    /// is untrusted: its identity fields must match the run, every
+    /// stored edge and every unvisited tracker key sit on its owner and
+    /// the stores realize `graph`'s degree sequence — otherwise the
+    /// reason comes back as `Err`, never a panic, never a silently
+    /// divergent run.
     pub(crate) fn resume(
         graph: &Graph,
         config: &ParallelConfig,
         part: &Partitioner,
         schedule: S::Schedule,
         snap: &WorldSnapshot<SnapOf<S>>,
-        restore: impl Fn(&RankCheckpoint) -> S,
+        restore: impl Fn(&RankCheckpoint) -> Result<S, String>,
     ) -> Result<Self, String> {
         let p = config.processors;
         assert_eq!(part.num_parts(), p, "partitioner size must match config");
@@ -283,7 +285,9 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
             .iter()
             .flat_map(|c| c.store_edges.iter().copied());
         check_degrees(graph, snap.n, &mut all_edges)?;
-        let states: Vec<S> = snap.ranks.iter().map(restore).collect();
+        let states = (snap.ranks.iter().enumerate())
+            .map(|(rank, ckpt)| restore(ckpt).map_err(|why| format!("rank {rank}: {why}")))
+            .collect::<Result<Vec<S>, String>>()?;
         if states
             .iter()
             .zip(&snap.ranks)
@@ -318,19 +322,15 @@ impl<S: RankMachine + 'static> Stepped for SimWorld<FifoTransport, S> {
 
     fn progress(&self) -> StepProgress {
         let (initial, visited) = self.states.iter().fold((0, 0), |(i, v), st| {
-            let t = st.tracker();
-            (i + t.initial_count(), v + t.visited_count())
+            let (initial, visited) = st.visits();
+            (i + initial, v + visited)
         });
         StepProgress {
             step: self.next_step,
             steps: self.schedule.steps(self.next_step),
             performed: self.states.iter().map(|st| st.stats().performed).sum(),
             budget: self.schedule.budget(&self.states),
-            visit_rate: if initial == 0 {
-                0.0
-            } else {
-                visited as f64 / initial as f64
-            },
+            visit_rate: visit_rate(visited, initial),
             logical_msgs: 0,
             done: self.is_done(),
         }
@@ -380,7 +380,8 @@ impl SimWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential::damaged_remaining;
+    use crate::config::Budget;
+    use crate::sequential::{damaged_remaining, vanished_remaining};
     use edgeswitch_dist::root_rng;
     use edgeswitch_graph::generators::erdos_renyi_gnm;
 
@@ -445,5 +446,38 @@ mod tests {
             damaged.ranks[0].tracker_remaining = remaining;
             assert!(SimWorld::resume_over(&g, 100, &config, &part, &damaged).is_err());
         }
+    }
+
+    /// Rank 0's unvisited keys with one swapped for an initial edge it
+    /// owns and its store no longer holds — a visited one.
+    fn vanished_on_rank_0<C>(g: &Graph, part: &Partitioner, snap: &WorldSnapshot<C>) -> Vec<u64> {
+        let rank = &snap.ranks[0];
+        vanished_remaining(g, &rank.tracker_remaining, &rank.store_edges, |e| {
+            part.owner(e.src()) == 0
+        })
+    }
+
+    #[test]
+    fn resume_rejects_an_unvisited_key_its_store_lacks() {
+        let g = erdos_renyi_gnm(60, 200, &mut root_rng(406));
+        let config = ParallelConfig::new(2).with_seed(1);
+        let (mut switch, part) = world(&g, 100, &config);
+        while switch.progress().performed < 50 {
+            switch.step();
+        }
+        let mut snap = switch.snapshot();
+        assert!(SimWorld::resume_over(&g, 100, &config, &part, &snap).is_ok());
+        snap.ranks[0].tracker_remaining = vanished_on_rank_0(&g, &part, &snap);
+        let why = SimWorld::resume_over(&g, 100, &config, &part, &snap).err();
+        assert!(why.is_some_and(|why| why.contains("rank 0") && why.contains("lacks")));
+
+        let budget = Budget::Ops(400);
+        let mut curveball = SimWorld::curveball(&g, budget, &config, &part, FifoTransport::new());
+        curveball.step();
+        let mut snap = curveball.snapshot();
+        assert!(SimWorld::resume_curveball(&g, budget, &config, &part, &snap).is_ok());
+        snap.ranks[0].tracker_remaining = vanished_on_rank_0(&g, &part, &snap);
+        let why = SimWorld::resume_curveball(&g, budget, &config, &part, &snap).err();
+        assert!(why.is_some_and(|why| why.contains("rank 0") && why.contains("lacks")));
     }
 }

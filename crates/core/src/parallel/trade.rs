@@ -53,6 +53,7 @@ use super::rank::{RankCheckpoint, RankStats, StartResult};
 use super::resume::{SimWorld, WorldSnapshot};
 use crate::config::{Budget, ParallelConfig};
 use crate::obs::{Obs, Phase};
+use crate::sequential::mark_remaining;
 use crate::trade::{redeal, split_sorted, trade_rng, PassController, PassPlan, NO_TRADE};
 use crate::visit::VisitTracker;
 use edgeswitch_graph::hashing::FxHashMap;
@@ -335,13 +336,19 @@ impl RankMachine for TradeRankState {
         &self.store
     }
 
-    fn tracker(&self) -> &VisitTracker {
-        &self.tracker
+    fn visits(&self) -> (usize, usize) {
+        (self.tracker.initial_count(), self.tracker.visited_count())
     }
 
     fn checkpoint(&self) -> RankCheckpoint {
         debug_assert!(self.slots.is_empty(), "checkpoint taken mid-pass");
-        RankCheckpoint::capture(&self.store, &self.tracker, self.stats)
+        let t = &self.tracker;
+        RankCheckpoint::capture(
+            &self.store,
+            t.initial_count(),
+            t.remaining_keys(),
+            self.stats,
+        )
     }
 
     fn into_output(self, comm: CommStats) -> RankOutput {
@@ -393,17 +400,24 @@ impl SimWorld<FifoTransport, TradeRankState> {
     ) -> Result<Self, String> {
         let degrees = degree_table(graph);
         let ctl = PassController::new(budget);
-        SimWorld::resume(graph, config, part, ctl, snap, |ckpt| TradeRankState {
-            tracker: ckpt.tracker(),
-            stats: ckpt.stats,
-            ..TradeRankState::new(
-                ckpt.rank,
-                part.clone(),
-                degrees.clone(),
-                ckpt.store(),
-                config.seed,
-                Obs::noop(),
-            )
+        SimWorld::resume(graph, config, part, ctl, snap, |ckpt| {
+            let store = ckpt.store();
+            // An unvisited initial edge was never re-dealt: it is home.
+            mark_remaining(&ckpt.tracker_remaining, |key| {
+                store.contains(Edge::from_key(key))
+            })?;
+            Ok(TradeRankState {
+                tracker: ckpt.tracker(),
+                stats: ckpt.stats,
+                ..TradeRankState::new(
+                    ckpt.rank,
+                    part.clone(),
+                    degrees.clone(),
+                    store,
+                    config.seed,
+                    Obs::noop(),
+                )
+            })
         })
     }
 }

@@ -10,13 +10,16 @@
 //! expected `O(1)`. Adjacency is not maintained while switching: the
 //! engine takes the pool of the graph it is given and
 //! [`SequentialResumable::finish`] builds the switched graph's adjacency
-//! once, in bulk ([`Graph::from_pool`]).
+//! once, in bulk ([`Graph::from_pool`]). Visit tracking rides the pool
+//! too: its index marks the initial edges not yet removed
+//! ([`EdgePool::track_visits`]), so the first removal of one is counted
+//! by the probe that removes it.
 
 use crate::obs::{Obs, ObsSpec, Phase, ProgressEvent, RunReport, SoloObs, StepProgress};
 use crate::parallel::wire::encode_seq_checkpoint;
 use crate::run::{RunOutcome, SequentialRun, Stepped};
 use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
-use crate::visit::VisitTracker;
+use crate::visit::{visit_rate, VisitTracker};
 use edgeswitch_dist::Rng;
 use edgeswitch_dist::{root_rng, BlockRng64};
 use edgeswitch_graph::sampling::EdgePool;
@@ -90,7 +93,8 @@ enum ChunkOutcome {
 }
 
 /// Run up to `ops` switch operations — the body of Algorithm 1, with all
-/// accumulating state passed in by the caller.
+/// accumulating state passed in by the caller. A visit is counted by the
+/// pool itself, when `remove` takes an initial edge's mark.
 ///
 /// Chunk boundaries consume no randomness and touch no state beyond the
 /// arguments, so splitting a budget across calls is bit-identical to one
@@ -99,7 +103,6 @@ fn run_ops_chunk<R: Rng + ?Sized>(
     pool: &mut EdgePool,
     ops: u64,
     rng: &mut R,
-    tracker: &mut VisitTracker,
     rejects: &mut RejectCounts,
     performed: &mut u64,
     obs: &mut Obs,
@@ -125,8 +128,6 @@ fn run_ops_chunk<R: Rng + ?Sized>(
                         let (o1, o2) = (e1.edge(), e2.edge());
                         assert!(pool.remove(o1) && pool.remove(o2), "sampled edges exist");
                         assert!(pool.insert(f1) && pool.insert(f2), "checked absent");
-                        tracker.record_removal(o1);
-                        tracker.record_removal(o2);
                         *performed += 1;
                         obs.span_since(Phase::SwitchApply, apply_start);
                         continue 'ops;
@@ -194,14 +195,16 @@ pub struct SeqCheckpoint {
 pub struct SequentialResumable {
     /// Vertex count of the graph under randomization.
     n: usize,
-    /// Its edges — all of the graph the switch loop reads or writes.
+    /// Its edges — all of the graph the switch loop reads or writes —
+    /// with the unvisited initial ones marked.
     pool: EdgePool,
+    /// Initial edge count (`m`), what the visit rate divides by.
+    initial: usize,
     seed: u64,
     t: u64,
     performed: u64,
     abandoned: u64,
     rejects: RejectCounts,
-    tracker: VisitTracker,
     rng: BlockRng64,
     solo: SoloObs,
 }
@@ -221,21 +224,21 @@ impl SequentialResumable {
     pub fn new<'g>(graph: impl Into<Cow<'g, Graph>>, t: u64, seed: u64) -> Self {
         let graph = graph.into();
         let n = graph.num_vertices();
-        let pool = match graph {
+        let mut pool = match graph {
             Cow::Borrowed(lent) => lent.pool().clone(),
             Cow::Owned(given) => given.into_pool(),
         };
-        let tracker = VisitTracker::new(pool.iter());
+        pool.track_visits();
         let abandoned = if pool.len() < 2 { t } else { 0 };
         SequentialResumable {
             n,
+            initial: pool.len(),
             pool,
             seed,
             t,
             performed: 0,
             abandoned,
             rejects: RejectCounts::default(),
-            tracker,
             rng: BlockRng64::new(root_rng(seed)),
             solo: SoloObs::new(ObsSpec::Off),
         }
@@ -263,7 +266,6 @@ impl SequentialResumable {
             &mut self.pool,
             ops,
             &mut self.rng,
-            &mut self.tracker,
             &mut self.rejects,
             &mut self.performed,
             &mut self.solo.obs,
@@ -283,7 +285,7 @@ impl SequentialResumable {
 
     /// Capture the complete engine state at a chunk boundary.
     pub fn checkpoint(&self) -> SeqCheckpoint {
-        let mut tracker_remaining: Vec<u64> = self.tracker.remaining_keys().collect();
+        let mut tracker_remaining: Vec<u64> = self.pool.unvisited_keys().collect();
         tracker_remaining.sort_unstable();
         SeqCheckpoint {
             seed: self.seed,
@@ -292,7 +294,7 @@ impl SequentialResumable {
             performed: self.performed,
             abandoned: self.abandoned,
             rejects: self.rejects,
-            tracker_initial: self.tracker.initial_count(),
+            tracker_initial: self.initial,
             tracker_remaining,
             graph_edges: self.pool.iter().collect(),
             rng_words: self.rng.words_served(),
@@ -301,8 +303,8 @@ impl SequentialResumable {
 
     /// Rebuild the engine of the `t`-operation run on `graph` under
     /// `seed` from a checkpoint: edges reinserted in captured pool
-    /// order, tracker from its parts, RNG re-derived from the seed and
-    /// fast-forwarded to the recorded stream position.
+    /// order, then the unvisited ones marked, RNG re-derived from the
+    /// seed and fast-forwarded to the recorded stream position.
     ///
     /// The checkpoint is untrusted (it comes from a file): its identity
     /// fields must match `(graph, t, seed)` and its edges must realize
@@ -323,7 +325,7 @@ impl SequentialResumable {
         {
             return Err("checkpoint progress exceeds its budget".to_string());
         }
-        let (pool, tracker) = restore_pool(
+        let pool = restore_pool(
             graph,
             ckpt.n,
             &ckpt.graph_edges,
@@ -335,22 +337,24 @@ impl SequentialResumable {
         Ok(SequentialResumable {
             n: ckpt.n,
             pool,
+            initial: ckpt.tracker_initial,
             seed,
             t,
             performed: ckpt.performed,
             abandoned: ckpt.abandoned,
             rejects: ckpt.rejects,
-            tracker,
             rng,
             solo: SoloObs::new(ObsSpec::Off),
         })
     }
 
     /// Tear down into the switched graph — its adjacency built here, in
-    /// bulk, from the switched pool — and the run outcome; `report` is
-    /// `Some` iff the engine was observed.
+    /// bulk, from the switched pool — and the run outcome, its tracker
+    /// built from the unvisited keys; `report` is `Some` iff the engine
+    /// was observed.
     pub fn finish(self) -> (Graph, SequentialOutcome) {
         let report = self.solo.report();
+        let tracker = VisitTracker::from_parts(self.initial, self.pool.unvisited_keys());
         let graph = Graph::from_pool(self.n, self.pool)
             .expect("a switch recombines endpoints of the graph's own edges");
         (
@@ -359,7 +363,7 @@ impl SequentialResumable {
                 performed: self.performed,
                 abandoned: self.abandoned,
                 rejects: self.rejects,
-                tracker: self.tracker,
+                tracker,
                 report,
             },
         )
@@ -376,7 +380,7 @@ impl Stepped for SequentialResumable {
         StepProgress {
             performed: self.performed,
             budget: self.t,
-            visit_rate: self.tracker.visit_rate(),
+            visit_rate: visit_rate(self.initial - self.pool.unvisited(), self.initial),
             done: self.is_done(),
             ..StepProgress::default()
         }
@@ -396,18 +400,19 @@ impl Stepped for SequentialResumable {
     }
 }
 
-/// The edge pool and visit tracker of an untrusted sequential snapshot
-/// of a run on `graph`, taken on `n` vertices: the tracker must fit the
-/// graph ([`check_remaining`]) and the edges, in pool order, form a
-/// simple graph with its degree sequence — otherwise the reason comes
-/// back as `Err`.
+/// The edge pool of an untrusted sequential snapshot of a run on
+/// `graph`, taken on `n` vertices, its unvisited edges marked: the
+/// tracker must fit the graph ([`check_remaining`]), the edges, in pool
+/// order, form a simple graph with its degree sequence, and every
+/// unvisited key be one of them ([`mark_remaining`]) — otherwise the
+/// reason comes back as `Err`.
 pub(crate) fn restore_pool(
     graph: &Graph,
     n: usize,
     edges: &[Edge],
     tracker_initial: usize,
     tracker_remaining: &[u64],
-) -> Result<(EdgePool, VisitTracker), String> {
+) -> Result<EdgePool, String> {
     if tracker_initial != graph.num_edges() || tracker_remaining.len() > tracker_initial {
         return Err("checkpoint visit tracker does not fit the graph".to_string());
     }
@@ -418,8 +423,24 @@ pub(crate) fn restore_pool(
         let err = GraphError::ParallelEdge(twice);
         return Err(format!("checkpoint graph is not simple: {err:?}"));
     }
-    let tracker = VisitTracker::from_parts(tracker_initial, tracker_remaining.iter().copied());
-    Ok((pool, tracker))
+    mark_remaining(tracker_remaining, |key| pool.mark_unvisited(key))?;
+    Ok(pool)
+}
+
+/// Mark the unvisited keys of an untrusted snapshot on the edges it
+/// restored (`mark` says whether the key's edge is one of them). An
+/// unvisited initial edge was never removed, so a key whose edge the
+/// snapshot lacks is damage.
+pub(crate) fn mark_remaining(
+    keys: &[u64],
+    mut mark: impl FnMut(u64) -> bool,
+) -> Result<(), String> {
+    match keys.iter().find(|&&key| !mark(key)) {
+        Some(key) => Err(format!(
+            "snapshot visit tracker holds {key:#x}, an edge the snapshot's graph lacks"
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Check the unvisited keys of an untrusted snapshot's visit tracker:
@@ -465,6 +486,27 @@ pub(crate) fn damaged_remaining(graph: &Graph, keys: &[u64]) -> [Vec<u64>; 2] {
     let mut repeated = keys.to_vec();
     repeated[1] = repeated[0];
     [flipped, repeated]
+}
+
+/// `keys` — a snapshot's unvisited tracker keys of a run on `graph` —
+/// with one swapped for a visited initial edge: an edge of `graph` that
+/// `owns` and the snapshot's `edges` lack. The list stays ascending and
+/// every key an owned input edge, so only [`mark_remaining`] refuses it.
+#[cfg(test)]
+pub(crate) fn vanished_remaining(
+    graph: &Graph,
+    keys: &[u64],
+    edges: &[Edge],
+    owns: impl Fn(Edge) -> bool,
+) -> Vec<u64> {
+    let present: std::collections::HashSet<Edge> = edges.iter().copied().collect();
+    let gone = (graph.edges())
+        .find(|&e| owns(e) && !present.contains(&e))
+        .expect("a visited initial edge");
+    let mut vanished = keys.to_vec();
+    vanished[0] = gone.key();
+    vanished.sort_unstable();
+    vanished
 }
 
 /// Check that `edges` — the edge list of an untrusted snapshot taken on
@@ -645,6 +687,19 @@ mod tests {
             };
             assert!(SequentialResumable::restore(&g, 1000, 7, &damaged).is_err());
         }
+        // Nor does an unvisited key whose edge the snapshot lacks: an
+        // initial edge it no longer holds was visited.
+        let vanished = SeqCheckpoint {
+            tracker_remaining: vanished_remaining(
+                &g,
+                &ckpt.tracker_remaining,
+                &ckpt.graph_edges,
+                |_| true,
+            ),
+            ..ckpt.clone()
+        };
+        let why = SequentialResumable::restore(&g, 1000, 7, &vanished).err();
+        assert!(why.is_some_and(|why| why.contains("lacks")), "{vanished:?}");
         let mut overrun = ckpt;
         overrun.performed = u64::MAX;
         assert!(SequentialResumable::restore(&g, 1000, 7, &overrun).is_err());

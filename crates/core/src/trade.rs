@@ -416,13 +416,15 @@ impl CurveballResumable {
                 ckpt.seed, ckpt.ctl.budget
             ));
         }
-        let (pool, tracker) = restore_pool(
+        let pool = restore_pool(
             graph,
             ckpt.n,
             &ckpt.graph_edges,
             ckpt.tracker_initial,
             &ckpt.tracker_remaining,
         )?;
+        let tracker =
+            VisitTracker::from_parts(ckpt.tracker_initial, ckpt.tracker_remaining.iter().copied());
         let graph = Graph::from_pool(ckpt.n, pool).expect("restore_pool checked the endpoints");
         Ok(CurveballResumable {
             adj: graph.into_adjacency(),
@@ -591,7 +593,7 @@ fn run_trade(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential::damaged_remaining;
+    use crate::sequential::{damaged_remaining, vanished_remaining};
     use edgeswitch_dist::root_rng;
     use edgeswitch_graph::generators::{erdos_renyi_gnm, preferential_attachment};
 
@@ -1035,6 +1037,19 @@ mod tests {
             };
             assert!(CurveballResumable::restore(&g, budget, 3, &damaged).is_err());
         }
+        // Nor does an unvisited key whose edge a trade re-dealt: an
+        // initial edge the snapshot no longer holds was visited.
+        let vanished = CurveballCheckpoint {
+            tracker_remaining: vanished_remaining(
+                &g,
+                &ckpt.tracker_remaining,
+                &ckpt.graph_edges,
+                |_| true,
+            ),
+            ..ckpt.clone()
+        };
+        let why = CurveballResumable::restore(&g, budget, 3, &vanished).err();
+        assert!(why.is_some_and(|why| why.contains("lacks")));
         // A stall counter at its ceiling ends the run; it never overflows.
         let full = Budget::VisitRate(1.0);
         let mut stalled = ckpt;

@@ -5,6 +5,16 @@
 //! fraction of initial edges visited. A replacement edge may later
 //! coincide with an already-visited initial edge; that does not un-visit
 //! it — the tracker counts only first removals of initial edges.
+//!
+//! Of the engines, only the Curveball ones hold a [`VisitTracker`] while
+//! they run: they hold no edge pool. The switch engines count visits in
+//! their pool's index instead ([`EdgePool::track_visits`]: the removal
+//! that takes an edge out takes its mark) and build a tracker from the
+//! unvisited keys only where an outcome leaves the engine. (The
+//! constrained variants of [`crate::variants`], which switch a whole
+//! `Graph`, keep one too.)
+//!
+//! [`EdgePool::track_visits`]: edgeswitch_graph::sampling::EdgePool::track_visits
 
 use edgeswitch_graph::hashing::{set_with_capacity, FxHashSet};
 use edgeswitch_graph::Edge;
@@ -12,8 +22,7 @@ use edgeswitch_graph::Edge;
 /// Tracks which of the initial `m` edges have been switched away.
 ///
 /// Keyed on the packed edge ([`Edge::key`]) with the fast in-repo hasher:
-/// every performed switch probes this set twice, so it shares the hot
-/// path with the edge pool.
+/// every neighbour a trade re-deals probes it once.
 #[derive(Clone, Debug)]
 pub struct VisitTracker {
     initial_count: usize,
@@ -50,11 +59,7 @@ impl VisitTracker {
 
     /// The observed visit rate `x' = m'/m` (`0` for an empty graph).
     pub fn visit_rate(&self) -> f64 {
-        if self.initial_count == 0 {
-            0.0
-        } else {
-            self.visited_count() as f64 / self.initial_count as f64
-        }
+        visit_rate(self.visited_count(), self.initial_count)
     }
 
     /// Merge another tracker's progress (used to aggregate per-partition
@@ -82,6 +87,15 @@ impl VisitTracker {
             initial_count,
             remaining: set,
         }
+    }
+}
+
+/// The visit rate `visited / initial` (`0` for an empty graph).
+pub(crate) fn visit_rate(visited: usize, initial: usize) -> f64 {
+    if initial == 0 {
+        0.0
+    } else {
+        visited as f64 / initial as f64
     }
 }
 
@@ -135,16 +149,23 @@ mod tests {
 
     #[test]
     fn a_tracker_over_a_pool_is_sized_once() {
-        // The pool's iterator reports its exact length, so the set is
-        // allocated for all of it up front and filling it never rehashes.
+        // A switch engine's outcome tracker is built from its pool's
+        // unvisited keys, which report their exact count, so the set is
+        // allocated for all of them up front and filling it never
+        // rehashes.
         let m = 40_000usize;
-        let pool: edgeswitch_graph::sampling::EdgePool =
+        let mut pool: edgeswitch_graph::sampling::EdgePool =
             (0..m as u64).map(|i| e(i, i + m as u64)).collect();
-        let t = VisitTracker::new(pool.iter());
-        assert_eq!(t.initial_count(), m);
+        pool.track_visits();
+        for i in (0..m as u64).step_by(4) {
+            pool.remove(e(i, i + m as u64));
+        }
+        let left = pool.unvisited();
+        let t = VisitTracker::from_parts(m, pool.unvisited_keys());
+        assert_eq!((t.initial_count(), t.visited_count()), (m, m - left));
         assert_eq!(
             t.remaining.capacity(),
-            set_with_capacity::<u64>(m).capacity()
+            set_with_capacity::<u64>(left).capacity()
         );
     }
 

@@ -26,6 +26,16 @@
 //! probe, versus SipHash over a 16-byte struct with the default hasher.
 //! Every switch operation performs at least one existence probe and four
 //! index updates, so this map is the hottest structure in the system.
+//!
+//! The index value is a [`Slot`]: the edge's dense position and its
+//! visit mark (Section 3.1). [`EdgePool::track_visits`] marks every
+//! edge present as an unvisited initial edge; the first
+//! [`EdgePool::remove`] of a marked edge takes the mark with the entry
+//! it already probes, and an inserted edge comes in unmarked, so a
+//! switch engine reads its visited count off the pool
+//! ([`EdgePool::unvisited`]) with no second table and no extra probe.
+//! The mark lives in the index entry, keyed by edge, not in the dense
+//! slot, so pool order — sampling order — does not depend on it.
 
 use crate::hashing::{map_with_capacity, FxHashMap};
 use crate::types::{Edge, VertexId, MAX_POOL_EDGES};
@@ -200,11 +210,23 @@ fn next_slot(len: usize) -> u32 {
     len as u32
 }
 
+/// What the position index holds per edge: its dense position, and
+/// whether it is an initial edge not yet removed since
+/// [`EdgePool::track_visits`]. Eight bytes, so an index bucket stays
+/// sixteen.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    idx: u32,
+    unvisited: bool,
+}
+
 /// A dynamic multiset-free edge pool supporting uniform sampling.
 #[derive(Clone, Debug, Default)]
 pub struct EdgePool {
     edges: EdgeBlocks,
-    pos: FxHashMap<u64, u32>,
+    pos: FxHashMap<u64, Slot>,
+    /// Entries of `pos` whose `unvisited` mark is set.
+    unvisited: usize,
 }
 
 impl EdgePool {
@@ -220,6 +242,7 @@ impl EdgePool {
         EdgePool {
             edges: EdgeBlocks::with_capacity(cap),
             pos: map_with_capacity(cap),
+            unvisited: 0,
         }
     }
 
@@ -241,8 +264,9 @@ impl EdgePool {
         self.pos.contains_key(&e.key())
     }
 
-    /// Insert `e`; returns `false` (and leaves the pool unchanged) if the
-    /// edge is already present.
+    /// Insert `e`, unmarked (an inserted edge is never an unvisited
+    /// initial one); returns `false` (and leaves the pool unchanged) if
+    /// the edge is already present.
     ///
     /// # Panics
     /// Panics if the pool already holds [`MAX_POOL_EDGES`] edges.
@@ -252,7 +276,10 @@ impl EdgePool {
         match self.pos.entry(key) {
             std::collections::hash_map::Entry::Occupied(_) => false,
             std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(idx);
+                slot.insert(Slot {
+                    idx,
+                    unvisited: false,
+                });
                 self.edges.push(key);
                 true
             }
@@ -260,18 +287,60 @@ impl EdgePool {
     }
 
     /// Remove `e`; returns `false` (pool unchanged) if it was not present.
+    /// Removing a marked edge visits it: its mark goes with its entry.
     pub fn remove(&mut self, e: Edge) -> bool {
-        let Some(idx) = self.pos.remove(&e.key()) else {
+        let Some(Slot { idx, unvisited }) = self.pos.remove(&e.key()) else {
             return false;
         };
+        self.unvisited -= usize::from(unvisited);
         let i = idx as usize;
         let last = self.edges.pop().expect("an indexed edge is stored");
         if i < self.edges.len() {
-            // Swap-remove: the formerly-last edge moves into `i`.
+            // Swap-remove: the formerly-last edge moves into `i`, and
+            // keeps its mark.
             self.edges.set(i, last);
-            self.pos.insert(last, idx);
+            self.pos
+                .get_mut(&last)
+                .expect("the last edge is indexed")
+                .idx = idx;
         }
         true
+    }
+
+    /// Mark every edge present as an unvisited initial edge — one sweep
+    /// of the index, the start of a switch run's visit tracking.
+    pub fn track_visits(&mut self) {
+        for slot in self.pos.values_mut() {
+            slot.unvisited = true;
+        }
+        self.unvisited = self.pos.len();
+    }
+
+    /// Mark the edge of packed key `key` unvisited (rebuilding a
+    /// snapshot's tracking); returns `false` if no such edge is present.
+    pub fn mark_unvisited(&mut self, key: u64) -> bool {
+        let Some(slot) = self.pos.get_mut(&key) else {
+            return false;
+        };
+        self.unvisited += usize::from(!slot.unvisited);
+        slot.unvisited = true;
+        true
+    }
+
+    /// Marked edges: initial edges not removed since
+    /// [`EdgePool::track_visits`].
+    #[inline]
+    pub fn unvisited(&self) -> usize {
+        self.unvisited
+    }
+
+    /// Packed keys of the marked edges, in arbitrary order, with an
+    /// exact `size_hint` (consumers pre-size from it).
+    pub fn unvisited_keys(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        UnvisitedKeys {
+            entries: self.pos.iter(),
+            left: self.unvisited,
+        }
     }
 
     /// Draw one edge uniformly at random; `None` on an empty pool.
@@ -307,9 +376,36 @@ impl EdgePool {
                 .edges
                 .iter()
                 .enumerate()
-                .all(|(i, key)| self.pos.get(&key).map(|&p| p as usize) == Some(i))
+                .all(|(i, key)| self.pos.get(&key).map(|s| s.idx as usize) == Some(i))
+            && self.unvisited == self.pos.values().filter(|s| s.unvisited).count()
     }
 }
+
+/// [`EdgePool::unvisited_keys`]: a sweep of the index that stops at the
+/// last marked entry and knows how many are left.
+struct UnvisitedKeys<'a> {
+    entries: std::collections::hash_map::Iter<'a, u64, Slot>,
+    left: usize,
+}
+
+impl Iterator for UnvisitedKeys<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.left == 0 {
+            return None;
+        }
+        let (&key, _) = self.entries.find(|(_, slot)| slot.unvisited)?;
+        self.left -= 1;
+        Some(key)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for UnvisitedKeys<'_> {}
 
 impl FromIterator<Edge> for EdgePool {
     fn from_iter<I: IntoIterator<Item = Edge>>(iter: I) -> Self {
@@ -425,6 +521,31 @@ mod tests {
         let mut blocks = EdgeBlocks::default();
         blocks.push(e(1, 2).key());
         assert_eq!(std::mem::size_of_val(&blocks.blocks[0][0]), 8);
+    }
+
+    #[test]
+    fn an_index_bucket_stays_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 8);
+        assert_eq!(std::mem::size_of::<(u64, Slot)>(), 16);
+    }
+
+    #[test]
+    fn unvisited_keys_report_their_exact_length() {
+        let total = BLOCK_EDGES + 77;
+        let mut p: EdgePool = (0..total as u64).map(|i| e(i, i + total as u64)).collect();
+        p.track_visits();
+        for i in (0..total as u64).step_by(3) {
+            assert!(p.remove(e(i, i + total as u64)));
+        }
+        let left = p.unvisited();
+        assert_eq!(left, total - total.div_ceil(3));
+        let mut it = p.unvisited_keys();
+        assert_eq!(it.len(), left);
+        for n in (0..left).rev() {
+            assert!(it.next().is_some());
+            assert_eq!(it.size_hint(), (n, Some(n)));
+        }
+        assert_eq!(it.next(), None);
     }
 
     #[test]

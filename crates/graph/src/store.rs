@@ -92,6 +92,30 @@ impl PartitionStore {
         self.pool.iter()
     }
 
+    /// Mark every owned edge an unvisited initial edge
+    /// ([`EdgePool::track_visits`]).
+    pub fn track_visits(&mut self) {
+        self.pool.track_visits();
+    }
+
+    /// Mark the owned edge of key `key` unvisited; `false` if absent
+    /// ([`EdgePool::mark_unvisited`]).
+    pub fn mark_unvisited(&mut self, key: u64) -> bool {
+        self.pool.mark_unvisited(key)
+    }
+
+    /// Owned initial edges not yet removed ([`EdgePool::unvisited`]).
+    #[inline]
+    pub fn unvisited(&self) -> usize {
+        self.pool.unvisited()
+    }
+
+    /// Their keys, exact-size, in arbitrary order
+    /// ([`EdgePool::unvisited_keys`]).
+    pub fn unvisited_keys(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.pool.unvisited_keys()
+    }
+
     /// Internal consistency of the pool (index against dense array).
     pub fn check_consistent(&self) -> bool {
         self.pool.check_consistent()

@@ -135,6 +135,68 @@ fn edge_pool_matches_hashset_model() {
     }
 }
 
+/// The visit marks the pool's index carries against the obvious model:
+/// a `HashSet` pool plus the set of initial edges not yet removed since
+/// the last `track_visits`. Random inserts, removes, `track_visits` and
+/// `mark_unvisited` calls must leave the same count and the same keys —
+/// including when swap-remove displaces a marked edge into a freed slot
+/// (it keeps its mark) and when a visited initial edge is inserted again
+/// (it stays visited).
+#[test]
+fn edge_pool_visit_marks_match_a_tracker_model() {
+    let (mut displaced_marked, mut revisited) = (0u32, 0u32);
+    for seed in 0..8u64 {
+        let mut rng = Pcg64::seed_from_u64(2000 + seed);
+        let mut sut = EdgePool::new();
+        let mut model: HashSet<Edge> = HashSet::new();
+        let mut unvisited: HashSet<Edge> = HashSet::new();
+        let mut visited: HashSet<Edge> = HashSet::new();
+        for step in 0..4000 {
+            let Some(e) = random_edge(&mut rng, 30) else {
+                continue;
+            };
+            match rng.gen_range(0..16) {
+                0 => {
+                    sut.track_visits();
+                    unvisited = model.clone();
+                    visited.clear();
+                }
+                1 => {
+                    let present = model.contains(&e);
+                    if present {
+                        unvisited.insert(e);
+                    }
+                    assert_eq!(sut.mark_unvisited(e.key()), present, "mark {e} @ {step}");
+                }
+                2..=8 => {
+                    revisited += u32::from(!model.contains(&e) && visited.contains(&e));
+                    assert_eq!(sut.insert(e), model.insert(e), "insert {e} @ {step}");
+                }
+                _ => {
+                    let last = sut.len().checked_sub(1).and_then(|i| sut.get(i));
+                    let displaces = last.is_some_and(|l| l != e && model.contains(&e));
+                    displaced_marked += u32::from(displaces && unvisited.contains(&last.unwrap()));
+                    assert_eq!(sut.remove(e), model.remove(&e), "remove {e} @ {step}");
+                    if unvisited.remove(&e) {
+                        visited.insert(e);
+                    }
+                }
+            }
+            assert_eq!(sut.unvisited(), unvisited.len(), "count @ {step}");
+            let mut got: Vec<u64> = sut.unvisited_keys().collect();
+            got.sort_unstable();
+            let mut want: Vec<u64> = unvisited.iter().map(|e| e.key()).collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "unvisited keys @ {step}");
+        }
+        assert!(sut.check_consistent(), "seed {seed}");
+    }
+    assert!(
+        displaced_marked > 100 && revisited > 100,
+        "{displaced_marked} {revisited}"
+    );
+}
+
 /// The dense-array order inside the pool — which is what `sample` indexes
 /// and therefore what the switch algorithms' RNG draw sequence observes —
 /// must be a pure function of the operation sequence, independent of

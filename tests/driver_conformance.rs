@@ -352,6 +352,43 @@ fn golden_digests_are_pinned() {
     assert_eq!(got, pinned);
 }
 
+/// The bytes of a snapshot, pinned as the parent commit of the move of
+/// switch-engine visit tracking into the edge pool's index wrote them: a
+/// sequential engine and a simulated p = 2 world, each `advance`d part
+/// way on a fixed instance. Checkpoints on disk (and with them a service
+/// job's resume) stay readable only while the format and every field in
+/// it — pool order, sorted unvisited keys, counters, stream position —
+/// are unchanged; a digest of the bytes fails on any of them.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+    let g = erdos_renyi_gnm(400, 2000, &mut root_rng(7));
+    let runs = [
+        (Run::sequential().switches(3000).seed(11), 1000),
+        (Run::simulated(2).switches(3000).seed(11), 3),
+    ];
+    let got: Vec<(usize, u64)> = runs
+        .iter()
+        .map(|(run, advances)| {
+            let mut engine = run.start(&g).expect("steppable run");
+            for _ in 0..*advances {
+                engine.advance(1);
+            }
+            let bytes = engine.snapshot();
+            (bytes.len(), fnv1a(&bytes))
+        })
+        .collect();
+    let pinned = [
+        (22_081, 0x032a_18af_cf07_ea22),
+        (32_289, 0xa229_0f12_3864_3c63),
+    ];
+    assert_eq!(got, pinned);
+}
+
 /// The protocol's exact ledger on one fixed instance, pinned at p ∈ {1,
 /// 2, 4}: steps, performed switches, aborts, blocked events, switches
 /// taken by the local fast path, logical messages per kind and packets,
