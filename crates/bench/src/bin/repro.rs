@@ -420,31 +420,45 @@ fn serve_smoke(dir: &std::path::Path) -> Result<(), String> {
         events.len()
     );
 
-    // Long job: wait for its first on-disk snapshot, then SIGKILL the
-    // server out from under it.
+    // Long job: wait until both of its snapshot slots hold a valid
+    // snapshot (a slot file exists from the moment its first write
+    // starts), then SIGKILL the server out from under it.
     let long_id = client
         .submit_json(long)
         .map_err(|e| format!("submit long: {e}"))?
         .map_err(|r| format!("long job rejected: {}", r.to_json()))?;
-    let snapshot = dir.join(format!("{long_id}.ckpt"));
+    let store = edgeswitch_svc::CkptStore::open(dir).map_err(|e| format!("open {dir:?}: {e}"))?;
     let done = dir.join(format!("{long_id}.done"));
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    while !snapshot.exists() && !done.exists() {
+    while !done.exists() && store.load_slot(long_id).is_none_or(|slot| slot.seq < 1) {
         if std::time::Instant::now() > deadline {
             let _ = child.kill();
-            return Err("long job never wrote a checkpoint".into());
+            return Err("long job never wrote a second checkpoint".into());
         }
         std::thread::sleep(Duration::from_millis(1));
     }
-    let finished_first = done.exists();
     child.kill().map_err(|e| format!("kill server: {e}"))?;
     child.wait().map_err(|e| format!("reap server: {e}"))?;
+    // Tear the newest slot as a kill mid-write would: the restart must
+    // fall back to the older one.
+    let torn = match store.load_slot(long_id) {
+        Some(slot) => {
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .open(&slot.path)
+                .map_err(|e| format!("open {:?}: {e}", slot.path))?;
+            file.set_len(slot.bytes.len() as u64 / 2)
+                .map_err(|e| format!("truncate {:?}: {e}", slot.path))?;
+            format!("; tore its newest slot (seq {})", slot.seq)
+        }
+        None => String::new(),
+    };
     println!(
-        "# smoke: server SIGKILLed {}",
-        if finished_first {
+        "# smoke: server SIGKILLed {}{torn}",
+        if done.exists() {
             "after the long job finished (fast host); restart still must serve it"
         } else {
-            "mid-run; restart must resume from the snapshot"
+            "mid-run; restart must resume from the older snapshot"
         }
     );
 

@@ -74,9 +74,8 @@ use super::harness::{RankMachine, RankOutput, StepHarness, StepTelemetry};
 use super::msg::{ConvId, Msg, MsgKind, Outbox};
 use crate::config::ParallelConfig;
 use crate::obs::{GaugeKind, Obs, Phase, Stamp};
-use crate::sequential::mark_remaining;
 use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
-use crate::visit::VisitTracker;
+use crate::visit::{marked, VisitTracker};
 use edgeswitch_dist::Rng;
 use edgeswitch_dist::{rank_block_rng, BlockRng64};
 use edgeswitch_graph::hashing::{FxHashMap, FxHashSet};
@@ -145,8 +144,8 @@ impl RankStats {
 /// [`RankState::restore`]. The protocol's transient collections are all
 /// empty between steps (the completion-ack discipline guarantees it), so
 /// this is the *complete* state: store edges in pool order (pool order is
-/// sampling order), tracker parts, statistics, conversation-id counter
-/// and RNG stream position. Serialized by the snapshot codec in
+/// sampling order), visit marks over them, statistics, conversation-id
+/// counter and RNG stream position. Serialized by the snapshot codec in
 /// [`super::wire`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RankCheckpoint {
@@ -156,8 +155,10 @@ pub struct RankCheckpoint {
     pub store_edges: Vec<Edge>,
     /// [`VisitTracker::initial_count`] at capture.
     pub tracker_initial: usize,
-    /// Unvisited edge keys, sorted for deterministic snapshot bytes.
-    pub tracker_remaining: Vec<u64>,
+    /// Visit marks over `store_edges`, ⌈m/64⌉ words: bit `i % 64` of
+    /// word `i / 64` is set iff `store_edges[i]` is an unvisited initial
+    /// edge.
+    pub unvisited: Vec<u64>,
     /// Accumulated per-rank statistics.
     pub stats: RankStats,
     /// Next conversation-id sequence number.
@@ -169,22 +170,20 @@ pub struct RankCheckpoint {
 
 impl RankCheckpoint {
     /// A rank's store, visit tracking (`initial` edges, the `unvisited`
-    /// keys sorted for deterministic bytes) and statistics, with no
+    /// marks over the store's pool order) and statistics, with no
     /// conversation counter or stream position — all a Curveball trade
     /// rank has.
     pub(crate) fn capture(
         store: &PartitionStore,
         initial: usize,
-        unvisited: impl Iterator<Item = u64>,
+        unvisited: Vec<u64>,
         stats: RankStats,
     ) -> Self {
-        let mut tracker_remaining: Vec<u64> = unvisited.collect();
-        tracker_remaining.sort_unstable();
         RankCheckpoint {
             rank: store.rank(),
             store_edges: store.edges().collect(),
             tracker_initial: initial,
-            tracker_remaining,
+            unvisited,
             stats,
             conv_seq: 0,
             rng_words: 0,
@@ -202,7 +201,12 @@ impl RankCheckpoint {
 
     /// The captured visit tracker.
     pub fn tracker(&self) -> VisitTracker {
-        VisitTracker::from_parts(self.tracker_initial, self.tracker_remaining.iter().copied())
+        VisitTracker::from_parts(self.tracker_initial, self.unvisited_keys())
+    }
+
+    /// Keys of the edges marked unvisited, in pool order.
+    fn unvisited_keys(&self) -> impl Iterator<Item = u64> + '_ {
+        marked(&self.unvisited, &self.store_edges).map(|e| e.key())
     }
 }
 
@@ -382,23 +386,20 @@ impl RankState {
     /// fast-forwarded to the recorded position. The partitioner is not
     /// part of the checkpoint: it is deterministic from the job's graph
     /// and config, so callers rebuild it the same way the original
-    /// driver did. An unvisited key whose edge the store lacks comes
-    /// back as `Err`: such an edge was never removed, so the checkpoint
-    /// is damaged.
-    pub fn restore(
-        part: Partitioner,
-        config: &ParallelConfig,
-        ckpt: &RankCheckpoint,
-    ) -> Result<Self, String> {
+    /// driver did. Whether the checkpoint belongs to the run is checked
+    /// before, where the world resumes from its snapshot.
+    pub fn restore(part: Partitioner, config: &ParallelConfig, ckpt: &RankCheckpoint) -> Self {
         let mut store = ckpt.store();
-        mark_remaining(&ckpt.tracker_remaining, |key| store.mark_unvisited(key))?;
+        for key in ckpt.unvisited_keys() {
+            store.mark_unvisited(key);
+        }
         let mut state = RankState::new(ckpt.rank, part, PartitionStore::new(ckpt.rank), config);
         state.store = store;
         state.tracked = ckpt.tracker_initial;
         state.stats = ckpt.stats;
         state.conv_seq = ckpt.conv_seq;
         state.rng.jump_words(ckpt.rng_words);
-        Ok(state)
+        state
     }
 
     /// The first edges of all in-flight own conversations (test
@@ -1075,7 +1076,7 @@ impl RankMachine for RankState {
             ..RankCheckpoint::capture(
                 &self.store,
                 self.tracked,
-                self.store.unvisited_keys(),
+                self.store.unvisited_bitmap(),
                 self.stats,
             )
         }

@@ -38,7 +38,7 @@ use super::wire::encode_world_snapshot;
 use crate::config::ParallelConfig;
 use crate::obs::{Clock, MonoClock, Obs, StepProgress};
 use crate::run::{RunOutcome, Stepped};
-use crate::sequential::{check_degrees, check_remaining};
+use crate::sequential::{check_degrees, check_marks};
 use crate::visit::visit_rate;
 use edgeswitch_graph::store::build_stores;
 use edgeswitch_graph::{Graph, PartitionStore, Partitioner};
@@ -234,20 +234,19 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
     }
 
     /// Rebuild the world of a run on `graph` under `(config, part)` and
-    /// `schedule` from a snapshot (`restore` rebuilds each rank, and
-    /// refuses one whose unvisited keys its store lacks). The snapshot
-    /// is untrusted: its identity fields must match the run, every
-    /// stored edge and every unvisited tracker key sit on its owner and
-    /// the stores realize `graph`'s degree sequence — otherwise the
-    /// reason comes back as `Err`, never a panic, never a silently
-    /// divergent run.
+    /// `schedule` from a snapshot (`restore` rebuilds each rank). The
+    /// snapshot is untrusted: its identity fields must match the run,
+    /// every stored edge sit on its owner, every rank's visit marks fit
+    /// its store and the graph ([`check_marks`]) and the stores realize
+    /// `graph`'s degree sequence — otherwise the reason comes back as
+    /// `Err`, never a panic, never a silently divergent run.
     pub(crate) fn resume(
         graph: &Graph,
         config: &ParallelConfig,
         part: &Partitioner,
         schedule: S::Schedule,
         snap: &WorldSnapshot<SnapOf<S>>,
-        restore: impl Fn(&RankCheckpoint) -> Result<S, String>,
+        restore: impl Fn(&RankCheckpoint) -> S,
     ) -> Result<Self, String> {
         let p = config.processors;
         assert_eq!(part.num_parts(), p, "partitioner size must match config");
@@ -268,12 +267,15 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
         for (rank, ckpt) in snap.ranks.iter().enumerate() {
             let owned =
                 ckpt.rank == rank && ckpt.store_edges.iter().all(|e| part.owner(e.src()) == rank);
-            if !owned || ckpt.tracker_remaining.len() > ckpt.tracker_initial {
+            if !owned {
                 return Err(format!("snapshot of rank {rank} is not that rank's state"));
             }
-            check_remaining(graph, &ckpt.tracker_remaining, |e| {
-                part.owner(e.src()) == rank
-            })
+            check_marks(
+                graph,
+                &ckpt.store_edges,
+                &ckpt.unvisited,
+                ckpt.tracker_initial,
+            )
             .map_err(|why| format!("rank {rank}: {why}"))?;
             tracked = tracked.saturating_add(ckpt.tracker_initial);
         }
@@ -285,9 +287,7 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
             .iter()
             .flat_map(|c| c.store_edges.iter().copied());
         check_degrees(graph, snap.n, &mut all_edges)?;
-        let states = (snap.ranks.iter().enumerate())
-            .map(|(rank, ckpt)| restore(ckpt).map_err(|why| format!("rank {rank}: {why}")))
-            .collect::<Result<Vec<S>, String>>()?;
+        let states: Vec<S> = snap.ranks.iter().map(restore).collect();
         if states
             .iter()
             .zip(&snap.ranks)
@@ -380,8 +380,6 @@ impl SimWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Budget;
-    use crate::sequential::{damaged_remaining, vanished_remaining};
     use edgeswitch_dist::root_rng;
     use edgeswitch_graph::generators::erdos_renyi_gnm;
 
@@ -433,51 +431,5 @@ mod tests {
         let mut short = snap.clone();
         short.telemetry.clear();
         assert!(SimWorld::resume_over(&g, 100, &config, &part, &short).is_err());
-        // A rank's tracker with a flipped bit, a repeated key, or a key
-        // another rank owns.
-        let mut trackers: Vec<Vec<u64>> =
-            damaged_remaining(&g, &snap.ranks[0].tracker_remaining).into();
-        let mut foreign = snap.ranks[0].tracker_remaining.clone();
-        foreign.extend(snap.ranks[1].tracker_remaining.first());
-        foreign.sort_unstable();
-        trackers.push(foreign);
-        for remaining in trackers {
-            let mut damaged = snap.clone();
-            damaged.ranks[0].tracker_remaining = remaining;
-            assert!(SimWorld::resume_over(&g, 100, &config, &part, &damaged).is_err());
-        }
-    }
-
-    /// Rank 0's unvisited keys with one swapped for an initial edge it
-    /// owns and its store no longer holds — a visited one.
-    fn vanished_on_rank_0<C>(g: &Graph, part: &Partitioner, snap: &WorldSnapshot<C>) -> Vec<u64> {
-        let rank = &snap.ranks[0];
-        vanished_remaining(g, &rank.tracker_remaining, &rank.store_edges, |e| {
-            part.owner(e.src()) == 0
-        })
-    }
-
-    #[test]
-    fn resume_rejects_an_unvisited_key_its_store_lacks() {
-        let g = erdos_renyi_gnm(60, 200, &mut root_rng(406));
-        let config = ParallelConfig::new(2).with_seed(1);
-        let (mut switch, part) = world(&g, 100, &config);
-        while switch.progress().performed < 50 {
-            switch.step();
-        }
-        let mut snap = switch.snapshot();
-        assert!(SimWorld::resume_over(&g, 100, &config, &part, &snap).is_ok());
-        snap.ranks[0].tracker_remaining = vanished_on_rank_0(&g, &part, &snap);
-        let why = SimWorld::resume_over(&g, 100, &config, &part, &snap).err();
-        assert!(why.is_some_and(|why| why.contains("rank 0") && why.contains("lacks")));
-
-        let budget = Budget::Ops(400);
-        let mut curveball = SimWorld::curveball(&g, budget, &config, &part, FifoTransport::new());
-        curveball.step();
-        let mut snap = curveball.snapshot();
-        assert!(SimWorld::resume_curveball(&g, budget, &config, &part, &snap).is_ok());
-        snap.ranks[0].tracker_remaining = vanished_on_rank_0(&g, &part, &snap);
-        let why = SimWorld::resume_curveball(&g, budget, &config, &part, &snap).err();
-        assert!(why.is_some_and(|why| why.contains("rank 0") && why.contains("lacks")));
     }
 }

@@ -8,7 +8,9 @@
 //! are the same binary), so a malformed one panics — a torn or corrupt
 //! frame is a transport bug, not an input error. Engine snapshots come
 //! from files and are not: their decoders return `Result`. Both run on one
-//! bounds-checked [`Reader`] that latches the first bad read.
+//! bounds-checked [`Reader`] that latches the first bad read. Snapshots
+//! are at format 3, which carries visit marks as a bitmap over the
+//! snapshot's own edge list (see the snapshot section below).
 
 use edgeswitch_graph::store::PartitionStore;
 use edgeswitch_graph::Edge;
@@ -398,9 +400,14 @@ pub fn decode_coll(bytes: &[u8]) -> CollPayload {
 // The same dumb little-endian style as the message codec, reused for the
 // job service's on-disk checkpoints: a magic/version header, a kind
 // byte, then the snapshot fields in declaration order. Floats go through
-// `to_bits`, edges as canonical keys. A snapshot written by a different
-// format version fails the header check instead of misreading state — a
-// stale checkpoint must never silently resume. The decoders only vouch
+// `to_bits`, edges as canonical keys. Visit marks (format 3) are a
+// bitmap over the snapshot's own edge list — ⌈m/64⌉ words, bit `i` set
+// iff edge `i` is an unvisited initial edge — which a switch engine fills
+// in one sweep of its pool's index, and which cannot name an edge the
+// snapshot lacks or name one twice. Each encoder sizes its buffer up
+// front and writes it once. A snapshot written by a different format version
+// fails the header check instead of misreading state — a stale
+// checkpoint must never silently resume. The decoders only vouch
 // for the *encoding*; whether the decoded state belongs to the run being
 // resumed is checked where it is restored (`SequentialResumable::restore`,
 // `CurveballResumable::restore`, `SimWorld::resume`). The kind byte names
@@ -410,7 +417,7 @@ pub fn decode_coll(bytes: &[u8]) -> CollPayload {
 /// Snapshot header: `b"ESNP"` followed by the format version.
 const SNAP_MAGIC: u32 = u32::from_le_bytes(*b"ESNP");
 /// Current snapshot format version.
-const SNAP_VERSION: u32 = 2;
+const SNAP_VERSION: u32 = 3;
 /// Kind byte of a switch-protocol [`WorldSnapshot`].
 const SNAP_WORLD: u8 = 1;
 /// Kind byte of a [`SeqCheckpoint`].
@@ -424,6 +431,8 @@ const SNAP_TRADE_SEQ: u8 = 4;
 pub(crate) trait SnapField: Sized {
     /// Kind byte of a world snapshot carrying this record.
     const WORLD_KIND: u8;
+    /// Encoded size of the record.
+    const BYTES: usize;
     fn put(&self, out: &mut Vec<u8>);
     fn read(r: &mut Reader<'_>) -> Self;
 }
@@ -431,6 +440,7 @@ pub(crate) trait SnapField: Sized {
 /// The switch protocol's record: its operation budget `t`.
 impl SnapField for u64 {
     const WORLD_KIND: u8 = SNAP_WORLD;
+    const BYTES: usize = 8;
     fn put(&self, out: &mut Vec<u8>) {
         put_u64(out, *self);
     }
@@ -442,6 +452,7 @@ impl SnapField for u64 {
 /// Curveball's record: the pass controller, budget first.
 impl SnapField for PassController {
     const WORLD_KIND: u8 = SNAP_TRADE_WORLD;
+    const BYTES: usize = 1 + 8 + 8 + 4 + 8;
     fn put(&self, out: &mut Vec<u8>) {
         let (tag, value) = match self.budget {
             Budget::Ops(t) => (0, t),
@@ -470,6 +481,9 @@ impl SnapField for PassController {
         }
     }
 }
+
+/// Encoded size of the header.
+const HEADER_BYTES: usize = 9;
 
 fn put_header(out: &mut Vec<u8>, kind: u8) {
     put_u32(out, SNAP_MAGIC);
@@ -548,7 +562,7 @@ fn put_rank_checkpoint(out: &mut Vec<u8>, ckpt: &RankCheckpoint) {
     put_u64(out, ckpt.rank as u64);
     put_keys(out, ckpt.store_edges.iter().map(|e| e.key()));
     put_u64(out, ckpt.tracker_initial as u64);
-    put_keys(out, ckpt.tracker_remaining.iter().copied());
+    put_keys(out, ckpt.unvisited.iter().copied());
     put_stats(out, &ckpt.stats);
     put_u64(out, ckpt.conv_seq);
     put_u64(out, ckpt.rng_words);
@@ -636,7 +650,7 @@ impl<'a> Reader<'a> {
             rank: self.u64() as usize,
             store_edges: self.list(8, Reader::edge),
             tracker_initial: self.u64() as usize,
-            tracker_remaining: self.list(8, Reader::u64),
+            unvisited: self.list(8, Reader::u64),
             stats: self.stats(),
             conv_seq: self.u64(),
             rng_words: self.u64(),
@@ -652,9 +666,21 @@ const COMM_BYTES: usize = 8 * (8 + KIND_SLOTS);
 const TELEMETRY_BYTES: usize = 8 * (12 + MsgKind::COUNT + 5);
 
 /// Serialize a [`WorldSnapshot`] (deterministic bytes for a given
-/// snapshot — rank checkpoints carry their sets pre-sorted).
+/// snapshot).
 pub(crate) fn encode_world_snapshot<C: SnapField>(snap: &WorldSnapshot<C>) -> Vec<u8> {
-    let mut out = Vec::new();
+    let lists: usize = (snap.ranks.iter())
+        .map(|c| RANK_CHECKPOINT_MIN + 8 * (c.store_edges.len() + c.unvisited.len()))
+        .sum();
+    // Header, four counters, the schedule record and four list lengths.
+    let len = HEADER_BYTES
+        + 8 * 4
+        + C::BYTES
+        + 8 * 4
+        + lists
+        + COMM_BYTES * snap.comm.len()
+        + TELEMETRY_BYTES * snap.telemetry.len()
+        + 8 * snap.initial_edges.len();
+    let mut out = Vec::with_capacity(len);
     put_header(&mut out, C::WORLD_KIND);
     put_u64(&mut out, snap.seed);
     put_u64(&mut out, snap.p as u64);
@@ -674,6 +700,7 @@ pub(crate) fn encode_world_snapshot<C: SnapField>(snap: &WorldSnapshot<C>) -> Ve
         put_telemetry(&mut out, tel);
     }
     put_keys(&mut out, snap.initial_edges.iter().copied());
+    debug_assert_eq!(out.len(), len);
     out
 }
 
@@ -700,9 +727,28 @@ pub(crate) fn decode_world_snapshot<C: SnapField>(
     Ok(snap)
 }
 
+/// Decode a switch-protocol [`WorldSnapshot`] (a simulated switch run's
+/// [`Engine::snapshot`](crate::Engine::snapshot)) from untrusted bytes;
+/// fails like [`decode_seq_checkpoint`].
+pub fn decode_switch_world(bytes: &[u8]) -> Result<WorldSnapshot, String> {
+    decode_world_snapshot(bytes)
+}
+
 /// Serialize a [`SeqCheckpoint`].
 pub fn encode_seq_checkpoint(ckpt: &SeqCheckpoint) -> Vec<u8> {
-    let mut out = Vec::new();
+    encode_seq(ckpt, ckpt.graph_edges.iter().copied())
+}
+
+/// The sequential switch encoder: `ckpt` with its edge list taken from
+/// `edges` — its own, or a live engine's pool streamed in place of an
+/// empty one, so that a snapshot copies the edges once.
+pub(crate) fn encode_seq(
+    ckpt: &SeqCheckpoint,
+    edges: impl ExactSizeIterator<Item = Edge>,
+) -> Vec<u8> {
+    // Header, nine counters, two list lengths and the stream position.
+    let len = HEADER_BYTES + 8 * 12 + 8 * (ckpt.unvisited.len() + edges.len());
+    let mut out = Vec::with_capacity(len);
     put_header(&mut out, SNAP_SEQ);
     put_u64(&mut out, ckpt.seed);
     put_u64(&mut out, ckpt.n as u64);
@@ -713,9 +759,10 @@ pub fn encode_seq_checkpoint(ckpt: &SeqCheckpoint) -> Vec<u8> {
     put_u64(&mut out, ckpt.rejects.useless);
     put_u64(&mut out, ckpt.rejects.parallel);
     put_u64(&mut out, ckpt.tracker_initial as u64);
-    put_keys(&mut out, ckpt.tracker_remaining.iter().copied());
-    put_keys(&mut out, ckpt.graph_edges.iter().map(|e| e.key()));
+    put_keys(&mut out, ckpt.unvisited.iter().copied());
+    put_keys(&mut out, edges.map(|e| e.key()));
     put_u64(&mut out, ckpt.rng_words);
+    debug_assert_eq!(out.len(), len);
     out
 }
 
@@ -736,7 +783,7 @@ pub fn decode_seq_checkpoint(bytes: &[u8]) -> Result<SeqCheckpoint, String> {
             parallel: r.u64(),
         },
         tracker_initial: r.u64() as usize,
-        tracker_remaining: r.list(8, Reader::u64),
+        unvisited: r.list(8, Reader::u64),
         graph_edges: r.list(8, Reader::edge),
         rng_words: r.u64(),
     };
@@ -746,15 +793,20 @@ pub fn decode_seq_checkpoint(bytes: &[u8]) -> Result<SeqCheckpoint, String> {
 
 /// Serialize a sequential Curveball checkpoint.
 pub(crate) fn encode_curveball_checkpoint(ckpt: &CurveballCheckpoint) -> Vec<u8> {
-    let mut out = Vec::new();
+    // Header, two counters, the pass controller, two more counters and
+    // two list lengths.
+    let lists = 8 * (ckpt.unvisited.len() + ckpt.graph_edges.len());
+    let len = HEADER_BYTES + 8 * 2 + PassController::BYTES + 8 * 4 + lists;
+    let mut out = Vec::with_capacity(len);
     put_header(&mut out, SNAP_TRADE_SEQ);
     put_u64(&mut out, ckpt.seed);
     put_u64(&mut out, ckpt.n as u64);
     ckpt.ctl.put(&mut out);
     put_u64(&mut out, ckpt.neighbors_moved);
     put_u64(&mut out, ckpt.tracker_initial as u64);
-    put_keys(&mut out, ckpt.tracker_remaining.iter().copied());
+    put_keys(&mut out, ckpt.unvisited.iter().copied());
     put_keys(&mut out, ckpt.graph_edges.iter().map(|e| e.key()));
+    debug_assert_eq!(out.len(), len);
     out
 }
 
@@ -769,7 +821,7 @@ pub(crate) fn decode_curveball_checkpoint(bytes: &[u8]) -> Result<CurveballCheck
         ctl: PassController::read(&mut r),
         neighbors_moved: r.u64(),
         tracker_initial: r.u64() as usize,
-        tracker_remaining: r.list(8, Reader::u64),
+        unvisited: r.list(8, Reader::u64),
         graph_edges: r.list(8, Reader::edge),
     };
     r.finish()?;
@@ -948,7 +1000,8 @@ mod tests {
             rank,
             store_edges: vec![Edge::new(1, 2), Edge::new(3, 4), Edge::new(2, 5)],
             tracker_initial: 3,
-            tracker_remaining: vec![Edge::new(3, 4).key()],
+            // Edge (3, 4) unvisited.
+            unvisited: vec![0b010],
             stats: RankStats {
                 performed: 7,
                 performed_local: 5,
@@ -1042,7 +1095,7 @@ mod tests {
             ctl: sample_pass_controller(Budget::VisitRate(0.75)),
             neighbors_moved: 4321,
             tracker_initial: 90,
-            tracker_remaining: vec![2, 6, 10],
+            unvisited: vec![0b01],
             graph_edges: vec![Edge::new(0, 1), Edge::new(2, 3)],
         }
     }
@@ -1074,7 +1127,7 @@ mod tests {
                 parallel: 8,
             },
             tracker_initial: 90,
-            tracker_remaining: vec![1, 5, 9],
+            unvisited: vec![0b11],
             graph_edges: vec![Edge::new(0, 1), Edge::new(2, 3)],
             rng_words: 777,
         }
@@ -1180,7 +1233,7 @@ mod tests {
         assert!(back.store.edges().eq(ckpt.store_edges.iter().copied()));
         assert_eq!(back.tracker.initial_count(), ckpt.tracker_initial);
         let remaining: Vec<u64> = back.tracker.remaining_keys().collect();
-        assert_eq!(remaining, ckpt.tracker_remaining);
+        assert_eq!(remaining, [Edge::new(3, 4).key()]);
         assert_eq!((back.stats, back.comm), (output.stats, output.comm));
         assert!(back.obs.is_none());
     }

@@ -722,8 +722,14 @@ impl RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::wire::{
+        encode_curveball_checkpoint, encode_seq_checkpoint, encode_world_snapshot, SnapField,
+    };
+    use crate::trade::{CurveballCheckpoint, PassController};
+    use crate::SeqCheckpoint;
     use edgeswitch_dist::root_rng;
     use edgeswitch_graph::generators::erdos_renyi_gnm;
+    use edgeswitch_graph::Edge;
 
     fn graph() -> Graph {
         erdos_renyi_gnm(150, 600, &mut root_rng(3))
@@ -941,6 +947,135 @@ mod tests {
                 assert!(bad(trades.resume(&g, &bytes[..cut])), "cut {cut}");
             }
             assert!(trades.resume(&g, &bytes).is_ok());
+        }
+    }
+
+    /// `bits` — visit marks over a snapshot's `edges` of a run on `g` —
+    /// damaged each way a resume refuses, with what the refusal says: a
+    /// word too many or too few, a bit past the last edge, and a mark on
+    /// an edge a switch or trade created.
+    fn damaged_marks(g: &Graph, edges: &[Edge], bits: &[u64]) -> Vec<(&'static str, Vec<u64>)> {
+        let mut long = bits.to_vec();
+        long.push(0);
+        let mut short = bits.to_vec();
+        short.pop();
+        assert!(!edges.len().is_multiple_of(64), "no padding bit to set");
+        let mut padding = bits.to_vec();
+        *padding.last_mut().expect("a word") |= 1 << 63;
+        let created = (edges.iter().position(|&e| !g.has_edge(e))).expect("a created edge");
+        let mut on_created = bits.to_vec();
+        on_created[created / 64] |= 1 << (created % 64);
+        vec![
+            ("words for", long),
+            ("words for", short),
+            ("past the last edge", padding),
+            ("not an edge of the run's graph", on_created),
+        ]
+    }
+
+    /// World snapshot `bytes` damaged each way a resume refuses rank 0's
+    /// visit marks: as [`damaged_marks`], and with more marks than the
+    /// rank tracks — the world's tracked total kept, so only the count
+    /// is wrong.
+    fn damaged_worlds<C: SnapField + Clone>(
+        g: &Graph,
+        bytes: &[u8],
+    ) -> Vec<(&'static str, Vec<u8>)> {
+        let snap = decode_world_snapshot::<C>(bytes).unwrap();
+        let rank = &snap.ranks[0];
+        let mut worlds: Vec<_> = damaged_marks(g, &rank.store_edges, &rank.unvisited)
+            .into_iter()
+            .map(|(why, bits)| {
+                let mut damaged = snap.clone();
+                damaged.ranks[0].unvisited = bits;
+                (why, damaged)
+            })
+            .collect();
+        let cut = rank.tracker_initial + 1 - marks(&rank.unvisited);
+        let mut over = snap.clone();
+        over.ranks[0].tracker_initial -= cut;
+        over.ranks[1].tracker_initial += cut;
+        worlds.push(("more than its", over));
+        (worlds.into_iter())
+            .map(|(why, world)| (why, encode_world_snapshot(&world)))
+            .collect()
+    }
+
+    fn marks(bits: &[u64]) -> usize {
+        bits.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Visit marks are untrusted like the rest of a snapshot: on every
+    /// engine, a bitmap a word too long or too short, a bit past the
+    /// last edge, a mark on an edge a switch or trade created and more
+    /// marks than initial edges are bad snapshots, each refused for its
+    /// own reason. A sequential engine's marks cannot outnumber its
+    /// initial edges — its snapshot holds exactly that many — so there
+    /// the over-count comes with a tracked total the graph refuses.
+    #[test]
+    fn damaged_visit_marks_are_bad_snapshots() {
+        let g = graph();
+        // Some operations in, with edges of both kinds: a Curveball pass
+        // visits a large share at once.
+        let snapshot = |run: &Run, units| {
+            let mut engine = run.start(&g).unwrap();
+            for _ in 0..units {
+                engine.advance(64);
+            }
+            let bytes = engine.snapshot();
+            assert!(run.resume(&g, &bytes).is_ok());
+            bytes
+        };
+        let refused = |run: &Run, bytes: &[u8], why: &str| match run.resume(&g, bytes) {
+            Err(RunError::BadSnapshot(reason)) => assert!(reason.contains(why), "{why}: {reason}"),
+            other => panic!("{why}: {:?}", other.map(|_| "resumed")),
+        };
+        let (switches, trades) = (Randomizer::Switch, Randomizer::Curveball);
+
+        let run = Run::sequential().switches(3000).seed(1);
+        let ckpt = decode_seq_checkpoint(&snapshot(&run, 4)).unwrap();
+        for (why, unvisited) in damaged_marks(&g, &ckpt.graph_edges, &ckpt.unvisited) {
+            let damaged = SeqCheckpoint {
+                unvisited,
+                ..ckpt.clone()
+            };
+            refused(&run, &encode_seq_checkpoint(&damaged), why);
+        }
+        let over = SeqCheckpoint {
+            tracker_initial: marks(&ckpt.unvisited) - 1,
+            ..ckpt
+        };
+        refused(&run, &encode_seq_checkpoint(&over), "does not fit");
+
+        let run = Run::sequential().randomizer(trades).switches(3000).seed(1);
+        let ckpt = decode_curveball_checkpoint(&snapshot(&run, 1)).unwrap();
+        for (why, unvisited) in damaged_marks(&g, &ckpt.graph_edges, &ckpt.unvisited) {
+            let damaged = CurveballCheckpoint {
+                unvisited,
+                ..ckpt.clone()
+            };
+            refused(&run, &encode_curveball_checkpoint(&damaged), why);
+        }
+        let over = CurveballCheckpoint {
+            tracker_initial: marks(&ckpt.unvisited) - 1,
+            ..ckpt
+        };
+        refused(&run, &encode_curveball_checkpoint(&over), "does not fit");
+
+        for randomizer in [switches, trades] {
+            let run = Run::simulated(2)
+                .randomizer(randomizer)
+                .switches(3000)
+                .seed(1);
+            let bytes = snapshot(&run, if randomizer == switches { 4 } else { 1 });
+            let damaged = if randomizer == switches {
+                damaged_worlds::<u64>(&g, &bytes)
+            } else {
+                damaged_worlds::<PassController>(&g, &bytes)
+            };
+            for (why, bytes) in damaged {
+                refused(&run, &bytes, why);
+            }
         }
     }
 

@@ -16,10 +16,10 @@
 //! by the probe that removes it.
 
 use crate::obs::{Obs, ObsSpec, Phase, ProgressEvent, RunReport, SoloObs, StepProgress};
-use crate::parallel::wire::encode_seq_checkpoint;
+use crate::parallel::wire::encode_seq;
 use crate::run::{RunOutcome, SequentialRun, Stepped};
 use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
-use crate::visit::{visit_rate, VisitTracker};
+use crate::visit::{marked, visit_rate, VisitTracker};
 use edgeswitch_dist::Rng;
 use edgeswitch_dist::{root_rng, BlockRng64};
 use edgeswitch_graph::sampling::EdgePool;
@@ -170,8 +170,10 @@ pub struct SeqCheckpoint {
     pub rejects: RejectCounts,
     /// [`VisitTracker::initial_count`] at capture.
     pub tracker_initial: usize,
-    /// Unvisited edge keys, sorted for deterministic snapshot bytes.
-    pub tracker_remaining: Vec<u64>,
+    /// Visit marks over `graph_edges`, ⌈m/64⌉ words: bit `i % 64` of
+    /// word `i / 64` is set iff `graph_edges[i]` is an unvisited initial
+    /// edge.
+    pub unvisited: Vec<u64>,
     /// Current graph edges in pool (insertion) order — pool order is
     /// sampling order, so it is load-bearing.
     pub graph_edges: Vec<Edge>,
@@ -285,8 +287,12 @@ impl SequentialResumable {
 
     /// Capture the complete engine state at a chunk boundary.
     pub fn checkpoint(&self) -> SeqCheckpoint {
-        let mut tracker_remaining: Vec<u64> = self.pool.unvisited_keys().collect();
-        tracker_remaining.sort_unstable();
+        self.capture(self.pool.iter().collect())
+    }
+
+    /// The engine state with `graph_edges` as given: the pool's edges,
+    /// or none when the snapshot encoder streams them from the pool.
+    fn capture(&self, graph_edges: Vec<Edge>) -> SeqCheckpoint {
         SeqCheckpoint {
             seed: self.seed,
             n: self.n,
@@ -295,8 +301,8 @@ impl SequentialResumable {
             abandoned: self.abandoned,
             rejects: self.rejects,
             tracker_initial: self.initial,
-            tracker_remaining,
-            graph_edges: self.pool.iter().collect(),
+            unvisited: self.pool.unvisited_bitmap(),
+            graph_edges,
             rng_words: self.rng.words_served(),
         }
     }
@@ -330,7 +336,7 @@ impl SequentialResumable {
             ckpt.n,
             &ckpt.graph_edges,
             ckpt.tracker_initial,
-            &ckpt.tracker_remaining,
+            &ckpt.unvisited,
         )?;
         let mut rng = BlockRng64::new(root_rng(seed));
         rng.jump_words(ckpt.rng_words);
@@ -386,8 +392,9 @@ impl Stepped for SequentialResumable {
         }
     }
 
+    /// One copy of the edges: straight from the pool into the bytes.
     fn snapshot(&self) -> Vec<u8> {
-        encode_seq_checkpoint(&self.checkpoint())
+        encode_seq(&self.capture(Vec::new()), self.pool.iter())
     }
 
     fn attach_probe(&mut self, tx: std::sync::mpsc::Sender<ProgressEvent>, every: u64) {
@@ -401,112 +408,69 @@ impl Stepped for SequentialResumable {
 }
 
 /// The edge pool of an untrusted sequential snapshot of a run on
-/// `graph`, taken on `n` vertices, its unvisited edges marked: the
-/// tracker must fit the graph ([`check_remaining`]), the edges, in pool
-/// order, form a simple graph with its degree sequence, and every
-/// unvisited key be one of them ([`mark_remaining`]) — otherwise the
+/// `graph`, taken on `n` vertices, its unvisited edges marked: the visit
+/// marks must fit the graph ([`check_marks`]) and the edges, in pool
+/// order, form a simple graph with its degree sequence — otherwise the
 /// reason comes back as `Err`.
 pub(crate) fn restore_pool(
     graph: &Graph,
     n: usize,
     edges: &[Edge],
     tracker_initial: usize,
-    tracker_remaining: &[u64],
+    unvisited: &[u64],
 ) -> Result<EdgePool, String> {
-    if tracker_initial != graph.num_edges() || tracker_remaining.len() > tracker_initial {
+    if tracker_initial != graph.num_edges() {
         return Err("checkpoint visit tracker does not fit the graph".to_string());
     }
-    check_remaining(graph, tracker_remaining, |_| true)?;
+    check_marks(graph, edges, unvisited, tracker_initial)?;
     check_degrees(graph, n, &mut edges.iter().copied())?;
     let mut pool = EdgePool::with_capacity(edges.len());
     if let Some(&twice) = edges.iter().find(|&&e| !pool.insert(e)) {
         let err = GraphError::ParallelEdge(twice);
         return Err(format!("checkpoint graph is not simple: {err:?}"));
     }
-    mark_remaining(tracker_remaining, |key| pool.mark_unvisited(key))?;
+    for e in marked(unvisited, edges) {
+        pool.mark_unvisited(e.key());
+    }
     Ok(pool)
 }
 
-/// Mark the unvisited keys of an untrusted snapshot on the edges it
-/// restored (`mark` says whether the key's edge is one of them). An
-/// unvisited initial edge was never removed, so a key whose edge the
-/// snapshot lacks is damage.
-pub(crate) fn mark_remaining(
-    keys: &[u64],
-    mut mark: impl FnMut(u64) -> bool,
-) -> Result<(), String> {
-    match keys.iter().find(|&&key| !mark(key)) {
-        Some(key) => Err(format!(
-            "snapshot visit tracker holds {key:#x}, an edge the snapshot's graph lacks"
-        )),
-        None => Ok(()),
-    }
-}
-
-/// Check the unvisited keys of an untrusted snapshot's visit tracker:
-/// strictly ascending (every writer sorts them), and each the key of an
-/// edge of the run's input `graph` that `owns` — the tracker's share of
-/// the initial edges. Anything else — a flipped bit, a repeated key —
+/// Check the visit marks of an untrusted snapshot: `unvisited` must be a
+/// bitmap over the snapshot's own `edges` ([`marked`]: ⌈m/64⌉ words, no
+/// bit set past the last edge) that marks at most `initial` edges — the
+/// tracker's share of the initial ones — each an edge of the run's input
+/// `graph`. A mark on an edge the snapshot lacks, or two on one edge,
+/// has no encoding; anything else — a flipped bit, a damaged count —
 /// would silently change the visited count and, under a visit-rate
 /// budget, the run.
-pub(crate) fn check_remaining(
+pub(crate) fn check_marks(
     graph: &Graph,
-    keys: &[u64],
-    owns: impl Fn(Edge) -> bool,
+    edges: &[Edge],
+    unvisited: &[u64],
+    initial: usize,
 ) -> Result<(), String> {
-    if !keys.windows(2).all(|w| w[0] < w[1]) {
-        return Err("snapshot visit tracker keys are not strictly ascending".to_string());
+    let m = edges.len();
+    if unvisited.len() != m.div_ceil(64) {
+        return Err(format!(
+            "snapshot visit marks are {} words for {m} edges",
+            unvisited.len()
+        ));
     }
-    let tracked = |key: u64| {
-        let (src, dst) = (key >> 32, key & u64::from(u32::MAX));
-        src < dst && graph.has_edge(Edge::new(src, dst)) && owns(Edge::new(src, dst))
-    };
-    match keys.iter().find(|&&key| !tracked(key)) {
-        Some(key) => Err(format!(
-            "snapshot visit tracker holds {key:#x}, not a tracked edge of the run's graph"
+    if !m.is_multiple_of(64) && unvisited.last().is_some_and(|&word| word >> (m % 64) != 0) {
+        return Err("snapshot visit marks set a bit past the last edge".to_string());
+    }
+    let count: usize = unvisited.iter().map(|w| w.count_ones() as usize).sum();
+    if count > initial {
+        return Err(format!(
+            "snapshot marks {count} edges unvisited, more than its {initial} initial ones"
+        ));
+    }
+    match marked(unvisited, edges).find(|&e| !graph.has_edge(e)) {
+        Some(e) => Err(format!(
+            "snapshot marks {e} unvisited, not an edge of the run's graph"
         )),
         None => Ok(()),
     }
-}
-
-/// `keys` — a snapshot's unvisited tracker keys of a run on `graph` —
-/// damaged the two ways [`check_remaining`] guards against: the low bit
-/// of one key flipped onto a pair that is no edge of `graph` (the list
-/// kept ascending), and one key repeated over its successor.
-#[cfg(test)]
-pub(crate) fn damaged_remaining(graph: &Graph, keys: &[u64]) -> [Vec<u64>; 2] {
-    let flips_off = |&key: &u64| {
-        let (src, dst) = ((key ^ 1) >> 32, (key ^ 1) & u64::from(u32::MAX));
-        src < dst && !graph.has_edge(Edge::new(src, dst))
-    };
-    let at = keys.iter().position(flips_off).expect("a key to flip");
-    let mut flipped = keys.to_vec();
-    flipped[at] ^= 1;
-    flipped.sort_unstable();
-    let mut repeated = keys.to_vec();
-    repeated[1] = repeated[0];
-    [flipped, repeated]
-}
-
-/// `keys` — a snapshot's unvisited tracker keys of a run on `graph` —
-/// with one swapped for a visited initial edge: an edge of `graph` that
-/// `owns` and the snapshot's `edges` lack. The list stays ascending and
-/// every key an owned input edge, so only [`mark_remaining`] refuses it.
-#[cfg(test)]
-pub(crate) fn vanished_remaining(
-    graph: &Graph,
-    keys: &[u64],
-    edges: &[Edge],
-    owns: impl Fn(Edge) -> bool,
-) -> Vec<u64> {
-    let present: std::collections::HashSet<Edge> = edges.iter().copied().collect();
-    let gone = (graph.edges())
-        .find(|&e| owns(e) && !present.contains(&e))
-        .expect("a visited initial edge");
-    let mut vanished = keys.to_vec();
-    vanished[0] = gone.key();
-    vanished.sort_unstable();
-    vanished
 }
 
 /// Check that `edges` — the edge list of an untrusted snapshot taken on
@@ -544,6 +508,7 @@ pub(crate) fn check_degrees(
 mod tests {
     use super::*;
     use crate::obs::{CountingClock, CALIBRATION_READS};
+    use crate::parallel::wire::encode_seq_checkpoint;
     use edgeswitch_dist::root_rng;
     use edgeswitch_graph::generators::erdos_renyi_gnm;
     use edgeswitch_graph::Edge;
@@ -670,6 +635,9 @@ mod tests {
         let mut eng = SequentialResumable::new(g.clone(), 1000, 7);
         eng.step(333);
         let ckpt = eng.checkpoint();
+        // The snapshot streams the pool into the bytes the checkpoint
+        // encodes to.
+        assert_eq!(Stepped::snapshot(&eng), encode_seq_checkpoint(&ckpt));
         assert!(SequentialResumable::restore(&g, 1000, 7, &ckpt).is_ok());
         assert!(SequentialResumable::restore(&g, 1000, 8, &ckpt).is_err());
         assert!(SequentialResumable::restore(&g, 999, 7, &ckpt).is_err());
@@ -678,28 +646,6 @@ mod tests {
         let mut damaged = ckpt.clone();
         damaged.graph_edges.swap_remove(0);
         assert!(SequentialResumable::restore(&g, 1000, 7, &damaged).is_err());
-        // A flipped bit or a repeated key in the tracker changes the
-        // visited count; neither restores.
-        for remaining in damaged_remaining(&g, &ckpt.tracker_remaining) {
-            let damaged = SeqCheckpoint {
-                tracker_remaining: remaining,
-                ..ckpt.clone()
-            };
-            assert!(SequentialResumable::restore(&g, 1000, 7, &damaged).is_err());
-        }
-        // Nor does an unvisited key whose edge the snapshot lacks: an
-        // initial edge it no longer holds was visited.
-        let vanished = SeqCheckpoint {
-            tracker_remaining: vanished_remaining(
-                &g,
-                &ckpt.tracker_remaining,
-                &ckpt.graph_edges,
-                |_| true,
-            ),
-            ..ckpt.clone()
-        };
-        let why = SequentialResumable::restore(&g, 1000, 7, &vanished).err();
-        assert!(why.is_some_and(|why| why.contains("lacks")), "{vanished:?}");
         let mut overrun = ckpt;
         overrun.performed = u64::MAX;
         assert!(SequentialResumable::restore(&g, 1000, 7, &overrun).is_err());

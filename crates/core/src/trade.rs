@@ -40,7 +40,7 @@ use crate::obs::{Obs, ObsSpec, Phase, ProgressEvent, SoloObs, StepProgress};
 use crate::parallel::wire::encode_curveball_checkpoint;
 use crate::run::{RunOutcome, SequentialRun, Stepped};
 use crate::sequential::{restore_pool, SequentialOutcome};
-use crate::visit::VisitTracker;
+use crate::visit::{marked, VisitTracker};
 use edgeswitch_dist::{substream_rng, Rng64};
 use edgeswitch_graph::adjacency::NeighborSet;
 use edgeswitch_graph::sampling::{fisher_yates_shuffle, random_matching};
@@ -266,7 +266,8 @@ pub(crate) struct CurveballCheckpoint {
     pub ctl: PassController,
     pub neighbors_moved: u64,
     pub tracker_initial: usize,
-    pub tracker_remaining: Vec<u64>,
+    /// Visit marks over `graph_edges`, as [`crate::SeqCheckpoint::unvisited`].
+    pub unvisited: Vec<u64>,
     pub graph_edges: Vec<Edge>,
 }
 
@@ -378,10 +379,8 @@ impl CurveballResumable {
     }
 
     /// Capture the complete engine state at a pass boundary, its edges
-    /// in ascending key order.
+    /// in ascending key order and its visit marks over them.
     pub(crate) fn checkpoint(&self) -> CurveballCheckpoint {
-        let mut tracker_remaining: Vec<u64> = self.tracker.remaining_keys().collect();
-        tracker_remaining.sort_unstable();
         // A trade preserves every degree, so the edge count is the initial one.
         let mut graph_edges = Vec::with_capacity(self.tracker.initial_count());
         for (u, nbrs) in self.adj.iter().enumerate() {
@@ -394,7 +393,7 @@ impl CurveballResumable {
             ctl: self.ctl,
             neighbors_moved: self.neighbors_moved,
             tracker_initial: self.tracker.initial_count(),
-            tracker_remaining,
+            unvisited: self.tracker.unvisited_bitmap(graph_edges.iter().copied()),
             graph_edges,
         }
     }
@@ -421,10 +420,10 @@ impl CurveballResumable {
             ckpt.n,
             &ckpt.graph_edges,
             ckpt.tracker_initial,
-            &ckpt.tracker_remaining,
+            &ckpt.unvisited,
         )?;
-        let tracker =
-            VisitTracker::from_parts(ckpt.tracker_initial, ckpt.tracker_remaining.iter().copied());
+        let unvisited = marked(&ckpt.unvisited, &ckpt.graph_edges).map(|e| e.key());
+        let tracker = VisitTracker::from_parts(ckpt.tracker_initial, unvisited);
         let graph = Graph::from_pool(ckpt.n, pool).expect("restore_pool checked the endpoints");
         Ok(CurveballResumable {
             adj: graph.into_adjacency(),
@@ -593,7 +592,6 @@ fn run_trade(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential::{damaged_remaining, vanished_remaining};
     use edgeswitch_dist::root_rng;
     use edgeswitch_graph::generators::{erdos_renyi_gnm, preferential_attachment};
 
@@ -997,6 +995,8 @@ mod tests {
                     if shuffled {
                         let mut rng = root_rng(ckpt.ctl.pass);
                         fisher_yates_shuffle(&mut ckpt.graph_edges, &mut rng);
+                        let edges = ckpt.graph_edges.iter().copied();
+                        ckpt.unvisited = hopping.tracker.unvisited_bitmap(edges);
                     }
                     hopping =
                         CurveballResumable::restore(&g, budget, 6, &ckpt).expect("own checkpoint");
@@ -1026,37 +1026,12 @@ mod tests {
         let mut damaged = ckpt.clone();
         damaged.graph_edges.swap_remove(0);
         assert!(CurveballResumable::restore(&g, budget, 3, &damaged).is_err());
-        // A flipped bit or a repeated key in the tracker changes the
-        // visited count, hence when a visit-rate run stops; neither
-        // restores.
-        let fresh = CurveballResumable::new(&g, budget, 3).checkpoint();
-        for remaining in damaged_remaining(&g, &fresh.tracker_remaining) {
-            let damaged = CurveballCheckpoint {
-                tracker_remaining: remaining,
-                ..fresh.clone()
-            };
-            assert!(CurveballResumable::restore(&g, budget, 3, &damaged).is_err());
-        }
-        // Nor does an unvisited key whose edge a trade re-dealt: an
-        // initial edge the snapshot no longer holds was visited.
-        let vanished = CurveballCheckpoint {
-            tracker_remaining: vanished_remaining(
-                &g,
-                &ckpt.tracker_remaining,
-                &ckpt.graph_edges,
-                |_| true,
-            ),
-            ..ckpt.clone()
-        };
-        let why = CurveballResumable::restore(&g, budget, 3, &vanished).err();
-        assert!(why.is_some_and(|why| why.contains("lacks")));
         // A stall counter at its ceiling ends the run; it never overflows.
         let full = Budget::VisitRate(1.0);
         let mut stalled = ckpt;
         stalled.ctl.budget = full;
         stalled.ctl.stall = u32::MAX;
-        stalled.ctl.last_visited =
-            (stalled.tracker_initial - stalled.tracker_remaining.len()) as u64;
+        stalled.ctl.last_visited = eng.tracker.visited_count() as u64;
         let mut eng = CurveballResumable::restore(&g, full, 3, &stalled).unwrap();
         assert!(eng.is_done());
         assert_eq!(eng.step(), 0);

@@ -76,6 +76,19 @@ impl VisitTracker {
         self.remaining.iter().copied()
     }
 
+    /// The unvisited marks over `edges` as a snapshot carries them: bit
+    /// `i % 64` of word `i / 64` set iff `edges[i]` is an unvisited
+    /// initial edge. One probe an edge.
+    pub fn unvisited_bitmap(&self, edges: impl ExactSizeIterator<Item = Edge>) -> Vec<u64> {
+        let mut bits = vec![0u64; edges.len().div_ceil(64)];
+        for (i, e) in edges.enumerate() {
+            if self.remaining.contains(&e.key()) {
+                bits[i / 64] |= 1 << (i % 64);
+            }
+        }
+        bits
+    }
+
     /// Rebuild a tracker from [`VisitTracker::initial_count`] and
     /// [`VisitTracker::remaining_keys`].
     pub fn from_parts<I: IntoIterator<Item = u64>>(initial_count: usize, remaining: I) -> Self {
@@ -88,6 +101,22 @@ impl VisitTracker {
             remaining: set,
         }
     }
+}
+
+/// The edges a snapshot marks unvisited, in list order. Snapshots carry
+/// visit marks as a bitmap over their own edge list: bit `i % 64` of
+/// word `i / 64` is set iff `edges[i]` is an unvisited initial edge, so
+/// the marks take ⌈m/64⌉ words and need no key of their own. Bits past
+/// the end of `edges` are skipped (a restore refuses them first).
+pub(crate) fn marked<'a>(bits: &'a [u64], edges: &'a [Edge]) -> impl Iterator<Item = Edge> + 'a {
+    let set_bits = |(w, &word): (usize, &u64)| {
+        std::iter::successors(Some(word), |&x| Some(x & x.wrapping_sub(1)))
+            .take_while(|&x| x != 0)
+            .map(move |x| w * 64 + x.trailing_zeros() as usize)
+    };
+    (bits.iter().enumerate())
+        .flat_map(set_bits)
+        .map_while(|i| edges.get(i).copied())
 }
 
 /// The visit rate `visited / initial` (`0` for an empty graph).
@@ -145,6 +174,25 @@ mod tests {
     fn empty_graph_rate_is_zero() {
         let t = VisitTracker::new(vec![]);
         assert_eq!(t.visit_rate(), 0.0);
+    }
+
+    #[test]
+    fn marks_go_through_a_bitmap_and_back() {
+        let edges: Vec<Edge> = (0..150).map(|i| e(i, i + 200)).collect();
+        let mut t = VisitTracker::new(edges.iter().copied());
+        for i in (0..150).filter(|i| i % 3 != 1) {
+            t.record_removal(e(i, i + 200));
+        }
+        let bits = t.unvisited_bitmap(edges.iter().copied());
+        assert_eq!(bits.len(), 3);
+        let back: Vec<Edge> = marked(&bits, &edges).collect();
+        let want: Vec<Edge> = (0..150)
+            .filter(|i| i % 3 == 1)
+            .map(|i| e(i, i + 200))
+            .collect();
+        assert_eq!(back, want);
+        // A bit past the end of the list marks nothing.
+        assert!(marked(&[1 << 63], &edges[..10]).next().is_none());
     }
 
     #[test]

@@ -343,6 +343,20 @@ impl EdgePool {
         }
     }
 
+    /// The marks as a bitmap over pool order: bit `i % 64` of word
+    /// `i / 64` is set iff the edge at dense index `i` is marked. One
+    /// sweep of the index — the slot index is the bit index, so no key is
+    /// collected or sorted.
+    pub fn unvisited_bitmap(&self) -> Vec<u64> {
+        let mut bits = vec![0u64; self.len().div_ceil(64)];
+        if self.unvisited > 0 {
+            for slot in self.pos.values().filter(|slot| slot.unvisited) {
+                bits[slot.idx as usize / 64] |= 1 << (slot.idx % 64);
+            }
+        }
+        bits
+    }
+
     /// Draw one edge uniformly at random; `None` on an empty pool.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Edge> {
@@ -546,6 +560,31 @@ mod tests {
             assert_eq!(it.size_hint(), (n, Some(n)));
         }
         assert_eq!(it.next(), None);
+    }
+
+    #[test]
+    fn the_unvisited_bitmap_marks_pool_positions() {
+        let total = BLOCK_EDGES + 77;
+        let mut p: EdgePool = (0..total as u64).map(|i| e(i, i + total as u64)).collect();
+        assert_eq!(p.unvisited_bitmap(), vec![0; total.div_ceil(64)]);
+        p.track_visits();
+        for i in (0..total as u64).step_by(3) {
+            assert!(p.remove(e(i, i + total as u64)));
+        }
+        // Swap-removes moved marked edges: each bit follows its edge.
+        let bits = p.unvisited_bitmap();
+        assert_eq!(bits.len(), p.len().div_ceil(64));
+        let marked: Vec<u64> = (0..p.len())
+            .filter(|&i| bits[i / 64] >> (i % 64) & 1 == 1)
+            .map(|i| p.get(i).unwrap().key())
+            .collect();
+        let mut keys: Vec<u64> = p.unvisited_keys().collect();
+        keys.sort_unstable();
+        let mut sorted = marked.clone();
+        sorted.sort_unstable();
+        assert_eq!((sorted, marked.len()), (keys, p.unvisited()));
+        // No bit past the last edge.
+        assert_eq!(bits.last().unwrap() >> (p.len() % 64), 0);
     }
 
     #[test]

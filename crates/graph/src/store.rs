@@ -116,6 +116,12 @@ impl PartitionStore {
         self.pool.unvisited_keys()
     }
 
+    /// The marks as a bitmap over pool order
+    /// ([`EdgePool::unvisited_bitmap`]).
+    pub fn unvisited_bitmap(&self) -> Vec<u64> {
+        self.pool.unvisited_bitmap()
+    }
+
     /// Internal consistency of the pool (index against dense array).
     pub fn check_consistent(&self) -> bool {
         self.pool.check_consistent()

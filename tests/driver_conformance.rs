@@ -25,7 +25,9 @@ mod common;
 
 use common::{des, frozen_sequential, process, simulated, threaded, under};
 use edge_switching::core::parallel::process_backend_supported;
-use edge_switching::core::parallel::wire::encode_seq_checkpoint;
+use edge_switching::core::parallel::wire::{
+    decode_seq_checkpoint, decode_switch_world, encode_seq_checkpoint,
+};
 use edge_switching::core::{SeqCheckpoint, SequentialOutcome, SequentialResumable};
 use edge_switching::dist::BlockRng64;
 use edge_switching::graph::generators::families::star;
@@ -256,8 +258,6 @@ fn pool_only_engine_equals_the_graph_maintaining_reference() {
                 let mut reference = g.clone();
                 let mut rng = BlockRng64::new(root_rng(seed));
                 let frozen = frozen_sequential(&mut reference, t, &mut rng);
-                let mut remaining: Vec<u64> = frozen.tracker.remaining_keys().collect();
-                remaining.sort_unstable();
                 let frozen_state = encode_seq_checkpoint(&SeqCheckpoint {
                     seed,
                     n: reference.num_vertices(),
@@ -266,7 +266,7 @@ fn pool_only_engine_equals_the_graph_maintaining_reference() {
                     abandoned: t - frozen.performed,
                     rejects: frozen.rejects,
                     tracker_initial: frozen.tracker.initial_count(),
-                    tracker_remaining: remaining,
+                    unvisited: frozen.tracker.unvisited_bitmap(reference.edges()),
                     graph_edges: reference.edges().collect(),
                     rng_words: rng.words_served(),
                 });
@@ -352,13 +352,16 @@ fn golden_digests_are_pinned() {
     assert_eq!(got, pinned);
 }
 
-/// The bytes of a snapshot, pinned as the parent commit of the move of
-/// switch-engine visit tracking into the edge pool's index wrote them: a
+/// The bytes of a snapshot, pinned as format 3 writes them: a
 /// sequential engine and a simulated p = 2 world, each `advance`d part
 /// way on a fixed instance. Checkpoints on disk (and with them a service
 /// job's resume) stay readable only while the format and every field in
-/// it — pool order, sorted unvisited keys, counters, stream position —
-/// are unchanged; a digest of the bytes fails on any of them.
+/// it — pool order, visit marks, counters, stream position — are
+/// unchanged; a digest of the bytes fails on any of them. Beside each, a
+/// digest of what the snapshot holds, whatever the format: the edges in
+/// order, the sorted keys of the unvisited ones and every counter, as
+/// commit 0e06a1f (format 2, a sorted key per unvisited edge) computed
+/// it. Format 3 changed how the marks are written, not what is written.
 #[test]
 fn snapshot_bytes_are_pinned() {
     fn fnv1a(bytes: &[u8]) -> u64 {
@@ -366,12 +369,60 @@ fn snapshot_bytes_are_pinned() {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         })
     }
+    let keys = |edges: &[Edge]| edges.iter().map(|e| e.key()).collect::<Vec<u64>>();
+    let unvisited = |edges: &[Edge], bits: &[u64]| {
+        let mut set: Vec<u64> = (0..edges.len())
+            .filter(|&i| bits[i / 64] >> (i % 64) & 1 == 1)
+            .map(|i| edges[i].key())
+            .collect();
+        set.sort_unstable();
+        set
+    };
+    let content = |sequential: bool, bytes: &[u8]| {
+        // Flat tuples, field for field as the format-2 digest formatted them.
+        let text = if sequential {
+            let c = decode_seq_checkpoint(bytes).expect("own snapshot");
+            let (edges, set) = (
+                keys(&c.graph_edges),
+                unvisited(&c.graph_edges, &c.unvisited),
+            );
+            let (initial, rng) = (c.tracker_initial, c.rng_words);
+            let (seed, n, t, performed, abandoned) = (c.seed, c.n, c.t, c.performed, c.abandoned);
+            let all = (
+                seed, n, t, performed, abandoned, c.rejects, initial, rng, edges, set,
+            );
+            format!("{all:?}")
+        } else {
+            let s = decode_switch_world(bytes).expect("own snapshot");
+            let ranks: Vec<_> = (s.ranks.iter())
+                .map(|r| {
+                    let edges = keys(&r.store_edges);
+                    let set = unvisited(&r.store_edges, &r.unvisited);
+                    let initial = r.tracker_initial;
+                    (
+                        r.rank,
+                        edges,
+                        initial,
+                        set,
+                        r.stats,
+                        r.conv_seq,
+                        r.rng_words,
+                    )
+                })
+                .collect();
+            let (seed, p, n, t, next_step) = (s.seed, s.p, s.n, s.schedule, s.next_step);
+            let (comm, telemetry, initial) = (&s.comm, &s.telemetry, &s.initial_edges);
+            let all = (seed, p, n, t, next_step, ranks, comm, telemetry, initial);
+            format!("{all:?}")
+        };
+        fnv1a(text.as_bytes())
+    };
     let g = erdos_renyi_gnm(400, 2000, &mut root_rng(7));
     let runs = [
         (Run::sequential().switches(3000).seed(11), 1000),
         (Run::simulated(2).switches(3000).seed(11), 3),
     ];
-    let got: Vec<(usize, u64)> = runs
+    let got: Vec<(usize, u64, u64)> = runs
         .iter()
         .map(|(run, advances)| {
             let mut engine = run.start(&g).expect("steppable run");
@@ -379,12 +430,13 @@ fn snapshot_bytes_are_pinned() {
                 engine.advance(1);
             }
             let bytes = engine.snapshot();
-            (bytes.len(), fnv1a(&bytes))
+            let sequential = *advances == 1000;
+            (bytes.len(), fnv1a(&bytes), content(sequential, &bytes))
         })
         .collect();
     let pinned = [
-        (22_081, 0x032a_18af_cf07_ea22),
-        (32_289, 0xa229_0f12_3864_3c63),
+        (16_361, 0xde7a_47bd_bc42_5877, 0xa140_d5d3_e685_cb93),
+        (17_929, 0x418d_7b04_03f8_0ad8, 0xb30a_74b4_c268_0375),
     ];
     assert_eq!(got, pinned);
 }
