@@ -14,7 +14,7 @@
 //! - [`trade`]: the Curveball randomizer (global trades) and its
 //!   pausable sequential engine,
 //! - [`visit`]: visit-rate tracking (Section 3.1),
-//! - [`error_rate`]: the sequential-vs-parallel similarity metric
+//! - [`error_rate`](mod@error_rate): the sequential-vs-parallel similarity metric
 //!   (Section 4.6),
 //! - [`obs`]: probes, clocks and the [`RunReport`],
 //! - [`config`]: per-rank run configuration (scheme, step size, seed,
@@ -56,4 +56,4 @@ pub use sequential::{SeqCheckpoint, SequentialOutcome, SequentialResumable};
 pub use switch::{RejectReason, SwitchKind};
 pub use trade::CurveballResumable;
 pub use variants::{sequential_edge_switch_connected, sequential_exact_visit, ConstrainedOutcome};
-pub use visit::VisitTracker;
+pub use visit::{VisitTracker, Visits};

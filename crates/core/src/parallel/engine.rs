@@ -42,7 +42,6 @@ where
     let p = config.processors;
     assert_eq!(part.num_parts(), p, "partitioner size must match config");
     let stores = build_stores(graph, part);
-    let initial_edges: Vec<u64> = stores.iter().map(|s| s.num_edges() as u64).collect();
     // Each rank thread takes its own store out of the shared list.
     let stores: Mutex<Vec<Option<PartitionStore>>> =
         Mutex::new(stores.into_iter().map(Some).collect());
@@ -84,14 +83,7 @@ where
         }
         outputs.push(output);
     }
-    assemble_outcome(
-        graph.num_vertices(),
-        steps as u64,
-        initial_edges,
-        outputs,
-        telemetry,
-        meta,
-    )
+    assemble_outcome(graph.num_vertices(), steps as u64, outputs, telemetry, meta)
 }
 
 /// Run `t` switch operations on `graph` over threaded ranks split by

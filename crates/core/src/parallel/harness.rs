@@ -32,7 +32,7 @@ use super::rank::{RankCheckpoint, RankState, RankStats, StartResult};
 use super::wire::SnapField;
 use crate::config::{ParallelConfig, QuotaPolicy};
 use crate::obs::{Clock, CommGauges, Obs, Phase, RankObs, RunReport};
-use crate::visit::VisitTracker;
+use crate::visit::Visits;
 use edgeswitch_dist::BlockRng64;
 use edgeswitch_graph::store::assemble_graph;
 use edgeswitch_graph::{Graph, PartitionStore};
@@ -213,12 +213,14 @@ pub struct ParallelOutcome {
     pub per_rank: Vec<RankStats>,
     /// Final `|E_i|` per rank (Figure 18).
     pub final_edges: Vec<u64>,
-    /// Initial `|E_i|` per rank (Figure 17).
+    /// Initial `|E_i|` per rank (Figure 17), each rank's
+    /// [`Visits::initial`].
     pub initial_edges: Vec<u64>,
     /// Per-rank communication counters.
     pub comm: Vec<CommStats>,
-    /// Merged visit tracking over the whole graph.
-    pub tracker: VisitTracker,
+    /// Visit marks over the assembled graph's `edges()` order: the
+    /// ranks' marks joined in rank order.
+    pub visits: Visits,
     /// Per-step telemetry, aggregated over ranks.
     pub telemetry: Vec<StepTelemetry>,
     /// Aggregated observability report (`Some` iff the run was observed,
@@ -229,7 +231,7 @@ pub struct ParallelOutcome {
 impl ParallelOutcome {
     /// Observed visit rate.
     pub fn visit_rate(&self) -> f64 {
-        self.tracker.visit_rate()
+        self.visits.visit_rate()
     }
 
     /// Total operations performed across ranks.
@@ -290,8 +292,8 @@ impl ParallelOutcome {
 pub struct RankOutput {
     /// Final partition store.
     pub store: PartitionStore,
-    /// This partition's visit tracker.
-    pub tracker: VisitTracker,
+    /// This partition's visits, marks over its store's pool order.
+    pub visits: Visits,
     /// Protocol statistics.
     pub stats: RankStats,
     /// Communication counters.
@@ -311,14 +313,15 @@ pub struct RunMeta {
     pub wall_ns: u64,
 }
 
-/// Assemble the final [`ParallelOutcome`] from per-rank outputs — the
-/// one gather/merge path shared by every driver. `meta` is `Some` iff
-/// the run was observed; the per-rank probe recordings and comm-layer
+/// Assemble the final [`ParallelOutcome`] from per-rank outputs, in
+/// rank order — the one gather/merge path shared by every driver. The
+/// graph inserts the stores in that order and the visit marks join in
+/// it, so bit `i` marks the graph's edge `i`. `meta` is `Some` iff the
+/// run was observed; the per-rank probe recordings and comm-layer
 /// gauges are then merged into a [`RunReport`].
 pub fn assemble_outcome(
     n: usize,
     steps: u64,
-    initial_edges: Vec<u64>,
     outputs: Vec<RankOutput>,
     telemetry: Vec<StepTelemetry>,
     meta: Option<RunMeta>,
@@ -328,19 +331,16 @@ pub fn assemble_outcome(
     let mut comm = Vec::with_capacity(p);
     let mut final_edges = Vec::with_capacity(p);
     let mut final_stores = Vec::with_capacity(p);
-    let mut tracker_acc: Option<VisitTracker> = None;
+    let mut visits = Vec::with_capacity(p);
     let mut merged_obs = RankObs::default();
     for out in outputs {
         per_rank.push(out.stats);
         comm.push(out.comm);
         final_edges.push(out.store.num_edges() as u64);
+        visits.push((out.visits, out.store.num_edges()));
         final_stores.push(out.store);
         if let Some(obs) = &out.obs {
             merged_obs.merge(obs);
-        }
-        match &mut tracker_acc {
-            None => tracker_acc = Some(out.tracker),
-            Some(acc) => acc.merge_disjoint(out.tracker),
         }
     }
     let report = meta.map(|m| {
@@ -357,9 +357,9 @@ pub fn assemble_outcome(
         steps,
         per_rank,
         final_edges,
-        initial_edges,
+        initial_edges: visits.iter().map(|(v, _)| v.initial as u64).collect(),
         comm,
-        tracker: tracker_acc.unwrap_or_else(|| VisitTracker::new(std::iter::empty())),
+        visits: Visits::joined(visits),
         telemetry,
         report,
     }

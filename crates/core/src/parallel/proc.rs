@@ -814,18 +814,16 @@ fn launch_world(
     }
 
     let mut outputs: Vec<Option<RankOutput>> = (0..p).map(|_| None).collect();
-    let mut initial_edges = vec![0u64; p];
     let mut telemetry = vec![StepTelemetry::default(); steps as usize];
     // Each blob is freed once decoded: the launcher never holds a rank's
     // result both as bytes and as a store for longer than one rank.
     for blob in blobs {
-        let (initial, output, rank_telemetry) = wire::decode_rank_result(&blob);
+        let (output, rank_telemetry) = wire::decode_rank_result(&blob);
         drop(blob);
         for (acc, step) in telemetry.iter_mut().zip(&rank_telemetry) {
             acc.merge(step);
         }
         let rank = output.store.rank();
-        initial_edges[rank] = initial;
         assert!(
             outputs[rank].replace(output).is_none(),
             "duplicate result for rank {rank}"
@@ -845,14 +843,7 @@ fn launch_world(
     }
 
     // Process runs are unobserved: meta stays None, report stays None.
-    Ok(assemble_outcome(
-        n,
-        steps,
-        initial_edges,
-        outputs_final,
-        telemetry,
-        None,
-    ))
+    Ok(assemble_outcome(n, steps, outputs_final, telemetry, None))
 }
 
 // ---------------------------------------------------------------------
@@ -942,14 +933,12 @@ fn run_rank_child(world: &ShmWorld, rank: usize) {
             build_rank_store_streamed(&mut *stream, &part, rank)
         }
     };
-    let initial_edges = store.num_edges() as u64;
-
     let mut state = RankState::new(rank, part, store, &config);
     let mut transport = ProcTransport::new(world.endpoint(rank), p);
     let harness = StepHarness::new(t, &config);
     let telemetry = run_switch_rank(&mut transport, &mut state, harness);
 
     let output = state.into_output(transport.stats());
-    let blob = wire::encode_rank_result(initial_edges, &output, &telemetry);
+    let blob = wire::encode_rank_result(&output, &telemetry);
     send_result(&transport.ep, p, &blob, result_chunk_len(world));
 }

@@ -75,7 +75,7 @@ use super::msg::{ConvId, Msg, MsgKind, Outbox};
 use crate::config::ParallelConfig;
 use crate::obs::{GaugeKind, Obs, Phase, Stamp};
 use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
-use crate::visit::{marked, VisitTracker};
+use crate::visit::{marked, Visits};
 use edgeswitch_dist::Rng;
 use edgeswitch_dist::{rank_block_rng, BlockRng64};
 use edgeswitch_graph::hashing::{FxHashMap, FxHashSet};
@@ -153,11 +153,11 @@ pub struct RankCheckpoint {
     pub rank: usize,
     /// Partition store contents in pool (insertion) order.
     pub store_edges: Vec<Edge>,
-    /// [`VisitTracker::initial_count`] at capture.
+    /// The rank's initial edge count ([`Visits::initial`]) at capture.
     pub tracker_initial: usize,
-    /// Visit marks over `store_edges`, ⌈m/64⌉ words: bit `i % 64` of
-    /// word `i / 64` is set iff `store_edges[i]` is an unvisited initial
-    /// edge.
+    /// Visit marks over `store_edges` ([`Visits::unvisited`]): bit
+    /// `i % 64` of word `i / 64` is set iff `store_edges[i]` is an
+    /// unvisited initial edge.
     pub unvisited: Vec<u64>,
     /// Accumulated per-rank statistics.
     pub stats: RankStats,
@@ -169,21 +169,15 @@ pub struct RankCheckpoint {
 }
 
 impl RankCheckpoint {
-    /// A rank's store, visit tracking (`initial` edges, the `unvisited`
-    /// marks over the store's pool order) and statistics, with no
-    /// conversation counter or stream position — all a Curveball trade
-    /// rank has.
-    pub(crate) fn capture(
-        store: &PartitionStore,
-        initial: usize,
-        unvisited: Vec<u64>,
-        stats: RankStats,
-    ) -> Self {
+    /// A rank's store, its visits (marks over the store's pool order)
+    /// and statistics, with no conversation counter or stream position —
+    /// all a Curveball trade rank has.
+    pub(crate) fn capture(store: &PartitionStore, visits: Visits, stats: RankStats) -> Self {
         RankCheckpoint {
             rank: store.rank(),
             store_edges: store.edges().collect(),
-            tracker_initial: initial,
-            unvisited,
+            tracker_initial: visits.initial,
+            unvisited: visits.unvisited,
             stats,
             conv_seq: 0,
             rng_words: 0,
@@ -197,16 +191,6 @@ impl RankCheckpoint {
             store.insert(e);
         }
         store
-    }
-
-    /// The captured visit tracker.
-    pub fn tracker(&self) -> VisitTracker {
-        VisitTracker::from_parts(self.tracker_initial, self.unvisited_keys())
-    }
-
-    /// Keys of the edges marked unvisited, in pool order.
-    fn unvisited_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        marked(&self.unvisited, &self.store_edges).map(|e| e.key())
     }
 }
 
@@ -378,6 +362,15 @@ impl RankState {
         !self.serving.is_empty()
     }
 
+    /// The rank's visits at rest: the marks of its store's index as a
+    /// bitmap over pool order ([`PartitionStore::unvisited_bitmap`]).
+    fn at_rest(&self) -> Visits {
+        Visits {
+            initial: self.tracked,
+            unvisited: self.store.unvisited_bitmap(),
+        }
+    }
+
     /// Rebuild a rank from a [`RankCheckpoint`].
     ///
     /// The store is reinserted in captured pool order (sampling order is
@@ -390,8 +383,8 @@ impl RankState {
     /// before, where the world resumes from its snapshot.
     pub fn restore(part: Partitioner, config: &ParallelConfig, ckpt: &RankCheckpoint) -> Self {
         let mut store = ckpt.store();
-        for key in ckpt.unvisited_keys() {
-            store.mark_unvisited(key);
+        for e in marked(&ckpt.unvisited, &ckpt.store_edges) {
+            store.mark_unvisited(e.key());
         }
         let mut state = RankState::new(ckpt.rank, part, PartitionStore::new(ckpt.rank), config);
         state.store = store;
@@ -1055,7 +1048,7 @@ impl RankMachine for RankState {
     /// potential edges, in-flight and server-side conversations) is
     /// empty — the teardown (`into_output`) asserts the same
     /// invariant — so the whole protocol state reduces to the store
-    /// contents, the visit tracker, the statistics, the conversation-id
+    /// contents, the visit marks, the statistics, the conversation-id
     /// counter and the RNG stream position. `remaining`/`cumq` are step
     /// inputs re-established by [`RankState::begin_step`] and need no
     /// capture. Restoring via [`RankState::restore`] under the same
@@ -1073,12 +1066,7 @@ impl RankMachine for RankState {
         RankCheckpoint {
             conv_seq: self.conv_seq,
             rng_words: self.rng.words_served(),
-            ..RankCheckpoint::capture(
-                &self.store,
-                self.tracked,
-                self.store.unvisited_bitmap(),
-                self.stats,
-            )
+            ..RankCheckpoint::capture(&self.store, self.at_rest(), self.stats)
         }
     }
 
@@ -1091,7 +1079,7 @@ impl RankMachine for RankState {
         debug_assert!(self.reserved.is_empty(), "edges left reserved");
         debug_assert!(self.potential.is_empty(), "potential edges leaked");
         RankOutput {
-            tracker: VisitTracker::from_parts(self.tracked, self.store.unvisited_keys()),
+            visits: self.at_rest(),
             store: self.store,
             stats: self.stats,
             comm,

@@ -38,8 +38,8 @@ use super::wire::encode_world_snapshot;
 use crate::config::ParallelConfig;
 use crate::obs::{Clock, MonoClock, Obs, StepProgress};
 use crate::run::{RunOutcome, Stepped};
-use crate::sequential::{check_degrees, check_marks};
-use crate::visit::visit_rate;
+use crate::sequential::check_degrees;
+use crate::visit::{check_marks, visit_rate};
 use edgeswitch_graph::store::build_stores;
 use edgeswitch_graph::{Graph, PartitionStore, Partitioner};
 use mpilite::CommStats;
@@ -71,8 +71,8 @@ pub struct WorldSnapshot<C = u64> {
     pub comm: Vec<CommStats>,
     /// Telemetry of the completed steps.
     pub telemetry: Vec<StepTelemetry>,
-    /// Initial `|E_i|` per rank (a run-start constant, carried for the
-    /// final outcome).
+    /// Initial `|E_i|` per rank: each rank's `tracker_initial`, carried
+    /// for the final outcome (a resume refuses any other).
     pub initial_edges: Vec<u64>,
 }
 
@@ -93,7 +93,6 @@ pub(crate) struct SimWorld<T: WorldTransport = FifoTransport, S: RankMachine = R
     /// next.
     schedule: S::Schedule,
     telemetry: Vec<StepTelemetry>,
-    initial_edges: Vec<u64>,
     n: usize,
     seed: u64,
     next_step: u64,
@@ -124,7 +123,6 @@ impl<T: WorldTransport, S: RankMachine> SimWorld<T, S> {
         let p = config.processors;
         assert_eq!(part.num_parts(), p, "partitioner size must match config");
         let stores = build_stores(graph, part);
-        let initial_edges: Vec<u64> = stores.iter().map(|s| s.num_edges() as u64).collect();
         let clock: Option<Arc<dyn Clock>> = config.obs.enabled().then(|| {
             transport
                 .obs_clock()
@@ -147,7 +145,6 @@ impl<T: WorldTransport, S: RankMachine> SimWorld<T, S> {
             transport,
             schedule,
             telemetry: Vec::new(),
-            initial_edges,
             n: graph.num_vertices(),
             seed: config.seed,
             next_step: 0,
@@ -205,14 +202,7 @@ impl<T: WorldTransport, S: RankMachine> SimWorld<T, S> {
             .zip(self.comm_stats)
             .map(|(state, comm)| state.into_output(comm))
             .collect();
-        let outcome = assemble_outcome(
-            self.n,
-            self.next_step,
-            self.initial_edges,
-            outputs,
-            self.telemetry,
-            meta,
-        );
+        let outcome = assemble_outcome(self.n, self.next_step, outputs, self.telemetry, meta);
         (outcome, self.transport)
     }
 }
@@ -229,7 +219,9 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
             ranks: self.states.iter().map(|st| st.checkpoint()).collect(),
             comm: self.comm_stats.clone(),
             telemetry: self.telemetry.clone(),
-            initial_edges: self.initial_edges.clone(),
+            initial_edges: (self.states.iter())
+                .map(|st| st.visits().0 as u64)
+                .collect(),
         }
     }
 
@@ -237,7 +229,8 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
     /// `schedule` from a snapshot (`restore` rebuilds each rank). The
     /// snapshot is untrusted: its identity fields must match the run,
     /// every stored edge sit on its owner, every rank's visit marks fit
-    /// its store and the graph ([`check_marks`]) and the stores realize
+    /// its store and the graph ([`check_marks`]), its initial edge count
+    /// equal the one its checkpoint tracks, and the stores realize
     /// `graph`'s degree sequence — otherwise the reason comes back as
     /// `Err`, never a panic, never a silently divergent run.
     pub(crate) fn resume(
@@ -277,6 +270,12 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
                 ckpt.tracker_initial,
             )
             .map_err(|why| format!("rank {rank}: {why}"))?;
+            if snap.initial_edges[rank] != ckpt.tracker_initial as u64 {
+                return Err(format!(
+                    "snapshot of rank {rank} starts from {} edges but tracks {}",
+                    snap.initial_edges[rank], ckpt.tracker_initial
+                ));
+            }
             tracked = tracked.saturating_add(ckpt.tracker_initial);
         }
         if tracked != graph.num_edges() {
@@ -301,7 +300,6 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
             transport: FifoTransport::new(),
             schedule,
             telemetry: snap.telemetry.clone(),
-            initial_edges: snap.initial_edges.clone(),
             n: snap.n,
             seed: snap.seed,
             next_step: snap.next_step,

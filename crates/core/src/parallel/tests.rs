@@ -308,3 +308,59 @@ fn observed_simulated_run_reads_the_clock_for_one_span_in_64() {
     // Timing every span reads the clock at least four times a start.
     assert!(bound < 4 * started);
 }
+
+/// A parallel outcome's visit marks are its ranks' joined in rank order,
+/// the order `assemble_graph` inserts their stores in. Ranks of 63, 2, 0
+/// and 130 edges: one is empty, and no rank boundary falls on a word
+/// (63, 65, 65, 195), so every later rank's bits land shifted. Each rank
+/// switches a third of its edges away, so its marks are a mix and
+/// swap-removes have moved some of them.
+#[test]
+fn rank_visits_join_in_assembly_order() {
+    use super::harness::{assemble_outcome, RankOutput};
+    use crate::visit::Visits;
+    use edgeswitch_graph::{Edge, PartitionStore};
+    let (mut next, mut unvisited) = (0u64, Vec::new());
+    let outputs: Vec<RankOutput> = [63u64, 2, 0, 130]
+        .into_iter()
+        .enumerate()
+        .map(|(rank, m)| {
+            let mut store = PartitionStore::new(rank);
+            let edges: Vec<Edge> = (next..next + m).map(|v| Edge::new(v, v + 1000)).collect();
+            next += m;
+            edges.iter().for_each(|&e| assert!(store.insert(e)));
+            store.track_visits();
+            for (i, &e) in edges.iter().enumerate() {
+                if i % 3 == 1 {
+                    assert!(store.remove(e) && store.insert(Edge::new(e.src(), e.src() + 2000)));
+                } else {
+                    unvisited.push(e);
+                }
+            }
+            RankOutput {
+                visits: Visits {
+                    initial: m as usize,
+                    unvisited: store.unvisited_bitmap(),
+                },
+                store,
+                stats: Default::default(),
+                comm: Default::default(),
+                obs: None,
+            }
+        })
+        .collect();
+    let out = assemble_outcome(3000, 0, outputs, Vec::new(), None);
+    assert_eq!(out.initial_edges, [63, 2, 0, 130]);
+    let edges: Vec<Edge> = out.graph.edges().collect();
+    assert_eq!((edges.len(), out.visits.unvisited.len()), (195, 4));
+    for (i, e) in edges.iter().enumerate() {
+        let bit = out.visits.unvisited[i / 64] >> (i % 64) & 1 == 1;
+        assert_eq!(bit, unvisited.contains(e), "edge {i}: {e}");
+    }
+    assert_eq!(out.visits.visited(), 195 - unvisited.len());
+    assert_eq!(
+        out.visits.unvisited[3] >> (195 % 64),
+        0,
+        "a bit past the end"
+    );
+}

@@ -341,19 +341,14 @@ impl RankMachine for TradeRankState {
 
     fn checkpoint(&self) -> RankCheckpoint {
         debug_assert!(self.slots.is_empty(), "checkpoint taken mid-pass");
-        let t = &self.tracker;
-        RankCheckpoint::capture(
-            &self.store,
-            t.initial_count(),
-            t.unvisited_bitmap(self.store.edges()),
-            self.stats,
-        )
+        let visits = self.tracker.visits(self.store.edges());
+        RankCheckpoint::capture(&self.store, visits, self.stats)
     }
 
     fn into_output(self, comm: CommStats) -> RankOutput {
         RankOutput {
+            visits: self.tracker.visits(self.store.edges()),
             store: self.store,
-            tracker: self.tracker,
             stats: self.stats,
             comm,
             obs: self.obs.finish(),
@@ -400,7 +395,11 @@ impl SimWorld<FifoTransport, TradeRankState> {
         let degrees = degree_table(graph);
         let ctl = PassController::new(budget);
         SimWorld::resume(graph, config, part, ctl, snap, |ckpt| TradeRankState {
-            tracker: ckpt.tracker(),
+            tracker: VisitTracker::from_marks(
+                ckpt.tracker_initial,
+                &ckpt.unvisited,
+                &ckpt.store_edges,
+            ),
             stats: ckpt.stats,
             ..TradeRankState::new(
                 ckpt.rank,

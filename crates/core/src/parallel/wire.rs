@@ -20,7 +20,7 @@ use crate::config::Budget;
 use crate::sequential::{RejectCounts, SeqCheckpoint};
 use crate::switch::RejectReason;
 use crate::trade::{CurveballCheckpoint, PassController};
-use crate::visit::VisitTracker;
+use crate::visit::Visits;
 
 use super::harness::{MsgCounts, RankOutput, StepTelemetry};
 use super::msg::{ConvId, Msg, MsgKind};
@@ -491,6 +491,13 @@ fn put_header(out: &mut Vec<u8>, kind: u8) {
     out.push(kind);
 }
 
+/// Visit state at rest ([`Visits`]): the initial edge count, then the
+/// marks as a list of words.
+fn put_visits(out: &mut Vec<u8>, initial: usize, unvisited: &[u64]) {
+    put_u64(out, initial as u64);
+    put_keys(out, unvisited.iter().copied());
+}
+
 fn put_stats(out: &mut Vec<u8>, stats: &RankStats) {
     for v in [
         stats.performed,
@@ -561,8 +568,7 @@ fn put_telemetry(out: &mut Vec<u8>, tel: &StepTelemetry) {
 fn put_rank_checkpoint(out: &mut Vec<u8>, ckpt: &RankCheckpoint) {
     put_u64(out, ckpt.rank as u64);
     put_keys(out, ckpt.store_edges.iter().map(|e| e.key()));
-    put_u64(out, ckpt.tracker_initial as u64);
-    put_keys(out, ckpt.unvisited.iter().copied());
+    put_visits(out, ckpt.tracker_initial, &ckpt.unvisited);
     put_stats(out, &ckpt.stats);
     put_u64(out, ckpt.conv_seq);
     put_u64(out, ckpt.rng_words);
@@ -758,8 +764,7 @@ pub(crate) fn encode_seq(
     put_u64(&mut out, ckpt.rejects.self_loop);
     put_u64(&mut out, ckpt.rejects.useless);
     put_u64(&mut out, ckpt.rejects.parallel);
-    put_u64(&mut out, ckpt.tracker_initial as u64);
-    put_keys(&mut out, ckpt.unvisited.iter().copied());
+    put_visits(&mut out, ckpt.tracker_initial, &ckpt.unvisited);
     put_keys(&mut out, edges.map(|e| e.key()));
     put_u64(&mut out, ckpt.rng_words);
     debug_assert_eq!(out.len(), len);
@@ -803,8 +808,7 @@ pub(crate) fn encode_curveball_checkpoint(ckpt: &CurveballCheckpoint) -> Vec<u8>
     put_u64(&mut out, ckpt.n as u64);
     ckpt.ctl.put(&mut out);
     put_u64(&mut out, ckpt.neighbors_moved);
-    put_u64(&mut out, ckpt.tracker_initial as u64);
-    put_keys(&mut out, ckpt.unvisited.iter().copied());
+    put_visits(&mut out, ckpt.tracker_initial, &ckpt.unvisited);
     put_keys(&mut out, ckpt.graph_edges.iter().map(|e| e.key()));
     debug_assert_eq!(out.len(), len);
     out
@@ -832,25 +836,18 @@ pub(crate) fn decode_curveball_checkpoint(bytes: &[u8]) -> Result<CurveballCheck
 // Rank results (process backend teardown)
 // ---------------------------------------------------------------------
 
-/// Serialize what one rank process returns to its launcher: its share of
-/// the initial edges (under seed boot nobody else ever saw it), its
-/// [`RankOutput`] — store edges in pool order and the unvisited keys,
-/// streamed straight out of the live structures — and its per-step
-/// telemetry. Stats, comm counters and telemetry go through the same
-/// field codecs as the snapshots, so a new counter is added once.
-pub(crate) fn encode_rank_result(
-    initial_edges: u64,
-    output: &RankOutput,
-    telemetry: &[StepTelemetry],
-) -> Vec<u8> {
-    let (store, tracker) = (&output.store, &output.tracker);
-    let remaining = tracker.remaining_keys();
-    let mut out = Vec::with_capacity(8 * (store.num_edges() + remaining.len()) + 512);
-    put_u64(&mut out, initial_edges);
+/// Serialize what one rank process returns to its launcher: its
+/// [`RankOutput`] — store edges in pool order and its [`Visits`], marks
+/// over that order, both streamed straight out of the live structures —
+/// and its per-step telemetry. Visits, stats, comm counters and
+/// telemetry go through the same field codecs as the snapshots, so a new
+/// counter is added once.
+pub(crate) fn encode_rank_result(output: &RankOutput, telemetry: &[StepTelemetry]) -> Vec<u8> {
+    let (store, visits) = (&output.store, &output.visits);
+    let mut out = Vec::with_capacity(8 * (store.num_edges() + visits.unvisited.len()) + 512);
     put_u64(&mut out, store.rank() as u64);
     put_keys(&mut out, store.edges().map(|e| e.key()));
-    put_u64(&mut out, tracker.initial_count() as u64);
-    put_keys(&mut out, remaining);
+    put_visits(&mut out, visits.initial, &visits.unvisited);
     put_stats(&mut out, &output.stats);
     put_comm(&mut out, &output.comm);
     put_u64(&mut out, telemetry.len() as u64);
@@ -861,24 +858,24 @@ pub(crate) fn encode_rank_result(
 }
 
 /// Inverse of [`encode_rank_result`], rebuilding the store by in-order
-/// insertion (pool order is sampling order); like message frames the
-/// blob is trusted (the child is this binary), so a malformed one
-/// panics. Process ranks are unobserved: `obs` comes back `None`.
-pub(crate) fn decode_rank_result(bytes: &[u8]) -> (u64, RankOutput, Vec<StepTelemetry>) {
+/// insertion (pool order is sampling order, and the order the visit
+/// marks index); like message frames the blob is trusted (the child is
+/// this binary), so a malformed one panics. Process ranks are
+/// unobserved: `obs` comes back `None`.
+pub(crate) fn decode_rank_result(bytes: &[u8]) -> (RankOutput, Vec<StepTelemetry>) {
     let mut r = Reader::new(bytes);
-    let initial_edges = r.u64();
     let rank = r.u64() as usize;
     let edges = r.len(8);
     let mut store = PartitionStore::new(rank);
     for _ in 0..edges {
         store.insert(r.edge());
     }
-    let tracker_initial = r.u64() as usize;
-    let remaining = r.len(8);
-    let tracker = VisitTracker::from_parts(tracker_initial, (0..remaining).map(|_| r.u64()));
     let output = RankOutput {
         store,
-        tracker,
+        visits: Visits {
+            initial: r.u64() as usize,
+            unvisited: r.list(8, Reader::u64),
+        },
         stats: r.stats(),
         comm: r.comm(),
         obs: None,
@@ -886,7 +883,7 @@ pub(crate) fn decode_rank_result(bytes: &[u8]) -> (u64, RankOutput, Vec<StepTele
     let steps = r.len(TELEMETRY_BYTES);
     let telemetry = (0..steps).map(|_| r.telemetry()).collect();
     r.expect_end("rank result blob");
-    (initial_edges, output, telemetry)
+    (output, telemetry)
 }
 
 #[cfg(test)]
@@ -1208,7 +1205,10 @@ mod tests {
         let ckpt = sample_rank_checkpoint(1);
         let output = RankOutput {
             store: ckpt.store(),
-            tracker: ckpt.tracker(),
+            visits: Visits {
+                initial: ckpt.tracker_initial,
+                unvisited: ckpt.unvisited.clone(),
+            },
             stats: ckpt.stats,
             comm: CommStats {
                 packets_sent: 4,
@@ -1225,15 +1225,17 @@ mod tests {
             };
             3
         ];
-        let bytes = encode_rank_result(77, &output, &telemetry);
-        let (initial, back, steps) = decode_rank_result(&bytes);
-        assert_eq!((initial, steps), (77, telemetry));
+        let bytes = encode_rank_result(&output, &telemetry);
+        let (back, steps) = decode_rank_result(&bytes);
+        assert_eq!(steps, telemetry);
         assert_eq!(back.store.rank(), 1);
-        // Pool order survives the trip: it is the rank's sampling order.
+        // Pool order survives the trip: it is the rank's sampling order,
+        // and the order the bitmap's bits index.
         assert!(back.store.edges().eq(ckpt.store_edges.iter().copied()));
-        assert_eq!(back.tracker.initial_count(), ckpt.tracker_initial);
-        let remaining: Vec<u64> = back.tracker.remaining_keys().collect();
-        assert_eq!(remaining, [Edge::new(3, 4).key()]);
+        assert_eq!(back.visits, output.visits);
+        let edges: Vec<Edge> = back.store.edges().collect();
+        let unvisited: Vec<Edge> = back.visits.unvisited_edges(&edges).collect();
+        assert_eq!(unvisited, [Edge::new(3, 4)]);
         assert_eq!((back.stats, back.comm), (output.stats, output.comm));
         assert!(back.obs.is_none());
     }

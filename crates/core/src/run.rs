@@ -1079,6 +1079,45 @@ mod tests {
         }
     }
 
+    /// A world snapshot's per-rank initial edge counts are what the
+    /// outcome reports as Figure 17's data, so a resume checks them
+    /// against the count each rank's checkpoint tracks: one moved from
+    /// rank 1 to rank 0 — the total kept — is a bad snapshot, on the
+    /// switch world and the Curveball one.
+    #[test]
+    fn a_damaged_initial_edge_count_is_a_bad_snapshot() {
+        let g = graph();
+        for randomizer in [Randomizer::Switch, Randomizer::Curveball] {
+            let run = Run::simulated(2)
+                .randomizer(randomizer)
+                .switches(3000)
+                .seed(1);
+            let mut engine = run.start(&g).unwrap();
+            engine.advance(64);
+            let bytes = engine.snapshot();
+            fn damaged<C: SnapField>(bytes: &[u8]) -> (Vec<u64>, Vec<u8>) {
+                let mut snap = decode_world_snapshot::<C>(bytes).unwrap();
+                let want = snap.ranks.iter().map(|c| c.tracker_initial as u64);
+                assert!(snap.initial_edges.iter().copied().eq(want));
+                let initial = snap.initial_edges.clone();
+                snap.initial_edges[0] += 1;
+                snap.initial_edges[1] -= 1;
+                (initial, encode_world_snapshot(&snap))
+            }
+            let (initial, bad) = match randomizer {
+                Randomizer::Switch => damaged::<u64>(&bytes),
+                Randomizer::Curveball => damaged::<PassController>(&bytes),
+            };
+            match run.resume(&g, &bad) {
+                Err(RunError::BadSnapshot(why)) => assert!(why.contains("tracks"), "{why}"),
+                other => panic!("{randomizer:?}: {:?}", other.map(|_| "resumed")),
+            }
+            let out = run.resume(&g, &bytes).unwrap().run_to_end();
+            let out = out.into_parallel().expect("a simulated world");
+            assert_eq!(out.initial_edges, initial, "{randomizer:?}");
+        }
+    }
+
     /// Under Curveball an engine counts trades: a `switches(t)` budget
     /// reports `t` throughout (the last pass may overshoot it), and a
     /// visit-rate target — which fixes no trade count in advance —

@@ -19,7 +19,7 @@ use crate::obs::{Obs, ObsSpec, Phase, ProgressEvent, RunReport, SoloObs, StepPro
 use crate::parallel::wire::encode_seq;
 use crate::run::{RunOutcome, SequentialRun, Stepped};
 use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
-use crate::visit::{marked, visit_rate, VisitTracker};
+use crate::visit::{check_marks, marked, visit_rate, Visits};
 use edgeswitch_dist::Rng;
 use edgeswitch_dist::{root_rng, BlockRng64};
 use edgeswitch_graph::sampling::EdgePool;
@@ -65,8 +65,8 @@ pub struct SequentialOutcome {
     pub abandoned: u64,
     /// Rejection counters (each rejection restarts the operation).
     pub rejects: RejectCounts,
-    /// Visit tracking against the initial edge set.
-    pub tracker: VisitTracker,
+    /// Visit marks over the outcome graph's `edges()` order.
+    pub visits: Visits,
     /// Aggregated observability report (`Some` iff the run was
     /// observed).
     pub report: Option<RunReport>,
@@ -75,7 +75,7 @@ pub struct SequentialOutcome {
 impl SequentialOutcome {
     /// Observed visit rate after the run.
     pub fn visit_rate(&self) -> f64 {
-        self.tracker.visit_rate()
+        self.visits.visit_rate()
     }
 }
 
@@ -168,7 +168,7 @@ pub struct SeqCheckpoint {
     pub abandoned: u64,
     /// Rejection counters so far.
     pub rejects: RejectCounts,
-    /// [`VisitTracker::initial_count`] at capture.
+    /// Initial edge count ([`Visits::initial`]) at capture.
     pub tracker_initial: usize,
     /// Visit marks over `graph_edges`, ⌈m/64⌉ words: bit `i % 64` of
     /// word `i / 64` is set iff `graph_edges[i]` is an unvisited initial
@@ -355,12 +355,15 @@ impl SequentialResumable {
     }
 
     /// Tear down into the switched graph — its adjacency built here, in
-    /// bulk, from the switched pool — and the run outcome, its tracker
-    /// built from the unvisited keys; `report` is `Some` iff the engine
-    /// was observed.
+    /// bulk, from the switched pool — and the run outcome, its visit
+    /// marks read off the pool in pool order, the graph's edge order;
+    /// `report` is `Some` iff the engine was observed.
     pub fn finish(self) -> (Graph, SequentialOutcome) {
         let report = self.solo.report();
-        let tracker = VisitTracker::from_parts(self.initial, self.pool.unvisited_keys());
+        let visits = Visits {
+            initial: self.initial,
+            unvisited: self.pool.unvisited_bitmap(),
+        };
         let graph = Graph::from_pool(self.n, self.pool)
             .expect("a switch recombines endpoints of the graph's own edges");
         (
@@ -369,7 +372,7 @@ impl SequentialResumable {
                 performed: self.performed,
                 abandoned: self.abandoned,
                 rejects: self.rejects,
-                tracker,
+                visits,
                 report,
             },
         )
@@ -433,44 +436,6 @@ pub(crate) fn restore_pool(
         pool.mark_unvisited(e.key());
     }
     Ok(pool)
-}
-
-/// Check the visit marks of an untrusted snapshot: `unvisited` must be a
-/// bitmap over the snapshot's own `edges` ([`marked`]: ⌈m/64⌉ words, no
-/// bit set past the last edge) that marks at most `initial` edges — the
-/// tracker's share of the initial ones — each an edge of the run's input
-/// `graph`. A mark on an edge the snapshot lacks, or two on one edge,
-/// has no encoding; anything else — a flipped bit, a damaged count —
-/// would silently change the visited count and, under a visit-rate
-/// budget, the run.
-pub(crate) fn check_marks(
-    graph: &Graph,
-    edges: &[Edge],
-    unvisited: &[u64],
-    initial: usize,
-) -> Result<(), String> {
-    let m = edges.len();
-    if unvisited.len() != m.div_ceil(64) {
-        return Err(format!(
-            "snapshot visit marks are {} words for {m} edges",
-            unvisited.len()
-        ));
-    }
-    if !m.is_multiple_of(64) && unvisited.last().is_some_and(|&word| word >> (m % 64) != 0) {
-        return Err("snapshot visit marks set a bit past the last edge".to_string());
-    }
-    let count: usize = unvisited.iter().map(|w| w.count_ones() as usize).sum();
-    if count > initial {
-        return Err(format!(
-            "snapshot marks {count} edges unvisited, more than its {initial} initial ones"
-        ));
-    }
-    match marked(unvisited, edges).find(|&e| !graph.has_edge(e)) {
-        Some(e) => Err(format!(
-            "snapshot marks {e} unvisited, not an edge of the run's graph"
-        )),
-        None => Ok(()),
-    }
 }
 
 /// Check that `edges` — the edge list of an untrusted snapshot taken on

@@ -40,7 +40,7 @@ use crate::obs::{Obs, ObsSpec, Phase, ProgressEvent, SoloObs, StepProgress};
 use crate::parallel::wire::encode_curveball_checkpoint;
 use crate::run::{RunOutcome, SequentialRun, Stepped};
 use crate::sequential::{restore_pool, SequentialOutcome};
-use crate::visit::{marked, VisitTracker};
+use crate::visit::VisitTracker;
 use edgeswitch_dist::{substream_rng, Rng64};
 use edgeswitch_graph::adjacency::NeighborSet;
 use edgeswitch_graph::sampling::{fisher_yates_shuffle, random_matching};
@@ -393,7 +393,7 @@ impl CurveballResumable {
             ctl: self.ctl,
             neighbors_moved: self.neighbors_moved,
             tracker_initial: self.tracker.initial_count(),
-            unvisited: self.tracker.unvisited_bitmap(graph_edges.iter().copied()),
+            unvisited: self.tracker.visits(graph_edges.iter().copied()).unvisited,
             graph_edges,
         }
     }
@@ -422,8 +422,8 @@ impl CurveballResumable {
             ckpt.tracker_initial,
             &ckpt.unvisited,
         )?;
-        let unvisited = marked(&ckpt.unvisited, &ckpt.graph_edges).map(|e| e.key());
-        let tracker = VisitTracker::from_parts(ckpt.tracker_initial, unvisited);
+        let tracker =
+            VisitTracker::from_marks(ckpt.tracker_initial, &ckpt.unvisited, &ckpt.graph_edges);
         let graph = Graph::from_pool(ckpt.n, pool).expect("restore_pool checked the endpoints");
         Ok(CurveballResumable {
             adj: graph.into_adjacency(),
@@ -437,17 +437,19 @@ impl CurveballResumable {
     }
 
     /// Tear down into the traded graph — its pool built here, in
-    /// ascending key order — and the outcome (`performed` counts trades;
-    /// `report` iff observed).
+    /// ascending key order — and the outcome (`performed` counts trades,
+    /// the tracker becomes visit marks over the graph's edges; `report`
+    /// iff observed).
     pub fn finish(self) -> (Graph, SequentialOutcome) {
+        let (performed, report) = (self.performed(), self.solo.report());
+        let graph = Graph::from_adjacency(self.adj).expect("a trade keeps the lists symmetric");
         let outcome = SequentialOutcome {
-            performed: self.performed(),
+            performed,
             abandoned: 0,
             rejects: Default::default(),
-            tracker: self.tracker,
-            report: self.solo.report(),
+            visits: self.tracker.visits(graph.edges()),
+            report,
         };
-        let graph = Graph::from_adjacency(self.adj).expect("a trade keeps the lists symmetric");
         (graph, outcome)
     }
 }
@@ -831,11 +833,7 @@ mod tests {
                         traded.edges().eq(reference.sorted_edges()),
                         "{row}: ascending pool"
                     );
-                    assert_eq!(
-                        out.tracker.visited_count(),
-                        tracker.visited_count(),
-                        "{row}"
-                    );
+                    assert_eq!(out.visits, tracker.visits(traded.edges()), "{row}");
                 }
             }
         }
@@ -996,7 +994,7 @@ mod tests {
                         let mut rng = root_rng(ckpt.ctl.pass);
                         fisher_yates_shuffle(&mut ckpt.graph_edges, &mut rng);
                         let edges = ckpt.graph_edges.iter().copied();
-                        ckpt.unvisited = hopping.tracker.unvisited_bitmap(edges);
+                        ckpt.unvisited = hopping.tracker.visits(edges).unvisited;
                     }
                     hopping =
                         CurveballResumable::restore(&g, budget, 6, &ckpt).expect("own checkpoint");

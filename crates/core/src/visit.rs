@@ -6,18 +6,73 @@
 //! coincide with an already-visited initial edge; that does not un-visit
 //! it — the tracker counts only first removals of initial edges.
 //!
-//! Of the engines, only the Curveball ones hold a [`VisitTracker`] while
-//! they run: they hold no edge pool. The switch engines count visits in
-//! their pool's index instead ([`EdgePool::track_visits`]: the removal
-//! that takes an edge out takes its mark) and build a tracker from the
-//! unvisited keys only where an outcome leaves the engine. (The
-//! constrained variants of [`crate::variants`], which switch a whole
-//! `Graph`, keep one too.)
+//! At rest — in a snapshot, an outcome, a process rank's result — visit
+//! state has one form, [`Visits`]: a bitmap over the holder's own edge
+//! list, decoded by `marked` and validated by `check_marks`. While
+//! they run, the switch engines keep the marks in their pool's index
+//! ([`EdgePool::track_visits`]) and read the bitmap off it in one sweep
+//! ([`EdgePool::unvisited_bitmap`]). Only the Curveball engines, which
+//! hold no pool, and the constrained variants of [`crate::variants`]
+//! run on a [`VisitTracker`].
 //!
 //! [`EdgePool::track_visits`]: edgeswitch_graph::sampling::EdgePool::track_visits
+//! [`EdgePool::unvisited_bitmap`]: edgeswitch_graph::sampling::EdgePool::unvisited_bitmap
 
 use edgeswitch_graph::hashing::{set_with_capacity, FxHashSet};
-use edgeswitch_graph::Edge;
+use edgeswitch_graph::{Edge, Graph};
+
+/// Visit state at rest: the initial edge count, and marks over the
+/// holder's own edge list — a snapshot's, or the `edges()` order of the
+/// graph or store an outcome carries. They cannot name an edge the list
+/// lacks, or name one twice.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Visits {
+    /// Number of initial edges (what the visit rate divides by).
+    pub initial: usize,
+    /// ⌈m/64⌉ words over `m` edges: bit `i % 64` of word `i / 64` is set
+    /// iff edge `i` is an unvisited initial edge.
+    pub unvisited: Vec<u64>,
+}
+
+impl Visits {
+    /// Number of initial edges visited (`m'` in the paper).
+    pub fn visited(&self) -> usize {
+        self.initial - ones(&self.unvisited)
+    }
+
+    /// The observed visit rate `x' = m'/m` (`0` for an empty graph).
+    pub fn visit_rate(&self) -> f64 {
+        visit_rate(self.visited(), self.initial)
+    }
+
+    /// The unvisited initial edges among `edges` — the holder's own
+    /// list, in its order.
+    pub fn unvisited_edges<'a>(&'a self, edges: &'a [Edge]) -> impl Iterator<Item = Edge> + 'a {
+        marked(&self.unvisited, edges)
+    }
+
+    /// The visits over the concatenation of edge lists, each part given
+    /// with the length of its list, in list order — a parallel outcome
+    /// joins its ranks' in rank order, the order `assemble_graph`
+    /// inserts their stores in. A word at a time, shifted into place.
+    pub(crate) fn joined(parts: impl IntoIterator<Item = (Visits, usize)>) -> Visits {
+        let mut out = Visits::default();
+        let mut len = 0usize;
+        for (part, m) in parts {
+            out.initial += part.initial;
+            out.unvisited.resize((len + m).div_ceil(64), 0);
+            let (base, shift) = (len / 64, len % 64);
+            for (w, &word) in part.unvisited.iter().enumerate() {
+                out.unvisited[base + w] |= word << shift;
+                if shift > 0 && word >> (64 - shift) != 0 {
+                    out.unvisited[base + w + 1] |= word >> (64 - shift);
+                }
+            }
+            len += m;
+        }
+        out
+    }
+}
 
 /// Tracks which of the initial `m` edges have been switched away.
 ///
@@ -62,52 +117,36 @@ impl VisitTracker {
         visit_rate(self.visited_count(), self.initial_count)
     }
 
-    /// Merge another tracker's progress (used to aggregate per-partition
-    /// trackers after a distributed run; the trackers must have been
-    /// created over disjoint initial edge sets).
-    pub fn merge_disjoint(&mut self, other: VisitTracker) {
-        self.initial_count += other.initial_count;
-        self.remaining.extend(other.remaining);
-    }
-
-    /// Keys of initial edges not yet visited, in arbitrary order (for
-    /// serializing a tracker across the process transport).
-    pub fn remaining_keys(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        self.remaining.iter().copied()
-    }
-
-    /// The unvisited marks over `edges` as a snapshot carries them: bit
-    /// `i % 64` of word `i / 64` set iff `edges[i]` is an unvisited
-    /// initial edge. One probe an edge.
-    pub fn unvisited_bitmap(&self, edges: impl ExactSizeIterator<Item = Edge>) -> Vec<u64> {
+    /// The tracker at rest over `edges`, the holder's edge list in its
+    /// order: one probe an edge.
+    pub fn visits(&self, edges: impl ExactSizeIterator<Item = Edge>) -> Visits {
         let mut bits = vec![0u64; edges.len().div_ceil(64)];
         for (i, e) in edges.enumerate() {
             if self.remaining.contains(&e.key()) {
                 bits[i / 64] |= 1 << (i % 64);
             }
         }
-        bits
+        Visits {
+            initial: self.initial_count,
+            unvisited: bits,
+        }
     }
 
-    /// Rebuild a tracker from [`VisitTracker::initial_count`] and
-    /// [`VisitTracker::remaining_keys`].
-    pub fn from_parts<I: IntoIterator<Item = u64>>(initial_count: usize, remaining: I) -> Self {
-        let iter = remaining.into_iter();
-        let mut set: FxHashSet<u64> = set_with_capacity(iter.size_hint().0);
-        set.extend(iter);
-        debug_assert!(set.len() <= initial_count);
+    /// Rebuild a tracker of `initial` edges from the `unvisited` marks
+    /// over `edges` (the inverse of [`VisitTracker::visits`]).
+    pub(crate) fn from_marks(initial: usize, unvisited: &[u64], edges: &[Edge]) -> Self {
+        let mut remaining: FxHashSet<u64> = set_with_capacity(edges.len());
+        remaining.extend(marked(unvisited, edges).map(|e| e.key()));
         VisitTracker {
-            initial_count,
-            remaining: set,
+            initial_count: initial,
+            remaining,
         }
     }
 }
 
-/// The edges a snapshot marks unvisited, in list order. Snapshots carry
-/// visit marks as a bitmap over their own edge list: bit `i % 64` of
-/// word `i / 64` is set iff `edges[i]` is an unvisited initial edge, so
-/// the marks take ⌈m/64⌉ words and need no key of their own. Bits past
-/// the end of `edges` are skipped (a restore refuses them first).
+/// The edges a bitmap marks unvisited, in list order: bit `i % 64` of
+/// word `i / 64` marks `edges[i]`. Bits past the end of `edges` are
+/// skipped (a restore refuses them first, [`check_marks`]).
 pub(crate) fn marked<'a>(bits: &'a [u64], edges: &'a [Edge]) -> impl Iterator<Item = Edge> + 'a {
     let set_bits = |(w, &word): (usize, &u64)| {
         std::iter::successors(Some(word), |&x| Some(x & x.wrapping_sub(1)))
@@ -117,6 +156,49 @@ pub(crate) fn marked<'a>(bits: &'a [u64], edges: &'a [Edge]) -> impl Iterator<It
     (bits.iter().enumerate())
         .flat_map(set_bits)
         .map_while(|i| edges.get(i).copied())
+}
+
+/// Check the visit marks of an untrusted snapshot: `unvisited` must be a
+/// bitmap over the snapshot's own `edges` ([`marked`]: ⌈m/64⌉ words, no
+/// bit set past the last edge) that marks at most `initial` edges — the
+/// tracker's share of the initial ones — each an edge of the run's input
+/// `graph`. A mark on an edge the snapshot lacks, or two on one edge,
+/// has no encoding; anything else — a flipped bit, a damaged count —
+/// would silently change the visited count and, under a visit-rate
+/// budget, the run.
+pub(crate) fn check_marks(
+    graph: &Graph,
+    edges: &[Edge],
+    unvisited: &[u64],
+    initial: usize,
+) -> Result<(), String> {
+    let m = edges.len();
+    if unvisited.len() != m.div_ceil(64) {
+        return Err(format!(
+            "snapshot visit marks are {} words for {m} edges",
+            unvisited.len()
+        ));
+    }
+    if !m.is_multiple_of(64) && unvisited.last().is_some_and(|&word| word >> (m % 64) != 0) {
+        return Err("snapshot visit marks set a bit past the last edge".to_string());
+    }
+    let count = ones(unvisited);
+    if count > initial {
+        return Err(format!(
+            "snapshot marks {count} edges unvisited, more than its {initial} initial ones"
+        ));
+    }
+    match marked(unvisited, edges).find(|&e| !graph.has_edge(e)) {
+        Some(e) => Err(format!(
+            "snapshot marks {e} unvisited, not an edge of the run's graph"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Set bits of a bitmap.
+fn ones(bits: &[u64]) -> usize {
+    bits.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 /// The visit rate `visited / initial` (`0` for an empty graph).
@@ -174,6 +256,8 @@ mod tests {
     fn empty_graph_rate_is_zero() {
         let t = VisitTracker::new(vec![]);
         assert_eq!(t.visit_rate(), 0.0);
+        assert_eq!(t.visits(std::iter::empty()), Visits::default());
+        assert_eq!(Visits::default().visit_rate(), 0.0);
     }
 
     #[test]
@@ -183,50 +267,20 @@ mod tests {
         for i in (0..150).filter(|i| i % 3 != 1) {
             t.record_removal(e(i, i + 200));
         }
-        let bits = t.unvisited_bitmap(edges.iter().copied());
-        assert_eq!(bits.len(), 3);
-        let back: Vec<Edge> = marked(&bits, &edges).collect();
+        let visits = t.visits(edges.iter().copied());
+        assert_eq!(visits.unvisited.len(), 3);
+        assert_eq!((visits.initial, visits.visited()), (150, 100));
+        assert_eq!(visits.visit_rate(), t.visit_rate());
+        let back: Vec<Edge> = visits.unvisited_edges(&edges).collect();
         let want: Vec<Edge> = (0..150)
             .filter(|i| i % 3 == 1)
             .map(|i| e(i, i + 200))
             .collect();
         assert_eq!(back, want);
+        let rebuilt = VisitTracker::from_marks(150, &visits.unvisited, &edges);
+        assert_eq!(rebuilt.visited_count(), 100);
+        assert_eq!(rebuilt.visits(edges.iter().copied()), visits);
         // A bit past the end of the list marks nothing.
         assert!(marked(&[1 << 63], &edges[..10]).next().is_none());
-    }
-
-    #[test]
-    fn a_tracker_over_a_pool_is_sized_once() {
-        // A switch engine's outcome tracker is built from its pool's
-        // unvisited keys, which report their exact count, so the set is
-        // allocated for all of them up front and filling it never
-        // rehashes.
-        let m = 40_000usize;
-        let mut pool: edgeswitch_graph::sampling::EdgePool =
-            (0..m as u64).map(|i| e(i, i + m as u64)).collect();
-        pool.track_visits();
-        for i in (0..m as u64).step_by(4) {
-            pool.remove(e(i, i + m as u64));
-        }
-        let left = pool.unvisited();
-        let t = VisitTracker::from_parts(m, pool.unvisited_keys());
-        assert_eq!((t.initial_count(), t.visited_count()), (m, m - left));
-        assert_eq!(
-            t.remaining.capacity(),
-            set_with_capacity::<u64>(left).capacity()
-        );
-    }
-
-    #[test]
-    fn merge_disjoint_combines_progress() {
-        let mut a = VisitTracker::new(vec![e(0, 1), e(1, 2)]);
-        let mut b = VisitTracker::new(vec![e(5, 6), e(6, 7)]);
-        a.record_removal(e(0, 1));
-        b.record_removal(e(5, 6));
-        b.record_removal(e(6, 7));
-        a.merge_disjoint(b);
-        assert_eq!(a.initial_count(), 4);
-        assert_eq!(a.visited_count(), 3);
-        assert!((a.visit_rate() - 0.75).abs() < 1e-12);
     }
 }

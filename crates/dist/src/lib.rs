@@ -2,13 +2,13 @@
 //!
 //! Random-variate substrate for the edge-switching reproduction:
 //!
-//! - [`binomial`]: the BINV inverse-transform sampler (Algorithm 3) with
+//! - [`binomial`](mod@binomial): the BINV inverse-transform sampler (Algorithm 3) with
 //!   the paper's underflow-avoiding split (Equations 14–15),
-//! - [`multinomial`]: the sequential conditional-distribution method
+//! - [`multinomial`](mod@multinomial): the sequential conditional-distribution method
 //!   (Algorithm 4),
 //! - [`parallel`]: the paper's parallel multinomial algorithm
 //!   (Algorithm 5) over the `mpilite` runtime,
-//! - [`harmonic`]: harmonic numbers and the visit-rate → switch-count
+//! - [`harmonic`](mod@harmonic): harmonic numbers and the visit-rate → switch-count
 //!   conversion (Equation 4),
 //! - [`rng`]: the in-repo PCG-64 generator, the [`Rng`] sampling trait and
 //!   seeded, per-rank-decorrelated streams.

@@ -35,7 +35,10 @@
 //! switch engine reads its visited count off the pool
 //! ([`EdgePool::unvisited`]) with no second table and no extra probe.
 //! The mark lives in the index entry, keyed by edge, not in the dense
-//! slot, so pool order — sampling order — does not depend on it.
+//! slot, so pool order — sampling order — does not depend on it. The
+//! entry holds the slot index too, so the marks leave the pool in one
+//! form: a bitmap over pool order ([`EdgePool::unvisited_bitmap`]), the
+//! one every snapshot, switch outcome and process rank result carries.
 
 use crate::hashing::{map_with_capacity, FxHashMap};
 use crate::types::{Edge, VertexId, MAX_POOL_EDGES};
@@ -334,15 +337,6 @@ impl EdgePool {
         self.unvisited
     }
 
-    /// Packed keys of the marked edges, in arbitrary order, with an
-    /// exact `size_hint` (consumers pre-size from it).
-    pub fn unvisited_keys(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        UnvisitedKeys {
-            entries: self.pos.iter(),
-            left: self.unvisited,
-        }
-    }
-
     /// The marks as a bitmap over pool order: bit `i % 64` of word
     /// `i / 64` is set iff the edge at dense index `i` is marked. One
     /// sweep of the index — the slot index is the bit index, so no key is
@@ -394,32 +388,6 @@ impl EdgePool {
             && self.unvisited == self.pos.values().filter(|s| s.unvisited).count()
     }
 }
-
-/// [`EdgePool::unvisited_keys`]: a sweep of the index that stops at the
-/// last marked entry and knows how many are left.
-struct UnvisitedKeys<'a> {
-    entries: std::collections::hash_map::Iter<'a, u64, Slot>,
-    left: usize,
-}
-
-impl Iterator for UnvisitedKeys<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        if self.left == 0 {
-            return None;
-        }
-        let (&key, _) = self.entries.find(|(_, slot)| slot.unvisited)?;
-        self.left -= 1;
-        Some(key)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
-    }
-}
-
-impl ExactSizeIterator for UnvisitedKeys<'_> {}
 
 impl FromIterator<Edge> for EdgePool {
     fn from_iter<I: IntoIterator<Item = Edge>>(iter: I) -> Self {
@@ -544,25 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn unvisited_keys_report_their_exact_length() {
-        let total = BLOCK_EDGES + 77;
-        let mut p: EdgePool = (0..total as u64).map(|i| e(i, i + total as u64)).collect();
-        p.track_visits();
-        for i in (0..total as u64).step_by(3) {
-            assert!(p.remove(e(i, i + total as u64)));
-        }
-        let left = p.unvisited();
-        assert_eq!(left, total - total.div_ceil(3));
-        let mut it = p.unvisited_keys();
-        assert_eq!(it.len(), left);
-        for n in (0..left).rev() {
-            assert!(it.next().is_some());
-            assert_eq!(it.size_hint(), (n, Some(n)));
-        }
-        assert_eq!(it.next(), None);
-    }
-
-    #[test]
     fn the_unvisited_bitmap_marks_pool_positions() {
         let total = BLOCK_EDGES + 77;
         let mut p: EdgePool = (0..total as u64).map(|i| e(i, i + total as u64)).collect();
@@ -574,15 +523,16 @@ mod tests {
         // Swap-removes moved marked edges: each bit follows its edge.
         let bits = p.unvisited_bitmap();
         assert_eq!(bits.len(), p.len().div_ceil(64));
-        let marked: Vec<u64> = (0..p.len())
+        // The marked edges are exactly the survivors: `i` with
+        // `i % 3 != 0`, paired with `i + total`.
+        let mut marked: Vec<u64> = (0..p.len())
             .filter(|&i| bits[i / 64] >> (i % 64) & 1 == 1)
-            .map(|i| p.get(i).unwrap().key())
+            .map(|i| p.get(i).unwrap().src())
             .collect();
-        let mut keys: Vec<u64> = p.unvisited_keys().collect();
-        keys.sort_unstable();
-        let mut sorted = marked.clone();
-        sorted.sort_unstable();
-        assert_eq!((sorted, marked.len()), (keys, p.unvisited()));
+        marked.sort_unstable();
+        let want: Vec<u64> = (0..total as u64).filter(|i| i % 3 != 0).collect();
+        assert_eq!(marked.len(), p.unvisited());
+        assert_eq!(marked, want);
         // No bit past the last edge.
         assert_eq!(bits.last().unwrap() >> (p.len() % 64), 0);
     }

@@ -110,12 +110,6 @@ impl PartitionStore {
         self.pool.unvisited()
     }
 
-    /// Their keys, exact-size, in arbitrary order
-    /// ([`EdgePool::unvisited_keys`]).
-    pub fn unvisited_keys(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        self.pool.unvisited_keys()
-    }
-
     /// The marks as a bitmap over pool order
     /// ([`EdgePool::unvisited_bitmap`]).
     pub fn unvisited_bitmap(&self) -> Vec<u64> {

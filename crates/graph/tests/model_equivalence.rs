@@ -138,7 +138,8 @@ fn edge_pool_matches_hashset_model() {
 /// The visit marks the pool's index carries against the obvious model:
 /// a `HashSet` pool plus the set of initial edges not yet removed since
 /// the last `track_visits`. Random inserts, removes, `track_visits` and
-/// `mark_unvisited` calls must leave the same count and the same keys —
+/// `mark_unvisited` calls must leave the same count and the same edges,
+/// read through the bitmap the pool hands out (`unvisited_bitmap`) —
 /// including when swap-remove displaces a marked edge into a freed slot
 /// (it keeps its mark) and when a visited initial edge is inserted again
 /// (it stays visited).
@@ -183,7 +184,13 @@ fn edge_pool_visit_marks_match_a_tracker_model() {
                 }
             }
             assert_eq!(sut.unvisited(), unvisited.len(), "count @ {step}");
-            let mut got: Vec<u64> = sut.unvisited_keys().collect();
+            // The marks as they leave the pool: a bitmap over pool order.
+            let bits = sut.unvisited_bitmap();
+            assert_eq!(bits.len(), sut.len().div_ceil(64), "words @ {step}");
+            let mut got: Vec<u64> = (0..64 * bits.len())
+                .filter(|&i| bits[i / 64] >> (i % 64) & 1 == 1)
+                .map(|i| sut.get(i).expect("no bit past the last edge").key())
+                .collect();
             got.sort_unstable();
             let mut want: Vec<u64> = unvisited.iter().map(|e| e.key()).collect();
             want.sort_unstable();

@@ -108,13 +108,15 @@ fn sequential_trades(g: &Graph, budget: Budget, seed: u64) -> SequentialTrades {
 // ---------------------------------------------------------------------
 
 /// Everything logical about an outcome: the switched graph's digest, the
-/// operation count, every reject/abort/forfeit counter and the visit
-/// count (plus, for a simulated world, its step and message ledger).
+/// operation count, every reject/abort/forfeit counter, the visit count
+/// and the visit set (plus, for a simulated world, its step and message
+/// ledger).
 #[derive(Debug, PartialEq)]
 struct Logical {
     digest: u64,
     performed: u64,
     visited: usize,
+    unvisited: Vec<u64>,
     counters: Vec<u64>,
     per_rank: Vec<RankStats>,
 }
@@ -128,7 +130,8 @@ fn logical(out: &RunOutcome) -> Logical {
             Logical {
                 digest,
                 performed,
-                visited: o.tracker.visited_count(),
+                visited: o.visits.visited(),
+                unvisited: remaining_sorted(&o.visits, &run.graph),
                 counters: vec![
                     o.abandoned,
                     o.rejects.self_loop,
@@ -141,7 +144,8 @@ fn logical(out: &RunOutcome) -> Logical {
         RunOutcome::Parallel(o) => Logical {
             digest,
             performed,
-            visited: o.tracker.visited_count(),
+            visited: o.visits.visited(),
+            unvisited: remaining_sorted(&o.visits, &o.graph),
             counters: vec![
                 o.forfeited(),
                 o.steps,
@@ -266,7 +270,7 @@ fn pool_only_engine_equals_the_graph_maintaining_reference() {
                     abandoned: t - frozen.performed,
                     rejects: frozen.rejects,
                     tracker_initial: frozen.tracker.initial_count(),
-                    unvisited: frozen.tracker.unvisited_bitmap(reference.edges()),
+                    unvisited: frozen.tracker.visits(reference.edges()).unvisited,
                     graph_edges: reference.edges().collect(),
                     rng_words: rng.words_served(),
                 });
@@ -287,11 +291,7 @@ fn pool_only_engine_equals_the_graph_maintaining_reference() {
                         .unwrap_or_else(|why| panic!("{row}: {why}"));
                     assert_eq!(out.performed, frozen.performed, "{row}");
                     assert_eq!(out.rejects, frozen.rejects, "{row}");
-                    assert_eq!(
-                        out.tracker.visited_count(),
-                        frozen.tracker.visited_count(),
-                        "{row}"
-                    );
+                    assert_eq!(out.visits, frozen.tracker.visits(switched.edges()), "{row}");
                     assert_eq!(switched.edge_digest(), reference.edge_digest(), "{row}");
                     for v in 0..switched.num_vertices() as u64 {
                         assert_eq!(switched.neighbors(v), reference.neighbors(v), "{row}");
@@ -867,6 +867,13 @@ fn process_engine_p1_is_bit_identical_to_simulator() {
             fifo.visit_rate(),
             "visits diverged: {ctx}"
         );
+        // The rank's marks crossed the shm rings as a bitmap over its
+        // store: the same set must come out.
+        assert_eq!(
+            remaining_sorted(&proc.visits, &proc.graph),
+            remaining_sorted(&fifo.visits, &fifo.graph),
+            "visit sets diverged: {ctx}"
+        );
         assert_eq!(proc.telemetry.len(), fifo.telemetry.len());
         for (a, b) in proc.telemetry.iter().zip(fifo.telemetry.iter()) {
             assert_eq!(a.ops, b.ops, "ops diverged: {ctx}");
@@ -1037,10 +1044,12 @@ fn killing_the_launcher_reaps_rank_children() {
 // FIFO simulator, DES, threaded engine — bit-identical at every
 // processor count, not just schedule-equivalent. These tests pin that.
 
-/// Collect a tracker's surviving (unvisited) keys in sorted order so two
-/// drivers' visit *sets* (not just rates) can be compared exactly.
-fn remaining_sorted(t: &VisitTracker) -> Vec<u64> {
-    let mut keys: Vec<u64> = t.remaining_keys().collect();
+/// Collect the unvisited keys an outcome's visits mark over its graph, in
+/// sorted order, so two drivers' visit *sets* (not just rates) can be
+/// compared exactly whatever order their graphs hold the edges in.
+fn remaining_sorted(visits: &Visits, graph: &Graph) -> Vec<u64> {
+    let edges: Vec<Edge> = graph.edges().collect();
+    let mut keys: Vec<u64> = visits.unvisited_edges(&edges).map(|e| e.key()).collect();
     keys.sort_unstable();
     keys
 }
@@ -1065,13 +1074,13 @@ fn curveball_sequential_and_simulator_are_bit_identical() {
             "graph diverged from sequential: {ctx}"
         );
         assert_eq!(
-            sim.tracker.visited_count(),
-            seq.out.tracker.visited_count(),
+            sim.visits.visited(),
+            seq.out.visits.visited(),
             "visit counts diverged: {ctx}"
         );
         assert_eq!(
-            remaining_sorted(&sim.tracker),
-            remaining_sorted(&seq.out.tracker),
+            remaining_sorted(&sim.visits, &sim.graph),
+            remaining_sorted(&seq.out.visits, &seq.graph),
             "visit sets diverged: {ctx}"
         );
         assert_eq!(sim.performed(), trades, "trade counts diverged: {ctx}");
@@ -1109,8 +1118,8 @@ fn curveball_fifo_and_des_produce_identical_outcomes() {
         assert_eq!(fifo.initial_edges, des.initial_edges, "{ctx}");
         assert_eq!(fifo.visit_rate(), des.visit_rate(), "visits: {ctx}");
         assert_eq!(
-            remaining_sorted(&fifo.tracker),
-            remaining_sorted(&des.tracker),
+            remaining_sorted(&fifo.visits, &fifo.graph),
+            remaining_sorted(&des.visits, &des.graph),
             "visit sets: {ctx}"
         );
         assert_eq!(fifo.telemetry.len(), des.telemetry.len());
@@ -1149,8 +1158,8 @@ fn curveball_threaded_engine_is_bit_identical_to_simulator() {
         assert_eq!(eng.final_edges, fifo.final_edges, "edges: {ctx}");
         assert_eq!(eng.initial_edges, fifo.initial_edges, "{ctx}");
         assert_eq!(
-            remaining_sorted(&eng.tracker),
-            remaining_sorted(&fifo.tracker),
+            remaining_sorted(&eng.visits, &eng.graph),
+            remaining_sorted(&fifo.visits, &fifo.graph),
             "visit sets: {ctx}"
         );
         assert_eq!(eng.telemetry.len(), fifo.telemetry.len());
@@ -1232,8 +1241,8 @@ fn curveball_visit_rate_budget_agrees_across_drivers() {
         assert!(sim.graph.same_edge_set(&seq.graph), "p={p} graph diverged");
         assert_eq!(sim.steps, seq.passes, "p={p} pass count diverged");
         assert_eq!(
-            sim.tracker.visited_count(),
-            seq.out.tracker.visited_count(),
+            sim.visits.visited(),
+            seq.out.visits.visited(),
             "p={p} visit counts diverged"
         );
     }
