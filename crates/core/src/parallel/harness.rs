@@ -34,8 +34,8 @@ use crate::config::{ParallelConfig, QuotaPolicy};
 use crate::obs::{Clock, CommGauges, Obs, Phase, RankObs, RunReport};
 use crate::visit::Visits;
 use edgeswitch_dist::BlockRng64;
-use edgeswitch_graph::store::assemble_graph;
-use edgeswitch_graph::{Graph, PartitionStore};
+use edgeswitch_graph::store::assemble_edges;
+use edgeswitch_graph::{Edge, Graph, PartitionStore};
 use mpilite::{CollCarrier, Comm, CommStats};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -290,9 +290,13 @@ impl ParallelOutcome {
 /// One rank's contribution to a [`ParallelOutcome`].
 #[derive(Debug)]
 pub struct RankOutput {
-    /// Final partition store.
-    pub store: PartitionStore,
-    /// This partition's visits, marks over its store's pool order.
+    /// The rank whose share this is.
+    pub rank: usize,
+    /// The final partition store's edges as packed keys ([`Edge::key`]),
+    /// in its pool order — the edges without the store's index, which
+    /// is freed at teardown.
+    pub keys: Vec<u64>,
+    /// This partition's visits, marks over `keys`' order.
     pub visits: Visits,
     /// Protocol statistics.
     pub stats: RankStats,
@@ -315,9 +319,10 @@ pub struct RunMeta {
 
 /// Assemble the final [`ParallelOutcome`] from per-rank outputs, in
 /// rank order — the one gather/merge path shared by every driver. The
-/// graph inserts the stores in that order and the visit marks join in
-/// it, so bit `i` marks the graph's edge `i`. `meta` is `Some` iff the
-/// run was observed; the per-rank probe recordings and comm-layer
+/// graph inserts the ranks' key lists in that order ([`assemble_edges`],
+/// which builds the one index the output needs) and the visit marks join
+/// in it, so bit `i` marks the graph's edge `i`. `meta` is `Some` iff
+/// the run was observed; the per-rank probe recordings and comm-layer
 /// gauges are then merged into a [`RunReport`].
 pub fn assemble_outcome(
     n: usize,
@@ -327,18 +332,19 @@ pub fn assemble_outcome(
     meta: Option<RunMeta>,
 ) -> ParallelOutcome {
     let p = outputs.len();
+    let m = outputs.iter().map(|out| out.keys.len()).sum();
     let mut per_rank = Vec::with_capacity(p);
     let mut comm = Vec::with_capacity(p);
     let mut final_edges = Vec::with_capacity(p);
-    let mut final_stores = Vec::with_capacity(p);
+    let mut final_keys = Vec::with_capacity(p);
     let mut visits = Vec::with_capacity(p);
     let mut merged_obs = RankObs::default();
     for out in outputs {
         per_rank.push(out.stats);
         comm.push(out.comm);
-        final_edges.push(out.store.num_edges() as u64);
-        visits.push((out.visits, out.store.num_edges()));
-        final_stores.push(out.store);
+        final_edges.push(out.keys.len() as u64);
+        visits.push((out.visits, out.keys.len()));
+        final_keys.push(out.keys);
         if let Some(obs) = &out.obs {
             merged_obs.merge(obs);
         }
@@ -352,8 +358,12 @@ pub fn assemble_outcome(
         };
         RunReport::from_obs(m.clock, p as u64, m.wall_ns, &merged_obs, Some(&gauges))
     });
+    // Each rank's list is freed as soon as the pool has taken it.
+    let edges = final_keys
+        .into_iter()
+        .flat_map(|keys| keys.into_iter().map(Edge::from_key));
     ParallelOutcome {
-        graph: assemble_graph(n, &final_stores),
+        graph: assemble_edges(n, m, edges),
         steps,
         per_rank,
         final_edges,

@@ -20,8 +20,13 @@
 //!   [`ProcTransport`] — point-to-point `Msg` frames and the step-boundary
 //!   collectives all travel the world's SPSC rings;
 //! * at teardown each child streams a **result blob** (its `RankOutput`
-//!   and per-step telemetry, encoded straight from the live store by the
-//!   [`wire`] field codecs) back to the launcher over its ring, and exits.
+//!   — its edges as a key list in pool order — and per-step telemetry,
+//!   by the [`wire`] field codecs) back to the launcher over its ring,
+//!   and exits. The launcher decodes the key lists and assembles the
+//!   output graph while the children exit, then reaps every child and
+//!   checks its status before returning; a child that exits, even
+//!   cleanly, without sending its whole blob is a
+//!   [`ProcError::RankDied`].
 //!
 //! Orphan safety is layered: children arm `PR_SET_PDEATHSIG(SIGKILL)`
 //! before exec (re-checking `getppid` to close the pre-arm race), and the
@@ -554,7 +559,8 @@ fn send_result(ep: &Endpoint<'_>, launcher: usize, blob: &[u8], chunk: usize) {
 
 /// Launcher side: drain `TAG_RESULT` frames from all `p` rank children
 /// until every blob is complete, reporting a [`ProcError::RankDied`] if a
-/// child dies first.
+/// child exits first — with a failure status, or cleanly without having
+/// sent its whole blob.
 fn collect_results(
     ep: &mut Endpoint<'_>,
     p: usize,
@@ -562,61 +568,72 @@ fn collect_results(
 ) -> Result<Vec<Vec<u8>>, ProcError> {
     let mut want: Vec<Option<usize>> = vec![None; p];
     let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); p];
-    let mut done = 0usize;
-    while done < p {
-        if let Some((src, tag, payload)) = ep.try_recv() {
-            assert_eq!(
-                tag, TAG_RESULT,
-                "unexpected tag {tag} from rank {src} at teardown"
-            );
-            assert!(src < p);
-            match want[src] {
-                None => {
-                    assert_eq!(payload.len(), 8, "result header frame");
-                    let total = u64::from_le_bytes(payload.try_into().unwrap()) as usize;
-                    want[src] = Some(total);
-                    bufs[src].reserve(total);
-                    if total == 0 {
-                        done += 1;
-                    }
-                }
-                Some(total) => {
-                    assert!(
-                        bufs[src].len() < total,
-                        "rank {src} sent extra result bytes"
-                    );
-                    bufs[src].extend_from_slice(payload);
-                    if bufs[src].len() == total {
-                        done += 1;
-                    }
-                }
-            }
-            continue;
+    let complete = |want: &[Option<usize>], bufs: &[Vec<u8>], rank: usize| {
+        want[rank].is_some_and(|total| bufs[rank].len() == total)
+    };
+    loop {
+        drain_results(ep, &mut want, &mut bufs);
+        if (0..p).all(|rank| complete(&want, &bufs, rank)) {
+            return Ok(bufs);
         }
         match ep.wait(64, 256, Duration::from_millis(100)) {
             WaitOutcome::Ready | WaitOutcome::ParkedReady(_) | WaitOutcome::TimedOut => {}
             WaitOutcome::Dead => unreachable!("launcher owns the liveness word"),
         }
-        // A rank that died before completing its blob would hang us
+        // A rank that exits before completing its blob would hang us
         // forever: check child status whenever the rings run dry.
         for (rank, child) in children.iter_mut().enumerate() {
-            let complete = want[rank].is_some_and(|total| bufs[rank].len() == total);
-            if complete {
+            if complete(&want, &bufs, rank) {
                 continue;
             }
-            if let Ok(Some(status)) = child.try_wait() {
-                if !status.success() {
-                    return Err(ProcError::RankDied {
-                        rank,
-                        detail: format!("exited with {status} before returning results"),
-                    });
-                }
-                // Exited cleanly: its frames are still in the ring; keep
-                // draining (the next loop iterations will consume them).
+            let Ok(Some(status)) = child.try_wait() else {
+                continue;
+            };
+            if !status.success() {
+                return Err(ProcError::RankDied {
+                    rank,
+                    detail: format!("exited with {status} before returning results"),
+                });
+            }
+            // A clean exit comes after the last frame is in the ring:
+            // one more drain takes everything it sent, and what is still
+            // missing then never comes.
+            drain_results(ep, &mut want, &mut bufs);
+            if !complete(&want, &bufs, rank) {
+                return Err(ProcError::RankDied {
+                    rank,
+                    detail: "exited cleanly without returning its results".to_string(),
+                });
             }
         }
     }
-    Ok(bufs)
+}
+
+/// Take every `TAG_RESULT` frame the rings hold now: a rank's first frame
+/// is its blob's length, the rest are the blob's bytes in order.
+fn drain_results(ep: &mut Endpoint<'_>, want: &mut [Option<usize>], bufs: &mut [Vec<u8>]) {
+    while let Some((src, tag, payload)) = ep.try_recv() {
+        assert_eq!(
+            tag, TAG_RESULT,
+            "unexpected tag {tag} from rank {src} at teardown"
+        );
+        assert!(src < want.len());
+        match want[src] {
+            None => {
+                assert_eq!(payload.len(), 8, "result header frame");
+                let total = u64::from_le_bytes(payload.try_into().unwrap()) as usize;
+                want[src] = Some(total);
+                bufs[src].reserve(total);
+            }
+            Some(total) => {
+                assert!(
+                    bufs[src].len() < total,
+                    "rank {src} sent extra result bytes"
+                );
+                bufs[src].extend_from_slice(payload);
+            }
+        }
+    }
 }
 
 /// Best-effort teardown of rank children on an error path: kill whatever
@@ -802,28 +819,20 @@ fn launch_world(
             return Err(err);
         }
     };
-    for (rank, child) in children.iter_mut().enumerate() {
-        let status = child.wait().expect("reaping shm rank child");
-        if !status.success() {
-            kill_children(&mut children);
-            return Err(ProcError::RankDied {
-                rank,
-                detail: format!("exited with {status}"),
-            });
-        }
-    }
 
+    // Decode and assemble while the children exit: each has sent its
+    // last frame, and its teardown overlaps the launcher's.
     let mut outputs: Vec<Option<RankOutput>> = (0..p).map(|_| None).collect();
     let mut telemetry = vec![StepTelemetry::default(); steps as usize];
     // Each blob is freed once decoded: the launcher never holds a rank's
-    // result both as bytes and as a store for longer than one rank.
+    // result both as bytes and as a key list for longer than one rank.
     for blob in blobs {
         let (output, rank_telemetry) = wire::decode_rank_result(&blob);
         drop(blob);
         for (acc, step) in telemetry.iter_mut().zip(&rank_telemetry) {
             acc.merge(step);
         }
-        let rank = output.store.rank();
+        let rank = output.rank;
         assert!(
             outputs[rank].replace(output).is_none(),
             "duplicate result for rank {rank}"
@@ -834,16 +843,30 @@ fn launch_world(
         match o {
             Some(output) => outputs_final.push(output),
             None => {
+                kill_children(&mut children);
                 return Err(ProcError::RankDied {
                     rank,
                     detail: "no result returned".to_string(),
-                })
+                });
             }
         }
     }
-
     // Process runs are unobserved: meta stays None, report stays None.
-    Ok(assemble_outcome(n, steps, outputs_final, telemetry, None))
+    let outcome = assemble_outcome(n, steps, outputs_final, telemetry, None);
+
+    // Every child is reaped, and its exit checked, before the outcome
+    // is handed back.
+    for (rank, child) in children.iter_mut().enumerate() {
+        let status = child.wait().expect("reaping shm rank child");
+        if !status.success() {
+            kill_children(&mut children);
+            return Err(ProcError::RankDied {
+                rank,
+                detail: format!("exited with {status}"),
+            });
+        }
+    }
+    Ok(outcome)
 }
 
 // ---------------------------------------------------------------------

@@ -1079,8 +1079,9 @@ impl RankMachine for RankState {
         debug_assert!(self.reserved.is_empty(), "edges left reserved");
         debug_assert!(self.potential.is_empty(), "potential edges leaked");
         RankOutput {
+            rank: self.store.rank(),
             visits: self.at_rest(),
-            store: self.store,
+            keys: self.store.into_keys(),
             stats: self.stats,
             comm,
             obs: self.obs.finish(),

@@ -196,10 +196,8 @@ fn full_global_switch_between_two_ranks() {
     );
     assert_eq!(out0.stats.performed, 1);
     assert_eq!(out1.stats.performed, 0);
-    let mut endpoints: Vec<u64> = out0
-        .store
-        .edges()
-        .chain(out1.store.edges())
+    let mut endpoints: Vec<u64> = (out0.keys.iter().chain(&out1.keys))
+        .map(|&k| Edge::from_key(k))
         .flat_map(|e| [e.src(), e.dst()])
         .collect();
     endpoints.sort_unstable();
@@ -445,7 +443,8 @@ fn stop_and_wait_reference(
     for st in states {
         let out = st.into_output(Default::default());
         stats.push(out.stats);
-        edges.extend(out.store.edges().map(|e| (e.src(), e.dst())));
+        let out_edges = out.keys.iter().map(|&k| Edge::from_key(k));
+        edges.extend(out_edges.map(|e| (e.src(), e.dst())));
     }
     edges.sort_unstable();
     (stats, edges)
@@ -531,7 +530,13 @@ fn fastpath_foreign_replacement_runs_the_partner_conversation() {
                 performed_fastpath: 0,
                 ..o.stats
             };
-            (stats, o.store.edges().collect::<Vec<Edge>>())
+            (
+                stats,
+                o.keys
+                    .iter()
+                    .map(|&k| Edge::from_key(k))
+                    .collect::<Vec<Edge>>(),
+            )
         });
         (trace, mid.expect("at least one switch started"), ends)
     };

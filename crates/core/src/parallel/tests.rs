@@ -310,7 +310,7 @@ fn observed_simulated_run_reads_the_clock_for_one_span_in_64() {
 }
 
 /// A parallel outcome's visit marks are its ranks' joined in rank order,
-/// the order `assemble_graph` inserts their stores in. Ranks of 63, 2, 0
+/// the order `assemble_outcome` inserts their key lists in. Ranks of 63, 2, 0
 /// and 130 edges: one is empty, and no rank boundary falls on a word
 /// (63, 65, 65, 195), so every later rank's bits land shifted. Each rank
 /// switches a third of its edges away, so its marks are a mix and
@@ -338,11 +338,12 @@ fn rank_visits_join_in_assembly_order() {
                 }
             }
             RankOutput {
+                rank,
                 visits: Visits {
                     initial: m as usize,
                     unvisited: store.unvisited_bitmap(),
                 },
-                store,
+                keys: store.into_keys(),
                 stats: Default::default(),
                 comm: Default::default(),
                 obs: None,

@@ -347,8 +347,9 @@ impl RankMachine for TradeRankState {
 
     fn into_output(self, comm: CommStats) -> RankOutput {
         RankOutput {
+            rank: self.store.rank(),
             visits: self.tracker.visits(self.store.edges()),
-            store: self.store,
+            keys: self.store.into_keys(),
             stats: self.stats,
             comm,
             obs: self.obs.finish(),

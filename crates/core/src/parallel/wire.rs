@@ -12,7 +12,6 @@
 //! are at format 3, which carries visit marks as a bitmap over the
 //! snapshot's own edge list (see the snapshot section below).
 
-use edgeswitch_graph::store::PartitionStore;
 use edgeswitch_graph::Edge;
 use mpilite::{CollPayload, CommStats, KIND_SLOTS};
 
@@ -837,16 +836,15 @@ pub(crate) fn decode_curveball_checkpoint(bytes: &[u8]) -> Result<CurveballCheck
 // ---------------------------------------------------------------------
 
 /// Serialize what one rank process returns to its launcher: its
-/// [`RankOutput`] — store edges in pool order and its [`Visits`], marks
-/// over that order, both streamed straight out of the live structures —
-/// and its per-step telemetry. Visits, stats, comm counters and
-/// telemetry go through the same field codecs as the snapshots, so a new
-/// counter is added once.
+/// [`RankOutput`] — rank, edge keys in pool order and its [`Visits`],
+/// marks over that order — and its per-step telemetry. Visits, stats,
+/// comm counters and telemetry go through the same field codecs as the
+/// snapshots, so a new counter is added once.
 pub(crate) fn encode_rank_result(output: &RankOutput, telemetry: &[StepTelemetry]) -> Vec<u8> {
-    let (store, visits) = (&output.store, &output.visits);
-    let mut out = Vec::with_capacity(8 * (store.num_edges() + visits.unvisited.len()) + 512);
-    put_u64(&mut out, store.rank() as u64);
-    put_keys(&mut out, store.edges().map(|e| e.key()));
+    let (keys, visits) = (&output.keys, &output.visits);
+    let mut out = Vec::with_capacity(8 * (keys.len() + visits.unvisited.len()) + 512);
+    put_u64(&mut out, output.rank as u64);
+    put_keys(&mut out, keys.iter().copied());
     put_visits(&mut out, visits.initial, &visits.unvisited);
     put_stats(&mut out, &output.stats);
     put_comm(&mut out, &output.comm);
@@ -857,21 +855,18 @@ pub(crate) fn encode_rank_result(output: &RankOutput, telemetry: &[StepTelemetry
     out
 }
 
-/// Inverse of [`encode_rank_result`], rebuilding the store by in-order
-/// insertion (pool order is sampling order, and the order the visit
-/// marks index); like message frames the blob is trusted (the child is
-/// this binary), so a malformed one panics. Process ranks are
-/// unobserved: `obs` comes back `None`.
+/// Inverse of [`encode_rank_result`]. The edge keys are read straight
+/// into the output's list, in pool order (the rank's sampling order, and
+/// the order the visit marks index): no store and no index is built —
+/// assembly builds the output graph's one index from the lists. Like
+/// message frames the blob is trusted (the child is this binary), so a
+/// malformed one — a short read, a non-canonical key — panics. Process
+/// ranks are unobserved: `obs` comes back `None`.
 pub(crate) fn decode_rank_result(bytes: &[u8]) -> (RankOutput, Vec<StepTelemetry>) {
     let mut r = Reader::new(bytes);
-    let rank = r.u64() as usize;
-    let edges = r.len(8);
-    let mut store = PartitionStore::new(rank);
-    for _ in 0..edges {
-        store.insert(r.edge());
-    }
     let output = RankOutput {
-        store,
+        rank: r.u64() as usize,
+        keys: r.list(8, |r| r.edge().key()),
         visits: Visits {
             initial: r.u64() as usize,
             unvisited: r.list(8, Reader::u64),
@@ -1200,11 +1195,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rank_result_roundtrips() {
+    /// The `sample_rank_checkpoint(1)` fixture as a rank's teardown
+    /// result, with three steps of telemetry.
+    fn sample_rank_result() -> (RankOutput, Vec<StepTelemetry>) {
         let ckpt = sample_rank_checkpoint(1);
         let output = RankOutput {
-            store: ckpt.store(),
+            rank: ckpt.rank,
+            keys: ckpt.store_edges.iter().map(|e| e.key()).collect(),
             visits: Visits {
                 initial: ckpt.tracker_initial,
                 unvisited: ckpt.unvisited.clone(),
@@ -1225,15 +1222,35 @@ mod tests {
             };
             3
         ];
+        (output, telemetry)
+    }
+
+    /// The rank-result blob is the launcher's only view of a rank
+    /// process: its length and an FNV-1a digest of its bytes are pinned,
+    /// so a change to the carrier cannot move the format unnoticed.
+    #[test]
+    fn rank_result_bytes_are_pinned() {
+        let (output, telemetry) = sample_rank_result();
+        let bytes = encode_rank_result(&output, &telemetry);
+        let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv1a), (1208, 0xd428_66ce_5340_f882));
+    }
+
+    #[test]
+    fn rank_result_roundtrips() {
+        let ckpt = sample_rank_checkpoint(1);
+        let (output, telemetry) = sample_rank_result();
         let bytes = encode_rank_result(&output, &telemetry);
         let (back, steps) = decode_rank_result(&bytes);
         assert_eq!(steps, telemetry);
-        assert_eq!(back.store.rank(), 1);
+        assert_eq!(back.rank, 1);
         // Pool order survives the trip: it is the rank's sampling order,
         // and the order the bitmap's bits index.
-        assert!(back.store.edges().eq(ckpt.store_edges.iter().copied()));
+        let edges: Vec<Edge> = back.keys.iter().map(|&k| Edge::from_key(k)).collect();
+        assert_eq!(edges, ckpt.store_edges);
         assert_eq!(back.visits, output.visits);
-        let edges: Vec<Edge> = back.store.edges().collect();
         let unvisited: Vec<Edge> = back.visits.unvisited_edges(&edges).collect();
         assert_eq!(unvisited, [Edge::new(3, 4)]);
         assert_eq!((back.stats, back.comm), (output.stats, output.comm));

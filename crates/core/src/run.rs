@@ -1266,6 +1266,21 @@ mod tests {
     }
 
     #[test]
+    fn rank_exiting_cleanly_without_results_is_rank_died() {
+        if !crate::parallel::process_backend_supported() {
+            return;
+        }
+        let g = graph();
+        let mut run = Run::process(2).switches(50).seed(4);
+        // `true` spawns fine and exits 0 without ever returning a
+        // result: a clean exit must not leave the launcher waiting for
+        // frames that will never come.
+        run.config.proc_opts.exe_override = Some(std::path::PathBuf::from("/bin/true"));
+        let err = run.try_execute(&g).expect_err("silent rank must fail");
+        assert!(matches!(err, RunError::RankDied(_)), "{err:?}");
+    }
+
+    #[test]
     fn execute_panics_with_the_error_display() {
         let g = graph();
         let caught = std::panic::catch_unwind(|| {

@@ -42,7 +42,7 @@ use crate::run::{RunOutcome, SequentialRun, Stepped};
 use crate::sequential::{restore_pool, SequentialOutcome};
 use crate::visit::VisitTracker;
 use edgeswitch_dist::{substream_rng, Rng64};
-use edgeswitch_graph::adjacency::NeighborSet;
+use edgeswitch_graph::adjacency::{ascending_edges, NeighborSet};
 use edgeswitch_graph::sampling::{fisher_yates_shuffle, random_matching};
 use edgeswitch_graph::{Edge, Graph, VertexId};
 use std::borrow::Cow;
@@ -383,10 +383,7 @@ impl CurveballResumable {
     pub(crate) fn checkpoint(&self) -> CurveballCheckpoint {
         // A trade preserves every degree, so the edge count is the initial one.
         let mut graph_edges = Vec::with_capacity(self.tracker.initial_count());
-        for (u, nbrs) in self.adj.iter().enumerate() {
-            let u = u as VertexId;
-            graph_edges.extend(nbrs.iter().filter(|&x| x > u).map(|x| Edge::new(u, x)));
-        }
+        graph_edges.extend(ascending_edges(&self.adj));
         CurveballCheckpoint {
             seed: self.seed,
             n: self.adj.len(),

@@ -53,8 +53,8 @@ impl Visits {
 
     /// The visits over the concatenation of edge lists, each part given
     /// with the length of its list, in list order — a parallel outcome
-    /// joins its ranks' in rank order, the order `assemble_graph`
-    /// inserts their stores in. A word at a time, shifted into place.
+    /// joins its ranks' in rank order, the order `assemble_outcome`
+    /// inserts their key lists in. A word at a time, shifted into place.
     pub(crate) fn joined(parts: impl IntoIterator<Item = (Visits, usize)>) -> Visits {
         let mut out = Visits::default();
         let mut len = 0usize;

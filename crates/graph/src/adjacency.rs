@@ -12,7 +12,7 @@
 //! packed-edge limit, [`crate::types::MAX_PACKED_VERTEX`]), halving the
 //! bytes touched per probe versus `u64` tree nodes.
 
-use crate::types::{VertexId, MAX_PACKED_VERTEX};
+use crate::types::{Edge, VertexId, MAX_PACKED_VERTEX};
 
 /// A sorted set of neighbor vertex labels.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -246,6 +246,23 @@ impl FromIterator<VertexId> for NeighborSet {
         inner.dedup();
         NeighborSet { inner }
     }
+}
+
+/// Every edge of the graph whose neighbor sets are `adj` (vertex `v`'s
+/// at `adj[v]`), once each, in ascending key order: every `(u, x)` with
+/// `u < x`, by `u`, then `x` — the order [`Edge::key`] sorts in, since a
+/// key is `u << 32 | x`. One walk of the sorted lists, `O(n + m)`: the
+/// lists already hold the order a collect-and-sort of the keys would
+/// rebuild.
+pub fn ascending_edges(adj: &[NeighborSet]) -> impl Iterator<Item = Edge> + '_ {
+    adj.iter().enumerate().flat_map(|(u, nbrs)| {
+        let labels = nbrs.labels();
+        let above = labels.partition_point(|&x| x as usize <= u);
+        let u = u as VertexId;
+        labels[above..]
+            .iter()
+            .map(move |&x| Edge::new(u, VertexId::from(x)))
+    })
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! ([`Graph::into_adjacency`]), and its graph comes back through
 //! [`Graph::from_adjacency`], whose pool is in ascending key order.
 
-use crate::adjacency::NeighborSet;
+use crate::adjacency::{ascending_edges, NeighborSet};
 use crate::sampling::EdgePool;
 use crate::stream::{capacity_hint, EdgeStream};
 use crate::types::{Edge, GraphError, VertexId};
@@ -307,30 +307,32 @@ impl Graph {
         self.pool.iter()
     }
 
-    /// Collect all edges into a sorted vector (stable across adjacency
-    /// representation details; useful for equality checks in tests).
+    /// All edges in ascending order (stable across pool order; useful
+    /// for equality checks): one walk of the sorted neighbor lists
+    /// ([`ascending_edges`]), with no sort.
     pub fn sorted_edges(&self) -> Vec<Edge> {
-        let mut v: Vec<Edge> = self.pool.iter().collect();
-        v.sort_unstable();
+        let mut v = Vec::with_capacity(self.num_edges());
+        v.extend(ascending_edges(&self.adj));
         v
     }
 
-    /// Order-independent 64-bit digest of the graph: vertex count plus
-    /// the sorted edge keys folded through a splitmix-style mixer. Two
-    /// graphs digest equal iff they have the same vertex count and edge
-    /// set regardless of pool order, so checkpoint/resume identity can
-    /// be asserted (and wired over protocols) without shipping the edges.
+    /// Order-independent 64-bit digest of the graph: the vertex count,
+    /// then every edge key in ascending order, folded through a
+    /// splitmix-style mixer. The keys come off one walk of the sorted
+    /// neighbor lists ([`ascending_edges`]): `O(n + m)`, no key vector,
+    /// no sort. Pool order does not enter it, so equal edge sets on
+    /// equal vertex counts digest equal, and different ones collide with
+    /// probability about 2⁻⁶⁴ — checkpoint/resume identity can be
+    /// asserted (and wired over protocols) without shipping the edges.
     pub fn edge_digest(&self) -> u64 {
         fn mix(mut z: u64) -> u64 {
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
             z ^ (z >> 31)
         }
-        let mut keys: Vec<u64> = self.pool.iter().map(|e| e.key()).collect();
-        keys.sort_unstable();
         let mut h = mix(0x65646765_u64 ^ self.num_vertices() as u64);
-        for k in keys {
-            h = mix(h ^ k.wrapping_mul(0x9e3779b97f4a7c15));
+        for e in ascending_edges(&self.adj) {
+            h = mix(h ^ e.key().wrapping_mul(0x9e3779b97f4a7c15));
         }
         h
     }

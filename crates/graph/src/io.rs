@@ -64,9 +64,7 @@ pub fn write_edge_list<W: Write>(graph: &Graph, writer: W) -> std::io::Result<()
         graph.num_vertices(),
         graph.num_edges()
     )?;
-    let mut edges = graph.sorted_edges();
-    edges.sort_unstable();
-    for e in edges {
+    for e in graph.sorted_edges() {
         writeln!(w, "{} {}", e.src(), e.dst())?;
     }
     w.flush()

@@ -14,6 +14,12 @@
 //! Section 4.2 contributes is *where an edge lives*, not a second copy of
 //! it. Full adjacency exists only on the [`Graph`]s that go in
 //! ([`build_stores`]) and come out ([`assemble_graph`]).
+//!
+//! A store's index lives only as long as its rank runs. At teardown a
+//! rank hands over its edges as a plain key list in pool order, and the
+//! gather loop ([`assemble_edges`]) builds the output graph's index —
+//! the one index the result needs — straight from the lists in rank
+//! order, so no store is rebuilt to be read once.
 
 use crate::graph::Graph;
 use crate::partition::Partitioner;
@@ -90,6 +96,13 @@ impl PartitionStore {
     /// Iterate owned edges in pool order, with an exact `size_hint`.
     pub fn edges(&self) -> impl ExactSizeIterator<Item = Edge> + '_ {
         self.pool.iter()
+    }
+
+    /// Give up the store and keep its edges: their packed keys
+    /// ([`Edge::key`]) in pool order. The index goes with the store — a
+    /// rank's teardown hands over this list, not its index.
+    pub fn into_keys(self) -> Vec<u64> {
+        self.pool.iter().map(|e| e.key()).collect()
     }
 
     /// Mark every owned edge an unvisited initial edge
@@ -199,19 +212,29 @@ where
 
 /// Reassemble the full graph from partition stores (gather step, used for
 /// post-run validation and metric computation): the stores' edges in
-/// rank order, each in its pool order, with adjacency built once in bulk
-/// ([`Graph::from_pool`]).
+/// rank order, each in its pool order ([`assemble_edges`]).
 ///
 /// # Panics
 /// Panics if two stores hold the same edge or an edge has an endpoint
 /// `>= n` — the stores are not a partition of one `n`-vertex graph.
 pub fn assemble_graph(n: usize, stores: &[PartitionStore]) -> Graph {
-    let m: usize = stores.iter().map(PartitionStore::num_edges).sum();
+    let m = stores.iter().map(PartitionStore::num_edges).sum();
+    assemble_edges(n, m, stores.iter().flat_map(PartitionStore::edges))
+}
+
+/// The gather step's one loop: the `n`-vertex graph whose pool holds
+/// `edges`, about `m` of them, in this order — each partition's share in
+/// turn. The pool's index is built here, once, and adjacency once in
+/// bulk ([`Graph::from_pool`]); a teardown that hands over its edges as
+/// a plain list (a parallel run's rank results) is indexed nowhere else.
+///
+/// # Panics
+/// Panics if an edge repeats or has an endpoint `>= n` — the shares are
+/// not a partition of one `n`-vertex graph.
+pub fn assemble_edges(n: usize, m: usize, edges: impl IntoIterator<Item = Edge>) -> Graph {
     let mut pool = EdgePool::with_capacity(m);
-    for s in stores {
-        for e in s.edges() {
-            assert!(pool.insert(e), "partition stores must hold disjoint edges");
-        }
+    for e in edges {
+        assert!(pool.insert(e), "partition stores must hold disjoint edges");
     }
     Graph::from_pool(n, pool).expect("partition stores must hold edges of an n-vertex graph")
 }

@@ -352,6 +352,76 @@ fn golden_digests_are_pinned() {
     assert_eq!(got, pinned);
 }
 
+/// [`Graph::sorted_edges`] as it was before it walked the sorted
+/// adjacency: collect the pool, sort.
+fn sorted_edges_by_sort(g: &Graph) -> Vec<Edge> {
+    let mut edges: Vec<Edge> = g.edges().collect();
+    edges.sort_unstable();
+    edges
+}
+
+/// [`Graph::edge_digest`] as it was before it walked the sorted
+/// adjacency: collect the pool's keys, sort, fold.
+fn edge_digest_by_sort(g: &Graph) -> u64 {
+    fn mix(mut z: u64) -> u64 {
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^ (z >> 31)
+    }
+    let mut keys: Vec<u64> = g.edges().map(|e| e.key()).collect();
+    keys.sort_unstable();
+    let mut h = mix(0x65646765_u64 ^ g.num_vertices() as u64);
+    for k in keys {
+        h = mix(h ^ k.wrapping_mul(0x9e3779b97f4a7c15));
+    }
+    h
+}
+
+/// `sorted_edges` and `edge_digest` walk the sorted neighbour lists
+/// instead of sorting the pool; on every kind of graph they equal the
+/// collect-and-sort they replace — including graphs whose pool order is
+/// far from key order (a switch run's swap-removes) and graphs built
+/// from adjacency.
+#[test]
+fn ascending_walk_equals_the_sort_it_replaces() {
+    let mut rng = root_rng(3);
+    let er = erdos_renyi_gnm(300, 1200, &mut rng);
+    let pa = preferential_attachment(400, 3, &mut rng);
+    let isolated = Graph::from_edges(
+        12,
+        [(9, 2), (2, 5), (11, 0), (5, 9)].map(|(a, b)| Edge::new(a, b)),
+    )
+    .unwrap();
+    let switched = Run::sequential().switches(2000).seed(5).execute(&er);
+    let switched_p = Run::simulated(3).switches(2000).seed(5).execute(&pa);
+    let traded = Run::sequential()
+        .randomizer(Randomizer::Curveball)
+        .switches(300)
+        .seed(5)
+        .execute(&pa);
+    let adjacency = Graph::from_adjacency(switched.graph().clone().into_adjacency()).unwrap();
+    let graphs = [
+        &er,
+        &pa,
+        &star(50),
+        &Graph::new(0),
+        &Graph::new(1),
+        &isolated,
+        switched.graph(),
+        switched_p.graph(),
+        traded.graph(),
+        &adjacency,
+    ];
+    for (i, g) in graphs.into_iter().enumerate() {
+        assert_eq!(g.sorted_edges(), sorted_edges_by_sort(g), "graph {i}");
+        assert_eq!(g.edge_digest(), edge_digest_by_sort(g), "graph {i}");
+    }
+    // The switched graphs really do hold their edges out of key order.
+    for g in [switched.graph(), switched_p.graph(), &isolated] {
+        assert!(!g.edges().eq(g.sorted_edges()));
+    }
+}
+
 /// The bytes of a snapshot, pinned as format 3 writes them: a
 /// sequential engine and a simulated p = 2 world, each `advance`d part
 /// way on a fixed instance. Checkpoints on disk (and with them a service
