@@ -28,9 +28,6 @@ pub struct ProcOpts {
     /// Print one `shm-child-pid: <pid>` line per spawned rank child
     /// (consumed by orphan-reaping tests).
     pub announce_children: bool,
-    /// Per-pair ring data capacity in bytes (rounded up to a power of two,
-    /// min 4 KiB).
-    pub ring_capacity: usize,
     /// Binary to respawn as rank children instead of `current_exe()`.
     /// `None` (the default) respawns the current binary; tests point this
     /// at a nonexistent path to exercise the spawn-failure path of
@@ -47,7 +44,6 @@ impl Default for ProcOpts {
                 "--nocapture".into(),
             ],
             announce_children: false,
-            ring_capacity: 1 << 18,
             exe_override: None,
         }
     }
@@ -297,6 +293,5 @@ mod tests {
         assert!(opts.child_args.iter().any(|a| a == "--include-ignored"));
         assert!(opts.child_args.iter().any(|a| a == "--nocapture"));
         assert!(!opts.announce_children);
-        assert!(opts.ring_capacity.is_power_of_two());
     }
 }

@@ -1,5 +1,6 @@
 //! The threaded world: the distributed protocol over real
-//! message-passing ranks (`mpilite`), one thread per processor.
+//! message-passing ranks (`mpilite`), one thread per processor, each a
+//! `Comm` over a channel mailbox.
 //!
 //! [`run_threaded_world`] is the scaffold both randomizers run on: it
 //! splits the graph into stores, hands one to each rank thread, gives
@@ -7,16 +8,15 @@
 //! over a [`MpiliteTransport`], and merges the per-rank outputs and
 //! telemetry into one [`ParallelOutcome`]. Both rank bodies are the
 //! shared rank loop ([`super::harness::run_rank`]) under their own step
-//! boundary: [`run_switch_rank`] for switches (the process world's rank
-//! body too), the pass boundary of [`super::trade::threaded_trades`] for
-//! Curveball.
+//! boundary: [`run_switch_rank`] for switches — the process world
+//! (`super::proc`) runs the very same function over its shm link — and
+//! the pass boundary of [`super::trade::threaded_trades`] for Curveball.
 
 use super::harness::{
-    assemble_outcome, run_switch_rank, MpiliteTransport, ParallelOutcome, RankMachine, RankOutput,
-    RankTransport, RunMeta, StepHarness, StepTelemetry,
+    assemble_outcome, run_switch_rank, MpiliteTransport, ParallelOutcome, RankOutput, RunMeta,
+    StepHarness, StepTelemetry,
 };
 use super::msg::Msg;
-use super::rank::RankState;
 use crate::config::ParallelConfig;
 use crate::obs::{Clock, MonoClock, Obs};
 use edgeswitch_graph::store::build_stores;
@@ -96,8 +96,6 @@ pub(crate) fn threaded_switch(
 ) -> ParallelOutcome {
     let harness = StepHarness::new(t, config);
     run_threaded_world(graph, config, part, |transport, store, obs| {
-        let mut state = RankState::new(transport.rank(), part.clone(), store, config).with_obs(obs);
-        let telemetry = run_switch_rank(transport, &mut state, harness);
-        (state.into_output(transport.stats()), telemetry)
+        run_switch_rank(transport, part.clone(), store, config, harness, obs)
     })
 }

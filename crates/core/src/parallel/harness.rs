@@ -2,9 +2,10 @@
 //! world shape, for both randomizers.
 //!
 //! [`run_rank_step`] is one rank's step in the threaded and process
-//! worlds (real collectives, `EndOfStep` signalling); [`run_world_step`]
-//! drives all `p` ranks of a simulated world from one loop (FIFO, or the
-//! virtual-time DES of `edgeswitch-scalesim`). Both are generic over
+//! worlds (real collectives over `mpilite`'s `Comm`, `EndOfStep`
+//! signalling); [`run_world_step`] drives all `p` ranks of a simulated
+//! world from one loop (FIFO, or the virtual-time DES of
+//! `edgeswitch-scalesim`). Both are generic over
 //! [`RankMachine`] — the switch protocol's [`RankState`] and Curveball's
 //! trade machine (`super::trade`) — and take the step's *boundary* as
 //! the only protocol-specific code in a step: a closure per rank, a
@@ -16,12 +17,12 @@
 //! gathers the visited counts and opens the next pass. Either way the
 //! loop then runs conversations until the step quiesces. Also here:
 //!
-//! - [`Transport`] abstracts message delivery and exposes cost hooks
-//!   (no-ops everywhere except the DES, which charges virtual time);
 //! - [`WorldTransport`] is the single-process form driving all `p` rank
-//!   machines from one loop (FIFO simulator, DES);
-//! - [`RankTransport`] is the per-rank form where each state machine
-//!   runs on its own thread or process with real collectives;
+//!   machines from one loop (FIFO simulator, DES), with cost hooks that
+//!   only the DES fills in (it charges virtual time);
+//! - [`MpiliteTransport`] is the per-rank form where each state machine
+//!   runs on its own thread or process over one `Comm`, generic over the
+//!   link under it (a thread's mailbox, a process's shm rings);
 //! - [`StepHarness`] owns step sizing, the `q` refresh and the quota
 //!   draw, so no driver carries its own copy;
 //! - [`StepTelemetry`] is recorded per step by every driver and
@@ -35,8 +36,8 @@ use crate::obs::{Clock, CommGauges, Obs, Phase, RankObs, RunReport};
 use crate::visit::Visits;
 use edgeswitch_dist::BlockRng64;
 use edgeswitch_graph::store::assemble_edges;
-use edgeswitch_graph::{Edge, Graph, PartitionStore};
-use mpilite::{CollCarrier, Comm, CommStats};
+use edgeswitch_graph::{Edge, Graph, PartitionStore, Partitioner};
+use mpilite::{CollCarrier, Comm, CommStats, Link, Mailbox};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -379,18 +380,15 @@ pub fn assemble_outcome(
 // Transports
 // ---------------------------------------------------------------------
 
-/// Base transport interface: cost hooks shared by both driver shapes.
-/// All hooks default to no-ops; only the DES transport charges time.
-pub trait Transport {
+/// Transport of a single-process world driving all `p` rank machines
+/// from one loop: messages between distinct ranks pass through here.
+/// Its cost hooks default to no-ops; only the DES transport charges
+/// time.
+pub trait WorldTransport {
     /// A rank initiated one of its own switch operations.
     fn on_op_started(&mut self, _rank: usize) {}
     /// A rank handled one of its own messages in place.
     fn on_self_delivery(&mut self, _rank: usize) {}
-}
-
-/// Transport of a single-process world driving all `p` rank machines
-/// from one loop: messages between distinct ranks pass through here.
-pub trait WorldTransport: Transport {
     /// Queue `msg` from `src` for delivery to `dst` (`src != dst`).
     fn deliver(&mut self, src: usize, dst: usize, msg: Msg);
     /// Next `(dst, src, msg)` to hand to a state machine, if any.
@@ -420,27 +418,6 @@ pub trait WorldTransport: Transport {
     }
 }
 
-/// Transport of one rank inside a real `p`-rank world (one instance per
-/// thread): point-to-point sends plus the step-boundary collectives.
-pub trait RankTransport: Transport {
-    /// This rank's id.
-    fn rank(&self) -> usize;
-    /// Number of ranks `p`.
-    fn size(&self) -> usize;
-    /// Allgather of the live `|E_i|` (Section 4.5 step boundary).
-    fn exchange_edge_counts(&mut self, count: u64) -> Vec<u64>;
-    /// Distributed Algorithm-5 quota draw: this rank's share of
-    /// `step_ops` operations under `q`, consuming `rng` exactly like
-    /// every other driver.
-    fn draw_quota(&mut self, step_ops: u64, q: &[f64], rng: &mut BlockRng64) -> u64;
-    /// Send a protocol message to another rank.
-    fn send(&mut self, dst: usize, msg: Msg);
-    /// Non-blocking receive of the next protocol message `(src, msg)`.
-    fn try_recv(&mut self) -> Option<(usize, Msg)>;
-    /// Blocking receive of the next protocol message `(src, msg)`.
-    fn recv_block(&mut self) -> (usize, Msg);
-}
-
 /// Deterministic global-FIFO transport: the queue *is* the network.
 /// Causal order (a message is delivered after everything queued before
 /// it) with no notion of time — the simulator's transport.
@@ -456,8 +433,6 @@ impl FifoTransport {
     }
 }
 
-impl Transport for FifoTransport {}
-
 impl WorldTransport for FifoTransport {
     fn deliver(&mut self, src: usize, dst: usize, msg: Msg) {
         self.queue.push_back((dst, src, msg));
@@ -470,20 +445,22 @@ impl WorldTransport for FifoTransport {
     }
 }
 
-/// The threaded engine's transport: a thin shim over one rank's
-/// [`Comm`] endpoint. Collectives are real collectives; sends are real
-/// channel sends; the cost hooks stay no-ops because time is real here.
-/// Incoming [`Msg::Batch`] frames are unpacked here, so the step loop
-/// only ever sees logical protocol messages.
-pub struct MpiliteTransport<'a> {
-    comm: &'a mut Comm<Msg>,
+/// One rank's transport in a real world, threads or processes: a thin
+/// shim over the rank's [`Comm`], whatever [`Link`] moves its packets (a
+/// thread's [`mpilite::Mailbox`], a process's shm rings). Collectives are
+/// real collectives and sends are real sends; there are no cost hooks,
+/// because time is real here. Incoming [`Msg::Batch`] frames are
+/// unpacked here, so the step loop only ever sees logical protocol
+/// messages.
+pub struct MpiliteTransport<'a, L = Mailbox<Msg>> {
+    comm: &'a mut Comm<Msg, L>,
     /// Logical messages unpacked from a batch frame, awaiting delivery.
     inbox: VecDeque<(usize, Msg)>,
 }
 
-impl<'a> MpiliteTransport<'a> {
+impl<'a, L: Link<Msg>> MpiliteTransport<'a, L> {
     /// Wrap a rank's communicator.
-    pub fn new(comm: &'a mut Comm<Msg>) -> Self {
+    pub fn new(comm: &'a mut Comm<Msg, L>) -> Self {
         MpiliteTransport {
             comm,
             inbox: VecDeque::new(),
@@ -494,56 +471,66 @@ impl<'a> MpiliteTransport<'a> {
     pub fn stats(&self) -> CommStats {
         self.comm.stats()
     }
-}
 
-/// Unpack one packet received from `src` into `inbox`: a batch queues its
-/// tail behind its first message, which comes back; a bare message
-/// passes through. Shared by the rank transports, so the step loop only
-/// ever sees logical protocol messages.
-pub(crate) fn unpack(inbox: &mut VecDeque<(usize, Msg)>, src: usize, packet: Msg) -> (usize, Msg) {
-    match packet {
-        Msg::Batch(msgs) => {
-            let mut it = msgs.into_iter();
-            let first = it.next().expect("batch frames are never empty");
-            inbox.extend(it.map(|m| (src, m)));
-            (src, first)
-        }
-        m => (src, m),
-    }
-}
-
-impl Transport for MpiliteTransport<'_> {}
-
-impl RankTransport for MpiliteTransport<'_> {
-    fn rank(&self) -> usize {
+    /// This rank's id.
+    pub fn rank(&self) -> usize {
         self.comm.rank()
     }
-    fn size(&self) -> usize {
+
+    /// Number of ranks `p`.
+    pub fn size(&self) -> usize {
         self.comm.size()
     }
-    fn exchange_edge_counts(&mut self, count: u64) -> Vec<u64> {
+
+    /// Allgather of the live `|E_i|` (Section 4.5 step boundary).
+    pub fn exchange_edge_counts(&mut self, count: u64) -> Vec<u64> {
         debug_assert!(self.inbox.is_empty(), "protocol traffic across step end");
         self.comm.allgather_u64(count)
     }
-    fn draw_quota(&mut self, step_ops: u64, q: &[f64], rng: &mut BlockRng64) -> u64 {
+
+    /// Distributed Algorithm-5 quota draw: this rank's share of
+    /// `step_ops` operations under `q`, consuming `rng` exactly like
+    /// every other driver.
+    pub fn draw_quota(&mut self, step_ops: u64, q: &[f64], rng: &mut BlockRng64) -> u64 {
         edgeswitch_dist::parallel_multinomial_owned(self.comm, step_ops, q, rng)
     }
-    fn send(&mut self, dst: usize, msg: Msg) {
+
+    /// Send a protocol message to another rank.
+    pub fn send(&mut self, dst: usize, msg: Msg) {
         self.comm.send(dst, TAG_PROTO, msg);
     }
-    fn try_recv(&mut self) -> Option<(usize, Msg)> {
+
+    /// Non-blocking receive of the next protocol message `(src, msg)`.
+    pub fn try_recv(&mut self) -> Option<(usize, Msg)> {
         if let Some(x) = self.inbox.pop_front() {
             return Some(x);
         }
         let p = self.comm.try_recv_tag(TAG_PROTO)?;
-        Some(unpack(&mut self.inbox, p.src, p.payload))
+        Some(self.unpack(p.src, p.payload))
     }
-    fn recv_block(&mut self) -> (usize, Msg) {
+
+    /// Blocking receive of the next protocol message `(src, msg)`.
+    pub fn recv_block(&mut self) -> (usize, Msg) {
         if let Some(x) = self.inbox.pop_front() {
             return x;
         }
         let p = self.comm.recv_tag(TAG_PROTO);
-        unpack(&mut self.inbox, p.src, p.payload)
+        self.unpack(p.src, p.payload)
+    }
+
+    /// Unpack one packet received from `src`: a batch queues its tail
+    /// behind its first message, which comes back; a bare message passes
+    /// through.
+    fn unpack(&mut self, src: usize, packet: Msg) -> (usize, Msg) {
+        match packet {
+            Msg::Batch(msgs) => {
+                let mut it = msgs.into_iter();
+                let first = it.next().expect("batch frames are never empty");
+                self.inbox.extend(it.map(|m| (src, m)));
+                (src, first)
+            }
+            m => (src, m),
+        }
     }
 }
 
@@ -576,7 +563,7 @@ impl Coalescer {
     }
 
     /// Send every pending batch as one packet; returns packets sent.
-    fn flush<T: RankTransport>(&mut self, transport: &mut T) -> u64 {
+    fn flush<L: Link<Msg>>(&mut self, transport: &mut MpiliteTransport<'_, L>) -> u64 {
         let packets = self.dirty.len() as u64;
         for dst in self.dirty.drain(..) {
             let mut batch = std::mem::take(&mut self.batches[dst]);
@@ -731,26 +718,32 @@ pub(crate) trait Schedule<S>: Sized {
 /// rank's step (queueing into the outbox whatever that sends) and
 /// returns the step's opening telemetry, or `None` when the run is over.
 /// The outbox and the send coalescer live for the whole run.
-pub(crate) fn run_rank<T: RankTransport, S: RankMachine>(
-    transport: &mut T,
+pub(crate) fn run_rank<L: Link<Msg>, S: RankMachine>(
+    transport: &mut MpiliteTransport<'_, L>,
     state: &mut S,
-    mut open: impl FnMut(&mut T, &mut S, &mut Outbox) -> Option<StepTelemetry>,
+    mut open: impl FnMut(&mut MpiliteTransport<'_, L>, &mut S, &mut Outbox) -> Option<StepTelemetry>,
 ) -> Vec<StepTelemetry> {
     let (mut outbox, mut coalescer) = (Outbox::new(), Coalescer::new(transport.size()));
     std::iter::from_fn(|| run_rank_step(transport, state, &mut outbox, &mut coalescer, &mut open))
         .collect()
 }
 
-/// One rank's switch run: every step of `harness` opens with the Section
-/// 4.5 boundary — allgather `|E_i|`, refresh `q`, draw this rank's quota
-/// (Algorithm 5). The rank body of the threaded and the process world.
-pub(crate) fn run_switch_rank<T: RankTransport>(
-    transport: &mut T,
-    state: &mut RankState,
+/// One switch rank's whole run, the rank body of the threaded and the
+/// process world alike: the rank's [`RankState`] over `store`, every
+/// step of `harness` opened with the Section 4.5 boundary — allgather
+/// `|E_i|`, refresh `q`, draw this rank's quota (Algorithm 5) — and the
+/// teardown into the rank's output next to its per-step telemetry.
+pub(crate) fn run_switch_rank<L: Link<Msg>>(
+    transport: &mut MpiliteTransport<'_, L>,
+    part: Partitioner,
+    store: PartitionStore,
+    config: &ParallelConfig,
     harness: StepHarness,
-) -> Vec<StepTelemetry> {
+    obs: Obs,
+) -> (RankOutput, Vec<StepTelemetry>) {
+    let mut state = RankState::new(transport.rank(), part, store, config).with_obs(obs);
     let mut step = 0;
-    run_rank(transport, state, |transport, state, _| {
+    let telemetry = run_rank(transport, &mut state, |transport, state, _| {
         if step == harness.steps() {
             return None;
         }
@@ -773,7 +766,8 @@ pub(crate) fn run_switch_rank<T: RankTransport>(
             qrefresh_ns: qrefresh_ns as f64,
             ..StepTelemetry::default()
         })
-    })
+    });
+    (state.into_output(transport.stats()), telemetry)
 }
 
 /// One rank's step: `open` the step (or learn the run is over), then
@@ -786,12 +780,12 @@ pub(crate) fn run_switch_rank<T: RankTransport>(
 /// — before parking on the next message. The coalescer is always flushed
 /// before a blocking receive, so no reply a peer is waiting on can be
 /// stranded in a batch.
-fn run_rank_step<T: RankTransport, S: RankMachine>(
-    transport: &mut T,
+fn run_rank_step<L: Link<Msg>, S: RankMachine>(
+    transport: &mut MpiliteTransport<'_, L>,
     state: &mut S,
     outbox: &mut Outbox,
     coalescer: &mut Coalescer,
-    open: impl FnOnce(&mut T, &mut S, &mut Outbox) -> Option<StepTelemetry>,
+    open: impl FnOnce(&mut MpiliteTransport<'_, L>, &mut S, &mut Outbox) -> Option<StepTelemetry>,
 ) -> Option<StepTelemetry> {
     let p = transport.size();
     debug_assert!(
@@ -821,7 +815,6 @@ fn run_rank_step<T: RankTransport, S: RankMachine>(
                 StartResult::Started => {
                     tel.started += 1;
                     starts += 1;
-                    transport.on_op_started(transport.rank());
                     drain_outbox(transport, state, outbox, coalescer, &mut tel);
                     if starts >= state.window() {
                         break;
@@ -881,8 +874,8 @@ fn run_rank_step<T: RankTransport, S: RankMachine>(
 
 /// Handle one incoming message; replies accumulate in the coalescer.
 #[allow(clippy::too_many_arguments)]
-fn dispatch<T: RankTransport, S: RankMachine>(
-    transport: &mut T,
+fn dispatch<L: Link<Msg>, S: RankMachine>(
+    transport: &mut MpiliteTransport<'_, L>,
     state: &mut S,
     src: usize,
     msg: Msg,
@@ -906,8 +899,8 @@ fn dispatch<T: RankTransport, S: RankMachine>(
 /// the state machine immediately; the rest accumulate per destination in
 /// the coalescer until the event loop flushes it, or until the machine's
 /// next flush point ([`Outbox::seal`]) does.
-fn drain_outbox<T: RankTransport, S: RankMachine>(
-    transport: &mut T,
+fn drain_outbox<L: Link<Msg>, S: RankMachine>(
+    transport: &mut MpiliteTransport<'_, L>,
     state: &mut S,
     outbox: &mut Outbox,
     coalescer: &mut Coalescer,
@@ -917,7 +910,6 @@ fn drain_outbox<T: RankTransport, S: RankMachine>(
         if S::SEALS && dst == Outbox::FLUSH {
             tel.packets += coalescer.flush(transport);
         } else if dst == transport.rank() {
-            transport.on_self_delivery(dst);
             state.handle(dst, msg, outbox, tel);
         } else {
             tel.logical_msgs.record(&msg);

@@ -3,15 +3,18 @@
 //! - [`rank`]: the pure per-processor protocol state machine,
 //! - [`msg`]: the wire protocol,
 //! - [`harness`]: the shared step machinery every world runs on — one
-//!   step loop per world shape for both randomizers, [`Transport`] /
-//!   [`StepHarness`] / per-step [`StepTelemetry`],
+//!   step loop per world shape for both randomizers, the transports
+//!   ([`WorldTransport`] for simulated worlds, [`MpiliteTransport`] for
+//!   real ones), [`StepHarness`] and per-step [`StepTelemetry`],
 //! - [`resume`]: the simulated world (`SimWorld`) of either randomizer:
 //!   all ranks in one loop, stepped, with step-boundary snapshots for
 //!   checkpoint/resume; deterministic over the FIFO transport,
 //!   virtual-time under the DES of `edgeswitch-scalesim`,
-//! - [`engine`]: the threaded world over `mpilite` ranks,
-//! - [`proc`]: the process world over shared-memory rings ([`wire`] is
-//!   its byte codec for [`Msg`], and the snapshot codec),
+//! - [`engine`]: the threaded world: `mpilite` ranks as threads, each a
+//!   `Comm` over a channel mailbox,
+//! - [`proc`]: the process world: ranks as processes, each the same
+//!   `Comm` and rank body over shared-memory rings ([`wire`] is the byte
+//!   codec for [`Msg`] on those rings, and the snapshot codec),
 //! - [`trade`]: the Curveball randomizer's rank machine and pass
 //!   boundary (global trades on the same loops and transports; see
 //!   [`crate::trade`]).
@@ -35,13 +38,11 @@ mod tests;
 
 pub use harness::{
     assemble_outcome, probability_vector, FifoTransport, MpiliteTransport, MsgCounts,
-    ParallelOutcome, RankOutput, RankTransport, RunMeta, StepHarness, StepTelemetry, Transport,
-    WorldTransport,
+    ParallelOutcome, RankOutput, RunMeta, StepHarness, StepTelemetry, WorldTransport,
 };
 pub use msg::{ConvId, Msg, MsgKind, Outbox};
 pub use proc::{
     child_entry_from_env, process_backend_supported, try_parallel_edge_switch_proc_gen, ProcError,
-    ProcTransport,
 };
 pub use rank::{RankCheckpoint, RankState, RankStats, StartResult};
 pub use resume::WorldSnapshot;

@@ -1,10 +1,12 @@
 //! The process-backed driver: ranks as OS child processes over
 //! shared-memory rings, so `p` ranks genuinely occupy `p` cores.
 //!
-//! Structure mirrors the threaded world (`super::engine`) exactly — the
+//! A rank process is a threaded rank on another link: it runs the same
+//! `mpilite::Comm` (tag matching, pending buffer, collectives, traffic
+//! counters) over a [`ShmLink`] instead of a channel mailbox, and the
 //! same rank body ([`run_switch_rank`]: the shared rank loop under the
-//! [`StepHarness`] boundary), the same [`assemble_outcome`] merge — only
-//! the substrate differs:
+//! [`StepHarness`] boundary); the launcher runs the same
+//! [`assemble_outcome`] merge. What differs is boot and teardown:
 //!
 //! * the launcher serializes a **boot blob** into an [`ShmWorld`] and
 //!   respawns the current binary once per rank with the mapping inherited
@@ -14,19 +16,19 @@
 //!   [`StreamSpec`] that each child replays locally to regenerate
 //!   exactly the edges it owns, so boot cost is constant in `m` and no
 //!   participant ever holds more than its own share;
-//! * each rank child attaches, rebuilds its [`RankState`] bit-identically
+//! * each rank child attaches, rebuilds its partition store bit-identically
 //!   (pool order is preserved, so edge sampling matches the threaded
-//!   engine and the simulators), and runs the step loop over a
-//!   [`ProcTransport`] — point-to-point `Msg` frames and the step-boundary
+//!   engine and the simulators), and runs the rank body over its
+//!   [`ShmLink`] — point-to-point `Msg` frames and the step-boundary
 //!   collectives all travel the world's SPSC rings;
-//! * at teardown each child streams a **result blob** (its `RankOutput`
-//!   — its edges as a key list in pool order — and per-step telemetry,
-//!   by the [`wire`] field codecs) back to the launcher over its ring,
-//!   and exits. The launcher decodes the key lists and assembles the
-//!   output graph while the children exit, then reaps every child and
-//!   checks its status before returning; a child that exits, even
-//!   cleanly, without sending its whole blob is a
-//!   [`ProcError::RankDied`].
+//! * at teardown each child takes its endpoint back from the `Comm` and
+//!   streams a **result blob** (its `RankOutput` — its edges as a key
+//!   list in pool order — and per-step telemetry, by the [`wire`] field
+//!   codecs) back to the launcher over its ring, and exits. The launcher
+//!   decodes the key lists and assembles the output graph while the
+//!   children exit, then reaps every child and checks its status before
+//!   returning; a child that exits, even cleanly, without sending its
+//!   whole blob is a [`ProcError::RankDied`].
 //!
 //! Orphan safety is layered: children arm `PR_SET_PDEATHSIG(SIGKILL)`
 //! before exec (re-checking `getppid` to close the pre-arm race), and the
@@ -36,27 +38,23 @@
 //! Process runs are never observed (`RunReport` stays `None`): probes are
 //! guaranteed non-perturbing, so conformance digests are unaffected.
 
-use std::collections::VecDeque;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use edgeswitch_dist::BlockRng64;
 use edgeswitch_graph::generators::StreamSpec;
 use edgeswitch_graph::store::{build_rank_store_streamed, build_stores, PartitionStore};
 use edgeswitch_graph::{Edge, Graph, Partitioner};
 use edgeswitch_shm::{Endpoint, ShmWorld, WaitOutcome};
-use mpilite::{
-    CollCarrier, CommStats, COLLECTIVE_TAG_BASE, DEFAULT_SPIN_RELAX, DEFAULT_SPIN_TOTAL,
-};
+use mpilite::{Comm, Link, Packet, RECV_TIMEOUT, SPIN_RELAX, SPIN_TOTAL};
 
 use crate::config::ParallelConfig;
+use crate::obs::Obs;
 
 use super::harness::{
-    assemble_outcome, run_switch_rank, unpack, ParallelOutcome, RankMachine, RankOutput,
-    RankTransport, StepHarness, StepTelemetry, Transport, TAG_PROTO,
+    assemble_outcome, run_switch_rank, MpiliteTransport, ParallelOutcome, RankOutput, StepHarness,
+    StepTelemetry,
 };
 use super::msg::Msg;
-use super::rank::RankState;
 use super::wire::{self, put_u32, put_u64, Reader};
 
 const ENV_RANK: &str = "EDGESWITCH_SHM_RANK";
@@ -64,229 +62,72 @@ const ENV_FD: &str = "EDGESWITCH_SHM_FD";
 const ENV_LEN: &str = "EDGESWITCH_SHM_LEN";
 const ENV_PPID: &str = "EDGESWITCH_SHM_PPID";
 
-/// Tag for result-blob frames (distinct from `TAG_PROTO`, below the
+/// Tag for result-blob frames (distinct from the protocol tag, below the
 /// collective namespace).
 const TAG_RESULT: u32 = 2;
-
-/// Tags per collective invocation; mirrors `mpilite::collectives` so the
-/// tag sequence is identical across backends.
-const TAG_STRIDE: u32 = 4;
-
-/// Per-receive deadlock timeout, matching `mpilite::WorldConfig`.
-const RECV_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Backpressure timeout for a full ring (peer presumed dead after this).
 const SEND_TIMEOUT: Duration = Duration::from_secs(120);
 
+/// Per-pair ring data capacity in bytes (a power of two).
+const RING_CAPACITY: usize = 1 << 18;
+const _: () = assert!(RING_CAPACITY.is_power_of_two());
+
 // ---------------------------------------------------------------------
-// Transport
+// Link
 // ---------------------------------------------------------------------
 
-/// [`RankTransport`] over a shared-memory world: the process-backend
-/// sibling of [`super::harness::MpiliteTransport`].
-///
-/// Point-to-point sends encode one [`Msg`] per ring frame under
-/// `TAG_PROTO`; the step-boundary collectives replicate
-/// `mpilite::collectives` exactly (same direct-exchange order, same tag
-/// sequence), with frames that arrive out of matching order buffered in
-/// a pending queue — the ring grid only guarantees per-pair FIFO.
-pub struct ProcTransport<'w> {
+/// The [`Link`] of a rank process: its shared-memory [`Endpoint`], one
+/// [`Msg`] per ring frame by the [`wire`] codec. The rings guarantee
+/// per-pair FIFO order only; `Comm` matches tags above it, exactly as
+/// over a threaded rank's mailbox.
+pub(crate) struct ShmLink<'w> {
     ep: Endpoint<'w>,
-    /// Ranks `p` (the world has `p + 1` participants; the launcher owns
-    /// the extra endpoint).
-    p: usize,
-    stats: CommStats,
-    coll_seq: u32,
-    /// Frames received while waiting for something more specific:
-    /// `(src, tag, payload)`.
-    pending: VecDeque<(usize, u32, Vec<u8>)>,
-    /// Logical messages unpacked from a `Msg::Batch` frame.
-    inbox: VecDeque<(usize, Msg)>,
-    ebuf: Vec<u8>,
+    /// Encode buffer, reused across sends.
+    buf: Vec<u8>,
 }
 
-impl<'w> ProcTransport<'w> {
-    /// Wrap a rank's endpoint (`ep.me()` must be the rank id, `< p`).
-    pub fn new(ep: Endpoint<'w>, p: usize) -> Self {
-        assert!(ep.me() < p, "launcher endpoint is not a rank");
-        ProcTransport {
+impl<'w> ShmLink<'w> {
+    pub(crate) fn new(ep: Endpoint<'w>) -> Self {
+        ShmLink {
             ep,
-            p,
-            stats: CommStats::default(),
-            coll_seq: 0,
-            pending: VecDeque::new(),
-            inbox: VecDeque::new(),
-            ebuf: Vec::new(),
+            buf: Vec::new(),
         }
     }
+}
 
-    /// Traffic counters so far.
-    pub fn stats(&self) -> CommStats {
-        self.stats
+impl Link<Msg> for ShmLink<'_> {
+    fn post(&mut self, dst: usize, packet: Packet<Msg>) {
+        self.buf.clear();
+        wire::encode_msg(&packet.payload, &mut self.buf);
+        self.ep.send(dst, packet.tag, &self.buf, SEND_TIMEOUT);
     }
 
-    fn next_coll_tag(&mut self) -> u32 {
-        let seq = self.coll_seq;
-        self.coll_seq = self.coll_seq.wrapping_add(1);
-        COLLECTIVE_TAG_BASE + (seq % ((u32::MAX - COLLECTIVE_TAG_BASE) / TAG_STRIDE)) * TAG_STRIDE
+    fn poll(&mut self) -> Option<Packet<Msg>> {
+        let (src, tag, frame) = self.ep.try_recv()?;
+        Some(Packet {
+            src,
+            tag,
+            payload: wire::decode_msg(frame),
+        })
     }
 
-    fn send_msg(&mut self, dst: usize, tag: u32, msg: &Msg) {
-        self.stats.packets_sent += 1;
-        self.stats.bytes_sent += msg.wire_size() as u64;
-        msg.record_kinds(&mut self.stats.logical_by_kind);
-        self.ebuf.clear();
-        wire::encode_msg(msg, &mut self.ebuf);
-        self.ep.send(dst, tag, &self.ebuf, SEND_TIMEOUT);
-    }
-
-    fn note_queue_depth(&mut self) {
-        let depth = (self.pending.len() + self.inbox.len()) as u64;
-        self.stats.recv_queue_peak = self.stats.recv_queue_peak.max(depth);
-    }
-
-    /// Park until a frame arrives (after the same spin budget as a
-    /// threaded rank), metering park time; panics on world death or
-    /// deadlock timeout.
-    fn wait_for_traffic(&mut self) {
-        match self
-            .ep
-            .wait(DEFAULT_SPIN_RELAX, DEFAULT_SPIN_TOTAL, RECV_TIMEOUT)
-        {
-            WaitOutcome::Ready => {}
-            WaitOutcome::ParkedReady(ns) => {
-                self.stats.parks += 1;
-                self.stats.park_ns += ns;
-            }
+    fn block(&mut self) -> Option<(Packet<Msg>, Option<u64>)> {
+        let parked_ns = match self.ep.wait(SPIN_RELAX, SPIN_TOTAL, RECV_TIMEOUT) {
+            WaitOutcome::Ready => None,
+            WaitOutcome::ParkedReady(ns) => Some(ns),
+            WaitOutcome::TimedOut => return None,
             WaitOutcome::Dead => panic!(
                 "rank {}: shm world died while waiting for messages",
                 self.ep.me()
             ),
-            WaitOutcome::TimedOut => panic!(
-                "rank {}: no message within {RECV_TIMEOUT:?} (protocol deadlock?)",
-                self.ep.me()
-            ),
-        }
+        };
+        let packet = self.poll().expect("a ready endpoint holds a frame");
+        Some((packet, parked_ns))
     }
 
-    fn try_recv_proto(&mut self) -> Option<(usize, Msg)> {
-        if let Some(x) = self.inbox.pop_front() {
-            return Some(x);
-        }
-        self.note_queue_depth();
-        if let Some(at) = self
-            .pending
-            .iter()
-            .position(|(_, tag, _)| *tag == TAG_PROTO)
-        {
-            let (src, _, bytes) = self.pending.remove(at).expect("position is in range");
-            self.stats.packets_received += 1;
-            let msg = wire::decode_msg(&bytes);
-            return Some(unpack(&mut self.inbox, src, msg));
-        }
-        loop {
-            let (src, tag, payload) = self.ep.try_recv()?;
-            if tag == TAG_PROTO {
-                let msg = wire::decode_msg(payload);
-                self.stats.packets_received += 1;
-                return Some(unpack(&mut self.inbox, src, msg));
-            }
-            let owned = payload.to_vec();
-            self.pending.push_back((src, tag, owned));
-        }
-    }
-
-    /// Earliest-arrived frame from `src` under `tag` (collective
-    /// matching), buffering everything else.
-    fn recv_match(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        self.note_queue_depth();
-        if let Some(at) = self
-            .pending
-            .iter()
-            .position(|(s, t, _)| *s == src && *t == tag)
-        {
-            let (_, _, bytes) = self.pending.remove(at).expect("position is in range");
-            self.stats.packets_received += 1;
-            return bytes;
-        }
-        loop {
-            match self.ep.try_recv() {
-                Some((s, t, payload)) => {
-                    let owned = payload.to_vec();
-                    if s == src && t == tag {
-                        self.stats.packets_received += 1;
-                        return owned;
-                    }
-                    self.pending.push_back((s, t, owned));
-                }
-                None => self.wait_for_traffic(),
-            }
-        }
-    }
-
-    /// Direct exchange of one `u64` with every peer — `value(dst)` goes
-    /// to `dst`, `own` is this rank's slot — mirroring the allgather and
-    /// all-to-all of `mpilite::collectives` (same send/recv order, same
-    /// tag draw, same stats accounting).
-    // Rank indices double as slot indices and message routes, as in
-    // `mpilite::collectives`; iterator rewrites would hide that.
-    #[allow(clippy::needless_range_loop)]
-    fn exchange_u64(&mut self, own: u64, value: impl Fn(usize) -> u64) -> Vec<u64> {
-        let tag = self.next_coll_tag();
-        let (rank, p) = (self.ep.me(), self.p);
-        let mut out = vec![0u64; p];
-        out[rank] = own;
-        for dst in 0..p {
-            if dst != rank {
-                self.send_msg(dst, tag, &Msg::Coll(mpilite::CollPayload::U64(value(dst))));
-            }
-        }
-        for src in 0..p {
-            if src != rank {
-                let bytes = self.recv_match(src, tag);
-                match wire::decode_msg(&bytes) {
-                    Msg::Coll(mpilite::CollPayload::U64(v)) => out[src] = v,
-                    other => panic!("collective exchange got {other:?}"),
-                }
-            }
-        }
-        self.stats.collectives += 1;
-        out
-    }
-}
-
-impl Transport for ProcTransport<'_> {}
-
-impl RankTransport for ProcTransport<'_> {
-    fn rank(&self) -> usize {
-        self.ep.me()
-    }
-    fn size(&self) -> usize {
-        self.p
-    }
-    fn exchange_edge_counts(&mut self, count: u64) -> Vec<u64> {
-        debug_assert!(self.inbox.is_empty(), "protocol traffic across step end");
-        self.exchange_u64(count, |_| count)
-    }
-    fn draw_quota(&mut self, step_ops: u64, q: &[f64], rng: &mut BlockRng64) -> u64 {
-        // Identical RNG consumption to `parallel_multinomial_owned`.
-        let row = edgeswitch_dist::local_quota_row(step_ops, self.p, self.ep.me(), q, rng);
-        let mine = self.exchange_u64(row[self.ep.me()], |dst| row[dst]);
-        mine.into_iter().sum()
-    }
-    fn send(&mut self, dst: usize, msg: Msg) {
-        self.send_msg(dst, TAG_PROTO, &msg);
-    }
-    fn try_recv(&mut self) -> Option<(usize, Msg)> {
-        self.try_recv_proto()
-    }
-    fn recv_block(&mut self) -> (usize, Msg) {
-        loop {
-            if let Some(x) = self.try_recv_proto() {
-                return x;
-            }
-            self.wait_for_traffic();
-        }
+    fn backlog(&self) -> usize {
+        self.ep.sources_ready()
     }
 }
 
@@ -576,7 +417,7 @@ fn collect_results(
         if (0..p).all(|rank| complete(&want, &bufs, rank)) {
             return Ok(bufs);
         }
-        match ep.wait(64, 256, Duration::from_millis(100)) {
+        match ep.wait(SPIN_RELAX, SPIN_TOTAL, Duration::from_millis(100)) {
             WaitOutcome::Ready | WaitOutcome::ParkedReady(_) | WaitOutcome::TimedOut => {}
             WaitOutcome::Dead => unreachable!("launcher owns the liveness word"),
         }
@@ -762,7 +603,7 @@ fn launch_world(
     let steps = harness.steps();
 
     // k = p ranks + 1 launcher endpoint (index p) for result return.
-    let world = ShmWorld::create(p + 1, config.proc_opts.ring_capacity, boot.len())
+    let world = ShmWorld::create(p + 1, RING_CAPACITY, boot.len())
         .map_err(|err| ProcError::Unsupported(err.to_string()))?;
     world.write_boot(&boot);
 
@@ -956,12 +797,74 @@ fn run_rank_child(world: &ShmWorld, rank: usize) {
             build_rank_store_streamed(&mut *stream, &part, rank)
         }
     };
-    let mut state = RankState::new(rank, part, store, &config);
-    let mut transport = ProcTransport::new(world.endpoint(rank), p);
+    // The rank body of a threaded rank, over this process's rings.
+    let mut comm = Comm::new(rank, p, ShmLink::new(world.endpoint(rank)));
     let harness = StepHarness::new(t, &config);
-    let telemetry = run_switch_rank(&mut transport, &mut state, harness);
-
-    let output = state.into_output(transport.stats());
+    let (output, telemetry) = run_switch_rank(
+        &mut MpiliteTransport::new(&mut comm),
+        part,
+        store,
+        &config,
+        harness,
+        Obs::noop(),
+    );
     let blob = wire::encode_rank_result(&output, &telemetry);
-    send_result(&transport.ep, p, &blob, result_chunk_len(world));
+    send_result(&comm.into_link().ep, p, &blob, result_chunk_len(world));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use edgeswitch_dist::{parallel_multinomial_owned, rank_block_rng};
+    use mpilite::{run_world, CommStats, WorldConfig};
+
+    /// Each collective the step boundaries use, on fixed inputs and a
+    /// fixed seed, as any rank runs them over any link.
+    fn collectives<L: Link<Msg>>(comm: &mut Comm<Msg, L>) -> (Vec<u64>, Vec<u64>, u64, CommStats) {
+        let rank = comm.rank() as u64;
+        let gathered = comm.allgather_u64(10 + rank);
+        let row: Vec<u64> = (0..comm.size() as u64)
+            .map(|dst| 100 * rank + dst)
+            .collect();
+        let transposed = comm.alltoall_u64(&row);
+        let mut rng = rank_block_rng(7, rank);
+        let quota = parallel_multinomial_owned(comm, 1_000, &[0.25, 0.75], &mut rng);
+        (gathered, transposed, quota, comm.stats())
+    }
+
+    /// The shm link in one process: two threads share a world, each runs
+    /// a `Comm` over its own endpoint, and the values and the traffic
+    /// books come out as they do over the threaded world's mailboxes.
+    #[test]
+    fn shm_link_runs_the_collectives_like_a_mailbox() {
+        if !process_backend_supported() {
+            eprintln!("process backend unsupported on this platform; skipping");
+            return;
+        }
+        let threaded = run_world(2, WorldConfig::default(), collectives);
+        let world = ShmWorld::create(2, 1 << 12, 0).unwrap();
+        let shm: Vec<_> = std::thread::scope(|scope| {
+            let ranks: Vec<_> = (0..2)
+                .map(|rank| {
+                    let world = &world;
+                    scope.spawn(move || {
+                        let mut comm = Comm::new(rank, 2, ShmLink::new(world.endpoint(rank)));
+                        collectives(&mut comm)
+                    })
+                })
+                .collect();
+            ranks.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(threaded[0].0, vec![10, 11]);
+        assert_eq!(threaded[1].1, vec![1, 101]);
+        for (rank, (a, b)) in shm.iter().zip(&threaded).enumerate() {
+            assert_eq!((&a.0, &a.1, a.2), (&b.0, &b.1, b.2), "rank {rank} values");
+            let (sa, sb) = (a.3, b.3);
+            assert_eq!(sa.packets_sent, sb.packets_sent, "rank {rank}");
+            assert_eq!(sa.bytes_sent, sb.bytes_sent, "rank {rank}");
+            assert_eq!(sa.collectives, 3, "rank {rank}");
+            assert_eq!(sa.collectives, sb.collectives, "rank {rank}");
+            assert_eq!(sa.logical_by_kind, sb.logical_by_kind, "rank {rank}");
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Correctness tests for the distributed protocol, run through both the
 //! threaded world (real message passing) and the simulated one.
 
-use super::harness::{FifoTransport, Transport, WorldTransport};
+use super::harness::{FifoTransport, WorldTransport};
 use super::msg::{Msg, MsgKind};
 use super::ParallelOutcome;
 use crate::config::{ParallelConfig, StepSize};
@@ -254,8 +254,6 @@ fn more_ranks_than_meaningful_partitions() {
 /// The FIFO simulator's transport, handing probes a clock that counts
 /// its reads.
 struct CountingFifo(FifoTransport, Arc<CountingClock>);
-
-impl Transport for CountingFifo {}
 
 impl WorldTransport for CountingFifo {
     fn deliver(&mut self, src: usize, dst: usize, msg: Msg) {

@@ -46,7 +46,7 @@
 use super::engine::run_threaded_world;
 use super::harness::{
     route_world, run_rank, FifoTransport, Opened, ParallelOutcome, RankMachine, RankOutput,
-    RankTransport, Schedule, StepTelemetry, WorldTransport,
+    Schedule, StepTelemetry, WorldTransport,
 };
 use super::msg::{Msg, Outbox};
 use super::rank::{RankCheckpoint, RankStats, StartResult};

@@ -8,7 +8,7 @@
 
 use crate::multinomial::multinomial;
 use crate::rng::Rng;
-use mpilite::{CollCarrier, Comm};
+use mpilite::{CollCarrier, Comm, Link};
 
 /// Rank `rank`'s share of `n` trials: `⌊n/p⌋ + 1` for the first `n mod p`
 /// ranks (Algorithm 5, lines 2–3).
@@ -48,9 +48,15 @@ pub fn multinomial_partitioned<R: Rng + ?Sized>(
 /// Distributed Algorithm 5: every rank draws `M(N_i, q)` and the counts
 /// are summed; every rank returns the complete aggregated vector
 /// (the "gather everywhere" storage variant discussed after Alg. 5).
-pub fn parallel_multinomial<M, R>(comm: &mut Comm<M>, n: u64, q: &[f64], rng: &mut R) -> Vec<u64>
+pub fn parallel_multinomial<M, L, R>(
+    comm: &mut Comm<M, L>,
+    n: u64,
+    q: &[f64],
+    rng: &mut R,
+) -> Vec<u64>
 where
     M: CollCarrier,
+    L: Link<M>,
     R: Rng + ?Sized,
 {
     let p = comm.size();
@@ -87,9 +93,15 @@ pub fn local_quota_row<R: Rng + ?Sized>(
 /// Distributed Algorithm 5 in the paper's primary storage layout for
 /// `ℓ = p`: after the exchange, rank `i` holds only `X_i` (line 5's
 /// send of `X_{j,i}` to processor `P_j` is a personalized all-to-all).
-pub fn parallel_multinomial_owned<M, R>(comm: &mut Comm<M>, n: u64, q: &[f64], rng: &mut R) -> u64
+pub fn parallel_multinomial_owned<M, L, R>(
+    comm: &mut Comm<M, L>,
+    n: u64,
+    q: &[f64],
+    rng: &mut R,
+) -> u64
 where
     M: CollCarrier,
+    L: Link<M>,
     R: Rng + ?Sized,
 {
     let p = comm.size();

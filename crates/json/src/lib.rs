@@ -364,10 +364,21 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parse one JSON document; trailing non-whitespace is an error.
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so a cap keeps a hostile line from
+/// overflowing the stack of the thread that reads it; no value this
+/// workspace writes nests more than a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON document; trailing non-whitespace, and nesting deeper
+/// than [`MAX_DEPTH`], are errors.
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -380,6 +391,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -421,12 +434,29 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => self.nested(),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(b) => Err(format!("unexpected '{}' at offset {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// An array or object one level deeper than the current position.
+    fn nested(&mut self) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = if self.peek() == Some(b'[') {
+            self.array()
+        } else {
+            self.object()
+        };
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -698,5 +728,31 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&over).unwrap_err();
+        assert!(
+            err.starts_with("nesting deeper than 128 at offset"),
+            "{err}"
+        );
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // A small stack is enough for any input: 100 000 opening brackets
+        // recurse at most MAX_DEPTH levels.
+        let hostile = "[".repeat(100_000);
+        let small_stack = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || parse(&hostile).is_err())
+            .unwrap();
+        assert!(small_stack.join().unwrap());
     }
 }

@@ -1,11 +1,11 @@
 //! The queue under every rank's mailbox: an unbounded FIFO channel with
-//! many senders and the single consumer a [`crate::Comm`] is.
+//! many senders and the single consumer a [`crate::Mailbox`] is.
 //!
 //! A `Mutex<VecDeque>` plus a `Condvar`, deliberately: the receiver
 //! must report its backlog ([`Receiver::len`], the `recv-queue-depth`
 //! gauge), which `std::sync::mpsc` cannot, and a receive only parks
-//! here after `Comm`'s spin phase has already polled `try_recv`, so an
-//! uncontended lock is what the hot path pays. Either side learns of
+//! here after the `Mailbox`'s spin phase has already polled `try_recv`,
+//! so an uncontended lock is what the hot path pays. Either side learns of
 //! the other's departure: a send to a dropped receiver is an error, and
 //! a receive from an empty queue with no sender left reports the
 //! disconnect instead of blocking. Only queue pushes and pops run under

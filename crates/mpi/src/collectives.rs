@@ -12,12 +12,13 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::comm::{CollCarrier, Comm};
+use crate::link::Link;
 use crate::packet::{CollPayload, COLLECTIVE_TAG_BASE};
 
 /// Tags per collective invocation (round budget).
 const TAG_STRIDE: u32 = 4;
 
-impl<M: CollCarrier> Comm<M> {
+impl<M: CollCarrier, L: Link<M>> Comm<M, L> {
     fn next_coll_tag(&mut self) -> u32 {
         let seq = self.coll_seq;
         self.coll_seq = self.coll_seq.wrapping_add(1);

@@ -1,23 +1,27 @@
-//! Per-rank communicator: tagged point-to-point messaging.
+//! Per-rank communicator: tagged point-to-point messaging over a
+//! [`Link`].
 
-use crate::channel::{Receiver, Sender};
+use crate::link::{Link, Mailbox};
 use crate::packet::{CollPayload, Packet, COLLECTIVE_TAG_BASE};
 use crate::stats::CommStats;
 use std::collections::VecDeque;
 use std::time::Duration;
 
-/// Default iterations of the cheap spin phase of a blocking receive
-/// (busy-poll with a CPU relax hint) before escalating to `yield_now`.
-/// Tuned for oversubscribed single-machine worlds; configurable per world
-/// through [`crate::WorldConfig`] once ranks own their cores.
-pub const DEFAULT_SPIN_RELAX: u32 = 64;
+/// Iterations of the cheap spin phase of a blocking receive (busy-poll
+/// with a CPU relax hint) before escalating to `yield_now`. Every link
+/// spins this long; tuned for oversubscribed single-machine worlds,
+/// where ranks timeshare cores.
+pub const SPIN_RELAX: u32 = 64;
 
-/// Default total polling iterations (relax + yield phases) of a blocking
-/// receive before parking on the channel with a timeout. Oversubscribed
-/// boxes reach the yield phase almost immediately, so the sender's thread
-/// gets scheduled instead of us burning its time slice. Configurable per
-/// world through [`crate::WorldConfig`].
-pub const DEFAULT_SPIN_TOTAL: u32 = 256;
+/// Total polling iterations (relax + yield phases) of a blocking receive
+/// before it parks. Oversubscribed boxes reach the yield phase almost
+/// immediately, so the sender gets scheduled instead of us burning its
+/// time slice.
+pub const SPIN_TOTAL: u32 = 256;
+
+/// How long a blocking receive parks before the rank gives up on a
+/// deadlocked protocol and panics, so a hang fails loudly instead.
+pub const RECV_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// How user message types expose their approximate wire size and embed
 /// collective payloads. Implemented for [`CollPayload`] itself and easily
@@ -168,44 +172,36 @@ impl<M> PendingBuf<M> {
 }
 
 /// One rank's endpoint into the world: `send`/`recv` plus collectives
-/// (in [`crate::collectives`]).
-pub struct Comm<M> {
+/// (in [`crate::collectives`]), over the link `L` that moves its packets.
+pub struct Comm<M, L = Mailbox<M>> {
     rank: usize,
     size: usize,
-    senders: Vec<Sender<Packet<M>>>,
-    receiver: Receiver<Packet<M>>,
+    link: L,
     /// Messages received while waiting for something more specific,
     /// indexed by tag.
     pending: PendingBuf<M>,
     pub(crate) stats: CommStats,
     pub(crate) coll_seq: u32,
-    timeout: Duration,
-    spin_relax: u32,
-    spin_total: u32,
 }
 
-impl<M: CollCarrier> Comm<M> {
-    pub(crate) fn new(
-        rank: usize,
-        senders: Vec<Sender<Packet<M>>>,
-        receiver: Receiver<Packet<M>>,
-        timeout: Duration,
-        spin_relax: u32,
-        spin_total: u32,
-    ) -> Self {
-        let size = senders.len();
+impl<M: CollCarrier, L: Link<M>> Comm<M, L> {
+    /// Rank `rank` of a `size`-rank world whose packets move over `link`.
+    pub fn new(rank: usize, size: usize, link: L) -> Self {
+        assert!(rank < size, "rank {rank} outside a world of {size}");
         Comm {
             rank,
             size,
-            senders,
-            receiver,
+            link,
             pending: PendingBuf::new(),
             stats: CommStats::default(),
             coll_seq: 0,
-            timeout,
-            spin_relax,
-            spin_total,
         }
+    }
+
+    /// Tear down into the link, for traffic after the protocol (packets
+    /// still buffered as pending are dropped).
+    pub fn into_link(self) -> L {
+        self.link
     }
 
     /// This rank's id in `0..size`.
@@ -244,44 +240,32 @@ impl<M: CollCarrier> Comm<M> {
         self.stats.packets_sent += 1;
         self.stats.bytes_sent += payload.wire_size() as u64;
         payload.record_kinds(&mut self.stats.logical_by_kind);
-        self.senders[dst]
-            .send(Packet {
+        self.link.post(
+            dst,
+            Packet {
                 src: self.rank,
                 tag,
                 payload,
-            })
-            .unwrap_or_else(|_| panic!("rank {} -> {dst}: receiver disconnected", self.rank));
+            },
+        );
     }
 
-    /// Blocking channel receive with a spin-then-park phase: hot
-    /// exchanges are usually answered within microseconds, so busy-poll
-    /// briefly (relax, then yield so an oversubscribed sender can run)
-    /// before paying `recv_timeout` parking latency. `None` on timeout.
-    /// Park time is metered into [`CommStats::park_ns`] (the park
-    /// already costs microseconds, so the `Instant` reads are noise).
+    /// Blocking receive from the link, metering any park into
+    /// [`CommStats::parks`] and [`CommStats::park_ns`]. `None` on timeout.
     fn recv_spin(&mut self) -> Option<Packet<M>> {
-        for spin in 0..self.spin_total {
-            if let Ok(p) = self.receiver.try_recv() {
-                return Some(p);
-            }
-            if spin < self.spin_relax {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+        let (packet, parked_ns) = self.link.block()?;
+        if let Some(ns) = parked_ns {
+            self.stats.parks += 1;
+            self.stats.park_ns += ns;
         }
-        let parked_at = std::time::Instant::now();
-        let res = self.receiver.recv_timeout(self.timeout).ok();
-        self.stats.parks += 1;
-        self.stats.park_ns += parked_at.elapsed().as_nanos() as u64;
-        res
+        Some(packet)
     }
 
-    /// Sample the channel backlog at a receive entry point into
+    /// Sample the link's backlog at a receive entry point into
     /// [`CommStats::recv_queue_peak`].
     #[inline]
     fn note_queue_depth(&mut self) {
-        let depth = self.receiver.len() as u64;
+        let depth = self.link.backlog() as u64;
         if depth > self.stats.recv_queue_peak {
             self.stats.recv_queue_peak = depth;
         }
@@ -290,8 +274,8 @@ impl<M: CollCarrier> Comm<M> {
     /// Blocking receive of the next message (any source, any tag).
     ///
     /// # Panics
-    /// Panics after the configured timeout — a deadlocked protocol should
-    /// fail loudly in tests rather than hang.
+    /// Panics after [`RECV_TIMEOUT`] — a deadlocked protocol should fail
+    /// loudly in tests rather than hang.
     pub fn recv(&mut self) -> Packet<M> {
         self.note_queue_depth();
         if let Some(p) = self.pending.pop_any() {
@@ -300,8 +284,8 @@ impl<M: CollCarrier> Comm<M> {
         }
         let p = self.recv_spin().unwrap_or_else(|| {
             panic!(
-                "rank {}: recv timed out after {:?} (deadlock?)",
-                self.rank, self.timeout
+                "rank {}: recv timed out after {RECV_TIMEOUT:?} (deadlock?)",
+                self.rank
             )
         });
         self.stats.packets_received += 1;
@@ -342,14 +326,12 @@ impl<M: CollCarrier> Comm<M> {
             return Some(p);
         }
         loop {
-            match self.receiver.try_recv() {
-                Ok(p) if p.tag == tag => {
-                    self.stats.packets_received += 1;
-                    return Some(p);
-                }
-                Ok(p) => self.pending.push(p),
-                Err(_) => return None,
+            let p = self.link.poll()?;
+            if p.tag == tag {
+                self.stats.packets_received += 1;
+                return Some(p);
             }
+            self.pending.push(p);
         }
     }
 

@@ -1,8 +1,10 @@
 //! # mpilite
 //!
-//! A small thread-backed distributed-memory message-passing runtime: the
-//! substrate standing in for MPI in this reproduction. Each *rank* is an
-//! OS thread with a private mailbox; ranks exchange tagged messages and
+//! A small distributed-memory message-passing runtime: the substrate
+//! standing in for MPI in this reproduction. Each *rank* holds a [`Comm`]
+//! over a [`Link`] — in [`run_world`], an OS thread with a private
+//! [`Mailbox`]; any other carrier (a process's shared-memory rings)
+//! plugs in as another link. Ranks exchange tagged messages and
 //! participate in collectives, exactly mirroring the communication
 //! pattern of the paper's MPI implementation (DESIGN.md §2 explains the
 //! substitution).
@@ -21,6 +23,7 @@
 mod channel;
 pub mod collectives;
 pub mod comm;
+pub mod link;
 pub mod packet;
 pub mod runtime;
 pub mod stats;
@@ -28,7 +31,8 @@ pub mod stats;
 #[cfg(test)]
 mod tag_tests;
 
-pub use comm::{CollCarrier, Comm, DEFAULT_SPIN_RELAX, DEFAULT_SPIN_TOTAL};
+pub use comm::{CollCarrier, Comm, RECV_TIMEOUT, SPIN_RELAX, SPIN_TOTAL};
+pub use link::{Link, Mailbox};
 pub use packet::{CollPayload, Packet, COLLECTIVE_TAG_BASE};
 pub use runtime::{run_world, run_world_default, WorldConfig};
 pub use stats::{CommStats, KIND_SLOTS};

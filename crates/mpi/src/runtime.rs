@@ -1,33 +1,16 @@
 //! Spawning a world of ranks as scoped threads.
 
 use crate::channel::unbounded;
-use crate::comm::{CollCarrier, Comm, DEFAULT_SPIN_RELAX, DEFAULT_SPIN_TOTAL};
+use crate::comm::{CollCarrier, Comm};
+use crate::link::Mailbox;
 use crate::packet::Packet;
-use std::time::Duration;
 
-/// Configuration for a threaded world.
-#[derive(Clone, Copy, Debug)]
-pub struct WorldConfig {
-    /// Per-receive deadlock timeout; a rank that waits longer panics.
-    pub recv_timeout: Duration,
-    /// Busy-spin iterations with CPU relax hints at the start of a
-    /// blocking receive.
-    pub spin_relax: u32,
-    /// Total spin iterations (relax, then `yield_now`) before the receive
-    /// parks on the channel. Keep small when ranks timeshare cores; grow
-    /// it once each rank owns one.
-    pub spin_total: u32,
-}
-
-impl Default for WorldConfig {
-    fn default() -> Self {
-        WorldConfig {
-            recv_timeout: Duration::from_secs(120),
-            spin_relax: DEFAULT_SPIN_RELAX,
-            spin_total: DEFAULT_SPIN_TOTAL,
-        }
-    }
-}
+/// Configuration of a threaded world. It has no settings: the receive
+/// spin budget and deadlock timeout are [`Comm`]'s constants
+/// ([`crate::SPIN_RELAX`], [`crate::SPIN_TOTAL`], [`crate::RECV_TIMEOUT`])
+/// on every link, threads and processes alike.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WorldConfig {}
 
 /// Run `f` on `p` ranks, each in its own thread with a connected
 /// [`Comm`]; returns the per-rank results in rank order.
@@ -38,7 +21,7 @@ impl Default for WorldConfig {
 /// # Panics
 /// Propagates the first rank panic (including recv timeouts, which turn
 /// protocol deadlocks into loud test failures).
-pub fn run_world<M, T, F>(p: usize, config: WorldConfig, f: F) -> Vec<T>
+pub fn run_world<M, T, F>(p: usize, _config: WorldConfig, f: F) -> Vec<T>
 where
     M: CollCarrier + Send + 'static,
     T: Send,
@@ -56,15 +39,9 @@ where
     let mut comms: Vec<Comm<M>> = receivers
         .into_iter()
         .enumerate()
-        .map(|(rank, rx)| {
-            Comm::new(
-                rank,
-                senders.clone(),
-                rx,
-                config.recv_timeout,
-                config.spin_relax,
-                config.spin_total,
-            )
+        .map(|(rank, receiver)| {
+            let senders = senders.clone();
+            Comm::new(rank, p, Mailbox { senders, receiver })
         })
         .collect();
     // Channels now live only inside the Comms, so a send to a finished

@@ -34,7 +34,7 @@ pub struct CommStats {
     /// [`crate::comm::CollCarrier::kind_index`] (batch-transparent).
     pub logical_by_kind: [u64; KIND_SLOTS],
     /// Times a blocking receive exhausted its spin budget and parked on
-    /// the channel.
+    /// its link.
     pub parks: u64,
     /// Total nanoseconds spent parked in blocking receives.
     pub park_ns: u64,

@@ -19,7 +19,7 @@
 use crate::model::CostModel;
 use edgeswitch_core::config::Randomizer;
 use edgeswitch_core::obs::{Clock, Obs, Phase, VirtualClock};
-use edgeswitch_core::parallel::{Msg, StepTelemetry, Transport, WorldTransport};
+use edgeswitch_core::parallel::{Msg, StepTelemetry, WorldTransport};
 use edgeswitch_core::{ParallelOutcome, Run};
 use edgeswitch_graph::Graph;
 use std::collections::VecDeque;
@@ -102,7 +102,7 @@ impl DesTransport {
     }
 }
 
-impl Transport for DesTransport {
+impl WorldTransport for DesTransport {
     fn on_op_started(&mut self, rank: usize) {
         self.charge(rank, self.cost.local_op_ns);
     }
@@ -110,9 +110,6 @@ impl Transport for DesTransport {
         // Local role change: pure CPU handling cost.
         self.charge(rank, self.cost.msg_handle_ns);
     }
-}
-
-impl WorldTransport for DesTransport {
     fn deliver(&mut self, src: usize, dst: usize, msg: Msg) {
         // Send overhead at the source, then latency on the wire.
         self.charge(src, self.cost.msg_handle_ns);

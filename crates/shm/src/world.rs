@@ -339,6 +339,14 @@ impl Endpoint<'_> {
         (0..self.incoming.len()).any(|src| src != self.me && self.incoming[src].has_frame())
     }
 
+    /// How many incoming rings currently hold a frame: a lower bound on
+    /// the frames waiting, without walking any ring.
+    pub fn sources_ready(&self) -> usize {
+        (0..self.incoming.len())
+            .filter(|&src| src != self.me && self.incoming[src].has_frame())
+            .count()
+    }
+
     /// Pop one incoming frame, scanning sources round-robin for fairness.
     /// The payload borrows this endpoint's scratch buffer — decode it before
     /// the next call.

@@ -5,6 +5,7 @@
 //! request latency.
 
 use edgeswitch_svc::{json, Client, Json, SchedOpts, Server, ServerOpts, WorkerOpts};
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -246,6 +247,23 @@ fn wire_validation_maps_run_errors() {
         ]))
         .unwrap();
     assert_eq!(not_found.get("code").and_then(Json::as_u64), Some(404));
+
+    // One line of 100 000 opening brackets is a bad request, not a
+    // stack overflow that takes the server down with every job it holds.
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut line = "[".repeat(100_000);
+    line.push('\n');
+    raw.write_all(line.as_bytes()).unwrap();
+    let mut reply = String::new();
+    BufReader::new(&raw).read_line(&mut reply).unwrap();
+    let reply = json::parse(&reply).unwrap();
+    assert_eq!(reply.get("code").and_then(Json::as_u64), Some(400));
+    assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad-json"));
+    let pong = client
+        .request(&Json::obj([("op", Json::str("ping"))]))
+        .unwrap();
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
 
     client.shutdown().unwrap();
     handle.join().unwrap();

@@ -1,5 +1,5 @@
 //! Driver conformance: every driver sits behind [`Run`] and runs the
-//! shared `Transport`/`StepHarness` machinery, so their logical results
+//! shared transport/`StepHarness` machinery, so their logical results
 //! must line up.
 //!
 //! - However a stepped [`Engine`] is driven — any `advance` size,
@@ -1018,6 +1018,18 @@ fn process_engine_matches_threaded_logical_outcomes() {
             assert_eq!(proc.per_rank.len(), thr.per_rank.len());
             for (a, b) in proc.telemetry.iter().zip(thr.telemetry.iter()) {
                 assert_eq!(a.ops, b.ops, "step sizes diverged: {ctx}");
+            }
+            // Both worlds run one `Comm`: a step's collectives, and the
+            // collective packets they send, are fixed by the step count.
+            assert_eq!(proc.comm.len(), thr.comm.len());
+            for (rank, (a, b)) in proc.comm.iter().zip(thr.comm.iter()).enumerate() {
+                assert_eq!(a.collectives, b.collectives, "rank {rank}: {ctx}");
+                assert_eq!(a.collectives, 2 * proc.steps, "rank {rank}: {ctx}");
+                let coll = MsgKind::Coll as usize;
+                assert_eq!(
+                    a.logical_by_kind[coll], b.logical_by_kind[coll],
+                    "rank {rank}: {ctx}"
+                );
             }
         }
     }
