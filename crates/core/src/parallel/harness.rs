@@ -535,47 +535,83 @@ impl<'a, L: Link<Msg>> MpiliteTransport<'a, L> {
 }
 
 // ---------------------------------------------------------------------
-// Send coalescing (threaded engine)
+// Send coalescing (threaded and process worlds)
 // ---------------------------------------------------------------------
+
+/// Largest batch the switch protocol's coalescer holds for one
+/// destination: the push that fills it sends it at once. A peer waiting
+/// in `recv_block` for a reply gets it after at most three more messages
+/// to it, not at the end of a sweep that may run a window of inline
+/// switches first (DESIGN §4b, "Message coalescing": 2 and 8 read slower
+/// on `thr-switch-pa250k-p2`).
+const BATCH_CAP: usize = 4;
 
 /// Per-destination send coalescing: messages accumulate during one
 /// event-loop iteration and leave as one packet per destination —
-/// [`Msg::Batch`] framing when a destination gets more than one.
+/// [`Msg::Batch`] framing when a destination gets more than one — at
+/// the end-of-sweep [`Coalescer::flush`], or as soon as a destination's
+/// batch reaches the cap. Either way each destination's messages leave
+/// in the order they were pushed.
 struct Coalescer {
     batches: Vec<Vec<Msg>>,
     /// Destinations with a non-empty batch, in first-touch order.
     dirty: Vec<usize>,
+    /// Batch length that sends a batch at once: [`BATCH_CAP`], or
+    /// unbounded for a machine whose packets leave only at its flush
+    /// points ([`RankMachine::SEALS`]).
+    cap: usize,
 }
 
 impl Coalescer {
-    fn new(p: usize) -> Self {
+    fn new(p: usize, cap: usize) -> Self {
         Coalescer {
             batches: vec![Vec::new(); p],
             dirty: Vec::with_capacity(p),
+            cap,
         }
     }
 
-    fn push(&mut self, dst: usize, msg: Msg) {
+    /// Queue `msg` for `dst`; returns packets sent (1 if that filled the
+    /// batch to the cap, else 0).
+    fn push<L: Link<Msg>>(
+        &mut self,
+        dst: usize,
+        msg: Msg,
+        transport: &mut MpiliteTransport<'_, L>,
+    ) -> u64 {
         if self.batches[dst].is_empty() {
             self.dirty.push(dst);
         }
         self.batches[dst].push(msg);
+        if self.batches[dst].len() < self.cap {
+            return 0;
+        }
+        self.dirty.retain(|&d| d != dst);
+        send_batch(&mut self.batches[dst], dst, transport);
+        1
     }
 
     /// Send every pending batch as one packet; returns packets sent.
     fn flush<L: Link<Msg>>(&mut self, transport: &mut MpiliteTransport<'_, L>) -> u64 {
         let packets = self.dirty.len() as u64;
         for dst in self.dirty.drain(..) {
-            let mut batch = std::mem::take(&mut self.batches[dst]);
-            if batch.len() == 1 {
-                let msg = batch.pop().expect("dirty batch is non-empty");
-                self.batches[dst] = batch; // keep the allocation
-                transport.send(dst, msg);
-            } else {
-                transport.send(dst, Msg::Batch(batch));
-            }
+            send_batch(&mut self.batches[dst], dst, transport);
         }
         packets
+    }
+}
+
+/// Send the non-empty `batch` to `dst` as one packet, leaving it empty.
+fn send_batch<L: Link<Msg>>(
+    batch: &mut Vec<Msg>,
+    dst: usize,
+    transport: &mut MpiliteTransport<'_, L>,
+) {
+    if batch.len() == 1 {
+        // A lone message leaves unframed, and the batch keeps its buffer.
+        transport.send(dst, batch.pop().expect("dirty batch is non-empty"));
+    } else {
+        transport.send(dst, Msg::Batch(std::mem::take(batch)));
     }
 }
 
@@ -723,7 +759,8 @@ pub(crate) fn run_rank<L: Link<Msg>, S: RankMachine>(
     state: &mut S,
     mut open: impl FnMut(&mut MpiliteTransport<'_, L>, &mut S, &mut Outbox) -> Option<StepTelemetry>,
 ) -> Vec<StepTelemetry> {
-    let (mut outbox, mut coalescer) = (Outbox::new(), Coalescer::new(transport.size()));
+    let cap = if S::SEALS { usize::MAX } else { BATCH_CAP };
+    let (mut outbox, mut coalescer) = (Outbox::new(), Coalescer::new(transport.size(), cap));
     std::iter::from_fn(|| run_rank_step(transport, state, &mut outbox, &mut coalescer, &mut open))
         .collect()
 }
@@ -777,9 +814,11 @@ pub(crate) fn run_switch_rank<L: Link<Msg>>(
 /// Each event-loop iteration drains every delivered message, fills the
 /// conversation window (up to `window` own conversations in flight),
 /// then flushes the send coalescer — one packet per touched destination
-/// — before parking on the next message. The coalescer is always flushed
-/// before a blocking receive, so no reply a peer is waiting on can be
-/// stranded in a batch.
+/// — before parking on the next message. The switch protocol's batches
+/// also leave mid-sweep, as soon as one reaches [`BATCH_CAP`] messages,
+/// so a peer waiting on a reply is not held up by the rest of the sweep.
+/// The coalescer is always flushed before a blocking receive, so no reply
+/// a peer is waiting on can be stranded in a batch.
 fn run_rank_step<L: Link<Msg>, S: RankMachine>(
     transport: &mut MpiliteTransport<'_, L>,
     state: &mut S,
@@ -837,7 +876,7 @@ fn run_rank_step<L: Link<Msg>, S: RankMachine>(
             for dst in 0..p {
                 if dst != transport.rank() {
                     tel.logical_msgs.record(&Msg::EndOfStep);
-                    coalescer.push(dst, Msg::EndOfStep);
+                    tel.packets += coalescer.push(dst, Msg::EndOfStep, transport);
                 }
             }
             eos += 1; // count self
@@ -897,8 +936,9 @@ fn dispatch<L: Link<Msg>, S: RankMachine>(
 
 /// Move queued messages out of the outbox: self-addressed ones re-enter
 /// the state machine immediately; the rest accumulate per destination in
-/// the coalescer until the event loop flushes it, or until the machine's
-/// next flush point ([`Outbox::seal`]) does.
+/// the coalescer until the event loop flushes it, the machine's next
+/// flush point ([`Outbox::seal`]) does, or (switch protocol) the batch
+/// reaches [`BATCH_CAP`].
 fn drain_outbox<L: Link<Msg>, S: RankMachine>(
     transport: &mut MpiliteTransport<'_, L>,
     state: &mut S,
@@ -913,7 +953,7 @@ fn drain_outbox<L: Link<Msg>, S: RankMachine>(
             state.handle(dst, msg, outbox, tel);
         } else {
             tel.logical_msgs.record(&msg);
-            coalescer.push(dst, msg);
+            tel.packets += coalescer.push(dst, msg, transport);
         }
     }
 }
@@ -1124,6 +1164,7 @@ pub(crate) fn route_world<T: WorldTransport, S: RankMachine>(
 mod tests {
     use super::*;
     use crate::config::StepSize;
+    use crate::parallel::ConvId;
 
     #[test]
     fn step_harness_splits_remainder_onto_last_step() {
@@ -1170,6 +1211,53 @@ mod tests {
             a.total(),
             "iter covers every slot"
         );
+    }
+
+    /// A proposal whose conversation number is its place in the push
+    /// order.
+    fn propose(seq: u64) -> Msg {
+        Msg::Propose {
+            conv: ConvId { initiator: 0, seq },
+            e1: Edge::new(1, 2),
+        }
+    }
+
+    #[test]
+    fn coalescer_caps_batches_in_order_and_flushes_the_rest_before_a_wait() {
+        let ranks = mpilite::run_world_default(2, |comm: &mut Comm<Msg>| {
+            if comm.rank() == 1 {
+                // The first three packets as they arrive, frames and all.
+                let packets: Vec<Msg> = (0..3).map(|_| comm.recv_tag(TAG_PROTO).payload).collect();
+                let mut transport = MpiliteTransport::new(comm);
+                assert_eq!(transport.recv_block(), (0, propose(10)));
+                transport.send(0, Msg::EndOfStep);
+                return (packets, StepTelemetry::default(), CommStats::default());
+            }
+            let mut transport = MpiliteTransport::new(comm);
+            let mut coalescer = Coalescer::new(2, BATCH_CAP);
+            let mut tel = StepTelemetry::default();
+            for seq in 0..10 {
+                tel.logical_msgs.record(&propose(seq));
+                tel.packets += coalescer.push(1, propose(seq), &mut transport);
+            }
+            assert_eq!(tel.packets, 2, "each full batch leaves at once");
+            tel.packets += coalescer.flush(&mut transport);
+            // Below the cap a message waits for the end-of-sweep flush,
+            // which comes before the rank waits for the peer's answer.
+            tel.logical_msgs.record(&propose(10));
+            assert_eq!(coalescer.push(1, propose(10), &mut transport), 0);
+            tel.packets += coalescer.flush(&mut transport);
+            assert_eq!(transport.recv_block(), (1, Msg::EndOfStep));
+            (Vec::new(), tel, transport.stats())
+        });
+        let batch = |seqs: std::ops::Range<u64>| Msg::Batch(seqs.map(propose).collect());
+        assert_eq!(ranks[1].0, vec![batch(0..4), batch(4..8), batch(8..10)]);
+        let (_, tel, stats) = &ranks[0];
+        assert_eq!((tel.packets, stats.packets_sent), (4, 4));
+        assert_eq!(tel.logical_msgs.get(MsgKind::Propose), 11);
+        let (kinds, rest) = stats.logical_by_kind.split_at(MsgKind::COUNT);
+        assert_eq!(kinds, tel.logical_msgs.slots());
+        assert!(rest.iter().all(|&n| n == 0));
     }
 
     #[test]

@@ -7,14 +7,22 @@
 //! here after the `Mailbox`'s spin phase has already polled `try_recv`,
 //! so an uncontended lock is what the hot path pays. Either side learns of
 //! the other's departure: a send to a dropped receiver is an error, and
-//! a receive from an empty queue with no sender left reports the
-//! disconnect instead of blocking. Only queue pushes and pops run under
-//! the lock, so it cannot be poisoned and is simply unwrapped.
+//! a receive from an empty queue with no sender left (or after
+//! [`Sender::hang_up`]) reports the disconnect instead of blocking. Only
+//! queue pushes, pops and flag writes run under the lock, so it cannot be
+//! poisoned and is simply unwrapped.
 //!
-//! The hot functions are kept as `perfbench`'s `thr-switch-pa250k-p2` and
-//! `mpi.pingpong_us` have always measured them; a tidier rewrite (unit
-//! send error, boolean receiver flag, a `lock` helper) read about 5 %
-//! slower on that row.
+//! A send notifies the condvar only when the receiver is parked in
+//! [`Receiver::recv_timeout`], which it records under the queue lock
+//! before it waits — the eventcount rule of the shm doorbell (`waiters >
+//! 0` before `futex_wake_all`). A futex condvar makes a wake syscall on
+//! every `notify_one`, parked waiter or not; skipping it is what lets a
+//! rank stream small packets to a spinning peer (DESIGN §4b).
+//!
+//! The hot functions are otherwise kept as `perfbench`'s
+//! `thr-switch-pa250k-p2` and `mpi.pingpong_us` have always measured
+//! them; a tidier rewrite (unit send error, boolean receiver flag, a
+//! `lock` helper) read about 5 % slower on that row.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -22,16 +30,30 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 struct Shared<T> {
-    queue: Mutex<VecDeque<T>>,
+    queue: Mutex<Queue<T>>,
     ready: Condvar,
     senders: AtomicUsize,
     receivers: AtomicUsize,
 }
 
+/// What the lock guards: the values, and what a send must know of the
+/// receiver.
+struct Queue<T> {
+    values: VecDeque<T>,
+    /// The receiver is waiting on the condvar: a send must notify it.
+    parked: bool,
+    /// A sender hung up for every sender ([`Sender::hang_up`]).
+    hung_up: bool,
+}
+
 /// An empty channel: its first sender and its receiver.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        queue: Mutex::new(VecDeque::new()),
+        queue: Mutex::new(Queue {
+            values: VecDeque::new(),
+            parked: false,
+            hung_up: false,
+        }),
         ready: Condvar::new(),
         senders: AtomicUsize::new(1),
         receivers: AtomicUsize::new(1),
@@ -83,14 +105,28 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Sender<T> {
-    /// Queue `value` and wake the receiver.
+    /// Queue `value`, waking the receiver if it is parked.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
         if self.0.receivers.load(Ordering::SeqCst) == 0 {
             return Err(SendError(value));
         }
-        self.0.queue.lock().unwrap().push_back(value);
-        self.0.ready.notify_one();
+        let mut queue = self.0.queue.lock().unwrap();
+        queue.values.push_back(value);
+        let parked = queue.parked;
+        drop(queue);
+        if parked {
+            self.0.ready.notify_one();
+        }
         Ok(())
+    }
+
+    /// Disconnect the channel as if every sender had dropped: once the
+    /// queued values are received, receives report
+    /// [`RecvTimeoutError::Disconnected`], and a parked receiver wakes to
+    /// say so. How a dying rank tells the others it will send nothing more.
+    pub fn hang_up(&self) {
+        self.0.queue.lock().unwrap().hung_up = true;
+        self.0.ready.notify_all();
     }
 }
 
@@ -106,15 +142,17 @@ impl<T> Drop for Receiver<T> {
 impl<T> Receiver<T> {
     /// Values queued and not yet received.
     pub fn len(&self) -> usize {
-        self.0.queue.lock().unwrap().len()
+        self.0.queue.lock().unwrap().values.len()
     }
 
     /// The oldest queued value, without blocking.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let mut queue = self.0.queue.lock().unwrap();
-        match queue.pop_front() {
+        match queue.values.pop_front() {
             Some(v) => Ok(v),
-            None if self.0.senders.load(Ordering::SeqCst) == 0 => Err(TryRecvError::Disconnected),
+            None if queue.hung_up || self.0.senders.load(Ordering::SeqCst) == 0 => {
+                Err(TryRecvError::Disconnected)
+            }
             None => Err(TryRecvError::Empty),
         }
     }
@@ -124,18 +162,23 @@ impl<T> Receiver<T> {
         let deadline = Instant::now() + timeout;
         let mut queue = self.0.queue.lock().unwrap();
         loop {
-            if let Some(v) = queue.pop_front() {
+            if let Some(v) = queue.values.pop_front() {
                 return Ok(v);
             }
-            if self.0.senders.load(Ordering::SeqCst) == 0 {
+            if queue.hung_up || self.0.senders.load(Ordering::SeqCst) == 0 {
                 return Err(RecvTimeoutError::Disconnected);
             }
             let now = Instant::now();
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
+            // Set and cleared under the lock that `send` reads it under,
+            // so a send either sees it and notifies or queued its value
+            // before this wait's re-check.
+            queue.parked = true;
             let (guard, _res) = self.0.ready.wait_timeout(queue, deadline - now).unwrap();
             queue = guard;
+            queue.parked = false;
         }
     }
 }
@@ -233,5 +276,54 @@ mod tests {
             drop(tx);
             assert_eq!(parked.join().unwrap(), Err(RecvTimeoutError::Disconnected));
         });
+    }
+
+    #[test]
+    fn a_ping_pong_of_parking_receives_loses_no_wake_up() {
+        // Every receive parks at once, so each round races a park against
+        // a send; a lost wake-up fails here as a timeout, never a hang.
+        // A spin of varying length before each receive slides the park
+        // across the moment the peer's send lands.
+        const ROUNDS: u32 = 100_000;
+        let deadline = Duration::from_secs(10);
+        let (ping, pinged) = unbounded::<u32>();
+        let (pong, ponged) = unbounded::<u32>();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                for i in 0..ROUNDS {
+                    (0..i % 61).for_each(|_| std::hint::spin_loop());
+                    assert_eq!(pinged.recv_timeout(deadline), Ok(i), "ping {i} lost");
+                    pong.send(i).unwrap();
+                }
+            });
+            for i in 0..ROUNDS {
+                ping.send(i).unwrap();
+                (0..i % 64).for_each(|_| std::hint::spin_loop());
+                assert_eq!(ponged.recv_timeout(deadline), Ok(i), "pong {i} lost");
+            }
+        });
+    }
+
+    #[test]
+    fn hanging_up_wakes_a_parked_receiver_after_the_queue_drains() {
+        let (tx, rx) = unbounded::<u8>();
+        let other = tx.clone();
+        tx.send(1).unwrap();
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| {
+                let first = rx.recv_timeout(Duration::from_secs(30));
+                (first, rx.recv_timeout(Duration::from_secs(30)))
+            });
+            while !other.0.queue.lock().unwrap().parked {
+                assert!(!parked.is_finished(), "the receiver never parked");
+                std::thread::yield_now();
+            }
+            other.hang_up();
+            assert_eq!(
+                parked.join().unwrap(),
+                (Ok(1), Err(RecvTimeoutError::Disconnected))
+            );
+        });
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 }

@@ -275,7 +275,8 @@ impl<M: CollCarrier, L: Link<M>> Comm<M, L> {
     ///
     /// # Panics
     /// Panics after [`RECV_TIMEOUT`] — a deadlocked protocol should fail
-    /// loudly in tests rather than hang.
+    /// loudly in tests rather than hang — or as soon as the link reports
+    /// its world dead.
     pub fn recv(&mut self) -> Packet<M> {
         self.note_queue_depth();
         if let Some(p) = self.pending.pop_any() {
@@ -284,7 +285,7 @@ impl<M: CollCarrier, L: Link<M>> Comm<M, L> {
         }
         let p = self.recv_spin().unwrap_or_else(|| {
             panic!(
-                "rank {}: recv timed out after {RECV_TIMEOUT:?} (deadlock?)",
+                "rank {}: recv timed out after {RECV_TIMEOUT:?} (deadlock, or a dead peer?)",
                 self.rank
             )
         });
@@ -303,7 +304,7 @@ impl<M: CollCarrier, L: Link<M>> Comm<M, L> {
         loop {
             let p = self.recv_spin().unwrap_or_else(|| {
                 panic!(
-                    "rank {}: recv_match(src={src}, tag={tag:#x}) timed out (deadlock?)",
+                    "rank {}: recv_match(src={src}, tag={tag:#x}) timed out (deadlock, or a dead peer?)",
                     self.rank
                 )
             });
@@ -345,7 +346,7 @@ impl<M: CollCarrier, L: Link<M>> Comm<M, L> {
         loop {
             let p = self.recv_spin().unwrap_or_else(|| {
                 panic!(
-                    "rank {}: recv_tag({tag:#x}) timed out (deadlock?)",
+                    "rank {}: recv_tag({tag:#x}) timed out (deadlock, or a dead peer?)",
                     self.rank
                 )
             });

@@ -23,7 +23,8 @@ pub trait Link<M> {
     /// a CPU relax hint, then with `yield_now` up to [`SPIN_TOTAL`] polls
     /// (an oversubscribed sender gets to run), then park. Returns the
     /// packet with the nanoseconds spent parked (`None` if it came while
-    /// spinning), or `None` when nothing came within [`RECV_TIMEOUT`].
+    /// spinning), or `None` when nothing came within [`RECV_TIMEOUT`] or
+    /// the world died first.
     fn block(&mut self) -> Option<(Packet<M>, Option<u64>)>;
     /// Packets arrived and not yet polled, as far as the link can tell
     /// cheaply (the `recv-queue-depth` gauge).
@@ -31,7 +32,9 @@ pub trait Link<M> {
 }
 
 /// The link of a threaded world: one channel into each rank, whose
-/// receiving end this rank owns.
+/// receiving end this rank owns. A send wakes the receiving rank only if
+/// it is parked; a rank that dies hangs up every channel, so a peer's
+/// [`Link::block`] returns `None` instead of waiting out [`RECV_TIMEOUT`].
 pub struct Mailbox<M> {
     pub(crate) senders: Vec<Sender<Packet<M>>>,
     pub(crate) receiver: Receiver<Packet<M>>,

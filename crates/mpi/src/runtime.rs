@@ -1,9 +1,11 @@
 //! Spawning a world of ranks as scoped threads.
 
-use crate::channel::unbounded;
+use crate::channel::{unbounded, Sender};
 use crate::comm::{CollCarrier, Comm};
 use crate::link::Mailbox;
 use crate::packet::Packet;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration of a threaded world. It has no settings: the receive
 /// spin budget and deadlock timeout are [`Comm`]'s constants
@@ -20,7 +22,12 @@ pub struct WorldConfig {}
 ///
 /// # Panics
 /// Propagates the first rank panic (including recv timeouts, which turn
-/// protocol deadlocks into loud test failures).
+/// protocol deadlocks into loud test failures). A rank that panics hangs
+/// up every rank's mailbox — the threaded world's death signal, as
+/// marking an shm world dead is the process world's — so a peer blocked
+/// on a receive gives up at once instead of after
+/// [`crate::RECV_TIMEOUT`], and the panic re-raised is the dying rank's,
+/// not the peer's.
 pub fn run_world<M, T, F>(p: usize, _config: WorldConfig, f: F) -> Vec<T>
 where
     M: CollCarrier + Send + 'static,
@@ -44,20 +51,46 @@ where
             Comm::new(rank, p, Mailbox { senders, receiver })
         })
         .collect();
-    // Channels now live only inside the Comms, so a send to a finished
-    // rank fails fast instead of queueing forever.
-    drop(senders);
+    // The rank that panicked first, if one did.
+    const NO_PANIC: usize = usize::MAX;
+    let first_panic = AtomicUsize::new(NO_PANIC);
 
-    std::thread::scope(|scope| {
+    let mut joined: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = comms
             .iter_mut()
-            .map(|comm| scope.spawn(move || f(comm)))
+            .map(|comm| {
+                let (senders, first_panic) = (&senders, &first_panic);
+                scope.spawn(move || {
+                    let rank = comm.rank();
+                    let out = catch_unwind(AssertUnwindSafe(|| f(comm)));
+                    if out.is_err() {
+                        let _ = first_panic.compare_exchange(
+                            NO_PANIC,
+                            rank,
+                            Ordering::SeqCst,
+                            Ordering::SeqCst,
+                        );
+                        senders.iter().for_each(Sender::hang_up);
+                    }
+                    out
+                })
+            })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("rank thread panicked"))
+            .map(|h| h.join().expect("rank panics are caught in the thread"))
             .collect()
-    })
+    });
+    match first_panic.into_inner() {
+        NO_PANIC => joined
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|_| unreachable!("a panicking rank records itself")))
+            .collect(),
+        rank => match joined.swap_remove(rank) {
+            Err(payload) => resume_unwind(payload),
+            Ok(_) => unreachable!("rank {rank} recorded a panic it did not raise"),
+        },
+    }
 }
 
 /// [`run_world`] with the default configuration.
@@ -103,6 +136,26 @@ mod tests {
             comm.allgather_u64(42)
         });
         assert_eq!(out, vec![vec![42]]);
+    }
+
+    #[test]
+    fn a_panicking_rank_fails_its_world_at_once_with_its_own_panic() {
+        let started = std::time::Instant::now();
+        let payload = std::panic::catch_unwind(|| {
+            run_world_default::<CollPayload, (), _>(2, |comm| {
+                if comm.rank() == 1 {
+                    panic!("rank 1 gives up");
+                }
+                comm.recv();
+            })
+        })
+        .expect_err("a rank panicked");
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "the blocked peer waited {:?}",
+            started.elapsed()
+        );
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"rank 1 gives up"));
     }
 
     #[test]
