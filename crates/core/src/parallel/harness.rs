@@ -320,9 +320,9 @@ pub struct RunMeta {
 
 /// Assemble the final [`ParallelOutcome`] from per-rank outputs, in
 /// rank order — the one gather/merge path shared by every driver. The
-/// graph inserts the ranks' key lists in that order ([`assemble_edges`],
-/// which builds the one index the output needs) and the visit marks join
-/// in it, so bit `i` marks the graph's edge `i`. `meta` is `Some` iff
+/// graph appends the ranks' key lists in that order ([`assemble_edges`],
+/// which hashes none of them) and the visit marks join in it, so bit
+/// `i` marks the graph's edge `i`. `meta` is `Some` iff
 /// the run was observed; the per-rank probe recordings and comm-layer
 /// gauges are then merged into a [`RunReport`].
 pub fn assemble_outcome(
@@ -333,7 +333,6 @@ pub fn assemble_outcome(
     meta: Option<RunMeta>,
 ) -> ParallelOutcome {
     let p = outputs.len();
-    let m = outputs.iter().map(|out| out.keys.len()).sum();
     let mut per_rank = Vec::with_capacity(p);
     let mut comm = Vec::with_capacity(p);
     let mut final_edges = Vec::with_capacity(p);
@@ -364,7 +363,7 @@ pub fn assemble_outcome(
         .into_iter()
         .flat_map(|keys| keys.into_iter().map(Edge::from_key));
     ParallelOutcome {
-        graph: assemble_edges(n, m, edges),
+        graph: assemble_edges(n, edges),
         steps,
         per_rank,
         final_edges,

@@ -858,7 +858,7 @@ pub(crate) fn encode_rank_result(output: &RankOutput, telemetry: &[StepTelemetry
 /// Inverse of [`encode_rank_result`]. The edge keys are read straight
 /// into the output's list, in pool order (the rank's sampling order, and
 /// the order the visit marks index): no store and no index is built —
-/// assembly builds the output graph's one index from the lists. Like
+/// assembly appends the lists to the output graph's pool unhashed. Like
 /// message frames the blob is trusted (the child is this binary), so a
 /// malformed one — a short read, a non-canonical key — panics. Process
 /// ranks are unobserved: `obs` comes back `None`.

@@ -476,7 +476,8 @@ mod tests {
     use crate::parallel::wire::encode_seq_checkpoint;
     use edgeswitch_dist::root_rng;
     use edgeswitch_graph::generators::erdos_renyi_gnm;
-    use edgeswitch_graph::Edge;
+    use edgeswitch_graph::store::{assemble_graph, build_stores};
+    use edgeswitch_graph::{Edge, Partitioner};
     use std::sync::Arc;
 
     /// The whole budget as one chunk.
@@ -496,6 +497,27 @@ mod tests {
         assert_eq!(g.degree_sequence(), before);
         assert_eq!(g.num_edges(), 1200);
         g.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn an_assembled_graph_switches_like_an_indexed_clone() {
+        // A gathered graph's pool has no index until the engine's first
+        // mutation builds it; the run must not see the difference.
+        let g = erdos_renyi_gnm(300, 1200, &mut root_rng(12));
+        let stores = build_stores(&g, &Partitioner::hash_division(3));
+        let assembled = assemble_graph(g.num_vertices(), &stores);
+        let indexed = Graph::from_edges(g.num_vertices(), assembled.edges()).unwrap();
+        assert!(assembled.edges().eq(indexed.edges()));
+        let mut lent = SequentialResumable::new(&assembled, 2000, 12);
+        lent.step(u64::MAX);
+        let (a, a_out) = lent.finish();
+        let (b, b_out) = switch(assembled, 2000, 12);
+        let (c, c_out) = switch(indexed, 2000, 12);
+        assert_eq!(a.edge_digest(), c.edge_digest());
+        assert_eq!(b.edge_digest(), c.edge_digest());
+        assert!(a.edges().eq(c.edges()) && b.edges().eq(c.edges()));
+        assert_eq!(a_out.visits, c_out.visits);
+        assert_eq!(b_out.visits, c_out.visits);
     }
 
     #[test]

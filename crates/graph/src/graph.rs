@@ -6,17 +6,21 @@
 //! - no parallel edges ([`Graph::add_edge`] rejects duplicates),
 //! - full adjacency and the edge pool agree exactly.
 //!
-//! The pool is the primary structure: it alone answers `has_edge` and
-//! `sample_edge`, and it fixes the edge order everything deterministic
-//! depends on. Adjacency is derived from it — one edge at a time by
-//! [`Graph::add_edge`] / [`Graph::remove_edge`] (generators, the
-//! constrained variants), or all at once by [`Graph::from_pool`], which
-//! is how a graph is built from an edge list or a stream and how it
-//! comes back out of a switch engine ([`Graph::into_pool`] is the way
-//! in: the switch engines run on the pool alone). The Curveball engine
-//! runs the other way round, on the adjacency alone
-//! ([`Graph::into_adjacency`]), and its graph comes back through
-//! [`Graph::from_adjacency`], whose pool is in ascending key order.
+//! The pool is the primary structure: it answers `sample_edge`, and it
+//! fixes the edge order everything deterministic depends on. Adjacency
+//! answers `has_edge` (a binary search of one endpoint's sorted list),
+//! so reading a graph never builds the pool's hash index — that comes
+//! with the first probe or mutation of the pool itself (see
+//! [`crate::sampling`]). Adjacency is derived from the pool — one edge
+//! at a time by [`Graph::add_edge`] / [`Graph::remove_edge`]
+//! (generators, the constrained variants), or all at once by
+//! [`Graph::from_pool`], which is how a graph is built from an edge
+//! list or a stream and how it comes back out of a switch engine
+//! ([`Graph::into_pool`] is the way in: the switch engines run on the
+//! pool alone). The Curveball engine runs the other way round, on the
+//! adjacency alone ([`Graph::into_adjacency`]), and its graph comes
+//! back through [`Graph::from_adjacency`], whose pool is in ascending
+//! key order.
 
 use crate::adjacency::{ascending_edges, NeighborSet};
 use crate::sampling::EdgePool;
@@ -114,8 +118,9 @@ impl Graph {
     /// one that holds a pool. The pool is filled in ascending key order
     /// (every `(u, x)` with `u < x`, by `u`, then `x`), so it is a pure
     /// function of the edge set. One walk of the lists, which also checks
-    /// they are symmetric, and one pool insert per edge: `O(n + m)`, no
-    /// list re-sorted.
+    /// they are symmetric, appends each edge's key to the pool unindexed
+    /// (the walk meets every edge once, so they are distinct): `O(n + m)`,
+    /// no list re-sorted and no edge hashed.
     ///
     /// Errors with [`GraphError::UnknownVertex`] if a label is `>= n`,
     /// [`GraphError::SelfLoop`] if a vertex lists itself, and
@@ -124,8 +129,7 @@ impl Graph {
     pub fn from_adjacency(adj: Vec<NeighborSet>) -> Result<Self, GraphError> {
         let n = adj.len();
         check_vertex_count(n);
-        let half_edges: usize = adj.iter().map(NeighborSet::len).sum();
-        let mut pool = EdgePool::with_capacity(half_edges / 2);
+        let mut pool = EdgePool::new();
         // Per vertex `x`: how many edges `(u, x)`, `u < x`, the walk has
         // met. It meets them at `u` in ascending `u`, so in a symmetric
         // graph they are, in order, the labels of `x`'s list below `x`.
@@ -158,7 +162,7 @@ impl Graph {
                     _ => return Err(GraphError::MissingEdge(e)),
                 }
                 met[x] += 1;
-                pool.insert(e);
+                pool.push_distinct(e);
             }
         }
         Ok(Graph { adj, pool })
@@ -268,11 +272,14 @@ impl Graph {
         &self.adj[v as usize]
     }
 
-    /// `O(1)` edge-existence test via the pool's packed-key hash index
-    /// (cheaper than probing either endpoint's adjacency array).
+    /// `O(log d)` edge-existence test: a binary search of the lower
+    /// endpoint's sorted neighbor list. It never builds the pool's hash
+    /// index, so a graph that is only read never pays for one.
     #[inline]
     pub fn has_edge(&self, e: Edge) -> bool {
-        self.pool.contains(e)
+        self.adj
+            .get(e.src() as usize)
+            .is_some_and(|nbrs| nbrs.contains(e.dst()))
     }
 
     /// Add an edge; errors on duplicates or out-of-range endpoints.
@@ -346,6 +353,13 @@ impl Graph {
 
     /// Verify all internal invariants (adjacency symmetry, pool/adjacency
     /// agreement, no out-of-range labels). Intended for tests; `O(m log d)`.
+    ///
+    /// Never builds the pool's index. The pool is checked against
+    /// adjacency slot by slot: each pool edge marks its slot in its lower
+    /// endpoint's list, so one missing from adjacency or repeated is an
+    /// error, and with the half-edge count that makes pool and adjacency
+    /// equal as sets. An indexed pool is also checked against its index
+    /// ([`EdgePool::check_consistent`]).
     pub fn check_invariants(&self) -> Result<(), String> {
         if !self.pool.check_consistent() {
             return Err("edge pool index inconsistent".into());
@@ -364,9 +378,6 @@ impl Graph {
                 if !self.adj[v as usize].contains(u) {
                     return Err(format!("asymmetric adjacency {u}->{v}"));
                 }
-                if !self.pool.contains(Edge::new(u, v)) {
-                    return Err(format!("adjacency edge ({u},{v}) missing from pool"));
-                }
                 adj_edge_count += 1;
             }
         }
@@ -375,6 +386,28 @@ impl Graph {
                 "adjacency lists hold {adj_edge_count} half-edges but pool has {} edges",
                 self.pool.len()
             ));
+        }
+        // Slot `start[u] + i` is label `i` of `adj[u]`.
+        let mut start = Vec::with_capacity(self.adj.len());
+        let mut slots = 0usize;
+        for nbrs in &self.adj {
+            start.push(slots);
+            slots += nbrs.len();
+        }
+        let mut seen = vec![0u64; slots.div_ceil(64)];
+        for e in self.pool.iter() {
+            // A pool edge is a packed key: both labels fit in `u32`.
+            let at = self.adj.get(e.src() as usize).and_then(|nbrs| {
+                let i = nbrs.labels().binary_search(&(e.dst() as u32)).ok()?;
+                Some(start[e.src() as usize] + i)
+            });
+            let Some(at) = at else {
+                return Err(format!("pool edge {e} missing from adjacency"));
+            };
+            if seen[at / 64] >> (at % 64) & 1 == 1 {
+                return Err(format!("pool edge {e} repeated"));
+            }
+            seen[at / 64] |= 1 << (at % 64);
         }
         Ok(())
     }
@@ -527,6 +560,37 @@ mod tests {
         ] {
             assert_eq!(Graph::from_adjacency(adj).unwrap_err(), err);
         }
+    }
+
+    #[test]
+    fn invariants_of_an_unindexed_graph_catch_a_pool_off_its_adjacency() {
+        // Adjacency of the path 0-1-2-3; the pool is appended unhashed.
+        let adj = path_graph(4).into_adjacency();
+        let e = Edge::new;
+        let with_pool = |edges: &[Edge]| {
+            let mut pool = EdgePool::new();
+            for &edge in edges {
+                pool.push_distinct(edge);
+            }
+            Graph {
+                adj: adj.clone(),
+                pool,
+            }
+        };
+        let fine = with_pool(&[e(2, 3), e(0, 1), e(1, 2)]);
+        fine.check_invariants().unwrap();
+        for (pool, why) in [
+            (&[e(0, 1), e(1, 2), e(0, 3)][..], "missing from adjacency"),
+            (&[e(0, 1), e(1, 2), e(0, 1)][..], "repeated"),
+            // (2,3) is in adjacency only: the counts disagree.
+            (&[e(0, 1), e(1, 2)][..], "half-edges"),
+        ] {
+            let g = with_pool(pool);
+            let err = g.check_invariants().unwrap_err();
+            assert!(err.contains(why), "{pool:?}: {err}");
+            assert!(!g.pool.is_indexed(), "the check builds no index");
+        }
+        assert!(!fine.pool.is_indexed());
     }
 
     #[test]

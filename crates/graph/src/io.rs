@@ -1,11 +1,13 @@
 //! Edge-list I/O: whitespace-separated `u v` lines, `#` comments.
 
 use crate::graph::Graph;
-use crate::types::{Edge, GraphError};
+use crate::types::{Edge, GraphError, MAX_PACKED_VERTEX};
 use std::io::{BufRead, BufWriter, Write};
 
 /// Parse an edge-list from a reader. The vertex count is
 /// `max label + 1` unless `n` is given (which must dominate all labels).
+/// A label beyond the packed-storage limit ([`MAX_PACKED_VERTEX`]) is a
+/// [`GraphError::Parse`] naming its line.
 pub fn read_edge_list<R: BufRead>(reader: R, n: Option<usize>) -> Result<Graph, GraphError> {
     let mut edges: Vec<Edge> = Vec::new();
     let mut max_label = 0u64;
@@ -25,12 +27,18 @@ pub fn read_edge_list<R: BufRead>(reader: R, n: Option<usize>) -> Result<Graph, 
                 )))
             }
         };
-        let a: u64 = a
-            .parse()
-            .map_err(|_| GraphError::Parse(format!("line {}: bad label {a:?}", lineno + 1)))?;
-        let b: u64 = b
-            .parse()
-            .map_err(|_| GraphError::Parse(format!("line {}: bad label {b:?}", lineno + 1)))?;
+        let label = |text: &str| match text.parse::<u64>() {
+            Ok(v) if v <= MAX_PACKED_VERTEX => Ok(v),
+            Ok(_) => Err(GraphError::Parse(format!(
+                "line {}: label {text} beyond 2^32-1",
+                lineno + 1
+            ))),
+            Err(_) => Err(GraphError::Parse(format!(
+                "line {}: bad label {text:?}",
+                lineno + 1
+            ))),
+        };
+        let (a, b) = (label(a)?, label(b)?);
         let e = Edge::try_new(a, b).ok_or(GraphError::SelfLoop(a))?;
         max_label = max_label.max(e.dst());
         edges.push(e);
@@ -109,6 +117,23 @@ mod tests {
             read_edge_list(&b"zero one\n"[..], None),
             Err(GraphError::Parse(_))
         ));
+    }
+
+    #[test]
+    fn rejects_labels_beyond_packed_storage() {
+        let err = read_edge_list(&b"0 1\n0 4294967296\n"[..], None).unwrap_err();
+        let GraphError::Parse(why) = err else {
+            panic!("expected a parse error, got {err:?}");
+        };
+        assert!(why.starts_with("line 2:"), "{why}");
+        assert!(why.contains("4294967296"), "{why}");
+        // The largest packed label still parses: what rejects it here is
+        // the declared vertex count, not the label check.
+        let err = read_edge_list(&b"0 4294967295\n"[..], Some(5)).unwrap_err();
+        assert!(
+            matches!(&err, GraphError::Parse(why) if why.contains("declared n")),
+            "{err:?}"
+        );
     }
 
     #[test]

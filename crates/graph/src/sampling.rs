@@ -39,10 +39,22 @@
 //! entry holds the slot index too, so the marks leave the pool in one
 //! form: a bitmap over pool order ([`EdgePool::unvisited_bitmap`]), the
 //! one every snapshot, switch outcome and process rank result carries.
+//!
+//! Only the switch loop reads the index: a finished run's graph is read
+//! through its edge order (and its adjacency, see [`crate::graph`]). So
+//! the index is built on demand, the first time something probes or
+//! mutates the pool. A pool filled by [`EdgePool::insert`] (or
+//! `collect`, or pre-sized by [`EdgePool::with_capacity`]) is indexed
+//! as it fills; a builder that already knows its edges are distinct —
+//! the gather of a parallel run's ranks, the adjacency walk of a
+//! Curveball finish — only appends keys, and a graph that is only
+//! digested or written out never pays for the index. An unindexed pool
+//! holds no visit marks: marks live in the index.
 
 use crate::hashing::{map_with_capacity, FxHashMap};
 use crate::types::{Edge, VertexId, MAX_POOL_EDGES};
 use edgeswitch_dist::Rng;
+use std::sync::OnceLock;
 
 /// In-place Fisher–Yates shuffle.
 ///
@@ -135,20 +147,28 @@ impl EdgeBlocks {
         self.blocks[i >> BLOCK_SHIFT][i & BLOCK_MASK] = key;
     }
 
+    #[inline]
     fn push(&mut self, key: u64) {
         if self.len & BLOCK_MASK == 0 {
-            debug_assert_eq!(self.blocks.len(), self.len >> BLOCK_SHIFT);
-            let block = self
-                .spare
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(BLOCK_EDGES));
-            self.blocks.push(block);
+            self.open_block();
         }
         self.blocks
             .last_mut()
             .expect("block just ensured")
             .push(key);
         self.len += 1;
+    }
+
+    /// Start the next block, from the free list when it has one: once
+    /// every [`BLOCK_EDGES`] pushes, so kept off `push`'s inlined path.
+    #[cold]
+    fn open_block(&mut self) {
+        debug_assert_eq!(self.blocks.len(), self.len >> BLOCK_SHIFT);
+        let block = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(BLOCK_EDGES));
+        self.blocks.push(block);
     }
 
     fn pop(&mut self) -> Option<u64> {
@@ -227,26 +247,48 @@ struct Slot {
 #[derive(Clone, Debug, Default)]
 pub struct EdgePool {
     edges: EdgeBlocks,
-    pos: FxHashMap<u64, Slot>,
+    /// The position index, built with the pool or on first use (see
+    /// the module docs); `OnceLock` so a lent `&EdgePool` can build it.
+    pos: OnceLock<FxHashMap<u64, Slot>>,
     /// Entries of `pos` whose `unvisited` mark is set.
     unvisited: usize,
 }
 
 impl EdgePool {
-    /// Empty pool.
+    /// Empty pool. Its index is built by the first probe or mutation.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Pool pre-sized for `cap` edges. Only the position index and the
-    /// block table reserve memory up front; edge blocks are allocated
-    /// on demand in [`BLOCK_EDGES`]-edge steps.
+    /// Pool pre-sized for `cap` edges and indexed from the start. Only
+    /// the position index and the block table reserve memory up front;
+    /// edge blocks are allocated on demand in [`BLOCK_EDGES`]-edge steps.
     pub fn with_capacity(cap: usize) -> Self {
         EdgePool {
             edges: EdgeBlocks::with_capacity(cap),
-            pos: map_with_capacity(cap),
+            pos: OnceLock::from(map_with_capacity(cap)),
             unvisited: 0,
         }
+    }
+
+    /// Append `e` without indexing it: the fill of a builder that
+    /// already knows its edges are distinct. The pool must be a fresh
+    /// [`EdgePool::new`], never probed or mutated; its index, when
+    /// something first needs one, is built from the keys as appended.
+    ///
+    /// # Panics
+    /// Panics if the pool already holds [`MAX_POOL_EDGES`] edges.
+    pub(crate) fn push_distinct(&mut self, e: Edge) {
+        debug_assert!(self.pos.get().is_none(), "push_distinct on an indexed pool");
+        next_slot(self.edges.len());
+        self.edges.push(e.key());
+    }
+
+    /// Whether the position index has been built (tests assert which
+    /// paths leave it unbuilt).
+    #[cfg(test)]
+    pub(crate) fn is_indexed(&self) -> bool {
+        self.pos.get().is_some()
     }
 
     /// Number of edges currently in the pool.
@@ -261,10 +303,12 @@ impl EdgePool {
         self.edges.len() == 0
     }
 
-    /// Whether the pool contains `e`.
+    /// Whether the pool contains `e`. Builds the index on first use.
     #[inline]
     pub fn contains(&self, e: Edge) -> bool {
-        self.pos.contains_key(&e.key())
+        self.pos
+            .get_or_init(|| index_of(&self.edges))
+            .contains_key(&e.key())
     }
 
     /// Insert `e`, unmarked (an inserted edge is never an unvisited
@@ -276,7 +320,7 @@ impl EdgePool {
     pub fn insert(&mut self, e: Edge) -> bool {
         let idx = next_slot(self.edges.len());
         let key = e.key();
-        match self.pos.entry(key) {
+        match index_mut(&mut self.pos, &self.edges).entry(key) {
             std::collections::hash_map::Entry::Occupied(_) => false,
             std::collections::hash_map::Entry::Vacant(slot) => {
                 slot.insert(Slot {
@@ -292,7 +336,8 @@ impl EdgePool {
     /// Remove `e`; returns `false` (pool unchanged) if it was not present.
     /// Removing a marked edge visits it: its mark goes with its entry.
     pub fn remove(&mut self, e: Edge) -> bool {
-        let Some(Slot { idx, unvisited }) = self.pos.remove(&e.key()) else {
+        let pos = index_mut(&mut self.pos, &self.edges);
+        let Some(Slot { idx, unvisited }) = pos.remove(&e.key()) else {
             return false;
         };
         self.unvisited -= usize::from(unvisited);
@@ -302,10 +347,7 @@ impl EdgePool {
             // Swap-remove: the formerly-last edge moves into `i`, and
             // keeps its mark.
             self.edges.set(i, last);
-            self.pos
-                .get_mut(&last)
-                .expect("the last edge is indexed")
-                .idx = idx;
+            pos.get_mut(&last).expect("the last edge is indexed").idx = idx;
         }
         true
     }
@@ -313,16 +355,17 @@ impl EdgePool {
     /// Mark every edge present as an unvisited initial edge — one sweep
     /// of the index, the start of a switch run's visit tracking.
     pub fn track_visits(&mut self) {
-        for slot in self.pos.values_mut() {
+        let pos = index_mut(&mut self.pos, &self.edges);
+        for slot in pos.values_mut() {
             slot.unvisited = true;
         }
-        self.unvisited = self.pos.len();
+        self.unvisited = pos.len();
     }
 
     /// Mark the edge of packed key `key` unvisited (rebuilding a
     /// snapshot's tracking); returns `false` if no such edge is present.
     pub fn mark_unvisited(&mut self, key: u64) -> bool {
-        let Some(slot) = self.pos.get_mut(&key) else {
+        let Some(slot) = index_mut(&mut self.pos, &self.edges).get_mut(&key) else {
             return false;
         };
         self.unvisited += usize::from(!slot.unvisited);
@@ -340,11 +383,12 @@ impl EdgePool {
     /// The marks as a bitmap over pool order: bit `i % 64` of word
     /// `i / 64` is set iff the edge at dense index `i` is marked. One
     /// sweep of the index — the slot index is the bit index, so no key is
-    /// collected or sorted.
+    /// collected or sorted. Never builds the index: an unindexed pool
+    /// has no marks.
     pub fn unvisited_bitmap(&self) -> Vec<u64> {
         let mut bits = vec![0u64; self.len().div_ceil(64)];
-        if self.unvisited > 0 {
-            for slot in self.pos.values().filter(|slot| slot.unvisited) {
+        if let Some(pos) = self.pos.get().filter(|_| self.unvisited > 0) {
+            for slot in pos.values().filter(|slot| slot.unvisited) {
                 bits[slot.idx as usize / 64] |= 1 << (slot.idx % 64);
             }
         }
@@ -374,19 +418,62 @@ impl EdgePool {
         (i < self.edges.len()).then(|| Edge::from_key(self.edges.get(i)))
     }
 
-    /// Internal consistency check: the position index matches the dense
-    /// array exactly and the block structure is well-formed. Used by
-    /// tests and debug assertions.
+    /// Internal consistency check: the block structure is well-formed
+    /// and, once the index is built, it matches the dense array exactly.
+    /// Never builds the index: an unindexed pool must hold no marks,
+    /// and its edges' distinctness is its builder's contract (checked
+    /// against adjacency by [`crate::graph::Graph::check_invariants`]).
+    /// Used by tests and debug assertions.
     pub fn check_consistent(&self) -> bool {
-        self.edges.check_blocks()
-            && self.pos.len() == self.edges.len()
+        if !self.edges.check_blocks() {
+            return false;
+        }
+        let Some(pos) = self.pos.get() else {
+            return self.unvisited == 0;
+        };
+        pos.len() == self.edges.len()
             && self
                 .edges
                 .iter()
                 .enumerate()
-                .all(|(i, key)| self.pos.get(&key).map(|s| s.idx as usize) == Some(i))
-            && self.unvisited == self.pos.values().filter(|s| s.unvisited).count()
+                .all(|(i, key)| pos.get(&key).map(|s| s.idx as usize) == Some(i))
+            && self.unvisited == pos.values().filter(|s| s.unvisited).count()
     }
+}
+
+/// The position index for a mutation: one check that it exists, built
+/// on a cold path the first time. A free function over the two fields
+/// so the caller keeps `edges` for the mutation itself.
+#[inline]
+fn index_mut<'a>(
+    pos: &'a mut OnceLock<FxHashMap<u64, Slot>>,
+    edges: &EdgeBlocks,
+) -> &'a mut FxHashMap<u64, Slot> {
+    if pos.get().is_none() {
+        build_index(pos, edges);
+    }
+    pos.get_mut().expect("the index was just built")
+}
+
+#[cold]
+#[inline(never)]
+fn build_index(pos: &mut OnceLock<FxHashMap<u64, Slot>>, edges: &EdgeBlocks) {
+    let _ = pos.set(index_of(edges));
+}
+
+/// The position index of `edges`, every edge unmarked.
+fn index_of(edges: &EdgeBlocks) -> FxHashMap<u64, Slot> {
+    let mut pos = map_with_capacity(edges.len());
+    for (i, key) in edges.iter().enumerate() {
+        pos.insert(
+            key,
+            Slot {
+                idx: i as u32,
+                unvisited: false,
+            },
+        );
+    }
+    pos
 }
 
 impl FromIterator<Edge> for EdgePool {
@@ -494,7 +581,7 @@ mod tests {
         // Consumers that pre-size from the hint get the whole length up
         // front: a pool rebuilt from the iterator never rehashes.
         let rebuilt: EdgePool = p.iter().collect();
-        assert!(rebuilt.pos.capacity() >= total);
+        assert!(rebuilt.pos.get().unwrap().capacity() >= total);
         assert!(rebuilt.iter().eq(p.iter()));
     }
 

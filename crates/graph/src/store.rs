@@ -17,9 +17,10 @@
 //!
 //! A store's index lives only as long as its rank runs. At teardown a
 //! rank hands over its edges as a plain key list in pool order, and the
-//! gather loop ([`assemble_edges`]) builds the output graph's index —
-//! the one index the result needs — straight from the lists in rank
-//! order, so no store is rebuilt to be read once.
+//! gather loop ([`assemble_edges`]) appends the lists in rank order to
+//! the output graph's pool without hashing them: the output is read
+//! through its edge order and adjacency, and its index comes with the
+//! first probe or mutation, if any.
 
 use crate::graph::Graph;
 use crate::partition::Partitioner;
@@ -218,23 +219,23 @@ where
 /// Panics if two stores hold the same edge or an edge has an endpoint
 /// `>= n` — the stores are not a partition of one `n`-vertex graph.
 pub fn assemble_graph(n: usize, stores: &[PartitionStore]) -> Graph {
-    let m = stores.iter().map(PartitionStore::num_edges).sum();
-    assemble_edges(n, m, stores.iter().flat_map(PartitionStore::edges))
+    assemble_edges(n, stores.iter().flat_map(PartitionStore::edges))
 }
 
 /// The gather step's one loop: the `n`-vertex graph whose pool holds
-/// `edges`, about `m` of them, in this order — each partition's share in
-/// turn. The pool's index is built here, once, and adjacency once in
-/// bulk ([`Graph::from_pool`]); a teardown that hands over its edges as
-/// a plain list (a parallel run's rank results) is indexed nowhere else.
+/// `edges` in this order — each partition's share in turn. The edges are
+/// appended to the pool unhashed (its index is built on first use, see
+/// [`crate::sampling`]) and adjacency is built once in bulk
+/// ([`Graph::from_pool`]), whose distinct-neighbor check is what catches
+/// a repeated edge.
 ///
 /// # Panics
 /// Panics if an edge repeats or has an endpoint `>= n` — the shares are
 /// not a partition of one `n`-vertex graph.
-pub fn assemble_edges(n: usize, m: usize, edges: impl IntoIterator<Item = Edge>) -> Graph {
-    let mut pool = EdgePool::with_capacity(m);
+pub fn assemble_edges(n: usize, edges: impl IntoIterator<Item = Edge>) -> Graph {
+    let mut pool = EdgePool::new();
     for e in edges {
-        assert!(pool.insert(e), "partition stores must hold disjoint edges");
+        pool.push_distinct(e);
     }
     Graph::from_pool(n, pool).expect("partition stores must hold edges of an n-vertex graph")
 }
@@ -285,6 +286,107 @@ mod tests {
         let stores = build_stores(&g, &part);
         let h = assemble_graph(g.num_vertices(), &stores);
         assert!(g.same_edge_set(&h));
+    }
+
+    /// One scripted operation on a pool, and what it answered: `which`
+    /// picks contains, insert, remove, track_visits or mark_unvisited.
+    fn scripted(pool: &mut EdgePool, which: u64, e: Edge) -> (bool, usize) {
+        let answer = match which {
+            0 => pool.contains(e),
+            1 => pool.insert(e),
+            2 => pool.remove(e),
+            3 => {
+                pool.track_visits();
+                true
+            }
+            _ => pool.mark_unvisited(e.key()),
+        };
+        (answer, pool.unvisited())
+    }
+
+    /// `lazy`, an unindexed pool, behaves exactly like an eagerly
+    /// indexed pool of the same order: reads that need no index build
+    /// none, and whichever probe or mutation comes first builds it.
+    fn assert_behaves_like_indexed(lazy: &EdgePool, n: u64) {
+        assert!(!lazy.is_indexed());
+        assert!(lazy.check_consistent());
+        let eager: EdgePool = lazy.iter().collect();
+        assert!(eager.is_indexed());
+        assert!(lazy.iter().eq(eager.iter()));
+        let (mut a, mut b) = (Pcg64::seed_from_u64(3), Pcg64::seed_from_u64(3));
+        for _ in 0..64 {
+            assert_eq!(lazy.sample(&mut a), eager.sample(&mut b));
+        }
+        assert_eq!(lazy.unvisited_bitmap(), eager.unvisited_bitmap());
+        assert!(!lazy.is_indexed(), "sampling and reading build no index");
+        for first in 0..5 {
+            let (mut lazy, mut eager) = (lazy.clone(), eager.clone());
+            let e = lazy.get(0).expect("a non-empty pool");
+            assert_eq!(
+                scripted(&mut lazy, first, e),
+                scripted(&mut eager, first, e)
+            );
+            assert!(lazy.is_indexed(), "operation {first} builds the index");
+            assert!(lazy.check_consistent());
+            let mut rng = Pcg64::seed_from_u64(first);
+            for _ in 0..400 {
+                let e = match rng.gen_range(0..2u64) {
+                    0 => lazy.sample(&mut rng),
+                    _ => Edge::try_new(rng.gen_range(0..n), rng.gen_range(0..n)),
+                };
+                let Some(e) = e else { continue };
+                let which = rng.gen_range(0..5u64);
+                assert_eq!(
+                    scripted(&mut lazy, which, e),
+                    scripted(&mut eager, which, e)
+                );
+            }
+            assert!(lazy.iter().eq(eager.iter()));
+            assert_eq!(lazy.unvisited_bitmap(), eager.unvisited_bitmap());
+            assert!(lazy.check_consistent() && eager.check_consistent());
+        }
+    }
+
+    #[test]
+    fn gathered_and_adjacency_built_pools_behave_like_indexed_ones() {
+        let g = grid_graph();
+        let n = g.num_vertices();
+        let stores = build_stores(&g, &Partitioner::hash_division(3));
+        let assembled = assemble_graph(n, &stores);
+        assert_behaves_like_indexed(assembled.pool(), n as u64);
+        let traded = Graph::from_adjacency(g.clone().into_adjacency()).unwrap();
+        assert_behaves_like_indexed(traded.pool(), n as u64);
+    }
+
+    #[test]
+    fn reading_an_assembled_graph_builds_no_index() {
+        let g = grid_graph();
+        let part = Partitioner::hash_division(2);
+        let stores = build_stores(&g, &part);
+        let h = assemble_edges(
+            g.num_vertices(),
+            stores.iter().flat_map(PartitionStore::edges),
+        );
+        assert_eq!(h.edge_digest(), g.edge_digest());
+        h.check_invariants().unwrap();
+        assert!(g.edges().all(|e| h.has_edge(e)));
+        assert!(!h.has_edge(Edge::new(0, 24)) && !h.has_edge(Edge::new(3, 99)));
+        assert!(h.same_edge_set(&g) && g.same_edge_set(&h));
+        assert_eq!(h.degree_sequence(), g.degree_sequence());
+        assert!(!h.pool().is_indexed());
+        assert!(!h.clone().pool().is_indexed());
+    }
+
+    #[test]
+    #[should_panic(expected = "neighbor labels must be distinct")]
+    fn assembling_overlapping_shares_panics() {
+        let g = grid_graph();
+        let stores = build_stores(&g, &Partitioner::hash_division(2));
+        let overlap = stores[0].edges().take(1);
+        assemble_edges(
+            g.num_vertices(),
+            stores.iter().flat_map(PartitionStore::edges).chain(overlap),
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use edgeswitch_dist::root_rng;
 use edgeswitch_graph::generators::{
     check_gnm, check_preferential_attachment, erdos_renyi_gnm, preferential_attachment, StreamSpec,
 };
-use edgeswitch_graph::{Edge, Graph};
+use edgeswitch_graph::{Edge, Graph, GraphError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -63,10 +63,12 @@ impl GraphSpec {
     /// Materialize the graph (deterministic for generator specs).
     pub fn build(&self) -> Result<Graph, String> {
         match self {
-            GraphSpec::Inline { n, edges } => {
-                Graph::from_edges(*n, edges.iter().map(|&(a, b)| Edge::new(a, b)))
-                    .map_err(|err| format!("bad inline graph: {err:?}"))
-            }
+            GraphSpec::Inline { n, edges } => edges
+                .iter()
+                .map(|&(a, b)| Edge::try_new(a, b).ok_or(GraphError::SelfLoop(a)))
+                .collect::<Result<Vec<_>, _>>()
+                .and_then(|edges| Graph::from_edges(*n, edges))
+                .map_err(|err| format!("bad inline graph: {err:?}")),
             GraphSpec::ErdosRenyi { n, m, seed } => {
                 Ok(erdos_renyi_gnm(*n, *m, &mut root_rng(*seed)))
             }
@@ -151,6 +153,9 @@ impl JobSpec {
         let graph = match kind {
             Some("inline") => {
                 let n = size("n")?;
+                if n as u128 > 1 << 32 {
+                    return Err("inline graph needs 'n' <= 2^32".to_string());
+                }
                 let edges = need("edges")?
                     .as_arr()
                     .ok_or_else(|| missing("edges"))?
@@ -161,7 +166,17 @@ impl JobSpec {
                             pair.first().and_then(Json::as_u64),
                             pair.get(1).and_then(Json::as_u64),
                         ) {
-                            (Some(a), Some(b)) if pair.len() == 2 => Ok((a, b)),
+                            (Some(a), Some(b)) if pair.len() == 2 => {
+                                if a == b {
+                                    Err(format!("inline edge [{a}, {b}] is a self-loop"))
+                                } else if a.max(b) >= n as u64 {
+                                    Err(format!(
+                                        "inline edge [{a}, {b}] has an endpoint >= n = {n}"
+                                    ))
+                                } else {
+                                    Ok((a, b))
+                                }
+                            }
                             _ => Err("edge must be [src, dst]".to_string()),
                         }
                     })
@@ -805,6 +820,19 @@ mod tests {
             (r#"{"type":"er","n":0,"m":0}"#, "1 <= n"),
             (r#"{"type":"er","n":4294967297,"m":10}"#, "1 <= n <= 2^32"),
             (r#"{"type":"er","n":5000,"m":10000000}"#, "crawl"),
+            // Inline edges are checked against the graph they claim to be.
+            (
+                r#"{"type":"inline","n":5,"edges":[[0,1],[3,3]]}"#,
+                "[3, 3] is a self-loop",
+            ),
+            (
+                r#"{"type":"inline","n":5,"edges":[[2,9]]}"#,
+                "[2, 9] has an endpoint >= n = 5",
+            ),
+            (
+                r#"{"type":"inline","n":4294967297,"edges":[]}"#,
+                "'n' <= 2^32",
+            ),
         ] {
             let text = format!(r#"{{"graph":{graph},"budget":{{"switches":10}}}}"#);
             let err = JobSpec::from_json(&json::parse(&text).unwrap()).unwrap_err();
