@@ -2,19 +2,19 @@
 //! message-passing ranks (`mpilite`), one thread per processor, each a
 //! `Comm` over a channel mailbox.
 //!
-//! [`run_threaded_world`] is the scaffold both randomizers run on: it
-//! splits the graph into stores, hands one to each rank thread, gives
-//! every rank a probe on one shared clock, runs the caller's rank body
-//! over a [`MpiliteTransport`], and merges the per-rank outputs and
-//! telemetry into one [`ParallelOutcome`]. Both rank bodies are the
-//! shared rank loop ([`super::harness::run_rank`]) under their own step
-//! boundary: [`run_switch_rank`] for switches — the process world
-//! (`super::proc`) runs the very same function over its shm link — and
-//! the pass boundary of [`super::trade::threaded_trades`] for Curveball.
+//! [`run_threaded_world`] is the one set-up both randomizers run on: it
+//! splits the graph into stores, builds each rank thread's machine from
+//! its store ([`RankMachine::build`]) with a probe on one shared clock,
+//! runs the shared rank body ([`run_rank`]) over a [`MpiliteTransport`]
+//! with the rank's copy of the schedule — whose `Schedule::open` is
+//! the same boundary a simulated world opens its steps with — and
+//! merges the per-rank outputs and telemetry into one
+//! [`ParallelOutcome`]. The process world (`super::proc`) runs the very
+//! same rank body over its shm link.
 
 use super::harness::{
-    assemble_outcome, run_switch_rank, MpiliteTransport, ParallelOutcome, RankOutput, RunMeta,
-    StepHarness, StepTelemetry,
+    assemble_outcome, run_rank, MpiliteTransport, ParallelOutcome, RankMachine, RankOutput,
+    RunMeta, StepTelemetry,
 };
 use super::msg::Msg;
 use crate::config::ParallelConfig;
@@ -24,21 +24,16 @@ use edgeswitch_graph::{Graph, PartitionStore, Partitioner};
 use mpilite::{run_world, Comm, WorldConfig};
 use std::sync::{Arc, Mutex};
 
-/// Run one world of `config.processors` rank threads over `graph` split
-/// by `part`. `body` is one rank's whole run: it receives the rank's
-/// transport, its partition store and its observation context (a no-op
-/// unless `config.obs` is on) and returns the rank's [`RankOutput`] next
-/// to its per-step telemetry.
-pub(crate) fn run_threaded_world<F>(
+/// Run `schedule` on one world of `config.processors` rank threads over
+/// `graph` split by `part`: each rank is machine `S` over its partition
+/// store, with an observation context that is a no-op unless
+/// `config.obs` is on.
+pub(crate) fn run_threaded_world<S: RankMachine>(
     graph: &Graph,
     config: &ParallelConfig,
     part: &Partitioner,
-    body: F,
-) -> ParallelOutcome
-where
-    F: Fn(&mut MpiliteTransport<'_>, PartitionStore, Obs) -> (RankOutput, Vec<StepTelemetry>)
-        + Sync,
-{
+    schedule: S::Schedule,
+) -> ParallelOutcome {
     let p = config.processors;
     assert_eq!(part.num_parts(), p, "partitioner size must match config");
     let stores = build_stores(graph, part);
@@ -56,14 +51,16 @@ where
 
     let results: Vec<(RankOutput, Vec<StepTelemetry>)> =
         run_world(p, WorldConfig::default(), |comm: &mut Comm<Msg>| {
-            let store = stores.lock().expect("no rank panics holding the stores")[comm.rank()]
+            let rank = comm.rank();
+            let store = stores.lock().expect("no rank panics holding the stores")[rank]
                 .take()
                 .expect("store taken once per rank");
             let obs = match &clock {
                 Some(clock) => config.obs.build(clock.clone()),
                 None => Obs::noop(),
             };
-            body(&mut MpiliteTransport::new(comm), store, obs)
+            let state = S::build(rank, part, store, config, &schedule, obs);
+            run_rank(&mut MpiliteTransport::new(comm), state, schedule.clone())
         });
 
     let meta = clock.as_ref().map(|c| RunMeta {
@@ -84,18 +81,4 @@ where
         outputs.push(output);
     }
     assemble_outcome(graph.num_vertices(), steps as u64, outputs, telemetry, meta)
-}
-
-/// Run `t` switch operations on `graph` over threaded ranks split by
-/// `part` (Sections 4–5).
-pub(crate) fn threaded_switch(
-    graph: &Graph,
-    t: u64,
-    config: &ParallelConfig,
-    part: &Partitioner,
-) -> ParallelOutcome {
-    let harness = StepHarness::new(t, config);
-    run_threaded_world(graph, config, part, |transport, store, obs| {
-        run_switch_rank(transport, part.clone(), store, config, harness, obs)
-    })
 }

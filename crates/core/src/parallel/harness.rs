@@ -1,21 +1,24 @@
 //! Shared step machinery of the protocol drivers: one step loop per
-//! world shape, for both randomizers.
+//! world shape, one step boundary per randomizer.
 //!
 //! [`run_rank_step`] is one rank's step in the threaded and process
 //! worlds (real collectives over `mpilite`'s `Comm`, `EndOfStep`
 //! signalling); [`run_world_step`] drives all `p` ranks of a simulated
 //! world from one loop (FIFO, or the virtual-time DES of
-//! `edgeswitch-scalesim`). Both are generic over
-//! [`RankMachine`] — the switch protocol's [`RankState`] and Curveball's
-//! trade machine (`super::trade`) — and take the step's *boundary* as
-//! the only protocol-specific code in a step: a closure per rank, a
-//! [`Schedule`] for a simulated world (which also says when the run is
-//! over and what a snapshot records of it). The switch
-//! boundary (Section 4.5) exchanges the live edge counts `|E_i|`,
-//! refreshes the probability vector `q` and draws per-rank quotas with
-//! the parallel multinomial algorithm (Algorithm 5); a Curveball boundary
-//! gathers the visited counts and opens the next pass. Either way the
-//! loop then runs conversations until the step quiesces. Also here:
+//! `edgeswitch-scalesim`). Both are generic over [`RankMachine`] — the
+//! switch protocol's [`RankState`] and Curveball's trade machine
+//! (`super::trade`) — and both open every step through the machine's
+//! one [`Schedule::open`], the only protocol-specific code in a step
+//! (the schedule also says when the run is over and what a snapshot
+//! records of it). The switch boundary (Section 4.5) exchanges the live
+//! edge counts `|E_i|`, refreshes the probability vector `q` and draws
+//! per-rank quotas with the parallel multinomial algorithm
+//! (Algorithm 5); a Curveball boundary gathers the visited counts and
+//! opens the next pass. A boundary runs its collectives through a
+//! [`Boundary`]: in place over all `p` ranks of a simulated world
+//! ([`InPlace`]), over its own `Comm` on a real rank
+//! ([`MpiliteTransport`]). Either way the loop then runs conversations
+//! until the step quiesces. Also here:
 //!
 //! - [`WorldTransport`] is the single-process form driving all `p` rank
 //!   machines from one loop (FIFO simulator, DES), with cost hooks that
@@ -23,8 +26,10 @@
 //! - [`MpiliteTransport`] is the per-rank form where each state machine
 //!   runs on its own thread or process over one `Comm`, generic over the
 //!   link under it (a thread's mailbox, a process's shm rings);
-//! - [`StepHarness`] owns step sizing, the `q` refresh and the quota
-//!   draw, so no driver carries its own copy;
+//! - [`run_rank`] is the one real-world rank body, for threads and for
+//!   the process child alike;
+//! - [`StepHarness`] owns step sizing, so no driver carries its own
+//!   copy;
 //! - [`StepTelemetry`] is recorded per step by every driver and
 //!   surfaced on [`ParallelOutcome`].
 
@@ -481,19 +486,6 @@ impl<'a, L: Link<Msg>> MpiliteTransport<'a, L> {
         self.comm.size()
     }
 
-    /// Allgather of the live `|E_i|` (Section 4.5 step boundary).
-    pub fn exchange_edge_counts(&mut self, count: u64) -> Vec<u64> {
-        debug_assert!(self.inbox.is_empty(), "protocol traffic across step end");
-        self.comm.allgather_u64(count)
-    }
-
-    /// Distributed Algorithm-5 quota draw: this rank's share of
-    /// `step_ops` operations under `q`, consuming `rng` exactly like
-    /// every other driver.
-    pub fn draw_quota(&mut self, step_ops: u64, q: &[f64], rng: &mut BlockRng64) -> u64 {
-        edgeswitch_dist::parallel_multinomial_owned(self.comm, step_ops, q, rng)
-    }
-
     /// Send a protocol message to another rank.
     pub fn send(&mut self, dst: usize, msg: Msg) {
         self.comm.send(dst, TAG_PROTO, msg);
@@ -674,6 +666,201 @@ pub fn probability_vector(counts: &[u64], uniform: bool) -> Vec<f64> {
     }
 }
 
+/// The switch protocol's schedule: `t` operations in `steps()`
+/// Section-4.5 steps, each opened by allgathering the live `|E_i|`,
+/// refreshing `q` and drawing the held ranks' quotas (Algorithm 5). A
+/// snapshot records `t`; the step index is all it carries.
+impl Schedule<RankState> for StepHarness {
+    type Snap = u64;
+
+    fn open<B: Boundary>(
+        &mut self,
+        step: u64,
+        b: &mut B,
+        states: &mut [RankState],
+        _: &mut Outbox,
+    ) -> Option<Opened> {
+        if step >= self.steps {
+            return None;
+        }
+        let step_ops = self.step_ops(step);
+        b.begin_step(step_ops);
+        // World-level spans are timed on the first held rank's probe, so
+        // a p-rank world does not count one shared boundary p times.
+        let barrier_start = states[0].obs_mut().now();
+        let counts = b.allgather(states.iter().map(|st| st.edge_count()));
+        let barrier_end = states[0].obs_mut().now();
+        let q = probability_vector(&counts, self.uniform_q());
+        let quotas = b.quotas(step_ops, &q, states.iter_mut().map(|st| st.rng_mut()));
+        let qrefresh_end = states[0].obs_mut().now();
+        for (st, &qi) in states.iter_mut().zip(&quotas) {
+            st.begin_step(qi, &q);
+        }
+        let barrier_ns = barrier_end.saturating_sub(barrier_start);
+        let qrefresh_ns = qrefresh_end.saturating_sub(barrier_end);
+        Some(Opened {
+            tel: StepTelemetry {
+                ops: quotas.iter().sum(),
+                barrier_ns: barrier_ns as f64,
+                qrefresh_ns: qrefresh_ns as f64,
+                ..StepTelemetry::default()
+            },
+            spans: vec![
+                (Phase::StepBarrier, barrier_ns),
+                (Phase::QRefresh, qrefresh_ns),
+            ],
+        })
+    }
+
+    fn is_done(&self, step: u64, _: &[RankState]) -> bool {
+        step >= self.steps
+    }
+
+    fn steps(&self, _: u64) -> u64 {
+        self.steps
+    }
+
+    fn budget(&self) -> u64 {
+        self.t
+    }
+
+    fn snap(&self) -> u64 {
+        self.t
+    }
+
+    fn resume(self, step: u64, &t: &u64) -> Result<Self, String> {
+        if t != self.t || step > self.steps {
+            let (budget, steps) = (self.t, self.steps);
+            let run = format!("the run is of budget {budget} in {steps} steps");
+            return Err(format!("snapshot is of budget {t} at step {step}; {run}"));
+        }
+        Ok(self)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Step boundaries
+// ---------------------------------------------------------------------
+
+/// The collectives of a step boundary over the ranks a caller holds: all
+/// `p` of a simulated world ([`InPlace`]), or a real rank's own one
+/// ([`MpiliteTransport`]). [`Schedule::open`] opens every world's steps
+/// through it, so each randomizer's boundary is written once.
+pub(crate) trait Boundary {
+    /// Allgather: the held ranks' values `mine`, in rank order, in; all
+    /// `p` ranks' values out.
+    fn allgather(&mut self, mine: impl Iterator<Item = u64>) -> Vec<u64>;
+    /// Algorithm 5: the held ranks' quotas of `ops` operations under
+    /// `q`, one row per held rank, each drawn from that rank's stream.
+    fn quotas<'r>(
+        &mut self,
+        ops: u64,
+        q: &[f64],
+        rngs: impl Iterator<Item = &'r mut BlockRng64>,
+    ) -> Vec<u64>;
+    /// A step of `ops` operations opens (the DES charges its boundary).
+    fn begin_step(&mut self, _ops: u64) {}
+    /// Held rank `i` opened its step: route what that queued in `out`.
+    fn opened<S: RankMachine>(
+        &mut self,
+        _states: &mut [S],
+        _i: usize,
+        _out: &mut Outbox,
+        _tel: &mut StepTelemetry,
+    ) {
+    }
+}
+
+/// A real rank's boundary: real collectives over its `Comm`. What the
+/// rank sends while opening stays in the outbox, which the rank loop
+/// drains like any reply.
+impl<L: Link<Msg>> Boundary for MpiliteTransport<'_, L> {
+    fn allgather(&mut self, mut mine: impl Iterator<Item = u64>) -> Vec<u64> {
+        debug_assert!(self.inbox.is_empty(), "protocol traffic across step end");
+        self.comm
+            .allgather_u64(mine.next().expect("a real rank holds itself"))
+    }
+
+    fn quotas<'r>(
+        &mut self,
+        ops: u64,
+        q: &[f64],
+        rngs: impl Iterator<Item = &'r mut BlockRng64>,
+    ) -> Vec<u64> {
+        rngs.map(|rng| edgeswitch_dist::parallel_multinomial_owned(self.comm, ops, q, rng))
+            .collect()
+    }
+}
+
+/// A simulated world's boundary: the collectives run in place over all
+/// `p` rank machines, and what a rank sends while opening goes through
+/// the world's transport at once.
+pub(crate) struct InPlace<'a, T> {
+    pub transport: &'a mut T,
+    pub comm_stats: &'a mut [CommStats],
+}
+
+impl<T: WorldTransport> InPlace<'_, T> {
+    /// Route rank `src`'s outbox: self-addressed messages re-enter the
+    /// state machine in place; the rest are counted (traffic stats +
+    /// per-variant telemetry) and delivered.
+    fn route<S: RankMachine>(
+        &mut self,
+        states: &mut [S],
+        src: usize,
+        out: &mut Outbox,
+        tel: &mut StepTelemetry,
+    ) {
+        while let Some((dst, msg)) = out.pop() {
+            if dst == src {
+                self.transport.on_self_delivery(src);
+                states[src].handle(src, msg, out, tel);
+            } else {
+                let stats = &mut self.comm_stats[src];
+                stats.packets_sent += 1;
+                stats.bytes_sent += msg.wire_size() as u64;
+                msg.record_kinds(&mut stats.logical_by_kind);
+                self.comm_stats[dst].packets_received += 1;
+                tel.logical_msgs.record(&msg);
+                // The simulators deliver one logical message per packet
+                // (no coalescing — it would reorder the deterministic
+                // schedule).
+                tel.packets += 1;
+                self.transport.deliver(src, dst, msg);
+            }
+        }
+    }
+}
+
+impl<T: WorldTransport> Boundary for InPlace<'_, T> {
+    fn allgather(&mut self, mine: impl Iterator<Item = u64>) -> Vec<u64> {
+        mine.collect()
+    }
+
+    fn quotas<'r>(
+        &mut self,
+        ops: u64,
+        q: &[f64],
+        rngs: impl Iterator<Item = &'r mut BlockRng64>,
+    ) -> Vec<u64> {
+        edgeswitch_dist::multinomial_owned_world(ops, q, rngs)
+    }
+
+    fn begin_step(&mut self, ops: u64) {
+        self.transport.begin_step(ops, self.comm_stats.len());
+    }
+
+    fn opened<S: RankMachine>(
+        &mut self,
+        states: &mut [S],
+        i: usize,
+        out: &mut Outbox,
+        tel: &mut StepTelemetry,
+    ) {
+        self.route(states, i, out, tel);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Rank machines
 // ---------------------------------------------------------------------
@@ -682,14 +869,32 @@ pub fn probability_vector(counts: &[u64], uniform: bool) -> Vec<f64> {
 /// switch protocol's [`RankState`] and Curveball's trade machine
 /// (`super::trade`) implement it, so [`run_rank_step`] and
 /// [`run_world_step`] each run both randomizers, statically dispatched,
-/// and one simulated world steps, snapshots and resumes either.
+/// and one set-up per world type builds either.
 pub(crate) trait RankMachine: Sized {
-    /// A simulated world's step boundary and what crosses it.
+    /// The run's step boundaries and what crosses them.
     type Schedule: Schedule<Self>;
     /// Whether the machine marks flush points in its outbox
     /// ([`Outbox::seal`]). The switch protocol does not, and its drain
     /// loop compiles without the check.
     const SEALS: bool = false;
+    /// Rank `rank` of a fresh run of `schedule` under `config`: its
+    /// partition store and its probe.
+    fn build(
+        rank: usize,
+        part: &Partitioner,
+        store: PartitionStore,
+        config: &ParallelConfig,
+        schedule: &Self::Schedule,
+        obs: Obs,
+    ) -> Self;
+    /// The rank a checkpoint of a run of `schedule` under `config`
+    /// captured, unobserved.
+    fn rebuild(
+        ckpt: &RankCheckpoint,
+        part: &Partitioner,
+        config: &ParallelConfig,
+        schedule: &Self::Schedule,
+    ) -> Self;
     /// Feed one message from `src` in; sends go to `out`, counts to `tel`.
     fn handle(&mut self, src: usize, msg: Msg, out: &mut Outbox, tel: &mut StepTelemetry);
     /// Try to begin the next own operation.
@@ -715,100 +920,80 @@ pub(crate) trait RankMachine: Sized {
     fn into_output(self, comm: CommStats) -> RankOutput;
 }
 
-/// A simulated world's step schedule — [`StepHarness`] for switches,
-/// the pass controller for Curveball (`super::trade`): the one
-/// protocol-specific part of stepping, snapshotting and resuming a world.
-pub(crate) trait Schedule<S>: Sized {
+/// A run's step schedule — [`StepHarness`] for switches, the passes of
+/// `super::trade` for Curveball: the one protocol-specific part of
+/// stepping, snapshotting and resuming a world. Every world opens its
+/// steps through it; a real world's ranks each hold a copy.
+pub(crate) trait Schedule<S>: Sized + Clone + Sync {
     /// What a snapshot records: the budget (a resume under another is
     /// refused) and whatever crosses a boundary besides the step index.
     type Snap: SnapField;
-    /// Open step `step` on every rank in place, routing through
-    /// [`route_world`] what that sends; called only while not done.
-    fn open<T: WorldTransport>(
+    /// Open step `step` on the held ranks `states` — all `p` of a
+    /// simulated world, a real rank's own one — with `b`'s collectives,
+    /// queueing into `out` what opening sends; `None` when the run is
+    /// over. The boundary's spans are timed on `states[0]`'s probe.
+    fn open<B: Boundary>(
         &mut self,
         step: u64,
-        transport: &mut T,
+        b: &mut B,
         states: &mut [S],
         out: &mut Outbox,
-        comm_stats: &mut [CommStats],
-    ) -> Opened;
-    /// Whether the run is over before step `step` — a pure query.
+    ) -> Option<Opened>;
+    /// Whether a simulated world is over before step `step` — a pure
+    /// query.
     fn is_done(&self, step: u64, states: &[S]) -> bool;
     /// Steps of the run, as of step `step`.
     fn steps(&self, step: u64) -> u64;
     /// The run's operation budget.
-    fn budget(&self, states: &[S]) -> u64;
+    fn budget(&self) -> u64;
     /// The snapshot record of this schedule.
     fn snap(&self) -> Self::Snap;
     /// This schedule at step `step` of a snapshot, or why it is not ours.
     fn resume(self, step: u64, snap: &Self::Snap) -> Result<Self, String>;
 }
 
+/// A step a boundary opened: the step's telemetry so far, and the
+/// boundary phases it timed on the monotonic clock — recorded into the
+/// timing rank's probe unless a simulated world's transport owns the
+/// step's spans (the DES records them in virtual time).
+pub(crate) struct Opened {
+    pub tel: StepTelemetry,
+    pub spans: Vec<(Phase, u64)>,
+}
+
 // ---------------------------------------------------------------------
 // Per-rank step loop (threaded and process worlds)
 // ---------------------------------------------------------------------
 
-/// One rank's whole run: [`run_rank_step`] until the protocol's boundary
-/// `open` ends it. `open` runs the step boundary's collectives, opens the
-/// rank's step (queueing into the outbox whatever that sends) and
-/// returns the step's opening telemetry, or `None` when the run is over.
+/// One rank's whole run, the rank body of the threaded and the process
+/// world alike: [`run_rank_step`] until `schedule` ends the run, then
+/// the teardown into the rank's output next to its per-step telemetry.
 /// The outbox and the send coalescer live for the whole run.
 pub(crate) fn run_rank<L: Link<Msg>, S: RankMachine>(
     transport: &mut MpiliteTransport<'_, L>,
-    state: &mut S,
-    mut open: impl FnMut(&mut MpiliteTransport<'_, L>, &mut S, &mut Outbox) -> Option<StepTelemetry>,
-) -> Vec<StepTelemetry> {
+    mut state: S,
+    mut schedule: S::Schedule,
+) -> (RankOutput, Vec<StepTelemetry>) {
     let cap = if S::SEALS { usize::MAX } else { BATCH_CAP };
     let (mut outbox, mut coalescer) = (Outbox::new(), Coalescer::new(transport.size(), cap));
-    std::iter::from_fn(|| run_rank_step(transport, state, &mut outbox, &mut coalescer, &mut open))
-        .collect()
-}
-
-/// One switch rank's whole run, the rank body of the threaded and the
-/// process world alike: the rank's [`RankState`] over `store`, every
-/// step of `harness` opened with the Section 4.5 boundary — allgather
-/// `|E_i|`, refresh `q`, draw this rank's quota (Algorithm 5) — and the
-/// teardown into the rank's output next to its per-step telemetry.
-pub(crate) fn run_switch_rank<L: Link<Msg>>(
-    transport: &mut MpiliteTransport<'_, L>,
-    part: Partitioner,
-    store: PartitionStore,
-    config: &ParallelConfig,
-    harness: StepHarness,
-    obs: Obs,
-) -> (RankOutput, Vec<StepTelemetry>) {
-    let mut state = RankState::new(transport.rank(), part, store, config).with_obs(obs);
-    let mut step = 0;
-    let telemetry = run_rank(transport, &mut state, |transport, state, _| {
-        if step == harness.steps() {
-            return None;
-        }
-        let step_ops = harness.step_ops(step);
-        step += 1;
-        let barrier_start = state.obs_mut().now();
-        let counts = transport.exchange_edge_counts(state.edge_count());
-        let barrier_end = state.obs_mut().now();
-        let q = probability_vector(&counts, harness.uniform_q());
-        let quota = transport.draw_quota(step_ops, &q, state.rng_mut());
-        let qrefresh_end = state.obs_mut().now();
-        let barrier_ns = barrier_end.saturating_sub(barrier_start);
-        let qrefresh_ns = qrefresh_end.saturating_sub(barrier_end);
-        state.obs_mut().span(Phase::StepBarrier, barrier_ns);
-        state.obs_mut().span(Phase::QRefresh, qrefresh_ns);
-        state.begin_step(quota, &q);
-        Some(StepTelemetry {
-            ops: quota,
-            barrier_ns: barrier_ns as f64,
-            qrefresh_ns: qrefresh_ns as f64,
-            ..StepTelemetry::default()
+    let telemetry = (0..)
+        .map_while(|step| {
+            run_rank_step(
+                transport,
+                &mut state,
+                &mut schedule,
+                step,
+                &mut outbox,
+                &mut coalescer,
+            )
         })
-    });
+        .collect();
     (state.into_output(transport.stats()), telemetry)
 }
 
-/// One rank's step: `open` the step (or learn the run is over), then
-/// start/serve until every rank has signalled `EndOfStep`. Returns this
-/// rank's telemetry for the step.
+/// One rank's step: open step `step` of `schedule` (or learn the run is
+/// over), then start/serve until every rank has signalled `EndOfStep`.
+/// Returns this rank's telemetry for the step.
 ///
 /// Each event-loop iteration drains every delivered message, fills the
 /// conversation window (up to `window` own conversations in flight),
@@ -821,9 +1006,10 @@ pub(crate) fn run_switch_rank<L: Link<Msg>>(
 fn run_rank_step<L: Link<Msg>, S: RankMachine>(
     transport: &mut MpiliteTransport<'_, L>,
     state: &mut S,
+    schedule: &mut S::Schedule,
+    step: u64,
     outbox: &mut Outbox,
     coalescer: &mut Coalescer,
-    open: impl FnOnce(&mut MpiliteTransport<'_, L>, &mut S, &mut Outbox) -> Option<StepTelemetry>,
 ) -> Option<StepTelemetry> {
     let p = transport.size();
     debug_assert!(
@@ -831,7 +1017,11 @@ fn run_rank_step<L: Link<Msg>, S: RankMachine>(
         "buffers must be drained between steps"
     );
     let before = *state.stats();
-    let mut tel = open(transport, state, outbox)?;
+    let Opened { mut tel, spans } =
+        schedule.open(step, transport, std::slice::from_mut(state), outbox)?;
+    for (phase, ns) in spans {
+        state.obs_mut().span(phase, ns);
+    }
     // What opening the step sent (a pass's loads) leaves like any reply.
     drain_outbox(transport, state, outbox, coalescer, &mut tel);
     let mut wait_ns_acc = 0u64;
@@ -961,114 +1151,29 @@ fn drain_outbox<L: Link<Msg>, S: RankMachine>(
 // World step loop (FIFO simulator, DES)
 // ---------------------------------------------------------------------
 
-/// A step a protocol's boundary opened in a simulated world: the step's
-/// telemetry so far, and the boundary phases it timed on the monotonic
-/// clock — recorded into rank 0's probe unless the transport owns the
-/// step's spans (the DES records them in virtual time).
-pub(crate) struct Opened {
-    pub tel: StepTelemetry,
-    pub spans: Vec<(Phase, u64)>,
-}
-
-/// The switch protocol's schedule in a simulated world: `t` operations
-/// in `steps()` Section-4.5 steps, each opened by the boundary of
-/// [`run_switch_rank`] with the allgather and Algorithm 5 computed in
-/// place. A snapshot records `t`; the step index is all it carries.
-impl Schedule<RankState> for StepHarness {
-    type Snap = u64;
-
-    fn open<T: WorldTransport>(
-        &mut self,
-        step: u64,
-        transport: &mut T,
-        states: &mut [RankState],
-        _: &mut Outbox,
-        _: &mut [CommStats],
-    ) -> Opened {
-        let step_ops = self.step_ops(step);
-        transport.begin_step(step_ops, states.len());
-        // World-level spans are timed on rank 0's probe, so a p-rank world
-        // does not count one shared boundary p times.
-        let barrier_start = states[0].obs_mut().now();
-        let counts: Vec<u64> = states.iter().map(|st| st.edge_count()).collect();
-        let barrier_end = states[0].obs_mut().now();
-        let q = probability_vector(&counts, self.uniform_q());
-        // Algorithm 5, faithfully: each rank draws a multinomial over its
-        // trial share from its own stream; quotas are the column sums.
-        let quotas = edgeswitch_dist::multinomial_owned_world(
-            step_ops,
-            &q,
-            states.iter_mut().map(|st| st.rng_mut()),
-        );
-        let qrefresh_end = states[0].obs_mut().now();
-        for (st, &qi) in states.iter_mut().zip(&quotas) {
-            st.begin_step(qi, &q);
-        }
-        let barrier_ns = barrier_end.saturating_sub(barrier_start);
-        let qrefresh_ns = qrefresh_end.saturating_sub(barrier_end);
-        Opened {
-            tel: StepTelemetry {
-                ops: step_ops,
-                barrier_ns: barrier_ns as f64,
-                qrefresh_ns: qrefresh_ns as f64,
-                ..StepTelemetry::default()
-            },
-            spans: vec![
-                (Phase::StepBarrier, barrier_ns),
-                (Phase::QRefresh, qrefresh_ns),
-            ],
-        }
-    }
-
-    fn is_done(&self, step: u64, _: &[RankState]) -> bool {
-        step >= self.steps
-    }
-
-    fn steps(&self, _: u64) -> u64 {
-        self.steps
-    }
-
-    fn budget(&self, _: &[RankState]) -> u64 {
-        self.t
-    }
-
-    fn snap(&self) -> u64 {
-        self.t
-    }
-
-    fn resume(self, step: u64, &t: &u64) -> Result<Self, String> {
-        if t != self.t || step > self.steps {
-            let (budget, steps) = (self.t, self.steps);
-            let run = format!("the run is of budget {budget} in {steps} steps");
-            return Err(format!("snapshot is of budget {t} at step {step}; {run}"));
-        }
-        Ok(self)
-    }
-}
-
 /// One step of a single-process world over all `p` rank machines: the
 /// same protocol as [`run_rank_step`], quiescence detected structurally
 /// (no messages in flight, nothing startable) instead of via `EndOfStep`
-/// signalling. `open` is the protocol's boundary ([`Schedule::open`]).
-/// `out` is the run-lifetime routing scratch (drained within every
-/// call).
+/// signalling. The step opens through `schedule`'s boundary, in place
+/// over `world` (`None`: the run is over). `out` is the run-lifetime
+/// routing scratch (drained within every call).
 pub(crate) fn run_world_step<T: WorldTransport, S: RankMachine>(
-    transport: &mut T,
+    world: &mut InPlace<'_, T>,
     states: &mut [S],
     out: &mut Outbox,
-    comm_stats: &mut [CommStats],
-    open: impl FnOnce(&mut T, &mut [S], &mut Outbox, &mut [CommStats]) -> Opened,
-) -> StepTelemetry {
+    schedule: &mut S::Schedule,
+    step: u64,
+) -> Option<StepTelemetry> {
     let p = states.len();
     debug_assert!(out.is_empty(), "routing scratch must drain between steps");
     let before: Vec<RankStats> = states.iter().map(|st| *st.stats()).collect();
-    let Opened { mut tel, spans } = open(transport, states, out, comm_stats);
+    let Opened { mut tel, spans } = schedule.open(step, world, states, out)?;
 
     // Event loop: drain in-flight messages, round-robin window fills.
     loop {
-        while let Some((dst, src, msg)) = transport.pop_any() {
+        while let Some((dst, src, msg)) = world.transport.pop_any() {
             states[dst].handle(src, msg, out, &mut tel);
-            route_world(transport, states, dst, out, comm_stats, &mut tel);
+            world.route(states, dst, out, &mut tel);
         }
         let mut any_started = false;
         for i in 0..p {
@@ -1076,7 +1181,7 @@ pub(crate) fn run_world_step<T: WorldTransport, S: RankMachine>(
             // per sweep. The start cap (rather than just the occupancy
             // gate inside `try_start`) matters for reproducibility: a
             // self-partner switch completes synchronously inside
-            // `route_world`, freeing its slot immediately, and at
+            // `InPlace::route`, freeing its slot immediately, and at
             // window = 1 the rank must still wait for the next sweep —
             // exactly the pre-window schedule.
             let mut starts = 0;
@@ -1086,8 +1191,8 @@ pub(crate) fn run_world_step<T: WorldTransport, S: RankMachine>(
                         any_started = true;
                         tel.started += 1;
                         starts += 1;
-                        transport.on_op_started(i);
-                        route_world(transport, states, i, out, comm_stats, &mut tel);
+                        world.transport.on_op_started(i);
+                        world.route(states, i, out, &mut tel);
                         if starts >= states[i].window() {
                             break;
                         }
@@ -1104,7 +1209,7 @@ pub(crate) fn run_world_step<T: WorldTransport, S: RankMachine>(
             }
             tel.window_peak = tel.window_peak.max(states[i].inflight_len() as u64);
         }
-        if !any_started && transport.is_empty() {
+        if !any_started && world.transport.is_empty() {
             assert!(
                 states.iter().all(|st| st.step_done()),
                 "simulated world wedged: quiescent with own work unfinished"
@@ -1116,47 +1221,18 @@ pub(crate) fn run_world_step<T: WorldTransport, S: RankMachine>(
     for (b, st) in before.iter().zip(states.iter()) {
         tel.absorb_stats_delta(b, st.stats());
     }
-    let (boundary_ns, drain_ns) = transport.end_step();
+    let (boundary_ns, drain_ns) = world.transport.end_step();
     tel.boundary_ns = boundary_ns;
     tel.drain_ns = drain_ns;
     // Step spans: the DES records them in virtual time; any other world
     // records the boundary's own monotonic measurements.
     let obs = states[0].obs_mut();
-    if !transport.record_step_spans(obs, &mut tel) {
+    if !world.transport.record_step_spans(obs, &mut tel) {
         spans
             .into_iter()
             .for_each(|(phase, ns)| obs.span(phase, ns));
     }
-    tel
-}
-
-/// Route one rank's outbox through a world transport: self-addressed
-/// messages re-enter the state machine in place; the rest are counted
-/// (traffic stats + per-variant telemetry) and delivered.
-pub(crate) fn route_world<T: WorldTransport, S: RankMachine>(
-    transport: &mut T,
-    states: &mut [S],
-    src: usize,
-    out: &mut Outbox,
-    comm_stats: &mut [CommStats],
-    tel: &mut StepTelemetry,
-) {
-    while let Some((dst, msg)) = out.pop() {
-        if dst == src {
-            transport.on_self_delivery(src);
-            states[src].handle(src, msg, out, tel);
-        } else {
-            comm_stats[src].packets_sent += 1;
-            comm_stats[src].bytes_sent += msg.wire_size() as u64;
-            msg.record_kinds(&mut comm_stats[src].logical_by_kind);
-            comm_stats[dst].packets_received += 1;
-            tel.logical_msgs.record(&msg);
-            // The simulators deliver one logical message per packet (no
-            // coalescing — it would reorder the deterministic schedule).
-            tel.packets += 1;
-            transport.deliver(src, dst, msg);
-        }
-    }
+    Some(tel)
 }
 
 #[cfg(test)]

@@ -4,9 +4,10 @@
 //! A rank process is a threaded rank on another link: it runs the same
 //! `mpilite::Comm` (tag matching, pending buffer, collectives, traffic
 //! counters) over a [`ShmLink`] instead of a channel mailbox, and the
-//! same rank body ([`run_switch_rank`]: the shared rank loop under the
-//! [`StepHarness`] boundary); the launcher runs the same
-//! [`assemble_outcome`] merge. What differs is boot and teardown:
+//! same rank body ([`run_rank`]: the shared rank loop, every step opened
+//! by the [`StepHarness`] boundary a simulated world opens its steps
+//! with); the launcher runs the same [`assemble_outcome`] merge. What
+//! differs is boot and teardown:
 //!
 //! * the launcher serializes a **boot blob** into an [`ShmWorld`] and
 //!   respawns the current binary once per rank with the mapping inherited
@@ -51,10 +52,11 @@ use crate::config::ParallelConfig;
 use crate::obs::Obs;
 
 use super::harness::{
-    assemble_outcome, run_switch_rank, MpiliteTransport, ParallelOutcome, RankOutput, StepHarness,
-    StepTelemetry,
+    assemble_outcome, run_rank, MpiliteTransport, ParallelOutcome, RankMachine, RankOutput,
+    StepHarness, StepTelemetry,
 };
 use super::msg::Msg;
+use super::rank::RankState;
 use super::wire::{self, put_u32, put_u64, Reader};
 
 const ENV_RANK: &str = "EDGESWITCH_SHM_RANK";
@@ -800,14 +802,8 @@ fn run_rank_child(world: &ShmWorld, rank: usize) {
     // The rank body of a threaded rank, over this process's rings.
     let mut comm = Comm::new(rank, p, ShmLink::new(world.endpoint(rank)));
     let harness = StepHarness::new(t, &config);
-    let (output, telemetry) = run_switch_rank(
-        &mut MpiliteTransport::new(&mut comm),
-        part,
-        store,
-        &config,
-        harness,
-        Obs::noop(),
-    );
+    let state = RankState::build(rank, &part, store, &config, &harness, Obs::noop());
+    let (output, telemetry) = run_rank(&mut MpiliteTransport::new(&mut comm), state, harness);
     let blob = wire::encode_rank_result(&output, &telemetry);
     send_result(&comm.into_link().ep, p, &blob, result_chunk_len(world));
 }

@@ -1007,6 +1007,26 @@ impl RankState {
 impl RankMachine for RankState {
     type Schedule = StepHarness;
 
+    fn build(
+        rank: usize,
+        part: &Partitioner,
+        store: PartitionStore,
+        config: &ParallelConfig,
+        _: &StepHarness,
+        obs: Obs,
+    ) -> Self {
+        RankState::new(rank, part.clone(), store, config).with_obs(obs)
+    }
+
+    fn rebuild(
+        ckpt: &RankCheckpoint,
+        part: &Partitioner,
+        config: &ParallelConfig,
+        _: &StepHarness,
+    ) -> Self {
+        RankState::restore(part.clone(), config, ckpt)
+    }
+
     fn handle(&mut self, src: usize, msg: Msg, out: &mut Outbox, _: &mut StepTelemetry) {
         RankState::handle(self, src, msg, out);
     }

@@ -29,8 +29,8 @@
 //!   record neither it nor the graph's initial form.
 
 use super::harness::{
-    assemble_outcome, run_world_step, FifoTransport, ParallelOutcome, RankMachine, RankOutput,
-    RunMeta, Schedule, StepHarness, StepTelemetry, WorldTransport,
+    assemble_outcome, run_world_step, FifoTransport, InPlace, ParallelOutcome, RankMachine,
+    RankOutput, RunMeta, Schedule, StepTelemetry, WorldTransport,
 };
 use super::msg::Outbox;
 use super::rank::{RankCheckpoint, RankState};
@@ -41,7 +41,7 @@ use crate::run::{RunOutcome, Stepped};
 use crate::sequential::check_degrees;
 use crate::visit::{check_marks, visit_rate};
 use edgeswitch_graph::store::build_stores;
-use edgeswitch_graph::{Graph, PartitionStore, Partitioner};
+use edgeswitch_graph::{Graph, Partitioner};
 use mpilite::CommStats;
 use std::sync::Arc;
 
@@ -80,8 +80,8 @@ pub struct WorldSnapshot<C = u64> {
 pub(crate) type SnapOf<S> = <<S as RankMachine>::Schedule as Schedule<S>>::Snap;
 
 /// The simulated world as a pausable engine over `T`, running rank
-/// machine `S` (the switch protocol by default; `SimWorld::curveball`
-/// sets up Curveball passes): [`SimWorld::step`] until
+/// machine `S` (the switch protocol by default; Curveball's trade
+/// machine under its passes): [`SimWorld::step`] until
 /// [`SimWorld::is_done`], then [`SimWorld::finish`]; on the FIFO
 /// instance, [`SimWorld::snapshot`] between two steps captures what
 /// [`SimWorld::resume`] needs to continue in a fresh process.
@@ -104,8 +104,9 @@ pub(crate) struct SimWorld<T: WorldTransport = FifoTransport, S: RankMachine = R
 
 impl<T: WorldTransport, S: RankMachine> SimWorld<T, S> {
     /// Set up a world of `config.processors` ranks over `graph` split by
-    /// `part`, delivering through `transport`: `rank` builds rank `i`
-    /// from its store and probe. An observed run ([`ParallelConfig::obs`])
+    /// `part`, running `schedule` and delivering through `transport`
+    /// ([`RankMachine::build`] builds each rank from its store and
+    /// probe). An observed run ([`ParallelConfig::obs`])
     /// reads the transport's clock if it owns the timeline (the DES
     /// records in virtual time), otherwise the monotonic clock.
     ///
@@ -118,7 +119,6 @@ impl<T: WorldTransport, S: RankMachine> SimWorld<T, S> {
         part: &Partitioner,
         mut transport: T,
         schedule: S::Schedule,
-        rank: impl Fn(usize, PartitionStore, Obs) -> S,
     ) -> Self {
         let p = config.processors;
         assert_eq!(part.num_parts(), p, "partitioner size must match config");
@@ -136,7 +136,7 @@ impl<T: WorldTransport, S: RankMachine> SimWorld<T, S> {
                     Some(clock) => config.obs.build(clock.clone()),
                     None => Obs::noop(),
                 };
-                rank(i, store, obs)
+                S::build(i, part, store, config, &schedule, obs)
             })
             .collect();
         SimWorld {
@@ -159,19 +159,17 @@ impl<T: WorldTransport, S: RankMachine> SimWorld<T, S> {
     /// Execute the next step; returns its telemetry (`None` when the run
     /// is already complete).
     pub(crate) fn step(&mut self) -> Option<&StepTelemetry> {
-        if self.is_done() {
-            return None;
-        }
-        let (step, schedule) = (self.next_step, &mut self.schedule);
+        let mut world = InPlace {
+            transport: &mut self.transport,
+            comm_stats: &mut self.comm_stats,
+        };
         let tel = run_world_step(
-            &mut self.transport,
+            &mut world,
             &mut self.states,
             &mut self.out,
-            &mut self.comm_stats,
-            |transport, states, out, comm_stats| {
-                schedule.open(step, transport, states, out, comm_stats)
-            },
-        );
+            &mut self.schedule,
+            self.next_step,
+        )?;
         self.telemetry.push(tel);
         self.next_step += 1;
         self.telemetry.last()
@@ -226,7 +224,8 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
     }
 
     /// Rebuild the world of a run on `graph` under `(config, part)` and
-    /// `schedule` from a snapshot (`restore` rebuilds each rank). The
+    /// `schedule` from a snapshot ([`RankMachine::rebuild`] rebuilds each
+    /// rank). The
     /// snapshot is untrusted: its identity fields must match the run,
     /// every stored edge sit on its owner, every rank's visit marks fit
     /// its store and the graph ([`check_marks`]), its initial edge count
@@ -239,7 +238,6 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
         part: &Partitioner,
         schedule: S::Schedule,
         snap: &WorldSnapshot<SnapOf<S>>,
-        restore: impl Fn(&RankCheckpoint) -> S,
     ) -> Result<Self, String> {
         let p = config.processors;
         assert_eq!(part.num_parts(), p, "partitioner size must match config");
@@ -286,7 +284,9 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
             .iter()
             .flat_map(|c| c.store_edges.iter().copied());
         check_degrees(graph, snap.n, &mut all_edges)?;
-        let states: Vec<S> = snap.ranks.iter().map(restore).collect();
+        let states: Vec<S> = (snap.ranks.iter())
+            .map(|ckpt| S::rebuild(ckpt, part, config, &schedule))
+            .collect();
         if states
             .iter()
             .zip(&snap.ranks)
@@ -327,7 +327,7 @@ impl<S: RankMachine + 'static> Stepped for SimWorld<FifoTransport, S> {
             step: self.next_step,
             steps: self.schedule.steps(self.next_step),
             performed: self.states.iter().map(|st| st.stats().performed).sum(),
-            budget: self.schedule.budget(&self.states),
+            budget: self.schedule.budget(),
             visit_rate: visit_rate(visited, initial),
             logical_msgs: 0,
             done: self.is_done(),
@@ -343,48 +343,29 @@ impl<S: RankMachine + 'static> Stepped for SimWorld<FifoTransport, S> {
     }
 }
 
-impl<T: WorldTransport> SimWorld<T> {
-    /// Set up a `t`-operation run of the parallel switch algorithm on
-    /// `config.processors` virtual ranks split by `part`, delivering
-    /// messages through `transport`.
-    pub(crate) fn over(
-        graph: &Graph,
-        t: u64,
-        config: &ParallelConfig,
-        part: &Partitioner,
-        transport: T,
-    ) -> Self {
-        let harness = StepHarness::new(t, config);
-        let rank = |i, store, obs| RankState::new(i, part.clone(), store, config).with_obs(obs);
-        SimWorld::set_up(graph, config, part, transport, harness, rank)
-    }
-}
-
-impl SimWorld {
-    /// [`SimWorld::resume`] for the `t`-operation switch run.
-    pub(crate) fn resume_over(
-        graph: &Graph,
-        t: u64,
-        config: &ParallelConfig,
-        part: &Partitioner,
-        snap: &WorldSnapshot,
-    ) -> Result<Self, String> {
-        let harness = StepHarness::new(t, config);
-        let restore = |ckpt: &RankCheckpoint| RankState::restore(part.clone(), config, ckpt);
-        SimWorld::resume(graph, config, part, harness, snap, restore)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::StepHarness;
     use edgeswitch_dist::root_rng;
     use edgeswitch_graph::generators::erdos_renyi_gnm;
 
     fn world(g: &Graph, t: u64, config: &ParallelConfig) -> (SimWorld, Partitioner) {
         let part = Partitioner::build(config.scheme, g, config.processors, &mut config.root_rng());
-        let world = SimWorld::over(g, t, config, &part, FifoTransport::new());
+        let harness = StepHarness::new(t, config);
+        let world = SimWorld::set_up(g, config, &part, FifoTransport::new(), harness);
         (world, part)
+    }
+
+    /// The `t`-operation switch world `snap` captured.
+    fn resume(
+        g: &Graph,
+        t: u64,
+        config: &ParallelConfig,
+        part: &Partitioner,
+        snap: &WorldSnapshot,
+    ) -> Result<SimWorld, String> {
+        SimWorld::resume(g, config, part, StepHarness::new(t, config), snap)
     }
 
     #[test]
@@ -416,18 +397,18 @@ mod tests {
         let (mut first, part) = world(&g, 100, &config);
         first.step();
         let snap = first.snapshot();
-        assert!(SimWorld::resume_over(&g, 100, &config, &part, &snap).is_ok());
+        assert!(resume(&g, 100, &config, &part, &snap).is_ok());
         let wrong_seed = config.clone().with_seed(2);
-        assert!(SimWorld::resume_over(&g, 100, &wrong_seed, &part, &snap).is_err());
-        assert!(SimWorld::resume_over(&g, 101, &config, &part, &snap).is_err());
+        assert!(resume(&g, 100, &wrong_seed, &part, &snap).is_err());
+        assert!(resume(&g, 101, &config, &part, &snap).is_err());
         let other = erdos_renyi_gnm(60, 200, &mut root_rng(405));
-        assert!(SimWorld::resume_over(&other, 100, &config, &part, &snap).is_err());
+        assert!(resume(&other, 100, &config, &part, &snap).is_err());
         // A rank's edges swapped onto the other rank.
         let mut swapped = snap.clone();
         swapped.ranks.swap(0, 1);
-        assert!(SimWorld::resume_over(&g, 100, &config, &part, &swapped).is_err());
+        assert!(resume(&g, 100, &config, &part, &swapped).is_err());
         let mut short = snap.clone();
         short.telemetry.clear();
-        assert!(SimWorld::resume_over(&g, 100, &config, &part, &short).is_err());
+        assert!(resume(&g, 100, &config, &part, &short).is_err());
     }
 }

@@ -38,19 +38,15 @@
 //!
 //! [`TradeRankState`] is a [`RankMachine`] that never starts anything (a
 //! trade fires inside `handle`), so the shared step loops run a pass as
-//! they run a switch step, and the one simulated world steps, snapshots
-//! and resumes it. Only the pass boundary is Curveball's own: the pass
-//! controller's [`Schedule`] impl here. Between passes a rank's whole
-//! state is its store, tracker and trade count.
+//! they run a switch step: the simulated world steps, snapshots and
+//! resumes it, and the threaded world's ranks run it through the shared
+//! rank body. Only the pass boundary is Curveball's own: [`Passes`], the
+//! [`Schedule`] every world opens a pass through. Between passes a
+//! rank's whole state is its store, tracker and trade count.
 
-use super::engine::run_threaded_world;
-use super::harness::{
-    route_world, run_rank, FifoTransport, Opened, ParallelOutcome, RankMachine, RankOutput,
-    Schedule, StepTelemetry, WorldTransport,
-};
+use super::harness::{Boundary, Opened, RankMachine, RankOutput, Schedule, StepTelemetry};
 use super::msg::{Msg, Outbox};
 use super::rank::{RankCheckpoint, RankStats, StartResult};
-use super::resume::{SimWorld, WorldSnapshot};
 use crate::config::{Budget, ParallelConfig};
 use crate::obs::{Obs, Phase};
 use crate::trade::{redeal, split_sorted, trade_rng, PassController, PassPlan, NO_TRADE};
@@ -95,29 +91,6 @@ pub(crate) struct TradeRankState {
 }
 
 impl TradeRankState {
-    fn new(
-        rank: usize,
-        part: Partitioner,
-        degrees: Arc<Vec<u32>>,
-        store: PartitionStore,
-        seed: u64,
-        obs: Obs,
-    ) -> Self {
-        let tracker = VisitTracker::new(store.edges());
-        TradeRankState {
-            rank,
-            part,
-            degrees,
-            seed,
-            store,
-            tracker,
-            stats: RankStats::default(),
-            obs,
-            plan: Arc::default(),
-            slots: FxHashMap::default(),
-        }
-    }
-
     /// The rank executing trade `k` of `plan`.
     fn executor(&self, plan: &PassPlan, k: u32) -> usize {
         self.part.owner(plan.pairs[k as usize].0)
@@ -275,8 +248,46 @@ impl TradeRankState {
 }
 
 impl RankMachine for TradeRankState {
-    type Schedule = PassController;
+    type Schedule = Passes;
     const SEALS: bool = true;
+
+    fn build(
+        rank: usize,
+        part: &Partitioner,
+        store: PartitionStore,
+        config: &ParallelConfig,
+        schedule: &Passes,
+        obs: Obs,
+    ) -> Self {
+        let tracker = VisitTracker::new(store.edges());
+        TradeRankState {
+            rank,
+            part: part.clone(),
+            degrees: Arc::clone(&schedule.degrees),
+            seed: config.seed,
+            store,
+            tracker,
+            stats: RankStats::default(),
+            obs,
+            plan: Arc::default(),
+            slots: FxHashMap::default(),
+        }
+    }
+
+    fn rebuild(
+        ckpt: &RankCheckpoint,
+        part: &Partitioner,
+        config: &ParallelConfig,
+        schedule: &Passes,
+    ) -> Self {
+        let tracker =
+            VisitTracker::from_marks(ckpt.tracker_initial, &ckpt.unvisited, &ckpt.store_edges);
+        TradeRankState {
+            tracker,
+            stats: ckpt.stats,
+            ..Self::build(ckpt.rank, part, ckpt.store(), config, schedule, Obs::noop())
+        }
+    }
 
     fn handle(&mut self, _: usize, msg: Msg, out: &mut Outbox, tel: &mut StepTelemetry) {
         match msg {
@@ -357,173 +368,105 @@ impl RankMachine for TradeRankState {
     }
 }
 
-/// Full degree of every vertex, the static arrival-count table.
-fn degree_table(graph: &Graph) -> Arc<Vec<u32>> {
-    Arc::new(
-        (0..graph.num_vertices())
-            .map(|v| graph.degree(v as VertexId) as u32)
-            .collect(),
-    )
+/// Curveball's schedule: one pass per step, opened by the visited-count
+/// gather, the pass decision and every held rank opening its pass (in a
+/// simulated world rank `i`'s loads are routed before rank `i + 1`
+/// opens). The run's initial edge total is gathered at the first
+/// boundary a world opens; the degree table is the static arrival count
+/// every rank's trades wait for. The pass count is decided as the run
+/// goes, so `steps` is the passes run so far. A snapshot records the
+/// controller.
+#[derive(Clone)]
+pub(crate) struct Passes {
+    ctl: PassController,
+    initial: Option<u64>,
+    degrees: Arc<Vec<u32>>,
 }
 
-impl<T: WorldTransport> SimWorld<T, TradeRankState> {
-    /// Set up Curveball passes under `budget` on `config.processors`
-    /// virtual ranks split by `part`, delivering through `transport`.
-    pub(crate) fn curveball(
-        graph: &Graph,
-        budget: Budget,
-        config: &ParallelConfig,
-        part: &Partitioner,
-        transport: T,
-    ) -> Self {
-        let degrees = degree_table(graph);
-        let ctl = PassController::new(budget);
-        SimWorld::set_up(graph, config, part, transport, ctl, |rank, store, obs| {
-            TradeRankState::new(rank, part.clone(), degrees.clone(), store, config.seed, obs)
-        })
+impl Passes {
+    /// Passes over `graph` under `budget`.
+    pub(crate) fn new(graph: &Graph, budget: Budget) -> Self {
+        let degrees = (0..graph.num_vertices() as VertexId).map(|v| graph.degree(v) as u32);
+        Passes {
+            ctl: PassController::new(budget),
+            initial: None,
+            degrees: Arc::new(degrees.collect()),
+        }
     }
 }
 
-impl SimWorld<FifoTransport, TradeRankState> {
-    /// [`SimWorld::resume`] for Curveball passes under `budget`.
-    pub(crate) fn resume_curveball(
-        graph: &Graph,
-        budget: Budget,
-        config: &ParallelConfig,
-        part: &Partitioner,
-        snap: &WorldSnapshot<PassController>,
-    ) -> Result<Self, String> {
-        let degrees = degree_table(graph);
-        let ctl = PassController::new(budget);
-        SimWorld::resume(graph, config, part, ctl, snap, |ckpt| TradeRankState {
-            tracker: VisitTracker::from_marks(
-                ckpt.tracker_initial,
-                &ckpt.unvisited,
-                &ckpt.store_edges,
-            ),
-            stats: ckpt.stats,
-            ..TradeRankState::new(
-                ckpt.rank,
-                part.clone(),
-                degrees.clone(),
-                ckpt.store(),
-                config.seed,
-                Obs::noop(),
-            )
-        })
-    }
-}
-
-/// `(initial, visited)` edge counts over every rank.
-fn visit_totals(states: &[TradeRankState]) -> (u64, u64) {
-    states.iter().fold((0, 0), |(i, v), st| {
-        let t = &st.tracker;
-        (i + t.initial_count() as u64, v + t.visited_count() as u64)
-    })
-}
-
-/// Curveball's schedule in a simulated world: one pass per step, opened
-/// by the visited-count gather, the pass decision and every rank
-/// opening its pass (rank `i`'s loads routed before rank `i + 1` opens).
-/// The pass count is decided as the run goes, so `steps` is the passes
-/// run so far. A snapshot records the controller.
-impl Schedule<TradeRankState> for PassController {
+impl Schedule<TradeRankState> for Passes {
     type Snap = PassController;
 
-    fn open<T: WorldTransport>(
+    fn open<B: Boundary>(
         &mut self,
         _: u64,
-        transport: &mut T,
+        b: &mut B,
         states: &mut [TradeRankState],
         out: &mut Outbox,
-        comm_stats: &mut [CommStats],
-    ) -> Opened {
+    ) -> Option<Opened> {
+        // The gathers double as the inter-pass barrier: per-pair FIFO
+        // order means every peer's pass traffic (its EndOfStep was its
+        // last send) has drained before its count arrives.
         let barrier_start = states[0].obs.now();
-        let (initial, visited) = visit_totals(states);
+        let mut gather = |count: fn(&VisitTracker) -> usize| -> u64 {
+            let mine = states.iter().map(|st| count(&st.tracker) as u64);
+            b.allgather(mine).iter().sum()
+        };
+        let initial = *self
+            .initial
+            .get_or_insert_with(|| gather(VisitTracker::initial_count));
+        let visited = gather(VisitTracker::visited_count);
         let barrier_ns = states[0].obs.now().saturating_sub(barrier_start);
-        let (n, seed) = (states[0].degrees.len(), states[0].seed);
-        let plan = self.next_plan(n, seed, initial, visited);
-        let plan = Arc::new(plan.expect("a pass opens only while the run goes on"));
-        transport.begin_step(plan.pairs.len() as u64, states.len());
+        let (n, seed) = (self.degrees.len(), states[0].seed);
+        let plan = Arc::new(self.ctl.next_plan(n, seed, initial, visited)?);
+        b.begin_step(plan.pairs.len() as u64);
         let mut tel = StepTelemetry {
-            ops: plan.pairs.len() as u64,
             barrier_ns: barrier_ns as f64,
             ..StepTelemetry::default()
         };
         for i in 0..states.len() {
             states[i].begin_pass(&plan, out, &mut tel);
-            route_world(transport, states, i, out, comm_stats, &mut tel);
+            b.opened(states, i, out, &mut tel);
         }
-        Opened {
+        // The held ranks' trades, fired or pending.
+        tel.ops = tel.trades + states.iter().map(|st| st.slots.len() as u64).sum::<u64>();
+        Some(Opened {
             tel,
             spans: vec![(Phase::StepBarrier, barrier_ns)],
-        }
+        })
     }
 
     fn is_done(&self, _: u64, states: &[TradeRankState]) -> bool {
-        let (initial, visited) = visit_totals(states);
-        !self.continues(states[0].degrees.len(), initial, visited)
+        let total = |count: fn(&VisitTracker) -> usize| -> u64 {
+            states.iter().map(|st| count(&st.tracker) as u64).sum()
+        };
+        let (initial, visited) = (
+            total(VisitTracker::initial_count),
+            total(VisitTracker::visited_count),
+        );
+        !self.ctl.continues(self.degrees.len(), initial, visited)
     }
 
     fn steps(&self, step: u64) -> u64 {
         step
     }
 
-    fn budget(&self, states: &[TradeRankState]) -> u64 {
-        self.budget_trades(states[0].degrees.len())
+    fn budget(&self) -> u64 {
+        self.ctl.budget_trades(self.degrees.len())
     }
 
     fn snap(&self) -> PassController {
-        *self
+        self.ctl
     }
 
     fn resume(self, step: u64, snap: &PassController) -> Result<Self, String> {
-        if (snap.budget, snap.pass) != (self.budget, step) {
-            let (budget, pass, run) = (snap.budget, snap.pass, self.budget);
+        if (snap.budget, snap.pass) != (self.ctl.budget, step) {
+            let (budget, pass, run) = (snap.budget, snap.pass, self.ctl.budget);
             return Err(format!(
                 "snapshot is of {budget:?} at pass {pass} of step {step}; the run is {run:?}"
             ));
         }
-        Ok(*snap)
+        Ok(Passes { ctl: *snap, ..self })
     }
-}
-
-/// Curveball trades on `p` threaded ranks split by `part`: each rank
-/// runs the shared rank loop, every pass opened by the visited-count
-/// allgather and the pass decision.
-pub(crate) fn threaded_trades(
-    graph: &Graph,
-    budget: Budget,
-    config: &ParallelConfig,
-    part: &Partitioner,
-) -> ParallelOutcome {
-    let (n, degrees) = (graph.num_vertices(), degree_table(graph));
-    run_threaded_world(graph, config, part, |transport, store, obs| {
-        let rank = transport.rank();
-        let mut state =
-            TradeRankState::new(rank, part.clone(), degrees.clone(), store, config.seed, obs);
-        let initial_total: u64 = transport
-            .exchange_edge_counts(state.tracker.initial_count() as u64)
-            .iter()
-            .sum();
-        let mut ctl = PassController::new(budget);
-        let telemetry = run_rank(transport, &mut state, |transport, state, out| {
-            // The allgather doubles as the inter-pass barrier: per-pair
-            // FIFO order means every peer's pass traffic (its EndOfStep
-            // was its last send) has drained before its count arrives.
-            let barrier_start = state.obs.now();
-            let visited: u64 = transport
-                .exchange_edge_counts(state.tracker.visited_count() as u64)
-                .iter()
-                .sum();
-            let barrier_ns = state.obs.now().saturating_sub(barrier_start);
-            state.obs.span(Phase::StepBarrier, barrier_ns);
-            let plan = Arc::new(ctl.next_plan(n, config.seed, initial_total, visited)?);
-            let mut tel = StepTelemetry::default();
-            state.begin_pass(&plan, out, &mut tel);
-            tel.ops = state.slots.len() as u64 + tel.trades; // owned trades (fired + pending)
-            Some(tel)
-        });
-        (state.into_output(transport.stats()), telemetry)
-    })
 }

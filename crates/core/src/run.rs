@@ -62,14 +62,14 @@
 
 use crate::config::{Budget, ParallelConfig, QuotaPolicy, Randomizer, StepSize};
 use crate::obs::{ObsSpec, ProgressEvent, RunReport, StepProgress};
-use crate::parallel::engine::threaded_switch;
+use crate::parallel::engine::run_threaded_world;
 use crate::parallel::proc::{process_backend_supported, process_switch, ProcError};
 use crate::parallel::resume::SimWorld;
-use crate::parallel::trade::threaded_trades;
+use crate::parallel::trade::{Passes, TradeRankState};
 use crate::parallel::wire::{
     decode_curveball_checkpoint, decode_seq_checkpoint, decode_world_snapshot,
 };
-use crate::parallel::{FifoTransport, ParallelOutcome, WorldTransport};
+use crate::parallel::{FifoTransport, ParallelOutcome, RankState, StepHarness, WorldTransport};
 use crate::sequential::{SequentialOutcome, SequentialResumable};
 use crate::trade::CurveballResumable;
 use edgeswitch_graph::{Graph, Partitioner, SchemeKind};
@@ -429,9 +429,13 @@ impl Run {
         let out = match (self.mode, self.randomizer) {
             (Mode::Process, _) => process_switch(graph, self.resolve_ops(graph), config, &part)?,
             (_, Randomizer::Switch) => {
-                threaded_switch(graph, self.resolve_ops(graph), config, &part)
+                let harness = StepHarness::new(self.resolve_ops(graph), config);
+                run_threaded_world::<RankState>(graph, config, &part, harness)
             }
-            (_, Randomizer::Curveball) => threaded_trades(graph, self.budget, config, &part),
+            (_, Randomizer::Curveball) => {
+                let passes = Passes::new(graph, self.budget);
+                run_threaded_world::<TradeRankState>(graph, config, &part, passes)
+            }
         };
         Ok(RunOutcome::Parallel(Box::new(out)))
     }
@@ -467,20 +471,22 @@ impl Run {
             (Mode::Sequential, Randomizer::Curveball) => Box::new(
                 CurveballResumable::new(graph, self.budget, config.seed).with_obs(config.obs),
             ),
-            (Mode::Simulated, Randomizer::Switch) => Box::new(SimWorld::over(
+            (Mode::Simulated, Randomizer::Switch) => Box::new(SimWorld::<_, RankState>::set_up(
                 &graph,
-                self.resolve_ops(&graph),
                 config,
                 &self.partitioner(&graph),
                 FifoTransport::new(),
+                StepHarness::new(self.resolve_ops(&graph), config),
             )),
-            (Mode::Simulated, Randomizer::Curveball) => Box::new(SimWorld::curveball(
-                &graph,
-                self.budget,
-                config,
-                &self.partitioner(&graph),
-                FifoTransport::new(),
-            )),
+            (Mode::Simulated, Randomizer::Curveball) => {
+                Box::new(SimWorld::<_, TradeRankState>::set_up(
+                    &graph,
+                    config,
+                    &self.partitioner(&graph),
+                    FifoTransport::new(),
+                    Passes::new(&graph, self.budget),
+                ))
+            }
             (Mode::Threaded | Mode::Process, _) => return Err(Run::not_steppable()),
         };
         Ok(Engine(engine))
@@ -511,14 +517,15 @@ impl Run {
                 .map(|eng| Box::new(eng) as Box<dyn Stepped>),
             (Mode::Simulated, Randomizer::Switch) => decode_world_snapshot(snapshot)
                 .and_then(|snap| {
-                    let (t, part) = (self.resolve_ops(graph), self.partitioner(graph));
-                    SimWorld::resume_over(graph, t, config, &part, &snap)
+                    let harness = StepHarness::new(self.resolve_ops(graph), config);
+                    let part = self.partitioner(graph);
+                    SimWorld::<_, RankState>::resume(graph, config, &part, harness, &snap)
                 })
                 .map(|world| Box::new(world) as Box<dyn Stepped>),
             (Mode::Simulated, Randomizer::Curveball) => decode_world_snapshot(snapshot)
                 .and_then(|snap| {
-                    let (budget, part) = (self.budget, self.partitioner(graph));
-                    SimWorld::resume_curveball(graph, budget, config, &part, &snap)
+                    let (passes, part) = (Passes::new(graph, self.budget), self.partitioner(graph));
+                    SimWorld::<_, TradeRankState>::resume(graph, config, &part, passes, &snap)
                 })
                 .map(|world| Box::new(world) as Box<dyn Stepped>),
             (Mode::Threaded | Mode::Process, _) => return Err(Run::not_steppable()),
@@ -541,10 +548,12 @@ impl Run {
         let (part, config) = (self.partitioner(graph), &self.config);
         Ok(match self.randomizer {
             Randomizer::Switch => {
-                SimWorld::over(graph, self.resolve_ops(graph), config, &part, transport).run()
+                let harness = StepHarness::new(self.resolve_ops(graph), config);
+                SimWorld::<_, RankState>::set_up(graph, config, &part, transport, harness).run()
             }
             Randomizer::Curveball => {
-                SimWorld::curveball(graph, self.budget, config, &part, transport).run()
+                let passes = Passes::new(graph, self.budget);
+                SimWorld::<_, TradeRankState>::set_up(graph, config, &part, transport, passes).run()
             }
         })
     }

@@ -915,14 +915,20 @@ mod tests {
     }
 
     #[test]
-    fn star_graph_stalls_gracefully() {
-        // Every trade pairs two leaves whose only neighbor (the hub) is
-        // common, or hits the hub whose partner's neighborhood is a
-        // subset: a few passes may move nothing and the run must stop.
-        let mut g = Graph::from_edges(8, (1..8u64).map(|v| Edge::new(0, v))).unwrap();
-        let before = g.degree_sequence();
+    fn star_graph_meets_its_target_unchanged() {
+        // A star is the only graph of its degree sequence, so no trade
+        // changes it — yet it does not stall. Two leaves share their one
+        // neighbour (`D = ∅`), but a hub–leaf trade's `D` is the other
+        // leaves: one side is empty, the one possible deal hands all of
+        // `D` back to the hub, and all of `D` counts as visited. The run
+        // meets its target within a few passes. (A graph that really
+        // stalls, K₅, is in `tests/driver_conformance.rs`.)
+        let star = Graph::from_edges(8, (1..8u64).map(|v| Edge::new(0, v))).unwrap();
+        let mut g = star.clone();
         let ran = curveball(&mut g, Budget::VisitRate(0.9), 1);
-        assert_eq!(g.degree_sequence(), before);
+        assert!(g.same_edge_set(&star));
+        assert!(ran.moved > 0, "hub–leaf trades re-deal a non-empty D");
+        assert!(ran.out.visit_rate() >= 0.9, "{}", ran.out.visit_rate());
         assert!(ran.passes < 100, "stall guard must bound the run");
     }
 

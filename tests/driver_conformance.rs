@@ -30,7 +30,7 @@ use edge_switching::core::parallel::wire::{
 };
 use edge_switching::core::{SeqCheckpoint, SequentialOutcome, SequentialResumable};
 use edge_switching::dist::BlockRng64;
-use edge_switching::graph::generators::families::star;
+use edge_switching::graph::generators::families::{complete, star};
 use edge_switching::prelude::*;
 use edge_switching::scalesim::DesReport;
 use std::io::{BufRead, BufReader};
@@ -68,7 +68,7 @@ fn simulated_trades(g: &Graph, budget: Budget, cfg: &ParallelConfig) -> Parallel
 }
 
 /// Curveball on the threaded world.
-fn threaded_trades(g: &Graph, budget: Budget, cfg: &ParallelConfig) -> ParallelOutcome {
+fn trades_on_threads(g: &Graph, budget: Budget, cfg: &ParallelConfig) -> ParallelOutcome {
     under(trades(Run::parallel(cfg.processors), budget), g, cfg)
 }
 
@@ -1232,7 +1232,7 @@ fn curveball_threaded_engine_is_bit_identical_to_simulator() {
     for p in [1usize, 2, 4] {
         let cfg = config(p);
         let fifo = simulated_trades(&g, budget, &cfg);
-        let eng = threaded_trades(&g, budget, &cfg);
+        let eng = trades_on_threads(&g, budget, &cfg);
         let ctx = format!("curveball threaded p={p}");
         assert!(eng.graph.same_edge_set(&fifo.graph), "graph: {ctx}");
         assert_eq!(eng.steps, fifo.steps, "steps: {ctx}");
@@ -1270,6 +1270,11 @@ fn curveball_threaded_engine_is_bit_identical_to_simulator() {
         }
         if p > 1 {
             assert!(eng.packet_total() < eng_msgs.total(), "no batch: {ctx}");
+        }
+        // A rank's collectives: the initial-count gather, one visited-count
+        // gather per pass, and the gather that ends the run.
+        for (rank, comm) in eng.comm.iter().enumerate() {
+            assert_eq!(comm.collectives, eng.steps + 2, "rank {rank}: {ctx}");
         }
         // The step loops count executed trades as performed operations,
         // pass by pass, on every world.
@@ -1327,6 +1332,29 @@ fn curveball_visit_rate_budget_agrees_across_drivers() {
             seq.out.visits.visited(),
             "p={p} visit counts diverged"
         );
+    }
+}
+
+/// The stall guard ends a visit-rate run that cannot progress, on every
+/// Curveball driver alike. In K₅ every trade pairs two adjacent vertices
+/// with the same other neighbours (`D = ∅`), so no pass visits an edge:
+/// each driver stops after the guard's 3 passes of 2 trades, with the
+/// graph as it was.
+#[test]
+fn curveball_stall_guard_stops_every_driver() {
+    let g = complete(5);
+    let budget = Budget::VisitRate(0.9);
+    let seq = sequential_trades(&g, budget, 4242);
+    assert_eq!((seq.passes, seq.out.performed), (3, 6), "sequential");
+    assert_eq!(seq.out.visit_rate(), 0.0, "sequential");
+    assert!(seq.graph.same_edge_set(&g), "sequential");
+    let cfg = config(2);
+    let simulated = simulated_trades(&g, budget, &cfg);
+    let threaded = trades_on_threads(&g, budget, &cfg);
+    for (world, out) in [("simulated", &simulated), ("threaded", &threaded)] {
+        assert_eq!((out.steps, out.performed()), (3, 6), "{world}");
+        assert_eq!(out.visit_rate(), 0.0, "{world}");
+        assert!(out.graph.same_edge_set(&g), "{world}");
     }
 }
 

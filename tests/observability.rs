@@ -235,6 +235,30 @@ fn curveball_observed_run_is_probe_identical_and_covers_trade_phase() {
     );
 }
 
+/// Every world times its step boundary: an observed run reports barrier
+/// time on every step, for both randomizers, on the simulated and the
+/// threaded world alike — the real worlds open their steps through the
+/// same boundary code as the simulated one.
+#[test]
+fn observed_runs_time_the_boundary_of_every_step() {
+    let g = graph(29);
+    let cfg = config(2, DEFAULT_WINDOW).with_obs(ObsSpec::Spans);
+    for (world, run) in [
+        ("simulated", Run::simulated(2)),
+        ("threaded", Run::parallel(2)),
+    ] {
+        let switches = under(run.clone().switches(2_000), &g, &cfg);
+        let trades = trade_run(run, &g, 1_600, &cfg);
+        for (randomizer, out) in [("switch", &switches), ("curveball", &trades)] {
+            let label = format!("{world} {randomizer}");
+            assert!(out.telemetry.len() > 1, "{label}: too few steps");
+            for (step, tel) in out.telemetry.iter().enumerate() {
+                assert!(tel.barrier_ns > 0.0, "{label} step {step}: no barrier time");
+            }
+        }
+    }
+}
+
 #[test]
 fn run_report_json_schema_is_stable() {
     // The golden schema `repro trace` exports and downstream tooling
