@@ -11,9 +11,11 @@
 //! list, decoded by `marked` and validated by `check_marks`. While
 //! they run, the switch engines keep the marks in their pool's index
 //! ([`EdgePool::track_visits`]) and read the bitmap off it in one sweep
-//! ([`EdgePool::unvisited_bitmap`]). Only the Curveball engines, which
-//! hold no pool, and the constrained variants of [`crate::variants`]
-//! run on a [`VisitTracker`].
+//! ([`EdgePool::unvisited_bitmap`]). The sequential Curveball engine
+//! keeps each mark in its edge's token ([`crate::trade`]). Only the
+//! parallel Curveball ranks, whose trades report visits by message, and
+//! the constrained variants of [`crate::variants`] run on a
+//! [`VisitTracker`].
 //!
 //! [`EdgePool::track_visits`]: edgeswitch_graph::sampling::EdgePool::track_visits
 //! [`EdgePool::unvisited_bitmap`]: edgeswitch_graph::sampling::EdgePool::unvisited_bitmap
@@ -77,7 +79,7 @@ impl Visits {
 /// Tracks which of the initial `m` edges have been switched away.
 ///
 /// Keyed on the packed edge ([`Edge::key`]) with the fast in-repo hasher:
-/// every neighbour a trade re-deals probes it once.
+/// every visit a parallel trade reports probes it once.
 #[derive(Clone, Debug)]
 pub struct VisitTracker {
     initial_count: usize,

@@ -106,82 +106,6 @@ impl NeighborSet {
         }
     }
 
-    /// Replace neighbor `old` by `new` with one contiguous shift of the
-    /// labels between them — the same set [`NeighborSet::remove`] then
-    /// [`NeighborSet::insert`] leave, for at most one `memmove` of the
-    /// gap instead of two of the tail. `false` (set unchanged) unless
-    /// `old` is present and `new` absent; so `old == new` is `false`.
-    ///
-    /// # Panics
-    /// Panics if `new` exceeds the packed-label limit, as `insert` does.
-    pub fn replace(&mut self, old: VertexId, new: VertexId) -> bool {
-        let new = narrow(new);
-        if old > MAX_PACKED_VERTEX {
-            return false;
-        }
-        let old = old as u32;
-        let Ok(from) = self.inner.binary_search(&old) else {
-            return false;
-        };
-        match new.cmp(&old) {
-            std::cmp::Ordering::Equal => return false,
-            std::cmp::Ordering::Less => {
-                // `new` lands at `to <= from`: shift `[to, from)` up one.
-                let Err(to) = self.inner[..from].binary_search(&new) else {
-                    return false;
-                };
-                self.inner.copy_within(to..from, to + 1);
-                self.inner[to] = new;
-            }
-            std::cmp::Ordering::Greater => {
-                // `new` lands just below `to > from`: shift `(from, to)`
-                // down one.
-                let Err(past) = self.inner[from + 1..].binary_search(&new) else {
-                    return false;
-                };
-                let to = from + 1 + past;
-                self.inner.copy_within(from + 1..to, from);
-                self.inner[to - 1] = new;
-            }
-        }
-        true
-    }
-
-    /// Remove every label of `lost` and add every label of `gained` in one
-    /// linear merge, both given in ascending order; `scratch` is storage
-    /// the merge reuses across calls. `false` (set unchanged) unless
-    /// every `lost` label is present and the result has no duplicate —
-    /// i.e. no `gained` label is kept or repeated.
-    ///
-    /// # Panics
-    /// Panics if a gained label exceeds the packed-label limit.
-    pub fn exchange(
-        &mut self,
-        lost: impl IntoIterator<Item = VertexId>,
-        gained: impl IntoIterator<Item = VertexId>,
-        scratch: &mut Vec<u32>,
-    ) -> bool {
-        let mut lost = lost.into_iter().peekable();
-        let mut gained = gained.into_iter().map(narrow).peekable();
-        scratch.clear();
-        for &w in &self.inner {
-            if lost.next_if_eq(&(w as VertexId)).is_some() {
-                continue;
-            }
-            while let Some(g) = gained.next_if(|&g| g < w) {
-                scratch.push(g);
-            }
-            scratch.push(w);
-        }
-        scratch.extend(gained);
-        if lost.next().is_some() || !scratch.windows(2).all(|w| w[0] < w[1]) {
-            return false;
-        }
-        self.inner.clear();
-        self.inner.extend_from_slice(scratch);
-        true
-    }
-
     /// The labels, ascending.
     pub(crate) fn labels(&self) -> &[u32] {
         &self.inner
@@ -331,76 +255,5 @@ mod tests {
     #[should_panic(expected = "2^32")]
     fn insert_rejects_oversized_label() {
         NeighborSet::new().insert(MAX_PACKED_VERTEX + 1);
-    }
-
-    /// `s.replace(old, new)` leaves what `remove(old)` then `insert(new)`
-    /// would, and succeeds exactly when `old` is in and `new` is out.
-    fn check_replace(s: &NeighborSet, old: VertexId, new: VertexId) {
-        let mut got = s.clone();
-        let ok = got.replace(old, new);
-        let mut want = s.clone();
-        let expect = old != new && s.contains(old) && !s.contains(new);
-        if expect {
-            assert!(want.remove(old) && want.insert(new));
-        }
-        assert_eq!(ok, expect, "replace({old}, {new}) on {s:?}");
-        assert_eq!(got, want, "replace({old}, {new}) on {s:?}");
-    }
-
-    #[test]
-    fn replace_on_the_edge_cases() {
-        let s: NeighborSet = [10, 20, 30, 40].into_iter().collect();
-        for (old, new) in [
-            (10, 5),  // first stays first
-            (10, 15), // first, same slot
-            (10, 35), // first, shifted past two
-            (10, 45), // first becomes last
-            (40, 45), // last stays last
-            (40, 5),  // last becomes first
-            (20, 25), // no neighbor crossed
-            (30, 25), // no neighbor crossed, from above
-            (20, 35), // one neighbor crossed upward
-            (30, 15), // one neighbor crossed downward
-            (20, 30), // `new` present
-            (15, 16), // `old` absent
-            (20, 20), // `old == new`
-            (MAX_PACKED_VERTEX + 1, 1),
-        ] {
-            check_replace(&s, old, new);
-        }
-        let one: NeighborSet = [7].into_iter().collect();
-        for (old, new) in [(7, 3), (7, 9), (7, 7), (8, 9)] {
-            check_replace(&one, old, new);
-        }
-        assert!(!NeighborSet::new().replace(1, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "2^32")]
-    fn replace_rejects_an_oversized_label() {
-        let mut s: NeighborSet = [1].into_iter().collect();
-        s.replace(1, MAX_PACKED_VERTEX + 1);
-    }
-
-    #[test]
-    fn exchange_refuses_what_breaks_the_set() {
-        let s: NeighborSet = [2, 4, 6].into_iter().collect();
-        let mut scratch = Vec::new();
-        for (lost, gained) in [
-            (vec![3], vec![]),     // `lost` absent
-            (vec![6, 2], vec![]),  // `lost` out of order
-            (vec![], vec![4]),     // `gained` kept
-            (vec![], vec![5, 5]),  // `gained` repeated
-            (vec![], vec![5, 3]),  // `gained` out of order
-            (vec![2], vec![6, 7]), // `gained` kept, beside a valid swap
-        ] {
-            let mut got = s.clone();
-            assert!(!got.exchange(lost.clone(), gained.clone(), &mut scratch));
-            assert_eq!(got, s, "lost {lost:?} gained {gained:?}");
-        }
-        // Losing a label and gaining it back is a no-op, not a conflict.
-        let mut got = s.clone();
-        assert!(got.exchange([4], [4], &mut scratch));
-        assert_eq!(got, s);
     }
 }

@@ -17,10 +17,9 @@
 //! [`Graph::from_pool`], which is how a graph is built from an edge
 //! list or a stream and how it comes back out of a switch engine
 //! ([`Graph::into_pool`] is the way in: the switch engines run on the
-//! pool alone). The Curveball engine runs the other way round, on the
-//! adjacency alone ([`Graph::into_adjacency`]), and its graph comes
-//! back through [`Graph::from_adjacency`], whose pool is in ascending
-//! key order.
+//! pool alone). A graph also comes back from the neighbour sets alone
+//! ([`Graph::from_adjacency`], the inverse of [`Graph::into_adjacency`]),
+//! its pool in ascending key order.
 
 use crate::adjacency::{ascending_edges, NeighborSet};
 use crate::sampling::EdgePool;

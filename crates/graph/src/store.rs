@@ -223,7 +223,8 @@ pub fn assemble_graph(n: usize, stores: &[PartitionStore]) -> Graph {
 }
 
 /// The gather step's one loop: the `n`-vertex graph whose pool holds
-/// `edges` in this order — each partition's share in turn. The edges are
+/// `edges` in this order — each partition's share in turn, or a
+/// Curveball engine's edges in ascending key order. The edges are
 /// appended to the pool unhashed (its index is built on first use, see
 /// [`crate::sampling`]) and adjacency is built once in bulk
 /// ([`Graph::from_pool`]), whose distinct-neighbor check is what catches
