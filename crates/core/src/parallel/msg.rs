@@ -111,9 +111,10 @@ pub enum Msg {
         /// Packed keys of the finalized edges.
         edges: Vec<u64>,
     },
-    /// Curveball: initial-edge keys whose membership in a shuffled
-    /// disjoint union makes them *visited*, routed to the rank whose
-    /// [`crate::VisitTracker`] covers them (`owner(src)` of the key).
+    /// Curveball: initial-edge keys whose membership in a re-dealt
+    /// (two-sided) disjoint union makes them *visited*, routed to the
+    /// rank whose [`crate::VisitTracker`] covers them (`owner(src)` of
+    /// the key).
     TradeVisit {
         /// Packed keys of the re-dealt initial edges.
         edges: Vec<u64>,

@@ -1358,6 +1358,29 @@ fn curveball_stall_guard_stops_every_driver() {
     }
 }
 
+/// A star is the only graph of its degree sequence. A leaf–leaf trade
+/// has `D = ∅`, and a hub–leaf trade's `D` (the other leaves) is
+/// one-sided, so its one possible deal is the identity and visits
+/// nothing: each driver stops after the guard's 3 passes of 4 trades at
+/// visit rate 0, with the graph as it was.
+#[test]
+fn curveball_star_stalls_on_every_driver() {
+    let g = star(8);
+    let budget = Budget::VisitRate(0.9);
+    let seq = sequential_trades(&g, budget, 1);
+    assert_eq!((seq.passes, seq.out.performed), (3, 12), "sequential");
+    assert_eq!(seq.out.visit_rate(), 0.0, "sequential");
+    assert!(seq.graph.same_edge_set(&g), "sequential");
+    let cfg = config(2).with_seed(1);
+    let simulated = simulated_trades(&g, budget, &cfg);
+    let threaded = trades_on_threads(&g, budget, &cfg);
+    for (world, out) in [("simulated", &simulated), ("threaded", &threaded)] {
+        assert_eq!((out.steps, out.performed()), (3, 12), "{world}");
+        assert_eq!(out.visit_rate(), 0.0, "{world}");
+        assert!(out.graph.same_edge_set(&g), "{world}");
+    }
+}
+
 /// The builder's knobs and a prepared config name the same Curveball
 /// run, on the threaded world as on the simulated one.
 #[test]
