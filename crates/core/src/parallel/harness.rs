@@ -298,9 +298,9 @@ impl ParallelOutcome {
 pub struct RankOutput {
     /// The rank whose share this is.
     pub rank: usize,
-    /// The final partition store's edges as packed keys ([`Edge::key`]),
-    /// in its pool order — the edges without the store's index, which
-    /// is freed at teardown.
+    /// The rank's final edges as packed keys ([`Edge::key`]): a switch
+    /// rank's in its store's pool order (the index is freed at teardown),
+    /// a Curveball rank's in the order it holds their tokens.
     pub keys: Vec<u64>,
     /// This partition's visits, marks over `keys`' order.
     pub visits: Visits,
@@ -910,8 +910,6 @@ pub(crate) trait RankMachine: Sized {
     fn obs_mut(&mut self) -> &mut Obs;
     /// Statistics so far; the loops diff them into [`StepTelemetry`].
     fn stats(&self) -> &RankStats;
-    /// The rank's partition store.
-    fn store(&self) -> &PartitionStore;
     /// `(initial, visited)` counts of the rank's initial edges.
     fn visits(&self) -> (usize, usize);
     /// The rank's persistent state at a step boundary.

@@ -93,31 +93,25 @@ pub enum Msg {
         /// Why the switch was rejected.
         reason: RejectReason,
     },
-    /// Curveball: edges bound for one trade's executor. At pass start
-    /// every rank routes each stored edge with a traded endpoint to the
+    /// Curveball: edges bound for one trade's executor, as tokens — a
+    /// packed key ([`Edge::key`]) whose halves are swapped iff the edge
+    /// is an unvisited initial one, so its visit mark travels with it.
+    /// At pass start every rank routes each token it holds to the
     /// lowest-indexed trade touching it; after a trade fires, its output
-    /// edges whose far endpoint belongs to a later trade are forwarded
-    /// the same way. Edge keys are packed ([`Edge::key`]).
+    /// tokens whose far endpoint belongs to a later trade are forwarded
+    /// the same way.
     TradeLoad {
         /// Pass-local trade index the edges are bound for.
         trade: u32,
-        /// Packed keys of the contributed edges.
-        edges: Vec<u64>,
+        /// Tokens of the contributed edges.
+        tokens: Vec<u64>,
     },
     /// Curveball: finalized edges (no later trade touches either
-    /// endpoint this pass) returning to the owner of their reduced-
-    /// adjacency home, `owner(src)`, for partition-store insertion.
+    /// endpoint this pass) returning, as tokens, to the owner of their
+    /// smaller endpoint.
     TradeHome {
-        /// Packed keys of the finalized edges.
-        edges: Vec<u64>,
-    },
-    /// Curveball: initial-edge keys whose membership in a re-dealt
-    /// (two-sided) disjoint union makes them *visited*, routed to the
-    /// rank whose [`crate::VisitTracker`] covers them (`owner(src)` of
-    /// the key).
-    TradeVisit {
-        /// Packed keys of the re-dealt initial edges.
-        edges: Vec<u64>,
+        /// Tokens of the finalized edges.
+        tokens: Vec<u64>,
     },
     /// Rank finished its own quota for the current step (keeps serving).
     EndOfStep,
@@ -171,13 +165,11 @@ pub enum MsgKind {
     TradeLoad = 13,
     /// [`Msg::TradeHome`].
     TradeHome = 14,
-    /// [`Msg::TradeVisit`].
-    TradeVisit = 15,
 }
 
 impl MsgKind {
     /// Number of kinds (length of a dense per-kind counter array).
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 15;
 
     /// All kinds, in counter-slot order.
     pub const ALL: [MsgKind; MsgKind::COUNT] = [
@@ -196,7 +188,6 @@ impl MsgKind {
         MsgKind::Batch,
         MsgKind::TradeLoad,
         MsgKind::TradeHome,
-        MsgKind::TradeVisit,
     ];
 
     /// Classify a message.
@@ -214,7 +205,6 @@ impl MsgKind {
             Msg::Abort { .. } => MsgKind::Abort,
             Msg::TradeLoad { .. } => MsgKind::TradeLoad,
             Msg::TradeHome { .. } => MsgKind::TradeHome,
-            Msg::TradeVisit { .. } => MsgKind::TradeVisit,
             Msg::EndOfStep => MsgKind::EndOfStep,
             Msg::Coll(_) => MsgKind::Coll,
             Msg::Batch(_) => MsgKind::Batch,
@@ -239,7 +229,6 @@ impl MsgKind {
             MsgKind::Batch => "batch",
             MsgKind::TradeLoad => "trade-load",
             MsgKind::TradeHome => "trade-home",
-            MsgKind::TradeVisit => "trade-visit",
         }
     }
 }
@@ -267,9 +256,9 @@ impl CollCarrier for Msg {
             | Msg::CommitRemove { .. } => 28,
             Msg::CommitAck { .. } | Msg::Done { .. } | Msg::Abort { .. } => 13,
             // Trade index (4) + length prefix (4) + packed key (8) each.
-            Msg::TradeLoad { edges, .. } => 8 + 8 * edges.len(),
-            // Length prefix (4) + packed key (8) each.
-            Msg::TradeHome { edges } | Msg::TradeVisit { edges } => 4 + 8 * edges.len(),
+            Msg::TradeLoad { tokens, .. } => 8 + 8 * tokens.len(),
+            // Length prefix (4) + token (8) each.
+            Msg::TradeHome { tokens } => 4 + 8 * tokens.len(),
             Msg::EndOfStep => 1,
             // Length prefix plus the framed messages.
             Msg::Batch(msgs) => 4 + msgs.iter().map(|m| m.wire_size()).sum::<usize>(),
@@ -422,20 +411,19 @@ mod tests {
     fn trade_messages_count_once_per_coalesced_send() {
         let load = Msg::TradeLoad {
             trade: 7,
-            edges: vec![Edge::new(1, 2).key(), Edge::new(3, 4).key()],
+            tokens: vec![Edge::new(1, 2).key(), Edge::new(3, 4).key()],
         };
         assert_eq!(load.wire_size(), 8 + 16);
         let home = Msg::TradeHome {
-            edges: vec![Edge::new(1, 2).key()],
+            tokens: vec![Edge::new(1, 2).key()],
         };
-        let visit = Msg::TradeVisit { edges: vec![] };
+        let empty = Msg::TradeHome { tokens: vec![] };
         assert_eq!(home.wire_size(), 4 + 8);
-        assert_eq!(visit.wire_size(), 4);
+        assert_eq!(empty.wire_size(), 4);
         let mut slots = [0u64; MsgKind::COUNT];
-        Msg::Batch(vec![load, home, visit]).record_kinds(&mut slots);
+        Msg::Batch(vec![load, home, empty]).record_kinds(&mut slots);
         assert_eq!(slots[MsgKind::TradeLoad as usize], 1);
-        assert_eq!(slots[MsgKind::TradeHome as usize], 1);
-        assert_eq!(slots[MsgKind::TradeVisit as usize], 1);
+        assert_eq!(slots[MsgKind::TradeHome as usize], 2);
         assert_eq!(slots.iter().sum::<u64>(), 3);
     }
 

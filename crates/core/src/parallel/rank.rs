@@ -169,28 +169,19 @@ pub struct RankCheckpoint {
 }
 
 impl RankCheckpoint {
-    /// A rank's store, its visits (marks over the store's pool order)
+    /// Rank `rank`'s edges, its visits (marks over the edges' order)
     /// and statistics, with no conversation counter or stream position —
     /// all a Curveball trade rank has.
-    pub(crate) fn capture(store: &PartitionStore, visits: Visits, stats: RankStats) -> Self {
+    pub(crate) fn capture(rank: usize, edges: Vec<Edge>, visits: Visits, stats: RankStats) -> Self {
         RankCheckpoint {
-            rank: store.rank(),
-            store_edges: store.edges().collect(),
+            rank,
+            store_edges: edges,
             tracker_initial: visits.initial,
             unvisited: visits.unvisited,
             stats,
             conv_seq: 0,
             rng_words: 0,
         }
-    }
-
-    /// The captured partition store, rebuilt in pool order.
-    pub fn store(&self) -> PartitionStore {
-        let mut store = PartitionStore::new(self.rank);
-        for &e in &self.store_edges {
-            store.insert(e);
-        }
-        store
     }
 }
 
@@ -382,17 +373,24 @@ impl RankState {
     /// driver did. Whether the checkpoint belongs to the run is checked
     /// before, where the world resumes from its snapshot.
     pub fn restore(part: Partitioner, config: &ParallelConfig, ckpt: &RankCheckpoint) -> Self {
-        let mut store = ckpt.store();
-        for e in marked(&ckpt.unvisited, &ckpt.store_edges) {
-            store.mark_unvisited(e.key());
-        }
         let mut state = RankState::new(ckpt.rank, part, PartitionStore::new(ckpt.rank), config);
-        state.store = store;
+        for &e in &ckpt.store_edges {
+            state.store.insert(e);
+        }
+        for e in marked(&ckpt.unvisited, &ckpt.store_edges) {
+            state.store.mark_unvisited(e.key());
+        }
         state.tracked = ckpt.tracker_initial;
         state.stats = ckpt.stats;
         state.conv_seq = ckpt.conv_seq;
         state.rng.jump_words(ckpt.rng_words);
         state
+    }
+
+    /// The rank's partition store (test introspection).
+    #[cfg(test)]
+    pub(super) fn store(&self) -> &PartitionStore {
+        &self.store
     }
 
     /// The first edges of all in-flight own conversations (test
@@ -997,7 +995,7 @@ impl RankState {
             Msg::EndOfStep | Msg::Coll(_) | Msg::Batch(_) => {
                 unreachable!("driver-level message leaked into RankState")
             }
-            Msg::TradeLoad { .. } | Msg::TradeHome { .. } | Msg::TradeVisit { .. } => {
+            Msg::TradeLoad { .. } | Msg::TradeHome { .. } => {
                 unreachable!("Curveball traffic routed into the switch state machine")
             }
         }
@@ -1056,10 +1054,6 @@ impl RankMachine for RankState {
         &self.stats
     }
 
-    fn store(&self) -> &PartitionStore {
-        &self.store
-    }
-
     fn visits(&self) -> (usize, usize) {
         (self.tracked, self.tracked - self.store.unvisited())
     }
@@ -1086,7 +1080,12 @@ impl RankMachine for RankState {
         RankCheckpoint {
             conv_seq: self.conv_seq,
             rng_words: self.rng.words_served(),
-            ..RankCheckpoint::capture(&self.store, self.at_rest(), self.stats)
+            ..RankCheckpoint::capture(
+                self.rank,
+                self.store.edges().collect(),
+                self.at_rest(),
+                self.stats,
+            )
         }
     }
 

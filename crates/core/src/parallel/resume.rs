@@ -38,7 +38,7 @@ use super::wire::encode_world_snapshot;
 use crate::config::ParallelConfig;
 use crate::obs::{Clock, MonoClock, Obs, StepProgress};
 use crate::run::{RunOutcome, Stepped};
-use crate::sequential::check_degrees;
+use crate::sequential::{check_degrees, check_distinct};
 use crate::visit::{check_marks, visit_rate};
 use edgeswitch_graph::store::build_stores;
 use edgeswitch_graph::{Graph, Partitioner};
@@ -227,7 +227,8 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
     /// `schedule` from a snapshot ([`RankMachine::rebuild`] rebuilds each
     /// rank). The
     /// snapshot is untrusted: its identity fields must match the run,
-    /// every stored edge sit on its owner, every rank's visit marks fit
+    /// every stored edge sit on its owner, no rank hold an edge twice
+    /// (an edge sits on one rank only), every rank's visit marks fit
     /// its store and the graph ([`check_marks`]), its initial edge count
     /// equal the one its checkpoint tracks, and the stores realize
     /// `graph`'s degree sequence — otherwise the reason comes back as
@@ -284,16 +285,10 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
             .iter()
             .flat_map(|c| c.store_edges.iter().copied());
         check_degrees(graph, snap.n, &mut all_edges)?;
+        (snap.ranks.iter()).try_for_each(|ckpt| check_distinct(&ckpt.store_edges))?;
         let states: Vec<S> = (snap.ranks.iter())
             .map(|ckpt| S::rebuild(ckpt, part, config, &schedule))
             .collect();
-        if states
-            .iter()
-            .zip(&snap.ranks)
-            .any(|(st, ckpt)| st.store().num_edges() != ckpt.store_edges.len())
-        {
-            return Err("snapshot stores hold duplicate edges".to_string());
-        }
         Ok(SimWorld {
             states,
             comm_stats: snap.comm.clone(),

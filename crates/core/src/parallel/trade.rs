@@ -6,25 +6,24 @@
 //! `u` (the pair's smaller endpoint). The protocol is a counting-based
 //! forwarding scheme:
 //!
-//! 1. **Load routing.** At pass start each rank withdraws every owned
-//!    edge with a matched endpoint from its store and routes it — as a
-//!    coalesced [`Msg::TradeLoad`] per `(rank, trade)` — to the trade
-//!    with the *smallest* index among its endpoints' trades.
+//! 1. **Load routing.** At pass start each rank withdraws every token
+//!    it holds (a perfect matching leaves at most one vertex out, so
+//!    every edge has a matched endpoint) and routes it — as a coalesced
+//!    [`Msg::TradeLoad`] per `(rank, trade)` — to the trade with the
+//!    *smallest* index among its endpoints' trades.
 //! 2. **Firing.** Trade `k` knows exactly how many edges must arrive:
-//!    `deg(u) + deg(v) - [{u,v} ∈ E]`, where the degrees are the static
-//!    full degrees (trades preserve every degree) and the partner-edge
-//!    correction is locally checkable at pass start (the reduced edge
-//!    `{u,v}` lives on `owner(u)`, which is the executor; no trade `j ≠
-//!    k` can create or destroy `{u,v}` because a perfect matching gives
-//!    `u` and `v` to no other trade). When the count is reached, the
-//!    trade runs the sequential engine's own step,
-//!    `crate::trade::Trader::trade`, on the arrivals.
-//! 3. **Forward or settle.** Each output edge whose far endpoint sits
+//!    `deg(u) + deg(v) - [{u,v} ∈ E]`, from the static degrees (trades
+//!    preserve them). The partner edge `{u,v}` is the token whose
+//!    endpoints share one trade, found in the routing scan on
+//!    `owner(u)`, the executor; no other trade can create or destroy
+//!    it. When the count is reached, the trade runs the sequential
+//!    engine's own step, `crate::trade::Trader::trade`, on the arrivals.
+//! 3. **Forward or settle.** Each output token whose far endpoint sits
 //!    in a *later* trade is forwarded there ([`Msg::TradeLoad`]);
 //!    everything else goes home to the owner of its smaller endpoint
-//!    ([`Msg::TradeHome`]). The initial edges of a two-sided disjoint
-//!    union are reported to the tracker that owns them
-//!    ([`Msg::TradeVisit`]).
+//!    ([`Msg::TradeHome`]). A token's orientation is its visit mark
+//!    (`crate::trade::token`), which the trade clears or passes on, so
+//!    no visit needs a message of its own.
 //!
 //! An edge incident to two matched vertices therefore flows through the
 //! lower-indexed trade first and the higher-indexed one second — the
@@ -42,15 +41,20 @@
 //! resumes it, and the threaded world's ranks run it through the shared
 //! rank body. Only the pass boundary is Curveball's own: [`Passes`], the
 //! [`Schedule`] every world opens a pass through. Between passes a
-//! rank's whole state is its store, tracker and trade count.
+//! rank holds what the sequential engine holds: the tokens of the edges
+//! whose smaller endpoint it owns, its initial edge count and its
+//! statistics. An unvisited initial edge keeps its key, so it comes home
+//! to the rank that started with it: a rank has visited its initial
+//! edges but the marked tokens it holds.
 
 use super::harness::{Boundary, Opened, RankMachine, RankOutput, Schedule, StepTelemetry};
 use super::msg::{Msg, Outbox};
 use super::rank::{RankCheckpoint, RankStats, StartResult};
 use crate::config::{Budget, ParallelConfig};
 use crate::obs::{Obs, Phase};
-use crate::trade::{token, trade_rng, untoken, PassController, PassPlan, Trader, NO_TRADE};
-use crate::visit::VisitTracker;
+use crate::trade::{
+    strip_marks, to_tokens, token, trade_rng, untoken, PassController, PassPlan, Trader, NO_TRADE,
+};
 use edgeswitch_graph::hashing::FxHashMap;
 use edgeswitch_graph::{Edge, Graph, PartitionStore, Partitioner, VertexId};
 use mpilite::CommStats;
@@ -63,20 +67,23 @@ struct TradeSlot {
     v: VertexId,
     /// Exact arrival count: `deg(u) + deg(v) - [{u, v} ∈ E]`.
     expected: usize,
-    /// Edge keys received so far.
+    /// Tokens received so far.
     arrived: Vec<u64>,
 }
 
-/// One rank's Curveball state: the partition store plus the pass's
-/// pending trades.
+/// One rank's Curveball state: its tokens, initial edge count and
+/// statistics, plus the pass's pending trades.
 pub(crate) struct TradeRankState {
     rank: usize,
     part: Partitioner,
     /// Static full degrees of every vertex (trades preserve them).
     degrees: Arc<Vec<u32>>,
     seed: u64,
-    store: PartitionStore,
-    tracker: VisitTracker,
+    /// Between passes, the token ([`token`]) of every edge whose smaller
+    /// endpoint this rank owns; during a pass, those that came home.
+    tokens: Vec<u64>,
+    /// The rank's initial edges (the tokens it was built with).
+    initial: usize,
     stats: RankStats,
     obs: Obs,
     /// The current pass's matching (shared by every rank of a simulated
@@ -95,9 +102,33 @@ fn executor(part: &Partitioner, plan: &PassPlan, k: u32) -> usize {
 }
 
 impl TradeRankState {
-    /// Open this rank's trade slots and route every owned edge with a
-    /// matched endpoint to its first trade. Trades expecting zero
-    /// arrivals (two isolated vertices) fire immediately.
+    /// Rank `rank` of a fresh run, holding `tokens` as its initial edges.
+    fn holding(
+        rank: usize,
+        part: &Partitioner,
+        config: &ParallelConfig,
+        schedule: &Passes,
+        obs: Obs,
+        tokens: Vec<u64>,
+    ) -> Self {
+        TradeRankState {
+            rank,
+            part: part.clone(),
+            degrees: Arc::clone(&schedule.degrees),
+            seed: config.seed,
+            initial: tokens.len(),
+            tokens,
+            stats: RankStats::default(),
+            obs,
+            plan: Arc::default(),
+            slots: FxHashMap::default(),
+            trader: Trader::default(),
+        }
+    }
+
+    /// Open this rank's trade slots and route every token it holds to
+    /// its first trade. Trades expecting zero arrivals (two isolated
+    /// vertices) fire immediately.
     fn begin_pass(&mut self, plan: &Arc<PassPlan>, out: &mut Outbox, tel: &mut StepTelemetry) {
         debug_assert!(self.slots.is_empty());
         self.plan = Arc::clone(plan);
@@ -105,12 +136,7 @@ impl TradeRankState {
             if self.part.owner(u) != self.rank {
                 continue;
             }
-            // The partner edge {u,v} is reduced onto owner(u) — this
-            // rank — and no other trade of the matching can create or
-            // destroy it, so the correction is exact for the whole pass.
-            let partner = self.store.contains(Edge::new(u, v));
-            let expected = self.degrees[u as usize] as usize + self.degrees[v as usize] as usize
-                - partner as usize;
+            let expected = self.degrees[u as usize] as usize + self.degrees[v as usize] as usize;
             self.slots.insert(
                 k as u32,
                 TradeSlot {
@@ -121,26 +147,30 @@ impl TradeRankState {
                 },
             );
         }
-        // Withdraw and route the pass's traveling edges, coalesced per
-        // (destination, trade) in deterministic key order.
-        let traveling: Vec<Edge> = self
-            .store
-            .edges()
-            .filter(|e| plan.trade_of(e.src()) != NO_TRADE || plan.trade_of(e.dst()) != NO_TRADE)
-            .collect();
+        // Route every token, coalesced per (destination, trade) in
+        // deterministic key order.
         let mut loads: BTreeMap<(usize, u32), Vec<u64>> = BTreeMap::new();
-        for e in traveling {
-            let removed = self.store.remove(e);
-            debug_assert!(removed);
+        for t in self.tokens.drain(..) {
+            let (x, y) = plan.trades_of(t);
+            if x == y {
+                // The partner edge {u,v} of trade x, held here because
+                // this rank owns u: it arrives once, not once per side.
+                let slot = self
+                    .slots
+                    .get_mut(&x)
+                    .expect("a partner edge's trade is local");
+                slot.expected -= 1;
+            }
             // NO_TRADE is u32::MAX, so the min picks the matched side.
-            let k = plan.trade_of(e.src()).min(plan.trade_of(e.dst()));
+            let k = x.min(y);
+            debug_assert_ne!(k, NO_TRADE, "a matching leaves at most one vertex out");
             loads
                 .entry((executor(&self.part, plan, k), k))
                 .or_default()
-                .push(e.key());
+                .push(t);
         }
-        for ((dst, k), edges) in loads {
-            out.push(dst, Msg::TradeLoad { trade: k, edges });
+        for ((dst, k), tokens) in loads {
+            out.push(dst, Msg::TradeLoad { trade: k, tokens });
         }
         out.seal();
         let mut ready: Vec<u32> = self
@@ -155,11 +185,12 @@ impl TradeRankState {
         }
     }
 
-    /// Execute trade `k` of the current pass ([`Trader::trade`]): report
-    /// visits and forward or settle every output edge. The outputs end
-    /// in a flush point, as the pass's loads do: a coalescing driver
-    /// sends each trade's traffic as one packet per destination, so its
-    /// packet count is as schedule-independent as the rest of the pass.
+    /// Execute trade `k` of the current pass ([`Trader::trade`]) on its
+    /// arrivals, marks and all, and forward or settle every output
+    /// token. The outputs end in a flush point, as the pass's loads do:
+    /// a coalescing driver sends each trade's traffic as one packet per
+    /// destination, so its packet count is as schedule-independent as
+    /// the rest of the pass.
     fn fire(&mut self, k: u32, out: &mut Outbox, tel: &mut StepTelemetry) {
         let plan = Arc::clone(&self.plan);
         let slot = self.slots.remove(&k).expect("firing an open slot");
@@ -167,31 +198,24 @@ impl TradeRankState {
         let shuffle_start = self.obs.stamp(Phase::TradeShuffle);
         let mut loads: BTreeMap<(usize, u32), Vec<u64>> = BTreeMap::new();
         let mut homes: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-        let mut visits: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-        // The trackers, not the keys, know which edges are unvisited:
-        // every arrival is offered as one, and a tracker ignores the rest.
-        let arrived = slot
-            .arrived
-            .iter()
-            .map(|&key| token(Edge::from_key(key), true));
         let mut rng = trade_rng(self.seed, plan.pass, k);
         let moved = self.trader.trade(
             (slot.u, slot.v),
-            arrived,
+            slot.arrived,
             &mut rng,
-            |e| visits.entry(part.owner(e.src())).or_default().push(e.key()),
-            |far, t| {
-                let key = untoken(t).0;
-                match plan.trade_of(far) {
-                    // The far endpoint trades later this pass; its trade
-                    // needs this edge before it can fire.
-                    j if j != NO_TRADE && j > k => {
-                        let dst = executor(part, &plan, j);
-                        loads.entry((dst, j)).or_default().push(key);
-                    }
-                    // Unmatched far endpoint, or its trade already fired
-                    // (an arrival from trade j < k proves j has fired).
-                    _ => homes.entry(part.owner(key >> 32)).or_default().push(key),
+            |_| {},
+            |far, t| match plan.trade_of(far) {
+                // The far endpoint trades later this pass; its trade
+                // needs this edge before it can fire.
+                j if j != NO_TRADE && j > k => {
+                    let dst = executor(part, &plan, j);
+                    loads.entry((dst, j)).or_default().push(t);
+                }
+                // Unmatched far endpoint, or its trade already fired
+                // (an arrival from trade j < k proves j has fired).
+                _ => {
+                    let home = part.owner(untoken(t).0 >> 32);
+                    homes.entry(home).or_default().push(t);
                 }
             },
         );
@@ -199,14 +223,11 @@ impl TradeRankState {
         self.stats.performed += 1;
         tel.trades += 1;
         tel.neighbors_moved += moved as u64;
-        for ((dst, j), edges) in loads {
-            out.push(dst, Msg::TradeLoad { trade: j, edges });
+        for ((dst, j), tokens) in loads {
+            out.push(dst, Msg::TradeLoad { trade: j, tokens });
         }
-        for (dst, edges) in homes {
-            out.push(dst, Msg::TradeHome { edges });
-        }
-        for (dst, edges) in visits {
-            out.push(dst, Msg::TradeVisit { edges });
+        for (dst, tokens) in homes {
+            out.push(dst, Msg::TradeHome { tokens });
         }
         out.seal();
     }
@@ -224,20 +245,9 @@ impl RankMachine for TradeRankState {
         schedule: &Passes,
         obs: Obs,
     ) -> Self {
-        let tracker = VisitTracker::new(store.edges());
-        TradeRankState {
-            rank,
-            part: part.clone(),
-            degrees: Arc::clone(&schedule.degrees),
-            seed: config.seed,
-            store,
-            tracker,
-            stats: RankStats::default(),
-            obs,
-            plan: Arc::default(),
-            slots: FxHashMap::default(),
-            trader: Trader::default(),
-        }
+        let keys = store.into_keys().into_iter();
+        let tokens = keys.map(|key| token(Edge::from_key(key), true));
+        Self::holding(rank, part, config, schedule, obs, tokens.collect())
     }
 
     fn rebuild(
@@ -246,39 +256,28 @@ impl RankMachine for TradeRankState {
         config: &ParallelConfig,
         schedule: &Passes,
     ) -> Self {
-        let tracker =
-            VisitTracker::from_marks(ckpt.tracker_initial, &ckpt.unvisited, &ckpt.store_edges);
+        let tokens = to_tokens(&ckpt.store_edges, &ckpt.unvisited);
         TradeRankState {
-            tracker,
+            initial: ckpt.tracker_initial,
             stats: ckpt.stats,
-            ..Self::build(ckpt.rank, part, ckpt.store(), config, schedule, Obs::noop())
+            ..Self::holding(ckpt.rank, part, config, schedule, Obs::noop(), tokens)
         }
     }
 
     fn handle(&mut self, _: usize, msg: Msg, out: &mut Outbox, tel: &mut StepTelemetry) {
         match msg {
-            Msg::TradeLoad { trade, edges } => {
+            Msg::TradeLoad { trade, tokens } => {
                 let slot = self
                     .slots
                     .get_mut(&trade)
                     .expect("trade loads only target open slots on the executor");
-                slot.arrived.extend_from_slice(&edges);
+                slot.arrived.extend_from_slice(&tokens);
                 debug_assert!(slot.arrived.len() <= slot.expected);
                 if slot.arrived.len() == slot.expected {
                     self.fire(trade, out, tel);
                 }
             }
-            Msg::TradeHome { edges } => {
-                for key in edges {
-                    let inserted = self.store.insert(Edge::from_key(key));
-                    debug_assert!(inserted, "settled trade edges are simple and disjoint");
-                }
-            }
-            Msg::TradeVisit { edges } => {
-                for key in edges {
-                    self.tracker.record_removal(Edge::from_key(key));
-                }
-            }
+            Msg::TradeHome { tokens } => self.tokens.extend_from_slice(&tokens),
             other => unreachable!("switch-protocol message {other:?} during a trade pass"),
         }
     }
@@ -308,25 +307,26 @@ impl RankMachine for TradeRankState {
         &self.stats
     }
 
-    fn store(&self) -> &PartitionStore {
-        &self.store
-    }
-
+    /// Exact between passes, when every token is home.
     fn visits(&self) -> (usize, usize) {
-        (self.tracker.initial_count(), self.tracker.visited_count())
+        let unvisited = self.tokens.iter().filter(|&&t| untoken(t).1).count();
+        (self.initial, self.initial - unvisited)
     }
 
     fn checkpoint(&self) -> RankCheckpoint {
         debug_assert!(self.slots.is_empty(), "checkpoint taken mid-pass");
-        let visits = self.tracker.visits(self.store.edges());
-        RankCheckpoint::capture(&self.store, visits, self.stats)
+        let mut keys = self.tokens.clone();
+        let visits = strip_marks(&mut keys, self.initial);
+        let edges = keys.into_iter().map(Edge::from_key).collect();
+        RankCheckpoint::capture(self.rank, edges, visits, self.stats)
     }
 
-    fn into_output(self, comm: CommStats) -> RankOutput {
+    fn into_output(mut self, comm: CommStats) -> RankOutput {
+        let visits = strip_marks(&mut self.tokens, self.initial);
         RankOutput {
-            rank: self.store.rank(),
-            visits: self.tracker.visits(self.store.edges()),
-            keys: self.store.into_keys(),
+            rank: self.rank,
+            visits,
+            keys: self.tokens,
             stats: self.stats,
             comm,
             obs: self.obs.finish(),
@@ -375,14 +375,12 @@ impl Schedule<TradeRankState> for Passes {
         // order means every peer's pass traffic (its EndOfStep was its
         // last send) has drained before its count arrives.
         let barrier_start = states[0].obs.now();
-        let mut gather = |count: fn(&VisitTracker) -> usize| -> u64 {
-            let mine = states.iter().map(|st| count(&st.tracker) as u64);
+        let mut gather = |count: fn((usize, usize)) -> usize| -> u64 {
+            let mine = states.iter().map(|st| count(st.visits()) as u64);
             b.allgather(mine).iter().sum()
         };
-        let initial = *self
-            .initial
-            .get_or_insert_with(|| gather(VisitTracker::initial_count));
-        let visited = gather(VisitTracker::visited_count);
+        let initial = *self.initial.get_or_insert_with(|| gather(|(i, _)| i));
+        let visited = gather(|(_, v)| v);
         let barrier_ns = states[0].obs.now().saturating_sub(barrier_start);
         let (n, seed) = (self.degrees.len(), states[0].seed);
         let plan = Arc::new(self.ctl.next_plan(n, seed, initial, visited)?);
@@ -404,14 +402,13 @@ impl Schedule<TradeRankState> for Passes {
     }
 
     fn is_done(&self, _: u64, states: &[TradeRankState]) -> bool {
-        let total = |count: fn(&VisitTracker) -> usize| -> u64 {
-            states.iter().map(|st| count(&st.tracker) as u64).sum()
-        };
-        let (initial, visited) = (
-            total(VisitTracker::initial_count),
-            total(VisitTracker::visited_count),
-        );
-        !self.ctl.continues(self.degrees.len(), initial, visited)
+        let (initial, visited) = (states.iter().map(RankMachine::visits))
+            .fold((0, 0), |(i, v), (initial, visited)| {
+                (i + initial, v + visited)
+            });
+        !self
+            .ctl
+            .continues(self.degrees.len(), initial as u64, visited as u64)
     }
 
     fn steps(&self, step: u64) -> u64 {

@@ -9,8 +9,10 @@
 //! frame is a transport bug, not an input error. Engine snapshots come
 //! from files and are not: their decoders return `Result`. Both run on one
 //! bounds-checked [`Reader`] that latches the first bad read. Snapshots
-//! are at format 3, which carries visit marks as a bitmap over the
-//! snapshot's own edge list (see the snapshot section below).
+//! are at format 4: format 3 carries visit marks as a bitmap over the
+//! snapshot's own edge list (see the snapshot section below), and format
+//! 4 writes one message counter fewer per telemetry row (the trade visit
+//! kind is gone).
 
 use edgeswitch_graph::Edge;
 use mpilite::{CollPayload, CommStats, KIND_SLOTS};
@@ -39,11 +41,10 @@ const T_ABORT: u8 = 9;
 const T_END_OF_STEP: u8 = 10;
 const T_COLL: u8 = 11;
 const T_BATCH: u8 = 12;
-// 13 and 14 are retired (the speculative-batch pair); they decode as
-// unknown discriminants.
+// 13 and 14 are retired (the speculative-batch pair), as is 17 (the
+// trade visit report); they decode as unknown discriminants.
 const T_TRADE_LOAD: u8 = 15;
 const T_TRADE_HOME: u8 = 16;
-const T_TRADE_VISIT: u8 = 17;
 
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -175,18 +176,14 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
                 encode_msg(m, out);
             }
         }
-        Msg::TradeLoad { trade, edges } => {
+        Msg::TradeLoad { trade, tokens } => {
             out.push(T_TRADE_LOAD);
             put_u32(out, *trade);
-            put_keys32(out, edges);
+            put_keys32(out, tokens);
         }
-        Msg::TradeHome { edges } => {
+        Msg::TradeHome { tokens } => {
             out.push(T_TRADE_HOME);
-            put_keys32(out, edges);
-        }
-        Msg::TradeVisit { edges } => {
-            out.push(T_TRADE_VISIT);
-            put_keys32(out, edges);
+            put_keys32(out, tokens);
         }
     }
 }
@@ -363,13 +360,10 @@ impl<'a> Reader<'a> {
             }
             T_TRADE_LOAD => Msg::TradeLoad {
                 trade: self.u32(),
-                edges: self.keys32(),
+                tokens: self.keys32(),
             },
             T_TRADE_HOME => Msg::TradeHome {
-                edges: self.keys32(),
-            },
-            T_TRADE_VISIT => Msg::TradeVisit {
-                edges: self.keys32(),
+                tokens: self.keys32(),
             },
             other => panic!("wire: bad message discriminant {other}"),
         }
@@ -416,7 +410,7 @@ pub fn decode_coll(bytes: &[u8]) -> CollPayload {
 /// Snapshot header: `b"ESNP"` followed by the format version.
 const SNAP_MAGIC: u32 = u32::from_le_bytes(*b"ESNP");
 /// Current snapshot format version.
-const SNAP_VERSION: u32 = 3;
+const SNAP_VERSION: u32 = 4;
 /// Kind byte of a switch-protocol [`WorldSnapshot`].
 const SNAP_WORLD: u8 = 1;
 /// Kind byte of a [`SeqCheckpoint`].
@@ -947,17 +941,14 @@ mod tests {
         roundtrip(Msg::EndOfStep);
         roundtrip(Msg::TradeLoad {
             trade: u32::MAX,
-            edges: vec![e(1, 2).key(), e(3, 4).key()],
+            tokens: vec![e(1, 2).key(), e(3, 4).key().rotate_left(32)],
         });
         roundtrip(Msg::TradeLoad {
             trade: 0,
-            edges: vec![],
+            tokens: vec![],
         });
         roundtrip(Msg::TradeHome {
-            edges: vec![e(9, 10).key()],
-        });
-        roundtrip(Msg::TradeVisit {
-            edges: vec![e(5, 6).key(), e(7, 8).key()],
+            tokens: vec![e(9, 10).key(), e(5, 6).key().rotate_left(32)],
         });
     }
 
@@ -1235,7 +1226,7 @@ mod tests {
         let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
-        assert_eq!((bytes.len(), fnv1a), (1208, 0xd428_66ce_5340_f882));
+        assert_eq!((bytes.len(), fnv1a), (1184, 0x3cd4_5803_80d1_9062));
     }
 
     #[test]

@@ -1127,6 +1127,110 @@ mod tests {
         }
     }
 
+    /// Edge lists with their visit marks — a sequential checkpoint's one,
+    /// a world's one per rank — with `{a, c}` and `{b, d}` of a path
+    /// `c – a – b – d` (`c` its least vertex) replaced by `{c, d}`, in
+    /// the place of `{a, c}`, and a second `{a, b}` at the end of the
+    /// list holding the first. Both new entries are unmarked. Every
+    /// degree stays, and each edge stays on the list of its least
+    /// endpoint's owner: only distinctness breaks.
+    fn repeat_an_edge(lists: &mut [(Vec<Edge>, Vec<u64>)]) {
+        let find = |lists: &[(Vec<Edge>, Vec<u64>)], e: Edge| {
+            (lists.iter().enumerate())
+                .find_map(|(l, (edges, _))| Some((l, edges.iter().position(|&f| f == e)?)))
+        };
+        let all: Vec<Edge> = lists.iter().flat_map(|(edges, _)| edges.clone()).collect();
+        let adj = |v: u64| {
+            all.iter()
+                .filter(move |e| e.touches(v))
+                .map(move |e| e.other(v))
+        };
+        let (a, b, c, d) = (all.iter())
+            .flat_map(|e| [(e.src(), e.dst()), (e.dst(), e.src())])
+            .flat_map(|(a, b)| adj(a).map(move |c| (a, b, c)))
+            .flat_map(|(a, b, c)| adj(b).map(move |d| (a, b, c, d)))
+            .find(|&(a, b, c, d)| c != b && d != a && c < a.min(d))
+            .expect("a path of four vertices");
+        let mut marks: Vec<Vec<bool>> = (lists.iter())
+            .map(|(edges, bits)| (0..edges.len()).map(|i| bits[i / 64] >> (i % 64) & 1 == 1))
+            .map(|marks| marks.collect())
+            .collect();
+        let (l, i) = find(lists, Edge::new(a, c)).unwrap();
+        (lists[l].0[i], marks[l][i]) = (Edge::new(c, d), false);
+        let (l, i) = find(lists, Edge::new(b, d)).unwrap();
+        lists[l].0.remove(i);
+        marks[l].remove(i);
+        let (l, _) = find(lists, Edge::new(a, b)).unwrap();
+        lists[l].0.push(Edge::new(a, b));
+        marks[l].push(false);
+        for ((_, bits), marks) in lists.iter_mut().zip(marks) {
+            *bits = vec![0; marks.len().div_ceil(64)];
+            for (i, _) in marks.iter().enumerate().filter(|(_, &m)| m) {
+                bits[i / 64] |= 1 << (i % 64);
+            }
+        }
+    }
+
+    /// A snapshot that holds one edge twice is a bad snapshot, though its
+    /// degrees, ownership and visit marks all fit the run: a sequential
+    /// Curveball checkpoint, and a simulated world of either randomizer.
+    #[test]
+    fn repeated_edges_are_bad_snapshots() {
+        let g = graph();
+        let refused = |run: &Run, bytes: &[u8]| match run.resume(&g, bytes) {
+            Err(RunError::BadSnapshot(why)) => {
+                let repeated = why.contains("not simple") || why.contains("duplicate");
+                assert!(repeated, "{why}");
+            }
+            other => panic!("{:?}", other.map(|_| "resumed")),
+        };
+        let snapshot = |run: &Run| {
+            let mut engine = run.start(&g).unwrap();
+            engine.advance(64);
+            engine.snapshot()
+        };
+
+        let run = Run::sequential()
+            .randomizer(Randomizer::Curveball)
+            .switches(3000)
+            .seed(1);
+        let ckpt = decode_curveball_checkpoint(&snapshot(&run)).unwrap();
+        let mut lists = [(ckpt.graph_edges.clone(), ckpt.unvisited.clone())];
+        repeat_an_edge(&mut lists);
+        let [(graph_edges, unvisited)] = lists;
+        let repeated = CurveballCheckpoint {
+            graph_edges,
+            unvisited,
+            ..ckpt
+        };
+        refused(&run, &encode_curveball_checkpoint(&repeated));
+
+        fn repeated_world<C: SnapField + Clone>(bytes: &[u8]) -> Vec<u8> {
+            let mut snap = decode_world_snapshot::<C>(bytes).unwrap();
+            let mut lists: Vec<_> = (snap.ranks.iter())
+                .map(|r| (r.store_edges.clone(), r.unvisited.clone()))
+                .collect();
+            repeat_an_edge(&mut lists);
+            for (rank, (edges, bits)) in snap.ranks.iter_mut().zip(lists) {
+                (rank.store_edges, rank.unvisited) = (edges, bits);
+            }
+            encode_world_snapshot(&snap)
+        }
+        for randomizer in [Randomizer::Switch, Randomizer::Curveball] {
+            let run = Run::simulated(2)
+                .randomizer(randomizer)
+                .switches(3000)
+                .seed(1);
+            let bytes = snapshot(&run);
+            assert!(run.resume(&g, &bytes).is_ok());
+            let bad = match randomizer {
+                Randomizer::Switch => repeated_world::<u64>(&bytes),
+                Randomizer::Curveball => repeated_world::<PassController>(&bytes),
+            };
+            refused(&run, &bad);
+        }
+    }
+
     /// Under Curveball an engine counts trades: a `switches(t)` budget
     /// reports `t` throughout (the last pass may overshoot it), and a
     /// visit-rate target — which fixes no trade count in advance —

@@ -411,10 +411,8 @@ impl Stepped for SequentialResumable {
 }
 
 /// The edge pool of an untrusted sequential snapshot of a run on
-/// `graph`, taken on `n` vertices, its unvisited edges marked: the visit
-/// marks must fit the graph ([`check_marks`]) and the edges, in pool
-/// order, form a simple graph with its degree sequence — otherwise the
-/// reason comes back as `Err`.
+/// `graph`, its unvisited edges marked, if [`check_snapshot`] passes and
+/// the edges, in pool order, are distinct; otherwise why not.
 pub(crate) fn restore_pool(
     graph: &Graph,
     n: usize,
@@ -422,11 +420,7 @@ pub(crate) fn restore_pool(
     tracker_initial: usize,
     unvisited: &[u64],
 ) -> Result<EdgePool, String> {
-    if tracker_initial != graph.num_edges() {
-        return Err("checkpoint visit tracker does not fit the graph".to_string());
-    }
-    check_marks(graph, edges, unvisited, tracker_initial)?;
-    check_degrees(graph, n, &mut edges.iter().copied())?;
+    check_snapshot(graph, n, edges, tracker_initial, unvisited)?;
     let mut pool = EdgePool::with_capacity(edges.len());
     if let Some(&twice) = edges.iter().find(|&&e| !pool.insert(e)) {
         let err = GraphError::ParallelEdge(twice);
@@ -436,6 +430,35 @@ pub(crate) fn restore_pool(
         pool.mark_unvisited(e.key());
     }
     Ok(pool)
+}
+
+/// Check an untrusted checkpoint of a run on `graph` in all but the
+/// distinctness of its `edges`: it tracks the graph's edges, its marks
+/// fit ([`check_marks`]) and its edges realize the graph's degrees.
+pub(crate) fn check_snapshot(
+    graph: &Graph,
+    n: usize,
+    edges: &[Edge],
+    tracker_initial: usize,
+    unvisited: &[u64],
+) -> Result<(), String> {
+    if tracker_initial != graph.num_edges() {
+        return Err("checkpoint visit tracker does not fit the graph".to_string());
+    }
+    check_marks(graph, edges, unvisited, tracker_initial)?;
+    check_degrees(graph, n, &mut edges.iter().copied())
+}
+
+/// Check that `edges`, an untrusted snapshot's edge list, holds no edge
+/// twice: no two neighbours of its sorted keys are equal.
+pub(crate) fn check_distinct(edges: &[Edge]) -> Result<(), String> {
+    let mut keys: Vec<u64> = edges.iter().map(|e| e.key()).collect();
+    keys.sort_unstable();
+    let twice = keys.windows(2).find(|pair| pair[0] == pair[1]);
+    twice.map_or(Ok(()), |pair| {
+        let err = GraphError::ParallelEdge(Edge::from_key(pair[0]));
+        Err(format!("checkpoint graph is not simple: {err:?}"))
+    })
 }
 
 /// Check that `edges` — the edge list of an untrusted snapshot taken on

@@ -43,7 +43,7 @@ use crate::config::Budget;
 use crate::obs::{ObsSpec, Phase, ProgressEvent, SoloObs, StepProgress};
 use crate::parallel::wire::encode_curveball_checkpoint;
 use crate::run::{RunOutcome, SequentialRun, Stepped};
-use crate::sequential::{restore_pool, SequentialOutcome};
+use crate::sequential::{check_distinct, check_snapshot, SequentialOutcome};
 use crate::visit::{visit_rate, Visits};
 use edgeswitch_dist::{substream_rng, Rng64};
 use edgeswitch_graph::sampling::{fisher_yates_shuffle, random_matching};
@@ -103,7 +103,7 @@ impl PassPlan {
 
     /// The trade indices of a token's two endpoints.
     #[inline]
-    fn trades_of(&self, token: u64) -> (u32, u32) {
+    pub(crate) fn trades_of(&self, token: u64) -> (u32, u32) {
         (self.trade_of(token >> 32), self.trade_of(token & LOW))
     }
 }
@@ -137,6 +137,28 @@ pub(crate) fn untoken(token: u64) -> (u64, bool) {
         token
     };
     (key, unvisited)
+}
+
+/// The tokens of `edges` under the visit marks `unvisited` over them
+/// (bit `i % 64` of word `i / 64` marks `edges[i]`), in list order: the
+/// inverse of [`strip_marks`].
+pub(crate) fn to_tokens(edges: &[Edge], unvisited: &[u64]) -> Vec<u64> {
+    let mark = |i: usize| unvisited[i / 64] >> (i % 64) & 1 == 1;
+    (edges.iter().enumerate())
+        .map(|(i, &e)| token(e, mark(i)))
+        .collect()
+}
+
+/// Strip `tokens` to their edge keys in place, in their order, returning
+/// the visits of `initial` initial edges, marks over that order.
+pub(crate) fn strip_marks(tokens: &mut [u64], initial: usize) -> Visits {
+    let mut unvisited = vec![0u64; tokens.len().div_ceil(64)];
+    for (i, t) in tokens.iter_mut().enumerate() {
+        let (key, mark) = untoken(*t);
+        unvisited[i / 64] |= (mark as u64) << (i % 64);
+        *t = key;
+    }
+    Visits { initial, unvisited }
 }
 
 /// One trade, as every driver executes it, with the two buffers it
@@ -499,14 +521,14 @@ impl CurveballResumable {
     /// in ascending key order and its visit marks over them.
     pub(crate) fn checkpoint(&self) -> CurveballCheckpoint {
         let mut keys = self.tokens.clone();
-        let unvisited = at_rest(&mut keys);
+        let visits = at_rest(&mut keys);
         CurveballCheckpoint {
             seed: self.seed,
             n: self.n,
             ctl: self.ctl,
             neighbors_moved: self.neighbors_moved,
-            tracker_initial: keys.len(),
-            unvisited,
+            tracker_initial: visits.initial,
+            unvisited: visits.unvisited,
             graph_edges: keys.into_iter().map(Edge::from_key).collect(),
         }
     }
@@ -528,18 +550,15 @@ impl CurveballResumable {
             ));
         }
         let (edges, unvisited) = (&ckpt.graph_edges, &ckpt.unvisited);
-        restore_pool(graph, ckpt.n, edges, ckpt.tracker_initial, unvisited)?;
-        let mark = |i: usize| unvisited[i / 64] >> (i % 64) & 1 == 1;
-        let tokens = edges.iter().enumerate().map(|(i, &e)| token(e, mark(i)));
-        let visits = Visits {
-            initial: ckpt.tracker_initial,
-            unvisited: unvisited.clone(),
-        };
+        check_snapshot(graph, ckpt.n, edges, ckpt.tracker_initial, unvisited)?;
+        check_distinct(edges)?;
+        let tokens = to_tokens(edges, unvisited);
+        let marked = tokens.iter().filter(|&&t| untoken(t).1).count();
         Ok(CurveballResumable {
             ctl: ckpt.ctl,
             neighbors_moved: ckpt.neighbors_moved,
-            visited: visits.visited() as u64,
-            ..Self::with_tokens(ckpt.n, tokens.collect(), budget, seed)
+            visited: (ckpt.tracker_initial - marked) as u64,
+            ..Self::with_tokens(ckpt.n, tokens, budget, seed)
         })
     }
 
@@ -551,10 +570,7 @@ impl CurveballResumable {
         self.buckets = Buckets::default();
         let performed = self.performed();
         let mut keys = std::mem::take(&mut self.tokens);
-        let visits = Visits {
-            initial: keys.len(),
-            unvisited: at_rest(&mut keys),
-        };
+        let visits = at_rest(&mut keys);
         let report = self.solo.report();
         let graph = assemble_edges(self.n, keys.into_iter().map(Edge::from_key));
         let outcome = SequentialOutcome {
@@ -569,16 +585,10 @@ impl CurveballResumable {
 }
 
 /// Sort `tokens` by edge key and strip them to their keys — the edges at
-/// rest, in ascending key order — returning their visit marks.
-fn at_rest(tokens: &mut [u64]) -> Vec<u64> {
+/// rest, in ascending key order — returning their visits.
+fn at_rest(tokens: &mut [u64]) -> Visits {
     tokens.sort_unstable_by_key(|&t| untoken(t).0);
-    let mut unvisited = vec![0u64; tokens.len().div_ceil(64)];
-    for (i, t) in tokens.iter_mut().enumerate() {
-        let (key, mark) = untoken(*t);
-        unvisited[i / 64] |= (mark as u64) << (i % 64);
-        *t = key;
-    }
-    unvisited
+    strip_marks(tokens, tokens.len())
 }
 
 /// A pass is the unit of `advance`.

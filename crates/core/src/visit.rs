@@ -11,10 +11,9 @@
 //! list, decoded by `marked` and validated by `check_marks`. While
 //! they run, the switch engines keep the marks in their pool's index
 //! ([`EdgePool::track_visits`]) and read the bitmap off it in one sweep
-//! ([`EdgePool::unvisited_bitmap`]). The sequential Curveball engine
-//! keeps each mark in its edge's token ([`crate::trade`]). Only the
-//! parallel Curveball ranks, whose trades report visits by message, and
-//! the constrained variants of [`crate::variants`] run on a
+//! ([`EdgePool::unvisited_bitmap`]). The Curveball engines, sequential
+//! and parallel, keep each mark in its edge's token ([`crate::trade`]).
+//! Only the constrained variants of [`crate::variants`] run on a
 //! [`VisitTracker`].
 //!
 //! [`EdgePool::track_visits`]: edgeswitch_graph::sampling::EdgePool::track_visits
@@ -78,8 +77,7 @@ impl Visits {
 
 /// Tracks which of the initial `m` edges have been switched away.
 ///
-/// Keyed on the packed edge ([`Edge::key`]) with the fast in-repo hasher:
-/// every visit a parallel trade reports probes it once.
+/// Keyed on the packed edge ([`Edge::key`]) with the fast in-repo hasher.
 #[derive(Clone, Debug)]
 pub struct VisitTracker {
     initial_count: usize,
@@ -131,17 +129,6 @@ impl VisitTracker {
         Visits {
             initial: self.initial_count,
             unvisited: bits,
-        }
-    }
-
-    /// Rebuild a tracker of `initial` edges from the `unvisited` marks
-    /// over `edges` (the inverse of [`VisitTracker::visits`]).
-    pub(crate) fn from_marks(initial: usize, unvisited: &[u64], edges: &[Edge]) -> Self {
-        let mut remaining: FxHashSet<u64> = set_with_capacity(edges.len());
-        remaining.extend(marked(unvisited, edges).map(|e| e.key()));
-        VisitTracker {
-            initial_count: initial,
-            remaining,
         }
     }
 }
@@ -279,9 +266,6 @@ mod tests {
             .map(|i| e(i, i + 200))
             .collect();
         assert_eq!(back, want);
-        let rebuilt = VisitTracker::from_marks(150, &visits.unvisited, &edges);
-        assert_eq!(rebuilt.visited_count(), 100);
-        assert_eq!(rebuilt.visits(edges.iter().copied()), visits);
         // A bit past the end of the list marks nothing.
         assert!(marked(&[1 << 63], &edges[..10]).next().is_none());
     }

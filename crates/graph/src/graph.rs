@@ -17,9 +17,7 @@
 //! [`Graph::from_pool`], which is how a graph is built from an edge
 //! list or a stream and how it comes back out of a switch engine
 //! ([`Graph::into_pool`] is the way in: the switch engines run on the
-//! pool alone). A graph also comes back from the neighbour sets alone
-//! ([`Graph::from_adjacency`], the inverse of [`Graph::into_adjacency`]),
-//! its pool in ascending key order.
+//! pool alone).
 
 use crate::adjacency::{ascending_edges, NeighborSet};
 use crate::sampling::EdgePool;
@@ -109,68 +107,6 @@ impl Graph {
     /// current order. The inverse of [`Graph::from_pool`].
     pub fn into_pool(self) -> EdgePool {
         self.pool
-    }
-
-    /// The graph whose neighbor sets are `adj` (vertex `v`'s at
-    /// `adj[v]`), kept as they are — the bulk builder for an engine that
-    /// holds adjacency instead of a pool, as [`Graph::from_pool`] is for
-    /// one that holds a pool. The pool is filled in ascending key order
-    /// (every `(u, x)` with `u < x`, by `u`, then `x`), so it is a pure
-    /// function of the edge set. One walk of the lists, which also checks
-    /// they are symmetric, appends each edge's key to the pool unindexed
-    /// (the walk meets every edge once, so they are distinct): `O(n + m)`,
-    /// no list re-sorted and no edge hashed.
-    ///
-    /// Errors with [`GraphError::UnknownVertex`] if a label is `>= n`,
-    /// [`GraphError::SelfLoop`] if a vertex lists itself, and
-    /// [`GraphError::MissingEdge`] for an edge listed at one endpoint
-    /// only; see [`Graph::new`] for the vertex-count limit.
-    pub fn from_adjacency(adj: Vec<NeighborSet>) -> Result<Self, GraphError> {
-        let n = adj.len();
-        check_vertex_count(n);
-        let mut pool = EdgePool::new();
-        // Per vertex `x`: how many edges `(u, x)`, `u < x`, the walk has
-        // met. It meets them at `u` in ascending `u`, so in a symmetric
-        // graph they are, in order, the labels of `x`'s list below `x`.
-        let mut met = vec![0u32; n];
-        for (u, nbrs) in adj.iter().enumerate() {
-            let labels = nbrs.labels();
-            let below = labels.partition_point(|&w| (w as usize) < u);
-            if below != met[u] as usize {
-                let w = labels[met[u] as usize] as VertexId;
-                return Err(GraphError::MissingEdge(Edge::new(w, u as VertexId)));
-            }
-            for &x in &labels[below..] {
-                let x = x as usize;
-                if x == u {
-                    return Err(GraphError::SelfLoop(u as VertexId));
-                }
-                if x >= n {
-                    return Err(GraphError::UnknownVertex(x as VertexId));
-                }
-                let e = Edge::new(u as VertexId, x as VertexId);
-                match adj[x].labels().get(met[x] as usize) {
-                    Some(&w) if w as usize == u => {}
-                    // `x` lists a `w < u` whose own list the walk passed.
-                    Some(&w) if (w as usize) < u => {
-                        return Err(GraphError::MissingEdge(Edge::new(
-                            w as VertexId,
-                            x as VertexId,
-                        )))
-                    }
-                    _ => return Err(GraphError::MissingEdge(e)),
-                }
-                met[x] += 1;
-                pool.push_distinct(e);
-            }
-        }
-        Ok(Graph { adj, pool })
-    }
-
-    /// Give up the pool and keep the neighbor sets, indexed by vertex.
-    /// The inverse of [`Graph::from_adjacency`].
-    pub fn into_adjacency(self) -> Vec<NeighborSet> {
-        self.adj
     }
 
     /// The edge pool: the graph's edges in the order sampling sees them.
@@ -540,31 +476,9 @@ mod tests {
     }
 
     #[test]
-    fn from_adjacency_rejects_lists_that_are_no_graph() {
-        let lists = |sets: &[&[u64]]| -> Vec<NeighborSet> {
-            sets.iter().map(|s| s.iter().copied().collect()).collect()
-        };
-        let e = Edge::new;
-        for (adj, err) in [
-            (lists(&[&[1], &[0, 2]]), GraphError::UnknownVertex(2)),
-            (lists(&[&[0]]), GraphError::SelfLoop(0)),
-            // Listed at the lower endpoint only, then the higher only.
-            (lists(&[&[1], &[]]), GraphError::MissingEdge(e(0, 1))),
-            (lists(&[&[], &[0]]), GraphError::MissingEdge(e(0, 1))),
-            // Vertex 2 names 0 where 1 lists it.
-            (
-                lists(&[&[1], &[0, 2], &[0]]),
-                GraphError::MissingEdge(e(0, 2)),
-            ),
-        ] {
-            assert_eq!(Graph::from_adjacency(adj).unwrap_err(), err);
-        }
-    }
-
-    #[test]
     fn invariants_of_an_unindexed_graph_catch_a_pool_off_its_adjacency() {
         // Adjacency of the path 0-1-2-3; the pool is appended unhashed.
-        let adj = path_graph(4).into_adjacency();
+        let adj = path_graph(4).adj;
         let e = Edge::new;
         let with_pool = |edges: &[Edge]| {
             let mut pool = EdgePool::new();

@@ -349,14 +349,12 @@ mod tests {
     }
 
     #[test]
-    fn gathered_and_adjacency_built_pools_behave_like_indexed_ones() {
+    fn gathered_pools_behave_like_indexed_ones() {
         let g = grid_graph();
         let n = g.num_vertices();
         let stores = build_stores(&g, &Partitioner::hash_division(3));
         let assembled = assemble_graph(n, &stores);
         assert_behaves_like_indexed(assembled.pool(), n as u64);
-        let traded = Graph::from_adjacency(g.clone().into_adjacency()).unwrap();
-        assert_behaves_like_indexed(traded.pool(), n as u64);
     }
 
     #[test]

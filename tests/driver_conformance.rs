@@ -380,8 +380,8 @@ fn edge_digest_by_sort(g: &Graph) -> u64 {
 /// `sorted_edges` and `edge_digest` walk the sorted neighbour lists
 /// instead of sorting the pool; on every kind of graph they equal the
 /// collect-and-sort they replace — including graphs whose pool order is
-/// far from key order (a switch run's swap-removes) and graphs built
-/// from adjacency.
+/// far from key order (a switch run's swap-removes) and a Curveball
+/// output, built in ascending key order.
 #[test]
 fn ascending_walk_equals_the_sort_it_replaces() {
     let mut rng = root_rng(3);
@@ -399,7 +399,6 @@ fn ascending_walk_equals_the_sort_it_replaces() {
         .switches(300)
         .seed(5)
         .execute(&pa);
-    let adjacency = Graph::from_adjacency(switched.graph().clone().into_adjacency()).unwrap();
     let graphs = [
         &er,
         &pa,
@@ -410,7 +409,6 @@ fn ascending_walk_equals_the_sort_it_replaces() {
         switched.graph(),
         switched_p.graph(),
         traded.graph(),
-        &adjacency,
     ];
     for (i, g) in graphs.into_iter().enumerate() {
         assert_eq!(g.sorted_edges(), sorted_edges_by_sort(g), "graph {i}");
@@ -422,7 +420,7 @@ fn ascending_walk_equals_the_sort_it_replaces() {
     }
 }
 
-/// The bytes of a snapshot, pinned as format 3 writes them: a
+/// The bytes of a snapshot, pinned as format 4 writes them: a
 /// sequential engine and a simulated p = 2 world, each `advance`d part
 /// way on a fixed instance. Checkpoints on disk (and with them a service
 /// job's resume) stay readable only while the format and every field in
@@ -432,6 +430,10 @@ fn ascending_walk_equals_the_sort_it_replaces() {
 /// order, the sorted keys of the unvisited ones and every counter, as
 /// commit 0e06a1f (format 2, a sorted key per unvisited edge) computed
 /// it. Format 3 changed how the marks are written, not what is written.
+/// Format 4 dropped the trade visit message kind, so a telemetry row
+/// holds one counter fewer: the world's content digest moved with its
+/// counter arrays (it is format 3's with a zero slot appended to each)
+/// and its bytes shrank by 8 a row; the sequential content did not move.
 #[test]
 fn snapshot_bytes_are_pinned() {
     fn fnv1a(bytes: &[u8]) -> u64 {
@@ -505,8 +507,8 @@ fn snapshot_bytes_are_pinned() {
         })
         .collect();
     let pinned = [
-        (16_361, 0xde7a_47bd_bc42_5877, 0xa140_d5d3_e685_cb93),
-        (17_929, 0x418d_7b04_03f8_0ad8, 0xb30a_74b4_c268_0375),
+        (16_361, 0x7eca_aaa2_d3ac_1366, 0xa140_d5d3_e685_cb93),
+        (17_905, 0x0adb_74a7_6d26_1695, 0x73ee_e657_2a4a_db31),
     ];
     assert_eq!(got, pinned);
 }
@@ -562,19 +564,20 @@ fn protocol_ledger_is_pinned() {
     let pinned = vec![
         (1, 101, 8655, 211, 0, 8655, [0; MsgKind::COUNT], 0),
         (2, 101, 8655, 199, 0, 3531,
-         [4447, 5188, 5150, 38, 17, 5133, 4375, 9508, 4375, 72, 0, 0, 0, 0, 0, 0], 38_303),
+         [4447, 5188, 5150, 38, 17, 5133, 4375, 9508, 4375, 72, 0, 0, 0, 0, 0], 38_303),
         (4, 101, 8655, 223, 0, 1561,
-         [6580, 8091, 8025, 66, 29, 7996, 6457, 14453, 6457, 123, 0, 0, 0, 0, 0, 0], 58_277),
+         [6580, 8091, 8025, 66, 29, 7996, 6457, 14453, 6457, 123, 0, 0, 0, 0, 0], 58_277),
     ];
     assert_eq!(got, pinned);
 }
 
 /// The Curveball protocol's exact ledger on one fixed instance, pinned at
-/// p ∈ {1, 2, 4} as commit ff35cc4 computed them: passes, trades,
-/// neighbours moved, the edge digest, the three trade message kinds and
-/// packets — and, under the DES, the virtual time of every pass
-/// (boundary + drain) and its packet total. A change to how trade traffic
-/// is routed, counted or charged fails here.
+/// p ∈ {1, 2, 4}: passes, trades, neighbours moved, the edge digest and
+/// the two trade message kinds as commit ff35cc4 computed them; packets
+/// and, under the DES, the virtual time of every pass (boundary + drain)
+/// and its packet total as they stand since visit marks ride the tokens
+/// (no visit report is sent). A change to how trade traffic is routed,
+/// counted or charged fails here.
 #[test]
 fn curveball_ledger_is_pinned() {
     let g = preferential_attachment(2_000, 5, &mut root_rng(3));
@@ -595,11 +598,7 @@ fn curveball_ledger_is_pinned() {
                 out.performed(),
                 out.telemetry.iter().map(|s| s.neighbors_moved).sum::<u64>(),
                 out.graph.edge_digest(),
-                [
-                    msgs.get(MsgKind::TradeLoad),
-                    msgs.get(MsgKind::TradeHome),
-                    msgs.get(MsgKind::TradeVisit),
-                ],
+                [msgs.get(MsgKind::TradeLoad), msgs.get(MsgKind::TradeHome)],
                 out.packet_total(),
                 report
                     .step_ns
@@ -611,17 +610,17 @@ fn curveball_ledger_is_pinned() {
         })
         .collect();
     // (p, passes, trades, neighbours moved, digest, [TradeLoad,
-    // TradeHome, TradeVisit], packets, DES ns per pass, DES packets):
+    // TradeHome], packets, DES ns per pass, DES packets):
     // every driver at every p makes the sequential engine's trades, so
     // only the traffic columns move with p.
     #[rustfmt::skip]
     let pinned = vec![
-        (1, 5, 5000, 98_656, 0x4780_10a9_1a04_5819, [0, 0, 0], 0,
-         vec![1_924_852, 1_928_152, 1_925_752, 1_922_752, 1_926_352], 0),
-        (2, 5, 5000, 98_656, 0x4780_10a9_1a04_5819, [26_689, 3_988, 4_920], 35_597,
-         vec![2_054_204, 2_051_204, 2_048_654, 2_048_254, 2_043_004], 35_597),
-        (4, 5, 5000, 98_656, 0x4780_10a9_1a04_5819, [44_777, 9_423, 13_426], 67_626,
-         vec![1_858_958, 1_861_658, 1_880_258, 1_843_258, 1_843_758], 67_626),
+        (1, 5, 5000, 98_656, 0x4780_10a9_1a04_5819, [0, 0], 0,
+         vec![1_774_852, 1_778_152, 1_775_752, 1_772_752, 1_776_352], 0),
+        (2, 5, 5000, 98_656, 0x4780_10a9_1a04_5819, [26_689, 3_988], 30_677,
+         vec![1_781_504, 1_778_504, 1_775_654, 1_776_204, 1_771_504], 30_677),
+        (4, 5, 5000, 98_656, 0x4780_10a9_1a04_5819, [44_777, 9_423], 54_200,
+         vec![1_484_408, 1_489_508, 1_504_808, 1_472_108, 1_471_708], 54_200),
     ];
     assert_eq!(got, pinned);
 }

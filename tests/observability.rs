@@ -217,7 +217,7 @@ fn curveball_observed_run_is_probe_identical_and_covers_trade_phase() {
     let report = observed.report.as_ref().expect("observed run");
     assert!(report.ranks == 4 && report.wall_ns > 0);
     // The parallel driver spans the shuffle itself; reassignment is
-    // carried by TradeHome inserts, which have no span of their own.
+    // carried by TradeHome messages, which have no span of their own.
     assert!(
         report.phase(Phase::TradeShuffle).hist.count > 0,
         "no trade shuffle was ever recorded"
