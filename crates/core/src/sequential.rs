@@ -13,12 +13,14 @@
 //! once, in bulk ([`Graph::from_pool`]). Visit tracking rides the pool
 //! too: its index marks the initial edges not yet removed
 //! ([`EdgePool::track_visits`]), so the first removal of one is counted
-//! by the probe that removes it.
+//! by the probe that removes it. Every access of the loop is a random
+//! one, so a `Scout` replays its draws [`LOOKAHEAD`] attempts early and
+//! prefetches the slots and index entries each attempt will touch.
 
 use crate::obs::{Obs, ObsSpec, Phase, ProgressEvent, RunReport, SoloObs, StepProgress};
 use crate::parallel::wire::encode_seq;
 use crate::run::{RunOutcome, SequentialRun, Stepped};
-use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
+use crate::switch::{flip_kind, recombine, Recombination, RejectReason, SwitchKind};
 use crate::visit::{check_marks, marked, visit_rate, Visits};
 use edgeswitch_dist::Rng;
 use edgeswitch_dist::{root_rng, BlockRng64};
@@ -92,25 +94,126 @@ enum ChunkOutcome {
     Starved,
 }
 
+/// How many attempts ahead of the switch loop its `Scout` draws: an
+/// attempt's two pool slots are prefetched `LOOKAHEAD` attempts early,
+/// its four index entries `LOOKAHEAD / 2` early.
+pub const LOOKAHEAD: usize = 16;
+
+/// One attempt's draws: the two pool slots and the straight/cross coin.
+#[derive(Clone, Copy, Debug)]
+struct Draw {
+    i: usize,
+    j: usize,
+    kind: SwitchKind,
+}
+
+impl Draw {
+    /// The draws the switch loop makes for one attempt on a pool of `m`
+    /// edges, in its order: `sample`, `sample`, `flip_kind`.
+    #[inline]
+    fn next(rng: &mut BlockRng64, m: usize) -> Draw {
+        Draw {
+            i: rng.gen_range(0..m),
+            j: rng.gen_range(0..m),
+            kind: flip_kind(rng),
+        }
+    }
+
+    /// Prefetch the index entries the attempt will probe or update: its
+    /// two edges' and, if they recombine, the two candidates'. Reads the
+    /// two slots, which the attempts before it may still change: a stale
+    /// key costs one wasted prefetch.
+    #[inline]
+    fn prefetch_entries(self, pool: &EdgePool) {
+        let a = pool.get(self.i).expect("a draw is below m");
+        let b = pool.get(self.j).expect("a draw is below m");
+        pool.prefetch_edge(a);
+        pool.prefetch_edge(b);
+        let (a, b) = (OrientedEdge::from_edge(a), OrientedEdge::from_edge(b));
+        if let Recombination::Candidate { f1, f2 } = recombine(a, b, self.kind) {
+            pool.prefetch_edge(f1);
+            pool.prefetch_edge(f2);
+        }
+    }
+}
+
+/// The lookahead of [`run_ops_chunk`]: a clone of the chunk's RNG that
+/// makes the switch loop's draws [`LOOKAHEAD`] attempts before the loop
+/// does. Every attempt draws exactly three words (two slots, one coin)
+/// and a switch keeps the edge count `m`, so the clone knows which
+/// slots each coming attempt reads while the current one waits on
+/// memory. The loop's own RNG stays the only one of record: the scout
+/// only prefetches, so pool order, digests, snapshots and stream
+/// positions are those of a loop without it.
+struct Scout {
+    rng: BlockRng64,
+    m: usize,
+    /// The draws of attempts `at .. at + LOOKAHEAD`, attempt `a` at
+    /// `a % LOOKAHEAD`.
+    ahead: [Draw; LOOKAHEAD],
+    at: usize,
+}
+
+impl Scout {
+    /// A scout for a loop about to draw from `rng` on `pool`, with the
+    /// first attempts' slots, and the first half's entries, prefetched.
+    fn new(pool: &EdgePool, rng: &BlockRng64) -> Scout {
+        let mut rng = rng.clone();
+        let m = pool.len();
+        let ahead: [Draw; LOOKAHEAD] = std::array::from_fn(|_| Draw::next(&mut rng, m));
+        for draw in &ahead {
+            pool.prefetch_slot(draw.i);
+            pool.prefetch_slot(draw.j);
+        }
+        for draw in &ahead[..LOOKAHEAD / 2] {
+            draw.prefetch_entries(pool);
+        }
+        Scout {
+            rng,
+            m,
+            ahead,
+            at: 0,
+        }
+    }
+
+    /// Step over the current attempt: draw attempt `at + LOOKAHEAD` and
+    /// prefetch its slots, and prefetch the entries of attempt
+    /// `at + LOOKAHEAD / 2`.
+    #[inline]
+    fn advance(&mut self, pool: &EdgePool) {
+        debug_assert_eq!(pool.len(), self.m, "a switch keeps the edge count");
+        let far = Draw::next(&mut self.rng, self.m);
+        pool.prefetch_slot(far.i);
+        pool.prefetch_slot(far.j);
+        self.ahead[self.at % LOOKAHEAD] = far;
+        self.ahead[(self.at + LOOKAHEAD / 2) % LOOKAHEAD].prefetch_entries(pool);
+        self.at += 1;
+    }
+}
+
 /// Run up to `ops` switch operations — the body of Algorithm 1, with all
 /// accumulating state passed in by the caller. A visit is counted by the
-/// pool itself, when `remove` takes an initial edge's mark.
+/// pool itself, when `remove` takes an initial edge's mark. A [`Scout`]
+/// prefetches what each attempt will touch; its work is timed as part of
+/// the attempt's sampling.
 ///
 /// Chunk boundaries consume no randomness and touch no state beyond the
 /// arguments, so splitting a budget across calls is bit-identical to one
 /// uninterrupted call.
-fn run_ops_chunk<R: Rng + ?Sized>(
+fn run_ops_chunk(
     pool: &mut EdgePool,
     ops: u64,
-    rng: &mut R,
+    rng: &mut BlockRng64,
     rejects: &mut RejectCounts,
     performed: &mut u64,
     obs: &mut Obs,
 ) -> ChunkOutcome {
+    let mut scout = Scout::new(pool, rng);
     'ops: for _ in 0..ops {
         let mut retries = 0u64;
         loop {
             let sample_start = obs.stamp(Phase::Sample);
+            scout.advance(pool);
             let e1 = OrientedEdge::from_edge(pool.sample(rng).expect("m >= 2"));
             let e2 = OrientedEdge::from_edge(pool.sample(rng).expect("m >= 2"));
             let kind = flip_kind(rng);

@@ -1,11 +1,16 @@
-//! In-repo Fx-style hashing for the hot-path maps.
+//! In-repo Fx-style hashing for the maps and sets keyed on small
+//! integers.
 //!
-//! `std::collections::HashMap` defaults to SipHash-1-3, whose per-lookup
-//! cost dominates the switch inner loop (one existence probe plus up to
-//! four index updates per operation). The keys we hash are small integers
-//! — packed edges ([`crate::types::Edge::key`]) and vertex labels — for
-//! which a multiply-rotate-xor hash (the "Fx" scheme popularized by the
-//! Firefox and rustc codebases) is both faster and diffuse enough.
+//! `std::collections::HashMap` defaults to SipHash-1-3, a poor fit for
+//! the keys we hash: small integers — packed edges
+//! ([`crate::types::Edge::key`]), conversation ids and vertex labels —
+//! for which a multiply-rotate-xor hash (the "Fx" scheme popularized by
+//! the Firefox and rustc codebases) is both faster and diffuse enough.
+//! The parallel rank state's reservation sets and conversation maps,
+//! the Curveball ranks' trade slots and the visit tracker use it. The
+//! edge pool's position index does not: it is its own open-addressing
+//! table (see [`crate::sampling`]), whose entries a switch loop can
+//! prefetch.
 //!
 //! Implemented in-repo because the build environment has no crates.io
 //! access; the algorithm is a dozen lines and needs no external crate.

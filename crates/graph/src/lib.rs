@@ -19,6 +19,7 @@
 //! - edge-list I/O ([`io`]).
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod adjacency;
 pub mod degree;
@@ -26,6 +27,7 @@ pub mod generators;
 pub mod graph;
 pub mod hashing;
 pub mod io;
+mod memhint;
 pub mod metrics;
 pub mod partition;
 pub mod sampling;

@@ -20,18 +20,32 @@
 //! of emptied blocks absorbs remove/insert churn at a block boundary
 //! without round-tripping the allocator.
 //!
-//! The position index is keyed on the packed-`u64` edge key
-//! ([`Edge::key`]) and hashed with the in-repo [`crate::hashing`]
-//! multiply-rotate-xor hasher: one register-wide key, one multiply per
-//! probe, versus SipHash over a 16-byte struct with the default hasher.
-//! Every switch operation performs at least one existence probe and four
-//! index updates, so this map is the hottest structure in the system.
+//! The position index maps each packed-`u64` edge key ([`Edge::key`])
+//! to its dense slot. It is an in-repo open-addressing table
+//! (`PosIndex`): one allocation of 8-byte entries, eight to a cache
+//! line, each packing a key's 31-bit fingerprint (the top bits of its
+//! hash) with its slot. The key itself is not stored twice: a
+//! fingerprint match is confirmed against the dense array, the word a
+//! switch loop has just sampled or is about to overwrite. So the table
+//! takes twice the buckets of the `std` map it replaces for the same
+//! capacity, in 16 bytes a bucket of that map against its 17, and is at
+//! most 7/16 full; lookups use Robin Hood probing, removals
+//! backward-shift deletion. Every switch operation makes two existence
+//! probes and four index updates, so this table is the hottest
+//! structure in the system, and at 10⁶ edges each probe is a cache
+//! miss. What the table buys over the `std` map is an address known
+//! before the probe: the entry a lookup starts at is one multiply away
+//! from the key, so a caller that knows its next keys early —
+//! Algorithm 1's loop draws them ahead (`edgeswitch_core::sequential`)
+//! — prefetches them ([`EdgePool::prefetch_edge`],
+//! [`EdgePool::prefetch_slot`]) and the probes find their lines in
+//! cache. A large table is advised onto transparent huge pages before
+//! its first write, so those random probes also miss the TLB less.
 //!
-//! The index value is a [`Slot`]: the edge's dense position and its
-//! visit mark (Section 3.1). [`EdgePool::track_visits`] marks every
-//! edge present as an unvisited initial edge; the first
-//! [`EdgePool::remove`] of a marked edge takes the mark with the entry
-//! it already probes, and an inserted edge comes in unmarked, so a
+//! Besides the slot, an entry holds the edge's visit mark (Section
+//! 3.1). [`EdgePool::track_visits`] marks every edge present as an
+//! unvisited initial edge; the first [`EdgePool::remove`] of a marked
+//! edge takes the mark with the entry it already probes, and an inserted edge comes in unmarked, so a
 //! switch engine reads its visited count off the pool
 //! ([`EdgePool::unvisited`]) with no second table and no extra probe.
 //! The mark lives in the index entry, keyed by edge, not in the dense
@@ -51,7 +65,7 @@
 //! digested or written out never pays for the index. An unindexed pool
 //! holds no visit marks: marks live in the index.
 
-use crate::hashing::{map_with_capacity, FxHashMap};
+use crate::memhint::{advise_huge_pages, prefetch};
 use crate::types::{Edge, VertexId, MAX_POOL_EDGES};
 use edgeswitch_dist::Rng;
 use std::sync::OnceLock;
@@ -235,12 +249,310 @@ fn next_slot(len: usize) -> u32 {
 
 /// What the position index holds per edge: its dense position, and
 /// whether it is an initial edge not yet removed since
-/// [`EdgePool::track_visits`]. Eight bytes, so an index bucket stays
-/// sixteen.
-#[derive(Clone, Copy, Debug)]
+/// [`EdgePool::track_visits`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Slot {
     idx: u32,
     unvisited: bool,
+}
+
+/// One entry of the position index, packed in a `u64`: bits 63..33 are
+/// the key's fingerprint (the top 31 bits of its hash), bit 32 its
+/// visit mark and bits 31..0 its dense slot. The key itself is not
+/// stored: it is the dense array's word at that slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Entry(u64);
+
+impl Entry {
+    /// A free entry. No stored entry equals it: its slot bits read
+    /// `u32::MAX`, which is never a dense position (see `next_slot`).
+    const FREE: Entry = Entry(u64::MAX);
+
+    #[inline]
+    fn new(fp: u32, slot: Slot) -> Entry {
+        Entry(u64::from(fp) << 33 | u64::from(slot.unvisited) << 32 | u64::from(slot.idx))
+    }
+
+    #[inline]
+    fn fp(self) -> u32 {
+        (self.0 >> 33) as u32
+    }
+
+    #[inline]
+    fn slot(self) -> Slot {
+        Slot {
+            idx: self.0 as u32,
+            unvisited: self.0 >> 32 & 1 == 1,
+        }
+    }
+}
+
+/// Fibonacci hashing's multiplier, `2^64 / φ`: every bit of a key
+/// reaches the top bits of `key * K`.
+const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A key's fingerprint: the top 31 bits of `key * K`. Its top
+/// `log2(entries)` bits are the key's home, so an entry's home is known
+/// from the entry alone.
+#[inline]
+fn fingerprint(key: u64) -> u32 {
+    (key.wrapping_mul(K) >> 33) as u32
+}
+
+/// Most entries an index can have: a home is a prefix of a 31-bit
+/// fingerprint.
+const MAX_ENTRIES: usize = 1 << 31;
+
+/// The position index: packed edge key → [`Slot`], open addressing
+/// over one power-of-two array of 8-byte [`Entry`]s with Robin Hood
+/// probing.
+///
+/// Sizing: twice the buckets `std`'s `HashMap` would take for the same
+/// capacity (a power of two at or above 8/7 of it) at half the bytes
+/// each, so the table costs 16 bytes per bucket of that map against
+/// its 17, and is never more than 7/16 full.
+///
+/// Each key sits at its home or after it, and along any run of occupied
+/// entries the distance from home never drops by more than one from one
+/// entry to the next (the Robin Hood invariant: an insert displaces a
+/// resident nearer its home than the newcomer is to its own). A lookup
+/// walks from the home and stops at the key, a free entry, or a
+/// resident nearer its home than the key would be; an entry whose
+/// fingerprint matches is confirmed against the dense array, the one
+/// place keys are stored. A removal shifts the run after it back by one
+/// (backward-shift deletion), leaving no tombstones.
+#[derive(Debug)]
+struct PosIndex {
+    entries: Box<[Entry]>,
+    len: usize,
+    /// `31 - log2(entries.len())`: the home of fingerprint `fp` is
+    /// `fp >> shift`.
+    shift: u32,
+}
+
+impl PosIndex {
+    /// An empty index holding up to `cap` keys without growing.
+    fn with_capacity(cap: usize) -> Self {
+        Self::with_entries(2 * map_buckets(cap))
+    }
+
+    fn with_entries(n: usize) -> Self {
+        assert!(
+            n <= MAX_ENTRIES,
+            "an index of {n} entries outgrows its fingerprints"
+        );
+        debug_assert!(n.is_power_of_two() && n >= 8);
+        PosIndex {
+            entries: fresh(n, |entries| entries.resize(n, Entry::FREE)),
+            len: 0,
+            shift: 31 - n.trailing_zeros(),
+        }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Keys the index holds before it grows: what `std`'s map holds in
+    /// half as many buckets, 7/16 of the entries (3 of 8 at the least).
+    fn capacity(&self) -> usize {
+        let buckets = self.entries.len() / 2;
+        if buckets < 8 {
+            buckets - 1
+        } else {
+            buckets / 8 * 7
+        }
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.entries.len() - 1
+    }
+
+    #[inline]
+    fn home(&self, fp: u32) -> usize {
+        (fp >> self.shift) as usize
+    }
+
+    /// How far past its home the entry of fingerprint `fp` at `at` sits.
+    #[inline]
+    fn displacement(&self, fp: u32, at: usize) -> usize {
+        at.wrapping_sub(self.home(fp)) & self.mask()
+    }
+
+    /// Where `key` is stored, if it is. `edges` is the dense array the
+    /// entries' slots point into.
+    #[inline]
+    fn find(&self, key: u64, edges: &EdgeBlocks) -> Option<usize> {
+        let fp = fingerprint(key);
+        let mut at = self.home(fp);
+        for dist in 0.. {
+            let entry = self.entries[at];
+            if entry == Entry::FREE {
+                return None;
+            }
+            if entry.fp() == fp && edges.get(entry.slot().idx as usize) == key {
+                return Some(at);
+            }
+            if self.displacement(entry.fp(), at) < dist {
+                return None;
+            }
+            at = (at + 1) & self.mask();
+        }
+        unreachable!("a probe ends at a free entry")
+    }
+
+    #[inline]
+    fn slot(&self, at: usize) -> Slot {
+        self.entries[at].slot()
+    }
+
+    #[inline]
+    fn set_slot(&mut self, at: usize, slot: Slot) {
+        self.entries[at] = Entry::new(self.entries[at].fp(), slot);
+    }
+
+    /// Insert `key` → `slot`; `false` (index unchanged) if `key` is
+    /// present.
+    #[inline]
+    fn insert(&mut self, key: u64, slot: Slot, edges: &EdgeBlocks) -> bool {
+        if self.find(key, edges).is_some() {
+            return false;
+        }
+        self.add(Entry::new(fingerprint(key), slot));
+        true
+    }
+
+    /// Store `entry`, whose key is absent, growing first if the index
+    /// is full.
+    #[inline]
+    fn add(&mut self, entry: Entry) {
+        if self.len == self.capacity() {
+            self.grow();
+        }
+        self.place(entry);
+        self.len += 1;
+    }
+
+    /// Put `entry` in its place: Robin Hood from its home.
+    fn place(&mut self, mut entry: Entry) {
+        let mut at = self.home(entry.fp());
+        let mut dist = 0;
+        loop {
+            let resident = self.entries[at];
+            if resident == Entry::FREE {
+                self.entries[at] = entry;
+                return;
+            }
+            let theirs = self.displacement(resident.fp(), at);
+            if theirs < dist {
+                // The resident is nearer home: it yields the entry and
+                // is carried on.
+                self.entries[at] = entry;
+                entry = resident;
+                dist = theirs;
+            }
+            at = (at + 1) & self.mask();
+            dist += 1;
+        }
+    }
+
+    /// Free the entry at `at`, pulling the run after it one entry
+    /// nearer home, up to a free entry or one already at its home.
+    fn remove_at(&mut self, mut hole: usize) {
+        loop {
+            let next = (hole + 1) & self.mask();
+            let moved = self.entries[next];
+            if moved == Entry::FREE || self.displacement(moved.fp(), next) == 0 {
+                break;
+            }
+            self.entries[hole] = moved;
+            hole = next;
+        }
+        self.entries[hole] = Entry::FREE;
+        self.len -= 1;
+    }
+
+    /// Double the entries, re-placing every one: an entry's fingerprint
+    /// holds its home at any size.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let old = std::mem::replace(self, PosIndex::with_entries(2 * self.entries.len()));
+        self.len = old.len;
+        for &entry in old.entries.iter().filter(|&&e| e != Entry::FREE) {
+            self.place(entry);
+        }
+    }
+
+    /// Every stored slot, in table order.
+    fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
+        self.entries
+            .iter()
+            .filter(|&&e| e != Entry::FREE)
+            .map(|e| e.slot())
+    }
+
+    /// Set every stored entry's visit mark.
+    fn mark_all(&mut self) {
+        for entry in self.entries.iter_mut().filter(|e| **e != Entry::FREE) {
+            entry.0 |= 1 << 32;
+        }
+    }
+
+    /// Start loading the entry a lookup of `key` begins at.
+    #[inline]
+    fn prefetch(&self, key: u64) {
+        let at = self.home(fingerprint(key));
+        prefetch(self.entries.as_ptr().wrapping_add(at));
+    }
+
+    /// Whether a lookup from its home reaches every stored key, `len`
+    /// counts them and the table is within its load limit.
+    fn check_probes(&self, edges: &EdgeBlocks) -> bool {
+        let reachable = self.entries.iter().enumerate().all(|(at, &entry)| {
+            entry == Entry::FREE
+                || (entry.slot().idx as usize) < edges.len()
+                    && self.find(edges.get(entry.slot().idx as usize), edges) == Some(at)
+        });
+        reachable && self.len == self.slots().count() && self.len <= self.capacity()
+    }
+}
+
+/// Cloned onto huge pages too: the copy is advised before its first
+/// write, like a fresh index.
+impl Clone for PosIndex {
+    fn clone(&self) -> Self {
+        PosIndex {
+            entries: fresh(self.entries.len(), |entries| {
+                entries.extend_from_slice(&self.entries)
+            }),
+            len: self.len,
+            shift: self.shift,
+        }
+    }
+}
+
+/// The buckets `std`'s `HashMap` takes for `cap` keys: the smallest
+/// power of two of which 7/8 is at least `cap`, 4 or 8 below eight
+/// keys.
+fn map_buckets(cap: usize) -> usize {
+    match cap {
+        0..4 => 4,
+        4..8 => 8,
+        _ => (cap.checked_mul(8).expect("index capacity overflows") / 7).next_power_of_two(),
+    }
+}
+
+/// A fresh boxed array of `n` entries: allocated, advised onto huge
+/// pages, then filled by `fill`.
+fn fresh(n: usize, fill: impl FnOnce(&mut Vec<Entry>)) -> Box<[Entry]> {
+    let mut entries = Vec::with_capacity(n);
+    advise_huge_pages(entries.as_ptr(), n * std::mem::size_of::<Entry>());
+    fill(&mut entries);
+    debug_assert_eq!(entries.len(), n);
+    entries.into_boxed_slice()
 }
 
 /// A dynamic multiset-free edge pool supporting uniform sampling.
@@ -249,7 +561,7 @@ pub struct EdgePool {
     edges: EdgeBlocks,
     /// The position index, built with the pool or on first use (see
     /// the module docs); `OnceLock` so a lent `&EdgePool` can build it.
-    pos: OnceLock<FxHashMap<u64, Slot>>,
+    pos: OnceLock<PosIndex>,
     /// Entries of `pos` whose `unvisited` mark is set.
     unvisited: usize,
 }
@@ -266,7 +578,7 @@ impl EdgePool {
     pub fn with_capacity(cap: usize) -> Self {
         EdgePool {
             edges: EdgeBlocks::with_capacity(cap),
-            pos: OnceLock::from(map_with_capacity(cap)),
+            pos: OnceLock::from(PosIndex::with_capacity(cap)),
             unvisited: 0,
         }
     }
@@ -308,7 +620,8 @@ impl EdgePool {
     pub fn contains(&self, e: Edge) -> bool {
         self.pos
             .get_or_init(|| index_of(&self.edges))
-            .contains_key(&e.key())
+            .find(e.key(), &self.edges)
+            .is_some()
     }
 
     /// Insert `e`, unmarked (an inserted edge is never an unvisited
@@ -316,39 +629,47 @@ impl EdgePool {
     /// the edge is already present.
     ///
     /// # Panics
-    /// Panics if the pool already holds [`MAX_POOL_EDGES`] edges.
+    /// Panics if the pool already holds [`MAX_POOL_EDGES`] edges, or if
+    /// its index would grow past 2³¹ entries (at about 9.4·10⁸ edges:
+    /// an entry's home is a prefix of its 31-bit fingerprint).
     pub fn insert(&mut self, e: Edge) -> bool {
         let idx = next_slot(self.edges.len());
         let key = e.key();
-        match index_mut(&mut self.pos, &self.edges).entry(key) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(Slot {
-                    idx,
-                    unvisited: false,
-                });
-                self.edges.push(key);
-                true
-            }
+        let slot = Slot {
+            idx,
+            unvisited: false,
+        };
+        let fresh = index_mut(&mut self.pos, &self.edges).insert(key, slot, &self.edges);
+        if fresh {
+            self.edges.push(key);
         }
+        fresh
     }
 
     /// Remove `e`; returns `false` (pool unchanged) if it was not present.
     /// Removing a marked edge visits it: its mark goes with its entry.
     pub fn remove(&mut self, e: Edge) -> bool {
         let pos = index_mut(&mut self.pos, &self.edges);
-        let Some(Slot { idx, unvisited }) = pos.remove(&e.key()) else {
+        let Some(at) = pos.find(e.key(), &self.edges) else {
             return false;
         };
+        let Slot { idx, unvisited } = pos.slot(at);
+        pos.remove_at(at);
         self.unvisited -= usize::from(unvisited);
-        let i = idx as usize;
-        let last = self.edges.pop().expect("an indexed edge is stored");
-        if i < self.edges.len() {
-            // Swap-remove: the formerly-last edge moves into `i`, and
-            // keeps its mark.
-            self.edges.set(i, last);
-            pos.get_mut(&last).expect("the last edge is indexed").idx = idx;
+        let tail = self.edges.len() - 1;
+        if idx as usize != tail {
+            // Swap-remove: the last edge moves into `idx`, and keeps its
+            // mark. Its entry is found while the dense array still holds
+            // it at `tail`.
+            let last = self.edges.get(tail);
+            let moved = pos
+                .find(last, &self.edges)
+                .expect("the last edge is indexed");
+            let unvisited = pos.slot(moved).unvisited;
+            pos.set_slot(moved, Slot { idx, unvisited });
+            self.edges.set(idx as usize, last);
         }
+        self.edges.pop();
         true
     }
 
@@ -356,20 +677,26 @@ impl EdgePool {
     /// of the index, the start of a switch run's visit tracking.
     pub fn track_visits(&mut self) {
         let pos = index_mut(&mut self.pos, &self.edges);
-        for slot in pos.values_mut() {
-            slot.unvisited = true;
-        }
+        pos.mark_all();
         self.unvisited = pos.len();
     }
 
     /// Mark the edge of packed key `key` unvisited (rebuilding a
     /// snapshot's tracking); returns `false` if no such edge is present.
     pub fn mark_unvisited(&mut self, key: u64) -> bool {
-        let Some(slot) = index_mut(&mut self.pos, &self.edges).get_mut(&key) else {
+        let pos = index_mut(&mut self.pos, &self.edges);
+        let Some(at) = pos.find(key, &self.edges) else {
             return false;
         };
+        let slot = pos.slot(at);
         self.unvisited += usize::from(!slot.unvisited);
-        slot.unvisited = true;
+        pos.set_slot(
+            at,
+            Slot {
+                unvisited: true,
+                ..slot
+            },
+        );
         true
     }
 
@@ -388,7 +715,7 @@ impl EdgePool {
     pub fn unvisited_bitmap(&self) -> Vec<u64> {
         let mut bits = vec![0u64; self.len().div_ceil(64)];
         if let Some(pos) = self.pos.get().filter(|_| self.unvisited > 0) {
-            for slot in pos.values().filter(|slot| slot.unvisited) {
+            for slot in pos.slots().filter(|slot| slot.unvisited) {
                 bits[slot.idx as usize / 64] |= 1 << (slot.idx % 64);
             }
         }
@@ -418,8 +745,29 @@ impl EdgePool {
         (i < self.edges.len()).then(|| Edge::from_key(self.edges.get(i)))
     }
 
+    /// Start loading dense slot `i` into cache, ahead of a `get(i)` or
+    /// a `sample` that draws it. A hint: the pool is unchanged.
+    #[inline]
+    pub fn prefetch_slot(&self, i: usize) {
+        debug_assert!(i < self.len(), "prefetch of slot {i} of {}", self.len());
+        if let Some(block) = self.edges.blocks.get(i >> BLOCK_SHIFT) {
+            prefetch(block.as_ptr().wrapping_add(i & BLOCK_MASK));
+        }
+    }
+
+    /// Start loading the index entry a probe, insert or removal of `e`
+    /// begins at. A hint: the pool is unchanged, and an unindexed pool
+    /// is not indexed by it.
+    #[inline]
+    pub fn prefetch_edge(&self, e: Edge) {
+        if let Some(pos) = self.pos.get() {
+            pos.prefetch(e.key());
+        }
+    }
+
     /// Internal consistency check: the block structure is well-formed
-    /// and, once the index is built, it matches the dense array exactly.
+    /// and, once the index is built, it matches the dense array exactly
+    /// and a lookup from its home reaches every entry.
     /// Never builds the index: an unindexed pool must hold no marks,
     /// and its edges' distinctness is its builder's contract (checked
     /// against adjacency by [`crate::graph::Graph::check_invariants`]).
@@ -431,13 +779,14 @@ impl EdgePool {
         let Some(pos) = self.pos.get() else {
             return self.unvisited == 0;
         };
-        pos.len() == self.edges.len()
-            && self
-                .edges
-                .iter()
-                .enumerate()
-                .all(|(i, key)| pos.get(&key).map(|s| s.idx as usize) == Some(i))
-            && self.unvisited == pos.values().filter(|s| s.unvisited).count()
+        pos.check_probes(&self.edges)
+            && pos.len() == self.edges.len()
+            && self.edges.iter().enumerate().all(|(i, key)| {
+                pos.find(key, &self.edges)
+                    .map(|at| pos.slot(at).idx as usize)
+                    == Some(i)
+            })
+            && self.unvisited == pos.slots().filter(|s| s.unvisited).count()
     }
 }
 
@@ -445,10 +794,7 @@ impl EdgePool {
 /// on a cold path the first time. A free function over the two fields
 /// so the caller keeps `edges` for the mutation itself.
 #[inline]
-fn index_mut<'a>(
-    pos: &'a mut OnceLock<FxHashMap<u64, Slot>>,
-    edges: &EdgeBlocks,
-) -> &'a mut FxHashMap<u64, Slot> {
+fn index_mut<'a>(pos: &'a mut OnceLock<PosIndex>, edges: &EdgeBlocks) -> &'a mut PosIndex {
     if pos.get().is_none() {
         build_index(pos, edges);
     }
@@ -457,21 +803,20 @@ fn index_mut<'a>(
 
 #[cold]
 #[inline(never)]
-fn build_index(pos: &mut OnceLock<FxHashMap<u64, Slot>>, edges: &EdgeBlocks) {
+fn build_index(pos: &mut OnceLock<PosIndex>, edges: &EdgeBlocks) {
     let _ = pos.set(index_of(edges));
 }
 
-/// The position index of `edges`, every edge unmarked.
-fn index_of(edges: &EdgeBlocks) -> FxHashMap<u64, Slot> {
-    let mut pos = map_with_capacity(edges.len());
+/// The position index of `edges`, which are distinct, every edge
+/// unmarked.
+fn index_of(edges: &EdgeBlocks) -> PosIndex {
+    let mut pos = PosIndex::with_capacity(edges.len());
     for (i, key) in edges.iter().enumerate() {
-        pos.insert(
-            key,
-            Slot {
-                idx: i as u32,
-                unvisited: false,
-            },
-        );
+        let slot = Slot {
+            idx: i as u32,
+            unvisited: false,
+        };
+        pos.add(Entry::new(fingerprint(key), slot));
     }
     pos
 }
@@ -596,6 +941,220 @@ mod tests {
     fn an_index_bucket_stays_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<Slot>(), 8);
         assert_eq!(std::mem::size_of::<(u64, Slot)>(), 16);
+    }
+
+    /// Edges whose home, in an index of `entries` entries, is one of
+    /// its last `last` entries: inserting them makes runs that wrap past
+    /// the table's end.
+    fn edges_homed_at_the_end(entries: usize, last: usize, count: usize) -> Vec<Edge> {
+        let probe = PosIndex::with_entries(entries);
+        (0..u64::MAX)
+            .map(|i| e(i / 64, i / 64 + 1 + i % 64))
+            .filter(|edge| probe.home(fingerprint(edge.key())) >= entries - last)
+            .take(count)
+            .collect()
+    }
+
+    /// A seeded trace of insert, remove, get, get_mut and contains on
+    /// `pool`, drawing edges from `universe`, checked op by op against a
+    /// model: `std`'s map from key to (dense slot, mark) beside a `Vec`
+    /// of the dense order. `get` reads an edge's slot through the index
+    /// and `get_mut` is the pool's one in-place slot update,
+    /// `mark_unvisited`. Returns how often a removal's backward shift
+    /// carried an entry from the table's first entry back over its end
+    /// to the last.
+    fn trace_against_a_map(pool: &mut EdgePool, universe: &[Edge], ops: usize, seed: u64) -> usize {
+        let mut map: std::collections::HashMap<u64, (u32, bool)> = std::collections::HashMap::new();
+        let mut dense: Vec<u64> = Vec::new();
+        let mut rng = Pcg64::seed_from_u64(seed);
+        let mut shifted_across = 0;
+        let index = |pool: &EdgePool| pool.pos.get().expect("indexed").entries.clone();
+        for step in 0..ops {
+            let edge = universe[rng.gen_range(0..universe.len())];
+            let key = edge.key();
+            match rng.gen_range(0..5u32) {
+                0 | 1 => {
+                    let fresh = !map.contains_key(&key);
+                    if fresh {
+                        map.insert(key, (dense.len() as u32, false));
+                        dense.push(key);
+                    }
+                    assert_eq!(pool.insert(edge), fresh, "step {step}: insert");
+                }
+                2 => {
+                    let before = index(pool);
+                    let want = map.remove(&key);
+                    if let Some((idx, _)) = want {
+                        let last = dense.pop().expect("a present key is stored");
+                        if last != key {
+                            dense[idx as usize] = last;
+                            map.get_mut(&last).expect("stored").0 = idx;
+                        }
+                    }
+                    assert_eq!(pool.remove(edge), want.is_some(), "step {step}: remove");
+                    let after = index(pool);
+                    let end = after.len() - 1;
+                    shifted_across +=
+                        usize::from(before[0] != Entry::FREE && after[end].fp() == before[0].fp());
+                }
+                3 => {
+                    let want = map
+                        .get_mut(&key)
+                        .map(|(_, unvisited)| !std::mem::replace(unvisited, true));
+                    let was = pool.unvisited();
+                    assert_eq!(
+                        pool.mark_unvisited(key),
+                        want.is_some(),
+                        "step {step}: get_mut"
+                    );
+                    let newly = want.unwrap_or(false);
+                    assert_eq!(
+                        pool.unvisited(),
+                        was + usize::from(newly),
+                        "step {step}: marks"
+                    );
+                }
+                _ => assert_eq!(pool.contains(edge), map.contains_key(&key), "step {step}"),
+            }
+            assert_eq!(pool.len(), map.len(), "step {step}: len");
+            assert!(
+                pool.iter().map(|e| e.key()).eq(dense.iter().copied()),
+                "step {step}: order"
+            );
+            let pos = pool.pos.get().expect("indexed");
+            for (&key, &(idx, unvisited)) in &map {
+                let at = pos.find(key, &pool.edges).expect("a stored key is found");
+                assert_eq!(pos.slot(at), Slot { idx, unvisited }, "step {step}: get");
+            }
+            assert!(
+                pool.check_consistent(),
+                "step {step}: a key is out of reach"
+            );
+        }
+        shifted_across
+    }
+
+    #[test]
+    fn the_index_agrees_with_a_hash_map_across_its_end() {
+        // 48 edges homed at the last four of 128 entries: every run
+        // wraps, and no insert grows the table (capacity 56).
+        let crowd = edges_homed_at_the_end(128, 4, 48);
+        let mut pool = EdgePool::with_capacity(48);
+        assert_eq!(pool.pos.get().unwrap().entries.len(), 128);
+        let shifted = trace_against_a_map(&mut pool, &crowd, 5_000, 41);
+        let pos = pool.pos.get().unwrap();
+        assert_eq!(pos.entries.len(), 128, "the crowd fits without growing");
+        assert!(shifted > 0, "no removal shifted an entry back over the end");
+        let wrapped = pos
+            .entries
+            .iter()
+            .enumerate()
+            .any(|(at, &entry)| entry != Entry::FREE && at < pos.home(entry.fp()));
+        assert!(wrapped, "the trace ends with no run wrapped");
+    }
+
+    #[test]
+    fn the_index_agrees_with_a_hash_map_while_it_grows() {
+        // Edges from everywhere, starting eight entries small: the trace
+        // grows the table several times, then churns at the larger size.
+        let universe: Vec<Edge> = (0..600u64).map(|i| e(i % 37, 40 + i)).collect();
+        let mut pool = EdgePool::with_capacity(0);
+        assert_eq!(pool.pos.get().unwrap().entries.len(), 8);
+        trace_against_a_map(&mut pool, &universe, 6_000, 42);
+        assert!(
+            pool.pos.get().unwrap().entries.len() >= 512,
+            "the trace must have grown the table"
+        );
+    }
+
+    #[test]
+    fn the_index_is_no_larger_than_the_std_map_it_replaced() {
+        // `std`'s map holds 7/8 of a power-of-two bucket count, each
+        // bucket a 16-byte `(u64, Slot)` plus one control byte. The index
+        // holds as many keys before it grows, in no more bytes, whether
+        // pre-sized or grown by inserts.
+        for m in [1_000usize, 100_000, 1_000_000] {
+            let map = crate::hashing::map_with_capacity::<u64, Slot>(m);
+            let map_bytes = map.capacity() / 7 * 8 * 17;
+            let presized = PosIndex::with_capacity(m);
+            assert_eq!(presized.capacity(), map.capacity(), "m={m}");
+            let bytes = std::mem::size_of_val(&*presized.entries);
+            assert!(
+                bytes < map_bytes,
+                "m={m}: {bytes} bytes against {map_bytes}"
+            );
+
+            let pool: EdgePool = (0..m as u64).map(|i| e(i, i + 1)).collect();
+            let collected = pool.pos.get().expect("a collected pool is indexed");
+            assert_eq!(collected.entries.len(), presized.entries.len(), "m={m}");
+            let mut grown = EdgePool::new();
+            let mut map = crate::hashing::map_with_capacity::<u64, Slot>(0);
+            for i in 0..m as u64 {
+                grown.insert(e(i, i + 1));
+                let slot = Slot {
+                    idx: i as u32,
+                    unvisited: false,
+                };
+                map.insert(e(i, i + 1).key(), slot);
+            }
+            let grown = grown.pos.get().unwrap();
+            assert!(grown.capacity() <= map.capacity(), "m={m}");
+            assert!(
+                size_of_val(&*grown.entries) < map.capacity() / 7 * 8 * 17,
+                "m={m}"
+            );
+        }
+    }
+
+    #[test]
+    fn check_consistent_finds_an_entry_out_of_reach() {
+        let mut p: EdgePool = (0..40u64).map(|i| e(i, i + 1)).collect();
+        assert!(p.check_consistent());
+        // Move one entry a step back from its home: a lookup starting
+        // at the home never sees it.
+        let index = p.pos.get_mut().expect("indexed");
+        let n = index.entries.len();
+        let at = (0..n)
+            .find(|&at| {
+                let entry = index.entries[at];
+                let before = index.entries[(at + n - 1) % n];
+                entry != Entry::FREE
+                    && index.displacement(entry.fp(), at) == 0
+                    && before == Entry::FREE
+            })
+            .expect("a run starting at its home after a free entry");
+        index.entries.swap(at, (at + n - 1) % n);
+        assert!(!p.check_consistent());
+    }
+
+    #[test]
+    fn prefetching_leaves_the_pool_unchanged() {
+        let p: EdgePool = (0..100u64).map(|i| e(i, i + 1)).collect();
+        let before: Vec<Edge> = p.iter().collect();
+        for i in 0..p.len() {
+            p.prefetch_slot(i);
+            p.prefetch_edge(p.get(i).unwrap());
+            p.prefetch_edge(e(i as u64, i as u64 + 500));
+        }
+        assert!(p.iter().eq(before) && p.check_consistent());
+        // An unindexed pool stays unindexed.
+        let mut lazy = EdgePool::new();
+        lazy.push_distinct(e(1, 2));
+        lazy.prefetch_slot(0);
+        lazy.prefetch_edge(e(1, 2));
+        assert!(!lazy.is_indexed());
+    }
+
+    #[test]
+    fn an_entry_packs_fingerprint_mark_and_slot() {
+        assert_eq!(std::mem::size_of::<Entry>(), 8);
+        let slot = Slot {
+            idx: u32::MAX - 1,
+            unvisited: true,
+        };
+        let entry = Entry::new(u32::MAX >> 1, slot);
+        assert_eq!((entry.fp(), entry.slot()), (u32::MAX >> 1, slot));
+        assert_ne!(entry, Entry::FREE, "the last position is still a position");
     }
 
     #[test]

@@ -28,6 +28,7 @@ use edge_switching::core::parallel::process_backend_supported;
 use edge_switching::core::parallel::wire::{
     decode_seq_checkpoint, decode_switch_world, encode_seq_checkpoint,
 };
+use edge_switching::core::sequential::LOOKAHEAD;
 use edge_switching::core::{SeqCheckpoint, SequentialOutcome, SequentialResumable};
 use edge_switching::dist::BlockRng64;
 use edge_switching::graph::generators::families::{complete, star};
@@ -238,13 +239,21 @@ fn stepped_engine_conformance_table() {
     }
 }
 
-/// (graph ∈ {ER, PA, star}) × (seed) × (t ∈ {1, 37, 3000}) × (chunk
-/// size): the engine, which reads and writes only the `EdgePool`, against
-/// [`frozen_sequential`], which applies every switch to the whole
-/// `Graph`. Same draws from the same stream, so everything must agree —
-/// down to the order of the edges in the pool, compared as the bytes of
-/// the two states' checkpoints — and the graph `finish` builds in bulk
-/// must be the graph the reference kept current edge by edge.
+/// (graph ∈ {ER, PA, star, one edge, no edge}) × (seed) × (t ∈ {1, 37,
+/// 3000}) × (chunk size): the engine, which reads and writes only the
+/// `EdgePool`, against [`frozen_sequential`], which applies every switch
+/// to the whole `Graph`. Same draws from the same stream, so everything
+/// must agree — down to the order of the edges in the pool, compared as
+/// the bytes of the two states' checkpoints — and the graph `finish`
+/// builds in bulk must be the graph the reference kept current edge by
+/// edge.
+///
+/// The chunk sizes straddle the engine's lookahead (`LOOKAHEAD`): a
+/// chunk shorter than, equal to and just past the distance its scout
+/// draws ahead must still leave the stream exactly where the reference
+/// does. The star starves and the two tiny graphs never switch; in a
+/// debug build the pool asserts that no scout prefetches or reads a
+/// slot at or past its length on any of them.
 #[test]
 fn pool_only_engine_equals_the_graph_maintaining_reference() {
     let graphs = [
@@ -252,7 +261,11 @@ fn pool_only_engine_equals_the_graph_maintaining_reference() {
         ("pa", preferential_attachment(300, 5, &mut root_rng(8))),
         // No legal switch exists: both sides must give up the same way.
         ("star", star(9)),
+        // Fewer than two edges: nothing is drawn at all.
+        ("one-edge", Graph::from_edges(3, [Edge::new(0, 2)]).unwrap()),
+        ("no-edge", Graph::new(4)),
     ];
+    let d = LOOKAHEAD as u64;
     for (name, g) in &graphs {
         for seed in [3u64, 11, 4242] {
             for t in [1u64, 37, 3000] {
@@ -274,7 +287,7 @@ fn pool_only_engine_equals_the_graph_maintaining_reference() {
                     graph_edges: reference.edges().collect(),
                     rng_words: rng.words_served(),
                 });
-                for chunk in [1u64, 37, 4096, u64::MAX] {
+                for chunk in [1u64, 2, d - 1, d, d + 1, 37, 4096, u64::MAX] {
                     let row = format!("{name} seed={seed} t={t} chunk={chunk}");
                     let mut engine = SequentialResumable::new(g.clone(), t, seed);
                     while !engine.is_done() {
