@@ -150,7 +150,7 @@ fn boot_materialized(m: u64, seed: u64) -> Json {
     let part = Partitioner::hash_division(BOOT_P);
     let stores = build_stores(&graph, &part);
     let secs = start.elapsed().as_secs_f64();
-    let split: u64 = stores.iter().map(|s| s.num_edges() as u64).sum();
+    let split: u64 = stores.iter().map(|s| s.len() as u64).sum();
     std::hint::black_box(&stores);
     json!({
         "mode": "boot-materialized",
@@ -178,7 +178,7 @@ fn boot_streamed(spec: StreamSpec, mode: &str) -> Json {
     json!({
         "mode": mode,
         "n": n,
-        "m": store.num_edges(),
+        "m": store.len(),
         "raw_edges": raw,
         "p": BOOT_P,
         "rank": 0,
@@ -534,7 +534,7 @@ mod tests {
                 let mut stream = spec.stream().expect("spec is realizable");
                 let gen = build_rank_store_streamed(&mut *stream, &part, rank);
                 assert!(
-                    gen.edges().eq(mat.edges()),
+                    gen.iter().eq(mat.iter()),
                     "p={p}: rank {rank} boots from a different pool"
                 );
             }

@@ -53,7 +53,8 @@ impl Default for ProcOpts {
 /// run ([`crate::Run::randomizer`]), not of the per-rank configuration.
 ///
 /// Both engines preserve the degree sequence exactly and report
-/// progress through the same [`crate::VisitTracker`] semantics; they
+/// progress the same way, as [`Visits`](crate::visit::Visits): the
+/// initial edge count and a bitmap of those not yet visited; they
 /// differ in how much graph they re-randomize per unit of work (see
 /// DESIGN.md §4h).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -3,8 +3,9 @@
 //! `Comm` over a channel mailbox.
 //!
 //! [`run_threaded_world`] is the one set-up both randomizers run on: it
-//! splits the graph into stores, builds each rank thread's machine from
-//! its store ([`RankMachine::build`]) with a probe on one shared clock,
+//! splits the graph into unindexed per-rank pools, builds each rank
+//! thread's machine from its pool ([`RankMachine::build`]; a switch rank
+//! indexes it there, in its own thread) with a probe on one shared clock,
 //! runs the shared rank body ([`run_rank`]) over a [`MpiliteTransport`]
 //! with the rank's copy of the schedule — whose `Schedule::open` is
 //! the same boundary a simulated world opens its steps with — and
@@ -19,14 +20,15 @@ use super::harness::{
 use super::msg::Msg;
 use crate::config::ParallelConfig;
 use crate::obs::{Clock, MonoClock, Obs};
+use edgeswitch_graph::sampling::EdgePool;
 use edgeswitch_graph::store::build_stores;
-use edgeswitch_graph::{Graph, PartitionStore, Partitioner};
+use edgeswitch_graph::{Graph, Partitioner};
 use mpilite::{run_world, Comm, WorldConfig};
 use std::sync::{Arc, Mutex};
 
 /// Run `schedule` on one world of `config.processors` rank threads over
-/// `graph` split by `part`: each rank is machine `S` over its partition
-/// store, with an observation context that is a no-op unless
+/// `graph` split by `part`: each rank is machine `S` over its share of
+/// the edges, with an observation context that is a no-op unless
 /// `config.obs` is on.
 pub(crate) fn run_threaded_world<S: RankMachine>(
     graph: &Graph,
@@ -38,8 +40,7 @@ pub(crate) fn run_threaded_world<S: RankMachine>(
     assert_eq!(part.num_parts(), p, "partitioner size must match config");
     let stores = build_stores(graph, part);
     // Each rank thread takes its own store out of the shared list.
-    let stores: Mutex<Vec<Option<PartitionStore>>> =
-        Mutex::new(stores.into_iter().map(Some).collect());
+    let stores: Mutex<Vec<Option<EdgePool>>> = Mutex::new(stores.into_iter().map(Some).collect());
 
     // One shared monotonic clock so every rank's spans live on the same
     // timeline. `None` when unobserved: probes stay no-ops.

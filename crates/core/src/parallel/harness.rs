@@ -40,8 +40,9 @@ use crate::config::{ParallelConfig, QuotaPolicy};
 use crate::obs::{Clock, CommGauges, Obs, Phase, RankObs, RunReport};
 use crate::visit::Visits;
 use edgeswitch_dist::BlockRng64;
+use edgeswitch_graph::sampling::EdgePool;
 use edgeswitch_graph::store::assemble_edges;
-use edgeswitch_graph::{Edge, Graph, PartitionStore, Partitioner};
+use edgeswitch_graph::{Edge, Graph, Partitioner};
 use mpilite::{CollCarrier, Comm, CommStats, Link, Mailbox};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -299,7 +300,7 @@ pub struct RankOutput {
     /// The rank whose share this is.
     pub rank: usize,
     /// The rank's final edges as packed keys ([`Edge::key`]): a switch
-    /// rank's in its store's pool order (the index is freed at teardown),
+    /// rank's in its pool order (the index is freed at teardown),
     /// a Curveball rank's in the order it holds their tokens.
     pub keys: Vec<u64>,
     /// This partition's visits, marks over `keys`' order.
@@ -878,11 +879,11 @@ pub(crate) trait RankMachine: Sized {
     /// loop compiles without the check.
     const SEALS: bool = false;
     /// Rank `rank` of a fresh run of `schedule` under `config`: its
-    /// partition store and its probe.
+    /// share of the edges, unindexed or not, and its probe.
     fn build(
         rank: usize,
         part: &Partitioner,
-        store: PartitionStore,
+        store: EdgePool,
         config: &ParallelConfig,
         schedule: &Self::Schedule,
         obs: Obs,

@@ -17,11 +17,11 @@
 //!   [`StreamSpec`] that each child replays locally to regenerate
 //!   exactly the edges it owns, so boot cost is constant in `m` and no
 //!   participant ever holds more than its own share;
-//! * each rank child attaches, rebuilds its partition store bit-identically
-//!   (pool order is preserved, so edge sampling matches the threaded
-//!   engine and the simulators), and runs the rank body over its
-//!   [`ShmLink`] — point-to-point `Msg` frames and the step-boundary
-//!   collectives all travel the world's SPSC rings;
+//! * each rank child attaches, rebuilds its share of the edges
+//!   bit-identically (pool order is preserved, so edge sampling matches
+//!   the threaded engine and the simulators), and runs the rank body
+//!   over its [`ShmLink`] — point-to-point `Msg` frames and the
+//!   step-boundary collectives all travel the world's SPSC rings;
 //! * at teardown each child takes its endpoint back from the `Comm` and
 //!   streams a **result blob** (its `RankOutput` — its edges as a key
 //!   list in pool order — and per-step telemetry, by the [`wire`] field
@@ -29,7 +29,8 @@
 //!   decodes the key lists and assembles the output graph while the
 //!   children exit, then reaps every child and checks its status before
 //!   returning; a child that exits, even cleanly, without sending its
-//!   whole blob is a [`ProcError::RankDied`].
+//!   whole blob, or whose frames or blob are malformed, is a
+//!   [`ProcError::RankDied`].
 //!
 //! Orphan safety is layered: children arm `PR_SET_PDEATHSIG(SIGKILL)`
 //! before exec (re-checking `getppid` to close the pre-arm race), and the
@@ -43,7 +44,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use edgeswitch_graph::generators::StreamSpec;
-use edgeswitch_graph::store::{build_rank_store_streamed, build_stores, PartitionStore};
+use edgeswitch_graph::sampling::EdgePool;
+use edgeswitch_graph::store::{build_rank_store_streamed, build_stores};
 use edgeswitch_graph::{Edge, Graph, Partitioner};
 use edgeswitch_shm::{Endpoint, ShmWorld, WaitOutcome};
 use mpilite::{Comm, Link, Packet, RECV_TIMEOUT, SPIN_RELAX, SPIN_TOTAL};
@@ -325,18 +327,18 @@ fn encode_boot(
     part: &Partitioner,
     n: usize,
     t: u64,
-    stores: &[PartitionStore],
+    stores: &[EdgePool],
 ) -> Vec<u8> {
     let mut out = encode_boot_header(config, part, n, t);
     out.push(BOOT_KEYS);
     put_u64(&mut out, stores.len() as u64);
     for store in stores {
-        put_u64(&mut out, store.num_edges() as u64);
+        put_u64(&mut out, store.len() as u64);
     }
     for store in stores {
         // Pool order: edge sampling order. Raw keys keep the blob
         // byte-exact across processes.
-        for e in store.edges() {
+        for e in store.iter() {
             put_u64(&mut out, e.key());
         }
     }
@@ -415,7 +417,7 @@ fn collect_results(
         want[rank].is_some_and(|total| bufs[rank].len() == total)
     };
     loop {
-        drain_results(ep, &mut want, &mut bufs);
+        drain_results(ep, &mut want, &mut bufs)?;
         if (0..p).all(|rank| complete(&want, &bufs, rank)) {
             return Ok(bufs);
         }
@@ -441,7 +443,7 @@ fn collect_results(
             // A clean exit comes after the last frame is in the ring:
             // one more drain takes everything it sent, and what is still
             // missing then never comes.
-            drain_results(ep, &mut want, &mut bufs);
+            drain_results(ep, &mut want, &mut bufs)?;
             if !complete(&want, &bufs, rank) {
                 return Err(ProcError::RankDied {
                     rank,
@@ -453,30 +455,41 @@ fn collect_results(
 }
 
 /// Take every `TAG_RESULT` frame the rings hold now: a rank's first frame
-/// is its blob's length, the rest are the blob's bytes in order.
-fn drain_results(ep: &mut Endpoint<'_>, want: &mut [Option<usize>], bufs: &mut [Vec<u8>]) {
+/// is its blob's length, the rest are the blob's bytes in order. A frame
+/// that breaks this — another tag, a header that is not one `u64`, a
+/// length that cannot be allocated, bytes past the length — is
+/// [`ProcError::RankDied`] for the rank that sent it.
+fn drain_results(
+    ep: &mut Endpoint<'_>,
+    want: &mut [Option<usize>],
+    bufs: &mut [Vec<u8>],
+) -> Result<(), ProcError> {
     while let Some((src, tag, payload)) = ep.try_recv() {
-        assert_eq!(
-            tag, TAG_RESULT,
-            "unexpected tag {tag} from rank {src} at teardown"
-        );
         assert!(src < want.len());
+        let died = |detail: String| ProcError::RankDied { rank: src, detail };
+        if tag != TAG_RESULT {
+            return Err(died(format!("sent tag {tag} at teardown")));
+        }
         match want[src] {
             None => {
-                assert_eq!(payload.len(), 8, "result header frame");
-                let total = u64::from_le_bytes(payload.try_into().unwrap()) as usize;
+                let header: [u8; 8] = payload
+                    .try_into()
+                    .map_err(|_| died(format!("result header of {} bytes", payload.len())))?;
+                let total = u64::from_le_bytes(header) as usize;
+                bufs[src]
+                    .try_reserve(total)
+                    .map_err(|err| died(format!("result of {total} bytes: {err}")))?;
                 want[src] = Some(total);
-                bufs[src].reserve(total);
             }
             Some(total) => {
-                assert!(
-                    bufs[src].len() < total,
-                    "rank {src} sent extra result bytes"
-                );
+                if bufs[src].len() + payload.len() > total {
+                    return Err(died(format!("sent more than its {total} result bytes")));
+                }
                 bufs[src].extend_from_slice(payload);
             }
         }
     }
+    Ok(())
 }
 
 /// Best-effort teardown of rank children on an error path: kill whatever
@@ -665,37 +678,29 @@ fn launch_world(
 
     // Decode and assemble while the children exit: each has sent its
     // last frame, and its teardown overlaps the launcher's.
-    let mut outputs: Vec<Option<RankOutput>> = (0..p).map(|_| None).collect();
+    let mut outputs = Vec::with_capacity(p);
     let mut telemetry = vec![StepTelemetry::default(); steps as usize];
     // Each blob is freed once decoded: the launcher never holds a rank's
     // result both as bytes and as a key list for longer than one rank.
-    for blob in blobs {
-        let (output, rank_telemetry) = wire::decode_rank_result(&blob);
+    for (rank, blob) in blobs.into_iter().enumerate() {
+        let (output, rank_telemetry) = match decode_result(&blob, rank, steps) {
+            Ok(decoded) => decoded,
+            Err(detail) => {
+                kill_children(&mut children);
+                return Err(ProcError::RankDied {
+                    rank,
+                    detail: format!("malformed result: {detail}"),
+                });
+            }
+        };
         drop(blob);
         for (acc, step) in telemetry.iter_mut().zip(&rank_telemetry) {
             acc.merge(step);
         }
-        let rank = output.rank;
-        assert!(
-            outputs[rank].replace(output).is_none(),
-            "duplicate result for rank {rank}"
-        );
-    }
-    let mut outputs_final: Vec<RankOutput> = Vec::with_capacity(p);
-    for (rank, o) in outputs.into_iter().enumerate() {
-        match o {
-            Some(output) => outputs_final.push(output),
-            None => {
-                kill_children(&mut children);
-                return Err(ProcError::RankDied {
-                    rank,
-                    detail: "no result returned".to_string(),
-                });
-            }
-        }
+        outputs.push(output);
     }
     // Process runs are unobserved: meta stays None, report stays None.
-    let outcome = assemble_outcome(n, steps, outputs_final, telemetry, None);
+    let outcome = assemble_outcome(n, steps, outputs, telemetry, None);
 
     // Every child is reaped, and its exit checked, before the outcome
     // is handed back.
@@ -710,6 +715,26 @@ fn launch_world(
         }
     }
     Ok(outcome)
+}
+
+/// Decode the result blob rank `rank` sent ([`wire::decode_rank_result`])
+/// and check it is that rank's, with one telemetry row per step.
+fn decode_result(
+    blob: &[u8],
+    rank: usize,
+    steps: u64,
+) -> Result<(RankOutput, Vec<StepTelemetry>), String> {
+    let (output, telemetry) = wire::decode_rank_result(blob)?;
+    if output.rank != rank {
+        Err(format!("the blob names rank {}", output.rank))
+    } else if telemetry.len() as u64 != steps {
+        Err(format!(
+            "{} telemetry rows for {steps} steps",
+            telemetry.len()
+        ))
+    } else {
+        Ok((output, telemetry))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -778,16 +803,12 @@ fn run_rank_child(world: &ShmWorld, rank: usize) {
 
     let store = match payload {
         BootPayload::Keys { counts, keys } => {
-            // Rebuild this rank's store with the exact pool order the
-            // launcher serialized (insertion order == pool order ==
-            // sampling order).
+            // Rebuild this rank's pool with the exact order the launcher
+            // serialized (insertion order == pool order == sampling
+            // order).
             let offset: u64 = counts[..rank].iter().sum();
-            let mut store = PartitionStore::new(rank);
-            for key in &keys[offset as usize..(offset + counts[rank]) as usize] {
-                let inserted = store.insert(Edge::from_key(*key));
-                debug_assert!(inserted, "boot store has duplicate edges");
-            }
-            store
+            let share = &keys[offset as usize..(offset + counts[rank]) as usize];
+            share.iter().map(|&key| Edge::from_key(key)).collect()
         }
         BootPayload::Gen { spec } => {
             // Seed boot: replay the generator stream, keep owned edges.
@@ -811,8 +832,33 @@ fn run_rank_child(world: &ShmWorld, rank: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::visit::Visits;
     use edgeswitch_dist::{parallel_multinomial_owned, rank_block_rng};
     use mpilite::{run_world, CommStats, WorldConfig};
+
+    /// The launcher takes a result blob only as its sender's, with one
+    /// telemetry row per step of the run.
+    #[test]
+    fn a_result_must_be_its_senders_and_cover_every_step() {
+        let output = RankOutput {
+            rank: 1,
+            keys: vec![Edge::new(1, 2).key()],
+            visits: Visits {
+                initial: 1,
+                unvisited: vec![1],
+            },
+            stats: Default::default(),
+            comm: Default::default(),
+            obs: None,
+        };
+        let blob = wire::encode_rank_result(&output, &vec![StepTelemetry::default(); 2]);
+        assert!(decode_result(&blob, 1, 2).is_ok());
+        let err = decode_result(&blob, 0, 2).unwrap_err();
+        assert!(err.contains("names rank 1"), "{err}");
+        let err = decode_result(&blob, 1, 3).unwrap_err();
+        assert!(err.contains("2 telemetry rows for 3 steps"), "{err}");
+        assert!(decode_result(&blob[..blob.len() - 1], 1, 2).is_err());
+    }
 
     /// Each collective the step boundaries use, on fixed inputs and a
     /// fixed seed, as any rank runs them over any link.

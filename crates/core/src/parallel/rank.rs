@@ -79,7 +79,8 @@ use crate::visit::{marked, Visits};
 use edgeswitch_dist::Rng;
 use edgeswitch_dist::{rank_block_rng, BlockRng64};
 use edgeswitch_graph::hashing::{FxHashMap, FxHashSet};
-use edgeswitch_graph::{Edge, OrientedEdge, PartitionStore, Partitioner};
+use edgeswitch_graph::sampling::EdgePool;
+use edgeswitch_graph::{Edge, OrientedEdge, Partitioner};
 use mpilite::CommStats;
 
 /// Attempts to sample an unreserved edge before declaring contention.
@@ -151,7 +152,7 @@ impl RankStats {
 pub struct RankCheckpoint {
     /// The rank this snapshot belongs to.
     pub rank: usize,
-    /// Partition store contents in pool (insertion) order.
+    /// The rank's owned edges in pool (insertion) order.
     pub store_edges: Vec<Edge>,
     /// The rank's initial edge count ([`Visits::initial`]) at capture.
     pub tracker_initial: usize,
@@ -236,7 +237,9 @@ enum FState {
 pub struct RankState {
     rank: usize,
     part: Partitioner,
-    store: PartitionStore,
+    /// The owned edges `{(u,v) ∈ E : u < v, owner(u) = rank}` (Section
+    /// 4.2), indexed and visit-tracked from [`RankState::new`] on.
+    store: EdgePool,
     /// Existing edges locked by in-flight conversations.
     reserved: FxHashSet<Edge>,
     /// Replacement edges reserved but not yet materialized.
@@ -265,8 +268,8 @@ pub struct RankState {
     /// stream.
     rng: BlockRng64,
     /// This partition's initial edge count. Which of them are still
-    /// unvisited the store's pool marks, and its `remove` counts the
-    /// visits ([`PartitionStore::track_visits`]).
+    /// unvisited the store marks, and its `remove` counts the visits
+    /// ([`EdgePool::track_visits`]).
     tracked: usize,
     /// Run statistics.
     pub stats: RankStats,
@@ -277,7 +280,7 @@ pub struct RankState {
 }
 
 impl RankState {
-    /// Build the state for `rank` from its partition store under
+    /// Build the state for `rank` from its share of the edges under
     /// `config`: its seed, conversation window, whether rank-local
     /// switches commit inline (`local_fastpath`; outcomes are
     /// bit-identical either way). The one place a driver turns a config
@@ -285,14 +288,14 @@ impl RankState {
     pub fn new(
         rank: usize,
         part: Partitioner,
-        mut store: PartitionStore,
+        mut store: EdgePool,
         config: &ParallelConfig,
     ) -> Self {
         store.track_visits();
         let p = part.num_parts();
         RankState {
             rank,
-            tracked: store.num_edges(),
+            tracked: store.len(),
             part,
             store,
             reserved: FxHashSet::default(),
@@ -325,7 +328,7 @@ impl RankState {
 
     /// Current `|E_i|`.
     pub fn edge_count(&self) -> u64 {
-        self.store.num_edges() as u64
+        self.store.len() as u64
     }
 
     /// Mutable access to this rank's PRNG stream (used by drivers for
@@ -354,7 +357,7 @@ impl RankState {
     }
 
     /// The rank's visits at rest: the marks of its store's index as a
-    /// bitmap over pool order ([`PartitionStore::unvisited_bitmap`]).
+    /// bitmap over pool order ([`EdgePool::unvisited_bitmap`]).
     fn at_rest(&self) -> Visits {
         Visits {
             initial: self.tracked,
@@ -373,7 +376,7 @@ impl RankState {
     /// driver did. Whether the checkpoint belongs to the run is checked
     /// before, where the world resumes from its snapshot.
     pub fn restore(part: Partitioner, config: &ParallelConfig, ckpt: &RankCheckpoint) -> Self {
-        let mut state = RankState::new(ckpt.rank, part, PartitionStore::new(ckpt.rank), config);
+        let mut state = RankState::new(ckpt.rank, part, EdgePool::new(), config);
         for &e in &ckpt.store_edges {
             state.store.insert(e);
         }
@@ -387,9 +390,9 @@ impl RankState {
         state
     }
 
-    /// The rank's partition store (test introspection).
+    /// The rank's owned edges (test introspection).
     #[cfg(test)]
-    pub(super) fn store(&self) -> &PartitionStore {
+    pub(super) fn store(&self) -> &EdgePool {
         &self.store
     }
 
@@ -426,7 +429,7 @@ impl RankState {
         if open >= self.window || self.remaining <= open as u64 {
             return StartResult::Idle;
         }
-        if self.store.num_edges() == 0 {
+        if self.store.is_empty() {
             // An emptied partition cannot supply first edges; its quota is
             // unfulfillable (the next step's multinomial gets q_i = 0).
             // In-flight conversations hold reserved edges that are still
@@ -1008,7 +1011,7 @@ impl RankMachine for RankState {
     fn build(
         rank: usize,
         part: &Partitioner,
-        store: PartitionStore,
+        store: EdgePool,
         config: &ParallelConfig,
         _: &StepHarness,
         obs: Obs,
@@ -1082,7 +1085,7 @@ impl RankMachine for RankState {
             rng_words: self.rng.words_served(),
             ..RankCheckpoint::capture(
                 self.rank,
-                self.store.edges().collect(),
+                self.store.iter().collect(),
                 self.at_rest(),
                 self.stats,
             )
@@ -1098,9 +1101,9 @@ impl RankMachine for RankState {
         debug_assert!(self.reserved.is_empty(), "edges left reserved");
         debug_assert!(self.potential.is_empty(), "potential edges leaked");
         RankOutput {
-            rank: self.store.rank(),
+            rank: self.rank,
             visits: self.at_rest(),
-            keys: self.store.into_keys(),
+            keys: self.store.iter().map(|e| e.key()).collect(),
             stats: self.stats,
             comm,
             obs: self.obs.finish(),

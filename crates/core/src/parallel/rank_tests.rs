@@ -8,8 +8,9 @@ use super::tests::simulated;
 use crate::config::{ParallelConfig, StepSize};
 use crate::switch::RejectReason;
 use edgeswitch_graph::generators::erdos_renyi_gnm;
+use edgeswitch_graph::sampling::EdgePool;
 use edgeswitch_graph::store::build_stores;
-use edgeswitch_graph::{Edge, Graph, PartitionStore, Partitioner, SchemeKind};
+use edgeswitch_graph::{Edge, Graph, Partitioner, SchemeKind};
 use std::collections::VecDeque;
 
 fn conv(initiator: u32, seq: u64) -> ConvId {
@@ -32,7 +33,7 @@ fn two_rank_world_windowed(
 ) -> (RankState, RankState) {
     let part = Partitioner::hash_division(2);
     let mk = |rank: usize, edges: &[(u64, u64)]| {
-        let mut store = PartitionStore::new(rank);
+        let mut store = EdgePool::new();
         for &(a, b) in edges {
             let e = Edge::new(a, b);
             assert_eq!(part.owner(e.src()), rank, "edge {e} misassigned in test");

@@ -105,8 +105,8 @@ pub(crate) struct SimWorld<T: WorldTransport = FifoTransport, S: RankMachine = R
 impl<T: WorldTransport, S: RankMachine> SimWorld<T, S> {
     /// Set up a world of `config.processors` ranks over `graph` split by
     /// `part`, running `schedule` and delivering through `transport`
-    /// ([`RankMachine::build`] builds each rank from its store and
-    /// probe). An observed run ([`ParallelConfig::obs`])
+    /// ([`RankMachine::build`] builds each rank from its share of the
+    /// edges and its probe). An observed run ([`ParallelConfig::obs`])
     /// reads the transport's clock if it owns the timeline (the DES
     /// records in virtual time), otherwise the monotonic clock.
     ///

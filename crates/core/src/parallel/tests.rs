@@ -317,13 +317,14 @@ fn observed_simulated_run_reads_the_clock_for_one_span_in_64() {
 fn rank_visits_join_in_assembly_order() {
     use super::harness::{assemble_outcome, RankOutput};
     use crate::visit::Visits;
-    use edgeswitch_graph::{Edge, PartitionStore};
+    use edgeswitch_graph::sampling::EdgePool;
+    use edgeswitch_graph::Edge;
     let (mut next, mut unvisited) = (0u64, Vec::new());
     let outputs: Vec<RankOutput> = [63u64, 2, 0, 130]
         .into_iter()
         .enumerate()
         .map(|(rank, m)| {
-            let mut store = PartitionStore::new(rank);
+            let mut store = EdgePool::new();
             let edges: Vec<Edge> = (next..next + m).map(|v| Edge::new(v, v + 1000)).collect();
             next += m;
             edges.iter().for_each(|&e| assert!(store.insert(e)));
@@ -341,7 +342,7 @@ fn rank_visits_join_in_assembly_order() {
                     initial: m as usize,
                     unvisited: store.unvisited_bitmap(),
                 },
-                keys: store.into_keys(),
+                keys: store.iter().map(|e| e.key()).collect(),
                 stats: Default::default(),
                 comm: Default::default(),
                 obs: None,

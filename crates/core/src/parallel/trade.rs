@@ -56,7 +56,8 @@ use crate::trade::{
     strip_marks, to_tokens, token, trade_rng, untoken, PassController, PassPlan, Trader, NO_TRADE,
 };
 use edgeswitch_graph::hashing::FxHashMap;
-use edgeswitch_graph::{Edge, Graph, PartitionStore, Partitioner, VertexId};
+use edgeswitch_graph::sampling::EdgePool;
+use edgeswitch_graph::{Edge, Graph, Partitioner, VertexId};
 use mpilite::CommStats;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -240,14 +241,13 @@ impl RankMachine for TradeRankState {
     fn build(
         rank: usize,
         part: &Partitioner,
-        store: PartitionStore,
+        store: EdgePool,
         config: &ParallelConfig,
         schedule: &Passes,
         obs: Obs,
     ) -> Self {
-        let keys = store.into_keys().into_iter();
-        let tokens = keys.map(|key| token(Edge::from_key(key), true));
-        Self::holding(rank, part, config, schedule, obs, tokens.collect())
+        let tokens = store.iter().map(|e| token(e, true)).collect();
+        Self::holding(rank, part, config, schedule, obs, tokens)
     }
 
     fn rebuild(

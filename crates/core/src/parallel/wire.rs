@@ -7,7 +7,8 @@
 //! `u64` keys, floats via `to_bits`. Message frames are trusted (both ends
 //! are the same binary), so a malformed one panics — a torn or corrupt
 //! frame is a transport bug, not an input error. Engine snapshots come
-//! from files and are not: their decoders return `Result`. Both run on one
+//! from files and rank results from another process, and are not: their
+//! decoders return `Result`. All run on one
 //! bounds-checked [`Reader`] that latches the first bad read. Snapshots
 //! are at format 4: format 3 carries visit marks as a bitmap over the
 //! snapshot's own edge list (see the snapshot section below), and format
@@ -21,7 +22,7 @@ use crate::config::Budget;
 use crate::sequential::{RejectCounts, SeqCheckpoint};
 use crate::switch::RejectReason;
 use crate::trade::{CurveballCheckpoint, PassController};
-use crate::visit::Visits;
+use crate::visit::{check_bitmap, Visits};
 
 use super::harness::{MsgCounts, RankOutput, StepTelemetry};
 use super::msg::{ConvId, Msg, MsgKind};
@@ -851,12 +852,13 @@ pub(crate) fn encode_rank_result(output: &RankOutput, telemetry: &[StepTelemetry
 
 /// Inverse of [`encode_rank_result`]. The edge keys are read straight
 /// into the output's list, in pool order (the rank's sampling order, and
-/// the order the visit marks index): no store and no index is built —
-/// assembly appends the lists to the output graph's pool unhashed. Like
-/// message frames the blob is trusted (the child is this binary), so a
-/// malformed one — a short read, a non-canonical key — panics. Process
-/// ranks are unobserved: `obs` comes back `None`.
-pub(crate) fn decode_rank_result(bytes: &[u8]) -> (RankOutput, Vec<StepTelemetry>) {
+/// the order the visit marks index): no pool and no index is built —
+/// assembly appends the lists to the output graph's pool unhashed. The
+/// blob is another process's bytes, so a malformed one — a short read, a
+/// non-canonical key, trailing bytes, marks that are no bitmap over the
+/// keys ([`check_bitmap`]) — is an `Err`, never a panic. Process ranks
+/// are unobserved: `obs` comes back `None`.
+pub(crate) fn decode_rank_result(bytes: &[u8]) -> Result<(RankOutput, Vec<StepTelemetry>), String> {
     let mut r = Reader::new(bytes);
     let output = RankOutput {
         rank: r.u64() as usize,
@@ -871,8 +873,10 @@ pub(crate) fn decode_rank_result(bytes: &[u8]) -> (RankOutput, Vec<StepTelemetry
     };
     let steps = r.len(TELEMETRY_BYTES);
     let telemetry = (0..steps).map(|_| r.telemetry()).collect();
-    r.expect_end("rank result blob");
-    (output, telemetry)
+    r.finish()?;
+    let Visits { initial, unvisited } = &output.visits;
+    check_bitmap(output.keys.len(), unvisited, *initial)?;
+    Ok((output, telemetry))
 }
 
 #[cfg(test)]
@@ -1234,7 +1238,7 @@ mod tests {
         let ckpt = sample_rank_checkpoint(1);
         let (output, telemetry) = sample_rank_result();
         let bytes = encode_rank_result(&output, &telemetry);
-        let (back, steps) = decode_rank_result(&bytes);
+        let (back, steps) = decode_rank_result(&bytes).expect("a well-formed blob");
         assert_eq!(steps, telemetry);
         assert_eq!(back.rank, 1);
         // Pool order survives the trip: it is the rank's sampling order,
@@ -1246,5 +1250,55 @@ mod tests {
         assert_eq!(unvisited, [Edge::new(3, 4)]);
         assert_eq!((back.stats, back.comm), (output.stats, output.comm));
         assert!(back.obs.is_none());
+    }
+
+    /// A rank result is another process's bytes: damage is an `Err`, and
+    /// what still decodes is a well-formed bitmap over its own keys.
+    #[test]
+    fn damaged_rank_results_are_errors_never_panics() {
+        let (output, telemetry) = sample_rank_result();
+        let bytes = encode_rank_result(&output, &telemetry);
+        let fails = |b: &[u8]| decode_rank_result(b).is_err();
+        // Every proper prefix is short, whichever field it cuts.
+        for cut in 0..bytes.len() {
+            assert!(fails(&bytes[..cut]), "cut {cut}");
+        }
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(fails(&long), "trailing byte");
+        // The three length prefixes: keys, bitmap words, telemetry rows.
+        let (k, w) = (output.keys.len(), output.visits.unvisited.len());
+        let bitmap_at = 8 + 8 + 8 * k + 8;
+        let rows_at = bitmap_at + 8 + 8 * w + 8 * 11 + COMM_BYTES;
+        assert_eq!(rows_at + 8 + 3 * TELEMETRY_BYTES, bytes.len());
+        for at in [8, bitmap_at, rows_at] {
+            // Blown up to 2^63 items, a length neither allocates nor loops.
+            let mut inflated = bytes.clone();
+            inflated[at + 7] |= 0x80;
+            assert!(fails(&inflated), "length at {at} inflated");
+            for bit in 0..64 {
+                let mut flipped = bytes.clone();
+                flipped[at + bit / 8] ^= 1 << (bit % 8);
+                assert!(fails(&flipped), "length at {at}, bit {bit}");
+            }
+        }
+        // A mark past the last key, or more marks than initial edges.
+        let mut past = bytes.clone();
+        past[bitmap_at + 8] |= 0b1000;
+        assert!(fails(&past), "mark past the last key");
+        let mut over = bytes.clone();
+        over[bitmap_at - 8] = 0;
+        assert!(fails(&over), "a mark on no initial edge");
+        // Any other flipped bit may still decode (it can land in a
+        // counter), but never panics.
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                if let Ok((back, _)) = decode_rank_result(&flipped) {
+                    assert!(back.visits.visited() <= back.visits.initial);
+                }
+            }
+        }
     }
 }

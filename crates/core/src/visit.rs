@@ -161,28 +161,36 @@ pub(crate) fn check_marks(
     unvisited: &[u64],
     initial: usize,
 ) -> Result<(), String> {
-    let m = edges.len();
-    if unvisited.len() != m.div_ceil(64) {
-        return Err(format!(
-            "snapshot visit marks are {} words for {m} edges",
-            unvisited.len()
-        ));
-    }
-    if !m.is_multiple_of(64) && unvisited.last().is_some_and(|&word| word >> (m % 64) != 0) {
-        return Err("snapshot visit marks set a bit past the last edge".to_string());
-    }
-    let count = ones(unvisited);
-    if count > initial {
-        return Err(format!(
-            "snapshot marks {count} edges unvisited, more than its {initial} initial ones"
-        ));
-    }
+    check_bitmap(edges.len(), unvisited, initial).map_err(|err| format!("snapshot {err}"))?;
     match marked(unvisited, edges).find(|&e| !graph.has_edge(e)) {
         Some(e) => Err(format!(
             "snapshot marks {e} unvisited, not an edge of the run's graph"
         )),
         None => Ok(()),
     }
+}
+
+/// Check that `unvisited` is a bitmap over a list of `m` edges
+/// ([`marked`]: ⌈m/64⌉ words, no bit set past the last edge) marking at
+/// most `initial` of them — the shape [`Visits::joined`] and
+/// [`Visits::visited`] rely on.
+pub(crate) fn check_bitmap(m: usize, unvisited: &[u64], initial: usize) -> Result<(), String> {
+    if unvisited.len() != m.div_ceil(64) {
+        return Err(format!(
+            "visit marks are {} words for {m} edges",
+            unvisited.len()
+        ));
+    }
+    if !m.is_multiple_of(64) && unvisited.last().is_some_and(|&word| word >> (m % 64) != 0) {
+        return Err("visit marks set a bit past the last edge".to_string());
+    }
+    let count = ones(unvisited);
+    if count > initial {
+        return Err(format!(
+            "marks {count} edges unvisited, more than its {initial} initial ones"
+        ));
+    }
+    Ok(())
 }
 
 /// Set bits of a bitmap.

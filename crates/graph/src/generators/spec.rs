@@ -5,10 +5,9 @@
 //! of the graph: generator family, size parameters, and the seed. It
 //! encodes in O(1) bytes (see the process backend's boot codec), which
 //! is what shrinks a process-world's boot blob from the O(m) edge list
-//! to a constant — each child builds its own [`PartitionStore`] from
-//! `spec.stream()` filtered through [`crate::stream::OwnedOnly`].
-//!
-//! [`PartitionStore`]: crate::store::PartitionStore
+//! to a constant — each child builds its own share, an
+//! [`EdgePool`](crate::sampling::EdgePool), from `spec.stream()` by
+//! [`crate::store::build_rank_store_streamed`].
 
 use super::check_preferential_attachment;
 use super::degree_seq::DegreeSequence;
@@ -200,8 +199,8 @@ mod tests {
             for (rank, joint) in reference.iter().enumerate() {
                 let mut stream = spec.stream().unwrap();
                 let local = build_rank_store_streamed(&mut *stream, &part, rank);
-                let a: Vec<_> = local.edges().collect();
-                let b: Vec<_> = joint.edges().collect();
+                let a: Vec<_> = local.iter().collect();
+                let b: Vec<_> = joint.iter().collect();
                 assert_eq!(a, b, "{spec:?} rank {rank}");
             }
         }

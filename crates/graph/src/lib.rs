@@ -8,8 +8,9 @@
 //! - simple undirected graphs with O(1) uniform edge sampling
 //!   ([`graph::Graph`], [`sampling::EdgePool`]) over cache-compact
 //!   packed-edge storage ([`hashing`], [`adjacency::NeighborSet`]),
-//! - per-processor edge stores under the *reduced adjacency* ownership
-//!   rule ([`store::PartitionStore`]),
+//! - the split of a graph into per-rank [`sampling::EdgePool`] shares
+//!   under the *reduced adjacency* ownership rule, and their gather
+//!   ([`store`]),
 //! - the paper's four partitioning schemes ([`partition::Partitioner`]),
 //! - generators for the Table 2 dataset inventory ([`generators`]),
 //!   including streaming prescribed-degree and preferential-attachment
@@ -37,6 +38,5 @@ pub mod types;
 
 pub use graph::Graph;
 pub use partition::{Partitioner, SchemeKind};
-pub use store::PartitionStore;
 pub use stream::{EdgeStream, IterStream, OwnedOnly};
 pub use types::{Edge, GraphError, OrientedEdge, VertexId};

@@ -60,9 +60,10 @@
 //! mutates the pool. A pool filled by [`EdgePool::insert`] (or
 //! `collect`, or pre-sized by [`EdgePool::with_capacity`]) is indexed
 //! as it fills; a builder that already knows its edges are distinct —
-//! the gather of a parallel run's ranks, the adjacency walk of a
-//! Curveball finish — only appends keys, and a graph that is only
-//! digested or written out never pays for the index. An unindexed pool
+//! the split of a graph into its ranks' shares, the gather of a parallel
+//! run's ranks, the adjacency walk of a Curveball finish — only appends
+//! keys, and a graph that is only digested or written out, or a share
+//! no switch rank probes, never pays for the index. An unindexed pool
 //! holds no visit marks: marks live in the index.
 
 use crate::memhint::{advise_huge_pages, prefetch};

@@ -3,13 +3,13 @@
 //! The scale ceiling of the materialized pipeline is memory, not
 //! compute: a generator fills a global `Vec<Edge>`, `Graph::from_edges`
 //! copies it into pool + adjacency, and `build_stores` copies it again
-//! into per-rank stores — three O(m) residents at peak. [`EdgeStream`]
+//! into per-rank pools — three O(m) residents at peak. [`EdgeStream`]
 //! replaces the global list with a pull-based chunk protocol: the
 //! consumer hands the stream a reusable buffer, the stream refills it
 //! with the next few tens of thousands of edges, and the consumer
 //! routes each chunk straight into its destination structure
-//! ([`crate::graph::Graph::from_stream`],
-//! [`crate::store::build_stores_streamed`]). Peak residency is the
+//! ([`crate::graph::Graph::from_stream`], one rank's pool by
+//! [`crate::store::build_rank_store_streamed`]). Peak residency is the
 //! destination itself plus one chunk.
 //!
 //! For distributed construction, [`OwnedOnly`] filters a stream down to

@@ -17,8 +17,7 @@ pub type VertexId = u64;
 pub const MAX_PACKED_VERTEX: VertexId = u32::MAX as VertexId;
 
 /// Most edges one [`crate::sampling::EdgePool`] — hence one
-/// [`crate::graph::Graph`] or one rank's
-/// [`crate::store::PartitionStore`] — can hold (`2^32 - 1`): the
+/// [`crate::graph::Graph`] or one rank's share — can hold (`2^32 - 1`): the
 /// pool's position index stores dense slots as `u32`, for the same
 /// cache-compactness reason endpoints are narrowed. Past it the pool
 /// panics on insert, in release builds too, rather than wrap a slot.

@@ -332,7 +332,7 @@ fn split_and_assemble_round_trips_at_every_p() {
             assert!(back.same_edge_set(&g), "p={p}");
             assert_eq!(back.degree_sequence(), g.degree_sequence(), "p={p}");
             // Rank order, then each rank's pool order.
-            assert!(back.edges().eq(stores.iter().flat_map(|s| s.edges())));
+            assert!(back.edges().eq(stores.iter().flat_map(|s| s.iter())));
         }
     }
 }

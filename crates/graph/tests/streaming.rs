@@ -1,6 +1,7 @@
-//! Streamed-pipeline equivalence and determinism (PR 10 satellite
-//! suite): `build_stores_streamed` must be logically identical to the
-//! materialized `build_stores` on every existing graph family, the
+//! Streamed-pipeline equivalence and determinism: a rank's share built
+//! from a stream (`build_rank_store_streamed`) must equal its share of
+//! the materialized `build_stores` split on every existing graph family,
+//! the
 //! prescribed-degree constructor must be exact and bit-reproducible
 //! across processor counts, and `Graph::from_stream` must agree with
 //! `Graph::from_edges`.
@@ -10,7 +11,7 @@ use edgeswitch_graph::generators::{
     contact_network, erdos_renyi_gnm, pa_stream_graph, preferential_attachment, random_regular,
     small_world, stochastic_block_model, ContactParams, DegreeSequence, PaStream, StreamSpec,
 };
-use edgeswitch_graph::store::{build_rank_store_streamed, build_stores, build_stores_streamed};
+use edgeswitch_graph::store::{assemble_graph, build_rank_store_streamed, build_stores};
 use edgeswitch_graph::stream::{EdgeStream, IterStream, OwnedOnly};
 use edgeswitch_graph::{Edge, Graph, Partitioner, SchemeKind};
 
@@ -51,9 +52,9 @@ fn families() -> Vec<(&'static str, Graph)> {
 }
 
 /// The headline equivalence: streaming a graph's pool order through
-/// `build_stores_streamed` yields stores identical to `build_stores` —
-/// same ranks, same edges, same pool order — for every family and
-/// every partitioning scheme.
+/// `build_rank_store_streamed` yields, rank by rank, the share
+/// `build_stores` splits off — same edges, same pool order — for every
+/// family, every partitioning scheme and every `p`.
 #[test]
 fn streamed_stores_match_materialized_stores_everywhere() {
     for (name, g) in families() {
@@ -62,14 +63,13 @@ fn streamed_stores_match_materialized_stores_everywhere() {
             for p in [1usize, 3, 4] {
                 let part = Partitioner::build(kind, &g, p, &mut rng);
                 let reference = build_stores(&g, &part);
-                let mut stream = IterStream::with_chunk_edges(g.edges(), 101);
-                let streamed = build_stores_streamed(&mut stream, &part);
-                assert_eq!(streamed.len(), reference.len());
-                for (s, r) in streamed.iter().zip(&reference) {
-                    assert_eq!(s.rank(), r.rank());
-                    let a: Vec<Edge> = s.edges().collect();
-                    let b: Vec<Edge> = r.edges().collect();
-                    assert_eq!(a, b, "{name} {kind:?} p={p} rank={}", s.rank());
+                assert_eq!(reference.len(), p);
+                for (rank, r) in reference.iter().enumerate() {
+                    let mut stream = IterStream::with_chunk_edges(g.edges(), 101);
+                    let s = build_rank_store_streamed(&mut stream, &part, rank);
+                    let a: Vec<Edge> = s.iter().collect();
+                    let b: Vec<Edge> = r.iter().collect();
+                    assert_eq!(a, b, "{name} {kind:?} p={p} rank={rank}");
                     assert!(s.check_consistent());
                 }
             }
@@ -78,7 +78,8 @@ fn streamed_stores_match_materialized_stores_everywhere() {
 }
 
 /// Per-rank regeneration (`build_rank_store_streamed` over a fresh
-/// stream) equals the corresponding slice of the one-pass split.
+/// stream, which may re-emit an edge) equals the corresponding share of
+/// the split of the stream's materialized graph.
 #[test]
 fn rank_local_streams_match_one_pass_split() {
     let spec = StreamSpec::Pa {
@@ -87,13 +88,12 @@ fn rank_local_streams_match_one_pass_split() {
         seed: 13,
     };
     let part = Partitioner::hash_division(4);
-    let mut one_pass = spec.stream().unwrap();
-    let split = build_stores_streamed(&mut *one_pass, &part);
+    let split = build_stores(&spec.build().unwrap(), &part);
     for (rank, joint) in split.iter().enumerate() {
         let mut s = spec.stream().unwrap();
         let local = build_rank_store_streamed(&mut *s, &part, rank);
-        let a: Vec<Edge> = local.edges().collect();
-        let b: Vec<Edge> = joint.edges().collect();
+        let a: Vec<Edge> = local.iter().collect();
+        let b: Vec<Edge> = joint.iter().collect();
         assert_eq!(a, b, "rank {rank}");
     }
 }
@@ -152,7 +152,8 @@ fn from_stream_matches_from_edges_and_dedups() {
 }
 
 /// The PA stream materialized via `from_stream` equals the same spec's
-/// stores reassembled — generation and partitioned generation agree.
+/// per-rank shares reassembled — generation and partitioned generation
+/// agree.
 #[test]
 fn pa_spec_build_matches_assembled_stores() {
     let spec = StreamSpec::Pa {
@@ -162,9 +163,10 @@ fn pa_spec_build_matches_assembled_stores() {
     };
     let g = spec.build().unwrap();
     let part = Partitioner::hash_division(3);
-    let mut s = spec.stream().unwrap();
-    let stores = build_stores_streamed(&mut *s, &part);
-    let h = edgeswitch_graph::store::assemble_graph(g.num_vertices(), &stores);
+    let stores: Vec<_> = (0..3)
+        .map(|rank| build_rank_store_streamed(&mut *spec.stream().unwrap(), &part, rank))
+        .collect();
+    let h = assemble_graph(g.num_vertices(), &stores);
     assert!(g.same_edge_set(&h));
     // Raw emission bound holds after dedup.
     assert!(g.num_edges() as u64 <= PaStream::raw_edges(600, 3));

@@ -73,7 +73,7 @@ fn partitions_cover_disjointly() {
         let part = Partitioner::build(scheme, &g, p, &mut root_rng(rng.next_u64()));
         let stores = build_stores(&g, &part);
         // Disjoint cover: total edges match, reassembly is the identity.
-        let total: usize = stores.iter().map(|s| s.num_edges()).sum();
+        let total: usize = stores.iter().map(|s| s.len()).sum();
         assert_eq!(total, g.num_edges());
         let back = assemble_graph(g.num_vertices(), &stores);
         assert!(back.same_edge_set(&g));
