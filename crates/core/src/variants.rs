@@ -290,6 +290,48 @@ mod tests {
         assert!(out.visit_rate() > 0.99, "visit rate {}", out.visit_rate());
     }
 
+    /// Digest, counters and visited count of each variant, two seeds
+    /// each, as the variants computed them while a hash set of initial
+    /// keys tracked their visits: where a variant keeps its visit marks
+    /// moves no draw and no count.
+    #[test]
+    fn variant_outcomes_are_pinned() {
+        fn row(g: &Graph, out: &ConstrainedOutcome, m: usize) -> (u64, [u64; 5]) {
+            let visited = (out.visit_rate() * m as f64).round() as u64;
+            let counts = [
+                out.performed,
+                out.abandoned,
+                out.restarts,
+                out.connectivity_rejects,
+                visited,
+            ];
+            (g.edge_digest(), counts)
+        }
+        let mut got = Vec::new();
+        // A ring with few chords, where many switches would cut it.
+        for (seed, k) in [(21, 4), (22, 2), (25, 2)] {
+            let mut rng = root_rng(seed);
+            let mut g = small_world(200, k, 0.05, &mut rng);
+            let m = g.num_edges();
+            let out = sequential_edge_switch_connected(&mut g, 600, &mut rng);
+            got.push(row(&g, &out, m));
+        }
+        for seed in [23, 24] {
+            let mut rng = root_rng(seed);
+            let mut g = erdos_renyi_gnm(300, 1200, &mut rng);
+            let out = sequential_exact_visit(&mut g, 0.7, &mut rng);
+            got.push(row(&g, &out, 1200));
+        }
+        let pinned: [(u64, [u64; 5]); 5] = [
+            (0x2cc8_e237_36c7_d185, [600, 0, 27, 0, 378]),
+            (0xd392_9827_e65e_3a73, [600, 0, 357, 339, 199]),
+            (0xb874_5643_d845_9263, [600, 0, 330, 308, 200]),
+            (0xeec4_5503_4977_227b, [420, 0, 28, 0, 840]),
+            (0xbd46_e8aa_2f2c_5229, [420, 0, 26, 0, 840]),
+        ];
+        assert_eq!(got, pinned);
+    }
+
     #[test]
     fn endpoints_connected_detects_separation() {
         // Path 0-1-2: removing nothing, endpoints 0 and 2 connected.
