@@ -241,7 +241,7 @@ fn curveball(m: u64, seed: u64) -> Json {
 
 /// Per-case child re-entry hook: a no-op unless the genscale environment
 /// variables are present, in which case it runs the case described by
-/// [`ENV_CASE`], writes the result JSON to [`ENV_OUT`], and **exits the
+/// `ENV_CASE`, writes the result JSON to `ENV_OUT`, and **exits the
 /// process**. Binaries that drive this experiment route children here —
 /// the `repro` binary at the top of `main`, the bench test binary
 /// through an `#[ignore]`d `genscale_child_entry` hook test (the same
@@ -299,7 +299,7 @@ const MODES: [&str; 5] = [
 
 /// `genscale` — the streaming pipeline at scale. `--quick` (scale < 1)
 /// runs the m = 10⁶ column only (what the CI memory gate reads); the
-/// full run sweeps [`FULL_GRID`] and stretches to `boot-streamed` at
+/// full run sweeps `FULL_GRID` and stretches to `boot-streamed` at
 /// 10⁸ when `MemAvailable` permits.
 pub fn genscale(cfg: &ExpConfig) -> Report {
     let grid: Vec<u64> = if cfg.scale >= 1.0 {
@@ -379,7 +379,7 @@ pub fn genscale_with_grid(cfg: &ExpConfig, grid: &[u64], try_huge: bool) -> Repo
 
 /// `--gate-mem` over an already-computed genscale report: at the
 /// smallest measured m, streamed construction peak RSS must stay at or
-/// below [`GATE_MEM_RATIO`] × the materialized path's. Skips (`Ok` with
+/// below `GATE_MEM_RATIO` × the materialized path's. Skips (`Ok` with
 /// a notice) where `VmHWM` is unavailable (non-Linux). Returns the pass
 /// or skip summary in `Ok`, a human-readable error in `Err`.
 pub fn mem_gate(data: &Json) -> Result<String, String> {

@@ -271,7 +271,7 @@ pub fn mixing(cfg: &ExpConfig) -> Report {
 /// visit rate in at most half the operations sequential switching needs.
 /// *Skips* (`Ok` with a notice, not a failure) when the quick-scale
 /// instance is too small to mix meaningfully — fewer than
-/// [`GATE_MIN_EDGES`] edges, or a Curveball run that stalled below the
+/// `GATE_MIN_EDGES` edges, or a Curveball run that stalled below the
 /// target. Returns the notice or pass summary in `Ok`, a human-readable
 /// error in `Err`.
 pub fn mixing_gate(data: &edgeswitch_json::Json) -> Result<String, String> {

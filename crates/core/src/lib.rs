@@ -56,4 +56,4 @@ pub use sequential::{SeqCheckpoint, SequentialOutcome, SequentialResumable};
 pub use switch::{RejectReason, SwitchKind};
 pub use trade::CurveballResumable;
 pub use variants::{sequential_edge_switch_connected, sequential_exact_visit, ConstrainedOutcome};
-pub use visit::{VisitTracker, Visits};
+pub use visit::Visits;

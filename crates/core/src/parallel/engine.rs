@@ -2,11 +2,11 @@
 //! message-passing ranks (`mpilite`), one thread per processor, each a
 //! `Comm` over a channel mailbox.
 //!
-//! [`run_threaded_world`] is the one set-up both randomizers run on: it
+//! `run_threaded_world` is the one set-up both randomizers run on: it
 //! splits the graph into unindexed per-rank pools, builds each rank
-//! thread's machine from its pool ([`RankMachine::build`]; a switch rank
+//! thread's machine from its pool (`RankMachine::build`; a switch rank
 //! indexes it there, in its own thread) with a probe on one shared clock,
-//! runs the shared rank body ([`run_rank`]) over a [`MpiliteTransport`]
+//! runs the shared rank body (`run_rank`) over a [`MpiliteTransport`]
 //! with the rank's copy of the schedule — whose `Schedule::open` is
 //! the same boundary a simulated world opens its steps with — and
 //! merges the per-rank outputs and telemetry into one
@@ -82,4 +82,5 @@ pub(crate) fn run_threaded_world<S: RankMachine>(
         outputs.push(output);
     }
     assemble_outcome(graph.num_vertices(), steps as u64, outputs, telemetry, meta)
+        .expect("rank shares must hold edges of an n-vertex graph")
 }

@@ -1,22 +1,22 @@
 //! Shared step machinery of the protocol drivers: one step loop per
 //! world shape, one step boundary per randomizer.
 //!
-//! [`run_rank_step`] is one rank's step in the threaded and process
+//! `run_rank_step` is one rank's step in the threaded and process
 //! worlds (real collectives over `mpilite`'s `Comm`, `EndOfStep`
-//! signalling); [`run_world_step`] drives all `p` ranks of a simulated
+//! signalling); `run_world_step` drives all `p` ranks of a simulated
 //! world from one loop (FIFO, or the virtual-time DES of
-//! `edgeswitch-scalesim`). Both are generic over [`RankMachine`] — the
+//! `edgeswitch-scalesim`). Both are generic over `RankMachine` — the
 //! switch protocol's [`RankState`] and Curveball's trade machine
 //! (`super::trade`) — and both open every step through the machine's
-//! one [`Schedule::open`], the only protocol-specific code in a step
+//! one `Schedule::open`, the only protocol-specific code in a step
 //! (the schedule also says when the run is over and what a snapshot
 //! records of it). The switch boundary (Section 4.5) exchanges the live
 //! edge counts `|E_i|`, refreshes the probability vector `q` and draws
 //! per-rank quotas with the parallel multinomial algorithm
 //! (Algorithm 5); a Curveball boundary gathers the visited counts and
 //! opens the next pass. A boundary runs its collectives through a
-//! [`Boundary`]: in place over all `p` ranks of a simulated world
-//! ([`InPlace`]), over its own `Comm` on a real rank
+//! `Boundary`: in place over all `p` ranks of a simulated world
+//! (`InPlace`), over its own `Comm` on a real rank
 //! ([`MpiliteTransport`]). Either way the loop then runs conversations
 //! until the step quiesces. Also here:
 //!
@@ -26,7 +26,7 @@
 //! - [`MpiliteTransport`] is the per-rank form where each state machine
 //!   runs on its own thread or process over one `Comm`, generic over the
 //!   link under it (a thread's mailbox, a process's shm rings);
-//! - [`run_rank`] is the one real-world rank body, for threads and for
+//! - `run_rank` is the one real-world rank body, for threads and for
 //!   the process child alike;
 //! - [`StepHarness`] owns step sizing, so no driver carries its own
 //!   copy;
@@ -42,7 +42,7 @@ use crate::visit::Visits;
 use edgeswitch_dist::BlockRng64;
 use edgeswitch_graph::sampling::EdgePool;
 use edgeswitch_graph::store::assemble_edges;
-use edgeswitch_graph::{Edge, Graph, Partitioner};
+use edgeswitch_graph::{Edge, Graph, GraphError, Partitioner};
 use mpilite::{CollCarrier, Comm, CommStats, Link, Mailbox};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -331,13 +331,19 @@ pub struct RunMeta {
 /// `i` marks the graph's edge `i`. `meta` is `Some` iff
 /// the run was observed; the per-rank probe recordings and comm-layer
 /// gauges are then merged into a [`RunReport`].
+///
+/// Errors with the [`GraphError`] of [`assemble_edges`] — an edge
+/// repeated or with an endpoint `>= n`, named — if the ranks' key lists
+/// are not a partition of one `n`-vertex graph: a world whose ranks ran
+/// in this process does not fail so, a launcher gathering other
+/// processes' lists may.
 pub fn assemble_outcome(
     n: usize,
     steps: u64,
     outputs: Vec<RankOutput>,
     telemetry: Vec<StepTelemetry>,
     meta: Option<RunMeta>,
-) -> ParallelOutcome {
+) -> Result<ParallelOutcome, GraphError> {
     let p = outputs.len();
     let mut per_rank = Vec::with_capacity(p);
     let mut comm = Vec::with_capacity(p);
@@ -368,8 +374,8 @@ pub fn assemble_outcome(
     let edges = final_keys
         .into_iter()
         .flat_map(|keys| keys.into_iter().map(Edge::from_key));
-    ParallelOutcome {
-        graph: assemble_edges(n, edges),
+    Ok(ParallelOutcome {
+        graph: assemble_edges(n, edges)?,
         steps,
         per_rank,
         final_edges,
@@ -378,7 +384,7 @@ pub fn assemble_outcome(
         visits: Visits::joined(visits),
         telemetry,
         report,
-    }
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -416,7 +422,7 @@ pub trait WorldTransport {
     /// After [`WorldTransport::end_step`]: record the step's barrier /
     /// q-refresh / message-wait spans into `obs` and `tel`, returning
     /// `true` if this transport owns those spans (the DES records them
-    /// in virtual time). `false` lets [`run_world_step`] record its own
+    /// in virtual time). `false` lets `run_world_step` record its own
     /// monotonic measurements.
     fn record_step_spans(&mut self, _obs: &mut Obs, _tel: &mut StepTelemetry) -> bool {
         false

@@ -3,8 +3,8 @@
 //!
 //! A rank process is a threaded rank on another link: it runs the same
 //! `mpilite::Comm` (tag matching, pending buffer, collectives, traffic
-//! counters) over a [`ShmLink`] instead of a channel mailbox, and the
-//! same rank body ([`run_rank`]: the shared rank loop, every step opened
+//! counters) over a `ShmLink` instead of a channel mailbox, and the
+//! same rank body (`run_rank`: the shared rank loop, every step opened
 //! by the [`StepHarness`] boundary a simulated world opens its steps
 //! with); the launcher runs the same [`assemble_outcome`] merge. What
 //! differs is boot and teardown:
@@ -20,7 +20,7 @@
 //! * each rank child attaches, rebuilds its share of the edges
 //!   bit-identically (pool order is preserved, so edge sampling matches
 //!   the threaded engine and the simulators), and runs the rank body
-//!   over its [`ShmLink`] — point-to-point `Msg` frames and the
+//!   over its `ShmLink` — point-to-point `Msg` frames and the
 //!   step-boundary collectives all travel the world's SPSC rings;
 //! * at teardown each child takes its endpoint back from the `Comm` and
 //!   streams a **result blob** (its `RankOutput` — its edges as a key
@@ -46,7 +46,7 @@ use std::time::Duration;
 use edgeswitch_graph::generators::StreamSpec;
 use edgeswitch_graph::sampling::EdgePool;
 use edgeswitch_graph::store::{build_rank_store_streamed, build_stores};
-use edgeswitch_graph::{Edge, Graph, Partitioner};
+use edgeswitch_graph::{Edge, Graph, GraphError, Partitioner};
 use edgeswitch_shm::{Endpoint, ShmWorld, WaitOutcome};
 use mpilite::{Comm, Link, Packet, RECV_TIMEOUT, SPIN_RELAX, SPIN_TOTAL};
 
@@ -141,10 +141,11 @@ impl Link<Msg> for ShmLink<'_> {
 
 /// How a rank child obtains its initial edge pool.
 enum BootPayload {
-    /// The launcher materialized the graph and shipped every rank's pool:
-    /// per-rank edge-pool lengths, with rank `r`'s keys following rank
-    /// `r-1`'s in the concatenated key array. O(m) boot bytes.
-    Keys { counts: Vec<u64>, keys: Vec<u64> },
+    /// The launcher materialized the graph and shipped every rank's pool
+    /// (O(m) boot bytes): per-rank edge-pool lengths, with rank `r`'s
+    /// keys following rank `r-1`'s in the concatenated key array. A
+    /// child decodes its own keys only, in pool order.
+    Keys(Vec<u64>),
     /// Seed boot: an O(1) [`StreamSpec`] — each child replays the
     /// generator stream and keeps the edges it owns
     /// ([`build_rank_store_streamed`]), so no edge list ever crosses the
@@ -357,7 +358,9 @@ fn encode_boot_gen(
     out
 }
 
-fn decode_boot(bytes: &[u8]) -> BootBlob {
+/// The boot blob as rank `rank`'s child needs it: of the shipped key
+/// array, only its own share is read, the other ranks' skipped.
+fn decode_boot(bytes: &[u8], rank: usize) -> BootBlob {
     let mut r = Reader::new(bytes);
     let config = decode_config(&mut r);
     let part = decode_partitioner(&mut r);
@@ -366,10 +369,12 @@ fn decode_boot(bytes: &[u8]) -> BootBlob {
     let payload = match r.u8() {
         BOOT_KEYS => {
             let p = r.len(8);
-            let counts: Vec<u64> = (0..p).map(|_| r.u64()).collect();
-            let total: u64 = counts.iter().sum();
-            let keys: Vec<u64> = (0..total).map(|_| r.u64()).collect();
-            BootPayload::Keys { counts, keys }
+            let counts: Vec<usize> = (0..p).map(|_| r.u64() as usize).collect();
+            let (before, after) = (&counts[..rank], &counts[rank + 1..]);
+            r.skip(8 * before.iter().sum::<usize>());
+            let keys = (0..counts[rank]).map(|_| r.u64()).collect();
+            r.skip(8 * after.iter().sum::<usize>());
+            BootPayload::Keys(keys)
         }
         BOOT_GEN => BootPayload::Gen {
             spec: decode_stream_spec(&mut r),
@@ -567,7 +572,7 @@ pub(crate) fn process_switch(
     let n = graph.num_vertices();
     let boot = encode_boot(config, part, n, t, &stores);
     drop(stores);
-    launch_world(boot, n, t, config)
+    launch_world(boot, n, t, config, part)
 }
 
 /// Seed-boot launcher: run `t` switch operations on the graph *described*
@@ -600,7 +605,7 @@ pub fn try_parallel_edge_switch_proc_gen(
         panic!("seed-boot spec rejected: {detail}");
     }
     let boot = encode_boot_gen(config, part, t, spec);
-    launch_world(boot, spec.num_vertices(), t, config)
+    launch_world(boot, spec.num_vertices(), t, config, part)
 }
 
 /// Shared launch machinery: write `boot` into a fresh shm world, respawn
@@ -612,6 +617,7 @@ fn launch_world(
     n: usize,
     t: u64,
     config: &ParallelConfig,
+    part: &Partitioner,
 ) -> Result<ParallelOutcome, ProcError> {
     let p = config.processors;
     let harness = StepHarness::new(t, config);
@@ -678,29 +684,13 @@ fn launch_world(
 
     // Decode and assemble while the children exit: each has sent its
     // last frame, and its teardown overlaps the launcher's.
-    let mut outputs = Vec::with_capacity(p);
-    let mut telemetry = vec![StepTelemetry::default(); steps as usize];
-    // Each blob is freed once decoded: the launcher never holds a rank's
-    // result both as bytes and as a key list for longer than one rank.
-    for (rank, blob) in blobs.into_iter().enumerate() {
-        let (output, rank_telemetry) = match decode_result(&blob, rank, steps) {
-            Ok(decoded) => decoded,
-            Err(detail) => {
-                kill_children(&mut children);
-                return Err(ProcError::RankDied {
-                    rank,
-                    detail: format!("malformed result: {detail}"),
-                });
-            }
-        };
-        drop(blob);
-        for (acc, step) in telemetry.iter_mut().zip(&rank_telemetry) {
-            acc.merge(step);
+    let outcome = match gather(blobs, n, steps, part) {
+        Ok(outcome) => outcome,
+        Err(err) => {
+            kill_children(&mut children);
+            return Err(err);
         }
-        outputs.push(output);
-    }
-    // Process runs are unobserved: meta stays None, report stays None.
-    let outcome = assemble_outcome(n, steps, outputs, telemetry, None);
+    };
 
     // Every child is reaped, and its exit checked, before the outcome
     // is handed back.
@@ -717,16 +707,66 @@ fn launch_world(
     Ok(outcome)
 }
 
+/// Decode the ranks' result blobs, in rank order, and assemble the
+/// outcome of the `n`-vertex, `steps`-step run split by `part`. A blob
+/// that is not its sender's ([`decode_result`]), or whose keys repeat
+/// an edge, is [`ProcError::RankDied`] for that rank.
+fn gather(
+    blobs: Vec<Vec<u8>>,
+    n: usize,
+    steps: u64,
+    part: &Partitioner,
+) -> Result<ParallelOutcome, ProcError> {
+    let died = |rank, detail| ProcError::RankDied {
+        rank,
+        detail: format!("malformed result: {detail}"),
+    };
+    let mut outputs = Vec::with_capacity(blobs.len());
+    let mut telemetry = vec![StepTelemetry::default(); steps as usize];
+    // Each blob is freed once decoded: the launcher never holds a rank's
+    // result both as bytes and as a key list for longer than one rank.
+    for (rank, blob) in blobs.into_iter().enumerate() {
+        let (output, rank_telemetry) =
+            decode_result(&blob, rank, steps, part, n).map_err(|detail| died(rank, detail))?;
+        drop(blob);
+        for (acc, step) in telemetry.iter_mut().zip(&rank_telemetry) {
+            acc.merge(step);
+        }
+        outputs.push(output);
+    }
+    // Process runs are unobserved: meta stays None, report stays None.
+    assemble_outcome(n, steps, outputs, telemetry, None).map_err(|err| {
+        // Every key is its sender's and in range (`decode_result`), so
+        // what is left to fail is an edge a rank sent twice.
+        let GraphError::ParallelEdge(e) = err else {
+            unreachable!("decode_result refuses {err}")
+        };
+        died(part.owner(e.src()), err.to_string())
+    })
+}
+
 /// Decode the result blob rank `rank` sent ([`wire::decode_rank_result`])
-/// and check it is that rank's, with one telemetry row per step.
+/// and check it is that rank's: it names the rank, every key is an edge
+/// on the run's `n` vertices that `part` gives the rank, and it has one
+/// telemetry row per step. Keys that pass can repeat an edge only within
+/// the one rank's list, which the gather refuses ([`assemble_outcome`]).
+/// One owner lookup a key: no key is sorted or hashed.
 fn decode_result(
     blob: &[u8],
     rank: usize,
     steps: u64,
+    part: &Partitioner,
+    n: usize,
 ) -> Result<(RankOutput, Vec<StepTelemetry>), String> {
     let (output, telemetry) = wire::decode_rank_result(blob)?;
+    let stray = (output.keys.iter().map(|&key| Edge::from_key(key)))
+        .find(|e| e.dst() >= n as u64 || part.owner(e.src()) != rank);
     if output.rank != rank {
         Err(format!("the blob names rank {}", output.rank))
+    } else if let Some(e) = stray {
+        Err(format!(
+            "edge {e} is not one of rank {rank} on {n} vertices"
+        ))
     } else if telemetry.len() as u64 != steps {
         Err(format!(
             "{} telemetry rows for {steps} steps",
@@ -796,19 +836,17 @@ fn run_rank_child(world: &ShmWorld, rank: usize) {
         part,
         t,
         payload,
-    } = decode_boot(world.boot());
+    } = decode_boot(world.boot(), rank);
     let p = config.processors;
     assert_eq!(world.participants(), p + 1);
     assert!(rank < p);
 
     let store = match payload {
-        BootPayload::Keys { counts, keys } => {
+        BootPayload::Keys(keys) => {
             // Rebuild this rank's pool with the exact order the launcher
             // serialized (insertion order == pool order == sampling
             // order).
-            let offset: u64 = counts[..rank].iter().sum();
-            let share = &keys[offset as usize..(offset + counts[rank]) as usize];
-            share.iter().map(|&key| Edge::from_key(key)).collect()
+            keys.into_iter().map(Edge::from_key).collect()
         }
         BootPayload::Gen { spec } => {
             // Seed boot: replay the generator stream, keep owned edges.
@@ -833,7 +871,7 @@ fn run_rank_child(world: &ShmWorld, rank: usize) {
 mod tests {
     use super::*;
     use crate::visit::Visits;
-    use edgeswitch_dist::{parallel_multinomial_owned, rank_block_rng};
+    use edgeswitch_dist::{parallel_multinomial_owned, rank_block_rng, root_rng};
     use mpilite::{run_world, CommStats, WorldConfig};
 
     /// The launcher takes a result blob only as its sender's, with one
@@ -852,12 +890,81 @@ mod tests {
             obs: None,
         };
         let blob = wire::encode_rank_result(&output, &vec![StepTelemetry::default(); 2]);
-        assert!(decode_result(&blob, 1, 2).is_ok());
-        let err = decode_result(&blob, 0, 2).unwrap_err();
+        let part = Partitioner::hash_division(2);
+        assert!(decode_result(&blob, 1, 2, &part, 3).is_ok());
+        let err = decode_result(&blob, 0, 2, &part, 3).unwrap_err();
         assert!(err.contains("names rank 1"), "{err}");
-        let err = decode_result(&blob, 1, 3).unwrap_err();
+        let err = decode_result(&blob, 1, 3, &part, 3).unwrap_err();
         assert!(err.contains("2 telemetry rows for 3 steps"), "{err}");
-        assert!(decode_result(&blob[..blob.len() - 1], 1, 2).is_err());
+        assert!(decode_result(&blob[..blob.len() - 1], 1, 2, &part, 3).is_err());
+    }
+
+    /// A rank child reads its own keys of a materialized boot, in pool
+    /// order, and nothing of the other ranks'.
+    #[test]
+    fn a_rank_boots_from_its_own_keys() {
+        let g = edgeswitch_graph::generators::erdos_renyi_gnm(50, 200, &mut root_rng(3));
+        let (config, part) = (ParallelConfig::new(3), Partitioner::hash_division(3));
+        let stores = build_stores(&g, &part);
+        let boot = encode_boot(&config, &part, 50, 7, &stores);
+        for (rank, store) in stores.iter().enumerate() {
+            let blob = decode_boot(&boot, rank);
+            assert_eq!(blob.t, 7);
+            let BootPayload::Keys(keys) = blob.payload else {
+                panic!("a materialized boot ships keys");
+            };
+            assert!(keys.iter().map(|&k| Edge::from_key(k)).eq(store.iter()));
+        }
+    }
+
+    /// Result blobs that decode but are no share of the run — an edge
+    /// repeated within a rank, an edge another rank owns, an endpoint
+    /// past `n` — are `RankDied` for the rank that sent the edge, never
+    /// a panic of the gather.
+    #[test]
+    fn a_gathered_key_list_must_be_a_share_of_the_run() {
+        let (n, steps) = (10, 2);
+        // Rank `v % 2` owns the edges at `v`, their smaller endpoint.
+        let part = Partitioner::hash_division(2);
+        let blob = |rank: usize, edges: &[(u64, u64)]| {
+            let output = RankOutput {
+                rank,
+                keys: edges.iter().map(|&(u, v)| Edge::new(u, v).key()).collect(),
+                visits: Visits {
+                    initial: edges.len(),
+                    unvisited: vec![0; edges.len().div_ceil(64)],
+                },
+                stats: Default::default(),
+                comm: Default::default(),
+                obs: None,
+            };
+            let rows = vec![StepTelemetry::default(); steps as usize];
+            let blob = wire::encode_rank_result(&output, &rows);
+            assert!(wire::decode_rank_result(&blob).is_ok());
+            blob
+        };
+        let (even, odd) = ([(0, 1), (2, 3), (4, 9)], [(1, 2), (3, 4), (5, 6)]);
+        let whole = gather(vec![blob(0, &even), blob(1, &odd)], n, steps, &part);
+        assert_eq!(whole.map(|out| out.graph.num_edges()).ok(), Some(6));
+        let cases = [
+            ("repeated", 1, &[(1, 2), (3, 4), (1, 2)][..]),
+            ("repeated", 0, &[(0, 1), (2, 3), (0, 1)]),
+            ("another rank's", 0, &[(0, 1), (1, 2)]),
+            ("another rank's", 1, &[(1, 2), (2, 3)]),
+            ("past n", 1, &[(1, 2), (3, 10)]),
+            ("past n", 0, &[(0, 1), (10, 12)]),
+        ];
+        for (why, rank, edges) in cases {
+            // The rank sends `edges`, the other rank its own share.
+            let mut blobs = vec![blob(0, &even), blob(1, &odd)];
+            blobs[rank] = blob(rank, edges);
+            match gather(blobs, n, steps, &part) {
+                Err(ProcError::RankDied { rank: died, detail }) => {
+                    assert_eq!(died, rank, "{why}: {detail}");
+                }
+                other => panic!("{why} on rank {rank}: {:?}", other.map(|_| "gathered")),
+            }
+        }
     }
 
     /// Each collective the step boundaries use, on fixed inputs and a

@@ -62,7 +62,7 @@
 //! [`ParallelConfig::local_fastpath`](crate::config::ParallelConfig))
 //! executes that chain inline in [`RankState::try_start`] instead of
 //! bouncing `Propose`/`Validate`/`Commit` messages to itself: no
-//! [`InFlight`] or [`PartnerConv`] entry, no outbox traffic, no message
+//! `InFlight` or `PartnerConv` entry, no outbox traffic, no message
 //! dispatch. RNG draw order and store mutation order are exactly those
 //! of the protocol path, so seeded runs are bit-identical with the fast
 //! path on or off (enforced by the conformance suite). A self-partner
@@ -75,7 +75,7 @@ use super::msg::{ConvId, Msg, MsgKind, Outbox};
 use crate::config::ParallelConfig;
 use crate::obs::{GaugeKind, Obs, Phase, Stamp};
 use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
-use crate::visit::{marked, Visits};
+use crate::visit::Visits;
 use edgeswitch_dist::Rng;
 use edgeswitch_dist::{rank_block_rng, BlockRng64};
 use edgeswitch_graph::hashing::{FxHashMap, FxHashSet};
@@ -154,12 +154,10 @@ pub struct RankCheckpoint {
     pub rank: usize,
     /// The rank's owned edges in pool (insertion) order.
     pub store_edges: Vec<Edge>,
-    /// The rank's initial edge count ([`Visits::initial`]) at capture.
-    pub tracker_initial: usize,
-    /// Visit marks over `store_edges` ([`Visits::unvisited`]): bit
-    /// `i % 64` of word `i / 64` is set iff `store_edges[i]` is an
-    /// unvisited initial edge.
-    pub unvisited: Vec<u64>,
+    /// The rank's visits at capture: its initial edge count, and marks
+    /// over `store_edges` — bit `i % 64` of word `i / 64` is set iff
+    /// `store_edges[i]` is an unvisited initial edge.
+    pub visits: Visits,
     /// Accumulated per-rank statistics.
     pub stats: RankStats,
     /// Next conversation-id sequence number.
@@ -177,8 +175,7 @@ impl RankCheckpoint {
         RankCheckpoint {
             rank,
             store_edges: edges,
-            tracker_initial: visits.initial,
-            unvisited: visits.unvisited,
+            visits,
             stats,
             conv_seq: 0,
             rng_words: 0,
@@ -380,10 +377,10 @@ impl RankState {
         for &e in &ckpt.store_edges {
             state.store.insert(e);
         }
-        for e in marked(&ckpt.unvisited, &ckpt.store_edges) {
+        for e in ckpt.visits.unvisited_edges(&ckpt.store_edges) {
             state.store.mark_unvisited(e.key());
         }
-        state.tracked = ckpt.tracker_initial;
+        state.tracked = ckpt.visits.initial;
         state.stats = ckpt.stats;
         state.conv_seq = ckpt.conv_seq;
         state.rng.jump_words(ckpt.rng_words);

@@ -2,12 +2,12 @@
 //! step at a time — a Section-4.5 step of the switch protocol, or a pass
 //! of Curveball trades.
 //!
-//! [`SimWorld`] owns the whole life of a simulated run — set-up (store
+//! `SimWorld` owns the whole life of a simulated run — set-up (store
 //! split, rank construction, observation clock), stepping
-//! ([`run_world_step`] over its [`WorldTransport`]), snapshot, resume
+//! (`run_world_step` over its [`WorldTransport`]), snapshot, resume
 //! and teardown ([`assemble_outcome`]) — in one impl generic over
-//! [`RankMachine`]: only the step boundary differs between the
-//! randomizers, and that is the machine's [`Schedule`]. Over the default
+//! `RankMachine`: only the step boundary differs between the
+//! randomizers, and that is the machine's `Schedule`. Over the default
 //! [`FifoTransport`] it is the deterministic simulator behind
 //! [`Run::simulated`](crate::Run::simulated); the virtual-time DES in
 //! `edgeswitch-scalesim` drives the same type over a cost-charging
@@ -45,7 +45,7 @@ use edgeswitch_graph::{Graph, Partitioner};
 use mpilite::CommStats;
 use std::sync::Arc;
 
-/// The complete persistent state of a FIFO [`SimWorld`] at a step
+/// The complete persistent state of a FIFO `SimWorld` at a step
 /// boundary; `C` is what its schedule records (the switch protocol's
 /// budget `t` by default, Curveball's pass controller).
 ///
@@ -71,7 +71,7 @@ pub struct WorldSnapshot<C = u64> {
     pub comm: Vec<CommStats>,
     /// Telemetry of the completed steps.
     pub telemetry: Vec<StepTelemetry>,
-    /// Initial `|E_i|` per rank: each rank's `tracker_initial`, carried
+    /// Initial `|E_i|` per rank: each rank's `visits.initial`, carried
     /// for the final outcome (a resume refuses any other).
     pub initial_edges: Vec<u64>,
 }
@@ -200,7 +200,8 @@ impl<T: WorldTransport, S: RankMachine> SimWorld<T, S> {
             .zip(self.comm_stats)
             .map(|(state, comm)| state.into_output(comm))
             .collect();
-        let outcome = assemble_outcome(self.n, self.next_step, outputs, self.telemetry, meta);
+        let outcome = assemble_outcome(self.n, self.next_step, outputs, self.telemetry, meta)
+            .expect("rank shares must hold edges of an n-vertex graph");
         (outcome, self.transport)
     }
 }
@@ -262,20 +263,16 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
             if !owned {
                 return Err(format!("snapshot of rank {rank} is not that rank's state"));
             }
-            check_marks(
-                graph,
-                &ckpt.store_edges,
-                &ckpt.unvisited,
-                ckpt.tracker_initial,
-            )
-            .map_err(|why| format!("rank {rank}: {why}"))?;
-            if snap.initial_edges[rank] != ckpt.tracker_initial as u64 {
+            check_marks(graph, &ckpt.store_edges, &ckpt.visits)
+                .map_err(|why| format!("rank {rank}: {why}"))?;
+            let initial = ckpt.visits.initial;
+            if snap.initial_edges[rank] != initial as u64 {
                 return Err(format!(
-                    "snapshot of rank {rank} starts from {} edges but tracks {}",
-                    snap.initial_edges[rank], ckpt.tracker_initial
+                    "snapshot of rank {rank} starts from {} edges but tracks {initial}",
+                    snap.initial_edges[rank]
                 ));
             }
-            tracked = tracked.saturating_add(ckpt.tracker_initial);
+            tracked = tracked.saturating_add(initial);
         }
         if tracked != graph.num_edges() {
             return Err("snapshot visit trackers do not fit the graph".to_string());

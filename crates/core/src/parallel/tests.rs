@@ -349,7 +349,7 @@ fn rank_visits_join_in_assembly_order() {
             }
         })
         .collect();
-    let out = assemble_outcome(3000, 0, outputs, Vec::new(), None);
+    let out = assemble_outcome(3000, 0, outputs, Vec::new(), None).unwrap();
     assert_eq!(out.initial_edges, [63, 2, 0, 130]);
     let edges: Vec<Edge> = out.graph.edges().collect();
     assert_eq!((edges.len(), out.visits.unvisited.len()), (195, 4));

@@ -35,12 +35,12 @@
 //! loads all arrive at pass start, and trade `k` waits only on trades
 //! that fire before it.
 //!
-//! [`TradeRankState`] is a [`RankMachine`] that never starts anything (a
+//! `TradeRankState` is a `RankMachine` that never starts anything (a
 //! trade fires inside `handle`), so the shared step loops run a pass as
 //! they run a switch step: the simulated world steps, snapshots and
 //! resumes it, and the threaded world's ranks run it through the shared
-//! rank body. Only the pass boundary is Curveball's own: [`Passes`], the
-//! [`Schedule`] every world opens a pass through. Between passes a
+//! rank body. Only the pass boundary is Curveball's own: `Passes`, the
+//! `Schedule` every world opens a pass through. Between passes a
 //! rank holds what the sequential engine holds: the tokens of the edges
 //! whose smaller endpoint it owns, its initial edge count and its
 //! statistics. An unvisited initial edge keeps its key, so it comes home
@@ -256,9 +256,9 @@ impl RankMachine for TradeRankState {
         config: &ParallelConfig,
         schedule: &Passes,
     ) -> Self {
-        let tokens = to_tokens(&ckpt.store_edges, &ckpt.unvisited);
+        let tokens = to_tokens(&ckpt.store_edges, &ckpt.visits);
         TradeRankState {
-            initial: ckpt.tracker_initial,
+            initial: ckpt.visits.initial,
             stats: ckpt.stats,
             ..Self::holding(ckpt.rank, part, config, schedule, Obs::noop(), tokens)
         }

@@ -9,7 +9,7 @@
 //! frame is a transport bug, not an input error. Engine snapshots come
 //! from files and rank results from another process, and are not: their
 //! decoders return `Result`. All run on one
-//! bounds-checked [`Reader`] that latches the first bad read. Snapshots
+//! bounds-checked `Reader` that latches the first bad read. Snapshots
 //! are at format 4: format 3 carries visit marks as a bitmap over the
 //! snapshot's own edge list (see the snapshot section below), and format
 //! 4 writes one message counter fewer per telemetry row (the trade visit
@@ -258,6 +258,17 @@ impl<'a> Reader<'a> {
         (0..n).map(|_| self.u64()).collect()
     }
 
+    /// Step over `n` bytes (bad, at the end, if fewer remain).
+    pub(crate) fn skip(&mut self, n: usize) {
+        match self.at.checked_add(n).filter(|&to| to <= self.bytes.len()) {
+            Some(to) => self.at = to,
+            None => {
+                self.at = self.bytes.len();
+                self.bad = true;
+            }
+        }
+    }
+
     /// A `u64`-counted list of items at least `item_bytes` long.
     fn list<T>(&mut self, item_bytes: usize, item: impl Fn(&mut Self) -> T) -> Vec<T> {
         let n = self.len(item_bytes);
@@ -487,9 +498,9 @@ fn put_header(out: &mut Vec<u8>, kind: u8) {
 
 /// Visit state at rest ([`Visits`]): the initial edge count, then the
 /// marks as a list of words.
-fn put_visits(out: &mut Vec<u8>, initial: usize, unvisited: &[u64]) {
-    put_u64(out, initial as u64);
-    put_keys(out, unvisited.iter().copied());
+fn put_visits(out: &mut Vec<u8>, visits: &Visits) {
+    put_u64(out, visits.initial as u64);
+    put_keys(out, visits.unvisited.iter().copied());
 }
 
 fn put_stats(out: &mut Vec<u8>, stats: &RankStats) {
@@ -562,7 +573,7 @@ fn put_telemetry(out: &mut Vec<u8>, tel: &StepTelemetry) {
 fn put_rank_checkpoint(out: &mut Vec<u8>, ckpt: &RankCheckpoint) {
     put_u64(out, ckpt.rank as u64);
     put_keys(out, ckpt.store_edges.iter().map(|e| e.key()));
-    put_visits(out, ckpt.tracker_initial, &ckpt.unvisited);
+    put_visits(out, &ckpt.visits);
     put_stats(out, &ckpt.stats);
     put_u64(out, ckpt.conv_seq);
     put_u64(out, ckpt.rng_words);
@@ -645,12 +656,19 @@ impl<'a> Reader<'a> {
         tel
     }
 
+    /// Inverse of [`put_visits`].
+    fn visits(&mut self) -> Visits {
+        Visits {
+            initial: self.u64() as usize,
+            unvisited: self.list(8, Reader::u64),
+        }
+    }
+
     fn rank_checkpoint(&mut self) -> RankCheckpoint {
         RankCheckpoint {
             rank: self.u64() as usize,
             store_edges: self.list(8, Reader::edge),
-            tracker_initial: self.u64() as usize,
-            unvisited: self.list(8, Reader::u64),
+            visits: self.visits(),
             stats: self.stats(),
             conv_seq: self.u64(),
             rng_words: self.u64(),
@@ -669,7 +687,7 @@ const TELEMETRY_BYTES: usize = 8 * (12 + MsgKind::COUNT + 5);
 /// snapshot).
 pub(crate) fn encode_world_snapshot<C: SnapField>(snap: &WorldSnapshot<C>) -> Vec<u8> {
     let lists: usize = (snap.ranks.iter())
-        .map(|c| RANK_CHECKPOINT_MIN + 8 * (c.store_edges.len() + c.unvisited.len()))
+        .map(|c| RANK_CHECKPOINT_MIN + 8 * (c.store_edges.len() + c.visits.unvisited.len()))
         .sum();
     // Header, four counters, the schedule record and four list lengths.
     let len = HEADER_BYTES
@@ -747,7 +765,7 @@ pub(crate) fn encode_seq(
     edges: impl ExactSizeIterator<Item = Edge>,
 ) -> Vec<u8> {
     // Header, nine counters, two list lengths and the stream position.
-    let len = HEADER_BYTES + 8 * 12 + 8 * (ckpt.unvisited.len() + edges.len());
+    let len = HEADER_BYTES + 8 * 12 + 8 * (ckpt.visits.unvisited.len() + edges.len());
     let mut out = Vec::with_capacity(len);
     put_header(&mut out, SNAP_SEQ);
     put_u64(&mut out, ckpt.seed);
@@ -758,7 +776,7 @@ pub(crate) fn encode_seq(
     put_u64(&mut out, ckpt.rejects.self_loop);
     put_u64(&mut out, ckpt.rejects.useless);
     put_u64(&mut out, ckpt.rejects.parallel);
-    put_visits(&mut out, ckpt.tracker_initial, &ckpt.unvisited);
+    put_visits(&mut out, &ckpt.visits);
     put_keys(&mut out, edges.map(|e| e.key()));
     put_u64(&mut out, ckpt.rng_words);
     debug_assert_eq!(out.len(), len);
@@ -766,7 +784,7 @@ pub(crate) fn encode_seq(
 }
 
 /// Decode a [`SeqCheckpoint`] from untrusted bytes; fails like
-/// [`decode_world_snapshot`].
+/// `decode_world_snapshot`.
 pub fn decode_seq_checkpoint(bytes: &[u8]) -> Result<SeqCheckpoint, String> {
     let mut r = Reader::new(bytes);
     r.header(SNAP_SEQ)?;
@@ -781,8 +799,7 @@ pub fn decode_seq_checkpoint(bytes: &[u8]) -> Result<SeqCheckpoint, String> {
             useless: r.u64(),
             parallel: r.u64(),
         },
-        tracker_initial: r.u64() as usize,
-        unvisited: r.list(8, Reader::u64),
+        visits: r.visits(),
         graph_edges: r.list(8, Reader::edge),
         rng_words: r.u64(),
     };
@@ -794,7 +811,7 @@ pub fn decode_seq_checkpoint(bytes: &[u8]) -> Result<SeqCheckpoint, String> {
 pub(crate) fn encode_curveball_checkpoint(ckpt: &CurveballCheckpoint) -> Vec<u8> {
     // Header, two counters, the pass controller, two more counters and
     // two list lengths.
-    let lists = 8 * (ckpt.unvisited.len() + ckpt.graph_edges.len());
+    let lists = 8 * (ckpt.visits.unvisited.len() + ckpt.graph_edges.len());
     let len = HEADER_BYTES + 8 * 2 + PassController::BYTES + 8 * 4 + lists;
     let mut out = Vec::with_capacity(len);
     put_header(&mut out, SNAP_TRADE_SEQ);
@@ -802,7 +819,7 @@ pub(crate) fn encode_curveball_checkpoint(ckpt: &CurveballCheckpoint) -> Vec<u8>
     put_u64(&mut out, ckpt.n as u64);
     ckpt.ctl.put(&mut out);
     put_u64(&mut out, ckpt.neighbors_moved);
-    put_visits(&mut out, ckpt.tracker_initial, &ckpt.unvisited);
+    put_visits(&mut out, &ckpt.visits);
     put_keys(&mut out, ckpt.graph_edges.iter().map(|e| e.key()));
     debug_assert_eq!(out.len(), len);
     out
@@ -818,8 +835,7 @@ pub(crate) fn decode_curveball_checkpoint(bytes: &[u8]) -> Result<CurveballCheck
         n: r.u64() as usize,
         ctl: PassController::read(&mut r),
         neighbors_moved: r.u64(),
-        tracker_initial: r.u64() as usize,
-        unvisited: r.list(8, Reader::u64),
+        visits: r.visits(),
         graph_edges: r.list(8, Reader::edge),
     };
     r.finish()?;
@@ -840,7 +856,7 @@ pub(crate) fn encode_rank_result(output: &RankOutput, telemetry: &[StepTelemetry
     let mut out = Vec::with_capacity(8 * (keys.len() + visits.unvisited.len()) + 512);
     put_u64(&mut out, output.rank as u64);
     put_keys(&mut out, keys.iter().copied());
-    put_visits(&mut out, visits.initial, &visits.unvisited);
+    put_visits(&mut out, visits);
     put_stats(&mut out, &output.stats);
     put_comm(&mut out, &output.comm);
     put_u64(&mut out, telemetry.len() as u64);
@@ -863,10 +879,7 @@ pub(crate) fn decode_rank_result(bytes: &[u8]) -> Result<(RankOutput, Vec<StepTe
     let output = RankOutput {
         rank: r.u64() as usize,
         keys: r.list(8, |r| r.edge().key()),
-        visits: Visits {
-            initial: r.u64() as usize,
-            unvisited: r.list(8, Reader::u64),
-        },
+        visits: r.visits(),
         stats: r.stats(),
         comm: r.comm(),
         obs: None,
@@ -874,8 +887,7 @@ pub(crate) fn decode_rank_result(bytes: &[u8]) -> Result<(RankOutput, Vec<StepTe
     let steps = r.len(TELEMETRY_BYTES);
     let telemetry = (0..steps).map(|_| r.telemetry()).collect();
     r.finish()?;
-    let Visits { initial, unvisited } = &output.visits;
-    check_bitmap(output.keys.len(), unvisited, *initial)?;
+    check_bitmap(output.keys.len(), &output.visits)?;
     Ok((output, telemetry))
 }
 
@@ -986,9 +998,11 @@ mod tests {
         RankCheckpoint {
             rank,
             store_edges: vec![Edge::new(1, 2), Edge::new(3, 4), Edge::new(2, 5)],
-            tracker_initial: 3,
             // Edge (3, 4) unvisited.
-            unvisited: vec![0b010],
+            visits: Visits {
+                initial: 3,
+                unvisited: vec![0b010],
+            },
             stats: RankStats {
                 performed: 7,
                 performed_local: 5,
@@ -1081,8 +1095,10 @@ mod tests {
             n: 30,
             ctl: sample_pass_controller(Budget::VisitRate(0.75)),
             neighbors_moved: 4321,
-            tracker_initial: 90,
-            unvisited: vec![0b01],
+            visits: Visits {
+                initial: 90,
+                unvisited: vec![0b01],
+            },
             graph_edges: vec![Edge::new(0, 1), Edge::new(2, 3)],
         }
     }
@@ -1113,8 +1129,10 @@ mod tests {
                 useless: 2,
                 parallel: 8,
             },
-            tracker_initial: 90,
-            unvisited: vec![0b11],
+            visits: Visits {
+                initial: 90,
+                unvisited: vec![0b11],
+            },
             graph_edges: vec![Edge::new(0, 1), Edge::new(2, 3)],
             rng_words: 777,
         }
@@ -1197,10 +1215,7 @@ mod tests {
         let output = RankOutput {
             rank: ckpt.rank,
             keys: ckpt.store_edges.iter().map(|e| e.key()).collect(),
-            visits: Visits {
-                initial: ckpt.tracker_initial,
-                unvisited: ckpt.unvisited.clone(),
-            },
+            visits: ckpt.visits.clone(),
             stats: ckpt.stats,
             comm: CommStats {
                 packets_sent: 4,

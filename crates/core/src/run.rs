@@ -663,7 +663,7 @@ impl Engine {
 pub struct SequentialRun {
     /// The randomized graph.
     pub graph: Graph,
-    /// The run's counters, tracker and (if observed) report.
+    /// The run's counters, visits and (if observed) report.
     pub outcome: SequentialOutcome,
 }
 
@@ -735,6 +735,7 @@ mod tests {
         encode_curveball_checkpoint, encode_seq_checkpoint, encode_world_snapshot, SnapField,
     };
     use crate::trade::{CurveballCheckpoint, PassController};
+    use crate::visit::Visits;
     use crate::SeqCheckpoint;
     use edgeswitch_dist::root_rng;
     use edgeswitch_graph::generators::erdos_renyi_gnm;
@@ -992,18 +993,18 @@ mod tests {
     ) -> Vec<(&'static str, Vec<u8>)> {
         let snap = decode_world_snapshot::<C>(bytes).unwrap();
         let rank = &snap.ranks[0];
-        let mut worlds: Vec<_> = damaged_marks(g, &rank.store_edges, &rank.unvisited)
+        let mut worlds: Vec<_> = damaged_marks(g, &rank.store_edges, &rank.visits.unvisited)
             .into_iter()
             .map(|(why, bits)| {
                 let mut damaged = snap.clone();
-                damaged.ranks[0].unvisited = bits;
+                damaged.ranks[0].visits.unvisited = bits;
                 (why, damaged)
             })
             .collect();
-        let cut = rank.tracker_initial + 1 - marks(&rank.unvisited);
+        let cut = rank.visits.initial + 1 - marks(&rank.visits.unvisited);
         let mut over = snap.clone();
-        over.ranks[0].tracker_initial -= cut;
-        over.ranks[1].tracker_initial += cut;
+        over.ranks[0].visits.initial -= cut;
+        over.ranks[1].visits.initial += cut;
         worlds.push(("more than its", over));
         (worlds.into_iter())
             .map(|(why, world)| (why, encode_world_snapshot(&world)))
@@ -1043,30 +1044,42 @@ mod tests {
 
         let run = Run::sequential().switches(3000).seed(1);
         let ckpt = decode_seq_checkpoint(&snapshot(&run, 4)).unwrap();
-        for (why, unvisited) in damaged_marks(&g, &ckpt.graph_edges, &ckpt.unvisited) {
+        for (why, unvisited) in damaged_marks(&g, &ckpt.graph_edges, &ckpt.visits.unvisited) {
             let damaged = SeqCheckpoint {
-                unvisited,
+                visits: Visits {
+                    unvisited,
+                    ..ckpt.visits.clone()
+                },
                 ..ckpt.clone()
             };
             refused(&run, &encode_seq_checkpoint(&damaged), why);
         }
         let over = SeqCheckpoint {
-            tracker_initial: marks(&ckpt.unvisited) - 1,
+            visits: Visits {
+                initial: marks(&ckpt.visits.unvisited) - 1,
+                ..ckpt.visits
+            },
             ..ckpt
         };
         refused(&run, &encode_seq_checkpoint(&over), "does not fit");
 
         let run = Run::sequential().randomizer(trades).switches(3000).seed(1);
         let ckpt = decode_curveball_checkpoint(&snapshot(&run, 1)).unwrap();
-        for (why, unvisited) in damaged_marks(&g, &ckpt.graph_edges, &ckpt.unvisited) {
+        for (why, unvisited) in damaged_marks(&g, &ckpt.graph_edges, &ckpt.visits.unvisited) {
             let damaged = CurveballCheckpoint {
-                unvisited,
+                visits: Visits {
+                    unvisited,
+                    ..ckpt.visits.clone()
+                },
                 ..ckpt.clone()
             };
             refused(&run, &encode_curveball_checkpoint(&damaged), why);
         }
         let over = CurveballCheckpoint {
-            tracker_initial: marks(&ckpt.unvisited) - 1,
+            visits: Visits {
+                initial: marks(&ckpt.visits.unvisited) - 1,
+                ..ckpt.visits
+            },
             ..ckpt
         };
         refused(&run, &encode_curveball_checkpoint(&over), "does not fit");
@@ -1106,7 +1119,7 @@ mod tests {
             let bytes = engine.snapshot();
             fn damaged<C: SnapField>(bytes: &[u8]) -> (Vec<u64>, Vec<u8>) {
                 let mut snap = decode_world_snapshot::<C>(bytes).unwrap();
-                let want = snap.ranks.iter().map(|c| c.tracker_initial as u64);
+                let want = snap.ranks.iter().map(|c| c.visits.initial as u64);
                 assert!(snap.initial_edges.iter().copied().eq(want));
                 let initial = snap.initial_edges.clone();
                 snap.initial_edges[0] += 1;
@@ -1195,12 +1208,15 @@ mod tests {
             .switches(3000)
             .seed(1);
         let ckpt = decode_curveball_checkpoint(&snapshot(&run)).unwrap();
-        let mut lists = [(ckpt.graph_edges.clone(), ckpt.unvisited.clone())];
+        let mut lists = [(ckpt.graph_edges.clone(), ckpt.visits.unvisited.clone())];
         repeat_an_edge(&mut lists);
         let [(graph_edges, unvisited)] = lists;
         let repeated = CurveballCheckpoint {
             graph_edges,
-            unvisited,
+            visits: Visits {
+                unvisited,
+                ..ckpt.visits
+            },
             ..ckpt
         };
         refused(&run, &encode_curveball_checkpoint(&repeated));
@@ -1208,11 +1224,11 @@ mod tests {
         fn repeated_world<C: SnapField + Clone>(bytes: &[u8]) -> Vec<u8> {
             let mut snap = decode_world_snapshot::<C>(bytes).unwrap();
             let mut lists: Vec<_> = (snap.ranks.iter())
-                .map(|r| (r.store_edges.clone(), r.unvisited.clone()))
+                .map(|r| (r.store_edges.clone(), r.visits.unvisited.clone()))
                 .collect();
             repeat_an_edge(&mut lists);
             for (rank, (edges, bits)) in snap.ranks.iter_mut().zip(lists) {
-                (rank.store_edges, rank.unvisited) = (edges, bits);
+                (rank.store_edges, rank.visits.unvisited) = (edges, bits);
             }
             encode_world_snapshot(&snap)
         }

@@ -21,7 +21,7 @@ use crate::obs::{Obs, ObsSpec, Phase, ProgressEvent, RunReport, SoloObs, StepPro
 use crate::parallel::wire::encode_seq;
 use crate::run::{RunOutcome, SequentialRun, Stepped};
 use crate::switch::{flip_kind, recombine, Recombination, RejectReason, SwitchKind};
-use crate::visit::{check_marks, marked, visit_rate, Visits};
+use crate::visit::{check_marks, visit_rate, Visits};
 use edgeswitch_dist::Rng;
 use edgeswitch_dist::{root_rng, BlockRng64};
 use edgeswitch_graph::sampling::EdgePool;
@@ -82,7 +82,7 @@ impl SequentialOutcome {
 }
 
 /// Retry budget per operation before declaring the graph switch-starved.
-const MAX_RETRIES_PER_OP: u64 = 100_000;
+pub(crate) const MAX_RETRIES_PER_OP: u64 = 100_000;
 
 /// How a chunk of operations ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -271,12 +271,10 @@ pub struct SeqCheckpoint {
     pub abandoned: u64,
     /// Rejection counters so far.
     pub rejects: RejectCounts,
-    /// Initial edge count ([`Visits::initial`]) at capture.
-    pub tracker_initial: usize,
-    /// Visit marks over `graph_edges`, ⌈m/64⌉ words: bit `i % 64` of
-    /// word `i / 64` is set iff `graph_edges[i]` is an unvisited initial
-    /// edge.
-    pub unvisited: Vec<u64>,
+    /// Visits at capture: the initial edge count, and marks over
+    /// `graph_edges` — bit `i % 64` of word `i / 64` is set iff
+    /// `graph_edges[i]` is an unvisited initial edge.
+    pub visits: Visits,
     /// Current graph edges in pool (insertion) order — pool order is
     /// sampling order, so it is load-bearing.
     pub graph_edges: Vec<Edge>,
@@ -403,8 +401,7 @@ impl SequentialResumable {
             performed: self.performed,
             abandoned: self.abandoned,
             rejects: self.rejects,
-            tracker_initial: self.initial,
-            unvisited: self.pool.unvisited_bitmap(),
+            visits: self.visits(),
             graph_edges,
             rng_words: self.rng.words_served(),
         }
@@ -434,19 +431,13 @@ impl SequentialResumable {
         {
             return Err("checkpoint progress exceeds its budget".to_string());
         }
-        let pool = restore_pool(
-            graph,
-            ckpt.n,
-            &ckpt.graph_edges,
-            ckpt.tracker_initial,
-            &ckpt.unvisited,
-        )?;
+        let pool = restore_pool(graph, ckpt.n, &ckpt.graph_edges, &ckpt.visits)?;
         let mut rng = BlockRng64::new(root_rng(seed));
         rng.jump_words(ckpt.rng_words);
         Ok(SequentialResumable {
             n: ckpt.n,
             pool,
-            initial: ckpt.tracker_initial,
+            initial: ckpt.visits.initial,
             seed,
             t,
             performed: ckpt.performed,
@@ -457,16 +448,22 @@ impl SequentialResumable {
         })
     }
 
+    /// The engine's visits at rest: the marks of its pool's index as a
+    /// bitmap over pool order.
+    fn visits(&self) -> Visits {
+        Visits {
+            initial: self.initial,
+            unvisited: self.pool.unvisited_bitmap(),
+        }
+    }
+
     /// Tear down into the switched graph — its adjacency built here, in
     /// bulk, from the switched pool — and the run outcome, its visit
     /// marks read off the pool in pool order, the graph's edge order;
     /// `report` is `Some` iff the engine was observed.
     pub fn finish(self) -> (Graph, SequentialOutcome) {
+        let visits = self.visits();
         let report = self.solo.report();
-        let visits = Visits {
-            initial: self.initial,
-            unvisited: self.pool.unvisited_bitmap(),
-        };
         let graph = Graph::from_pool(self.n, self.pool)
             .expect("a switch recombines endpoints of the graph's own edges");
         (
@@ -520,16 +517,15 @@ pub(crate) fn restore_pool(
     graph: &Graph,
     n: usize,
     edges: &[Edge],
-    tracker_initial: usize,
-    unvisited: &[u64],
+    visits: &Visits,
 ) -> Result<EdgePool, String> {
-    check_snapshot(graph, n, edges, tracker_initial, unvisited)?;
+    check_snapshot(graph, n, edges, visits)?;
     let mut pool = EdgePool::with_capacity(edges.len());
     if let Some(&twice) = edges.iter().find(|&&e| !pool.insert(e)) {
         let err = GraphError::ParallelEdge(twice);
         return Err(format!("checkpoint graph is not simple: {err:?}"));
     }
-    for e in marked(unvisited, edges) {
+    for e in visits.unvisited_edges(edges) {
         pool.mark_unvisited(e.key());
     }
     Ok(pool)
@@ -542,13 +538,12 @@ pub(crate) fn check_snapshot(
     graph: &Graph,
     n: usize,
     edges: &[Edge],
-    tracker_initial: usize,
-    unvisited: &[u64],
+    visits: &Visits,
 ) -> Result<(), String> {
-    if tracker_initial != graph.num_edges() {
+    if visits.initial != graph.num_edges() {
         return Err("checkpoint visit tracker does not fit the graph".to_string());
     }
-    check_marks(graph, edges, unvisited, tracker_initial)?;
+    check_marks(graph, edges, visits)?;
     check_degrees(graph, n, &mut edges.iter().copied())
 }
 

@@ -139,11 +139,11 @@ pub(crate) fn untoken(token: u64) -> (u64, bool) {
     (key, unvisited)
 }
 
-/// The tokens of `edges` under the visit marks `unvisited` over them
-/// (bit `i % 64` of word `i / 64` marks `edges[i]`), in list order: the
+/// The tokens of `edges` under the marks of `visits` over them (bit
+/// `i % 64` of word `i / 64` marks `edges[i]`), in list order: the
 /// inverse of [`strip_marks`].
-pub(crate) fn to_tokens(edges: &[Edge], unvisited: &[u64]) -> Vec<u64> {
-    let mark = |i: usize| unvisited[i / 64] >> (i % 64) & 1 == 1;
+pub(crate) fn to_tokens(edges: &[Edge], visits: &Visits) -> Vec<u64> {
+    let mark = |i: usize| visits.unvisited[i / 64] >> (i % 64) & 1 == 1;
     (edges.iter().enumerate())
         .map(|(i, &e)| token(e, mark(i)))
         .collect()
@@ -349,9 +349,8 @@ pub(crate) struct CurveballCheckpoint {
     pub n: usize,
     pub ctl: PassController,
     pub neighbors_moved: u64,
-    pub tracker_initial: usize,
-    /// Visit marks over `graph_edges`, as [`crate::SeqCheckpoint::unvisited`].
-    pub unvisited: Vec<u64>,
+    /// Visits over `graph_edges`, as [`crate::SeqCheckpoint::visits`].
+    pub visits: Visits,
     pub graph_edges: Vec<Edge>,
 }
 
@@ -364,7 +363,7 @@ pub(crate) struct CurveballCheckpoint {
 /// Between passes the engine is its edges as tokens, two counters
 /// and the pass controller: the graph comes back only where it leaves
 /// the engine ([`CurveballResumable::finish`],
-/// [`CurveballResumable::checkpoint`]), its pool in ascending key order.
+/// `CurveballResumable::checkpoint`), its pool in ascending key order.
 pub struct CurveballResumable {
     n: usize,
     /// Every edge's token, in the order the last pass dealt them.
@@ -527,8 +526,7 @@ impl CurveballResumable {
             n: self.n,
             ctl: self.ctl,
             neighbors_moved: self.neighbors_moved,
-            tracker_initial: visits.initial,
-            unvisited: visits.unvisited,
+            visits,
             graph_edges: keys.into_iter().map(Edge::from_key).collect(),
         }
     }
@@ -549,15 +547,14 @@ impl CurveballResumable {
                 ckpt.seed, ckpt.ctl.budget
             ));
         }
-        let (edges, unvisited) = (&ckpt.graph_edges, &ckpt.unvisited);
-        check_snapshot(graph, ckpt.n, edges, ckpt.tracker_initial, unvisited)?;
+        let (edges, visits) = (&ckpt.graph_edges, &ckpt.visits);
+        check_snapshot(graph, ckpt.n, edges, visits)?;
         check_distinct(edges)?;
-        let tokens = to_tokens(edges, unvisited);
-        let marked = tokens.iter().filter(|&&t| untoken(t).1).count();
+        let tokens = to_tokens(edges, visits);
         Ok(CurveballResumable {
             ctl: ckpt.ctl,
             neighbors_moved: ckpt.neighbors_moved,
-            visited: (ckpt.tracker_initial - marked) as u64,
+            visited: visits.visited() as u64,
             ..Self::with_tokens(ckpt.n, tokens, budget, seed)
         })
     }
@@ -572,7 +569,8 @@ impl CurveballResumable {
         let mut keys = std::mem::take(&mut self.tokens);
         let visits = at_rest(&mut keys);
         let report = self.solo.report();
-        let graph = assemble_edges(self.n, keys.into_iter().map(Edge::from_key));
+        let graph = assemble_edges(self.n, keys.into_iter().map(Edge::from_key))
+            .expect("a trade moves neighbors between the graph's own vertices");
         let outcome = SequentialOutcome {
             performed,
             abandoned: 0,
@@ -629,7 +627,6 @@ impl Stepped for CurveballResumable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::visit::{marked, VisitTracker};
     use edgeswitch_dist::{root_rng, Rng};
     use edgeswitch_graph::generators::{erdos_renyi_gnm, preferential_attachment};
     use edgeswitch_graph::types::MAX_PACKED_VERTEX;
@@ -738,6 +735,46 @@ mod tests {
         );
     }
 
+    /// The initial edges a reference run has not yet removed, by key —
+    /// the visit marks the tokens' are held to.
+    struct Tracker {
+        initial: usize,
+        unvisited: BTreeSet<u64>,
+    }
+
+    impl Tracker {
+        fn new(edges: impl Iterator<Item = Edge>) -> Self {
+            let unvisited: BTreeSet<u64> = edges.map(|e| e.key()).collect();
+            Tracker {
+                initial: unvisited.len(),
+                unvisited,
+            }
+        }
+
+        fn record_removal(&mut self, e: Edge) {
+            self.unvisited.remove(&e.key());
+        }
+
+        fn visited_count(&self) -> usize {
+            self.initial - self.unvisited.len()
+        }
+
+        /// The marks over `edges`, a list in its order.
+        fn visits(&self, edges: impl Iterator<Item = Edge>) -> Visits {
+            let mut visits = Visits {
+                initial: self.initial,
+                unvisited: Vec::new(),
+            };
+            for (i, e) in edges.enumerate() {
+                if i % 64 == 0 {
+                    visits.unvisited.push(0);
+                }
+                visits.unvisited[i / 64] |= (self.unvisited.contains(&e.key()) as u64) << (i % 64);
+            }
+            visits
+        }
+    }
+
     /// The trade as it was first written, kept as the reference the
     /// token trade is held to: withdraw every edge of the disjoint
     /// union, shuffle its values, re-insert all of them. A two-sided
@@ -745,7 +782,7 @@ mod tests {
     /// dealt back, so it visits nothing.
     fn reference_trade(
         graph: &mut Graph,
-        tracker: &mut VisitTracker,
+        tracker: &mut Tracker,
         u: VertexId,
         v: VertexId,
         rng: &mut Rng64,
@@ -775,13 +812,9 @@ mod tests {
     }
 
     /// The edges and visit marks of `graph` under `tracker`, as tokens.
-    fn graph_tokens(graph: &Graph, tracker: &VisitTracker) -> Vec<u64> {
-        let edges: Vec<Edge> = graph.edges().collect();
-        let unvisited: BTreeSet<Edge> =
-            marked(&tracker.visits(graph.edges()).unvisited, &edges).collect();
-        edges
-            .iter()
-            .map(|&e| token(e, unvisited.contains(&e)))
+    fn graph_tokens(graph: &Graph, tracker: &Tracker) -> Vec<u64> {
+        (graph.edges())
+            .map(|e| token(e, tracker.unvisited.contains(&e.key())))
             .collect()
     }
 
@@ -791,7 +824,7 @@ mod tests {
     /// Returns `(neighbors moved, neighbors that changed endpoint)`.
     fn trade_both_ways(
         graph: &mut Graph,
-        tracker: &mut VisitTracker,
+        tracker: &mut Tracker,
         (u, v): (VertexId, VertexId),
         stream: (u64, u64, u32),
     ) -> (usize, usize) {
@@ -825,7 +858,7 @@ mod tests {
             ("er", erdos_renyi_gnm(120, 900, &mut rng)),
             ("pa", preferential_attachment(150, 6, &mut rng)),
         ] {
-            let mut tracker = VisitTracker::new(g.edges());
+            let mut tracker = Tracker::new(g.edges());
             let (mut adjacent, mut kept) = (0, 0);
             for k in 0..500u32 {
                 let u = rng.gen_range(0..g.num_vertices() as u64);
@@ -850,7 +883,7 @@ mod tests {
         let e = Edge::new;
         // D = ∅: two leaves of one hub share their only neighbor.
         let mut g = Graph::from_edges(4, [e(0, 1), e(0, 2), e(0, 3)]).unwrap();
-        let mut tracker = VisitTracker::new(g.edges());
+        let mut tracker = Tracker::new(g.edges());
         assert_eq!(
             trade_both_ways(&mut g, &mut tracker, (1, 2), (1, 0, 0)),
             (0, 0)
@@ -867,7 +900,7 @@ mod tests {
         // Hub × leaf, not adjacent: one of the hub's neighbors goes to
         // the leaf and the leaf's goes to the hub — or everything stays.
         let mut g = Graph::from_edges(7, [e(0, 1), e(0, 2), e(0, 3), e(0, 4), e(5, 6)]).unwrap();
-        let mut tracker = VisitTracker::new(g.edges());
+        let mut tracker = Tracker::new(g.edges());
         let mut seen = [false; 2];
         for k in 0..40 {
             let (moved, changed) = trade_both_ways(&mut g, &mut tracker, (0, 5), (2, 0, k));
@@ -916,7 +949,7 @@ mod tests {
                     let row = format!("{name} seed={seed} {budget:?}");
                     let mut eng = CurveballResumable::new(g, budget, seed);
                     let mut reference = g.clone();
-                    let mut tracker = VisitTracker::new(g.edges());
+                    let mut tracker = Tracker::new(g.edges());
                     let mut ctl = PassController::new(budget);
                     let mut moved = 0u64;
                     loop {
@@ -937,7 +970,7 @@ mod tests {
                         let ckpt = eng.checkpoint();
                         assert_eq!(ckpt.graph_edges, reference.sorted_edges(), "{at}");
                         let edges = ckpt.graph_edges.iter().copied();
-                        assert_eq!(ckpt.unvisited, tracker.visits(edges).unvisited, "{at}");
+                        assert_eq!(ckpt.visits, tracker.visits(edges), "{at}");
                         assert_eq!(ckpt.neighbors_moved, moved, "{at}");
                     }
                     assert!(eng.is_done(), "{row}");
@@ -1113,7 +1146,7 @@ mod tests {
                 while !hopping.is_done() {
                     let mut ckpt = hopping.checkpoint();
                     if shuffled {
-                        let (edges, unvisited) = (&ckpt.graph_edges, &ckpt.unvisited);
+                        let (edges, unvisited) = (&ckpt.graph_edges, &ckpt.visits.unvisited);
                         let mark = |i: usize| unvisited[i / 64] >> (i % 64) & 1 == 1;
                         let mut rows: Vec<(Edge, bool)> = edges
                             .iter()
@@ -1122,9 +1155,9 @@ mod tests {
                             .collect();
                         fisher_yates_shuffle(&mut rows, &mut root_rng(ckpt.ctl.pass));
                         ckpt.graph_edges = rows.iter().map(|&(e, _)| e).collect();
-                        ckpt.unvisited = vec![0; rows.len().div_ceil(64)];
+                        ckpt.visits.unvisited = vec![0; rows.len().div_ceil(64)];
                         for (i, _) in rows.iter().enumerate().filter(|(_, row)| row.1) {
-                            ckpt.unvisited[i / 64] |= 1 << (i % 64);
+                            ckpt.visits.unvisited[i / 64] |= 1 << (i % 64);
                         }
                     }
                     hopping =

@@ -8,19 +8,24 @@
 //!   modified edges and only ever switches *original* edges, so exactly
 //!   `⌈mx⌉` edges are visited in exactly `⌈mx/2⌉` operations (at the cost
 //!   of sampling a less uniform region of the degree-class graph space).
+//!
+//! Both keep the initial edges not yet removed in an [`EdgePool`] of
+//! originals: a performed switch removes its two edges from it, so an
+//! initial edge counts as visited at its first removal (Section 3.1).
+//! The exact-visit variant samples from that pool too. At the end the
+//! outcome reads its [`Visits`] off it, as marks over the output graph's
+//! `edges()` order.
 
+use crate::sequential::MAX_RETRIES_PER_OP;
 use crate::switch::{flip_kind, recombine, Recombination};
-use crate::visit::VisitTracker;
+use crate::visit::Visits;
 use edgeswitch_dist::Rng;
 use edgeswitch_graph::sampling::EdgePool;
 use edgeswitch_graph::{Graph, OrientedEdge, VertexId};
 use std::collections::VecDeque;
 
-/// Retry budget per operation, matching the unconstrained algorithm.
-const MAX_RETRIES_PER_OP: u64 = 100_000;
-
 /// Outcome of a constrained sequential run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ConstrainedOutcome {
     /// Operations performed.
     pub performed: u64,
@@ -31,14 +36,28 @@ pub struct ConstrainedOutcome {
     pub restarts: u64,
     /// Rejections specifically for breaking connectivity.
     pub connectivity_rejects: u64,
-    /// Visit tracking.
-    pub tracker: VisitTracker,
+    /// Visit marks over the output graph's `edges()` order.
+    pub visits: Visits,
 }
 
 impl ConstrainedOutcome {
+    /// The outcome with its visits read off `originals`, the initial
+    /// edges a run on `graph` never removed, out of `initial`: one probe
+    /// per edge of the switched graph.
+    fn with_visits(mut self, graph: &Graph, originals: &EdgePool, initial: usize) -> Self {
+        let mut unvisited = vec![0u64; graph.num_edges().div_ceil(64)];
+        for (i, e) in graph.edges().enumerate() {
+            if originals.contains(e) {
+                unvisited[i / 64] |= 1 << (i % 64);
+            }
+        }
+        self.visits = Visits { initial, unvisited };
+        self
+    }
+
     /// Observed visit rate.
     pub fn visit_rate(&self) -> f64 {
-        self.tracker.visit_rate()
+        self.visits.visit_rate()
     }
 }
 
@@ -92,16 +111,12 @@ pub fn sequential_edge_switch_connected<R: Rng + ?Sized>(
         edgeswitch_graph::metrics::is_connected(graph),
         "connectivity-constrained switching needs a connected input"
     );
-    let mut out = ConstrainedOutcome {
-        performed: 0,
-        abandoned: 0,
-        restarts: 0,
-        connectivity_rejects: 0,
-        tracker: VisitTracker::new(graph.edges()),
-    };
-    if graph.num_edges() < 2 {
+    let m = graph.num_edges();
+    let mut originals: EdgePool = graph.edges().collect();
+    let mut out = ConstrainedOutcome::default();
+    if m < 2 {
         out.abandoned = t;
-        return out;
+        return out.with_visits(graph, &originals, m);
     }
     'ops: for _ in 0..t {
         let mut retries = 0u64;
@@ -121,8 +136,8 @@ pub fn sequential_edge_switch_connected<R: Rng + ?Sized>(
                     graph.add_edge(f2).unwrap();
                     let endpoints = [e1.tail, e1.head, e2.tail, e2.head];
                     if endpoints_connected(graph, endpoints) {
-                        out.tracker.record_removal(o1);
-                        out.tracker.record_removal(o2);
+                        originals.remove(o1);
+                        originals.remove(o2);
                         out.performed += 1;
                         continue 'ops;
                     }
@@ -139,11 +154,11 @@ pub fn sequential_edge_switch_connected<R: Rng + ?Sized>(
             retries += 1;
             if retries >= MAX_RETRIES_PER_OP {
                 out.abandoned = t - out.performed;
-                return out;
+                break 'ops;
             }
         }
     }
-    out
+    out.with_visits(graph, &originals, m)
 }
 
 /// The exact-visit variant (Section 3.1): only *original* (unvisited)
@@ -159,13 +174,7 @@ pub fn sequential_exact_visit<R: Rng + ?Sized>(
     assert!((0.0..=1.0).contains(&x), "visit rate {x} out of range");
     let m = graph.num_edges();
     let mut originals: EdgePool = graph.edges().collect();
-    let mut out = ConstrainedOutcome {
-        performed: 0,
-        abandoned: 0,
-        restarts: 0,
-        connectivity_rejects: 0,
-        tracker: VisitTracker::new(graph.edges()),
-    };
+    let mut out = ConstrainedOutcome::default();
     let target_ops = ((m as f64 * x) / 2.0).ceil() as u64;
     'ops: for _ in 0..target_ops {
         if originals.len() < 2 {
@@ -186,8 +195,6 @@ pub fn sequential_exact_visit<R: Rng + ?Sized>(
                     graph.add_edge(f2).unwrap();
                     originals.remove(o1);
                     originals.remove(o2);
-                    out.tracker.record_removal(o1);
-                    out.tracker.record_removal(o2);
                     out.performed += 1;
                     continue 'ops;
                 }
@@ -196,11 +203,11 @@ pub fn sequential_exact_visit<R: Rng + ?Sized>(
             retries += 1;
             if retries >= MAX_RETRIES_PER_OP {
                 out.abandoned = target_ops - out.performed;
-                return out;
+                break 'ops;
             }
         }
     }
-    out
+    out.with_visits(graph, &originals, m)
 }
 
 #[cfg(test)]
@@ -210,6 +217,93 @@ mod tests {
     use edgeswitch_graph::generators::{erdos_renyi_gnm, small_world};
     use edgeswitch_graph::metrics::is_connected;
     use edgeswitch_graph::Edge;
+    use std::collections::BTreeSet;
+
+    /// The keys marked unvisited by `visits` over `graph`'s edges.
+    fn marked_keys(graph: &Graph, visits: &Visits) -> BTreeSet<u64> {
+        let edges: Vec<Edge> = graph.edges().collect();
+        visits.unvisited_edges(&edges).map(|e| e.key()).collect()
+    }
+
+    /// The barbell of [`connected_variant_rejects_bridge_cuts`]: two
+    /// triangles joined by the bridge (2, 3).
+    fn barbell() -> Graph {
+        let edges = [(0u64, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)];
+        Graph::from_edges(6, edges.iter().map(|&(a, b)| Edge::new(a, b))).unwrap()
+    }
+
+    /// The connected variant's marks against a plain key set of the
+    /// initial edges. The reference runs the same draws one operation a
+    /// call — a call draws nothing outside its operation — and takes out
+    /// of the set the two edges each call's graph lost: exactly the pair
+    /// a performed switch removes, its replacements being new edges.
+    #[test]
+    fn visits_mark_the_initial_edges_never_removed() {
+        let cases = [
+            ("barbell", barbell(), 50u64, 2u64),
+            ("ring", small_world(60, 2, 0.1, &mut root_rng(31)), 200, 32),
+            (
+                "small world",
+                small_world(80, 4, 0.05, &mut root_rng(33)),
+                300,
+                34,
+            ),
+        ];
+        for (name, g, t, seed) in cases {
+            let mut switched = g.clone();
+            let out = sequential_edge_switch_connected(&mut switched, t, &mut root_rng(seed));
+
+            let mut reference = g.clone();
+            let mut rng = root_rng(seed);
+            let mut unvisited: BTreeSet<u64> = g.edges().map(|e| e.key()).collect();
+            let mut performed = 0;
+            for _ in 0..t {
+                let before: Vec<Edge> = reference.edges().collect();
+                let one = sequential_edge_switch_connected(&mut reference, 1, &mut rng);
+                if one.abandoned > 0 {
+                    break;
+                }
+                performed += 1;
+                let lost = before.iter().filter(|&&e| !reference.has_edge(e));
+                assert_eq!(lost.clone().count(), 2, "{name}");
+                for e in lost {
+                    unvisited.remove(&e.key());
+                }
+            }
+            assert_eq!(switched.edge_digest(), reference.edge_digest(), "{name}");
+            assert_eq!(out.performed, performed, "{name}");
+            assert_eq!(marked_keys(&switched, &out.visits), unvisited, "{name}");
+            let visited = g.num_edges() - unvisited.len();
+            assert_eq!(
+                (out.visits.initial, out.visits.visited()),
+                (g.num_edges(), visited)
+            );
+        }
+    }
+
+    /// The exact-visit variant removes two initial edges per operation,
+    /// and its marks name initial edges the switched graph still holds.
+    #[test]
+    fn exact_visit_marks_what_it_never_switched() {
+        let g = erdos_renyi_gnm(200, 800, &mut root_rng(35));
+        let mut switched = g.clone();
+        let out = sequential_exact_visit(&mut switched, 0.6, &mut root_rng(36));
+        let marked = marked_keys(&switched, &out.visits);
+        assert_eq!(marked.len() as u64, 800 - 2 * out.performed);
+        assert!(marked.iter().all(|&k| g.has_edge(Edge::from_key(k))));
+        assert_eq!(out.visits.visited() as u64, 2 * out.performed);
+    }
+
+    /// No operation visits nothing and marks every edge.
+    #[test]
+    fn a_run_of_no_operations_visits_nothing() {
+        let mut g = barbell();
+        let out = sequential_edge_switch_connected(&mut g, 0, &mut root_rng(37));
+        assert_eq!((out.visit_rate(), out.visits.visited()), (0.0, 0));
+        assert_eq!(marked_keys(&g, &out.visits).len(), 7);
+        let out = sequential_exact_visit(&mut g, 0.0, &mut root_rng(38));
+        assert_eq!((out.visit_rate(), out.visits.visited()), (0.0, 0));
+    }
 
     #[test]
     fn connected_variant_preserves_connectivity() {
@@ -264,7 +358,7 @@ mod tests {
         assert_eq!(out.abandoned, 0);
         // Exactly 2 * ceil(m x / 2) edges visited.
         let expect = 2 * ((5000.0 * 0.5 / 2.0) as u64).max(1);
-        assert_eq!(out.tracker.visited_count() as u64, expect);
+        assert_eq!(out.visits.visited() as u64, expect);
         assert!((out.visit_rate() - 0.5).abs() < 1e-3);
         g.check_invariants().unwrap();
     }

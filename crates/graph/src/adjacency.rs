@@ -39,18 +39,15 @@ impl NeighborSet {
 
     /// The set of `labels` in any order, taking the vector as storage
     /// (sorted in place, no copy). The bulk constructor behind
-    /// [`crate::graph::Graph::from_pool`].
-    ///
-    /// # Panics
-    /// Panics if a label repeats: a duplicate would break the
-    /// strictly-increasing invariant every probe relies on.
-    pub(crate) fn from_distinct(mut labels: Vec<u32>) -> Self {
+    /// [`crate::graph::Graph::from_pool`]. A repeated label comes back
+    /// as `Err`: it would break the strictly-increasing invariant every
+    /// probe relies on.
+    pub(crate) fn from_distinct(mut labels: Vec<u32>) -> Result<Self, u32> {
         labels.sort_unstable();
-        assert!(
-            labels.windows(2).all(|w| w[0] < w[1]),
-            "neighbor labels must be distinct"
-        );
-        NeighborSet { inner: labels }
+        match labels.windows(2).find(|w| w[0] == w[1]) {
+            Some(w) => Err(w[0]),
+            None => Ok(NeighborSet { inner: labels }),
+        }
     }
 
     /// Number of neighbors (the vertex degree).

@@ -76,11 +76,14 @@ impl Graph {
     /// each once: `O(n + m + Σ d log d)` with no per-edge search and no
     /// growth reallocation, against two binary-search inserts with
     /// doubling per edge on the [`Graph::add_edge`] route. The pool is
-    /// taken as is (it already holds no duplicate and no loop), so pool
-    /// order is exactly the caller's.
+    /// taken as is (loops are unrepresentable), so pool order is exactly
+    /// the caller's.
     ///
     /// Errors with [`GraphError::UnknownVertex`] if an edge has an
-    /// endpoint `>= n`; see [`Graph::new`] for the vertex-count limit.
+    /// endpoint `>= n`, and with [`GraphError::ParallelEdge`] if an edge
+    /// repeats: the sorted neighbor lists show it, so a pool appended
+    /// unhashed (`EdgePool::push_distinct`) is checked here; see
+    /// [`Graph::new`] for the vertex-count limit.
     pub fn from_pool(n: usize, pool: EdgePool) -> Result<Self, GraphError> {
         check_vertex_count(n);
         let mut degree = vec![0u32; n];
@@ -99,7 +102,13 @@ impl Graph {
             lists[e.src() as usize].push(e.dst() as u32);
             lists[e.dst() as usize].push(e.src() as u32);
         }
-        let adj = lists.into_iter().map(NeighborSet::from_distinct).collect();
+        // Collected in place: each set takes its list's slot and storage.
+        let adj = (lists.into_iter().enumerate())
+            .map(|(v, list)| {
+                NeighborSet::from_distinct(list)
+                    .map_err(|w| GraphError::ParallelEdge(Edge::new(v as VertexId, w.into())))
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Graph { adj, pool })
     }
 

@@ -107,11 +107,6 @@ pub fn map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
     FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default())
 }
 
-/// `FxHashSet` pre-sized for `cap` entries.
-pub fn set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
-    FxHashSet::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
-
 /// SplitMix64 finalizer: a bijective avalanche mix over `u64`.
 ///
 /// The seeded-substream primitive of the recomputation-based generators
@@ -182,7 +177,5 @@ mod tests {
     fn presized_collections_start_empty() {
         let m: FxHashMap<u64, u32> = map_with_capacity(100);
         assert!(m.is_empty() && m.capacity() >= 100);
-        let s: FxHashSet<u64> = set_with_capacity(100);
-        assert!(s.is_empty() && s.capacity() >= 100);
     }
 }

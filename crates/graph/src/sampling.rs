@@ -7,8 +7,8 @@
 //! (swap-remove), which is what makes the `O(t log d_max)` bound of the
 //! paper achievable in practice.
 //!
-//! The dense array is *chunked*: fixed-size blocks of [`BLOCK_EDGES`]
-//! packed edge keys ([`EdgeBlocks`], 8 bytes a slot — the same `u64`
+//! The dense array is *chunked*: fixed-size blocks of `BLOCK_EDGES`
+//! packed edge keys (`EdgeBlocks`, 8 bytes a slot — the same `u64`
 //! the position index is keyed on) instead of one contiguous `Vec`.
 //! Dense index `i` lives at `blocks[i >> BLOCK_SHIFT][i & BLOCK_MASK]`,
 //! so indexing stays O(1) while memory grows and shrinks in 128 KiB
@@ -575,7 +575,7 @@ impl EdgePool {
 
     /// Pool pre-sized for `cap` edges and indexed from the start. Only
     /// the position index and the block table reserve memory up front;
-    /// edge blocks are allocated on demand in [`BLOCK_EDGES`]-edge steps.
+    /// edge blocks are allocated on demand in `BLOCK_EDGES`-edge steps.
     pub fn with_capacity(cap: usize) -> Self {
         EdgePool {
             edges: EdgeBlocks::with_capacity(cap),

@@ -33,7 +33,7 @@ use crate::graph::Graph;
 use crate::partition::Partitioner;
 use crate::sampling::EdgePool;
 use crate::stream::{capacity_hint, EdgeStream};
-use crate::types::Edge;
+use crate::types::{Edge, GraphError};
 
 /// Split a graph into `p` per-rank shares under `part`, unindexed.
 ///
@@ -79,6 +79,7 @@ where
 /// `>= n` — the shares are not a partition of one `n`-vertex graph.
 pub fn assemble_graph(n: usize, stores: &[EdgePool]) -> Graph {
     assemble_edges(n, stores.iter().flat_map(EdgePool::iter))
+        .expect("rank shares must hold edges of an n-vertex graph")
 }
 
 /// The gather step's one loop: the `n`-vertex graph whose pool holds
@@ -89,15 +90,19 @@ pub fn assemble_graph(n: usize, stores: &[EdgePool]) -> Graph {
 /// ([`Graph::from_pool`]), whose distinct-neighbor check is what catches
 /// a repeated edge.
 ///
-/// # Panics
-/// Panics if an edge repeats or has an endpoint `>= n` — the shares are
-/// not a partition of one `n`-vertex graph.
-pub fn assemble_edges(n: usize, edges: impl IntoIterator<Item = Edge>) -> Graph {
+/// Errors as [`Graph::from_pool`] does if an edge repeats or has an
+/// endpoint `>= n` — the shares are not a partition of one `n`-vertex
+/// graph — naming the edge, so that a gather of untrusted shares can
+/// blame the share that holds it.
+pub fn assemble_edges(
+    n: usize,
+    edges: impl IntoIterator<Item = Edge>,
+) -> Result<Graph, GraphError> {
     let mut pool = EdgePool::new();
     for e in edges {
         pool.push_distinct(e);
     }
-    Graph::from_pool(n, pool).expect("rank shares must hold edges of an n-vertex graph")
+    Graph::from_pool(n, pool)
 }
 
 #[cfg(test)]
@@ -238,7 +243,7 @@ mod tests {
         let g = grid_graph();
         let part = Partitioner::hash_division(2);
         let stores = build_stores(&g, &part);
-        let h = assemble_edges(g.num_vertices(), stores.iter().flat_map(EdgePool::iter));
+        let h = assemble_edges(g.num_vertices(), stores.iter().flat_map(EdgePool::iter)).unwrap();
         assert_eq!(h.edge_digest(), g.edge_digest());
         h.check_invariants().unwrap();
         assert!(g.edges().all(|e| h.has_edge(e)));
@@ -250,15 +255,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "neighbor labels must be distinct")]
+    #[should_panic(expected = "rank shares must hold edges of an n-vertex graph")]
     fn assembling_overlapping_shares_panics() {
         let g = grid_graph();
+        let mut stores = build_stores(&g, &Partitioner::hash_division(2));
+        let overlap = stores[0].get(0).unwrap();
+        stores[1].insert(overlap);
+        assemble_graph(g.num_vertices(), &stores);
+    }
+
+    /// An untrusted gather learns which edge broke it: the repeated one,
+    /// or the one with an endpoint out of range.
+    #[test]
+    fn assembling_a_bad_edge_list_names_the_edge() {
+        let g = grid_graph();
+        let n = g.num_vertices();
         let stores = build_stores(&g, &Partitioner::hash_division(2));
-        let overlap = stores[0].iter().take(1);
-        assemble_edges(
-            g.num_vertices(),
-            stores.iter().flat_map(EdgePool::iter).chain(overlap),
-        );
+        let overlap = stores[0].get(3).unwrap();
+        let repeated = stores.iter().flat_map(EdgePool::iter).chain([overlap]);
+        let err = assemble_edges(n, repeated).unwrap_err();
+        assert_eq!(err, GraphError::ParallelEdge(overlap));
+        let stray = Edge::new(2, n as u64);
+        let err = assemble_edges(n, g.edges().chain([stray])).unwrap_err();
+        assert_eq!(err, GraphError::UnknownVertex(n as u64));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Three layers, bottom-up:
 //!
-//! * [`sys`]-level raw syscalls (`memfd_create`, `mmap`, `futex`, `prctl`)
+//! * `sys`-level raw syscalls (`memfd_create`, `mmap`, `futex`, `prctl`)
 //!   declared by hand so the crate needs no dependencies;
 //! * [`SpscRing`], a lock-free single-producer/single-consumer byte ring with
 //!   `[u32 len]`-framed messages over any 8-byte-aligned memory;

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use edgeswitch_core::run::{Engine, Run, RunError, RunOutcome, SequentialRun};
     pub use edgeswitch_core::trade::CurveballResumable;
     pub use edgeswitch_core::variants::{sequential_edge_switch_connected, sequential_exact_visit};
-    pub use edgeswitch_core::visit::{VisitTracker, Visits};
+    pub use edgeswitch_core::visit::Visits;
     pub use edgeswitch_dist::harmonic::{expected_touches, switch_ops_for_visit_rate};
     pub use edgeswitch_dist::rng::{rank_rng, root_rng, Rng};
     pub use edgeswitch_dist::{binomial, multinomial};

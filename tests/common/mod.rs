@@ -13,6 +13,7 @@ use edge_switching::dist::Rng64;
 use edge_switching::graph::OrientedEdge;
 use edge_switching::prelude::*;
 use edge_switching::scalesim::DesReport;
+use std::collections::HashSet;
 
 /// `run` under the prepared `cfg`, as a parallel outcome.
 pub fn under(run: Run, g: &Graph, cfg: &ParallelConfig) -> ParallelOutcome {
@@ -49,7 +50,27 @@ pub fn des(g: &Graph, t: u64, cfg: &ParallelConfig) -> (ParallelOutcome, DesRepo
 pub struct FrozenRun {
     pub performed: u64,
     pub rejects: RejectCounts,
-    pub tracker: VisitTracker,
+    /// Initial edge count.
+    pub initial: usize,
+    /// Keys of the initial edges no switch has removed.
+    pub unvisited: HashSet<u64>,
+}
+
+impl FrozenRun {
+    /// The run's visits as marks over `edges`, a graph's edge list in
+    /// its order.
+    pub fn visits(&self, edges: impl ExactSizeIterator<Item = Edge>) -> Visits {
+        let mut unvisited = vec![0u64; edges.len().div_ceil(64)];
+        for (i, e) in edges.enumerate() {
+            if self.unvisited.contains(&e.key()) {
+                unvisited[i / 64] |= 1 << (i % 64);
+            }
+        }
+        Visits {
+            initial: self.initial,
+            unvisited,
+        }
+    }
 }
 
 /// Algorithm 1 written out against the full [`Graph`] — the loop as it
@@ -66,7 +87,8 @@ pub fn frozen_sequential<R: Rng>(graph: &mut Graph, t: u64, rng: &mut R) -> Froz
     let mut run = FrozenRun {
         performed: 0,
         rejects: RejectCounts::default(),
-        tracker: VisitTracker::new(graph.edges()),
+        initial: graph.num_edges(),
+        unvisited: graph.edges().map(|e| e.key()).collect(),
     };
     if graph.num_edges() < 2 {
         return run;
@@ -87,8 +109,8 @@ pub fn frozen_sequential<R: Rng>(graph: &mut Graph, t: u64, rng: &mut R) -> Froz
                         graph.remove_edge(o2).expect("sampled edge exists");
                         graph.add_edge(f1).expect("checked absent");
                         graph.add_edge(f2).expect("checked absent");
-                        run.tracker.record_removal(o1);
-                        run.tracker.record_removal(o2);
+                        run.unvisited.remove(&o1.key());
+                        run.unvisited.remove(&o2.key());
                         run.performed += 1;
                         continue 'ops;
                     }

@@ -282,8 +282,7 @@ fn pool_only_engine_equals_the_graph_maintaining_reference() {
                     performed: frozen.performed,
                     abandoned: t - frozen.performed,
                     rejects: frozen.rejects,
-                    tracker_initial: frozen.tracker.initial_count(),
-                    unvisited: frozen.tracker.visits(reference.edges()).unvisited,
+                    visits: frozen.visits(reference.edges()),
                     graph_edges: reference.edges().collect(),
                     rng_words: rng.words_served(),
                 });
@@ -304,7 +303,7 @@ fn pool_only_engine_equals_the_graph_maintaining_reference() {
                         .unwrap_or_else(|why| panic!("{row}: {why}"));
                     assert_eq!(out.performed, frozen.performed, "{row}");
                     assert_eq!(out.rejects, frozen.rejects, "{row}");
-                    assert_eq!(out.visits, frozen.tracker.visits(switched.edges()), "{row}");
+                    assert_eq!(out.visits, frozen.visits(switched.edges()), "{row}");
                     assert_eq!(switched.edge_digest(), reference.edge_digest(), "{row}");
                     for v in 0..switched.num_vertices() as u64 {
                         assert_eq!(switched.neighbors(v), reference.neighbors(v), "{row}");
@@ -469,9 +468,9 @@ fn snapshot_bytes_are_pinned() {
             let c = decode_seq_checkpoint(bytes).expect("own snapshot");
             let (edges, set) = (
                 keys(&c.graph_edges),
-                unvisited(&c.graph_edges, &c.unvisited),
+                unvisited(&c.graph_edges, &c.visits.unvisited),
             );
-            let (initial, rng) = (c.tracker_initial, c.rng_words);
+            let (initial, rng) = (c.visits.initial, c.rng_words);
             let (seed, n, t, performed, abandoned) = (c.seed, c.n, c.t, c.performed, c.abandoned);
             let all = (
                 seed, n, t, performed, abandoned, c.rejects, initial, rng, edges, set,
@@ -482,8 +481,8 @@ fn snapshot_bytes_are_pinned() {
             let ranks: Vec<_> = (s.ranks.iter())
                 .map(|r| {
                     let edges = keys(&r.store_edges);
-                    let set = unvisited(&r.store_edges, &r.unvisited);
-                    let initial = r.tracker_initial;
+                    let set = unvisited(&r.store_edges, &r.visits.unvisited);
+                    let initial = r.visits.initial;
                     (
                         r.rank,
                         edges,
