@@ -142,6 +142,7 @@ pub(crate) fn visit_rate(visited: usize, initial: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgeswitch_graph::sampling::EdgePool;
 
     fn e(a: u64, b: u64) -> Edge {
         Edge::new(a, b)
@@ -151,6 +152,42 @@ mod tests {
     fn empty_graph_rate_is_zero() {
         assert_eq!(Visits::default().visit_rate(), 0.0);
         assert_eq!(Visits::default().visited(), 0);
+    }
+
+    /// The visits of a switch engine's pool: its marks over pool order.
+    fn pool_visits(pool: &EdgePool, initial: usize) -> Visits {
+        Visits {
+            initial,
+            unvisited: pool.unvisited_bitmap(),
+        }
+    }
+
+    #[test]
+    fn removal_of_initial_edge_counts_once() {
+        let mut pool: EdgePool = [e(0, 1), e(1, 2)].into_iter().collect();
+        pool.track_visits();
+        assert!(pool.remove(e(0, 1)));
+        assert_eq!(pool_visits(&pool, 2).visited(), 1);
+        // A replacement coinciding with the visited initial edge comes in
+        // unmarked: removing it again is not a second visit.
+        assert!(pool.insert(e(0, 1)));
+        assert!(pool.remove(e(0, 1)));
+        let visits = pool_visits(&pool, 2);
+        assert_eq!(visits.visited(), 1, "second removal not a visit");
+        assert!((visits.visit_rate() - 0.5).abs() < 1e-12);
+        let edges: Vec<Edge> = pool.iter().collect();
+        let unvisited: Vec<Edge> = visits.unvisited_edges(&edges).collect();
+        assert_eq!(unvisited, [e(1, 2)]);
+    }
+
+    #[test]
+    fn removal_of_modified_edge_does_not_count() {
+        let mut pool: EdgePool = [e(0, 1)].into_iter().collect();
+        pool.track_visits();
+        assert!(pool.insert(e(5, 6)));
+        assert!(pool.remove(e(5, 6)));
+        assert_eq!(pool.unvisited(), 1);
+        assert_eq!(pool_visits(&pool, 1).visited(), 0);
     }
 
     #[test]
