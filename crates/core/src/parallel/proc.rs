@@ -194,18 +194,27 @@ fn decode_config(r: &mut Reader<'_>) -> ParallelConfig {
         1 => edgeswitch_graph::SchemeKind::HashDivision,
         2 => edgeswitch_graph::SchemeKind::HashMultiplication,
         3 => edgeswitch_graph::SchemeKind::HashUniversal,
-        tag => panic!("unknown scheme tag {tag}"),
+        _ => {
+            r.refuse();
+            edgeswitch_graph::SchemeKind::Consecutive
+        }
     };
     let step_size = match (r.u8(), r.u64()) {
         (0, s) => crate::config::StepSize::Ops(s),
         (1, d) => crate::config::StepSize::FractionOfT(d),
         (2, _) => crate::config::StepSize::SingleStep,
-        (tag, _) => panic!("unknown step-size tag {tag}"),
+        _ => {
+            r.refuse();
+            crate::config::StepSize::SingleStep
+        }
     };
     let quota_policy = match r.u8() {
         0 => crate::config::QuotaPolicy::EdgeProportional,
         1 => crate::config::QuotaPolicy::Uniform,
-        tag => panic!("unknown quota-policy tag {tag}"),
+        _ => {
+            r.refuse();
+            crate::config::QuotaPolicy::Uniform
+        }
     };
     let mut config = ParallelConfig::new(processors)
         .with_scheme(scheme)
@@ -263,7 +272,10 @@ fn decode_partitioner(r: &mut Reader<'_>) -> Partitioner {
             b: r.u64(),
             c: r.u64(),
         },
-        tag => panic!("unknown partitioner tag {tag}"),
+        _ => {
+            r.refuse();
+            Partitioner::HashDivision { p: 0 }
+        }
     }
 }
 
@@ -306,7 +318,14 @@ fn decode_stream_spec(r: &mut Reader<'_>) -> StreamSpec {
             d_max: r.u64() as usize,
             seed: r.u64(),
         },
-        tag => panic!("unknown stream-spec tag {tag}"),
+        _ => {
+            r.refuse();
+            StreamSpec::Pa {
+                n: 0,
+                d: 0,
+                seed: 0,
+            }
+        }
     }
 }
 
@@ -359,35 +378,53 @@ fn encode_boot_gen(
 }
 
 /// The boot blob as rank `rank`'s child needs it: of the shipped key
-/// array, only its own share is read, the other ranks' skipped.
-fn decode_boot(bytes: &[u8], rank: usize) -> BootBlob {
+/// array, only its own share is read, the other ranks' skipped. The
+/// blob is read as untrusted bytes: a short or malformed one, or one
+/// with no share for `rank`, is an `Err`, never a panic, and each key
+/// count is capped by the bytes left before anything is allocated.
+fn decode_boot(bytes: &[u8], rank: usize) -> Result<BootBlob, String> {
     let mut r = Reader::new(bytes);
     let config = decode_config(&mut r);
     let part = decode_partitioner(&mut r);
     let _n = r.u64(); // vertex count: launcher-side (assemble_outcome)
     let t = r.u64();
+    let p = config.processors;
+    if rank >= p {
+        return Err(format!("boot blob of {p} ranks has no rank {rank}"));
+    }
+    if part.num_parts() != p {
+        return Err(format!(
+            "boot blob partitions {} ranks for a run of {p}",
+            part.num_parts()
+        ));
+    }
     let payload = match r.u8() {
         BOOT_KEYS => {
-            let p = r.len(8);
-            let counts: Vec<usize> = (0..p).map(|_| r.u64() as usize).collect();
-            let (before, after) = (&counts[..rank], &counts[rank + 1..]);
-            r.skip(8 * before.iter().sum::<usize>());
+            let counts: Vec<usize> = (0..r.len(8)).map(|_| r.len(8)).collect();
+            if counts.len() != p {
+                return Err(format!("boot blob counts keys of {} ranks", counts.len()));
+            }
+            for &count in &counts[..rank] {
+                r.skip(8 * count);
+            }
             let keys = (0..counts[rank]).map(|_| r.u64()).collect();
-            r.skip(8 * after.iter().sum::<usize>());
+            for &count in &counts[rank + 1..] {
+                r.skip(8 * count);
+            }
             BootPayload::Keys(keys)
         }
         BOOT_GEN => BootPayload::Gen {
             spec: decode_stream_spec(&mut r),
         },
-        tag => panic!("unknown boot-payload tag {tag}"),
+        tag => return Err(format!("boot blob has unknown payload tag {tag}")),
     };
-    r.expect_end("boot blob");
-    BootBlob {
+    r.finish().map_err(|err| format!("boot blob: {err}"))?;
+    Ok(BootBlob {
         config,
         part,
         t,
         payload,
-    }
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -826,20 +863,31 @@ pub fn child_entry_from_env() {
     }
 
     let world = ShmWorld::open(fd, len).expect("attaching inherited shm world");
-    run_rank_child(&world, rank);
+    if let Err(err) = run_rank_child(&world, rank) {
+        // A non-zero exit without a result: the launcher reports
+        // `RankDied` for this rank.
+        eprintln!("shm rank {rank}: {err}");
+        std::process::exit(1);
+    }
     std::process::exit(0);
 }
 
-fn run_rank_child(world: &ShmWorld, rank: usize) {
+/// One rank child's whole run, from its boot blob to its result; `Err`
+/// (before any message is sent) if the boot blob is unusable.
+fn run_rank_child(world: &ShmWorld, rank: usize) -> Result<(), String> {
     let BootBlob {
         config,
         part,
         t,
         payload,
-    } = decode_boot(world.boot(), rank);
+    } = decode_boot(world.boot(), rank)?;
     let p = config.processors;
-    assert_eq!(world.participants(), p + 1);
-    assert!(rank < p);
+    if world.participants() != p + 1 {
+        return Err(format!(
+            "boot blob of {p} ranks in a world of {} participants",
+            world.participants()
+        ));
+    }
 
     let store = match payload {
         BootPayload::Keys(keys) => {
@@ -852,9 +900,7 @@ fn run_rank_child(world: &ShmWorld, rank: usize) {
             // Seed boot: replay the generator stream, keep owned edges.
             // The streamed split preserves emission order, so the pool
             // order equals what a materialized boot would have shipped.
-            let mut stream = spec
-                .stream()
-                .expect("seed-boot spec validated at the launcher");
+            let mut stream = spec.stream().map_err(|err| format!("boot spec: {err}"))?;
             build_rank_store_streamed(&mut *stream, &part, rank)
         }
     };
@@ -865,6 +911,7 @@ fn run_rank_child(world: &ShmWorld, rank: usize) {
     let (output, telemetry) = run_rank(&mut MpiliteTransport::new(&mut comm), state, harness);
     let blob = wire::encode_rank_result(&output, &telemetry);
     send_result(&comm.into_link().ep, p, &blob, result_chunk_len(world));
+    Ok(())
 }
 
 #[cfg(test)]
@@ -908,12 +955,64 @@ mod tests {
         let stores = build_stores(&g, &part);
         let boot = encode_boot(&config, &part, 50, 7, &stores);
         for (rank, store) in stores.iter().enumerate() {
-            let blob = decode_boot(&boot, rank);
+            let blob = decode_boot(&boot, rank).unwrap();
             assert_eq!(blob.t, 7);
             let BootPayload::Keys(keys) = blob.payload else {
                 panic!("a materialized boot ships keys");
             };
             assert!(keys.iter().map(|&k| Edge::from_key(k)).eq(store.iter()));
+        }
+    }
+
+    /// A boot blob is untrusted bytes: every prefix, a key count no
+    /// input could hold, an unknown tag, a rank past the last and a
+    /// partitioner of another rank count are an `Err` of `decode_boot`,
+    /// never a panic or an allocation sized by the damaged count.
+    #[test]
+    fn a_damaged_boot_blob_is_an_error() {
+        let g = edgeswitch_graph::generators::erdos_renyi_gnm(20, 40, &mut root_rng(5));
+        let (config, part) = (ParallelConfig::new(2), Partitioner::hash_division(2));
+        let keys = encode_boot(&config, &part, 20, 7, &build_stores(&g, &part));
+        let spec = StreamSpec::Pa {
+            n: 20,
+            d: 2,
+            seed: 3,
+        };
+        let gen = encode_boot_gen(&config, &part, 7, &spec);
+        // The payload tag follows the header; a keys payload then counts
+        // its ranks, then gives each rank's count.
+        let tag_at = encode_boot_header(&config, &part, 20, 7).len();
+        let count_at = |rank: usize| tag_at + 1 + 8 + 8 * rank;
+        for blob in [&keys, &gen] {
+            for rank in 0..2 {
+                assert!(decode_boot(blob, rank).is_ok());
+                for cut in 0..blob.len() {
+                    assert!(decode_boot(&blob[..cut], rank).is_err(), "cut {cut}");
+                }
+            }
+            let err = decode_boot(blob, 2).err().unwrap();
+            assert!(err.contains("no rank 2"), "{err}");
+            let mut bad_tag = blob.clone();
+            bad_tag[tag_at] = 7;
+            let err = decode_boot(&bad_tag, 0).err().unwrap();
+            assert!(err.contains("unknown payload tag 7"), "{err}");
+        }
+        let mut bad_spec = gen.clone();
+        bad_spec[tag_at + 1] = 9;
+        assert!(decode_boot(&bad_spec, 0).is_err());
+        let three = Partitioner::hash_division(3);
+        let err = decode_boot(&encode_boot_gen(&config, &three, 7, &spec), 0).err();
+        assert!(err.unwrap().contains("partitions 3 ranks"));
+        for inflated in 0..2 {
+            let mut huge = keys.clone();
+            huge[count_at(inflated)..count_at(inflated) + 8]
+                .copy_from_slice(&(1u64 << 60).to_le_bytes());
+            for rank in 0..2 {
+                assert!(
+                    decode_boot(&huge, rank).is_err(),
+                    "count of rank {inflated}"
+                );
+            }
         }
     }
 

@@ -265,8 +265,8 @@ pub struct RankState {
     /// stream.
     rng: BlockRng64,
     /// This partition's initial edge count. Which of them are still
-    /// unvisited the store marks, and its `remove` counts the visits
-    /// ([`EdgePool::track_visits`]).
+    /// unvisited the store marks, one bit per slot, and its `remove`
+    /// counts the visits ([`EdgePool::track_visits`]).
     tracked: usize,
     /// Run statistics.
     pub stats: RankStats,
@@ -353,8 +353,8 @@ impl RankState {
         !self.serving.is_empty()
     }
 
-    /// The rank's visits at rest: the marks of its store's index as a
-    /// bitmap over pool order ([`EdgePool::unvisited_bitmap`]).
+    /// The rank's visits at rest: a copy of its store's marks, a bitmap
+    /// over pool order ([`EdgePool::unvisited_bitmap`]).
     fn at_rest(&self) -> Visits {
         Visits {
             initial: self.tracked,
@@ -365,21 +365,26 @@ impl RankState {
     /// Rebuild a rank from a [`RankCheckpoint`].
     ///
     /// The store is reinserted in captured pool order (sampling order is
-    /// pool order, so this is load-bearing), its unvisited edges are
-    /// marked, and the RNG stream is re-derived from `(seed, rank)` and
+    /// pool order, so this is load-bearing), it adopts the checkpoint's
+    /// marks, and the RNG stream is re-derived from `(seed, rank)` and
     /// fast-forwarded to the recorded position. The partitioner is not
     /// part of the checkpoint: it is deterministic from the job's graph
     /// and config, so callers rebuild it the same way the original
-    /// driver did. Whether the checkpoint belongs to the run is checked
-    /// before, where the world resumes from its snapshot.
+    /// driver did. Whether the checkpoint belongs to the run, its marks
+    /// included, is checked before, where the world resumes from its
+    /// snapshot.
+    ///
+    /// # Panics
+    /// Panics if the marks do not fit the store (a bitmap the world's
+    /// `check_marks` would refuse).
     pub fn restore(part: Partitioner, config: &ParallelConfig, ckpt: &RankCheckpoint) -> Self {
-        let mut state = RankState::new(ckpt.rank, part, EdgePool::new(), config);
+        let mut store = EdgePool::with_capacity(ckpt.store_edges.len());
         for &e in &ckpt.store_edges {
-            state.store.insert(e);
+            store.insert(e);
         }
-        for e in ckpt.visits.unvisited_edges(&ckpt.store_edges) {
-            state.store.mark_unvisited(e.key());
-        }
+        let mut state = RankState::new(ckpt.rank, part, store, config);
+        (state.store.restore_unvisited(&ckpt.visits.unvisited))
+            .expect("the resumed world checked the marks");
         state.tracked = ckpt.visits.initial;
         state.stats = ckpt.stats;
         state.conv_seq = ckpt.conv_seq;
@@ -1097,10 +1102,14 @@ impl RankMachine for RankState {
         );
         debug_assert!(self.reserved.is_empty(), "edges left reserved");
         debug_assert!(self.potential.is_empty(), "potential edges leaked");
+        let mut store = self.store;
         RankOutput {
             rank: self.rank,
-            visits: self.at_rest(),
-            keys: self.store.iter().map(|e| e.key()).collect(),
+            visits: Visits {
+                initial: self.tracked,
+                unvisited: store.take_unvisited_bitmap(),
+            },
+            keys: store.iter().map(|e| e.key()).collect(),
             stats: self.stats,
             comm,
             obs: self.obs.finish(),

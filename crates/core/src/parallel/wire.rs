@@ -258,6 +258,12 @@ impl<'a> Reader<'a> {
         (0..n).map(|_| self.u64()).collect()
     }
 
+    /// Latch [`Reader::bad`] for a value read in bounds but malformed (an
+    /// unknown tag): the decoder reads on, and [`Reader::finish`] refuses.
+    pub(crate) fn refuse(&mut self) {
+        self.bad = true;
+    }
+
     /// Step over `n` bytes (bad, at the end, if fewer remain).
     pub(crate) fn skip(&mut self, n: usize) {
         match self.at.checked_add(n).filter(|&to| to <= self.bytes.len()) {

@@ -11,9 +11,9 @@
 //! engine takes the pool of the graph it is given and
 //! [`SequentialResumable::finish`] builds the switched graph's adjacency
 //! once, in bulk ([`Graph::from_pool`]). Visit tracking rides the pool
-//! too: its index marks the initial edges not yet removed
+//! too: one bit per slot marks the initial edges not yet removed
 //! ([`EdgePool::track_visits`]), so the first removal of one is counted
-//! by the probe that removes it. Every access of the loop is a random
+//! by the removal itself. Every access of the loop is a random
 //! one, so a `Scout` replays its draws [`LOOKAHEAD`] attempts early and
 //! prefetches the slots and index entries each attempt will touch.
 
@@ -448,7 +448,7 @@ impl SequentialResumable {
         })
     }
 
-    /// The engine's visits at rest: the marks of its pool's index as a
+    /// The engine's visits at rest: a copy of its pool's marks, a
     /// bitmap over pool order.
     fn visits(&self) -> Visits {
         Visits {
@@ -461,8 +461,11 @@ impl SequentialResumable {
     /// bulk, from the switched pool — and the run outcome, its visit
     /// marks read off the pool in pool order, the graph's edge order;
     /// `report` is `Some` iff the engine was observed.
-    pub fn finish(self) -> (Graph, SequentialOutcome) {
-        let visits = self.visits();
+    pub fn finish(mut self) -> (Graph, SequentialOutcome) {
+        let visits = Visits {
+            initial: self.initial,
+            unvisited: self.pool.take_unvisited_bitmap(),
+        };
         let report = self.solo.report();
         let graph = Graph::from_pool(self.n, self.pool)
             .expect("a switch recombines endpoints of the graph's own edges");
@@ -511,8 +514,8 @@ impl Stepped for SequentialResumable {
 }
 
 /// The edge pool of an untrusted sequential snapshot of a run on
-/// `graph`, its unvisited edges marked, if [`check_snapshot`] passes and
-/// the edges, in pool order, are distinct; otherwise why not.
+/// `graph`, its marks the snapshot's bitmap, if [`check_snapshot`]
+/// passes and the edges, in pool order, are distinct; otherwise why not.
 pub(crate) fn restore_pool(
     graph: &Graph,
     n: usize,
@@ -525,9 +528,7 @@ pub(crate) fn restore_pool(
         let err = GraphError::ParallelEdge(twice);
         return Err(format!("checkpoint graph is not simple: {err:?}"));
     }
-    for e in visits.unvisited_edges(edges) {
-        pool.mark_unvisited(e.key());
-    }
+    pool.restore_unvisited(&visits.unvisited)?;
     Ok(pool)
 }
 

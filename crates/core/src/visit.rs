@@ -9,15 +9,18 @@
 //! At rest — in a snapshot, an outcome, a process rank's result — visit
 //! state has one form, [`Visits`]: a bitmap over the holder's own edge
 //! list, decoded by [`Visits::unvisited_edges`] and validated by
-//! `check_marks`. While they run, the switch engines keep the marks in
-//! their pool's index ([`EdgePool::track_visits`]) and read the bitmap
-//! off it in one sweep ([`EdgePool::unvisited_bitmap`]); the constrained
-//! variants of [`crate::variants`] keep theirs in a pool of the
-//! unvisited initial edges. The Curveball engines, sequential and
-//! parallel, keep each mark in its edge's token ([`crate::trade`]).
+//! `check_marks`. While they run, the switch engines keep the same
+//! bitmap in their pool, one bit per slot ([`EdgePool::track_visits`]):
+//! a snapshot copies its words ([`EdgePool::unvisited_bitmap`]), a
+//! restore hands a checked one back ([`EdgePool::restore_unvisited`]).
+//! The constrained variants of [`crate::variants`] keep theirs in a
+//! pool of the unvisited initial edges. The Curveball engines,
+//! sequential and parallel, keep each mark in its edge's token
+//! ([`crate::trade`]).
 //!
 //! [`EdgePool::track_visits`]: edgeswitch_graph::sampling::EdgePool::track_visits
 //! [`EdgePool::unvisited_bitmap`]: edgeswitch_graph::sampling::EdgePool::unvisited_bitmap
+//! [`EdgePool::restore_unvisited`]: edgeswitch_graph::sampling::EdgePool::restore_unvisited
 
 use edgeswitch_graph::{Edge, Graph};
 

@@ -23,7 +23,7 @@
 //! The position index maps each packed-`u64` edge key ([`Edge::key`])
 //! to its dense slot. It is an in-repo open-addressing table
 //! (`PosIndex`): one allocation of 8-byte entries, eight to a cache
-//! line, each packing a key's 31-bit fingerprint (the top bits of its
+//! line, each packing a key's 32-bit fingerprint (the top bits of its
 //! hash) with its slot. The key itself is not stored twice: a
 //! fingerprint match is confirmed against the dense array, the word a
 //! switch loop has just sampled or is about to overwrite. So the table
@@ -42,17 +42,19 @@
 //! cache. A large table is advised onto transparent huge pages before
 //! its first write, so those random probes also miss the TLB less.
 //!
-//! Besides the slot, an entry holds the edge's visit mark (Section
-//! 3.1). [`EdgePool::track_visits`] marks every edge present as an
-//! unvisited initial edge; the first [`EdgePool::remove`] of a marked
-//! edge takes the mark with the entry it already probes, and an inserted edge comes in unmarked, so a
-//! switch engine reads its visited count off the pool
-//! ([`EdgePool::unvisited`]) with no second table and no extra probe.
-//! The mark lives in the index entry, keyed by edge, not in the dense
-//! slot, so pool order — sampling order — does not depend on it. The
-//! entry holds the slot index too, so the marks leave the pool in one
-//! form: a bitmap over pool order ([`EdgePool::unvisited_bitmap`]), the
-//! one every snapshot, switch outcome and process rank result carries.
+//! Beside the dense array the pool keeps the edges' visit marks
+//! (Section 3.1): a bitmap over dense slots, bit `i` set iff slot `i`
+//! holds an initial edge not yet removed. [`EdgePool::track_visits`]
+//! sets one bit per edge present, a word at a time; [`EdgePool::remove`]
+//! clears the removed slot's bit — that clear is the visit — and, on a
+//! swap-remove, moves the tail's bit with the tail's edge; an inserted
+//! edge takes the clear bit of the slot it appends. So a switch engine
+//! reads its visited count off the pool ([`EdgePool::unvisited`]) with
+//! no second table and no extra probe, and the marks leave the pool as
+//! the words they are kept in ([`EdgePool::unvisited_bitmap`]): the
+//! bitmap over pool order that every snapshot, switch outcome and
+//! process rank result carries. Pool order — sampling order — does not
+//! depend on the marks, and the index never reads them.
 //!
 //! Only the switch loop reads the index: a finished run's graph is read
 //! through its edge order (and its adjacency, see [`crate::graph`]). So
@@ -63,8 +65,9 @@
 //! the split of a graph into its ranks' shares, the gather of a parallel
 //! run's ranks, the adjacency walk of a Curveball finish — only appends
 //! keys, and a graph that is only digested or written out, or a share
-//! no switch rank probes, never pays for the index. An unindexed pool
-//! holds no visit marks: marks live in the index.
+//! no switch rank probes, never pays for the index. Starting or
+//! restoring visit tracking builds the index too: a pool that counts
+//! visits is one a switch loop is about to probe.
 
 use crate::memhint::{advise_huge_pages, prefetch};
 use crate::types::{Edge, VertexId, MAX_POOL_EDGES};
@@ -248,19 +251,10 @@ fn next_slot(len: usize) -> u32 {
     len as u32
 }
 
-/// What the position index holds per edge: its dense position, and
-/// whether it is an initial edge not yet removed since
-/// [`EdgePool::track_visits`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Slot {
-    idx: u32,
-    unvisited: bool,
-}
-
-/// One entry of the position index, packed in a `u64`: bits 63..33 are
-/// the key's fingerprint (the top 31 bits of its hash), bit 32 its
-/// visit mark and bits 31..0 its dense slot. The key itself is not
-/// stored: it is the dense array's word at that slot.
+/// One entry of the position index, packed in a `u64`: bits 63..32 are
+/// the key's fingerprint (the top 32 bits of its hash) and bits 31..0
+/// its dense slot. The key itself is not stored: it is the dense
+/// array's word at that slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Entry(u64);
 
@@ -270,21 +264,18 @@ impl Entry {
     const FREE: Entry = Entry(u64::MAX);
 
     #[inline]
-    fn new(fp: u32, slot: Slot) -> Entry {
-        Entry(u64::from(fp) << 33 | u64::from(slot.unvisited) << 32 | u64::from(slot.idx))
+    fn new(fp: u32, slot: u32) -> Entry {
+        Entry(u64::from(fp) << 32 | u64::from(slot))
     }
 
     #[inline]
     fn fp(self) -> u32 {
-        (self.0 >> 33) as u32
+        (self.0 >> 32) as u32
     }
 
     #[inline]
-    fn slot(self) -> Slot {
-        Slot {
-            idx: self.0 as u32,
-            unvisited: self.0 >> 32 & 1 == 1,
-        }
+    fn slot(self) -> u32 {
+        self.0 as u32
     }
 }
 
@@ -292,19 +283,19 @@ impl Entry {
 /// reaches the top bits of `key * K`.
 const K: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// A key's fingerprint: the top 31 bits of `key * K`. Its top
+/// A key's fingerprint: the top 32 bits of `key * K`. Its top
 /// `log2(entries)` bits are the key's home, so an entry's home is known
 /// from the entry alone.
 #[inline]
 fn fingerprint(key: u64) -> u32 {
-    (key.wrapping_mul(K) >> 33) as u32
+    (key.wrapping_mul(K) >> 32) as u32
 }
 
-/// Most entries an index can have: a home is a prefix of a 31-bit
+/// Most entries an index can have: a home is a prefix of a 32-bit
 /// fingerprint.
-const MAX_ENTRIES: usize = 1 << 31;
+const MAX_ENTRIES: usize = 1 << 32;
 
-/// The position index: packed edge key → [`Slot`], open addressing
+/// The position index: packed edge key → dense slot, open addressing
 /// over one power-of-two array of 8-byte [`Entry`]s with Robin Hood
 /// probing.
 ///
@@ -326,7 +317,7 @@ const MAX_ENTRIES: usize = 1 << 31;
 struct PosIndex {
     entries: Box<[Entry]>,
     len: usize,
-    /// `31 - log2(entries.len())`: the home of fingerprint `fp` is
+    /// `32 - log2(entries.len())`: the home of fingerprint `fp` is
     /// `fp >> shift`.
     shift: u32,
 }
@@ -346,7 +337,7 @@ impl PosIndex {
         PosIndex {
             entries: fresh(n, |entries| entries.resize(n, Entry::FREE)),
             len: 0,
-            shift: 31 - n.trailing_zeros(),
+            shift: 32 - n.trailing_zeros(),
         }
     }
 
@@ -393,7 +384,7 @@ impl PosIndex {
             if entry == Entry::FREE {
                 return None;
             }
-            if entry.fp() == fp && edges.get(entry.slot().idx as usize) == key {
+            if entry.fp() == fp && edges.get(entry.slot() as usize) == key {
                 return Some(at);
             }
             if self.displacement(entry.fp(), at) < dist {
@@ -405,19 +396,19 @@ impl PosIndex {
     }
 
     #[inline]
-    fn slot(&self, at: usize) -> Slot {
+    fn slot(&self, at: usize) -> u32 {
         self.entries[at].slot()
     }
 
     #[inline]
-    fn set_slot(&mut self, at: usize, slot: Slot) {
+    fn set_slot(&mut self, at: usize, slot: u32) {
         self.entries[at] = Entry::new(self.entries[at].fp(), slot);
     }
 
     /// Insert `key` → `slot`; `false` (index unchanged) if `key` is
     /// present.
     #[inline]
-    fn insert(&mut self, key: u64, slot: Slot, edges: &EdgeBlocks) -> bool {
+    fn insert(&mut self, key: u64, slot: u32, edges: &EdgeBlocks) -> bool {
         if self.find(key, edges).is_some() {
             return false;
         }
@@ -487,21 +478,6 @@ impl PosIndex {
         }
     }
 
-    /// Every stored slot, in table order.
-    fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
-        self.entries
-            .iter()
-            .filter(|&&e| e != Entry::FREE)
-            .map(|e| e.slot())
-    }
-
-    /// Set every stored entry's visit mark.
-    fn mark_all(&mut self) {
-        for entry in self.entries.iter_mut().filter(|e| **e != Entry::FREE) {
-            entry.0 |= 1 << 32;
-        }
-    }
-
     /// Start loading the entry a lookup of `key` begins at.
     #[inline]
     fn prefetch(&self, key: u64) {
@@ -514,10 +490,11 @@ impl PosIndex {
     fn check_probes(&self, edges: &EdgeBlocks) -> bool {
         let reachable = self.entries.iter().enumerate().all(|(at, &entry)| {
             entry == Entry::FREE
-                || (entry.slot().idx as usize) < edges.len()
-                    && self.find(edges.get(entry.slot().idx as usize), edges) == Some(at)
+                || (entry.slot() as usize) < edges.len()
+                    && self.find(edges.get(entry.slot() as usize), edges) == Some(at)
         });
-        reachable && self.len == self.slots().count() && self.len <= self.capacity()
+        let stored = self.entries.iter().filter(|&&e| e != Entry::FREE).count();
+        reachable && self.len == stored && self.len <= self.capacity()
     }
 }
 
@@ -563,7 +540,13 @@ pub struct EdgePool {
     /// The position index, built with the pool or on first use (see
     /// the module docs); `OnceLock` so a lent `&EdgePool` can build it.
     pos: OnceLock<PosIndex>,
-    /// Entries of `pos` whose `unvisited` mark is set.
+    /// The visit marks: bit `i % 64` of word `i / 64` is set iff slot
+    /// `i` holds an initial edge not removed since
+    /// [`EdgePool::track_visits`]. No bit is set at or past the last
+    /// edge, and a word past the end reads as clear: a pool that tracks
+    /// no visits keeps no words.
+    marks: Vec<u64>,
+    /// Set bits of `marks`.
     unvisited: usize,
 }
 
@@ -580,6 +563,7 @@ impl EdgePool {
         EdgePool {
             edges: EdgeBlocks::with_capacity(cap),
             pos: OnceLock::from(PosIndex::with_capacity(cap)),
+            marks: Vec::new(),
             unvisited: 0,
         }
     }
@@ -626,21 +610,18 @@ impl EdgePool {
     }
 
     /// Insert `e`, unmarked (an inserted edge is never an unvisited
-    /// initial one); returns `false` (and leaves the pool unchanged) if
-    /// the edge is already present.
+    /// initial one: the slot it appends has a clear bit); returns
+    /// `false` (and leaves the pool unchanged) if the edge is already
+    /// present.
     ///
     /// # Panics
     /// Panics if the pool already holds [`MAX_POOL_EDGES`] edges, or if
-    /// its index would grow past 2³¹ entries (at about 9.4·10⁸ edges:
-    /// an entry's home is a prefix of its 31-bit fingerprint).
+    /// its index would grow past 2³² entries (at about 1.88·10⁹ edges:
+    /// an entry's home is a prefix of its 32-bit fingerprint).
     pub fn insert(&mut self, e: Edge) -> bool {
         let idx = next_slot(self.edges.len());
         let key = e.key();
-        let slot = Slot {
-            idx,
-            unvisited: false,
-        };
-        let fresh = index_mut(&mut self.pos, &self.edges).insert(key, slot, &self.edges);
+        let fresh = index_mut(&mut self.pos, &self.edges).insert(key, idx, &self.edges);
         if fresh {
             self.edges.push(key);
         }
@@ -648,57 +629,70 @@ impl EdgePool {
     }
 
     /// Remove `e`; returns `false` (pool unchanged) if it was not present.
-    /// Removing a marked edge visits it: its mark goes with its entry.
+    /// Removing a marked edge visits it: its slot's mark is cleared.
     pub fn remove(&mut self, e: Edge) -> bool {
         let pos = index_mut(&mut self.pos, &self.edges);
         let Some(at) = pos.find(e.key(), &self.edges) else {
             return false;
         };
-        let Slot { idx, unvisited } = pos.slot(at);
+        let idx = pos.slot(at);
         pos.remove_at(at);
-        self.unvisited -= usize::from(unvisited);
+        let visited = take_mark(&mut self.marks, idx as usize);
         let tail = self.edges.len() - 1;
         if idx as usize != tail {
-            // Swap-remove: the last edge moves into `idx`, and keeps its
-            // mark. Its entry is found while the dense array still holds
-            // it at `tail`.
+            // Swap-remove: the last edge moves into `idx`, and its mark
+            // with it. Its entry is found while the dense array still
+            // holds it at `tail`.
             let last = self.edges.get(tail);
             let moved = pos
                 .find(last, &self.edges)
                 .expect("the last edge is indexed");
-            let unvisited = pos.slot(moved).unvisited;
-            pos.set_slot(moved, Slot { idx, unvisited });
+            pos.set_slot(moved, idx);
             self.edges.set(idx as usize, last);
+            if take_mark(&mut self.marks, tail) {
+                self.marks[idx as usize / 64] |= 1 << (idx % 64);
+            }
         }
         self.edges.pop();
+        self.unvisited -= usize::from(visited);
         true
     }
 
-    /// Mark every edge present as an unvisited initial edge — one sweep
-    /// of the index, the start of a switch run's visit tracking.
+    /// Mark every edge present as an unvisited initial edge — ⌈m/64⌉
+    /// words of ones, the start of a switch run's visit tracking. Builds
+    /// the index the run will probe.
     pub fn track_visits(&mut self) {
-        let pos = index_mut(&mut self.pos, &self.edges);
-        pos.mark_all();
-        self.unvisited = pos.len();
+        index_mut(&mut self.pos, &self.edges);
+        let (full, rest) = (self.len() / 64, self.len() % 64);
+        self.marks.clear();
+        self.marks.resize(full, u64::MAX);
+        if rest > 0 {
+            self.marks.push((1 << rest) - 1);
+        }
+        self.unvisited = self.len();
     }
 
-    /// Mark the edge of packed key `key` unvisited (rebuilding a
-    /// snapshot's tracking); returns `false` if no such edge is present.
-    pub fn mark_unvisited(&mut self, key: u64) -> bool {
-        let pos = index_mut(&mut self.pos, &self.edges);
-        let Some(at) = pos.find(key, &self.edges) else {
-            return false;
-        };
-        let slot = pos.slot(at);
-        self.unvisited += usize::from(!slot.unvisited);
-        pos.set_slot(
-            at,
-            Slot {
-                unvisited: true,
-                ..slot
-            },
-        );
-        true
+    /// Adopt `unvisited`, a bitmap over pool order as
+    /// [`EdgePool::unvisited_bitmap`] hands it out, as the pool's marks
+    /// (rebuilding a snapshot's tracking). Builds the index. Refuses,
+    /// with the pool unchanged, a bitmap of other than ⌈m/64⌉ words or
+    /// with a bit at or past the last edge.
+    pub fn restore_unvisited(&mut self, unvisited: &[u64]) -> Result<(), String> {
+        let len = self.len();
+        if unvisited.len() != len.div_ceil(64) {
+            return Err(format!(
+                "{} words of visit marks for {len} edges",
+                unvisited.len()
+            ));
+        }
+        if !marks_below(unvisited, len) {
+            return Err("a visit mark at or past the last edge".to_string());
+        }
+        index_mut(&mut self.pos, &self.edges);
+        self.marks.clear();
+        self.marks.extend_from_slice(unvisited);
+        self.unvisited = ones(&self.marks);
+        Ok(())
     }
 
     /// Marked edges: initial edges not removed since
@@ -709,17 +703,22 @@ impl EdgePool {
     }
 
     /// The marks as a bitmap over pool order: bit `i % 64` of word
-    /// `i / 64` is set iff the edge at dense index `i` is marked. One
-    /// sweep of the index — the slot index is the bit index, so no key is
-    /// collected or sorted. Never builds the index: an unindexed pool
-    /// has no marks.
+    /// `i / 64` is set iff the edge at dense index `i` is marked. A copy
+    /// of the pool's own ⌈m/64⌉ words; never builds the index.
     pub fn unvisited_bitmap(&self) -> Vec<u64> {
-        let mut bits = vec![0u64; self.len().div_ceil(64)];
-        if let Some(pos) = self.pos.get().filter(|_| self.unvisited > 0) {
-            for slot in pos.slots().filter(|slot| slot.unvisited) {
-                bits[slot.idx as usize / 64] |= 1 << (slot.idx % 64);
-            }
-        }
+        let words = self.len().div_ceil(64);
+        let mut bits = self.marks[..words.min(self.marks.len())].to_vec();
+        bits.resize(words, 0);
+        bits
+    }
+
+    /// [`EdgePool::unvisited_bitmap`] moved out of the pool, which
+    /// tracks no visits after: a finished run's marks, not copied.
+    pub fn take_unvisited_bitmap(&mut self) -> Vec<u64> {
+        let mut bits = std::mem::take(&mut self.marks);
+        // Words past the last edge's are clear: dropping them drops no mark.
+        bits.resize(self.len().div_ceil(64), 0);
+        self.unvisited = 0;
         bits
     }
 
@@ -766,28 +765,27 @@ impl EdgePool {
         }
     }
 
-    /// Internal consistency check: the block structure is well-formed
-    /// and, once the index is built, it matches the dense array exactly
-    /// and a lookup from its home reaches every entry.
-    /// Never builds the index: an unindexed pool must hold no marks,
-    /// and its edges' distinctness is its builder's contract (checked
-    /// against adjacency by [`crate::graph::Graph::check_invariants`]).
+    /// Internal consistency check: the block structure is well-formed,
+    /// the marks count [`EdgePool::unvisited`] bits with none at or past
+    /// the last edge and, once the index is built, it matches the dense
+    /// array exactly and a lookup from its home reaches every entry.
+    /// Never builds the index: an unindexed pool's distinctness is its
+    /// builder's contract (checked against adjacency by
+    /// [`crate::graph::Graph::check_invariants`]).
     /// Used by tests and debug assertions.
     pub fn check_consistent(&self) -> bool {
-        if !self.edges.check_blocks() {
+        let marks_fit = ones(&self.marks) == self.unvisited && marks_below(&self.marks, self.len());
+        if !self.edges.check_blocks() || !marks_fit {
             return false;
         }
         let Some(pos) = self.pos.get() else {
-            return self.unvisited == 0;
+            return true;
         };
         pos.check_probes(&self.edges)
             && pos.len() == self.edges.len()
             && self.edges.iter().enumerate().all(|(i, key)| {
-                pos.find(key, &self.edges)
-                    .map(|at| pos.slot(at).idx as usize)
-                    == Some(i)
+                pos.find(key, &self.edges).map(|at| pos.slot(at) as usize) == Some(i)
             })
-            && self.unvisited == pos.slots().filter(|s| s.unvisited).count()
     }
 }
 
@@ -808,18 +806,38 @@ fn build_index(pos: &mut OnceLock<PosIndex>, edges: &EdgeBlocks) {
     let _ = pos.set(index_of(edges));
 }
 
-/// The position index of `edges`, which are distinct, every edge
-/// unmarked.
+/// The position index of `edges`, which are distinct.
 fn index_of(edges: &EdgeBlocks) -> PosIndex {
     let mut pos = PosIndex::with_capacity(edges.len());
     for (i, key) in edges.iter().enumerate() {
-        let slot = Slot {
-            idx: i as u32,
-            unvisited: false,
-        };
-        pos.add(Entry::new(fingerprint(key), slot));
+        pos.add(Entry::new(fingerprint(key), i as u32));
     }
     pos
+}
+
+/// Clear slot `i`'s mark; whether it was set. A free function over the
+/// field, so `remove` can hold the index meanwhile.
+#[inline]
+fn take_mark(marks: &mut [u64], i: usize) -> bool {
+    let Some(word) = marks.get_mut(i / 64) else {
+        return false;
+    };
+    let bit = 1 << (i % 64);
+    let marked = *word & bit != 0;
+    *word &= !bit;
+    marked
+}
+
+/// Whether `bits` sets no bit at or past `len`.
+fn marks_below(bits: &[u64], len: usize) -> bool {
+    bits.iter()
+        .rposition(|&word| word != 0)
+        .is_none_or(|w| w * 64 + 63 - (bits[w].leading_zeros() as usize) < len)
+}
+
+/// Set bits of a bitmap.
+fn ones(bits: &[u64]) -> usize {
+    bits.iter().map(|word| word.count_ones() as usize).sum()
 }
 
 impl FromIterator<Edge> for EdgePool {
@@ -940,8 +958,9 @@ mod tests {
 
     #[test]
     fn an_index_bucket_stays_sixteen_bytes() {
-        assert_eq!(std::mem::size_of::<Slot>(), 8);
-        assert_eq!(std::mem::size_of::<(u64, Slot)>(), 16);
+        // A bucket of the `std` map the index is measured against: a key
+        // and its slot, padded to sixteen bytes.
+        assert_eq!(std::mem::size_of::<(u64, u32)>(), 16);
     }
 
     /// Edges whose home, in an index of `entries` entries, is one of
@@ -956,14 +975,14 @@ mod tests {
             .collect()
     }
 
-    /// A seeded trace of insert, remove, get, get_mut and contains on
+    /// A seeded trace of insert, remove, get, mark and contains on
     /// `pool`, drawing edges from `universe`, checked op by op against a
     /// model: `std`'s map from key to (dense slot, mark) beside a `Vec`
     /// of the dense order. `get` reads an edge's slot through the index
-    /// and `get_mut` is the pool's one in-place slot update,
-    /// `mark_unvisited`. Returns how often a removal's backward shift
-    /// carried an entry from the table's first entry back over its end
-    /// to the last.
+    /// and its mark off the bitmap; `mark` marks one more edge, handing
+    /// the pool the model's marks (`restore_unvisited`). Returns how
+    /// often a removal's backward shift carried an entry from the
+    /// table's first entry back over its end to the last.
     fn trace_against_a_map(pool: &mut EdgePool, universe: &[Edge], ops: usize, seed: u64) -> usize {
         let mut map: std::collections::HashMap<u64, (u32, bool)> = std::collections::HashMap::new();
         let mut dense: Vec<u64> = Vec::new();
@@ -999,16 +1018,15 @@ mod tests {
                         usize::from(before[0] != Entry::FREE && after[end].fp() == before[0].fp());
                 }
                 3 => {
-                    let want = map
+                    let newly = map
                         .get_mut(&key)
-                        .map(|(_, unvisited)| !std::mem::replace(unvisited, true));
+                        .is_some_and(|(_, unvisited)| !std::mem::replace(unvisited, true));
+                    let mut bits = vec![0u64; map.len().div_ceil(64)];
+                    for &(idx, _) in map.values().filter(|(_, unvisited)| *unvisited) {
+                        bits[idx as usize / 64] |= 1 << (idx % 64);
+                    }
                     let was = pool.unvisited();
-                    assert_eq!(
-                        pool.mark_unvisited(key),
-                        want.is_some(),
-                        "step {step}: get_mut"
-                    );
-                    let newly = want.unwrap_or(false);
+                    assert_eq!(pool.restore_unvisited(&bits), Ok(()), "step {step}");
                     assert_eq!(
                         pool.unvisited(),
                         was + usize::from(newly),
@@ -1023,9 +1041,11 @@ mod tests {
                 "step {step}: order"
             );
             let pos = pool.pos.get().expect("indexed");
+            let bits = pool.unvisited_bitmap();
             for (&key, &(idx, unvisited)) in &map {
                 let at = pos.find(key, &pool.edges).expect("a stored key is found");
-                assert_eq!(pos.slot(at), Slot { idx, unvisited }, "step {step}: get");
+                let marked = bits[idx as usize / 64] >> (idx % 64) & 1 == 1;
+                assert_eq!((pos.slot(at), marked), (idx, unvisited), "step {step}: get");
             }
             assert!(
                 pool.check_consistent(),
@@ -1071,11 +1091,11 @@ mod tests {
     #[test]
     fn the_index_is_no_larger_than_the_std_map_it_replaced() {
         // `std`'s map holds 7/8 of a power-of-two bucket count, each
-        // bucket a 16-byte `(u64, Slot)` plus one control byte. The index
+        // bucket a 16-byte `(u64, u32)` plus one control byte. The index
         // holds as many keys before it grows, in no more bytes, whether
         // pre-sized or grown by inserts.
         for m in [1_000usize, 100_000, 1_000_000] {
-            let map = crate::hashing::map_with_capacity::<u64, Slot>(m);
+            let map = crate::hashing::map_with_capacity::<u64, u32>(m);
             let map_bytes = map.capacity() / 7 * 8 * 17;
             let presized = PosIndex::with_capacity(m);
             assert_eq!(presized.capacity(), map.capacity(), "m={m}");
@@ -1089,14 +1109,10 @@ mod tests {
             let collected = pool.pos.get().expect("a collected pool is indexed");
             assert_eq!(collected.entries.len(), presized.entries.len(), "m={m}");
             let mut grown = EdgePool::new();
-            let mut map = crate::hashing::map_with_capacity::<u64, Slot>(0);
+            let mut map = crate::hashing::map_with_capacity::<u64, u32>(0);
             for i in 0..m as u64 {
                 grown.insert(e(i, i + 1));
-                let slot = Slot {
-                    idx: i as u32,
-                    unvisited: false,
-                };
-                map.insert(e(i, i + 1).key(), slot);
+                map.insert(e(i, i + 1).key(), i as u32);
             }
             let grown = grown.pos.get().unwrap();
             assert!(grown.capacity() <= map.capacity(), "m={m}");
@@ -1147,15 +1163,17 @@ mod tests {
     }
 
     #[test]
-    fn an_entry_packs_fingerprint_mark_and_slot() {
+    fn an_entry_packs_fingerprint_and_slot() {
         assert_eq!(std::mem::size_of::<Entry>(), 8);
-        let slot = Slot {
-            idx: u32::MAX - 1,
-            unvisited: true,
-        };
-        let entry = Entry::new(u32::MAX >> 1, slot);
-        assert_eq!((entry.fp(), entry.slot()), (u32::MAX >> 1, slot));
+        let entry = Entry::new(u32::MAX, u32::MAX - 1);
+        assert_eq!((entry.fp(), entry.slot()), (u32::MAX, u32::MAX - 1));
         assert_ne!(entry, Entry::FREE, "the last position is still a position");
+        // The top `log2(entries)` bits of the fingerprint are the home,
+        // up to the largest index.
+        let fp = fingerprint(e(3, 7).key());
+        assert_eq!(PosIndex::with_entries(8).home(fp), (fp >> 29) as usize);
+        assert_eq!((e(3, 7).key().wrapping_mul(K) >> 61) as u32, fp >> 29);
+        assert_eq!(MAX_ENTRIES, 1 << 32);
     }
 
     #[test]
@@ -1182,6 +1200,103 @@ mod tests {
         assert_eq!(marked, want);
         // No bit past the last edge.
         assert_eq!(bits.last().unwrap() >> (p.len() % 64), 0);
+    }
+
+    /// The set bits of `pool`'s marks, by slot.
+    fn marked_slots(pool: &EdgePool) -> Vec<usize> {
+        let bits = pool.unvisited_bitmap();
+        (0..64 * bits.len())
+            .filter(|&i| bits[i / 64] >> (i % 64) & 1 == 1)
+            .collect()
+    }
+
+    #[test]
+    fn a_swap_remove_carries_the_tails_mark_across_words_and_blocks() {
+        // Slot `i` holds `edge(i)`; all are marked.
+        let total = BLOCK_EDGES + 70;
+        let edge = |i: usize| e(i as u64, (i + total) as u64);
+        let mut p: EdgePool = (0..total).map(edge).collect();
+        p.track_visits();
+        // Visit the edge at slot 3 by hand: its bit clears, and the
+        // tail moves into its slot with its mark.
+        assert!(p.remove(edge(3)));
+        assert_eq!(p.get(3), Some(edge(total - 1)));
+        assert_eq!(p.unvisited(), total - 1);
+        assert_eq!(marked_slots(&p), (0..total - 1).collect::<Vec<_>>());
+        // Re-insert a clear slot at the tail, then remove a marked edge
+        // of the first word: the clear tail bit moves across one word
+        // and one block into slot 5.
+        assert!(p.remove(edge(total - 2)) && p.insert(edge(3)));
+        assert_eq!(p.get(total - 2), Some(edge(3)));
+        assert!(p.remove(edge(5)));
+        assert_eq!(p.get(5), Some(edge(3)));
+        let mut want: Vec<usize> = (0..total - 2).filter(|&i| i != 5).collect();
+        assert_eq!(marked_slots(&p), want);
+        // A marked tail in the second block and its second word moves
+        // back over both boundaries into slot 64, the start of word 1.
+        assert!(p.remove(edge(64)));
+        assert_eq!(p.get(64), Some(edge(total - 3)));
+        want.pop();
+        assert_eq!(marked_slots(&p), want);
+        // Removing the tail itself clears its own bit and moves nothing.
+        let tail = p.get(p.len() - 1).unwrap();
+        assert!(p.remove(tail));
+        want.pop();
+        assert_eq!(marked_slots(&p), want);
+        assert_eq!(p.unvisited(), want.len());
+        // Cut down to one block: no bit survives past the last edge.
+        while p.len() > BLOCK_EDGES - 1 {
+            let tail = p.get(p.len() - 1).unwrap();
+            assert!(p.remove(tail));
+        }
+        assert!(marked_slots(&p).iter().all(|&i| i < p.len()));
+        assert!(p.check_consistent());
+    }
+
+    #[test]
+    fn tracking_marks_exactly_the_edges_present() {
+        for len in [0usize, 1, 63, 64, 65, 130, 200] {
+            let mut p: EdgePool = (0..len as u64).map(|i| e(i, i + 1000)).collect();
+            p.track_visits();
+            assert_eq!(p.unvisited(), len, "len {len}");
+            assert_eq!(marked_slots(&p), (0..len).collect::<Vec<_>>(), "len {len}");
+            assert_eq!(p.unvisited_bitmap().len(), len.div_ceil(64), "len {len}");
+            assert!(p.check_consistent(), "len {len}");
+            // An edge inserted after comes in unmarked.
+            assert!(p.insert(e(5000, 5001)));
+            assert_eq!(marked_slots(&p), (0..len).collect::<Vec<_>>(), "len {len}");
+        }
+    }
+
+    #[test]
+    fn restoring_marks_refuses_a_bit_past_the_last_edge() {
+        let mut p: EdgePool = (0..70u64).map(|i| e(i, i + 100)).collect();
+        p.track_visits();
+        let before = p.unvisited_bitmap();
+        assert!(p.restore_unvisited(&[0, 1 << 6]).is_err(), "bit 70");
+        assert!(p.restore_unvisited(&[0, 1 << 63]).is_err(), "bit 127");
+        assert!(p.restore_unvisited(&[1]).is_err(), "one word for 70 edges");
+        assert!(p.restore_unvisited(&[1, 0, 0]).is_err(), "three words");
+        assert_eq!((p.unvisited_bitmap(), p.unvisited()), (before, 70));
+        assert_eq!(p.restore_unvisited(&[1 << 9, 1 << 5]), Ok(()));
+        assert_eq!(marked_slots(&p), [9, 69]);
+        assert_eq!(p.unvisited(), 2);
+        // Taken out, the marks leave the pool untracked.
+        assert_eq!(p.take_unvisited_bitmap(), [1 << 9, 1 << 5]);
+        assert_eq!((p.unvisited(), p.unvisited_bitmap()), (0, vec![0, 0]));
+        assert!(p.check_consistent());
+    }
+
+    #[test]
+    fn check_consistent_finds_a_stray_mark() {
+        let mut p: EdgePool = (0..70u64).map(|i| e(i, i + 100)).collect();
+        p.track_visits();
+        assert!(p.check_consistent());
+        p.marks[1] |= 1 << 6;
+        p.unvisited += 1;
+        assert!(!p.check_consistent(), "a bit past the last edge");
+        p.marks[1] &= !(1 << 6);
+        assert!(!p.check_consistent(), "a count off by one");
     }
 
     #[test]

@@ -156,7 +156,8 @@ mod tests {
     }
 
     /// One scripted operation on a pool, and what it answered: `which`
-    /// picks contains, insert, remove, track_visits or mark_unvisited.
+    /// picks contains, insert, remove, track_visits or restore_unvisited
+    /// (marking the edges that share `e`'s smaller endpoint).
     fn scripted(pool: &mut EdgePool, which: u64, e: Edge) -> (bool, usize) {
         let answer = match which {
             0 => pool.contains(e),
@@ -166,7 +167,13 @@ mod tests {
                 pool.track_visits();
                 true
             }
-            _ => pool.mark_unvisited(e.key()),
+            _ => {
+                let mut bits = vec![0u64; pool.len().div_ceil(64)];
+                for i in (0..pool.len()).filter(|&i| pool.get(i).unwrap().src() == e.src()) {
+                    bits[i / 64] |= 1 << (i % 64);
+                }
+                pool.restore_unvisited(&bits).is_ok()
+            }
         };
         (answer, pool.unvisited())
     }

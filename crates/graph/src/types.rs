@@ -21,9 +21,9 @@ pub const MAX_PACKED_VERTEX: VertexId = u32::MAX as VertexId;
 /// pool's position index stores dense slots as `u32`, for the same
 /// cache-compactness reason endpoints are narrowed. Past it the pool
 /// panics on insert, in release builds too, rather than wrap a slot.
-/// An indexed pool stops short of it, at about 9.4·10⁸ edges, where its
-/// index would outgrow the fingerprints that place its entries (see
-/// [`crate::sampling::EdgePool::insert`]).
+/// An indexed pool stops short of it, at about 1.88·10⁹ edges, where its
+/// index would outgrow the 32-bit fingerprints that place its entries
+/// (see [`crate::sampling::EdgePool::insert`]).
 pub const MAX_POOL_EDGES: usize = u32::MAX as usize;
 
 /// An undirected edge stored in canonical orientation: `src() < dst()`.

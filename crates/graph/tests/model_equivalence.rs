@@ -95,10 +95,11 @@ fn edge_pool_matches_hashset_model() {
     }
 }
 
-/// The visit marks the pool's index carries against the obvious model:
-/// a `HashSet` pool plus the set of initial edges not yet removed since
+/// The visit marks the pool carries against the obvious model: a
+/// `HashSet` pool plus the set of initial edges not yet removed since
 /// the last `track_visits`. Random inserts, removes, `track_visits` and
-/// `mark_unvisited` calls must leave the same count and the same edges,
+/// `restore_unvisited` calls (the model's marks plus one more edge, as a
+/// bitmap over pool order) must leave the same count and the same edges,
 /// read through the bitmap the pool hands out (`unvisited_bitmap`) —
 /// including when swap-remove displaces a marked edge into a freed slot
 /// (it keeps its mark) and when a visited initial edge is inserted again
@@ -123,11 +124,14 @@ fn edge_pool_visit_marks_match_a_tracker_model() {
                     visited.clear();
                 }
                 1 => {
-                    let present = model.contains(&e);
-                    if present {
+                    if model.contains(&e) {
                         unvisited.insert(e);
                     }
-                    assert_eq!(sut.mark_unvisited(e.key()), present, "mark {e} @ {step}");
+                    let mut bits = vec![0u64; sut.len().div_ceil(64)];
+                    for i in (0..sut.len()).filter(|&i| unvisited.contains(&sut.get(i).unwrap())) {
+                        bits[i / 64] |= 1 << (i % 64);
+                    }
+                    assert_eq!(sut.restore_unvisited(&bits), Ok(()), "mark {e} @ {step}");
                 }
                 2..=8 => {
                     revisited += u32::from(!model.contains(&e) && visited.contains(&e));
