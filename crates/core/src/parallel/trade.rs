@@ -352,7 +352,7 @@ pub(crate) struct Passes {
 impl Passes {
     /// Passes over `graph` under `budget`.
     pub(crate) fn new(graph: &Graph, budget: Budget) -> Self {
-        let degrees = (0..graph.num_vertices() as VertexId).map(|v| graph.degree(v) as u32);
+        let degrees = graph.degree_sequence().into_iter().map(|d| d as u32);
         Passes {
             ctl: PassController::new(budget),
             initial: None,

@@ -1304,6 +1304,36 @@ mod tests {
         assert_eq!(prepared.performed(), plain.performed());
     }
 
+    /// A sequential switch run and a Curveball run read their input's
+    /// edges only, and hand back a graph whose adjacency waits for its
+    /// first reader; the digest is that reader.
+    #[test]
+    fn sequential_outcomes_leave_adjacency_unbuilt() {
+        let spec = edgeswitch_graph::generators::StreamSpec::Pa {
+            n: 400,
+            d: 4,
+            seed: 6,
+        };
+        let g = spec.build().unwrap();
+        for run in [
+            Run::sequential(),
+            Run::sequential().randomizer(Randomizer::Curveball),
+        ] {
+            let out = run.visit_rate(0.9).seed(3).execute(&g);
+            assert!(!out.graph().adjacency_is_built());
+            assert_eq!(out.graph().degree_sequence(), g.degree_sequence());
+            assert!(!out.graph().adjacency_is_built());
+            assert_ne!(out.graph().edge_digest(), g.edge_digest());
+            assert!(out.graph().adjacency_is_built());
+            out.graph().check_invariants().unwrap();
+        }
+        // Given away rather than lent, the input's pool is switched in
+        // place, its built adjacency dropped with the rest of it.
+        assert!(g.adjacency_is_built(), "the input's digest built it");
+        let engine = Run::sequential().switches(500).seed(3).start(g).unwrap();
+        assert!(!engine.run_to_end().graph().adjacency_is_built());
+    }
+
     #[test]
     fn visit_rate_budget_derives_ops() {
         let g = graph();

@@ -9,9 +9,10 @@
 //! the existence test are both its packed-key index), so an operation is
 //! expected `O(1)`. Adjacency is not maintained while switching: the
 //! engine takes the pool of the graph it is given and
-//! [`SequentialResumable::finish`] builds the switched graph's adjacency
-//! once, in bulk ([`Graph::from_pool`]). Visit tracking rides the pool
-//! too: one bit per slot marks the initial edges not yet removed
+//! [`SequentialResumable::finish`] hands the switched pool, indexed,
+//! back to [`Graph::from_pool`], which checks its range and leaves
+//! adjacency to the first reader that needs it. Visit tracking rides the
+//! pool too: one bit per slot marks the initial edges not yet removed
 //! ([`EdgePool::track_visits`]), so the first removal of one is counted
 //! by the removal itself. Every access of the loop is a random
 //! one, so a `Scout` replays its draws [`LOOKAHEAD`] attempts early and
@@ -457,10 +458,11 @@ impl SequentialResumable {
         }
     }
 
-    /// Tear down into the switched graph — its adjacency built here, in
-    /// bulk, from the switched pool — and the run outcome, its visit
-    /// marks read off the pool in pool order, the graph's edge order;
-    /// `report` is `Some` iff the engine was observed.
+    /// Tear down into the switched graph — the switched pool, its
+    /// adjacency left unbuilt until something reads it — and the run
+    /// outcome, its visit marks read off the pool in pool order, the
+    /// graph's edge order; `report` is `Some` iff the engine was
+    /// observed.
     pub fn finish(mut self) -> (Graph, SequentialOutcome) {
         let visits = Visits {
             initial: self.initial,
@@ -583,7 +585,7 @@ pub(crate) fn check_degrees(
         degree[e.src() as usize] += 1;
         degree[e.dst() as usize] += 1;
     }
-    let same = (0..n).all(|v| degree[v] as usize == graph.degree(v as u64));
+    let same = (degree.iter().zip(graph.degree_sequence())).all(|(&d, want)| d as usize == want);
     if same {
         Ok(())
     } else {

@@ -560,9 +560,10 @@ impl CurveballResumable {
     }
 
     /// Tear down into the traded graph — its pool built here, in
-    /// ascending key order — and the outcome (`performed` counts trades,
-    /// the marks become visit marks over the graph's edges; `report`
-    /// iff observed).
+    /// ascending key order, which `assemble_edges` takes as proof that
+    /// the edges are distinct, so adjacency waits for its first reader —
+    /// and the outcome (`performed` counts trades, the marks become
+    /// visit marks over the graph's edges; `report` iff observed).
     pub fn finish(mut self) -> (Graph, SequentialOutcome) {
         self.buckets = Buckets::default();
         let performed = self.performed();

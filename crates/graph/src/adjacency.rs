@@ -38,8 +38,8 @@ impl NeighborSet {
     }
 
     /// The set of `labels` in any order, taking the vector as storage
-    /// (sorted in place, no copy). The bulk constructor behind
-    /// [`crate::graph::Graph::from_pool`]. A repeated label comes back
+    /// (sorted in place, no copy). The bulk constructor behind a
+    /// [`crate::graph::Graph`]'s adjacency. A repeated label comes back
     /// as `Err`: it would break the strictly-increasing invariant every
     /// probe relies on.
     pub(crate) fn from_distinct(mut labels: Vec<u32>) -> Result<Self, u32> {

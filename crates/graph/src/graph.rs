@@ -4,20 +4,35 @@
 //! Invariants maintained at all times:
 //! - no self-loops (unrepresentable via [`Edge`]),
 //! - no parallel edges ([`Graph::add_edge`] rejects duplicates),
-//! - full adjacency and the edge pool agree exactly.
+//! - adjacency, once built, agrees with the pool.
 //!
 //! The pool is the primary structure: it answers `sample_edge`, and it
 //! fixes the edge order everything deterministic depends on. Adjacency
-//! answers `has_edge` (a binary search of one endpoint's sorted list),
-//! so reading a graph never builds the pool's hash index — that comes
-//! with the first probe or mutation of the pool itself (see
-//! [`crate::sampling`]). Adjacency is derived from the pool — one edge
-//! at a time by [`Graph::add_edge`] / [`Graph::remove_edge`]
-//! (generators, the constrained variants), or all at once by
-//! [`Graph::from_pool`], which is how a graph is built from an edge
-//! list or a stream and how it comes back out of a switch engine
+//! is a cache of the pool, built in bulk the first time something reads
+//! it — `neighbors`, `degree`, `sorted_edges`, `edge_digest`,
+//! `check_invariants`, or `has_edge` on an unindexed pool — and kept in
+//! step by [`Graph::add_edge`] / [`Graph::remove_edge`] once built;
+//! before that they touch only the pool. The vertex count, the edges in
+//! pool order, a sampled edge and the degree sequence (one counting
+//! pass over the pool) never build it.
+//!
+//! Which constructors leave adjacency unbuilt: [`Graph::new`],
+//! [`Graph::with_edge_capacity`], [`Graph::from_edges`] and
+//! [`Graph::from_stream`] (their pools are indexed as they fill, so a
+//! repeated edge is refused or skipped there and the range is checked
+//! per edge), and [`Graph::from_pool`] handed an *indexed* pool — the
+//! index proves its edges distinct, and one pass checks their range;
+//! that is how a graph comes back out of a switch engine
 //! ([`Graph::into_pool`] is the way in: the switch engines run on the
-//! pool alone).
+//! pool alone). [`Graph::from_pool`] handed an *unindexed* pool — a
+//! gather of ranks' key lists — builds adjacency at once, because its
+//! distinct-neighbour check is what catches a repeated edge.
+//!
+//! [`Graph::has_edge`] probes the pool's hash index when the pool has
+//! one, and otherwise answers from adjacency (a binary search of one
+//! endpoint's sorted list), so reading a graph never builds the index
+//! — that comes with the first probe or mutation of the pool itself
+//! (see [`crate::sampling`]).
 
 use crate::adjacency::{ascending_edges, NeighborSet};
 use crate::sampling::EdgePool;
@@ -25,12 +40,17 @@ use crate::stream::{capacity_hint, EdgeStream};
 use crate::types::{Edge, GraphError, VertexId};
 use edgeswitch_dist::Rng;
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// An undirected simple graph over vertices `0..n`.
 #[derive(Clone, Debug, Default)]
 pub struct Graph {
-    adj: Vec<NeighborSet>,
+    n: usize,
     pool: EdgePool,
+    /// Vertex `v`'s neighbours at `adj[v]`, built from `pool` by the
+    /// first read that needs them (see the module docs); `OnceLock` so a
+    /// lent `&Graph` can build it.
+    adj: OnceLock<Vec<NeighborSet>>,
 }
 
 /// A consumer that mutates a copy takes `impl Into<Cow<Graph>>`: lend
@@ -64,52 +84,52 @@ impl Graph {
     /// vertex-count limit).
     pub fn with_edge_capacity(n: usize, m: usize) -> Self {
         check_vertex_count(n);
-        Graph {
-            adj: vec![NeighborSet::new(); n],
-            pool: EdgePool::with_capacity(m),
-        }
+        Graph::unbuilt(n, EdgePool::with_capacity(m))
     }
 
     /// The graph on `n` vertices whose edges, in this order, are
-    /// `pool`'s — the one bulk adjacency builder. Counts degrees,
-    /// allocates every neighbor set at its exact size, fills and sorts
-    /// each once: `O(n + m + Σ d log d)` with no per-edge search and no
-    /// growth reallocation, against two binary-search inserts with
-    /// doubling per edge on the [`Graph::add_edge`] route. The pool is
-    /// taken as is (loops are unrepresentable), so pool order is exactly
-    /// the caller's.
+    /// `pool`'s; the pool is taken as is (loops are unrepresentable), so
+    /// pool order is exactly the caller's. An indexed pool's edges are
+    /// distinct, so only their range is checked, in one pass, and
+    /// adjacency is left for the first read that needs it. An unindexed
+    /// pool's adjacency is built here, and its distinct-neighbour check
+    /// is what catches a repeated edge.
     ///
     /// Errors with [`GraphError::UnknownVertex`] if an edge has an
-    /// endpoint `>= n`, and with [`GraphError::ParallelEdge`] if an edge
-    /// repeats: the sorted neighbor lists show it, so a pool appended
-    /// unhashed (`EdgePool::push_distinct`) is checked here; see
+    /// endpoint `>= n`, and, for an unindexed pool (one appended
+    /// unhashed by `EdgePool::push_distinct`), with
+    /// [`GraphError::ParallelEdge`] if an edge repeats; see
     /// [`Graph::new`] for the vertex-count limit.
     pub fn from_pool(n: usize, pool: EdgePool) -> Result<Self, GraphError> {
+        if pool.is_indexed() {
+            return Graph::from_distinct_pool(n, pool);
+        }
         check_vertex_count(n);
-        let mut degree = vec![0u32; n];
-        for e in pool.iter() {
-            check_in_range(n, e)?;
-            degree[e.src() as usize] += 1;
-            degree[e.dst() as usize] += 1;
+        let adj = adjacency_of(n, &pool)?;
+        Ok(Graph {
+            n,
+            pool,
+            adj: OnceLock::from(adj),
+        })
+    }
+
+    /// [`Graph::from_pool`] for a pool its caller knows to hold distinct
+    /// edges, indexed or not: one pass checks their range, and adjacency
+    /// is left unbuilt.
+    pub(crate) fn from_distinct_pool(n: usize, pool: EdgePool) -> Result<Self, GraphError> {
+        pool.iter().try_for_each(|e| check_in_range(n, e))?;
+        Ok(Graph::unbuilt(n, pool))
+    }
+
+    /// The graph of `pool`, whose edges are distinct and in range, with
+    /// adjacency unbuilt (see [`Graph::new`] for the vertex-count limit).
+    fn unbuilt(n: usize, pool: EdgePool) -> Self {
+        check_vertex_count(n);
+        Graph {
+            n,
+            pool,
+            adj: OnceLock::new(),
         }
-        let mut lists: Vec<Vec<u32>> = degree
-            .iter()
-            .map(|&d| Vec::with_capacity(d as usize))
-            .collect();
-        drop(degree);
-        for e in pool.iter() {
-            // Both labels are below n <= 2^32: the narrowing is exact.
-            lists[e.src() as usize].push(e.dst() as u32);
-            lists[e.dst() as usize].push(e.src() as u32);
-        }
-        // Collected in place: each set takes its list's slot and storage.
-        let adj = (lists.into_iter().enumerate())
-            .map(|(v, list)| {
-                NeighborSet::from_distinct(list)
-                    .map_err(|w| GraphError::ParallelEdge(Edge::new(v as VertexId, w.into())))
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(Graph { adj, pool })
     }
 
     /// Give up the adjacency and keep the edges: the pool, in its
@@ -125,7 +145,7 @@ impl Graph {
 
     /// Build a graph from an edge iterator, rejecting duplicates and
     /// out-of-range endpoints at the first offender (loops are
-    /// unrepresentable as [`Edge`]s).
+    /// unrepresentable as [`Edge`]s). Adjacency is left unbuilt.
     ///
     /// Pre-sizes from the checked `size_hint` upper bound when the
     /// iterator reports one (exact-size iterators behind adapters often
@@ -143,11 +163,12 @@ impl Graph {
                 return Err(GraphError::ParallelEdge(e));
             }
         }
-        Graph::from_pool(n, pool)
+        Ok(Graph::unbuilt(n, pool))
     }
 
     /// Build a graph by draining an [`EdgeStream`] chunk by chunk, so no
-    /// global edge list ever materializes alongside the graph.
+    /// global edge list ever materializes alongside the graph. Adjacency
+    /// is left unbuilt.
     ///
     /// Unlike [`Graph::from_edges`], re-emitted duplicate edges are
     /// *skipped* rather than rejected: streams (notably the
@@ -167,13 +188,29 @@ impl Graph {
                 pool.insert(e);
             }
         }
-        Graph::from_pool(n, pool)
+        Ok(Graph::unbuilt(n, pool))
+    }
+
+    /// Full adjacency, built from the pool on first use.
+    #[inline]
+    fn adj(&self) -> &[NeighborSet] {
+        self.adj.get_or_init(|| {
+            adjacency_of(self.n, &self.pool)
+                .expect("an unbuilt graph's edges are distinct and in range")
+        })
+    }
+
+    /// Whether adjacency has been built (tests assert which paths leave
+    /// it unbuilt).
+    #[cfg(any(test, feature = "testing"))]
+    pub fn adjacency_is_built(&self) -> bool {
+        self.adj.get().is_some()
     }
 
     /// Number of vertices `n`.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.adj.len()
+        self.n
     }
 
     /// Number of edges `m`.
@@ -182,58 +219,76 @@ impl Graph {
         self.pool.len()
     }
 
-    /// Degree of `v`.
+    /// Degree of `v`. Builds adjacency; a reader of every degree calls
+    /// [`Graph::degree_sequence`], which does not.
     ///
     /// # Panics
     /// Panics if `v >= n`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.adj[v as usize].len()
+        self.adj()[v as usize].len()
     }
 
     /// Maximum degree over all vertices (`0` for an edgeless graph).
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(NeighborSet::len).max().unwrap_or(0)
+        self.degree_sequence().into_iter().max().unwrap_or(0)
     }
 
     /// Average degree `2m/n`.
     pub fn avg_degree(&self) -> f64 {
-        if self.adj.is_empty() {
+        if self.n == 0 {
             0.0
         } else {
-            2.0 * self.pool.len() as f64 / self.adj.len() as f64
+            2.0 * self.pool.len() as f64 / self.n as f64
         }
     }
 
-    /// The degree of every vertex, indexed by label.
+    /// The degree of every vertex, indexed by label: read off adjacency
+    /// if it is built, otherwise counted in one pass over the pool,
+    /// which builds nothing.
     pub fn degree_sequence(&self) -> Vec<usize> {
-        self.adj.iter().map(NeighborSet::len).collect()
+        if let Some(adj) = self.adj.get() {
+            return adj.iter().map(NeighborSet::len).collect();
+        }
+        let mut degree = vec![0usize; self.n];
+        for e in self.pool.iter() {
+            degree[e.src() as usize] += 1;
+            degree[e.dst() as usize] += 1;
+        }
+        degree
     }
 
     /// Full neighbor set of `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &NeighborSet {
-        &self.adj[v as usize]
+        &self.adj()[v as usize]
     }
 
-    /// `O(log d)` edge-existence test: a binary search of the lower
-    /// endpoint's sorted neighbor list. It never builds the pool's hash
-    /// index, so a graph that is only read never pays for one.
+    /// Edge-existence test: one probe of the pool's hash index if the
+    /// pool has one, otherwise an `O(log d)` binary search of the lower
+    /// endpoint's sorted neighbor list. It never builds the index, so a
+    /// graph that is only read never pays for one.
     #[inline]
     pub fn has_edge(&self, e: Edge) -> bool {
-        self.adj
-            .get(e.src() as usize)
-            .is_some_and(|nbrs| nbrs.contains(e.dst()))
+        if e.dst() >= self.n as u64 {
+            return false;
+        }
+        match self.pool.contains_if_indexed(e) {
+            Some(found) => found,
+            None => self.adj()[e.src() as usize].contains(e.dst()),
+        }
     }
 
     /// Add an edge; errors on duplicates or out-of-range endpoints.
     pub fn add_edge(&mut self, e: Edge) -> Result<(), GraphError> {
-        check_in_range(self.adj.len(), e)?;
+        check_in_range(self.n, e)?;
         if !self.pool.insert(e) {
             return Err(GraphError::ParallelEdge(e));
         }
-        self.adj[e.src() as usize].insert(e.dst());
-        self.adj[e.dst() as usize].insert(e.src());
+        if let Some(adj) = self.adj.get_mut() {
+            adj[e.src() as usize].insert(e.dst());
+            adj[e.dst() as usize].insert(e.src());
+        }
         Ok(())
     }
 
@@ -242,8 +297,10 @@ impl Graph {
         if !self.pool.remove(e) {
             return Err(GraphError::MissingEdge(e));
         }
-        self.adj[e.src() as usize].remove(e.dst());
-        self.adj[e.dst() as usize].remove(e.src());
+        if let Some(adj) = self.adj.get_mut() {
+            adj[e.src() as usize].remove(e.dst());
+            adj[e.dst() as usize].remove(e.src());
+        }
         Ok(())
     }
 
@@ -263,7 +320,7 @@ impl Graph {
     /// ([`ascending_edges`]), with no sort.
     pub fn sorted_edges(&self) -> Vec<Edge> {
         let mut v = Vec::with_capacity(self.num_edges());
-        v.extend(ascending_edges(&self.adj));
+        v.extend(ascending_edges(self.adj()));
         v
     }
 
@@ -282,7 +339,7 @@ impl Graph {
             z ^ (z >> 31)
         }
         let mut h = mix(0x65646765_u64 ^ self.num_vertices() as u64);
-        for e in ascending_edges(&self.adj) {
+        for e in ascending_edges(self.adj()) {
             h = mix(h ^ e.key().wrapping_mul(0x9e3779b97f4a7c15));
         }
         h
@@ -296,7 +353,8 @@ impl Graph {
     }
 
     /// Verify all internal invariants (adjacency symmetry, pool/adjacency
-    /// agreement, no out-of-range labels). Intended for tests; `O(m log d)`.
+    /// agreement, no out-of-range labels), building adjacency if it is
+    /// not built. Intended for tests; `O(m log d)`.
     ///
     /// Never builds the pool's index. The pool is checked against
     /// adjacency slot by slot: each pool edge marks its slot in its lower
@@ -308,9 +366,10 @@ impl Graph {
         if !self.pool.check_consistent() {
             return Err("edge pool index inconsistent".into());
         }
-        let n = self.adj.len() as u64;
+        let adj = self.adj();
+        let n = self.n as u64;
         let mut adj_edge_count = 0usize;
-        for (u, nbrs) in self.adj.iter().enumerate() {
+        for (u, nbrs) in adj.iter().enumerate() {
             let u = u as u64;
             for v in nbrs.iter() {
                 if v >= n {
@@ -319,7 +378,7 @@ impl Graph {
                 if v == u {
                     return Err(format!("self-loop at {u}"));
                 }
-                if !self.adj[v as usize].contains(u) {
+                if !adj[v as usize].contains(u) {
                     return Err(format!("asymmetric adjacency {u}->{v}"));
                 }
                 adj_edge_count += 1;
@@ -332,16 +391,16 @@ impl Graph {
             ));
         }
         // Slot `start[u] + i` is label `i` of `adj[u]`.
-        let mut start = Vec::with_capacity(self.adj.len());
+        let mut start = Vec::with_capacity(adj.len());
         let mut slots = 0usize;
-        for nbrs in &self.adj {
+        for nbrs in adj {
             start.push(slots);
             slots += nbrs.len();
         }
         let mut seen = vec![0u64; slots.div_ceil(64)];
         for e in self.pool.iter() {
             // A pool edge is a packed key: both labels fit in `u32`.
-            let at = self.adj.get(e.src() as usize).and_then(|nbrs| {
+            let at = adj.get(e.src() as usize).and_then(|nbrs| {
                 let i = nbrs.labels().binary_search(&(e.dst() as u32)).ok()?;
                 Some(start[e.src() as usize] + i)
             });
@@ -355,6 +414,42 @@ impl Graph {
         }
         Ok(())
     }
+}
+
+/// The adjacency of the `n`-vertex graph whose edges are `pool`'s — the
+/// one bulk adjacency builder. Counts degrees, allocates every neighbor
+/// set at its exact size, fills and sorts each once:
+/// `O(n + m + Σ d log d)` with no per-edge search and no growth
+/// reallocation, against two binary-search inserts with doubling per
+/// edge on the [`Graph::add_edge`] route.
+///
+/// Errors with [`GraphError::UnknownVertex`] if an edge has an endpoint
+/// `>= n`, and with [`GraphError::ParallelEdge`] if an edge repeats: the
+/// sorted neighbor lists show it.
+fn adjacency_of(n: usize, pool: &EdgePool) -> Result<Vec<NeighborSet>, GraphError> {
+    let mut degree = vec![0u32; n];
+    for e in pool.iter() {
+        check_in_range(n, e)?;
+        degree[e.src() as usize] += 1;
+        degree[e.dst() as usize] += 1;
+    }
+    let mut lists: Vec<Vec<u32>> = degree
+        .iter()
+        .map(|&d| Vec::with_capacity(d as usize))
+        .collect();
+    drop(degree);
+    for e in pool.iter() {
+        // Both labels are below n <= 2^32: the narrowing is exact.
+        lists[e.src() as usize].push(e.dst() as u32);
+        lists[e.dst() as usize].push(e.src() as u32);
+    }
+    // Collected in place: each set takes its list's slot and storage.
+    (lists.into_iter().enumerate())
+        .map(|(v, list)| {
+            NeighborSet::from_distinct(list)
+                .map_err(|w| GraphError::ParallelEdge(Edge::new(v as VertexId, w.into())))
+        })
+        .collect()
 }
 
 /// Both endpoints of `e` are vertices of an `n`-vertex graph (`dst` is
@@ -487,7 +582,7 @@ mod tests {
     #[test]
     fn invariants_of_an_unindexed_graph_catch_a_pool_off_its_adjacency() {
         // Adjacency of the path 0-1-2-3; the pool is appended unhashed.
-        let adj = path_graph(4).adj;
+        let adj = path_graph(4).adj().to_vec();
         let e = Edge::new;
         let with_pool = |edges: &[Edge]| {
             let mut pool = EdgePool::new();
@@ -495,8 +590,9 @@ mod tests {
                 pool.push_distinct(edge);
             }
             Graph {
-                adj: adj.clone(),
+                n: 4,
                 pool,
+                adj: OnceLock::from(adj.clone()),
             }
         };
         let fine = with_pool(&[e(2, 3), e(0, 1), e(1, 2)]);
@@ -523,5 +619,98 @@ mod tests {
         b.remove_edge(Edge::new(2, 3)).unwrap();
         b.add_edge(Edge::new(1, 3)).unwrap();
         assert!(!a.same_edge_set(&b));
+    }
+
+    /// Which constructors and reads leave adjacency unbuilt, and which
+    /// reads build it, on the pattern of
+    /// `store::tests::reading_an_assembled_graph_builds_no_index`.
+    #[test]
+    fn adjacency_is_built_only_when_read() {
+        use crate::generators::{preferential_attachment, StreamSpec};
+        let spec = StreamSpec::Pa {
+            n: 300,
+            d: 4,
+            seed: 5,
+        };
+        let streamed = spec.build().unwrap();
+        let listed = Graph::from_edges(300, streamed.edges()).unwrap();
+        let generated = preferential_attachment(300, 4, &mut Pcg64::seed_from_u64(5));
+        let pooled = Graph::from_pool(300, streamed.pool().clone()).unwrap();
+        for g in [&streamed, &listed, &generated, &pooled] {
+            assert!(!g.adjacency_is_built());
+            assert!(g.pool().is_indexed());
+            let degrees = g.degree_sequence();
+            assert_eq!(degrees.iter().sum::<usize>(), 2 * g.num_edges());
+            assert_eq!(g.max_degree(), *degrees.iter().max().unwrap());
+            let e = g.pool().get(7).unwrap();
+            assert!(g.has_edge(e) && !g.has_edge(Edge::new(e.src(), 300)));
+            let mut rng = Pcg64::seed_from_u64(1);
+            assert!(g.sample_edge(&mut rng).is_some_and(|e| g.has_edge(e)));
+            assert_eq!(g.edges().len(), g.num_edges());
+            assert!(!g.clone().adjacency_is_built());
+            assert!(!g.adjacency_is_built(), "reads of the pool build nothing");
+        }
+        assert!(streamed.same_edge_set(&listed) && streamed.same_edge_set(&pooled));
+        assert!(!streamed.adjacency_is_built() && !listed.adjacency_is_built());
+        let mut edgeless = Graph::new(4);
+        edgeless.add_edge(Edge::new(0, 1)).unwrap();
+        assert!(
+            !edgeless.adjacency_is_built(),
+            "an unbuilt graph's edits touch the pool only"
+        );
+
+        // Each of these reads builds it, and a clone keeps it built.
+        for what in [
+            "neighbors",
+            "degree",
+            "sorted_edges",
+            "edge_digest",
+            "check_invariants",
+        ] {
+            let g = streamed.clone();
+            match what {
+                "neighbors" => assert!(!g.neighbors(0).is_empty()),
+                "degree" => assert!(g.degree(0) > 0),
+                "sorted_edges" => assert!(!g.sorted_edges().is_empty()),
+                "edge_digest" => assert_ne!(g.edge_digest(), 0),
+                _ => g.check_invariants().unwrap(),
+            }
+            assert!(g.adjacency_is_built(), "{what} builds adjacency");
+            assert!(g.clone().adjacency_is_built());
+        }
+        // An unindexed pool answers `has_edge` from adjacency, never
+        // from an index it would have to build.
+        let mut pool = EdgePool::new();
+        for e in [(2, 3), (0, 1), (1, 2)] {
+            pool.push_distinct(Edge::new(e.0, e.1));
+        }
+        let gathered = Graph::from_distinct_pool(4, pool).unwrap();
+        assert!(!gathered.adjacency_is_built());
+        assert!(gathered.has_edge(Edge::new(1, 2)) && !gathered.has_edge(Edge::new(0, 2)));
+        assert!(gathered.adjacency_is_built() && !gathered.pool().is_indexed());
+    }
+
+    #[test]
+    fn edits_keep_built_adjacency_in_step() {
+        let mut g = path_graph(4);
+        assert_eq!(g.degree(1), 2);
+        g.remove_edge(Edge::new(1, 2)).unwrap();
+        g.add_edge(Edge::new(0, 3)).unwrap();
+        assert_eq!(g.degree_sequence(), vec![2, 1, 1, 2]);
+        assert!(g.neighbors(0).contains(3) && !g.neighbors(1).contains(2));
+        g.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn from_pool_checks_the_range_of_an_indexed_pool() {
+        let e = Edge::new;
+        let pool: EdgePool = [e(0, 1), e(1, 2)].into_iter().collect();
+        assert_eq!(
+            Graph::from_pool(2, pool.clone()).unwrap_err(),
+            GraphError::UnknownVertex(2)
+        );
+        let g = Graph::from_pool(3, pool).unwrap();
+        assert!(!g.adjacency_is_built());
+        assert_eq!(g.sorted_edges(), [e(0, 1), e(1, 2)]);
     }
 }

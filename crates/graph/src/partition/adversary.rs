@@ -65,8 +65,9 @@ pub fn division_worst_case(graph: &Graph, p: usize, target_rank: usize) -> Relab
     let n = graph.num_vertices();
     // Vertices sorted by degree, highest first (ties by label for
     // determinism).
+    let degree = graph.degree_sequence();
     let mut by_degree: Vec<VertexId> = (0..n as u64).collect();
-    by_degree.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
+    by_degree.sort_by_key(|&v| (std::cmp::Reverse(degree[v as usize]), v));
 
     // Labels owned by target_rank under HP-D, ascending.
     let hot_labels = (0..n as u64).filter(|l| (*l % p as u64) as usize == target_rank);

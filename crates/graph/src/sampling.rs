@@ -56,15 +56,16 @@
 //! process rank result carries. Pool order — sampling order — does not
 //! depend on the marks, and the index never reads them.
 //!
-//! Only the switch loop reads the index: a finished run's graph is read
-//! through its edge order (and its adjacency, see [`crate::graph`]). So
-//! the index is built on demand, the first time something probes or
+//! Only the switch loop needs the index: a finished run's graph is read
+//! through its edge order and its adjacency, and `Graph::has_edge`
+//! probes the index only if it is already built (see [`crate::graph`]).
+//! So the index is built on demand, the first time something probes or
 //! mutates the pool. A pool filled by [`EdgePool::insert`] (or
 //! `collect`, or pre-sized by [`EdgePool::with_capacity`]) is indexed
 //! as it fills; a builder that already knows its edges are distinct —
 //! the split of a graph into its ranks' shares, the gather of a parallel
-//! run's ranks, the adjacency walk of a Curveball finish — only appends
-//! keys, and a graph that is only digested or written out, or a share
+//! run's ranks, the sorted token list of a Curveball finish — only
+//! appends keys, and a graph that is only digested or written out, or a share
 //! no switch rank probes, never pays for the index. Starting or
 //! restoring visit tracking builds the index too: a pool that counts
 //! visits is one a switch loop is about to probe.
@@ -581,11 +582,21 @@ impl EdgePool {
         self.edges.push(e.key());
     }
 
-    /// Whether the position index has been built (tests assert which
-    /// paths leave it unbuilt).
-    #[cfg(test)]
+    /// Whether the position index has been built. [`Graph::from_pool`]
+    /// reads it as a proof that the edges are distinct, and tests assert
+    /// which paths leave it unbuilt.
+    ///
+    /// [`Graph::from_pool`]: crate::graph::Graph::from_pool
     pub(crate) fn is_indexed(&self) -> bool {
         self.pos.get().is_some()
+    }
+
+    /// Whether the pool contains `e`, if its index is built; `None`,
+    /// building nothing, if it is not.
+    #[inline]
+    pub(crate) fn contains_if_indexed(&self, e: Edge) -> Option<bool> {
+        let pos = self.pos.get()?;
+        Some(pos.find(e.key(), &self.edges).is_some())
     }
 
     /// Number of edges currently in the pool.

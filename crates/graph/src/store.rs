@@ -13,7 +13,8 @@
 //! neighbor list, so a rank's share is an [`EdgePool`] and nothing else:
 //! what Section 4.2 contributes is *where an edge lives*, not a second
 //! copy of it. Full adjacency exists only on the [`Graph`]s that go in
-//! ([`build_stores`]) and come out ([`assemble_graph`]).
+//! ([`build_stores`]) and come out ([`assemble_graph`]), and on those
+//! only once something reads it (see [`crate::graph`]).
 //!
 //! Only a switch rank probes its share, so the split indexes nothing:
 //! [`build_stores`] appends a graph's edges, distinct already, unhashed,
@@ -26,8 +27,10 @@
 //! rank hands over its edges as a plain key list in pool order, and the
 //! gather loop ([`assemble_edges`]) appends the lists in rank order to
 //! the output graph's pool without hashing them: the output is read
-//! through its edge order and adjacency, and its index comes with the
-//! first probe or mutation, if any.
+//! through its edge order and adjacency — which the gather builds and
+//! checks at once, since that check is what catches an edge two ranks
+//! both sent — and its index comes with the first probe or mutation, if
+//! any.
 
 use crate::graph::Graph;
 use crate::partition::Partitioner;
@@ -86,9 +89,12 @@ pub fn assemble_graph(n: usize, stores: &[EdgePool]) -> Graph {
 /// `edges` in this order — each partition's share in turn, or a
 /// Curveball engine's edges in ascending key order. The edges are
 /// appended to the pool unhashed (its index is built on first use, see
-/// [`crate::sampling`]) and adjacency is built once in bulk
-/// ([`Graph::from_pool`]), whose distinct-neighbor check is what catches
-/// a repeated edge.
+/// [`crate::sampling`]). A strictly increasing key list holds each edge
+/// once, so for one (a Curveball finish) only the range is checked and
+/// adjacency is left to its first reader; any other list (a gather of
+/// ranks' shares) has its adjacency built at once
+/// ([`Graph::from_pool`]), whose distinct-neighbor check is what
+/// catches a repeated edge.
 ///
 /// Errors as [`Graph::from_pool`] does if an edge repeats or has an
 /// endpoint `>= n` — the shares are not a partition of one `n`-vertex
@@ -99,10 +105,20 @@ pub fn assemble_edges(
     edges: impl IntoIterator<Item = Edge>,
 ) -> Result<Graph, GraphError> {
     let mut pool = EdgePool::new();
+    // No key is `u64::MAX` (its `src` is below its `dst`), so `next`,
+    // the least key that keeps the list strictly increasing, never wraps.
+    let (mut ascending, mut next) = (true, 0u64);
     for e in edges {
+        let key = e.key();
+        ascending &= key >= next;
+        next = key + 1;
         pool.push_distinct(e);
     }
-    Graph::from_pool(n, pool)
+    if ascending {
+        Graph::from_distinct_pool(n, pool)
+    } else {
+        Graph::from_pool(n, pool)
+    }
 }
 
 #[cfg(test)]
@@ -285,6 +301,30 @@ mod tests {
         let stray = Edge::new(2, n as u64);
         let err = assemble_edges(n, g.edges().chain([stray])).unwrap_err();
         assert_eq!(err, GraphError::UnknownVertex(n as u64));
+    }
+
+    /// A strictly increasing key list (a Curveball finish) assembles
+    /// with adjacency unbuilt; a gather of shares builds and checks it.
+    #[test]
+    fn an_ascending_key_list_assembles_without_adjacency() {
+        let g = grid_graph();
+        let n = g.num_vertices();
+        let sorted = assemble_edges(n, g.sorted_edges()).unwrap();
+        assert!(!sorted.adjacency_is_built() && !sorted.pool().is_indexed());
+        assert!(sorted.edges().eq(g.sorted_edges()));
+        let stores = build_stores(&g, &Partitioner::hash_division(2));
+        let gathered = assemble_edges(n, stores.iter().flat_map(EdgePool::iter)).unwrap();
+        assert!(gathered.adjacency_is_built());
+        assert_eq!(sorted.edge_digest(), gathered.edge_digest());
+        // Ascending but out of range, or equal neighbours: still refused.
+        let mut stray = g.sorted_edges();
+        stray.push(Edge::new(24, n as u64));
+        let err = assemble_edges(n, stray).unwrap_err();
+        assert_eq!(err, GraphError::UnknownVertex(n as u64));
+        let mut twice = g.sorted_edges();
+        twice.push(*twice.last().unwrap());
+        let err = assemble_edges(n, twice).unwrap_err();
+        assert!(matches!(err, GraphError::ParallelEdge(_)));
     }
 
     #[test]

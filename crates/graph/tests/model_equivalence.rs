@@ -7,14 +7,16 @@
 //!
 //! The same goes for the bulk builder: `Graph::from_pool` must
 //! produce, row for row and in the same pool order, the graph the
-//! one-edge-at-a-time `Graph::add_edge` route builds.
+//! one-edge-at-a-time `Graph::add_edge` route builds. And a graph whose
+//! adjacency is built on first read must, edit for edit, read like one
+//! whose adjacency is built in bulk from its pool at the end.
 
 use edgeswitch_dist::{Pcg64, Rng};
 use edgeswitch_graph::adjacency::NeighborSet;
 use edgeswitch_graph::generators::families::star;
 use edgeswitch_graph::generators::{erdos_renyi_gnm, preferential_attachment};
 use edgeswitch_graph::sampling::EdgePool;
-use edgeswitch_graph::store::{assemble_graph, build_stores};
+use edgeswitch_graph::store::{assemble_edges, assemble_graph, build_stores};
 use edgeswitch_graph::{Edge, Graph, GraphError, IterStream, Partitioner, VertexId};
 use std::collections::{BTreeSet, HashSet};
 
@@ -337,6 +339,89 @@ fn split_and_assemble_round_trips_at_every_p() {
             assert_eq!(back.degree_sequence(), g.degree_sequence(), "p={p}");
             // Rank order, then each rank's pool order.
             assert!(back.edges().eq(stores.iter().flat_map(|s| s.iter())));
+        }
+    }
+}
+
+/// A read that builds adjacency if it is not built yet: `which` picks
+/// `neighbors`, `degree`, `sorted_edges`, `edge_digest` or
+/// `check_invariants`.
+fn forcing_read(g: &Graph, which: u64, v: VertexId) {
+    let degree = g.degree_sequence()[v as usize];
+    match which {
+        0 => assert_eq!(g.neighbors(v).len(), degree),
+        1 => assert_eq!(g.degree(v), degree),
+        2 => assert_eq!(g.sorted_edges().len(), g.num_edges()),
+        3 => assert_ne!(g.edge_digest(), 0),
+        _ => g.check_invariants().unwrap(),
+    }
+}
+
+/// Random `add_edge`/`remove_edge` sequences on a graph whose adjacency
+/// starts unbuilt, with a read that forces the build at a random step,
+/// against a `BTreeSet` model; at the end, against the eager reference —
+/// the bulk builder run once over the graph's own pool order
+/// (`assemble_edges` of a non-ascending list builds adjacency at once).
+/// Edits after the build must be mirrored into adjacency, edits before
+/// it must not be lost when it is built.
+#[test]
+fn lazy_adjacency_agrees_with_an_eager_build() {
+    let n = 30u64;
+    for seed in 0..24u64 {
+        let mut rng = Pcg64::seed_from_u64(3000 + seed);
+        let initial = erdos_renyi_gnm(n as usize, 60, &mut rng).sorted_edges();
+        let mut model: BTreeSet<Edge> = initial.iter().copied().collect();
+        // Half the cases start indexed (`from_edges`), half unindexed (an
+        // ascending gather, the Curveball finish).
+        let mut lazy = if seed % 2 == 0 {
+            Graph::from_edges(n as usize, initial.iter().copied()).unwrap()
+        } else {
+            assemble_edges(n as usize, initial.iter().copied()).unwrap()
+        };
+        let steps = 600;
+        let build_at = rng.gen_range(0..steps);
+        for step in 0..steps {
+            if step == build_at {
+                let (which, v) = (rng.gen_range(0..5u64), rng.gen_range(0..n));
+                forcing_read(&lazy, which, v);
+            }
+            let Some(e) = random_edge(&mut rng, n) else {
+                continue;
+            };
+            if rng.gen_range(0..2) == 0 {
+                assert_eq!(
+                    lazy.add_edge(e).is_ok(),
+                    model.insert(e),
+                    "add {e} @ {step}"
+                );
+            } else {
+                assert_eq!(
+                    lazy.remove_edge(e).is_ok(),
+                    model.remove(&e),
+                    "remove {e} @ {step}"
+                );
+            }
+            assert_eq!(lazy.has_edge(e), model.contains(&e), "has {e} @ {step}");
+        }
+        let mut degrees = vec![0usize; n as usize];
+        for e in &model {
+            degrees[e.src() as usize] += 1;
+            degrees[e.dst() as usize] += 1;
+        }
+        assert_eq!(lazy.degree_sequence(), degrees, "seed {seed}");
+        let eager = assemble_edges(n as usize, lazy.edges()).unwrap();
+        lazy.check_invariants()
+            .unwrap_or_else(|why| panic!("seed {seed}: {why}"));
+        assert_eq!(lazy.edge_digest(), eager.edge_digest(), "seed {seed}");
+        assert_eq!(lazy.degree_sequence(), eager.degree_sequence());
+        assert_eq!(lazy.sorted_edges(), eager.sorted_edges(), "seed {seed}");
+        assert!(lazy.sorted_edges().iter().eq(model.iter()), "seed {seed}");
+        for v in 0..n {
+            assert_eq!(
+                lazy.neighbors(v),
+                eager.neighbors(v),
+                "seed {seed}: row {v}"
+            );
         }
     }
 }
