@@ -26,8 +26,9 @@
 //!   to roll back an applied update;
 //! - **potential edges** (Section 4.5, issue 1): a reserved replacement
 //!   blocks any concurrent conversation from creating the same edge;
-//! - **edge locking**: `e1`/`e2` stay in `reserved` while in flight, so
-//!   no two simultaneous conversations can switch the same edge;
+//! - **edge locking**: `e1`/`e2` stay reserved in their owner's store
+//!   while in flight, so no two simultaneous conversations can switch the
+//!   same edge;
 //! - **completion acks**: the partner reports `Done` only after every
 //!   participant acknowledged its commit, so a rank that has finished its
 //!   own quota is guaranteed to have no lingering obligations.
@@ -36,8 +37,8 @@
 //!
 //! A rank may have up to `window` *own* conversations in flight at once
 //! (plus any number it serves as partner or validator). The reservation
-//! machinery above is what makes this safe: every conversation locks its
-//! first edge in `reserved` before proposing, and every replacement edge
+//! machinery above is what makes this safe: every conversation reserves
+//! its first edge before proposing, and every replacement edge
 //! is parked in `potential` before any commit, so two concurrent
 //! conversations can never touch the same existing edge or create the
 //! same new one — regardless of how many are open. A start attempt whose
@@ -69,6 +70,23 @@
 //! draw with a foreign replacement leaves the fast path through
 //! `partner_validate`, the partner half `on_propose` itself runs: there
 //! is one start path and one partner path.
+//!
+//! # Store work
+//!
+//! The edges a conversation locks are in the rank's own store, so a lock
+//! is one bit per pool slot kept by the store itself ([`EdgePool::reserve`]):
+//! a draw yields a slot, and testing and taking its lock reads and sets
+//! one bit of m/8 bytes. A commit's removal clears the bit, an abort
+//! releases it through the index probe that finds its slot. `potential`
+//! stays a hash set: its edges are not in the store.
+//!
+//! Every rank draw is one word of its [`BlockRng64`], and an edge draw is
+//! `word % m`, so before each draw the rank prefetches the slot of every
+//! word buffered ahead of it not prefetched yet (`RankState::scout`). A
+//! word that turns out to be a partner draw or a coin, or an edge count
+//! that moved by one since, costs a wasted prefetch, never a different
+//! draw. A drawn edge's index entry is prefetched at once: its removal
+//! comes a message round trip later.
 
 use super::harness::{RankMachine, RankOutput, StepHarness, StepTelemetry};
 use super::msg::{ConvId, Msg, MsgKind, Outbox};
@@ -235,10 +253,10 @@ pub struct RankState {
     rank: usize,
     part: Partitioner,
     /// The owned edges `{(u,v) ∈ E : u < v, owner(u) = rank}` (Section
-    /// 4.2), indexed and visit-tracked from [`RankState::new`] on.
+    /// 4.2), indexed and visit-tracked from [`RankState::new`] on. It
+    /// also holds the locks of the in-flight conversations' existing
+    /// edges, one reservation bit per slot.
     store: EdgePool,
-    /// Existing edges locked by in-flight conversations.
-    reserved: FxHashSet<Edge>,
     /// Replacement edges reserved but not yet materialized.
     potential: FxHashSet<Edge>,
     /// Cumulative partner-selection distribution (refreshed per step).
@@ -264,6 +282,9 @@ pub struct RankState {
     /// order exactly, so outcomes stay bit-identical to the unbuffered
     /// stream.
     rng: BlockRng64,
+    /// Stream position up to which [`RankState::scout`] has prefetched
+    /// the slots of the buffered words.
+    scouted: u64,
     /// This partition's initial edge count. Which of them are still
     /// unvisited the store marks, one bit per slot, and its `remove`
     /// counts the visits ([`EdgePool::track_visits`]).
@@ -295,7 +316,6 @@ impl RankState {
             tracked: store.len(),
             part,
             store,
-            reserved: FxHashSet::default(),
             potential: FxHashSet::default(),
             cumq: vec![0.0; p],
             remaining: 0,
@@ -307,6 +327,7 @@ impl RankState {
             serving: FxHashMap::default(),
             pending_done: FxHashSet::default(),
             rng: rank_block_rng(config.seed, rank as u64),
+            scouted: 0,
             stats: RankStats::default(),
             obs: Obs::noop(),
         }
@@ -338,6 +359,10 @@ impl RankState {
     /// partners according to `q` (one probability per rank).
     pub fn begin_step(&mut self, quota: u64, q: &[f64]) {
         assert_eq!(q.len(), self.part.num_parts());
+        debug_assert!(
+            !self.store.any_reserved(),
+            "a reservation outlived its step"
+        );
         self.remaining = quota;
         self.consecutive_aborts = 0;
         let mut acc = 0.0;
@@ -409,7 +434,10 @@ impl RankState {
     /// (test introspection).
     #[cfg(test)]
     pub(super) fn reserved_edges(&self) -> Vec<Edge> {
-        self.reserved.iter().copied().collect()
+        (0..self.store.len())
+            .filter(|&i| self.store.is_reserved(i))
+            .filter_map(|i| self.store.get(i))
+            .collect()
     }
 
     /// Replacement edges currently parked in the potential set (test
@@ -444,10 +472,10 @@ impl RankState {
             self.remaining = 0;
             return StartResult::Idle;
         }
-        let Some(e1) = self.sample_unreserved() else {
+        let Some((slot, e1)) = self.sample_unreserved() else {
             return StartResult::Blocked;
         };
-        self.reserved.insert(e1);
+        self.store.reserve(slot);
         let partner = self.sample_partner();
         self.conv_seq += 1;
         let conv = ConvId {
@@ -473,16 +501,45 @@ impl RankState {
         StartResult::Started
     }
 
-    /// Draw store edges until one is not locked by an in-flight
-    /// conversation: `None` after [`SAMPLE_ATTEMPTS`] locked draws
+    /// Draw store slots until one is not locked by an in-flight
+    /// conversation, and prefetch its edge's index entry: the slot and
+    /// the edge, or `None` after [`SAMPLE_ATTEMPTS`] locked draws
     /// (contention) or on an empty store. One `Sample` span per call.
-    fn sample_unreserved(&mut self) -> Option<Edge> {
+    fn sample_unreserved(&mut self) -> Option<(usize, Edge)> {
         let sample_start = self.obs.stamp(Phase::Sample);
+        self.scout();
+        let store = &self.store;
         let chosen = (0..SAMPLE_ATTEMPTS)
-            .map_while(|_| self.store.sample(&mut self.rng))
-            .find(|e| !self.reserved.contains(e));
+            .map_while(|_| store.sample_slot(&mut self.rng))
+            .find(|&i| !store.is_reserved(i))
+            .map(|i| {
+                let e = store.get(i).expect("a drawn slot holds an edge");
+                store.prefetch_edge(e);
+                (i, e)
+            });
         self.obs.span_since(Phase::Sample, sample_start);
         chosen
+    }
+
+    /// Prefetch the store slot `word % m` of every word buffered ahead
+    /// of the rank's draws ([`BlockRng64::peek`]) that no earlier call
+    /// prefetched. Every draw is one word and an edge draw is exactly
+    /// that slot, so the coming edge draws find their slots in cache;
+    /// the other words cost a wasted prefetch. Only hints: no draw,
+    /// store or stream position changes.
+    #[inline]
+    fn scout(&mut self) {
+        let m = self.store.len() as u64;
+        if m == 0 {
+            return;
+        }
+        let served = self.rng.words_served();
+        let ahead = self.rng.peek();
+        let seen = self.scouted.saturating_sub(served) as usize;
+        for &word in ahead.iter().skip(seen) {
+            self.store.prefetch_slot((word % m) as usize);
+        }
+        self.scouted = served + ahead.len() as u64;
     }
 
     /// Run one rank-local operation on the zero-message fast path: the
@@ -514,9 +571,9 @@ impl RankState {
             .gauge(GaugeKind::WindowOccupancy, self.inflight.len() as u64 + 1);
         self.obs
             .gauge(GaugeKind::ServingDepth, self.serving.len() as u64 + 1);
-        // Second-edge sample, the partner role's (`e1` sits in
-        // `reserved`, so `e2 != e1` without an extra check).
-        let Some(e2) = self.sample_unreserved() else {
+        // Second-edge sample, the partner role's (`e1` is reserved, so
+        // `e2 != e1` without an extra check).
+        let Some((e2_slot, e2)) = self.sample_unreserved() else {
             self.abort_own(e1, RejectReason::Contended);
             self.obs.span_since(Phase::LocalFastpath, started);
             return StartResult::Started;
@@ -537,6 +594,8 @@ impl RankState {
             }
             Recombination::Candidate { f1, f2 } => (f1, f2),
         };
+        self.store.prefetch_edge(f1);
+        self.store.prefetch_edge(f2);
         if self.part.owner(f1.src()) == self.rank && self.part.owner(f2.src()) == self.rank {
             // Fully local: legality reduces to the parallel-edge check.
             // Checking both replacements up front equals the protocol's
@@ -563,6 +622,7 @@ impl RankState {
                     started,
                 },
             );
+            self.store.reserve(e2_slot);
             self.partner_validate(conv, e1, e2, [f1, f2], legality_start, out);
         }
         self.obs.span_since(Phase::LocalFastpath, started);
@@ -572,10 +632,13 @@ impl RankState {
     /// Apply a fully rank-local switch inline, in the protocol's
     /// mutation order (remove `e2`, insert `f1`, insert `f2`, remove
     /// `e1`) so the store's internal layout — and with it every future
-    /// edge sample — stays identical to the protocol path's.
+    /// edge sample — stays identical to the protocol path's. `e1`'s
+    /// reservation leaves with its removal.
     fn apply_local_inline(&mut self, e1: Edge, e2: Edge, f1: Edge, f2: Edge, started: Stamp) {
-        let released = self.reserved.remove(&e1);
-        debug_assert!(released, "own e1 {e1} was not reserved");
+        debug_assert!(
+            self.store.is_reserved_edge(e1),
+            "own e1 {e1} was not reserved"
+        );
         let apply_start = self.obs.stamp(Phase::SwitchApply);
         let removed = self.store.remove(e2);
         debug_assert!(removed, "sampled e2 {e2} missing at apply");
@@ -608,7 +671,7 @@ impl RankState {
     /// Shared by the protocol path ([`RankState::on_abort`]) and the
     /// inline abort arms of the local fast path.
     fn abort_own(&mut self, e1: Edge, reason: RejectReason) {
-        let released = self.reserved.remove(&e1);
+        let released = self.store.release(e1);
         debug_assert!(released, "in-flight e1 was not reserved");
         match reason {
             RejectReason::SelfLoop => self.stats.aborts_loop += 1,
@@ -637,8 +700,8 @@ impl RankState {
             .inflight
             .remove(&conv)
             .expect("done for conversation not in flight");
-        // `op.e1` left `reserved` when the commit applied, but it may be
-        // reserved *again* by now: once removed from the store, the same
+        // `op.e1`'s reservation left with its removal at commit, but the
+        // edge may be reserved *again* by now: once removed, the same
         // edge value can be re-created as another conversation's
         // replacement and sampled by a later operation before this Done
         // bookkeeping runs, so its absence cannot be asserted here.
@@ -685,7 +748,7 @@ impl RankState {
         self.obs
             .gauge(GaugeKind::ServingDepth, self.serving.len() as u64 + 1);
         // Sample the second edge, skipping locked edges.
-        let Some(e2) = self.sample_unreserved() else {
+        let Some((e2_slot, e2)) = self.sample_unreserved() else {
             out.push(
                 src,
                 Msg::Abort {
@@ -708,14 +771,15 @@ impl RankState {
                 out.push(src, Msg::Abort { conv, reason });
             }
             Recombination::Candidate { f1, f2 } => {
+                self.store.reserve(e2_slot);
                 self.partner_validate(conv, e1, e2, [f1, f2], legality_start, out);
             }
         }
     }
 
-    /// The partner's half of a conversation once `e2` and the candidate
-    /// replacements `fs` are drawn: lock `e2`, check-and-reserve the
-    /// locally owned replacements (closing the `Legality` span opened at
+    /// The partner's half of a conversation once `e2` is drawn and
+    /// reserved and the candidate replacements `fs` are known:
+    /// check-and-reserve the locally owned replacements (closing the `Legality` span opened at
     /// `legality_start`), ask the foreign owners, and settle at once when
     /// nothing is awaited. Reached from [`RankState::on_propose`] and —
     /// for a self-partner draw with a foreign replacement — straight
@@ -730,14 +794,18 @@ impl RankState {
         legality_start: Stamp,
         out: &mut Outbox,
     ) {
-        self.reserved.insert(e2);
         // Validate both replacements concurrently (the critical path is
-        // one round trip, not two): local checks first; remote requests
-        // only if the local ones passed.
+        // one round trip, not two): local checks first, their probes
+        // prefetched together; remote requests only if the local ones
+        // passed.
+        let local = fs.map(|f| self.part.owner(f.src()) == self.rank);
+        for i in (0..2).filter(|&i| local[i]) {
+            self.store.prefetch_edge(fs[i]);
+        }
         let mut fstate = [FState::RemotePending; 2];
         let mut failed = false;
         for i in 0..2 {
-            if self.part.owner(fs[i].src()) == self.rank {
+            if local[i] {
                 if self.occupied(fs[i]) {
                     fstate[i] = FState::Failed;
                     failed = true;
@@ -836,7 +904,7 @@ impl RankState {
                 FState::RemotePending | FState::Failed => {}
             }
         }
-        let had = self.reserved.remove(&c.e2);
+        let had = self.store.release(c.e2);
         debug_assert!(had);
         out.push(c.initiator, Msg::Abort { conv, reason });
     }
@@ -906,11 +974,13 @@ impl RankState {
     }
 
     /// Remove a locally-owned, reserved old edge (the store counts the
-    /// visit).
+    /// visit and clears the reservation).
     fn apply_remove(&mut self, e: Edge) {
         let apply_start = self.obs.stamp(Phase::SwitchApply);
-        let was_reserved = self.reserved.remove(&e);
-        debug_assert!(was_reserved, "commit removal of unreserved edge {e}");
+        debug_assert!(
+            self.store.is_reserved_edge(e),
+            "commit removal of unreserved edge {e}"
+        );
         let removed = self.store.remove(e);
         debug_assert!(removed, "commit removal of missing edge {e}");
         self.obs.span_since(Phase::SwitchApply, apply_start);
@@ -1078,7 +1148,7 @@ impl RankMachine for RankState {
             self.inflight.is_empty()
                 && self.serving.is_empty()
                 && self.pending_done.is_empty()
-                && self.reserved.is_empty()
+                && !self.store.any_reserved()
                 && self.potential.is_empty(),
             "checkpoint taken mid-step"
         );
@@ -1100,7 +1170,7 @@ impl RankMachine for RankState {
             self.pending_done.is_empty(),
             "unconfirmed operations leaked"
         );
-        debug_assert!(self.reserved.is_empty(), "edges left reserved");
+        debug_assert!(!self.store.any_reserved(), "edges left reserved");
         debug_assert!(self.potential.is_empty(), "potential edges leaked");
         let mut store = self.store;
         RankOutput {

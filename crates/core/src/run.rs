@@ -1306,7 +1306,8 @@ mod tests {
 
     /// A sequential switch run and a Curveball run read their input's
     /// edges only, and hand back a graph whose adjacency waits for its
-    /// first reader; the digest is that reader.
+    /// first reader; the digest reads the pool and leaves it waiting,
+    /// `check_invariants` is that reader.
     #[test]
     fn sequential_outcomes_leave_adjacency_unbuilt() {
         let spec = edgeswitch_graph::generators::StreamSpec::Pa {
@@ -1324,12 +1325,16 @@ mod tests {
             assert_eq!(out.graph().degree_sequence(), g.degree_sequence());
             assert!(!out.graph().adjacency_is_built());
             assert_ne!(out.graph().edge_digest(), g.edge_digest());
-            assert!(out.graph().adjacency_is_built());
+            assert!(!out.graph().adjacency_is_built());
             out.graph().check_invariants().unwrap();
+            assert!(out.graph().adjacency_is_built());
         }
         // Given away rather than lent, the input's pool is switched in
-        // place, its built adjacency dropped with the rest of it.
-        assert!(g.adjacency_is_built(), "the input's digest built it");
+        // place.
+        assert!(
+            !g.adjacency_is_built(),
+            "the input's digest left it unbuilt"
+        );
         let engine = Run::sequential().switches(500).seed(3).start(g).unwrap();
         assert!(!engine.run_to_end().graph().adjacency_is_built());
     }

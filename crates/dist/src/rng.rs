@@ -260,6 +260,21 @@ impl BlockRng64 {
         self.served
     }
 
+    /// The words the next draws will be served, in order, without
+    /// serving them: the buffered rest of the block, refilled first if
+    /// it is spent (that refill is the one the next draw would make, so
+    /// the stream and [`BlockRng64::words_served`] are unchanged). At
+    /// most [`RNG_BLOCK_WORDS`] words, borrowed in place. A consumer
+    /// that knows how it maps words to values — an edge slot is
+    /// `word % m` — reads its coming draws here to prefetch them.
+    #[inline]
+    pub fn peek(&mut self) -> &[u64] {
+        if self.pos == self.len {
+            self.refill();
+        }
+        &self.buf[self.pos..self.len]
+    }
+
     /// Fast-forward by drawing and discarding `n` words — `O(n)`, the
     /// generator's plain serving rate. Benchmark-only: the program
     /// restores with [`BlockRng64::jump_words`]; this stays because
@@ -520,6 +535,32 @@ mod tests {
         bare.fill_bytes(&mut a);
         block.fill_bytes(&mut b);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn peek_shows_the_coming_words_and_serves_none() {
+        let mut block = rank_block_rng(4, 1);
+        let mut bare = rank_rng(4, 1);
+        // From a fresh generator, then after jumps within and past the
+        // buffered words.
+        for skip in [0u64, 5, 27, 40] {
+            block.jump_words(skip);
+            for _ in 0..skip {
+                bare.next_u64();
+            }
+            let served = block.words_served();
+            let ahead = block.peek().to_vec();
+            assert!(!ahead.is_empty() && ahead.len() <= RNG_BLOCK_WORDS);
+            assert_eq!(block.words_served(), served, "peek serves nothing");
+            let half = ahead.len() / 2;
+            for &word in &ahead[..half] {
+                assert_eq!((block.next_u64(), bare.next_u64()), (word, word));
+            }
+            assert_eq!(block.peek(), &ahead[half..], "mid-block");
+            for &word in &ahead[half..] {
+                assert_eq!((block.next_u64(), bare.next_u64()), (word, word));
+            }
+        }
     }
 
     #[test]

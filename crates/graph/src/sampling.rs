@@ -56,6 +56,18 @@
 //! process rank result carries. Pool order — sampling order — does not
 //! depend on the marks, and the index never reads them.
 //!
+//! A second bitmap over the same slots holds the reservations of the
+//! parallel protocol's rank (`edgeswitch_core::parallel::rank`): bit `i`
+//! is set iff slot `i`'s edge is locked by a conversation in flight.
+//! They live and move exactly as the marks do — [`EdgePool::reserve`]
+//! sets one by slot, so a rank that drew a slot ([`EdgePool::sample_slot`])
+//! tests and takes the lock with no probe; [`EdgePool::remove`] clears the
+//! removed slot's bit and moves the tail's with the tail's edge;
+//! [`EdgePool::release`] finds a slot through the index to clear it — and
+//! no bit is set at or past the last edge. A pool nothing reserves in
+//! keeps no words, so the sequential loop pays one length check a
+//! removal for them.
+//!
 //! Only the switch loop needs the index: a finished run's graph is read
 //! through its edge order and its adjacency, and `Graph::has_edge`
 //! probes the index only if it is already built (see [`crate::graph`]).
@@ -549,6 +561,11 @@ pub struct EdgePool {
     marks: Vec<u64>,
     /// Set bits of `marks`.
     unvisited: usize,
+    /// The reservations: bit `i % 64` of word `i / 64` is set iff slot
+    /// `i`'s edge is locked by an in-flight conversation
+    /// ([`EdgePool::reserve`]). Kept as `marks` are: no bit at or past
+    /// the last edge, and a word past the end reads as clear.
+    reserved: Vec<u64>,
 }
 
 impl EdgePool {
@@ -566,6 +583,7 @@ impl EdgePool {
             pos: OnceLock::from(PosIndex::with_capacity(cap)),
             marks: Vec::new(),
             unvisited: 0,
+            reserved: Vec::new(),
         }
     }
 
@@ -640,7 +658,8 @@ impl EdgePool {
     }
 
     /// Remove `e`; returns `false` (pool unchanged) if it was not present.
-    /// Removing a marked edge visits it: its slot's mark is cleared.
+    /// Removing a marked edge visits it: its slot's mark is cleared. Its
+    /// reservation, if any, is cleared too.
     pub fn remove(&mut self, e: Edge) -> bool {
         let pos = index_mut(&mut self.pos, &self.edges);
         let Some(at) = pos.find(e.key(), &self.edges) else {
@@ -648,20 +667,24 @@ impl EdgePool {
         };
         let idx = pos.slot(at);
         pos.remove_at(at);
-        let visited = take_mark(&mut self.marks, idx as usize);
+        let visited = take_bit(&mut self.marks, idx as usize);
+        take_bit(&mut self.reserved, idx as usize);
         let tail = self.edges.len() - 1;
         if idx as usize != tail {
             // Swap-remove: the last edge moves into `idx`, and its mark
-            // with it. Its entry is found while the dense array still
-            // holds it at `tail`.
+            // and reservation with it. Its entry is found while the
+            // dense array still holds it at `tail`.
             let last = self.edges.get(tail);
             let moved = pos
                 .find(last, &self.edges)
                 .expect("the last edge is indexed");
             pos.set_slot(moved, idx);
             self.edges.set(idx as usize, last);
-            if take_mark(&mut self.marks, tail) {
+            if take_bit(&mut self.marks, tail) {
                 self.marks[idx as usize / 64] |= 1 << (idx % 64);
+            }
+            if take_bit(&mut self.reserved, tail) {
+                self.reserved[idx as usize / 64] |= 1 << (idx % 64);
             }
         }
         self.edges.pop();
@@ -736,12 +759,61 @@ impl EdgePool {
     /// Draw one edge uniformly at random; `None` on an empty pool.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Edge> {
-        if self.edges.len() == 0 {
-            None
-        } else {
-            let i = rng.gen_range(0..self.edges.len());
-            Some(Edge::from_key(self.edges.get(i)))
+        let i = self.sample_slot(rng)?;
+        Some(Edge::from_key(self.edges.get(i)))
+    }
+
+    /// Draw one slot uniformly at random, with the one word of `rng`
+    /// [`EdgePool::sample`] draws (`word % len`); `None` on an empty
+    /// pool.
+    #[inline]
+    pub fn sample_slot<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
+        let len = self.edges.len();
+        (len != 0).then(|| rng.gen_range(0..len))
+    }
+
+    /// Whether slot `i`'s edge is reserved.
+    #[inline]
+    pub fn is_reserved(&self, i: usize) -> bool {
+        self.reserved
+            .get(i / 64)
+            .is_some_and(|word| word >> (i % 64) & 1 == 1)
+    }
+
+    /// Reserve slot `i`'s edge. The bit moves with the edge on a
+    /// swap-remove and is cleared by [`EdgePool::release`] or by the
+    /// edge's removal.
+    ///
+    /// # Panics
+    /// Panics if `i` is not a slot of the pool.
+    #[inline]
+    pub fn reserve(&mut self, i: usize) {
+        assert!(i < self.len(), "reserving slot {i} of {}", self.len());
+        if self.reserved.len() <= i / 64 {
+            self.reserved.resize(self.len().div_ceil(64), 0);
         }
+        self.reserved[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Clear the reservation of `e`, whose slot the index finds; whether
+    /// `e` is present and was reserved.
+    pub fn release(&mut self, e: Edge) -> bool {
+        let pos = index_mut(&mut self.pos, &self.edges);
+        pos.find(e.key(), &self.edges)
+            .is_some_and(|at| take_bit(&mut self.reserved, pos.slot(at) as usize))
+    }
+
+    /// Whether `e` is present and reserved. Probes the index.
+    pub fn is_reserved_edge(&self, e: Edge) -> bool {
+        let pos = self.pos.get_or_init(|| index_of(&self.edges));
+        pos.find(e.key(), &self.edges)
+            .is_some_and(|at| self.is_reserved(pos.slot(at) as usize))
+    }
+
+    /// Whether any edge is reserved: a scan of ⌈m/64⌉ words, for checks
+    /// at points where no conversation may be in flight.
+    pub fn any_reserved(&self) -> bool {
+        self.reserved.iter().any(|&word| word != 0)
     }
 
     /// Iterate over all edges in dense (pool) order, with an exact
@@ -778,14 +850,17 @@ impl EdgePool {
 
     /// Internal consistency check: the block structure is well-formed,
     /// the marks count [`EdgePool::unvisited`] bits with none at or past
-    /// the last edge and, once the index is built, it matches the dense
+    /// the last edge, no reservation is at or past it either and, once
+    /// the index is built, it matches the dense
     /// array exactly and a lookup from its home reaches every entry.
     /// Never builds the index: an unindexed pool's distinctness is its
     /// builder's contract (checked against adjacency by
     /// [`crate::graph::Graph::check_invariants`]).
     /// Used by tests and debug assertions.
     pub fn check_consistent(&self) -> bool {
-        let marks_fit = ones(&self.marks) == self.unvisited && marks_below(&self.marks, self.len());
+        let marks_fit = ones(&self.marks) == self.unvisited
+            && marks_below(&self.marks, self.len())
+            && marks_below(&self.reserved, self.len());
         if !self.edges.check_blocks() || !marks_fit {
             return false;
         }
@@ -826,17 +901,18 @@ fn index_of(edges: &EdgeBlocks) -> PosIndex {
     pos
 }
 
-/// Clear slot `i`'s mark; whether it was set. A free function over the
-/// field, so `remove` can hold the index meanwhile.
+/// Clear slot `i`'s bit of a per-slot bitmap (marks or reservations);
+/// whether it was set. A free function over the field, so `remove` can
+/// hold the index meanwhile.
 #[inline]
-fn take_mark(marks: &mut [u64], i: usize) -> bool {
-    let Some(word) = marks.get_mut(i / 64) else {
+fn take_bit(bits: &mut [u64], i: usize) -> bool {
+    let Some(word) = bits.get_mut(i / 64) else {
         return false;
     };
     let bit = 1 << (i % 64);
-    let marked = *word & bit != 0;
+    let set = *word & bit != 0;
     *word &= !bit;
-    marked
+    set
 }
 
 /// Whether `bits` sets no bit at or past `len`.
@@ -1308,6 +1384,55 @@ mod tests {
         assert!(!p.check_consistent(), "a bit past the last edge");
         p.marks[1] &= !(1 << 6);
         assert!(!p.check_consistent(), "a count off by one");
+    }
+
+    #[test]
+    fn reservations_follow_their_edges_and_leave_with_them() {
+        // Slot `i` holds `edge(i)`; the tail sits in the second block.
+        let total = BLOCK_EDGES + 70;
+        let edge = |i: usize| e(i as u64, (i + total) as u64);
+        let mut p: EdgePool = (0..total).map(edge).collect();
+        p.reserve(total - 1);
+        p.reserve(3);
+        // The reserved tail moves back over a block and into word 1.
+        assert!(p.remove(edge(64)));
+        assert_eq!(p.get(64), Some(edge(total - 1)));
+        assert!(p.is_reserved(64) && p.is_reserved(3) && !p.is_reserved(total - 2));
+        assert!(p.is_reserved_edge(edge(total - 1)) && !p.is_reserved_edge(edge(5)));
+        // Removing a reserved edge clears its bit; the clear tail moves in.
+        assert!(p.remove(edge(3)));
+        assert_eq!(p.get(3), Some(edge(total - 2)));
+        assert!(!p.is_reserved(3));
+        assert!(p.release(edge(total - 1)) && !p.release(edge(total - 1)));
+        assert!(!p.release(edge(3)), "an absent edge holds no reservation");
+        assert!(!p.any_reserved() && p.check_consistent());
+        // A slot draw is the draw `sample` makes.
+        let (mut a, mut b) = (Pcg64::seed_from_u64(8), Pcg64::seed_from_u64(8));
+        for _ in 0..100 {
+            assert_eq!(p.get(p.sample_slot(&mut a).unwrap()), p.sample(&mut b));
+        }
+        assert_eq!(EdgePool::new().sample_slot(&mut a), None);
+    }
+
+    #[test]
+    fn check_consistent_finds_a_stray_reservation() {
+        let mut p: EdgePool = (0..70u64).map(|i| e(i, i + 100)).collect();
+        p.reserve(69);
+        assert!(p.check_consistent());
+        p.reserved[1] |= 1 << 6;
+        assert!(!p.check_consistent(), "a bit at the last edge's end");
+        p.reserved[1] &= !(1 << 6);
+        p.reserved.push(1);
+        assert!(!p.check_consistent(), "a bit in a word past the end");
+        p.reserved.pop();
+        assert!(p.check_consistent());
+    }
+
+    #[test]
+    #[should_panic(expected = "reserving slot 70 of 70")]
+    fn only_a_slot_of_the_pool_is_reserved() {
+        let mut p: EdgePool = (0..70u64).map(|i| e(i, i + 100)).collect();
+        p.reserve(70);
     }
 
     #[test]

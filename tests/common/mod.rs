@@ -3,17 +3,19 @@
 //! builder, everything else — world size, observation — from the
 //! config), and
 //! [`frozen_sequential`], the independent Algorithm-1 implementation the
-//! sequential engine is tested against, and [`check_property`], the
-//! seeded-case loop the property suite runs on.
+//! sequential engine is tested against, [`check_property`], the
+//! seeded-case loop the property suite runs on, and [`ShuffleTransport`],
+//! a simulated world's network delivering in a seeded order.
 #![allow(dead_code)] // each test crate uses its own subset
 
+use edge_switching::core::parallel::{Msg, WorldTransport};
 use edge_switching::core::sequential::RejectCounts;
 use edge_switching::core::switch::{flip_kind, recombine, Recombination, RejectReason};
 use edge_switching::dist::Rng64;
 use edge_switching::graph::OrientedEdge;
 use edge_switching::prelude::*;
 use edge_switching::scalesim::DesReport;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 /// `run` under the prepared `cfg`, as a parallel outcome.
 pub fn under(run: Run, g: &Graph, cfg: &ParallelConfig) -> ParallelOutcome {
@@ -158,5 +160,57 @@ pub fn check_property(name: &str, regressions: &[u64], property: impl Fn(&mut Rn
                 .unwrap_or("(non-string panic)");
             panic!("property `{name}` fails on case seed {case_seed:#x}: {cause}");
         }
+    }
+}
+
+/// A simulated world's network that delivers in a seeded order any
+/// network with per-link FIFO could: each link `(src, dst)` keeps its
+/// messages in order, and each delivery takes the head of a link drawn
+/// uniformly from those holding messages. The FIFO simulator and the DES
+/// each produce one order; this one reaches the cross-link
+/// interleavings of threads and processes, reproducibly by seed.
+pub struct ShuffleTransport {
+    links: BTreeMap<(usize, usize), VecDeque<Msg>>,
+    /// The links holding messages, in no particular order.
+    busy: Vec<(usize, usize)>,
+    rng: Rng64,
+}
+
+impl ShuffleTransport {
+    /// The schedule of seed `seed`.
+    pub fn new(seed: u64) -> Self {
+        ShuffleTransport {
+            links: BTreeMap::new(),
+            busy: Vec::new(),
+            rng: root_rng(seed),
+        }
+    }
+}
+
+impl WorldTransport for ShuffleTransport {
+    fn deliver(&mut self, src: usize, dst: usize, msg: Msg) {
+        let link = self.links.entry((src, dst)).or_default();
+        if link.is_empty() {
+            self.busy.push((src, dst));
+        }
+        link.push_back(msg);
+    }
+
+    fn pop_any(&mut self) -> Option<(usize, usize, Msg)> {
+        if self.busy.is_empty() {
+            return None;
+        }
+        let at = self.rng.gen_range(0..self.busy.len());
+        let (src, dst) = self.busy[at];
+        let link = self.links.get_mut(&(src, dst)).expect("a busy link exists");
+        let msg = link.pop_front().expect("a busy link holds a message");
+        if link.is_empty() {
+            self.busy.swap_remove(at);
+        }
+        Some((dst, src, msg))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.busy.is_empty()
     }
 }
