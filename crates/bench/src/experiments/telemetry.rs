@@ -1,10 +1,9 @@
 //! Per-step protocol diagnostics from the [`StepTelemetry`] layer the
 //! drivers now record: operation starts vs completions, contention
-//! blocking, speculative-batch outcomes, message-variant traffic, and
-//! (for the DES) how each step's virtual time splits between its
-//! collective boundary and its conversation drain. Not a paper figure —
-//! a diagnostic surface for the protocol itself, run via
-//! `repro diagnostics`.
+//! blocking, message-variant traffic, and (from the DES's report) how
+//! each step's virtual time splits between its collective boundary and
+//! its conversation drain. Not a paper figure — a diagnostic surface for
+//! the protocol itself, run via `repro diagnostics`.
 //!
 //! This module is also the *single* owner of per-step telemetry
 //! rendering: the table/JSON row shapes here are shared by
@@ -21,7 +20,7 @@ use edgeswitch_core::Run;
 use edgeswitch_graph::generators::Dataset;
 use edgeswitch_graph::SchemeKind;
 use edgeswitch_json::{json, Json};
-use edgeswitch_scalesim::{des_run, CostModel};
+use edgeswitch_scalesim::{des_run, CostModel, DesStep};
 
 /// Header of the driver-independent per-step telemetry columns, in the
 /// order [`step_cells`] renders them.
@@ -60,26 +59,15 @@ pub fn step_cells(step: usize, s: &StepTelemetry) -> Vec<String> {
     ]
 }
 
-/// One table row per step: the shared columns plus whatever
-/// driver-specific cells `extra` appends (pair them with extra header
-/// columns after [`STEP_HEADER`]).
-pub fn step_table_rows(
-    telemetry: &[StepTelemetry],
-    extra: impl Fn(&StepTelemetry) -> Vec<String>,
-) -> Vec<Vec<String>> {
-    telemetry
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let mut row = step_cells(i, s);
-            row.extend(extra(s));
-            row
-        })
+/// One table row per step, in [`STEP_HEADER`]'s columns.
+pub fn step_table_rows(telemetry: &[StepTelemetry]) -> Vec<Vec<String>> {
+    (telemetry.iter().enumerate())
+        .map(|(i, s)| step_cells(i, s))
         .collect()
 }
 
-/// One step as a JSON record carrying the full telemetry field set
-/// (logical columns plus the per-step timing split). `driver`, when
+/// One step as a JSON record carrying the full telemetry field set (a
+/// step's time is in the run's `RunReport`, not here). `driver`, when
 /// given, tags the row for mixed-driver timelines.
 pub fn step_json_row(driver: Option<&str>, step: usize, s: &StepTelemetry) -> Json {
     let mut row = json!({
@@ -95,11 +83,6 @@ pub fn step_json_row(driver: Option<&str>, step: usize, s: &StepTelemetry) -> Js
         "packets": s.packets,
         "window_peak": s.window_peak,
         "parked": s.parked,
-        "barrier_ns": s.barrier_ns,
-        "qrefresh_ns": s.qrefresh_ns,
-        "wait_ns": s.wait_ns,
-        "boundary_ns": s.boundary_ns,
-        "drain_ns": s.drain_ns,
     });
     if let Some(driver) = driver {
         row["driver"] = json!(driver);
@@ -155,8 +138,8 @@ pub fn protocol_summary(out: &ParallelOutcome, window: usize) -> String {
 }
 
 /// Per-step telemetry of a FIFO run and a DES run of the same
-/// configuration: the two must agree on every logical column (same
-/// schedule), and the DES adds the virtual-time phase split.
+/// configuration: the two record equal rows (same schedule), and the
+/// DES's report adds each step's virtual-time phase split.
 pub fn telemetry_steps(cfg: &ExpConfig) -> Report {
     let g = dataset_graph(Dataset::Miami, cfg.scale, cfg.seed);
     let t = full_visit_ops(g.num_edges());
@@ -170,20 +153,24 @@ pub fn telemetry_steps(cfg: &ExpConfig) -> Report {
 
     let fifo = run.execute(&g).into_parallel().expect("simulated mode");
     let (des, des_report) = des_run(&run, &g, &CostModel::default());
+    assert_eq!(
+        fifo.telemetry, des.telemetry,
+        "FIFO and DES step rows diverged"
+    );
 
     let mut rendered = String::from("FIFO driver, per step:\n");
+    rendered.push_str(&table(&STEP_HEADER, &step_table_rows(&fifo.telemetry)));
+    rendered.push_str("\nDES driver (the same rows), virtual time per step:\n");
+    let us = |ns: u64| f(ns as f64 / 1e3, 1);
+    let des_rows: Vec<Vec<String>> = (des_report.steps.iter().enumerate())
+        .map(|(i, s)| vec![i.to_string(), us(s.boundary), us(s.drain), us(s.wait)])
+        .collect();
+    let des_steps: Vec<Json> = (des_report.steps.iter().enumerate())
+        .map(des_json_row)
+        .collect();
     rendered.push_str(&table(
-        &STEP_HEADER,
-        &step_table_rows(&fifo.telemetry, |_| Vec::new()),
-    ));
-    rendered.push_str("\nDES driver (same logical schedule + virtual time), per step:\n");
-    let mut des_header: Vec<&str> = STEP_HEADER.to_vec();
-    des_header.extend(["boundary (us)", "drain (us)"]);
-    rendered.push_str(&table(
-        &des_header,
-        &step_table_rows(&des.telemetry, |s| {
-            vec![f(s.boundary_ns / 1e3, 1), f(s.drain_ns / 1e3, 1)]
-        }),
+        &["step", "boundary (us)", "drain (us)", "wait (us)"],
+        &des_rows,
     ));
     let totals = fifo.logical_msg_totals();
     rendered.push_str("\nmessage totals by variant (FIFO):\n");
@@ -216,7 +203,7 @@ pub fn telemetry_steps(cfg: &ExpConfig) -> Report {
             "local_fraction": fast as f64 / performed.max(1) as f64,
             "packet_total": fifo.packet_total(),
             "fifo_steps": step_json_rows(None, &fifo.telemetry),
-            "des_steps": step_json_rows(None, &des.telemetry),
+            "des_steps": des_steps,
             "message_kinds": kinds,
             "blocked_events": fifo.blocked_events(),
             "des_runtime_ns": des_report.runtime_ns,
@@ -224,4 +211,15 @@ pub fn telemetry_steps(cfg: &ExpConfig) -> Report {
         }),
         rendered,
     }
+}
+
+/// One step of the DES's report as a JSON record.
+fn des_json_row((step, s): (usize, &DesStep)) -> Json {
+    json!({
+        "step": step as u64,
+        "boundary_ns": s.boundary,
+        "collective_ns": s.collective,
+        "drain_ns": s.drain,
+        "wait_ns": s.wait,
+    })
 }

@@ -102,12 +102,15 @@ impl MsgCounts {
     }
 }
 
-/// What happened during one step, aggregated over all ranks.
+/// What happened during one step, aggregated over all ranks: counts
+/// only, so two runs of one schedule — observed or not, FIFO or DES —
+/// record equal rows. A step's time is in the [`RunReport`]'s
+/// `StepBarrier`, `QRefresh` and `MsgWait` spans.
 ///
 /// Drivers record one of these per step; the threaded engine records one
 /// per rank per step and merges them, so the fields below are always
 /// whole-world totals.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StepTelemetry {
     /// Operations assigned this step (the summed quota).
     pub ops: u64,
@@ -145,21 +148,6 @@ pub struct StepTelemetry {
     /// (self-deliveries are handled in place and not counted; batching
     /// is transparent).
     pub logical_msgs: MsgCounts,
-    /// DES only: virtual time of the step boundary (collective + quota
-    /// draw). Zero for drivers without a clock.
-    pub boundary_ns: f64,
-    /// DES only: virtual time of the step's conversation drain. Zero for
-    /// drivers without a clock.
-    pub drain_ns: f64,
-    /// Observed runs only: time spent in the step-boundary collective
-    /// (max across ranks; clock-domain ns).
-    pub barrier_ns: f64,
-    /// Observed runs only: time spent refreshing `q` and drawing the
-    /// quota (max across ranks; clock-domain ns).
-    pub qrefresh_ns: f64,
-    /// Observed runs only: time spent blocked waiting for messages
-    /// (max across ranks; clock-domain ns).
-    pub wait_ns: f64,
     /// Curveball only: trades executed this pass (matched pairs whose
     /// neighborhoods were split and re-dealt). Zero on switch runs.
     pub trades: u64,
@@ -171,8 +159,7 @@ pub struct StepTelemetry {
 
 impl StepTelemetry {
     /// Merge another rank's record of the same step into this one.
-    /// Counters add; the virtual-time phases are step-global already and
-    /// combine by maximum.
+    /// Counters add; the window peak combines by maximum.
     pub fn merge(&mut self, other: &StepTelemetry) {
         self.ops += other.ops;
         self.started += other.started;
@@ -185,11 +172,6 @@ impl StepTelemetry {
         self.window_peak = self.window_peak.max(other.window_peak);
         self.packets += other.packets;
         self.logical_msgs.merge(&other.logical_msgs);
-        self.boundary_ns = self.boundary_ns.max(other.boundary_ns);
-        self.drain_ns = self.drain_ns.max(other.drain_ns);
-        self.barrier_ns = self.barrier_ns.max(other.barrier_ns);
-        self.qrefresh_ns = self.qrefresh_ns.max(other.qrefresh_ns);
-        self.wait_ns = self.wait_ns.max(other.wait_ns);
         self.trades += other.trades;
         self.neighbors_moved += other.neighbors_moved;
     }
@@ -408,24 +390,20 @@ pub trait WorldTransport {
     fn is_empty(&self) -> bool;
     /// A step boundary begins: `step_ops` operations over `p` ranks.
     fn begin_step(&mut self, _step_ops: u64, _p: usize) {}
-    /// A step ended; report its `(boundary, drain)` virtual-time phases
-    /// in nanoseconds (zero for transports without a clock).
-    fn end_step(&mut self) -> (f64, f64) {
-        (0.0, 0.0)
+    /// A step ended: record its step spans into `obs`, the timing rank's
+    /// probe. `spans` are the boundary's own monotonic measurements; a
+    /// transport that owns the timeline records its own instead (the
+    /// DES, in virtual time).
+    fn end_step(&mut self, obs: &mut Obs, spans: Vec<(Phase, u64)>) {
+        spans
+            .into_iter()
+            .for_each(|(phase, ns)| obs.span(phase, ns));
     }
     /// The clock probes should read, if this transport owns the
     /// timeline (the DES returns its virtual clock; others return `None`
     /// and observed runs fall back to the monotonic clock).
     fn obs_clock(&mut self) -> Option<Arc<dyn Clock>> {
         None
-    }
-    /// After [`WorldTransport::end_step`]: record the step's barrier /
-    /// q-refresh / message-wait spans into `obs` and `tel`, returning
-    /// `true` if this transport owns those spans (the DES records them
-    /// in virtual time). `false` lets `run_world_step` record its own
-    /// monotonic measurements.
-    fn record_step_spans(&mut self, _obs: &mut Obs, _tel: &mut StepTelemetry) -> bool {
-        false
     }
 }
 
@@ -703,19 +681,14 @@ impl Schedule<RankState> for StepHarness {
         for (st, &qi) in states.iter_mut().zip(&quotas) {
             st.begin_step(qi, &q);
         }
-        let barrier_ns = barrier_end.saturating_sub(barrier_start);
-        let qrefresh_ns = qrefresh_end.saturating_sub(barrier_end);
+        let barrier = barrier_end.saturating_sub(barrier_start);
+        let qrefresh = qrefresh_end.saturating_sub(barrier_end);
         Some(Opened {
             tel: StepTelemetry {
                 ops: quotas.iter().sum(),
-                barrier_ns: barrier_ns as f64,
-                qrefresh_ns: qrefresh_ns as f64,
                 ..StepTelemetry::default()
             },
-            spans: vec![
-                (Phase::StepBarrier, barrier_ns),
-                (Phase::QRefresh, qrefresh_ns),
-            ],
+            spans: vec![(Phase::StepBarrier, barrier), (Phase::QRefresh, qrefresh)],
         })
     }
 
@@ -959,8 +932,8 @@ pub(crate) trait Schedule<S>: Sized + Clone + Sync {
 
 /// A step a boundary opened: the step's telemetry so far, and the
 /// boundary phases it timed on the monotonic clock — recorded into the
-/// timing rank's probe unless a simulated world's transport owns the
-/// step's spans (the DES records them in virtual time).
+/// timing rank's probe, in a simulated world by its transport's
+/// [`WorldTransport::end_step`].
 pub(crate) struct Opened {
     pub tel: StepTelemetry,
     pub spans: Vec<(Phase, u64)>,
@@ -1029,7 +1002,6 @@ fn run_rank_step<L: Link<Msg>, S: RankMachine>(
     }
     // What opening the step sent (a pass's loads) leaves like any reply.
     drain_outbox(transport, state, outbox, coalescer, &mut tel);
-    let mut wait_ns_acc = 0u64;
     let mut eos = 0usize;
     let mut signaled = false;
     loop {
@@ -1091,16 +1063,13 @@ fn run_rank_step<L: Link<Msg>, S: RankMachine>(
         }
         let wait_start = state.obs_mut().now();
         let (src, msg) = transport.recv_block();
-        let wait_end = state.obs_mut().now();
-        let waited = wait_end.saturating_sub(wait_start);
+        let waited = state.obs_mut().now().saturating_sub(wait_start);
         state.obs_mut().span(Phase::MsgWait, waited);
-        wait_ns_acc += waited;
         dispatch(
             transport, state, src, msg, outbox, coalescer, &mut eos, &mut tel,
         );
     }
     debug_assert!(state.step_done());
-    tel.wait_ns = wait_ns_acc as f64;
     tel.absorb_stats_delta(&before, state.stats());
     Some(tel)
 }
@@ -1226,17 +1195,7 @@ pub(crate) fn run_world_step<T: WorldTransport, S: RankMachine>(
     for (b, st) in before.iter().zip(states.iter()) {
         tel.absorb_stats_delta(b, st.stats());
     }
-    let (boundary_ns, drain_ns) = world.transport.end_step();
-    tel.boundary_ns = boundary_ns;
-    tel.drain_ns = drain_ns;
-    // Step spans: the DES records them in virtual time; any other world
-    // records the boundary's own monotonic measurements.
-    let obs = states[0].obs_mut();
-    if !world.transport.record_step_spans(obs, &mut tel) {
-        spans
-            .into_iter()
-            .for_each(|(phase, ns)| obs.span(phase, ns));
-    }
+    world.transport.end_step(states[0].obs_mut(), spans);
     Some(tel)
 }
 
@@ -1341,7 +1300,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_merge_adds_counters_and_maxes_phases() {
+    fn telemetry_merge_adds_counters_and_maxes_the_window_peak() {
         let mut a = StepTelemetry {
             ops: 10,
             started: 4,
@@ -1349,8 +1308,7 @@ mod tests {
             forfeited: 1,
             served: 2,
             blocked: 5,
-            boundary_ns: 100.0,
-            drain_ns: 50.0,
+            window_peak: 3,
             ..StepTelemetry::default()
         };
         let b = StepTelemetry {
@@ -1360,18 +1318,20 @@ mod tests {
             forfeited: 0,
             served: 4,
             blocked: 2,
-            boundary_ns: 80.0,
-            drain_ns: 90.0,
+            window_peak: 2,
             ..StepTelemetry::default()
         };
         a.merge(&b);
-        assert_eq!(a.ops, 17);
-        assert_eq!(a.started, 5);
-        assert_eq!(a.performed, 4);
-        assert_eq!(a.forfeited, 1);
-        assert_eq!(a.served, 6);
-        assert_eq!(a.blocked, 7);
-        assert_eq!(a.boundary_ns, 100.0);
-        assert_eq!(a.drain_ns, 90.0);
+        let want = StepTelemetry {
+            ops: 17,
+            started: 5,
+            performed: 4,
+            forfeited: 1,
+            served: 6,
+            blocked: 7,
+            window_peak: 3,
+            ..StepTelemetry::default()
+        };
+        assert_eq!(a, want);
     }
 }

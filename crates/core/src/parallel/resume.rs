@@ -71,9 +71,6 @@ pub struct WorldSnapshot<C = u64> {
     pub comm: Vec<CommStats>,
     /// Telemetry of the completed steps.
     pub telemetry: Vec<StepTelemetry>,
-    /// Initial `|E_i|` per rank: each rank's `visits.initial`, carried
-    /// for the final outcome (a resume refuses any other).
-    pub initial_edges: Vec<u64>,
 }
 
 /// What the schedule of rank machine `S` records in a snapshot.
@@ -218,9 +215,6 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
             ranks: self.states.iter().map(|st| st.checkpoint()).collect(),
             comm: self.comm_stats.clone(),
             telemetry: self.telemetry.clone(),
-            initial_edges: (self.states.iter())
-                .map(|st| st.visits().0 as u64)
-                .collect(),
         }
     }
 
@@ -230,10 +224,10 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
     /// snapshot is untrusted: its identity fields must match the run,
     /// every stored edge sit on its owner, no rank hold an edge twice
     /// (an edge sits on one rank only), every rank's visit marks fit
-    /// its store and the graph ([`check_marks`]), its initial edge count
-    /// equal the one its checkpoint tracks, and the stores realize
-    /// `graph`'s degree sequence — otherwise the reason comes back as
-    /// `Err`, never a panic, never a silently divergent run.
+    /// its store and the graph ([`check_marks`]), the ranks' initial edge
+    /// counts sum to `graph`'s, and the stores realize `graph`'s degree
+    /// sequence — otherwise the reason comes back as `Err`, never a
+    /// panic, never a silently divergent run.
     pub(crate) fn resume(
         graph: &Graph,
         config: &ParallelConfig,
@@ -250,7 +244,7 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
             ));
         }
         let schedule = schedule.resume(snap.next_step, &snap.schedule)?;
-        if snap.ranks.len() != p || snap.comm.len() != p || snap.initial_edges.len() != p {
+        if snap.ranks.len() != p || snap.comm.len() != p {
             return Err("snapshot does not carry one entry per rank".to_string());
         }
         if snap.telemetry.len() as u64 != snap.next_step {
@@ -265,14 +259,7 @@ impl<S: RankMachine> SimWorld<FifoTransport, S> {
             }
             check_marks(graph, &ckpt.store_edges, &ckpt.visits)
                 .map_err(|why| format!("rank {rank}: {why}"))?;
-            let initial = ckpt.visits.initial;
-            if snap.initial_edges[rank] != initial as u64 {
-                return Err(format!(
-                    "snapshot of rank {rank} starts from {} edges but tracks {initial}",
-                    snap.initial_edges[rank]
-                ));
-            }
-            tracked = tracked.saturating_add(initial);
+            tracked = tracked.saturating_add(ckpt.visits.initial);
         }
         if tracked != graph.num_edges() {
             return Err("snapshot visit trackers do not fit the graph".to_string());

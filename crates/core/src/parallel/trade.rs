@@ -381,14 +381,11 @@ impl Schedule<TradeRankState> for Passes {
         };
         let initial = *self.initial.get_or_insert_with(|| gather(|(i, _)| i));
         let visited = gather(|(_, v)| v);
-        let barrier_ns = states[0].obs.now().saturating_sub(barrier_start);
+        let barrier = states[0].obs.now().saturating_sub(barrier_start);
         let (n, seed) = (self.degrees.len(), states[0].seed);
         let plan = Arc::new(self.ctl.next_plan(n, seed, initial, visited)?);
         b.begin_step(plan.pairs.len() as u64);
-        let mut tel = StepTelemetry {
-            barrier_ns: barrier_ns as f64,
-            ..StepTelemetry::default()
-        };
+        let mut tel = StepTelemetry::default();
         for i in 0..states.len() {
             states[i].begin_pass(&plan, out, &mut tel);
             b.opened(states, i, out, &mut tel);
@@ -397,7 +394,7 @@ impl Schedule<TradeRankState> for Passes {
         tel.ops = tel.trades + states.iter().map(|st| st.slots.len() as u64).sum::<u64>();
         Some(Opened {
             tel,
-            spans: vec![(Phase::StepBarrier, barrier_ns)],
+            spans: vec![(Phase::StepBarrier, barrier)],
         })
     }
 

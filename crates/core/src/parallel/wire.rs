@@ -10,10 +10,11 @@
 //! from files and rank results from another process, and are not: their
 //! decoders return `Result`. All run on one
 //! bounds-checked `Reader` that latches the first bad read. Snapshots
-//! are at format 4: format 3 carries visit marks as a bitmap over the
-//! snapshot's own edge list (see the snapshot section below), and format
-//! 4 writes one message counter fewer per telemetry row (the trade visit
-//! kind is gone).
+//! are at format 5: format 3 carries visit marks as a bitmap over the
+//! snapshot's own edge list (see the snapshot section below), format 4
+//! writes one message counter fewer per telemetry row (the trade visit
+//! kind is gone), and format 5 writes telemetry rows of counts only (no
+//! timings) and no per-rank initial edge counts beside the ranks' visits.
 
 use edgeswitch_graph::Edge;
 use mpilite::{CollPayload, CommStats, KIND_SLOTS};
@@ -101,7 +102,7 @@ const C_U64: u8 = 1;
 const C_VEC_U64: u8 = 3;
 
 /// Append the encoding of `payload` to `out`.
-pub fn encode_coll(payload: &CollPayload, out: &mut Vec<u8>) {
+fn encode_coll(payload: &CollPayload, out: &mut Vec<u8>) {
     match payload {
         CollPayload::U64(v) => {
             out.push(C_U64);
@@ -233,10 +234,6 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn u64(&mut self) -> u64 {
         u64::from_le_bytes(self.take())
-    }
-
-    fn f64(&mut self) -> f64 {
-        f64::from_bits(self.u64())
     }
 
     /// A `u64` count of items of at least `item_bytes` encoded bytes
@@ -396,14 +393,6 @@ pub fn decode_msg(bytes: &[u8]) -> Msg {
     msg
 }
 
-/// Decode one collective payload; panics on malformed or trailing bytes.
-pub fn decode_coll(bytes: &[u8]) -> CollPayload {
-    let mut r = Reader::new(bytes);
-    let payload = r.coll();
-    r.expect_end("collective payload");
-    payload
-}
-
 // ---------------------------------------------------------------------
 // Engine snapshots (checkpoint/resume)
 // ---------------------------------------------------------------------
@@ -428,7 +417,7 @@ pub fn decode_coll(bytes: &[u8]) -> CollPayload {
 /// Snapshot header: `b"ESNP"` followed by the format version.
 const SNAP_MAGIC: u32 = u32::from_le_bytes(*b"ESNP");
 /// Current snapshot format version.
-const SNAP_VERSION: u32 = 4;
+const SNAP_VERSION: u32 = 5;
 /// Kind byte of a switch-protocol [`WorldSnapshot`].
 const SNAP_WORLD: u8 = 1;
 /// Kind byte of a [`SeqCheckpoint`].
@@ -565,15 +554,6 @@ fn put_telemetry(out: &mut Vec<u8>, tel: &StepTelemetry) {
     for v in tel.logical_msgs.slots() {
         put_u64(out, *v);
     }
-    for v in [
-        tel.boundary_ns,
-        tel.drain_ns,
-        tel.barrier_ns,
-        tel.qrefresh_ns,
-        tel.wait_ns,
-    ] {
-        put_u64(out, v.to_bits());
-    }
 }
 
 fn put_rank_checkpoint(out: &mut Vec<u8>, ckpt: &RankCheckpoint) {
@@ -634,7 +614,7 @@ impl<'a> Reader<'a> {
     }
 
     fn telemetry(&mut self) -> StepTelemetry {
-        let mut tel = StepTelemetry {
+        StepTelemetry {
             ops: self.u64(),
             started: self.u64(),
             performed: self.u64(),
@@ -647,19 +627,8 @@ impl<'a> Reader<'a> {
             packets: self.u64(),
             trades: self.u64(),
             neighbors_moved: self.u64(),
-            ..StepTelemetry::default()
-        };
-        let mut slots = [0u64; MsgKind::COUNT];
-        for slot in &mut slots {
-            *slot = self.u64();
+            logical_msgs: MsgCounts::from_slots(std::array::from_fn(|_| self.u64())),
         }
-        tel.logical_msgs = MsgCounts::from_slots(slots);
-        tel.boundary_ns = self.f64();
-        tel.drain_ns = self.f64();
-        tel.barrier_ns = self.f64();
-        tel.qrefresh_ns = self.f64();
-        tel.wait_ns = self.f64();
-        tel
     }
 
     /// Inverse of [`put_visits`].
@@ -687,7 +656,7 @@ impl<'a> Reader<'a> {
 /// their length prefixes.
 const RANK_CHECKPOINT_MIN: usize = 8 * (4 + 11 + 2);
 const COMM_BYTES: usize = 8 * (8 + KIND_SLOTS);
-const TELEMETRY_BYTES: usize = 8 * (12 + MsgKind::COUNT + 5);
+const TELEMETRY_BYTES: usize = 8 * (12 + MsgKind::COUNT);
 
 /// Serialize a [`WorldSnapshot`] (deterministic bytes for a given
 /// snapshot).
@@ -695,15 +664,14 @@ pub(crate) fn encode_world_snapshot<C: SnapField>(snap: &WorldSnapshot<C>) -> Ve
     let lists: usize = (snap.ranks.iter())
         .map(|c| RANK_CHECKPOINT_MIN + 8 * (c.store_edges.len() + c.visits.unvisited.len()))
         .sum();
-    // Header, four counters, the schedule record and four list lengths.
+    // Header, four counters, the schedule record and three list lengths.
     let len = HEADER_BYTES
         + 8 * 4
         + C::BYTES
-        + 8 * 4
+        + 8 * 3
         + lists
         + COMM_BYTES * snap.comm.len()
-        + TELEMETRY_BYTES * snap.telemetry.len()
-        + 8 * snap.initial_edges.len();
+        + TELEMETRY_BYTES * snap.telemetry.len();
     let mut out = Vec::with_capacity(len);
     put_header(&mut out, C::WORLD_KIND);
     put_u64(&mut out, snap.seed);
@@ -723,7 +691,6 @@ pub(crate) fn encode_world_snapshot<C: SnapField>(snap: &WorldSnapshot<C>) -> Ve
     for tel in &snap.telemetry {
         put_telemetry(&mut out, tel);
     }
-    put_keys(&mut out, snap.initial_edges.iter().copied());
     debug_assert_eq!(out.len(), len);
     out
 }
@@ -745,7 +712,6 @@ pub(crate) fn decode_world_snapshot<C: SnapField>(
         ranks: r.list(RANK_CHECKPOINT_MIN, Reader::rank_checkpoint),
         comm: r.list(COMM_BYTES, Reader::comm),
         telemetry: r.list(TELEMETRY_BYTES, Reader::telemetry),
-        initial_edges: r.list(8, Reader::u64),
     };
     r.finish()?;
     Ok(snap)
@@ -981,10 +947,7 @@ mod tests {
             CollPayload::VecU64(vec![]),
             CollPayload::VecU64(vec![1, 2, 3]),
         ] {
-            roundtrip(Msg::Coll(payload.clone()));
-            let mut bytes = Vec::new();
-            encode_coll(&payload, &mut bytes);
-            assert_eq!(decode_coll(&bytes), payload);
+            roundtrip(Msg::Coll(payload));
         }
     }
 
@@ -1034,8 +997,7 @@ mod tests {
             started: 11,
             performed: 9,
             packets: 3,
-            boundary_ns: 1.5,
-            wait_ns: 2.25,
+            window_peak: 2,
             ..StepTelemetry::default()
         };
         tel.logical_msgs.record(&Msg::EndOfStep);
@@ -1054,7 +1016,6 @@ mod tests {
             ranks: vec![sample_rank_checkpoint(0), sample_rank_checkpoint(1)],
             comm: vec![comm, comm],
             telemetry: vec![tel.clone(), tel],
-            initial_edges: vec![100, 101],
         };
         let bytes = encode_world_snapshot(&snap);
         assert_eq!(decode_world_snapshot(&bytes).unwrap(), snap);
@@ -1082,7 +1043,6 @@ mod tests {
             ranks: snap.ranks.clone(),
             comm: snap.comm.clone(),
             telemetry: snap.telemetry.clone(),
-            initial_edges: snap.initial_edges.clone(),
         }
     }
 
@@ -1176,7 +1136,6 @@ mod tests {
             ranks: vec![sample_rank_checkpoint(0), sample_rank_checkpoint(1)],
             comm: vec![CommStats::default(); 2],
             telemetry: vec![StepTelemetry::default()],
-            initial_edges: vec![3, 3],
         };
         let trades = with_schedule(&switches, sample_pass_controller(Budget::Ops(40)));
         let world = encode_world_snapshot(&switches);
@@ -1233,7 +1192,6 @@ mod tests {
         let telemetry = vec![
             StepTelemetry {
                 ops: 5,
-                wait_ns: 1.5,
                 ..StepTelemetry::default()
             };
             3
@@ -1251,7 +1209,7 @@ mod tests {
         let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
-        assert_eq!((bytes.len(), fnv1a), (1184, 0x3cd4_5803_80d1_9062));
+        assert_eq!((bytes.len(), fnv1a), (1064, 0x53dd_0038_a383_ad0b));
     }
 
     #[test]

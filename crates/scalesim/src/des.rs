@@ -19,7 +19,7 @@
 use crate::model::CostModel;
 use edgeswitch_core::config::Randomizer;
 use edgeswitch_core::obs::{Clock, Obs, Phase, VirtualClock};
-use edgeswitch_core::parallel::{Msg, StepTelemetry, WorldTransport};
+use edgeswitch_core::parallel::{Msg, WorldTransport};
 use edgeswitch_core::{ParallelOutcome, Run};
 use edgeswitch_graph::Graph;
 use std::collections::VecDeque;
@@ -34,14 +34,31 @@ pub struct DesReport {
     /// Network packets exchanged (the DES delivers one logical message
     /// per packet, so this also equals the logical message total).
     pub packets: u64,
-    /// Predicted runtime of each step.
+    /// Predicted runtime of each step (its boundary plus its drain).
     pub step_ns: Vec<f64>,
+    /// How each step's virtual time was charged.
+    pub steps: Vec<DesStep>,
     /// Predicted speedup over the modeled sequential run of the same
     /// operation count.
     pub speedup: f64,
     /// Per-rank busy CPU time (ns) — the rest of each rank's clock is
     /// latency/idle; `busy/runtime` is the rank's utilization.
     pub busy_ns: Vec<f64>,
+}
+
+/// The virtual time of one step as the DES charged it, in nanoseconds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DesStep {
+    /// The step boundary: collective plus multinomial quota draw.
+    pub boundary: u64,
+    /// Collective share of `boundary` (the rest is the multinomial).
+    pub collective: u64,
+    /// The conversation drain, from the boundary's end to the last
+    /// rank's clock.
+    pub drain: u64,
+    /// Time receivers spent waiting for arrivals (sum of `arrival −
+    /// clock` gaps over the step's deliveries).
+    pub wait: u64,
 }
 
 /// The cost-charging transport: global causal-FIFO delivery (identical
@@ -56,13 +73,10 @@ pub struct DesTransport {
     cost: CostModel,
     /// Max clock when the current step began.
     step_start: u64,
-    /// Boundary cost charged at the current step's start.
-    boundary: u64,
-    /// Collective share of `boundary` (the rest is the multinomial).
-    coll: u64,
-    /// Virtual time receivers spent waiting for arrivals this step (sum
-    /// of `arrival − clock` gaps).
-    wait_gap: u64,
+    /// The current step's charges so far.
+    step: DesStep,
+    /// The charges of the steps ended, in order.
+    steps: Vec<DesStep>,
     /// The shared cell behind the probes' [`VirtualClock`]: always holds
     /// the clock of the rank whose event was processed last, so observed
     /// spans and round trips land on the virtual timeline.
@@ -78,9 +92,8 @@ impl DesTransport {
             queue: VecDeque::new(),
             cost,
             step_start: 0,
-            boundary: 0,
-            coll: 0,
-            wait_gap: 0,
+            step: DesStep::default(),
+            steps: Vec::new(),
             now_cell: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -121,7 +134,7 @@ impl WorldTransport for DesTransport {
         let (dst, src, msg, at) = self.queue.pop_front()?;
         // The receiver can't handle a message before it arrives; the gap
         // is virtual wait time.
-        self.wait_gap += at.saturating_sub(self.clocks[dst]);
+        self.step.wait += at.saturating_sub(self.clocks[dst]);
         self.clocks[dst] = self.clocks[dst].max(at) + self.cost.msg_handle_ns as u64;
         self.busy[dst] += self.cost.msg_handle_ns as u64;
         self.now_cell.store(self.clocks[dst], Ordering::Relaxed);
@@ -138,46 +151,40 @@ impl WorldTransport for DesTransport {
         let coll = self.cost.step_collective_ns(p);
         let multi = self.cost.multinomial_step_ns(step_ops, p);
         self.step_start = self.clocks.iter().copied().max().unwrap_or(0);
-        self.coll = coll as u64;
-        self.boundary = (coll + multi) as u64;
-        self.wait_gap = 0;
-        let start = self.step_start + self.boundary;
+        self.step = DesStep {
+            boundary: (coll + multi) as u64,
+            collective: coll as u64,
+            ..DesStep::default()
+        };
+        let start = self.step_start + self.step.boundary;
         for c in self.clocks.iter_mut() {
             *c = start;
         }
         self.now_cell.store(start, Ordering::Relaxed);
     }
 
-    fn end_step(&mut self) -> (f64, f64) {
+    fn end_step(&mut self, obs: &mut Obs, _: Vec<(Phase, u64)>) {
         let end = self.clocks.iter().copied().max().unwrap_or(0);
-        (
-            self.boundary as f64,
-            (end - self.step_start - self.boundary) as f64,
-        )
-    }
-
-    fn obs_clock(&mut self) -> Option<Arc<dyn Clock>> {
-        // Probes read the shared cell the transport advances: an
-        // observed DES run reports in virtual nanoseconds.
-        Some(Arc::new(VirtualClock::new(self.now_cell.clone())))
-    }
-
-    fn record_step_spans(&mut self, obs: &mut Obs, tel: &mut StepTelemetry) -> bool {
+        let step = DesStep {
+            drain: end - self.step_start - self.step.boundary,
+            ..self.step
+        };
+        self.steps.push(step);
         // The DES owns the step spans: the boundary splits into its
         // collective (barrier) and multinomial (q-refresh) shares, and
         // message waiting is the accumulated virtual arrival gap.
         // Handler-internal spans (sampling, legality, switch apply) are
         // zero-width on this timeline — the cost model charges handling
         // as a whole, not its interior — which the report makes explicit.
-        let barrier_ns = self.coll;
-        let qrefresh_ns = self.boundary - self.coll;
-        obs.span(Phase::StepBarrier, barrier_ns);
-        obs.span(Phase::QRefresh, qrefresh_ns);
-        obs.span(Phase::MsgWait, self.wait_gap);
-        tel.barrier_ns = barrier_ns as f64;
-        tel.qrefresh_ns = qrefresh_ns as f64;
-        tel.wait_ns = self.wait_gap as f64;
-        true
+        obs.span(Phase::StepBarrier, step.collective);
+        obs.span(Phase::QRefresh, step.boundary - step.collective);
+        obs.span(Phase::MsgWait, step.wait);
+    }
+
+    fn obs_clock(&mut self) -> Option<Arc<dyn Clock>> {
+        // Probes read the shared cell the transport advances: an
+        // observed DES run reports in virtual nanoseconds.
+        Some(Arc::new(VirtualClock::new(self.now_cell.clone())))
     }
 }
 
@@ -210,13 +217,12 @@ pub fn des_run(run: &Run, graph: &Graph, cost: &CostModel) -> (ParallelOutcome, 
     let report = DesReport {
         runtime_ns,
         packets: outcome.comm.iter().map(|c| c.packets_sent).sum(),
-        step_ns: outcome
-            .telemetry
-            .iter()
-            .map(|s| s.boundary_ns + s.drain_ns)
+        step_ns: (transport.steps.iter())
+            .map(|s| s.boundary as f64 + s.drain as f64)
             .collect(),
         speedup,
         busy_ns: transport.busy_ns(),
+        steps: transport.steps,
     };
     (outcome, report)
 }
@@ -261,9 +267,11 @@ mod tests {
         assert!(report.runtime_ns > 0.0);
         assert_eq!(report.step_ns.len(), 5);
         assert!(report.packets > 0);
-        // The step phases and message kinds surface in the telemetry.
+        // The step counts and message kinds surface in the telemetry,
+        // the step phases in the report.
         assert_eq!(out.telemetry.len(), 5);
-        assert!(out.telemetry.iter().all(|s| s.boundary_ns > 0.0));
+        assert_eq!(report.steps.len(), 5);
+        assert!(report.steps.iter().all(|s| s.boundary > 0));
         assert_eq!(out.telemetry.iter().map(|s| s.ops).sum::<u64>(), t);
         assert_eq!(out.logical_msg_totals().total(), report.packets);
     }

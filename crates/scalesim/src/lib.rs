@@ -24,7 +24,7 @@ pub mod des;
 pub mod model;
 pub mod predict;
 
-pub use des::{des_run, DesReport, DesTransport};
+pub use des::{des_run, DesReport, DesStep, DesTransport};
 pub use model::CostModel;
 pub use predict::{
     calibrate, multinomial_strong_scaling, multinomial_weak_scaling, strong_scaling, weak_scaling,

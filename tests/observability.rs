@@ -41,9 +41,9 @@ fn config(p: usize, window: usize) -> ParallelConfig {
         .with_window(window)
 }
 
-/// Assert two parallel outcomes agree on every logical field. The
-/// observed run additionally carries timings, which are excluded by
-/// construction: only the logical schedule is compared.
+/// Assert two parallel outcomes agree on every logical field, the step
+/// rows whole. The observed run's timings are in its report, which is
+/// not compared.
 fn assert_logically_identical(plain: &ParallelOutcome, observed: &ParallelOutcome, label: &str) {
     assert!(
         plain.graph.same_edge_set(&observed.graph),
@@ -62,20 +62,7 @@ fn assert_logically_identical(plain: &ParallelOutcome, observed: &ParallelOutcom
         observed.forfeited(),
         "{label}: forfeited"
     );
-    assert_eq!(
-        plain.telemetry.len(),
-        observed.telemetry.len(),
-        "{label}: step count"
-    );
-    for (a, b) in plain.telemetry.iter().zip(observed.telemetry.iter()) {
-        assert_eq!(a.ops, b.ops, "{label}: ops");
-        assert_eq!(a.started, b.started, "{label}: started");
-        assert_eq!(a.performed, b.performed, "{label}: step performed");
-        assert_eq!(a.served, b.served, "{label}: served");
-        assert_eq!(a.blocked, b.blocked, "{label}: blocked");
-        assert_eq!(a.logical_msgs, b.logical_msgs, "{label}: logical msgs");
-        assert_eq!(a.packets, b.packets, "{label}: packets");
-    }
+    assert_eq!(plain.telemetry, observed.telemetry, "{label}: telemetry");
 }
 
 #[test]
@@ -117,6 +104,38 @@ fn fifo_probe_identity_across_windows() {
         assert!(report.phase(Phase::Sample).hist.count > 0);
         assert!(report.phase(Phase::StepBarrier).hist.count > 0);
     }
+}
+
+/// A probe leaves no trace in a simulated world's state: three steps in,
+/// the observed engine's snapshot is byte for byte the unobserved one's,
+/// and the two finish with equal step rows.
+#[test]
+fn observed_simulated_snapshots_are_byte_identical() {
+    let g = graph(31);
+    let engines = [false, true].map(|observed| {
+        let run = Run::simulated(2).switches(3000).seed(11);
+        let run = if observed {
+            run.probe(ObsSpec::Spans)
+        } else {
+            run
+        };
+        let mut engine = run.start(&g).expect("a steppable run");
+        for _ in 0..3 {
+            engine.advance(1);
+        }
+        engine
+    });
+    let [plain, observed] = engines;
+    // Compared whole, not printed: a failure would dump ~17 KB of bytes.
+    assert!(
+        plain.snapshot() == observed.snapshot(),
+        "the observed world's snapshot differs"
+    );
+    let finish = |engine: Engine| engine.finish().into_parallel().expect("a simulated world");
+    let (plain, observed) = (finish(plain), finish(observed));
+    assert!(plain.report.is_none() && observed.report.is_some());
+    assert_eq!(plain.steps, 3);
+    assert_eq!(plain.telemetry, observed.telemetry);
 }
 
 #[test]
@@ -235,26 +254,28 @@ fn curveball_observed_run_is_probe_identical_and_covers_trade_phase() {
     );
 }
 
-/// Every world times its step boundary: an observed run reports barrier
-/// time on every step, for both randomizers, on the simulated and the
-/// threaded world alike — the real worlds open their steps through the
-/// same boundary code as the simulated one.
+/// Every world times its step boundary: an observed run's report holds
+/// one barrier span per step per timing rank (a simulated world times
+/// its boundary on rank 0, each real rank its own), for both
+/// randomizers, on the simulated and the threaded world alike — the
+/// real worlds open their steps through the same boundary code as the
+/// simulated one.
 #[test]
 fn observed_runs_time_the_boundary_of_every_step() {
     let g = graph(29);
     let cfg = config(2, DEFAULT_WINDOW).with_obs(ObsSpec::Spans);
-    for (world, run) in [
-        ("simulated", Run::simulated(2)),
-        ("threaded", Run::parallel(2)),
+    for (world, run, timing_ranks) in [
+        ("simulated", Run::simulated(2), 1),
+        ("threaded", Run::parallel(2), 2),
     ] {
         let switches = under(run.clone().switches(2_000), &g, &cfg);
         let trades = trade_run(run, &g, 1_600, &cfg);
         for (randomizer, out) in [("switch", &switches), ("curveball", &trades)] {
             let label = format!("{world} {randomizer}");
-            assert!(out.telemetry.len() > 1, "{label}: too few steps");
-            for (step, tel) in out.telemetry.iter().enumerate() {
-                assert!(tel.barrier_ns > 0.0, "{label} step {step}: no barrier time");
-            }
+            assert!(out.steps > 1, "{label}: too few steps");
+            let report = out.report.as_ref().expect("observed run");
+            let barriers = report.phase(Phase::StepBarrier).hist.count;
+            assert_eq!(barriers, timing_ranks * out.steps, "{label}");
         }
     }
 }
