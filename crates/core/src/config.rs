@@ -140,14 +140,6 @@ pub struct ParallelConfig {
     /// Observability attached to the run (off by default; recording
     /// never perturbs results — see [`crate::obs`]).
     pub obs: ObsSpec,
-    /// Commit rank-local switches inline, without allocating a
-    /// conversation or routing self-addressed protocol messages (§4's
-    /// local/global distinction made structural). On by default; the
-    /// `false` setting is a conformance-testing escape hatch — the
-    /// fast path is draw-order- and apply-order-preserving, so outcomes
-    /// are bit-identical either way (enforced by
-    /// `tests/driver_conformance.rs`).
-    pub local_fastpath: bool,
     /// Per-invocation process-backend knobs (child argv, pid announcing,
     /// ring sizing).
     pub proc_opts: ProcOpts,
@@ -165,7 +157,6 @@ impl ParallelConfig {
             seed: 0,
             window: DEFAULT_WINDOW,
             obs: ObsSpec::default(),
-            local_fastpath: true,
             proc_opts: ProcOpts::default(),
         }
     }
@@ -203,14 +194,6 @@ impl ParallelConfig {
     /// Builder-style observability override.
     pub fn with_obs(mut self, obs: ObsSpec) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Builder-style local fast-path override (`false` forces every
-    /// switch through the conversation protocol; conformance tests
-    /// only).
-    pub fn with_local_fastpath(mut self, local_fastpath: bool) -> Self {
-        self.local_fastpath = local_fastpath;
         self
     }
 
@@ -272,13 +255,6 @@ mod tests {
         assert_eq!(ParallelConfig::new(2).with_window(0).window, 1);
         assert_eq!(ParallelConfig::new(2).window, DEFAULT_WINDOW);
         assert_eq!(ParallelConfig::new(2).obs, ObsSpec::Off);
-        // The local fast path is on unless a test forces it off.
-        assert!(ParallelConfig::new(2).local_fastpath);
-        assert!(
-            !ParallelConfig::new(2)
-                .with_local_fastpath(false)
-                .local_fastpath
-        );
         // The switch protocol is the default engine.
         assert_eq!(Randomizer::default(), Randomizer::Switch);
     }

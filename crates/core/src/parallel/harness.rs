@@ -122,7 +122,7 @@ pub struct StepTelemetry {
     /// Subset of `performed` applied inline by the rank-local fast path
     /// (no conversation entry, no protocol messages); the remaining
     /// `performed - local_fastpath` switches went through the
-    /// conversation protocol. Zero when the fast path is disabled.
+    /// conversation protocol.
     pub local_fastpath: u64,
     /// Operations forfeited this step (degenerate graphs only).
     pub forfeited: u64,

@@ -184,7 +184,6 @@ fn encode_config(out: &mut Vec<u8>, config: &ParallelConfig) {
     });
     put_u64(out, config.seed);
     put_u64(out, config.window as u64);
-    out.push(config.local_fastpath as u8);
 }
 
 fn decode_config(r: &mut Reader<'_>) -> ParallelConfig {
@@ -216,13 +215,12 @@ fn decode_config(r: &mut Reader<'_>) -> ParallelConfig {
             crate::config::QuotaPolicy::Uniform
         }
     };
-    let mut config = ParallelConfig::new(processors)
+    ParallelConfig::new(processors)
         .with_scheme(scheme)
         .with_step_size(step_size)
         .with_quota_policy(quota_policy)
-        .with_seed(r.u64());
-    config = config.with_window(r.u64() as usize);
-    config.with_local_fastpath(r.u8() != 0)
+        .with_seed(r.u64())
+        .with_window(r.u64() as usize)
 }
 
 fn encode_partitioner(out: &mut Vec<u8>, part: &Partitioner) {

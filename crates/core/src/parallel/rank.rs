@@ -58,18 +58,19 @@
 //! When the partner draw lands on the initiating rank itself, the whole
 //! conversation is rank-local: both old edges come from the local store
 //! and — unless a replacement endpoint hashes to a foreign partition —
-//! the entire sample→legality→apply chain touches only local state. The
-//! fast path (on by default, see
-//! [`ParallelConfig::local_fastpath`](crate::config::ParallelConfig))
-//! executes that chain inline in [`RankState::try_start`] instead of
+//! the entire sample→legality→apply chain touches only local state.
+//! [`RankState::try_start`] executes that chain inline instead of
 //! bouncing `Propose`/`Validate`/`Commit` messages to itself: no
 //! `InFlight` or `PartnerConv` entry, no outbox traffic, no message
-//! dispatch. RNG draw order and store mutation order are exactly those
-//! of the protocol path, so seeded runs are bit-identical with the fast
-//! path on or off (enforced by the conformance suite). A self-partner
-//! draw with a foreign replacement leaves the fast path through
-//! `partner_validate`, the partner half `on_propose` itself runs: there
-//! is one start path and one partner path.
+//! dispatch. The partner's draw (second edge, coin, recombination) is
+//! one function, `partner_draw`, which `on_propose` calls too, and the
+//! inline apply keeps the protocol's store mutation order, so a seeded
+//! run is bit-identical to one that sends every self-partner switch
+//! through self-addressed messages. That routing survives only as the
+//! rank tests' reference start, which they compare against this one. A
+//! self-partner draw with a foreign replacement leaves the fast path
+//! through `partner_validate`, the partner half `on_propose` itself
+//! runs: there is one start path and one partner path.
 //!
 //! # Store work
 //!
@@ -92,7 +93,7 @@ use super::harness::{RankMachine, RankOutput, StepHarness, StepTelemetry};
 use super::msg::{ConvId, Msg, MsgKind, Outbox};
 use crate::config::ParallelConfig;
 use crate::obs::{GaugeKind, Obs, Phase, Stamp};
-use crate::switch::{flip_kind, recombine, Recombination, RejectReason};
+use crate::switch::{flip_kind, recombine, Recombination, RejectReason, MAX_REJECTS_PER_OP};
 use crate::visit::Visits;
 use edgeswitch_dist::Rng;
 use edgeswitch_dist::{rank_block_rng, BlockRng64};
@@ -103,9 +104,6 @@ use mpilite::CommStats;
 
 /// Attempts to sample an unreserved edge before declaring contention.
 const SAMPLE_ATTEMPTS: usize = 64;
-/// Consecutive aborts of one operation before it is forfeited (guards
-/// against degenerate graphs where no legal switch exists).
-const MAX_CONSECUTIVE_ABORTS: u64 = 100_000;
 
 /// Result of asking a rank to begin its next own operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,8 +128,7 @@ pub struct RankStats {
     /// ... of which the partner was remote.
     pub performed_global: u64,
     /// ... of which the zero-message local fast path applied the switch
-    /// inline (a subset of `performed_local`; `0` when the fast path is
-    /// disabled).
+    /// inline (a subset of `performed_local`).
     pub performed_fastpath: u64,
     /// Aborts: replacement would be a self-loop.
     pub aborts_loop: u64,
@@ -248,6 +245,16 @@ enum FState {
     Failed,
 }
 
+/// The partner's draw for one conversation ([`RankState::partner_draw`]):
+/// the second edge, unreserved yet, and the candidate replacements.
+struct PartnerDraw {
+    e2_slot: usize,
+    e2: Edge,
+    fs: [Edge; 2],
+    /// Opens the `Legality` span the caller closes.
+    legality_start: Stamp,
+}
+
 /// One processor's complete protocol state.
 pub struct RankState {
     rank: usize,
@@ -264,10 +271,6 @@ pub struct RankState {
     remaining: u64,
     /// Bound on concurrently in-flight own conversations (≥ 1).
     window: usize,
-    /// Commit rank-local switches inline instead of routing
-    /// self-addressed protocol messages (see the module's *Local fast
-    /// path* section). Outcomes are bit-identical either way.
-    fastpath: bool,
     /// Own conversations currently in flight, up to `window` of them.
     inflight: FxHashMap<ConvId, InFlight>,
     consecutive_aborts: u64,
@@ -299,10 +302,8 @@ pub struct RankState {
 
 impl RankState {
     /// Build the state for `rank` from its share of the edges under
-    /// `config`: its seed, conversation window, whether rank-local
-    /// switches commit inline (`local_fastpath`; outcomes are
-    /// bit-identical either way). The one place a driver turns a config
-    /// into a rank.
+    /// `config`: its seed and conversation window. The one place a
+    /// driver turns a config into a rank.
     pub fn new(
         rank: usize,
         part: Partitioner,
@@ -320,7 +321,6 @@ impl RankState {
             cumq: vec![0.0; p],
             remaining: 0,
             window: config.window.max(1),
-            fastpath: config.local_fastpath,
             inflight: FxHashMap::default(),
             consecutive_aborts: 0,
             conv_seq: 0,
@@ -373,8 +373,10 @@ impl RankState {
         }
     }
 
-    /// Whether this rank holds any unfinished server-side conversations.
-    pub fn serving_pending(&self) -> bool {
+    /// Whether this rank holds any unfinished server-side conversations
+    /// (test introspection).
+    #[cfg(test)]
+    pub(super) fn serving_pending(&self) -> bool {
         !self.serving.is_empty()
     }
 
@@ -455,9 +457,36 @@ impl RankState {
     /// fill the conversation window; returns [`StartResult::Idle`] once
     /// the window is full or no unstarted quota remains.
     pub fn try_start(&mut self, out: &mut Outbox) -> StartResult {
+        let (conv, e1, partner) = match self.open_own() {
+            Ok(opened) => opened,
+            Err(result) => return result,
+        };
+        if partner == self.rank {
+            return self.start_local_fast(conv, e1, out);
+        }
+        self.propose(conv, e1, partner, out)
+    }
+
+    /// [`RankState::try_start`] without the local fast path: a
+    /// self-partner draw opens its conversation with a self-addressed
+    /// `Propose`, as any other partner draw does. The rank tests'
+    /// reference for the fast path.
+    #[cfg(test)]
+    pub(super) fn try_start_by_protocol(&mut self, out: &mut Outbox) -> StartResult {
+        match self.open_own() {
+            Ok((conv, e1, partner)) => self.propose(conv, e1, partner, out),
+            Err(result) => result,
+        }
+    }
+
+    /// The start's prelude: the window, quota and empty-store checks,
+    /// then the `e1` draw and its reservation, the partner draw and the
+    /// conversation id. `Err` is the start's result when nothing opens.
+    #[inline(always)]
+    fn open_own(&mut self) -> Result<(ConvId, Edge, usize), StartResult> {
         let open = self.inflight.len();
         if open >= self.window || self.remaining <= open as u64 {
-            return StartResult::Idle;
+            return Err(StartResult::Idle);
         }
         if self.store.is_empty() {
             // An emptied partition cannot supply first edges; its quota is
@@ -470,10 +499,10 @@ impl RankState {
             );
             self.stats.forfeited += self.remaining;
             self.remaining = 0;
-            return StartResult::Idle;
+            return Err(StartResult::Idle);
         }
         let Some((slot, e1)) = self.sample_unreserved() else {
-            return StartResult::Blocked;
+            return Err(StartResult::Blocked);
         };
         self.store.reserve(slot);
         let partner = self.sample_partner();
@@ -482,10 +511,13 @@ impl RankState {
             initiator: self.rank as u32,
             seq: self.conv_seq,
         };
-        if self.fastpath && partner == self.rank {
-            let started = self.obs.stamp(Phase::LocalFastpath);
-            return self.start_local_fast(conv, e1, started, out);
-        }
+        Ok((conv, e1, partner))
+    }
+
+    /// Open conversation `conv` on the reserved `e1` by proposing it to
+    /// `partner`.
+    #[inline]
+    fn propose(&mut self, conv: ConvId, e1: Edge, partner: usize, out: &mut Outbox) -> StartResult {
         let started = self.obs.stamp_rtt(MsgKind::Propose);
         self.inflight.insert(
             conv,
@@ -549,51 +581,29 @@ impl RankState {
     /// self-addressed `Propose`/`Validate`/`Commit` messages.
     ///
     /// Bit-identity with the protocol path is the design invariant: the
-    /// RNG draws (second-edge sample loop, then the coin) and the store
-    /// mutation order (remove `e2`, insert `f1`, insert `f2`, remove
-    /// `e1`) are exactly those of a self-partner conversation, and a
-    /// self-partner conversation completes synchronously inside the
+    /// RNG draws are the partner's own ([`RankState::partner_draw`]) and
+    /// the store mutation order (remove `e2`, insert `f1`, insert `f2`,
+    /// remove `e1`) is exactly that of a self-partner conversation, and
+    /// a self-partner conversation completes synchronously inside the
     /// driver's outbox drain with no interleaved randomness, so skipping
     /// the message hops is unobservable. When a replacement edge hashes
     /// to a foreign owner the attempt falls back to the conversation
     /// protocol *from this exact point*, keeping the draws already made.
-    /// `started` opens the `LocalFastpath` span and, should the switch
+    /// One stamp opens the `LocalFastpath` span and, should the switch
     /// complete, its `Propose` round trip.
-    fn start_local_fast(
-        &mut self,
-        conv: ConvId,
-        e1: Edge,
-        started: Stamp,
-        out: &mut Outbox,
-    ) -> StartResult {
-        self.stats.proposals_served += 1;
+    fn start_local_fast(&mut self, conv: ConvId, e1: Edge, out: &mut Outbox) -> StartResult {
+        let started = self.obs.stamp(Phase::LocalFastpath);
         self.obs
             .gauge(GaugeKind::WindowOccupancy, self.inflight.len() as u64 + 1);
-        self.obs
-            .gauge(GaugeKind::ServingDepth, self.serving.len() as u64 + 1);
-        // Second-edge sample, the partner role's (`e1` is reserved, so
-        // `e2 != e1` without an extra check).
-        let Some((e2_slot, e2)) = self.sample_unreserved() else {
-            self.abort_own(e1, RejectReason::Contended);
-            self.obs.span_since(Phase::LocalFastpath, started);
-            return StartResult::Started;
-        };
-        debug_assert_ne!(e1, e2, "e1 is reserved and cannot be re-sampled");
-        let legality_start = self.obs.stamp(Phase::Legality);
-        let kind = flip_kind(&mut self.rng);
-        let (f1, f2) = match recombine(
-            OrientedEdge::from_edge(e1),
-            OrientedEdge::from_edge(e2),
-            kind,
-        ) {
-            Recombination::Rejected(reason) => {
-                self.obs.span_since(Phase::Legality, legality_start);
+        let draw = match self.partner_draw(e1) {
+            Ok(draw) => draw,
+            Err(reason) => {
                 self.abort_own(e1, reason);
                 self.obs.span_since(Phase::LocalFastpath, started);
                 return StartResult::Started;
             }
-            Recombination::Candidate { f1, f2 } => (f1, f2),
         };
+        let [f1, f2] = draw.fs;
         self.store.prefetch_edge(f1);
         self.store.prefetch_edge(f2);
         if self.part.owner(f1.src()) == self.rank && self.part.owner(f2.src()) == self.rank {
@@ -603,11 +613,11 @@ impl RankState {
             // guarantees it), so reserving `f1` can never affect `f2`'s
             // check.
             let blocked = self.occupied(f1) || self.occupied(f2);
-            self.obs.span_since(Phase::Legality, legality_start);
+            self.obs.span_since(Phase::Legality, draw.legality_start);
             if blocked {
                 self.abort_own(e1, RejectReason::ParallelEdge);
             } else {
-                self.apply_local_inline(e1, e2, f1, f2, started);
+                self.apply_local_inline(e1, draw.e2, f1, f2, started);
             }
         } else {
             // A replacement is foreign: continue as an ordinary
@@ -622,8 +632,7 @@ impl RankState {
                     started,
                 },
             );
-            self.store.reserve(e2_slot);
-            self.partner_validate(conv, e1, e2, [f1, f2], legality_start, out);
+            self.partner_validate(conv, e1, draw, out);
         }
         self.obs.span_since(Phase::LocalFastpath, started);
         StartResult::Started
@@ -680,7 +689,7 @@ impl RankState {
             RejectReason::Contended => self.stats.aborts_contended += 1,
         }
         self.consecutive_aborts += 1;
-        if self.consecutive_aborts >= MAX_CONSECUTIVE_ABORTS {
+        if self.consecutive_aborts >= MAX_REJECTS_PER_OP {
             self.stats.forfeited += 1;
             self.remaining = self.remaining.saturating_sub(1);
             self.consecutive_aborts = 0;
@@ -744,21 +753,27 @@ impl RankState {
 
     fn on_propose(&mut self, src: usize, conv: ConvId, e1: Edge, out: &mut Outbox) {
         debug_assert_eq!(src, conv.initiator as usize, "misattributed Propose");
+        match self.partner_draw(e1) {
+            Ok(draw) => self.partner_validate(conv, e1, draw, out),
+            Err(reason) => out.push(src, Msg::Abort { conv, reason }),
+        }
+    }
+
+    /// The partner's draw for a proposal of `e1`, the one the local fast
+    /// path makes too: count the proposal, draw the second edge among the
+    /// unreserved ones, flip the straight/cross coin and recombine. A
+    /// rejection closes its `Legality` span and comes back as the
+    /// conversation's abort reason; `Contended` when every sampled edge
+    /// was locked. Reserves nothing.
+    #[inline(always)]
+    fn partner_draw(&mut self, e1: Edge) -> Result<PartnerDraw, RejectReason> {
         self.stats.proposals_served += 1;
         self.obs
             .gauge(GaugeKind::ServingDepth, self.serving.len() as u64 + 1);
-        // Sample the second edge, skipping locked edges.
         let Some((e2_slot, e2)) = self.sample_unreserved() else {
-            out.push(
-                src,
-                Msg::Abort {
-                    conv,
-                    reason: RejectReason::Contended,
-                },
-            );
-            return;
+            return Err(RejectReason::Contended);
         };
-        debug_assert_ne!(e1, e2, "e1 is foreign or locally reserved");
+        debug_assert_ne!(e1, e2, "e1 is foreign or reserved here");
         let legality_start = self.obs.stamp(Phase::Legality);
         let kind = flip_kind(&mut self.rng);
         match recombine(
@@ -768,32 +783,27 @@ impl RankState {
         ) {
             Recombination::Rejected(reason) => {
                 self.obs.span_since(Phase::Legality, legality_start);
-                out.push(src, Msg::Abort { conv, reason });
+                Err(reason)
             }
-            Recombination::Candidate { f1, f2 } => {
-                self.store.reserve(e2_slot);
-                self.partner_validate(conv, e1, e2, [f1, f2], legality_start, out);
-            }
+            Recombination::Candidate { f1, f2 } => Ok(PartnerDraw {
+                e2_slot,
+                e2,
+                fs: [f1, f2],
+                legality_start,
+            }),
         }
     }
 
-    /// The partner's half of a conversation once `e2` is drawn and
-    /// reserved and the candidate replacements `fs` are known:
-    /// check-and-reserve the locally owned replacements (closing the `Legality` span opened at
-    /// `legality_start`), ask the foreign owners, and settle at once when
-    /// nothing is awaited. Reached from [`RankState::on_propose`] and —
-    /// for a self-partner draw with a foreign replacement — straight
-    /// from the local fast path, which is what keeps the two
-    /// message-for-message identical.
-    fn partner_validate(
-        &mut self,
-        conv: ConvId,
-        e1: Edge,
-        e2: Edge,
-        fs: [Edge; 2],
-        legality_start: Stamp,
-        out: &mut Outbox,
-    ) {
+    /// The partner's half of a conversation once its `draw` is made:
+    /// reserve `e2`, check-and-reserve the locally owned replacements
+    /// (closing the draw's `Legality` span), ask the foreign owners, and
+    /// settle at once when nothing is awaited. Reached from
+    /// [`RankState::on_propose`] and — for a self-partner draw with a
+    /// foreign replacement — straight from the local fast path, which is
+    /// what keeps the two message-for-message identical.
+    fn partner_validate(&mut self, conv: ConvId, e1: Edge, draw: PartnerDraw, out: &mut Outbox) {
+        let PartnerDraw { e2, fs, .. } = draw;
+        self.store.reserve(draw.e2_slot);
         // Validate both replacements concurrently (the critical path is
         // one round trip, not two): local checks first, their probes
         // prefetched together; remote requests only if the local ones
@@ -815,7 +825,7 @@ impl RankState {
                 }
             }
         }
-        self.obs.span_since(Phase::Legality, legality_start);
+        self.obs.span_since(Phase::Legality, draw.legality_start);
         let mut awaiting = 0usize;
         if !failed {
             for i in 0..2 {

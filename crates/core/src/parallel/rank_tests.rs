@@ -20,16 +20,14 @@ fn conv(initiator: u32, seq: u64) -> ConvId {
 /// Two ranks under HP-D(2): even labels on rank 0, odd labels on rank 1,
 /// stop-and-wait window (the classic protocol).
 fn two_rank_world(edges0: &[(u64, u64)], edges1: &[(u64, u64)]) -> (RankState, RankState) {
-    two_rank_world_windowed(edges0, edges1, 1, true)
+    two_rank_world_windowed(edges0, edges1, 1)
 }
 
-/// [`two_rank_world`] with an explicit pipelining window and local
-/// fast-path setting.
+/// [`two_rank_world`] with an explicit pipelining window.
 fn two_rank_world_windowed(
     edges0: &[(u64, u64)],
     edges1: &[(u64, u64)],
     window: usize,
-    fastpath: bool,
 ) -> (RankState, RankState) {
     let part = Partitioner::hash_division(2);
     let mk = |rank: usize, edges: &[(u64, u64)]| {
@@ -39,10 +37,7 @@ fn two_rank_world_windowed(
             assert_eq!(part.owner(e.src()), rank, "edge {e} misassigned in test");
             store.insert(e);
         }
-        let config = ParallelConfig::new(2)
-            .with_seed(99)
-            .with_window(window)
-            .with_local_fastpath(fastpath);
+        let config = ParallelConfig::new(2).with_seed(99).with_window(window);
         RankState::new(rank, part.clone(), store, &config)
     };
     (mk(0, edges0), mk(1, edges1))
@@ -247,7 +242,7 @@ fn concurrent_conversations_hold_disjoint_reservations() {
     const WINDOW: usize = 4;
     let edges0: Vec<(u64, u64)> = (0..60).map(|i| (2 * i, 2 * i + 6)).collect();
     let edges1: Vec<(u64, u64)> = (0..60).map(|i| (2 * i + 1, 2 * i + 7)).collect();
-    let (r0, r1) = two_rank_world_windowed(&edges0, &edges1, WINDOW, true);
+    let (r0, r1) = two_rank_world_windowed(&edges0, &edges1, WINDOW);
     let mut states = [r0, r1];
     for st in &mut states {
         st.begin_step(25, &[0.5, 0.5]);
@@ -309,8 +304,8 @@ fn concurrent_conversations_hold_disjoint_reservations() {
     );
 }
 
-/// With the local fast path on (the default), self-partner switches
-/// mutate the store inline without a conversation record. Seeded
+/// Self-partner switches mutate the store inline, on the local fast
+/// path, without a conversation record. Seeded
 /// property: however those inline applies interleave with pipelined
 /// protocol traffic, the reservation books stay consistent — no
 /// promised (potential) edge ever materializes behind its validator's
@@ -326,7 +321,7 @@ fn fastpath_applies_respect_reservation_disjointness() {
     const WINDOW: usize = 4;
     let edges0: Vec<(u64, u64)> = (0..60).map(|i| (2 * i, 2 * i + 3)).collect();
     let edges1: Vec<(u64, u64)> = (0..60).map(|i| (2 * i + 1, 2 * i + 4)).collect();
-    let (r0, r1) = two_rank_world_windowed(&edges0, &edges1, WINDOW, true);
+    let (r0, r1) = two_rank_world_windowed(&edges0, &edges1, WINDOW);
     let mut states = [r0, r1];
     for st in &mut states {
         st.begin_step(40, &[0.5, 0.5]);
@@ -392,6 +387,41 @@ fn fastpath_applies_respect_reservation_disjointness() {
     );
 }
 
+/// The ranks of `cfg`'s world over `graph`, partitioned and split as
+/// every driver does it.
+fn world_ranks(graph: &Graph, cfg: &ParallelConfig) -> Vec<RankState> {
+    let mut rng = cfg.root_rng();
+    let part = Partitioner::build(cfg.scheme, graph, cfg.processors, &mut rng);
+    build_stores(graph, &part)
+        .into_iter()
+        .enumerate()
+        .map(|(rank, store)| RankState::new(rank, part.clone(), store, cfg))
+        .collect()
+}
+
+/// Open step `step` of `harness` on every rank: partner weights from
+/// the edge counts, quotas from the multinomial over the ranks' streams.
+fn begin_world_step(states: &mut [RankState], harness: &StepHarness, step: u64) {
+    let counts: Vec<u64> = states.iter().map(|st| st.edge_count()).collect();
+    let q = probability_vector(&counts, harness.uniform_q());
+    let quotas = edgeswitch_dist::multinomial_owned_world(
+        harness.step_ops(step),
+        &q,
+        states.iter_mut().map(|st| st.rng_mut()),
+    );
+    for (st, &qi) in states.iter_mut().zip(&quotas) {
+        st.begin_step(qi, &q);
+    }
+}
+
+/// Deliver every queued message, with whatever it causes.
+fn drain(states: &mut [RankState], queue: &mut VecDeque<(usize, usize, Msg)>, out: &mut Outbox) {
+    while let Some((dst, src, msg)) = queue.pop_front() {
+        states[dst].handle(src, msg, out);
+        route(states, dst, out, queue);
+    }
+}
+
 /// A stop-and-wait reference driver: the pre-window world loop (one
 /// `try_start` per rank per sweep, strictly one conversation in flight)
 /// re-implemented against the public state-machine surface.
@@ -400,33 +430,14 @@ fn stop_and_wait_reference(
     t: u64,
     cfg: &ParallelConfig,
 ) -> (Vec<RankStats>, Vec<(u64, u64)>) {
-    let mut rng = cfg.root_rng();
-    let part = Partitioner::build(cfg.scheme, graph, cfg.processors, &mut rng);
-    let stores = build_stores(graph, &part);
-    let mut states: Vec<RankState> = stores
-        .into_iter()
-        .enumerate()
-        .map(|(rank, store)| RankState::new(rank, part.clone(), store, &cfg.clone().with_window(1)))
-        .collect();
+    let mut states = world_ranks(graph, &cfg.clone().with_window(1));
     let harness = StepHarness::new(t, cfg);
     let mut queue: VecDeque<(usize, usize, Msg)> = VecDeque::new();
     let mut out = Outbox::new();
     for step in 0..harness.steps() {
-        let counts: Vec<u64> = states.iter().map(|st| st.edge_count()).collect();
-        let q = probability_vector(&counts, harness.uniform_q());
-        let quotas = edgeswitch_dist::multinomial_owned_world(
-            harness.step_ops(step),
-            &q,
-            states.iter_mut().map(|st| st.rng_mut()),
-        );
-        for (st, &qi) in states.iter_mut().zip(&quotas) {
-            st.begin_step(qi, &q);
-        }
+        begin_world_step(&mut states, &harness, step);
         loop {
-            while let Some((dst, src, msg)) = queue.pop_front() {
-                states[dst].handle(src, msg, &mut out);
-                route(&mut states, dst, &mut out, &mut queue);
-            }
+            drain(&mut states, &mut queue, &mut out);
             let mut any_started = false;
             for i in 0..states.len() {
                 if matches!(states[i].try_start(&mut out), StartResult::Started) {
@@ -449,6 +460,95 @@ fn stop_and_wait_reference(
     }
     edges.sort_unstable();
     (stats, edges)
+}
+
+/// How a world driver opens a rank's next own conversation.
+type Start = fn(&mut RankState, &mut Outbox) -> StartResult;
+
+/// A windowed world driver: each sweep delivers every queued message,
+/// then fills each rank's window through `start`. Per rank, it returns
+/// the statistics, the output keys in pool order and the words the rank
+/// drew from its stream.
+fn windowed_world(
+    graph: &Graph,
+    t: u64,
+    cfg: &ParallelConfig,
+    start: Start,
+) -> Vec<(RankStats, Vec<u64>, u64)> {
+    let mut states = world_ranks(graph, cfg);
+    let harness = StepHarness::new(t, cfg);
+    let mut queue: VecDeque<(usize, usize, Msg)> = VecDeque::new();
+    let mut out = Outbox::new();
+    for step in 0..harness.steps() {
+        begin_world_step(&mut states, &harness, step);
+        loop {
+            drain(&mut states, &mut queue, &mut out);
+            let mut any_started = false;
+            for i in 0..states.len() {
+                while start(&mut states[i], &mut out) == StartResult::Started {
+                    any_started = true;
+                    route(&mut states, i, &mut out, &mut queue);
+                }
+            }
+            if !any_started && queue.is_empty() {
+                break;
+            }
+        }
+    }
+    states
+        .into_iter()
+        .map(|mut st| {
+            let words = st.rng_mut().words_served();
+            let o = st.into_output(Default::default());
+            (o.stats, o.keys, words)
+        })
+        .collect()
+}
+
+/// The local fast path against its reference: the same windowed world,
+/// once through `try_start` and once through the start that sends every
+/// self-partner switch as a self-addressed `Propose`, must end with the
+/// same statistics (but the fast-path attribution), the same pool order
+/// on every rank and the same stream positions. Under the hash scheme a
+/// self-partner switch takes the fully-local arm at every cell and, with
+/// a second rank to own a replacement, the foreign-replacement arm too.
+#[test]
+fn fast_path_equals_the_protocol_start_at_every_window() {
+    let g = erdos_renyi_gnm(300, 1500, &mut edgeswitch_dist::root_rng(8));
+    for p in [1usize, 2, 4] {
+        for window in [1usize, 16] {
+            let cfg = ParallelConfig::new(p)
+                .with_scheme(SchemeKind::HashUniversal)
+                .with_step_size(StepSize::FractionOfT(4))
+                .with_seed(31)
+                .with_window(window);
+            let fast = windowed_world(&g, 1_500, &cfg, RankState::try_start);
+            let reference = windowed_world(&g, 1_500, &cfg, RankState::try_start_by_protocol);
+            let cell = format!("p={p} window={window}");
+            let inline: u64 = fast.iter().map(|(s, ..)| s.performed_fastpath).sum();
+            let by_partner: u64 = fast
+                .iter()
+                .map(|(s, ..)| s.performed_local - s.performed_fastpath)
+                .sum();
+            assert!(inline > 0, "no fully-local switch at {cell}");
+            if p > 1 {
+                assert!(by_partner > 0, "no foreign-replacement switch at {cell}");
+            }
+            assert!(reference.iter().all(|(s, ..)| s.performed_fastpath == 0));
+            let strip = |ends: Vec<(RankStats, Vec<u64>, u64)>| {
+                ends.into_iter()
+                    .map(|(s, keys, words)| {
+                        let s = RankStats {
+                            performed_fastpath: 0,
+                            ..s
+                        };
+                        (s, keys, words)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(strip(fast), strip(reference), "{cell}");
+        }
+    }
 }
 
 /// `window = 1` must reproduce the pre-window engine's outcome stream
@@ -486,23 +586,23 @@ fn window_one_is_bit_identical_to_stop_and_wait() {
 /// The fold's regression test: a self-partner draw whose replacement is
 /// foreign leaves the fast path through the same partner function
 /// `on_propose` calls, so from the `Validate` fan-out on the conversation
-/// must be the `local_fastpath = false` run's message for message — the
-/// only difference is the self-addressed `Propose` the fast path skips.
+/// must be the protocol start's message for message — the only
+/// difference is the self-addressed `Propose` the fast path skips.
 /// Edges `(4i, 4i+1)` pair an even `src` (rank 0 under HP-D(2)) with an
 /// odd endpoint, so recombining any two yields one even-src and one
 /// odd-src replacement: exactly one foreign owner on the first switch.
 #[test]
 fn fastpath_foreign_replacement_runs_the_partner_conversation() {
     let edges0: Vec<(u64, u64)> = (0..12).map(|i| (4 * i, 4 * i + 1)).collect();
-    let run = |fastpath: bool| {
-        let (r0, r1) = two_rank_world_windowed(&edges0, &[], 1, fastpath);
+    let run = |start: Start| {
+        let (r0, r1) = two_rank_world_windowed(&edges0, &[], 1);
         let mut states = [r0, r1];
         states[0].begin_step(6, &[1.0, 0.0]); // partner draw is always self
         states[1].begin_step(0, &[1.0, 0.0]);
         let mut trace: Vec<(usize, usize, Msg)> = Vec::new();
         let mut mid = None;
         let mut out = Outbox::new();
-        while states[0].try_start(&mut out) == StartResult::Started {
+        while start(&mut states[0], &mut out) == StartResult::Started {
             let mut queue: VecDeque<(usize, usize, Msg)> = VecDeque::new();
             route(&mut states, 0, &mut out, &mut queue);
             // The partner conversation of the first switch, caught with
@@ -541,7 +641,7 @@ fn fastpath_foreign_replacement_runs_the_partner_conversation() {
         });
         (trace, mid.expect("at least one switch started"), ends)
     };
-    let (trace, mid, ends) = run(true);
+    let (trace, mid, ends) = run(RankState::try_start);
     assert!(
         matches!(trace[0], (0, 1, Msg::Validate { .. })),
         "the first switch must take the foreign-replacement arm: {:?}",
@@ -550,7 +650,7 @@ fn fastpath_foreign_replacement_runs_the_partner_conversation() {
     let (serving, e1s, reserved, potential) = &mid;
     assert!(serving, "a PartnerConv awaits the foreign verdict");
     assert_eq!((e1s.len(), reserved.len(), potential.len()), (1, 2, 1));
-    let (ref_trace, ref_mid, ref_ends) = run(false);
+    let (ref_trace, ref_mid, ref_ends) = run(RankState::try_start_by_protocol);
     assert_eq!(trace, ref_trace, "message sequence");
     assert_eq!(mid, ref_mid, "partner conversation state");
     assert_eq!(ends, ref_ends, "stats and pool order");

@@ -323,7 +323,7 @@ impl Run {
     /// `config.scheme` would build (adversarial or custom partitioning
     /// experiments). The driver, the randomizer and the budget stay the
     /// builder's. This is the one door for values that have no knob of
-    /// their own (`local_fastpath`, `proc_opts`).
+    /// their own (`proc_opts`).
     pub fn prepared(mut self, config: ParallelConfig, part: Option<Partitioner>) -> Self {
         if config.processors == 0 {
             self.record_invalid(RunError::InvalidConfig(
@@ -765,12 +765,10 @@ mod tests {
     #[test]
     fn prepared_config_replaces_the_knobs_and_pins_the_partitioner() {
         let g = graph();
-        let cfg = ParallelConfig::new(3)
-            .with_seed(5)
-            .with_local_fastpath(false);
+        let cfg = ParallelConfig::new(3).with_seed(5);
         let run = Run::simulated(8).switches(300).prepared(cfg, None);
         assert_eq!(run.config().processors, 3);
-        assert!(!run.config().local_fastpath);
+        assert_eq!(run.config().seed, 5);
         let built = run.execute(&g).into_parallel().expect("parallel outcome");
         assert_eq!(built.per_rank.len(), 3);
         // The same partitioner handed over explicitly changes nothing;

@@ -21,7 +21,9 @@
 use crate::obs::{Obs, ObsSpec, Phase, ProgressEvent, RunReport, SoloObs, StepProgress};
 use crate::parallel::wire::encode_seq;
 use crate::run::{RunOutcome, SequentialRun, Stepped};
-use crate::switch::{flip_kind, recombine, Recombination, RejectReason, SwitchKind};
+use crate::switch::{
+    flip_kind, recombine, Recombination, RejectReason, SwitchKind, MAX_REJECTS_PER_OP,
+};
 use crate::visit::{check_marks, visit_rate, Visits};
 use edgeswitch_dist::Rng;
 use edgeswitch_dist::{root_rng, BlockRng64};
@@ -81,9 +83,6 @@ impl SequentialOutcome {
         self.visits.visit_rate()
     }
 }
-
-/// Retry budget per operation before declaring the graph switch-starved.
-pub(crate) const MAX_RETRIES_PER_OP: u64 = 100_000;
 
 /// How a chunk of operations ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -244,7 +243,7 @@ fn run_ops_chunk(
             };
             rejects.bump(reason);
             retries += 1;
-            if retries >= MAX_RETRIES_PER_OP {
+            if retries >= MAX_REJECTS_PER_OP {
                 return ChunkOutcome::Starved;
             }
         }
@@ -671,7 +670,7 @@ mod tests {
         let (g, out) = switch(g, 10, 5);
         assert_eq!(out.performed, 0);
         assert_eq!(out.abandoned, 10);
-        assert!(out.rejects.total() >= MAX_RETRIES_PER_OP);
+        assert!(out.rejects.total() >= MAX_REJECTS_PER_OP);
         // Graph unchanged.
         assert_eq!(g.degree(0), 5);
     }

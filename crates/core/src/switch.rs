@@ -12,6 +12,11 @@
 
 use edgeswitch_graph::{Edge, OrientedEdge};
 
+/// Rejections of one operation before it is given up, by every switch
+/// engine alike: a graph with no legal switch left would otherwise
+/// retry forever.
+pub(crate) const MAX_REJECTS_PER_OP: u64 = 100_000;
+
 /// Which recombination the ½-coin selected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SwitchKind {

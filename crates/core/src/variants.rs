@@ -16,8 +16,7 @@
 //! outcome reads its [`Visits`] off it, as marks over the output graph's
 //! `edges()` order.
 
-use crate::sequential::MAX_RETRIES_PER_OP;
-use crate::switch::{flip_kind, recombine, Recombination};
+use crate::switch::{flip_kind, recombine, Recombination, MAX_REJECTS_PER_OP};
 use crate::visit::Visits;
 use edgeswitch_dist::Rng;
 use edgeswitch_graph::sampling::EdgePool;
@@ -152,7 +151,7 @@ pub fn sequential_edge_switch_connected<R: Rng + ?Sized>(
             }
             out.restarts += 1;
             retries += 1;
-            if retries >= MAX_RETRIES_PER_OP {
+            if retries >= MAX_REJECTS_PER_OP {
                 out.abandoned = t - out.performed;
                 break 'ops;
             }
@@ -201,7 +200,7 @@ pub fn sequential_exact_visit<R: Rng + ?Sized>(
             }
             out.restarts += 1;
             retries += 1;
-            if retries >= MAX_RETRIES_PER_OP {
+            if retries >= MAX_REJECTS_PER_OP {
                 out.abandoned = target_ops - out.performed;
                 break 'ops;
             }
